@@ -89,7 +89,7 @@ func Encode(t *table.Table) ([]byte, error) {
 // (chunked v2/v3), dispatching on the magic.
 func Decode(data []byte) (*table.Table, error) {
 	if IsChunked(data) {
-		return decodeChunked(data)
+		return decodeChunked(data, 0)
 	}
 	r := &reader{data: data}
 	var m [4]byte

@@ -160,17 +160,29 @@ func decodeCompressedV2(data []byte) (*encoding.Compressed, error) {
 	return ct, nil
 }
 
-// decodeChunked fully decodes a v2 or v3 file into a plain table.
-func decodeChunked(data []byte) (*table.Table, error) {
+// decodeChunked decodes a v2 or v3 file into a plain table: all of it, or
+// with n > 0 its first n rows.
+func decodeChunked(data []byte, n int) (*table.Table, error) {
 	ct, err := DecodeCompressed(data)
 	if err != nil {
 		return nil, err
 	}
-	t, err := ct.Table()
+	t, err := ct.HeadTable(n)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return t, nil
+}
+
+// DecodeHead is Decode for a reader of the first n rows: of a chunked file
+// it returns exactly those, having decompressed no more than the chunks
+// (and, of the last one, the prefix) that hold them. With n <= 0, and for a
+// v1 file, which has no row index, it is Decode.
+func DecodeHead(data []byte, n int) (*table.Table, error) {
+	if IsChunked(data) {
+		return decodeChunked(data, n)
+	}
+	return Decode(data)
 }
 
 // decodeSchemaV2 reads only the headers of a v2 file, skipping chunk

@@ -3,6 +3,7 @@ package colfmt
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"testing"
 
 	"github.com/shortcircuit-db/sc/internal/encoding"
@@ -233,5 +234,63 @@ func TestV3HostileHeaders(t *testing.T) {
 	}
 	if _, _, err := DecodeSchema(b.Bytes()); err == nil {
 		t.Fatal("overflowing chunk count accepted by DecodeSchema")
+	}
+}
+
+// TestDecodeHeadIsAPrefix checks DecodeHead at every interesting row count
+// around the chunk boundaries: of a chunked file, aligned or not, it returns
+// exactly the first n rows; a v1 file decodes whole.
+func TestDecodeHeadIsAPrefix(t *testing.T) {
+	const rows, chunkRows = 300, 64
+	full := mixedTable(t, rows, 11)
+	chunked, err := EncodeV2(full, encoding.Options{ChunkRows: chunkRows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := Encode(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := DecodeCompressed(chunked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Re-chunk column 0 alone so its boundaries differ from the others'.
+	col0, err := encoding.FromTable(full, encoding.Options{ChunkRows: 2 * chunkRows})
+	if err != nil {
+		t.Fatal(err)
+	}
+	skewed := *ct
+	skewed.Cols = append([][]encoding.Chunk{col0.Cols[0]}, ct.Cols[1:]...)
+	misaligned, err := EncodeCompressed(&skewed)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, n := range []int{0, 1, chunkRows - 1, chunkRows, chunkRows + 1, rows - 1, rows, rows + 1} {
+		head := rows // n <= 0 means everything
+		if n > 0 && n < rows {
+			head = n
+		}
+		for _, tc := range []struct {
+			name string
+			data []byte
+			rows int
+		}{{"chunked", chunked, head}, {"v1", v1, rows}, {"misaligned", misaligned, head}} {
+			got, err := DecodeHead(tc.data, n)
+			if err != nil {
+				t.Fatalf("%s, n=%d: %v", tc.name, n, err)
+			}
+			if got.NumRows() != tc.rows {
+				t.Fatalf("%s, n=%d: %d rows, want %d", tc.name, n, got.NumRows(), tc.rows)
+			}
+			idx := make([]int, got.NumRows())
+			for i := range idx {
+				idx[i] = i
+			}
+			if want := full.Gather(idx); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, n=%d: not a prefix of the full table", tc.name, n)
+			}
+		}
 	}
 }

@@ -118,6 +118,78 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestDecodeHeadIsAPrefixOfDecode: for every codec and type, the first k
+// rows decodeHead returns are bit-identical to the first k of the full
+// decode, at k = 1, the middle, and n-1 and n.
+func TestDecodeHeadIsAPrefixOfDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, typ := range []table.Type{table.Int, table.Float, table.Str} {
+		for _, c := range Candidates(typ) {
+			for trial := 0; trial < 40; trial++ {
+				n := 2 + rng.Intn(300)
+				v := genVector(rng, typ, n)
+				payload, err := c.Encode(v)
+				if err != nil {
+					continue // floatdec may reject the values
+				}
+				ch := Chunk{Codec: c.ID(), Rows: n, Data: payload}
+				for _, k := range []int{1, n / 2, n - 1, n} {
+					got, err := decodeHead(ch, typ, k)
+					if err != nil {
+						t.Fatalf("%s/%s n=%d k=%d: %v", c.ID(), typ, n, k, err)
+					}
+					if !vecEqual(slice(v, 0, k), got) {
+						t.Fatalf("%s/%s n=%d k=%d: not the first k rows", c.ID(), typ, n, k)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHeadTable reads the first n rows of a table whose columns chunk at
+// different boundaries: exactly n rows, equal to the full decode's first n,
+// and everything for n <= 0 or n >= NRows.
+func TestHeadTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const rows = 300
+	full := &table.Table{Schema: table.NewSchema(
+		table.Column{Name: "i", Type: table.Int},
+		table.Column{Name: "f", Type: table.Float},
+		table.Column{Name: "s", Type: table.Str},
+	)}
+	for _, c := range full.Schema.Cols {
+		full.Cols = append(full.Cols, genVector(rng, c.Type, rows))
+	}
+	ct, err := FromTable(full, Options{ChunkRows: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := FromTable(full, Options{ChunkRows: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct.Cols[0] = wide.Cols[0]
+	for _, n := range []int{-1, 0, 1, 63, 64, 65, 100, 101, rows - 1, rows, rows + 1} {
+		got, err := ct.HeadTable(n)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		want := rows
+		if n > 0 && n < rows {
+			want = n
+		}
+		if got.NumRows() != want {
+			t.Fatalf("n=%d: %d rows, want %d", n, got.NumRows(), want)
+		}
+		for ci, col := range got.Cols {
+			if !vecEqual(slice(full.Cols[ci], 0, want), col) {
+				t.Fatalf("n=%d: column %d is not the table's first %d rows", n, ci, want)
+			}
+		}
+	}
+}
+
 // TestEveryCodecCoversItsTypes pins the applicability matrix.
 func TestEveryCodecCoversItsTypes(t *testing.T) {
 	want := map[CodecID][]table.Type{

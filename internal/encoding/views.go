@@ -242,3 +242,103 @@ func (c *Compressed) RowGroups() []int {
 	}
 	return groups
 }
+
+// HeadTable decodes the table's first n rows into a plain table: whole
+// leading chunks, then only the needed prefix of the chunk the n-th row
+// falls in — what a reader of a table's first rows has to pay. With n <= 0
+// or n >= NRows it is Table.
+func (c *Compressed) HeadTable(n int) (*table.Table, error) {
+	if n <= 0 || n >= c.NRows {
+		return c.Table()
+	}
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	t := table.New(c.Schema)
+	for ci, chunks := range c.Cols {
+		col := c.Schema.Cols[ci]
+		for need, i := n, 0; need > 0; i++ {
+			k := min(need, chunks[i].Rows)
+			part, err := decodeHead(chunks[i], col.Type, k)
+			if err != nil {
+				return nil, fmt.Errorf("encoding: column %q: %w", col.Name, err)
+			}
+			if i == 0 {
+				t.Cols[ci] = part
+			} else {
+				t.Cols[ci].Ints = append(t.Cols[ci].Ints, part.Ints...)
+				t.Cols[ci].Floats = append(t.Cols[ci].Floats, part.Floats...)
+				t.Cols[ci].Strs = append(t.Cols[ci].Strs, part.Strs...)
+			}
+			need -= k
+		}
+	}
+	if err := t.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return t, nil
+}
+
+// decodeHead decodes the first k rows of a chunk, 0 < k <= ch.Rows, reading
+// no more of the payload than they occupy where the codec's layout allows
+// it: fixed-width raw values, bit-packed dict codes and deltas, and runs.
+// Raw strings have no row index, so that one case decodes whole.
+func decodeHead(ch Chunk, t table.Type, k int) (*table.Vector, error) {
+	if k == ch.Rows {
+		return DecodeChunk(ch, t)
+	}
+	switch ch.Codec {
+	case Raw:
+		if t != table.Str && len(ch.Data) == ch.Rows*8 {
+			return rawCodec{}.Decode(ch.Data[:k*8], t, k)
+		}
+	case Delta:
+		// unpackBits asks only for the bytes its n values need.
+		return deltaCodec{}.Decode(ch.Data, t, k)
+	case Dict:
+		d, err := ParseDict(ch, t)
+		if err != nil {
+			return nil, err
+		}
+		d.rows = k
+		codes, err := d.Codes()
+		if err != nil {
+			return nil, err
+		}
+		out := &table.Vector{Type: t}
+		for _, code := range codes {
+			_ = out.Append(d.Value(int(code)))
+		}
+		return out, nil
+	case RLE:
+		runs, err := ParseRuns(ch, t)
+		if err != nil {
+			return nil, err
+		}
+		out := &table.Vector{Type: t}
+		for _, r := range runs {
+			for j := 0; j < r.Len && out.Len() < k; j++ {
+				_ = out.Append(r.Val)
+			}
+		}
+		return out, nil
+	case FloatDec:
+		if len(ch.Data) >= 2 && int(ch.Data[0]) < len(floatDecScales) && CodecID(ch.Data[1]) != FloatDec {
+			iv, err := decodeHead(Chunk{Codec: CodecID(ch.Data[1]), Rows: ch.Rows, Data: ch.Data[2:]}, table.Int, k)
+			if err != nil {
+				return nil, err
+			}
+			out := &table.Vector{Type: table.Float, Floats: make([]float64, k)}
+			for i, x := range iv.Ints {
+				out.Floats[i] = float64(x) / floatDecScales[ch.Data[0]]
+			}
+			return out, nil
+		}
+	}
+	// No cheaper way in (or a malformed header): the full decode settles it.
+	v, err := DecodeChunk(ch, t)
+	if err != nil {
+		return nil, err
+	}
+	return slice(v, 0, k), nil
+}

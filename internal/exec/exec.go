@@ -85,7 +85,8 @@ func (w *Workload) BuildGraph() (*dag.Graph, [][]string, error) {
 // back into the optimizer.
 type NodeMetrics struct {
 	Name         string
-	ReadTime     time.Duration // resolving all inputs (includes lazy decode)
+	PlanTime     time.Duration // parse + plan + lower (input fetches excluded)
+	ReadTime     time.Duration // fetching and resolving all inputs (includes lazy decode)
 	ComputeTime  time.Duration // running the plan
 	WriteTime    time.Duration // blocking write (zero for flagged nodes)
 	EncodeTime   time.Duration // serializing (and compressing) the output
@@ -272,7 +273,7 @@ func (c *Controller) Run(ctx context.Context, w *Workload, g *dag.Graph, plan *c
 		w:       w,
 		g:       g,
 		pos:     core.Positions(plan.Order),
-		schemas: newSchemaCache(c.Store, c.Mem),
+		schemas: newSchemaCache(c.Mem),
 		states:  make([]*flaggedState, n),
 	}
 
@@ -445,14 +446,23 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 		}
 	}()
 
+	// Every storage-resident input goes through one handle: whichever of
+	// planning (schema), a kernel (chunk view) or the row engine (rows) asks
+	// first pays the node's only Store.Read of that object.
+	in := &nodeInputs{rs: rs, step: step, objs: make(map[string]*input), scans: make(map[string]int)}
+
 	// Plan the statement against current schemas.
+	p0 := time.Now()
 	stmt, err := sql.Parse(spec.SQL)
 	if err != nil {
 		return m, fmt.Errorf("exec: node %q: %w", spec.Name, err)
 	}
-	planNode, _, err := sql.Plan(stmt, rs.schemas)
+	planNode, scanned, err := sql.Plan(stmt, in)
 	if err != nil {
 		return m, fmt.Errorf("exec: node %q: %w", spec.Name, err)
+	}
+	for _, name := range scanned {
+		in.scans[name]++
 	}
 	var kst *kernels.Stats
 	if c.Vectorized {
@@ -465,37 +475,16 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 			Session: c.Chunked, Node: spec.Name, Opts: opts,
 		})
 	}
+	planRead := in.readTime
+	m.PlanTime = time.Since(p0) - planRead
 
 	// Execute with a resolver that tracks where inputs came from and
 	// honors cancellation between input reads.
-	var readTime time.Duration
-	// One-entry cache of the last physical storage read: a kernel's
-	// chunked probe that falls back (legacy v1 file, schema mismatch)
-	// hands its bytes to the row path instead of paying the (possibly
-	// throttled) store twice for the same object. A node's plan executes
-	// on one goroutine, so no locking is needed.
-	var lastRead struct {
-		name string
-		data []byte
-	}
-	readObject := func(name string) ([]byte, error) {
-		if lastRead.name == name {
-			return lastRead.data, nil
-		}
-		data, err := c.Store.Read(tableObject(name))
-		if err != nil {
-			return nil, err
-		}
-		m.DiskReads++
-		lastRead.name, lastRead.data = name, data
-		return data, nil
-	}
 	ectx := &engine.Context{Resolve: func(name string) (*table.Table, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		t0 := time.Now()
-		defer func() { readTime += time.Since(t0) }()
+		defer in.timed(time.Now())
 		if c.Mem != nil {
 			d0 := time.Now()
 			if t, info, ok := c.Mem.GetTable(name); ok {
@@ -505,15 +494,7 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 				// readers of one flagged MV no longer look like k full
 				// decodes.
 				if info.Decoded > 0 {
-					ratio := 1.0
-					if info.Encoded > 0 {
-						ratio = float64(info.Decoded) / float64(info.Encoded)
-					}
-					obs.Emit(c.Obs, obs.Event{
-						Kind: obs.DecodeDone, Node: name, Step: step,
-						Bytes: info.Decoded, Encoded: info.Encoded,
-						Ratio: ratio, Elapsed: time.Since(d0),
-					})
+					in.emitDecode(name, info.Decoded, info.Encoded, d0)
 				} else {
 					// Served by the decoded-view cache or a plain resident
 					// entry: no decode work at all. Report the reuse so the
@@ -528,31 +509,7 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 			}
 			// Not resident (or undecodable): fall back to storage below.
 		}
-		data, err := readObject(name)
-		if err != nil {
-			return nil, err
-		}
-		d0 := time.Now()
-		t, err := colfmt.Decode(data)
-		if err != nil {
-			return nil, fmt.Errorf("decode %q: %w", name, err)
-		}
-		if colfmt.IsChunked(data) {
-			// A full decode of a chunked file is the cost the kernels'
-			// per-chunk readers exist to avoid; report it like a catalog
-			// decode so observers can account decoded bytes either way.
-			bytes := t.ByteSize()
-			ratio := 1.0
-			if len(data) > 0 {
-				ratio = float64(bytes) / float64(len(data))
-			}
-			obs.Emit(c.Obs, obs.Event{
-				Kind: obs.DecodeDone, Node: name, Step: step,
-				Bytes: bytes, Encoded: int64(len(data)),
-				Ratio: ratio, Elapsed: time.Since(d0),
-			})
-		}
-		return t, nil
+		return in.table(name)
 	}}
 	if c.Vectorized {
 		// Kernels may widen a chunk walk by borrowing tokens the node
@@ -569,8 +526,7 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			t0 := time.Now()
-			defer func() { readTime += time.Since(t0) }()
+			defer in.timed(time.Now())
 			if c.Mem != nil {
 				// GetCompressed counts the hit and serves the chunks without
 				// ever touching the decoded-view cache: an entry consumed
@@ -587,15 +543,7 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 					return nil, nil // plain resident entry: row path is cheaper
 				}
 			}
-			data, err := readObject(name)
-			if err != nil || !colfmt.IsChunked(data) {
-				return nil, nil
-			}
-			ct, err := colfmt.DecodeCompressed(data)
-			if err != nil {
-				return nil, nil
-			}
-			return ct, nil
+			return in.chunks(name), nil
 		}
 	}
 
@@ -615,8 +563,8 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 	if err != nil {
 		return m, fmt.Errorf("exec: node %q: %w", spec.Name, err)
 	}
-	m.ComputeTime = time.Since(t0) - readTime
-	m.ReadTime = readTime
+	m.ReadTime, m.DiskReads = in.readTime, in.reads
+	m.ComputeTime = time.Since(t0) - (in.readTime - planRead)
 	if ct != nil {
 		m.OutputBytes = ct.RawBytes
 		m.Rows = ct.NRows
@@ -737,7 +685,7 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 	obs.Emit(c.Obs, obs.Event{
 		Kind: obs.NodeDone, Node: spec.Name, Step: step,
 		Bytes: m.OutputBytes, Encoded: m.EncodedSize, Elapsed: time.Since(nodeStart),
-		Read: m.ReadTime, Write: m.WriteTime, Compute: m.ComputeTime,
+		Plan: m.PlanTime, Read: m.ReadTime, Write: m.WriteTime, Compute: m.ComputeTime,
 		Flagged: m.Flagged,
 	})
 	return m, nil
@@ -831,11 +779,17 @@ func TableSize(st storage.Store, name string) (int64, error) {
 
 // LoadTable reads and decodes a table from storage.
 func LoadTable(st storage.Store, name string) (*table.Table, error) {
+	return LoadTableHead(st, name, 0)
+}
+
+// LoadTableHead is LoadTable for a reader of the table's first n rows: it
+// decodes no more of a chunked file than those need (colfmt.DecodeHead).
+func LoadTableHead(st storage.Store, name string, n int) (*table.Table, error) {
 	data, err := st.Read(tableObject(name))
 	if err != nil {
 		return nil, err
 	}
-	return colfmt.Decode(data)
+	return colfmt.DecodeHead(data, n)
 }
 
 // SaveTable encodes and writes a table to storage in the v1 format.
@@ -858,18 +812,140 @@ func SaveTableChunked(st storage.Store, name string, t *table.Table, opts encodi
 	return st.Write(tableObject(name), data)
 }
 
-// schemaCache resolves table schemas for the SQL planner: first from
-// schemas learned this run, then the Memory Catalog, then storage headers.
-// It is safe for concurrent use by the worker pool.
+// nodeInputs is one executing node's view of external storage: one handle
+// per object, so the object is read once however many of its three forms
+// (schema, chunk view, rows) the node asks for and however often. Handles
+// are per node, never shared across nodes, which keeps the run's byte
+// counts exact at any concurrency. A node plans and executes on one
+// goroutine, so none of this needs locking.
+type nodeInputs struct {
+	rs       *runState
+	step     int
+	objs     map[string]*input
+	scans    map[string]int // the plan's scans of each table not yet handed their rows
+	reads    int            // Store.Read calls that returned an object
+	readTime time.Duration  // fetching and resolving inputs, planning included
+}
+
+// input is the handle on one storage object. Each derived form is built at
+// most once; the raw bytes go as soon as the rows exist.
+type input struct {
+	data []byte               // nil once tbl is decoded
+	ct   *encoding.Compressed // aliases data
+	tbl  *table.Table
+}
+
+// timed charges the time since t0 to the node's ReadTime.
+func (in *nodeInputs) timed(t0 time.Time) { in.readTime += time.Since(t0) }
+
+// fetch returns the handle for a table's object, reading it on first use.
+func (in *nodeInputs) fetch(name string) (*input, error) {
+	if o := in.objs[name]; o != nil {
+		return o, nil
+	}
+	data, err := in.rs.c.Store.Read(tableObject(name))
+	if err != nil {
+		return nil, err
+	}
+	in.reads++
+	o := &input{data: data}
+	in.objs[name] = o
+	return o, nil
+}
+
+// TableSchema implements sql.Catalog for this node's plan: what the run
+// already knows, else the header of the object, whose bytes then also
+// serve the node's scan of it.
+func (in *nodeInputs) TableSchema(name string) (table.Schema, error) {
+	if sch, ok := in.rs.schemas.lookup(name); ok {
+		return sch, nil
+	}
+	defer in.timed(time.Now())
+	o, err := in.fetch(name)
+	if err != nil {
+		return table.Schema{}, err
+	}
+	sch, _, err := colfmt.DecodeSchema(o.data)
+	if err == nil {
+		in.rs.schemas.learn(name, sch)
+	}
+	return sch, err
+}
+
+// chunks returns the object's chunk view without decompressing anything, or
+// nil when there is none to give — a read error, a v1 file, a corrupt one,
+// or rows already decoded — which sends a kernel to its row-engine
+// fallback; that resolves through table and surfaces any error itself.
+func (in *nodeInputs) chunks(name string) *encoding.Compressed {
+	o, err := in.fetch(name)
+	if err != nil {
+		return nil
+	}
+	if o.ct == nil && colfmt.IsChunked(o.data) {
+		o.ct, _ = colfmt.DecodeCompressed(o.data)
+	}
+	return o.ct
+}
+
+// table returns the object fully decoded. The last of the plan's scans of it
+// lets go of the handle: from there the operators own the rows, so a join's
+// inputs can be collected while the rest of the plan still runs.
+func (in *nodeInputs) table(name string) (*table.Table, error) {
+	o, err := in.fetch(name)
+	if err != nil {
+		return nil, err
+	}
+	if o.tbl == nil {
+		d0 := time.Now()
+		chunked, encoded := colfmt.IsChunked(o.data), int64(len(o.data))
+		if o.ct != nil {
+			o.tbl, err = o.ct.Table()
+		} else {
+			o.tbl, err = colfmt.Decode(o.data)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("decode %q: %w", name, err)
+		}
+		o.data = nil
+		if chunked {
+			// A full decode of a chunked file is the cost the kernels'
+			// per-chunk readers exist to avoid; report it like a catalog
+			// decode so observers can account decoded bytes either way.
+			in.emitDecode(name, o.tbl.ByteSize(), encoded, d0)
+		}
+	}
+	if in.scans[name]--; in.scans[name] <= 0 {
+		delete(in.objs, name)
+	}
+	return o.tbl, nil
+}
+
+// emitDecode reports a whole-table decode of a compressed input that began
+// at d0.
+func (in *nodeInputs) emitDecode(name string, decoded, encoded int64, d0 time.Time) {
+	ratio := 1.0
+	if encoded > 0 {
+		ratio = float64(decoded) / float64(encoded)
+	}
+	obs.Emit(in.rs.c.Obs, obs.Event{
+		Kind: obs.DecodeDone, Node: name, Step: in.step,
+		Bytes: decoded, Encoded: encoded,
+		Ratio: ratio, Elapsed: time.Since(d0),
+	})
+}
+
+// schemaCache holds what the run itself knows about table schemas: those
+// of outputs produced so far, plus whatever is resident in the Memory
+// Catalog. It never touches storage — a node's own input handles do that
+// (see nodeInputs). It is safe for concurrent use by the worker pool.
 type schemaCache struct {
-	store storage.Store
 	mem   *memcat.Catalog
 	mu    sync.RWMutex
 	known map[string]table.Schema
 }
 
-func newSchemaCache(st storage.Store, mem *memcat.Catalog) *schemaCache {
-	return &schemaCache{store: st, mem: mem, known: make(map[string]table.Schema)}
+func newSchemaCache(mem *memcat.Catalog) *schemaCache {
+	return &schemaCache{mem: mem, known: make(map[string]table.Schema)}
 }
 
 func (s *schemaCache) learn(name string, sch table.Schema) {
@@ -878,13 +954,12 @@ func (s *schemaCache) learn(name string, sch table.Schema) {
 	s.mu.Unlock()
 }
 
-// TableSchema implements sql.Catalog.
-func (s *schemaCache) TableSchema(name string) (table.Schema, error) {
+func (s *schemaCache) lookup(name string) (table.Schema, bool) {
 	s.mu.RLock()
 	sch, ok := s.known[name]
 	s.mu.RUnlock()
 	if ok {
-		return sch, nil
+		return sch, true
 	}
 	if s.mem != nil {
 		if e, ok := s.mem.GetEntry(name); ok {
@@ -892,22 +967,13 @@ func (s *schemaCache) TableSchema(name string) (table.Schema, error) {
 			// table back as-is. Neither pays a decode here.
 			if ct, compressed := e.(*encoding.Compressed); compressed {
 				s.learn(name, ct.Schema)
-				return ct.Schema, nil
+				return ct.Schema, true
 			}
 			if t, err := e.Table(); err == nil {
 				s.learn(name, t.Schema)
-				return t.Schema, nil
+				return t.Schema, true
 			}
 		}
 	}
-	data, err := s.store.Read(tableObject(name))
-	if err != nil {
-		return table.Schema{}, err
-	}
-	sch, _, err = colfmt.DecodeSchema(data)
-	if err != nil {
-		return table.Schema{}, err
-	}
-	s.learn(name, sch)
-	return sch, nil
+	return table.Schema{}, false
 }

@@ -1043,26 +1043,28 @@ func (s *Server) cancelIfQueued(r *Run, tkt *ticket) bool {
 	return true
 }
 
-// CancelRun cancels a run: a queued trigger is dropped from the queue, a
-// running refresh has its context canceled — the Controller stops at the
-// next boundary and the cancellation sweep plus catalog detach release
-// every reserved and resident byte.
+// CancelRun cancels a run and returns its terminal status: a queued
+// trigger is dropped from the queue; a run that has left the queue has its
+// context canceled — the Controller stops at the next boundary and the
+// cancellation sweep plus catalog detach release every reserved and
+// resident byte — and CancelRun waits for it to finish, so the state is
+// canceled, or succeeded/failed when the run won the race, never running.
 func (s *Server) CancelRun(id string) (RunStatus, error) {
-	s.mu.Lock()
-	r, ok := s.runs[id]
-	s.mu.Unlock()
-	if !ok {
-		return RunStatus{}, fmt.Errorf("%w: run %q", ErrNotFound, id)
+	r, err := s.runHandle(id)
+	if err != nil {
+		return RunStatus{}, err
 	}
 	if s.cancelIfQueued(r, r.tkt) {
 		s.adm.reap()
 		return r.status(), nil
 	}
 	r.mu.Lock()
-	if r.state == StateRunning && r.cancelRun != nil {
-		r.cancelRun()
-	}
+	cancel := r.cancelRun
 	r.mu.Unlock()
+	if cancel != nil {
+		cancel()
+	}
+	<-r.done
 	return r.status(), nil
 }
 
@@ -1130,7 +1132,8 @@ func (s *Server) runHandle(id string) (*Run, error) {
 }
 
 // QueryMV reads a materialized view from the pipeline's store. limit <= 0
-// returns all rows.
+// returns all rows; a positive limit decodes only that many leading rows of
+// a chunked MV.
 func (s *Server) QueryMV(pipelineName, mv string, limit int) (*table.Table, error) {
 	s.mu.Lock()
 	p, ok := s.pipelines[pipelineName]
@@ -1149,12 +1152,12 @@ func (s *Server) QueryMV(pipelineName, mv string, limit int) (*table.Table, erro
 		return nil, fmt.Errorf("%w: mv %q in pipeline %q", ErrNotFound, mv, pipelineName)
 	}
 	start := time.Now()
-	t, err := exec.LoadTable(p.store, mv)
+	t, err := exec.LoadTableHead(p.store, mv, limit)
 	if err != nil {
 		return nil, fmt.Errorf("%w: mv %q not materialized yet", ErrNotFound, mv)
 	}
 	s.prom.mvReadSeconds.observe(time.Since(start).Seconds())
-	if limit > 0 && t.NumRows() > limit {
+	if limit > 0 && t.NumRows() > limit { // a v1 file, which decodes whole
 		idx := make([]int, limit)
 		for i := range idx {
 			idx[i] = i

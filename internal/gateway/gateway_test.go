@@ -7,10 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/shortcircuit-db/sc/internal/encoding"
+	"github.com/shortcircuit-db/sc/internal/exec"
+	"github.com/shortcircuit-db/sc/internal/storage"
 	"github.com/shortcircuit-db/sc/internal/table"
 )
 
@@ -221,10 +225,13 @@ func TestGatewayEndToEnd(t *testing.T) {
 	}
 }
 
-// TestGatewayCancelQueuedRun triggers the same pipeline twice — the
-// second queues behind the busy first — and cancels the queued one.
+// TestGatewayCancelQueuedRun triggers the same pipeline twice — the first
+// run is held at a gated store write, so the second queues behind it — and
+// cancels the queued one, then the running one: both cancels answer with a
+// terminal state.
 func TestGatewayCancelQueuedRun(t *testing.T) {
-	s, ts := newTestGateway(t, Config{})
+	gs := &gateStore{Store: storage.NewMemStore()}
+	s, ts := newTestGateway(t, Config{NewStore: func(string) storage.Store { return gs }})
 	if err := s.Register(PipelineSpec{
 		Name: "p", Tenant: "t",
 		MVs:    pipelineRequest("", "").MVs,
@@ -233,46 +240,68 @@ func TestGatewayCancelQueuedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Hold the pipeline busy: trigger programmatically, then trigger again
-	// over HTTP and cancel the queued run. To dodge the race where the
-	// first run finishes before the second trigger, retry until we catch a
-	// queued state.
-	for attempt := 0; attempt < 20; attempt++ {
-		r1, err := s.Trigger("p")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp := postJSON(t, ts.URL+"/v1/pipelines/p/refresh", nil)
-		if resp.StatusCode != http.StatusAccepted {
-			b, _ := io.ReadAll(resp.Body)
-			t.Fatalf("trigger: %d %s", resp.StatusCode, b)
-		}
-		st := decodeBody[RunStatus](t, resp)
-		<-r1.done
-		if st.State != StateQueued {
-			// The first run won the race; drain and retry.
-			r2, err := s.runHandle(st.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			<-r2.done
-			continue
-		}
-		resp = postJSON(t, ts.URL+"/v1/runs/"+st.ID+"/cancel", nil)
-		got := decodeBody[RunStatus](t, resp)
-		if got.State != StateCanceled && got.State != StateSucceeded {
-			t.Fatalf("cancel state = %q", got.State)
-		}
-		if got.State == StateCanceled {
-			if s.pool.Reserved() != 0 {
-				// r1 finished already; its reservation must be gone, and the
-				// canceled run never took one.
-				t.Fatalf("reserved = %d after cancel", s.pool.Reserved())
-			}
-			return
-		}
+	gs.block()
+	defer gs.open() // a failing assertion must not leave Close waiting on the held run
+	r1, err := s.Trigger("p")
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Skip("could not catch a queued run in 20 attempts (machine too fast/slow)")
+	resp := postJSON(t, ts.URL+"/v1/pipelines/p/refresh", nil)
+	if resp.StatusCode != http.StatusAccepted {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("trigger: %d %s", resp.StatusCode, b)
+	}
+	queued := decodeBody[RunStatus](t, resp)
+	if queued.State != StateQueued {
+		t.Fatalf("second trigger state = %q while the first run is held", queued.State)
+	}
+	got := decodeBody[RunStatus](t, postJSON(t, ts.URL+"/v1/runs/"+queued.ID+"/cancel", nil))
+	if got.State != StateCanceled {
+		t.Fatalf("cancel of a queued run: state = %q", got.State)
+	}
+	if want := r1.Status().ReservedBytes; s.pool.Reserved() != want {
+		t.Fatalf("reserved = %d after canceling the queued run, want the held run's %d", s.pool.Reserved(), want)
+	}
+
+	// Cancel the held run once it is parked at the gate: the cancel cannot
+	// answer before the run is terminal, and the run cannot become
+	// terminal before the gate opens.
+	<-gs.parked
+	type cancelReply struct {
+		st  RunStatus
+		err error
+	}
+	canceled := make(chan cancelReply, 1)
+	go func() {
+		var rep cancelReply
+		resp, err := http.Post(ts.URL+"/v1/runs/"+r1.ID()+"/cancel", "application/json", nil)
+		if err == nil {
+			rep.err = json.NewDecoder(resp.Body).Decode(&rep.st)
+			resp.Body.Close()
+		} else {
+			rep.err = err
+		}
+		canceled <- rep
+	}()
+	select {
+	case rep := <-canceled:
+		t.Fatalf("cancel answered %q (%v) while the run was still held", rep.st.State, rep.err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	gs.open()
+	rep := <-canceled
+	if rep.err != nil {
+		t.Fatal(rep.err)
+	}
+	switch rep.st.State {
+	case StateCanceled, StateSucceeded, StateFailed:
+	default:
+		t.Fatalf("cancel of a running run: state = %q", rep.st.State)
+	}
+	<-r1.Done()
+	if s.pool.Reserved() != 0 {
+		t.Fatalf("reserved = %d after both runs ended", s.pool.Reserved())
+	}
 }
 
 // TestGatewayWaitDisconnectCancels verifies the wait-mode contract: a
@@ -401,6 +430,59 @@ func TestGatewaySeedTPCDS(t *testing.T) {
 	}
 	if got.NumRows() == 0 {
 		t.Fatal("top_items empty")
+	}
+}
+
+// TestQueryMVLimitRows reads an MV stored as several row groups (and as a
+// v1 file) at limits around the group boundary: the rows are the first
+// limit rows of the table whichever way QueryMV decoded them.
+func TestQueryMVLimitRows(t *testing.T) {
+	const rows, chunkRows = 200, 64
+	mem := storage.NewMemStore()
+	s, _ := newTestGateway(t, Config{NewStore: func(string) storage.Store { return mem }})
+	if err := s.Register(PipelineSpec{
+		Name: "p", Tenant: "t",
+		MVs:    pipelineRequest("", "").MVs,
+		Tables: map[string]*table.Table{"sales": mustTable(t, salesJSON())},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	full := table.New(table.NewSchema(
+		table.Column{Name: "day", Type: table.Int},
+		table.Column{Name: "revenue", Type: table.Float},
+	))
+	for i := 0; i < rows; i++ {
+		if err := full.AppendRow(table.IntValue(int64(i)), table.FloatValue(float64(i%7)*1.5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, format := range []string{"chunked", "v1"} {
+		var err error
+		if format == "chunked" {
+			err = exec.SaveTableChunked(mem, "mv_daily", full, encoding.Options{ChunkRows: chunkRows})
+		} else {
+			err = exec.SaveTable(mem, "mv_daily", full)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, limit := range []int{0, 1, chunkRows - 1, chunkRows, chunkRows + 1, rows, rows + 1} {
+			got, err := s.QueryMV("p", "mv_daily", limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := rows
+			if limit > 0 && limit < rows {
+				want = limit
+			}
+			idx := make([]int, want)
+			for i := range idx {
+				idx[i] = i
+			}
+			if !reflect.DeepEqual(got, full.Gather(idx)) {
+				t.Fatalf("%s, limit %d: got %d rows, want the first %d", format, limit, got.NumRows(), want)
+			}
+		}
 	}
 }
 

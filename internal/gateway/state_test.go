@@ -26,12 +26,14 @@ type gateStore struct {
 	storage.Store
 	mu      sync.Mutex
 	gate    chan struct{}
-	arrived atomic.Int32 // writes that reached the gate since block()
+	arrived atomic.Int32  // writes that reached the gate since block()
+	parked  chan struct{} // receives once a write has reached the gate
 }
 
 func (g *gateStore) block() {
 	g.mu.Lock()
 	g.gate = make(chan struct{})
+	g.parked = make(chan struct{}, 1)
 	g.arrived.Store(0)
 	g.mu.Unlock()
 }
@@ -47,10 +49,14 @@ func (g *gateStore) open() {
 
 func (g *gateStore) Write(name string, data []byte) error {
 	g.mu.Lock()
-	gate := g.gate
+	gate, parked := g.gate, g.parked
 	g.mu.Unlock()
 	if gate != nil {
 		g.arrived.Add(1)
+		select {
+		case parked <- struct{}{}:
+		default:
+		}
 		<-gate
 	}
 	return g.Store.Write(name, data)

@@ -19,6 +19,7 @@ type eventJSON struct {
 	Encoded          int64   `json:"encoded,omitempty"`
 	Ratio            float64 `json:"ratio,omitempty"`
 	ElapsedSeconds   float64 `json:"elapsed_seconds,omitempty"`
+	PlanSeconds      float64 `json:"plan_seconds,omitempty"`
 	ReadSeconds      float64 `json:"read_seconds,omitempty"`
 	WriteSeconds     float64 `json:"write_seconds,omitempty"`
 	ComputeSeconds   float64 `json:"compute_seconds,omitempty"`
@@ -53,6 +54,7 @@ func (e Event) MarshalJSON() ([]byte, error) {
 		Encoded:          e.Encoded,
 		Ratio:            e.Ratio,
 		ElapsedSeconds:   seconds(e.Elapsed),
+		PlanSeconds:      seconds(e.Plan),
 		ReadSeconds:      seconds(e.Read),
 		WriteSeconds:     seconds(e.Write),
 		ComputeSeconds:   seconds(e.Compute),

@@ -21,7 +21,7 @@ const (
 	NodeStart Kind = iota
 	// NodeDone: a node's refresh finished (output produced, not necessarily
 	// materialized). Fields: Node, Step, Bytes (output size), Elapsed,
-	// Read/Write/Compute, Flagged, Err on failure.
+	// Plan/Read/Write/Compute, Flagged, Err on failure.
 	NodeDone
 	// Materialized: a node's output finished writing to external storage
 	// (foreground or background). Fields: Node, Bytes (encoded size).
@@ -110,7 +110,8 @@ type Event struct {
 	Encoded   int64         // NodeDone/EncodeDone/DecodeDone: encoded (compressed) bytes
 	Ratio     float64       // EncodeDone/DecodeDone: raw bytes / encoded bytes
 	Elapsed   time.Duration // wall clock (real runs) or virtual clock (simulation)
-	Read      time.Duration // NodeDone: input-read time
+	Plan      time.Duration // NodeDone: parse + plan + lower time, input fetches excluded
+	Read      time.Duration // NodeDone: input-read time, wherever in the node it was spent
 	Write     time.Duration // NodeDone: blocking-write time
 	Compute   time.Duration // NodeDone: compute time
 	Flagged   bool          // NodeDone: output kept in the Memory Catalog

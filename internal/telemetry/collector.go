@@ -186,6 +186,7 @@ func (c *Collector) OnEvent(e obs.Event) {
 		sp.Attrs = append(sp.Attrs,
 			Int("sc.output_bytes", e.Bytes),
 			Int("sc.encoded_bytes", e.Encoded),
+			Float("sc.plan_seconds", e.Plan.Seconds()),
 			Float("sc.read_seconds", e.Read.Seconds()),
 			Float("sc.write_seconds", e.Write.Seconds()),
 			Float("sc.compute_seconds", e.Compute.Seconds()),
