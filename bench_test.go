@@ -115,19 +115,6 @@ func BenchmarkFig14Sweeps(b *testing.B) {
 	}
 }
 
-// BenchmarkRealEngine runs the real-engine validation: generate data, run
-// the SQL pipeline unoptimized and with S/C on throttled storage, verify
-// identical outputs.
-func BenchmarkRealEngine(b *testing.B) {
-	cfg := bench.DefaultRealConfig()
-	cfg.ScaleFactor = 0.5
-	for i := 0; i < b.N; i++ {
-		if err := bench.Real(context.Background(), io.Discard, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- micro-benchmarks of the optimization core ---
 
 // BenchmarkOptimize100Nodes measures one full alternating optimization of
@@ -140,7 +127,7 @@ func BenchmarkOptimize100Nodes(b *testing.B) {
 	p := gen.Problem(2<<30, costmodel.PaperProfile())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sc.Optimize(p, sc.Options{}); err != nil {
+		if _, _, err := sc.Solve(context.Background(), p); err != nil {
 			b.Fatal(err)
 		}
 	}

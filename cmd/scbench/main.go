@@ -1,26 +1,20 @@
 // Command scbench regenerates the paper's evaluation tables and figures
-// (§VI) from the calibrated simulator, the optimizer and the real engine.
+// (§VI) from the calibrated simulator and the optimizer. Measurements of the
+// real engine and the gateway live in benchmark/ (see benchmark/README.md).
 //
 // Usage:
 //
 //	scbench [experiment...]
 //
 // Experiments: fig3, table3, fig9, fig10, fig11, table4, fig12, table5,
-// fig13, fig14, ablate, real, encoding, kernels, gateway, all (default:
-// all). fig13/fig14 accept -dags N to control the number of generated
-// DAGs per setting; real, encoding, kernels and gateway accept -sf for
-// the dataset scale factor, and gateway additionally -tenants. encoding,
-// kernels and gateway write machine-readable BENCH_encoding.json /
-// BENCH_kernels.json / BENCH_gateway.json (bytes written/decoded, wall
-// time, kernel counters, refresh/read latency percentiles) into -benchout
-// so future PRs have a perf trajectory to compare against.
+// fig13, fig14, ablate, all (default: all). fig13/fig14 accept -dags N to
+// control the number of generated DAGs per setting.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"time"
@@ -30,10 +24,6 @@ import (
 
 func main() {
 	dags := flag.Int("dags", 25, "generated DAGs per setting for fig13/fig14")
-	sf := flag.Float64("sf", 1.0, "dataset scale factor for the real-engine run")
-	tenants := flag.Int("tenants", 4, "concurrent tenants for the gateway experiment")
-	workers := flag.Int("workers", 0, "max scheduler tokens for the kernels parallel-scan sweep (0 = no sweep; k sweeps 1,2,4,...,k)")
-	benchout := flag.String("benchout", ".", "directory for machine-readable BENCH_*.json results")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -47,7 +37,7 @@ func main() {
 
 	experiments := flag.Args()
 	if len(experiments) == 0 || (len(experiments) == 1 && experiments[0] == "all") {
-		experiments = []string{"fig3", "table3", "fig9", "fig10", "fig11", "table4", "fig12", "table5", "fig13", "fig14", "ablate", "real", "encoding", "kernels", "gateway"}
+		experiments = []string{"fig3", "table3", "fig9", "fig10", "fig11", "table4", "fig12", "table5", "fig13", "fig14", "ablate"}
 	}
 	out := os.Stdout
 	for _, exp := range experiments {
@@ -80,27 +70,6 @@ func main() {
 			err = bench.Fig14(out, *dags)
 		case "ablate":
 			err = bench.Ablate(out)
-		case "real":
-			cfg := bench.DefaultRealConfig()
-			cfg.ScaleFactor = *sf
-			err = bench.Real(ctx, out, cfg)
-		case "encoding":
-			cfg := bench.DefaultEncodingConfig()
-			cfg.ScaleFactor = *sf
-			cfg.OutDir = *benchout
-			err = bench.Encoding(ctx, out, cfg)
-		case "kernels":
-			cfg := bench.DefaultKernelsConfig()
-			cfg.ScaleFactor = *sf
-			cfg.OutDir = *benchout
-			cfg.Workers = workerSweep(*workers)
-			err = bench.Kernels(ctx, out, cfg)
-		case "gateway":
-			cfg := bench.DefaultGatewayConfig()
-			cfg.ScaleFactor = *sf
-			cfg.Tenants = *tenants
-			cfg.OutDir = *benchout
-			err = bench.Gateway(ctx, out, cfg)
 		default:
 			err = fmt.Errorf("unknown experiment %q", exp)
 		}
@@ -110,18 +79,4 @@ func main() {
 		}
 		fmt.Fprintf(out, "[%s completed in %v]\n\n", exp, time.Since(start).Round(time.Millisecond))
 	}
-	_ = io.Discard
-}
-
-// workerSweep expands -workers k into the token budgets to sweep: powers
-// of two from 1 up to and including k. 0 or 1 disables the sweep.
-func workerSweep(max int) []int {
-	if max <= 1 {
-		return nil
-	}
-	var ws []int
-	for w := 1; w < max; w *= 2 {
-		ws = append(ws, w)
-	}
-	return append(ws, max)
 }

@@ -30,9 +30,9 @@ import (
 
 	"github.com/shortcircuit-db/sc/internal/bench"
 	"github.com/shortcircuit-db/sc/internal/costmodel"
-	"github.com/shortcircuit-db/sc/internal/dag"
 	"github.com/shortcircuit-db/sc/internal/ledger"
 	"github.com/shortcircuit-db/sc/internal/obs"
+	"github.com/shortcircuit-db/sc/internal/session"
 	"github.com/shortcircuit-db/sc/internal/sim"
 	"github.com/shortcircuit-db/sc/internal/telemetry"
 	"github.com/shortcircuit-db/sc/internal/tpcds"
@@ -123,65 +123,60 @@ func main() {
 	fmt.Printf("\nend-to-end %.1fs  (read %.1fs, compute %.1fs, blocking write %.1fs, peak memory %.1f MB)\n",
 		res.Total, res.ReadSeconds, res.ComputeSeconds, res.WriteSeconds, float64(res.PeakMemory)/1e6)
 
-	regressionExit := false
-	if col != nil {
-		col.Finish(time.Time{}, "")
-		spans := col.Spans()
-		parents := make(map[string][]string, len(w.Nodes))
-		for i, n := range w.Nodes {
-			for _, par := range w.G.Parents(dag.NodeID(i)) {
-				parents[n.Name] = append(parents[n.Name], w.Nodes[par].Name)
-			}
-		}
-		cp := telemetry.CriticalPath(spans, parents)
-		if *progress {
-			printCriticalPath(os.Stderr, cp)
-		}
-		if *ledgerFile != "" || *explain {
-			led, err := ledger.New(ledger.Config{Path: *ledgerFile})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "scrun:", err)
-				os.Exit(1)
-			}
-			// Key the history by workload so baselines compare like with like.
-			pipeline := "sim:" + *workload
-			sum, _ := led.Append(ledger.Summarize(spans, parents, ledger.Meta{
-				RunID:           cfg.RunID,
-				Pipeline:        pipeline,
-				Outcome:         ledger.OutcomeSucceeded,
-				WallSeconds:     res.Total,
-				ReservedBytes:   mem,
-				ActualPeakBytes: res.PeakMemory,
-			}))
-			if *explain {
-				printExplain(os.Stdout, led, pipeline, sum)
-				// A flagged regression fails the command (exit 3) after the
-				// ledger and trace are safely written.
-				regressionExit = len(sum.Anomalies) > 0
-			}
-			if err := led.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "scrun: ledger:", err)
-				os.Exit(1)
-			}
-		}
-		if *traceFile != "" {
-			exp, err := telemetry.NewFileExporter(*traceFile, "scrun")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "scrun:", err)
-				os.Exit(1)
-			}
-			exp.Export(spans)
-			err = exp.Err()
-			if cerr := exp.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "scrun: trace:", err)
-				os.Exit(1)
-			}
+	if col == nil {
+		return
+	}
+	// One finisher ends the simulated run the way real runs end: trace,
+	// ledger row keyed by workload so baselines compare like with like,
+	// export.
+	pipe := &session.Pipeline{Name: "sim:" + *workload, Parents: w.G.ParentNames()}
+	var fin session.Finisher
+	if *ledgerFile != "" || *explain {
+		if fin.Ledger, err = ledger.New(ledger.Config{Path: *ledgerFile}); err != nil {
+			fmt.Fprintln(os.Stderr, "scrun:", err)
+			os.Exit(1)
 		}
 	}
-	if regressionExit {
+	var exp *telemetry.FileExporter
+	if *traceFile != "" {
+		if exp, err = telemetry.NewFileExporter(*traceFile, "scrun"); err != nil {
+			fmt.Fprintln(os.Stderr, "scrun:", err)
+			os.Exit(1)
+		}
+		fin.Exporter = exp
+	}
+	sum, _, spans := fin.Finish(pipe, col, time.Time{}, ledger.Meta{
+		RunID:           cfg.RunID,
+		Outcome:         ledger.OutcomeSucceeded,
+		WallSeconds:     res.Total,
+		ReservedBytes:   mem,
+		ActualPeakBytes: res.PeakMemory,
+	})
+	if *progress {
+		printCriticalPath(os.Stderr, telemetry.CriticalPath(spans, pipe.Parents))
+	}
+	if *explain {
+		printExplain(os.Stdout, fin.Ledger, pipe.Name, sum)
+	}
+	if fin.Ledger != nil {
+		if err := fin.Ledger.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "scrun: ledger:", err)
+			os.Exit(1)
+		}
+	}
+	if exp != nil {
+		err := exp.Err()
+		if cerr := exp.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "scrun: trace:", err)
+			os.Exit(1)
+		}
+	}
+	// A flagged regression fails the command (exit 3) after the ledger and
+	// trace are safely written.
+	if *explain && len(sum.Anomalies) > 0 {
 		fmt.Fprintln(os.Stderr, "scrun: regression flagged against baseline (see explain above)")
 		os.Exit(3)
 	}

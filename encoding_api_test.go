@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	sc "github.com/shortcircuit-db/sc"
+	"github.com/shortcircuit-db/sc/internal/exec"
 )
 
 // TestWithEncodingEndToEnd runs a full refresh session with the compressed
@@ -90,6 +91,40 @@ func TestWithEncodingEndToEnd(t *testing.T) {
 	if !smaller {
 		t.Fatal("no node got smaller with encoding on")
 	}
+
+	// On the TPC-DS pipeline auto codec selection must at least halve the
+	// bytes the refresh leaves on the store against the same chunked format
+	// with compression off.
+	t.Run("tpcds auto halves stored bytes vs raw", func(t *testing.T) {
+		mvs, tables := tpcdsPipeline(t, 0.25)
+		stored := func(mode sc.EncodingMode) (total int64) {
+			store := sc.NewMemStore()
+			for name, tb := range tables {
+				if err := sc.SaveTable(store, name, tb); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ref, err := sc.New(mvs, store, sc.WithMemory(1<<20), sc.WithEncoding(sc.EncodingOptions{Mode: mode}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ref.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			for _, mv := range mvs {
+				size, err := exec.TableSize(store, mv.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				total += size
+			}
+			return total
+		}
+		auto, raw := stored(sc.EncodingAuto), stored(sc.EncodingRaw)
+		if raw < 2*auto {
+			t.Fatalf("auto stored %d bytes, raw %d: reduction %.2fx below 2x", auto, raw, float64(raw)/float64(auto))
+		}
+	})
 }
 
 // TestWithEncodingRawMode keeps the v2 format but disables compression.

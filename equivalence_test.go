@@ -1,0 +1,160 @@
+package sc_test
+
+import (
+	"bytes"
+	"context"
+	"reflect"
+	"testing"
+
+	sc "github.com/shortcircuit-db/sc"
+	"github.com/shortcircuit-db/sc/internal/gateway"
+	"github.com/shortcircuit-db/sc/internal/ledger"
+	"github.com/shortcircuit-db/sc/internal/storage"
+	"github.com/shortcircuit-db/sc/internal/table"
+	"github.com/shortcircuit-db/sc/internal/tpcds"
+)
+
+// tpcdsPipeline returns the TPC-DS-like real workload's MVs and its base
+// tables generated at the given scale factor.
+func tpcdsPipeline(t *testing.T, sf float64) ([]sc.MV, map[string]*table.Table) {
+	t.Helper()
+	ds, err := tpcds.Generate(tpcds.GenConfig{ScaleFactor: sf, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mvs []sc.MV
+	for _, n := range tpcds.RealWorkload().Nodes {
+		mvs = append(mvs, sc.MV{Name: n.Name, SQL: n.SQL})
+	}
+	return mvs, ds.Tables
+}
+
+// TestRefresherAndGatewayAreOnePath runs the same MVs, tables and options
+// once through sc.Refresher and once through a gateway pipeline whose
+// tenant slice is the Refresher's memory budget. Both sit on the same
+// session code, so after the first observed run they must agree on the
+// optimizer's problem, on every flag decision, on the ledger's node rows
+// (times and IDs aside) and on every stored MV byte.
+func TestRefresherAndGatewayAreOnePath(t *testing.T) {
+	const budget = 64 << 20
+	ctx := context.Background()
+	mvs, tables := tpcdsPipeline(t, 0.1)
+
+	// Library: plan from size guesses, run, re-plan from observations —
+	// what one gateway trigger followed by an explain does.
+	libStore := sc.NewMemStore()
+	for name, tb := range tables {
+		if err := sc.SaveTableChunked(libStore, name, tb, sc.EncodingOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref, err := sc.New(mvs, libStore,
+		sc.WithMemory(budget),
+		sc.WithEncoding(sc.EncodingOptions{}),
+		sc.WithVectorized(true),
+		sc.WithConcurrency(2),
+		sc.WithLedger(""),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if _, _, err := ref.Optimize(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Refresh(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// Gateway: the same pipeline under a tenant slice of the same size.
+	gwStore := storage.NewMemStore()
+	srv, err := gateway.NewServer(gateway.Config{
+		GlobalBudget: 4 * budget,
+		Concurrency:  2,
+		NewStore:     func(string) storage.Store { return gwStore },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	spec := gateway.PipelineSpec{
+		Name: "p", Tenant: "t", TenantSlice: budget,
+		Encoding: true, Vectorized: true, Tables: tables,
+	}
+	for _, mv := range mvs {
+		spec.MVs = append(spec.MVs, gateway.MVSpec{Name: mv.Name, SQL: mv.SQL})
+	}
+	if err := srv.Register(spec); err != nil {
+		t.Fatal(err)
+	}
+	run, err := srv.Trigger("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-run.Done()
+	if st := run.Status(); st.State != gateway.StateSucceeded {
+		t.Fatalf("gateway run: %+v", st)
+	}
+
+	// One problem, one set of decisions.
+	libRep, err := ref.Explain(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gwRep, err := srv.ExplainPipeline("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prob := ref.Problem()
+	if gwRep.MemoryBytes != prob.Memory {
+		t.Fatalf("gateway solves under %d bytes, library under %d", gwRep.MemoryBytes, prob.Memory)
+	}
+	for _, d := range gwRep.Decisions {
+		id := prob.G.Lookup(d.Node)
+		if d.SizedBytes != prob.Sizes[id] || d.ScoreSeconds != prob.Scores[id] {
+			t.Errorf("%s: gateway weighs %d bytes / %v s, library %d bytes / %v s",
+				d.Node, d.SizedBytes, d.ScoreSeconds, prob.Sizes[id], prob.Scores[id])
+		}
+	}
+	if !reflect.DeepEqual(libRep.Decisions, gwRep.Decisions) || !reflect.DeepEqual(libRep.Order, gwRep.Order) {
+		t.Errorf("explain differs:\nlibrary %+v\ngateway %+v", libRep, gwRep)
+	}
+
+	// One ledger row shape: the same nodes with the same bytes and flags.
+	type nodeRow struct {
+		OutputBytes, EncodedBytes, KernelFallbacks int64
+		Ratio                                      float64
+		Flagged                                    bool
+	}
+	nodeRows := func(runs []ledger.RunSummary) map[string]nodeRow {
+		t.Helper()
+		if len(runs) != 1 || runs[0].Outcome != ledger.OutcomeSucceeded {
+			t.Fatalf("ledger holds %+v, want one succeeded run", runs)
+		}
+		rows := make(map[string]nodeRow)
+		for _, n := range runs[0].Nodes {
+			rows[n.Node] = nodeRow{n.OutputBytes, n.EncodedBytes, n.KernelFallbacks, n.Ratio, n.Flagged}
+		}
+		return rows
+	}
+	libRows, gwRows := nodeRows(ref.History(sc.RunFilter{})), nodeRows(srv.RunHistory(ledger.Filter{}))
+	if len(libRows) != len(mvs) || !reflect.DeepEqual(libRows, gwRows) {
+		t.Errorf("ledger node rows differ:\nlibrary %+v\ngateway %+v", libRows, gwRows)
+	}
+
+	// One set of MVs.
+	for _, mv := range mvs {
+		object := mv.Name + ".sct"
+		a, err := libStore.Read(object)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := gwStore.Read(object)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Errorf("%s: library and gateway stored different bytes (%d vs %d)", mv.Name, len(a), len(b))
+		}
+	}
+}

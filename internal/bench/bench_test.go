@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"context"
 	"strings"
 	"testing"
 
@@ -122,25 +121,6 @@ func TestTable3MatchesPaperRows(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Table III output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestRealRunSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real-engine run in -short mode")
-	}
-	var buf bytes.Buffer
-	cfg := DefaultRealConfig()
-	cfg.ScaleFactor = 0.25
-	if err := Real(context.Background(), &buf, cfg); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "byte-identical") {
-		t.Fatalf("real run did not verify outputs:\n%s", out)
-	}
-	if !strings.Contains(out, "speedup") {
-		t.Fatalf("real run reported no speedup:\n%s", out)
 	}
 }
 

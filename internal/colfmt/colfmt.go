@@ -1,14 +1,13 @@
 // Package colfmt implements the columnar binary format S/C materializes
 // intermediate tables in, standing in for Parquet in the paper's stack.
 //
-// Three versions exist. Version 1 ("SCF1") is the original single-payload
-// layout below; version 2 ("SCF2", see v2.go) is the self-describing
-// chunked format backed by the internal/encoding codec subsystem
-// (dictionary, run-length, delta + bit-packing, scaled-decimal floats);
-// version 3 ("SCF3", see v3.go) is v2 with compact varint framing. Decode
-// and DecodeSchema dispatch on the magic, so files written by earlier
-// builds keep decoding forever; writers choose the version (Encode → v1,
-// EncodeV2/EncodeCompressed → v3).
+// Two formats are written and read. Version 1 ("SCF1") is the
+// single-payload row-path layout below; the chunked format ("SCF3", see
+// v3.go) is the self-describing layout backed by the internal/encoding
+// codec subsystem (dictionary, run-length, delta + bit-packing,
+// scaled-decimal floats). Decode and DecodeSchema dispatch on the magic;
+// writers choose the format (Encode → v1, EncodeTable/EncodeCompressed →
+// chunked).
 //
 // Version 1 layout (all little-endian):
 //
@@ -85,8 +84,8 @@ func Encode(t *table.Table) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode parses data produced by Encode (v1) or EncodeV2/EncodeCompressed
-// (chunked v2/v3), dispatching on the magic.
+// Decode parses data produced by Encode (v1) or EncodeTable/
+// EncodeCompressed (chunked), dispatching on the magic.
 func Decode(data []byte) (*table.Table, error) {
 	if IsChunked(data) {
 		return decodeChunked(data, 0)
@@ -173,11 +172,8 @@ func Decode(data []byte) (*table.Table, error) {
 // payloads; the controller uses it to learn MV schemas without paying a
 // full decode.
 func DecodeSchema(data []byte) (table.Schema, int, error) {
-	if len(data) >= 4 && [4]byte(data[:4]) == magicV3 {
-		return decodeSchemaV3(data)
-	}
-	if len(data) >= 4 && [4]byte(data[:4]) == magicV2 {
-		return decodeSchemaV2(data)
+	if IsChunked(data) {
+		return decodeSchemaChunked(data)
 	}
 	r := &reader{data: data}
 	var m [4]byte

@@ -32,11 +32,11 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	v2, err := EncodeV2(tb, encoding.Options{ChunkRows: 64})
+	v2, err := EncodeTable(tb, encoding.Options{ChunkRows: 64})
 	if err != nil {
 		f.Fatal(err)
 	}
-	v2raw, err := EncodeV2(tb, encoding.Options{Mode: encoding.ModeRaw})
+	v2raw, err := EncodeTable(tb, encoding.Options{Mode: encoding.ModeRaw})
 	if err != nil {
 		f.Fatal(err)
 	}

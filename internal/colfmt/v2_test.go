@@ -33,7 +33,7 @@ func mixedTable(t testing.TB, n int, seed int64) *table.Table {
 func TestV2RoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 100, 5000} {
 		tb := mixedTable(t, n, int64(n))
-		data, err := EncodeV2(tb, encoding.Options{})
+		data, err := EncodeTable(tb, encoding.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestV2SmallerThanV1OnTypicalData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := EncodeV2(tb, encoding.Options{})
+	v2, err := EncodeTable(tb, encoding.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestV2SmallerThanV1OnTypicalData(t *testing.T) {
 
 func TestV2RawModeIsUncompressed(t *testing.T) {
 	tb := mixedTable(t, 5000, 4)
-	raw, err := EncodeV2(tb, encoding.Options{Mode: encoding.ModeRaw})
+	raw, err := EncodeTable(tb, encoding.Options{Mode: encoding.ModeRaw})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestV1FilesStillDecode(t *testing.T) {
 
 func TestV2DecodeSchemaSkipsPayloads(t *testing.T) {
 	tb := mixedTable(t, 5000, 6)
-	data, err := EncodeV2(tb, encoding.Options{})
+	data, err := EncodeTable(tb, encoding.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestV2DecodeSchemaSkipsPayloads(t *testing.T) {
 
 func TestV2DecodeCompressedIsLazy(t *testing.T) {
 	tb := mixedTable(t, 5000, 7)
-	data, err := EncodeV2(tb, encoding.Options{ChunkRows: 1000})
+	data, err := EncodeTable(tb, encoding.Options{ChunkRows: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestV2DecodeCompressedIsLazy(t *testing.T) {
 
 func TestV2ChecksumDetectsCorruption(t *testing.T) {
 	tb := mixedTable(t, 1000, 8)
-	data, err := EncodeV2(tb, encoding.Options{})
+	data, err := EncodeTable(tb, encoding.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestV2ChecksumDetectsCorruption(t *testing.T) {
 // codec into silently wrong data.
 func TestV2ChecksumCoversChunkHeader(t *testing.T) {
 	tb := mixedTable(t, 1000, 14)
-	data, err := EncodeV2(tb, encoding.Options{})
+	data, err := EncodeTable(tb, encoding.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestV2RejectsOversizedChunkClaims(t *testing.T) {
 	// Encoder-side: absurd ChunkRows options are clamped, so legitimate
 	// writers can never produce such a chunk.
 	tb := mixedTable(t, 100, 15)
-	data, err := EncodeV2(tb, encoding.Options{ChunkRows: 1 << 30})
+	data, err := EncodeTable(tb, encoding.Options{ChunkRows: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestV2DecodeNeverPanicsOnCorruption(t *testing.T) {
 		t.Skip("corruption property test is slow")
 	}
 	tb := mixedTable(t, 2000, 9)
-	data, err := EncodeV2(tb, encoding.Options{ChunkRows: 256})
+	data, err := EncodeTable(tb, encoding.Options{ChunkRows: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestV2LargeRowCountHeaderDoesNotPreallocate(t *testing.T) {
 	// A header claiming 2^31-1 rows with no payload must fail fast instead
 	// of allocating gigabytes (the PR 1 prealloc case, v2 edition).
 	tb := mixedTable(t, 10, 11)
-	data, err := EncodeV2(tb, encoding.Options{})
+	data, err := EncodeTable(tb, encoding.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestDecodeSchemaPayloadLenOverflow(t *testing.T) {
 		lenOff int
 	}{
 		{"v1", Encode, 21},
-		{"v2", func(tb *table.Table) ([]byte, error) { return EncodeV2(tb, encoding.Options{}) }, 29},
+		{"v2", func(tb *table.Table) ([]byte, error) { return EncodeTable(tb, encoding.Options{}) }, 29},
 	}
 	for _, tc := range cases {
 		data, err := tc.encode(tb)
@@ -321,7 +321,7 @@ func TestDecodeSchemaPayloadLenOverflow(t *testing.T) {
 // difference between an error and an OOM; here we just require the error.)
 func TestCorruptRowCountFailsWithoutHugeAllocation(t *testing.T) {
 	tb := mixedTable(t, 2000, 21) // dict-encoded category column, width > 0
-	data, err := EncodeV2(tb, encoding.Options{})
+	data, err := EncodeTable(tb, encoding.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,12 +335,12 @@ func TestCorruptRowCountFailsWithoutHugeAllocation(t *testing.T) {
 	}
 }
 
-func BenchmarkEncodeV2(b *testing.B) {
+func BenchmarkEncodeTable(b *testing.B) {
 	tb := mixedTable(b, 20000, 12)
 	b.ReportAllocs()
 	var n int
 	for i := 0; i < b.N; i++ {
-		data, err := EncodeV2(tb, encoding.Options{})
+		data, err := EncodeTable(tb, encoding.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -352,7 +352,7 @@ func BenchmarkEncodeV2(b *testing.B) {
 
 func BenchmarkDecodeV2(b *testing.B) {
 	tb := mixedTable(b, 20000, 13)
-	data, err := EncodeV2(tb, encoding.Options{})
+	data, err := EncodeTable(tb, encoding.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

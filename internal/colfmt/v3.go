@@ -1,4 +1,5 @@
-// Format version 3: the chunked layout of v2 with compact varint framing.
+// The chunked format ("SCF3"): a self-describing layout backed by the
+// internal/encoding codec subsystem, with compact varint framing.
 //
 // Layout (varints are unsigned LEB128, scalars little-endian):
 //
@@ -7,21 +8,24 @@
 //	  uvarint nameLen | name | u8 type | uvarint nChunks
 //	  per chunk:
 //	    u8 codec | uvarint rows | uvarint payloadLen | payload |
-//	    u32 crc32(codec | rows | payload)
+//	    u32 crc32(codec | rows as u32 | payload)
 //
-// The chunk checksum is computed exactly as in v2 (over the codec tag, the
-// row count as a fixed u32 and the payload), so the two formats share
-// chunkCRC. The varint framing is what encoding.(*Compressed).SizeBytes
-// models; it exists because the fixed-width v2 header inflated tiny MVs —
-// a one-row COUNT(*) result grew from 8 payload bytes to ~40 on disk and,
-// worse, in the Memory Catalog's accounting. Writers emit v3; v1 and v2
-// files keep decoding through the same entry points.
+// The checksum covers the chunk header fields as well as the payload, so a
+// bit flip in a codec tag or row count fails loudly instead of decoding
+// the payload under the wrong codec. Chunks carry their codec tag, so
+// readers decode columns chunk by chunk without global state, and a reader
+// can hold a table in compressed form (DecodeCompressed) paying
+// decompression only when rows are needed. The varint framing is what
+// encoding.(*Compressed).SizeBytes models: fixed-width headers inflated
+// tiny MVs — a one-row COUNT(*) result grew from 8 payload bytes to ~40 on
+// disk and, worse, in the Memory Catalog's accounting.
 package colfmt
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 
 	"github.com/shortcircuit-db/sc/internal/encoding"
@@ -30,9 +34,50 @@ import (
 
 var magicV3 = [4]byte{'S', 'C', 'F', '3'}
 
-// EncodeV2 compresses t with the given options and serializes it in the
-// current chunked format (v3; the name predates the compact framing).
-func EncodeV2(t *table.Table, opts encoding.Options) ([]byte, error) {
+// chunkCRC checksums a chunk's header fields together with its payload.
+func chunkCRC(codec byte, rows uint32, payload []byte) uint32 {
+	var hdr [5]byte
+	hdr[0] = codec
+	binary.LittleEndian.PutUint32(hdr[1:], rows)
+	crc := crc32.ChecksumIEEE(hdr[:])
+	return crc32.Update(crc, crc32.IEEETable, payload)
+}
+
+// IsChunked reports whether data is a chunked-format file that
+// DecodeCompressed can parse lazily. v1 files and unknown blobs report
+// false.
+func IsChunked(data []byte) bool {
+	return len(data) >= 4 && [4]byte(data[:4]) == magicV3
+}
+
+// decodeChunked decodes a chunked file into a plain table: all of it, or
+// with n > 0 its first n rows.
+func decodeChunked(data []byte, n int) (*table.Table, error) {
+	ct, err := DecodeCompressed(data)
+	if err != nil {
+		return nil, err
+	}
+	t, err := ct.HeadTable(n)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return t, nil
+}
+
+// DecodeHead is Decode for a reader of the first n rows: of a chunked file
+// it returns exactly those, having decompressed no more than the chunks
+// (and, of the last one, the prefix) that hold them. With n <= 0, and for a
+// v1 file, which has no row index, it is Decode.
+func DecodeHead(data []byte, n int) (*table.Table, error) {
+	if IsChunked(data) {
+		return decodeChunked(data, n)
+	}
+	return Decode(data)
+}
+
+// EncodeTable compresses t with the given options and serializes it in the
+// chunked format.
+func EncodeTable(t *table.Table, opts encoding.Options) ([]byte, error) {
 	ct, err := encoding.FromTable(t, opts)
 	if err != nil {
 		return nil, err
@@ -40,8 +85,8 @@ func EncodeV2(t *table.Table, opts encoding.Options) ([]byte, error) {
 	return EncodeCompressed(ct)
 }
 
-// EncodeCompressed serializes an already-compressed table in the v3 format
-// without re-encoding any payload. The output length always equals
+// EncodeCompressed serializes an already-compressed table in the chunked
+// format without re-encoding any payload. The output length always equals
 // ct.SizeBytes(), so catalog accounting matches the serialized size.
 func EncodeCompressed(ct *encoding.Compressed) ([]byte, error) {
 	if err := ct.Validate(); err != nil {
@@ -68,10 +113,14 @@ func EncodeCompressed(ct *encoding.Compressed) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeCompressedV3 parses a v3 file into its compressed representation
-// without decompressing any chunk.
-func decodeCompressedV3(data []byte) (*encoding.Compressed, error) {
-	r := &reader{data: data, off: 4} // magic already checked by the dispatcher
+// DecodeCompressed parses a chunked file into its compressed
+// representation without decompressing any chunk. Call Table on the result
+// to pay the decode, or store it as-is (the Memory Catalog does).
+func DecodeCompressed(data []byte) (*encoding.Compressed, error) {
+	if !IsChunked(data) {
+		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	}
+	r := &reader{data: data, off: 4}
 	nCols, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -161,9 +210,9 @@ func decodeCompressedV3(data []byte) (*encoding.Compressed, error) {
 	return ct, nil
 }
 
-// decodeSchemaV3 reads only the headers of a v3 file, skipping chunk
-// payloads.
-func decodeSchemaV3(data []byte) (table.Schema, int, error) {
+// decodeSchemaChunked reads only the headers of a chunked file, skipping
+// chunk payloads.
+func decodeSchemaChunked(data []byte) (table.Schema, int, error) {
 	r := &reader{data: data, off: 4}
 	nCols, err := r.uvarint()
 	if err != nil {

@@ -3,7 +3,10 @@ package colfmt
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/shortcircuit-db/sc/internal/encoding"
@@ -30,7 +33,7 @@ func v3Table(t *testing.T, n int) *table.Table {
 }
 
 func TestV3Magic(t *testing.T) {
-	data, err := EncodeV2(v3Table(t, 10), encoding.Options{})
+	data, err := EncodeTable(v3Table(t, 10), encoding.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +66,7 @@ func TestV3SizeBytesMatchesSerialized(t *testing.T) {
 func TestV3RoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 1000} {
 		tb := v3Table(t, n)
-		data, err := EncodeV2(tb, encoding.Options{ChunkRows: 100})
+		data, err := EncodeTable(tb, encoding.Options{ChunkRows: 100})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,63 +89,28 @@ func TestV3RoundTrip(t *testing.T) {
 	}
 }
 
-// encodeLegacyV2 reproduces the retired fixed-framing v2 writer so the
-// reader's backward compatibility stays pinned even though nothing writes
-// v2 anymore.
-func encodeLegacyV2(ct *encoding.Compressed) []byte {
-	var buf bytes.Buffer
-	buf.Write(magicV2[:])
-	writeU32(&buf, uint32(len(ct.Cols)))
-	writeU64(&buf, uint64(ct.NRows))
-	for ci, chunks := range ct.Cols {
-		name := ct.Schema.Cols[ci].Name
-		writeU16(&buf, uint16(len(name)))
-		buf.WriteString(name)
-		buf.WriteByte(byte(ct.Schema.Cols[ci].Type))
-		writeU32(&buf, uint32(len(chunks)))
-		for _, ch := range chunks {
-			buf.WriteByte(byte(ch.Codec))
-			writeU32(&buf, uint32(ch.Rows))
-			writeU64(&buf, uint64(len(ch.Data)))
-			buf.Write(ch.Data)
-			writeU32(&buf, chunkCRC(byte(ch.Codec), uint32(ch.Rows), ch.Data))
+// TestRetiredV2MagicRejected pins that the retired fixed-framing "SCF2"
+// layout, which nothing writes, is refused by every entry point instead of
+// being parsed as something else.
+func TestRetiredV2MagicRejected(t *testing.T) {
+	data, err := EncodeTable(v3Table(t, 10), encoding.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(data, "SCF2")
+	if IsChunked(data) {
+		t.Fatal("IsChunked(SCF2) = true")
+	}
+	_, errDecode := Decode(data)
+	_, errHead := DecodeHead(data, 1)
+	_, _, errSchema := DecodeSchema(data)
+	_, errCompressed := DecodeCompressed(data)
+	for name, err := range map[string]error{
+		"Decode": errDecode, "DecodeHead": errHead, "DecodeSchema": errSchema, "DecodeCompressed": errCompressed,
+	} {
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(fmt.Sprint(err), "bad magic") {
+			t.Errorf("%s(SCF2) = %v, want ErrCorrupt: bad magic", name, err)
 		}
-	}
-	return buf.Bytes()
-}
-
-func TestLegacyV2StillDecodes(t *testing.T) {
-	tb := v3Table(t, 500)
-	ct, err := encoding.FromTable(tb, encoding.Options{ChunkRows: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := encodeLegacyV2(ct)
-	if [4]byte(v2[:4]) != magicV2 {
-		t.Fatal("legacy writer produced wrong magic")
-	}
-	got, err := Decode(v2)
-	if err != nil {
-		t.Fatalf("legacy v2 decode: %v", err)
-	}
-	wantB, _ := Encode(tb)
-	gotB, _ := Encode(got)
-	if !bytes.Equal(wantB, gotB) {
-		t.Fatal("legacy v2 decode altered the table")
-	}
-	ct2, err := DecodeCompressed(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ct2.NRows != 500 || len(ct2.Cols) != 3 {
-		t.Fatalf("lazy legacy decode got %d rows, %d cols", ct2.NRows, len(ct2.Cols))
-	}
-	sch, rows, err := DecodeSchema(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sch.Equal(tb.Schema) || rows != 500 {
-		t.Fatalf("legacy DecodeSchema got %v/%d", sch, rows)
 	}
 }
 
@@ -153,7 +121,7 @@ func TestLegacyV2StillDecodes(t *testing.T) {
 // the chunk CRC.
 func TestV3CorruptionDetected(t *testing.T) {
 	tb := v3Table(t, 64)
-	data, err := EncodeV2(tb, encoding.Options{ChunkRows: 16})
+	data, err := EncodeTable(tb, encoding.Options{ChunkRows: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +211,7 @@ func TestV3HostileHeaders(t *testing.T) {
 func TestDecodeHeadIsAPrefix(t *testing.T) {
 	const rows, chunkRows = 300, 64
 	full := mixedTable(t, rows, 11)
-	chunked, err := EncodeV2(full, encoding.Options{ChunkRows: chunkRows})
+	chunked, err := EncodeTable(full, encoding.Options{ChunkRows: chunkRows})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,6 +103,18 @@ func (g *Graph) Children(id NodeID) []NodeID { return g.children[id] }
 // must not be modified.
 func (g *Graph) Parents(id NodeID) []NodeID { return g.parents[id] }
 
+// ParentNames maps each node with producers to their names, the shape the
+// trace analyses (critical path, run summaries) consume.
+func (g *Graph) ParentNames() map[string][]string {
+	out := make(map[string][]string, len(g.names))
+	for id, pars := range g.parents {
+		for _, par := range pars {
+			out[g.names[id]] = append(out[g.names[id]], g.names[par])
+		}
+	}
+	return out
+}
+
 // HasEdge reports whether the edge (parent, child) exists.
 func (g *Graph) HasEdge(parent, child NodeID) bool {
 	_, ok := g.edgeSet[[2]NodeID{parent, child}]

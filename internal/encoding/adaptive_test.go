@@ -71,11 +71,4 @@ func TestTinyMVSizeRegression(t *testing.T) {
 	if size > 32 {
 		t.Fatalf("one-row COUNT(*) result accounts %d bytes; want <= 32 (framing must not dominate)", size)
 	}
-	// The old fixed framing alone was FileFraming+ColumnFraming+
-	// ChunkFraming = 40 bytes before the payload; the compact framing must
-	// beat that including the payload.
-	if size >= FileFraming+ColumnFraming+ChunkFraming {
-		t.Fatalf("compact framing (%d bytes total) does not beat the v2 fixed framing (%d bytes empty)",
-			size, FileFraming+ColumnFraming+ChunkFraming)
-	}
 }

@@ -85,28 +85,14 @@ type Chunk struct {
 	Data  []byte
 }
 
-// Serialized framing sizes of the legacy fixed-width colfmt v2 format,
-// kept so the v2 reader can bound its allocations. The current v3 writer
-// uses the compact varint framing computed by SizeBytes below.
-const (
-	// ChunkFraming is the v2 per-chunk cost: codec tag (1) + row count (4)
-	// + payload length (8) + checksum (4).
-	ChunkFraming = 1 + 4 + 8 + 4
-	// ColumnFraming is the v2 per-column header cost beyond the name bytes:
-	// name length (2) + type (1) + chunk count (4).
-	ColumnFraming = 2 + 1 + 4
-	// FileFraming is the v2 file header: magic (4) + column count (4) +
-	// row count (8).
-	FileFraming = 4 + 4 + 8
-	// ChunkFramingMin is the minimum per-chunk framing of the compact v3
-	// layout: codec tag (1) + uvarint row count (≥1) + uvarint payload
-	// length (≥1) + checksum (4). The v3 reader bounds chunk counts with
-	// it; SizeBytes computes the exact per-chunk cost.
-	ChunkFramingMin = 1 + 1 + 1 + 4
-)
+// ChunkFramingMin is the minimum per-chunk framing of the chunked colfmt
+// layout: codec tag (1) + uvarint row count (≥1) + uvarint payload length
+// (≥1) + checksum (4). The reader bounds chunk counts with it; SizeBytes
+// computes the exact per-chunk cost.
+const ChunkFramingMin = 1 + 1 + 1 + 4
 
 // uvarintLen returns the serialized size of v as a binary.PutUvarint
-// varint, so SizeBytes can mirror the v3 framing byte for byte.
+// varint, so SizeBytes can mirror the colfmt framing byte for byte.
 func uvarintLen(v uint64) int {
 	n := 1
 	for v >= 0x80 {
@@ -119,7 +105,7 @@ func uvarintLen(v uint64) int {
 // Compressed is a table held in compressed columnar form: the schema, the
 // row count, and per column a list of encoded chunks. It is what the
 // Memory Catalog stores when encoding is enabled (lazy decode on Get) and
-// what the colfmt v2 file format frames on disk.
+// what the chunked colfmt file format frames on disk.
 type Compressed struct {
 	Schema table.Schema
 	NRows  int
@@ -309,11 +295,10 @@ func (c *Compressed) Table() (*table.Table, error) {
 }
 
 // SizeBytes reports the compressed footprint: encoded payloads plus the
-// exact compact (v3) framing overhead, so it equals the serialized
-// object's size. The Memory Catalog accounts compressed entries with this
-// value. The varint framing matters for tiny MVs: a one-row COUNT(*)
-// result costs ~16 bytes of framing instead of the ~40 the fixed-width v2
-// layout charged.
+// exact colfmt framing overhead, so it equals the serialized object's
+// size. The Memory Catalog accounts compressed entries with this value.
+// The varint framing matters for tiny MVs: a one-row COUNT(*) result costs
+// ~16 bytes of framing where fixed-width headers would charge ~40.
 func (c *Compressed) SizeBytes() int64 {
 	rows := c.NRows
 	if rows < 0 {

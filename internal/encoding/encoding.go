@@ -7,7 +7,7 @@
 // knapsack keep more MVs resident, and every byte shaved off a serialized
 // table cuts the storage-bound write cost the optimizer minimizes — so
 // the codecs here feed the Memory Catalog (compressed entries with lazy
-// decode), the colfmt v2 storage format (per-chunk codec tags) and the
+// decode), the chunked colfmt storage format (per-chunk codec tags) and the
 // cost model (compressed size estimates) alike.
 //
 // All codecs are lossless at the bit level: decode(encode(v)) reproduces
@@ -22,7 +22,7 @@ import (
 )
 
 // CodecID identifies a codec in serialized chunk headers. Values are part
-// of the colfmt v2 on-disk format and must never be renumbered.
+// of the chunked colfmt on-disk format and must never be renumbered.
 type CodecID uint8
 
 // Codec identifiers.

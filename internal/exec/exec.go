@@ -805,7 +805,7 @@ func SaveTable(st storage.Store, name string, t *table.Table) error {
 // chunked format, which the kernels' per-chunk readers can scan without a
 // whole-table decode.
 func SaveTableChunked(st storage.Store, name string, t *table.Table, opts encoding.Options) error {
-	data, err := colfmt.EncodeV2(t, opts)
+	data, err := colfmt.EncodeTable(t, opts)
 	if err != nil {
 		return err
 	}

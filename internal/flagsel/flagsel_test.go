@@ -198,13 +198,13 @@ func TestIntScore(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
+func TestNewByRegisteredName(t *testing.T) {
 	for _, name := range []string{"mkp", "greedy", "random", "ratio"} {
-		if _, err := ByName(name, 1); err != nil {
-			t.Errorf("ByName(%q): %v", name, err)
+		if _, err := New(name, 1); err != nil {
+			t.Errorf("New(%q): %v", name, err)
 		}
 	}
-	if _, err := ByName("nope", 1); err == nil {
+	if _, err := New("nope", 1); err == nil {
 		t.Error("unknown selector accepted")
 	}
 }

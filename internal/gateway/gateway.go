@@ -20,17 +20,16 @@ import (
 	"github.com/shortcircuit-db/sc/internal/chunkio"
 	"github.com/shortcircuit-db/sc/internal/core"
 	"github.com/shortcircuit-db/sc/internal/costmodel"
-	"github.com/shortcircuit-db/sc/internal/dag"
 	"github.com/shortcircuit-db/sc/internal/encoding"
 	"github.com/shortcircuit-db/sc/internal/exec"
 	"github.com/shortcircuit-db/sc/internal/introspect"
 	"github.com/shortcircuit-db/sc/internal/introspect/alert"
 	"github.com/shortcircuit-db/sc/internal/ledger"
 	"github.com/shortcircuit-db/sc/internal/memcat"
-	"github.com/shortcircuit-db/sc/internal/metrics"
 	"github.com/shortcircuit-db/sc/internal/obs"
 	"github.com/shortcircuit-db/sc/internal/opt"
 	"github.com/shortcircuit-db/sc/internal/sched"
+	"github.com/shortcircuit-db/sc/internal/session"
 	"github.com/shortcircuit-db/sc/internal/storage"
 	"github.com/shortcircuit-db/sc/internal/table"
 	"github.com/shortcircuit-db/sc/internal/telemetry"
@@ -196,20 +195,13 @@ func TPCDSSpec(name, tenant string, sf float64) PipelineSpec {
 	return spec
 }
 
-// pipeline is one registered refresh DAG with its per-pipeline state.
+// pipeline is one registered refresh DAG: the shared session state plus
+// what only a served pipeline has — a tenant and a cron interval.
 type pipeline struct {
-	name       string
-	tenant     string
-	workload   *exec.Workload
-	graph      *dag.Graph
-	parents    map[string][]string // node name -> DAG parent names (critical path)
-	store      storage.Store
-	md         *metrics.Store
-	session    *chunkio.Session
-	encOpts    *encoding.Options
-	vectorized bool
-	every      time.Duration
-	created    time.Time
+	*session.Pipeline
+	tenant  string
+	every   time.Duration
+	created time.Time
 
 	mu        sync.Mutex
 	nextFire  time.Time
@@ -231,6 +223,7 @@ const (
 // running, then terminal. Wait on Done and read Status.
 type Run struct {
 	id       string
+	p        *pipeline // outlives Unregister while the run is in flight
 	pipeline string
 	tenant   string
 	need     int64 // reserved catalog bytes
@@ -240,11 +233,10 @@ type Run struct {
 	predictedWall float64 // ledger-learned wall seconds, 0 without history
 	learnedNeed   bool    // need came from observed peaks, not the planner
 
-	events  *eventBuf
-	done    chan struct{} // closed on any terminal state
-	tkt     *ticket
-	trace   *telemetry.Collector // nil when tracing is disabled
-	parents map[string][]string  // pipeline DAG shape, for critical-path analysis
+	events *eventBuf
+	done   chan struct{} // closed on any terminal state
+	tkt    *ticket
+	trace  *telemetry.Collector // nil when tracing is disabled
 
 	mu         sync.Mutex
 	state      string
@@ -348,20 +340,12 @@ type Stats struct {
 // Server hosts the pipelines and schedules their refreshes against the
 // shared budget.
 type Server struct {
-	cfg    Config
-	pool   *memcat.Pool
-	sched  *sched.Scheduler
-	adm    *admitter
-	prom   *prom
-	device costmodel.DeviceProfile
-	led    *ledger.Ledger
-	alerts *alert.Notifier // nil without AlertWebhook
-
-	// lastVerdict tracks each pipeline's health verdict so notifyRun can
-	// alert on transitions, not states. Own mutex: read on the run finish
-	// path, which must not contend with s.mu.
-	verMu       sync.Mutex
-	lastVerdict map[string]string
+	cfg   Config
+	pool  *memcat.Pool
+	sched *sched.Scheduler
+	adm   *admitter
+	prom  *prom
+	fin   session.Finisher // ledger always; alerts and exporter per Config
 
 	// evlog is the server-wide eviction timeline, harvested from run
 	// catalogs as they detach (bounded at serverEvLogCap, oldest dropped).
@@ -373,14 +357,6 @@ type Server struct {
 	pipelines map[string]*pipeline
 	runs      map[string]*Run
 	runSeq    int64
-
-	// lastNodeSpans remembers, per pipeline, each node's span from the most
-	// recent finished trace, so a later run that reuses cached state (a
-	// session dictionary, a surviving catalog entry) can link back to the
-	// producing span. Guarded by its own mutex: the resolver runs inside
-	// collector callbacks and must not contend with s.mu.
-	linkMu        sync.Mutex
-	lastNodeSpans map[string]map[string]telemetry.SpanContext
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -409,21 +385,23 @@ func NewServer(cfg Config) (*Server, error) {
 	// bytes) rides the same global budget the catalog pool enforces.
 	tok := sched.New(cfg.SchedTokens, cfg.GlobalBudget)
 	s := &Server{
-		cfg:           cfg,
-		pool:          pool,
-		sched:         tok,
-		adm:           newAdmitter(pool, tok, cfg.QueueLimit, cfg.Clock),
-		prom:          newProm(),
-		device:        costmodel.PaperProfile(),
-		led:           led,
-		pipelines:     make(map[string]*pipeline),
-		runs:          make(map[string]*Run),
-		lastNodeSpans: make(map[string]map[string]telemetry.SpanContext),
-		lastVerdict:   make(map[string]string),
-		stopCh:        make(chan struct{}),
+		cfg:   cfg,
+		pool:  pool,
+		sched: tok,
+		adm:   newAdmitter(pool, tok, cfg.QueueLimit, cfg.Clock),
+		prom:  newProm(),
+		fin: session.Finisher{
+			Ledger:     led,
+			Exporter:   cfg.TraceExporter,
+			TailSample: cfg.TailSample,
+			SLOSeconds: cfg.SLOSeconds,
+		},
+		pipelines: make(map[string]*pipeline),
+		runs:      make(map[string]*Run),
+		stopCh:    make(chan struct{}),
 	}
 	if cfg.AlertWebhook != "" {
-		s.alerts = alert.New(alert.Config{
+		s.fin.Alerts = alert.New(alert.Config{
 			URL:      cfg.AlertWebhook,
 			Cooldown: cfg.AlertCooldown,
 			Now:      cfg.Clock,
@@ -453,10 +431,10 @@ func (s *Server) Close() {
 	}
 	s.mu.Unlock()
 	s.runWG.Wait()
-	if s.alerts != nil {
-		s.alerts.Close() // after runWG: every finish path has notified
+	if s.fin.Alerts != nil {
+		s.fin.Alerts.Close() // after runWG: every finish path has notified
 	}
-	_ = s.led.Close()
+	_ = s.fin.Ledger.Close()
 }
 
 // schedulerLoop reaps queue deadlines and fires cron triggers.
@@ -508,38 +486,24 @@ func (s *Server) Register(spec PipelineSpec) error {
 	if spec.Tenant == "" {
 		spec.Tenant = "default"
 	}
-	w := &exec.Workload{}
-	for _, mv := range spec.MVs {
-		w.Nodes = append(w.Nodes, exec.NodeSpec{Name: mv.Name, SQL: mv.SQL})
+	nodes := make([]exec.NodeSpec, len(spec.MVs))
+	for i, mv := range spec.MVs {
+		nodes[i] = exec.NodeSpec{Name: mv.Name, SQL: mv.SQL}
 	}
-	g, _, err := w.BuildGraph()
+	sp, err := session.NewPipeline(spec.Name, nodes, s.cfg.NewStore(spec.Name))
 	if err != nil {
 		return err
 	}
-	parents := make(map[string][]string, len(w.Nodes))
-	for i, n := range w.Nodes {
-		for _, par := range g.Parents(dag.NodeID(i)) {
-			parents[n.Name] = append(parents[n.Name], w.Nodes[par].Name)
-		}
-	}
-	p := &pipeline{
-		name:       spec.Name,
-		tenant:     spec.Tenant,
-		workload:   w,
-		graph:      g,
-		parents:    parents,
-		store:      s.cfg.NewStore(spec.Name),
-		md:         metrics.NewStore(),
-		vectorized: spec.Vectorized,
-		every:      spec.Every,
-		created:    s.cfg.Clock(),
-	}
+	sp.Vectorized = spec.Vectorized
+	sp.Device = costmodel.PaperProfile()
+	sp.SizeGuess = s.cfg.SizeGuess
 	if spec.Encoding {
-		p.encOpts = &encoding.Options{}
+		sp.Encoding = &encoding.Options{}
 	}
 	if spec.Vectorized {
-		p.session = chunkio.NewSession()
+		sp.Chunked = chunkio.NewSession()
 	}
+	p := &pipeline{Pipeline: sp, tenant: spec.Tenant, every: spec.Every, created: s.cfg.Clock()}
 	if p.every > 0 {
 		p.nextFire = p.created.Add(p.every)
 	}
@@ -564,8 +528,8 @@ func (s *Server) Register(spec PipelineSpec) error {
 // when the pipeline runs with encoding so the kernels can engage.
 func (s *Server) seed(p *pipeline, spec PipelineSpec) error {
 	save := func(st storage.Store, name string, t *table.Table) error {
-		if p.encOpts != nil {
-			return exec.SaveTableChunked(st, name, t, *p.encOpts)
+		if p.Encoding != nil {
+			return exec.SaveTableChunked(st, name, t, *p.Encoding)
 		}
 		return exec.SaveTable(st, name, t)
 	}
@@ -574,20 +538,20 @@ func (s *Server) seed(p *pipeline, spec PipelineSpec) error {
 		if err != nil {
 			return err
 		}
-		if err := ds.Save(p.store, save); err != nil {
+		if err := ds.Save(p.Store, save); err != nil {
 			return err
 		}
 	}
 	for name, t := range spec.Tables {
-		if err := save(p.store, name, t); err != nil {
+		if err := save(p.Store, name, t); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Unregister removes a pipeline. In-flight runs keep their store and
-// finish normally.
+// Unregister removes a pipeline and everything it remembers. In-flight
+// runs keep the pipeline object and finish normally.
 func (s *Server) Unregister(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -612,16 +576,16 @@ type PipelineInfo struct {
 }
 
 func (s *Server) info(p *pipeline) PipelineInfo {
-	mvs := make([]string, 0, len(p.workload.Nodes))
-	for _, n := range p.workload.Nodes {
+	mvs := make([]string, 0, len(p.Workload.Nodes))
+	for _, n := range p.Workload.Nodes {
 		mvs = append(mvs, n.Name)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return PipelineInfo{
-		Name: p.name, Tenant: p.tenant, MVs: mvs,
+		Name: p.Name, Tenant: p.tenant, MVs: mvs,
 		EverySeconds: p.every.Seconds(),
-		Encoding:     p.encOpts != nil, Vectorized: p.vectorized,
+		Encoding:     p.Encoding != nil, Vectorized: p.Vectorized,
 		Runs: p.runsTotal, LastRunID: p.lastRunID,
 		SliceBytes: s.adm.tenantSlice(p.tenant),
 	}
@@ -673,7 +637,7 @@ type planned struct {
 // IS the paper's observe → re-optimize loop.
 func (s *Server) planTrigger(ctx context.Context, p *pipeline) (planned, error) {
 	slice := s.adm.tenantSlice(p.tenant)
-	prob, _ := s.buildProblem(p)
+	prob := p.Problem(slice)
 	plan, _, err := opt.Solve(ctx, prob, opt.Options{})
 	if err != nil {
 		return planned{}, err
@@ -694,7 +658,7 @@ func (s *Server) planTrigger(ctx context.Context, p *pipeline) (planned, error) 
 	// what the planner proved admissible — and a miss merely degrades to
 	// blocking writes, which the mispredict detector flags and the next
 	// runs' learning corrects.
-	if hint, ok := s.led.AdmissionHint(p.name); ok {
+	if hint, ok := s.fin.Ledger.AdmissionHint(p.Name); ok {
 		learned := int64((hint.PeakBytesMean + hint.PeakBytesSigma) * s.cfg.Headroom)
 		if learned > 0 && learned < pl.need {
 			pl.need = learned
@@ -705,7 +669,7 @@ func (s *Server) planTrigger(ctx context.Context, p *pipeline) (planned, error) 
 		// the DAG's critical path through EWMA node means — that tracks the
 		// workload's shape where the run-level mean only tracks its history.
 		// Prefer it whenever enough per-node history exists.
-		if cp := s.led.CriticalPathSeconds(p.name, p.parents); cp > 0 {
+		if cp := s.fin.Ledger.CriticalPathSeconds(p.Name, p.Parents); cp > 0 {
 			pl.predictedWall = cp
 		}
 	}
@@ -737,7 +701,8 @@ func (s *Server) TriggerTrace(name string, parent telemetry.SpanContext) (*Run, 
 	s.runSeq++
 	r := &Run{
 		id:            fmt.Sprintf("run-%06d", s.runSeq),
-		pipeline:      p.name,
+		p:             p,
+		pipeline:      p.Name,
 		tenant:        p.tenant,
 		need:          pl.need,
 		tokens:        s.cfg.Concurrency,
@@ -750,15 +715,9 @@ func (s *Server) TriggerTrace(name string, parent telemetry.SpanContext) (*Run, 
 	r.enqueuedAt = now
 	if !s.cfg.DisableTracing {
 		// The root span opens at enqueue, so queue wait is on the trace.
-		r.trace = telemetry.NewCollector(telemetry.CollectorConfig{
-			RunID:        r.id,
-			Parent:       parent,
-			Start:        now,
-			Profile:      true,
-			LinkResolver: s.nodeSpanResolver(p.name),
-		})
+		r.trace = p.OpenTrace(r.id, now, parent)
 		attrs := []telemetry.Attr{
-			telemetry.Str("sc.pipeline", p.name),
+			telemetry.Str("sc.pipeline", p.Name),
 			telemetry.Str("sc.tenant", p.tenant),
 			telemetry.Int("sc.reserved_bytes", pl.need),
 			telemetry.Int("sc.reserved_tokens", int64(r.tokens)),
@@ -767,18 +726,17 @@ func (s *Server) TriggerTrace(name string, parent telemetry.SpanContext) (*Run, 
 			attrs = append(attrs, telemetry.Float("sc.predicted_seconds", pl.predictedWall))
 		}
 		r.trace.SetRootAttrs(attrs...)
-		r.parents = p.parents
 	}
 	s.runs[r.id] = r
 	s.mu.Unlock()
 
 	r.tkt = &ticket{
 		tenant:   p.tenant,
-		pipeline: p.name,
+		pipeline: p.Name,
 		need:     pl.need,
 		tokens:   r.tokens,
 		deadline: now.Add(s.cfg.QueueTimeout),
-		start:    func(*ticket) { s.startRun(r, p, pl.plan) },
+		start:    func(*ticket) { s.startRun(r, pl.plan) },
 		expire:   func(*ticket) { s.expireRun(r) },
 	}
 	admittedNow, err := s.adm.submit(r.tkt)
@@ -799,7 +757,7 @@ func (s *Server) TriggerTrace(name string, parent telemetry.SpanContext) (*Run, 
 
 // startRun is the admitter's start callback: the reservation is held; move
 // the run to running and execute it on its own goroutine.
-func (s *Server) startRun(r *Run, p *pipeline, plan *core.Plan) {
+func (s *Server) startRun(r *Run, plan *core.Plan) {
 	now := s.cfg.Clock()
 	r.mu.Lock()
 	if r.state != StateQueued {
@@ -831,32 +789,28 @@ func (s *Server) startRun(r *Run, p *pipeline, plan *core.Plan) {
 	s.runWG.Add(1)
 	go func() {
 		defer s.runWG.Done()
-		s.execute(ctx, r, p, plan)
+		s.execute(ctx, r, plan)
 	}()
 }
 
 // execute runs one admitted refresh: a per-run catalog attached to the
 // shared pool, capacity exactly the reservation, so the pool-wide bound
 // holds byte-for-byte no matter what the run does.
-func (s *Server) execute(ctx context.Context, r *Run, p *pipeline, plan *core.Plan) {
+func (s *Server) execute(ctx context.Context, r *Run, plan *core.Plan) {
 	cat := s.pool.NewCatalog(r.need)
 	r.mu.Lock()
 	r.cat = cat
 	r.mu.Unlock()
 
-	ctl := &exec.Controller{
-		Store:        p.store,
+	res, runErr := r.p.Run(ctx, plan, session.RunEnv{
 		Mem:          cat,
-		Obs:          obs.Multi(metrics.NewRecorder(p.md), r.events, s.prom.runObserver(r.tenant, r.pipeline), r.trace.Observer()),
-		RunID:        r.id,
-		Concurrency:  s.cfg.Concurrency,
 		Sched:        s.sched,
+		Concurrency:  s.cfg.Concurrency,
 		ParallelScan: s.cfg.ParallelScan,
-		Encoding:     p.encOpts,
-		Vectorized:   p.vectorized,
-		Chunked:      p.session,
-	}
-	res, runErr := ctl.Run(ctx, p.workload, p.graph, plan)
+		RunID:        r.id,
+		Observers:    []obs.Observer{r.events, s.prom.runObserver(r.tenant, r.pipeline)},
+		Trace:        r.trace,
+	})
 
 	actualPeak := cat.Peak() // before Detach zeroes the accounting
 	s.harvestEvictions(r, cat)
@@ -892,10 +846,10 @@ func (s *Server) execute(ctx context.Context, r *Run, p *pipeline, plan *core.Pl
 	}
 	r.mu.Unlock()
 
-	p.mu.Lock()
-	p.lastRunID = r.id
-	p.runsTotal++
-	p.mu.Unlock()
+	r.p.mu.Lock()
+	r.p.lastRunID = r.id
+	r.p.runsTotal++
+	r.p.mu.Unlock()
 
 	s.finishTrace(r, now, state)
 	s.prom.refreshes.add(1, r.tenant, r.pipeline, state)
@@ -908,89 +862,39 @@ func (s *Server) execute(ctx context.Context, r *Run, p *pipeline, plan *core.Pl
 	close(r.done)
 }
 
-// finishTrace ends the run's observability lifecycle: it closes the root
-// span at the terminal state, summarizes the run into the ledger (which
-// judges it against the pipeline's learned baselines), remembers node
-// spans for future cross-run links, and — when TailSample is on — exports
-// the trace only if the ledger's decision says it is worth keeping.
+// finishTrace ends the run's observability lifecycle at its terminal
+// state — executed or not — through the server's Finisher, and counts what
+// came back on the prom surface.
 func (s *Server) finishTrace(r *Run, now time.Time, state string) {
-	var spans []telemetry.Span
+	st := r.status()
 	if r.trace != nil {
-		r.mu.Lock()
-		errMsg := r.errMsg
-		actualPeak := r.actualPeak
-		r.mu.Unlock()
-		if errMsg == "" && state != StateSucceeded {
-			errMsg = state
-		}
 		r.trace.SetRootAttrs(
 			telemetry.Str("sc.state", state),
-			telemetry.Int("sc.actual_peak_bytes", actualPeak),
+			telemetry.Int("sc.actual_peak_bytes", st.ActualPeakBytes),
 		)
-		r.trace.Finish(now, errMsg)
-		spans = r.trace.Spans()
-		s.rememberNodeSpans(r.pipeline, spans)
 	}
-	st := r.status()
-	sum, dec := s.led.Append(ledger.Summarize(spans, r.parents, ledger.Meta{
-		RunID: r.id, Pipeline: r.pipeline, Tenant: r.tenant, Outcome: state,
+	sum, sampled, _ := s.fin.Finish(r.p.Pipeline, r.trace, now, ledger.Meta{
+		RunID: r.id, Tenant: r.tenant, Outcome: state,
 		Start:       st.EnqueuedAt,
 		WallSeconds: st.ElapsedSeconds, QueueWaitSeconds: st.QueueWaitSeconds,
 		ReservedBytes: st.ReservedBytes, ActualPeakBytes: st.ActualPeakBytes,
 		FallbackWrites: st.FallbackWrites,
 		EventsDropped:  st.EventsDropped, Err: st.Error,
-	}))
+	})
 	for _, a := range sum.Anomalies {
 		s.prom.anomalies.add(1, r.pipeline, a.Kind)
 	}
-	s.notifyRun(r, sum)
 	if st.EventsDropped > 0 {
 		s.prom.eventsDropped.add(float64(st.EventsDropped), r.tenant, r.pipeline)
 	}
-	if r.trace != nil && s.cfg.TraceExporter != nil {
-		if !s.cfg.TailSample || dec.Keep {
-			s.cfg.TraceExporter.Export(spans)
-			s.prom.traceSampled.add(1, "kept")
-		} else {
-			s.prom.traceSampled.add(1, "dropped")
-		}
+	if sampled != "" {
+		s.prom.traceSampled.add(1, sampled)
 	}
 }
-
-// rememberNodeSpans updates the pipeline's node → span map from a
-// finished trace, feeding the cross-run link resolver.
-func (s *Server) rememberNodeSpans(pipeline string, spans []telemetry.Span) {
-	s.linkMu.Lock()
-	defer s.linkMu.Unlock()
-	m := s.lastNodeSpans[pipeline]
-	if m == nil {
-		m = make(map[string]telemetry.SpanContext)
-		s.lastNodeSpans[pipeline] = m
-	}
-	for _, sp := range spans {
-		if node := sp.StrAttr(telemetry.AttrNode); node != "" {
-			m[node] = telemetry.SpanContext{TraceID: sp.TraceID, SpanID: sp.SpanID, Sampled: true}
-		}
-	}
-}
-
-// nodeSpanResolver maps a node to its span in the pipeline's previous run,
-// for cross-run cache-reuse links.
-func (s *Server) nodeSpanResolver(pipeline string) func(string) (telemetry.SpanContext, bool) {
-	return func(node string) (telemetry.SpanContext, bool) {
-		s.linkMu.Lock()
-		defer s.linkMu.Unlock()
-		sc, ok := s.lastNodeSpans[pipeline][node]
-		return sc, ok
-	}
-}
-
-// Ledger exposes the run-history store (history endpoints, the bench).
-func (s *Server) Ledger() *ledger.Ledger { return s.led }
 
 // RunHistory returns retained run summaries, newest first.
 func (s *Server) RunHistory(f ledger.Filter) []ledger.RunSummary {
-	return s.led.Runs(f)
+	return s.fin.Ledger.Runs(f)
 }
 
 // PipelineHealth reports SLO attainment, baseline-vs-latest per node and
@@ -1002,7 +906,7 @@ func (s *Server) PipelineHealth(name string) (ledger.Health, error) {
 	if !ok {
 		return ledger.Health{}, fmt.Errorf("%w: pipeline %q", ErrNotFound, name)
 	}
-	return s.led.Health(name, ledger.HealthConfig{SLOSeconds: s.cfg.SLOSeconds}), nil
+	return s.fin.Ledger.Health(name, ledger.HealthConfig{SLOSeconds: s.cfg.SLOSeconds}), nil
 }
 
 // expireRun is the admitter's expire callback: the queue deadline passed.
@@ -1114,7 +1018,7 @@ func (s *Server) RunTrace(id string) (TraceReport, error) {
 		TraceID:      spans[0].TraceID.String(),
 		Traceparent:  r.trace.Context().Traceparent(),
 		Complete:     r.trace.Finished(),
-		CriticalPath: telemetry.CriticalPath(spans, r.parents),
+		CriticalPath: telemetry.CriticalPath(spans, r.p.Parents),
 		Spans:        telemetry.SpansToJSON(spans),
 	}, nil
 }
@@ -1142,7 +1046,7 @@ func (s *Server) QueryMV(pipelineName, mv string, limit int) (*table.Table, erro
 		return nil, fmt.Errorf("%w: pipeline %q", ErrNotFound, pipelineName)
 	}
 	known := false
-	for _, n := range p.workload.Nodes {
+	for _, n := range p.Workload.Nodes {
 		if n.Name == mv {
 			known = true
 			break
@@ -1152,7 +1056,7 @@ func (s *Server) QueryMV(pipelineName, mv string, limit int) (*table.Table, erro
 		return nil, fmt.Errorf("%w: mv %q in pipeline %q", ErrNotFound, mv, pipelineName)
 	}
 	start := time.Now()
-	t, err := exec.LoadTableHead(p.store, mv, limit)
+	t, err := exec.LoadTableHead(p.Store, mv, limit)
 	if err != nil {
 		return nil, fmt.Errorf("%w: mv %q not materialized yet", ErrNotFound, mv)
 	}
@@ -1256,18 +1160,18 @@ func (s *Server) registerGauges() {
 		})
 	s.prom.addGauge("scserve_ledger_runs",
 		"Run summaries retained in the ledger ring.", nil, func() []gaugeSample {
-			return []gaugeSample{{v: float64(s.led.Len())}}
+			return []gaugeSample{{v: float64(s.fin.Ledger.Len())}}
 		})
 	s.prom.addGauge("scserve_ledger_evicted_total",
 		"Run summaries evicted from the bounded ledger ring.", nil, func() []gaugeSample {
-			return []gaugeSample{{v: float64(s.led.Evicted())}}
+			return []gaugeSample{{v: float64(s.fin.Ledger.Evicted())}}
 		})
 	s.prom.addGauge("scserve_mispredict_ratio",
 		"Learned mean |reserved-actual|/reserved of admission reservations.",
 		[]string{"pipeline"}, func() []gaugeSample {
 			var out []gaugeSample
-			for _, p := range s.led.Pipelines() {
-				out = append(out, gaugeSample{lvs: []string{p}, v: s.led.MispredictRatio(p)})
+			for _, p := range s.fin.Ledger.Pipelines() {
+				out = append(out, gaugeSample{lvs: []string{p}, v: s.fin.Ledger.MispredictRatio(p)})
 			}
 			return out
 		})
@@ -1310,10 +1214,10 @@ func (s *Server) registerGauges() {
 		})
 	s.prom.addGauge("scserve_alerts_total",
 		"Alert webhook delivery outcomes.", []string{"outcome"}, func() []gaugeSample {
-			if s.alerts == nil {
+			if s.fin.Alerts == nil {
 				return nil
 			}
-			st := s.alerts.Stats()
+			st := s.fin.Alerts.Stats()
 			return []gaugeSample{
 				{lvs: []string{"delivered"}, v: float64(st.Delivered)},
 				{lvs: []string{"dropped"}, v: float64(st.Dropped)},

@@ -139,7 +139,7 @@ func TestGatewayAnomalyHealthEndToEnd(t *testing.T) {
 	if latest.ReservedBytes <= 0 {
 		t.Fatalf("latest run reserved nothing: %+v", latest)
 	}
-	if got := s.Ledger().MispredictRatio("beer"); got <= 0 {
+	if got := s.fin.Ledger.MispredictRatio("beer"); got <= 0 {
 		t.Fatalf("mispredict ratio = %g, want > 0", got)
 	}
 
@@ -183,7 +183,7 @@ func TestGatewayAnomalyHealthEndToEnd(t *testing.T) {
 // by hand so the expectations are exact.
 func TestRunHistoryHTTP(t *testing.T) {
 	s, ts := newTestGateway(t, Config{})
-	led := s.Ledger()
+	led := s.fin.Ledger
 	mk := func(id, pipeline, tenant, outcome string) ledger.RunSummary {
 		return ledger.RunSummary{
 			RunID: id, Pipeline: pipeline, Tenant: tenant, Outcome: outcome,
@@ -246,7 +246,7 @@ func TestPipelineHealthGolden(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	led := s.Ledger()
+	led := s.fin.Ledger
 	mk := func(i int, nodeWall float64) ledger.RunSummary {
 		return ledger.RunSummary{
 			RunID: "run-" + string(rune('0'+i)), Pipeline: "p", Tenant: "t",

@@ -4,10 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"github.com/shortcircuit-db/sc/internal/core"
 	"github.com/shortcircuit-db/sc/internal/introspect"
-	"github.com/shortcircuit-db/sc/internal/introspect/alert"
-	"github.com/shortcircuit-db/sc/internal/ledger"
 	"github.com/shortcircuit-db/sc/internal/memcat"
 	"github.com/shortcircuit-db/sc/internal/opt"
 )
@@ -15,25 +12,6 @@ import (
 // serverEvLogCap bounds the server-wide eviction timeline: evictions
 // harvested from finished run catalogs, newest wins.
 const serverEvLogCap = 256
-
-// buildProblem assembles the pipeline's current knapsack exactly as
-// planTrigger sees it: learned (EWMA) encoded sizes and sized scores when
-// the pipeline encodes, raw sizes otherwise. raw is always the
-// uncompressed footprint vector (the memory-access side of the scores).
-func (s *Server) buildProblem(p *pipeline) (prob *core.Problem, raw []int64) {
-	slice := s.adm.tenantSlice(p.tenant)
-	raw = p.md.Sizes(p.graph, s.cfg.SizeGuess)
-	prob = &core.Problem{G: p.graph, Memory: slice}
-	if p.encOpts != nil {
-		enc := p.md.EncodedSizes(p.graph, s.cfg.SizeGuess)
-		prob.Sizes = enc
-		prob.Scores = p.md.ScoresSized(p.graph, raw, enc, s.device)
-	} else {
-		prob.Sizes = raw
-		prob.Scores = p.md.Scores(p.graph, raw, s.device)
-	}
-	return prob, raw
-}
 
 // CatalogState snapshots the shared Memory Catalog for
 // GET /v1/state/catalog: every entry resident in a live run's catalog with
@@ -73,8 +51,8 @@ func (s *Server) CatalogState() introspect.CatalogReport {
 		// so eviction rank reflects what the optimizer values right now.
 		score := make(map[string]float64)
 		if lr.p != nil {
-			prob, _ := s.buildProblem(lr.p)
-			for i, n := range lr.p.workload.Nodes {
+			prob := lr.p.Problem(s.adm.tenantSlice(lr.p.tenant))
+			for i, n := range lr.p.Workload.Nodes {
 				score[n.Name] = prob.Scores[i]
 			}
 		}
@@ -165,88 +143,10 @@ func (s *Server) ExplainPipeline(name string) (*introspect.ExplainReport, error)
 	if !ok {
 		return nil, fmt.Errorf("%w: pipeline %q", ErrNotFound, name)
 	}
-	prob, raw := s.buildProblem(p)
+	prob := p.Problem(s.adm.tenantSlice(p.tenant))
 	plan, _, err := opt.Solve(context.Background(), prob, opt.Options{})
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(p.workload.Nodes))
-	for i, n := range p.workload.Nodes {
-		names[i] = n.Name
-	}
-	in := introspect.ExplainInput{
-		Pipeline: name,
-		Problem:  prob,
-		Plan:     plan,
-		Names:    names,
-		RawBytes: raw,
-		Encoding: p.encOpts != nil,
-		Device:   s.device,
-	}
-	if p.encOpts != nil {
-		in.PredictedBytes = make([]int64, len(names))
-		for i, n := range names {
-			in.PredictedBytes[i] = p.md.PredictEncoded(n, raw[i])
-		}
-	}
-	return introspect.Explain(in), nil
-}
-
-// notifyRun pushes the run's flagging-adjacent surprises to the alert
-// webhook: one event per ledger anomaly, plus the pipeline's
-// health-verdict transition when this run changed it. The first observed
-// verdict for a pipeline establishes the baseline silently, so a fresh
-// gateway does not alert "unknown became healthy" on every first run.
-func (s *Server) notifyRun(r *Run, sum ledger.RunSummary) {
-	if s.alerts == nil {
-		return
-	}
-	for _, a := range sum.Anomalies {
-		s.alerts.Notify(alert.Event{
-			Pipeline: r.pipeline,
-			Kind:     a.Kind,
-			Severity: "warning",
-			Summary:  anomalySummary(r.pipeline, a),
-			RunID:    r.id,
-			Node:     a.Node,
-			Observed: a.Observed,
-			Baseline: a.Baseline,
-			Sigma:    a.Score,
-		})
-	}
-	h := s.led.Health(r.pipeline, ledger.HealthConfig{SLOSeconds: s.cfg.SLOSeconds})
-	s.verMu.Lock()
-	prev := s.lastVerdict[r.pipeline]
-	s.lastVerdict[r.pipeline] = h.Verdict
-	s.verMu.Unlock()
-	if prev == "" || prev == h.Verdict {
-		return
-	}
-	sev := "info"
-	switch h.Verdict {
-	case ledger.VerdictFailing:
-		sev = "critical"
-	case ledger.VerdictDegraded:
-		sev = "warning"
-	}
-	s.alerts.Notify(alert.Event{
-		Pipeline:    r.pipeline,
-		Kind:        "health_transition",
-		Severity:    sev,
-		Summary:     fmt.Sprintf("pipeline %s went %s (was %s)", r.pipeline, h.Verdict, prev),
-		RunID:       r.id,
-		FromVerdict: prev,
-		ToVerdict:   h.Verdict,
-	})
-}
-
-func anomalySummary(pipeline string, a ledger.Anomaly) string {
-	msg := fmt.Sprintf("pipeline %s: %s", pipeline, a.Kind)
-	if a.Node != "" {
-		msg += " at node " + a.Node
-	}
-	if a.Detail != "" {
-		msg += ": " + a.Detail
-	}
-	return msg
+	return p.Explain(prob, plan), nil
 }

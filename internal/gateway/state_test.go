@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/shortcircuit-db/sc/internal/introspect"
+	"github.com/shortcircuit-db/sc/internal/ledger"
 	"github.com/shortcircuit-db/sc/internal/storage"
 	"github.com/shortcircuit-db/sc/internal/table"
 )
@@ -380,11 +381,91 @@ func TestGatewayAlertWebhookEndToEnd(t *testing.T) {
 	if transitions != 1 {
 		t.Fatalf("health transitions = %d, want 1 (bodies: %q)", transitions, got)
 	}
-	st := s.alerts.Stats()
+	st := s.fin.Alerts.Stats()
 	if st.Retries < 1 {
 		t.Fatalf("stats = %+v, want at least one retry for the simulated 503", st)
 	}
 	if st.Delivered != int64(len(got)) {
 		t.Fatalf("delivered %d but webhook saw %d bodies", st.Delivered, len(got))
+	}
+}
+
+// TestUnregisterForgetsPipelineMemory pins that what a pipeline remembers
+// of its previous run — node spans for cross-run links, the health verdict
+// behind transition alerts — dies with it: a different DAG registered under
+// the same name starts from nothing. Its first verdict is silent even when
+// it differs from the old pipeline's last one, and none of its spans link
+// into the old pipeline's trace.
+func TestUnregisterForgetsPipelineMemory(t *testing.T) {
+	var (
+		hookMu sync.Mutex
+		bodies []string
+	)
+	hook := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		b, _ := io.ReadAll(r.Body)
+		hookMu.Lock()
+		bodies = append(bodies, string(b))
+		hookMu.Unlock()
+	}))
+	defer hook.Close()
+
+	s, err := NewServer(Config{GlobalBudget: 1 << 20, AlertWebhook: hook.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sales := map[string]*table.Table{"sales": mustTable(t, salesJSON())}
+	if err := s.Register(PipelineSpec{Name: "p", MVs: pipelineRequest("", "").MVs, Tables: sales, Encoding: true, Vectorized: true}); err != nil {
+		t.Fatal(err)
+	}
+	refreshOK(t, s, "p")
+	old := refreshOK(t, s, "p") // verdict "healthy" is now remembered
+	oldTrace, err := s.RunTrace(old.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Unregister("p"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Same name, different DAG: mv_daily again, and a node that fails at
+	// run time, so the new pipeline's first verdict is "failing".
+	if err := s.Register(PipelineSpec{Name: "p", Tables: sales, Encoding: true, Vectorized: true, MVs: []MVSpec{
+		{Name: "mv_daily", SQL: `SELECT day, SUM(amount) AS revenue FROM sales GROUP BY day`},
+		{Name: "mv_broken", SQL: `SELECT missing_col FROM mv_daily`},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		r, err := s.Trigger("p")
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-r.Done()
+		if st := r.Status(); st.State != StateFailed {
+			t.Fatalf("run %d of the re-registered pipeline: %+v, want failed", i, st)
+		}
+		tr, err := s.RunTrace(r.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range tr.Spans {
+			for _, l := range sp.Links {
+				if l.TraceID == oldTrace.TraceID {
+					t.Errorf("run %d span %q links into the unregistered pipeline's trace: %+v", i, sp.Name, l)
+				}
+			}
+		}
+	}
+	if h, _ := s.PipelineHealth("p"); h.Verdict != ledger.VerdictFailing {
+		t.Fatalf("verdict = %q, want failing (the test needs a verdict that differs from the old pipeline's)", h.Verdict)
+	}
+	s.Close() // drains the alert queue
+
+	hookMu.Lock()
+	defer hookMu.Unlock()
+	for _, b := range bodies {
+		if strings.Contains(b, `"kind":"health_transition"`) {
+			t.Errorf("a re-registered pipeline's first verdict alerted: %s", b)
+		}
 	}
 }

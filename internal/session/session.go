@@ -1,0 +1,299 @@
+// Package session is the one way to run and finish a refresh. A Pipeline
+// owns a refresh DAG's persistent state — workload, store, learned
+// execution metadata, session dictionaries, and what it remembers from its
+// previous run — and turns that state into the optimizer's problem, an
+// explanation of a plan, and an executed run. A Finisher ends a run's
+// observability lifecycle: trace, ledger row, alerts, export. sc.Refresher
+// and the gateway differ only in what they put around these two: options
+// and plan caching on one side, admission and the run state machine on the
+// other.
+package session
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"time"
+
+	"github.com/shortcircuit-db/sc/internal/chunkio"
+	"github.com/shortcircuit-db/sc/internal/core"
+	"github.com/shortcircuit-db/sc/internal/costmodel"
+	"github.com/shortcircuit-db/sc/internal/dag"
+	"github.com/shortcircuit-db/sc/internal/encoding"
+	"github.com/shortcircuit-db/sc/internal/exec"
+	"github.com/shortcircuit-db/sc/internal/introspect"
+	"github.com/shortcircuit-db/sc/internal/introspect/alert"
+	"github.com/shortcircuit-db/sc/internal/ledger"
+	"github.com/shortcircuit-db/sc/internal/memcat"
+	"github.com/shortcircuit-db/sc/internal/metrics"
+	"github.com/shortcircuit-db/sc/internal/obs"
+	"github.com/shortcircuit-db/sc/internal/sched"
+	"github.com/shortcircuit-db/sc/internal/storage"
+	"github.com/shortcircuit-db/sc/internal/telemetry"
+)
+
+// Pipeline is one refresh DAG with the state that outlives a run. The
+// exported fields are set before the first run and read-only afterwards.
+type Pipeline struct {
+	// Name keys the pipeline's ledger rows, baselines and alerts.
+	Name     string
+	Workload *exec.Workload
+	Graph    *dag.Graph
+	Base     [][]string          // per node, the base tables its statement scans
+	Parents  map[string][]string // node name -> DAG parent names
+	Store    storage.Store
+	Metrics  *metrics.Store // execution metadata learned across runs (§III-A)
+
+	Encoding   *encoding.Options // nil keeps the uncompressed row path
+	Vectorized bool
+	Chunked    *chunkio.Session // session dictionary cache; nil when disabled
+	Device     costmodel.DeviceProfile
+	SizeGuess  int64 // output-size assumption for never-observed nodes
+
+	// What the pipeline remembers of its previous run: each node's span (a
+	// later run that reuses cached state links back to it) and the health
+	// verdict (alerts fire on transitions, not states). Living here, both
+	// die with the pipeline.
+	mu            sync.Mutex
+	lastNodeSpans map[string]telemetry.SpanContext
+	lastVerdict   string
+}
+
+// NewPipeline extracts the dependency DAG from the nodes' SQL and starts an
+// empty metadata store. The caller sets the execution fields (Encoding,
+// Vectorized, Chunked, Device, SizeGuess) before the first run.
+func NewPipeline(name string, nodes []exec.NodeSpec, store storage.Store) (*Pipeline, error) {
+	w := &exec.Workload{Nodes: nodes}
+	g, base, err := w.BuildGraph()
+	if err != nil {
+		return nil, err
+	}
+	return &Pipeline{
+		Name:     name,
+		Workload: w,
+		Graph:    g,
+		Base:     base,
+		Parents:  g.ParentNames(),
+		Store:    store,
+		Metrics:  metrics.NewStore(),
+	}, nil
+}
+
+// Problem derives the pipeline's current knapsack under a memory budget:
+// sizes from the latest observations (SizeGuess for never-observed nodes),
+// scores from the §IV model under the device profile. With Encoding the
+// knapsack weighs nodes at their learned compressed footprint and the disk
+// terms of the score move encoded bytes, so compression genuinely changes
+// which nodes get flagged and in which order the DAG runs.
+func (p *Pipeline) Problem(memory int64) *core.Problem {
+	raw := p.Metrics.Sizes(p.Graph, p.SizeGuess)
+	if p.Encoding == nil {
+		return &core.Problem{G: p.Graph, Sizes: raw, Scores: p.Metrics.Scores(p.Graph, raw, p.Device), Memory: memory}
+	}
+	enc := p.Metrics.EncodedSizes(p.Graph, p.SizeGuess) // Memory Catalog holds compressed entries
+	return &core.Problem{G: p.Graph, Sizes: enc, Scores: p.Metrics.ScoresSized(p.Graph, raw, enc, p.Device), Memory: memory}
+}
+
+// Explain reconstructs, for every MV, why plan flags or skips it under
+// prob's budget: the sized score, raw vs predicted encoded bytes, the
+// marginal byte cost that decided the flag and what would flip it.
+func (p *Pipeline) Explain(prob *core.Problem, plan *core.Plan) *introspect.ExplainReport {
+	names := make([]string, p.Graph.Len())
+	for i := range names {
+		names[i] = p.Graph.Name(dag.NodeID(i))
+	}
+	raw := prob.Sizes // the knapsack weighs raw bytes unless the pipeline encodes
+	if p.Encoding != nil {
+		raw = p.Metrics.Sizes(p.Graph, p.SizeGuess)
+	}
+	in := introspect.ExplainInput{
+		Pipeline: p.Name,
+		Problem:  prob,
+		Plan:     plan,
+		Names:    names,
+		RawBytes: raw,
+		Encoding: p.Encoding != nil,
+		Device:   p.Device,
+	}
+	if p.Encoding != nil {
+		in.PredictedBytes = make([]int64, len(names))
+		for i, name := range names {
+			in.PredictedBytes[i] = p.Metrics.PredictEncoded(name, raw[i])
+		}
+	}
+	return introspect.Explain(in)
+}
+
+// RunEnv is what differs between callers of Run.
+type RunEnv struct {
+	Mem          *memcat.Catalog  // the run's bounded Memory Catalog
+	Sched        *sched.Scheduler // shared token pool; nil gives the run a private one
+	Concurrency  int
+	ParallelScan bool
+	RunID        string
+	Observers    []obs.Observer       // beside the metadata recorder and the trace
+	Trace        *telemetry.Collector // from OpenTrace; nil when tracing is off
+}
+
+// Run executes one refresh following plan, recording execution metadata for
+// future planning. On cancellation or error the partial result of the
+// completed nodes is returned with the error.
+func (p *Pipeline) Run(ctx context.Context, plan *core.Plan, env RunEnv) (*exec.RunResult, error) {
+	observers := append([]obs.Observer{metrics.NewRecorder(p.Metrics)}, env.Observers...)
+	ctl := &exec.Controller{
+		Store:        p.Store,
+		Mem:          env.Mem,
+		Obs:          obs.Multi(append(observers, env.Trace.Observer())...),
+		RunID:        env.RunID,
+		Concurrency:  env.Concurrency,
+		Sched:        env.Sched,
+		ParallelScan: env.ParallelScan,
+		Encoding:     p.Encoding,
+		Vectorized:   p.Vectorized,
+		Chunked:      p.Chunked,
+	}
+	return ctl.Run(ctx, p.Workload, p.Graph, plan)
+}
+
+// OpenTrace opens a run's trace: the root span starts at start (zero means
+// now) under parent when valid (a client's W3C traceparent), and cache
+// reuse across runs links to the spans the pipeline's previous run left.
+func (p *Pipeline) OpenTrace(runID string, start time.Time, parent telemetry.SpanContext) *telemetry.Collector {
+	return telemetry.NewCollector(telemetry.CollectorConfig{
+		RunID:   runID,
+		Parent:  parent,
+		Start:   start,
+		Profile: true,
+		LinkResolver: func(node string) (telemetry.SpanContext, bool) {
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			sc, ok := p.lastNodeSpans[node]
+			return sc, ok
+		},
+	})
+}
+
+// rememberNodeSpans records each node's span context so the next run's
+// cache hits can link back to the producing span.
+func (p *Pipeline) rememberNodeSpans(spans []telemetry.Span) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.lastNodeSpans == nil {
+		p.lastNodeSpans = make(map[string]telemetry.SpanContext)
+	}
+	for _, sp := range spans {
+		if node := sp.StrAttr(telemetry.AttrNode); node != "" {
+			p.lastNodeSpans[node] = telemetry.SpanContext{TraceID: sp.TraceID, SpanID: sp.SpanID, Sampled: true}
+		}
+	}
+}
+
+// Finisher ends runs: every field is optional, and a nil field skips its
+// step.
+type Finisher struct {
+	Ledger   *ledger.Ledger     // run history, baselines and anomaly verdicts
+	Alerts   *alert.Notifier    // webhook for anomalies and verdict transitions
+	Exporter telemetry.Exporter // receives finished traces
+	// TailSample exports only traces the ledger judges worth keeping:
+	// anomalous, slow against the learned baseline, or not succeeded.
+	TailSample bool
+	// SLOSeconds is the latency objective health verdicts are judged
+	// against; 0 takes the ledger's default.
+	SLOSeconds float64
+}
+
+// Trace-export outcomes Finish reports.
+const (
+	SampleKept    = "kept"
+	SampleDropped = "dropped"
+)
+
+// Finish closes a run, executed or not: it ends the root span at now (zero
+// means the present) with the outcome as its status, remembers the node
+// spans for cross-run links, lands the ledger row — also for a nil
+// collector, from meta alone — pushes the row's anomalies and a changed
+// health verdict to the webhook, and exports the trace unless tail
+// sampling drops it. The caller supplies meta's outcome; Finish fills in
+// the pipeline name. sampled is SampleKept or SampleDropped, or "" when
+// there was no trace or no exporter.
+func (f *Finisher) Finish(p *Pipeline, col *telemetry.Collector, now time.Time, meta ledger.Meta) (sum ledger.RunSummary, sampled string, spans []telemetry.Span) {
+	meta.Pipeline = p.Name
+	if col != nil {
+		msg := meta.Err
+		if msg == "" && meta.Outcome != ledger.OutcomeSucceeded {
+			msg = meta.Outcome
+		}
+		col.Finish(now, msg)
+		spans = col.Spans()
+		p.rememberNodeSpans(spans)
+	}
+	keep := true
+	if f.Ledger != nil {
+		var dec ledger.Decision
+		sum, dec = f.Ledger.Append(ledger.Summarize(spans, p.Parents, meta))
+		f.notify(p, sum)
+		keep = dec.Keep || !f.TailSample
+	}
+	if col != nil && f.Exporter != nil {
+		sampled = SampleDropped
+		if keep {
+			f.Exporter.Export(spans)
+			sampled = SampleKept
+		}
+	}
+	return sum, sampled, spans
+}
+
+// notify pushes one event per ledger anomaly, plus the pipeline's
+// health-verdict transition when this run changed it. The first verdict a
+// pipeline observes establishes the baseline silently, so a fresh pipeline
+// does not alert "unknown became healthy" on its first run.
+func (f *Finisher) notify(p *Pipeline, sum ledger.RunSummary) {
+	if f.Alerts == nil {
+		return
+	}
+	for _, a := range sum.Anomalies {
+		msg := fmt.Sprintf("pipeline %s: %s", p.Name, a.Kind)
+		if a.Node != "" {
+			msg += " at node " + a.Node
+		}
+		if a.Detail != "" {
+			msg += ": " + a.Detail
+		}
+		f.Alerts.Notify(alert.Event{
+			Pipeline: p.Name,
+			Kind:     a.Kind,
+			Severity: "warning",
+			Summary:  msg,
+			RunID:    sum.RunID,
+			Node:     a.Node,
+			Observed: a.Observed,
+			Baseline: a.Baseline,
+			Sigma:    a.Score,
+		})
+	}
+	verdict := f.Ledger.Health(p.Name, ledger.HealthConfig{SLOSeconds: f.SLOSeconds}).Verdict
+	p.mu.Lock()
+	prev := p.lastVerdict
+	p.lastVerdict = verdict
+	p.mu.Unlock()
+	if prev == "" || prev == verdict {
+		return
+	}
+	sev := "info"
+	switch verdict {
+	case ledger.VerdictFailing:
+		sev = "critical"
+	case ledger.VerdictDegraded:
+		sev = "warning"
+	}
+	f.Alerts.Notify(alert.Event{
+		Pipeline:    p.Name,
+		Kind:        "health_transition",
+		Severity:    sev,
+		Summary:     fmt.Sprintf("pipeline %s went %s (was %s)", p.Name, verdict, prev),
+		RunID:       sum.RunID,
+		FromVerdict: prev,
+		ToVerdict:   verdict,
+	})
+}

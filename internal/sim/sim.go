@@ -17,102 +17,8 @@ import (
 	"github.com/shortcircuit-db/sc/internal/core"
 	"github.com/shortcircuit-db/sc/internal/costmodel"
 	"github.com/shortcircuit-db/sc/internal/dag"
-	"github.com/shortcircuit-db/sc/internal/encoding"
 	"github.com/shortcircuit-db/sc/internal/obs"
 )
-
-// CodecCost is one codec's CPU cost, expressed as throughput over the RAW
-// (uncompressed) bytes it processes, in calibrated compute units (the
-// device's ComputeScale and the worker count apply on top, like any other
-// compute).
-type CodecCost struct {
-	EncodeBPS float64 // raw bytes/sec spent compressing
-	DecodeBPS float64 // raw bytes/sec spent decompressing
-}
-
-// DefaultCodecCosts returns rough single-core per-codec coefficients in
-// the ballpark of the real engine's codecs. Calibrate against a measured
-// run (bench does) when accuracy matters.
-func DefaultCodecCosts() map[encoding.CodecID]CodecCost {
-	return map[encoding.CodecID]CodecCost{
-		encoding.Raw:      {EncodeBPS: 2.0e9, DecodeBPS: 2.5e9},
-		encoding.RLE:      {EncodeBPS: 1.2e9, DecodeBPS: 1.8e9},
-		encoding.Dict:     {EncodeBPS: 0.35e9, DecodeBPS: 1.0e9},
-		encoding.Delta:    {EncodeBPS: 0.9e9, DecodeBPS: 1.4e9},
-		encoding.FloatDec: {EncodeBPS: 0.45e9, DecodeBPS: 0.9e9},
-	}
-}
-
-// EncodingModel makes the simulator charge the CPU that compression
-// actually costs, instead of modeling only the transferred-byte reduction
-// (which flatters compression): every node output pays an encode before it
-// is written or cached, and every read of a compressed output pays a
-// decode proportional to the bytes it materializes.
-type EncodingModel struct {
-	// Ratio is the compression ratio (raw bytes / encoded bytes) applied
-	// to node outputs for transfers and Memory Catalog accounting. Values
-	// <= 0 mean 1 (no size reduction).
-	Ratio float64
-	// Costs holds the per-codec per-byte coefficients; nil means
-	// DefaultCodecCosts.
-	Costs map[encoding.CodecID]CodecCost
-	// Mix is the fraction of raw bytes handled by each codec (as measured
-	// on a real run); the effective throughput is the weighted harmonic
-	// mean. Nil means everything through the Raw codec's coefficients.
-	Mix map[encoding.CodecID]float64
-	// DecodedFrac is the fraction of raw bytes a read actually
-	// materializes: 1 (the zero value's meaning) models decode-then-
-	// execute, smaller fractions model compressed-execution kernels that
-	// late-materialize only surviving rows.
-	DecodedFrac float64
-}
-
-// effectiveBPS folds Costs and Mix into one throughput.
-func (m *EncodingModel) effectiveBPS(decode bool) float64 {
-	costs := m.Costs
-	if costs == nil {
-		costs = DefaultCodecCosts()
-	}
-	pick := func(c CodecCost) float64 {
-		if decode {
-			return c.DecodeBPS
-		}
-		return c.EncodeBPS
-	}
-	if len(m.Mix) == 0 {
-		return pick(costs[encoding.Raw])
-	}
-	var wsum, inv float64
-	for id, frac := range m.Mix {
-		if frac <= 0 {
-			continue
-		}
-		bps := pick(costs[id])
-		if bps <= 0 {
-			continue
-		}
-		wsum += frac
-		inv += frac / bps
-	}
-	if wsum <= 0 || inv <= 0 {
-		return pick(costs[encoding.Raw])
-	}
-	return wsum / inv
-}
-
-func (m *EncodingModel) ratio() float64 {
-	if m.Ratio <= 1 || math.IsNaN(m.Ratio) || math.IsInf(m.Ratio, 0) {
-		return 1
-	}
-	return m.Ratio
-}
-
-func (m *EncodingModel) decodedFrac() float64 {
-	if m.DecodedFrac <= 0 || m.DecodedFrac > 1 || math.IsNaN(m.DecodedFrac) {
-		return 1
-	}
-	return m.DecodedFrac
-}
 
 // Node describes one MV update for simulation.
 type Node struct {
@@ -164,12 +70,6 @@ type Config struct {
 	// channel instead of sharing bandwidth with foreground writes
 	// (DESIGN.md decision 4).
 	DedicatedWriteBand bool
-	// Encoding, when non-nil, models compressed node outputs: transfers
-	// and Memory Catalog accounting shrink by Encoding.Ratio, while every
-	// output pays encode CPU and every output read pays decode CPU per the
-	// per-codec coefficients. Base-table reads stay uncompressed. Nil
-	// models uncompressed execution (every prior behavior unchanged).
-	Encoding *EncodingModel
 	// Observer receives the simulated run's event stream (NodeStart,
 	// NodeDone, Materialized, Evicted, MemoryHighWater) with Elapsed
 	// carrying the virtual clock. Nil disables observation.
@@ -199,12 +99,6 @@ type Result struct {
 	PeakMemory     int64
 	Fallbacks      int // flagged outputs that did not fit
 	Timeline       []NodeTiming
-
-	// Codec CPU accounting, nonzero only with Config.Encoding set.
-	EncodeSeconds float64 // CPU spent compressing node outputs
-	DecodeSeconds float64 // CPU spent decompressing read inputs
-	DecodedBytes  int64   // raw bytes materialized by reads
-	BytesWritten  int64   // encoded bytes moved to storage
 }
 
 // Speedup returns base.Total / r.Total.
@@ -251,26 +145,6 @@ func Run(ctx context.Context, w *Workload, plan *core.Plan, cfg Config) (*Result
 	if cfg.LRU {
 		s.lru = newLRUCache(cfg.Memory)
 	}
-	// Encoded output sizes: what actually moves and occupies the catalog.
-	s.encBytes = make([]int64, len(w.Nodes))
-	ratio := 1.0
-	if cfg.Encoding != nil {
-		ratio = cfg.Encoding.ratio()
-		s.decFrac = cfg.Encoding.decodedFrac()
-		if bps := cfg.Encoding.effectiveBPS(false); bps > 0 {
-			s.encSecPerByte = s.scale / bps
-		}
-		if bps := cfg.Encoding.effectiveBPS(true); bps > 0 {
-			s.decSecPerByte = s.scale / bps
-		}
-	}
-	for i, n := range w.Nodes {
-		eb := int64(float64(n.OutputBytes) / ratio)
-		if eb < 1 && n.OutputBytes > 0 {
-			eb = 1
-		}
-		s.encBytes[i] = eb
-	}
 
 	remaining := make([]int, w.G.Len())
 	for i := range remaining {
@@ -286,9 +160,7 @@ func Run(ctx context.Context, w *Workload, plan *core.Plan, cfg Config) (*Result
 		obs.Emit(cfg.Observer, obs.Event{Kind: obs.NodeStart, Node: node.Name, Step: step, Elapsed: vclock(s.t)})
 
 		// Read phase: base tables from storage, parents from memory when
-		// flagged-resident (or the LRU cache), otherwise storage. Parent
-		// outputs move at their encoded size and, under the encoding
-		// model, pay decode CPU for the bytes the reader materializes.
+		// flagged-resident (or the LRU cache), otherwise storage.
 		readSec := 0.0
 		if node.BaseReadBytes > 0 {
 			readSec += s.readFrom(node.BaseReadBytes, false, dag.Invalid)
@@ -298,14 +170,7 @@ func Run(ctx context.Context, w *Workload, plan *core.Plan, cfg Config) (*Result
 			if fe := s.flagged[par]; fe != nil && fe.resident {
 				inMem = true
 			}
-			readSec += s.readFrom(s.encBytes[par], inMem, par)
-			if s.cfg.Encoding != nil {
-				decoded := float64(w.Nodes[par].OutputBytes) * s.decFrac
-				decSec := decoded * s.decSecPerByte
-				readSec += decSec
-				s.res.DecodeSeconds += decSec
-				s.res.DecodedBytes += int64(decoded)
-			}
+			readSec += s.readFrom(w.Nodes[par].OutputBytes, inMem, par)
 		}
 		s.advance(readSec)
 		nt.ReadSec = readSec
@@ -317,16 +182,8 @@ func Run(ctx context.Context, w *Workload, plan *core.Plan, cfg Config) (*Result
 		nt.ComputeSec = computeSec
 		s.res.ComputeSeconds += computeSec
 
-		// Write phase. Under the encoding model the output is compressed
-		// exactly once — encode CPU is paid whether the bytes then go to
-		// the Memory Catalog or straight to storage.
-		eb := s.encBytes[id]
-		if s.cfg.Encoding != nil {
-			encSec := float64(node.OutputBytes) * s.encSecPerByte
-			s.advance(encSec)
-			s.res.EncodeSeconds += encSec
-		}
-		s.res.BytesWritten += eb
+		// Write phase.
+		eb := node.OutputBytes
 		doFlag := plan.Flagged[id] && !cfg.LRU
 		if doFlag && s.memUsed+eb > cfg.Memory {
 			doFlag = false
@@ -385,7 +242,7 @@ type flaggedEntry struct {
 	resident bool
 	children int
 	bgDone   bool
-	bytes    int64 // encoded bytes charged to the catalog
+	bytes    int64 // bytes charged to the catalog
 }
 
 type bgJob struct {
@@ -408,12 +265,6 @@ type simState struct {
 	bg      []*bgJob
 	lru     *lruCache
 	res     *Result
-
-	// Encoding-model state (zero without Config.Encoding).
-	encBytes      []int64 // per-node encoded output size
-	encSecPerByte float64
-	decSecPerByte float64
-	decFrac       float64
 }
 
 // readFrom returns the foreground time to read bytes from memory or
@@ -530,7 +381,7 @@ func (s *simState) reapBG() {
 		}
 		if fe := s.flagged[j.id]; fe != nil {
 			fe.bgDone = true
-			obs.Emit(s.o, obs.Event{Kind: obs.Materialized, Node: s.w.Nodes[j.id].Name, Step: -1, Bytes: s.encBytes[j.id], Elapsed: vclock(s.t)})
+			obs.Emit(s.o, obs.Event{Kind: obs.Materialized, Node: s.w.Nodes[j.id].Name, Step: -1, Bytes: s.w.Nodes[j.id].OutputBytes, Elapsed: vclock(s.t)})
 			s.maybeRelease(j.id, fe)
 		}
 	}

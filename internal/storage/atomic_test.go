@@ -28,7 +28,7 @@ func TestFSStoreWriteIsAtomicUnderConcurrentReads(t *testing.T) {
 		for i := 0; i < rows; i++ {
 			tb.Cols[0].Ints = append(tb.Cols[0].Ints, fill)
 		}
-		data, err := colfmt.EncodeV2(tb, encoding.Options{})
+		data, err := colfmt.EncodeTable(tb, encoding.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

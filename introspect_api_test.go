@@ -106,6 +106,10 @@ func TestRefresherExplainAndAlerts(t *testing.T) {
 			if !strings.Contains(b, `"node":"m1"`) {
 				t.Fatalf("regression alert names wrong node: %s", b)
 			}
+			// One wording for library sessions and gateway pipelines.
+			if !strings.Contains(b, `"summary":"pipeline session: wall_regression at node m1: `) {
+				t.Fatalf("regression alert summary: %s", b)
+			}
 		}
 	}
 	if wall != 1 {

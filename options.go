@@ -167,7 +167,7 @@ func WithDevice(d DeviceProfile) Option {
 // node outputs are compressed per column (dictionary, run-length, delta +
 // bit-packing, scaled-decimal floats, raw fallback), held compressed in
 // the Memory Catalog — so the same budget keeps more MVs resident, with
-// lazy decode on read — and written to storage in the chunked colfmt v2
+// lazy decode on read — and written to storage in the chunked colfmt
 // format, shrinking the bytes moved through the storage-bound path. The
 // optimizer's size and score estimates switch to compressed footprints, so
 // flag/order decisions follow the real tradeoff. Reads remain compatible
@@ -175,7 +175,7 @@ func WithDevice(d DeviceProfile) Option {
 //
 //	ref, err := sc.New(mvs, store, sc.WithEncoding(sc.EncodingOptions{}))
 //
-// Pass Mode: sc.EncodingRaw to keep the v2 format but disable compression
+// Pass Mode: sc.EncodingRaw to keep the chunked format but disable compression
 // (an explicit baseline for experiments).
 func WithEncoding(opts EncodingOptions) Option {
 	return func(c *config) {

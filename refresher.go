@@ -10,12 +10,12 @@ import (
 	"github.com/shortcircuit-db/sc/internal/chunkio"
 	"github.com/shortcircuit-db/sc/internal/dag"
 	"github.com/shortcircuit-db/sc/internal/exec"
-	"github.com/shortcircuit-db/sc/internal/introspect"
 	"github.com/shortcircuit-db/sc/internal/introspect/alert"
 	"github.com/shortcircuit-db/sc/internal/ledger"
 	"github.com/shortcircuit-db/sc/internal/memcat"
 	"github.com/shortcircuit-db/sc/internal/metrics"
 	"github.com/shortcircuit-db/sc/internal/obs"
+	"github.com/shortcircuit-db/sc/internal/session"
 	"github.com/shortcircuit-db/sc/internal/sim"
 	"github.com/shortcircuit-db/sc/internal/telemetry"
 )
@@ -28,26 +28,11 @@ import (
 // the planning level; the Controller parallelizes within a run when
 // WithConcurrency is set).
 type Refresher struct {
-	workload *exec.Workload
-	graph    *dag.Graph
-	base     [][]string // per node, the base tables its statement scans
-	store    Store
-	cfg      *config
-	md       *metrics.Store
-	chunked  *chunkio.Session // session dictionary cache; nil when disabled
+	pipe *session.Pipeline
+	fin  session.Finisher // ledger, alerts, exporter; all nil without their options
+	cfg  *config
 
 	runSeq atomic.Int64 // run counter feeding telemetry run IDs
-
-	led *ledger.Ledger // run history + baselines; nil without WithLedger
-
-	alerts      *alert.Notifier // webhook notifier; nil without WithAlerts
-	verMu       sync.Mutex
-	lastVerdict string // previous health verdict, for transition alerts
-
-	// linkMu guards lastNodeSpans separately from mu: the collector's link
-	// resolver fires during run execution, outside any mu critical section.
-	linkMu        sync.Mutex
-	lastNodeSpans map[string]telemetry.SpanContext
 
 	mu        sync.Mutex
 	plan      *Plan
@@ -69,58 +54,58 @@ func New(mvs []MV, store Store, opts ...Option) (*Refresher, error) {
 	if len(mvs) == 0 {
 		return nil, errors.New("sc: no MVs declared")
 	}
-	w := &exec.Workload{}
-	for _, mv := range mvs {
-		w.Nodes = append(w.Nodes, exec.NodeSpec{Name: mv.Name, SQL: mv.SQL})
+	nodes := make([]exec.NodeSpec, len(mvs))
+	for i, mv := range mvs {
+		nodes[i] = exec.NodeSpec{Name: mv.Name, SQL: mv.SQL}
 	}
-	g, base, err := w.BuildGraph()
+	pipe, err := session.NewPipeline(sessionPipeline, nodes, store)
 	if err != nil {
 		return nil, err
 	}
-	r := &Refresher{
-		workload: w,
-		graph:    g,
-		base:     base,
-		store:    store,
-		cfg:      cfg,
-		md:       metrics.NewStore(),
-	}
+	pipe.Encoding = cfg.encoding
+	pipe.Vectorized = cfg.vectorized
+	pipe.Device = cfg.device
+	pipe.SizeGuess = cfg.sizeGuess
 	if cfg.vectorized && cfg.dictCache {
 		// The session dictionary cache lives with the Refresher, so each
 		// Refresh reuses the dictionaries the previous run derived.
-		r.chunked = chunkio.NewSession()
+		pipe.Chunked = chunkio.NewSession()
 	}
+	r := &Refresher{pipe: pipe, cfg: cfg}
+	r.fin.Exporter = cfg.traceExporter
 	if cfg.ledger {
-		led, err := ledger.New(ledger.Config{Path: cfg.ledgerPath})
-		if err != nil {
+		if r.fin.Ledger, err = ledger.New(ledger.Config{Path: cfg.ledgerPath}); err != nil {
 			return nil, err
 		}
-		r.led = led
 	}
 	if cfg.alertURL != "" {
-		r.alerts = alert.New(alert.Config{URL: cfg.alertURL, Cooldown: cfg.alertCooldown})
+		r.fin.Alerts = alert.New(alert.Config{URL: cfg.alertURL, Cooldown: cfg.alertCooldown})
 	}
 	return r, nil
 }
+
+// sessionPipeline names a Refresher's pipeline in its ledger rows,
+// baselines and alerts.
+const sessionPipeline = "session"
 
 // Close drains the session's push surfaces: pending alert webhook
 // deliveries are flushed and the ledger (and its NDJSON file, if any) is
 // closed. A Refresher without WithAlerts/WithLedger needs no Close.
 func (r *Refresher) Close() error {
-	if r.alerts != nil {
-		r.alerts.Close()
+	if r.fin.Alerts != nil {
+		r.fin.Alerts.Close()
 	}
-	if r.led != nil {
-		return r.led.Close()
+	if r.fin.Ledger != nil {
+		return r.fin.Ledger.Close()
 	}
 	return nil
 }
 
 // Graph exposes the extracted dependency graph.
-func (r *Refresher) Graph() *dag.Graph { return r.graph }
+func (r *Refresher) Graph() *dag.Graph { return r.pipe.Graph }
 
 // Metrics exposes the execution-metadata store accumulated across runs.
-func (r *Refresher) Metrics() *metrics.Store { return r.md }
+func (r *Refresher) Metrics() *metrics.Store { return r.pipe.Metrics }
 
 // Plan returns the current refresh plan, or nil before the first
 // optimization.
@@ -151,35 +136,23 @@ func (r *Refresher) Stats() *Stats {
 // the knapsack weighs nodes at their compressed footprint and the disk
 // terms of the score model move encoded bytes, so compression genuinely
 // changes which nodes get flagged and in which order the DAG runs.
-func (r *Refresher) Problem() *Problem {
-	raw := r.md.Sizes(r.graph, r.cfg.sizeGuess)
-	if r.cfg.encoding == nil {
-		return &Problem{
-			G:      r.graph,
-			Sizes:  raw,
-			Scores: r.md.Scores(r.graph, raw, r.cfg.device),
-			Memory: r.cfg.memory,
-		}
-	}
-	enc := r.md.EncodedSizes(r.graph, r.cfg.sizeGuess)
-	return &Problem{
-		G:      r.graph,
-		Sizes:  enc, // Memory Catalog holds compressed entries
-		Scores: r.md.ScoresSized(r.graph, raw, enc, r.cfg.device),
-		Memory: r.cfg.memory,
-	}
+func (r *Refresher) Problem() *Problem { return r.pipe.Problem(r.cfg.memory) }
+
+// solve runs the session's optimizer configuration over prob.
+func (r *Refresher) solve(ctx context.Context, prob *Problem, observer Observer) (*Plan, *Stats, error) {
+	return Solve(ctx, prob,
+		WithFlagSelector(r.cfg.selector),
+		WithOrderer(r.cfg.orderer),
+		WithSeed(r.cfg.seed),
+		WithMaxIterations(r.cfg.maxIterations),
+		WithObserver(observer),
+	)
 }
 
 // Optimize re-plans the session from the observed execution metadata and
 // returns the new plan, which subsequent Run/Refresh calls execute.
 func (r *Refresher) Optimize(ctx context.Context) (*Plan, *Stats, error) {
-	plan, stats, err := Solve(ctx, r.Problem(),
-		WithFlagSelector(r.cfg.selector),
-		WithOrderer(r.cfg.orderer),
-		WithSeed(r.cfg.seed),
-		WithMaxIterations(r.cfg.maxIterations),
-		WithObserver(r.cfg.observer),
-	)
+	plan, stats, err := r.solve(ctx, r.Problem(), r.cfg.observer)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -202,11 +175,11 @@ func (r *Refresher) Run(ctx context.Context) (*RunResult, error) {
 // baselinePlan is the unoptimized default: topological order, nothing kept
 // in memory.
 func (r *Refresher) baselinePlan() (*Plan, error) {
-	topo, err := r.graph.TopoSort()
+	topo, err := r.pipe.Graph.TopoSort()
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Order: topo, Flagged: make([]bool, r.graph.Len())}, nil
+	return &Plan{Order: topo, Flagged: make([]bool, r.pipe.Graph.Len())}, nil
 }
 
 // RunPlan executes one refresh following an explicit plan. A nil plan means
@@ -222,122 +195,49 @@ func (r *Refresher) RunPlan(ctx context.Context, plan *Plan) (*RunResult, error)
 	var runID string
 	if r.cfg.tracing {
 		runID = telemetry.RunID(r.runSeq.Add(1))
-		col = telemetry.NewCollector(telemetry.CollectorConfig{
-			RunID:        runID,
-			RootName:     "refresh",
-			Profile:      true,
-			LinkResolver: r.nodeSpanResolver(),
-		})
+		col = r.pipe.OpenTrace(runID, time.Time{}, telemetry.SpanContext{})
 	}
-	ctl := &exec.Controller{
-		Store:        r.store,
+	res, err := r.pipe.Run(ctx, plan, session.RunEnv{
 		Mem:          memcat.New(r.cfg.memory),
-		Obs:          obs.Multi(metrics.NewRecorder(r.md), r.cfg.observer, col.Observer()),
-		RunID:        runID,
 		Concurrency:  r.cfg.concurrency,
-		Encoding:     r.cfg.encoding,
-		Vectorized:   r.cfg.vectorized,
 		ParallelScan: r.cfg.parallelScan,
-		Chunked:      r.chunked,
-	}
-	res, err := ctl.Run(ctx, r.workload, r.graph, plan)
-	if col != nil {
-		msg := ""
-		if err != nil {
-			msg = err.Error()
+		RunID:        runID,
+		Observers:    []obs.Observer{r.cfg.observer},
+		Trace:        col,
+	})
+	meta := ledger.Meta{RunID: runID, Outcome: ledger.OutcomeSucceeded, ReservedBytes: r.cfg.memory}
+	if err != nil {
+		meta.Outcome = ledger.OutcomeFailed
+		meta.Err = err.Error()
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			meta.Outcome = ledger.OutcomeCanceled
 		}
-		col.Finish(time.Time{}, msg)
-		spans := col.Spans()
+	}
+	if res != nil {
+		meta.ActualPeakBytes = res.PeakMemory
+		meta.FallbackWrites = res.FallbackWrites
+	}
+	_, _, spans := r.fin.Finish(r.pipe, col, time.Time{}, meta)
+	if col != nil {
 		tr := &RunTrace{
 			RunID:        runID,
 			Spans:        spans,
-			CriticalPath: telemetry.CriticalPath(spans, r.parentNames()),
+			CriticalPath: telemetry.CriticalPath(spans, r.pipe.Parents),
 		}
 		r.mu.Lock()
 		r.lastTrace = tr
 		r.mu.Unlock()
-		r.rememberNodeSpans(spans)
-		if r.led != nil {
-			meta := ledger.Meta{
-				RunID:         runID,
-				Pipeline:      "session",
-				Outcome:       ledger.OutcomeSucceeded,
-				ReservedBytes: r.cfg.memory,
-			}
-			if err != nil {
-				meta.Outcome = ledger.OutcomeFailed
-				meta.Err = msg
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					meta.Outcome = ledger.OutcomeCanceled
-				}
-			}
-			if res != nil {
-				meta.ActualPeakBytes = res.PeakMemory
-				meta.FallbackWrites = res.FallbackWrites
-			}
-			sum, _ := r.led.Append(ledger.Summarize(spans, r.parentNames(), meta))
-			r.notifyRun(sum)
-		}
-		if r.cfg.traceExporter != nil {
-			r.cfg.traceExporter.Export(spans)
-		}
 	}
 	return res, err
-}
-
-// notifyRun pushes the run's ledger anomalies — and the session's
-// health-verdict transition, when this run changed it — to the WithAlerts
-// webhook. The first observed verdict establishes the baseline silently.
-func (r *Refresher) notifyRun(sum ledger.RunSummary) {
-	if r.alerts == nil {
-		return
-	}
-	for _, a := range sum.Anomalies {
-		r.alerts.Notify(alert.Event{
-			Pipeline: sum.Pipeline,
-			Kind:     a.Kind,
-			Severity: "warning",
-			Summary:  "session refresh: " + a.Kind + " " + a.Detail,
-			RunID:    sum.RunID,
-			Node:     a.Node,
-			Observed: a.Observed,
-			Baseline: a.Baseline,
-			Sigma:    a.Score,
-		})
-	}
-	h := r.led.Health(sum.Pipeline, ledger.HealthConfig{})
-	r.verMu.Lock()
-	prev := r.lastVerdict
-	r.lastVerdict = h.Verdict
-	r.verMu.Unlock()
-	if prev == "" || prev == h.Verdict {
-		return
-	}
-	sev := "info"
-	switch h.Verdict {
-	case ledger.VerdictFailing:
-		sev = "critical"
-	case ledger.VerdictDegraded:
-		sev = "warning"
-	}
-	r.alerts.Notify(alert.Event{
-		Pipeline:    sum.Pipeline,
-		Kind:        "health_transition",
-		Severity:    sev,
-		Summary:     "session went " + h.Verdict + " (was " + prev + ")",
-		RunID:       sum.RunID,
-		FromVerdict: prev,
-		ToVerdict:   h.Verdict,
-	})
 }
 
 // AlertStats reports the WithAlerts notifier's lifetime delivery counters
 // (delivered, dropped, deduped, retried), or zeros without WithAlerts.
 func (r *Refresher) AlertStats() AlertStats {
-	if r.alerts == nil {
+	if r.fin.Alerts == nil {
 		return AlertStats{}
 	}
-	return r.alerts.Stats()
+	return r.fin.Alerts.Stats()
 }
 
 // Explain reconstructs, for every MV of the session, why the current plan
@@ -353,99 +253,29 @@ func (r *Refresher) Explain(ctx context.Context) (*ExplainReport, error) {
 	plan := r.Plan()
 	if plan == nil {
 		var err error
-		plan, _, err = Solve(ctx, prob,
-			WithFlagSelector(r.cfg.selector),
-			WithOrderer(r.cfg.orderer),
-			WithSeed(r.cfg.seed),
-			WithMaxIterations(r.cfg.maxIterations),
-		)
-		if err != nil {
+		if plan, _, err = r.solve(ctx, prob, nil); err != nil {
 			return nil, err
 		}
 	}
-	n := r.graph.Len()
-	names := make([]string, n)
-	for i := range names {
-		names[i] = r.graph.Name(dag.NodeID(i))
-	}
-	raw := r.md.Sizes(r.graph, r.cfg.sizeGuess)
-	in := introspect.ExplainInput{
-		Problem:  prob,
-		Plan:     plan,
-		Names:    names,
-		RawBytes: raw,
-		Encoding: r.cfg.encoding != nil,
-		Device:   r.cfg.device,
-	}
-	if r.cfg.encoding != nil {
-		in.PredictedBytes = make([]int64, n)
-		for i, name := range names {
-			in.PredictedBytes[i] = r.md.PredictEncoded(name, raw[i])
-		}
-	}
-	return introspect.Explain(in), nil
+	return r.pipe.Explain(prob, plan), nil
 }
 
 // History returns the session run ledger's summaries, newest first, or nil
 // without WithLedger. An empty filter returns everything retained.
 func (r *Refresher) History(f RunFilter) []RunSummary {
-	if r.led == nil {
+	if r.fin.Ledger == nil {
 		return nil
 	}
-	return r.led.Runs(f)
+	return r.fin.Ledger.Runs(f)
 }
 
 // Baselines returns the ledger's learned per-node baselines, or nil without
 // WithLedger.
 func (r *Refresher) Baselines() []NodeBaseline {
-	if r.led == nil {
+	if r.fin.Ledger == nil {
 		return nil
 	}
-	return r.led.Baselines("session")
-}
-
-// rememberNodeSpans records each node's span context so the next run's
-// cache hits can link back to the producing span.
-func (r *Refresher) rememberNodeSpans(spans []telemetry.Span) {
-	r.linkMu.Lock()
-	defer r.linkMu.Unlock()
-	if r.lastNodeSpans == nil {
-		r.lastNodeSpans = make(map[string]telemetry.SpanContext)
-	}
-	for _, s := range spans {
-		for _, a := range s.Attrs {
-			if a.Key == telemetry.AttrNode && a.Type == telemetry.AttrString {
-				r.lastNodeSpans[a.Str] = telemetry.SpanContext{
-					TraceID: s.TraceID, SpanID: s.SpanID, Sampled: true,
-				}
-			}
-		}
-	}
-}
-
-// nodeSpanResolver resolves a node name to the span that produced its
-// output in a previous run — the cross-run half of span linking.
-func (r *Refresher) nodeSpanResolver() func(string) (telemetry.SpanContext, bool) {
-	return func(node string) (telemetry.SpanContext, bool) {
-		r.linkMu.Lock()
-		defer r.linkMu.Unlock()
-		sc, ok := r.lastNodeSpans[node]
-		return sc, ok
-	}
-}
-
-// parentNames maps each node to its upstream MVs by name, the shape the
-// critical-path analysis consumes.
-func (r *Refresher) parentNames() map[string][]string {
-	parents := make(map[string][]string, r.graph.Len())
-	for i := 0; i < r.graph.Len(); i++ {
-		id := dag.NodeID(i)
-		name := r.graph.Name(id)
-		for _, par := range r.graph.Parents(id) {
-			parents[name] = append(parents[name], r.graph.Name(par))
-		}
-	}
-	return parents
+	return r.fin.Ledger.Baselines(sessionPipeline)
 }
 
 // Refresh is the adaptive loop of §III-A in one call: execute a refresh
@@ -468,18 +298,18 @@ func (r *Refresher) Refresh(ctx context.Context) (*RunResult, error) {
 // execution metadata (run at least once first for meaningful numbers) and
 // the session's device profile. No real bytes move.
 func (r *Refresher) Simulate(ctx context.Context) (*SimResult, error) {
-	w := &sim.Workload{G: r.graph}
-	for i := 0; i < r.graph.Len(); i++ {
-		name := r.graph.Name(dag.NodeID(i))
+	w := &sim.Workload{G: r.pipe.Graph}
+	for i := 0; i < r.pipe.Graph.Len(); i++ {
+		name := r.pipe.Graph.Name(dag.NodeID(i))
 		node := sim.Node{Name: name, OutputBytes: r.cfg.sizeGuess}
-		if o, ok := r.md.Latest(name); ok {
+		if o, ok := r.pipe.Metrics.Latest(name); ok {
 			node.OutputBytes = o.OutputBytes
 			node.ComputeSeconds = o.ComputeTime.Seconds()
 		}
 		// Base tables are always read from external storage; their encoded
 		// sizes are what a refresh actually moves.
-		for _, bt := range r.base[i] {
-			if sz, err := exec.TableSize(r.store, bt); err == nil {
+		for _, bt := range r.pipe.Base[i] {
+			if sz, err := exec.TableSize(r.pipe.Store, bt); err == nil {
 				node.BaseReadBytes += sz
 			}
 		}

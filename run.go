@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"github.com/shortcircuit-db/sc/internal/dag"
 	"github.com/shortcircuit-db/sc/internal/exec"
 	"github.com/shortcircuit-db/sc/internal/sim"
 	"github.com/shortcircuit-db/sc/internal/storage"
@@ -59,57 +58,6 @@ type NodeMetrics = exec.NodeMetrics
 // RunResult aggregates a refresh run.
 type RunResult = exec.RunResult
 
-// Runner executes MV refresh runs on the real engine.
-//
-// Deprecated: use New, whose Refresher adds cancellation, observation,
-// concurrency and the adaptive metadata loop. Runner remains as a thin
-// wrapper.
-type Runner struct {
-	ref *Refresher
-}
-
-// NewRunner builds a runner for the given MVs over a store holding the
-// base tables. memory is the Memory Catalog budget in bytes. Dependencies
-// are extracted from the SQL statements.
-//
-// Deprecated: use New with WithMemory.
-func NewRunner(mvs []MV, store Store, memory int64) (*Runner, error) {
-	ref, err := New(mvs, store, WithMemory(memory))
-	if err != nil {
-		return nil, err
-	}
-	return &Runner{ref: ref}, nil
-}
-
-// Graph exposes the extracted dependency graph.
-func (r *Runner) Graph() *dag.Graph { return r.ref.Graph() }
-
-// Run refreshes every MV following the plan, returning per-node metrics.
-// A nil plan means the unoptimized baseline: topological order, nothing
-// kept in memory.
-//
-// Deprecated: use Refresher.Run or Refresher.RunPlan, which honor a
-// context.
-func (r *Runner) Run(plan *Plan) (*RunResult, error) {
-	return r.ref.RunPlan(context.Background(), plan)
-}
-
-// ProblemFromMetrics derives an optimization problem from observed run
-// metrics: sizes are observed output sizes and scores follow the §IV model
-// under the device profile.
-func (r *Runner) ProblemFromMetrics(res *RunResult, d DeviceProfile) *Problem {
-	g := r.ref.Graph()
-	sizes := make([]int64, g.Len())
-	for _, nm := range res.Nodes {
-		if id := g.Lookup(nm.Name); id != dag.Invalid {
-			sizes[id] = nm.OutputBytes
-		}
-	}
-	p := &Problem{G: g, Sizes: sizes, Memory: r.ref.cfg.memory}
-	EstimateScores(p, d)
-	return p
-}
-
 // SimNode parameterizes one MV update for simulation.
 type SimNode = sim.Node
 
@@ -129,11 +77,4 @@ type SimResult = sim.Result
 // nodes; cfg.Observer receives the simulated event stream.
 func SimulatePlan(ctx context.Context, w *SimWorkload, plan *Plan, cfg SimConfig) (*SimResult, error) {
 	return sim.Run(ctx, w, plan, cfg)
-}
-
-// Simulate runs the simulator without a context.
-//
-// Deprecated: use SimulatePlan (or Refresher.Simulate for a session).
-func Simulate(w *SimWorkload, plan *Plan, cfg SimConfig) (*SimResult, error) {
-	return SimulatePlan(context.Background(), w, plan, cfg)
 }

@@ -80,7 +80,7 @@ const (
 	// applicable codecs (dictionary, run-length, delta + bit-packing,
 	// scaled-decimal floats, raw).
 	EncodingAuto = encoding.ModeAuto
-	// EncodingRaw stores every chunk uncompressed in the v2 format; useful
+	// EncodingRaw stores every chunk uncompressed in the chunked format; useful
 	// as an explicit baseline in experiments.
 	EncodingRaw = encoding.ModeRaw
 )
@@ -218,37 +218,6 @@ func Solve(ctx context.Context, p *Problem, opts ...Option) (*Plan, *Stats, erro
 		Elapsed:    st.Elapsed,
 		StopReason: st.StopReason,
 	}, nil
-}
-
-// Options configures Optimize.
-//
-// Deprecated: use Solve with functional options.
-type Options struct {
-	// Selector solves S/C Opt Nodes; nil means the paper's SimplifiedMKP.
-	// Use SelectorByName to resolve registered algorithms.
-	Selector Selector
-	// Orderer solves S/C Opt Order; nil means the paper's MA-DFS.
-	// Use OrdererByName to resolve registered algorithms.
-	Orderer Orderer
-	// Seed is retained for compatibility; seeds now feed SelectorByName /
-	// OrdererByName directly.
-	Seed int64
-	// MaxIterations caps alternating optimization (0 = default).
-	MaxIterations int
-}
-
-// Optimize solves S/C Opt without a context.
-//
-// Deprecated: use Solve, which honors cancellation and functional options.
-func Optimize(p *Problem, o Options) (*Plan, *Stats, error) {
-	opts := []Option{WithSeed(o.Seed), WithMaxIterations(o.MaxIterations)}
-	if o.Selector != nil {
-		opts = append(opts, WithFlagSelector(o.Selector))
-	}
-	if o.Orderer != nil {
-		opts = append(opts, WithOrderer(o.Orderer))
-	}
-	return Solve(context.Background(), p, opts...)
 }
 
 // Feasible reports whether the plan's flagged set fits in the problem's

@@ -35,7 +35,7 @@ func figure7Builder() (*sc.GraphBuilder, []sc.NodeID) {
 func TestOptimizePublicAPI(t *testing.T) {
 	b, _ := figure7Builder()
 	p := b.Problem(100 * gb)
-	plan, stats, err := sc.Optimize(p, sc.Options{})
+	plan, stats, err := sc.Solve(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,15 +126,16 @@ func TestRunnerEndToEnd(t *testing.T) {
 		{Name: "heavy_users", SQL: `SELECT user_id, total FROM by_user WHERE total > 500 ORDER BY total DESC`},
 		{Name: "user_count", SQL: `SELECT COUNT(*) AS users FROM by_user`},
 	}
-	runner, err := sc.NewRunner(mvs, store, 64<<20)
+	ctx := context.Background()
+	ref, err := sc.New(mvs, store, sc.WithMemory(64<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if runner.Graph().Len() != 3 {
-		t.Fatalf("graph nodes = %d", runner.Graph().Len())
+	if ref.Graph().Len() != 3 {
+		t.Fatalf("graph nodes = %d", ref.Graph().Len())
 	}
 	// Baseline run.
-	baseline, err := runner.Run(nil)
+	baseline, err := ref.RunPlan(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +143,17 @@ func TestRunnerEndToEnd(t *testing.T) {
 		t.Fatalf("executed %d nodes", len(baseline.Nodes))
 	}
 	// Optimize from observed metrics, re-run.
-	p := runner.ProblemFromMetrics(baseline, sc.PaperProfile())
-	plan, _, err := sc.Optimize(p, sc.Options{})
+	p := ref.Problem()
+	for _, nm := range baseline.Nodes {
+		if got := p.Sizes[p.G.Lookup(nm.Name)]; got != nm.OutputBytes {
+			t.Fatalf("%s: problem size %d, observed %d", nm.Name, got, nm.OutputBytes)
+		}
+	}
+	plan, _, err := sc.Solve(ctx, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runner.Run(plan)
+	res, err := ref.RunPlan(ctx, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +174,7 @@ func TestRunnerEndToEnd(t *testing.T) {
 
 func TestRunnerRejectsBadSQL(t *testing.T) {
 	store := sc.NewMemStore()
-	if _, err := sc.NewRunner([]sc.MV{{Name: "x", SQL: "NOT SQL AT ALL"}}, store, 0); err == nil {
+	if _, err := sc.New([]sc.MV{{Name: "x", SQL: "NOT SQL AT ALL"}}, store); err == nil {
 		t.Fatal("bad SQL accepted")
 	}
 }
@@ -178,12 +184,12 @@ func TestThrottledStoreSlowsRuns(t *testing.T) {
 	baseTables(t, fast)
 	slow := sc.NewThrottledStore(fast, 2e6, 2e6, time.Millisecond)
 	mvs := []sc.MV{{Name: "agg", SQL: `SELECT kind, COUNT(*) AS n FROM events GROUP BY kind`}}
-	runner, err := sc.NewRunner(mvs, slow, 0)
+	ref, err := sc.New(mvs, slow)
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := runner.Run(nil); err != nil {
+	if _, err := ref.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if time.Since(start) < 2*time.Millisecond {
@@ -194,7 +200,7 @@ func TestThrottledStoreSlowsRuns(t *testing.T) {
 func TestSimulatePublicAPI(t *testing.T) {
 	b, _ := figure7Builder()
 	p := b.Problem(100 * gb)
-	plan, _, err := sc.Optimize(p, sc.Options{})
+	plan, _, err := sc.Solve(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +211,7 @@ func TestSimulatePublicAPI(t *testing.T) {
 			OutputBytes: p.Sizes[i], ComputeSeconds: 1,
 		})
 	}
-	res, err := sc.Simulate(w, plan, sc.SimConfig{Device: sc.PaperProfile(), Memory: p.Memory})
+	res, err := sc.SimulatePlan(context.Background(), w, plan, sc.SimConfig{Device: sc.PaperProfile(), Memory: p.Memory})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +235,11 @@ func TestRunnerSQLErrorMentionsNode(t *testing.T) {
 	store := sc.NewMemStore()
 	baseTables(t, store)
 	mvs := []sc.MV{{Name: "broken", SQL: `SELECT missing_col FROM events`}}
-	runner, err := sc.NewRunner(mvs, store, 0)
+	ref, err := sc.New(mvs, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = runner.Run(nil)
+	_, err = ref.Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "broken") {
 		t.Fatalf("err = %v", err)
 	}
