@@ -1,6 +1,7 @@
 package sc_test
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -55,9 +56,33 @@ func chunkedStore(t *testing.T) sc.Store {
 	return st
 }
 
+// mustSameMV requires the named MV to hold the same non-empty rows in both
+// stores, value for value.
+func mustSameMV(t *testing.T, name string, wantStore, gotStore sc.Store) {
+	t.Helper()
+	want, err := sc.LoadTable(wantStore, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sc.LoadTable(gotStore, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.NumRows() == 0 || want.NumRows() != got.NumRows() || !want.Schema.Equal(got.Schema) {
+		t.Fatalf("MV %q: shape differs (%d vs %d rows)", name, want.NumRows(), got.NumRows())
+	}
+	for r := 0; r < want.NumRows(); r++ {
+		for c := range want.Cols {
+			if want.Cols[c].Value(r) != got.Cols[c].Value(r) {
+				t.Fatalf("MV %q row %d col %d differs", name, r, c)
+			}
+		}
+	}
+}
+
 // TestSessionDictCacheAcrossRuns: a vectorized+encoded session must (a)
 // materialize the same MVs as the row engine and (b) report dictionary
-// reuse on the second refresh; WithSessionDictCache(false) must not.
+// reuse on the second refresh.
 func TestSessionDictCacheAcrossRuns(t *testing.T) {
 	ctx := context.Background()
 
@@ -70,17 +95,11 @@ func TestSessionDictCacheAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	run := func(opts ...sc.Option) (*sc.Refresher, sc.Store) {
-		st := chunkedStore(t)
-		ref, err := sc.New(chunkedMVs(), st,
-			append([]sc.Option{sc.WithEncoding(sc.EncodingOptions{}), sc.WithVectorized(true)}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ref, st
+	st := chunkedStore(t)
+	ref, err := sc.New(chunkedMVs(), st, sc.WithEncoding(sc.EncodingOptions{}), sc.WithVectorized(true))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	ref, st := run()
 	reusedAt := func(res *sc.RunResult) int64 {
 		var total int64
 		for _, n := range res.Nodes {
@@ -107,36 +126,79 @@ func TestSessionDictCacheAcrossRuns(t *testing.T) {
 
 	// Same MVs as the row engine, value for value.
 	for _, mv := range chunkedMVs() {
-		want, err := sc.LoadTable(rowStore, mv.Name)
+		mustSameMV(t, mv.Name, rowStore, st)
+	}
+}
+
+// TestFilterAndProjectRootsUnderEncoding: a Filter root and a Project root
+// have no chunk-emitting form — under WithEncoding they run their kernel,
+// materialize rows and encode them like every other non-join root — and a
+// join over their outputs still stays in code space. The decoded MVs must
+// equal the plain row path's, and a flagged session must store the same
+// bytes as one that keeps nothing in the Memory Catalog.
+func TestFilterAndProjectRootsUnderEncoding(t *testing.T) {
+	ctx := context.Background()
+	mvs := []sc.MV{
+		{Name: "big_sales", SQL: `SELECT * FROM sales WHERE amount >= 3`},
+		{Name: "sale_items", SQL: `SELECT item FROM sales WHERE amount < 2`},
+		{Name: "item_cats", SQL: `SELECT cat, item FROM cats`},
+		{Name: "big_by_cat", SQL: `
+			SELECT b.item AS item, b.amount AS amount, c.cat AS cat
+			FROM big_sales b JOIN item_cats c ON b.item = c.item`},
+	}
+	run := func(opts ...sc.Option) (sc.Store, *sc.RunResult) {
+		t.Helper()
+		st := chunkedStore(t)
+		ref, err := sc.New(mvs, st, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sc.LoadTable(st, mv.Name)
+		if _, _, err := ref.Optimize(ctx); err != nil {
+			t.Fatal(err)
+		}
+		res, err := ref.Run(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want.NumRows() == 0 || want.NumRows() != got.NumRows() || !want.Schema.Equal(got.Schema) {
-			t.Fatalf("MV %q: shape differs (%d vs %d rows)", mv.Name, want.NumRows(), got.NumRows())
-		}
-		for r := 0; r < want.NumRows(); r++ {
-			for c := range want.Cols {
-				if want.Cols[c].Value(r) != got.Cols[c].Value(r) {
-					t.Fatalf("MV %q row %d col %d differs", mv.Name, r, c)
-				}
+		return st, res
+	}
+	compressed := []sc.Option{sc.WithEncoding(sc.EncodingOptions{}), sc.WithVectorized(true)}
+	rowStore, _ := run()
+	flagStore, flagRes := run(append(compressed, sc.WithMemory(64<<20))...)
+	naiveStore, naiveRes := run(append(compressed, sc.WithMemory(0))...)
+
+	flagged := 0
+	for _, res := range []*sc.RunResult{flagRes, naiveRes} {
+		var lowered int64
+		for _, n := range res.Nodes {
+			if n.KernelFallbacks != 0 {
+				t.Fatalf("node %s fell back to the row engine: %+v", n.Name, n)
 			}
+			if n.Flagged {
+				flagged++
+			}
+			lowered += n.LoweredOps
 		}
+		if lowered == 0 {
+			t.Fatal("no operator was lowered onto a kernel")
+		}
+	}
+	if flagged == 0 {
+		t.Fatal("the session with a budget flagged nothing; the catalog path went untested")
 	}
 
-	// Disabled cache: no reuse on repeated runs.
-	off, _ := run(sc.WithSessionDictCache(false))
-	if _, err := off.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-	resOff, err := off.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reusedAt(resOff) != 0 {
-		t.Fatal("WithSessionDictCache(false) still reused dictionaries")
+	for _, mv := range mvs {
+		mustSameMV(t, mv.Name, rowStore, flagStore)
+		a, err := flagStore.Read(mv.Name + ".sct")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := naiveStore.Read(mv.Name + ".sct")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatalf("MV %q: flagged session stored %d bytes, naive %d, not identical", mv.Name, len(a), len(b))
+		}
 	}
 }

@@ -36,16 +36,16 @@ func main() {
 	inner := sc.NewMemStore()
 	store := sc.NewThrottledStore(inner, 50e6, 30e6, 2*time.Millisecond)
 	ref, err := sc.New(mvs, store,
-		sc.WithMemory(384<<10),   // fixed 384KB Memory Catalog across days
-		sc.WithDevice(device),    // score model matching the throttled store
-		sc.WithSizeGuess(32<<10), // optimistic 32KB guess before any observation
+		sc.WithMemory(384<<10), // fixed 384KB Memory Catalog across days
+		sc.WithDevice(device),  // score model matching the throttled store
 	)
 	if err != nil {
 		log.Fatal(err)
 	}
 	ctx := context.Background()
 
-	// Day 0 has no observations: the first plan flags from size guesses.
+	// Day 0 has no observations: the first plan sizes every MV at the 1 MB
+	// default, more than this budget holds, so day 1 runs unflagged.
 	if _, _, err := ref.Optimize(ctx); err != nil {
 		log.Fatal(err)
 	}

@@ -10,9 +10,6 @@ import (
 // Counters reports what one Builder did, in units the kernel Stats and the
 // benchmark JSON surface directly.
 type Counters struct {
-	// Passthrough counts column-chunks reused verbatim from the source —
-	// zero encode and zero decode work.
-	Passthrough int64
 	// CodeChunks counts column-chunks emitted from gathered dictionary
 	// codes: values never materialized, the dictionary was remapped instead
 	// of rebuilt.
@@ -30,24 +27,16 @@ type Counters struct {
 	MaterializedBytes int64
 }
 
-// Builder assembles one compressed table incrementally. Columns advance in
-// lockstep: between flush points every column must receive the same number
-// of rows (the selection the kernels apply is shared across columns), which
-// is what keeps the emitted chunk boundaries aligned — RowGroups on the
-// result never returns nil, so downstream kernels can consume it directly.
+// Builder assembles one compressed table incrementally. Every column must
+// have received the same number of rows by Finish, which emits them as
+// target-sized chunks with aligned boundaries — RowGroups on the result
+// never returns nil, so downstream kernels can consume it directly.
 //
 // Appenders pick the cheapest representation the source allows:
 //
-//	PassGroup    whole chunks, reused verbatim (full-selection groups)
-//	AppendDict   gathered dictionary codes, remapped through the shared dict
-//	AppendRuns   RLE runs; INT/STRING run values intern to codes
-//	AppendVector decoded values (gathered by selection)
-//	AppendValue  one decoded value (late materialization)
 //	AppendCode   one shared-dictionary id (code-space joins; see Remap)
-//
-// Callers should invoke FlushFull at row-aligned points (for instance after
-// each input row group) to bound pending memory; Finish flushes the
-// remainder and returns the table.
+//	AppendValue  one decoded value (late materialization)
+//	AppendVector decoded values (gathered by selection)
 type Builder struct {
 	sch    table.Schema
 	opts   encoding.Options
@@ -55,7 +44,6 @@ type Builder struct {
 	target int
 	cols   []colBuf
 	out    [][]encoding.Chunk
-	nrows  int
 	raw    int64
 
 	// Counters accumulates this builder's work; read it after Finish.
@@ -64,7 +52,6 @@ type Builder struct {
 
 // colBuf is one column's pending state: gathered shared-dictionary codes
 // (code space) until something forces materialized values (value space).
-// The mode resets to code space after every flush.
 type colBuf struct {
 	typ    table.Type
 	shared *Shared       // nil for FLOAT columns
@@ -129,39 +116,11 @@ func NewBuilder(sch table.Schema, opts encoding.Options, sess *Session, producer
 	return b
 }
 
-// PassGroup appends one aligned row group verbatim: chunk(ci) supplies each
-// column's encoded chunk, reused as-is. Pending gathered rows are flushed
-// first so chunk boundaries stay aligned across columns. Every chunk must
-// hold exactly rows rows.
-func (b *Builder) PassGroup(chunk func(ci int) encoding.Chunk, rows int) error {
-	if rows == 0 {
-		return nil
-	}
-	if err := b.flush(); err != nil {
-		return err
-	}
-	for ci := range b.cols {
-		ch := chunk(ci)
-		if ch.Rows != rows {
-			return fmt.Errorf("chunkio: passthrough chunk has %d rows, group has %d", ch.Rows, rows)
-		}
-		rb, err := encoding.ChunkRawBytes(ch, b.cols[ci].typ)
-		if err != nil {
-			return err
-		}
-		b.out[ci] = append(b.out[ci], ch)
-		b.raw += rb
-		b.Counters.Passthrough++
-	}
-	b.nrows += rows
-	return nil
-}
-
 // Remap translates a source chunk's dictionary into the column's shared
 // dictionary, for use with AppendCode. It returns nil, false when the
 // column cannot take codes right now — FLOAT column, value space already
-// active for the pending chunk, or dictionary overflow — in which case the
-// caller appends values instead.
+// active, or dictionary overflow — in which case the caller appends values
+// instead.
 func (b *Builder) Remap(ci int, dv *encoding.DictView) ([]int32, bool) {
 	cb := &b.cols[ci]
 	if cb.shared == nil || cb.vals != nil {
@@ -194,71 +153,6 @@ func (b *Builder) AppendCode(ci int, id int32) {
 	} else {
 		b.raw += cb.shared.valueSize(id)
 	}
-}
-
-// AppendDict appends the selected rows of a dictionary-encoded source
-// chunk: the source dictionary is remapped once through the shared
-// dictionary and the selected codes flow through without materializing any
-// value. sel lists the selected local rows ascending; nil selects all. On
-// dictionary overflow the rows are materialized and appended as values.
-func (b *Builder) AppendDict(ci int, dv *encoding.DictView, sel []int32) error {
-	codes, err := dv.Codes()
-	if err != nil {
-		return err
-	}
-	cb := &b.cols[ci]
-	if ids, ok := b.Remap(ci, dv); ok {
-		sizes := entrySizes(dv)
-		if sel == nil {
-			for _, c := range codes {
-				cb.codes = append(cb.codes, ids[c])
-				b.raw += sizes[c]
-			}
-		} else {
-			for _, i := range sel {
-				c := codes[i]
-				cb.codes = append(cb.codes, ids[c])
-				b.raw += sizes[c]
-			}
-		}
-		return nil
-	}
-	// Overflow or value space: late-materialize the selected entries.
-	if sel == nil {
-		for _, c := range codes {
-			b.appendMaterialized(cb, dv.Value(int(c)))
-		}
-	} else {
-		for _, i := range sel {
-			b.appendMaterialized(cb, dv.Value(int(codes[i])))
-		}
-	}
-	return nil
-}
-
-// AppendRuns appends the selected rows of a run-length source chunk. INT
-// and STRING run values intern into the shared dictionary (once per run)
-// so the rows stay in code space; FLOAT runs and overflow append values.
-func (b *Builder) AppendRuns(ci int, runs []encoding.Run, sel []int32) error {
-	cb := &b.cols[ci]
-	k := 0 // cursor into sel
-	pos := 0
-	for _, r := range runs {
-		end := pos + r.Len
-		n := r.Len
-		if sel != nil {
-			n = 0
-			for k < len(sel) && int(sel[k]) < end {
-				k++
-				n++
-			}
-		}
-		if n > 0 {
-			b.appendRepeat(cb, r.Val, n)
-		}
-		pos = end
-	}
-	return nil
 }
 
 // AppendVector appends the selected rows of a decoded source vector. When
@@ -301,32 +195,6 @@ func (b *Builder) appendAuto(cb *colBuf, v table.Value) {
 	b.pushVal(cb, v)
 }
 
-// appendRepeat appends one value n times, interning once when possible.
-func (b *Builder) appendRepeat(cb *colBuf, v table.Value, n int) {
-	b.raw += valueSizeOf(v) * int64(n)
-	if cb.vals == nil && cb.shared != nil {
-		if id, ok := cb.shared.Add(v); ok {
-			cb.noteSize(id, valueSizeOf(v))
-			for i := 0; i < n; i++ {
-				cb.codes = append(cb.codes, id)
-			}
-			return
-		}
-	}
-	b.materializePending(cb)
-	for i := 0; i < n; i++ {
-		appendToVec(cb.vals, v)
-	}
-}
-
-// appendMaterialized appends one value the caller materialized for the
-// builder's sake (overflow paths), counting it.
-func (b *Builder) appendMaterialized(cb *colBuf, v table.Value) {
-	b.raw += valueSizeOf(v)
-	b.Counters.MaterializedBytes += valueSizeOf(v)
-	b.pushVal(cb, v)
-}
-
 // pushVal appends one value in value space, converting pending codes
 // first.
 func (b *Builder) pushVal(cb *colBuf, v table.Value) {
@@ -349,53 +217,6 @@ func (b *Builder) materializePending(cb *colBuf) {
 		appendToVec(cb.vals, v)
 	}
 	cb.codes = cb.codes[:0]
-}
-
-// FlushFull emits the pending rows as target-sized chunks once the target
-// chunk size is reached. Call it at row-aligned points.
-func (b *Builder) FlushFull() error {
-	if len(b.cols) > 0 && b.cols[0].pending() >= b.target {
-		return b.flush()
-	}
-	return nil
-}
-
-// flush emits every column's pending rows as aligned chunks, splitting at
-// the target chunk size (a caller may buffer a whole output — the join's
-// scatter phase does — and still get bounded, aligned chunks out).
-func (b *Builder) flush() error {
-	n := -1
-	for ci := range b.cols {
-		p := b.cols[ci].pending()
-		if n < 0 {
-			n = p
-		} else if p != n {
-			return fmt.Errorf("chunkio: column %d has %d pending rows, column 0 has %d", ci, p, n)
-		}
-	}
-	if n <= 0 {
-		return nil
-	}
-	for lo := 0; lo < n; lo += b.target {
-		hi := lo + b.target
-		if hi > n {
-			hi = n
-		}
-		for ci := range b.cols {
-			ch, err := b.emitCol(&b.cols[ci], lo, hi)
-			if err != nil {
-				return fmt.Errorf("chunkio: column %q: %w", b.sch.Cols[ci].Name, err)
-			}
-			b.out[ci] = append(b.out[ci], ch)
-		}
-		b.nrows += hi - lo
-	}
-	for ci := range b.cols {
-		cb := &b.cols[ci]
-		cb.codes = cb.codes[:0]
-		cb.vals = nil
-	}
-	return nil
 }
 
 // emitCol encodes rows [lo, hi) of one column's pending buffer.
@@ -450,15 +271,36 @@ func (b *Builder) seed(cb *colBuf, ch encoding.Chunk) {
 	}
 }
 
-// Finish flushes the remainder and returns the assembled table. The
-// builder must not be reused afterwards.
+// Finish emits every column's rows as aligned chunks, split at the target
+// chunk size (the join buffers a whole output and still gets bounded,
+// aligned chunks out), and returns the assembled table. The builder must
+// not be used afterwards.
 func (b *Builder) Finish() (*encoding.Compressed, error) {
-	if err := b.flush(); err != nil {
-		return nil, err
+	n := 0
+	for ci := range b.cols {
+		p := b.cols[ci].pending()
+		if ci == 0 {
+			n = p
+		} else if p != n {
+			return nil, fmt.Errorf("chunkio: column %d has %d pending rows, column 0 has %d", ci, p, n)
+		}
+	}
+	for lo := 0; lo < n; lo += b.target {
+		hi := lo + b.target
+		if hi > n {
+			hi = n
+		}
+		for ci := range b.cols {
+			ch, err := b.emitCol(&b.cols[ci], lo, hi)
+			if err != nil {
+				return nil, fmt.Errorf("chunkio: column %q: %w", b.sch.Cols[ci].Name, err)
+			}
+			b.out[ci] = append(b.out[ci], ch)
+		}
 	}
 	ct := &encoding.Compressed{
 		Schema:   b.sch,
-		NRows:    b.nrows,
+		NRows:    n,
 		Cols:     b.out,
 		RawBytes: b.raw,
 	}

@@ -52,32 +52,50 @@ func mustEqualTables(t *testing.T, desc string, want, got *table.Table) {
 	}
 }
 
-// feedGroup appends one row group of a compressed table to the builder via
-// the cheapest per-chunk path — the walk the kernels perform.
+// feedGroup appends one row group of a compressed table to the builder the
+// way the join kernel assembles its output: dictionary chunks as remapped
+// codes (as values once the column has left code space), run-length chunks
+// value by value, everything else as a decoded vector. sel lists the
+// selected local rows ascending; nil selects all.
 func feedGroup(t *testing.T, b *Builder, ct *encoding.Compressed, group int, sel []int32) {
 	t.Helper()
 	for ci := range ct.Cols {
 		ch := ct.Cols[ci][group]
 		typ := ct.Schema.Cols[ci].Type
-		var err error
-		switch ch.Codec {
-		case encoding.Dict:
-			var dv *encoding.DictView
-			if dv, err = encoding.ParseDict(ch, typ); err == nil {
-				err = b.AppendDict(ci, dv, sel)
-			}
-		case encoding.RLE:
-			var runs []encoding.Run
-			if runs, err = encoding.ParseRuns(ch, typ); err == nil {
-				err = b.AppendRuns(ci, runs, sel)
-			}
-		default:
-			var vec *table.Vector
-			if vec, err = encoding.DecodeChunk(ch, typ); err == nil {
-				err = b.AppendVector(ci, vec, sel)
+		rows := sel
+		if rows == nil {
+			for i := 0; i < ch.Rows; i++ {
+				rows = append(rows, int32(i))
 			}
 		}
+		if ch.Codec == encoding.Dict {
+			dv, err := encoding.ParseDict(ch, typ)
+			if err != nil {
+				t.Fatalf("feed column %d: %v", ci, err)
+			}
+			codes, err := dv.Codes()
+			if err != nil {
+				t.Fatalf("feed column %d: %v", ci, err)
+			}
+			ids, inCode := b.Remap(ci, dv)
+			for _, i := range rows {
+				if inCode {
+					b.AppendCode(ci, ids[codes[i]])
+				} else {
+					b.AppendValue(ci, dv.Value(int(codes[i])))
+				}
+			}
+			continue
+		}
+		vec, err := encoding.DecodeChunk(ch, typ)
 		if err != nil {
+			t.Fatalf("feed column %d: %v", ci, err)
+		}
+		if ch.Codec == encoding.RLE {
+			for _, i := range rows {
+				b.AppendValue(ci, vec.Value(int(i)))
+			}
+		} else if err := b.AppendVector(ci, vec, sel); err != nil {
 			t.Fatalf("feed column %d: %v", ci, err)
 		}
 	}
@@ -95,39 +113,6 @@ func threeColTable(n int, card int) *table.Table {
 		tb.Cols[2].Floats = append(tb.Cols[2].Floats, float64(r%7)/2)
 	}
 	return tb
-}
-
-func TestBuilderPassthroughRoundTrip(t *testing.T) {
-	src := threeColTable(500, 9)
-	ct, err := encoding.FromTable(src, encoding.Options{ChunkRows: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := NewBuilder(src.Schema, encoding.Options{ChunkRows: 128}, nil, "")
-	for g, rows := range ct.RowGroups() {
-		getChunk := func(ci int) encoding.Chunk { return ct.Cols[ci][g] }
-		if err := b.PassGroup(getChunk, rows); err != nil {
-			t.Fatal(err)
-		}
-	}
-	out, err := b.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := out.Table()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustEqualTables(t, "passthrough", src, got)
-	if b.Counters.Passthrough == 0 || b.Counters.Reencoded != 0 {
-		t.Fatalf("counters = %+v: passthrough groups must not re-encode", b.Counters)
-	}
-	if out.RawBytes != src.ByteSize() {
-		t.Fatalf("RawBytes = %d, want %d", out.RawBytes, src.ByteSize())
-	}
-	if out.RowGroups() == nil {
-		t.Fatal("builder output has misaligned row groups")
-	}
 }
 
 func TestBuilderGatherSelections(t *testing.T) {
@@ -150,9 +135,6 @@ func TestBuilderGatherSelections(t *testing.T) {
 		}
 		if len(sel) > 0 {
 			feedGroup(t, b, ct, g, sel)
-		}
-		if err := b.FlushFull(); err != nil {
-			t.Fatal(err)
 		}
 		base += rows
 	}
@@ -186,13 +168,13 @@ func TestBuilderEmptyOutput(t *testing.T) {
 }
 
 func TestBuilderDictOverflowMidBuild(t *testing.T) {
-	// A session capped at 8 entries overflows partway through a 100-row
-	// append of 20 distinct strings: the column must convert its pending
-	// codes to values and finish in value space, byte-identically.
+	// A session capped at 8 entries overflows on the second 5-row chunk of a
+	// 100-row append of 20 distinct strings: the column must convert its
+	// pending codes to values and finish in value space, byte-identically.
 	sess := NewSession()
 	sess.MaxEntries = 8
 	src := threeColTable(100, 20)
-	ct, err := encoding.FromTable(src, encoding.Options{ChunkRows: 100})
+	ct, err := encoding.FromTable(src, encoding.Options{ChunkRows: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,9 +244,6 @@ func TestSessionDictReuseAcrossRuns(t *testing.T) {
 		b := NewBuilder(src.Schema, encoding.Options{ChunkRows: 64}, sess, "node#1")
 		for g := range ct.RowGroups() {
 			feedGroup(t, b, ct, g, nil)
-			if err := b.FlushFull(); err != nil {
-				t.Fatal(err)
-			}
 		}
 		out, err := b.Finish()
 		if err != nil {
@@ -275,6 +254,12 @@ func TestSessionDictReuseAcrossRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		mustEqualTables(t, "session run", src, got)
+		if out.RawBytes != src.ByteSize() {
+			t.Fatalf("RawBytes = %d, want %d", out.RawBytes, src.ByteSize())
+		}
+		if out.RowGroups() == nil {
+			t.Fatal("builder output has misaligned row groups")
+		}
 		return b.Counters
 	}
 	first := run()
@@ -364,11 +349,8 @@ func TestDifferentialBuilder(t *testing.T) {
 		for g, rows := range ct.RowGroups() {
 			mode := rng.Intn(4)
 			switch {
-			case mode == 0: // whole group passes through
-				getChunk := func(ci int) encoding.Chunk { return ct.Cols[ci][g] }
-				if err := b.PassGroup(getChunk, rows); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
+			case mode == 0: // whole group selected
+				feedGroup(t, b, ct, g, nil)
 				for i := 0; i < rows; i++ {
 					global = append(global, base+i)
 				}
@@ -383,11 +365,6 @@ func TestDifferentialBuilder(t *testing.T) {
 				}
 				if len(sel) > 0 {
 					feedGroup(t, b, ct, g, sel)
-				}
-			}
-			if rng.Intn(2) == 0 {
-				if err := b.FlushFull(); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
 				}
 			}
 			base += rows

@@ -11,8 +11,8 @@ import (
 // configuration from the fuzz input, drives the source chunks through the
 // builder's append paths, and requires the decoded output to equal a
 // direct gather of the selected rows. It hunts for row drops, code/value
-// space transitions that lose data, misaligned flushes and dictionary
-// overflow corruption.
+// space transitions that lose data, misaligned chunk boundaries and
+// dictionary overflow corruption.
 func FuzzBuilder(f *testing.F) {
 	f.Add([]byte{1, 40, 8, 3, 0xAA, 0x55, 16, 2})
 	f.Add([]byte{2, 200, 64, 1, 0xFF, 0x00, 4, 0})
@@ -66,10 +66,7 @@ func FuzzBuilder(f *testing.F) {
 		for g, rows := range ct.RowGroups() {
 			pass := len(sel) > 0 && sel[g%len(sel)]&1 != 0
 			if pass {
-				getChunk := func(ci int) encoding.Chunk { return ct.Cols[ci][g] }
-				if err := b.PassGroup(getChunk, rows); err != nil {
-					t.Fatalf("PassGroup: %v", err)
-				}
+				feedGroup(t, b, ct, g, nil)
 				for i := 0; i < rows; i++ {
 					global = append(global, base+i)
 				}
@@ -86,12 +83,7 @@ func FuzzBuilder(f *testing.F) {
 					}
 				}
 				if len(idxs) > 0 {
-					fuzzFeed(t, b, ct, g, idxs)
-				}
-			}
-			if g%2 == 0 {
-				if err := b.FlushFull(); err != nil {
-					t.Fatalf("FlushFull: %v", err)
+					feedGroup(t, b, ct, g, idxs)
 				}
 			}
 			base += rows
@@ -122,35 +114,4 @@ func FuzzBuilder(f *testing.F) {
 			}
 		}
 	})
-}
-
-// fuzzFeed mirrors the kernels' per-chunk walk without failing the fuzz
-// run on expected errors.
-func fuzzFeed(t *testing.T, b *Builder, ct *encoding.Compressed, group int, sel []int32) {
-	t.Helper()
-	for ci := range ct.Cols {
-		ch := ct.Cols[ci][group]
-		typ := ct.Schema.Cols[ci].Type
-		var err error
-		switch ch.Codec {
-		case encoding.Dict:
-			var dv *encoding.DictView
-			if dv, err = encoding.ParseDict(ch, typ); err == nil {
-				err = b.AppendDict(ci, dv, sel)
-			}
-		case encoding.RLE:
-			var runs []encoding.Run
-			if runs, err = encoding.ParseRuns(ch, typ); err == nil {
-				err = b.AppendRuns(ci, runs, sel)
-			}
-		default:
-			var vec *table.Vector
-			if vec, err = encoding.DecodeChunk(ch, typ); err == nil {
-				err = b.AppendVector(ci, vec, sel)
-			}
-		}
-		if err != nil {
-			t.Fatalf("feed column %d: %v", ci, err)
-		}
-	}
 }

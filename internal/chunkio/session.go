@@ -1,17 +1,16 @@
-// Package chunkio is S/C's streaming compressed-output subsystem: it lets
-// the compressed-execution kernels (internal/kernels) *emit* encoding.
-// Compressed chunks as cheaply as they read them, so an operator tree's
-// intermediates stay in code space end to end instead of materializing a
-// full table between every pair of operators.
+// Package chunkio is S/C's compressed-output subsystem: it lets the join
+// kernel (internal/kernels.HashJoinScan, the one operator that emits
+// chunks) produce encoding.Compressed output without materializing rows, so
+// a join tree's intermediates stay in code space end to end instead of
+// becoming a full table between every pair of operators.
 //
 // Two pieces cooperate:
 //
-//   - Builder assembles a compressed table incrementally from whatever a
-//     kernel has in hand — whole untouched chunks (passthrough), gathered
-//     dictionary codes (the chunk's dictionary is remapped once through a
-//     shared dictionary and the selected codes flow through unchanged),
-//     run-length runs, or, when nothing cheaper applies, materialized
-//     values that are re-encoded with the same per-chunk codec
+//   - Builder assembles a compressed table from what the join has in hand
+//     per output row — a dictionary code (the source chunk's dictionary is
+//     remapped once through a shared dictionary and the surviving codes
+//     flow through unchanged) or, when no code-space path applies, a
+//     materialized value that is re-encoded with the same per-chunk codec
 //     auto-selection FromTable uses;
 //   - Session carries the shared dictionaries across refresh runs, keyed
 //     by (producer, column): a recurring pipeline re-derives the same

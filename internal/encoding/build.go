@@ -1,7 +1,6 @@
 package encoding
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -62,70 +61,4 @@ func BuildDictChunk(typ table.Type, ints []int64, strs []string, codes []uint64)
 	buf = append(buf, byte(width))
 	buf = append(buf, packBits(codes, width)...)
 	return Chunk{Codec: Dict, Rows: len(codes), Data: buf}, nil
-}
-
-// ChunkRawBytes computes the in-memory footprint (table.Vector.ByteSize) of
-// a chunk's decoded form without materializing a single string: fixed-width
-// types are 8 bytes per row, and string payloads are walked for their
-// lengths only. Chunk-passthrough pipelines use it to keep raw-size
-// accounting (optimizer observations, compression ratios) consistent with
-// the row engine's.
-func ChunkRawBytes(ch Chunk, t table.Type) (int64, error) {
-	if t == table.Int || t == table.Float {
-		return int64(ch.Rows) * 8, nil
-	}
-	switch ch.Codec {
-	case Raw:
-		var n int64
-		rows := 0
-		for off := 0; off < len(ch.Data); {
-			l, k := binary.Uvarint(ch.Data[off:])
-			if k <= 0 {
-				return 0, fmt.Errorf("%w: bad string length", ErrCorrupt)
-			}
-			off += k
-			if l > uint64(len(ch.Data)-off) {
-				return 0, fmt.Errorf("%w: string overruns payload", ErrCorrupt)
-			}
-			off += int(l)
-			n += int64(l) + 16
-			rows++
-		}
-		if rows != ch.Rows {
-			return 0, fmt.Errorf("%w: %d strings, want %d", ErrCorrupt, rows, ch.Rows)
-		}
-		return n, nil
-	case RLE:
-		runs, err := ParseRuns(ch, t)
-		if err != nil {
-			return 0, err
-		}
-		var n int64
-		for _, r := range runs {
-			n += int64(r.Len) * (int64(len(r.Val.S)) + 16)
-		}
-		return n, nil
-	case Dict:
-		dv, err := ParseDict(ch, t)
-		if err != nil {
-			return 0, err
-		}
-		codes, err := dv.Codes()
-		if err != nil {
-			return 0, err
-		}
-		var n int64
-		for _, c := range codes {
-			n += int64(len(dv.Strs[c])) + 16
-		}
-		return n, nil
-	default:
-		// No other codec encodes strings; a full decode keeps this total
-		// rather than failing on layouts this walker does not know.
-		vec, err := DecodeChunk(ch, t)
-		if err != nil {
-			return 0, err
-		}
-		return vec.ByteSize(), nil
-	}
 }

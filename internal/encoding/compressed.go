@@ -244,9 +244,7 @@ func sampleVec(v *table.Vector, sr int) *table.Vector {
 
 // Table decompresses into a plain table. The result is a fresh table; the
 // Compressed value is unchanged and reusable. Every call pays a full
-// decode — readers that hit the same entry repeatedly should go through
-// the Memory Catalog's decoded-view cache (memcat.Catalog.GetTable), which
-// bounds the re-decode amplification this method would otherwise cause.
+// decode; readers that can consume chunks (the kernels) avoid it.
 func (c *Compressed) Table() (*table.Table, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err

@@ -11,6 +11,7 @@ import (
 	"github.com/shortcircuit-db/sc/internal/dag"
 	"github.com/shortcircuit-db/sc/internal/encoding"
 	"github.com/shortcircuit-db/sc/internal/memcat"
+	"github.com/shortcircuit-db/sc/internal/obs"
 	"github.com/shortcircuit-db/sc/internal/storage"
 	"github.com/shortcircuit-db/sc/internal/table"
 )
@@ -79,8 +80,9 @@ func runChunkedWorkload(t *testing.T, ctl *Controller) *RunResult {
 }
 
 // TestChunkedIntermediatesEndToEnd: the two-level join tree runs entirely
-// in code space — no kernel fallbacks, chunked output stored directly, the
-// decoded-view cache untouched — and the MVs match the row engine's.
+// in code space — no kernel fallbacks, chunked output stored directly, no
+// whole-table decode of a resident entry — and the MVs match the row
+// engine's.
 func TestChunkedIntermediatesEndToEnd(t *testing.T) {
 	enc := encoding.Options{ChunkRows: 64}
 	newStore := func() storage.Store {
@@ -98,7 +100,8 @@ func TestChunkedIntermediatesEndToEnd(t *testing.T) {
 
 	vecStore := newStore()
 	sess := chunkio.NewSession()
-	ctl := &Controller{Store: vecStore, Mem: memcat.New(1 << 30), Encoding: &enc, Vectorized: true, Chunked: sess}
+	log := &eventLog{}
+	ctl := &Controller{Store: vecStore, Mem: memcat.New(1 << 30), Obs: log, Encoding: &enc, Vectorized: true, Chunked: sess}
 	res := runChunkedWorkload(t, ctl)
 
 	var j2 *NodeMetrics
@@ -119,11 +122,10 @@ func TestChunkedIntermediatesEndToEnd(t *testing.T) {
 	if j2.JoinProbeRows == 0 {
 		t.Fatalf("j2 never probed in code space: %+v", j2)
 	}
-	// Every consumer of the flagged intermediates reads chunks, so the
-	// decoded-view cache must stay empty (views nobody materialized are
-	// never charged).
-	if res.PeakDecodedCache != 0 {
-		t.Fatalf("decoded-view cache peaked at %d for chunk-only consumers", res.PeakDecodedCache)
+	// Every consumer of the base tables and the flagged intermediates reads
+	// chunks, so nothing is ever decoded whole.
+	if decs := log.byKind(obs.DecodeDone); len(decs) != 0 {
+		t.Fatalf("chunk-only consumers paid %d whole-table decodes: %+v", len(decs), decs)
 	}
 
 	g, _, _ := chunkedWorkload().BuildGraph()

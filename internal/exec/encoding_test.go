@@ -243,23 +243,58 @@ func TestEncodingConcurrentRunIdentical(t *testing.T) {
 	}
 }
 
-// TestDecodeOncePerResidentEntry is the repeated-read regression: mv_daily
-// is flagged and read by two downstream nodes, which used to cost two full
-// decodes and two full-size DecodeDone events. With the catalog's
-// decoded-view cache the second read is served without decoding, so exactly
-// one DecodeDone arrives — and it reports the bytes actually decoded.
-func TestDecodeOncePerResidentEntry(t *testing.T) {
+// TestRowReadersEachDecodeResidentEntry: mv_daily is flagged, held
+// compressed, and read by two row-path children. The catalog keeps nothing
+// but the entry, so each read decodes it in full and says so — two
+// DecodeDone events with the whole decoded size — the catalog never holds
+// more than its budget, and the MVs equal an unflagged run's byte for byte.
+func TestRowReadersEachDecodeResidentEntry(t *testing.T) {
 	log := &eventLog{}
-	runWide(t, &encoding.Options{}, log)
+	res, store := runWide(t, &encoding.Options{}, log)
+	daily, err := LoadTable(store, "mv_daily")
+	if err != nil {
+		t.Fatal(err)
+	}
 	decs := log.byKind(obs.DecodeDone)
-	if len(decs) != 1 {
-		t.Fatalf("DecodeDone events = %d, want 1 (one decode for two downstream readers)", len(decs))
+	if len(decs) != 2 {
+		t.Fatalf("DecodeDone events = %d, want 2 (one per row-path reader)", len(decs))
 	}
-	e := decs[0]
-	if e.Node != "mv_daily" {
-		t.Fatalf("DecodeDone for %q, want mv_daily", e.Node)
+	for _, e := range decs {
+		if e.Node != "mv_daily" {
+			t.Fatalf("DecodeDone for %q, want mv_daily", e.Node)
+		}
+		if e.Bytes != daily.ByteSize() || e.Encoded <= 0 || e.Bytes <= e.Encoded {
+			t.Fatalf("DecodeDone Bytes=%d Encoded=%d, want the full %d decoded bytes", e.Bytes, e.Encoded, daily.ByteSize())
+		}
 	}
-	if e.Bytes <= 0 || e.Encoded <= 0 || e.Bytes <= e.Encoded {
-		t.Fatalf("DecodeDone Bytes=%d Encoded=%d: want actual decode work", e.Bytes, e.Encoded)
+	if res.PeakMemory <= 0 || res.PeakMemory > 1<<22 {
+		t.Fatalf("PeakMemory = %d, want within the %d-byte budget", res.PeakMemory, 1<<22)
+	}
+
+	w, unflagged := wideFixture(t, 4096)
+	g, _, err := w.BuildGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, err := g.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := &Controller{Store: unflagged, Encoding: &encoding.Options{}}
+	if _, err := ctl.Run(context.Background(), w, g, core.NewPlan(order)); err != nil {
+		t.Fatal(err)
+	}
+	for _, mv := range []string{"mv_daily", "mv_top", "mv_count"} {
+		a, err := unflagged.Read(tableObject(mv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := store.Read(tableObject(mv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(a) != string(b) {
+			t.Fatalf("%s: flagged run stored different bytes than the unflagged run", mv)
+		}
 	}
 }

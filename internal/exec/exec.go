@@ -121,10 +121,6 @@ type RunResult struct {
 	Nodes          []NodeMetrics // in plan order (completed nodes only, on error)
 	FallbackWrites int           // flagged outputs that did not fit in memory
 	PeakMemory     int64         // Memory Catalog high-water mark
-	// PeakDecodedCache is the high-water mark of the catalog's decoded-view
-	// cache — droppable derived state bounded separately from the catalog
-	// budget. Total memory footprint peaks at up to PeakMemory plus this.
-	PeakDecodedCache int64
 }
 
 // TotalRead sums the nodes' input read times.
@@ -420,7 +416,6 @@ func (c *Controller) Run(ctx context.Context, w *Workload, g *dag.Graph, plan *c
 	res.Total = time.Since(start)
 	if c.Mem != nil {
 		res.PeakMemory = c.Mem.Peak()
-		res.PeakDecodedCache = c.Mem.DecodedCachePeak()
 	}
 	return res, runErr
 }
@@ -488,17 +483,12 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 		if c.Mem != nil {
 			d0 := time.Now()
 			if t, info, ok := c.Mem.GetTable(name); ok {
-				// DecodeDone reports the decode work this read actually
-				// performed: reads served from the catalog's decoded-view
-				// cache decode nothing and emit nothing, so k downstream
-				// readers of one flagged MV no longer look like k full
-				// decodes.
+				// A compressed entry was decoded in full for this read; a
+				// plain one did no decode work at all — report the reuse so
+				// the consuming span can link to the producing one.
 				if info.Decoded > 0 {
 					in.emitDecode(name, info.Decoded, info.Encoded, d0)
 				} else {
-					// Served by the decoded-view cache or a plain resident
-					// entry: no decode work at all. Report the reuse so the
-					// consuming span can link to the producing one.
 					obs.Emit(c.Obs, obs.Event{
 						Kind: obs.CacheHit, Node: spec.Name, Source: name,
 						Step: step, Bytes: t.ByteSize(),
@@ -528,9 +518,6 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 			}
 			defer in.timed(time.Now())
 			if c.Mem != nil {
-				// GetCompressed counts the hit and serves the chunks without
-				// ever touching the decoded-view cache: an entry consumed
-				// only in chunk form stays out of the decoded budget.
 				if ct, _, ok := c.Mem.GetCompressed(name); ok {
 					m.MemReads++
 					obs.Emit(c.Obs, obs.Event{
@@ -539,7 +526,7 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 					})
 					return ct, nil
 				}
-				if _, ok := c.Mem.Peek(name); ok {
+				if _, ok := c.Mem.GetEntry(name); ok {
 					return nil, nil // plain resident entry: row path is cheaper
 				}
 			}
@@ -550,13 +537,13 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 	t0 := time.Now()
 	var out *table.Table
 	var ct *encoding.Compressed
-	if co, chunked := planNode.(kernels.ChunkedOp); chunked && c.Encoding != nil {
-		// Chunked-output root: the kernel's compressed chunks go straight
-		// into the Memory Catalog and the storage format — the output never
+	if join, ok := planNode.(*kernels.HashJoinScan); ok && c.Encoding != nil {
+		// Join root: the kernel's compressed chunks go straight into the
+		// Memory Catalog and the storage format — the output never
 		// materializes as rows and never pays the encode-from-rows round
 		// trip. A kernel fallback returns the row-engine table instead (ct
 		// nil), which takes the classic path below.
-		ct, out, err = co.RunChunked(ectx)
+		ct, out, err = join.RunChunked(ectx)
 	} else {
 		out, err = planNode.Run(ectx)
 	}
@@ -728,7 +715,6 @@ type posHeap struct {
 }
 
 func (h *posHeap) len() int           { return len(h.a) }
-func (h *posHeap) peek() dag.NodeID   { return h.a[0] }
 func (h *posHeap) less(i, j int) bool { return h.pos[h.a[i]] < h.pos[h.a[j]] }
 
 func (h *posHeap) push(x dag.NodeID) {

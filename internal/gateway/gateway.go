@@ -60,22 +60,15 @@ type Config struct {
 	// Headroom multiplies the predicted peak footprint when sizing a
 	// reservation, absorbing estimation error. Default 1.25, min 1.
 	Headroom float64
-	// SizeGuess is the per-node output-size assumption before any
-	// observation. Default 1MB.
-	SizeGuess int64
 	// Concurrency is each run's scheduler-token budget — up to this many
 	// DAG nodes of one refresh execute at a time. Default 2.
 	Concurrency int
 	// SchedTokens is the server-wide scheduler token budget (one token ≈
-	// one core) that every run's node pool and — with ParallelScan —
-	// intra-node chunk walks draw from. Admission soft-commits each run's
-	// Concurrency against it, so the planned width across all tenants
-	// never exceeds the machine's budget. Default 4×Concurrency.
+	// one core) that every run's node pool draws from. Admission
+	// soft-commits each run's Concurrency against it, so the planned width
+	// across all tenants never exceeds the machine's budget. Default
+	// 4×Concurrency.
 	SchedTokens int
-	// ParallelScan lets the compressed-execution kernels split a node's
-	// chunk walk across idle scheduler tokens; outputs stay byte-identical
-	// to the serial walk. Off by default.
-	ParallelScan bool
 	// NewStore creates a pipeline's storage backend; default is an
 	// in-memory store per pipeline.
 	NewStore func(pipeline string) storage.Store
@@ -98,7 +91,9 @@ type Config struct {
 	// startup, so baselines survive restarts. "" keeps the run ledger in
 	// memory only.
 	LedgerPath string
-	// LedgerCapacity bounds the in-memory run-history ring. Default 512.
+	// LedgerCapacity bounds the in-memory run-history ring and, with it,
+	// how many finished runs stay readable at /v1/runs/{id} (status, trace,
+	// events); older ones answer 404. Default 512.
 	LedgerCapacity int
 	// SLOSeconds is the refresh-latency objective /v1/pipelines/{p}/health
 	// reports attainment against. Default 60.
@@ -127,9 +122,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Headroom < 1 {
 		c.Headroom = 1.25
-	}
-	if c.SizeGuess <= 0 {
-		c.SizeGuess = 1 << 20
 	}
 	if c.Concurrency < 1 {
 		c.Concurrency = 2
@@ -222,12 +214,10 @@ const (
 // Run is one refresh trigger through its lifecycle: queued by admission,
 // running, then terminal. Wait on Done and read Status.
 type Run struct {
-	id       string
-	p        *pipeline // outlives Unregister while the run is in flight
-	pipeline string
-	tenant   string
-	need     int64 // reserved catalog bytes
-	tokens   int   // scheduler tokens committed at admission
+	id     string
+	p      *pipeline // outlives Unregister while the run is in flight
+	need   int64     // reserved catalog bytes
+	tokens int       // scheduler tokens committed at admission
 
 	// admission predictions, for the trace and status surfaces
 	predictedWall float64 // ledger-learned wall seconds, 0 without history
@@ -298,7 +288,7 @@ func (r *Run) status() RunStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := RunStatus{
-		ID: r.id, Pipeline: r.pipeline, Tenant: r.tenant, State: r.state,
+		ID: r.id, Pipeline: r.p.Name, Tenant: r.p.tenant, State: r.state,
 		ReservedBytes: r.need, ReservedTokens: r.tokens,
 		LearnedReserve: r.learnedNeed, PredictedSeconds: r.predictedWall,
 		ActualPeakBytes: r.actualPeak, EnqueuedAt: r.enqueuedAt,
@@ -356,6 +346,7 @@ type Server struct {
 	mu        sync.Mutex
 	pipelines map[string]*pipeline
 	runs      map[string]*Run
+	terminal  []string // ids of the retained finished runs, oldest first
 	runSeq    int64
 
 	stopOnce sync.Once
@@ -418,7 +409,12 @@ func (s *Server) Close() {
 	s.stopOnce.Do(func() { close(s.stopCh) })
 	s.wg.Wait()
 	s.mu.Lock()
+	runs := make([]*Run, 0, len(s.runs))
 	for _, r := range s.runs {
+		runs = append(runs, r)
+	}
+	s.mu.Unlock()
+	for _, r := range runs {
 		r.mu.Lock()
 		if r.state == StateRunning && r.cancelRun != nil {
 			r.cancelRun()
@@ -429,7 +425,6 @@ func (s *Server) Close() {
 			s.cancelIfQueued(r, tkt)
 		}
 	}
-	s.mu.Unlock()
 	s.runWG.Wait()
 	if s.fin.Alerts != nil {
 		s.fin.Alerts.Close() // after runWG: every finish path has notified
@@ -496,7 +491,6 @@ func (s *Server) Register(spec PipelineSpec) error {
 	}
 	sp.Vectorized = spec.Vectorized
 	sp.Device = costmodel.PaperProfile()
-	sp.SizeGuess = s.cfg.SizeGuess
 	if spec.Encoding {
 		sp.Encoding = &encoding.Options{}
 	}
@@ -702,8 +696,6 @@ func (s *Server) TriggerTrace(name string, parent telemetry.SpanContext) (*Run, 
 	r := &Run{
 		id:            fmt.Sprintf("run-%06d", s.runSeq),
 		p:             p,
-		pipeline:      p.Name,
-		tenant:        p.tenant,
 		need:          pl.need,
 		tokens:        s.cfg.Concurrency,
 		predictedWall: pl.predictedWall,
@@ -763,7 +755,7 @@ func (s *Server) startRun(r *Run, plan *core.Plan) {
 	if r.state != StateQueued {
 		// Canceled between pump and callback; give the reservation back.
 		r.mu.Unlock()
-		s.adm.finish(r.tenant, r.pipeline, r.need, r.tokens)
+		s.adm.finish(r.p.tenant, r.p.Name, r.need, r.tokens)
 		return
 	}
 	r.state = StateRunning
@@ -773,7 +765,7 @@ func (s *Server) startRun(r *Run, plan *core.Plan) {
 	r.mu.Unlock()
 	if r.trace != nil {
 		attrs := []telemetry.Attr{
-			telemetry.Str("sc.tenant", r.tenant),
+			telemetry.Str("sc.tenant", r.p.tenant),
 			telemetry.Int("sc.reserved_bytes", r.need),
 			telemetry.Int("sc.reserved_tokens", int64(r.tokens)),
 		}
@@ -803,19 +795,18 @@ func (s *Server) execute(ctx context.Context, r *Run, plan *core.Plan) {
 	r.mu.Unlock()
 
 	res, runErr := r.p.Run(ctx, plan, session.RunEnv{
-		Mem:          cat,
-		Sched:        s.sched,
-		Concurrency:  s.cfg.Concurrency,
-		ParallelScan: s.cfg.ParallelScan,
-		RunID:        r.id,
-		Observers:    []obs.Observer{r.events, s.prom.runObserver(r.tenant, r.pipeline)},
-		Trace:        r.trace,
+		Mem:         cat,
+		Sched:       s.sched,
+		Concurrency: s.cfg.Concurrency,
+		RunID:       r.id,
+		Observers:   []obs.Observer{r.events, s.prom.runObserver(r.p.tenant, r.p.Name)},
+		Trace:       r.trace,
 	})
 
 	actualPeak := cat.Peak() // before Detach zeroes the accounting
 	s.harvestEvictions(r, cat)
 	leftover := cat.Detach()
-	s.adm.finish(r.tenant, r.pipeline, r.need, r.tokens)
+	s.adm.finish(r.p.tenant, r.p.Name, r.need, r.tokens)
 
 	now := s.cfg.Clock()
 	state := StateSucceeded
@@ -852,13 +843,28 @@ func (s *Server) execute(ctx context.Context, r *Run, plan *core.Plan) {
 	r.p.mu.Unlock()
 
 	s.finishTrace(r, now, state)
-	s.prom.refreshes.add(1, r.tenant, r.pipeline, state)
+	s.prom.refreshes.add(1, r.p.tenant, r.p.Name, state)
 	exemplar := ""
 	if r.trace != nil {
 		exemplar = fmt.Sprintf("trace_id=%q", r.trace.Context().TraceID.String())
 	}
-	s.prom.refreshSeconds.observeExemplar(now.Sub(r.enqueuedAt).Seconds(), exemplar, r.tenant, r.pipeline)
+	s.prom.refreshSeconds.observeExemplar(now.Sub(r.enqueuedAt).Seconds(), exemplar, r.p.tenant, r.p.Name)
+	s.retire(r)
+}
+
+// retire closes a run that reached a terminal state and keeps it readable
+// until LedgerCapacity later runs have finished; the oldest finished run
+// beyond that is dropped, with its events, trace and hold on the pipeline.
+// Queued and executing runs are not in the list, so they are never dropped.
+func (s *Server) retire(r *Run) {
 	r.events.close()
+	s.mu.Lock()
+	s.terminal = append(s.terminal, r.id)
+	for len(s.terminal) > s.cfg.LedgerCapacity {
+		delete(s.runs, s.terminal[0])
+		s.terminal = s.terminal[1:]
+	}
+	s.mu.Unlock()
 	close(r.done)
 }
 
@@ -874,7 +880,7 @@ func (s *Server) finishTrace(r *Run, now time.Time, state string) {
 		)
 	}
 	sum, sampled, _ := s.fin.Finish(r.p.Pipeline, r.trace, now, ledger.Meta{
-		RunID: r.id, Tenant: r.tenant, Outcome: state,
+		RunID: r.id, Tenant: r.p.tenant, Outcome: state,
 		Start:       st.EnqueuedAt,
 		WallSeconds: st.ElapsedSeconds, QueueWaitSeconds: st.QueueWaitSeconds,
 		ReservedBytes: st.ReservedBytes, ActualPeakBytes: st.ActualPeakBytes,
@@ -882,10 +888,10 @@ func (s *Server) finishTrace(r *Run, now time.Time, state string) {
 		EventsDropped:  st.EventsDropped, Err: st.Error,
 	})
 	for _, a := range sum.Anomalies {
-		s.prom.anomalies.add(1, r.pipeline, a.Kind)
+		s.prom.anomalies.add(1, r.p.Name, a.Kind)
 	}
 	if st.EventsDropped > 0 {
-		s.prom.eventsDropped.add(float64(st.EventsDropped), r.tenant, r.pipeline)
+		s.prom.eventsDropped.add(float64(st.EventsDropped), r.p.tenant, r.p.Name)
 	}
 	if sampled != "" {
 		s.prom.traceSampled.add(1, sampled)
@@ -922,9 +928,8 @@ func (s *Server) expireRun(r *Run) {
 	r.mu.Unlock()
 	s.finishTrace(r, now, StateExpired)
 	s.prom.triggers.add(1, "expired")
-	s.prom.refreshes.add(1, r.tenant, r.pipeline, StateExpired)
-	r.events.close()
-	close(r.done)
+	s.prom.refreshes.add(1, r.p.tenant, r.p.Name, StateExpired)
+	s.retire(r)
 }
 
 // cancelIfQueued finalizes a still-queued run as canceled. Returns whether
@@ -941,9 +946,8 @@ func (s *Server) cancelIfQueued(r *Run, tkt *ticket) bool {
 	r.mu.Unlock()
 	tkt.markCanceled()
 	s.finishTrace(r, now, StateCanceled)
-	s.prom.refreshes.add(1, r.tenant, r.pipeline, StateCanceled)
-	r.events.close()
-	close(r.done)
+	s.prom.refreshes.add(1, r.p.tenant, r.p.Name, StateCanceled)
+	s.retire(r)
 	return true
 }
 
@@ -1013,7 +1017,7 @@ func (s *Server) RunTrace(id string) (TraceReport, error) {
 	st := r.status()
 	return TraceReport{
 		RunID:        r.id,
-		Pipeline:     r.pipeline,
+		Pipeline:     r.p.Name,
 		State:        st.State,
 		TraceID:      spans[0].TraceID.String(),
 		Traceparent:  r.trace.Context().Traceparent(),
@@ -1232,7 +1236,7 @@ func (s *Server) registerGauges() {
 			for _, r := range s.runs {
 				r.mu.Lock()
 				if r.cat != nil {
-					used[r.tenant] += float64(r.cat.Used())
+					used[r.p.tenant] += float64(r.cat.Used())
 				}
 				r.mu.Unlock()
 			}

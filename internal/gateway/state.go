@@ -15,10 +15,10 @@ const serverEvLogCap = 256
 
 // CatalogState snapshots the shared Memory Catalog for
 // GET /v1/state/catalog: every entry resident in a live run's catalog with
-// its owner, codec mix, decoded-view residency and eviction rank under the
-// cost-model score, plus the bounded eviction timeline. The report's
-// UsedBytes comes from the pool and EntryBytes from summing entries — the
-// two agree byte-for-byte because every run catalog draws from the pool.
+// its owner, codec mix and eviction rank under the cost-model score, plus
+// the bounded eviction timeline. The report's UsedBytes comes from the pool
+// and EntryBytes from summing entries — the two agree byte-for-byte because
+// every run catalog draws from the pool.
 func (s *Server) CatalogState() introspect.CatalogReport {
 	now := s.cfg.Clock()
 	rep := introspect.CatalogReport{
@@ -30,9 +30,9 @@ func (s *Server) CatalogState() introspect.CatalogReport {
 	}
 
 	type liveRun struct {
-		id, pipeline, tenant string
-		cat                  *memcat.Catalog
-		p                    *pipeline
+		id  string
+		cat *memcat.Catalog
+		p   *pipeline
 	}
 	var live []liveRun
 	s.mu.Lock()
@@ -41,7 +41,7 @@ func (s *Server) CatalogState() introspect.CatalogReport {
 		cat := r.cat
 		r.mu.Unlock()
 		if cat != nil {
-			live = append(live, liveRun{r.id, r.pipeline, r.tenant, cat, s.pipelines[r.pipeline]})
+			live = append(live, liveRun{r.id, cat, r.p})
 		}
 	}
 	s.mu.Unlock()
@@ -50,15 +50,13 @@ func (s *Server) CatalogState() introspect.CatalogReport {
 		// Score each resident entry under the pipeline's current knapsack,
 		// so eviction rank reflects what the optimizer values right now.
 		score := make(map[string]float64)
-		if lr.p != nil {
-			prob := lr.p.Problem(s.adm.tenantSlice(lr.p.tenant))
-			for i, n := range lr.p.Workload.Nodes {
-				score[n.Name] = prob.Scores[i]
-			}
+		prob := lr.p.Problem(s.adm.tenantSlice(lr.p.tenant))
+		for i, n := range lr.p.Workload.Nodes {
+			score[n.Name] = prob.Scores[i]
 		}
 		for _, e := range lr.cat.Entries() {
 			ce := introspect.CatalogEntry{
-				Pipeline: lr.pipeline, Tenant: lr.tenant, RunID: lr.id,
+				Pipeline: lr.p.Name, Tenant: lr.p.tenant, RunID: lr.id,
 				EntryInfo: e,
 			}
 			if !e.LastAccess.IsZero() {
@@ -69,7 +67,7 @@ func (s *Server) CatalogState() introspect.CatalogReport {
 		}
 		for _, ev := range lr.cat.Evictions() {
 			rep.Evictions = append(rep.Evictions, introspect.EvictionEvent{
-				Pipeline: lr.pipeline, Tenant: lr.tenant, RunID: lr.id, Eviction: ev,
+				Pipeline: lr.p.Name, Tenant: lr.p.tenant, RunID: lr.id, Eviction: ev,
 			})
 		}
 		rep.EvictionsSeen += lr.cat.EvictionsSeen()
@@ -100,7 +98,7 @@ func (s *Server) harvestEvictions(r *Run, cat *memcat.Catalog) {
 	s.evSeen += seen
 	for _, ev := range evs {
 		s.evlog = append(s.evlog, introspect.EvictionEvent{
-			Pipeline: r.pipeline, Tenant: r.tenant, RunID: r.id, Eviction: ev,
+			Pipeline: r.p.Name, Tenant: r.p.tenant, RunID: r.id, Eviction: ev,
 		})
 	}
 	if over := len(s.evlog) - serverEvLogCap; over > 0 {

@@ -1,11 +1,11 @@
 // Package introspect is the live state-observability layer over the S/C
 // engine: point-in-time reports of what occupies the bounded Memory
-// Catalog (per-entry codec mix, decoded-view residency, eviction rank
-// under the cost-model score, eviction timeline), who holds the
-// scheduler's tokens and byte reservations, and — the paper's core
-// question — why each MV was or was not flagged for materialization under
-// the byte budget, with the marginal byte cost that decided it and what
-// would have to change to flip the decision.
+// Catalog (per-entry codec mix, eviction rank under the cost-model score,
+// eviction timeline), who holds the scheduler's tokens and byte
+// reservations, and — the paper's core question — why each MV was or was
+// not flagged for materialization under the byte budget, with the marginal
+// byte cost that decided it and what would have to change to flip the
+// decision.
 //
 // The gateway serves these reports at GET /v1/state/catalog,
 // GET /v1/state/sched and GET /v1/pipelines/{p}/explain; the library
@@ -56,19 +56,18 @@ type EvictionEvent struct {
 // codec composition, and a bounded eviction timeline. EntryBytes always
 // equals UsedBytes — the consistency the metrics gauges pin.
 type CatalogReport struct {
-	At                time.Time        `json:"at"`
-	BudgetBytes       int64            `json:"budget_bytes"`
-	ReservedBytes     int64            `json:"reserved_bytes"`
-	UsedBytes         int64            `json:"used_bytes"`
-	PeakUsedBytes     int64            `json:"peak_used_bytes"`
-	EntryBytes        int64            `json:"entry_bytes"`
-	DecodedCacheBytes int64            `json:"decoded_cache_bytes"`
-	EntryCount        int              `json:"entry_count"`
-	Entries           []CatalogEntry   `json:"entries"`
-	CodecChunks       map[string]int   `json:"codec_chunks,omitempty"`
-	CodecBytes        map[string]int64 `json:"codec_bytes,omitempty"`
-	Evictions         []EvictionEvent  `json:"evictions"`
-	EvictionsSeen     int64            `json:"evictions_seen"`
+	At            time.Time        `json:"at"`
+	BudgetBytes   int64            `json:"budget_bytes"`
+	ReservedBytes int64            `json:"reserved_bytes"`
+	UsedBytes     int64            `json:"used_bytes"`
+	PeakUsedBytes int64            `json:"peak_used_bytes"`
+	EntryBytes    int64            `json:"entry_bytes"`
+	EntryCount    int              `json:"entry_count"`
+	Entries       []CatalogEntry   `json:"entries"`
+	CodecChunks   map[string]int   `json:"codec_chunks,omitempty"`
+	CodecBytes    map[string]int64 `json:"codec_bytes,omitempty"`
+	Evictions     []EvictionEvent  `json:"evictions"`
+	EvictionsSeen int64            `json:"evictions_seen"`
 }
 
 // FinishCatalogReport derives the aggregate fields from the collected
@@ -81,9 +80,6 @@ func FinishCatalogReport(r *CatalogReport) {
 	for i := range r.Entries {
 		e := &r.Entries[i]
 		r.EntryBytes += e.SizeBytes
-		if e.DecodedCached {
-			r.DecodedCacheBytes += e.DecodedBytes
-		}
 		for codec, n := range e.CodecChunks {
 			r.CodecChunks[codec] += n
 		}

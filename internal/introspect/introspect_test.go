@@ -155,8 +155,7 @@ func TestCatalogReportAggregation(t *testing.T) {
 				CodecChunks: map[string]int{"dict": 2}, CodecBytes: map[string]int64{"dict": 400}},
 				ScoreSeconds: 0.001},
 			{EntryInfo: memcat.EntryInfo{Name: "dear", SizeBytes: 200,
-				CodecChunks: map[string]int{"dict": 1, "rle": 1}, CodecBytes: map[string]int64{"dict": 120, "rle": 80},
-				DecodedCached: true, DecodedBytes: 512},
+				CodecChunks: map[string]int{"dict": 1, "rle": 1}, CodecBytes: map[string]int64{"dict": 120, "rle": 80}},
 				ScoreSeconds: 2.0},
 			{EntryInfo: memcat.EntryInfo{Name: "unknown", SizeBytes: 100}},
 		},
@@ -167,9 +166,6 @@ func TestCatalogReportAggregation(t *testing.T) {
 	}
 	if rep.EntryBytes != rep.UsedBytes {
 		t.Fatalf("entry bytes %d disagree with used bytes %d", rep.EntryBytes, rep.UsedBytes)
-	}
-	if rep.DecodedCacheBytes != 512 {
-		t.Fatalf("decoded cache bytes = %d, want 512", rep.DecodedCacheBytes)
 	}
 	if rep.CodecChunks["dict"] != 3 || rep.CodecBytes["dict"] != 520 || rep.CodecBytes["rle"] != 80 {
 		t.Fatalf("codec aggregation wrong: %+v %+v", rep.CodecChunks, rep.CodecBytes)

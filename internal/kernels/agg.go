@@ -24,8 +24,8 @@ import (
 //     (dictionary lookups stay in code space) for selected rows only.
 type AggScan struct {
 	Scan  *engine.Scan
-	Inner ChunkedOp // set instead of Scan: aggregate an upstream kernel's chunked output
-	Pred  *Pred     // nil when the subtree had no filter; only with Scan
+	Inner *HashJoinScan // set instead of Scan: aggregate an upstream join's chunked output
+	Pred  *Pred         // nil when the subtree had no filter; only with Scan
 	Agg   *engine.Aggregate
 	Orig  engine.Node
 	need  []int // columns the aggregation reads, ascending
@@ -61,7 +61,7 @@ func (a *AggScan) Run(ctx *engine.Context) (*table.Table, error) {
 	var ct *encoding.Compressed
 	var groups []int
 	if a.Inner != nil {
-		// Aggregate an upstream kernel's chunked output — a GROUP BY over a
+		// Aggregate an upstream join's chunked output — a GROUP BY over a
 		// join tree stays in code space. An inner row-engine fallback is
 		// absorbed by accumulating its table directly (the subtree never
 		// re-executes; AggAcc makes the result byte-identical either way).

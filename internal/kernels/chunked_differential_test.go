@@ -20,7 +20,7 @@ func withKey(rng *rand.Rand, tb *table.Table, name string, typ table.Type, n int
 
 // decodeChunked runs op in chunked-output mode and materializes the result
 // whichever way it came back.
-func decodeChunked(t *testing.T, op ChunkedOp, ctx *engine.Context) (*table.Table, error) {
+func decodeChunked(t *testing.T, op *HashJoinScan, ctx *engine.Context) (*table.Table, error) {
 	t.Helper()
 	ct, tb, err := op.RunChunked(ctx)
 	if err != nil {
@@ -109,16 +109,15 @@ func TestDifferentialJoinOverJoin(t *testing.T) {
 		got, gotErr := lowered.Run(vecCtx)
 		mustEqual(t, int64(seed), "join-over-join Run", want, got, wantErr, gotErr)
 
-		if co, ok := lowered.(ChunkedOp); ok && wantErr == nil {
+		if _, ok := lowered.(*HashJoinScan); ok && wantErr == nil {
 			st2 := &Stats{}
 			lowered2 := Lower(build(), st2)
-			got2, gotErr2 := decodeChunked(t, lowered2.(ChunkedOp), vecCtx)
+			got2, gotErr2 := decodeChunked(t, lowered2.(*HashJoinScan), vecCtx)
 			mustEqual(t, int64(seed), "join-over-join RunChunked", want, got2, wantErr, gotErr2)
 			if st2.Fallbacks != 0 {
 				t.Fatalf("seed %d: chunked join tree fell back %d times with fully chunked inputs", seed, st2.Fallbacks)
 			}
 			chunkedRuns++
-			_ = co
 		}
 	}
 	if innerSides == 0 {
@@ -187,100 +186,52 @@ func TestDifferentialAggOverJoin(t *testing.T) {
 	}
 }
 
-// TestDifferentialChunkedFilterProject: FilterScan and ProjectScan chunked
-// output must decode to exactly what their materializing Run returns.
-func TestDifferentialChunkedFilterProject(t *testing.T) {
-	iters := 200
-	if testing.Short() {
-		iters = 40
-	}
-	chunked := 0
-	for seed := 13000; seed < 13000+iters; seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)))
-		tbl := genTable(rng, rowCount(rng))
-		pred := genPred(rng, tbl, 2)
-		// Random choices are drawn once so every build() yields the same plan.
-		project := rng.Intn(2) == 0
-		var projIdx []int
-		for k := 0; k < 1+rng.Intn(3); k++ {
-			projIdx = append(projIdx, rng.Intn(tbl.Schema.NumCols()))
-		}
-		build := func() engine.Node {
-			var n engine.Node = &engine.Filter{
-				Input: &engine.Scan{Name: "T", Sch: tbl.Schema},
-				Pred:  pred,
-			}
-			if project {
-				sch := tbl.Schema
-				var exprs []engine.Expr
-				var names []string
-				for k, idx := range projIdx {
-					exprs = append(exprs, &engine.ColRef{Idx: idx, Name: sch.Cols[idx].Name})
-					names = append(names, fmt.Sprintf("o%d", k))
-				}
-				pr, err := engine.NewProject(n, exprs, names)
-				if err != nil {
-					t.Fatalf("seed %d: NewProject: %v", seed, err)
-				}
-				n = pr
-			}
-			return n
-		}
-		shape := build()
-		opts := map[string]encoding.Options{"T": encOptions(rng)}
-		rowCtx, vecCtx := joinCtxFor(t, map[string]*table.Table{"T": tbl}, opts)
-		want, wantErr := shape.Run(rowCtx)
-		st := &Stats{}
-		lowered := Lower(build(), st)
-		co, ok := lowered.(ChunkedOp)
-		if !ok {
-			continue // predicate or projection did not compile; covered elsewhere
-		}
-		got, gotErr := decodeChunked(t, co, vecCtx)
-		mustEqual(t, int64(seed), "chunked filter/project", want, got, wantErr, gotErr)
-		chunked++
-	}
-	if chunked == 0 {
-		t.Fatal("no iteration produced chunked output")
-	}
-}
-
-// TestChunkedDictReuseAcrossRuns: running the same lowered plan twice with
+// TestChunkedDictReuseAcrossRuns: running the same lowered join twice with
 // one session must serve the second run's dictionaries from the first.
 func TestChunkedDictReuseAcrossRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	n := 400
-	tbl := genTable(rng, n)
+	fact := genTable(rng, n)
 	key := &table.Vector{Type: table.Str}
 	for i := 0; i < n; i++ {
 		key.Strs = append(key.Strs, fmt.Sprintf("cat%d", i%6))
 	}
-	tbl.Schema.Cols = append(tbl.Schema.Cols, table.Column{Name: "k", Type: table.Str})
-	tbl.Cols = append(tbl.Cols, key)
-	// A partial selection: surviving rows gather through the builder's
-	// code space (a full selection would pass chunks through untouched,
-	// never exercising the dictionaries).
-	pred := &engine.Bin{
-		Op: engine.OpNe,
-		L:  &engine.ColRef{Idx: len(tbl.Cols) - 1, Name: "k"},
-		R:  &engine.Lit{V: table.StrValue("cat0")},
+	fact.Schema.Cols = append(fact.Schema.Cols, table.Column{Name: "k", Type: table.Str})
+	fact.Cols = append(fact.Cols, key)
+	// The dimension misses cat0, so the join drops a sixth of the fact rows
+	// and the survivors' dictionary columns gather through the builder's
+	// code space.
+	dim := table.New(table.NewSchema(
+		table.Column{Name: "dk", Type: table.Str},
+		table.Column{Name: "label", Type: table.Str},
+	))
+	for c := 1; c < 6; c++ {
+		dim.Cols[0].Strs = append(dim.Cols[0].Strs, fmt.Sprintf("cat%d", c))
+		dim.Cols[1].Strs = append(dim.Cols[1].Strs, fmt.Sprintf("label%d", c%2))
 	}
 	sess := chunkio.NewSession()
 	run := func() *Stats {
 		sess.BeginRun()
 		st := &Stats{}
 		env := &Env{Session: sess, Node: "mv", Opts: encoding.Options{ChunkRows: 64}}
-		lowered := LowerEnv(&engine.Filter{
-			Input: &engine.Scan{Name: "T", Sch: tbl.Schema},
-			Pred:  pred,
+		lowered := LowerEnv(&engine.HashJoin{
+			Left:      &engine.Scan{Name: "F", Sch: fact.Schema},
+			Right:     &engine.Scan{Name: "D", Sch: dim.Schema},
+			LeftKeys:  []int{len(fact.Cols) - 1},
+			RightKeys: []int{0},
 		}, st, env)
-		_, vecCtx := joinCtxFor(t, map[string]*table.Table{"T": tbl}, map[string]encoding.Options{"T": {ChunkRows: 64}})
-		co, ok := lowered.(ChunkedOp)
+		_, vecCtx := joinCtxFor(t, map[string]*table.Table{"F": fact, "D": dim},
+			map[string]encoding.Options{"F": {ChunkRows: 64}, "D": {ChunkRows: 64}})
+		join, ok := lowered.(*HashJoinScan)
 		if !ok {
-			t.Fatal("filter did not lower")
+			t.Fatal("join did not lower")
 		}
-		if _, err := decodeChunked(t, co, vecCtx); err != nil {
+		out, err := decodeChunked(t, join, vecCtx)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if out.NumRows() == 0 || out.NumRows() >= n {
+			t.Fatalf("join kept %d of %d rows, want a partial selection", out.NumRows(), n)
 		}
 		return st
 	}

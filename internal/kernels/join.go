@@ -13,12 +13,12 @@ import (
 
 // JoinSide is one input of a HashJoinScan: either a scanned table (with the
 // compiled filter that was fused below the join, if any) or an upstream
-// kernel operator consumed in chunked-output mode — which is how a join
-// probes another join's output without either side materializing.
+// join consumed in chunked-output mode — which is how a join probes another
+// join's output without either side materializing.
 type JoinSide struct {
 	Scan  *engine.Scan
-	Pred  *Pred     // nil when the side is unfiltered; only with Scan
-	Inner ChunkedOp // set instead of Scan when the side is a kernel operator
+	Pred  *Pred         // nil when the side is unfiltered; only with Scan
+	Inner *HashJoinScan // set instead of Scan when the side is another join
 }
 
 // Schema returns the side's input schema.
@@ -39,8 +39,8 @@ func (s *JoinSide) label() string {
 
 // HashJoinScan is a kernel-side inner equi-join that probes dictionary
 // codes instead of materialized values. Both sides resolve in chunked form
-// — scans through the compressed resolver, inner operators by running them
-// in chunked-output mode; each chunk's local dictionary codes are remapped
+// — scans through the compressed resolver, inner joins by running them in
+// chunked-output mode; each chunk's local dictionary codes are remapped
 // through a shared encoding.KeyDict (one per key position), so the build
 // table is keyed by dense shared ids rather than strings:
 //
@@ -114,8 +114,8 @@ func (g *joinGroup) localRow(ord int) int {
 
 // resolveSides resolves both join inputs in chunked form. Scan sides probe
 // the resolver first: they are cheap, and their failure means the kernel
-// must fall back before any inner operator has executed. Inner sides then
-// run in chunked-output mode; a row-engine fallback inside one is absorbed
+// must fall back before any inner join has executed. Inner sides then run
+// in chunked-output mode; a row-engine fallback inside one is absorbed
 // by re-encoding its table (the subtree never re-executes). ok is false
 // when the join as a whole must fall back to Orig.
 func (j *HashJoinScan) resolveSides(ctx *engine.Context) (lct, rct *encoding.Compressed, lgroups, rgroups []int, ok bool, err error) {
@@ -142,10 +142,10 @@ func (j *HashJoinScan) resolveSides(ctx *engine.Context) (lct, rct *encoding.Com
 	return lct, rct, lgroups, rgroups, true, nil
 }
 
-// runInner executes an inner operator in chunked-output mode. When it fell
+// runInner executes an inner join in chunked-output mode. When it fell
 // back to the row engine, the materialized table is compressed once — the
 // re-encode-hot-intermediates path — so the join above still probes codes.
-func (j *HashJoinScan) runInner(ctx *engine.Context, op ChunkedOp) (*encoding.Compressed, []int, error) {
+func (j *HashJoinScan) runInner(ctx *engine.Context, op *HashJoinScan) (*encoding.Compressed, []int, error) {
 	ct, t, err := op.RunChunked(ctx)
 	if err != nil {
 		return nil, nil, err
@@ -187,9 +187,12 @@ func (j *HashJoinScan) Run(ctx *engine.Context) (*table.Table, error) {
 	return out, nil
 }
 
-// RunChunked implements ChunkedOp: the join's output leaves as compressed
-// chunks built from remapped dictionary codes wherever the source chunks
-// allow, materializing values only for columns with no code-space path.
+// RunChunked runs the join with its output leaving as compressed chunks,
+// built from remapped dictionary codes wherever the source chunks allow and
+// materializing values only for columns with no code-space path. It returns
+// the chunked output, or — when the join fell back to the row engine — the
+// row-engine table instead, never both; decoding the chunked output yields a
+// table byte-identical to what Run returns.
 func (j *HashJoinScan) RunChunked(ctx *engine.Context) (*encoding.Compressed, *table.Table, error) {
 	lct, rct, lgroups, rgroups, ok, err := j.resolveSides(ctx)
 	if err != nil {

@@ -18,6 +18,12 @@
 //     (late materialization) — a chunk whose selection is empty is skipped
 //     without decoding any column.
 //
+// Every kernel operator returns a table from Run. One of them, the hash
+// join, can also emit its output as compressed chunks (RunChunked, through
+// internal/chunkio): that is how a join probes another join's output, how
+// an aggregate consumes one, and how a join root's output reaches the
+// Memory Catalog and storage, without the rows ever materializing.
+//
 // Lower rewrites supported Filter/Aggregate subtrees of an engine plan
 // onto kernel operators. Every kernel operator keeps its original
 // row-engine subtree and falls back to it — byte-identically — whenever a
@@ -68,8 +74,8 @@ type Stats struct {
 	// are dropped before any column decodes.
 	JoinProbeRows int64
 	// ChunksPassed counts output column-chunks the chunked-output pipeline
-	// passed through verbatim or emitted from gathered codes — intermediate
-	// bytes that never materialized between operators.
+	// emitted from gathered codes — intermediate bytes that never
+	// materialized between operators.
 	ChunksPassed int64
 	// ReencodedChunks counts output column-chunks re-encoded from
 	// materialized values with codec auto-selection (chunkio's fallback when
@@ -85,7 +91,7 @@ type Stats struct {
 // builder materialized itself (dictionary-overflow conversions) count as
 // decoded: they became real values.
 func (st *Stats) addBuilder(c chunkio.Counters) {
-	st.ChunksPassed += c.Passthrough + c.CodeChunks
+	st.ChunksPassed += c.CodeChunks
 	st.ReencodedChunks += c.Reencoded
 	st.DictReused += c.DictReused
 	st.DecodedBytes += c.MaterializedBytes
@@ -93,7 +99,7 @@ func (st *Stats) addBuilder(c chunkio.Counters) {
 
 // Env is the chunked-output environment of one node's lowering: the session
 // dictionary cache, the producing node's name (keying that cache) and the
-// codec policy for re-encoded chunks. A nil Env still lets operators emit
+// codec policy for re-encoded chunks. A nil Env still lets a join emit
 // chunked output — with default options and no cross-run dictionary reuse.
 type Env struct {
 	Session *chunkio.Session
@@ -103,9 +109,9 @@ type Env struct {
 	nextID int
 }
 
-// newID labels one chunk-producing operator within the node's plan, so its
-// session dictionaries get a stable key across runs (Lower traverses the
-// same plan shape in the same order every run).
+// newID labels one join within the node's plan, so its session dictionaries
+// get a stable key across runs (Lower traverses the same plan shape in the
+// same order every run).
 func (e *Env) newID() int {
 	if e == nil {
 		return 0
@@ -114,22 +120,12 @@ func (e *Env) newID() int {
 	return e.nextID
 }
 
-// builderFor returns a Builder for one operator's output.
+// builderFor returns a Builder for one join's output.
 func (e *Env) builderFor(sch table.Schema, id int) *chunkio.Builder {
 	if e == nil {
 		return chunkio.NewBuilder(sch, encoding.Options{}, nil, "")
 	}
 	return chunkio.NewBuilder(sch, e.Opts, e.Session, fmt.Sprintf("%s#%d", e.Node, id))
-}
-
-// ChunkedOp is a kernel operator that can emit its output as compressed
-// chunks. RunChunked returns the chunked output when the operator stayed in
-// code space, or the row-engine table when it fell back — never both.
-// Decoding the chunked output yields a table byte-identical to what Run
-// would have returned.
-type ChunkedOp interface {
-	engine.Node
-	RunChunked(ctx *engine.Context) (*encoding.Compressed, *table.Table, error)
 }
 
 // --- selection bitmap ---
@@ -209,20 +205,6 @@ func (b *bitmap) none() bool {
 
 func (b *bitmap) all() bool { return b.count() == b.n }
 
-// indexes lists the selected rows ascending, the form gather-style
-// consumers (chunkio appenders) take.
-func (b *bitmap) indexes() []int32 {
-	out := make([]int32, 0, b.count())
-	for w, word := range b.words {
-		for word != 0 {
-			i := bits.TrailingZeros64(word)
-			out = append(out, int32(w<<6+i))
-			word &= word - 1
-		}
-	}
-	return out
-}
-
 // --- per-row-group evaluation context ---
 
 // colState is the cached per-column chunk state of one row group.
@@ -237,12 +219,11 @@ type colState struct {
 // cached per column so predicate evaluation and output materialization
 // share work: a column decoded for the predicate is reused by the gather.
 type chunkCtx struct {
-	ct     *encoding.Compressed
-	group  int
-	rows   int
-	st     *Stats
-	cols   []colState
-	passed []bool // chunks handed through to a chunked output verbatim
+	ct    *encoding.Compressed
+	group int
+	rows  int
+	st    *Stats
+	cols  []colState
 }
 
 func newChunkCtx(ct *encoding.Compressed, group, rows int, st *Stats) *chunkCtx {
@@ -348,16 +329,6 @@ func (cc *chunkCtx) reader(col int) (func(i int) table.Value, bool, error) {
 	return fn, cc.cols[col].vec != nil, nil
 }
 
-// markPassed records that a column's chunk was handed to a chunked output
-// verbatim — it was neither skipped nor decoded, and the output builder
-// already counted it.
-func (cc *chunkCtx) markPassed(col int) {
-	if cc.passed == nil {
-		cc.passed = make([]bool, len(cc.cols))
-	}
-	cc.passed[col] = true
-}
-
 // finish settles the row group's counters: column-chunks never touched
 // were skipped outright, chunks touched only in their encoded form avoided
 // a decode the row engine would have paid.
@@ -369,8 +340,6 @@ func (cc *chunkCtx) finish() {
 			// Fully decoded; DecodedBytes was counted at decode time.
 		case cs.parsed:
 			cc.st.DecodesAvoided++
-		case cc.passed != nil && cc.passed[i]:
-			// Passed through to the output; the builder counted it.
 		default:
 			cc.st.ChunksSkipped++
 		}
@@ -553,8 +522,6 @@ type FilterScan struct {
 	Pred *Pred
 	Orig engine.Node
 	St   *Stats
-	Env  *Env // chunked-output environment (nil: defaults, no dict cache)
-	ID   int  // stable operator label within the node, keys the dict cache
 }
 
 // Schema implements engine.Node.

@@ -18,17 +18,16 @@ import (
 //	                                            with a scan, and the join
 //	                                            itself may then lower
 //	HashJoin(side, side)    → HashJoinScan      both sides Scan/FilterScan
-//	                                            or chunk-producing kernels
-//	                                            (HashJoinScan/ProjectScan —
-//	                                            a join probing another
-//	                                            join's chunked output), and
-//	                                            every key column pair
-//	                                            shares an INT or STRING type
+//	                                            or another HashJoinScan (a
+//	                                            join probing a join's
+//	                                            chunked output), and every
+//	                                            key column pair shares an
+//	                                            INT or STRING type
 //	Aggregate(Scan)         → AggScan           always (argument errors
 //	                                            reproduce row-engine order)
 //	Aggregate(FilterScan)   → AggScan           selection vector flows in
 //	Aggregate(HashJoinScan) → AggScan           consumes the join's chunked
-//	Aggregate(ProjectScan)  → AggScan           output, no materialization
+//	                                            output, no materialization
 //	Project(Scan)           → ProjectScan       only ColRef outputs (drop,
 //	                                            duplicate or permute)
 //	Project(FilterScan)     → ProjectScan       selection vector flows in
@@ -43,10 +42,10 @@ func Lower(root engine.Node, st *Stats) engine.Node {
 	return LowerEnv(root, st, nil)
 }
 
-// LowerEnv is Lower with a chunked-output environment: operators it
+// LowerEnv is Lower with a chunked-output environment: the joins it
 // produces emit compressed chunks through env's codec policy and session
-// dictionary cache when consumed by a ChunkedOp-aware parent (a join above
-// them, the controller storing the node's output).
+// dictionary cache when their consumer takes chunks (a join or aggregate
+// above them, the controller storing the node's output).
 func LowerEnv(root engine.Node, st *Stats, env *Env) engine.Node {
 	return lower(root, st, env)
 }
@@ -67,13 +66,13 @@ func lower(root engine.Node, st *Stats, env *Env) engine.Node {
 		case *engine.Scan:
 			if p, ok := Compile(n.Pred, in.Sch); ok {
 				st.Lowered++
-				return &FilterScan{Scan: in, Pred: p, Orig: n, St: st, Env: env, ID: env.newID()}
+				return &FilterScan{Scan: in, Pred: p, Orig: n, St: st}
 			}
 		case *FilterScan:
 			if p, ok := Compile(n.Pred, in.Scan.Sch); ok {
 				st.Lowered++
 				fused := &Pred{kind: predAnd, kids: []*Pred{in.Pred, p}}
-				return &FilterScan{Scan: in.Scan, Pred: fused, Orig: n, St: st, Env: env, ID: in.ID}
+				return &FilterScan{Scan: in.Scan, Pred: fused, Orig: n, St: st}
 			}
 		case *engine.HashJoin:
 			// A join that surfaced only after lowering the input (e.g. an
@@ -102,11 +101,6 @@ func lower(root engine.Node, st *Stats, env *Env) engine.Node {
 				st.Lowered++
 				return &AggScan{Inner: in, Agg: n, Orig: n, need: need, St: st}
 			}
-		case *ProjectScan:
-			if need, ok := aggNeeds(n, in.Sch); ok {
-				st.Lowered++
-				return &AggScan{Inner: in, Agg: n, Orig: n, need: need, St: st}
-			}
 		}
 		return n
 	case *engine.Project:
@@ -115,12 +109,12 @@ func lower(root engine.Node, st *Stats, env *Env) engine.Node {
 		case *engine.Scan:
 			if cols, ok := projectCols(n, in.Sch); ok {
 				st.Lowered++
-				return &ProjectScan{Scan: in, Cols: cols, Sch: n.Schema(), Orig: n, St: st, Env: env, ID: env.newID()}
+				return &ProjectScan{Scan: in, Cols: cols, Sch: n.Schema(), Orig: n, St: st}
 			}
 		case *FilterScan:
 			if cols, ok := projectCols(n, in.Scan.Sch); ok {
 				st.Lowered++
-				return &ProjectScan{Scan: in.Scan, Pred: in.Pred, Cols: cols, Sch: n.Schema(), Orig: n, St: st, Env: env, ID: in.ID}
+				return &ProjectScan{Scan: in.Scan, Pred: in.Pred, Cols: cols, Sch: n.Schema(), Orig: n, St: st}
 			}
 		case *HashJoinScan:
 			// Fuse a columns-only projection into the join: joined columns
@@ -162,8 +156,8 @@ func lower(root engine.Node, st *Stats, env *Env) engine.Node {
 }
 
 // lowerJoin rewrites a HashJoin whose (already lowered) sides are plain
-// scans, fused filter-scans or chunk-producing kernels onto the code-space
-// join kernel. It declines — returning nil, keeping the row engine — when a
+// scans, fused filter-scans or other join kernels onto the code-space join
+// kernel. It declines — returning nil, keeping the row engine — when a
 // key column pair differs in type or is FLOAT: float keys fall back so the
 // row engine's NaN and signed-zero bucketing stays authoritative, and the
 // kernel's shared key dictionary only ever holds the types the dict codec
@@ -199,8 +193,8 @@ func lowerJoin(hj *engine.HashJoin, st *Stats, env *Env) *HashJoinScan {
 	}
 }
 
-// joinSideOf extracts one join input: a scan (with its fused filter), or a
-// chunk-producing kernel consumed as an inner operator.
+// joinSideOf extracts one join input: a scan (with its fused filter), or
+// another join kernel consumed as an inner operator.
 func joinSideOf(n engine.Node) (JoinSide, bool) {
 	switch v := n.(type) {
 	case *engine.Scan:
@@ -208,8 +202,6 @@ func joinSideOf(n engine.Node) (JoinSide, bool) {
 	case *FilterScan:
 		return JoinSide{Scan: v.Scan, Pred: v.Pred}, true
 	case *HashJoinScan:
-		return JoinSide{Inner: v}, true
-	case *ProjectScan:
 		return JoinSide{Inner: v}, true
 	}
 	return JoinSide{}, false

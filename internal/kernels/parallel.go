@@ -306,60 +306,3 @@ func (a *AggScan) runParallel(pp *partPlan, ct *encoding.Compressed, groups []in
 	}
 	return acc.Result()
 }
-
-// --- partitioned chunked-output pre-pass ---
-
-// prepassed is one row group's pre-evaluated state: its chunk context
-// (with whatever the predicate parsed, cached for the emission phase) and
-// selection. The chunked-output kernels parallelize this pre-pass —
-// predicate evaluation and chunk parsing are the CPU-heavy part — while
-// the chunkio.Builder emission stays serial in group order, because the
-// builder (and its session dictionary cache) is single-threaded state.
-type prepassed struct {
-	cc  *chunkCtx
-	sel *bitmap
-}
-
-// prepass evaluates pred over every row group, partitioned when the plan
-// allows. A nil pred parses nothing and returns contexts with nil
-// selections (meaning all rows).
-func prepass(pp *partPlan, ct *encoding.Compressed, groups []int, pred *Pred, sts []Stats) ([]prepassed, error) {
-	pre := make([]prepassed, len(groups))
-	if pp == nil {
-		st := &sts[0]
-		for g, rows := range groups {
-			cc := newChunkCtx(ct, g, rows, st)
-			var sel *bitmap
-			if pred != nil {
-				var err error
-				sel, err = pred.eval(cc)
-				if err != nil {
-					return nil, err
-				}
-			}
-			pre[g] = prepassed{cc: cc, sel: sel}
-		}
-		return pre, nil
-	}
-	defer pp.done()
-	err := pp.run(func(p, lo, hi int) error {
-		st := &sts[p]
-		for g := lo; g < hi; g++ {
-			cc := newChunkCtx(ct, g, groups[g], st)
-			var sel *bitmap
-			if pred != nil {
-				var err error
-				sel, err = pred.eval(cc)
-				if err != nil {
-					return err
-				}
-			}
-			pre[g] = prepassed{cc: cc, sel: sel}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return pre, nil
-}

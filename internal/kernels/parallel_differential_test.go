@@ -193,49 +193,72 @@ func TestDifferentialParallelJoin(t *testing.T) {
 		// The chunked-output path: the probe pre-pass partitions, the
 		// builder assembly stays serial, and the emitted chunks must decode
 		// to the same bytes.
-		if co, ok := Lower(build(), &Stats{}).(ChunkedOp); ok && wantErr == nil {
-			got2, gotErr2 := decodeChunked(t, co, parCtx)
+		if join, ok := Lower(build(), &Stats{}).(*HashJoinScan); ok && wantErr == nil {
+			got2, gotErr2 := decodeChunked(t, join, parCtx)
 			mustEqual(t, int64(seed), "parallel join RunChunked", want, got2, wantErr, gotErr2)
 			mustDrain(t, int64(seed), sc)
 		}
 	}
 }
 
-// TestDifferentialParallelChunkedOutput pins the chunked-output kernels
-// (FilterScan/ProjectScan RunChunked): the predicate pre-pass partitions
-// across tokens while builder emission stays serial in group order, so the
-// emitted chunk stream decodes byte-identically.
+// TestDifferentialParallelChunkedOutput pins chunked output composed across
+// operators under borrowed tokens: in a two-level join tree the inner join
+// emits chunks that the outer join probes, each probe partitions while
+// builder assembly stays serial, and the emitted chunk stream must decode
+// byte-identically to the serial walk.
 func TestDifferentialParallelChunkedOutput(t *testing.T) {
 	iters := 200
 	if testing.Short() {
 		iters = 40
 	}
-	chunked := 0
+	chunked, borrowed := 0, int64(0)
 	for seed := 23000; seed < 23000+iters; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		tbl := genTable(rng, rowCount(rng))
-		pred := genPred(rng, tbl, 2)
-		opts := encOptions(rng)
-		scan := func() *engine.Scan { return &engine.Scan{Name: "t", Sch: tbl.Schema} }
-		_, vecCtx := ctxFor(t, "t", tbl, opts)
+		// Constant keys on all three tables join every row with every row:
+		// small tables keep that cube affordable.
+		nA, nB, nC := rowCount(rng)%64, rowCount(rng)%64, rowCount(rng)%64
+		a, b, c := genTable(rng, nA), genTable(rng, nB), genTable(rng, nC)
+		typ := table.Int
+		if rng.Intn(2) == 0 {
+			typ = table.Str
+		}
+		ka := withKey(rng, a, "ka", typ, nA)
+		kb := withKey(rng, b, "kb", typ, nB)
+		kc := withKey(rng, c, "kc", typ, nC)
+		build := func() engine.Node {
+			return &engine.HashJoin{
+				Left: &engine.HashJoin{
+					Left:      &engine.Scan{Name: "A", Sch: a.Schema},
+					Right:     &engine.Scan{Name: "B", Sch: b.Schema},
+					LeftKeys:  []int{ka},
+					RightKeys: []int{kb},
+				},
+				Right:     &engine.Scan{Name: "C", Sch: c.Schema},
+				LeftKeys:  []int{ka},
+				RightKeys: []int{kc},
+			}
+		}
+		opts := map[string]encoding.Options{"A": encOptions(rng), "B": encOptions(rng), "C": encOptions(rng)}
+		_, vecCtx := joinCtxFor(t, map[string]*table.Table{"A": a, "B": b, "C": c}, opts)
 		tokens := 2 + rng.Intn(7)
 		parCtx, sc := parallelCtx(vecCtx, tokens)
 
-		serialOp, ok := Lower(&engine.Filter{Input: scan(), Pred: pred}, &Stats{}).(ChunkedOp)
+		serialOp, ok := Lower(build(), &Stats{}).(*HashJoinScan)
 		if !ok {
 			continue
 		}
-		parOp := Lower(&engine.Filter{Input: scan(), Pred: pred}, &Stats{}).(ChunkedOp)
+		parOp := Lower(build(), &Stats{}).(*HashJoinScan)
 		want, wantErr := decodeChunked(t, serialOp, vecCtx)
 		got, gotErr := decodeChunked(t, parOp, parCtx)
-		mustEqual(t, int64(seed), "parallel chunked filter", want, got, wantErr, gotErr)
+		mustEqual(t, int64(seed), "parallel chunked join tree", want, got, wantErr, gotErr)
 		mustDrain(t, int64(seed), sc)
 		if wantErr == nil {
 			chunked++
+			borrowed += sc.Stats().Borrowed
 		}
 	}
-	if chunked == 0 {
-		t.Fatal("no iteration exercised the chunked-output pre-pass")
+	if chunked == 0 || borrowed == 0 {
+		t.Fatalf("%d chunked join trees borrowed %d tokens: the partitioned probe went untested", chunked, borrowed)
 	}
 }
 

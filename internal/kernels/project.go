@@ -23,8 +23,6 @@ type ProjectScan struct {
 	Sch  table.Schema
 	Orig engine.Node
 	St   *Stats
-	Env  *Env // chunked-output environment (nil: defaults, no dict cache)
-	ID   int  // stable operator label within the node, keys the dict cache
 }
 
 // Schema implements engine.Node.

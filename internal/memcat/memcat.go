@@ -6,9 +6,9 @@
 // Entries are either plain tables or compressed columnar representations
 // (internal/encoding). Compressed entries are accounted against the budget
 // at their compressed footprint — so the knapsack keeps more MVs resident —
-// and are decompressed lazily on Get. Decoded views are reused across
-// consecutive reads through a bounded, LRU-evicted cache (see GetTable), so
-// an entry read by k downstream nodes pays one decode, not k.
+// and are decompressed on every row-path read (GetTable); readers that
+// consume chunks (GetCompressed) never decode. The catalog holds entries and
+// nothing else, so Peak() <= capacity is all the memory it ever owns.
 package memcat
 
 import (
@@ -51,20 +51,6 @@ type Catalog struct {
 	used     int64
 	peak     int64
 	entries  map[string]*entryT
-	// counters
-	hits, misses int64
-
-	// Decoded-view cache: compressed entries re-decoded in full on every
-	// Get would charge k downstream readers k full decodes (and k
-	// full-size DecodeDone events), so GetTable keeps recently decoded
-	// views, bounded by decBudget bytes and evicted least-recently-used.
-	// Views are derived, droppable state — they are not accounted against
-	// the catalog capacity, and an entry's view dies with the entry.
-	decBudget int64
-	decUsed   int64
-	decPeak   int64
-	decSeq    int64
-	dec       map[string]*decView
 
 	// pool, when non-nil, is the shared budget this catalog's entry bytes
 	// are additionally accounted against (see Pool). Guarded by mu.
@@ -89,21 +75,6 @@ type entryT struct {
 	lastAccess time.Time
 }
 
-// decView caches one entry's decoded table. Its mutex single-flights the
-// decode: concurrent readers of the same entry wait for the first decode
-// instead of each paying one. The t/size/seq/skip fields are guarded by
-// the catalog mutex (eviction must not need the per-view lock).
-type decView struct {
-	mu   sync.Mutex
-	t    *table.Table
-	size int64
-	seq  int64
-	// skip marks an entry whose decoded view was measured and found over
-	// budget: later readers decode in parallel instead of pointlessly
-	// serializing behind a single flight that can never cache.
-	skip bool
-}
-
 // evLogCap bounds the eviction timeline ring per catalog.
 const evLogCap = 64
 
@@ -122,34 +93,25 @@ type Eviction struct {
 
 // EntryInfo is a point-in-time view of one resident entry for the
 // introspection layer: accounted vs raw bytes, the per-codec chunk mix of
-// compressed entries, decoded-view-cache residency and last access.
+// compressed entries and last access.
 type EntryInfo struct {
-	Name          string           `json:"name"`
-	SizeBytes     int64            `json:"size_bytes"` // accounted (compressed) footprint
-	Compressed    bool             `json:"compressed"`
-	RawBytes      int64            `json:"raw_bytes,omitempty"` // uncompressed footprint when known
-	Rows          int              `json:"rows,omitempty"`
-	Chunks        int              `json:"chunks,omitempty"`
-	CodecChunks   map[string]int   `json:"codec_chunks,omitempty"`
-	CodecBytes    map[string]int64 `json:"codec_bytes,omitempty"` // encoded payload bytes per codec
-	DecodedCached bool             `json:"decoded_cached,omitempty"`
-	DecodedBytes  int64            `json:"decoded_bytes,omitempty"`
-	LastAccess    time.Time        `json:"last_access"`
+	Name        string           `json:"name"`
+	SizeBytes   int64            `json:"size_bytes"` // accounted (compressed) footprint
+	Compressed  bool             `json:"compressed"`
+	RawBytes    int64            `json:"raw_bytes,omitempty"` // uncompressed footprint when known
+	Rows        int              `json:"rows,omitempty"`
+	Chunks      int              `json:"chunks,omitempty"`
+	CodecChunks map[string]int   `json:"codec_chunks,omitempty"`
+	CodecBytes  map[string]int64 `json:"codec_bytes,omitempty"` // encoded payload bytes per codec
+	LastAccess  time.Time        `json:"last_access"`
 }
 
-// New returns a catalog with the given byte capacity. The decoded-view
-// cache budget defaults to the same capacity; SetDecodedBudget overrides
-// it.
+// New returns a catalog with the given byte capacity.
 func New(capacity int64) *Catalog {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &Catalog{
-		capacity:  capacity,
-		entries:   make(map[string]*entryT),
-		decBudget: capacity,
-		dec:       make(map[string]*decView),
-	}
+	return &Catalog{capacity: capacity, entries: make(map[string]*entryT)}
 }
 
 // SetClock injects the time source for last-access stamps and the
@@ -196,7 +158,6 @@ func (c *Catalog) PutEntry(name string, e Entry) error {
 			ErrNoSpace, name, size, c.capacity-(c.used-old), c.capacity)
 	}
 	c.entries[name] = &entryT{e: e, size: size, lastAccess: c.nowLocked()}
-	c.dropDecodedLocked(name) // a replaced entry's decoded view is stale
 	c.used += size - old
 	if c.used > c.peak {
 		c.peak = c.used
@@ -210,236 +171,66 @@ func (c *Catalog) PutEntry(name string, e Entry) error {
 	return nil
 }
 
-// Get returns the named table if resident, decoding compressed entries
-// lazily. A decode failure counts as a miss, so callers transparently fall
-// back to their storage path.
+// Get returns the named table if resident, decoding compressed entries. A
+// decode failure reads as absent, so callers transparently fall back to
+// their storage path.
 func (c *Catalog) Get(name string) (*table.Table, bool) {
 	t, _, ok := c.GetTable(name)
 	return t, ok
 }
 
-// ReadInfo reports what serving a GetTable actually cost, so observers can
-// account decode work instead of assuming every read of a compressed entry
-// paid a full decode.
+// ReadInfo reports what serving a read cost, so observers can account
+// decode work.
 type ReadInfo struct {
 	// Compressed reports whether the entry is stored in encoded form.
 	Compressed bool
-	// Cached reports whether the read was served from the decoded-view
-	// cache without decoding anything.
-	Cached bool
-	// Decoded is the raw bytes this read actually decoded: zero for plain
-	// entries and decoded-view hits.
+	// Decoded is the raw bytes this read decoded: zero for plain entries and
+	// for chunk-form reads.
 	Decoded int64
 	// Encoded is the entry's accounted (compressed) footprint; zero for
 	// plain entries.
 	Encoded int64
 }
 
-// GetTable is Get plus cost attribution. Reads of compressed entries go
-// through the decoded-view cache: the first read decodes (concurrent
-// readers of the same entry wait on that one decode rather than repeating
-// it) and the view is kept, LRU-evicted under the decoded budget, until the
-// entry is deleted or replaced. Consecutive reads — the k downstream nodes
-// of a flagged MV — report Cached with zero Decoded bytes.
+// GetTable is Get plus cost attribution. A compressed entry is decoded in
+// full on every call, outside the lock, so concurrent readers decode in
+// parallel; the k downstream row-path readers of a flagged MV pay k decodes.
 func (c *Catalog) GetTable(name string) (*table.Table, ReadInfo, bool) {
 	c.mu.Lock()
 	ent, ok := c.entries[name]
 	if !ok {
-		c.misses++
 		c.mu.Unlock()
 		return nil, ReadInfo{}, false
 	}
-	c.hits++
 	ent.lastAccess = c.nowLocked()
+	c.mu.Unlock()
 	if pe, plain := ent.e.(plainEntry); plain {
-		c.mu.Unlock()
 		return pe.t, ReadInfo{}, true
 	}
-	info := ReadInfo{Compressed: true, Encoded: ent.size}
-	if c.decBudget == 0 {
-		// Caching disabled: decode outside any lock so concurrent readers
-		// keep decoding in parallel, exactly as before the cache existed.
-		c.mu.Unlock()
-		return c.decodeUncached(ent, info)
-	}
-	dv := c.dec[name]
-	if dv == nil {
-		dv = &decView{}
-		c.dec[name] = dv
-	}
-	skip := dv.skip
-	c.mu.Unlock()
-	if skip {
-		// Known not to fit the decoded budget: single-flighting would
-		// serialize readers behind a decode that can never be shared.
-		return c.decodeUncached(ent, info)
-	}
-
-	dv.mu.Lock()
-	defer dv.mu.Unlock()
-	c.mu.Lock()
-	if dv.t != nil {
-		t := dv.t
-		c.decSeq++
-		dv.seq = c.decSeq
-		c.mu.Unlock()
-		info.Cached = true
-		return t, info, true
-	}
-	c.mu.Unlock()
-
 	t, err := ent.e.Table()
 	if err != nil {
-		c.mu.Lock()
-		c.hits--
-		c.misses++
-		if c.dec[name] == dv && dv.t == nil {
-			delete(c.dec, name)
-		}
-		c.mu.Unlock()
 		return nil, ReadInfo{}, false
 	}
-	info.Decoded = t.ByteSize()
-	c.mu.Lock()
-	// Cache only while this entry is still the resident one (it may have
-	// been deleted or replaced during the decode) and the view fits; an
-	// over-budget view marks the entry so later readers skip the flight.
-	if c.entries[name] == ent && c.dec[name] == dv {
-		if info.Decoded <= c.decBudget {
-			c.evictDecodedLocked(c.decBudget - info.Decoded)
-			dv.t, dv.size = t, info.Decoded
-			c.decSeq++
-			dv.seq = c.decSeq
-			c.decUsed += dv.size
-			if c.decUsed > c.decPeak {
-				c.decPeak = c.decUsed
-			}
-		} else {
-			dv.skip = true
-		}
-	}
-	c.mu.Unlock()
-	return t, info, true
-}
-
-// decodeUncached serves a read that bypasses the decoded-view cache. The
-// entry was already counted as a hit; a decode failure re-books it as a
-// miss, matching Get's contract.
-func (c *Catalog) decodeUncached(ent *entryT, info ReadInfo) (*table.Table, ReadInfo, bool) {
-	t, err := ent.e.Table()
-	if err != nil {
-		c.mu.Lock()
-		c.hits--
-		c.misses++
-		c.mu.Unlock()
-		return nil, ReadInfo{}, false
-	}
-	info.Decoded = t.ByteSize()
-	return t, info, true
-}
-
-// SetDecodedBudget bounds the decoded-view cache (0 disables it), evicting
-// immediately if the cache is over the new budget.
-func (c *Catalog) SetDecodedBudget(n int64) {
-	if n < 0 {
-		n = 0
-	}
-	c.mu.Lock()
-	c.decBudget = n
-	c.evictDecodedLocked(n)
-	c.mu.Unlock()
-}
-
-// DecodedCacheUsed returns the bytes currently held by the decoded-view
-// cache (derived state, accounted separately from Used).
-func (c *Catalog) DecodedCacheUsed() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.decUsed
-}
-
-// DecodedCachePeak returns the decoded-view cache's high-water mark. It is
-// reported separately from Peak() on purpose: the catalog budget bounds
-// compressed residency (the S/C knapsack's currency), while the decoded
-// cache is droppable derived state with its own bound — consumers that
-// care about total footprint should add the two peaks.
-func (c *Catalog) DecodedCachePeak() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.decPeak
-}
-
-// evictDecodedLocked drops least-recently-used decoded views until the
-// cache holds at most target bytes. Views currently being decoded (t still
-// nil) carry no bytes and are skipped. Callers hold c.mu.
-func (c *Catalog) evictDecodedLocked(target int64) {
-	for c.decUsed > target {
-		victim := ""
-		var oldest int64
-		for name, dv := range c.dec {
-			if dv.t == nil {
-				continue
-			}
-			if victim == "" || dv.seq < oldest {
-				victim, oldest = name, dv.seq
-			}
-		}
-		if victim == "" {
-			return
-		}
-		c.dropDecodedLocked(victim)
-	}
-}
-
-// dropDecodedLocked removes one decoded view. Callers hold c.mu.
-func (c *Catalog) dropDecodedLocked(name string) {
-	dv, ok := c.dec[name]
-	if !ok {
-		return
-	}
-	if dv.t != nil {
-		c.decUsed -= dv.size
-	}
-	delete(c.dec, name)
+	return t, ReadInfo{Compressed: true, Decoded: t.ByteSize(), Encoded: ent.size}, true
 }
 
 // GetEntry returns the named entry without decoding it. Callers that only
-// need the accounted size (eviction, stats) avoid paying a decompression.
+// need the schema or the accounted size avoid paying a decompression.
 func (c *Catalog) GetEntry(name string) (Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[name]
 	if !ok {
-		c.misses++
 		return nil, false
 	}
-	c.hits++
 	e.lastAccess = c.nowLocked()
 	return e.e, true
 }
 
-// Peek returns the named entry without decoding it and without touching
-// the hit/miss counters. The vectorized resolver probes with it before
-// deciding whether the read will be served from the catalog (counted by
-// GetEntry) or from the kernels' chunked path.
-func (c *Catalog) Peek(name string) (Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[name]
-	if !ok {
-		return nil, false
-	}
-	return e.e, true
-}
-
 // GetCompressed serves a compressed entry in chunked form for a consumer
-// that will not decode it (the kernels' per-chunk readers). It counts a
-// hit like GetEntry but never creates a decoded view: an entry whose every
-// reader consumes chunks stays out of the decoded budget entirely, so the
-// cache holds only views somebody actually materialized. ok is false —
-// without counting a miss, since such callers fall back to the row path,
-// which books its own miss — when the entry is absent or resident plain
-// (the row path is cheaper then).
+// that will not decode it (the kernels' per-chunk readers). ok is false
+// when the entry is absent or resident plain (the row path is cheaper
+// then).
 func (c *Catalog) GetCompressed(name string) (*encoding.Compressed, ReadInfo, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -451,12 +242,11 @@ func (c *Catalog) GetCompressed(name string) (*encoding.Compressed, ReadInfo, bo
 	if !compressed {
 		return nil, ReadInfo{}, false
 	}
-	c.hits++
 	e.lastAccess = c.nowLocked()
 	return ct, ReadInfo{Compressed: true, Encoded: e.size}, true
 }
 
-// Delete frees the named table and its cached decoded view.
+// Delete frees the named table.
 func (c *Catalog) Delete(name string) error {
 	return c.DeleteReason(name, "delete")
 }
@@ -474,7 +264,6 @@ func (c *Catalog) DeleteReason(name, reason string) error {
 	}
 	c.used -= e.size
 	delete(c.entries, name)
-	c.dropDecodedLocked(name)
 	if c.pool != nil {
 		c.pool.charge(-e.size)
 	}
@@ -542,10 +331,6 @@ func (c *Catalog) Entries() []EntryInfo {
 				}
 			}
 		}
-		if dv, ok := c.dec[name]; ok && dv.t != nil {
-			info.DecodedCached = true
-			info.DecodedBytes = dv.size
-		}
 		out = append(out, info)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -595,13 +380,6 @@ func (c *Catalog) Peak() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.peak
-}
-
-// Stats returns hit/miss counters for Get.
-func (c *Catalog) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }
 
 // Names lists resident tables, sorted.

@@ -101,11 +101,11 @@ func TestStatsAndNames(t *testing.T) {
 	c := New(1 << 20)
 	_ = c.Put("b", intTable(t, 1))
 	_ = c.Put("a", intTable(t, 1))
-	c.Get("a")
-	c.Get("zz")
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("Stats = %d, %d", hits, misses)
+	if _, ok := c.Get("zz"); ok {
+		t.Fatal("absent name served")
+	}
+	if want := 2 * intTable(t, 1).ByteSize(); c.Used() != want || c.Peak() != want {
+		t.Fatalf("Used = %d, Peak = %d, want %d", c.Used(), c.Peak(), want)
 	}
 	names := c.Names()
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {

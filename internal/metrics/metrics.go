@@ -1,14 +1,12 @@
 // Package metrics implements the execution-metadata store of §III-A: S/C's
 // optimizer consumes per-node observations (output sizes, read/write/compute
-// times) gathered from past MV refresh runs. The store persists as JSON so
-// recurring pipelines improve run over run.
+// times) gathered from past MV refresh runs. The store lives with its
+// pipeline: it keeps each node's latest observation and the learned
+// compression ratios, so recurring pipelines improve run over run at a
+// footprint that does not grow with the number of refreshes.
 package metrics
 
 import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -19,20 +17,20 @@ import (
 
 // Observation records one node execution.
 type Observation struct {
-	Name string `json:"name"`
+	Name string
 	// RunID correlates the observation with the refresh run (and its
 	// trace) that produced it; empty when the run was not identified.
-	RunID       string `json:"run_id,omitempty"`
-	OutputBytes int64  `json:"output_bytes"`
+	RunID       string
+	OutputBytes int64
 	// EncodedBytes is the serialized (possibly compressed) size actually
 	// moved to storage; zero when never observed. With encoding enabled it
 	// is also a faithful estimate of the compressed Memory Catalog
 	// footprint (framing overhead is a few bytes per column).
-	EncodedBytes int64         `json:"encoded_bytes,omitempty"`
-	ReadTime     time.Duration `json:"read_time"`
-	WriteTime    time.Duration `json:"write_time"`
-	ComputeTime  time.Duration `json:"compute_time"`
-	When         time.Time     `json:"when"`
+	EncodedBytes int64
+	ReadTime     time.Duration
+	WriteTime    time.Duration
+	ComputeTime  time.Duration
+	When         time.Time
 }
 
 // ratioAlpha is the EWMA weight of the newest encoded/raw observation.
@@ -41,10 +39,11 @@ type Observation struct {
 // refresh cannot whipsaw the estimate.
 const ratioAlpha = 0.3
 
-// Store accumulates observations across runs.
+// Store holds what the optimizer reads of past runs: per node, the latest
+// observation and the compression-ratio EWMA.
 type Store struct {
-	mu  sync.Mutex
-	obs map[string][]Observation
+	mu     sync.Mutex
+	latest map[string]Observation
 
 	// Compression-ratio learning: per-node EWMA of encoded/raw across
 	// runs, plus a workload-wide EWMA used to predict encoded sizes for
@@ -57,14 +56,15 @@ type Store struct {
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{obs: make(map[string][]Observation), ratios: make(map[string]float64)}
+	return &Store{latest: make(map[string]Observation), ratios: make(map[string]float64)}
 }
 
-// Record appends an observation.
+// Record makes o its node's latest observation and folds it into the
+// ratio EWMAs.
 func (s *Store) Record(o Observation) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.obs[o.Name] = append(s.obs[o.Name], o)
+	s.latest[o.Name] = o
 	s.learnRatioLocked(o)
 }
 
@@ -117,25 +117,8 @@ func (s *Store) PredictEncoded(name string, rawBytes int64) int64 {
 func (s *Store) Latest(name string) (Observation, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	list := s.obs[name]
-	if len(list) == 0 {
-		return Observation{}, false
-	}
-	return list[len(list)-1], true
-}
-
-// History returns all observations for name, oldest first.
-func (s *Store) History(name string) []Observation {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Observation(nil), s.obs[name]...)
-}
-
-// Len returns the number of nodes with at least one observation.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.obs)
+	o, ok := s.latest[name]
+	return o, ok
 }
 
 // Sizes extracts the latest observed output sizes for the graph's nodes,
@@ -242,7 +225,7 @@ type Recorder struct {
 	Clock func() time.Time
 }
 
-// NewRecorder returns a Recorder appending to s.
+// NewRecorder returns a Recorder recording into s.
 func NewRecorder(s *Store) *Recorder { return &Recorder{Store: s} }
 
 // OnEvent implements obs.Observer.
@@ -264,44 +247,4 @@ func (r *Recorder) OnEvent(e obs.Event) {
 		ComputeTime:  e.Compute,
 		When:         now(),
 	})
-}
-
-// Save writes the store as JSON.
-func (s *Store) Save(path string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data, err := json.MarshalIndent(s.obs, "", "  ")
-	if err != nil {
-		return fmt.Errorf("metrics: %w", err)
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// Load reads a store saved by Save. The learned compression ratios are not
-// serialized; they are re-derived by replaying the observation history in
-// recording order (by timestamp, name-ordered within equal stamps), so the
-// reloaded EWMAs match what the live store had learned.
-func Load(path string) (*Store, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("metrics: %w", err)
-	}
-	st := NewStore()
-	if err := json.Unmarshal(data, &st.obs); err != nil {
-		return nil, fmt.Errorf("metrics: %w", err)
-	}
-	var replay []Observation
-	for _, list := range st.obs {
-		replay = append(replay, list...)
-	}
-	sort.SliceStable(replay, func(i, j int) bool {
-		if !replay[i].When.Equal(replay[j].When) {
-			return replay[i].When.Before(replay[j].When)
-		}
-		return replay[i].Name < replay[j].Name
-	})
-	for _, o := range replay {
-		st.learnRatioLocked(o)
-	}
-	return st, nil
 }

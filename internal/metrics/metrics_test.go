@@ -1,7 +1,7 @@
 package metrics
 
 import (
-	"path/filepath"
+	"math"
 	"testing"
 	"time"
 
@@ -30,11 +30,63 @@ func TestRecordAndLatest(t *testing.T) {
 	if !ok || o.OutputBytes != 200 {
 		t.Fatalf("Latest = %+v, %v", o, ok)
 	}
-	if len(s.History("a")) != 2 {
-		t.Fatalf("History = %d entries", len(s.History("a")))
+}
+
+// TestStoreKeepsOneObservationPerNode: a node recorded on every refresh of
+// a long-lived pipeline must not grow the store, and everything the
+// optimizer reads — Latest, Ratio, Sizes, EncodedSizes, ScoresSized — must
+// answer as if every observation had been kept: the newest observation plus
+// the EWMAs folded over the whole sequence.
+func TestStoreKeepsOneObservationPerNode(t *testing.T) {
+	g := chain()
+	d := costmodel.PaperProfile()
+	s := NewStore()
+	var last Observation
+	var ratio float64
+	for i := 0; i < 10000; i++ {
+		last = Observation{
+			Name: "a", OutputBytes: int64(1000 + i), EncodedBytes: int64(250 + i%7),
+			WriteTime: time.Duration(i+1) * time.Millisecond,
+		}
+		s.Record(last)
+		r := float64(last.EncodedBytes) / float64(last.OutputBytes)
+		if i == 0 {
+			ratio = r
+		} else {
+			ratio = ratioAlpha*r + (1-ratioAlpha)*ratio
+		}
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.latest) != 1 {
+		t.Fatalf("store retains %d observations for one node, want 1", len(s.latest))
+	}
+	if o, ok := s.Latest("a"); !ok || o != last {
+		t.Fatalf("Latest = %+v, %v; want %+v", o, ok, last)
+	}
+	for _, name := range []string{"a", "never_seen"} { // own EWMA, workload-wide EWMA
+		if got, ok := s.Ratio(name); !ok || math.Abs(got-ratio) > 1e-12 {
+			t.Fatalf("Ratio(%s) = %v, %v; want %v", name, got, ok, ratio)
+		}
+	}
+	if got := s.Sizes(g, 42); got[0] != last.OutputBytes || got[1] != 42 || got[2] != 42 {
+		t.Fatalf("Sizes = %v", got)
+	}
+	guess := scaleBytes(4000, ratio)
+	if got := s.EncodedSizes(g, 4000); got[0] != last.EncodedBytes || got[1] != guess || got[2] != guess {
+		t.Fatalf("EncodedSizes = %v, want [%d %d %d]", got, last.EncodedBytes, guess, guess)
+	}
+	// Scores read the latest observation only: a store that saw nothing but
+	// it must score identically.
+	fresh := NewStore()
+	fresh.Record(last)
+	mem, disk := []int64{1 << 20, 1 << 20, 1 << 20}, []int64{1 << 18, 1 << 18, 1 << 18}
+	want, got := fresh.ScoresSized(g, mem, disk, d), s.ScoresSized(g, mem, disk, d)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ScoresSized[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+	if got[0] < last.WriteTime.Seconds() {
+		t.Fatalf("score %v ignores the observed %v write", got[0], last.WriteTime)
 	}
 }
 
@@ -72,32 +124,5 @@ func TestScoresNonNegative(t *testing.T) {
 		if sc < 0 {
 			t.Fatalf("negative score %v", sc)
 		}
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	s := NewStore()
-	s.Record(Observation{
-		Name: "mv1", OutputBytes: 123,
-		ReadTime: time.Second, WriteTime: 2 * time.Second, ComputeTime: 3 * time.Second,
-		When: time.Date(2026, 6, 10, 12, 0, 0, 0, time.UTC),
-	})
-	path := filepath.Join(t.TempDir(), "metrics.json")
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, ok := got.Latest("mv1")
-	if !ok || o.OutputBytes != 123 || o.WriteTime != 2*time.Second {
-		t.Fatalf("round trip lost data: %+v", o)
-	}
-}
-
-func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope.json")); err == nil {
-		t.Fatal("missing file loaded")
 	}
 }

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -57,29 +56,5 @@ func TestEncodedSizesPredictsNeverObservedNodes(t *testing.T) {
 	got = s.EncodedSizes(g, 5000)
 	if got[0] != 200 {
 		t.Fatalf("raw-only latest = %d, want node-ratio-scaled 200", got[0])
-	}
-}
-
-func TestRatiosSurviveSaveLoad(t *testing.T) {
-	s := NewStore()
-	s.Record(Observation{Name: "a", OutputBytes: 1000, EncodedBytes: 250, When: time.Now()})
-	s.Record(Observation{Name: "b", OutputBytes: 400, EncodedBytes: 100, When: time.Now()})
-	path := filepath.Join(t.TempDir(), "md.json")
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	re, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"a", "b"} {
-		want, _ := s.Ratio(name)
-		got, ok := re.Ratio(name)
-		if !ok || math.Abs(got-want) > 1e-9 {
-			t.Fatalf("reloaded ratio[%s] = %v, %v; want %v", name, got, ok, want)
-		}
-	}
-	if _, ok := re.Ratio("never_seen"); !ok {
-		t.Fatal("reloaded store lost the workload-wide ratio")
 	}
 }

@@ -54,8 +54,8 @@ const (
 	// kernels materialized).
 	KernelDone
 	// CacheHit: a node's input read was served from the Memory Catalog
-	// without decode work — a resident/decoded-view hit or a compressed
-	// chunk handoff. Fields: Node (the consuming node), Source (the
+	// without decode work — a plain resident entry or a compressed chunk
+	// handoff. Fields: Node (the consuming node), Source (the
 	// producing node whose cached output was reused), Step, Bytes.
 	CacheHit
 )

@@ -32,6 +32,11 @@ import (
 	"github.com/shortcircuit-db/sc/internal/telemetry"
 )
 
+// SizeGuess is the output-size assumption, in bytes, for nodes that have
+// never been observed (the first run of a pipeline): optimistic, and
+// replaced by the observation after one refresh.
+const SizeGuess int64 = 1 << 20
+
 // Pipeline is one refresh DAG with the state that outlives a run. The
 // exported fields are set before the first run and read-only afterwards.
 type Pipeline struct {
@@ -48,7 +53,6 @@ type Pipeline struct {
 	Vectorized bool
 	Chunked    *chunkio.Session // session dictionary cache; nil when disabled
 	Device     costmodel.DeviceProfile
-	SizeGuess  int64 // output-size assumption for never-observed nodes
 
 	// What the pipeline remembers of its previous run: each node's span (a
 	// later run that reuses cached state links back to it) and the health
@@ -61,7 +65,7 @@ type Pipeline struct {
 
 // NewPipeline extracts the dependency DAG from the nodes' SQL and starts an
 // empty metadata store. The caller sets the execution fields (Encoding,
-// Vectorized, Chunked, Device, SizeGuess) before the first run.
+// Vectorized, Chunked, Device) before the first run.
 func NewPipeline(name string, nodes []exec.NodeSpec, store storage.Store) (*Pipeline, error) {
 	w := &exec.Workload{Nodes: nodes}
 	g, base, err := w.BuildGraph()
@@ -86,11 +90,11 @@ func NewPipeline(name string, nodes []exec.NodeSpec, store storage.Store) (*Pipe
 // terms of the score move encoded bytes, so compression genuinely changes
 // which nodes get flagged and in which order the DAG runs.
 func (p *Pipeline) Problem(memory int64) *core.Problem {
-	raw := p.Metrics.Sizes(p.Graph, p.SizeGuess)
+	raw := p.Metrics.Sizes(p.Graph, SizeGuess)
 	if p.Encoding == nil {
 		return &core.Problem{G: p.Graph, Sizes: raw, Scores: p.Metrics.Scores(p.Graph, raw, p.Device), Memory: memory}
 	}
-	enc := p.Metrics.EncodedSizes(p.Graph, p.SizeGuess) // Memory Catalog holds compressed entries
+	enc := p.Metrics.EncodedSizes(p.Graph, SizeGuess) // Memory Catalog holds compressed entries
 	return &core.Problem{G: p.Graph, Sizes: enc, Scores: p.Metrics.ScoresSized(p.Graph, raw, enc, p.Device), Memory: memory}
 }
 
@@ -104,7 +108,7 @@ func (p *Pipeline) Explain(prob *core.Problem, plan *core.Plan) *introspect.Expl
 	}
 	raw := prob.Sizes // the knapsack weighs raw bytes unless the pipeline encodes
 	if p.Encoding != nil {
-		raw = p.Metrics.Sizes(p.Graph, p.SizeGuess)
+		raw = p.Metrics.Sizes(p.Graph, SizeGuess)
 	}
 	in := introspect.ExplainInput{
 		Pipeline: p.Name,

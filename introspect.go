@@ -17,9 +17,9 @@ type ExplainReport = introspect.ExplainReport
 type FlagDecision = introspect.FlagDecision
 
 // CatalogReport is the live Memory Catalog inspection served by the
-// gateway at GET /v1/state/catalog: resident entries with codec mix,
-// decoded-view residency and eviction rank under the cost-model score,
-// catalog-wide codec composition, and the bounded eviction timeline.
+// gateway at GET /v1/state/catalog: resident entries with codec mix and
+// eviction rank under the cost-model score, catalog-wide codec
+// composition, and the bounded eviction timeline.
 type CatalogReport = introspect.CatalogReport
 
 // CatalogEntry is one resident entry of a CatalogReport.

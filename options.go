@@ -23,11 +23,9 @@ type config struct {
 	concurrency   int
 	device        DeviceProfile
 	deviceSet     bool
-	sizeGuess     int64
 	encoding      *encoding.Options
 	vectorized    bool
 	parallelScan  bool
-	dictCache     bool
 	tracing       bool
 	traceExporter telemetry.Exporter
 	ledger        bool
@@ -39,11 +37,7 @@ type config struct {
 
 // newConfig folds the options into a validated config.
 func newConfig(opts []Option) (*config, error) {
-	cfg := &config{
-		concurrency: 1,
-		sizeGuess:   1 << 20, // 1MB: optimistic before any observation
-		dictCache:   true,    // session dictionaries ride along with WithVectorized
-	}
+	cfg := &config{concurrency: 1}
 	for _, o := range opts {
 		o(cfg)
 	}
@@ -211,9 +205,13 @@ func WithEncoding(opts EncodingOptions) Option {
 // join's output — leave the operator as compressed chunks (dictionary
 // codes remapped, never materialized) and land in the Memory Catalog and
 // storage without an encode-from-rows round trip. A session-level
-// dictionary cache carries each node's column dictionaries across Run
-// calls, so recurring refreshes reuse yesterday's dictionaries instead of
-// rebuilding them; see WithSessionDictCache to turn that cache off.
+// dictionary cache, kept for the life of the Refresher, carries each
+// join's per-column dictionaries across Run calls, so recurring refreshes
+// encode recurring values as id lookups instead of rebuilding the
+// dictionaries (NodeMetrics.DictReused counts the chunks served entirely
+// from it). A dictionary is invalidated when its column's name or type
+// changes, and a column whose cardinality outgrows the cap falls back to
+// per-chunk re-encoding.
 func WithVectorized(enabled bool) Option {
 	return func(c *config) { c.vectorized = enabled }
 }
@@ -230,19 +228,6 @@ func WithVectorized(enabled bool) Option {
 // effective together with WithVectorized and WithConcurrency(k > 1).
 func WithParallelScan(enabled bool) Option {
 	return func(c *config) { c.parallelScan = enabled }
-}
-
-// WithSessionDictCache controls the session dictionary cache that rides
-// along with WithVectorized (enabled by default): chunked kernel outputs
-// intern their dictionary entries into per-(node, column) dictionaries
-// kept for the life of the Refresher, so the next Run encodes recurring
-// values as pure id lookups and NodeMetrics.DictReused reports the chunks
-// served entirely from cache. A dictionary is invalidated when its
-// column's name or type changes, and a column whose cardinality outgrows
-// the cap falls back to per-chunk re-encoding. Pass false for one-shot
-// sessions that should not retain dictionaries between runs.
-func WithSessionDictCache(enabled bool) Option {
-	return func(c *config) { c.dictCache = enabled }
 }
 
 // WithTelemetry enables per-run tracing for the session: every Run/Refresh
@@ -305,18 +290,5 @@ func WithAlerts(webhookURL string, cooldown time.Duration) Option {
 		c.alertCooldown = cooldown
 		c.ledger = true
 		c.tracing = true
-	}
-}
-
-// WithSizeGuess sets the output-size assumption, in bytes, for nodes that
-// have never been observed (e.g. the first run of a pipeline). The default
-// is 1MB.
-func WithSizeGuess(bytes int64) Option {
-	return func(c *config) {
-		if bytes < 0 {
-			c.fail("sc: negative size guess %d", bytes)
-			return
-		}
-		c.sizeGuess = bytes
 	}
 }

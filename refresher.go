@@ -65,8 +65,7 @@ func New(mvs []MV, store Store, opts ...Option) (*Refresher, error) {
 	pipe.Encoding = cfg.encoding
 	pipe.Vectorized = cfg.vectorized
 	pipe.Device = cfg.device
-	pipe.SizeGuess = cfg.sizeGuess
-	if cfg.vectorized && cfg.dictCache {
+	if cfg.vectorized {
 		// The session dictionary cache lives with the Refresher, so each
 		// Refresh reuses the dictionaries the previous run derived.
 		pipe.Chunked = chunkio.NewSession()
@@ -131,7 +130,7 @@ func (r *Refresher) Stats() *Stats {
 }
 
 // Problem derives the session's current optimization problem: sizes from
-// the latest observations (WithSizeGuess for never-observed nodes), scores
+// the latest observations (1 MB for never-observed nodes), scores
 // from the §IV model under the session's device profile. With WithEncoding
 // the knapsack weighs nodes at their compressed footprint and the disk
 // terms of the score model move encoded bytes, so compression genuinely
@@ -301,7 +300,7 @@ func (r *Refresher) Simulate(ctx context.Context) (*SimResult, error) {
 	w := &sim.Workload{G: r.pipe.Graph}
 	for i := 0; i < r.pipe.Graph.Len(); i++ {
 		name := r.pipe.Graph.Name(dag.NodeID(i))
-		node := sim.Node{Name: name, OutputBytes: r.cfg.sizeGuess}
+		node := sim.Node{Name: name, OutputBytes: session.SizeGuess}
 		if o, ok := r.pipe.Metrics.Latest(name); ok {
 			node.OutputBytes = o.OutputBytes
 			node.ComputeSeconds = o.ComputeTime.Seconds()

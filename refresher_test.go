@@ -55,9 +55,6 @@ func TestNewValidatesInputs(t *testing.T) {
 	if _, err := sc.New(mvs, store, sc.WithMaxIterations(-2)); err == nil {
 		t.Fatal("negative iteration cap accepted")
 	}
-	if _, err := sc.New(mvs, store, sc.WithSizeGuess(-5)); err == nil {
-		t.Fatal("negative size guess accepted")
-	}
 }
 
 func TestUnknownRegistryNames(t *testing.T) {
