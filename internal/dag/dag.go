@@ -121,28 +121,6 @@ func (g *Graph) HasEdge(parent, child NodeID) bool {
 	return ok
 }
 
-// Roots returns all nodes with no parents, in ID order.
-func (g *Graph) Roots() []NodeID {
-	var out []NodeID
-	for i := range g.names {
-		if len(g.parents[i]) == 0 {
-			out = append(out, NodeID(i))
-		}
-	}
-	return out
-}
-
-// Leaves returns all nodes with no children, in ID order.
-func (g *Graph) Leaves() []NodeID {
-	var out []NodeID
-	for i := range g.names {
-		if len(g.children[i]) == 0 {
-			out = append(out, NodeID(i))
-		}
-	}
-	return out
-}
-
 // Clone returns a deep copy of the graph.
 func (g *Graph) Clone() *Graph {
 	c := New()
@@ -234,84 +212,6 @@ func (g *Graph) IsTopological(order []NodeID) bool {
 		}
 	}
 	return true
-}
-
-// Reachable returns the set of nodes reachable from src (excluding src
-// itself) following child edges.
-func (g *Graph) Reachable(src NodeID) map[NodeID]bool {
-	out := make(map[NodeID]bool)
-	stack := append([]NodeID(nil), g.children[src]...)
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if out[u] {
-			continue
-		}
-		out[u] = true
-		stack = append(stack, g.children[u]...)
-	}
-	return out
-}
-
-// Ancestors returns the set of nodes from which src is reachable (excluding
-// src itself).
-func (g *Graph) Ancestors(src NodeID) map[NodeID]bool {
-	out := make(map[NodeID]bool)
-	stack := append([]NodeID(nil), g.parents[src]...)
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if out[u] {
-			continue
-		}
-		out[u] = true
-		stack = append(stack, g.parents[u]...)
-	}
-	return out
-}
-
-// Height returns the number of nodes on the longest directed path
-// (a single node has height 1). Returns 0 for an empty graph and an error
-// for cyclic graphs.
-func (g *Graph) Height() (int, error) {
-	order, err := g.TopoSort()
-	if err != nil {
-		return 0, err
-	}
-	depth := make([]int, g.Len())
-	best := 0
-	for _, u := range order {
-		if depth[u] == 0 {
-			depth[u] = 1
-		}
-		if depth[u] > best {
-			best = depth[u]
-		}
-		for _, v := range g.children[u] {
-			if depth[u]+1 > depth[v] {
-				depth[v] = depth[u] + 1
-			}
-		}
-	}
-	return best, nil
-}
-
-// Levels assigns each node its longest-path depth from any root (roots are
-// level 0). Useful for layered layout and the workload generator.
-func (g *Graph) Levels() ([]int, error) {
-	order, err := g.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	level := make([]int, g.Len())
-	for _, u := range order {
-		for _, v := range g.children[u] {
-			if level[u]+1 > level[v] {
-				level[v] = level[u] + 1
-			}
-		}
-	}
-	return level, nil
 }
 
 // minHeap is a tiny binary heap of NodeIDs (min by value).

@@ -64,16 +64,6 @@ func TestAddEdgeIgnoresDuplicates(t *testing.T) {
 	}
 }
 
-func TestRootsAndLeaves(t *testing.T) {
-	g := diamond(t)
-	if r := g.Roots(); len(r) != 1 || r[0] != 0 {
-		t.Fatalf("Roots = %v, want [0]", r)
-	}
-	if l := g.Leaves(); len(l) != 1 || l[0] != 3 {
-		t.Fatalf("Leaves = %v, want [3]", l)
-	}
-}
-
 func TestTopoSortDiamond(t *testing.T) {
 	g := diamond(t)
 	order, err := g.TopoSort()
@@ -119,42 +109,6 @@ func TestIsTopologicalRejectsBadOrders(t *testing.T) {
 	}
 	if !g.IsTopological([]NodeID{0, 2, 1, 3}) {
 		t.Error("valid order rejected")
-	}
-}
-
-func TestReachableAndAncestors(t *testing.T) {
-	g := diamond(t)
-	r := g.Reachable(0)
-	if len(r) != 3 || !r[1] || !r[2] || !r[3] {
-		t.Fatalf("Reachable(0) = %v", r)
-	}
-	if len(g.Reachable(3)) != 0 {
-		t.Fatal("leaf should reach nothing")
-	}
-	a := g.Ancestors(3)
-	if len(a) != 3 || !a[0] || !a[1] || !a[2] {
-		t.Fatalf("Ancestors(3) = %v", a)
-	}
-	if len(g.Ancestors(0)) != 0 {
-		t.Fatal("root should have no ancestors")
-	}
-}
-
-func TestHeightAndLevels(t *testing.T) {
-	g := diamond(t)
-	h, err := g.Height()
-	if err != nil || h != 3 {
-		t.Fatalf("Height = %d, %v; want 3", h, err)
-	}
-	lv, err := g.Levels()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 1, 1, 2}
-	for i := range want {
-		if lv[i] != want[i] {
-			t.Fatalf("Levels = %v, want %v", lv, want)
-		}
 	}
 }
 
@@ -224,26 +178,6 @@ func TestTopoSortPropertyRandomDAGs(t *testing.T) {
 			return false
 		}
 		return g.IsTopological(order)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLevelsConsistentWithEdgesProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomLayered(rng, 2+rng.Intn(5), 4)
-		lv, err := g.Levels()
-		if err != nil {
-			return false
-		}
-		for _, e := range g.Edges() {
-			if lv[e[0]] >= lv[e[1]] {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

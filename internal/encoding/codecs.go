@@ -111,6 +111,20 @@ func appendVarint(buf []byte, v int64) []byte {
 	return append(buf, tmp[:binary.PutVarint(tmp[:], v)]...)
 }
 
+// readString reads one length-prefixed string at off, returning it and the
+// offset past it.
+func readString(payload []byte, off int) (string, int, error) {
+	l, k := binary.Uvarint(payload[off:])
+	if k <= 0 {
+		return "", 0, fmt.Errorf("%w: bad string length", ErrCorrupt)
+	}
+	off += k
+	if l > uint64(len(payload)-off) {
+		return "", 0, fmt.Errorf("%w: string overruns payload", ErrCorrupt)
+	}
+	return string(payload[off : off+int(l)]), off + int(l), nil
+}
+
 // --- raw codec ---
 
 // rawCodec is the type-native fallback: 8-byte little-endian ints and
@@ -167,16 +181,12 @@ func (rawCodec) Decode(payload []byte, t table.Type, n int) (*table.Vector, erro
 	default:
 		out.Strs = make([]string, 0, allocHint(n, len(payload)))
 		for off := 0; off < len(payload); {
-			l, k := binary.Uvarint(payload[off:])
-			if k <= 0 {
-				return nil, fmt.Errorf("%w: bad string length", ErrCorrupt)
+			var str string
+			var err error
+			if str, off, err = readString(payload, off); err != nil {
+				return nil, err
 			}
-			off += k
-			if l > uint64(len(payload)-off) {
-				return nil, fmt.Errorf("%w: string overruns payload", ErrCorrupt)
-			}
-			out.Strs = append(out.Strs, string(payload[off:off+int(l)]))
-			off += int(l)
+			out.Strs = append(out.Strs, str)
 		}
 		if len(out.Strs) != n {
 			return nil, fmt.Errorf("%w: %d strings, want %d", ErrCorrupt, len(out.Strs), n)
@@ -244,56 +254,71 @@ func (rleCodec) Decode(payload []byte, t table.Type, n int) (*table.Vector, erro
 	default:
 		out.Strs = make([]string, 0, hint)
 	}
+	err := readRuns(payload, t, n, func(runLen int, v table.Value) {
+		switch t {
+		case table.Int:
+			for ; runLen > 0; runLen-- {
+				out.Ints = append(out.Ints, v.I)
+			}
+		case table.Float:
+			for ; runLen > 0; runLen-- {
+				out.Floats = append(out.Floats, v.F)
+			}
+		default:
+			for ; runLen > 0; runLen-- {
+				out.Strs = append(out.Strs, v.S)
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// readRuns is the one reader of the RLE payload layout — a sequence of
+// uvarint(runLen) followed by one value — calling run for each; the runs
+// must cover exactly n rows. Decode expands them, ParseRuns keeps them.
+func readRuns(payload []byte, t table.Type, n int, run func(runLen int, v table.Value)) error {
 	count := 0
 	for off := 0; off < len(payload); {
 		runLen, k := binary.Uvarint(payload[off:])
 		if k <= 0 || runLen == 0 {
-			return nil, fmt.Errorf("%w: bad run length", ErrCorrupt)
+			return fmt.Errorf("%w: bad run length", ErrCorrupt)
 		}
 		off += k
 		if runLen > uint64(n-count) {
-			return nil, fmt.Errorf("%w: run overruns rows", ErrCorrupt)
+			return fmt.Errorf("%w: run overruns rows", ErrCorrupt)
 		}
+		var v table.Value
 		switch t {
 		case table.Int:
 			x, k := binary.Varint(payload[off:])
 			if k <= 0 {
-				return nil, fmt.Errorf("%w: bad run value", ErrCorrupt)
+				return fmt.Errorf("%w: bad run value", ErrCorrupt)
 			}
 			off += k
-			for r := uint64(0); r < runLen; r++ {
-				out.Ints = append(out.Ints, x)
-			}
+			v = table.IntValue(x)
 		case table.Float:
 			if len(payload)-off < 8 {
-				return nil, fmt.Errorf("%w: truncated float run", ErrCorrupt)
+				return fmt.Errorf("%w: truncated float run", ErrCorrupt)
 			}
-			x := math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
+			v = table.FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(payload[off:])))
 			off += 8
-			for r := uint64(0); r < runLen; r++ {
-				out.Floats = append(out.Floats, x)
-			}
 		default:
-			l, k := binary.Uvarint(payload[off:])
-			if k <= 0 {
-				return nil, fmt.Errorf("%w: bad run string length", ErrCorrupt)
+			str, next, err := readString(payload, off)
+			if err != nil {
+				return err
 			}
-			off += k
-			if l > uint64(len(payload)-off) {
-				return nil, fmt.Errorf("%w: run string overruns payload", ErrCorrupt)
-			}
-			s := string(payload[off : off+int(l)])
-			off += int(l)
-			for r := uint64(0); r < runLen; r++ {
-				out.Strs = append(out.Strs, s)
-			}
+			v, off = table.StrValue(str), next
 		}
+		run(int(runLen), v)
 		count += int(runLen)
 	}
 	if count != n {
-		return nil, fmt.Errorf("%w: %d values, want %d", ErrCorrupt, count, n)
+		return fmt.Errorf("%w: %d values, want %d", ErrCorrupt, count, n)
 	}
-	return out, nil
+	return nil
 }
 
 // --- dictionary codec ---
@@ -359,7 +384,41 @@ func (dictCodec) Encode(v *table.Vector) ([]byte, error) {
 }
 
 func (dictCodec) Decode(payload []byte, t table.Type, n int) (*table.Vector, error) {
+	d, err := readDict(payload, t, n)
+	if err != nil {
+		return nil, err
+	}
+	idx, err := unpackBits(d.packed, d.width, n)
+	if err != nil {
+		return nil, err
+	}
+	// Gather straight into the typed slice, range-checking each code on the
+	// way: one pass over the rows.
 	out := &table.Vector{Type: t}
+	if t == table.Int {
+		out.Ints = make([]int64, n)
+		for i, id := range idx {
+			if id >= uint64(len(d.Ints)) {
+				return nil, fmt.Errorf("%w: dict index out of range", ErrCorrupt)
+			}
+			out.Ints[i] = d.Ints[id]
+		}
+	} else {
+		out.Strs = make([]string, n)
+		for i, id := range idx {
+			if id >= uint64(len(d.Strs)) {
+				return nil, fmt.Errorf("%w: dict index out of range", ErrCorrupt)
+			}
+			out.Strs[i] = d.Strs[id]
+		}
+	}
+	return out, nil
+}
+
+// readDict is the one reader of the dict payload layout: uvarint entry
+// count, the entries in code order, one width byte, then n bit-packed codes
+// (left packed; DictView.Codes and Decode unpack and range-check them).
+func readDict(payload []byte, t table.Type, n int) (*DictView, error) {
 	nEntries, k := binary.Uvarint(payload)
 	if k <= 0 {
 		return nil, fmt.Errorf("%w: bad dict size", ErrCorrupt)
@@ -373,69 +432,41 @@ func (dictCodec) Decode(payload []byte, t table.Type, n int) (*table.Vector, err
 		// here avoids allocating n values that could never be filled.
 		return nil, fmt.Errorf("%w: empty dict for %d rows", ErrCorrupt, n)
 	}
-	var dictInts []int64
-	var dictStrs []string
+	d := &DictView{Type: t, rows: n}
 	switch t {
 	case table.Int:
-		dictInts = make([]int64, 0, nEntries)
+		d.Ints = make([]int64, 0, nEntries)
 		for e := uint64(0); e < nEntries; e++ {
 			x, k := binary.Varint(payload[off:])
 			if k <= 0 {
 				return nil, fmt.Errorf("%w: bad dict entry", ErrCorrupt)
 			}
 			off += k
-			dictInts = append(dictInts, x)
+			d.Ints = append(d.Ints, x)
 		}
 	case table.Str:
-		dictStrs = make([]string, 0, nEntries)
+		d.Strs = make([]string, 0, nEntries)
 		for e := uint64(0); e < nEntries; e++ {
-			l, k := binary.Uvarint(payload[off:])
-			if k <= 0 {
-				return nil, fmt.Errorf("%w: bad dict entry length", ErrCorrupt)
+			str, next, err := readString(payload, off)
+			if err != nil {
+				return nil, err
 			}
-			off += k
-			if l > uint64(len(payload)-off) {
-				return nil, fmt.Errorf("%w: dict entry overruns payload", ErrCorrupt)
-			}
-			dictStrs = append(dictStrs, string(payload[off:off+int(l)]))
-			off += int(l)
+			d.Strs, off = append(d.Strs, str), next
 		}
 	default:
 		return nil, fmt.Errorf("%w: dict on %s", ErrUnsupported, t)
 	}
-	width := 0
 	if off < len(payload) {
-		width = int(payload[off])
+		d.width = int(payload[off])
 		off++
 	} else if n != 0 {
 		return nil, fmt.Errorf("%w: missing dict width", ErrCorrupt)
 	}
-	if width > 64 {
-		return nil, fmt.Errorf("%w: dict width %d", ErrCorrupt, width)
+	if d.width > 64 {
+		return nil, fmt.Errorf("%w: dict width %d", ErrCorrupt, d.width)
 	}
-	idx, err := unpackBits(payload[off:], width, n)
-	if err != nil {
-		return nil, err
-	}
-	switch t {
-	case table.Int:
-		out.Ints = make([]int64, n)
-		for i, id := range idx {
-			if id >= uint64(len(dictInts)) {
-				return nil, fmt.Errorf("%w: dict index out of range", ErrCorrupt)
-			}
-			out.Ints[i] = dictInts[id]
-		}
-	case table.Str:
-		out.Strs = make([]string, n)
-		for i, id := range idx {
-			if id >= uint64(len(dictStrs)) {
-				return nil, fmt.Errorf("%w: dict index out of range", ErrCorrupt)
-			}
-			out.Strs[i] = dictStrs[id]
-		}
-	}
-	return out, nil
+	d.packed = payload[off:]
+	return d, nil
 }
 
 // --- delta codec ---

@@ -245,45 +245,44 @@ func sampleVec(v *table.Vector, sr int) *table.Vector {
 // Table decompresses into a plain table. The result is a fresh table; the
 // Compressed value is unchanged and reusable. Every call pays a full
 // decode; readers that can consume chunks (the kernels) avoid it.
-func (c *Compressed) Table() (*table.Table, error) {
+func (c *Compressed) Table() (*table.Table, error) { return c.HeadTable(c.NRows) }
+
+// HeadTable decodes the table's first n rows into a plain table: whole
+// leading chunks, then only the needed prefix of the chunk the n-th row
+// falls in — what a reader of a table's first rows has to pay. With n <= 0
+// or n >= NRows it is Table.
+func (c *Compressed) HeadTable(n int) (*table.Table, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
+	}
+	if n <= 0 || n > c.NRows {
+		n = c.NRows
 	}
 	t := table.New(c.Schema)
 	// Reserve the known row count up front (capped like the decoders, so
 	// a hostile NRows cannot demand a huge make before chunk 1 decodes);
 	// tables under MaxChunkRows rows then append without reallocating.
-	hint := c.NRows
-	if hint > MaxChunkRows {
-		hint = MaxChunkRows
-	}
+	hint := allocHint(n, MaxChunkRows)
 	for ci, chunks := range c.Cols {
-		typ := c.Schema.Cols[ci].Type
-		switch typ {
+		col, dst := c.Schema.Cols[ci], t.Cols[ci]
+		switch col.Type {
 		case table.Int:
-			t.Cols[ci].Ints = make([]int64, 0, hint)
+			dst.Ints = make([]int64, 0, hint)
 		case table.Float:
-			t.Cols[ci].Floats = make([]float64, 0, hint)
+			dst.Floats = make([]float64, 0, hint)
 		default:
-			t.Cols[ci].Strs = make([]string, 0, hint)
+			dst.Strs = make([]string, 0, hint)
 		}
-		for _, ch := range chunks {
-			codec, err := ByID(ch.Codec)
+		for need, i := n, 0; need > 0; i++ {
+			k := min(need, chunks[i].Rows)
+			part, err := decodeHead(chunks[i], col.Type, k)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("encoding: column %q: %w", col.Name, err)
 			}
-			part, err := codec.Decode(ch.Data, typ, ch.Rows)
-			if err != nil {
-				return nil, fmt.Errorf("encoding: column %q: %w", c.Schema.Cols[ci].Name, err)
-			}
-			switch typ {
-			case table.Int:
-				t.Cols[ci].Ints = append(t.Cols[ci].Ints, part.Ints...)
-			case table.Float:
-				t.Cols[ci].Floats = append(t.Cols[ci].Floats, part.Floats...)
-			default:
-				t.Cols[ci].Strs = append(t.Cols[ci].Strs, part.Strs...)
-			}
+			dst.Ints = append(dst.Ints, part.Ints...)
+			dst.Floats = append(dst.Floats, part.Floats...)
+			dst.Strs = append(dst.Strs, part.Strs...)
+			need -= k
 		}
 	}
 	if err := t.Validate(); err != nil {

@@ -12,6 +12,11 @@
 //
 // All codecs are lossless at the bit level: decode(encode(v)) reproduces
 // the input vector byte-identically, including float NaN payloads.
+//
+// Each payload layout is read in one place (codecs.go): a codec's Decode
+// and the structural views the kernels work on (views.go: DictView, Run)
+// call the same reader, so the row path and the kernels cannot disagree
+// about a format.
 package encoding
 
 import (

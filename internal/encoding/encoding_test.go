@@ -413,13 +413,68 @@ func TestDictRejectsEmptyDictForRows(t *testing.T) {
 	}
 }
 
-// TestDecodeNeverPanicsOnCorruption mutates valid payloads and checks that
-// every codec fails cleanly instead of panicking or looping.
+// viewVector expands the structural view of a Dict or RLE chunk — what the
+// kernels read — into a vector; ok is false for the other codecs.
+func viewVector(ch Chunk, typ table.Type) (vec *table.Vector, ok bool, err error) {
+	vec = &table.Vector{Type: typ}
+	switch ch.Codec {
+	case Dict:
+		dv, err := ParseDict(ch, typ)
+		if err != nil {
+			return nil, true, err
+		}
+		codes, err := dv.Codes()
+		if err != nil {
+			return nil, true, err
+		}
+		for _, c := range codes {
+			_ = vec.Append(dv.Value(int(c)))
+		}
+	case RLE:
+		runs, err := ParseRuns(ch, typ)
+		if err != nil {
+			return nil, true, err
+		}
+		for _, r := range runs {
+			for i := 0; i < r.Len; i++ {
+				_ = vec.Append(r.Val)
+			}
+		}
+	default:
+		return nil, false, nil
+	}
+	return vec, true, nil
+}
+
+// TestDecodeNeverPanicsOnCorruption mutates valid payloads — random byte
+// damage, every truncation, every single-bit flip — and checks that every
+// codec fails cleanly instead of panicking or looping, and that the row
+// path (DecodeChunk) and the kernels' views (ParseDict, ParseRuns) of a
+// damaged Dict or RLE payload fail together or agree value for value.
 func TestDecodeNeverPanicsOnCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	const n = 200
 	for _, typ := range []table.Type{table.Int, table.Float, table.Str} {
 		for _, c := range Candidates(typ) {
-			v := genVector(rng, typ, 200)
+			check := func(mut []byte) {
+				t.Helper()
+				ch := Chunk{Codec: c.ID(), Rows: n, Data: mut}
+				got, err := DecodeChunk(ch, typ)
+				if err == nil && got.Len() != n {
+					t.Fatalf("%s/%s: corrupt decode returned %d values without error", c.ID(), typ, got.Len())
+				}
+				view, ok, verr := viewVector(ch, typ)
+				if !ok {
+					return
+				}
+				if (err == nil) != (verr == nil) {
+					t.Fatalf("%s/%s: row path err=%v, view err=%v on the same payload", c.ID(), typ, err, verr)
+				}
+				if err == nil && !vecEqual(got, view) {
+					t.Fatalf("%s/%s: row path and view decode the same payload differently", c.ID(), typ)
+				}
+			}
+			v := genVector(rng, typ, n)
 			payload, err := c.Encode(v)
 			if err != nil || len(payload) == 0 {
 				continue
@@ -432,10 +487,15 @@ func TestDecodeNeverPanicsOnCorruption(t *testing.T) {
 				if rng.Intn(3) == 0 {
 					mut = mut[:rng.Intn(len(mut))]
 				}
-				got, err := c.Decode(mut, typ, 200)
-				if err == nil && got.Len() != 200 {
-					t.Fatalf("%s/%s: corrupt decode returned %d values without error", c.ID(), typ, got.Len())
-				}
+				check(mut)
+			}
+			for cut := 0; cut < len(payload); cut++ {
+				check(payload[:cut])
+			}
+			for bit := 0; bit < 8*min(len(payload), 256); bit++ {
+				mut := append([]byte(nil), payload...)
+				mut[bit/8] ^= 1 << (bit % 8)
+				check(mut)
 			}
 		}
 	}

@@ -1,10 +1,7 @@
 package encoding
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
-	"sort"
 
 	"github.com/shortcircuit-db/sc/internal/table"
 )
@@ -14,8 +11,9 @@ import (
 // domain: dictionary chunks hand out their entry table plus bit-packed
 // codes (values never materialize for rows a predicate rejects), and RLE
 // chunks hand out their runs (aggregates consume run lengths without
-// expanding them). The payload layouts are owned by the codecs in
-// codecs.go; these parsers must track them.
+// expanding them). The payload layouts are read by the codecs' own readers
+// in codecs.go (readDict, readRuns); a view is what such a reader returns,
+// kept instead of expanded.
 
 // DictView is a parsed dictionary chunk: the entry table in code order and
 // the bit-packed per-row codes.
@@ -28,8 +26,7 @@ type DictView struct {
 	packed []byte
 	rows   int
 
-	codes  []uint64 // lazily unpacked
-	sorted []int    // codes ordered by entry value, lazily built
+	codes []uint64 // lazily unpacked
 }
 
 // ParseDict parses a Dict chunk without materializing any row value.
@@ -37,58 +34,7 @@ func ParseDict(ch Chunk, t table.Type) (*DictView, error) {
 	if ch.Codec != Dict {
 		return nil, fmt.Errorf("%w: ParseDict on %s chunk", ErrUnsupported, ch.Codec)
 	}
-	payload := ch.Data
-	nEntries, k := binary.Uvarint(payload)
-	if k <= 0 {
-		return nil, fmt.Errorf("%w: bad dict size", ErrCorrupt)
-	}
-	off := k
-	if nEntries > uint64(ch.Rows) {
-		return nil, fmt.Errorf("%w: dict larger than column", ErrCorrupt)
-	}
-	if nEntries == 0 && ch.Rows > 0 {
-		return nil, fmt.Errorf("%w: empty dict for %d rows", ErrCorrupt, ch.Rows)
-	}
-	d := &DictView{Type: t, rows: ch.Rows}
-	switch t {
-	case table.Int:
-		d.Ints = make([]int64, 0, nEntries)
-		for e := uint64(0); e < nEntries; e++ {
-			x, k := binary.Varint(payload[off:])
-			if k <= 0 {
-				return nil, fmt.Errorf("%w: bad dict entry", ErrCorrupt)
-			}
-			off += k
-			d.Ints = append(d.Ints, x)
-		}
-	case table.Str:
-		d.Strs = make([]string, 0, nEntries)
-		for e := uint64(0); e < nEntries; e++ {
-			l, k := binary.Uvarint(payload[off:])
-			if k <= 0 {
-				return nil, fmt.Errorf("%w: bad dict entry length", ErrCorrupt)
-			}
-			off += k
-			if l > uint64(len(payload)-off) {
-				return nil, fmt.Errorf("%w: dict entry overruns payload", ErrCorrupt)
-			}
-			d.Strs = append(d.Strs, string(payload[off:off+int(l)]))
-			off += int(l)
-		}
-	default:
-		return nil, fmt.Errorf("%w: dict on %s", ErrUnsupported, t)
-	}
-	if off < len(payload) {
-		d.width = int(payload[off])
-		off++
-	} else if ch.Rows != 0 {
-		return nil, fmt.Errorf("%w: missing dict width", ErrCorrupt)
-	}
-	if d.width > 64 {
-		return nil, fmt.Errorf("%w: dict width %d", ErrCorrupt, d.width)
-	}
-	d.packed = payload[off:]
-	return d, nil
+	return readDict(ch.Data, t, ch.Rows)
 }
 
 // Card returns the number of dictionary entries.
@@ -128,26 +74,6 @@ func (d *DictView) Codes() ([]uint64, error) {
 	return codes, nil
 }
 
-// SortedCodes returns the codes ordered by their entry values (cached): the
-// sorted-dictionary code map that turns a range predicate into a binary
-// search plus a code-set membership test.
-func (d *DictView) SortedCodes() []int {
-	if d.sorted != nil {
-		return d.sorted
-	}
-	s := make([]int, d.Card())
-	for i := range s {
-		s[i] = i
-	}
-	if d.Type == table.Int {
-		sort.Slice(s, func(a, b int) bool { return d.Ints[s[a]] < d.Ints[s[b]] })
-	} else {
-		sort.Slice(s, func(a, b int) bool { return d.Strs[s[a]] < d.Strs[s[b]] })
-	}
-	d.sorted = s
-	return s
-}
-
 // Run is one run of an RLE chunk: Len consecutive rows with value Val.
 type Run struct {
 	Len int
@@ -159,50 +85,12 @@ func ParseRuns(ch Chunk, t table.Type) ([]Run, error) {
 	if ch.Codec != RLE {
 		return nil, fmt.Errorf("%w: ParseRuns on %s chunk", ErrUnsupported, ch.Codec)
 	}
-	payload := ch.Data
 	var runs []Run
-	count := 0
-	for off := 0; off < len(payload); {
-		runLen, k := binary.Uvarint(payload[off:])
-		if k <= 0 || runLen == 0 {
-			return nil, fmt.Errorf("%w: bad run length", ErrCorrupt)
-		}
-		off += k
-		if runLen > uint64(ch.Rows-count) {
-			return nil, fmt.Errorf("%w: run overruns rows", ErrCorrupt)
-		}
-		var v table.Value
-		switch t {
-		case table.Int:
-			x, k := binary.Varint(payload[off:])
-			if k <= 0 {
-				return nil, fmt.Errorf("%w: bad run value", ErrCorrupt)
-			}
-			off += k
-			v = table.IntValue(x)
-		case table.Float:
-			if len(payload)-off < 8 {
-				return nil, fmt.Errorf("%w: truncated float run", ErrCorrupt)
-			}
-			v = table.FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(payload[off:])))
-			off += 8
-		default:
-			l, k := binary.Uvarint(payload[off:])
-			if k <= 0 {
-				return nil, fmt.Errorf("%w: bad run string length", ErrCorrupt)
-			}
-			off += k
-			if l > uint64(len(payload)-off) {
-				return nil, fmt.Errorf("%w: run string overruns payload", ErrCorrupt)
-			}
-			v = table.StrValue(string(payload[off : off+int(l)]))
-			off += int(l)
-		}
-		runs = append(runs, Run{Len: int(runLen), Val: v})
-		count += int(runLen)
-	}
-	if count != ch.Rows {
-		return nil, fmt.Errorf("%w: %d values, want %d", ErrCorrupt, count, ch.Rows)
+	err := readRuns(ch.Data, t, ch.Rows, func(runLen int, v table.Value) {
+		runs = append(runs, Run{Len: runLen, Val: v})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return runs, nil
 }
@@ -241,42 +129,6 @@ func (c *Compressed) RowGroups() []int {
 		}
 	}
 	return groups
-}
-
-// HeadTable decodes the table's first n rows into a plain table: whole
-// leading chunks, then only the needed prefix of the chunk the n-th row
-// falls in — what a reader of a table's first rows has to pay. With n <= 0
-// or n >= NRows it is Table.
-func (c *Compressed) HeadTable(n int) (*table.Table, error) {
-	if n <= 0 || n >= c.NRows {
-		return c.Table()
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	t := table.New(c.Schema)
-	for ci, chunks := range c.Cols {
-		col := c.Schema.Cols[ci]
-		for need, i := n, 0; need > 0; i++ {
-			k := min(need, chunks[i].Rows)
-			part, err := decodeHead(chunks[i], col.Type, k)
-			if err != nil {
-				return nil, fmt.Errorf("encoding: column %q: %w", col.Name, err)
-			}
-			if i == 0 {
-				t.Cols[ci] = part
-			} else {
-				t.Cols[ci].Ints = append(t.Cols[ci].Ints, part.Ints...)
-				t.Cols[ci].Floats = append(t.Cols[ci].Floats, part.Floats...)
-				t.Cols[ci].Strs = append(t.Cols[ci].Strs, part.Strs...)
-			}
-			need -= k
-		}
-	}
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return t, nil
 }
 
 // decodeHead decodes the first k rows of a chunk, 0 < k <= ch.Rows, reading

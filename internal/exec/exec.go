@@ -10,6 +10,12 @@
 // events as it works, and can execute independent DAG nodes on a bounded
 // worker pool (Concurrency > 1) while the Memory Catalog keeps enforcing
 // the byte budget.
+//
+// Within a node, inputs resolve in one place (nodeInputs: the Memory
+// Catalog when the table is resident, else one Store.Read per storage
+// object, whichever of schema, chunk view or rows is asked for) and the
+// output takes its stored form in one place (storedForm: chunks or rows,
+// the same for the catalog entry and the storage object).
 package exec
 
 import (
@@ -248,6 +254,9 @@ func (c *Controller) Run(ctx context.Context, w *Workload, g *dag.Graph, plan *c
 	if len(plan.Order) != len(w.Nodes) {
 		return nil, fmt.Errorf("exec: plan has %d steps for %d nodes", len(plan.Order), len(w.Nodes))
 	}
+	if len(plan.Flagged) != len(w.Nodes) {
+		return nil, fmt.Errorf("exec: plan flags %d nodes of %d", len(plan.Flagged), len(w.Nodes))
+	}
 	if !g.IsTopological(plan.Order) {
 		return nil, fmt.Errorf("exec: plan order is not topological")
 	}
@@ -269,7 +278,7 @@ func (c *Controller) Run(ctx context.Context, w *Workload, g *dag.Graph, plan *c
 		w:       w,
 		g:       g,
 		pos:     core.Positions(plan.Order),
-		schemas: newSchemaCache(c.Mem),
+		schemas: &schemaCache{known: make(map[string]table.Schema)},
 		states:  make([]*flaggedState, n),
 	}
 
@@ -444,7 +453,7 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 	// Every storage-resident input goes through one handle: whichever of
 	// planning (schema), a kernel (chunk view) or the row engine (rows) asks
 	// first pays the node's only Store.Read of that object.
-	in := &nodeInputs{rs: rs, step: step, objs: make(map[string]*input), scans: make(map[string]int)}
+	in := &nodeInputs{rs: rs, node: spec.Name, step: step, objs: make(map[string]*input), scans: make(map[string]int)}
 
 	// Plan the statement against current schemas.
 	p0 := time.Now()
@@ -473,32 +482,13 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 	planRead := in.readTime
 	m.PlanTime = time.Since(p0) - planRead
 
-	// Execute with a resolver that tracks where inputs came from and
-	// honors cancellation between input reads.
+	// Execute with resolvers that honor cancellation between input reads;
+	// the node's input handles say where each input comes from.
 	ectx := &engine.Context{Resolve: func(name string) (*table.Table, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		defer in.timed(time.Now())
-		if c.Mem != nil {
-			d0 := time.Now()
-			if t, info, ok := c.Mem.GetTable(name); ok {
-				// A compressed entry was decoded in full for this read; a
-				// plain one did no decode work at all — report the reuse so
-				// the consuming span can link to the producing one.
-				if info.Decoded > 0 {
-					in.emitDecode(name, info.Decoded, info.Encoded, d0)
-				} else {
-					obs.Emit(c.Obs, obs.Event{
-						Kind: obs.CacheHit, Node: spec.Name, Source: name,
-						Step: step, Bytes: t.ByteSize(),
-					})
-				}
-				m.MemReads++
-				return t, nil
-			}
-			// Not resident (or undecodable): fall back to storage below.
-		}
 		return in.table(name)
 	}}
 	if c.Vectorized {
@@ -507,9 +497,7 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 		// deadlocks); output stays byte-identical to serial.
 		ectx.Sched = rs.sched
 		ectx.ParallelScan = c.ParallelScan
-		// Per-chunk lazy resolution for kernel scans: compressed catalog
-		// entries are served as-is (no decode), chunked storage files are
-		// parsed without decompressing any chunk. (nil, nil) sends the
+		// Per-chunk lazy resolution for kernel scans. (nil, nil) sends the
 		// kernel to its row-engine fallback, which resolves via Resolve
 		// above and surfaces any read error itself.
 		ectx.ResolveCompressed = func(name string) (*encoding.Compressed, error) {
@@ -517,19 +505,6 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 				return nil, err
 			}
 			defer in.timed(time.Now())
-			if c.Mem != nil {
-				if ct, _, ok := c.Mem.GetCompressed(name); ok {
-					m.MemReads++
-					obs.Emit(c.Obs, obs.Event{
-						Kind: obs.CacheHit, Node: spec.Name, Source: name,
-						Step: step, Bytes: ct.RawBytes,
-					})
-					return ct, nil
-				}
-				if _, ok := c.Mem.GetEntry(name); ok {
-					return nil, nil // plain resident entry: row path is cheaper
-				}
-			}
 			return in.chunks(name), nil
 		}
 	}
@@ -550,7 +525,7 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 	if err != nil {
 		return m, fmt.Errorf("exec: node %q: %w", spec.Name, err)
 	}
-	m.ReadTime, m.DiskReads = in.readTime, in.reads
+	m.ReadTime, m.DiskReads, m.MemReads = in.readTime, in.reads, in.memReads
 	m.ComputeTime = time.Since(t0) - (in.readTime - planRead)
 	if ct != nil {
 		m.OutputBytes = ct.RawBytes
@@ -588,25 +563,14 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 	if err := ctx.Err(); err != nil {
 		return m, err
 	}
-	var encoded []byte
 	e0 := time.Now()
-	switch {
-	case ct != nil:
-		encoded, err = colfmt.EncodeCompressed(ct)
-	case c.Encoding != nil:
-		ct, err = encoding.FromTable(out, *c.Encoding)
-		if err == nil {
-			encoded, err = colfmt.EncodeCompressed(ct)
-		}
-	default:
-		encoded, err = colfmt.Encode(out)
-	}
+	entry, encoded, err := c.storedForm(out, ct)
 	if err != nil {
 		return m, fmt.Errorf("exec: node %q: %w", spec.Name, err)
 	}
 	m.EncodeTime = time.Since(e0)
 	m.EncodedSize = int64(len(encoded))
-	if ct != nil {
+	if _, compressed := entry.(*encoding.Compressed); compressed {
 		// Ratio is computed from the same pair the event reports, so
 		// observers see consistent numbers (DecodeDone likewise reports
 		// the catalog-entry pair it quotes).
@@ -622,20 +586,12 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 	}
 
 	if m.Flagged {
-		var putErr error
-		if ct != nil {
-			putErr = c.Mem.PutEntry(spec.Name, ct)
-			m.CatalogBytes = ct.SizeBytes()
-		} else {
-			putErr = c.Mem.Put(spec.Name, out)
-			m.CatalogBytes = m.OutputBytes
-		}
-		if putErr != nil {
+		if err := c.Mem.PutEntry(spec.Name, entry); err != nil {
 			// Does not fit: fall back to the unflagged path.
 			m.Flagged = false
-			m.CatalogBytes = 0
 			rs.fallbacks.Add(1)
 		} else {
+			m.CatalogBytes = entry.SizeBytes()
 			rs.noteHighWater()
 		}
 	}
@@ -676,6 +632,24 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 		Flagged: m.Flagged,
 	})
 	return m, nil
+}
+
+// storedForm settles the one form a node's output is kept in — compressed
+// chunks when a kernel emitted them (ct) or encoding is on, rows otherwise —
+// and returns it as the Memory Catalog entry and serialized for storage.
+func (c *Controller) storedForm(out *table.Table, ct *encoding.Compressed) (memcat.Entry, []byte, error) {
+	if ct == nil && c.Encoding == nil {
+		data, err := colfmt.Encode(out)
+		return memcat.Plain(out), data, err
+	}
+	if ct == nil {
+		var err error
+		if ct, err = encoding.FromTable(out, *c.Encoding); err != nil {
+			return nil, nil, err
+		}
+	}
+	data, err := colfmt.EncodeCompressed(ct)
+	return ct, data, err
 }
 
 // release frees a flagged output when both §III-C conditions hold: all
@@ -798,18 +772,21 @@ func SaveTableChunked(st storage.Store, name string, t *table.Table, opts encodi
 	return st.Write(tableObject(name), data)
 }
 
-// nodeInputs is one executing node's view of external storage: one handle
-// per object, so the object is read once however many of its three forms
-// (schema, chunk view, rows) the node asks for and however often. Handles
-// are per node, never shared across nodes, which keeps the run's byte
-// counts exact at any concurrency. A node plans and executes on one
-// goroutine, so none of this needs locking.
+// nodeInputs is where one executing node's inputs resolve, in each of their
+// three forms (schema, chunk view, rows): from the Memory Catalog when the
+// table is resident there, else from external storage through one handle
+// per object, so the object is read once however many forms the node asks
+// for and however often. Handles are per node, never shared across nodes,
+// which keeps the run's byte counts exact at any concurrency. A node plans
+// and executes on one goroutine, so none of this needs locking.
 type nodeInputs struct {
 	rs       *runState
+	node     string // the executing node
 	step     int
 	objs     map[string]*input
 	scans    map[string]int // the plan's scans of each table not yet handed their rows
 	reads    int            // Store.Read calls that returned an object
+	memReads int            // rows or chunks served by the Memory Catalog
 	readTime time.Duration  // fetching and resolving inputs, planning included
 }
 
@@ -840,11 +817,25 @@ func (in *nodeInputs) fetch(name string) (*input, error) {
 }
 
 // TableSchema implements sql.Catalog for this node's plan: what the run
-// already knows, else the header of the object, whose bytes then also
-// serve the node's scan of it.
+// already knows, else what a resident catalog entry carries, else the
+// header of the object, whose bytes then also serve the node's scan of it.
 func (in *nodeInputs) TableSchema(name string) (table.Schema, error) {
 	if sch, ok := in.rs.schemas.lookup(name); ok {
 		return sch, nil
+	}
+	if mem := in.rs.c.Mem; mem != nil {
+		if e, ok := mem.GetEntry(name); ok {
+			// Compressed entries carry their schema; plain entries hand the
+			// table back as-is. Neither pays a decode here.
+			if ct, compressed := e.(*encoding.Compressed); compressed {
+				in.rs.schemas.learn(name, ct.Schema)
+				return ct.Schema, nil
+			}
+			if t, err := e.Table(); err == nil {
+				in.rs.schemas.learn(name, t.Schema)
+				return t.Schema, nil
+			}
+		}
 	}
 	defer in.timed(time.Now())
 	o, err := in.fetch(name)
@@ -858,11 +849,23 @@ func (in *nodeInputs) TableSchema(name string) (table.Schema, error) {
 	return sch, err
 }
 
-// chunks returns the object's chunk view without decompressing anything, or
-// nil when there is none to give — a read error, a v1 file, a corrupt one,
-// or rows already decoded — which sends a kernel to its row-engine
-// fallback; that resolves through table and surfaces any error itself.
+// chunks returns the table's chunk view without decompressing anything: a
+// compressed catalog entry as it is, else the storage object's. It returns
+// nil when there is none to give — a plain resident entry (the row path is
+// cheaper), a read error, a v1 file, a corrupt one, or rows already
+// decoded — which sends a kernel to its row-engine fallback; that resolves
+// through table and surfaces any error itself.
 func (in *nodeInputs) chunks(name string) *encoding.Compressed {
+	if mem := in.rs.c.Mem; mem != nil {
+		if ct, _, ok := mem.GetCompressed(name); ok {
+			in.memReads++
+			in.emitHit(name, ct.RawBytes)
+			return ct
+		}
+		if _, ok := mem.GetEntry(name); ok {
+			return nil
+		}
+	}
 	o, err := in.fetch(name)
 	if err != nil {
 		return nil
@@ -873,10 +876,27 @@ func (in *nodeInputs) chunks(name string) *encoding.Compressed {
 	return o.ct
 }
 
-// table returns the object fully decoded. The last of the plan's scans of it
-// lets go of the handle: from there the operators own the rows, so a join's
-// inputs can be collected while the rest of the plan still runs.
+// table returns the table's rows: from the Memory Catalog when resident
+// (and decodable), else the storage object fully decoded. The last of the
+// plan's scans of an object lets go of its handle: from there the operators
+// own the rows, so a join's inputs can be collected while the rest of the
+// plan still runs.
 func (in *nodeInputs) table(name string) (*table.Table, error) {
+	if mem := in.rs.c.Mem; mem != nil {
+		d0 := time.Now()
+		if t, info, ok := mem.GetTable(name); ok {
+			// A compressed entry was decoded in full for this read; a
+			// plain one did no decode work at all — report the reuse so
+			// the consuming span can link to the producing one.
+			if info.Decoded > 0 {
+				in.emitDecode(name, info.Decoded, info.Encoded, d0)
+			} else {
+				in.emitHit(name, t.ByteSize())
+			}
+			in.memReads++
+			return t, nil
+		}
+	}
 	o, err := in.fetch(name)
 	if err != nil {
 		return nil, err
@@ -906,6 +926,11 @@ func (in *nodeInputs) table(name string) (*table.Table, error) {
 	return o.tbl, nil
 }
 
+// emitHit reports an input served by the Memory Catalog with no decode.
+func (in *nodeInputs) emitHit(name string, bytes int64) {
+	obs.Emit(in.rs.c.Obs, obs.Event{Kind: obs.CacheHit, Node: in.node, Source: name, Step: in.step, Bytes: bytes})
+}
+
 // emitDecode reports a whole-table decode of a compressed input that began
 // at d0.
 func (in *nodeInputs) emitDecode(name string, decoded, encoded int64, d0 time.Time) {
@@ -920,18 +945,12 @@ func (in *nodeInputs) emitDecode(name string, decoded, encoded int64, d0 time.Ti
 	})
 }
 
-// schemaCache holds what the run itself knows about table schemas: those
-// of outputs produced so far, plus whatever is resident in the Memory
-// Catalog. It never touches storage — a node's own input handles do that
-// (see nodeInputs). It is safe for concurrent use by the worker pool.
+// schemaCache holds the table schemas the run has learned: those of outputs
+// produced so far and of inputs a node has looked up. It is safe for
+// concurrent use by the worker pool.
 type schemaCache struct {
-	mem   *memcat.Catalog
 	mu    sync.RWMutex
 	known map[string]table.Schema
-}
-
-func newSchemaCache(mem *memcat.Catalog) *schemaCache {
-	return &schemaCache{mem: mem, known: make(map[string]table.Schema)}
 }
 
 func (s *schemaCache) learn(name string, sch table.Schema) {
@@ -942,24 +961,7 @@ func (s *schemaCache) learn(name string, sch table.Schema) {
 
 func (s *schemaCache) lookup(name string) (table.Schema, bool) {
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	sch, ok := s.known[name]
-	s.mu.RUnlock()
-	if ok {
-		return sch, true
-	}
-	if s.mem != nil {
-		if e, ok := s.mem.GetEntry(name); ok {
-			// Compressed entries carry their schema; plain entries hand the
-			// table back as-is. Neither pays a decode here.
-			if ct, compressed := e.(*encoding.Compressed); compressed {
-				s.learn(name, ct.Schema)
-				return ct.Schema, true
-			}
-			if t, err := e.Table(); err == nil {
-				s.learn(name, t.Schema)
-				return t.Schema, true
-			}
-		}
-	}
-	return table.Schema{}, false
+	return sch, ok
 }

@@ -261,6 +261,67 @@ func TestOneReadPerInputOnEveryPath(t *testing.T) {
 	}
 }
 
+// TestCatalogResidentInputReadsNothing runs a single node whose input is
+// resident in the Memory Catalog and nowhere on storage: schema, chunk view
+// and rows all resolve from the catalog, whichever form the entry has.
+func TestCatalogResidentInputReadsNothing(t *testing.T) {
+	opts := encoding.Options{ChunkRows: 64}
+	for _, tc := range []struct {
+		name       string
+		compressed bool // the catalog entry holds chunks
+		vectorized bool
+		decodes    int // whole-entry decodes for a row-path reader
+	}{
+		{"plain entry, row path", false, false, 0},
+		{"plain entry, kernels fall back to its rows", false, true, 0},
+		{"compressed entry, row path", true, false, 1},
+		{"compressed entry, kernels", true, true, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := newCountingStore()
+			mem := memcat.New(1 << 20)
+			var entry memcat.Entry = memcat.Plain(keyedTable(t, 300))
+			if tc.compressed {
+				ct, err := encoding.FromTable(keyedTable(t, 300), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				entry = ct
+			}
+			if err := mem.PutEntry("t", entry); err != nil {
+				t.Fatal(err)
+			}
+			w := &exec.Workload{Nodes: []exec.NodeSpec{{Name: "out", SQL: "SELECT k, v FROM t WHERE grp = 'b'"}}}
+			g, _, err := w.BuildGraph()
+			if err != nil {
+				t.Fatal(err)
+			}
+			decodes := &eventCount{kind: obs.DecodeDone}
+			ctl := &exec.Controller{Store: st, Mem: mem, Obs: decodes, Vectorized: tc.vectorized}
+			if tc.vectorized {
+				ctl.Encoding = &opts
+			}
+			res, err := ctl.Run(context.Background(), w, g, core.NewPlan([]dag.NodeID{0}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if per, total := st.take(); total != 0 {
+				t.Fatalf("%d reads of a catalog-resident input: %v", total, per)
+			}
+			n := res.Nodes[0]
+			if n.DiskReads != 0 || n.MemReads != 1 || n.Rows != 100 {
+				t.Fatalf("DiskReads = %d, MemReads = %d, Rows = %d, want 0, 1, 100", n.DiskReads, n.MemReads, n.Rows)
+			}
+			if decodes.n != tc.decodes {
+				t.Fatalf("%d whole-entry decodes, want %d", decodes.n, tc.decodes)
+			}
+			if tc.vectorized && (n.LoweredOps == 0 || n.KernelFallbacks > 0 == tc.compressed) {
+				t.Fatalf("lowered %d ops, %d fallbacks over a compressed=%v entry", n.LoweredOps, n.KernelFallbacks, tc.compressed)
+			}
+		})
+	}
+}
+
 // TestMissingBaseTableError pins the error a node fails with when its base
 // table is not on storage, on both engine paths.
 func TestMissingBaseTableError(t *testing.T) {

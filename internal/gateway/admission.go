@@ -310,10 +310,3 @@ func dispatch(submitted *ticket, started, expired []*ticket) bool {
 	}
 	return admittedNow
 }
-
-// cancelQueued marks a queued ticket canceled; it is dropped at the next
-// pump. Safe to call for already-admitted tickets (no effect).
-func (a *admitter) cancelQueued(t *ticket) {
-	t.markCanceled()
-	a.reap()
-}

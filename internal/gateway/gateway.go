@@ -553,6 +553,7 @@ func (s *Server) Unregister(name string) error {
 		return fmt.Errorf("%w: pipeline %q", ErrNotFound, name)
 	}
 	delete(s.pipelines, name)
+	s.fin.Ledger.Forget(name)
 	return nil
 }
 
@@ -816,9 +817,17 @@ func (s *Server) execute(ctx context.Context, r *Run, plan *core.Plan) {
 	case runErr != nil:
 		state = StateFailed
 	}
+	r.p.mu.Lock()
+	r.p.lastRunID = r.id
+	r.p.runsTotal++
+	r.p.mu.Unlock()
+	exemplar := ""
+	if r.trace != nil {
+		exemplar = fmt.Sprintf("trace_id=%q", r.trace.Context().TraceID.String())
+	}
+	s.prom.refreshSeconds.observeExemplar(now.Sub(r.enqueuedAt).Seconds(), exemplar, r.p.tenant, r.p.Name)
+
 	r.mu.Lock()
-	r.state = state
-	r.finishedAt = now
 	r.cat = nil
 	r.cancelRun = nil
 	r.leftover = leftover
@@ -835,20 +844,19 @@ func (s *Server) execute(ctx context.Context, r *Run, plan *core.Plan) {
 			}
 		}
 	}
+	s.terminate(r, state, now)
+}
+
+// terminate is the one way a run ends. The caller holds r.mu, has checked
+// the state the run leaves and filled in what it produced; terminate
+// records the terminal state, releases r.mu, ends the run's observability
+// lifecycle, counts the refresh and retires the run.
+func (s *Server) terminate(r *Run, state string, now time.Time) {
+	r.state = state
+	r.finishedAt = now
 	r.mu.Unlock()
-
-	r.p.mu.Lock()
-	r.p.lastRunID = r.id
-	r.p.runsTotal++
-	r.p.mu.Unlock()
-
 	s.finishTrace(r, now, state)
 	s.prom.refreshes.add(1, r.p.tenant, r.p.Name, state)
-	exemplar := ""
-	if r.trace != nil {
-		exemplar = fmt.Sprintf("trace_id=%q", r.trace.Context().TraceID.String())
-	}
-	s.prom.refreshSeconds.observeExemplar(now.Sub(r.enqueuedAt).Seconds(), exemplar, r.p.tenant, r.p.Name)
 	s.retire(r)
 }
 
@@ -917,19 +925,13 @@ func (s *Server) PipelineHealth(name string) (ledger.Health, error) {
 
 // expireRun is the admitter's expire callback: the queue deadline passed.
 func (s *Server) expireRun(r *Run) {
-	now := s.cfg.Clock()
 	r.mu.Lock()
 	if r.state != StateQueued {
 		r.mu.Unlock()
 		return
 	}
-	r.state = StateExpired
-	r.finishedAt = now
-	r.mu.Unlock()
-	s.finishTrace(r, now, StateExpired)
 	s.prom.triggers.add(1, "expired")
-	s.prom.refreshes.add(1, r.p.tenant, r.p.Name, StateExpired)
-	s.retire(r)
+	s.terminate(r, StateExpired, s.cfg.Clock())
 }
 
 // cancelIfQueued finalizes a still-queued run as canceled. Returns whether
@@ -940,14 +942,8 @@ func (s *Server) cancelIfQueued(r *Run, tkt *ticket) bool {
 		r.mu.Unlock()
 		return false
 	}
-	now := s.cfg.Clock()
-	r.state = StateCanceled
-	r.finishedAt = now
-	r.mu.Unlock()
 	tkt.markCanceled()
-	s.finishTrace(r, now, StateCanceled)
-	s.prom.refreshes.add(1, r.p.tenant, r.p.Name, StateCanceled)
-	s.retire(r)
+	s.terminate(r, StateCanceled, s.cfg.Clock())
 	return true
 }
 

@@ -417,14 +417,25 @@ func TestUnregisterForgetsPipelineMemory(t *testing.T) {
 	if err := s.Register(PipelineSpec{Name: "p", MVs: pipelineRequest("", "").MVs, Tables: sales, Encoding: true, Vectorized: true}); err != nil {
 		t.Fatal(err)
 	}
-	refreshOK(t, s, "p")
-	old := refreshOK(t, s, "p") // verdict "healthy" is now remembered
+	for i := 0; i < 3; i++ {
+		refreshOK(t, s, "p")
+	}
+	old := refreshOK(t, s, "p") // verdict "healthy" and the ledger's baselines are now remembered
+	if old.PredictedSeconds == 0 {
+		t.Fatalf("fourth run was not planned on learned history: %+v (the test needs some to forget)", old)
+	}
 	oldTrace, err := s.RunTrace(old.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Unregister("p"); err != nil {
 		t.Fatal(err)
+	}
+	if b := s.fin.Ledger.Baselines("p"); len(b) != 0 {
+		t.Fatalf("unregistered pipeline keeps %d node baselines in the ledger", len(b))
+	}
+	if rows := s.RunHistory(ledger.Filter{Pipeline: "p"}); len(rows) != 0 {
+		t.Fatalf("unregistered pipeline keeps %d ledger rows", len(rows))
 	}
 
 	// Same name, different DAG: mv_daily again, and a node that fails at
@@ -441,8 +452,12 @@ func TestUnregisterForgetsPipelineMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 		<-r.Done()
-		if st := r.Status(); st.State != StateFailed {
+		st := r.Status()
+		if st.State != StateFailed {
 			t.Fatalf("run %d of the re-registered pipeline: %+v, want failed", i, st)
+		}
+		if i == 0 && (st.LearnedReserve || st.PredictedSeconds != 0) {
+			t.Errorf("first run of the re-registered pipeline was planned on the old pipeline's history: %+v", st)
 		}
 		tr, err := s.RunTrace(r.ID())
 		if err != nil {

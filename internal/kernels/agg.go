@@ -83,41 +83,30 @@ func (a *AggScan) Run(ctx *engine.Context) (*table.Table, error) {
 			return a.Orig.Run(ctx)
 		}
 	}
-	acc := a.Agg.NewAcc()
-	if acc.ExactMergeable() {
-		// Partition the group walk across borrowed tokens; per-partition
-		// accumulators merge in partition order. Aggregates with an
-		// output-relevant float sum skip this: their result depends on the
-		// exact addition order, so only the serial walk is byte-identical.
-		if pp := planPartitions(ctx, ct, groups); pp != nil {
-			out, err := a.runParallel(pp, ct, groups)
-			if err != nil {
-				return nil, fmt.Errorf("kernels: aggregate %s: %w", a.label(), err)
-			}
-			return out, nil
-		}
+	// Per-partition accumulators merge in partition order. Aggregates with
+	// an output-relevant float sum keep to one partition: their result
+	// depends on the exact addition order, so only the serial walk is
+	// byte-identical.
+	w := walk{ct: ct, groups: groups, pred: a.Pred, st: a.St}
+	if a.Agg.NewAcc().ExactMergeable() {
+		w.ctx = ctx
 	}
-	row := make([]table.Value, a.inSchema().NumCols())
-	for g, rows := range groups {
-		cc := newChunkCtx(ct, g, rows, a.St)
-		var sel *bitmap
-		if a.Pred != nil {
-			var err error
-			sel, err = a.Pred.eval(cc)
-			if err != nil {
-				return nil, fmt.Errorf("kernels: aggregate %s: %w", a.label(), err)
-			}
-			if sel.none() {
-				cc.finish()
-				continue
-			}
-		}
-		if err := a.addGroup(cc, acc, row, sel); err != nil {
-			return nil, err
-		}
-		cc.finish()
+	type partial struct {
+		acc *engine.AggAcc
+		row []table.Value
 	}
-	return acc.Result()
+	parts, err := walkGroups(w,
+		func() *partial {
+			return &partial{a.Agg.NewAcc(), make([]table.Value, a.inSchema().NumCols())}
+		},
+		func(p *partial, cc *chunkCtx, sel *bitmap) error { return a.addGroup(cc, p.acc, p.row, sel) })
+	if err != nil {
+		return nil, fmt.Errorf("kernels: aggregate %s: %w", a.label(), err)
+	}
+	for _, p := range parts[1:] {
+		parts[0].acc.Merge(p.acc)
+	}
+	return parts[0].acc.Result()
 }
 
 // accumulateTable folds a materialized input through the accumulator in
@@ -139,13 +128,11 @@ func (a *AggScan) accumulateTable(t *table.Table) (*table.Table, error) {
 
 // addGroup folds one row group into the accumulator.
 func (a *AggScan) addGroup(cc *chunkCtx, acc *engine.AggAcc, row []table.Value, sel *bitmap) error {
-	full := sel == nil || sel.all()
-
 	// No needed columns (e.g. global COUNT(*)): the whole group collapses
 	// to one AddRepeat without touching a single chunk.
 	if len(a.need) == 0 {
 		n := cc.rows
-		if !full {
+		if sel != nil {
 			n = sel.count()
 		}
 		return acc.AddRepeat(row, n)
@@ -154,7 +141,7 @@ func (a *AggScan) addGroup(cc *chunkCtx, acc *engine.AggAcc, row []table.Value, 
 	// Run-level fast path: every needed column run-length encoded and no
 	// partial selection — walk the runs in lockstep and fold each constant
 	// segment in one call, never expanding a run.
-	if full && a.allRLE(cc) {
+	if sel == nil && a.allRLE(cc) {
 		return a.addRuns(cc, acc, row)
 	}
 
@@ -162,12 +149,12 @@ func (a *AggScan) addGroup(cc *chunkCtx, acc *engine.AggAcc, row []table.Value, 
 	for k, c := range a.need {
 		r, err := cc.accessor(c)
 		if err != nil {
-			return fmt.Errorf("kernels: aggregate %s: %w", a.label(), err)
+			return err
 		}
 		readers[k] = r
 	}
 	for i := 0; i < cc.rows; i++ {
-		if !full && !sel.get(i) {
+		if sel != nil && !sel.get(i) {
 			continue
 		}
 		for k, c := range a.need {

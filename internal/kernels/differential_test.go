@@ -240,6 +240,73 @@ func TestDifferentialFilter(t *testing.T) {
 		got, gotErr := lowered.Run(vecCtx)
 		mustEqual(t, int64(seed), fmt.Sprintf("filter %v", pred), want, got, wantErr, gotErr)
 	}
+
+	// The directed dictionary-predicate table: every verdict is computed
+	// once per dictionary entry, in code space, and must match the row
+	// engine.
+	ct, preds := dictPredTable(t)
+	rowCtx := &engine.Context{Resolve: func(string) (*table.Table, error) { return ct.Table() }}
+	vecCtx := &engine.Context{
+		Resolve:           rowCtx.Resolve,
+		ResolveCompressed: func(string) (*encoding.Compressed, error) { return ct, nil },
+	}
+	for _, pred := range preds {
+		scan := func() *engine.Scan { return &engine.Scan{Name: "t", Sch: ct.Schema} }
+		want, wantErr := (&engine.Filter{Input: scan(), Pred: pred}).Run(rowCtx)
+		st := &Stats{}
+		got, gotErr := Lower(&engine.Filter{Input: scan(), Pred: pred}, st).Run(vecCtx)
+		mustEqual(t, 0, fmt.Sprintf("dictionary filter %v", pred), want, got, wantErr, gotErr)
+		if st.Lowered != 1 || st.Fallbacks != 0 || st.CodeFilteredRows != int64(ct.NRows) {
+			t.Fatalf("%v: not decided in code space: %+v", pred, *st)
+		}
+	}
+}
+
+// dictPredTable is the directed dictionary-predicate table: a two-column
+// table whose every chunk is dictionary-encoded with an unsorted entry
+// table that repeats an entry (and orders it differently per row group),
+// and every comparison operator plus IN against literals that are present,
+// absent between two entries, below the minimum and above the maximum.
+func dictPredTable(t *testing.T) (*encoding.Compressed, []engine.Expr) {
+	t.Helper()
+	sch := table.NewSchema(table.Column{Name: "i", Type: table.Int}, table.Column{Name: "s", Type: table.Str})
+	ct := &encoding.Compressed{Schema: sch, Cols: make([][]encoding.Chunk, 2)}
+	ints := [][]int64{{7, -2, 7, 40, 3}, {40, 3, -2, 3, 7}}
+	strs := [][]string{{"m", "b", "m", "x", "d"}, {"x", "d", "b", "d", "m"}}
+	for g := range ints {
+		codes := make([]uint64, 11)
+		for r := range codes {
+			codes[r] = uint64((r*3 + g) % 5)
+		}
+		ic, err := encoding.BuildDictChunk(table.Int, ints[g], nil, codes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scn, err := encoding.BuildDictChunk(table.Str, nil, strs[g], codes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct.Cols[0], ct.Cols[1] = append(ct.Cols[0], ic), append(ct.Cols[1], scn)
+		ct.NRows += len(codes)
+	}
+	lits := [][]table.Value{
+		{table.IntValue(7), table.IntValue(5), table.IntValue(-9), table.IntValue(100)},
+		{table.StrValue("m"), table.StrValue("c"), table.StrValue("a"), table.StrValue("z")},
+	}
+	var preds []engine.Expr
+	for col, ls := range lits {
+		cr := &engine.ColRef{Idx: col, Name: sch.Cols[col].Name}
+		for _, op := range []engine.BinOp{engine.OpEq, engine.OpNe, engine.OpLt, engine.OpLe, engine.OpGt, engine.OpGe} {
+			for _, l := range ls {
+				preds = append(preds, &engine.Bin{Op: op, L: cr, R: &engine.Lit{V: l}})
+			}
+		}
+		preds = append(preds,
+			&engine.InList{E: cr, List: []table.Value{ls[0], ls[1]}},
+			&engine.InList{E: cr, List: []table.Value{ls[2], ls[3]}},
+			&engine.InList{E: cr, List: []table.Value{ls[0], ls[0]}})
+	}
+	return ct, preds
 }
 
 func genAgg(rng *rand.Rand, tbl *table.Table, input engine.Node) (*engine.Aggregate, error) {
@@ -393,7 +460,7 @@ func TestFallbackIdentical(t *testing.T) {
 		lowered := Lower(build(), st)
 		got, gotErr := lowered.Run(rowCtx) // no ResolveCompressed: forced fallback
 		mustEqual(t, int64(seed), "fallback", want, got, wantErr, gotErr)
-		if _, isKernel := lowered.(*FilterScan); isKernel && wantErr == nil && st.Fallbacks == 0 {
+		if op, isKernel := lowered.(*ScanOp); isKernel && op.Cols == nil && wantErr == nil && st.Fallbacks == 0 {
 			t.Fatalf("seed %d: kernel did not record its fallback", seed)
 		}
 	}

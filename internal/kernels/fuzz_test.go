@@ -21,6 +21,36 @@ func FuzzPredTranslate(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 9, 9, 200, 3}, uint8(2), int64(2), false)
 	f.Add([]byte("hello world repeated strings"), uint8(4), int64(7), true)
 	f.Add([]byte{255, 0, 255, 0}, uint8(6), int64(0), false)
+	// Directed dictionary seeds: seven-row chunks of two alternating values,
+	// first-seen out of order, which the selector dictionary-encodes; every
+	// operator (6 is IN) against a literal that is present, absent between
+	// the entries, below the minimum and above the maximum. litSeed picks
+	// both the literal and the chunk size, so search for one that gives
+	// seven-row chunks.
+	dictSeeds := []struct {
+		data  []byte
+		asStr bool
+		lit   func(litSeed int64) bool // the literal litSeed yields is the wanted one
+	}{
+		{[]byte{13, 5, 13, 5, 13, 5, 13}, false, func(s int64) bool { return s%17-8 == 5 }},                 // present
+		{[]byte{13, 5, 13, 5, 13, 5, 13}, false, func(s int64) bool { return s%17-8 == 0 }},                 // between
+		{[]byte{13, 5, 13, 5, 13, 5, 13}, false, func(s int64) bool { return s%17-8 == -8 }},                // below min
+		{[]byte{13, 5, 13, 5, 13, 5, 13}, false, func(s int64) bool { return s%17-8 == 8 }},                 // above max
+		{[]byte("mmmbbbmmmbbbmmmbbbmmm"), true, func(s int64) bool { return s%3 == 0 }},                     // present
+		{[]byte("mmmbbbmmmbbbmmmbbbmmm"), true, func(s int64) bool { return s%3 != 0 && byte(s)%26 == 2 }},  // "c": between
+		{[]byte("mmmbbbmmmbbbmmmbbbmmm"), true, func(s int64) bool { return s%3 != 0 && byte(s)%26 == 0 }},  // "a": below min
+		{[]byte("mmmbbbmmmbbbmmmbbbmmm"), true, func(s int64) bool { return s%3 != 0 && byte(s)%26 == 25 }}, // "z": above max
+	}
+	for _, ds := range dictSeeds {
+		for litSeed := int64(0); litSeed < 1024; litSeed++ {
+			if uint8(litSeed)%7 == 6 && ds.lit(litSeed) {
+				for op := uint8(0); op < 7; op++ {
+					f.Add(ds.data, op, litSeed, ds.asStr)
+				}
+				break
+			}
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, opByte uint8, litSeed int64, asStr bool) {
 		// Build a column from the fuzz bytes.

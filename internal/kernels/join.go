@@ -92,8 +92,9 @@ func (j *HashJoinScan) String() string {
 		j.Left.label(), j.Right.label(), j.LeftKeys, j.RightKeys)
 }
 
-// joinGroup is the retained state of one processed row group: its chunk
-// context plus the mapping from selected-row ordinals back to local rows.
+// joinGroup is a build-side row group with at least one selected row: its
+// chunk context plus the mapping from selected-row ordinals back to local
+// rows.
 type joinGroup struct {
 	cc   *chunkCtx
 	base int     // ordinal of the group's first selected row
@@ -172,18 +173,32 @@ func (j *HashJoinScan) runInner(ctx *engine.Context, op *HashJoinScan) (*encodin
 
 // Run implements engine.Node.
 func (j *HashJoinScan) Run(ctx *engine.Context) (*table.Table, error) {
-	lct, rct, lgroups, rgroups, ok, err := j.resolveSides(ctx)
+	jd, err := j.join(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("kernels: join %s⋈%s: %w", j.Left.label(), j.Right.label(), err)
+		return nil, err
 	}
-	if !ok {
-		j.St.Fallbacks++
+	if jd == nil {
 		return j.Orig.Run(ctx)
 	}
-	out, err := j.runChunked(ctx, lct, lgroups, rct, rgroups)
-	if err != nil {
-		return nil, fmt.Errorf("kernels: join %s⋈%s: %w", j.Left.label(), j.Right.label(), err)
+	// Late-materialize only the surviving pairs, scattering every output
+	// column into its final position.
+	out := table.New(j.Sch)
+	for c, col := range j.Sch.Cols {
+		out.Cols[c] = sizedVector(col.Type, len(jd.right))
 	}
+	leftOut, rightOut := j.outLayout()
+	for _, oc := range leftOut {
+		if err := j.gatherLeft(out.Cols[oc.out], jd, oc.src); err != nil {
+			return nil, j.wrap(err)
+		}
+	}
+	byGroup := bucketByGroup(jd.right, jd.groups)
+	for _, oc := range rightOut {
+		if err := j.gatherRight(out.Cols[oc.out], jd, byGroup, oc.src); err != nil {
+			return nil, j.wrap(err)
+		}
+	}
+	jd.finish()
 	return out, nil
 }
 
@@ -194,94 +209,178 @@ func (j *HashJoinScan) Run(ctx *engine.Context) (*table.Table, error) {
 // row-engine table instead, never both; decoding the chunked output yields a
 // table byte-identical to what Run returns.
 func (j *HashJoinScan) RunChunked(ctx *engine.Context) (*encoding.Compressed, *table.Table, error) {
-	lct, rct, lgroups, rgroups, ok, err := j.resolveSides(ctx)
+	jd, err := j.join(ctx)
 	if err != nil {
-		return nil, nil, fmt.Errorf("kernels: join %s⋈%s: %w", j.Left.label(), j.Right.label(), err)
+		return nil, nil, err
 	}
-	if !ok {
-		j.St.Fallbacks++
+	if jd == nil {
 		t, err := j.Orig.Run(ctx)
 		return nil, t, err
 	}
-	ct, err := j.joinChunked(ctx, lct, lgroups, rct, rgroups)
-	if err != nil {
-		return nil, nil, fmt.Errorf("kernels: join %s⋈%s: %w", j.Left.label(), j.Right.label(), err)
+	// Output columns assemble through a chunkio.Builder — dictionary-encoded
+	// source columns as remapped codes, everything else as late-materialized
+	// values — in the row engine's exact output order (probe order, then
+	// build order).
+	b := j.Env.builderFor(j.Sch, j.ID)
+	leftOut, rightOut := j.outLayout()
+	for _, oc := range leftOut {
+		if err := j.assembleLeft(b, jd, oc); err != nil {
+			return nil, nil, j.wrap(err)
+		}
 	}
+	if err := j.assembleRight(b, jd, rightOut); err != nil {
+		return nil, nil, j.wrap(err)
+	}
+	jd.finish()
+	ct, err := b.Finish()
+	if err != nil {
+		return nil, nil, j.wrap(err)
+	}
+	j.St.addBuilder(b.Counters)
 	return ct, nil, nil
 }
 
-// buildState is the outcome of the build phase: the shared key space, the
-// hash table of build-row ordinals, and the retained build-side groups.
-type buildState struct {
-	kds     []*encoding.KeyDict
-	build   map[string][]int
-	groups  []*joinGroup
-	scratch []byte
-	total   int
+func (j *HashJoinScan) wrap(err error) error {
+	return fmt.Errorf("kernels: join %s⋈%s: %w", j.Left.label(), j.Right.label(), err)
+}
+
+// joined is what both output forms assemble from: the build table, the
+// surviving (left row, build row) pairs in output order, and the row-group
+// contexts of both sides, kept — with whatever they parsed or decoded —
+// until the survivors have been read.
+type joined struct {
+	kds    []*encoding.KeyDict // shared key space, one per key position
+	table  map[string][]int    // composite of shared key ids → build-row ordinals
+	groups []*joinGroup        // build-side groups with selected rows
+	left   []int64             // left (group << 32 | local row) per output row
+	right  []int               // build-row ordinal per output row
+
+	leftCCs, rightCCs []*chunkCtx
+}
+
+// finish settles the counters of every row group either side touched.
+func (jd *joined) finish() {
+	for _, cc := range jd.leftCCs {
+		cc.finish()
+	}
+	for _, cc := range jd.rightCCs {
+		cc.finish()
+	}
+}
+
+// join resolves both sides, hashes the build side and probes it. It returns
+// nil when the join must fall back to Orig.
+func (j *HashJoinScan) join(ctx *engine.Context) (*joined, error) {
+	lct, rct, lgroups, rgroups, ok, err := j.resolveSides(ctx)
+	if err != nil {
+		return nil, j.wrap(err)
+	}
+	if !ok {
+		j.St.Fallbacks++
+		return nil, nil
+	}
+	jd := &joined{
+		table:    make(map[string][]int),
+		leftCCs:  make([]*chunkCtx, len(lgroups)),
+		rightCCs: make([]*chunkCtx, len(rgroups)),
+	}
+	for _, rc := range j.RightKeys {
+		jd.kds = append(jd.kds, encoding.NewKeyDict(j.Right.Schema().Cols[rc].Type))
+	}
+	if err := j.buildPhase(jd, rct, rgroups); err != nil {
+		return nil, j.wrap(err)
+	}
+	if err := j.probePhase(ctx, jd, lct, lgroups); err != nil {
+		return nil, j.wrap(err)
+	}
+	return jd, nil
 }
 
 // buildPhase hashes every selected build-side row by its composite of
-// shared key ids. Build groups stay alive (with whatever they parsed or
-// decoded) until the surviving rows materialize.
-func (j *HashJoinScan) buildPhase(rct *encoding.Compressed, rgroups []int) (*buildState, error) {
-	nKeys := len(j.RightKeys)
-	bs := &buildState{
-		kds:     make([]*encoding.KeyDict, nKeys),
-		build:   make(map[string][]int),
-		scratch: make([]byte, 8*nKeys),
-	}
-	rsch := j.Right.Schema()
-	for p, rc := range j.RightKeys {
-		bs.kds[p] = encoding.NewKeyDict(rsch.Cols[rc].Type)
-	}
-	for g, rows := range rgroups {
-		cc := newChunkCtx(rct, g, rows, j.St)
-		jg := &joinGroup{cc: cc, base: bs.total}
-		var sel *bitmap
-		if j.Right.Pred != nil {
-			var err error
-			sel, err = j.Right.Pred.eval(cc)
+// shared key ids, on the caller's token alone: the hash table and the key
+// dictionaries are single-writer state.
+func (j *HashJoinScan) buildPhase(jd *joined, rct *encoding.Compressed, rgroups []int) error {
+	total := 0
+	scratch := make([]byte, 8*len(j.RightKeys))
+	_, err := walkGroups(walk{ct: rct, groups: rgroups, pred: j.Right.Pred, st: j.St, keep: jd.rightCCs},
+		func() *joined { return jd }, // one partition, building jd itself
+		func(jd *joined, cc *chunkCtx, sel *bitmap) error {
+			ids, err := keyReaders(cc, j.RightKeys, jd.kds, true)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if sel.none() {
-				cc.finish()
-				bs.groups = append(bs.groups, jg)
-				continue
-			}
-			if !sel.all() {
+			jg := &joinGroup{cc: cc, base: total}
+			if sel != nil {
 				jg.sel = make([]int32, 0, sel.count())
-			} else {
-				sel = nil
 			}
-		}
-		ids := make([]func(int) int, nKeys)
-		for p, rc := range j.RightKeys {
-			fn, err := keyReader(cc, rc, bs.kds[p], true)
-			if err != nil {
-				return nil, err
+			for i := 0; i < cc.rows; i++ {
+				if sel != nil && !sel.get(i) {
+					continue
+				}
+				for p := range ids {
+					binary.LittleEndian.PutUint64(scratch[8*p:], uint64(ids[p](i)))
+				}
+				jd.table[string(scratch)] = append(jd.table[string(scratch)], total)
+				if sel != nil {
+					jg.sel = append(jg.sel, int32(i))
+				}
+				total++
 			}
-			ids[p] = fn
-		}
-		for i := 0; i < rows; i++ {
-			if sel != nil && !sel.get(i) {
-				continue
-			}
-			for p := range ids {
-				binary.LittleEndian.PutUint64(bs.scratch[8*p:], uint64(ids[p](i)))
-			}
-			matches := bs.build[string(bs.scratch)]
-			bs.build[string(bs.scratch)] = append(matches, bs.total)
-			if jg.sel != nil {
-				jg.sel = append(jg.sel, int32(i))
-			}
-			bs.total++
-			jg.n++
-		}
-		bs.groups = append(bs.groups, jg)
+			jg.n = total - jg.base
+			jd.groups = append(jd.groups, jg)
+			return nil
+		})
+	j.St.JoinBuildRows += int64(total)
+	return err
+}
+
+// probePhase translates each left chunk's codes against the build-side keys
+// and records the surviving pairs, touching only key columns. The build
+// table and shared key dictionaries are read-only by now, so the probe
+// partitions across borrowed tokens; the pair lists concatenate in
+// partition order, which is the serial probe order.
+func (j *HashJoinScan) probePhase(ctx *engine.Context, jd *joined, lct *encoding.Compressed, lgroups []int) error {
+	type pairs struct {
+		left    []int64
+		right   []int
+		scratch []byte
 	}
-	j.St.JoinBuildRows += int64(bs.total)
-	return bs, nil
+	parts, err := walkGroups(walk{ctx: ctx, ct: lct, groups: lgroups, pred: j.Left.Pred, st: j.St, keep: jd.leftCCs},
+		func() *pairs { return &pairs{scratch: make([]byte, 8*len(j.LeftKeys))} },
+		func(p *pairs, cc *chunkCtx, sel *bitmap) error {
+			ids, err := keyReaders(cc, j.LeftKeys, jd.kds, false)
+			if err != nil {
+				return err
+			}
+		rowLoop:
+			for i := 0; i < cc.rows; i++ {
+				if sel != nil && !sel.get(i) {
+					continue
+				}
+				cc.st.JoinProbeRows++
+				for k := range ids {
+					id := ids[k](i)
+					if id < 0 {
+						continue rowLoop // key exists only on the probe side
+					}
+					binary.LittleEndian.PutUint64(p.scratch[8*k:], uint64(id))
+				}
+				for _, r := range jd.table[string(p.scratch)] {
+					p.left = append(p.left, int64(cc.group)<<32|int64(i))
+					p.right = append(p.right, r)
+				}
+			}
+			return nil
+		})
+	if err != nil {
+		return err
+	}
+	jd.left, jd.right = parts[0].left, parts[0].right
+	for _, p := range parts[1:] {
+		jd.left = append(jd.left, p.left...)
+		jd.right = append(jd.right, p.right...)
+	}
+	return nil
 }
 
 // outLayout wires each output column to a joined column, either the join's
@@ -306,188 +405,58 @@ func (j *HashJoinScan) outLayout() (leftOut, rightOut []outCol) {
 	return leftOut, rightOut
 }
 
-func (j *HashJoinScan) runChunked(ctx *engine.Context, lct *encoding.Compressed, lgroups []int, rct *encoding.Compressed, rgroups []int) (*table.Table, error) {
-	bp, err := j.buildPhase(rct, rgroups)
-	if err != nil {
-		return nil, err
+// sizedVector returns a vector of n zero values for scattered writes.
+func sizedVector(t table.Type, n int) *table.Vector {
+	v := &table.Vector{Type: t}
+	switch t {
+	case table.Int:
+		v.Ints = make([]int64, n)
+	case table.Float:
+		v.Floats = make([]float64, n)
+	default:
+		v.Strs = make([]string, n)
 	}
-	leftOut, rightOut := j.outLayout()
-
-	// Probe phase: translate each left chunk's codes against the build-side
-	// keys and emit surviving pairs. The build table and shared key
-	// dictionaries are read-only from here, so probe partitions across
-	// borrowed tokens — each with its own output table, ordinal list,
-	// scratch and Stats — and the partials concatenate in partition order,
-	// which is the serial probe order.
-	out := table.New(j.Sch)
-	var rightIdx []int // build-side ordinals per output row
-	if pp := planPartitions(ctx, lct, lgroups); pp != nil {
-		outs := make([]*table.Table, len(pp.parts))
-		idxs := make([][]int, len(pp.parts))
-		sts := make([]Stats, len(pp.parts))
-		err := pp.run(func(p, lo, hi int) error {
-			pout := table.New(j.Sch)
-			ri, err := j.probeMat(lct, lgroups, lo, hi, bp, leftOut, &sts[p], pout)
-			outs[p], idxs[p] = pout, ri
-			return err
-		})
-		pp.done()
-		foldStats(j.St, sts)
-		if err != nil {
-			return nil, err
-		}
-		for p := range outs {
-			appendTable(out, outs[p])
-			rightIdx = append(rightIdx, idxs[p]...)
-		}
-	} else {
-		if rightIdx, err = j.probeMat(lct, lgroups, 0, len(lgroups), bp, leftOut, j.St, out); err != nil {
-			return nil, err
-		}
-	}
-
-	if err := j.gatherRight(out, rightOut, rightIdx, bp.groups); err != nil {
-		return nil, err
-	}
-	for _, jg := range bp.groups {
-		if jg.n > 0 { // empty-selection groups finished during the build
-			jg.cc.finish()
-		}
-	}
-	return out, nil
+	return v
 }
 
-// probeMat probes the left row groups in [lo, hi) against the build table,
-// appending surviving pairs' left values to out (probe order: pairs for
-// one group are contiguous and their left rows non-decreasing, so appends
-// stay in output order and RLE cursors never rewind) and their build-side
-// ordinals to the returned list. st receives the range's counters; it must
-// be thread-local when ranges run concurrently.
-func (j *HashJoinScan) probeMat(lct *encoding.Compressed, lgroups []int, lo, hi int, bp *buildState, leftOut []outCol, st *Stats, out *table.Table) ([]int, error) {
-	nKeys := len(j.LeftKeys)
-	scratch := make([]byte, 8*nKeys)
-	var rightIdx []int
-	probed := 0
-	for g := lo; g < hi; g++ {
-		rows := lgroups[g]
-		cc := newChunkCtx(lct, g, rows, st)
-		var sel *bitmap
-		if j.Left.Pred != nil {
+// gatherLeft scatters one probe-side column of the surviving pairs into
+// dst. Pairs are in probe order — contiguous per group with non-decreasing
+// local rows — so each group's chunk is read once and RLE cursors never
+// rewind.
+func (j *HashJoinScan) gatherLeft(dst *table.Vector, jd *joined, src int) error {
+	curG := -1
+	var read func(int) table.Value
+	var counted bool
+	for pos, p := range jd.left {
+		g, i := int(p>>32), int(p&0xffffffff)
+		if g != curG {
+			curG = g
 			var err error
-			sel, err = j.Left.Pred.eval(cc)
-			if err != nil {
-				return nil, err
-			}
-			if sel.none() {
-				cc.finish()
-				continue
-			}
-			if sel.all() {
-				sel = nil
+			if read, counted, err = jd.leftCCs[g].reader(src); err != nil {
+				return err
 			}
 		}
-		ids := make([]func(int) int, nKeys)
-		for p, lc := range j.LeftKeys {
-			fn, err := keyReader(cc, lc, bp.kds[p], false)
-			if err != nil {
-				return nil, err
-			}
-			ids[p] = fn
-		}
-		// Column readers are built only when the group's first match
-		// arrives: a group whose keys all miss never touches its
-		// non-key chunks.
-		var readers []func(int) table.Value
-		var counted []bool
-	rowLoop:
-		for i := 0; i < rows; i++ {
-			if sel != nil && !sel.get(i) {
-				continue
-			}
-			probed++
-			for p := range ids {
-				id := ids[p](i)
-				if id < 0 {
-					continue rowLoop // key exists only on the probe side
-				}
-				binary.LittleEndian.PutUint64(scratch[8*p:], uint64(id))
-			}
-			matches := bp.build[string(scratch)]
-			if len(matches) == 0 {
-				continue
-			}
-			if readers == nil {
-				readers = make([]func(int) table.Value, len(leftOut))
-				counted = make([]bool, len(leftOut))
-				for k, oc := range leftOut {
-					fn, cnt, err := cc.reader(oc.src)
-					if err != nil {
-						return nil, err
-					}
-					readers[k], counted[k] = fn, cnt
-				}
-			}
-			for _, r := range matches {
-				for k, oc := range leftOut {
-					v := readers[k](i)
-					dst := out.Cols[oc.out]
-					if counted[k] {
-						switch dst.Type {
-						case table.Int:
-							dst.Ints = append(dst.Ints, v.I)
-						case table.Float:
-							dst.Floats = append(dst.Floats, v.F)
-						default:
-							dst.Strs = append(dst.Strs, v.S)
-						}
-					} else {
-						appendValue(st, dst, v)
-					}
-				}
-				rightIdx = append(rightIdx, r)
-			}
-		}
-		cc.finish()
+		setValue(j.St, dst, pos, read(i), counted)
 	}
-	st.JoinProbeRows += int64(probed)
-	return rightIdx, nil
+	return nil
 }
 
-// gatherRight scatters the build-side rows of the surviving pairs into the
-// projected right output columns. Output positions are bucketed per right
-// row group and visited in local-row order, so each group's chunks are read
-// once, monotonically, decoding only what the survivors demand.
-func (j *HashJoinScan) gatherRight(out *table.Table, rightOut []outCol, rightIdx []int, groups []*joinGroup) error {
-	nPairs := len(rightIdx)
-	for _, oc := range rightOut {
-		dst := out.Cols[oc.out]
-		switch dst.Type {
-		case table.Int:
-			dst.Ints = make([]int64, nPairs)
-		case table.Float:
-			dst.Floats = make([]float64, nPairs)
-		default:
-			dst.Strs = make([]string, nPairs)
-		}
-	}
-	if nPairs == 0 {
-		return nil
-	}
-	byGroup := bucketByGroup(rightIdx, groups)
+// gatherRight scatters one build-side column of the surviving pairs into
+// dst. Output positions come bucketed per right row group in local-row
+// order (bucketByGroup), so each group's chunk is read once, monotonically,
+// decoding only what the survivors demand.
+func (j *HashJoinScan) gatherRight(dst *table.Vector, jd *joined, byGroup [][]int, src int) error {
 	for g, positions := range byGroup {
 		if len(positions) == 0 {
 			continue
 		}
-		jg := groups[g]
-		for _, oc := range rightOut {
-			fn, counted, err := jg.cc.reader(oc.src)
-			if err != nil {
-				return err
-			}
-			dst := out.Cols[oc.out]
-			for _, pos := range positions {
-				setValue(j.St, dst, pos, fn(jg.localRow(rightIdx[pos])), counted)
-			}
+		jg := jd.groups[g]
+		read, counted, err := jg.cc.reader(src)
+		if err != nil {
+			return err
+		}
+		for _, pos := range positions {
+			setValue(j.St, dst, pos, read(jg.localRow(jd.right[pos])), counted)
 		}
 	}
 	return nil
@@ -516,148 +485,20 @@ func bucketByGroup(rightIdx []int, groups []*joinGroup) [][]int {
 	return byGroup
 }
 
-// joinChunked runs the join emitting compressed chunks: the probe records
-// surviving (left group/row, build ordinal) pairs, and output columns then
-// assemble through a chunkio.Builder — dictionary-encoded source columns as
-// remapped codes, everything else as late-materialized values — in the row
-// engine's exact output order (probe order, then build order).
-func (j *HashJoinScan) joinChunked(ctx *engine.Context, lct *encoding.Compressed, lgroups []int, rct *encoding.Compressed, rgroups []int) (*encoding.Compressed, error) {
-	bp, err := j.buildPhase(rct, rgroups)
-	if err != nil {
-		return nil, err
-	}
-	leftOut, rightOut := j.outLayout()
-
-	// Probe phase: record pairs, touching only key columns. Left groups stay
-	// alive until the assembly phase reads the survivors. The pair lists
-	// partition across borrowed tokens (thread-local lists concatenated in
-	// partition order = serial probe order); the builder assembly below is
-	// serial, single-threaded state.
-	leftGroups := make([]*joinGroup, len(lgroups))
-	var pairLeft []int64 // left (group << 32 | local row) per output row
-	var pairRight []int  // build-side ordinal per output row
-	if pp := planPartitions(ctx, lct, lgroups); pp != nil {
-		lefts := make([][]int64, len(pp.parts))
-		rights := make([][]int, len(pp.parts))
-		sts := make([]Stats, len(pp.parts))
-		err := pp.run(func(p, lo, hi int) error {
-			var err error
-			lefts[p], rights[p], err = j.probePairs(lct, lgroups, lo, hi, bp, &sts[p], leftGroups)
-			return err
-		})
-		pp.done()
-		foldStats(j.St, sts)
-		if err != nil {
-			return nil, err
-		}
-		for p := range lefts {
-			pairLeft = append(pairLeft, lefts[p]...)
-			pairRight = append(pairRight, rights[p]...)
-		}
-	} else {
-		if pairLeft, pairRight, err = j.probePairs(lct, lgroups, 0, len(lgroups), bp, j.St, leftGroups); err != nil {
-			return nil, err
-		}
-	}
-
-	b := j.Env.builderFor(j.Sch, j.ID)
-	for _, oc := range leftOut {
-		if err := j.assembleLeft(b, leftGroups, pairLeft, oc); err != nil {
-			return nil, err
-		}
-	}
-	if err := j.assembleRight(b, bp.groups, pairRight, rightOut); err != nil {
-		return nil, err
-	}
-	for _, jg := range leftGroups {
-		jg.cc.finish()
-	}
-	for _, jg := range bp.groups {
-		if jg.n > 0 {
-			jg.cc.finish()
-		}
-	}
-	ct, err := b.Finish()
-	if err != nil {
-		return nil, err
-	}
-	j.St.addBuilder(b.Counters)
-	return ct, nil
-}
-
-// probePairs probes the left row groups in [lo, hi), recording surviving
-// (left group/row, build ordinal) pairs without touching non-key columns.
-// It fills the [lo, hi) slots of leftGroups — disjoint across concurrent
-// ranges — and st must be thread-local when ranges run concurrently.
-func (j *HashJoinScan) probePairs(lct *encoding.Compressed, lgroups []int, lo, hi int, bp *buildState, st *Stats, leftGroups []*joinGroup) ([]int64, []int, error) {
-	nKeys := len(j.LeftKeys)
-	scratch := make([]byte, 8*nKeys)
-	var pairLeft []int64
-	var pairRight []int
-	probed := 0
-	for g := lo; g < hi; g++ {
-		rows := lgroups[g]
-		cc := newChunkCtx(lct, g, rows, st)
-		leftGroups[g] = &joinGroup{cc: cc}
-		var sel *bitmap
-		if j.Left.Pred != nil {
-			var err error
-			sel, err = j.Left.Pred.eval(cc)
-			if err != nil {
-				return nil, nil, err
-			}
-			if sel.none() {
-				continue
-			}
-			if sel.all() {
-				sel = nil
-			}
-		}
-		ids := make([]func(int) int, nKeys)
-		for p, lc := range j.LeftKeys {
-			fn, err := keyReader(cc, lc, bp.kds[p], false)
-			if err != nil {
-				return nil, nil, err
-			}
-			ids[p] = fn
-		}
-	rowLoop:
-		for i := 0; i < rows; i++ {
-			if sel != nil && !sel.get(i) {
-				continue
-			}
-			probed++
-			for p := range ids {
-				id := ids[p](i)
-				if id < 0 {
-					continue rowLoop
-				}
-				binary.LittleEndian.PutUint64(scratch[8*p:], uint64(id))
-			}
-			for _, r := range bp.build[string(scratch)] {
-				pairLeft = append(pairLeft, int64(g)<<32|int64(i))
-				pairRight = append(pairRight, r)
-			}
-		}
-	}
-	st.JoinProbeRows += int64(probed)
-	return pairLeft, pairRight, nil
-}
-
 // assembleLeft streams one probe-side output column into the builder. Pairs
 // are in probe order — contiguous per group with non-decreasing local rows
 // — so each group's chunk is remapped (or its reader advanced) once.
-func (j *HashJoinScan) assembleLeft(b *chunkio.Builder, groups []*joinGroup, pairLeft []int64, oc outCol) error {
+func (j *HashJoinScan) assembleLeft(b *chunkio.Builder, jd *joined, oc outCol) error {
 	curG := -1
 	var codes []uint64
 	var ids []int32
 	var read func(int) table.Value
 	var counted bool
-	for _, p := range pairLeft {
+	for _, p := range jd.left {
 		g, i := int(p>>32), int(p&0xffffffff)
 		if g != curG {
 			curG = g
-			cc := groups[g].cc
+			cc := jd.leftCCs[g]
 			codes, ids, read, counted = nil, nil, nil, false
 			cs, err := cc.parse(oc.src)
 			if err != nil {
@@ -695,12 +536,12 @@ func (j *HashJoinScan) assembleLeft(b *chunkio.Builder, groups []*joinGroup, pai
 // output order. A column whose every contributing chunk is dictionary-
 // encoded travels as remapped codes; otherwise values scatter into a
 // pre-sized vector exactly like the materializing gather.
-func (j *HashJoinScan) assembleRight(b *chunkio.Builder, groups []*joinGroup, rightIdx []int, rightOut []outCol) error {
-	nPairs := len(rightIdx)
+func (j *HashJoinScan) assembleRight(b *chunkio.Builder, jd *joined, rightOut []outCol) error {
+	nPairs := len(jd.right)
 	if nPairs == 0 {
 		return nil
 	}
-	byGroup := bucketByGroup(rightIdx, groups)
+	byGroup := bucketByGroup(jd.right, jd.groups)
 	for _, oc := range rightOut {
 		codes := make([]int32, nPairs)
 		inCode := true
@@ -708,7 +549,7 @@ func (j *HashJoinScan) assembleRight(b *chunkio.Builder, groups []*joinGroup, ri
 			if len(positions) == 0 {
 				continue
 			}
-			jg := groups[g]
+			jg := jd.groups[g]
 			cs, err := jg.cc.parse(oc.src)
 			if err != nil {
 				return err
@@ -727,7 +568,7 @@ func (j *HashJoinScan) assembleRight(b *chunkio.Builder, groups []*joinGroup, ri
 				return err
 			}
 			for _, pos := range positions {
-				codes[pos] = ids[cods[jg.localRow(rightIdx[pos])]]
+				codes[pos] = ids[cods[jg.localRow(jd.right[pos])]]
 			}
 		}
 		if inCode {
@@ -736,34 +577,28 @@ func (j *HashJoinScan) assembleRight(b *chunkio.Builder, groups []*joinGroup, ri
 			}
 			continue
 		}
-		typ := j.Sch.Cols[oc.out].Type
-		dst := &table.Vector{Type: typ}
-		switch typ {
-		case table.Int:
-			dst.Ints = make([]int64, nPairs)
-		case table.Float:
-			dst.Floats = make([]float64, nPairs)
-		default:
-			dst.Strs = make([]string, nPairs)
-		}
-		for g, positions := range byGroup {
-			if len(positions) == 0 {
-				continue
-			}
-			jg := groups[g]
-			fn, counted, err := jg.cc.reader(oc.src)
-			if err != nil {
-				return err
-			}
-			for _, pos := range positions {
-				setValue(j.St, dst, pos, fn(jg.localRow(rightIdx[pos])), counted)
-			}
+		dst := sizedVector(j.Sch.Cols[oc.out].Type, nPairs)
+		if err := j.gatherRight(dst, jd, byGroup, oc.src); err != nil {
+			return err
 		}
 		if err := b.AppendVector(oc.out, dst, nil); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// keyReaders returns keyReader for each key column of a row group.
+func keyReaders(cc *chunkCtx, cols []int, kds []*encoding.KeyDict, add bool) ([]func(int) int, error) {
+	ids := make([]func(int) int, len(cols))
+	for p, col := range cols {
+		fn, err := keyReader(cc, col, kds[p], add)
+		if err != nil {
+			return nil, err
+		}
+		ids[p] = fn
+	}
+	return ids, nil
 }
 
 // keyReader returns a per-row shared-key-id lookup for one key column of a

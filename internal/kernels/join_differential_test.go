@@ -241,7 +241,7 @@ func TestDifferentialProject(t *testing.T) {
 		want, wantErr := plain.Run(rowCtx)
 		st := &Stats{}
 		lowered := Lower(loweredSrc, st)
-		if _, ok := lowered.(*ProjectScan); ok {
+		if op, ok := lowered.(*ScanOp); ok && op.Cols != nil {
 			passthroughs++
 		}
 		got, gotErr := lowered.Run(vecCtx)
@@ -460,10 +460,10 @@ func TestStackedFilterPushdownThroughDissolvedFilter(t *testing.T) {
 	if !ok {
 		t.Fatalf("lowered root is %T, want the bare row HashJoin (both filters pushed down)", lowered)
 	}
-	if _, ok := hj.Left.(*FilterScan); !ok {
+	if op, ok := hj.Left.(*ScanOp); !ok || op.Pred == nil || op.Cols != nil {
 		t.Fatalf("outer filter was not pushed into the left side: %s", hj.Left)
 	}
-	if _, ok := hj.Right.(*FilterScan); !ok {
+	if op, ok := hj.Right.(*ScanOp); !ok || op.Pred == nil || op.Cols != nil {
 		t.Fatalf("inner filter was not pushed into the right side: %s", hj.Right)
 	}
 	opts := map[string]encoding.Options{"L": {ChunkRows: 16}, "R": {ChunkRows: 16}}

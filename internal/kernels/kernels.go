@@ -7,8 +7,8 @@
 // (one chunk per column) and keep data encoded as long as possible:
 //
 //   - equality, IN and range predicates on dictionary chunks compare
-//     bit-packed codes — ranges go through the sorted-dictionary code map,
-//     so a predicate touches the entry table once and then only codes;
+//     bit-packed codes — the predicate is tested once per dictionary entry
+//     and then only codes are read;
 //   - predicates on run-length chunks are decided once per run;
 //   - COUNT/SUM/GROUP BY consume RLE runs without expanding them, through
 //     the row engine's own AggAcc accumulator so results stay
@@ -23,6 +23,11 @@
 // internal/chunkio): that is how a join probes another join's output, how
 // an aggregate consumes one, and how a join root's output reaches the
 // Memory Catalog and storage, without the rows ever materializing.
+//
+// There is one scan-shaped operator (ScanOp: optional predicate, optional
+// column list) and one loop over row groups (walkGroups in parallel.go):
+// ScanOp, AggScan and both phases of the join hand it a per-group body and
+// merge the per-partition results it returns.
 //
 // Lower rewrites supported Filter/Aggregate subtrees of an engine plan
 // onto kernel operators. Every kernel operator keeps its original
@@ -346,64 +351,21 @@ func (cc *chunkCtx) finish() {
 	}
 }
 
-// materialize appends the selected rows of every column to out, decoding
-// only what the selection and each chunk's encoding demand.
-func (cc *chunkCtx) materialize(out *table.Table, sel *bitmap) error {
-	if sel.none() {
-		return nil
-	}
-	for ci := range cc.cols {
-		if err := cc.materializeCol(out.Cols[ci], ci, sel); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// materializeCol appends the selected rows of one column to dst. A nil
-// selection means every row. The Project-passthrough kernel uses it to
-// materialize only the projected columns, in output order.
+// materializeCol appends the selected rows of one column to dst, decoding
+// only what the selection and the chunk's encoding demand. A nil selection
+// means every row.
 func (cc *chunkCtx) materializeCol(dst *table.Vector, ci int, sel *bitmap) error {
-	full := sel == nil || sel.all()
-	cs, err := cc.parse(ci)
+	read, counted, err := cc.reader(ci)
 	if err != nil {
 		return err
 	}
-	switch {
-	case cs.vec != nil:
-		if full {
-			appendAll(dst, cs.vec)
-		} else {
-			appendSelected(cc.st, dst, cs.vec, sel)
-		}
-	case cs.dict != nil:
-		codes, _ := cs.dict.Codes()
-		for i := 0; i < cc.rows; i++ {
-			if !full && !sel.get(i) {
-				continue
-			}
-			appendValue(cc.st, dst, cs.dict.Value(int(codes[i])))
-		}
-	case cs.runs != nil:
-		pos := 0
-		for _, r := range cs.runs {
-			for i := pos; i < pos+r.Len; i++ {
-				if !full && !sel.get(i) {
-					continue
-				}
-				appendValue(cc.st, dst, r.Val)
-			}
-			pos += r.Len
-		}
-	default:
-		vec, err := cc.vector(ci)
-		if err != nil {
-			return err
-		}
-		if full {
-			appendAll(dst, vec)
-		} else {
-			appendSelected(cc.st, dst, vec, sel)
+	if sel == nil && counted {
+		appendAll(dst, cc.cols[ci].vec)
+		return nil
+	}
+	for i := 0; i < cc.rows; i++ {
+		if sel == nil || sel.get(i) {
+			appendValue(cc.st, dst, read(i), counted)
 		}
 	}
 	return nil
@@ -422,42 +384,8 @@ func appendAll(dst, src *table.Vector) {
 	}
 }
 
-// appendSelected gathers the selected rows of a decoded chunk (bytes
-// already counted at decode time).
-func appendSelected(st *Stats, dst, src *table.Vector, sel *bitmap) {
-	for i := 0; i < sel.n; i++ {
-		if !sel.get(i) {
-			continue
-		}
-		switch src.Type {
-		case table.Int:
-			dst.Ints = append(dst.Ints, src.Ints[i])
-		case table.Float:
-			dst.Floats = append(dst.Floats, src.Floats[i])
-		default:
-			dst.Strs = append(dst.Strs, src.Strs[i])
-		}
-	}
-}
-
-// appendValue late-materializes one surviving value, counting the bytes
-// that actually had to be produced.
-func appendValue(st *Stats, dst *table.Vector, v table.Value) {
-	switch dst.Type {
-	case table.Int:
-		dst.Ints = append(dst.Ints, v.I)
-		st.DecodedBytes += 8
-	case table.Float:
-		dst.Floats = append(dst.Floats, v.F)
-		st.DecodedBytes += 8
-	default:
-		dst.Strs = append(dst.Strs, v.S)
-		st.DecodedBytes += int64(len(v.S)) + 16
-	}
-}
-
-// countMaterialized counts one late-materialized value handed to a chunked
-// output — the chunked twin of appendValue's accounting.
+// countMaterialized counts one late-materialized value: the bytes that
+// actually had to be produced.
 func countMaterialized(st *Stats, v table.Value) {
 	if v.Type == table.Str {
 		st.DecodedBytes += int64(len(v.S)) + 16
@@ -466,25 +394,34 @@ func countMaterialized(st *Stats, v table.Value) {
 	}
 }
 
-// setValue scatters one surviving value into a pre-sized vector; counted
-// marks values served from an already-counted decoded chunk.
+// appendValue appends one surviving value; counted marks values served from
+// an already-counted decoded chunk.
+func appendValue(st *Stats, dst *table.Vector, v table.Value, counted bool) {
+	switch dst.Type {
+	case table.Int:
+		dst.Ints = append(dst.Ints, v.I)
+	case table.Float:
+		dst.Floats = append(dst.Floats, v.F)
+	default:
+		dst.Strs = append(dst.Strs, v.S)
+	}
+	if !counted {
+		countMaterialized(st, v)
+	}
+}
+
+// setValue is appendValue scattering into a pre-sized vector.
 func setValue(st *Stats, dst *table.Vector, pos int, v table.Value, counted bool) {
 	switch dst.Type {
 	case table.Int:
 		dst.Ints[pos] = v.I
-		if !counted {
-			st.DecodedBytes += 8
-		}
 	case table.Float:
 		dst.Floats[pos] = v.F
-		if !counted {
-			st.DecodedBytes += 8
-		}
 	default:
 		dst.Strs[pos] = v.S
-		if !counted {
-			st.DecodedBytes += int64(len(v.S)) + 16
-		}
+	}
+	if !counted {
+		countMaterialized(st, v)
 	}
 }
 
@@ -508,55 +445,4 @@ func resolveChunked(ctx *engine.Context, sc *engine.Scan) (*encoding.Compressed,
 		return nil, nil
 	}
 	return ct, groups
-}
-
-// --- FilterScan ---
-
-// FilterScan is a fused Filter∘Scan kernel: it resolves the scanned table
-// in chunked form, evaluates the compiled predicate per row group — in
-// code space where the chunk encoding allows — and late-materializes only
-// the surviving rows. Output is byte-identical to Orig, the row-engine
-// subtree it replaced, which also serves as the runtime fallback.
-type FilterScan struct {
-	Scan *engine.Scan
-	Pred *Pred
-	Orig engine.Node
-	St   *Stats
-}
-
-// Schema implements engine.Node.
-func (f *FilterScan) Schema() table.Schema { return f.Scan.Sch }
-
-// String implements engine.Node.
-func (f *FilterScan) String() string {
-	return fmt.Sprintf("KernelFilterScan(%s, %s)", f.Scan.Name, f.Pred)
-}
-
-// Run implements engine.Node.
-func (f *FilterScan) Run(ctx *engine.Context) (*table.Table, error) {
-	ct, groups := resolveChunked(ctx, f.Scan)
-	if ct == nil {
-		f.St.Fallbacks++
-		return f.Orig.Run(ctx)
-	}
-	if pp := planPartitions(ctx, ct, groups); pp != nil {
-		out, err := f.runParallel(pp, ct, groups)
-		if err != nil {
-			return nil, fmt.Errorf("kernels: filter %q: %w", f.Scan.Name, err)
-		}
-		return out, nil
-	}
-	out := table.New(f.Scan.Sch)
-	for g, rows := range groups {
-		cc := newChunkCtx(ct, g, rows, f.St)
-		sel, err := f.Pred.eval(cc)
-		if err != nil {
-			return nil, fmt.Errorf("kernels: filter %q: %w", f.Scan.Name, err)
-		}
-		if err := cc.materialize(out, sel); err != nil {
-			return nil, fmt.Errorf("kernels: filter %q: %w", f.Scan.Name, err)
-		}
-		cc.finish()
-	}
-	return out, nil
 }

@@ -10,27 +10,29 @@ import (
 // Lower rewrites the supported subtrees of an engine plan onto kernel
 // operators and returns the (possibly new) root. The lowering rules:
 //
-//	Filter(Scan)            → FilterScan        predicate compiles
-//	Filter(FilterScan)      → FilterScan        conjunction fused
+//	Filter(Scan)            → ScanOp            predicate compiles
+//	Filter(ScanOp)          → ScanOp            conjunction fused (only over
+//	                                            a ScanOp that does not
+//	                                            project; likewise below)
 //	Filter(HashJoin)        → pushdown          every conjunct compiles;
 //	                                            one-sided conjuncts move
 //	                                            below the join, may fuse
 //	                                            with a scan, and the join
 //	                                            itself may then lower
-//	HashJoin(side, side)    → HashJoinScan      both sides Scan/FilterScan
-//	                                            or another HashJoinScan (a
+//	HashJoin(side, side)    → HashJoinScan      both sides Scan/ScanOp or
+//	                                            another HashJoinScan (a
 //	                                            join probing a join's
 //	                                            chunked output), and every
 //	                                            key column pair shares an
 //	                                            INT or STRING type
 //	Aggregate(Scan)         → AggScan           always (argument errors
 //	                                            reproduce row-engine order)
-//	Aggregate(FilterScan)   → AggScan           selection vector flows in
+//	Aggregate(ScanOp)       → AggScan           selection vector flows in
 //	Aggregate(HashJoinScan) → AggScan           consumes the join's chunked
 //	                                            output, no materialization
-//	Project(Scan)           → ProjectScan       only ColRef outputs (drop,
+//	Project(Scan)           → ScanOp            only ColRef outputs (drop,
 //	                                            duplicate or permute)
-//	Project(FilterScan)     → ProjectScan       selection vector flows in
+//	Project(ScanOp)         → ScanOp            selection vector flows in
 //	Project(HashJoinScan)   → fused Proj        joined columns nothing
 //	                                            reads never materialize
 //
@@ -62,41 +64,31 @@ func lower(root engine.Node, st *Stats, env *Env) engine.Node {
 			return n
 		}
 		n.Input = lower(n.Input, st, env)
-		switch in := n.Input.(type) {
-		case *engine.Scan:
-			if p, ok := Compile(n.Pred, in.Sch); ok {
+		if sc, under, ok := scanUnder(n.Input); ok {
+			if p, ok := Compile(n.Pred, sc.Sch); ok {
 				st.Lowered++
-				return &FilterScan{Scan: in, Pred: p, Orig: n, St: st}
+				if under != nil {
+					p = &Pred{kind: predAnd, kids: []*Pred{under, p}}
+				}
+				return &ScanOp{Scan: sc, Pred: p, Sch: sc.Sch, Orig: n, St: st}
 			}
-		case *FilterScan:
-			if p, ok := Compile(n.Pred, in.Scan.Sch); ok {
-				st.Lowered++
-				fused := &Pred{kind: predAnd, kids: []*Pred{in.Pred, p}}
-				return &FilterScan{Scan: in.Scan, Pred: fused, Orig: n, St: st}
-			}
-		case *engine.HashJoin:
+		} else if hj, ok := n.Input.(*engine.HashJoin); ok {
 			// A join that surfaced only after lowering the input (e.g. an
 			// inner filter fully pushed its conjuncts down and dissolved)
 			// still deserves this filter's pushdown.
-			if nn := pushdown(n, in, st, env); nn != nil {
+			if nn := pushdown(n, hj, st, env); nn != nil {
 				return nn
 			}
 		}
 		return n
 	case *engine.Aggregate:
 		n.Input = lower(n.Input, st, env)
-		switch in := n.Input.(type) {
-		case *engine.Scan:
-			if need, ok := aggNeeds(n, in.Sch); ok {
+		if sc, pred, ok := scanUnder(n.Input); ok {
+			if need, ok := aggNeeds(n, sc.Sch); ok {
 				st.Lowered++
-				return &AggScan{Scan: in, Agg: n, Orig: n, need: need, St: st}
+				return &AggScan{Scan: sc, Pred: pred, Agg: n, Orig: n, need: need, St: st}
 			}
-		case *FilterScan:
-			if need, ok := aggNeeds(n, in.Scan.Sch); ok {
-				st.Lowered++
-				return &AggScan{Scan: in.Scan, Pred: in.Pred, Agg: n, Orig: n, need: need, St: st}
-			}
-		case *HashJoinScan:
+		} else if in, ok := n.Input.(*HashJoinScan); ok {
 			if need, ok := aggNeeds(n, in.Sch); ok {
 				st.Lowered++
 				return &AggScan{Inner: in, Agg: n, Orig: n, need: need, St: st}
@@ -105,18 +97,12 @@ func lower(root engine.Node, st *Stats, env *Env) engine.Node {
 		return n
 	case *engine.Project:
 		n.Input = lower(n.Input, st, env)
-		switch in := n.Input.(type) {
-		case *engine.Scan:
-			if cols, ok := projectCols(n, in.Sch); ok {
+		if sc, pred, ok := scanUnder(n.Input); ok {
+			if cols, ok := projectCols(n, sc.Sch); ok {
 				st.Lowered++
-				return &ProjectScan{Scan: in, Cols: cols, Sch: n.Schema(), Orig: n, St: st}
+				return &ScanOp{Scan: sc, Pred: pred, Cols: cols, Sch: n.Schema(), Orig: n, St: st}
 			}
-		case *FilterScan:
-			if cols, ok := projectCols(n, in.Scan.Sch); ok {
-				st.Lowered++
-				return &ProjectScan{Scan: in.Scan, Pred: in.Pred, Cols: cols, Sch: n.Schema(), Orig: n, St: st}
-			}
-		case *HashJoinScan:
+		} else if in, ok := n.Input.(*HashJoinScan); ok {
 			// Fuse a columns-only projection into the join: joined columns
 			// the projection drops never materialize — build-side chunks
 			// nothing reads are skipped outright. The fused kernel keeps
@@ -156,7 +142,7 @@ func lower(root engine.Node, st *Stats, env *Env) engine.Node {
 }
 
 // lowerJoin rewrites a HashJoin whose (already lowered) sides are plain
-// scans, fused filter-scans or other join kernels onto the code-space join
+// scans, filtering ScanOps or other join kernels onto the code-space join
 // kernel. It declines — returning nil, keeping the row engine — when a
 // key column pair differs in type or is FLOAT: float keys fall back so the
 // row engine's NaN and signed-zero bucketing stays authoritative, and the
@@ -193,15 +179,28 @@ func lowerJoin(hj *engine.HashJoin, st *Stats, env *Env) *HashJoinScan {
 	}
 }
 
+// scanUnder recognizes the inputs a scan-shaped kernel fuses with: a plain
+// scan, or a ScanOp that only filters (its predicate rides along). A ScanOp
+// that projects is a different table and fuses with nothing.
+func scanUnder(n engine.Node) (*engine.Scan, *Pred, bool) {
+	switch v := n.(type) {
+	case *engine.Scan:
+		return v, nil, true
+	case *ScanOp:
+		if v.Cols == nil {
+			return v.Scan, v.Pred, true
+		}
+	}
+	return nil, nil, false
+}
+
 // joinSideOf extracts one join input: a scan (with its fused filter), or
 // another join kernel consumed as an inner operator.
 func joinSideOf(n engine.Node) (JoinSide, bool) {
-	switch v := n.(type) {
-	case *engine.Scan:
-		return JoinSide{Scan: v}, true
-	case *FilterScan:
-		return JoinSide{Scan: v.Scan, Pred: v.Pred}, true
-	case *HashJoinScan:
+	if sc, pred, ok := scanUnder(n); ok {
+		return JoinSide{Scan: sc, Pred: pred}, true
+	}
+	if v, ok := n.(*HashJoinScan); ok {
 		return JoinSide{Inner: v}, true
 	}
 	return JoinSide{}, false

@@ -5,26 +5,26 @@ import (
 
 	"github.com/shortcircuit-db/sc/internal/encoding"
 	"github.com/shortcircuit-db/sc/internal/engine"
-	"github.com/shortcircuit-db/sc/internal/table"
 )
 
-// This file implements the kernels' partitioned (chunk-parallel) mode: a
-// scan-shaped kernel splits its row-group list into contiguous ranges and
-// evaluates them on tokens borrowed from the scheduler-wide budget
-// (engine.Context.Sched) — the same pool the exec Controller's node
-// dispatcher draws from, so node-level and intra-node parallelism compose
-// under one bound. Borrowing uses TryAcquire only and falls back to the
-// serial path, so nesting can never deadlock; each borrowed partition also
-// reserves its estimated in-flight decoded bytes against the scheduler's
-// byte ceiling, keeping concurrency × memory bounded.
+// This file holds the kernels' one walk over row groups (walkGroups) and
+// its partitioned (chunk-parallel) mode: a walk splits its row-group list
+// into contiguous ranges and evaluates them on tokens borrowed from the
+// scheduler-wide budget (engine.Context.Sched) — the same pool the exec
+// Controller's node dispatcher draws from, so node-level and intra-node
+// parallelism compose under one bound. Borrowing uses TryAcquire only and
+// falls back to one partition on the caller's token, so nesting can never
+// deadlock; each borrowed partition also reserves its estimated in-flight
+// decoded bytes against the scheduler's byte ceiling, keeping
+// concurrency × memory bounded.
 //
 // Determinism: partitions are contiguous row-group ranges evaluated with
 // thread-local chunk contexts, selection vectors and Stats, and their
-// results merge in partition order — output tables concatenate, AggAcc
-// partials merge via engine.AggAcc.Merge (only when ExactMergeable),
-// join pairs concatenate in probe order. The merged result is
-// byte-identical to the serial walk, and Stats fields are all sums, so
-// counters match serial totals exactly too.
+// results come back in partition order — output tables concatenate, AggAcc
+// partials merge via engine.AggAcc.Merge (only when ExactMergeable), join
+// pairs concatenate in probe order. The merged result is byte-identical to
+// the one-partition walk, and Stats fields are all sums, so counters match
+// exactly too.
 
 // partPlan is one planned partitioned execution: contiguous [lo, hi)
 // row-group ranges, one per token held (the caller's own plus borrowed).
@@ -35,14 +35,14 @@ type partPlan struct {
 	reserved int64 // bytes reserved against the scheduler ceiling
 }
 
-// decodedEstimate is the pessimistic in-flight bytes of a partition: the
-// encoded payload of its chunks times a nominal expansion factor. It only
-// gates how wide a scan borrows, so a rough bound is fine.
-func decodedEstimate(ct *encoding.Compressed, lo, hi int) int64 {
+// decodedEstimate is the pessimistic in-flight bytes of a walk over the whole
+// table: the encoded payload of its chunks times a nominal expansion factor.
+// It only gates how wide a walk borrows, so a rough bound is fine.
+func decodedEstimate(ct *encoding.Compressed) int64 {
 	var enc int64
 	for _, chunks := range ct.Cols {
-		for g := lo; g < hi && g < len(chunks); g++ {
-			enc += int64(len(chunks[g].Data))
+		for _, ch := range chunks {
+			enc += int64(len(ch.Data))
 		}
 	}
 	const expansion = 4
@@ -50,9 +50,9 @@ func decodedEstimate(ct *encoding.Compressed, lo, hi int) int64 {
 }
 
 // planPartitions borrows tokens for a partitioned walk of the row-group
-// list. It returns nil when the scan should run serially: parallel scan
-// disabled, no scheduler, a single row group, or no idle tokens to borrow.
-// A non-nil plan must be released with done().
+// list. It returns nil when the walk stays on the caller's token: no
+// context lent, parallel scan disabled, no scheduler, a single row group, or
+// no idle tokens to borrow. A non-nil plan must be released with done().
 func planPartitions(ctx *engine.Context, ct *encoding.Compressed, groups []int) *partPlan {
 	if ctx == nil || !ctx.ParallelScan || ctx.Sched == nil || len(groups) < 2 {
 		return nil
@@ -66,7 +66,7 @@ func planPartitions(ctx *engine.Context, ct *encoding.Compressed, groups []int) 
 		maxExtra = t
 	}
 	pp := &partPlan{ctx: ctx}
-	perPart := decodedEstimate(ct, 0, len(groups)) / int64(len(groups))
+	perPart := decodedEstimate(ct) / int64(len(groups))
 	for pp.borrowed < maxExtra {
 		if !sc.TryAcquire() {
 			break
@@ -160,149 +160,77 @@ func (st *Stats) add(o *Stats) {
 	st.DictReused += o.DictReused
 }
 
-// foldStats folds a batch of per-partition Stats into dst.
-func foldStats(dst *Stats, sts []Stats) {
-	for i := range sts {
-		dst.add(&sts[i])
-	}
+// walk describes one pass over the row groups of a chunked table.
+type walk struct {
+	// ctx lends the scheduler's idle tokens to the walk; nil keeps it on
+	// the caller's token alone (build sides, order-dependent aggregates).
+	ctx    *engine.Context
+	ct     *encoding.Compressed
+	groups []int
+	pred   *Pred  // nil selects every row
+	st     *Stats // receives every partition's counters
+	// keep, when non-nil, has one slot per row group: each group's context
+	// is stored there instead of being finished, for a caller that reads
+	// more columns after the walk and finishes the contexts itself.
+	keep []*chunkCtx
 }
 
-// appendTable appends src's rows to dst column-wise (schemas identical by
-// construction: both came from the same operator).
-func appendTable(dst, src *table.Table) {
-	for ci := range dst.Cols {
-		appendAll(dst.Cols[ci], src.Cols[ci])
+// walkGroups is the kernels' one loop over row groups. It cuts the group
+// list into contiguous partitions — one on the caller's token, or
+// planPartitions' ranges when idle tokens can be borrowed — and for every
+// group evaluates the predicate and hands the groups that keep at least one
+// row to body, together with the partition's state from newPart. sel is nil
+// when every row of the group is selected. Each partition counts into its
+// own Stats; they fold into w.st when the walk ends, and the partition
+// states come back in partition order, which is the serial group order.
+func walkGroups[P any](w walk, newPart func() P, body func(part P, cc *chunkCtx, sel *bitmap) error) ([]P, error) {
+	pp := &partPlan{parts: [][2]int{{0, len(w.groups)}}}
+	if borrowed := planPartitions(w.ctx, w.ct, w.groups); borrowed != nil {
+		pp = borrowed
+		defer pp.done()
 	}
-}
-
-// --- partitioned Run paths ---
-
-// runParallel is the partitioned FilterScan walk: each partition filters
-// its groups into a thread-local table, and the partials concatenate in
-// partition order — the groups arrive in the same order as the serial
-// loop, so the output is byte-identical.
-func (f *FilterScan) runParallel(pp *partPlan, ct *encoding.Compressed, groups []int) (*table.Table, error) {
-	defer pp.done()
-	outs := make([]*table.Table, len(pp.parts))
+	parts := make([]P, len(pp.parts))
 	sts := make([]Stats, len(pp.parts))
 	err := pp.run(func(p, lo, hi int) error {
-		out, st := table.New(f.Scan.Sch), &sts[p]
+		part := newPart()
+		parts[p] = part
 		for g := lo; g < hi; g++ {
-			cc := newChunkCtx(ct, g, groups[g], st)
-			sel, err := f.Pred.eval(cc)
-			if err != nil {
-				return err
+			cc := newChunkCtx(w.ct, g, w.groups[g], &sts[p])
+			if w.keep != nil {
+				w.keep[g] = cc
 			}
-			if err := cc.materialize(out, sel); err != nil {
-				return err
-			}
-			cc.finish()
-		}
-		outs[p] = out
-		return nil
-	})
-	for i := range sts {
-		f.St.add(&sts[i])
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := outs[0]
-	for _, t := range outs[1:] {
-		appendTable(out, t)
-	}
-	return out, nil
-}
-
-// runParallel is the partitioned ProjectScan walk; same merge shape as
-// FilterScan with the projection's column mapping.
-func (p *ProjectScan) runParallel(pp *partPlan, ct *encoding.Compressed, groups []int) (*table.Table, error) {
-	defer pp.done()
-	outs := make([]*table.Table, len(pp.parts))
-	sts := make([]Stats, len(pp.parts))
-	err := pp.run(func(pi, lo, hi int) error {
-		out, st := table.New(p.Sch), &sts[pi]
-		for g := lo; g < hi; g++ {
-			cc := newChunkCtx(ct, g, groups[g], st)
 			var sel *bitmap
-			if p.Pred != nil {
+			selected := cc.rows
+			if w.pred != nil {
 				var err error
-				sel, err = p.Pred.eval(cc)
-				if err != nil {
+				if sel, err = w.pred.eval(cc); err != nil {
 					return err
 				}
-				if sel.none() {
-					cc.finish()
-					continue
+				if selected = sel.count(); selected == cc.rows {
+					sel = nil
 				}
 			}
-			for oc, ic := range p.Cols {
-				if err := cc.materializeCol(out.Cols[oc], ic, sel); err != nil {
+			// A group no row survives is left without touching another column.
+			if selected > 0 {
+				if err := body(part, cc, sel); err != nil {
 					return err
 				}
 			}
-			cc.finish()
+			if w.keep == nil {
+				cc.finish()
+			}
 		}
-		outs[pi] = out
 		return nil
 	})
 	for i := range sts {
-		p.St.add(&sts[i])
+		w.st.add(&sts[i])
 	}
-	if err != nil {
-		return nil, err
-	}
-	out := outs[0]
-	for _, t := range outs[1:] {
-		appendTable(out, t)
-	}
-	return out, nil
-}
-
-// runParallel is the partitioned AggScan walk: each partition folds its
-// groups into a thread-local AggAcc, and the partials merge in partition
-// order. Only called when the accumulator is ExactMergeable — counts,
-// integer sums, min/max — where the merged result is bit-identical to a
-// serial pass; output-relevant float sums (AVG, SUM over floats) keep the
-// serial path because their value depends on addition order.
-func (a *AggScan) runParallel(pp *partPlan, ct *encoding.Compressed, groups []int) (*table.Table, error) {
-	defer pp.done()
-	accs := make([]*engine.AggAcc, len(pp.parts))
-	sts := make([]Stats, len(pp.parts))
-	err := pp.run(func(p, lo, hi int) error {
-		acc, st := a.Agg.NewAcc(), &sts[p]
-		row := make([]table.Value, a.inSchema().NumCols())
-		for g := lo; g < hi; g++ {
-			cc := newChunkCtx(ct, g, groups[g], st)
-			var sel *bitmap
-			if a.Pred != nil {
-				var err error
-				sel, err = a.Pred.eval(cc)
-				if err != nil {
-					return err
-				}
-				if sel.none() {
-					cc.finish()
-					continue
-				}
-			}
-			if err := a.addGroup(cc, acc, row, sel); err != nil {
-				return err
-			}
-			cc.finish()
+	// Kept contexts outlive their partition: what the caller reads through
+	// them from here on counts straight into the shared Stats.
+	for _, cc := range w.keep {
+		if cc != nil {
+			cc.st = w.st
 		}
-		accs[p] = acc
-		return nil
-	})
-	for i := range sts {
-		a.St.add(&sts[i])
 	}
-	if err != nil {
-		return nil, err
-	}
-	acc := accs[0]
-	for _, part := range accs[1:] {
-		acc.Merge(part)
-	}
-	return acc.Result()
+	return parts, err
 }

@@ -193,10 +193,17 @@ func TestDifferentialParallelJoin(t *testing.T) {
 		// The chunked-output path: the probe pre-pass partitions, the
 		// builder assembly stays serial, and the emitted chunks must decode
 		// to the same bytes.
-		if join, ok := Lower(build(), &Stats{}).(*HashJoinScan); ok && wantErr == nil {
+		stS, stP = &Stats{}, &Stats{}
+		if join, ok := Lower(build(), stP).(*HashJoinScan); ok && wantErr == nil {
 			got2, gotErr2 := decodeChunked(t, join, parCtx)
 			mustEqual(t, int64(seed), "parallel join RunChunked", want, got2, wantErr, gotErr2)
 			mustDrain(t, int64(seed), sc)
+			// The probe's row-group contexts outlive their partitions: what
+			// the builder assembly reads through them must still be counted.
+			if _, err := decodeChunked(t, Lower(build(), stS).(*HashJoinScan), vecCtx); err != nil {
+				t.Fatalf("seed %d: serial RunChunked: %v", seed, err)
+			}
+			mustSameStats(t, int64(seed), "join RunChunked", stS, stP)
 		}
 	}
 }
@@ -243,16 +250,18 @@ func TestDifferentialParallelChunkedOutput(t *testing.T) {
 		tokens := 2 + rng.Intn(7)
 		parCtx, sc := parallelCtx(vecCtx, tokens)
 
-		serialOp, ok := Lower(build(), &Stats{}).(*HashJoinScan)
+		stS, stP := &Stats{}, &Stats{}
+		serialOp, ok := Lower(build(), stS).(*HashJoinScan)
 		if !ok {
 			continue
 		}
-		parOp := Lower(build(), &Stats{}).(*HashJoinScan)
+		parOp := Lower(build(), stP).(*HashJoinScan)
 		want, wantErr := decodeChunked(t, serialOp, vecCtx)
 		got, gotErr := decodeChunked(t, parOp, parCtx)
 		mustEqual(t, int64(seed), "parallel chunked join tree", want, got, wantErr, gotErr)
 		mustDrain(t, int64(seed), sc)
 		if wantErr == nil {
+			mustSameStats(t, int64(seed), "chunked join tree", stS, stP)
 			chunked++
 			borrowed += sc.Stats().Borrowed
 		}

@@ -2,7 +2,6 @@ package kernels
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/shortcircuit-db/sc/internal/encoding"
@@ -318,52 +317,12 @@ func (p *Pred) matches(v table.Value) bool {
 	}
 }
 
-// passingCodes computes the set of dictionary codes satisfying the leaf.
-// Ranges and equalities binary-search the sorted-dictionary code map, so
-// the cost is O(log card) probes plus marking the passing span; only IN
-// repeats that per list item.
+// passingCodes computes the set of dictionary codes satisfying the leaf:
+// each entry is tested once, however many rows carry its code.
 func (p *Pred) passingCodes(dv *encoding.DictView) []bool {
-	card := dv.Card()
-	pass := make([]bool, card)
-	sorted := dv.SortedCodes()
-	mark := func(lo, hi int) {
-		for _, code := range sorted[lo:hi] {
-			pass[code] = true
-		}
-	}
-	bounds := func(lit table.Value) (lo, hi int) {
-		lo = sort.Search(card, func(i int) bool {
-			c, _ := dv.Value(sorted[i]).Compare(lit)
-			return c >= 0
-		})
-		hi = sort.Search(card, func(i int) bool {
-			c, _ := dv.Value(sorted[i]).Compare(lit)
-			return c > 0
-		})
-		return lo, hi
-	}
-	if p.cmp == cmpIn {
-		for _, lit := range p.lits {
-			lo, hi := bounds(lit)
-			mark(lo, hi)
-		}
-		return pass
-	}
-	lo, hi := bounds(p.lits[0])
-	switch p.cmp {
-	case cmpEq:
-		mark(lo, hi)
-	case cmpNe:
-		mark(0, lo)
-		mark(hi, card)
-	case cmpLt:
-		mark(0, lo)
-	case cmpLe:
-		mark(0, hi)
-	case cmpGt:
-		mark(hi, card)
-	default: // cmpGe
-		mark(lo, card)
+	pass := make([]bool, dv.Card())
+	for c := range pass {
+		pass[c] = p.matches(dv.Value(c))
 	}
 	return pass
 }

@@ -515,6 +515,30 @@ func (l *Ledger) pushLocked(s RunSummary) {
 	l.evicted++
 }
 
+// Forget drops everything the ledger holds about one pipeline: its learned
+// baselines and its rows in the ring (and, through a compaction, in the
+// NDJSON file). A different pipeline registered under the same name then
+// starts from nothing.
+func (l *Ledger) Forget(pipeline string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	delete(l.baselines, pipeline)
+	kept := make([]RunSummary, 0, len(l.ring))
+	for i := range l.ring {
+		// Oldest first, so the rebuilt ring starts at head 0.
+		if s := l.ring[(l.head+i)%len(l.ring)]; s.Pipeline != pipeline {
+			kept = append(kept, s)
+		}
+	}
+	if len(kept) == len(l.ring) {
+		return
+	}
+	l.ring, l.head = kept, 0
+	if l.file != nil {
+		l.compactLocked()
+	}
+}
+
 // Len reports how many summaries the ring currently holds.
 func (l *Ledger) Len() int {
 	l.mu.Lock()

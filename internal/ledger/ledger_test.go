@@ -131,6 +131,45 @@ func TestPersistenceReplay(t *testing.T) {
 	}
 }
 
+// TestForget: a forgotten pipeline leaves no baselines and no rows — in the
+// wrapped ring, whose remaining rows keep their order, and in the file a
+// restart replays — while the other pipeline is untouched.
+func TestForget(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ledger.ndjson")
+	l, err := New(Config{Path: path, Capacity: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 8; i++ { // wraps: r3..r8 retained, p and q alternating
+		l.Append(run(fmt.Sprintf("r%d", i), []string{"p", "q"}[i%2], 1, map[string]float64{"n": 0.1}))
+	}
+	l.Forget("q")
+	l.Append(run("r9", "p", 1, map[string]float64{"n": 0.1}))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := New(Config{Path: path, Capacity: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	for _, led := range []*Ledger{l, l2} {
+		if bs := led.Baselines("q"); bs != nil {
+			t.Fatalf("forgotten pipeline keeps baselines: %+v", bs)
+		}
+		if bs := led.Baselines("p"); len(bs) != 1 {
+			t.Fatalf("forgetting q lost p's baselines: %+v", bs)
+		}
+		var ids []string
+		for _, s := range led.Runs(Filter{}) {
+			ids = append(ids, s.RunID)
+		}
+		if got, want := fmt.Sprint(ids), "[r9 r8 r6 r4]"; got != want {
+			t.Fatalf("rows after Forget = %s, want %s", got, want)
+		}
+	}
+}
+
 // TestFileCompaction appends far more than MaxFileBytes allows and checks
 // the NDJSON file is compacted down to the retained ring — bounded on
 // disk, still replayable, newest entries intact.

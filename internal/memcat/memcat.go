@@ -137,8 +137,12 @@ func (c *Catalog) Capacity() int64 { return c.capacity }
 // It fails with ErrNoSpace if the table does not fit, leaving the catalog
 // unchanged. Re-putting an existing name replaces it.
 func (c *Catalog) Put(name string, t *table.Table) error {
-	return c.PutEntry(name, plainEntry{t: t})
+	return c.PutEntry(name, Plain(t))
 }
+
+// Plain is the Entry of an uncompressed table, for PutEntry callers that
+// choose between the two forms.
+func Plain(t *table.Table) Entry { return plainEntry{t: t} }
 
 // PutEntry stores any Entry (plain or compressed) under name, accounting
 // e.SizeBytes() against the capacity. Compressed entries therefore charge

@@ -181,10 +181,10 @@ func WithEncoding(opts EncodingOptions) Option {
 // WithVectorized enables the compressed-execution kernels for the
 // session: supported Filter and Aggregate subtrees of each node's plan run
 // directly on encoded column chunks instead of decode-then-execute.
-// Equality, IN and range predicates on dictionary-encoded columns compare
-// bit-packed codes (ranges via a sorted-dictionary code map), COUNT/SUM/
-// GROUP BY consume run-length runs without expanding them, and values are
-// materialized only for rows that survive filtering (late
+// Equality, IN and range predicates on dictionary-encoded columns are
+// tested once per dictionary entry and then compare bit-packed codes,
+// COUNT/SUM/GROUP BY consume run-length runs without expanding them, and
+// values are materialized only for rows that survive filtering (late
 // materialization). Inputs resolve as per-chunk lazy readers, so a
 // flagged compressed MV no longer pays a whole-table decode on every
 // read. Results are byte-identical to the row engine: unsupported plan
@@ -217,11 +217,13 @@ func WithVectorized(enabled bool) Option {
 }
 
 // WithParallelScan lets the compressed-execution kernels split a node's
-// chunk walk across idle scheduler tokens (see WithConcurrency): row-group
-// partitions evaluate concurrently with thread-local selection vectors and
-// accumulators, and the partial results merge in chunk order, so the
-// output — and every byte-level artifact downstream — is identical to the
-// serial walk. Aggregates whose result depends on float addition order
+// chunk walk across idle scheduler tokens (see WithConcurrency): the
+// kernels' one walk over row groups cuts the groups into as many
+// partitions as it holds tokens — one, the node's own, when none is idle —
+// which evaluate concurrently with thread-local selection vectors,
+// accumulators and counters, and the partial results merge in chunk order,
+// so the output — and every byte-level artifact downstream — is identical
+// to the serial walk. Aggregates whose result depends on float addition order
 // (AVG, SUM over floats) keep the serial path automatically. Tokens are
 // borrowed non-blocking, so intra-node parallelism composes with the
 // node-level pool under the one budget and can never deadlock it. Only

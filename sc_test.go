@@ -179,6 +179,21 @@ func TestRunnerRejectsBadSQL(t *testing.T) {
 	}
 }
 
+// TestRunPlanRejectsShortFlagged: a plan built by hand with no Flagged slice
+// is an error, not an index out of range on a worker goroutine.
+func TestRunPlanRejectsShortFlagged(t *testing.T) {
+	store := sc.NewMemStore()
+	baseTables(t, store)
+	mvs := []sc.MV{{Name: "agg", SQL: `SELECT kind, COUNT(*) AS n FROM events GROUP BY kind`}}
+	ref, err := sc.New(mvs, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.RunPlan(context.Background(), &sc.Plan{Order: []sc.NodeID{0}}); err == nil {
+		t.Fatal("a plan with 0 flags for 1 node was accepted")
+	}
+}
+
 func TestThrottledStoreSlowsRuns(t *testing.T) {
 	fast := sc.NewMemStore()
 	baseTables(t, fast)

@@ -6,13 +6,16 @@
 # package and per file, the statements the product path never executed and,
 # separately, those no pass executed. Code in the second table cannot move
 # any metric of the benchmark; code only in the first is reached by a layer
-# replay alone.
+# replay alone. A third table names the functions no pass executed, and the
+# output ends with the module's non-test line count outside benchmark/, the
+# number simplification PRs are measured in.
 #
 #   scripts/traffic-coverage.sh [--quick] [other benchmark flags]
 #
 # Arguments pass through to the benchmark (--quick: sf 2 smoke scale).
-# Everything is written under .bench_build/cover/ in the checkout; the table
-# is also kept there as traffic-coverage.txt.
+# Everything is written under .bench_build/cover/ in the checkout; the
+# statement tables are also kept there as traffic-coverage.txt, the function
+# table and the line count as traffic-functions.txt.
 set -euo pipefail
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 module=github.com/shortcircuit-db/sc
@@ -70,3 +73,15 @@ report() {
 	report "$cover/product.cov" "product path (--trace 0): statements never executed"
 	report "$cover/all.cov" "any pass (--trace 0 and --trace 1): statements never executed"
 } | tee "$cover/traffic-coverage.txt"
+
+# The benchmark is a module of its own, whose files `go tool cover -func`
+# cannot find from here: drop its lines from the merged profile first.
+grep -v "^$module/benchmark/" "$cover/all.cov" >"$cover/all-module.cov"
+{
+	echo "== any pass (--trace 0 and --trace 1): functions never executed =="
+	go tool cover -func="$cover/all-module.cov" | awk -v module="$module/" '
+	$NF == "0.0%" && $1 != "total:" { sub(module, "", $1); sub(/:$/, "", $1); printf "  %-48s %s\n", $1, $2 }'
+	echo
+	printf 'non-test Go lines outside benchmark/: %d\n' \
+		"$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)"
+} | tee "$cover/traffic-functions.txt"
