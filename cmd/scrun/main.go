@@ -85,20 +85,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "scrun:", err)
 		os.Exit(1)
 	}
-	cfg := sim.Config{Device: d, Memory: mem, Workers: *workers, LRU: m.LRU}
+	// Virtual time zero is now: events, and with them the trace's spans,
+	// sit on the wall clock at Base plus the simulated seconds.
+	cfg := sim.Config{Device: d, Memory: mem, Workers: *workers, LRU: m.LRU, Base: time.Now()}
 	if *progress {
-		cfg.Observer = progressPrinter(os.Stderr)
+		cfg.Observer = progressPrinter(os.Stderr, cfg.Base)
 	}
 	var col *telemetry.Collector
 	if *progress || *traceFile != "" || *ledgerFile != "" || *explain {
-		// The simulator reports the virtual clock in Elapsed; the collector
-		// maps it onto span times so the trace and critical path are in
-		// simulated seconds.
 		cfg.RunID = telemetry.RunID(1)
 		col = telemetry.NewCollector(telemetry.CollectorConfig{
 			RunID:    cfg.RunID,
 			RootName: "simulate " + *workload,
-			Virtual:  true,
+			Start:    cfg.Base,
 		})
 		col.SetRootAttrs(telemetry.Str("sc.method", m.Name), telemetry.Int("sc.scale_gb", int64(*scale)))
 		cfg.Observer = obs.Multi(cfg.Observer, col)
@@ -145,7 +144,10 @@ func main() {
 		}
 		fin.Exporter = exp
 	}
-	sum, _, spans := fin.Finish(pipe, col, time.Time{}, ledger.Meta{
+	// The root span ends with the last node span; the ledger row's wall
+	// time is res.Total, which also waits out background materialization.
+	end := cfg.Base.Add(time.Duration(res.Timeline[len(res.Timeline)-1].End * float64(time.Second)))
+	sum, _, spans := fin.Finish(pipe, col, end, ledger.Meta{
 		RunID:           cfg.RunID,
 		Outcome:         ledger.OutcomeSucceeded,
 		WallSeconds:     res.Total,
@@ -248,10 +250,10 @@ func printCriticalPath(out *os.File, cp telemetry.CritReport) {
 }
 
 // progressPrinter renders the refresh event stream as one line per event,
-// stamped with the virtual clock.
-func progressPrinter(out *os.File) obs.Observer {
+// stamped with the virtual clock: the seconds since base.
+func progressPrinter(out *os.File, base time.Time) obs.Observer {
 	return obs.Func(func(e obs.Event) {
-		at := e.Elapsed.Seconds()
+		at := e.At.Sub(base).Seconds()
 		switch e.Kind {
 		case obs.NodeStart:
 			fmt.Fprintf(out, "[%8.1fs] start  %-16s (step %d)\n", at, e.Node, e.Step)

@@ -66,7 +66,6 @@ func main() {
 	dataDir := flag.String("data", "", "store pipeline tables under this directory (default: in memory)")
 	traceOTLP := flag.String("trace-otlp", "", "export run traces to this OTLP/HTTP JSON endpoint")
 	traceFile := flag.String("trace-file", "", `append run traces to this file as OTLP JSON lines ("-" = stdout)`)
-	noTrace := flag.Bool("no-trace", false, "disable per-run trace collection")
 	ledgerFile := flag.String("ledger-file", "", "persist per-run ledger summaries to this NDJSON file (replayed on start)")
 	ledgerCap := flag.Int("ledger-cap", 512, "in-memory run ledger capacity")
 	tailSample := flag.Bool("tail-sample", false, "export only anomalous, failed, or slow run traces")
@@ -83,7 +82,6 @@ func main() {
 		QueueTimeout:   *queueTimeout,
 		Headroom:       *headroom,
 		Concurrency:    *concurrency,
-		DisableTracing: *noTrace,
 		LedgerPath:     *ledgerFile,
 		LedgerCapacity: *ledgerCap,
 		TailSample:     *tailSample,

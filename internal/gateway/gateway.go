@@ -7,7 +7,10 @@
 // the admission controller, and only then does the refresh run. Triggers
 // that do not fit queue in a bounded FIFO with a deadline; cancellation —
 // explicit or by client disconnect — releases reservations and evicts
-// partial state, so the shared budget can never leak.
+// partial state, so the shared budget can never leak. Every run is traced
+// from enqueue to its terminal state: the trace is what the ledger row,
+// the learned baselines behind admission hints, and the per-run /metrics
+// counters are derived from, once, when the run finishes.
 package gateway
 
 import (
@@ -74,14 +77,13 @@ type Config struct {
 	NewStore func(pipeline string) storage.Store
 	// Clock injects time for tests; default time.Now.
 	Clock func() time.Time
-	// DisableTracing turns off per-run trace collection. By default every
-	// refresh assembles a trace — a root span covering enqueue to finish, a
-	// queue-admission child span, and one span per executed node — served
-	// at GET /v1/runs/{id}/trace with critical-path analysis.
-	DisableTracing bool
 	// TraceExporter receives each finished run's spans (OTLP or file
-	// exporter from internal/telemetry). Nil exports nothing; traces are
-	// still collected and served over HTTP unless DisableTracing is set.
+	// exporter from internal/telemetry). Nil exports nothing. Every refresh
+	// assembles a trace either way — a root span covering enqueue to
+	// finish, a queue-admission child span, and one span per executed node
+	// — because the ledger row, baselines and admission hints are derived
+	// from it; it is served at GET /v1/runs/{id}/trace with critical-path
+	// analysis.
 	TraceExporter telemetry.Exporter
 	// TailSample keeps exported traces only for runs worth keeping —
 	// anomalous, slow against the pipeline's learned baseline, or not
@@ -199,6 +201,12 @@ type pipeline struct {
 	nextFire  time.Time
 	lastRunID string
 	runsTotal int64
+
+	// finMu orders a finishing run's ledger row against Unregister: once
+	// gone is set no run of this pipeline lands a row, so what Unregister
+	// forgot stays forgotten.
+	finMu sync.Mutex
+	gone  bool
 }
 
 // Run states.
@@ -226,7 +234,7 @@ type Run struct {
 	events *eventBuf
 	done   chan struct{} // closed on any terminal state
 	tkt    *ticket
-	trace  *telemetry.Collector // nil when tracing is disabled
+	trace  *telemetry.Collector // opened at enqueue, finished at the terminal state
 
 	mu         sync.Mutex
 	state      string
@@ -272,14 +280,8 @@ func (r *Run) ID() string { return r.id }
 // Done is closed when the run reaches a terminal state.
 func (r *Run) Done() <-chan struct{} { return r.done }
 
-// Traceparent returns the run's root span as a W3C traceparent value, or
-// "" when tracing is disabled.
-func (r *Run) Traceparent() string {
-	if r.trace == nil {
-		return ""
-	}
-	return r.trace.Context().Traceparent()
-}
+// Traceparent returns the run's root span as a W3C traceparent value.
+func (r *Run) Traceparent() string { return r.trace.Context().Traceparent() }
 
 // Status snapshots the run.
 func (r *Run) Status() RunStatus { return r.status() }
@@ -363,9 +365,9 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	led, err := ledger.New(ledger.Config{
-		Capacity: cfg.LedgerCapacity,
-		Path:     cfg.LedgerPath,
-		Detector: ledger.DetectorConfig{SlowSeconds: cfg.SLOSeconds},
+		Capacity:    cfg.LedgerCapacity,
+		Path:        cfg.LedgerPath,
+		SlowSeconds: cfg.SLOSeconds,
 	})
 	if err != nil {
 		return nil, err
@@ -545,14 +547,20 @@ func (s *Server) seed(p *pipeline, spec PipelineSpec) error {
 }
 
 // Unregister removes a pipeline and everything it remembers. In-flight
-// runs keep the pipeline object and finish normally.
+// runs keep the pipeline object and finish normally, except that they land
+// nothing in the ledger: a pipeline registered under the name later starts
+// from no history.
 func (s *Server) Unregister(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.pipelines[name]; !ok {
+	p, ok := s.pipelines[name]
+	if !ok {
 		return fmt.Errorf("%w: pipeline %q", ErrNotFound, name)
 	}
 	delete(s.pipelines, name)
+	p.finMu.Lock() // waits out a run that is landing its row right now
+	p.gone = true
+	p.finMu.Unlock()
 	s.fin.Ledger.Forget(name)
 	return nil
 }
@@ -586,13 +594,21 @@ func (s *Server) info(p *pipeline) PipelineInfo {
 	}
 }
 
+// pipeline looks up a registered pipeline.
+func (s *Server) pipeline(name string) (*pipeline, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if p, ok := s.pipelines[name]; ok {
+		return p, nil
+	}
+	return nil, fmt.Errorf("%w: pipeline %q", ErrNotFound, name)
+}
+
 // Pipeline returns one pipeline's snapshot.
 func (s *Server) Pipeline(name string) (PipelineInfo, error) {
-	s.mu.Lock()
-	p, ok := s.pipelines[name]
-	s.mu.Unlock()
-	if !ok {
-		return PipelineInfo{}, fmt.Errorf("%w: pipeline %q", ErrNotFound, name)
+	p, err := s.pipeline(name)
+	if err != nil {
+		return PipelineInfo{}, err
 	}
 	return s.info(p), nil
 }
@@ -681,11 +697,9 @@ func (s *Server) Trigger(name string) (*Run, error) {
 // valid (a client's W3C traceparent), the run's root span joins that trace
 // instead of starting a new one.
 func (s *Server) TriggerTrace(name string, parent telemetry.SpanContext) (*Run, error) {
-	s.mu.Lock()
-	p, ok := s.pipelines[name]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: pipeline %q", ErrNotFound, name)
+	p, err := s.pipeline(name)
+	if err != nil {
+		return nil, err
 	}
 	pl, err := s.planTrigger(context.Background(), p)
 	if err != nil {
@@ -706,20 +720,18 @@ func (s *Server) TriggerTrace(name string, parent telemetry.SpanContext) (*Run, 
 		state:         StateQueued,
 	}
 	r.enqueuedAt = now
-	if !s.cfg.DisableTracing {
-		// The root span opens at enqueue, so queue wait is on the trace.
-		r.trace = p.OpenTrace(r.id, now, parent)
-		attrs := []telemetry.Attr{
-			telemetry.Str("sc.pipeline", p.Name),
-			telemetry.Str("sc.tenant", p.tenant),
-			telemetry.Int("sc.reserved_bytes", pl.need),
-			telemetry.Int("sc.reserved_tokens", int64(r.tokens)),
-		}
-		if pl.predictedWall > 0 {
-			attrs = append(attrs, telemetry.Float("sc.predicted_seconds", pl.predictedWall))
-		}
-		r.trace.SetRootAttrs(attrs...)
+	// The root span opens at enqueue, so queue wait is on the trace.
+	r.trace = p.OpenTrace(r.id, now, parent)
+	attrs := []telemetry.Attr{
+		telemetry.Str("sc.pipeline", p.Name),
+		telemetry.Str("sc.tenant", p.tenant),
+		telemetry.Int("sc.reserved_bytes", pl.need),
+		telemetry.Int("sc.reserved_tokens", int64(r.tokens)),
 	}
+	if pl.predictedWall > 0 {
+		attrs = append(attrs, telemetry.Float("sc.predicted_seconds", pl.predictedWall))
+	}
+	r.trace.SetRootAttrs(attrs...)
 	s.runs[r.id] = r
 	s.mu.Unlock()
 
@@ -764,20 +776,18 @@ func (s *Server) startRun(r *Run, plan *core.Plan) {
 	ctx, cancel := context.WithCancel(context.Background())
 	r.cancelRun = cancel
 	r.mu.Unlock()
-	if r.trace != nil {
-		attrs := []telemetry.Attr{
-			telemetry.Str("sc.tenant", r.p.tenant),
-			telemetry.Int("sc.reserved_bytes", r.need),
-			telemetry.Int("sc.reserved_tokens", int64(r.tokens)),
-		}
-		// Attribute the queue wait: what the pump last saw holding this
-		// trigger at the head — catalog bytes, scheduler tokens, the
-		// tenant's slice, or its own pipeline still running.
-		if b := r.tkt.blockedOn(); b != "" {
-			attrs = append(attrs, telemetry.Str("sc.blocked_on", b))
-		}
-		r.trace.AddChildSpan("queue admission", r.enqueuedAt, now, attrs...)
+	attrs := []telemetry.Attr{
+		telemetry.Str("sc.tenant", r.p.tenant),
+		telemetry.Int("sc.reserved_bytes", r.need),
+		telemetry.Int("sc.reserved_tokens", int64(r.tokens)),
 	}
+	// Attribute the queue wait: what the pump last saw holding this
+	// trigger at the head — catalog bytes, scheduler tokens, the
+	// tenant's slice, or its own pipeline still running.
+	if b := r.tkt.blockedOn(); b != "" {
+		attrs = append(attrs, telemetry.Str("sc.blocked_on", b))
+	}
+	r.trace.AddChildSpan(telemetry.SpanQueueAdmission, r.enqueuedAt, now, attrs...)
 	s.prom.queueWait.observe(now.Sub(r.enqueuedAt).Seconds())
 	s.runWG.Add(1)
 	go func() {
@@ -800,7 +810,7 @@ func (s *Server) execute(ctx context.Context, r *Run, plan *core.Plan) {
 		Sched:       s.sched,
 		Concurrency: s.cfg.Concurrency,
 		RunID:       r.id,
-		Observers:   []obs.Observer{r.events, s.prom.runObserver(r.p.tenant, r.p.Name)},
+		Observers:   []obs.Observer{r.events},
 		Trace:       r.trace,
 	})
 
@@ -821,10 +831,7 @@ func (s *Server) execute(ctx context.Context, r *Run, plan *core.Plan) {
 	r.p.lastRunID = r.id
 	r.p.runsTotal++
 	r.p.mu.Unlock()
-	exemplar := ""
-	if r.trace != nil {
-		exemplar = fmt.Sprintf("trace_id=%q", r.trace.Context().TraceID.String())
-	}
+	exemplar := fmt.Sprintf("trace_id=%q", r.trace.Context().TraceID.String())
 	s.prom.refreshSeconds.observeExemplar(now.Sub(r.enqueuedAt).Seconds(), exemplar, r.p.tenant, r.p.Name)
 
 	r.mu.Lock()
@@ -877,29 +884,41 @@ func (s *Server) retire(r *Run) {
 }
 
 // finishTrace ends the run's observability lifecycle at its terminal
-// state — executed or not — through the server's Finisher, and counts what
-// came back on the prom surface.
+// state — executed or not — through the server's Finisher, and adds what
+// the run's summary says it did to the prom counters.
 func (s *Server) finishTrace(r *Run, now time.Time, state string) {
 	st := r.status()
-	if r.trace != nil {
-		r.trace.SetRootAttrs(
-			telemetry.Str("sc.state", state),
-			telemetry.Int("sc.actual_peak_bytes", st.ActualPeakBytes),
-		)
-	}
-	sum, sampled, _ := s.fin.Finish(r.p.Pipeline, r.trace, now, ledger.Meta{
+	r.trace.SetRootAttrs(
+		telemetry.Str("sc.state", state),
+		telemetry.Int("sc.actual_peak_bytes", st.ActualPeakBytes),
+	)
+	meta := ledger.Meta{
 		RunID: r.id, Tenant: r.p.tenant, Outcome: state,
 		Start:       st.EnqueuedAt,
 		WallSeconds: st.ElapsedSeconds, QueueWaitSeconds: st.QueueWaitSeconds,
 		ReservedBytes: st.ReservedBytes, ActualPeakBytes: st.ActualPeakBytes,
 		FallbackWrites: st.FallbackWrites,
 		EventsDropped:  st.EventsDropped, Err: st.Error,
-	})
-	for _, a := range sum.Anomalies {
-		s.prom.anomalies.add(1, r.p.Name, a.Kind)
 	}
-	if st.EventsDropped > 0 {
-		s.prom.eventsDropped.add(float64(st.EventsDropped), r.p.tenant, r.p.Name)
+	fin := s.fin
+	r.p.finMu.Lock()
+	if r.p.gone {
+		fin.Ledger = nil
+	}
+	sum, sampled, spans := fin.Finish(r.p.Pipeline, r.trace, now, meta)
+	r.p.finMu.Unlock()
+	if fin.Ledger == nil {
+		sum = ledger.Summarize(spans, r.p.Parents, meta) // counted below, landed nowhere
+	}
+	tenant, name := r.p.tenant, r.p.Name
+	s.prom.decodeBytes.add(float64(sum.DecodedBytes), tenant, name)
+	s.prom.encodeBytes.add(float64(sum.EncodedBytes), tenant, name)
+	s.prom.materialized.add(float64(sum.MaterializedBytes), tenant, name)
+	s.prom.evictions.add(float64(sum.Evictions), tenant, name)
+	s.prom.kernelFallbacks.add(float64(sum.KernelFallbacks), tenant, name)
+	s.prom.eventsDropped.add(float64(st.EventsDropped), tenant, name)
+	for _, a := range sum.Anomalies {
+		s.prom.anomalies.add(1, name, a.Kind)
 	}
 	if sampled != "" {
 		s.prom.traceSampled.add(1, sampled)
@@ -914,13 +933,10 @@ func (s *Server) RunHistory(f ledger.Filter) []ledger.RunSummary {
 // PipelineHealth reports SLO attainment, baseline-vs-latest per node and
 // regressions for one registered pipeline over the ledger window.
 func (s *Server) PipelineHealth(name string) (ledger.Health, error) {
-	s.mu.Lock()
-	_, ok := s.pipelines[name]
-	s.mu.Unlock()
-	if !ok {
-		return ledger.Health{}, fmt.Errorf("%w: pipeline %q", ErrNotFound, name)
+	if _, err := s.pipeline(name); err != nil {
+		return ledger.Health{}, err
 	}
-	return s.fin.Ledger.Health(name, ledger.HealthConfig{SLOSeconds: s.cfg.SLOSeconds}), nil
+	return s.fin.Ledger.Health(name, s.cfg.SLOSeconds), nil
 }
 
 // expireRun is the admitter's expire callback: the queue deadline passed.
@@ -974,11 +990,9 @@ func (s *Server) CancelRun(id string) (RunStatus, error) {
 
 // Run returns a run's snapshot.
 func (s *Server) Run(id string) (RunStatus, error) {
-	s.mu.Lock()
-	r, ok := s.runs[id]
-	s.mu.Unlock()
-	if !ok {
-		return RunStatus{}, fmt.Errorf("%w: run %q", ErrNotFound, id)
+	r, err := s.runHandle(id)
+	if err != nil {
+		return RunStatus{}, err
 	}
 	return r.status(), nil
 }
@@ -999,15 +1013,10 @@ type TraceReport struct {
 }
 
 // RunTrace returns a run's trace snapshot and critical-path analysis.
-// ErrNotFound covers both unknown runs and a gateway running with
-// DisableTracing.
 func (s *Server) RunTrace(id string) (TraceReport, error) {
 	r, err := s.runHandle(id)
 	if err != nil {
 		return TraceReport{}, err
-	}
-	if r.trace == nil {
-		return TraceReport{}, fmt.Errorf("%w: run %q has no trace (tracing disabled)", ErrNotFound, id)
 	}
 	spans := r.trace.Spans()
 	st := r.status()
@@ -1039,11 +1048,9 @@ func (s *Server) runHandle(id string) (*Run, error) {
 // returns all rows; a positive limit decodes only that many leading rows of
 // a chunked MV.
 func (s *Server) QueryMV(pipelineName, mv string, limit int) (*table.Table, error) {
-	s.mu.Lock()
-	p, ok := s.pipelines[pipelineName]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: pipeline %q", ErrNotFound, pipelineName)
+	p, err := s.pipeline(pipelineName)
+	if err != nil {
+		return nil, err
 	}
 	known := false
 	for _, n := range p.Workload.Nodes {
@@ -1110,137 +1117,4 @@ func (s *Server) tenantNames() []string {
 		}
 	}
 	return names
-}
-
-// registerGauges wires the scrape-time gauges to live server state.
-func (s *Server) registerGauges() {
-	s.prom.addGauge("scserve_queue_depth",
-		"Triggers waiting for admission.", nil, func() []gaugeSample {
-			return []gaugeSample{{v: float64(s.adm.depth())}}
-		})
-	s.prom.addGauge("scserve_catalog_budget_bytes",
-		"Global shared Memory Catalog budget.", nil, func() []gaugeSample {
-			return []gaugeSample{{v: float64(s.pool.Capacity())}}
-		})
-	s.prom.addGauge("scserve_catalog_reserved_bytes",
-		"Bytes reserved by admitted refreshes.", nil, func() []gaugeSample {
-			return []gaugeSample{{v: float64(s.pool.Reserved())}}
-		})
-	s.prom.addGauge("scserve_catalog_used_bytes",
-		"Bytes resident across all run catalogs.", nil, func() []gaugeSample {
-			return []gaugeSample{{v: float64(s.pool.Used())}}
-		})
-	s.prom.addGauge("scserve_catalog_peak_used_bytes",
-		"High-water mark of resident bytes.", nil, func() []gaugeSample {
-			return []gaugeSample{{v: float64(s.pool.PeakUsed())}}
-		})
-	s.prom.addGauge("scserve_tenant_slice_bytes",
-		"Configured tenant budget slice.", []string{"tenant"}, func() []gaugeSample {
-			var out []gaugeSample
-			for _, t := range s.tenantNames() {
-				out = append(out, gaugeSample{lvs: []string{t}, v: float64(s.adm.tenantSlice(t))})
-			}
-			return out
-		})
-	s.prom.addGauge("scserve_tenant_reserved_bytes",
-		"Bytes a tenant's admitted refreshes hold reserved.", []string{"tenant"}, func() []gaugeSample {
-			var out []gaugeSample
-			for _, t := range s.tenantNames() {
-				out = append(out, gaugeSample{lvs: []string{t}, v: float64(s.adm.tenantReserved(t))})
-			}
-			return out
-		})
-	s.prom.addGauge("scserve_sched_tokens_idle",
-		"Scheduler tokens currently idle in the shared pool.", nil, func() []gaugeSample {
-			return []gaugeSample{{v: float64(s.sched.Stats().Idle)}}
-		})
-	s.prom.addGauge("scserve_sched_tokens_committed",
-		"Scheduler tokens soft-committed by admitted refreshes.", nil, func() []gaugeSample {
-			return []gaugeSample{{v: float64(s.sched.Stats().Committed)}}
-		})
-	s.prom.addGauge("scserve_ledger_runs",
-		"Run summaries retained in the ledger ring.", nil, func() []gaugeSample {
-			return []gaugeSample{{v: float64(s.fin.Ledger.Len())}}
-		})
-	s.prom.addGauge("scserve_ledger_evicted_total",
-		"Run summaries evicted from the bounded ledger ring.", nil, func() []gaugeSample {
-			return []gaugeSample{{v: float64(s.fin.Ledger.Evicted())}}
-		})
-	s.prom.addGauge("scserve_mispredict_ratio",
-		"Learned mean |reserved-actual|/reserved of admission reservations.",
-		[]string{"pipeline"}, func() []gaugeSample {
-			var out []gaugeSample
-			for _, p := range s.fin.Ledger.Pipelines() {
-				out = append(out, gaugeSample{lvs: []string{p}, v: s.fin.Ledger.MispredictRatio(p)})
-			}
-			return out
-		})
-	s.prom.addGauge("scserve_catalog_entry_bytes",
-		"Bytes resident across run catalogs, summed from per-entry accounting (pins the /v1/state/catalog byte totals).",
-		nil, func() []gaugeSample {
-			return []gaugeSample{{v: float64(s.CatalogState().EntryBytes)}}
-		})
-	s.prom.addGauge("scserve_catalog_codec_bytes",
-		"Compressed bytes resident in run catalogs, by codec.", []string{"codec"}, func() []gaugeSample {
-			var out []gaugeSample
-			for codec, b := range s.CatalogState().CodecBytes {
-				out = append(out, gaugeSample{lvs: []string{codec}, v: float64(b)})
-			}
-			return out
-		})
-	s.prom.addGauge("scserve_catalog_codec_chunks",
-		"Compressed chunks resident in run catalogs, by codec.", []string{"codec"}, func() []gaugeSample {
-			var out []gaugeSample
-			for codec, n := range s.CatalogState().CodecChunks {
-				out = append(out, gaugeSample{lvs: []string{codec}, v: float64(n)})
-			}
-			return out
-		})
-	s.prom.addGauge("scserve_catalog_evictions_total",
-		"Catalog entries evicted across all run catalogs.", nil, func() []gaugeSample {
-			s.evMu.Lock()
-			n := s.evSeen
-			s.evMu.Unlock()
-			s.mu.Lock()
-			for _, r := range s.runs {
-				r.mu.Lock()
-				if r.cat != nil {
-					n += r.cat.EvictionsSeen()
-				}
-				r.mu.Unlock()
-			}
-			s.mu.Unlock()
-			return []gaugeSample{{v: float64(n)}}
-		})
-	s.prom.addGauge("scserve_alerts_total",
-		"Alert webhook delivery outcomes.", []string{"outcome"}, func() []gaugeSample {
-			if s.fin.Alerts == nil {
-				return nil
-			}
-			st := s.fin.Alerts.Stats()
-			return []gaugeSample{
-				{lvs: []string{"delivered"}, v: float64(st.Delivered)},
-				{lvs: []string{"dropped"}, v: float64(st.Dropped)},
-				{lvs: []string{"deduped"}, v: float64(st.Deduped)},
-				{lvs: []string{"retried"}, v: float64(st.Retries)},
-			}
-		})
-	s.prom.addGauge("scserve_tenant_catalog_bytes",
-		"Bytes resident in a tenant's live run catalogs.", []string{"tenant"}, func() []gaugeSample {
-			used := make(map[string]float64)
-			s.mu.Lock()
-			for _, r := range s.runs {
-				r.mu.Lock()
-				if r.cat != nil {
-					used[r.p.tenant] += float64(r.cat.Used())
-				}
-				r.mu.Unlock()
-			}
-			s.mu.Unlock()
-			var out []gaugeSample
-			for _, t := range s.tenantNames() {
-				out = append(out, gaugeSample{lvs: []string{t}, v: used[t]})
-			}
-			return out
-		})
 }

@@ -155,6 +155,19 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, code, errorResponse{Error: err.Error()})
 }
 
+// byPath serves a call keyed by one path value: 200 with the result as
+// JSON, or the error's mapped status.
+func byPath[T any](key string, call func(string) (T, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		v, err := call(r.PathValue(key))
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, v)
+	}
+}
+
 // Handler returns the gateway's HTTP API:
 //
 //	POST   /v1/pipelines                      register a pipeline
@@ -184,14 +197,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/pipelines", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Pipelines())
 	})
-	mux.HandleFunc("GET /v1/pipelines/{name}", func(w http.ResponseWriter, r *http.Request) {
-		info, err := s.Pipeline(r.PathValue("name"))
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, info)
-	})
+	mux.HandleFunc("GET /v1/pipelines/{name}", byPath("name", s.Pipeline))
 	mux.HandleFunc("DELETE /v1/pipelines/{name}", func(w http.ResponseWriter, r *http.Request) {
 		if err := s.Unregister(r.PathValue("name")); err != nil {
 			writeError(w, err)
@@ -201,22 +207,8 @@ func (s *Server) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST /v1/pipelines/{name}/refresh", s.handleTrigger)
 	mux.HandleFunc("GET /v1/pipelines/{name}/mvs/{mv}", s.handleQueryMV)
-	mux.HandleFunc("GET /v1/pipelines/{name}/health", func(w http.ResponseWriter, r *http.Request) {
-		h, err := s.PipelineHealth(r.PathValue("name"))
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, h)
-	})
-	mux.HandleFunc("GET /v1/pipelines/{name}/explain", func(w http.ResponseWriter, r *http.Request) {
-		rep, err := s.ExplainPipeline(r.PathValue("name"))
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, rep)
-	})
+	mux.HandleFunc("GET /v1/pipelines/{name}/health", byPath("name", s.PipelineHealth))
+	mux.HandleFunc("GET /v1/pipelines/{name}/explain", byPath("name", s.ExplainPipeline))
 	mux.HandleFunc("GET /v1/state/catalog", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.CatalogState())
 	})
@@ -224,31 +216,10 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, s.SchedState())
 	})
 	mux.HandleFunc("GET /v1/runs", s.handleRunHistory)
-	mux.HandleFunc("GET /v1/runs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		st, err := s.Run(r.PathValue("id"))
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-	})
-	mux.HandleFunc("POST /v1/runs/{id}/cancel", func(w http.ResponseWriter, r *http.Request) {
-		st, err := s.CancelRun(r.PathValue("id"))
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-	})
+	mux.HandleFunc("GET /v1/runs/{id}", byPath("id", s.Run))
+	mux.HandleFunc("POST /v1/runs/{id}/cancel", byPath("id", s.CancelRun))
 	mux.HandleFunc("GET /v1/runs/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /v1/runs/{id}/trace", func(w http.ResponseWriter, r *http.Request) {
-		rep, err := s.RunTrace(r.PathValue("id"))
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, rep)
-	})
+	mux.HandleFunc("GET /v1/runs/{id}/trace", byPath("id", s.RunTrace))
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		// Content negotiation: an Accept naming OpenMetrics gets the 1.0
 		// exposition (with exemplars); everything else the classic format.
@@ -330,9 +301,7 @@ func (s *Server) handleTrigger(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if tp := run.Traceparent(); tp != "" {
-		w.Header().Set("traceparent", tp)
-	}
+	w.Header().Set("traceparent", run.Traceparent())
 	if r.URL.Query().Get("wait") == "" {
 		writeJSON(w, http.StatusAccepted, run.status())
 		return

@@ -7,8 +7,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"github.com/shortcircuit-db/sc/internal/obs"
 )
 
 // Prometheus text-exposition registry, hand-rolled so the gateway stays
@@ -224,8 +222,10 @@ func (g *gaugeVec) write(w io.Writer) {
 // latencyBuckets spans queue waits through multi-minute refreshes.
 var latencyBuckets = []float64{.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10, 30, 60, 120, 300}
 
-// prom is the gateway's metric registry: the obs stream lands in counters
-// and histograms here, and the /metrics handler writes the exposition.
+// prom is the gateway's metric registry: finished runs and admission
+// decisions land in counters and histograms here, gauges read live server
+// state at scrape time, and the /metrics handler writes the exposition.
+// Each family is registered once, into the slice write loops over.
 type prom struct {
 	refreshes       *counterVec // tenant, pipeline, status
 	triggers        *counterVec // outcome
@@ -241,57 +241,55 @@ type prom struct {
 	queueWait       *histVec    // (none)
 	mvReadSeconds   *histVec    // (none)
 
-	gauges []*gaugeVec
+	// Exposition order: counters, then gauges, then histograms, each in
+	// registration order.
+	counters []*counterVec
+	gauges   []*gaugeVec
+	hists    []*histVec
 }
 
 func newProm() *prom {
-	return &prom{
-		refreshes: newCounterVec("scserve_refreshes_total",
-			"Completed refresh runs by terminal status.", "tenant", "pipeline", "status"),
-		triggers: newCounterVec("scserve_triggers_total",
-			"Trigger admission outcomes.", "outcome"),
-		decodeBytes: newCounterVec("scserve_decode_bytes_total",
-			"Raw bytes decoded serving catalog and chunked-file reads.", "tenant", "pipeline"),
-		encodeBytes: newCounterVec("scserve_encode_bytes_total",
-			"Encoded bytes produced by node outputs.", "tenant", "pipeline"),
-		materialized: newCounterVec("scserve_materialized_bytes_total",
-			"Bytes materialized to external storage.", "tenant", "pipeline"),
-		evictions: newCounterVec("scserve_evictions_total",
-			"Flagged outputs released from the shared catalog.", "tenant", "pipeline"),
-		kernelFallbacks: newCounterVec("scserve_kernel_fallbacks_total",
-			"Kernel executions that reverted to the row engine.", "tenant", "pipeline"),
-		anomalies: newCounterVec("scserve_anomalies_total",
-			"Baseline anomalies detected in finished runs.", "pipeline", "kind"),
-		eventsDropped: newCounterVec("scserve_run_events_dropped_total",
-			"Run events dropped by the bounded event buffer.", "tenant", "pipeline"),
-		traceSampled: newCounterVec("scserve_traces_sampled_total",
-			"Tail-sampling decisions on finished run traces.", "decision"),
-		refreshSeconds: newHistVec("scserve_refresh_seconds",
-			"End-to-end refresh latency (trigger to all MVs materialized), including queue wait.",
-			latencyBuckets, "tenant", "pipeline"),
-		queueWait: newHistVec("scserve_queue_wait_seconds",
-			"Time triggers spent queued before admission.", latencyBuckets),
-		mvReadSeconds: newHistVec("scserve_mv_read_seconds",
-			"Server-side MV query latency.", latencyBuckets),
-	}
+	p := &prom{}
+	p.refreshes = p.counter("scserve_refreshes_total",
+		"Completed refresh runs by terminal status.", "tenant", "pipeline", "status")
+	p.triggers = p.counter("scserve_triggers_total",
+		"Trigger admission outcomes.", "outcome")
+	p.decodeBytes = p.counter("scserve_decode_bytes_total",
+		"Raw bytes decoded serving catalog and chunked-file reads.", "tenant", "pipeline")
+	p.encodeBytes = p.counter("scserve_encode_bytes_total",
+		"Encoded bytes produced by node outputs.", "tenant", "pipeline")
+	p.materialized = p.counter("scserve_materialized_bytes_total",
+		"Bytes materialized to external storage.", "tenant", "pipeline")
+	p.evictions = p.counter("scserve_evictions_total",
+		"Flagged outputs released from the shared catalog.", "tenant", "pipeline")
+	p.kernelFallbacks = p.counter("scserve_kernel_fallbacks_total",
+		"Kernel executions that reverted to the row engine.", "tenant", "pipeline")
+	p.anomalies = p.counter("scserve_anomalies_total",
+		"Baseline anomalies detected in finished runs.", "pipeline", "kind")
+	p.eventsDropped = p.counter("scserve_run_events_dropped_total",
+		"Run events dropped by the bounded event buffer.", "tenant", "pipeline")
+	p.traceSampled = p.counter("scserve_traces_sampled_total",
+		"Tail-sampling decisions on finished run traces.", "decision")
+	p.refreshSeconds = p.hist("scserve_refresh_seconds",
+		"End-to-end refresh latency (trigger to all MVs materialized), including queue wait.",
+		"tenant", "pipeline")
+	p.queueWait = p.hist("scserve_queue_wait_seconds",
+		"Time triggers spent queued before admission.")
+	p.mvReadSeconds = p.hist("scserve_mv_read_seconds",
+		"Server-side MV query latency.")
+	return p
 }
 
-// runObserver adapts one run's obs stream into the registry.
-func (p *prom) runObserver(tenant, pipeline string) obs.Observer {
-	return obs.Func(func(e obs.Event) {
-		switch e.Kind {
-		case obs.DecodeDone:
-			p.decodeBytes.add(float64(e.Bytes), tenant, pipeline)
-		case obs.EncodeDone:
-			p.encodeBytes.add(float64(e.Encoded), tenant, pipeline)
-		case obs.Materialized:
-			p.materialized.add(float64(e.Bytes), tenant, pipeline)
-		case obs.Evicted:
-			p.evictions.add(1, tenant, pipeline)
-		case obs.KernelDone:
-			p.kernelFallbacks.add(float64(e.Fallbacks), tenant, pipeline)
-		}
-	})
+func (p *prom) counter(name, help string, labels ...string) *counterVec {
+	c := newCounterVec(name, help, labels...)
+	p.counters = append(p.counters, c)
+	return c
+}
+
+func (p *prom) hist(name, help string, labels ...string) *histVec {
+	h := newHistVec(name, help, latencyBuckets, labels...)
+	p.hists = append(p.hists, h)
+	return h
 }
 
 // addGauge registers a scrape-time gauge family.
@@ -303,23 +301,117 @@ func (p *prom) addGauge(name, help string, labels []string, collect func() []gau
 // families named without _total, exemplars on histogram buckets, trailing
 // # EOF) over the classic 0.0.4 text format.
 func (p *prom) write(w io.Writer, om bool) {
-	p.refreshes.write(w, om)
-	p.triggers.write(w, om)
-	p.decodeBytes.write(w, om)
-	p.encodeBytes.write(w, om)
-	p.materialized.write(w, om)
-	p.evictions.write(w, om)
-	p.kernelFallbacks.write(w, om)
-	p.anomalies.write(w, om)
-	p.eventsDropped.write(w, om)
-	p.traceSampled.write(w, om)
+	for _, c := range p.counters {
+		c.write(w, om)
+	}
 	for _, g := range p.gauges {
 		g.write(w)
 	}
-	p.refreshSeconds.write(w, om)
-	p.queueWait.write(w, om)
-	p.mvReadSeconds.write(w, om)
+	for _, h := range p.hists {
+		h.write(w, om)
+	}
 	if om {
 		io.WriteString(w, "# EOF\n")
 	}
+}
+
+// registerGauges wires the scrape-time gauges to live server state.
+func (s *Server) registerGauges() {
+	// value registers an unlabeled gauge with one reading.
+	value := func(name, help string, read func() float64) {
+		s.prom.addGauge(name, help, nil, func() []gaugeSample { return []gaugeSample{{v: read()}} })
+	}
+	// perTenant registers a gauge with one reading per registered tenant.
+	perTenant := func(name, help string, read func(tenant string) float64) {
+		s.prom.addGauge(name, help, []string{"tenant"}, func() []gaugeSample {
+			var out []gaugeSample
+			for _, t := range s.tenantNames() {
+				out = append(out, gaugeSample{lvs: []string{t}, v: read(t)})
+			}
+			return out
+		})
+	}
+	value("scserve_queue_depth", "Triggers waiting for admission.",
+		func() float64 { return float64(s.adm.depth()) })
+	value("scserve_catalog_budget_bytes", "Global shared Memory Catalog budget.",
+		func() float64 { return float64(s.pool.Capacity()) })
+	value("scserve_catalog_reserved_bytes", "Bytes reserved by admitted refreshes.",
+		func() float64 { return float64(s.pool.Reserved()) })
+	value("scserve_catalog_used_bytes", "Bytes resident across all run catalogs.",
+		func() float64 { return float64(s.pool.Used()) })
+	value("scserve_catalog_peak_used_bytes", "High-water mark of resident bytes.",
+		func() float64 { return float64(s.pool.PeakUsed()) })
+	perTenant("scserve_tenant_slice_bytes", "Configured tenant budget slice.",
+		func(t string) float64 { return float64(s.adm.tenantSlice(t)) })
+	perTenant("scserve_tenant_reserved_bytes", "Bytes a tenant's admitted refreshes hold reserved.",
+		func(t string) float64 { return float64(s.adm.tenantReserved(t)) })
+	value("scserve_sched_tokens_idle", "Scheduler tokens currently idle in the shared pool.",
+		func() float64 { return float64(s.sched.Stats().Idle) })
+	value("scserve_sched_tokens_committed", "Scheduler tokens soft-committed by admitted refreshes.",
+		func() float64 { return float64(s.sched.Stats().Committed) })
+	value("scserve_ledger_runs", "Run summaries retained in the ledger ring.",
+		func() float64 { return float64(s.fin.Ledger.Len()) })
+	value("scserve_ledger_evicted_total", "Run summaries evicted from the bounded ledger ring.",
+		func() float64 { return float64(s.fin.Ledger.Evicted()) })
+	s.prom.addGauge("scserve_mispredict_ratio",
+		"Learned mean |reserved-actual|/reserved of admission reservations.",
+		[]string{"pipeline"}, func() []gaugeSample {
+			var out []gaugeSample
+			for _, p := range s.fin.Ledger.Pipelines() {
+				out = append(out, gaugeSample{lvs: []string{p}, v: s.fin.Ledger.MispredictRatio(p)})
+			}
+			return out
+		})
+	value("scserve_catalog_entry_bytes",
+		"Bytes resident across run catalogs, summed from per-entry accounting (pins the /v1/state/catalog byte totals).",
+		func() float64 { return float64(s.CatalogState().EntryBytes) })
+	s.prom.addGauge("scserve_catalog_codec_bytes",
+		"Compressed bytes resident in run catalogs, by codec.", []string{"codec"}, func() []gaugeSample {
+			var out []gaugeSample
+			for codec, b := range s.CatalogState().CodecBytes {
+				out = append(out, gaugeSample{lvs: []string{codec}, v: float64(b)})
+			}
+			return out
+		})
+	s.prom.addGauge("scserve_catalog_codec_chunks",
+		"Compressed chunks resident in run catalogs, by codec.", []string{"codec"}, func() []gaugeSample {
+			var out []gaugeSample
+			for codec, n := range s.CatalogState().CodecChunks {
+				out = append(out, gaugeSample{lvs: []string{codec}, v: float64(n)})
+			}
+			return out
+		})
+	value("scserve_catalog_evictions_total", "Catalog entries evicted across all run catalogs.",
+		func() float64 { return float64(s.CatalogState().EvictionsSeen) })
+	s.prom.addGauge("scserve_alerts_total",
+		"Alert webhook delivery outcomes.", []string{"outcome"}, func() []gaugeSample {
+			if s.fin.Alerts == nil {
+				return nil
+			}
+			st := s.fin.Alerts.Stats()
+			return []gaugeSample{
+				{lvs: []string{"delivered"}, v: float64(st.Delivered)},
+				{lvs: []string{"dropped"}, v: float64(st.Dropped)},
+				{lvs: []string{"deduped"}, v: float64(st.Deduped)},
+				{lvs: []string{"retried"}, v: float64(st.Retries)},
+			}
+		})
+	s.prom.addGauge("scserve_tenant_catalog_bytes",
+		"Bytes resident in a tenant's live run catalogs.", []string{"tenant"}, func() []gaugeSample {
+			used := make(map[string]float64)
+			s.mu.Lock()
+			for _, r := range s.runs {
+				r.mu.Lock()
+				if r.cat != nil {
+					used[r.p.tenant] += float64(r.cat.Used())
+				}
+				r.mu.Unlock()
+			}
+			s.mu.Unlock()
+			var out []gaugeSample
+			for _, t := range s.tenantNames() {
+				out = append(out, gaugeSample{lvs: []string{t}, v: used[t]})
+			}
+			return out
+		})
 }

@@ -3,10 +3,18 @@ package gateway
 import (
 	"bytes"
 	"flag"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/shortcircuit-db/sc/internal/ledger"
+	"github.com/shortcircuit-db/sc/internal/storage"
+	"github.com/shortcircuit-db/sc/internal/table"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -110,4 +118,85 @@ func firstDiff(a, b string) string {
 		}
 	}
 	return "(prefix of other)"
+}
+
+// TestRunCountersEqualLedgerColumns: the five per-run /metrics counters are
+// added once per finished run from its ledger summary, so over any history
+// — succeeded runs and a run canceled part-way — each equals the sum of
+// its column over GET /v1/runs.
+func TestRunCountersEqualLedgerColumns(t *testing.T) {
+	gs := &gateStore{Store: storage.NewMemStore()}
+	s, ts := newTestGateway(t, Config{NewStore: func(string) storage.Store { return gs }})
+	if err := s.Register(PipelineSpec{
+		Name: "p", Tenant: "t", Encoding: true,
+		MVs:    pipelineRequest("", "").MVs,
+		Tables: map[string]*table.Table{"sales": mustTable(t, salesJSON())},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		refreshOK(t, s, "p")
+	}
+	// A fourth run is canceled while parked on its first write: the node
+	// that wrote has encoded and materialized, the rest never start.
+	gs.block()
+	r, err := s.Trigger("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-gs.parked
+	canceled := make(chan error, 1)
+	go func() {
+		_, err := s.CancelRun(r.ID())
+		canceled <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the cancel reach the run's context before the write returns
+	gs.open()
+	if err := <-canceled; err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/runs?pipeline=p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist := decodeBody[runHistoryResponse](t, resp)
+	if hist.Count != 4 {
+		t.Fatalf("%d ledger rows, want 4", hist.Count)
+	}
+	if last := hist.Runs[0]; last.Outcome == ledger.OutcomeCanceled && (last.EncodedBytes == 0 || last.MaterializedBytes == 0) {
+		t.Fatalf("canceled run's row lost what ran before the cancel: %+v", last)
+	}
+	var want [5]int64
+	for _, row := range hist.Runs {
+		want[0] += row.DecodedBytes
+		want[1] += row.EncodedBytes
+		want[2] += row.MaterializedBytes
+		want[3] += row.Evictions
+		want[4] += row.KernelFallbacks
+	}
+	if want[0] == 0 || want[1] == 0 || want[2] == 0 || want[3] == 0 {
+		t.Fatalf("ledger columns decoded/encoded/materialized/evictions = %v: the comparison below would be vacuous", want[:4])
+	}
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	for i, family := range []string{
+		"scserve_decode_bytes_total", "scserve_encode_bytes_total", "scserve_materialized_bytes_total",
+		"scserve_evictions_total", "scserve_kernel_fallbacks_total",
+	} {
+		var got float64 // a family no run ever added to has no series
+		if _, rest, ok := strings.Cut(string(body), family+`{tenant="t",pipeline="p"} `); ok {
+			line, _, _ := strings.Cut(rest, "\n")
+			if got, err = strconv.ParseFloat(line, 64); err != nil {
+				t.Fatalf("%s: bad value %q", family, line)
+			}
+		}
+		if got != float64(want[i]) {
+			t.Errorf("%s = %v, the ledger column sums to %d", family, got, want[i])
+		}
+	}
 }

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"context"
-	"fmt"
 
 	"github.com/shortcircuit-db/sc/internal/introspect"
 	"github.com/shortcircuit-db/sc/internal/memcat"
@@ -135,11 +134,9 @@ func (s *Server) SchedState() introspect.SchedReport {
 // encoded bytes, the marginal byte cost that decided it, and what would
 // flip it. The body of GET /v1/pipelines/{p}/explain.
 func (s *Server) ExplainPipeline(name string) (*introspect.ExplainReport, error) {
-	s.mu.Lock()
-	p, ok := s.pipelines[name]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: pipeline %q", ErrNotFound, name)
+	p, err := s.pipeline(name)
+	if err != nil {
+		return nil, err
 	}
 	prob := p.Problem(s.adm.tenantSlice(p.tenant))
 	plan, _, err := opt.Solve(context.Background(), prob, opt.Options{})

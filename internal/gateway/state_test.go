@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -409,7 +410,9 @@ func TestUnregisterForgetsPipelineMemory(t *testing.T) {
 	}))
 	defer hook.Close()
 
-	s, err := NewServer(Config{GlobalBudget: 1 << 20, AlertWebhook: hook.URL})
+	gs := &gateStore{Store: storage.NewMemStore()}
+	s, err := NewServer(Config{GlobalBudget: 1 << 20, AlertWebhook: hook.URL,
+		NewStore: func(string) storage.Store { return gs }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,14 +431,46 @@ func TestUnregisterForgetsPipelineMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A fifth run is parked mid-flight on its first write when the pipeline
+	// is unregistered. It still ends — status, trace, /metrics counters —
+	// but must not bring the forgotten ledger state back.
+	gs.block()
+	inflight, err := s.Trigger("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gs.parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the in-flight run never reached the gate")
+	}
 	if err := s.Unregister("p"); err != nil {
 		t.Fatal(err)
+	}
+	gs.open()
+	<-inflight.Done()
+	if st := inflight.Status(); st.State != StateSucceeded || st.Nodes != 3 {
+		t.Fatalf("run in flight at Unregister ended %+v, want succeeded over 3 nodes", st)
+	}
+	if tr, err := s.RunTrace(inflight.ID()); err != nil || !tr.Complete {
+		t.Fatalf("run in flight at Unregister left trace %+v (err %v), want a finished one", tr, err)
+	}
+	var metrics bytes.Buffer
+	s.prom.write(&metrics, false)
+	if want := `scserve_refreshes_total{tenant="default",pipeline="p",status="succeeded"} 5`; !strings.Contains(metrics.String(), want) {
+		t.Errorf("/metrics does not count the run in flight at Unregister: no %q", want)
+	}
+	if strings.Contains(metrics.String(), `scserve_mispredict_ratio{pipeline="p"}`) {
+		t.Error("/metrics keeps a mispredict series for the unregistered pipeline")
 	}
 	if b := s.fin.Ledger.Baselines("p"); len(b) != 0 {
 		t.Fatalf("unregistered pipeline keeps %d node baselines in the ledger", len(b))
 	}
 	if rows := s.RunHistory(ledger.Filter{Pipeline: "p"}); len(rows) != 0 {
 		t.Fatalf("unregistered pipeline keeps %d ledger rows", len(rows))
+	}
+	if names := s.fin.Ledger.Pipelines(); len(names) != 0 {
+		t.Fatalf("ledger still knows pipelines %v", names)
 	}
 
 	// Same name, different DAG: mv_daily again, and a node that fails at

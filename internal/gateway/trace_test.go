@@ -124,28 +124,6 @@ func TestGatewayTraceEndToEnd(t *testing.T) {
 	}
 }
 
-func TestGatewayTraceDisabled(t *testing.T) {
-	_, ts := newTestGateway(t, Config{DisableTracing: true})
-	resp := postJSON(t, ts.URL+"/v1/pipelines", pipelineRequest("beer", "brewer"))
-	resp.Body.Close()
-	resp = postJSON(t, ts.URL+"/v1/pipelines/beer/refresh?wait=1", nil)
-	if h := resp.Header.Get("traceparent"); h != "" {
-		t.Fatalf("traceparent %q with tracing disabled", h)
-	}
-	st := decodeBody[RunStatus](t, resp)
-	if st.State != StateSucceeded {
-		t.Fatalf("state %q", st.State)
-	}
-	resp, err := http.Get(ts.URL + "/v1/runs/" + st.ID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("/trace with tracing disabled: %d, want 404", resp.StatusCode)
-	}
-}
-
 // TestGatewayTraceTerminalWithoutRun checks a trigger that never executes
 // (canceled while queued) still finishes its trace: root span closed with
 // the terminal state, no node spans, trace exported.

@@ -1,18 +1,20 @@
 // Package alert pushes state changes instead of waiting to be scraped: a
 // webhook notifier for health-verdict transitions and ledger anomalies.
-// Events enqueue onto a bounded queue (full queue = drop + count) and a
-// single worker posts them with exponential-backoff retry; a
-// per-(pipeline, kind) dedup window suppresses repeats inside a cooldown
-// so a flapping pipeline produces one alert per episode, not one per run.
+// Events enqueue onto a bounded queue (full or closed queue = drop + count)
+// and a single worker posts them with exponential-backoff retry — both from
+// telemetry/delivery, shared with the OTLP exporter; a per-(pipeline, kind)
+// dedup window suppresses repeats inside a cooldown so a flapping pipeline
+// produces one alert per episode, not one per run.
 package alert
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/shortcircuit-db/sc/internal/telemetry/delivery"
 )
 
 // Event is one alert. Kind is the dedup axis within a pipeline: an
@@ -34,55 +36,25 @@ type Event struct {
 	Sigma       float64 `json:"sigma,omitempty"`
 }
 
-// Config configures a Notifier. Zero values take the documented defaults.
+// Config configures a Notifier.
 type Config struct {
 	// URL receives one POST per event, body = the Event as JSON.
 	URL string
-	// QueueSize bounds the pending-event queue; when full, new events are
-	// dropped and counted rather than blocking the refresh finish path.
-	// Default 128.
-	QueueSize int
-	// MaxRetries bounds re-attempts after a retriable failure (429/5xx/
-	// network). Default 3.
-	MaxRetries int
-	// RetryBase is the first backoff delay, doubled per attempt.
-	// Default 250ms.
-	RetryBase time.Duration
 	// Cooldown is the per-(pipeline, kind) dedup window: a repeat inside
 	// it is suppressed and counted. Default 5m; negative disables dedup.
 	Cooldown time.Duration
-	// Timeout bounds each HTTP attempt. Default 5s.
-	Timeout time.Duration
-	// Client overrides the HTTP client (tests). Nil = a client with Timeout.
-	Client *http.Client
 	// Now overrides the clock (tests). Nil = time.Now.
 	Now func() time.Time
 }
 
-func (c Config) withDefaults() Config {
-	if c.QueueSize <= 0 {
-		c.QueueSize = 128
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 3
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 250 * time.Millisecond
-	}
-	if c.Cooldown == 0 {
-		c.Cooldown = 5 * time.Minute
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 5 * time.Second
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: c.Timeout}
-	}
-	return c
-}
+// How the notifier queues and retries. Nothing ever set these, so they are
+// constants.
+const (
+	queueSize  = 128                    // pending events; beyond it new events are dropped and counted
+	maxRetries = 3                      // re-attempts after a retriable failure (429/5xx/network)
+	retryBase  = 250 * time.Millisecond // first backoff delay, doubled per attempt
+	timeout    = 5 * time.Second        // per HTTP attempt
+)
 
 // Stats are the notifier's lifetime delivery counters, exported as
 // scserve_alerts_* gauges.
@@ -95,9 +67,12 @@ type Stats struct {
 
 // Notifier delivers Events to a webhook. Construct with New; Close drains.
 type Notifier struct {
-	cfg   Config
-	queue chan Event
-	done  chan struct{}
+	cfg       Config
+	client    *http.Client
+	retries   int
+	retryBase time.Duration
+	queue     *delivery.Queue[Event]
+	done      chan struct{}
 
 	mu   sync.Mutex
 	last map[string]time.Time // (pipeline \x00 kind) -> last enqueue
@@ -105,28 +80,37 @@ type Notifier struct {
 	delivered atomic.Int64
 	dropped   atomic.Int64
 	deduped   atomic.Int64
-	retries   atomic.Int64
-
-	closeOnce sync.Once
+	retried   atomic.Int64
 }
 
 // New builds a notifier and starts its delivery worker.
-func New(cfg Config) *Notifier {
-	cfg = cfg.withDefaults()
+func New(cfg Config) *Notifier { return newNotifier(cfg, queueSize, maxRetries, retryBase) }
+
+// newNotifier is New with the queue and retry constants as parameters.
+func newNotifier(cfg Config, slots, retries int, base time.Duration) *Notifier {
+	if cfg.Cooldown == 0 {
+		cfg.Cooldown = 5 * time.Minute
+	}
+	if cfg.Now == nil {
+		cfg.Now = time.Now
+	}
 	n := &Notifier{
-		cfg:   cfg,
-		queue: make(chan Event, cfg.QueueSize),
-		done:  make(chan struct{}),
-		last:  make(map[string]time.Time),
+		cfg:       cfg,
+		client:    &http.Client{Timeout: timeout},
+		retries:   retries,
+		retryBase: base,
+		queue:     delivery.NewQueue[Event](slots),
+		done:      make(chan struct{}),
+		last:      make(map[string]time.Time),
 	}
 	go n.worker()
 	return n
 }
 
 // Notify enqueues an event without blocking. Repeats of the same
-// (pipeline, kind) inside the cooldown are suppressed; a full queue drops
-// the event. Both outcomes are counted, never waited on — Notify is
-// called from the refresh finish path.
+// (pipeline, kind) inside the cooldown are suppressed; a full queue, or one
+// already closed, drops the event. Both outcomes are counted, never waited
+// on — Notify is called from the refresh finish path.
 func (n *Notifier) Notify(ev Event) {
 	if n.cfg.Cooldown > 0 {
 		key := ev.Pipeline + "\x00" + ev.Kind
@@ -143,9 +127,7 @@ func (n *Notifier) Notify(ev Event) {
 	if ev.At.IsZero() {
 		ev.At = n.cfg.Now()
 	}
-	select {
-	case n.queue <- ev:
-	default:
+	if !n.queue.Offer(ev) {
 		n.dropped.Add(1)
 	}
 }
@@ -156,70 +138,36 @@ func (n *Notifier) Stats() Stats {
 		Delivered: n.delivered.Load(),
 		Dropped:   n.dropped.Load(),
 		Deduped:   n.deduped.Load(),
-		Retries:   n.retries.Load(),
+		Retries:   n.retried.Load(),
 	}
 }
 
 // Close stops accepting events, flushes the queue, and waits for the
 // worker to drain. Safe to call more than once.
 func (n *Notifier) Close() {
-	n.closeOnce.Do(func() {
-		close(n.queue)
-		<-n.done
-	})
+	n.queue.Close()
+	<-n.done
 }
 
 func (n *Notifier) worker() {
 	defer close(n.done)
-	for ev := range n.queue {
+	for ev := range n.queue.Items() {
 		n.send(ev)
 	}
 }
 
-// send posts one event, retrying retriable failures (429/5xx/network)
-// with exponential backoff; exhausted retries and non-retriable statuses
-// count as drops.
+// send posts one event; one that stays undelivered counts as a drop.
 func (n *Notifier) send(ev Event) {
 	payload, err := json.Marshal(ev)
 	if err != nil {
 		n.dropped.Add(1)
 		return
 	}
-	delay := n.cfg.RetryBase
-	for attempt := 0; ; attempt++ {
-		retriable, err := n.post(payload)
-		if err == nil {
-			n.delivered.Add(1)
-			return
-		}
-		if !retriable || attempt >= n.cfg.MaxRetries {
-			n.dropped.Add(1)
-			return
-		}
-		n.retries.Add(1)
-		time.Sleep(delay)
-		delay *= 2
+	ok, attempts := delivery.Post(n.client, n.cfg.URL, nil, payload, n.retries, n.retryBase)
+	n.retried.Add(int64(attempts - 1))
+	if ok {
+		n.delivered.Add(1)
+	} else {
+		n.dropped.Add(1)
 	}
 }
-
-func (n *Notifier) post(payload []byte) (retriable bool, err error) {
-	req, err := http.NewRequest(http.MethodPost, n.cfg.URL, bytes.NewReader(payload))
-	if err != nil {
-		return false, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.cfg.Client.Do(req)
-	if err != nil {
-		return true, err // network errors are retriable
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		return false, nil
-	}
-	retriable = resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500
-	return retriable, errStatus(resp.StatusCode)
-}
-
-type errStatus int
-
-func (e errStatus) Error() string { return "alert: webhook HTTP " + http.StatusText(int(e)) }

@@ -10,13 +10,9 @@ import (
 	"time"
 )
 
-func fastCfg(url string) Config {
-	return Config{
-		URL:       url,
-		RetryBase: time.Millisecond,
-		Timeout:   2 * time.Second,
-	}
-}
+// fast is New with millisecond backoff, so retry tests don't wait out the
+// production delays.
+func fast(cfg Config) *Notifier { return newNotifier(cfg, queueSize, maxRetries, time.Millisecond) }
 
 // A flaky server fails the first k attempts per event, then succeeds:
 // delivery must survive retriable failures via backoff retries.
@@ -37,7 +33,7 @@ func TestRetryAfterFlakyServer(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	n := New(fastCfg(srv.URL))
+	n := fast(Config{URL: srv.URL})
 	n.Notify(Event{Pipeline: "tpcds", Kind: "wall_regression", Summary: "q9 3.2x over baseline"})
 	n.Close()
 
@@ -69,7 +65,7 @@ func contains(s, sub string) bool {
 	return false
 }
 
-// Exhausting MaxRetries drops the event; a 4xx drops it immediately.
+// Exhausting the retries drops the event; a 4xx drops it immediately.
 func TestRetriesExhaustAndNonRetriable(t *testing.T) {
 	var attempts atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -78,9 +74,7 @@ func TestRetriesExhaustAndNonRetriable(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	cfg := fastCfg(srv.URL)
-	cfg.MaxRetries = 2
-	n := New(cfg)
+	n := newNotifier(Config{URL: srv.URL}, queueSize, 2, time.Millisecond)
 	n.Notify(Event{Pipeline: "p", Kind: "k1"})
 	n.Close()
 	if got := n.Stats(); got.Delivered != 0 || got.Dropped != 1 || got.Retries != 2 {
@@ -96,7 +90,7 @@ func TestRetriesExhaustAndNonRetriable(t *testing.T) {
 		w.WriteHeader(http.StatusBadRequest)
 	}))
 	defer srv2.Close()
-	n2 := New(fastCfg(srv2.URL))
+	n2 := fast(Config{URL: srv2.URL})
 	n2.Notify(Event{Pipeline: "p", Kind: "k1"})
 	n2.Close()
 	if got := n2.Stats(); got.Dropped != 1 || got.Retries != 0 {
@@ -130,10 +124,7 @@ func TestDedupCooldown(t *testing.T) {
 		clockMu.Unlock()
 	}
 
-	cfg := fastCfg(srv.URL)
-	cfg.Cooldown = time.Minute
-	cfg.Now = now
-	n := New(cfg)
+	n := fast(Config{URL: srv.URL, Cooldown: time.Minute, Now: now})
 
 	n.Notify(Event{Pipeline: "a", Kind: "wall_regression"})
 	n.Notify(Event{Pipeline: "a", Kind: "wall_regression"}) // deduped
@@ -163,10 +154,8 @@ func TestBoundedQueueDrops(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	cfg := fastCfg(srv.URL)
-	cfg.QueueSize = 2
-	cfg.Cooldown = -1 // disable dedup so every event competes for the queue
-	n := New(cfg)
+	// Cooldown -1 disables dedup, so every event competes for the two slots.
+	n := newNotifier(Config{URL: srv.URL, Cooldown: -1}, 2, maxRetries, time.Millisecond)
 
 	// One event occupies the worker (blocked on the server); the next two
 	// fill the queue; everything after must drop without blocking.
@@ -187,5 +176,39 @@ func TestBoundedQueueDrops(t *testing.T) {
 	n.Close()
 	if st := n.Stats(); st.Delivered+st.Dropped != 8 {
 		t.Fatalf("delivered %d + dropped %d != 8 notified", st.Delivered, st.Dropped)
+	}
+}
+
+// Notify after Close is a counted drop, not a send on a closed channel;
+// and a Close racing Notify leaves every event either delivered or dropped.
+func TestNotifyAfterCloseDrops(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	defer srv.Close()
+
+	n := fast(Config{URL: srv.URL, Cooldown: -1})
+	n.Notify(Event{Pipeline: "p", Kind: "k"})
+	n.Close()
+	n.Notify(Event{Pipeline: "p", Kind: "k"})
+	n.Close()
+	if st := n.Stats(); st.Delivered != 1 || st.Dropped != 1 {
+		t.Fatalf("stats = %+v, want 1 delivered before Close and 1 dropped after", st)
+	}
+
+	n = fast(Config{URL: srv.URL, Cooldown: -1})
+	const senders, each = 4, 50
+	var wg sync.WaitGroup
+	for i := 0; i < senders; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				n.Notify(Event{Pipeline: "p", Kind: "k"})
+			}
+		}()
+	}
+	n.Close()
+	wg.Wait()
+	if st := n.Stats(); st.Delivered+st.Dropped != senders*each {
+		t.Fatalf("delivered %d + dropped %d != %d notified", st.Delivered, st.Dropped, senders*each)
 	}
 }

@@ -181,7 +181,7 @@ func TestMispredictAnomalyOnlyWithFallbackWrites(t *testing.T) {
 }
 
 func TestTailSamplingDecisions(t *testing.T) {
-	l, err := New(Config{Detector: DetectorConfig{SlowSeconds: 1.0}})
+	l, err := New(Config{SlowSeconds: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,29 +5,14 @@ import (
 	"sort"
 )
 
-// HealthConfig tunes a health report. Zero values mean defaults.
-type HealthConfig struct {
-	// Window is how many recent runs the report examines. Default 32.
-	Window int
-	// SLOSeconds is the refresh-latency objective: a succeeded run within
-	// it counts toward attainment. Default 60.
-	SLOSeconds float64
-	// Objective is the target attainment fraction. Default 0.99.
-	Objective float64
-}
-
-func (c HealthConfig) withDefaults() HealthConfig {
-	if c.Window <= 0 {
-		c.Window = 32
-	}
-	if c.SLOSeconds <= 0 {
-		c.SLOSeconds = 60
-	}
-	if c.Objective <= 0 || c.Objective >= 1 {
-		c.Objective = 0.99
-	}
-	return c
-}
+// What a health report is judged over. Only the latency objective ever
+// differed between callers, so it is Health's parameter and these are
+// constants.
+const (
+	healthWindow      = 32   // recent runs a report examines
+	healthObjective   = 0.99 // target SLO-attainment fraction
+	defaultSLOSeconds = 60.0 // refresh-latency objective when the caller gives none
+)
 
 // NodeHealth compares one node's learned baseline against its latest
 // observation.
@@ -90,17 +75,20 @@ type Health struct {
 }
 
 // Health reports SLO attainment, burn rate, baseline-vs-latest per node,
-// top regressions and the misprediction ratio for one pipeline over the
-// most recent cfg.Window runs.
-func (l *Ledger) Health(pipeline string, cfg HealthConfig) Health {
-	cfg = cfg.withDefaults()
+// top regressions and the misprediction ratio for one pipeline over its
+// healthWindow most recent runs. A succeeded run within sloSeconds counts
+// toward attainment; sloSeconds <= 0 means defaultSLOSeconds.
+func (l *Ledger) Health(pipeline string, sloSeconds float64) Health {
+	if sloSeconds <= 0 {
+		sloSeconds = defaultSLOSeconds
+	}
 	h := Health{
 		Pipeline:   pipeline,
-		SLOSeconds: cfg.SLOSeconds,
-		Objective:  cfg.Objective,
+		SLOSeconds: sloSeconds,
+		Objective:  healthObjective,
 		Verdict:    VerdictUnknown,
 	}
-	window := l.Runs(Filter{Pipeline: pipeline, Limit: cfg.Window}) // newest first
+	window := l.Runs(Filter{Pipeline: pipeline, Limit: healthWindow}) // newest first
 	h.WindowRuns = len(window)
 	if len(window) == 0 {
 		return h
@@ -118,7 +106,7 @@ func (l *Ledger) Health(pipeline string, cfg HealthConfig) Health {
 			h.Succeeded++
 			walls = append(walls, s.WallSeconds)
 			queues = append(queues, s.QueueWaitSeconds)
-			if s.WallSeconds <= cfg.SLOSeconds {
+			if s.WallSeconds <= sloSeconds {
 				withinSLO++
 			}
 		} else {
@@ -130,7 +118,7 @@ func (l *Ledger) Health(pipeline string, cfg HealthConfig) Health {
 		}
 	}
 	h.SLOAttainment = float64(withinSLO) / float64(len(window))
-	h.BurnRate = (1 - h.SLOAttainment) / (1 - cfg.Objective)
+	h.BurnRate = (1 - h.SLOAttainment) / (1 - healthObjective)
 	h.WallP50Seconds = percentile(walls, 0.50)
 	h.WallP99Seconds = percentile(walls, 0.99)
 	h.QueueWaitP50Seconds = percentile(queues, 0.50)
@@ -167,7 +155,6 @@ func (l *Ledger) Health(pipeline string, cfg HealthConfig) Health {
 		for _, nb := range l.Baselines(pipeline) {
 			base[nb.Node] = nb
 		}
-		det := l.det
 		for _, ns := range latest.Nodes {
 			nh := NodeHealth{
 				Node:              ns.Node,
@@ -180,7 +167,7 @@ func (l *Ledger) Health(pipeline string, cfg HealthConfig) Health {
 				nh.BaselineWallSeconds = nb.WallMeanSeconds
 				nh.BaselineRatio = nb.RatioMean
 				sigma := nb.WallSigmaSeconds
-				if floor := det.RelSigmaFloor * math.Abs(nb.WallMeanSeconds); sigma < floor {
+				if floor := relSigmaFloor * math.Abs(nb.WallMeanSeconds); sigma < floor {
 					sigma = floor
 				}
 				if sigma > 1e-12 {
@@ -192,7 +179,7 @@ func (l *Ledger) Health(pipeline string, cfg HealthConfig) Health {
 	}
 
 	switch {
-	case h.LastOutcome != OutcomeSucceeded || h.SLOAttainment < cfg.Objective:
+	case h.LastOutcome != OutcomeSucceeded || h.SLOAttainment < healthObjective:
 		h.Verdict = VerdictFailing
 	case h.AnomalyCount > 0:
 		h.Verdict = VerdictDegraded

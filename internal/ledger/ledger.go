@@ -10,78 +10,50 @@ import (
 	"sync"
 )
 
-// DetectorConfig tunes the anomaly detector. Zero values mean defaults.
-type DetectorConfig struct {
-	// MinSamples is how many succeeded runs a baseline needs before the
-	// detector trusts it. Default 3.
-	MinSamples int64
-	// Z is the z-score threshold for wall/bytes/eviction regressions.
-	// Default 3.
-	Z float64
-	// MinWallDeltaSeconds is the absolute wall-time floor: a node must be
-	// at least this much over its baseline mean to count as regressed, so
-	// microsecond jitter on tiny nodes never trips the z-score. Default 10ms.
-	MinWallDeltaSeconds float64
-	// MinBytesDelta is the absolute output-bytes floor for bytes
-	// regressions. Default 4096.
-	MinBytesDelta float64
-	// RatioCollapse flags a node whose compression ratio fell below this
-	// fraction of its baseline mean. Default 0.5.
-	RatioCollapse float64
-	// EvictionMin is the minimum eviction count for a storm; z-score alone
-	// is not enough when the baseline is near zero. Default 4.
-	EvictionMin int64
-	// SlowSeconds marks a run "slow" for tail sampling when its wall time
-	// exceeds it, even without a baseline. Zero disables the absolute check
-	// (the z-score check against the pipeline baseline still applies).
-	SlowSeconds float64
-	// RelSigmaFloor floors the baseline sigma at this fraction of the mean
+// The anomaly detector's thresholds, and the cap on the NDJSON file. No
+// caller ever tuned them, so they are constants; SlowSeconds, the one value
+// callers do set, stays in Config.
+const (
+	// minSamples is how many succeeded runs a baseline needs before the
+	// detector, the admission hint and the critical-path estimate trust it.
+	minSamples = 3
+	// zThreshold is the z-score at which a wall, bytes or eviction
+	// deviation counts as a regression.
+	zThreshold = 3.0
+	// minWallDeltaSeconds and minBytesDelta are absolute floors under the
+	// z-score: microsecond jitter on a tiny node, or a few bytes on a tiny
+	// output, is never a regression.
+	minWallDeltaSeconds = 0.010
+	minBytesDelta       = 4096
+	// ratioCollapse flags a node whose compression ratio fell below this
+	// fraction of its baseline mean.
+	ratioCollapse = 0.5
+	// evictionMin is the fewest evictions that make a storm; a z-score
+	// alone is not enough when the baseline is near zero.
+	evictionMin = 4
+	// relSigmaFloor floors a baseline's sigma at this fraction of its mean
 	// so near-constant baselines don't produce infinite z-scores.
-	// Default 0.1.
-	RelSigmaFloor float64
-}
-
-func (d DetectorConfig) withDefaults() DetectorConfig {
-	if d.MinSamples <= 0 {
-		d.MinSamples = 3
-	}
-	if d.Z <= 0 {
-		d.Z = 3
-	}
-	if d.MinWallDeltaSeconds <= 0 {
-		d.MinWallDeltaSeconds = 0.010
-	}
-	if d.MinBytesDelta <= 0 {
-		d.MinBytesDelta = 4096
-	}
-	if d.RatioCollapse <= 0 {
-		d.RatioCollapse = 0.5
-	}
-	if d.EvictionMin <= 0 {
-		d.EvictionMin = 4
-	}
-	if d.RelSigmaFloor <= 0 {
-		d.RelSigmaFloor = 0.1
-	}
-	return d
-}
+	relSigmaFloor = 0.1
+	// maxFileBytes bounds the NDJSON file: an append (or replay) that
+	// pushes past it compacts the file down to the retained ring, so the
+	// history on disk cannot grow without bound.
+	maxFileBytes = 4 << 20
+)
 
 // Config configures a Ledger.
 type Config struct {
 	// Capacity bounds the in-memory ring; older summaries are evicted (the
-	// NDJSON file, when set, keeps them). Default 512.
+	// NDJSON file, when set, keeps them until its next compaction).
+	// Default 512.
 	Capacity int
 	// Path appends every summary as one NDJSON line and is replayed on
 	// open, so baselines and history survive restarts. "" keeps the ledger
 	// in memory only.
 	Path string
-	// MaxFileBytes bounds the NDJSON file: when an append (or replay)
-	// pushes past it, the file is compacted — rewritten from the retained
-	// ring to a temp file and atomically renamed into place — so the
-	// history on disk can never grow without bound. Default 4MB; negative
-	// disables the cap.
-	MaxFileBytes int64
-	Detector     DetectorConfig
+	// SlowSeconds marks a run "slow" for tail sampling when its wall time
+	// exceeds it, even without a baseline. Zero disables the absolute check
+	// (the z-score check against the pipeline baseline still applies).
+	SlowSeconds float64
 }
 
 // Decision is the tail-sampling verdict for one run: whether its full
@@ -114,10 +86,11 @@ func (w *ewma) observe(x float64) {
 }
 
 // z scores x against the baseline with the sigma floored at
-// relFloor×|mean| (plus a tiny epsilon) so constant baselines stay finite.
-func (w *ewma) z(x, relFloor float64) float64 {
+// relSigmaFloor×|mean| (plus a tiny epsilon) so constant baselines stay
+// finite.
+func (w *ewma) z(x float64) float64 {
 	sigma := math.Sqrt(w.Var)
-	if floor := relFloor * math.Abs(w.Mean); sigma < floor {
+	if floor := relSigmaFloor * math.Abs(w.Mean); sigma < floor {
 		sigma = floor
 	}
 	if sigma < 1e-12 {
@@ -169,13 +142,13 @@ type Filter struct {
 type Ledger struct {
 	mu        sync.Mutex
 	cfg       Config
-	det       DetectorConfig
+	fileCap   int64 // maxFileBytes, but for the compaction tests
 	ring      []RunSummary
 	head      int // next slot to overwrite once the ring is full
 	evicted   int64
 	baselines map[string]*pipelineBaseline
 	file      *os.File
-	fileBytes int64 // current NDJSON file size, vs cfg.MaxFileBytes
+	fileBytes int64 // current NDJSON file size, vs fileCap
 	err       error
 }
 
@@ -183,16 +156,16 @@ type Ledger struct {
 // summaries are replayed into the ring and baselines (detection is not
 // re-run; stored anomalies are kept as recorded), then the file is opened
 // for appending.
-func New(cfg Config) (*Ledger, error) {
+func New(cfg Config) (*Ledger, error) { return open(cfg, maxFileBytes) }
+
+// open is New with the NDJSON size cap as a parameter.
+func open(cfg Config, fileCap int64) (*Ledger, error) {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 512
 	}
-	if cfg.MaxFileBytes == 0 {
-		cfg.MaxFileBytes = 4 << 20
-	}
 	l := &Ledger{
 		cfg:       cfg,
-		det:       cfg.Detector.withDefaults(),
+		fileCap:   fileCap,
 		baselines: make(map[string]*pipelineBaseline),
 	}
 	if cfg.Path != "" {
@@ -209,7 +182,7 @@ func New(cfg Config) (*Ledger, error) {
 		}
 		// A replayed history already past the cap compacts immediately, so
 		// restarts trim the file instead of inheriting unbounded growth.
-		if l.cfg.MaxFileBytes > 0 && l.fileBytes > l.cfg.MaxFileBytes {
+		if l.fileBytes > l.fileCap {
 			l.compactLocked()
 		}
 	}
@@ -263,13 +236,6 @@ func (l *Ledger) Close() error {
 	return err
 }
 
-// Err reports the first persistence error, if any.
-func (l *Ledger) Err() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.err
-}
-
 // Append records one run: the summary is judged against the learned
 // baselines (filling s.Anomalies), folded into them, pushed onto the ring,
 // and persisted. The returned Decision is the tail-sampling verdict —
@@ -285,6 +251,13 @@ func (l *Ledger) Append(s RunSummary) (RunSummary, Decision) {
 	return s, dec
 }
 
+// failLocked keeps the first persistence error for Close to report.
+func (l *Ledger) failLocked(err error) {
+	if l.err == nil {
+		l.err = err
+	}
+}
+
 // persistLocked appends one summary to the NDJSON file and compacts when
 // the append pushed the file past the size cap.
 func (l *Ledger) persistLocked(s *RunSummary) {
@@ -292,21 +265,16 @@ func (l *Ledger) persistLocked(s *RunSummary) {
 		return
 	}
 	b, err := json.Marshal(s)
-	if err != nil {
-		if l.err == nil {
-			l.err = err
-		}
-		return
+	if err == nil {
+		b = append(b, '\n')
+		_, err = l.file.Write(b)
 	}
-	b = append(b, '\n')
-	if _, err := l.file.Write(b); err != nil {
-		if l.err == nil {
-			l.err = err
-		}
+	if err != nil {
+		l.failLocked(err)
 		return
 	}
 	l.fileBytes += int64(len(b))
-	if l.cfg.MaxFileBytes > 0 && l.fileBytes > l.cfg.MaxFileBytes {
+	if l.fileBytes > l.fileCap {
 		l.compactLocked()
 	}
 }
@@ -318,59 +286,46 @@ func (l *Ledger) persistLocked(s *RunSummary) {
 func (l *Ledger) compactLocked() {
 	path := l.cfg.Path
 	tmp := path + ".compact"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	n, err := l.writeRing(tmp)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
-		if l.err == nil {
-			l.err = fmt.Errorf("ledger: compact %s: %w", path, err)
-		}
-		return
-	}
-	var n int64
-	for i := 0; i < len(l.ring); i++ {
-		s := l.ring[(l.head+i)%len(l.ring)]
-		b, err := json.Marshal(s)
-		if err != nil {
-			continue
-		}
-		b = append(b, '\n')
-		nn, err := f.Write(b)
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-			if l.err == nil {
-				l.err = fmt.Errorf("ledger: compact %s: %w", path, err)
-			}
-			return
-		}
-		n += int64(nn)
-	}
-	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		if l.err == nil {
-			l.err = fmt.Errorf("ledger: compact %s: %w", path, err)
-		}
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		if l.err == nil {
-			l.err = fmt.Errorf("ledger: compact %s: %w", path, err)
-		}
+		l.failLocked(fmt.Errorf("ledger: compact %s: %w", path, err))
 		return
 	}
 	if l.file != nil {
 		l.file.Close()
 	}
-	af, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		l.file = nil
-		if l.err == nil {
-			l.err = fmt.Errorf("ledger: reopen %s: %w", path, err)
-		}
+	if l.file, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+		l.failLocked(fmt.Errorf("ledger: reopen %s: %w", path, err))
 		return
 	}
-	l.file = af
 	l.fileBytes = n
+}
+
+// writeRing writes the retained ring to a new file at path, oldest first,
+// and returns the bytes written.
+func (l *Ledger) writeRing(path string) (int64, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return 0, err
+	}
+	var n int64
+	for i := 0; i < len(l.ring); i++ {
+		b, err := json.Marshal(l.ring[(l.head+i)%len(l.ring)])
+		if err != nil {
+			continue
+		}
+		nn, err := f.Write(append(b, '\n'))
+		if err != nil {
+			f.Close()
+			return 0, err
+		}
+		n += int64(nn)
+	}
+	return n, f.Close()
 }
 
 // detectLocked fills s.Anomalies by judging the run against the
@@ -381,7 +336,6 @@ func (l *Ledger) detectLocked(s *RunSummary) {
 	if s.Outcome != OutcomeSucceeded {
 		return
 	}
-	d := l.det
 	pb := l.baselines[s.Pipeline]
 	// Admission misprediction: the reservation proved too small and the run
 	// degraded to blocking writes. Needs no baseline — one occurrence is
@@ -397,8 +351,8 @@ func (l *Ledger) detectLocked(s *RunSummary) {
 	if pb == nil {
 		return
 	}
-	if pb.evictions.N >= d.MinSamples && s.Evictions >= d.EvictionMin {
-		if z := pb.evictions.z(float64(s.Evictions), d.RelSigmaFloor); z >= d.Z {
+	if pb.evictions.N >= minSamples && s.Evictions >= evictionMin {
+		if z := pb.evictions.z(float64(s.Evictions)); z >= zThreshold {
 			s.Anomalies = append(s.Anomalies, Anomaly{
 				Kind: KindEvictionStorm, Score: z,
 				Observed: float64(s.Evictions), Baseline: pb.evictions.Mean,
@@ -409,10 +363,10 @@ func (l *Ledger) detectLocked(s *RunSummary) {
 	for i := range s.Nodes {
 		ns := &s.Nodes[i]
 		nb := pb.nodes[ns.Node]
-		if nb == nil || nb.wall.N < d.MinSamples {
+		if nb == nil || nb.wall.N < minSamples {
 			continue
 		}
-		if z := nb.wall.z(ns.WallSeconds, d.RelSigmaFloor); z >= d.Z && ns.WallSeconds-nb.wall.Mean >= d.MinWallDeltaSeconds {
+		if z := nb.wall.z(ns.WallSeconds); z >= zThreshold && ns.WallSeconds-nb.wall.Mean >= minWallDeltaSeconds {
 			s.Anomalies = append(s.Anomalies, Anomaly{
 				Kind: KindWallRegression, Node: ns.Node, Score: z,
 				Observed: ns.WallSeconds, Baseline: nb.wall.Mean,
@@ -420,7 +374,7 @@ func (l *Ledger) detectLocked(s *RunSummary) {
 			})
 		}
 		if ns.OutputBytes > 0 {
-			if z := nb.bytes.z(float64(ns.OutputBytes), d.RelSigmaFloor); z >= d.Z && float64(ns.OutputBytes)-nb.bytes.Mean >= d.MinBytesDelta {
+			if z := nb.bytes.z(float64(ns.OutputBytes)); z >= zThreshold && float64(ns.OutputBytes)-nb.bytes.Mean >= minBytesDelta {
 				s.Anomalies = append(s.Anomalies, Anomaly{
 					Kind: KindBytesRegression, Node: ns.Node, Score: z,
 					Observed: float64(ns.OutputBytes), Baseline: nb.bytes.Mean,
@@ -428,15 +382,15 @@ func (l *Ledger) detectLocked(s *RunSummary) {
 				})
 			}
 		}
-		if ns.Ratio > 0 && nb.ratio.N >= d.MinSamples && nb.ratio.Mean > 0 &&
-			ns.Ratio < d.RatioCollapse*nb.ratio.Mean {
+		if ns.Ratio > 0 && nb.ratio.N >= minSamples && nb.ratio.Mean > 0 &&
+			ns.Ratio < ratioCollapse*nb.ratio.Mean {
 			s.Anomalies = append(s.Anomalies, Anomaly{
 				Kind: KindRatioCollapse, Node: ns.Node,
 				Observed: ns.Ratio, Baseline: nb.ratio.Mean,
 				Detail: fmt.Sprintf("ratio %.2f vs baseline %.2f", ns.Ratio, nb.ratio.Mean),
 			})
 		}
-		if ns.KernelFallbacks > 0 && nb.fallbacks.N >= d.MinSamples && nb.fallbacks.Mean == 0 {
+		if ns.KernelFallbacks > 0 && nb.fallbacks.N >= minSamples && nb.fallbacks.Mean == 0 {
 			s.Anomalies = append(s.Anomalies, Anomaly{
 				Kind: KindKernelFallback, Node: ns.Node,
 				Observed: float64(ns.KernelFallbacks),
@@ -456,11 +410,10 @@ func (l *Ledger) decideLocked(s *RunSummary) Decision {
 	if s.Outcome != OutcomeSucceeded {
 		dec.Reasons = append(dec.Reasons, s.Outcome)
 	}
-	d := l.det
-	if d.SlowSeconds > 0 && s.WallSeconds > d.SlowSeconds {
+	if l.cfg.SlowSeconds > 0 && s.WallSeconds > l.cfg.SlowSeconds {
 		dec.Reasons = append(dec.Reasons, "slow")
-	} else if pb := l.baselines[s.Pipeline]; pb != nil && pb.wall.N >= d.MinSamples {
-		if z := pb.wall.z(s.WallSeconds, d.RelSigmaFloor); z >= d.Z && s.WallSeconds-pb.wall.Mean >= d.MinWallDeltaSeconds {
+	} else if pb := l.baselines[s.Pipeline]; pb != nil && pb.wall.N >= minSamples {
+		if z := pb.wall.z(s.WallSeconds); z >= zThreshold && s.WallSeconds-pb.wall.Mean >= minWallDeltaSeconds {
 			dec.Reasons = append(dec.Reasons, "slow")
 		}
 	}
@@ -609,13 +562,13 @@ type AdmissionHint struct {
 }
 
 // AdmissionHint reports the learned footprint/latency prediction for a
-// pipeline, and whether enough succeeded runs back it (the detector's
-// MinSamples) for admission to trust it over the planner's static guess.
+// pipeline, and whether enough succeeded runs back it (minSamples) for
+// admission to trust it over the planner's static guess.
 func (l *Ledger) AdmissionHint(pipeline string) (AdmissionHint, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	pb := l.baselines[pipeline]
-	if pb == nil || pb.peak.N < l.det.MinSamples {
+	if pb == nil || pb.peak.N < minSamples {
 		return AdmissionHint{}, false
 	}
 	return AdmissionHint{
@@ -655,10 +608,10 @@ func (l *Ledger) Baselines(pipeline string) []NodeBaseline {
 // the learned per-node baselines: the longest chain of mean node wall
 // times through the DAG described by parents (node -> upstream MV names).
 // Unlike AdmissionHint's run-level mean — which folds in queue wait and
-// needs MinSamples of whole runs — this is structural: it prices exactly
+// needs minSamples of whole runs — this is structural: it prices exactly
 // the dependency chain a refresh cannot parallelize away, and it works as
 // soon as individual nodes have trusted baselines. Nodes without
-// MinSamples observations contribute zero. Returns 0 before anything is
+// minSamples observations contribute zero. Returns 0 before anything is
 // learned.
 func (l *Ledger) CriticalPathSeconds(pipeline string, parents map[string][]string) float64 {
 	l.mu.Lock()
@@ -669,7 +622,7 @@ func (l *Ledger) CriticalPathSeconds(pipeline string, parents map[string][]strin
 	}
 	wall := make(map[string]float64, len(pb.nodes))
 	for name, nb := range pb.nodes {
-		if nb.wall.N >= l.det.MinSamples {
+		if nb.wall.N >= minSamples {
 			wall[name] = nb.wall.Mean
 		}
 	}

@@ -170,12 +170,12 @@ func TestForget(t *testing.T) {
 	}
 }
 
-// TestFileCompaction appends far more than MaxFileBytes allows and checks
+// TestFileCompaction appends far more than the file cap allows and checks
 // the NDJSON file is compacted down to the retained ring — bounded on
 // disk, still replayable, newest entries intact.
 func TestFileCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ledger.ndjson")
-	l, err := New(Config{Capacity: 8, Path: path, MaxFileBytes: 2048})
+	l, err := open(Config{Capacity: 8, Path: path}, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestFileCompaction(t *testing.T) {
 	if fi.Size() > 2048+1024 {
 		t.Fatalf("file = %d bytes after compaction, cap 2048", fi.Size())
 	}
-	l2, err := New(Config{Capacity: 8, Path: path, MaxFileBytes: 2048})
+	l2, err := open(Config{Capacity: 8, Path: path}, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestConcurrentAppendRead(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				_ = l.Runs(Filter{Pipeline: "p0", Limit: 10})
 				_ = l.Baselines("p1")
-				_ = l.Health("p0", HealthConfig{})
+				_ = l.Health("p0", 0)
 				_ = l.MispredictRatio("p0")
 				_ = l.Pipelines()
 			}

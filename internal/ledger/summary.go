@@ -8,7 +8,12 @@
 // (reserved vs actual peak catalog bytes, the paper's §III accounting
 // finally checked after the fact). The detector's verdict doubles as the
 // tail-sampling policy: exported traces are kept only for anomalous, slow
-// or failed runs.
+// or failed runs. The span and event names Summarize reads are the
+// constants the Collector writes them with (telemetry.Attr*, Event*,
+// SpanQueueAdmission). The detector's thresholds, the health window and
+// objective, and the NDJSON size cap are documented constants (ledger.go,
+// health.go); a Config says only where the history lives, how much of it
+// to keep, and what "slow" means.
 package ledger
 
 import (
@@ -97,6 +102,9 @@ type RunSummary struct {
 	Evictions       int64 `json:"evictions,omitempty"`
 	KernelFallbacks int64 `json:"kernel_fallbacks,omitempty"`
 	EventsDropped   int64 `json:"events_dropped,omitempty"`
+	// MaterializedBytes is what the run wrote to external storage, behind
+	// flagged nodes or in the foreground.
+	MaterializedBytes int64 `json:"materialized_bytes,omitempty"`
 
 	CritPath        []string `json:"crit_path,omitempty"`
 	CritPathSeconds float64  `json:"crit_path_seconds,omitempty"`
@@ -131,10 +139,10 @@ type Meta struct {
 }
 
 // Summarize distills one run's trace (a Collector.Spans snapshot, root
-// first; may be nil when tracing was disabled) plus its metadata into the
-// ledger record: per-node wall/self/wait from the critical-path analysis,
-// decoded/encoded byte totals and compression ratios from the span events,
-// and the predicted-vs-actual peak accounting from meta.
+// first) plus its metadata into the ledger record: per-node wall/self/wait
+// from the critical-path analysis, decoded/encoded/materialized byte totals
+// and compression ratios from the span events, and the predicted-vs-actual
+// peak accounting from meta. Without spans the record is meta alone.
 func Summarize(spans []telemetry.Span, parents map[string][]string, meta Meta) RunSummary {
 	s := RunSummary{
 		RunID: meta.RunID, Pipeline: meta.Pipeline, Tenant: meta.Tenant,
@@ -156,7 +164,7 @@ func Summarize(spans []telemetry.Span, parents map[string][]string, meta Meta) R
 	root := spans[0]
 	s.TraceID = root.TraceID.String()
 	if s.RunID == "" {
-		s.RunID = root.StrAttr("sc.run_id")
+		s.RunID = root.StrAttr(telemetry.AttrRunID)
 	}
 	if s.Start.IsZero() {
 		s.Start = root.Start
@@ -178,27 +186,29 @@ func Summarize(spans []telemetry.Span, parents map[string][]string, meta Meta) R
 	countEvents := func(evs []telemetry.SpanEvent, ns *NodeSummary) {
 		for _, ev := range evs {
 			switch ev.Name {
-			case "EncodeDone":
-				s.EncodedBytes += eventInt(ev, "sc.encoded_bytes")
+			case telemetry.EventEncodeDone:
+				s.EncodedBytes += eventInt(ev, telemetry.AttrEncodedBytes)
 				if ns != nil {
-					if r := eventFloat(ev, "sc.ratio"); r > 0 {
+					if r := eventFloat(ev, telemetry.AttrRatio); r > 0 {
 						ns.Ratio = r
 					}
 				}
-			case "DecodeDone":
-				s.DecodedBytes += eventInt(ev, "sc.bytes")
-			case "Evicted":
+			case telemetry.EventDecodeDone:
+				s.DecodedBytes += eventInt(ev, telemetry.AttrBytes)
+			case telemetry.EventMaterialized:
+				s.MaterializedBytes += eventInt(ev, telemetry.AttrBytes)
+			case telemetry.EventEvicted:
 				s.Evictions++
-			case "KernelDone":
+			case telemetry.EventKernelDone:
 				if ns != nil {
-					ns.KernelFallbacks += eventInt(ev, "sc.kernel.fallbacks")
+					ns.KernelFallbacks += eventInt(ev, telemetry.AttrKernelFallbacks)
 				}
 			}
 		}
 	}
 	countEvents(root.Events, nil)
 	for _, sp := range spans[1:] {
-		if sp.Name == "queue admission" && s.QueueWaitSeconds == 0 {
+		if sp.Name == telemetry.SpanQueueAdmission && s.QueueWaitSeconds == 0 {
 			s.QueueWaitSeconds = sp.Duration().Seconds()
 		}
 		node := sp.StrAttr(telemetry.AttrNode)
@@ -214,13 +224,13 @@ func Summarize(spans []telemetry.Span, parents map[string][]string, meta Meta) R
 			Critical:    critical[node],
 			start:       sp.Start,
 		}
-		if a, ok := sp.Attr("sc.output_bytes"); ok {
+		if a, ok := sp.Attr(telemetry.AttrOutputBytes); ok {
 			ns.OutputBytes = a.Int
 		}
-		if a, ok := sp.Attr("sc.encoded_bytes"); ok {
+		if a, ok := sp.Attr(telemetry.AttrEncodedBytes); ok {
 			ns.EncodedBytes = a.Int
 		}
-		if a, ok := sp.Attr("sc.flagged"); ok {
+		if a, ok := sp.Attr(telemetry.AttrFlagged); ok {
 			ns.Flagged = a.Bool
 		}
 		countEvents(sp.Events, &ns)

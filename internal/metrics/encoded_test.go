@@ -6,7 +6,6 @@ import (
 
 	"github.com/shortcircuit-db/sc/internal/costmodel"
 	"github.com/shortcircuit-db/sc/internal/dag"
-	"github.com/shortcircuit-db/sc/internal/obs"
 )
 
 func pair(t *testing.T) *dag.Graph {
@@ -35,31 +34,6 @@ func TestEncodedSizesPrefersEncodedThenRawThenFallback(t *testing.T) {
 	got = empty.EncodedSizes(g, 9999)
 	if got[0] != 9999 || got[1] != 9999 {
 		t.Fatalf("fallback EncodedSizes = %v", got)
-	}
-}
-
-func TestRecorderCapturesEncodedBytes(t *testing.T) {
-	s := NewStore()
-	r := NewRecorder(s)
-	r.OnEvent(obs.Event{Kind: obs.NodeDone, Node: "a", Bytes: 1000, Encoded: 130})
-	o, ok := s.Latest("a")
-	if !ok || o.EncodedBytes != 130 || o.OutputBytes != 1000 {
-		t.Fatalf("observation = %+v", o)
-	}
-	// EncodeDone/DecodeDone events are telemetry, not observations.
-	r.OnEvent(obs.Event{Kind: obs.EncodeDone, Node: "enc", Bytes: 1, Encoded: 1})
-	if _, ok := s.Latest("enc"); ok {
-		t.Fatal("EncodeDone recorded as an observation")
-	}
-}
-
-func TestRecorderStampsRunID(t *testing.T) {
-	s := NewStore()
-	r := NewRecorder(s)
-	r.OnEvent(obs.Event{Kind: obs.NodeDone, Node: "a", Bytes: 10, RunID: "run-000007"})
-	o, ok := s.Latest("a")
-	if !ok || o.RunID != "run-000007" {
-		t.Fatalf("observation = %+v", o)
 	}
 }
 

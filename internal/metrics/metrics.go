@@ -3,7 +3,9 @@
 // times) gathered from past MV refresh runs. The store lives with its
 // pipeline: it keeps each node's latest observation and the learned
 // compression ratios, so recurring pipelines improve run over run at a
-// footprint that does not grow with the number of refreshes.
+// footprint that does not grow with the number of refreshes. Observations
+// are recorded by session.Pipeline.Run from each run's result — the store
+// does not listen to the event stream.
 package metrics
 
 import (
@@ -12,7 +14,6 @@ import (
 
 	"github.com/shortcircuit-db/sc/internal/costmodel"
 	"github.com/shortcircuit-db/sc/internal/dag"
-	"github.com/shortcircuit-db/sc/internal/obs"
 )
 
 // Observation records one node execution.
@@ -214,37 +215,4 @@ func (s *Store) ScoresSized(g *dag.Graph, memSizes, diskSizes []int64, d costmod
 		out[i] = saved.Seconds()
 	}
 	return out
-}
-
-// Recorder adapts a Store to the obs event stream: every successful
-// NodeDone event becomes an Observation, so recurring pipelines feed the
-// optimizer without wiring metrics collection by hand.
-type Recorder struct {
-	Store *Store
-	// Clock stamps observations; nil means time.Now.
-	Clock func() time.Time
-}
-
-// NewRecorder returns a Recorder recording into s.
-func NewRecorder(s *Store) *Recorder { return &Recorder{Store: s} }
-
-// OnEvent implements obs.Observer.
-func (r *Recorder) OnEvent(e obs.Event) {
-	if e.Kind != obs.NodeDone || e.Err != nil {
-		return
-	}
-	now := time.Now
-	if r.Clock != nil {
-		now = r.Clock
-	}
-	r.Store.Record(Observation{
-		Name:         e.Node,
-		RunID:        e.RunID,
-		OutputBytes:  e.Bytes,
-		EncodedBytes: e.Encoded,
-		ReadTime:     e.Read,
-		WriteTime:    e.Write,
-		ComputeTime:  e.Compute,
-		When:         now(),
-	})
 }

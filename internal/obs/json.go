@@ -37,6 +37,8 @@ type eventJSON struct {
 	ChunksPassed     int64   `json:"chunks_passed,omitempty"`
 	ReencodedChunks  int64   `json:"reencoded_chunks,omitempty"`
 	DictReused       int64   `json:"dict_reused,omitempty"`
+
+	At time.Time `json:"at,omitzero"`
 }
 
 // MarshalJSON renders the event for streaming consumers (the gateway's
@@ -71,6 +73,7 @@ func (e Event) MarshalJSON() ([]byte, error) {
 		ChunksPassed:     e.ChunksPassed,
 		ReencodedChunks:  e.ReencodedChunks,
 		DictReused:       e.DictReused,
+		At:               e.At,
 	}
 	if e.Step >= 0 {
 		step := e.Step

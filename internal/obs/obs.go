@@ -109,7 +109,7 @@ type Event struct {
 	Bytes     int64         // payload bytes (output, materialized, evicted, high water)
 	Encoded   int64         // NodeDone/EncodeDone/DecodeDone: encoded (compressed) bytes
 	Ratio     float64       // EncodeDone/DecodeDone: raw bytes / encoded bytes
-	Elapsed   time.Duration // wall clock (real runs) or virtual clock (simulation)
+	Elapsed   time.Duration // NodeDone: the node's duration; else per kind (simulation: the virtual clock)
 	Plan      time.Duration // NodeDone: parse + plan + lower time, input fetches excluded
 	Read      time.Duration // NodeDone: input-read time, wherever in the node it was spent
 	Write     time.Duration // NodeDone: blocking-write time
@@ -130,6 +130,11 @@ type Event struct {
 	ChunksPassed     int64 // output chunks kept in code space (passthrough or gathered codes)
 	ReencodedChunks  int64 // output chunks re-encoded from materialized values
 	DictReused       int64 // output chunks whose dictionary came from the session cache
+
+	// At is when the event happened: the wall clock for real runs, the
+	// wall-clock image of the virtual clock (base + clock) for simulations.
+	// WithRun stamps the present on events whose emitter left it zero.
+	At time.Time
 }
 
 // Observer receives events. Implementations must be safe for concurrent use:
@@ -180,10 +185,10 @@ func (m multi) OnEvent(e Event) {
 // WithRun wraps inner so every event it forwards carries the run
 // correlation fields: RunID (as given, possibly empty) and Seq, a 1-based
 // counter atomically incremented per event — safe for a Controller's
-// concurrent emitters. A nil inner returns nil, so a disabled observer
-// chain stays a single nil check on the hot path. Events that already
-// carry a RunID (an inner emitter re-scoping an outer stream) keep their
-// own fields.
+// concurrent emitters — plus At, the present unless the emitter set it. A
+// nil inner returns nil, so a disabled observer chain stays a single nil
+// check on the hot path. Events that already carry a RunID (an inner
+// emitter re-scoping an outer stream) keep their own fields.
 func WithRun(runID string, inner Observer) Observer {
 	if inner == nil {
 		return nil
@@ -198,6 +203,9 @@ type runScope struct {
 }
 
 func (r *runScope) OnEvent(e Event) {
+	if e.At.IsZero() {
+		e.At = time.Now()
+	}
 	if e.RunID == "" && e.Seq == 0 {
 		e.RunID = r.runID
 		e.Seq = r.seq.Add(1)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestWithRunStampsRunIDAndSeq(t *testing.T) {
@@ -23,6 +24,15 @@ func TestWithRunStampsRunIDAndSeq(t *testing.T) {
 		if e.Seq != int64(i+1) {
 			t.Fatalf("event %d Seq = %d, want %d", i, e.Seq, i+1)
 		}
+		if e.At.IsZero() || time.Since(e.At) > time.Minute {
+			t.Fatalf("event %d At = %v, want the present", i, e.At)
+		}
+	}
+	// An emitter on its own clock (the simulator) keeps the time it set.
+	virtual := time.Date(2026, 1, 1, 0, 0, 7, 0, time.UTC)
+	o.OnEvent(Event{Kind: Materialized, Node: "a", At: virtual})
+	if !got[3].At.Equal(virtual) {
+		t.Fatalf("At = %v, want the emitter's %v", got[3].At, virtual)
 	}
 }
 
@@ -74,13 +84,13 @@ func TestWithRunConcurrentSeqUnique(t *testing.T) {
 }
 
 func TestEventMarshalJSONRunIDAndSeq(t *testing.T) {
-	e := Event{Kind: NodeStart, Node: "a", Step: 0, RunID: "run-000007", Seq: 12}
+	e := Event{Kind: NodeStart, Node: "a", Step: 0, RunID: "run-000007", Seq: 12, At: time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)}
 	data, err := json.Marshal(e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := string(data)
-	if !strings.Contains(s, `"run_id":"run-000007"`) || !strings.Contains(s, `"seq":12`) {
+	if !strings.Contains(s, `"run_id":"run-000007"`) || !strings.Contains(s, `"seq":12`) || !strings.Contains(s, `"at":"2026-01-02T03:04:05Z"`) {
 		t.Fatalf("run correlation missing from wire shape: %s", s)
 	}
 	// Unscoped events stay compact.
@@ -88,7 +98,7 @@ func TestEventMarshalJSONRunIDAndSeq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(data), "run_id") || strings.Contains(string(data), `"seq"`) {
+	if strings.Contains(string(data), "run_id") || strings.Contains(string(data), `"seq"`) || strings.Contains(string(data), `"at"`) {
 		t.Fatalf("zero run fields serialized: %s", data)
 	}
 }

@@ -2,11 +2,13 @@
 // owns a refresh DAG's persistent state — workload, store, learned
 // execution metadata, session dictionaries, and what it remembers from its
 // previous run — and turns that state into the optimizer's problem, an
-// explanation of a plan, and an executed run. A Finisher ends a run's
-// observability lifecycle: trace, ledger row, alerts, export. sc.Refresher
-// and the gateway differ only in what they put around these two: options
-// and plan caching on one side, admission and the run state machine on the
-// other.
+// explanation of a plan, and an executed run. Run records the execution
+// metadata from the run's result, so a run nobody watches emits no events;
+// the event stream exists for the watchers a caller names (an observer, an
+// event buffer, the trace). A Finisher ends a traced run's observability
+// lifecycle: trace, ledger row, alerts, export. sc.Refresher and the
+// gateway differ only in what they put around these two: options and plan
+// caching on one side, admission and the run state machine on the other.
 package session
 
 import (
@@ -135,19 +137,21 @@ type RunEnv struct {
 	Concurrency  int
 	ParallelScan bool
 	RunID        string
-	Observers    []obs.Observer       // beside the metadata recorder and the trace
-	Trace        *telemetry.Collector // from OpenTrace; nil when tracing is off
+	Observers    []obs.Observer       // who watches the event stream beside the trace; nil entries are skipped
+	Trace        *telemetry.Collector // from OpenTrace; nil for an untraced run
 }
 
-// Run executes one refresh following plan, recording execution metadata for
-// future planning. On cancellation or error the partial result of the
-// completed nodes is returned with the error.
-func (p *Pipeline) Run(ctx context.Context, plan *core.Plan, env RunEnv) (*exec.RunResult, error) {
-	observers := append([]obs.Observer{metrics.NewRecorder(p.Metrics)}, env.Observers...)
-	ctl := &exec.Controller{
+// controller builds the run's Controller. Its event stream has exactly the
+// watchers env names: none of them means a nil Obs, and no call per event.
+func (p *Pipeline) controller(env RunEnv) *exec.Controller {
+	observers := append([]obs.Observer(nil), env.Observers...)
+	if env.Trace != nil {
+		observers = append(observers, env.Trace)
+	}
+	return &exec.Controller{
 		Store:        p.Store,
 		Mem:          env.Mem,
-		Obs:          obs.Multi(append(observers, env.Trace.Observer())...),
+		Obs:          obs.Multi(observers...),
 		RunID:        env.RunID,
 		Concurrency:  env.Concurrency,
 		Sched:        env.Sched,
@@ -156,7 +160,30 @@ func (p *Pipeline) Run(ctx context.Context, plan *core.Plan, env RunEnv) (*exec.
 		Vectorized:   p.Vectorized,
 		Chunked:      p.Chunked,
 	}
-	return ctl.Run(ctx, p.Workload, p.Graph, plan)
+}
+
+// Run executes one refresh following plan and records each completed
+// node's execution metadata for future planning. On cancellation or error
+// the partial result of the completed nodes is returned — and recorded —
+// with the error.
+func (p *Pipeline) Run(ctx context.Context, plan *core.Plan, env RunEnv) (*exec.RunResult, error) {
+	res, err := p.controller(env).Run(ctx, p.Workload, p.Graph, plan)
+	if res != nil {
+		now := time.Now()
+		for _, n := range res.Nodes {
+			p.Metrics.Record(metrics.Observation{
+				Name:         n.Name,
+				RunID:        env.RunID,
+				OutputBytes:  n.OutputBytes,
+				EncodedBytes: n.EncodedSize,
+				ReadTime:     n.ReadTime,
+				WriteTime:    n.WriteTime,
+				ComputeTime:  n.ComputeTime,
+				When:         now,
+			})
+		}
+	}
+	return res, err
 }
 
 // OpenTrace opens a run's trace: the root span starts at start (zero means
@@ -212,25 +239,23 @@ const (
 	SampleDropped = "dropped"
 )
 
-// Finish closes a run, executed or not: it ends the root span at now (zero
-// means the present) with the outcome as its status, remembers the node
-// spans for cross-run links, lands the ledger row — also for a nil
-// collector, from meta alone — pushes the row's anomalies and a changed
-// health verdict to the webhook, and exports the trace unless tail
-// sampling drops it. The caller supplies meta's outcome; Finish fills in
-// the pipeline name. sampled is SampleKept or SampleDropped, or "" when
-// there was no trace or no exporter.
+// Finish closes a traced run, executed or not: it ends col's root span at
+// now (zero means the present) with the outcome as its status, remembers
+// the node spans for cross-run links, lands the ledger row derived from the
+// spans, pushes the row's anomalies and a changed health verdict to the
+// webhook, and exports the trace unless tail sampling drops it. The caller
+// supplies meta's outcome; Finish fills in the pipeline name. sampled is
+// SampleKept or SampleDropped, or "" without an exporter. A run that opened
+// no trace has nothing to finish.
 func (f *Finisher) Finish(p *Pipeline, col *telemetry.Collector, now time.Time, meta ledger.Meta) (sum ledger.RunSummary, sampled string, spans []telemetry.Span) {
 	meta.Pipeline = p.Name
-	if col != nil {
-		msg := meta.Err
-		if msg == "" && meta.Outcome != ledger.OutcomeSucceeded {
-			msg = meta.Outcome
-		}
-		col.Finish(now, msg)
-		spans = col.Spans()
-		p.rememberNodeSpans(spans)
+	msg := meta.Err
+	if msg == "" && meta.Outcome != ledger.OutcomeSucceeded {
+		msg = meta.Outcome
 	}
+	col.Finish(now, msg)
+	spans = col.Spans()
+	p.rememberNodeSpans(spans)
 	keep := true
 	if f.Ledger != nil {
 		var dec ledger.Decision
@@ -238,7 +263,7 @@ func (f *Finisher) Finish(p *Pipeline, col *telemetry.Collector, now time.Time, 
 		f.notify(p, sum)
 		keep = dec.Keep || !f.TailSample
 	}
-	if col != nil && f.Exporter != nil {
+	if f.Exporter != nil {
 		sampled = SampleDropped
 		if keep {
 			f.Exporter.Export(spans)
@@ -276,7 +301,7 @@ func (f *Finisher) notify(p *Pipeline, sum ledger.RunSummary) {
 			Sigma:    a.Score,
 		})
 	}
-	verdict := f.Ledger.Health(p.Name, ledger.HealthConfig{SLOSeconds: f.SLOSeconds}).Verdict
+	verdict := f.Ledger.Health(p.Name, f.SLOSeconds).Verdict
 	p.mu.Lock()
 	prev := p.lastVerdict
 	p.lastVerdict = verdict

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,11 +10,13 @@ import (
 	"testing"
 	"time"
 
+	"github.com/shortcircuit-db/sc/internal/core"
 	"github.com/shortcircuit-db/sc/internal/exec"
 	"github.com/shortcircuit-db/sc/internal/introspect/alert"
 	"github.com/shortcircuit-db/sc/internal/ledger"
 	"github.com/shortcircuit-db/sc/internal/obs"
 	"github.com/shortcircuit-db/sc/internal/storage"
+	"github.com/shortcircuit-db/sc/internal/table"
 	"github.com/shortcircuit-db/sc/internal/telemetry"
 )
 
@@ -29,11 +32,14 @@ func testPipeline(t *testing.T) *Pipeline {
 	return p
 }
 
-// tracedRun opens a trace on p and plays one node through it.
-func tracedRun(p *Pipeline, runID string) *telemetry.Collector {
+// tracedRun opens a trace on p and, for a run that executed, plays one node
+// through it.
+func tracedRun(p *Pipeline, runID string, executed bool) *telemetry.Collector {
 	col := p.OpenTrace(runID, time.Time{}, telemetry.SpanContext{})
-	col.OnEvent(obs.Event{Kind: obs.NodeStart, Node: "a"})
-	col.OnEvent(obs.Event{Kind: obs.NodeDone, Node: "a", Bytes: 64, Elapsed: time.Millisecond})
+	if executed {
+		col.OnEvent(obs.Event{Kind: obs.NodeStart, Node: "a"})
+		col.OnEvent(obs.Event{Kind: obs.NodeDone, Node: "a", Bytes: 64, Elapsed: time.Millisecond})
+	}
 	return col
 }
 
@@ -55,41 +61,40 @@ func newLedger(t *testing.T, cfg ledger.Config) *ledger.Ledger {
 // TestFinishLandsTheCallersOutcome covers what every caller relies on: the
 // outcome and error the caller mapped arrive unchanged on the ledger row,
 // the root span's status is the error or else the non-success outcome, a
-// run without a collector (tracing off, or never executed) still lands its
-// row, and tail sampling exports exactly the traces the ledger keeps.
+// run that never executed still lands its row from a trace of the root span
+// alone, and tail sampling exports exactly the traces the ledger keeps.
 func TestFinishLandsTheCallersOutcome(t *testing.T) {
 	cases := []struct {
 		name       string
-		traced     bool
+		queuedOnly bool // reached a terminal state without executing a node
 		tailSample bool
 		meta       ledger.Meta
 		rootStatus string
 		sampled    string
 	}{
-		{name: "succeeded", traced: true,
+		{name: "succeeded",
 			meta: ledger.Meta{Outcome: ledger.OutcomeSucceeded}, sampled: SampleKept},
-		{name: "failed", traced: true,
+		{name: "failed",
 			meta:       ledger.Meta{Outcome: ledger.OutcomeFailed, Err: "exec: node a: boom"},
 			rootStatus: "exec: node a: boom", sampled: SampleKept},
-		{name: "canceled", traced: true,
+		{name: "canceled",
 			meta:       ledger.Meta{Outcome: ledger.OutcomeCanceled, Err: "context canceled"},
 			rootStatus: "context canceled", sampled: SampleKept},
-		{name: "deadline mapped to canceled by the library", traced: true,
+		{name: "deadline mapped to canceled by the library",
 			meta:       ledger.Meta{Outcome: ledger.OutcomeCanceled, Err: "context deadline exceeded"},
 			rootStatus: "context deadline exceeded", sampled: SampleKept},
-		{name: "deadline mapped to failed by the gateway", traced: true,
+		{name: "deadline mapped to failed by the gateway",
 			meta:       ledger.Meta{Outcome: ledger.OutcomeFailed, Err: "context deadline exceeded"},
 			rootStatus: "context deadline exceeded", sampled: SampleKept},
-		{name: "expired in the queue, never executed", traced: true,
+		{name: "expired in the queue, never executed", queuedOnly: true,
 			meta:       ledger.Meta{Outcome: ledger.OutcomeExpired},
 			rootStatus: ledger.OutcomeExpired, sampled: SampleKept},
-		{name: "tracing off still lands the row",
-			meta: ledger.Meta{Outcome: ledger.OutcomeSucceeded, WallSeconds: 0.5}},
-		{name: "canceled in the queue with tracing off",
-			meta: ledger.Meta{Outcome: ledger.OutcomeCanceled}},
-		{name: "tail sampling drops a healthy trace", traced: true, tailSample: true,
+		{name: "canceled in the queue, never executed", queuedOnly: true,
+			meta:       ledger.Meta{Outcome: ledger.OutcomeCanceled, WallSeconds: 0.5},
+			rootStatus: ledger.OutcomeCanceled, sampled: SampleKept},
+		{name: "tail sampling drops a healthy trace", tailSample: true,
 			meta: ledger.Meta{Outcome: ledger.OutcomeSucceeded}, sampled: SampleDropped},
-		{name: "tail sampling keeps a failed trace", traced: true, tailSample: true,
+		{name: "tail sampling keeps a failed trace", tailSample: true,
 			meta:       ledger.Meta{Outcome: ledger.OutcomeFailed, Err: "boom"},
 			rootStatus: "boom", sampled: SampleKept},
 	}
@@ -98,10 +103,7 @@ func TestFinishLandsTheCallersOutcome(t *testing.T) {
 			p := testPipeline(t)
 			exp := &captureExporter{}
 			f := Finisher{Ledger: newLedger(t, ledger.Config{}), Exporter: exp, TailSample: tc.tailSample}
-			var col *telemetry.Collector
-			if tc.traced {
-				col = tracedRun(p, "run-1")
-			}
+			col := tracedRun(p, "run-1", !tc.queuedOnly)
 			tc.meta.RunID = "run-1"
 			sum, sampled, spans := f.Finish(p, col, time.Time{}, tc.meta)
 
@@ -110,7 +112,8 @@ func TestFinishLandsTheCallersOutcome(t *testing.T) {
 				t.Fatalf("ledger holds %d rows for the pipeline, want 1", len(rows))
 			}
 			if row := rows[0]; row.Outcome != tc.meta.Outcome || row.Error != tc.meta.Err || row.RunID != "run-1" ||
-				row.Outcome != sum.Outcome || row.WallSeconds != sum.WallSeconds {
+				row.Outcome != sum.Outcome || row.WallSeconds != sum.WallSeconds ||
+				(tc.meta.WallSeconds != 0 && row.WallSeconds != tc.meta.WallSeconds) {
 				t.Fatalf("row %+v does not carry meta %+v", row, tc.meta)
 			}
 			if sampled != tc.sampled {
@@ -119,17 +122,17 @@ func TestFinishLandsTheCallersOutcome(t *testing.T) {
 			if wantExports := map[string]int{SampleKept: 1}[tc.sampled]; len(exp.traces) != wantExports {
 				t.Fatalf("%d traces exported, want %d", len(exp.traces), wantExports)
 			}
-			if !tc.traced {
-				if spans != nil || sum.TraceID != "" || len(sum.Nodes) != 0 {
-					t.Fatalf("untraced run produced spans %v / summary %+v", spans, sum)
+			if !col.Finished() || spans[0].Err != tc.rootStatus || sum.TraceID == "" {
+				t.Fatalf("root status %q (want %q), trace id %q", spans[0].Err, tc.rootStatus, sum.TraceID)
+			}
+			if tc.queuedOnly {
+				if len(spans) != 1 || len(sum.Nodes) != 0 {
+					t.Fatalf("a run that never executed has %d spans and node rows %+v", len(spans), sum.Nodes)
 				}
 				return
 			}
-			if !col.Finished() || len(spans) != 2 || spans[0].Err != tc.rootStatus {
-				t.Fatalf("root status %q over %d spans, want %q over 2", spans[0].Err, len(spans), tc.rootStatus)
-			}
-			if len(sum.Nodes) != 1 || sum.Nodes[0].Node != "a" || sum.Nodes[0].OutputBytes != 64 {
-				t.Fatalf("node rows = %+v", sum.Nodes)
+			if len(spans) != 2 || len(sum.Nodes) != 1 || sum.Nodes[0].Node != "a" || sum.Nodes[0].OutputBytes != 64 {
+				t.Fatalf("%d spans, node rows = %+v", len(spans), sum.Nodes)
 			}
 		})
 	}
@@ -142,7 +145,7 @@ func TestFinishWithoutLedgerStillTracesAndExports(t *testing.T) {
 	p := testPipeline(t)
 	exp := &captureExporter{}
 	f := Finisher{Exporter: exp}
-	sum, sampled, spans := f.Finish(p, tracedRun(p, "run-1"), time.Time{}, ledger.Meta{Outcome: ledger.OutcomeSucceeded})
+	sum, sampled, spans := f.Finish(p, tracedRun(p, "run-1", true), time.Time{}, ledger.Meta{Outcome: ledger.OutcomeSucceeded})
 	if sum.RunID != "" || sampled != SampleKept || len(spans) != 2 || len(exp.traces) != 1 {
 		t.Fatalf("sum %+v sampled %q spans %d exports %d", sum, sampled, len(spans), len(exp.traces))
 	}
@@ -186,7 +189,8 @@ func TestFinishAlertsOnVerdictTransitions(t *testing.T) {
 		ledger.OutcomeSucceeded, // failing -> healthy: inside the cooldown
 		ledger.OutcomeFailed,    // healthy -> failing: inside the cooldown
 	} {
-		f.Finish(p, nil, time.Time{}, ledger.Meta{RunID: telemetry.RunID(int64(i + 1)), Outcome: outcome, WallSeconds: 0.1})
+		runID := telemetry.RunID(int64(i + 1))
+		f.Finish(p, tracedRun(p, runID, outcome == ledger.OutcomeSucceeded), time.Time{}, ledger.Meta{RunID: runID, Outcome: outcome, WallSeconds: 0.1})
 	}
 	f.Alerts.Close() // drains the queue
 
@@ -199,5 +203,82 @@ func TestFinishAlertsOnVerdictTransitions(t *testing.T) {
 	}
 	if st := f.Alerts.Stats(); st.Delivered != 1 || st.Deduped != 2 {
 		t.Fatalf("alert stats %+v, want 1 delivered and 2 deduped", st)
+	}
+}
+
+// runnablePipeline is testPipeline with its base table in the store and,
+// when breakB is set, a second node that fails at run time.
+func runnablePipeline(t *testing.T, breakB bool) (*Pipeline, *core.Plan) {
+	t.Helper()
+	sales := table.New(table.NewSchema(table.Column{Name: "day", Type: table.Int}))
+	for i := 0; i < 32; i++ {
+		if err := sales.AppendRow(table.IntValue(int64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store := storage.NewMemStore()
+	if err := exec.SaveTable(store, "sales", sales); err != nil {
+		t.Fatal(err)
+	}
+	bSQL := `SELECT day FROM a`
+	if breakB {
+		bSQL = `SELECT missing_col FROM a`
+	}
+	p, err := NewPipeline("p", []exec.NodeSpec{{Name: "a", SQL: `SELECT day FROM sales`}, {Name: "b", SQL: bSQL}}, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := p.Graph.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, &core.Plan{Order: topo, Flagged: make([]bool, p.Graph.Len())}
+}
+
+// TestRunRecordsMetadataWithNobodyWatching: the execution metadata the
+// optimizer plans on comes from the run's result, not from the event
+// stream — a run with an empty RunEnv has no observer at all and still
+// leaves every node's sizes and times in the store; a failed run leaves
+// those of the nodes that completed.
+func TestRunRecordsMetadataWithNobodyWatching(t *testing.T) {
+	p, plan := runnablePipeline(t, false)
+	if ctl := p.controller(RunEnv{}); ctl.Obs != nil {
+		t.Fatalf("an unwatched run got observer %T", ctl.Obs)
+	}
+	if ctl := p.controller(RunEnv{Observers: []obs.Observer{nil}}); ctl.Obs != nil {
+		t.Fatalf("a nil observer entry became %T", ctl.Obs)
+	}
+	res, err := p.Run(context.Background(), plan, RunEnv{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Nodes) != 2 {
+		t.Fatalf("%d nodes ran, want 2", len(res.Nodes))
+	}
+	for _, n := range res.Nodes {
+		o, ok := p.Metrics.Latest(n.Name)
+		if !ok || o.OutputBytes != n.OutputBytes || o.EncodedBytes != n.EncodedSize || o.OutputBytes == 0 || o.EncodedBytes == 0 ||
+			o.ReadTime != n.ReadTime || o.WriteTime != n.WriteTime || o.ComputeTime != n.ComputeTime ||
+			o.ReadTime == 0 || o.WriteTime == 0 || o.When.IsZero() || o.RunID != "" {
+			t.Fatalf("observation of %s = %+v, node metrics %+v", n.Name, o, n)
+		}
+	}
+	if _, err := p.Run(context.Background(), plan, RunEnv{RunID: "run-000002"}); err != nil {
+		t.Fatal(err)
+	}
+	if o, _ := p.Metrics.Latest("b"); o.RunID != "run-000002" {
+		t.Fatalf("second run's observation = %+v, want its run ID", o)
+	}
+
+	p, plan = runnablePipeline(t, true)
+	res, err = p.Run(context.Background(), plan, RunEnv{RunID: "run-000001"})
+	if err == nil || res == nil || len(res.Nodes) != 1 {
+		t.Fatalf("broken pipeline: err %v, result %+v; want node a's partial result with the error", err, res)
+	}
+	if o, ok := p.Metrics.Latest("a"); !ok || o.OutputBytes != res.Nodes[0].OutputBytes || o.RunID != "run-000001" {
+		t.Fatalf("completed node's observation = %+v", o)
+	}
+	if o, ok := p.Metrics.Latest("b"); ok {
+		t.Fatalf("failed node recorded an observation: %+v", o)
 	}
 }

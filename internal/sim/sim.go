@@ -71,9 +71,13 @@ type Config struct {
 	// (DESIGN.md decision 4).
 	DedicatedWriteBand bool
 	// Observer receives the simulated run's event stream (NodeStart,
-	// NodeDone, Materialized, Evicted, MemoryHighWater) with Elapsed
-	// carrying the virtual clock. Nil disables observation.
+	// NodeDone, Materialized, Evicted, MemoryHighWater), each stamped At
+	// Base plus the virtual clock. NodeDone's Elapsed is the node's
+	// duration, as on the real engine; the other kinds carry the virtual
+	// clock there. Nil disables observation.
 	Observer obs.Observer
+	// Base is the wall-clock instant of virtual time zero; zero means now.
+	Base time.Time
 	// RunID, when non-empty, stamps every emitted event with the run
 	// correlation fields (obs.WithRun): RunID plus a monotonic Seq.
 	RunID string
@@ -130,6 +134,9 @@ func Run(ctx context.Context, w *Workload, plan *core.Plan, cfg Config) (*Result
 		// cfg is a copy; scoping its observer covers every emission below.
 		cfg.Observer = obs.WithRun(cfg.RunID, cfg.Observer)
 	}
+	if cfg.Base.IsZero() {
+		cfg.Base = time.Now()
+	}
 	s := &simState{
 		w:       w,
 		cfg:     cfg,
@@ -157,7 +164,7 @@ func Run(ctx context.Context, w *Workload, plan *core.Plan, cfg Config) (*Result
 		}
 		node := w.Nodes[id]
 		nt := NodeTiming{Name: node.Name, Start: s.t}
-		obs.Emit(cfg.Observer, obs.Event{Kind: obs.NodeStart, Node: node.Name, Step: step, Elapsed: vclock(s.t)})
+		s.emit(obs.Event{Kind: obs.NodeStart, Node: node.Name, Step: step, Elapsed: vclock(s.t)})
 
 		// Read phase: base tables from storage, parents from memory when
 		// flagged-resident (or the LRU cache), otherwise storage.
@@ -198,7 +205,7 @@ func Run(ctx context.Context, w *Workload, plan *core.Plan, cfg Config) (*Result
 			s.memUsed += eb
 			if s.memUsed > s.res.PeakMemory {
 				s.res.PeakMemory = s.memUsed
-				obs.Emit(s.o, obs.Event{Kind: obs.MemoryHighWater, Step: -1, Bytes: s.memUsed, Elapsed: vclock(s.t)})
+				s.emit(obs.Event{Kind: obs.MemoryHighWater, Step: -1, Bytes: s.memUsed, Elapsed: vclock(s.t)})
 			}
 			s.bg = append(s.bg, &bgJob{id: id, remaining: float64(eb)})
 			nt.Flagged = true
@@ -206,7 +213,7 @@ func Run(ctx context.Context, w *Workload, plan *core.Plan, cfg Config) (*Result
 			writeSec := s.fgWrite(float64(eb))
 			nt.WriteSec = writeSec
 			s.res.WriteSeconds += writeSec
-			obs.Emit(s.o, obs.Event{Kind: obs.Materialized, Node: node.Name, Step: step, Bytes: eb, Elapsed: vclock(s.t)})
+			s.emit(obs.Event{Kind: obs.Materialized, Node: node.Name, Step: step, Bytes: eb, Elapsed: vclock(s.t)})
 			if s.lru != nil {
 				s.lru.insert(int64(id), eb)
 			}
@@ -222,9 +229,9 @@ func Run(ctx context.Context, w *Workload, plan *core.Plan, cfg Config) (*Result
 		}
 		nt.End = s.t
 		s.res.Timeline = append(s.res.Timeline, nt)
-		obs.Emit(s.o, obs.Event{
+		s.emit(obs.Event{
 			Kind: obs.NodeDone, Node: node.Name, Step: step,
-			Bytes: node.OutputBytes, Elapsed: vclock(s.t),
+			Bytes: node.OutputBytes, Elapsed: vclock(nt.End - nt.Start),
 			Read: vclock(nt.ReadSec), Write: vclock(nt.WriteSec), Compute: vclock(nt.ComputeSec),
 			Flagged: nt.Flagged,
 		})
@@ -381,7 +388,7 @@ func (s *simState) reapBG() {
 		}
 		if fe := s.flagged[j.id]; fe != nil {
 			fe.bgDone = true
-			obs.Emit(s.o, obs.Event{Kind: obs.Materialized, Node: s.w.Nodes[j.id].Name, Step: -1, Bytes: s.w.Nodes[j.id].OutputBytes, Elapsed: vclock(s.t)})
+			s.emit(obs.Event{Kind: obs.Materialized, Node: s.w.Nodes[j.id].Name, Step: -1, Bytes: s.w.Nodes[j.id].OutputBytes, Elapsed: vclock(s.t)})
 			s.maybeRelease(j.id, fe)
 		}
 	}
@@ -392,8 +399,14 @@ func (s *simState) maybeRelease(id dag.NodeID, fe *flaggedEntry) {
 	if fe.resident && fe.children == 0 && fe.bgDone {
 		fe.resident = false
 		s.memUsed -= fe.bytes
-		obs.Emit(s.o, obs.Event{Kind: obs.Evicted, Node: s.w.Nodes[id].Name, Step: -1, Bytes: fe.bytes, Elapsed: vclock(s.t)})
+		s.emit(obs.Event{Kind: obs.Evicted, Node: s.w.Nodes[id].Name, Step: -1, Bytes: fe.bytes, Elapsed: vclock(s.t)})
 	}
+}
+
+// emit sends e stamped with the wall-clock image of the virtual clock.
+func (s *simState) emit(e obs.Event) {
+	e.At = s.cfg.Base.Add(vclock(s.t))
+	obs.Emit(s.o, e)
 }
 
 // vclock converts virtual seconds to a duration for Event.Elapsed.

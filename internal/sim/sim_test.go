@@ -6,10 +6,12 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/shortcircuit-db/sc/internal/core"
 	"github.com/shortcircuit-db/sc/internal/costmodel"
 	"github.com/shortcircuit-db/sc/internal/dag"
+	"github.com/shortcircuit-db/sc/internal/obs"
 	"github.com/shortcircuit-db/sc/internal/testutil"
 )
 
@@ -257,6 +259,43 @@ func TestTimelineIsContiguousAndOrdered(t *testing.T) {
 		if i > 0 && nt.Start < res.Timeline[i-1].End-1e-9 {
 			t.Fatalf("entry %d overlaps previous: %+v", i, nt)
 		}
+	}
+}
+
+// TestEventsCarryTheVirtualClock: every event sits At Base plus the virtual
+// clock, and NodeDone reports the node's duration like the real engine, so
+// a trace collector needs no simulator mode.
+func TestEventsCarryTheVirtualClock(t *testing.T) {
+	w := chainWorkload()
+	cfg := defaultCfg()
+	cfg.Base = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+	var events []obs.Event
+	cfg.Observer = obs.Func(func(e obs.Event) { events = append(events, e) })
+	res, err := Run(context.Background(), w, planFor(w, 0), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	image := func(sec float64) time.Time { return cfg.Base.Add(vclock(sec)) }
+	done := 0
+	for i, e := range events {
+		if i > 0 && e.At.Before(events[i-1].At) {
+			t.Fatalf("event %d (%v) precedes event %d", i, e.Kind, i-1)
+		}
+		switch e.Kind {
+		case obs.NodeStart:
+			if nt := res.Timeline[e.Step]; !e.At.Equal(image(nt.Start)) {
+				t.Fatalf("%s starts At %v, timeline says %v", e.Node, e.At, image(nt.Start))
+			}
+		case obs.NodeDone:
+			nt := res.Timeline[e.Step]
+			if !e.At.Equal(image(nt.End)) || e.Elapsed != vclock(nt.End-nt.Start) || e.Elapsed <= 0 {
+				t.Fatalf("%s done At %v after %v, timeline says %v after %v", e.Node, e.At, e.Elapsed, image(nt.End), vclock(nt.End-nt.Start))
+			}
+			done++
+		}
+	}
+	if last := events[len(events)-1]; done != 3 || last.At.After(image(res.Total)) {
+		t.Fatalf("%d NodeDone events, last event At %v, run ends %v", done, last.At, image(res.Total))
 	}
 }
 

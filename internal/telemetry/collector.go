@@ -9,11 +9,37 @@ import (
 	"github.com/shortcircuit-db/sc/internal/obs"
 )
 
-// AttrNode is the span attribute that marks a span as one executed DAG
-// node; its value is the node (MV) name. CriticalPath selects node spans
-// by this key, so gateway-side spans (admission, queue wait) never enter
-// the DAG walk.
-const AttrNode = "sc.node"
+// The schema between the Collector, which writes these names, and the
+// readers of a finished trace (CriticalPath, ledger.Summarize): a name
+// spelled here once cannot drift between the two sides.
+const (
+	// AttrNode marks a span as one executed DAG node; its value is the node
+	// (MV) name. CriticalPath selects node spans by this key, so
+	// gateway-side spans (admission, queue wait) never enter the DAG walk.
+	AttrNode = "sc.node"
+	// AttrRunID is the root span's run identifier.
+	AttrRunID = "sc.run_id"
+
+	// Node-span attributes, from the node's NodeDone event.
+	AttrOutputBytes  = "sc.output_bytes"
+	AttrEncodedBytes = "sc.encoded_bytes" // also on EncodeDone/DecodeDone span events
+	AttrFlagged      = "sc.flagged"
+
+	// Span-event attributes.
+	AttrBytes           = "sc.bytes"
+	AttrRatio           = "sc.ratio"
+	AttrKernelFallbacks = "sc.kernel.fallbacks"
+
+	// Span-event names: the String() of the obs kind the event came from.
+	EventEncodeDone   = "EncodeDone"
+	EventDecodeDone   = "DecodeDone"
+	EventMaterialized = "Materialized"
+	EventEvicted      = "Evicted"
+	EventKernelDone   = "KernelDone"
+
+	// SpanQueueAdmission names the gateway's enqueue-to-admission child span.
+	SpanQueueAdmission = "queue admission"
+)
 
 // CollectorConfig configures a per-run Collector.
 type CollectorConfig struct {
@@ -30,13 +56,6 @@ type CollectorConfig struct {
 	// gateway this is the enqueue instant, so queue wait is inside the
 	// root span.
 	Start time.Time
-	// Virtual switches event timing to the simulator's virtual clock:
-	// event Elapsed fields are absolute virtual offsets from VirtualBase
-	// rather than real durations.
-	Virtual bool
-	// VirtualBase anchors virtual offsets to wall time; zero means
-	// time.Now() at construction.
-	VirtualBase time.Time
 	// Profile captures per-run runtime deltas (GC pauses, heap allocation,
 	// goroutine peak) and stamps them on the root span at Finish.
 	Profile bool
@@ -58,8 +77,6 @@ type Collector struct {
 	root     Span
 	open     map[string]*Span
 	done     []Span
-	virtual  bool
-	base     time.Time
 	finished bool
 	linkFor  func(node string) (SpanContext, bool)
 
@@ -73,17 +90,12 @@ type Collector struct {
 func NewCollector(cfg CollectorConfig) *Collector {
 	c := &Collector{
 		open:    make(map[string]*Span),
-		virtual: cfg.Virtual,
 		profile: cfg.Profile,
 		linkFor: cfg.LinkResolver,
 	}
 	start := cfg.Start
 	if start.IsZero() {
 		start = time.Now()
-	}
-	c.base = cfg.VirtualBase
-	if c.base.IsZero() {
-		c.base = start
 	}
 	name := cfg.RootName
 	if name == "" {
@@ -105,21 +117,11 @@ func NewCollector(cfg CollectorConfig) *Collector {
 		Start:   start,
 	}
 	if cfg.RunID != "" {
-		c.root.Attrs = append(c.root.Attrs, Str("sc.run_id", cfg.RunID))
+		c.root.Attrs = append(c.root.Attrs, Str(AttrRunID, cfg.RunID))
 	}
 	if c.profile {
 		runtime.ReadMemStats(&c.memStart)
 		c.goroPeak = runtime.NumGoroutine()
-	}
-	return c
-}
-
-// Observer adapts the collector for an obs.Multi chain: a nil collector
-// (tracing disabled) yields a nil Observer rather than a non-nil interface
-// wrapping a nil pointer, which Multi would try to call.
-func (c *Collector) Observer() obs.Observer {
-	if c == nil {
-		return nil
 	}
 	return c
 }
@@ -131,18 +133,14 @@ func (c *Collector) Context() SpanContext {
 	return SpanContext{TraceID: c.trace, SpanID: c.root.SpanID, Sampled: true}
 }
 
-// eventTime maps an obs event's clock to wall time: receipt time for real
-// runs, base+Elapsed for virtual (simulator) runs.
-func (c *Collector) eventTime(e obs.Event) time.Time {
-	if c.virtual {
-		return c.base.Add(e.Elapsed)
-	}
-	return time.Now()
-}
-
-// OnEvent implements obs.Observer.
+// OnEvent implements obs.Observer. Spans and span events are placed at
+// e.At — which a simulation sets on its virtual clock — or at the moment of
+// receipt when the emitter was not run-scoped and left it zero.
 func (c *Collector) OnEvent(e obs.Event) {
-	now := c.eventTime(e)
+	now := e.At
+	if now.IsZero() {
+		now = time.Now()
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.finished {
@@ -178,19 +176,15 @@ func (c *Collector) OnEvent(e obs.Event) {
 			}
 		}
 		delete(c.open, e.Node)
-		if c.virtual {
-			sp.End = now // sim Elapsed is the absolute virtual clock
-		} else {
-			sp.End = sp.Start.Add(e.Elapsed) // exec Elapsed is the node duration
-		}
+		sp.End = sp.Start.Add(e.Elapsed) // Elapsed is the node's duration
 		sp.Attrs = append(sp.Attrs,
-			Int("sc.output_bytes", e.Bytes),
-			Int("sc.encoded_bytes", e.Encoded),
+			Int(AttrOutputBytes, e.Bytes),
+			Int(AttrEncodedBytes, e.Encoded),
 			Float("sc.plan_seconds", e.Plan.Seconds()),
 			Float("sc.read_seconds", e.Read.Seconds()),
 			Float("sc.write_seconds", e.Write.Seconds()),
 			Float("sc.compute_seconds", e.Compute.Seconds()),
-			Bool("sc.flagged", e.Flagged),
+			Bool(AttrFlagged, e.Flagged),
 		)
 		if e.Err != nil {
 			sp.Err = e.Err.Error()
@@ -283,20 +277,13 @@ func (c *Collector) addLinkLocked(consumer string, link Link) {
 // (decodes and evictions name the *consumed* node, which typically already
 // finished), and on the root span as a last resort.
 func (c *Collector) attachEventLocked(e obs.Event, now time.Time) {
-	ev := SpanEvent{Name: e.Kind.String(), Time: now, Attrs: spanEventAttrs(e)}
+	sp := &c.root
 	if e.Node != "" {
-		if sp := c.open[e.Node]; sp != nil {
-			sp.Events = append(sp.Events, ev)
-			return
-		}
-		for i := len(c.done) - 1; i >= 0; i-- {
-			if c.done[i].StrAttr(AttrNode) == e.Node {
-				c.done[i].Events = append(c.done[i].Events, ev)
-				return
-			}
+		if node := c.spanForNodeLocked(e.Node); node != nil {
+			sp = node
 		}
 	}
-	c.root.Events = append(c.root.Events, ev)
+	sp.Events = append(sp.Events, SpanEvent{Name: e.Kind.String(), Time: now, Attrs: spanEventAttrs(e)})
 }
 
 // spanEventAttrs renders the event-kind-specific fields.
@@ -309,13 +296,13 @@ func spanEventAttrs(e obs.Event) []Attr {
 		attrs = append(attrs, Str("sc.source", e.Source))
 	}
 	if e.Bytes != 0 {
-		attrs = append(attrs, Int("sc.bytes", e.Bytes))
+		attrs = append(attrs, Int(AttrBytes, e.Bytes))
 	}
 	if e.Encoded != 0 {
-		attrs = append(attrs, Int("sc.encoded_bytes", e.Encoded))
+		attrs = append(attrs, Int(AttrEncodedBytes, e.Encoded))
 	}
 	if e.Ratio != 0 {
-		attrs = append(attrs, Float("sc.ratio", e.Ratio))
+		attrs = append(attrs, Float(AttrRatio, e.Ratio))
 	}
 	if e.Elapsed != 0 {
 		attrs = append(attrs, Float("sc.elapsed_seconds", e.Elapsed.Seconds()))
@@ -323,7 +310,7 @@ func spanEventAttrs(e obs.Event) []Attr {
 	if e.Kind == obs.KernelDone {
 		attrs = append(attrs,
 			Int("sc.kernel.lowered", e.Lowered),
-			Int("sc.kernel.fallbacks", e.Fallbacks),
+			Int(AttrKernelFallbacks, e.Fallbacks),
 			Int("sc.kernel.chunks_skipped", e.ChunksSkipped),
 			Int("sc.kernel.code_filtered_rows", e.CodeFilteredRows),
 			Int("sc.kernel.decodes_avoided", e.DecodesAvoided),
@@ -362,10 +349,9 @@ func (c *Collector) SetRootAttrs(attrs ...Attr) {
 	c.root.Attrs = append(c.root.Attrs, attrs...)
 }
 
-// Finish closes the root span at end (zero means now for real runs, the
-// latest node end for virtual runs), closes any still-open node spans at
-// the same instant, stamps the profile delta when enabled, and records
-// errMsg as the root status. Finish is idempotent; events arriving after
+// Finish closes the root span at end (zero means now), closes any
+// still-open node spans at the same instant, stamps the profile delta when
+// enabled, and records errMsg as the root status. Finish is idempotent; events arriving after
 // it are dropped.
 func (c *Collector) Finish(end time.Time, errMsg string) {
 	c.mu.Lock()
@@ -375,16 +361,7 @@ func (c *Collector) Finish(end time.Time, errMsg string) {
 	}
 	c.finished = true
 	if end.IsZero() {
-		if c.virtual {
-			end = c.root.Start
-			for _, sp := range c.done {
-				if sp.End.After(end) {
-					end = sp.End
-				}
-			}
-		} else {
-			end = time.Now()
-		}
+		end = time.Now()
 	}
 	for name, sp := range c.open {
 		sp.End = end

@@ -84,21 +84,26 @@ func TestCollectorRealRun(t *testing.T) {
 
 func TestCollectorVirtualClock(t *testing.T) {
 	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	c := NewCollector(CollectorConfig{Virtual: true, Start: base, VirtualBase: base})
-	// Simulator events carry absolute virtual-clock offsets in Elapsed.
-	c.OnEvent(obs.Event{Kind: obs.NodeStart, Node: "a", Elapsed: 1 * time.Second})
-	c.OnEvent(obs.Event{Kind: obs.NodeDone, Node: "a", Elapsed: 4 * time.Second})
-	c.OnEvent(obs.Event{Kind: obs.NodeStart, Node: "b", Elapsed: 4 * time.Second})
-	c.OnEvent(obs.Event{Kind: obs.NodeDone, Node: "b", Elapsed: 9 * time.Second})
-	c.Finish(time.Time{}, "")
+	c := NewCollector(CollectorConfig{Start: base})
+	// Simulator events sit At base plus the virtual clock; NodeDone's
+	// Elapsed is the node's duration, as on the real engine.
+	at := func(sec int) time.Time { return base.Add(time.Duration(sec) * time.Second) }
+	c.OnEvent(obs.Event{Kind: obs.NodeStart, Node: "a", At: at(1)})
+	c.OnEvent(obs.Event{Kind: obs.NodeDone, Node: "a", At: at(4), Elapsed: 3 * time.Second})
+	c.OnEvent(obs.Event{Kind: obs.NodeStart, Node: "b", At: at(4)})
+	c.OnEvent(obs.Event{Kind: obs.Materialized, Node: "a", At: at(6), Bytes: 1})
+	c.OnEvent(obs.Event{Kind: obs.NodeDone, Node: "b", At: at(9), Elapsed: 5 * time.Second})
+	c.Finish(at(9), "")
 	spans := c.Spans()
 	a := spanByName(t, spans, "node a")
-	if a.Start != base.Add(1*time.Second) || a.End != base.Add(4*time.Second) {
+	if a.Start != at(1) || a.End != at(4) {
 		t.Fatalf("a bounds %v..%v", a.Start, a.End)
 	}
-	// Zero Finish end in virtual mode = latest node end.
-	if spans[0].End != base.Add(9*time.Second) {
-		t.Fatalf("root end %v, want vclock 9s", spans[0].End)
+	if len(a.Events) != 1 || a.Events[0].Time != at(6) {
+		t.Fatalf("a's span events %+v, want one at the virtual 6 s", a.Events)
+	}
+	if b := spanByName(t, spans, "node b"); b.Start != at(4) || b.End != at(9) {
+		t.Fatalf("b bounds %v..%v", b.Start, b.End)
 	}
 	if spans[0].Duration() != 9*time.Second {
 		t.Fatalf("root duration %v", spans[0].Duration())
@@ -235,5 +240,18 @@ func BenchmarkWithRunStamp(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		o.OnEvent(e)
+	}
+}
+
+// The span-event name constants readers switch on are the names the
+// Collector writes: the obs kinds' String().
+func TestEventNameConstantsMatchObsKinds(t *testing.T) {
+	for name, kind := range map[string]obs.Kind{
+		EventEncodeDone: obs.EncodeDone, EventDecodeDone: obs.DecodeDone, EventMaterialized: obs.Materialized,
+		EventEvicted: obs.Evicted, EventKernelDone: obs.KernelDone,
+	} {
+		if name != kind.String() {
+			t.Errorf("constant %q names obs kind %q", name, kind.String())
+		}
 	}
 }

@@ -57,7 +57,7 @@ func CriticalPath(spans []Span, parents map[string][]string) CritReport {
 	}
 	root := spans[0]
 	rep.TraceID = root.TraceID.String()
-	rep.RunID = root.StrAttr("sc.run_id")
+	rep.RunID = root.StrAttr(AttrRunID)
 	rep.WallSeconds = root.Duration().Seconds()
 
 	byNode := make(map[string]*Span)

@@ -150,30 +150,20 @@ func TestCriticalPathEmpty(t *testing.T) {
 	}
 }
 
-// eventAt builds a simulator-style event: Elapsed is the absolute virtual
-// clock at emission.
-func eventAt(node string, start bool, at time.Duration) obs.Event {
-	kind := obs.NodeDone
-	if start {
-		kind = obs.NodeStart
-	}
-	return obs.Event{Kind: kind, Node: node, Elapsed: at}
-}
-
 func TestCriticalPathCollectorEndToEnd(t *testing.T) {
-	// Drive a collector with a virtual-clock event sequence and check the
-	// wall-time accounting closes within the 10% acceptance bound (exact,
-	// here, since the clock is synthetic).
+	// Drive a collector with a virtual-clock event sequence, as the
+	// simulator emits it, and check the wall-time accounting closes within
+	// the 10% acceptance bound (exact, here, since the clock is synthetic).
 	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
-	c := NewCollector(CollectorConfig{RunID: "run-000033", Virtual: true, Start: base, VirtualBase: base})
+	c := NewCollector(CollectorConfig{RunID: "run-000033", Start: base})
 	emitNode := func(name string, start, end time.Duration) {
-		c.OnEvent(eventAt(name, true, start))
-		c.OnEvent(eventAt(name, false, end))
+		c.OnEvent(obs.Event{Kind: obs.NodeStart, Node: name, At: base.Add(start)})
+		c.OnEvent(obs.Event{Kind: obs.NodeDone, Node: name, At: base.Add(end), Elapsed: end - start})
 	}
 	emitNode("src", 0, 2*time.Second)
 	emitNode("mid", 2*time.Second, 5*time.Second)
 	emitNode("out", 5*time.Second, 6*time.Second)
-	c.Finish(time.Time{}, "")
+	c.Finish(base.Add(6*time.Second), "")
 	rep := CriticalPath(c.Spans(), map[string][]string{
 		"mid": {"src"}, "out": {"mid"},
 	})

@@ -22,9 +22,6 @@ type FileExporter struct {
 
 // NewFileExporter opens path for appending; "-" means stdout.
 func NewFileExporter(path, service string) (*FileExporter, error) {
-	if service == "" {
-		service = "sc"
-	}
 	if path == "-" {
 		return &FileExporter{w: os.Stdout, service: service}, nil
 	}
@@ -37,9 +34,6 @@ func NewFileExporter(path, service string) (*FileExporter, error) {
 
 // NewWriterExporter wraps an arbitrary writer (tests).
 func NewWriterExporter(w io.Writer, service string) *FileExporter {
-	if service == "" {
-		service = "sc"
-	}
 	return &FileExporter{w: w, service: service}
 }
 

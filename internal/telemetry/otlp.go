@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -10,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"github.com/shortcircuit-db/sc/internal/telemetry/delivery"
 )
 
 // Exporter receives completed traces. Export must not block the caller
@@ -30,92 +30,76 @@ type OTLPConfig struct {
 	Service string
 	// Headers are added to every export request (auth tokens etc.).
 	Headers map[string]string
-	// QueueSize bounds the pending-trace queue; when full, new traces are
-	// dropped and counted. Default 256.
-	QueueSize int
-	// BatchSize is the max traces per HTTP request. Default 16.
-	BatchSize int
-	// FlushInterval caps how long a partial batch waits. Default 2s.
-	FlushInterval time.Duration
-	// MaxRetries bounds send attempts per batch (1 initial + retries).
-	// Default 3 retries.
-	MaxRetries int
-	// RetryBase is the first backoff delay, doubled per attempt.
-	// Default 100ms.
-	RetryBase time.Duration
-	// Client overrides the HTTP client; default 10s timeout.
-	Client *http.Client
 }
 
-func (c *OTLPConfig) withDefaults() {
-	if c.Service == "" {
-		c.Service = "sc"
-	}
-	if c.QueueSize <= 0 {
-		c.QueueSize = 256
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 16
-	}
-	if c.FlushInterval <= 0 {
-		c.FlushInterval = 2 * time.Second
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 100 * time.Millisecond
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: 10 * time.Second}
-	}
-}
+// How the exporter batches and retries. Nothing ever set these, so they
+// are constants.
+const (
+	otlpQueueSize     = 256                    // pending traces; beyond it new traces are dropped and counted
+	otlpBatchSize     = 16                     // max traces per HTTP request
+	otlpFlushInterval = 2 * time.Second        // how long a partial batch waits
+	otlpRetries       = 3                      // re-attempts per batch after a retriable failure
+	otlpRetryBase     = 100 * time.Millisecond // first backoff delay, doubled per attempt
+	otlpTimeout       = 10 * time.Second       // per HTTP attempt
+)
 
 // OTLPExporter ships traces to an OTLP/HTTP JSON collector endpoint. Like
 // the gateway's Prometheus exposition, the wire format is hand-rolled —
-// no SDK dependency. Traces enqueue onto a bounded queue (full queue =
-// drop + count) and a single worker batches, sends, and retries with
-// exponential backoff; retriable failures (429/5xx/network) re-attempt up
-// to MaxRetries before the batch is dropped.
+// no SDK dependency. Traces enqueue onto a bounded queue (full or closed
+// queue = drop + count) and a single worker batches, sends, and retries
+// with exponential backoff; retriable failures (429/5xx/network)
+// re-attempt up to otlpRetries times before the batch is dropped.
 type OTLPExporter struct {
-	cfg     OTLPConfig
-	queue   chan []Span
-	dropped atomic.Int64
-	sent    atomic.Int64
-	wg      sync.WaitGroup
-	closed  atomic.Bool
+	cfg       OTLPConfig
+	client    *http.Client
+	batchSize int
+	retries   int
+	retryBase time.Duration
+	queue     *delivery.Queue[[]Span]
+	dropped   atomic.Int64
+	sent      atomic.Int64
+	wg        sync.WaitGroup
 }
 
 // NewOTLP builds an exporter and starts its worker.
 func NewOTLP(cfg OTLPConfig) (*OTLPExporter, error) {
+	return newOTLP(cfg, otlpQueueSize, otlpBatchSize, otlpRetries, otlpRetryBase)
+}
+
+// newOTLP is NewOTLP with the queue, batch and retry constants as
+// parameters.
+func newOTLP(cfg OTLPConfig, queueSize, batchSize, retries int, retryBase time.Duration) (*OTLPExporter, error) {
 	if cfg.Endpoint == "" {
 		return nil, fmt.Errorf("telemetry: OTLP endpoint required")
 	}
-	cfg.withDefaults()
-	e := &OTLPExporter{cfg: cfg, queue: make(chan []Span, cfg.QueueSize)}
+	e := &OTLPExporter{
+		cfg:       cfg,
+		client:    &http.Client{Timeout: otlpTimeout},
+		batchSize: batchSize,
+		retries:   retries,
+		retryBase: retryBase,
+		queue:     delivery.NewQueue[[]Span](queueSize),
+	}
 	e.wg.Add(1)
 	go e.run()
 	return e, nil
 }
 
-// Export implements Exporter: non-blocking enqueue, drop when full.
+// Export implements Exporter: non-blocking enqueue; a full queue, or one
+// already closed, drops the trace and counts it.
 func (e *OTLPExporter) Export(spans []Span) {
-	if len(spans) == 0 || e.closed.Load() {
+	if len(spans) == 0 {
 		return
 	}
 	cp := make([]Span, len(spans))
 	copy(cp, spans)
-	select {
-	case e.queue <- cp:
-	default:
+	if !e.queue.Offer(cp) {
 		e.dropped.Add(1)
 	}
 }
 
-// Dropped reports traces discarded because the queue was full or a batch
-// exhausted its retries.
+// Dropped reports traces discarded because the queue was full or closed,
+// or a batch exhausted its retries.
 func (e *OTLPExporter) Dropped() int64 { return e.dropped.Load() }
 
 // Sent reports traces delivered (2xx response).
@@ -124,17 +108,14 @@ func (e *OTLPExporter) Sent() int64 { return e.sent.Load() }
 // Close stops accepting traces, flushes the queue, and waits for the
 // worker to drain.
 func (e *OTLPExporter) Close() error {
-	if e.closed.Swap(true) {
-		return nil
-	}
-	close(e.queue)
+	e.queue.Close()
 	e.wg.Wait()
 	return nil
 }
 
 func (e *OTLPExporter) run() {
 	defer e.wg.Done()
-	timer := time.NewTimer(e.cfg.FlushInterval)
+	timer := time.NewTimer(otlpFlushInterval)
 	defer timer.Stop()
 	var batch [][]Span
 	flush := func() {
@@ -146,69 +127,31 @@ func (e *OTLPExporter) run() {
 	}
 	for {
 		select {
-		case spans, ok := <-e.queue:
+		case spans, ok := <-e.queue.Items():
 			if !ok {
 				flush()
 				return
 			}
 			batch = append(batch, spans)
-			if len(batch) >= e.cfg.BatchSize {
+			if len(batch) >= e.batchSize {
 				flush()
-				if !timer.Stop() {
-					select {
-					case <-timer.C:
-					default:
-					}
-				}
-				timer.Reset(e.cfg.FlushInterval)
+				timer.Reset(otlpFlushInterval) // go ≥ 1.23: Reset leaves no stale tick behind
 			}
 		case <-timer.C:
 			flush()
-			timer.Reset(e.cfg.FlushInterval)
+			timer.Reset(otlpFlushInterval)
 		}
 	}
 }
 
-// send posts one batch, retrying retriable failures with exponential
-// backoff. Non-retriable HTTP statuses (4xx other than 429) drop
-// immediately.
+// send posts one batch; a batch that stays undelivered is dropped.
 func (e *OTLPExporter) send(batch [][]Span) {
 	payload := MarshalOTLP(e.cfg.Service, batch)
-	delay := e.cfg.RetryBase
-	for attempt := 0; ; attempt++ {
-		retriable, err := e.post(payload)
-		if err == nil {
-			e.sent.Add(int64(len(batch)))
-			return
-		}
-		if !retriable || attempt >= e.cfg.MaxRetries {
-			e.dropped.Add(int64(len(batch)))
-			return
-		}
-		time.Sleep(delay)
-		delay *= 2
+	if ok, _ := delivery.Post(e.client, e.cfg.Endpoint, e.cfg.Headers, payload, e.retries, e.retryBase); ok {
+		e.sent.Add(int64(len(batch)))
+	} else {
+		e.dropped.Add(int64(len(batch)))
 	}
-}
-
-func (e *OTLPExporter) post(payload []byte) (retriable bool, err error) {
-	req, err := http.NewRequestWithContext(context.Background(), http.MethodPost, e.cfg.Endpoint, bytes.NewReader(payload))
-	if err != nil {
-		return false, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	for k, v := range e.cfg.Headers {
-		req.Header.Set(k, v)
-	}
-	resp, err := e.cfg.Client.Do(req)
-	if err != nil {
-		return true, err // network errors are retriable
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-		return false, nil
-	}
-	retriable = resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500
-	return retriable, fmt.Errorf("telemetry: OTLP export: HTTP %d", resp.StatusCode)
 }
 
 // --- OTLP/HTTP JSON wire shapes -------------------------------------------
@@ -357,7 +300,7 @@ func otlpFromSpan(s Span) otlpSpan {
 }
 
 // MarshalOTLP renders traces (each a root-first span slice) as one
-// ExportTraceServiceRequest JSON payload.
+// ExportTraceServiceRequest JSON payload; an empty service name means "sc".
 func MarshalOTLP(service string, traces [][]Span) []byte {
 	var spans []otlpSpan
 	for _, tr := range traces {
@@ -365,11 +308,13 @@ func MarshalOTLP(service string, traces [][]Span) []byte {
 			spans = append(spans, otlpFromSpan(s))
 		}
 	}
-	svc := service
+	if service == "" {
+		service = "sc"
+	}
 	req := otlpExportRequest{
 		ResourceSpans: []otlpResourceSpans{{
 			Resource: otlpResource{Attributes: []otlpKeyValue{
-				{Key: "service.name", Value: otlpAnyValue{StringValue: &svc}},
+				{Key: "service.name", Value: otlpAnyValue{StringValue: &service}},
 			}},
 			ScopeSpans: []otlpScopeSpans{{
 				Scope: otlpScope{Name: "github.com/shortcircuit-db/sc/internal/telemetry"},

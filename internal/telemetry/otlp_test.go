@@ -162,7 +162,7 @@ func TestOTLPExporterRetriesThenSucceeds(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 	}))
 	defer srv.Close()
-	e, err := NewOTLP(OTLPConfig{Endpoint: srv.URL, RetryBase: time.Millisecond, MaxRetries: 3})
+	e, err := newOTLP(OTLPConfig{Endpoint: srv.URL}, otlpQueueSize, otlpBatchSize, 3, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestOTLPExporterDropsAfterRetriesExhausted(t *testing.T) {
 		w.WriteHeader(http.StatusInternalServerError)
 	}))
 	defer srv.Close()
-	e, err := NewOTLP(OTLPConfig{Endpoint: srv.URL, RetryBase: time.Millisecond, MaxRetries: 2})
+	e, err := newOTLP(OTLPConfig{Endpoint: srv.URL}, otlpQueueSize, otlpBatchSize, 2, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestOTLPExporterNonRetriableDropsImmediately(t *testing.T) {
 		w.WriteHeader(http.StatusBadRequest)
 	}))
 	defer srv.Close()
-	e, err := NewOTLP(OTLPConfig{Endpoint: srv.URL, RetryBase: time.Millisecond})
+	e, err := newOTLP(OTLPConfig{Endpoint: srv.URL}, otlpQueueSize, otlpBatchSize, otlpRetries, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestOTLPExporterQueueFullDrops(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 	}))
 	defer srv.Close()
-	e, err := NewOTLP(OTLPConfig{Endpoint: srv.URL, QueueSize: 2, BatchSize: 1})
+	e, err := newOTLP(OTLPConfig{Endpoint: srv.URL}, 2, 1, otlpRetries, otlpRetryBase)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,6 +246,35 @@ func TestOTLPExporterQueueFullDrops(t *testing.T) {
 	e.Close()
 	if e.Sent()+e.Dropped() != 8 {
 		t.Fatalf("sent %d + dropped %d != 8", e.Sent(), e.Dropped())
+	}
+}
+
+// TestOTLPExportRacesClose: Export checked a flag and then sent, so a Close
+// in between closed the queue under it. Now every trace offered around a
+// Close is either sent or a counted drop, and -race sees no unordered pair.
+func TestOTLPExportRacesClose(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	defer srv.Close()
+	e, err := NewOTLP(OTLPConfig{Endpoint: srv.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const senders, each = 4, 100
+	var wg sync.WaitGroup
+	for i := 0; i < senders; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < each; j++ {
+				e.Export(sampleTrace())
+			}
+		}()
+	}
+	e.Close()
+	wg.Wait()
+	e.Close()
+	if e.Sent()+e.Dropped() != senders*each {
+		t.Fatalf("sent %d + dropped %d != %d exported", e.Sent(), e.Dropped(), senders*each)
 	}
 }
 

@@ -6,7 +6,11 @@
 // no SDK dependency) or to a file/stdout for tests, and a pure
 // critical-path analysis over a completed trace reports where the run's
 // wall time actually went — per-node self time vs wait time, and the
-// longest blocking chain through the DAG.
+// longest blocking chain through the DAG. The attribute keys, span-event
+// names and span name that readers of a trace depend on are constants
+// (collector.go) shared by the Collector and those readers. The bounded
+// queue and retrying POST under the OTLP exporter are package delivery's,
+// shared with the alert webhook.
 package telemetry
 
 import (

@@ -121,6 +121,41 @@ func TestRefresherExplainAndAlerts(t *testing.T) {
 	}
 }
 
+// TestRunAfterCloseDropsItsAlerts: Close drains the webhook queue for good;
+// a refresh that regresses afterwards still runs and lands its ledger row,
+// and its alert is a counted drop (it used to be a send on a closed channel).
+func TestRunAfterCloseDropsItsAlerts(t *testing.T) {
+	var posts atomic.Int64
+	hook := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { posts.Add(1) }))
+	defer hook.Close()
+
+	store := sc.NewMemStore()
+	baseTables(t, store)
+	ds := &slowReadStore{Store: store, target: "events"}
+	ref, err := sc.New(chainMVs(), ds, sc.WithMemory(1<<20), sc.WithAlerts(hook.URL, time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := ref.Refresh(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ref.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ds.delayNs.Store(int64(150 * time.Millisecond))
+	if _, err := ref.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if rows := ref.History(sc.RunFilter{Anomalous: true}); len(rows) != 1 {
+		t.Fatalf("%d anomalous rows after the slowed refresh, want 1", len(rows))
+	}
+	if st := ref.AlertStats(); st.Dropped == 0 || st.Delivered != 0 || posts.Load() != 0 {
+		t.Fatalf("alert stats %+v, %d webhook posts; want the regression dropped and nothing delivered", st, posts.Load())
+	}
+}
+
 // TestWithAlertsValidation covers the option's error path.
 func TestWithAlertsValidation(t *testing.T) {
 	store := sc.NewMemStore()

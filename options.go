@@ -242,8 +242,10 @@ func WithParallelScan(enabled bool) Option {
 // exp, when non-nil, additionally receives every completed trace; see
 // NewOTLPTraceExporter and NewFileTraceExporter. The session does not close
 // the exporter — that stays with the caller. Pass nil to trace without
-// exporting. The collector rides the same event stream as WithObserver and
-// costs nothing when this option is absent.
+// exporting. The collector rides the same event stream as WithObserver;
+// without this option (or WithLedger/WithAlerts, which imply it) and without
+// an observer a run emits no events at all — Metrics is filled from the
+// run's result either way.
 func WithTelemetry(exp TraceExporter) Option {
 	return func(c *config) {
 		c.tracing = true
@@ -262,9 +264,10 @@ func WithTelemetry(exp TraceExporter) Option {
 // summary.
 //
 // path, when non-empty, persists summaries as NDJSON and replays them on
-// New, so baselines survive process restarts. WithLedger implies tracing
-// (the summary is derived from the run's spans); combine with WithTelemetry
-// to also export traces.
+// New, so baselines survive process restarts (the file is compacted to the
+// retained history past 4 MB). WithLedger implies tracing — the summary is
+// derived from the run's spans, so there is no ledger row without a trace;
+// combine with WithTelemetry to also export traces.
 func WithLedger(path string) Option {
 	return func(c *config) {
 		c.ledger = true
@@ -279,7 +282,8 @@ func WithLedger(path string) Option {
 // fallbacks) and every health-verdict transition POSTs one JSON event to
 // webhookURL through a bounded queue with exponential-backoff retry;
 // repeats of the same (pipeline, kind) within cooldown are suppressed
-// (0 = the 5m default). Call Refresher.Close to drain pending deliveries.
+// (0 = the 5m default). Call Refresher.Close to drain pending deliveries;
+// alerts of runs after Close are counted as dropped.
 // WithAlerts implies WithLedger's in-memory ledger — the anomalies are its
 // verdicts — and therefore tracing.
 func WithAlerts(webhookURL string, cooldown time.Duration) Option {

@@ -204,6 +204,9 @@ func (r *Refresher) RunPlan(ctx context.Context, plan *Plan) (*RunResult, error)
 		Observers:    []obs.Observer{r.cfg.observer},
 		Trace:        col,
 	})
+	if col == nil { // no WithTelemetry/WithLedger/WithAlerts: nothing to finish
+		return res, err
+	}
 	meta := ledger.Meta{RunID: runID, Outcome: ledger.OutcomeSucceeded, ReservedBytes: r.cfg.memory}
 	if err != nil {
 		meta.Outcome = ledger.OutcomeFailed
@@ -217,16 +220,14 @@ func (r *Refresher) RunPlan(ctx context.Context, plan *Plan) (*RunResult, error)
 		meta.FallbackWrites = res.FallbackWrites
 	}
 	_, _, spans := r.fin.Finish(r.pipe, col, time.Time{}, meta)
-	if col != nil {
-		tr := &RunTrace{
-			RunID:        runID,
-			Spans:        spans,
-			CriticalPath: telemetry.CriticalPath(spans, r.pipe.Parents),
-		}
-		r.mu.Lock()
-		r.lastTrace = tr
-		r.mu.Unlock()
+	tr := &RunTrace{
+		RunID:        runID,
+		Spans:        spans,
+		CriticalPath: telemetry.CriticalPath(spans, r.pipe.Parents),
 	}
+	r.mu.Lock()
+	r.lastTrace = tr
+	r.mu.Unlock()
 	return res, err
 }
 
