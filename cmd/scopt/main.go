@@ -8,8 +8,9 @@
 //	  "nodes": [{"name": "mv_a", "size": 1073741824, "score": 12.5}, ...],
 //	  "edges": [["mv_a", "mv_b"], ...],
 //	  "memory": 1717986918,
-//	  "flag_algorithm": "mkp",   // optional
-//	  "order_algorithm": "ma-dfs" // optional
+//	  "flag_algorithm": "mkp",    // optional
+//	  "order_algorithm": "ma-dfs", // optional
+//	  "seed": 7                    // optional; seeds a randomized algorithm named above
 //	}
 //
 // Scores may be omitted (0); pass "estimate_scores": true to derive them
@@ -84,7 +85,7 @@ func main() {
 	}
 	// The JSON algorithm names resolve through the public registries, so
 	// strategies registered by embedding programs are reachable here too.
-	opts := []sc.Option{sc.WithSeed(in.Seed)}
+	var opts []sc.Option
 	if in.FlagAlgorithm != "" {
 		sel, err := sc.SelectorByName(in.FlagAlgorithm, in.Seed)
 		if err != nil {

@@ -33,8 +33,10 @@ func tpcdsPipeline(t *testing.T, sf float64) ([]sc.MV, map[string]*table.Table) 
 // once through sc.Refresher and once through a gateway pipeline whose
 // tenant slice is the Refresher's memory budget. Both sit on the same
 // session code, so after the first observed run they must agree on the
-// optimizer's problem, on every flag decision, on the ledger's node rows
-// (times and IDs aside) and on every stored MV byte.
+// optimizer's problem, on every flag decision, on the plan — the one
+// Optimize returns, the one either explain describes, the one the next
+// trigger runs — on the ledger's node rows (times and IDs aside) and on
+// every stored MV byte.
 func TestRefresherAndGatewayAreOnePath(t *testing.T) {
 	const budget = 64 << 20
 	ctx := context.Background()
@@ -156,5 +158,72 @@ func TestRefresherAndGatewayAreOnePath(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Errorf("%s: library and gateway stored different bytes (%d vs %d)", mv.Name, len(a), len(b))
 		}
+	}
+
+	// One plan, whoever asks for it. (Last: the trigger is a second run.)
+	type planNames struct{ Order, Flagged []string }
+	explained := func(rep *sc.ExplainReport) planNames {
+		pn := planNames{Order: rep.Order}
+		for _, d := range rep.Decisions {
+			if d.Flagged {
+				pn.Flagged = append(pn.Flagged, d.Node)
+			}
+		}
+		return pn
+	}
+	libPlan, _, err := ref.Optimize(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var optimized planNames
+	for _, id := range libPlan.Order {
+		optimized.Order = append(optimized.Order, prob.G.Name(id))
+		if libPlan.Flagged[id] {
+			optimized.Flagged = append(optimized.Flagged, prob.G.Name(id))
+		}
+	}
+	if len(optimized.Flagged) == 0 {
+		t.Fatal("the optimised plan flags nothing")
+	}
+	for who, rep := range map[string]*sc.ExplainReport{"Refresher.Explain": libRep, "gateway explain": gwRep} {
+		if pn := explained(rep); !reflect.DeepEqual(pn, optimized) {
+			t.Errorf("%s describes %+v, Refresher.Optimize returned %+v", who, pn, optimized)
+		}
+	}
+	next, err := srv.Trigger("p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-next.Done()
+	tr, err := srv.RunTrace(next.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := next.Status()
+	if st.State != gateway.StateSucceeded {
+		t.Fatalf("second gateway run: %+v", st)
+	}
+	// Node spans carry their plan step, and the flag unless the run's
+	// reservation forced the output to a blocking write after all.
+	ranOrder := make([]string, len(mvs))
+	var kept []string
+	for _, sp := range tr.Spans {
+		if node, ok := sp.Attrs["sc.node"].(string); ok {
+			ranOrder[sp.Attrs["sc.step"].(int64)] = node
+			if sp.Attrs["sc.flagged"].(bool) {
+				kept = append(kept, node)
+			}
+		}
+	}
+	if !reflect.DeepEqual(ranOrder, optimized.Order) {
+		t.Errorf("gateway trigger ran order %v, Refresher.Optimize returned %v", ranOrder, optimized.Order)
+	}
+	for _, node := range kept {
+		if !libPlan.Flagged[prob.G.Lookup(node)] {
+			t.Errorf("gateway trigger kept %s in memory, Refresher.Optimize flags only %v", node, optimized.Flagged)
+		}
+	}
+	if len(kept)+st.FallbackWrites != len(optimized.Flagged) {
+		t.Errorf("gateway trigger kept %v with %d fallback writes, Refresher.Optimize flags %v", kept, st.FallbackWrites, optimized.Flagged)
 	}
 }

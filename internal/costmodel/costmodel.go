@@ -45,19 +45,6 @@ func PaperProfile() DeviceProfile {
 	}
 }
 
-// RawDeviceProfile is the §VI-A device without serialization overhead
-// (519.8/358.9 MB/s), for experiments that model raw byte streams.
-func RawDeviceProfile() DeviceProfile {
-	return DeviceProfile{
-		DiskReadBW:   519.8e6,
-		DiskWriteBW:  358.9e6,
-		DiskLatency:  175 * time.Microsecond,
-		MemReadBW:    10e9,
-		MemWriteBW:   10e9,
-		ComputeScale: 1,
-	}
-}
-
 // Validate rejects non-positive bandwidths.
 func (d DeviceProfile) Validate() error {
 	if d.DiskReadBW <= 0 || d.DiskWriteBW <= 0 || d.MemReadBW <= 0 || d.MemWriteBW <= 0 {
@@ -99,61 +86,35 @@ func bwTime(size int64, bw float64) time.Duration {
 	return time.Duration(float64(size) / bw * float64(time.Second))
 }
 
-// NodeScore estimates the speedup score t_i (seconds) of flagging node i:
-// each child reads i's output from memory instead of disk, and i's blocking
-// disk write is replaced by an in-memory create with background
-// materialization.
-func NodeScore(d DeviceProfile, g *dag.Graph, sizes []int64, i dag.NodeID) float64 {
-	return NodeScoreSized(d, g, sizes, sizes, i)
-}
-
-// NodeScoreSized is NodeScore with distinct memory and storage footprints,
-// as when the encoding subsystem compresses tables: disk transfers move
-// diskSizes[i] (encoded) bytes while Memory Catalog accesses touch
-// memSizes[i] bytes. Compression shrinks the disk terms, so flagging a
-// well-compressed node saves less than its raw size suggests — exactly the
-// tradeoff the optimizer must see to make different flag/order decisions.
-func NodeScoreSized(d DeviceProfile, g *dag.Graph, memSizes, diskSizes []int64, i dag.NodeID) float64 {
+// ScoreParts returns the two terms of node i's speedup score t_i: readSave
+// is what i's children save reading its output from memory instead of
+// disk, writeSave is what i saves replacing its blocking disk write with an
+// in-memory create plus background materialization. Disk transfers move
+// diskSizes[i] bytes (encoded, when the encoding subsystem compresses
+// tables) while Memory Catalog accesses touch memSizes[i], so flagging a
+// well-compressed node saves less than its raw size suggests. The parts are
+// not clamped: a negative sum means flagging would cost time, and the score
+// is then 0.
+func ScoreParts(d DeviceProfile, g *dag.Graph, memSizes, diskSizes []int64, i dag.NodeID) (readSave, writeSave time.Duration) {
 	mem, disk := memSizes[i], diskSizes[i]
-	var saved time.Duration
-	for range g.Children(i) {
-		saved += d.DiskRead(disk) - d.MemRead(mem)
-	}
-	saved += d.DiskWrite(disk) - d.MemWrite(mem)
-	if saved < 0 {
-		saved = 0
-	}
-	return saved.Seconds()
+	readSave = time.Duration(len(g.Children(i))) * (d.DiskRead(disk) - d.MemRead(mem))
+	return readSave, d.DiskWrite(disk) - d.MemWrite(mem)
 }
 
-// NodeScoreParts splits NodeScoreSized into its two savings terms, for
-// the flagging-explain surface: readSave is what the node's children save
-// by reading its output from memory instead of disk, writeSave is what
-// the node itself saves by replacing its blocking disk write with an
-// in-memory create plus background materialization. Unlike
-// NodeScoreSized, the parts are not clamped at zero — a negative sum
-// means flagging would cost time, which is exactly what an explain wants
-// to show.
-func NodeScoreParts(d DeviceProfile, g *dag.Graph, memSizes, diskSizes []int64, i dag.NodeID) (readSave, writeSave float64) {
-	mem, disk := memSizes[i], diskSizes[i]
-	var read time.Duration
-	for range g.Children(i) {
-		read += d.DiskRead(disk) - d.MemRead(mem)
+// Score folds the two terms of ScoreParts into t_i in seconds.
+func Score(readSave, writeSave time.Duration) float64 {
+	if readSave+writeSave < 0 {
+		return 0
 	}
-	write := d.DiskWrite(disk) - d.MemWrite(mem)
-	return read.Seconds(), write.Seconds()
+	return (readSave + writeSave).Seconds()
 }
 
-// Scores computes NodeScore for every node.
+// Scores computes t_i for every node from the device model alone, with
+// sizes both the memory and the storage footprint.
 func Scores(d DeviceProfile, g *dag.Graph, sizes []int64) []float64 {
-	return ScoresSized(d, g, sizes, sizes)
-}
-
-// ScoresSized computes NodeScoreSized for every node.
-func ScoresSized(d DeviceProfile, g *dag.Graph, memSizes, diskSizes []int64) []float64 {
 	out := make([]float64, g.Len())
 	for i := range out {
-		out[i] = NodeScoreSized(d, g, memSizes, diskSizes, dag.NodeID(i))
+		out[i] = Score(ScoreParts(d, g, sizes, sizes, dag.NodeID(i)))
 	}
 	return out
 }

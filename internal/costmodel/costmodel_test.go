@@ -61,7 +61,7 @@ func TestNodeScoreGrowsWithFanout(t *testing.T) {
 	b := g.AddNode("b")
 	g.MustAddEdge(a, b)
 	sizes := []int64{1 << 30, 1 << 20}
-	one := NodeScore(d, g, sizes, a)
+	one := Scores(d, g, sizes)[a]
 
 	g2 := dag.New()
 	a2 := g2.AddNode("a")
@@ -70,7 +70,7 @@ func TestNodeScoreGrowsWithFanout(t *testing.T) {
 		g2.MustAddEdge(a2, c)
 	}
 	sizes2 := []int64{1 << 30, 1, 1, 1}
-	three := NodeScore(d, g2, sizes2, a2)
+	three := Scores(d, g2, sizes2)[a2]
 	if three <= one {
 		t.Fatalf("fanout-3 score (%v) should exceed fanout-1 score (%v)", three, one)
 	}
@@ -81,7 +81,7 @@ func TestChildlessNodeStillSavesWriteTime(t *testing.T) {
 	g := dag.New()
 	a := g.AddNode("a")
 	sizes := []int64{1 << 30}
-	s := NodeScore(d, g, sizes, a)
+	s := Scores(d, g, sizes)[a]
 	wantMin := (d.DiskWrite(sizes[0]) - d.MemWrite(sizes[0])).Seconds()
 	if s < wantMin*0.99 || s > wantMin*1.01 {
 		t.Fatalf("childless score = %v, want ≈ %v", s, wantMin)
@@ -129,8 +129,8 @@ func TestScoreMonotoneInSizeProperty(t *testing.T) {
 		p := g.AddNode("p")
 		c := g.AddNode("c")
 		g.MustAddEdge(p, c)
-		lo := NodeScore(d, g, []int64{a, 1}, p)
-		hi := NodeScore(d, g, []int64{b, 1}, p)
+		lo := Scores(d, g, []int64{a, 1})[p]
+		hi := Scores(d, g, []int64{b, 1})[p]
 		return lo <= hi
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

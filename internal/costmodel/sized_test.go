@@ -22,19 +22,14 @@ func chain(t *testing.T) *dag.Graph {
 	return g
 }
 
-// TestScoresSizedMatchesScoresWhenEqual pins the compatibility contract:
-// identical memory and disk sizes collapse to the original model.
-func TestScoresSizedMatchesScoresWhenEqual(t *testing.T) {
-	g := chain(t)
-	d := PaperProfile()
-	sizes := []int64{10 << 20, 5 << 20, 1 << 20}
-	a := Scores(d, g, sizes)
-	b := ScoresSized(d, g, sizes, sizes)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("node %d: Scores=%f ScoresSized=%f", i, a[i], b[i])
-		}
+// sizedScores scores every node with distinct memory and storage
+// footprints, as a session with the encoding subsystem on prices them.
+func sizedScores(d DeviceProfile, g *dag.Graph, mem, disk []int64) []float64 {
+	out := make([]float64, g.Len())
+	for i := range out {
+		out[i] = Score(ScoreParts(d, g, mem, disk, dag.NodeID(i)))
 	}
+	return out
 }
 
 // TestCompressionShrinksScores: with encoded sizes below raw sizes, every
@@ -46,8 +41,8 @@ func TestCompressionShrinksScores(t *testing.T) {
 	d := PaperProfile()
 	raw := []int64{10 << 20, 5 << 20, 1 << 20}
 	enc := []int64{2 << 20, 1 << 20, 200 << 10} // ~5x compression
-	plain := ScoresSized(d, g, raw, raw)
-	comp := ScoresSized(d, g, raw, enc)
+	plain := Scores(d, g, raw)
+	comp := sizedScores(d, g, raw, enc)
 	for i := range plain {
 		if comp[i] >= plain[i] {
 			t.Fatalf("node %d: compressed score %f not below raw %f", i, comp[i], plain[i])
@@ -74,7 +69,7 @@ func TestCompressionCanFlipRanking(t *testing.T) {
 	d := PaperProfile()
 	raw := []int64{8 << 20, 8 << 20, 1 << 10}
 	enc := []int64{1 << 20, 8 << 20, 1 << 10}
-	scores := ScoresSized(d, g, raw, enc)
+	scores := sizedScores(d, g, raw, enc)
 	if scores[a] >= scores[b] {
 		t.Fatalf("compressible node should save less: %f vs %f", scores[a], scores[b])
 	}

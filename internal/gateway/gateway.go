@@ -648,12 +648,11 @@ type planned struct {
 // IS the paper's observe → re-optimize loop.
 func (s *Server) planTrigger(ctx context.Context, p *pipeline) (planned, error) {
 	slice := s.adm.tenantSlice(p.tenant)
-	prob := p.Problem(slice)
-	plan, _, err := opt.Solve(ctx, prob, opt.Options{})
+	_, plan, st, err := p.Plan(ctx, slice, opt.Options{})
 	if err != nil {
 		return planned{}, err
 	}
-	peak := core.PeakMemoryUsage(prob, plan)
+	peak := st.PeakMemory
 	need := int64(float64(peak) * s.cfg.Headroom)
 	if need > slice {
 		need = slice

@@ -138,10 +138,9 @@ func (s *Server) ExplainPipeline(name string) (*introspect.ExplainReport, error)
 	if err != nil {
 		return nil, err
 	}
-	prob := p.Problem(s.adm.tenantSlice(p.tenant))
-	plan, _, err := opt.Solve(context.Background(), prob, opt.Options{})
+	pr, plan, _, err := p.Plan(context.Background(), s.adm.tenantSlice(p.tenant), opt.Options{})
 	if err != nil {
 		return nil, err
 	}
-	return p.Explain(prob, plan), nil
+	return p.Explain(pr, plan), nil
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -300,6 +301,50 @@ func TestExplainPipelineHTTP(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("ghost explain: %d", resp.StatusCode)
+	}
+}
+
+// TestExplainPartsSumToScore: the read and write savings a decision reports
+// are the ones its score was built from — also once the score holds an
+// observed blocking write in place of the device model's. The first run
+// plans from size guesses no node fits under, so every node writes blocking
+// and is observed; the second runs the steady-state plan, whose budget holds
+// some of the observed outputs (0.1–1 KB each) and not others.
+func TestExplainPartsSumToScore(t *testing.T) {
+	s, ts := newTestGateway(t, Config{GlobalBudget: 1500})
+	if err := s.Register(TPCDSSpec("dw", "analytics", 0.01)); err != nil {
+		t.Fatal(err)
+	}
+	for run, wantFlagged := range []bool{false, true} {
+		r, err := s.Trigger("dw")
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-r.Done()
+		if st := r.Status(); st.State != StateSucceeded || (st.Flagged > 0) != wantFlagged {
+			t.Fatalf("run %d: %+v, want succeeded with flagged nodes: %v", run, st, wantFlagged)
+		}
+		resp, err := http.Get(ts.URL + "/v1/pipelines/dw/explain")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var observed int
+		for _, d := range decodeBody[introspect.ExplainReport](t, resp).Decisions {
+			want := math.Max(0, d.ReadSaveSeconds+d.WriteSaveSeconds)
+			if math.Abs(want-d.ScoreSeconds) > 1e-9 {
+				t.Errorf("after run %d, %s: read %v + write %v s, but the knapsack maximised %v s",
+					run, d.Node, d.ReadSaveSeconds, d.WriteSaveSeconds, d.ScoreSeconds)
+			}
+			if o, _ := r.p.Metrics.Latest(d.Node); o.WriteTime > 0 {
+				observed++
+				if d.WriteSaveSeconds != o.WriteTime.Seconds() {
+					t.Errorf("after run %d, %s: write saving %v s, observed blocking write %v", run, d.Node, d.WriteSaveSeconds, o.WriteTime)
+				}
+			}
+		}
+		if observed == 0 {
+			t.Fatalf("after run %d no node has an observed blocking write", run)
+		}
 	}
 }
 

@@ -19,8 +19,6 @@ import (
 	"time"
 
 	"github.com/shortcircuit-db/sc/internal/core"
-	"github.com/shortcircuit-db/sc/internal/costmodel"
-	"github.com/shortcircuit-db/sc/internal/dag"
 	"github.com/shortcircuit-db/sc/internal/memcat"
 	"github.com/shortcircuit-db/sc/internal/sched"
 )
@@ -168,7 +166,9 @@ type FlagDecision struct {
 	Class string `json:"class"`
 	// ScoreSeconds is the sized speedup score t_i the knapsack maximized,
 	// split into what children save reading from memory and what the node
-	// saves replacing its blocking write.
+	// saves replacing its blocking write (as observed, when the last run
+	// measured one): the two sum to the score, or the score is 0 when the
+	// sum is negative.
 	ScoreSeconds     float64 `json:"score_seconds"`
 	ReadSaveSeconds  float64 `json:"read_save_seconds"`
 	WriteSaveSeconds float64 `json:"write_save_seconds"`
@@ -211,21 +211,31 @@ type ExplainReport struct {
 	Decisions         []FlagDecision `json:"decisions"`
 }
 
-// ExplainInput carries everything Explain needs: the solved problem and
-// plan, node names, and the size estimates behind Problem.Sizes.
+// NodePricing is what the planner priced one node with when it built the
+// Problem: the bytes it assumed and the two terms of the §IV score, whose
+// sum (0 when negative) is Problem.Scores for that node.
+type NodePricing struct {
+	// RawBytes is the uncompressed output footprint (the memory-access
+	// size of the score model). PredictedBytes is the static model prior
+	// for encoded bytes before per-node learning; 0 without encoding.
+	RawBytes       int64
+	PredictedBytes int64
+	// ReadSaveSeconds is what the node's children save reading it from
+	// memory; WriteSaveSeconds what the node saves by not blocking on its
+	// write — the observed blocking write when the last run measured one.
+	ReadSaveSeconds  float64
+	WriteSaveSeconds float64
+}
+
+// ExplainInput carries everything Explain needs: the solved problem (whose
+// graph names the MVs) and plan, and what each node was priced with, by
+// node id. Encoding reports whether Problem.Sizes are encoded bytes.
 type ExplainInput struct {
 	Pipeline string
 	Problem  *core.Problem
 	Plan     *core.Plan
-	Names    []string // node id -> MV name
-	// RawBytes are uncompressed output footprints (memory-access sizes in
-	// the score model). PredictedBytes, optional, is the static model
-	// prior for encoded bytes before per-node learning; zero-length means
-	// unknown. Encoding reports whether Problem.Sizes are encoded bytes.
-	RawBytes       []int64
-	PredictedBytes []int64
-	Encoding       bool
-	Device         costmodel.DeviceProfile
+	Pricing  []NodePricing
+	Encoding bool
 }
 
 // Explain reconstructs, for every MV, why the solved plan flagged or
@@ -262,23 +272,21 @@ func Explain(in ExplainInput) *ExplainReport {
 	rel := core.ReleasePositions(p.G, plan.Order)
 
 	for _, id := range plan.Order {
-		rep.Order = append(rep.Order, in.Names[id])
+		rep.Order = append(rep.Order, p.G.Name(id))
 	}
 	for _, id := range plan.Order {
 		i := int(id)
 		d := FlagDecision{
-			Node:         in.Names[i],
-			Flagged:      plan.Flagged[i],
-			Class:        class[i],
-			ScoreSeconds: p.Scores[i],
-			RawBytes:     in.RawBytes[i],
-			SizedBytes:   p.Sizes[i],
+			Node:             p.G.Name(id),
+			Flagged:          plan.Flagged[i],
+			Class:            class[i],
+			ScoreSeconds:     p.Scores[i],
+			ReadSaveSeconds:  in.Pricing[i].ReadSaveSeconds,
+			WriteSaveSeconds: in.Pricing[i].WriteSaveSeconds,
+			RawBytes:         in.Pricing[i].RawBytes,
+			SizedBytes:       p.Sizes[i],
+			PredictedBytes:   in.Pricing[i].PredictedBytes,
 		}
-		if len(in.PredictedBytes) == n {
-			d.PredictedBytes = in.PredictedBytes[i]
-		}
-		d.ReadSaveSeconds, d.WriteSaveSeconds = costmodel.NodeScoreParts(
-			in.Device, p.G, in.RawBytes, p.Sizes, dag.NodeID(i))
 
 		// The tightest step of the node's residency window decides the
 		// marginal byte cost: resident is what the window already holds

@@ -30,12 +30,15 @@ func diamondInput() ExplainInput {
 
 	raw := []int64{400, 300, 300, 100, 5000}
 	enc := []int64{200, 150, 300, 50, 4000}
-	dev := costmodel.RawDeviceProfile()
-	prob := &core.Problem{
-		G:      g,
-		Sizes:  enc,
-		Scores: costmodel.ScoresSized(dev, g, raw, enc),
-		Memory: 512,
+	// The §VI-A device without serialization overhead: the golden file's
+	// numbers were captured under it.
+	dev := costmodel.DeviceProfile{DiskReadBW: 519.8e6, DiskWriteBW: 358.9e6, DiskLatency: 175 * time.Microsecond, MemReadBW: 10e9, MemWriteBW: 10e9, ComputeScale: 1}
+	prob := &core.Problem{G: g, Sizes: enc, Scores: make([]float64, g.Len()), Memory: 512}
+	pricing := make([]NodePricing, g.Len())
+	for i, predicted := range []int64{210, 140, 310, 60, 4100} {
+		read, write := costmodel.ScoreParts(dev, g, raw, enc, dag.NodeID(i))
+		prob.Scores[i] = costmodel.Score(read, write)
+		pricing[i] = NodePricing{RawBytes: raw[i], PredictedBytes: predicted, ReadSaveSeconds: read.Seconds(), WriteSaveSeconds: write.Seconds()}
 	}
 	prob.Scores[int(e)] = 0 // never worth flagging: also excluded on score
 	plan := &core.Plan{
@@ -43,14 +46,11 @@ func diamondInput() ExplainInput {
 		Flagged: []bool{true, true, false, false, false},
 	}
 	return ExplainInput{
-		Pipeline:       "diamond",
-		Problem:        prob,
-		Plan:           plan,
-		Names:          []string{"mv_a", "mv_b", "mv_c", "mv_d", "mv_e"},
-		RawBytes:       raw,
-		PredictedBytes: []int64{210, 140, 310, 60, 4100},
-		Encoding:       true,
-		Device:         dev,
+		Pipeline: "diamond",
+		Problem:  prob,
+		Plan:     plan,
+		Pricing:  pricing,
+		Encoding: true,
 	}
 }
 

@@ -62,9 +62,6 @@ type Catalog struct {
 	evLog  []Eviction
 	evHead int
 	evSeen int64
-
-	// now injects time for tests; nil means time.Now. Set before use.
-	now func() time.Time
 }
 
 type entryT struct {
@@ -114,22 +111,6 @@ func New(capacity int64) *Catalog {
 	return &Catalog{capacity: capacity, entries: make(map[string]*entryT)}
 }
 
-// SetClock injects the time source for last-access stamps and the
-// eviction timeline; nil restores time.Now. For tests.
-func (c *Catalog) SetClock(now func() time.Time) {
-	c.mu.Lock()
-	c.now = now
-	c.mu.Unlock()
-}
-
-// nowLocked reads the injected clock. Callers hold c.mu.
-func (c *Catalog) nowLocked() time.Time {
-	if c.now != nil {
-		return c.now()
-	}
-	return time.Now()
-}
-
 // Capacity returns the configured byte capacity.
 func (c *Catalog) Capacity() int64 { return c.capacity }
 
@@ -161,7 +142,7 @@ func (c *Catalog) PutEntry(name string, e Entry) error {
 		return fmt.Errorf("%w: %s needs %d bytes, %d free of %d",
 			ErrNoSpace, name, size, c.capacity-(c.used-old), c.capacity)
 	}
-	c.entries[name] = &entryT{e: e, size: size, lastAccess: c.nowLocked()}
+	c.entries[name] = &entryT{e: e, size: size, lastAccess: time.Now()}
 	c.used += size - old
 	if c.used > c.peak {
 		c.peak = c.used
@@ -206,7 +187,7 @@ func (c *Catalog) GetTable(name string) (*table.Table, ReadInfo, bool) {
 		c.mu.Unlock()
 		return nil, ReadInfo{}, false
 	}
-	ent.lastAccess = c.nowLocked()
+	ent.lastAccess = time.Now()
 	c.mu.Unlock()
 	if pe, plain := ent.e.(plainEntry); plain {
 		return pe.t, ReadInfo{}, true
@@ -227,7 +208,7 @@ func (c *Catalog) GetEntry(name string) (Entry, bool) {
 	if !ok {
 		return nil, false
 	}
-	e.lastAccess = c.nowLocked()
+	e.lastAccess = time.Now()
 	return e.e, true
 }
 
@@ -246,7 +227,7 @@ func (c *Catalog) GetCompressed(name string) (*encoding.Compressed, ReadInfo, bo
 	if !compressed {
 		return nil, ReadInfo{}, false
 	}
-	e.lastAccess = c.nowLocked()
+	e.lastAccess = time.Now()
 	return ct, ReadInfo{Compressed: true, Encoded: e.size}, true
 }
 
@@ -278,7 +259,7 @@ func (c *Catalog) DeleteReason(name, reason string) error {
 // recordEvictionLocked appends to the bounded eviction ring. Callers hold
 // c.mu and have already adjusted used.
 func (c *Catalog) recordEvictionLocked(name string, size int64, reason string) {
-	ev := Eviction{Name: name, Bytes: size, Reason: reason, UsedBytes: c.used, At: c.nowLocked()}
+	ev := Eviction{Name: name, Bytes: size, Reason: reason, UsedBytes: c.used, At: time.Now()}
 	if len(c.evLog) < evLogCap {
 		c.evLog = append(c.evLog, ev)
 	} else {

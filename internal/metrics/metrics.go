@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/shortcircuit-db/sc/internal/costmodel"
 	"github.com/shortcircuit-db/sc/internal/dag"
 )
 
@@ -181,38 +180,4 @@ func scaleBytes(n int64, r float64) int64 {
 		e = 1
 	}
 	return e
-}
-
-// Scores estimates speedup scores from observed metadata: each child of
-// node i saves i's observed (or modelled) read cost, and i saves its
-// observed blocking write cost. Unobserved quantities fall back to the
-// device model, so a first run can still be optimized.
-func (s *Store) Scores(g *dag.Graph, sizes []int64, d costmodel.DeviceProfile) []float64 {
-	return s.ScoresSized(g, sizes, sizes, d)
-}
-
-// ScoresSized is Scores with distinct memory and storage footprints: disk
-// terms move diskSizes (encoded bytes with compression on), memory terms
-// touch memSizes. The optimizer's flag decisions shift when compression
-// changes the read/write savings of a node.
-func (s *Store) ScoresSized(g *dag.Graph, memSizes, diskSizes []int64, d costmodel.DeviceProfile) []float64 {
-	out := make([]float64, g.Len())
-	for i := range out {
-		id := dag.NodeID(i)
-		var saved time.Duration
-		readOnce := d.DiskRead(diskSizes[i]) - d.MemRead(memSizes[i])
-		write := d.DiskWrite(diskSizes[i]) - d.MemWrite(memSizes[i])
-		if o, ok := s.Latest(g.Name(id)); ok && o.WriteTime > 0 {
-			write = o.WriteTime
-		}
-		for range g.Children(id) {
-			saved += readOnce
-		}
-		saved += write
-		if saved < 0 {
-			saved = 0
-		}
-		out[i] = saved.Seconds()
-	}
-	return out
 }

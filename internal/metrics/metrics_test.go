@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/shortcircuit-db/sc/internal/costmodel"
 	"github.com/shortcircuit-db/sc/internal/dag"
 )
 
@@ -34,12 +33,11 @@ func TestRecordAndLatest(t *testing.T) {
 
 // TestStoreKeepsOneObservationPerNode: a node recorded on every refresh of
 // a long-lived pipeline must not grow the store, and everything the
-// optimizer reads — Latest, Ratio, Sizes, EncodedSizes, ScoresSized — must
+// optimizer reads — Latest, Ratio, Sizes, EncodedSizes — must
 // answer as if every observation had been kept: the newest observation plus
 // the EWMAs folded over the whole sequence.
 func TestStoreKeepsOneObservationPerNode(t *testing.T) {
 	g := chain()
-	d := costmodel.PaperProfile()
 	s := NewStore()
 	var last Observation
 	var ratio float64
@@ -74,20 +72,6 @@ func TestStoreKeepsOneObservationPerNode(t *testing.T) {
 	if got := s.EncodedSizes(g, 4000); got[0] != last.EncodedBytes || got[1] != guess || got[2] != guess {
 		t.Fatalf("EncodedSizes = %v, want [%d %d %d]", got, last.EncodedBytes, guess, guess)
 	}
-	// Scores read the latest observation only: a store that saw nothing but
-	// it must score identically.
-	fresh := NewStore()
-	fresh.Record(last)
-	mem, disk := []int64{1 << 20, 1 << 20, 1 << 20}, []int64{1 << 18, 1 << 18, 1 << 18}
-	want, got := fresh.ScoresSized(g, mem, disk, d), s.ScoresSized(g, mem, disk, d)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ScoresSized[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if got[0] < last.WriteTime.Seconds() {
-		t.Fatalf("score %v ignores the observed %v write", got[0], last.WriteTime)
-	}
 }
 
 func TestSizesUsesFallback(t *testing.T) {
@@ -97,32 +81,5 @@ func TestSizesUsesFallback(t *testing.T) {
 	sizes := s.Sizes(g, 42)
 	if sizes[0] != 42 || sizes[1] != 777 || sizes[2] != 42 {
 		t.Fatalf("Sizes = %v", sizes)
-	}
-}
-
-func TestScoresPreferObservedWriteTime(t *testing.T) {
-	g := chain()
-	d := costmodel.PaperProfile()
-	s := NewStore()
-	sizes := []int64{1 << 30, 1 << 30, 1 << 30}
-	modelOnly := s.Scores(g, sizes, d)
-	// Record a write 10x slower than the model predicts for node a.
-	s.Record(Observation{Name: "a", WriteTime: 10 * d.DiskWrite(sizes[0])})
-	observed := s.Scores(g, sizes, d)
-	if observed[0] <= modelOnly[0] {
-		t.Fatalf("observed slow write did not raise score: %v vs %v", observed[0], modelOnly[0])
-	}
-	if observed[1] != modelOnly[1] {
-		t.Fatal("unobserved node score changed")
-	}
-}
-
-func TestScoresNonNegative(t *testing.T) {
-	g := chain()
-	s := NewStore()
-	for _, sc := range s.Scores(g, []int64{0, 0, 0}, costmodel.PaperProfile()) {
-		if sc < 0 {
-			t.Fatalf("negative score %v", sc)
-		}
 	}
 }

@@ -1,8 +1,9 @@
-// Package session is the one way to run and finish a refresh. A Pipeline
-// owns a refresh DAG's persistent state — workload, store, learned
+// Package session is the one way to plan, run and finish a refresh. A
+// Pipeline owns a refresh DAG's persistent state — workload, store, learned
 // execution metadata, session dictionaries, and what it remembers from its
-// previous run — and turns that state into the optimizer's problem, an
-// explanation of a plan, and an executed run. Run records the execution
+// previous run — and turns that state into the optimizer's problem, a
+// solved plan, an explanation of a plan in the numbers the problem was
+// priced with, and an executed run. Run records the execution
 // metadata from the run's result, so a run nobody watches emits no events;
 // the event stream exists for the watchers a caller names (an observer, an
 // event buffer, the trace). A Finisher ends a traced run's observability
@@ -29,6 +30,7 @@ import (
 	"github.com/shortcircuit-db/sc/internal/memcat"
 	"github.com/shortcircuit-db/sc/internal/metrics"
 	"github.com/shortcircuit-db/sc/internal/obs"
+	"github.com/shortcircuit-db/sc/internal/opt"
 	"github.com/shortcircuit-db/sc/internal/sched"
 	"github.com/shortcircuit-db/sc/internal/storage"
 	"github.com/shortcircuit-db/sc/internal/telemetry"
@@ -85,49 +87,68 @@ func NewPipeline(name string, nodes []exec.NodeSpec, store storage.Store) (*Pipe
 	}, nil
 }
 
+// Priced is the pipeline's current knapsack together with what each node
+// was priced with, by node id, so an explanation reports the numbers the
+// optimizer actually saw.
+type Priced struct {
+	*core.Problem
+	Pricing []introspect.NodePricing
+}
+
 // Problem derives the pipeline's current knapsack under a memory budget:
 // sizes from the latest observations (SizeGuess for never-observed nodes),
-// scores from the §IV model under the device profile. With Encoding the
-// knapsack weighs nodes at their learned compressed footprint and the disk
-// terms of the score move encoded bytes, so compression genuinely changes
-// which nodes get flagged and in which order the DAG runs.
-func (p *Pipeline) Problem(memory int64) *core.Problem {
+// scores from the §IV model under the device profile, with the node's own
+// saving replaced by the blocking write its last run observed (none when
+// that run flagged it). With Encoding the knapsack weighs nodes at their
+// learned compressed footprint and the disk terms of the score move encoded
+// bytes, so compression genuinely changes which nodes get flagged and in
+// which order the DAG runs.
+func (p *Pipeline) Problem(memory int64) *Priced {
 	raw := p.Metrics.Sizes(p.Graph, SizeGuess)
-	if p.Encoding == nil {
-		return &core.Problem{G: p.Graph, Sizes: raw, Scores: p.Metrics.Scores(p.Graph, raw, p.Device), Memory: memory}
+	disk := raw
+	if p.Encoding != nil {
+		disk = p.Metrics.EncodedSizes(p.Graph, SizeGuess) // Memory Catalog holds compressed entries
 	}
-	enc := p.Metrics.EncodedSizes(p.Graph, SizeGuess) // Memory Catalog holds compressed entries
-	return &core.Problem{G: p.Graph, Sizes: enc, Scores: p.Metrics.ScoresSized(p.Graph, raw, enc, p.Device), Memory: memory}
+	pr := &Priced{
+		Problem: &core.Problem{G: p.Graph, Sizes: disk, Scores: make([]float64, len(raw)), Memory: memory},
+		Pricing: make([]introspect.NodePricing, len(raw)),
+	}
+	for i := range raw {
+		name := p.Graph.Name(dag.NodeID(i))
+		read, write := costmodel.ScoreParts(p.Device, p.Graph, raw, disk, dag.NodeID(i))
+		if o, ok := p.Metrics.Latest(name); ok && o.WriteTime > 0 {
+			write = o.WriteTime
+		}
+		pr.Scores[i] = costmodel.Score(read, write)
+		pr.Pricing[i] = introspect.NodePricing{RawBytes: raw[i], ReadSaveSeconds: read.Seconds(), WriteSaveSeconds: write.Seconds()}
+		if p.Encoding != nil {
+			pr.Pricing[i].PredictedBytes = p.Metrics.PredictEncoded(name, raw[i])
+		}
+	}
+	return pr
+}
+
+// Plan is the one solve of a refresh path: the pipeline's current Problem
+// under memory, run through S/C Opt. Zero Options are the paper's
+// algorithms.
+func (p *Pipeline) Plan(ctx context.Context, memory int64, o opt.Options) (*Priced, *core.Plan, *opt.Stats, error) {
+	pr := p.Problem(memory)
+	plan, st, err := opt.Solve(ctx, pr.Problem, o)
+	return pr, plan, st, err
 }
 
 // Explain reconstructs, for every MV, why plan flags or skips it under
-// prob's budget: the sized score, raw vs predicted encoded bytes, the
-// marginal byte cost that decided the flag and what would flip it.
-func (p *Pipeline) Explain(prob *core.Problem, plan *core.Plan) *introspect.ExplainReport {
-	names := make([]string, p.Graph.Len())
-	for i := range names {
-		names[i] = p.Graph.Name(dag.NodeID(i))
-	}
-	raw := prob.Sizes // the knapsack weighs raw bytes unless the pipeline encodes
-	if p.Encoding != nil {
-		raw = p.Metrics.Sizes(p.Graph, SizeGuess)
-	}
-	in := introspect.ExplainInput{
+// pr's budget: the score and its two parts as priced, raw vs predicted
+// encoded bytes, the marginal byte cost that decided the flag and what
+// would flip it.
+func (p *Pipeline) Explain(pr *Priced, plan *core.Plan) *introspect.ExplainReport {
+	return introspect.Explain(introspect.ExplainInput{
 		Pipeline: p.Name,
-		Problem:  prob,
+		Problem:  pr.Problem,
 		Plan:     plan,
-		Names:    names,
-		RawBytes: raw,
+		Pricing:  pr.Pricing,
 		Encoding: p.Encoding != nil,
-		Device:   p.Device,
-	}
-	if p.Encoding != nil {
-		in.PredictedBytes = make([]int64, len(names))
-		for i, name := range names {
-			in.PredictedBytes[i] = p.Metrics.PredictEncoded(name, raw[i])
-		}
-	}
-	return introspect.Explain(in)
+	})
 }
 
 // RunEnv is what differs between callers of Run.

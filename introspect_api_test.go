@@ -3,6 +3,7 @@ package sc_test
 import (
 	"context"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -118,6 +119,62 @@ func TestRefresherExplainAndAlerts(t *testing.T) {
 	st := ref.AlertStats()
 	if st.Delivered != int64(len(got)) || st.Delivered == 0 {
 		t.Fatalf("stats %+v disagree with %d webhook bodies", st, len(got))
+	}
+}
+
+// TestRefresherExplainPartsSumToScore: the read and write savings Explain
+// reports are the ones the score was built from — also once the score holds
+// an observed blocking write in place of the device model's. The first run
+// is the unflagged baseline, so every node's write is observed; the second
+// runs the plan optimised from it, whose budget holds some of the observed
+// outputs (0.1–1 KB each) and not others.
+func TestRefresherExplainPartsSumToScore(t *testing.T) {
+	ctx := context.Background()
+	mvs, tables := tpcdsPipeline(t, 0.01)
+	store := sc.NewMemStore()
+	for name, tb := range tables {
+		if err := sc.SaveTable(store, name, tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref, err := sc.New(mvs, store, sc.WithMemory(1500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run, wantFlagged := range []bool{false, true} {
+		res, err := ref.Refresh(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var flagged, observed int
+		for _, n := range res.Nodes {
+			if n.Flagged {
+				flagged++
+			}
+		}
+		if (flagged > 0) != wantFlagged {
+			t.Fatalf("run %d flagged %d nodes, want any: %v", run, flagged, wantFlagged)
+		}
+		rep, err := ref.Explain(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range rep.Decisions {
+			want := math.Max(0, d.ReadSaveSeconds+d.WriteSaveSeconds)
+			if math.Abs(want-d.ScoreSeconds) > 1e-9 {
+				t.Errorf("after run %d, %s: read %v + write %v s, but the knapsack maximised %v s",
+					run, d.Node, d.ReadSaveSeconds, d.WriteSaveSeconds, d.ScoreSeconds)
+			}
+			if o, _ := ref.Metrics().Latest(d.Node); o.WriteTime > 0 {
+				observed++
+				if d.WriteSaveSeconds != o.WriteTime.Seconds() {
+					t.Errorf("after run %d, %s: write saving %v s, observed blocking write %v", run, d.Node, d.WriteSaveSeconds, o.WriteTime)
+				}
+			}
+		}
+		if observed == 0 {
+			t.Fatalf("after run %d no node has an observed blocking write", run)
+		}
 	}
 }
 

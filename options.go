@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/shortcircuit-db/sc/internal/encoding"
+	"github.com/shortcircuit-db/sc/internal/opt"
 	"github.com/shortcircuit-db/sc/internal/telemetry"
 )
 
@@ -15,14 +16,10 @@ type Option func(*config)
 // config is the resolved option set.
 type config struct {
 	memory        int64
-	selector      Selector
-	orderer       Orderer
-	seed          int64
-	maxIterations int
+	solve         opt.Options // strategies, iteration cap and observer, as S/C Opt takes them
 	observer      Observer
 	concurrency   int
 	device        DeviceProfile
-	deviceSet     bool
 	encoding      *encoding.Options
 	vectorized    bool
 	parallelScan  bool
@@ -37,15 +34,12 @@ type config struct {
 
 // newConfig folds the options into a validated config.
 func newConfig(opts []Option) (*config, error) {
-	cfg := &config{concurrency: 1}
+	cfg := &config{concurrency: 1, device: PaperProfile()}
 	for _, o := range opts {
 		o(cfg)
 	}
 	if cfg.err != nil {
 		return nil, cfg.err
-	}
-	if !cfg.deviceSet {
-		cfg.device = PaperProfile()
 	}
 	return cfg, nil
 }
@@ -54,25 +48,6 @@ func (c *config) fail(format string, args ...any) {
 	if c.err == nil {
 		c.err = fmt.Errorf(format, args...)
 	}
-}
-
-// algorithms resolves the session's selector and orderer, constructing the
-// paper's defaults through the registries (seeded with WithSeed) when none
-// were supplied.
-func (c *config) algorithms() (Selector, Orderer, error) {
-	sel, ord := c.selector, c.orderer
-	var err error
-	if sel == nil {
-		if sel, err = SelectorByName("mkp", c.seed); err != nil {
-			return nil, nil, err
-		}
-	}
-	if ord == nil {
-		if ord, err = OrdererByName("ma-dfs", c.seed); err != nil {
-			return nil, nil, err
-		}
-	}
-	return sel, ord, nil
 }
 
 // WithMemory sets the Memory Catalog budget in bytes. Zero (the default)
@@ -89,22 +64,16 @@ func WithMemory(bytes int64) Option {
 
 // WithFlagSelector sets the flagging strategy (S/C Opt Nodes). Nil means
 // the paper's SimplifiedMKP. Use SelectorByName for registered algorithms
-// or pass a custom implementation.
+// (a randomized one takes its seed there) or pass a custom implementation.
 func WithFlagSelector(s Selector) Option {
-	return func(c *config) { c.selector = s }
+	return func(c *config) { c.solve.Selector = s }
 }
 
 // WithOrderer sets the ordering strategy (S/C Opt Order). Nil means the
 // paper's MA-DFS. Use OrdererByName for registered algorithms or pass a
 // custom implementation.
 func WithOrderer(o Orderer) Option {
-	return func(c *config) { c.orderer = o }
-}
-
-// WithSeed seeds randomized algorithms resolved internally (it does not
-// re-seed an already-constructed Selector/Orderer).
-func WithSeed(seed int64) Option {
-	return func(c *config) { c.seed = seed }
+	return func(c *config) { c.solve.Orderer = o }
 }
 
 // WithMaxIterations caps alternating optimization. Zero means the default.
@@ -114,7 +83,7 @@ func WithMaxIterations(n int) Option {
 			c.fail("sc: negative MaxIterations %d", n)
 			return
 		}
-		c.maxIterations = n
+		c.solve.MaxIterations = n
 	}
 }
 
@@ -123,7 +92,7 @@ func WithMaxIterations(n int) Option {
 // marks, and optimizer iterations. The observer must be safe for
 // concurrent use when combined with WithConcurrency(k > 1).
 func WithObserver(obs Observer) Option {
-	return func(c *config) { c.observer = obs }
+	return func(c *config) { c.observer, c.solve.Observer = obs, obs }
 }
 
 // WithConcurrency sets the session's scheduler token budget to k — one
@@ -153,7 +122,6 @@ func WithDevice(d DeviceProfile) Option {
 			return
 		}
 		c.device = d
-		c.deviceSet = true
 	}
 }
 

@@ -135,23 +135,12 @@ func (r *Refresher) Stats() *Stats {
 // the knapsack weighs nodes at their compressed footprint and the disk
 // terms of the score model move encoded bytes, so compression genuinely
 // changes which nodes get flagged and in which order the DAG runs.
-func (r *Refresher) Problem() *Problem { return r.pipe.Problem(r.cfg.memory) }
-
-// solve runs the session's optimizer configuration over prob.
-func (r *Refresher) solve(ctx context.Context, prob *Problem, observer Observer) (*Plan, *Stats, error) {
-	return Solve(ctx, prob,
-		WithFlagSelector(r.cfg.selector),
-		WithOrderer(r.cfg.orderer),
-		WithSeed(r.cfg.seed),
-		WithMaxIterations(r.cfg.maxIterations),
-		WithObserver(observer),
-	)
-}
+func (r *Refresher) Problem() *Problem { return r.pipe.Problem(r.cfg.memory).Problem }
 
 // Optimize re-plans the session from the observed execution metadata and
 // returns the new plan, which subsequent Run/Refresh calls execute.
 func (r *Refresher) Optimize(ctx context.Context) (*Plan, *Stats, error) {
-	plan, stats, err := r.solve(ctx, r.Problem(), r.cfg.observer)
+	_, plan, stats, err := r.pipe.Plan(ctx, r.cfg.memory, r.cfg.solve)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -249,15 +238,16 @@ func (r *Refresher) AlertStats() AlertStats {
 // execute — solving one first when the session has not optimized yet —
 // and re-decides nothing.
 func (r *Refresher) Explain(ctx context.Context) (*ExplainReport, error) {
-	prob := r.Problem()
-	plan := r.Plan()
-	if plan == nil {
-		var err error
-		if plan, _, err = r.solve(ctx, prob, nil); err != nil {
-			return nil, err
-		}
+	if plan := r.Plan(); plan != nil {
+		return r.pipe.Explain(r.pipe.Problem(r.cfg.memory), plan), nil
 	}
-	return r.pipe.Explain(prob, plan), nil
+	quiet := r.cfg.solve
+	quiet.Observer = nil // explaining is not optimizing: no IterationDone events
+	pr, plan, _, err := r.pipe.Plan(ctx, r.cfg.memory, quiet)
+	if err != nil {
+		return nil, err
+	}
+	return r.pipe.Explain(pr, plan), nil
 }
 
 // History returns the session run ledger's summaries, newest first, or nil

@@ -39,7 +39,6 @@ package sc
 
 import (
 	"context"
-	"time"
 
 	"github.com/shortcircuit-db/sc/internal/core"
 	"github.com/shortcircuit-db/sc/internal/costmodel"
@@ -178,46 +177,23 @@ func EstimateScores(p *Problem, d DeviceProfile) {
 	p.Scores = costmodel.Scores(d, p.G, p.Sizes)
 }
 
-// Stats reports optimizer behaviour.
-type Stats struct {
-	Iterations int
-	Score      float64       // total speedup score of flagged nodes (seconds)
-	PeakMemory int64         // peak Memory Catalog bytes of the plan
-	Elapsed    time.Duration // optimization wall-clock
-	StopReason string
-}
+// Stats reports how the optimizer converged: Iterations, the plan's total
+// speedup Score in seconds and PeakMemory in bytes, Elapsed wall-clock and
+// the StopReason.
+type Stats = opt.Stats
 
 // Solve solves S/C Opt (Problem 1 of the paper) and returns a feasible
 // plan: a topological execution order and a flagged set whose peak resident
 // size never exceeds the Memory Catalog budget. The context is honored
 // between alternating-optimization iterations. Recognized options:
-// WithFlagSelector, WithOrderer, WithSeed, WithMaxIterations, WithObserver
+// WithFlagSelector, WithOrderer, WithMaxIterations, WithObserver
 // (IterationDone events).
 func Solve(ctx context.Context, p *Problem, opts ...Option) (*Plan, *Stats, error) {
 	cfg, err := newConfig(opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	sel, ord, err := cfg.algorithms()
-	if err != nil {
-		return nil, nil, err
-	}
-	pl, st, err := opt.Solve(ctx, p, opt.Options{
-		Selector:      sel,
-		Orderer:       ord,
-		MaxIterations: cfg.maxIterations,
-		Observer:      cfg.observer,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return pl, &Stats{
-		Iterations: st.Iterations,
-		Score:      st.Score,
-		PeakMemory: st.PeakMemory,
-		Elapsed:    st.Elapsed,
-		StopReason: st.StopReason,
-	}, nil
+	return opt.Solve(ctx, p, cfg.solve)
 }
 
 // Feasible reports whether the plan's flagged set fits in the problem's

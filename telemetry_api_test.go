@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	sc "github.com/shortcircuit-db/sc"
 )
@@ -21,7 +22,12 @@ func TestWithTelemetryTracesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := sc.New(chainMVs(), store, sc.WithTelemetry(exp))
+	// Every read takes 2 ms, so the node spans are long against the gaps a
+	// loaded machine opens between them: unslowed, the whole run is a few
+	// hundred µs and one preemption drops the coverage asserted below.
+	slow := &slowReadStore{Store: store}
+	slow.delayNs.Store(int64(2 * time.Millisecond))
+	ref, err := sc.New(chainMVs(), slow, sc.WithTelemetry(exp))
 	if err != nil {
 		t.Fatal(err)
 	}
