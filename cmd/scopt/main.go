@@ -5,7 +5,8 @@
 // Input format:
 //
 //	{
-//	  "nodes": [{"name": "mv_a", "size": 1073741824, "score": 12.5}, ...],
+//	  "nodes": [{"name": "mv_a", "size": 1073741824, "score": 12.5,
+//	             "serialized_size": 429496729}, ...],
 //	  "edges": [["mv_a", "mv_b"], ...],
 //	  "memory": 1717986918,
 //	  "flag_algorithm": "mkp",    // optional
@@ -14,7 +15,11 @@
 //	}
 //
 // Scores may be omitted (0); pass "estimate_scores": true to derive them
-// from sizes with the paper's device profile.
+// from sizes with the paper's device profile. "serialized_size" is optional
+// too: where any node gives one, a node the knapsack leaves out may still be
+// kept in memory as its serialized bytes, and the output's "plan" says which
+// form each node is resident in ("none", "rows" or "serialized") and the
+// bytes charged for it.
 package main
 
 import (
@@ -31,6 +36,9 @@ type inputNode struct {
 	Name  string  `json:"name"`
 	Size  int64   `json:"size"`
 	Score float64 `json:"score"`
+	// SerializedSize is the output's size as written to storage; 0 means
+	// no smaller form than Size is known.
+	SerializedSize int64 `json:"serialized_size"`
 }
 
 type input struct {
@@ -43,13 +51,21 @@ type input struct {
 	Seed           int64       `json:"seed"`
 }
 
+// planRow is one node of the plan, in execution order.
+type planRow struct {
+	Node         string `json:"node"`
+	Form         string `json:"form"`
+	ChargedBytes int64  `json:"charged_bytes"`
+}
+
 type output struct {
-	Order      []string `json:"order"`
-	Flagged    []string `json:"flagged"`
-	Score      float64  `json:"score_seconds"`
-	PeakMemory int64    `json:"peak_memory_bytes"`
-	Iterations int      `json:"iterations"`
-	ElapsedUS  int64    `json:"elapsed_us"`
+	Order      []string  `json:"order"`
+	Flagged    []string  `json:"flagged"`
+	Plan       []planRow `json:"plan"`
+	Score      float64   `json:"score_seconds"`
+	PeakMemory int64     `json:"peak_memory_bytes"`
+	Iterations int       `json:"iterations"`
+	ElapsedUS  int64     `json:"elapsed_us"`
 }
 
 func main() {
@@ -80,6 +96,14 @@ func main() {
 		}
 	}
 	p := b.Problem(in.Memory)
+	for i, n := range in.Nodes {
+		if n.SerializedSize > 0 {
+			if p.SerializedSizes == nil {
+				p.SerializedSizes = append([]int64(nil), p.Sizes...)
+			}
+			p.SerializedSizes[i] = n.SerializedSize
+		}
+	}
 	if in.EstimateScores {
 		sc.EstimateScores(p, sc.PaperProfile())
 	}
@@ -114,6 +138,11 @@ func main() {
 	}
 	for _, id := range plan.Order {
 		out.Order = append(out.Order, p.G.Name(id))
+		row := planRow{Node: p.G.Name(id), Form: "none"}
+		if plan.Flagged[id] {
+			row.Form, row.ChargedBytes = plan.FormOf(id).String(), p.ResidentSize(plan, id)
+		}
+		out.Plan = append(out.Plan, row)
 	}
 	for _, id := range plan.FlaggedIDs() {
 		out.Flagged = append(out.Flagged, p.G.Name(id))

@@ -260,7 +260,7 @@ func progressPrinter(out *os.File, base time.Time) obs.Observer {
 		case obs.NodeDone:
 			state := "written"
 			if e.Flagged {
-				state = "in-memory"
+				state = "in-memory as " + e.Form
 			}
 			fmt.Fprintf(out, "[%8.1fs] done   %-16s %s (%.1f MB, read %.2fs, write %.2fs)\n",
 				at, e.Node, state, float64(e.Bytes)/1e6, e.Read.Seconds(), e.Write.Seconds())

@@ -7,6 +7,14 @@
 // sizes S, per-node speedup scores T, and the Memory Catalog size M. A
 // solution is an execution order τ together with a set U of flagged nodes
 // whose outputs are kept in memory until all their dependents finish.
+//
+// A flagged output is resident in one of two forms (Form): its rows, which
+// children read for free, or its serialized bytes, which are smaller and
+// which each child decodes. The paper has the first only; the second is what
+// lets an output whose rows exceed M stay resident all the same. Everything
+// that measures memory here — PeakMemoryUsage, MemoryTimeline, Feasible,
+// AverageMemoryUsage, TotalFlaggedSize — charges a node the size of the form
+// its plan names, and a plan that names none is the paper's.
 package core
 
 import (
@@ -23,6 +31,10 @@ type Problem struct {
 	Sizes  []int64   // Sizes[i]: bytes of the intermediate table produced by node i
 	Scores []float64 // Scores[i]: estimated seconds saved by flagging node i
 	Memory int64     // Memory Catalog size M in bytes
+	// SerializedSizes[i] is the size of node i's output in serialized form,
+	// the second form a flagged output can be resident in. Nil offers no
+	// second form: every flagged node is resident as rows.
+	SerializedSizes []int64
 }
 
 // Validate checks that the instance is well-formed.
@@ -37,8 +49,11 @@ func (p *Problem) Validate() error {
 	if len(p.Scores) != n {
 		return fmt.Errorf("core: %d scores for %d nodes", len(p.Scores), n)
 	}
+	if p.SerializedSizes != nil && len(p.SerializedSizes) != n {
+		return fmt.Errorf("core: %d serialized sizes for %d nodes", len(p.SerializedSizes), n)
+	}
 	for i, s := range p.Sizes {
-		if s < 0 {
+		if s < 0 || (p.SerializedSizes != nil && p.SerializedSizes[i] < 0) {
 			return fmt.Errorf("core: negative size at node %d", i)
 		}
 	}
@@ -56,10 +71,52 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
+// Form is how a flagged node's output is held in the Memory Catalog.
+type Form uint8
+
+const (
+	// Rows holds the table itself: Problem.Sizes[i] bytes, read with no
+	// decode. The zero value, and the form of every flagged node of a plan
+	// without Forms.
+	Rows Form = iota
+	// Serialized holds the bytes the output is written to storage as:
+	// Problem.SerializedSizes[i] bytes, decoded by every child that reads it.
+	Serialized
+)
+
+// String names the form as reports and events spell it.
+func (f Form) String() string {
+	if f == Serialized {
+		return "serialized"
+	}
+	return "rows"
+}
+
 // Plan is a solution to S/C Opt: an execution order and the flagged set.
 type Plan struct {
 	Order   []dag.NodeID // execution order τ; Order[t] runs at step t
 	Flagged []bool       // Flagged[i]: keep node i's output in the Memory Catalog
+	// Forms[i] is the form flagged node i is resident in. Nil means Rows for
+	// every node, which is what every selector returns; only opt.Solve's
+	// second chance marks a node Serialized.
+	Forms []Form
+}
+
+// FormOf returns the form node id is resident in when flagged.
+func (pl *Plan) FormOf(id dag.NodeID) Form {
+	if len(pl.Forms) == 0 {
+		return Rows
+	}
+	return pl.Forms[id]
+}
+
+// ResidentSize returns the bytes node id occupies in the Memory Catalog
+// while it is flagged under pl: the size of the form the plan names.
+func (p *Problem) ResidentSize(pl *Plan, id dag.NodeID) int64 {
+	if pl.FormOf(id) == Serialized {
+		return p.SerializedSizes[id]
+	}
+	return p.Sizes[id]
 }
 
 // NewPlan returns a plan with the given order and nothing flagged.
@@ -73,6 +130,7 @@ func (pl *Plan) Clone() *Plan {
 	return &Plan{
 		Order:   append([]dag.NodeID(nil), pl.Order...),
 		Flagged: append([]bool(nil), pl.Flagged...),
+		Forms:   append([]Form(nil), pl.Forms...),
 	}
 }
 
@@ -98,25 +156,50 @@ func (pl *Plan) TotalScore(p *Problem) float64 {
 	return s
 }
 
-// TotalFlaggedSize sums the sizes of flagged nodes.
+// TotalFlaggedSize sums the resident sizes of flagged nodes.
 func (pl *Plan) TotalFlaggedSize(p *Problem) int64 {
 	var s int64
 	for i, f := range pl.Flagged {
 		if f {
-			s += p.Sizes[i]
+			s += p.ResidentSize(pl, dag.NodeID(i))
 		}
 	}
 	return s
 }
 
 // Validate checks the plan against the problem: the order must be a
-// topological permutation and the flagged slice sized to the graph.
+// topological permutation, the flagged slice sized to the graph, and the
+// forms, when present, sized to the graph and naming the serialized form
+// only for flagged nodes of a problem that offers it.
 func (pl *Plan) Validate(p *Problem) error {
 	if len(pl.Flagged) != p.G.Len() {
 		return fmt.Errorf("core: flagged slice has %d entries for %d nodes", len(pl.Flagged), p.G.Len())
 	}
+	if err := pl.ValidateForms(p.SerializedSizes != nil); err != nil {
+		return err
+	}
 	if !p.G.IsTopological(pl.Order) {
 		return errors.New("core: order is not a topological permutation")
+	}
+	return nil
+}
+
+// ValidateForms checks Forms against Flagged: absent or one per node, and
+// Serialized only on a flagged node, and only where the caller offers the
+// serialized form at all.
+func (pl *Plan) ValidateForms(offered bool) error {
+	if len(pl.Forms) != 0 && len(pl.Forms) != len(pl.Flagged) {
+		return fmt.Errorf("core: forms slice has %d entries for %d nodes", len(pl.Forms), len(pl.Flagged))
+	}
+	for i, f := range pl.Forms {
+		switch {
+		case f > Serialized:
+			return fmt.Errorf("core: node %d has unknown form %d", i, f)
+		case f == Serialized && !pl.Flagged[i]:
+			return fmt.Errorf("core: node %d is serialized but not flagged", i)
+		case f == Serialized && !offered:
+			return fmt.Errorf("core: node %d is serialized where no serialized form is offered", i)
+		}
 	}
 	return nil
 }
@@ -151,27 +234,12 @@ func ReleasePositions(g *dag.Graph, order []dag.NodeID) []int {
 
 // PeakMemoryUsage computes the maximum combined size of flagged nodes
 // resident in the Memory Catalog at any step of the order, in the unit-time
-// model of §IV: a flagged node occupies memory from its own step through the
-// step of its last child. Linear in nodes plus edges.
+// model of §IV: a flagged node occupies memory, at the size of its form,
+// from its own step through the step of its last child. Linear in nodes plus
+// edges.
 func PeakMemoryUsage(p *Problem, pl *Plan) int64 {
-	n := p.G.Len()
-	if n == 0 {
-		return 0
-	}
-	pos := Positions(pl.Order)
-	rel := ReleasePositions(p.G, pl.Order)
-	// Difference array over steps: +size at pos, -size after rel.
-	delta := make([]int64, n+1)
-	for i := 0; i < n; i++ {
-		if !pl.Flagged[i] {
-			continue
-		}
-		delta[pos[i]] += p.Sizes[i]
-		delta[rel[i]+1] -= p.Sizes[i]
-	}
-	var cur, peak int64
-	for t := 0; t < n; t++ {
-		cur += delta[t]
+	var peak int64
+	for _, cur := range MemoryTimeline(p, pl) {
 		if cur > peak {
 			peak = cur
 		}
@@ -184,13 +252,15 @@ func MemoryTimeline(p *Problem, pl *Plan) []int64 {
 	n := p.G.Len()
 	pos := Positions(pl.Order)
 	rel := ReleasePositions(p.G, pl.Order)
+	// Difference array over steps: +size at pos, -size after rel.
 	delta := make([]int64, n+1)
 	for i := 0; i < n; i++ {
 		if !pl.Flagged[i] {
 			continue
 		}
-		delta[pos[i]] += p.Sizes[i]
-		delta[rel[i]+1] -= p.Sizes[i]
+		size := p.ResidentSize(pl, dag.NodeID(i))
+		delta[pos[i]] += size
+		delta[rel[i]+1] -= size
 	}
 	out := make([]int64, n)
 	var cur int64
@@ -217,7 +287,7 @@ func AverageMemoryUsage(p *Problem, pl *Plan) float64 {
 		if !pl.Flagged[i] {
 			continue
 		}
-		sum += float64(rel[i]-pos[i]) * float64(p.Sizes[i])
+		sum += float64(rel[i]-pos[i]) * float64(p.ResidentSize(pl, dag.NodeID(i)))
 	}
 	return sum / float64(n)
 }

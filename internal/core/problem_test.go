@@ -382,3 +382,143 @@ func TestFlaggedIDsAndSizes(t *testing.T) {
 		t.Fatal("Clone shares Flagged storage")
 	}
 }
+
+// residentAt is the memory model spelled out step by step, with no form in
+// it: the bytes of the flagged nodes resident at step t, each charged
+// size(i). It is what PeakMemoryUsage and MemoryTimeline computed before a
+// plan could name a form, and what they are compared against below.
+func residentAt(p *Problem, pl *Plan, size func(i int) int64, t int) int64 {
+	pos := Positions(pl.Order)
+	rel := ReleasePositions(p.G, pl.Order)
+	var sum int64
+	for i := range pl.Flagged {
+		if pl.Flagged[i] && pos[i] <= t && t <= rel[i] {
+			sum += size(i)
+		}
+	}
+	return sum
+}
+
+// Property: a plan that marks no node serialized measures the same under
+// every spelling of "no forms" — Forms nil, Forms all Rows, and either one
+// on a problem that does or does not offer serialized sizes — and all of
+// them equal the form-free model. A plan that does mark nodes serialized
+// charges exactly those nodes their serialized size.
+func TestFormAwareMemoryMatchesFormFreeModelProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		p, order := randomProblem(rng)
+		n := p.G.Len()
+		pl := NewPlan(order)
+		for i := range pl.Flagged {
+			pl.Flagged[i] = rng.Intn(2) == 0
+		}
+		rows := func(i int) int64 { return p.Sizes[i] }
+		wantPeak := int64(0)
+		wantTL := make([]int64, n)
+		for s := 0; s < n; s++ {
+			wantTL[s] = residentAt(p, pl, rows, s)
+			if wantTL[s] > wantPeak {
+				wantPeak = wantTL[s]
+			}
+		}
+		offered := *p
+		offered.SerializedSizes = make([]int64, n)
+		for i := range offered.SerializedSizes {
+			offered.SerializedSizes[i] = int64(rng.Intn(int(p.Sizes[i]))) // smaller than the rows
+		}
+		allRows := pl.Clone()
+		allRows.Forms = make([]Form, n)
+		for _, prob := range []*Problem{p, &offered} {
+			for _, plan := range []*Plan{pl, allRows} {
+				if PeakMemoryUsage(prob, plan) != wantPeak || Feasible(prob, plan) != (wantPeak <= prob.Memory) {
+					return false
+				}
+				for s, v := range MemoryTimeline(prob, plan) {
+					if v != wantTL[s] {
+						return false
+					}
+				}
+			}
+		}
+
+		ser := pl.Clone()
+		ser.Forms = make([]Form, n)
+		for i := range ser.Forms {
+			if ser.Flagged[i] && rng.Intn(2) == 0 {
+				ser.Forms[i] = Serialized
+			}
+		}
+		charged := func(i int) int64 {
+			if ser.Forms[i] == Serialized {
+				return offered.SerializedSizes[i]
+			}
+			return offered.Sizes[i]
+		}
+		var peak, total int64
+		tl := MemoryTimeline(&offered, ser)
+		for s := 0; s < n; s++ {
+			want := residentAt(&offered, ser, charged, s)
+			if tl[s] != want {
+				return false
+			}
+			if want > peak {
+				peak = want
+			}
+		}
+		for i := range ser.Flagged {
+			if ser.Flagged[i] {
+				total += charged(i)
+			}
+		}
+		return PeakMemoryUsage(&offered, ser) == peak && ser.TotalFlaggedSize(&offered) == total &&
+			ser.Validate(&offered) == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestValidateForms(t *testing.T) {
+	p := figure7()
+	p.SerializedSizes = []int64{40 * gb, 4 * gb, 40 * gb, 4 * gb, 4 * gb, 4 * gb}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	short := *p
+	short.SerializedSizes = short.SerializedSizes[:2]
+	if err := short.Validate(); err == nil {
+		t.Fatal("short serialized sizes accepted")
+	}
+
+	pl := NewPlan(tau2)
+	pl.Flagged[0] = true
+	pl.Forms = make([]Form, 6)
+	pl.Forms[0] = Serialized
+	if err := pl.Validate(p); err != nil {
+		t.Fatal(err)
+	}
+	if got := PeakMemoryUsage(p, pl); got != 40*gb {
+		t.Fatalf("serialized v1 peaks at %d, want its 40 GB", got)
+	}
+	c := pl.Clone()
+	c.Forms[0] = Rows
+	if pl.Forms[0] != Serialized {
+		t.Fatal("Clone shares Forms storage")
+	}
+
+	for name, bad := range map[string]func(*Plan){
+		"short forms":          func(pl *Plan) { pl.Forms = pl.Forms[:3] },
+		"serialized unflagged": func(pl *Plan) { pl.Forms[1] = Serialized },
+		"unknown form":         func(pl *Plan) { pl.Forms[0] = Serialized + 1 },
+	} {
+		b := pl.Clone()
+		bad(b)
+		if err := b.Validate(p); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	if err := pl.Validate(figure7()); err == nil {
+		t.Error("serialized form accepted by a problem that offers none")
+	}
+}

@@ -16,6 +16,14 @@
 // object, whichever of schema, chunk view or rows is asked for) and the
 // output takes its stored form in one place (storedForm: chunks or rows,
 // the same for the catalog entry and the storage object).
+//
+// A flagged row-path output is resident in the form its plan names
+// (core.Plan.Forms): the rows, or — for a node the optimizer could only keep
+// at that size — the serialized bytes its background write is handed anyway,
+// as one shared []byte. Children read a serialized resident through the same
+// Memory Catalog path as a compressed one and pay the decode they would pay
+// after a storage read; release, the cancellation sweep and the fallback to a
+// blocking write treat both forms alike, at the size the catalog accounted.
 package exec
 
 import (
@@ -241,7 +249,10 @@ type completion struct {
 
 // Run executes the workload following the plan. The plan's order indexes
 // into w.Nodes via the graph built by BuildGraph; Flagged marks nodes whose
-// outputs live in the Memory Catalog until their dependents finish.
+// outputs live in the Memory Catalog until their dependents finish, and
+// Forms, when present, the ones kept there as serialized bytes. A plan whose
+// slices do not fit the workload, or that names the serialized form for an
+// unflagged node or under Encoding, is rejected before anything runs.
 //
 // Cancellation: when ctx is cancelled or expires, no new node starts and
 // in-flight node execution stops at its next input-read or write boundary;
@@ -256,6 +267,11 @@ func (c *Controller) Run(ctx context.Context, w *Workload, g *dag.Graph, plan *c
 	}
 	if len(plan.Flagged) != len(w.Nodes) {
 		return nil, fmt.Errorf("exec: plan flags %d nodes of %d", len(plan.Flagged), len(w.Nodes))
+	}
+	// A serialized resident is the v1 bytes of the row path; with Encoding
+	// the stored form is chunks, which the catalog already holds compact.
+	if err := plan.ValidateForms(c.Encoding == nil); err != nil {
+		return nil, fmt.Errorf("exec: %w", err)
 	}
 	if !g.IsTopological(plan.Order) {
 		return nil, fmt.Errorf("exec: plan order is not topological")
@@ -365,7 +381,7 @@ func (c *Controller) Run(ctx context.Context, w *Workload, g *dag.Graph, plan *c
 			wgNodes.Add(1)
 			go func(id dag.NodeID) {
 				defer wgNodes.Done()
-				m, err := rs.execNode(ctx, id, plan.Flagged[id])
+				m, err := rs.execNode(ctx, id, plan.Flagged[id], plan.FormOf(id))
 				sc.Release()
 				doneCh <- completion{id: id, m: m, err: err}
 			}(id)
@@ -430,9 +446,9 @@ func (c *Controller) Run(ctx context.Context, w *Workload, g *dag.Graph, plan *c
 }
 
 // execNode runs one node end to end: plan the SQL, execute it, then either
-// Put the output in the Memory Catalog (flagged, materialized in the
-// background) or write it synchronously to storage.
-func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (m NodeMetrics, err error) {
+// Put the output in the Memory Catalog in the form the plan names (flagged,
+// materialized in the background) or write it synchronously to storage.
+func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool, form core.Form) (m NodeMetrics, err error) {
 	c := rs.c
 	spec := rs.w.Nodes[id]
 	step := rs.pos[id]
@@ -564,7 +580,7 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 		return m, err
 	}
 	e0 := time.Now()
-	entry, encoded, err := c.storedForm(out, ct)
+	entry, encoded, err := c.storedForm(out, ct, form)
 	if err != nil {
 		return m, fmt.Errorf("exec: node %q: %w", spec.Name, err)
 	}
@@ -625,21 +641,30 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool) (
 		obs.Emit(c.Obs, obs.Event{Kind: obs.Materialized, Node: spec.Name, Step: step, Bytes: m.EncodedSize})
 	}
 
-	obs.Emit(c.Obs, obs.Event{
+	done := obs.Event{
 		Kind: obs.NodeDone, Node: spec.Name, Step: step,
 		Bytes: m.OutputBytes, Encoded: m.EncodedSize, Elapsed: time.Since(nodeStart),
 		Plan: m.PlanTime, Read: m.ReadTime, Write: m.WriteTime, Compute: m.ComputeTime,
 		Flagged: m.Flagged,
-	})
+	}
+	if m.Flagged {
+		done.Form = memcat.FormOf(entry)
+	}
+	obs.Emit(c.Obs, done)
 	return m, nil
 }
 
 // storedForm settles the one form a node's output is kept in — compressed
 // chunks when a kernel emitted them (ct) or encoding is on, rows otherwise —
-// and returns it as the Memory Catalog entry and serialized for storage.
-func (c *Controller) storedForm(out *table.Table, ct *encoding.Compressed) (memcat.Entry, []byte, error) {
+// and returns it as the Memory Catalog entry and serialized for storage. On
+// the row path the plan chooses the entry: the rows themselves, or the very
+// bytes the storage write is handed.
+func (c *Controller) storedForm(out *table.Table, ct *encoding.Compressed, form core.Form) (memcat.Entry, []byte, error) {
 	if ct == nil && c.Encoding == nil {
 		data, err := colfmt.Encode(out)
+		if form == core.Serialized {
+			return memcat.Serialized(data, out.ByteSize()), data, err
+		}
 		return memcat.Plain(out), data, err
 	}
 	if ct == nil {
@@ -824,17 +849,10 @@ func (in *nodeInputs) TableSchema(name string) (table.Schema, error) {
 		return sch, nil
 	}
 	if mem := in.rs.c.Mem; mem != nil {
-		if e, ok := mem.GetEntry(name); ok {
-			// Compressed entries carry their schema; plain entries hand the
-			// table back as-is. Neither pays a decode here.
-			if ct, compressed := e.(*encoding.Compressed); compressed {
-				in.rs.schemas.learn(name, ct.Schema)
-				return ct.Schema, nil
-			}
-			if t, err := e.Table(); err == nil {
-				in.rs.schemas.learn(name, t.Schema)
-				return t.Schema, nil
-			}
+		// No form of entry pays a decode here.
+		if sch, ok := mem.Schema(name); ok {
+			in.rs.schemas.learn(name, sch)
+			return sch, nil
 		}
 	}
 	defer in.timed(time.Now())

@@ -493,6 +493,7 @@ func (s *Server) Register(spec PipelineSpec) error {
 	}
 	sp.Vectorized = spec.Vectorized
 	sp.Device = costmodel.PaperProfile()
+	sp.Concurrency = s.cfg.Concurrency
 	if spec.Encoding {
 		sp.Encoding = &encoding.Options{}
 	}
@@ -805,12 +806,11 @@ func (s *Server) execute(ctx context.Context, r *Run, plan *core.Plan) {
 	r.mu.Unlock()
 
 	res, runErr := r.p.Run(ctx, plan, session.RunEnv{
-		Mem:         cat,
-		Sched:       s.sched,
-		Concurrency: s.cfg.Concurrency,
-		RunID:       r.id,
-		Observers:   []obs.Observer{r.events},
-		Trace:       r.trace,
+		Mem:       cat,
+		Sched:     s.sched,
+		RunID:     r.id,
+		Observers: []obs.Observer{r.events},
+		Trace:     r.trace,
 	})
 
 	actualPeak := cat.Peak() // before Detach zeroes the accounting

@@ -16,8 +16,10 @@ import (
 
 	"github.com/shortcircuit-db/sc/internal/introspect"
 	"github.com/shortcircuit-db/sc/internal/ledger"
+	"github.com/shortcircuit-db/sc/internal/memcat"
 	"github.com/shortcircuit-db/sc/internal/storage"
 	"github.com/shortcircuit-db/sc/internal/table"
+	"github.com/shortcircuit-db/sc/internal/tpcds"
 )
 
 // gateStore wraps a Store and holds every Write on a gate channel while it
@@ -562,5 +564,101 @@ func TestUnregisterForgetsPipelineMemory(t *testing.T) {
 		if strings.Contains(b, `"kind":"health_transition"`) {
 			t.Errorf("a re-registered pipeline's first verdict alerted: %s", b)
 		}
+	}
+}
+
+// TestSerializedFormOnGatewaySurfaces: a row-path pipeline on a one-token
+// gateway whose tenant slice holds ss_1999's serialized bytes and not its
+// rows. Once a run has observed the sizes, /explain reports the node kept
+// as "serialized" at the bytes charged for it, and while the next run holds
+// it resident /v1/state/catalog shows the entry in that form, with those
+// bytes accounted and the size of the rows beside them.
+func TestSerializedFormOnGatewaySurfaces(t *testing.T) {
+	ds, err := tpcds.Generate(tpcds.GenConfig{ScaleFactor: 0.5, Seed: 1}) // what SeedTPCDS generates
+	if err != nil {
+		t.Fatal(err)
+	}
+	slice := ds.TotalBytes() / 5
+	gs := &gateStore{Store: storage.NewMemStore()}
+	s, ts := newTestGateway(t, Config{
+		GlobalBudget: 4 * slice,
+		Concurrency:  1,
+		NewStore:     func(string) storage.Store { return gs },
+	})
+	spec := TPCDSSpec("dw", "analytics", 0.5)
+	spec.Encoding, spec.Vectorized, spec.TenantSlice = false, false, slice
+	if err := s.Register(spec); err != nil {
+		t.Fatal(err)
+	}
+	r1, err := s.Trigger("dw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-r1.done
+
+	resp, err := http.Get(ts.URL + "/v1/pipelines/dw/explain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ss *introspect.FlagDecision
+	exp := decodeBody[introspect.ExplainReport](t, resp)
+	for i, d := range exp.Decisions {
+		if d.Form != "none" && d.Form != "rows" && d.Form != "serialized" {
+			t.Errorf("%s: form %q", d.Node, d.Form)
+		}
+		if d.Flagged != (d.ChargedBytes > 0) {
+			t.Errorf("%s: flagged=%v charged %d bytes", d.Node, d.Flagged, d.ChargedBytes)
+		}
+		if d.Node == "ss_1999" {
+			ss = &exp.Decisions[i]
+		}
+	}
+	if ss == nil || ss.Form != "serialized" || ss.ChargedBytes >= ss.RawBytes || ss.RawBytes <= slice {
+		t.Fatalf("ss_1999 under a %d-byte slice: %+v", slice, ss)
+	}
+	if exp.PeakBytes > slice {
+		t.Fatalf("plan peaks at %d of %d bytes", exp.PeakBytes, slice)
+	}
+
+	// ss_1999 runs first; with every write held at the gate it cannot be
+	// released, so it is resident from the first parked write on.
+	gs.block()
+	r2, err := s.Trigger("dw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gs.parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no write reached the gate")
+	}
+	resp, err = http.Get(ts.URL + "/v1/state/catalog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := decodeBody[introspect.CatalogReport](t, resp)
+	gs.open()
+	<-r2.done
+	if st := r2.Status(); st.State != StateSucceeded {
+		t.Fatalf("run: %q (%s)", st.State, st.Error)
+	}
+	found := false
+	for _, e := range cat.Entries {
+		if e.Name != "ss_1999" {
+			if e.Form != memcat.FormRows {
+				t.Errorf("%s resident as %q", e.Name, e.Form)
+			}
+			continue
+		}
+		found = true
+		if e.Form != memcat.FormSerialized || e.Compressed || e.SizeBytes != ss.ChargedBytes || e.RawBytes != ss.RawBytes {
+			t.Errorf("catalog entry %+v, explained as %+v", e, ss)
+		}
+	}
+	if !found {
+		t.Fatalf("ss_1999 not resident: %+v", cat.Entries)
+	}
+	if cat.UsedBytes > slice {
+		t.Errorf("catalog holds %d of %d bytes", cat.UsedBytes, slice)
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"github.com/shortcircuit-db/sc/internal/core"
+	"github.com/shortcircuit-db/sc/internal/dag"
 	"github.com/shortcircuit-db/sc/internal/memcat"
 	"github.com/shortcircuit-db/sc/internal/sched"
 )
@@ -158,6 +159,13 @@ type SchedReport struct {
 type FlagDecision struct {
 	Node    string `json:"node"`
 	Flagged bool   `json:"flagged"`
+	// Form is how the plan keeps the node's output in the Memory Catalog:
+	// "none" (unflagged), "rows", or "serialized" — the bytes it is written
+	// to storage as, which the optimizer's second chance picks for a node
+	// the knapsack left out and whose serialized bytes still fit.
+	// ChargedBytes is what that form occupies there; 0 when unflagged.
+	Form         string `json:"form"`
+	ChargedBytes int64  `json:"charged_bytes"`
 	// Class places the node in Algorithm 1's partition: "excluded" (its
 	// size exceeds the whole budget, or its score is non-positive),
 	// "free" (it appears in no binding constraint set, so flagging it can
@@ -193,6 +201,18 @@ type FlagDecision struct {
 	FlipBytes int64 `json:"flip_bytes,omitempty"`
 	// Flip says, in words, what would have to change to flip the decision.
 	Flip string `json:"flip"`
+}
+
+// formNone is FlagDecision.Form for an unflagged node; a flagged node's is
+// its core.Form by name.
+const formNone = "none"
+
+// formName names the form plan keeps node id resident in.
+func formName(plan *core.Plan, id dag.NodeID) string {
+	if !plan.Flagged[id] {
+		return formNone
+	}
+	return plan.FormOf(id).String()
 }
 
 // ExplainReport is the body of GET /v1/pipelines/{p}/explain and of
@@ -279,6 +299,7 @@ func Explain(in ExplainInput) *ExplainReport {
 		d := FlagDecision{
 			Node:             p.G.Name(id),
 			Flagged:          plan.Flagged[i],
+			Form:             formName(plan, id),
 			Class:            class[i],
 			ScoreSeconds:     p.Scores[i],
 			ReadSaveSeconds:  in.Pricing[i].ReadSaveSeconds,
@@ -297,14 +318,19 @@ func Explain(in ExplainInput) *ExplainReport {
 				resident = timeline[t]
 			}
 		}
-		d.MarginalBytes = p.Sizes[i]
+		d.MarginalBytes = p.ResidentSize(plan, id)
 		switch {
 		case plan.Flagged[i]:
+			d.ChargedBytes = d.MarginalBytes
 			d.SlackBytes = p.Memory - resident
 			d.Flip = fmt.Sprintf(
 				"stays flagged while the budget holds; a cut of more than %d bytes during steps %d-%d forces it (or a window peer) out",
 				d.SlackBytes, pos[i], rel[i])
-			if d.Class == "free" {
+			if plan.FormOf(id) == core.Serialized {
+				d.Flip = fmt.Sprintf(
+					"the knapsack left its %d bytes of rows out; kept as its %d serialized bytes, which each child decodes, while those fit: a cut of more than %d bytes during steps %d-%d forces it back to storage",
+					p.Sizes[i], d.ChargedBytes, d.SlackBytes, pos[i], rel[i])
+			} else if d.Class == "free" {
 				d.Flip = "flagged unconditionally: it shares no binding memory window with other candidates"
 			}
 		case d.Class == "excluded" && p.Scores[i] <= 0:

@@ -3,12 +3,16 @@
 // downstream nodes read them at memory speed, and are freed as soon as all
 // dependents have executed and background materialization has finished.
 //
-// Entries are either plain tables or compressed columnar representations
-// (internal/encoding). Compressed entries are accounted against the budget
-// at their compressed footprint — so the knapsack keeps more MVs resident —
-// and are decompressed on every row-path read (GetTable); readers that
-// consume chunks (GetCompressed) never decode. The catalog holds entries and
-// nothing else, so Peak() <= capacity is all the memory it ever owns.
+// Entries come in three forms. A plain table (Plain) is read for free. A
+// serialized table (Serialized) is the v1 bytes its node writes to storage,
+// shared with that write: it is accounted at len(data), so an output whose
+// rows exceed the budget can still stay resident, and every row-path read
+// (GetTable) decodes it — what the reader would pay after fetching the same
+// bytes from storage. A compressed columnar representation
+// (internal/encoding) is likewise accounted at its compressed footprint and
+// decompressed on every row-path read, while readers that consume chunks
+// (GetCompressed) never decode. The catalog holds entries and nothing else,
+// so Peak() <= capacity is all the memory it ever owns.
 package memcat
 
 import (
@@ -18,6 +22,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/shortcircuit-db/sc/internal/colfmt"
 	"github.com/shortcircuit-db/sc/internal/encoding"
 	"github.com/shortcircuit-db/sc/internal/table"
 )
@@ -30,7 +35,8 @@ var ErrNotFound = errors.New("memcat: table not found")
 
 // Entry is anything the catalog can hold: it knows its accounted byte
 // size and can produce the table it represents. Plain tables return
-// themselves; compressed entries (encoding.Compressed) decode on demand.
+// themselves; serialized and compressed entries (encoding.Compressed) decode
+// on demand.
 type Entry interface {
 	// SizeBytes is the in-memory footprint accounted against the budget.
 	SizeBytes() int64
@@ -43,6 +49,15 @@ type plainEntry struct{ t *table.Table }
 
 func (e plainEntry) SizeBytes() int64             { return e.t.ByteSize() }
 func (e plainEntry) Table() (*table.Table, error) { return e.t, nil }
+
+// serializedEntry holds a table as the bytes colfmt.Encode produced for it.
+type serializedEntry struct {
+	data []byte
+	raw  int64 // the table's in-memory size, for reports
+}
+
+func (e serializedEntry) SizeBytes() int64             { return int64(len(e.data)) }
+func (e serializedEntry) Table() (*table.Table, error) { return colfmt.Decode(e.data) }
 
 // Catalog is a bounded, thread-safe in-memory table store.
 type Catalog struct {
@@ -89,11 +104,12 @@ type Eviction struct {
 }
 
 // EntryInfo is a point-in-time view of one resident entry for the
-// introspection layer: accounted vs raw bytes, the per-codec chunk mix of
-// compressed entries and last access.
+// introspection layer: its form, accounted vs raw bytes, the per-codec chunk
+// mix of compressed entries and last access.
 type EntryInfo struct {
 	Name        string           `json:"name"`
-	SizeBytes   int64            `json:"size_bytes"` // accounted (compressed) footprint
+	Form        string           `json:"form"`       // FormRows, FormSerialized or FormCompressed
+	SizeBytes   int64            `json:"size_bytes"` // accounted (serialized or compressed) footprint
 	Compressed  bool             `json:"compressed"`
 	RawBytes    int64            `json:"raw_bytes,omitempty"` // uncompressed footprint when known
 	Rows        int              `json:"rows,omitempty"`
@@ -101,6 +117,25 @@ type EntryInfo struct {
 	CodecChunks map[string]int   `json:"codec_chunks,omitempty"`
 	CodecBytes  map[string]int64 `json:"codec_bytes,omitempty"` // encoded payload bytes per codec
 	LastAccess  time.Time        `json:"last_access"`
+}
+
+// The forms an entry is resident in, as EntryInfo and the event stream
+// report them.
+const (
+	FormRows       = "rows"
+	FormSerialized = "serialized"
+	FormCompressed = "compressed"
+)
+
+// FormOf names the form of an entry.
+func FormOf(e Entry) string {
+	switch e.(type) {
+	case serializedEntry:
+		return FormSerialized
+	case *encoding.Compressed:
+		return FormCompressed
+	}
+	return FormRows
 }
 
 // New returns a catalog with the given byte capacity.
@@ -125,9 +160,16 @@ func (c *Catalog) Put(name string, t *table.Table) error {
 // choose between the two forms.
 func Plain(t *table.Table) Entry { return plainEntry{t: t} }
 
-// PutEntry stores any Entry (plain or compressed) under name, accounting
-// e.SizeBytes() against the capacity. Compressed entries therefore charge
-// only their compressed footprint. Semantics match Put.
+// Serialized is the Entry of a table held as its colfmt v1 bytes, which the
+// entry shares with the caller (neither side may modify them). rawBytes is
+// the size of the table those bytes decode to.
+func Serialized(data []byte, rawBytes int64) Entry {
+	return serializedEntry{data: data, raw: rawBytes}
+}
+
+// PutEntry stores any Entry (plain, serialized or compressed) under name,
+// accounting e.SizeBytes() against the capacity. Serialized and compressed
+// entries therefore charge only their encoded footprint. Semantics match Put.
 func (c *Catalog) PutEntry(name string, e Entry) error {
 	size := e.SizeBytes()
 	c.mu.Lock()
@@ -156,7 +198,7 @@ func (c *Catalog) PutEntry(name string, e Entry) error {
 	return nil
 }
 
-// Get returns the named table if resident, decoding compressed entries. A
+// Get returns the named table if resident, decoding non-plain entries. A
 // decode failure reads as absent, so callers transparently fall back to
 // their storage path.
 func (c *Catalog) Get(name string) (*table.Table, bool) {
@@ -177,9 +219,10 @@ type ReadInfo struct {
 	Encoded int64
 }
 
-// GetTable is Get plus cost attribution. A compressed entry is decoded in
-// full on every call, outside the lock, so concurrent readers decode in
-// parallel; the k downstream row-path readers of a flagged MV pay k decodes.
+// GetTable is Get plus cost attribution. A serialized or compressed entry is
+// decoded in full on every call, outside the lock, so concurrent readers
+// decode in parallel; the k downstream row-path readers of a flagged MV pay
+// k decodes.
 func (c *Catalog) GetTable(name string) (*table.Table, ReadInfo, bool) {
 	c.mu.Lock()
 	ent, ok := c.entries[name]
@@ -210,6 +253,30 @@ func (c *Catalog) GetEntry(name string) (Entry, bool) {
 	}
 	e.lastAccess = time.Now()
 	return e.e, true
+}
+
+// Schema returns the schema of the named entry without decoding it: a plain
+// table's own, a compressed entry's, and for a serialized entry the one its
+// header carries.
+func (c *Catalog) Schema(name string) (table.Schema, bool) {
+	e, ok := c.GetEntry(name)
+	if !ok {
+		return table.Schema{}, false
+	}
+	switch e := e.(type) {
+	case plainEntry:
+		return e.t.Schema, true
+	case serializedEntry:
+		sch, _, err := colfmt.DecodeSchema(e.data)
+		return sch, err == nil
+	case *encoding.Compressed:
+		return e.Schema, true
+	}
+	t, err := e.Table()
+	if err != nil {
+		return table.Schema{}, false
+	}
+	return t.Schema, true
 }
 
 // GetCompressed serves a compressed entry in chunked form for a consumer
@@ -289,8 +356,9 @@ func (c *Catalog) EvictionsSeen() int64 {
 }
 
 // Entries snapshots every resident entry for the introspection layer,
-// sorted by name. Compressed entries report their codec mix (chunk counts
-// and encoded payload bytes per codec) without decoding anything.
+// sorted by name. Serialized entries report the size of the table they hold,
+// compressed entries also their row count and codec mix (chunk counts and
+// encoded payload bytes per codec), without decoding anything.
 func (c *Catalog) Entries() []EntryInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -298,8 +366,12 @@ func (c *Catalog) Entries() []EntryInfo {
 	for name, e := range c.entries {
 		info := EntryInfo{
 			Name:       name,
+			Form:       FormOf(e.e),
 			SizeBytes:  e.size,
 			LastAccess: e.lastAccess,
+		}
+		if se, ok := e.e.(serializedEntry); ok {
+			info.RawBytes = se.raw
 		}
 		if ct, ok := e.e.(*encoding.Compressed); ok {
 			info.Compressed = true

@@ -24,6 +24,7 @@ type eventJSON struct {
 	WriteSeconds     float64 `json:"write_seconds,omitempty"`
 	ComputeSeconds   float64 `json:"compute_seconds,omitempty"`
 	Flagged          bool    `json:"flagged,omitempty"`
+	Form             string  `json:"form,omitempty"`
 	Iteration        int     `json:"iteration,omitempty"`
 	Score            float64 `json:"score,omitempty"`
 	Error            string  `json:"error,omitempty"`
@@ -61,6 +62,7 @@ func (e Event) MarshalJSON() ([]byte, error) {
 		WriteSeconds:     seconds(e.Write),
 		ComputeSeconds:   seconds(e.Compute),
 		Flagged:          e.Flagged,
+		Form:             e.Form,
 		Iteration:        e.Iteration,
 		Score:            e.Score,
 		Lowered:          e.Lowered,

@@ -12,7 +12,7 @@ func TestEventMarshalJSON(t *testing.T) {
 	e := Event{
 		Kind: NodeDone, Node: "mv_a", Step: 3,
 		Bytes: 1024, Encoded: 256, Elapsed: 1500 * time.Millisecond,
-		Read: 250 * time.Millisecond, Flagged: true,
+		Read: 250 * time.Millisecond, Flagged: true, Form: "serialized",
 	}
 	data, err := json.Marshal(e)
 	if err != nil {
@@ -31,8 +31,8 @@ func TestEventMarshalJSON(t *testing.T) {
 	if got["elapsed_seconds"].(float64) != 1.5 {
 		t.Fatalf("elapsed_seconds = %v", got["elapsed_seconds"])
 	}
-	if got["flagged"] != true {
-		t.Fatalf("flagged = %v", got["flagged"])
+	if got["flagged"] != true || got["form"] != "serialized" {
+		t.Fatalf("flagged = %v as %v", got["flagged"], got["form"])
 	}
 	// Zero-valued fields are omitted; kernel counters never appear here.
 	for _, absent := range []string{"error", "lowered", "write_seconds", "score"} {
@@ -52,8 +52,8 @@ func TestEventMarshalJSONErrorAndStep(t *testing.T) {
 	if !strings.Contains(s, `"error":"boom"`) {
 		t.Fatalf("error not serialized as string: %s", s)
 	}
-	if strings.Contains(s, `"step"`) {
-		t.Fatalf("step -1 (not applicable) serialized: %s", s)
+	if strings.Contains(s, `"step"`) || strings.Contains(s, `"form"`) {
+		t.Fatalf("step -1 (not applicable) or the form of an unflagged node serialized: %s", s)
 	}
 }
 

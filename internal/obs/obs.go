@@ -21,7 +21,7 @@ const (
 	NodeStart Kind = iota
 	// NodeDone: a node's refresh finished (output produced, not necessarily
 	// materialized). Fields: Node, Step, Bytes (output size), Elapsed,
-	// Plan/Read/Write/Compute, Flagged, Err on failure.
+	// Plan/Read/Write/Compute, Flagged, Form, Err on failure.
 	NodeDone
 	// Materialized: a node's output finished writing to external storage
 	// (foreground or background). Fields: Node, Bytes (encoded size).
@@ -115,6 +115,7 @@ type Event struct {
 	Write     time.Duration // NodeDone: blocking-write time
 	Compute   time.Duration // NodeDone: compute time
 	Flagged   bool          // NodeDone: output kept in the Memory Catalog
+	Form      string        // NodeDone: the form it is kept there in ("rows", "serialized", "compressed"); empty when not Flagged
 	Iteration int           // IterationDone: 1-based iteration number
 	Score     float64       // IterationDone: flagged speedup score, seconds
 	Err       error         // NodeDone: execution error, if any

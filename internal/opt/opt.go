@@ -3,11 +3,18 @@
 // set, alternately (1) solve S/C Opt Nodes for the current order and
 // (2) solve S/C Opt Order for the current flagged set, until the flagged
 // set stops improving or the new order becomes infeasible.
+//
+// Where the problem offers a second residency form (core.Problem's
+// SerializedSizes), the settled plan then gets one more pass: every node
+// the loop left unflagged is offered the Memory Catalog again at the size of
+// its serialized bytes (promoteSerialized). The loop itself never sees that
+// form, so a problem without it is solved exactly as the paper does.
 package opt
 
 import (
 	"context"
 	"fmt"
+	"sort"
 	"time"
 
 	"github.com/shortcircuit-db/sc/internal/core"
@@ -138,11 +145,54 @@ func Solve(ctx context.Context, p *core.Problem, opts Options) (*core.Plan, *Sta
 	if st.StopReason == "" {
 		st.StopReason = "iteration limit"
 	}
+	best = promoteSerialized(p, best)
 	st.Score = best.TotalScore(p)
 	st.PeakMemory = core.PeakMemoryUsage(p, best)
 	st.AvgMemory = core.AverageMemoryUsage(p, best)
 	st.Elapsed = time.Since(start)
 	return best, st, nil
+}
+
+// promoteSerialized gives every node pl leaves unflagged, and whose
+// serialized form is the smaller one, a second chance at that size: best
+// score first, earlier in the plan on a tie, each kept only if the plan still
+// fits the Memory Catalog with it. Flagging it saves what flagging it as rows
+// would — its write leaves the critical path and its children skip the
+// device — since the decode its children pay they pay after a storage read
+// too. The order and the nodes already flagged are left as the loop settled
+// them; pl itself is returned when nothing is promoted.
+func promoteSerialized(p *core.Problem, pl *core.Plan) *core.Plan {
+	var cands []dag.NodeID
+	for i := range p.SerializedSizes {
+		if !pl.Flagged[i] && p.Scores[i] > 0 && p.SerializedSizes[i] < p.Sizes[i] {
+			cands = append(cands, dag.NodeID(i))
+		}
+	}
+	if len(cands) == 0 {
+		return pl
+	}
+	pos := core.Positions(pl.Order)
+	sort.Slice(cands, func(a, b int) bool {
+		if sa, sb := p.Scores[cands[a]], p.Scores[cands[b]]; sa != sb {
+			return sa > sb
+		}
+		return pos[cands[a]] < pos[cands[b]]
+	})
+	out := pl.Clone()
+	out.Forms = make([]core.Form, len(pl.Flagged))
+	promoted := false
+	for _, id := range cands {
+		out.Flagged[id], out.Forms[id] = true, core.Serialized
+		if core.Feasible(p, out) {
+			promoted = true
+		} else {
+			out.Flagged[id], out.Forms[id] = false, core.Rows
+		}
+	}
+	if !promoted {
+		return pl
+	}
+	return out
 }
 
 // improved reports whether cand is strictly better than best under the

@@ -191,3 +191,117 @@ func TestStatsPopulated(t *testing.T) {
 		t.Fatal("selector never ran")
 	}
 }
+
+// serializedHalf offers every node of p a serialized form of a seeded
+// fraction of its rows; some nodes get none smaller.
+func serializedHalf(rng *rand.Rand, p *core.Problem) *core.Problem {
+	q := *p
+	q.SerializedSizes = make([]int64, len(p.Sizes))
+	for i, s := range p.Sizes {
+		q.SerializedSizes[i] = s
+		if rng.Intn(4) > 0 {
+			q.SerializedSizes[i] = s * int64(1+rng.Intn(3)) / 4
+		}
+	}
+	return &q
+}
+
+// Property: offering the serialized form changes nothing the alternating
+// loop decided — same order, every node it flagged still flagged as rows —
+// and what the second chance adds is feasible, valid, only ever a node with a
+// positive score and a smaller form, and maximal: no node it passed over
+// would still fit. Stats describe the returned plan.
+func TestSolveSecondChanceProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		base := testutil.RandomProblem(rng, 25)
+		p := serializedHalf(rng, base)
+		want, wantSt, err := Solve(context.Background(), base, Options{})
+		if err != nil || want.Forms != nil {
+			return false
+		}
+		got, st, err := Solve(context.Background(), p, Options{})
+		if err != nil || got.Validate(p) != nil || !core.Feasible(p, got) {
+			return false
+		}
+		if st.Iterations != wantSt.Iterations || st.PeakMemory != core.PeakMemoryUsage(p, got) || st.Score != got.TotalScore(p) {
+			return false
+		}
+		for i := range want.Order {
+			if got.Order[i] != want.Order[i] {
+				return false
+			}
+		}
+		promoted := 0
+		for i := range want.Flagged {
+			id := dag.NodeID(i)
+			switch {
+			case want.Flagged[i]:
+				if !got.Flagged[i] || got.FormOf(id) != core.Rows {
+					return false
+				}
+			case got.Flagged[i]:
+				promoted++
+				if got.FormOf(id) != core.Serialized || p.Scores[i] <= 0 || p.SerializedSizes[i] >= p.Sizes[i] {
+					return false
+				}
+			case p.Scores[i] > 0 && p.SerializedSizes[i] < p.Sizes[i]:
+				probe := got.Clone()
+				if probe.Forms == nil {
+					probe.Forms = make([]core.Form, len(probe.Flagged))
+				}
+				probe.Flagged[i], probe.Forms[i] = true, core.Serialized
+				if core.Feasible(p, probe) {
+					return false
+				}
+			}
+		}
+		return (promoted == 0) == (got.Forms == nil)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The second chance goes best score first, and to the node earlier in the
+// plan when scores tie: three independent nodes whose rows the budget cannot
+// hold, with room for two of their serialized forms.
+func TestSolveSecondChanceOrder(t *testing.T) {
+	g := dag.New()
+	g.AddNode("a")
+	g.AddNode("b")
+	g.AddNode("c")
+	sink := g.AddNode("sink")
+	for i := 0; i < 3; i++ {
+		g.MustAddEdge(dag.NodeID(i), sink)
+	}
+	p := &core.Problem{
+		G:               g,
+		Sizes:           []int64{100, 100, 100, 1},
+		SerializedSizes: []int64{30, 30, 30, 1},
+		Memory:          70,
+	}
+	for _, tc := range []struct {
+		scores []float64
+		want   []dag.NodeID
+	}{
+		{[]float64{1, 2, 3, 0}, []dag.NodeID{1, 2}},
+		{[]float64{5, 2, 3, 0}, []dag.NodeID{0, 2}},
+		{[]float64{2, 2, 2, 0}, []dag.NodeID{0, 1}}, // tie: plan position
+	} {
+		p.Scores = tc.scores
+		pl, _, err := Solve(context.Background(), p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := pl.FlaggedIDs()
+		if len(got) != 2 || got[0] != tc.want[0] || got[1] != tc.want[1] {
+			t.Errorf("scores %v: flagged %v, want %v", tc.scores, got, tc.want)
+		}
+		for _, id := range got {
+			if pl.FormOf(id) != core.Serialized {
+				t.Errorf("scores %v: node %d kept as %v", tc.scores, id, pl.FormOf(id))
+			}
+		}
+	}
+}

@@ -57,6 +57,10 @@ type Pipeline struct {
 	Vectorized bool
 	Chunked    *chunkio.Session // session dictionary cache; nil when disabled
 	Device     costmodel.DeviceProfile
+	// Concurrency is each run's token budget (exec.Controller.Concurrency).
+	// The planner reads it too: only at <= 1 do nodes run in exact plan
+	// order, which is what makes the plan's peak memory a proof.
+	Concurrency int
 
 	// What the pipeline remembers of its previous run: each node's span (a
 	// later run that reuses cached state links back to it) and the health
@@ -69,7 +73,7 @@ type Pipeline struct {
 
 // NewPipeline extracts the dependency DAG from the nodes' SQL and starts an
 // empty metadata store. The caller sets the execution fields (Encoding,
-// Vectorized, Chunked, Device) before the first run.
+// Vectorized, Chunked, Device, Concurrency) before the first run.
 func NewPipeline(name string, nodes []exec.NodeSpec, store storage.Store) (*Pipeline, error) {
 	w := &exec.Workload{Nodes: nodes}
 	g, base, err := w.BuildGraph()
@@ -103,6 +107,14 @@ type Priced struct {
 // learned compressed footprint and the disk terms of the score move encoded
 // bytes, so compression genuinely changes which nodes get flagged and in
 // which order the DAG runs.
+//
+// On the row path under serial dispatch the problem also offers each
+// observed node's serialized bytes as a second, smaller residency form
+// (core.Problem.SerializedSizes), which opt.Solve's second chance takes for
+// nodes the knapsack left out. It is offered nowhere else: with Encoding the
+// catalog entry is already the compact form, and with more than one token
+// the dispatcher runs ahead of plan order, so a plan that fills the budget
+// to the byte on paper displaces plain residents in practice.
 func (p *Pipeline) Problem(memory int64) *Priced {
 	raw := p.Metrics.Sizes(p.Graph, SizeGuess)
 	disk := raw
@@ -113,11 +125,18 @@ func (p *Pipeline) Problem(memory int64) *Priced {
 		Problem: &core.Problem{G: p.Graph, Sizes: disk, Scores: make([]float64, len(raw)), Memory: memory},
 		Pricing: make([]introspect.NodePricing, len(raw)),
 	}
+	if p.Encoding == nil && p.Concurrency <= 1 {
+		pr.SerializedSizes = append([]int64(nil), raw...) // no smaller form known until observed
+	}
 	for i := range raw {
 		name := p.Graph.Name(dag.NodeID(i))
 		read, write := costmodel.ScoreParts(p.Device, p.Graph, raw, disk, dag.NodeID(i))
-		if o, ok := p.Metrics.Latest(name); ok && o.WriteTime > 0 {
+		o, observed := p.Metrics.Latest(name)
+		if observed && o.WriteTime > 0 {
 			write = o.WriteTime
+		}
+		if observed && o.EncodedBytes > 0 && pr.SerializedSizes != nil {
+			pr.SerializedSizes[i] = o.EncodedBytes
 		}
 		pr.Scores[i] = costmodel.Score(read, write)
 		pr.Pricing[i] = introspect.NodePricing{RawBytes: raw[i], ReadSaveSeconds: read.Seconds(), WriteSaveSeconds: write.Seconds()}
@@ -155,7 +174,6 @@ func (p *Pipeline) Explain(pr *Priced, plan *core.Plan) *introspect.ExplainRepor
 type RunEnv struct {
 	Mem          *memcat.Catalog  // the run's bounded Memory Catalog
 	Sched        *sched.Scheduler // shared token pool; nil gives the run a private one
-	Concurrency  int
 	ParallelScan bool
 	RunID        string
 	Observers    []obs.Observer       // who watches the event stream beside the trace; nil entries are skipped
@@ -174,7 +192,7 @@ func (p *Pipeline) controller(env RunEnv) *exec.Controller {
 		Mem:          env.Mem,
 		Obs:          obs.Multi(observers...),
 		RunID:        env.RunID,
-		Concurrency:  env.Concurrency,
+		Concurrency:  p.Concurrency,
 		Sched:        env.Sched,
 		ParallelScan: env.ParallelScan,
 		Encoding:     p.Encoding,

@@ -229,12 +229,18 @@ func Run(ctx context.Context, w *Workload, plan *core.Plan, cfg Config) (*Result
 		}
 		nt.End = s.t
 		s.res.Timeline = append(s.res.Timeline, nt)
-		s.emit(obs.Event{
+		done := obs.Event{
 			Kind: obs.NodeDone, Node: node.Name, Step: step,
 			Bytes: node.OutputBytes, Elapsed: vclock(nt.End - nt.Start),
 			Read: vclock(nt.ReadSec), Write: vclock(nt.WriteSec), Compute: vclock(nt.ComputeSec),
 			Flagged: nt.Flagged,
-		})
+		}
+		if nt.Flagged {
+			// The simulator models the paper's one form: whatever plan.Forms
+			// says, a flagged output is resident at OutputBytes.
+			done.Form = core.Rows.String()
+		}
+		s.emit(done)
 	}
 
 	// Drain remaining background materialization; end-to-end time is when

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -365,5 +366,55 @@ func TestDedicatedWriteBandNotSlower(t *testing.T) {
 	}
 	if rd.Total > rs.Total+1e-9 {
 		t.Fatalf("dedicated band slower: %v vs %v", rd.Total, rs.Total)
+	}
+}
+
+// The simulator models the paper's one residency form. A plan that names
+// the serialized form for some flagged nodes simulates exactly as the same
+// plan without Forms: result, timeline and every event.
+func TestRunIgnoresPlanForms(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		p := testutil.RandomProblem(rng, 15)
+		w := &Workload{G: p.G, Nodes: make([]Node, p.G.Len())}
+		for i := range w.Nodes {
+			w.Nodes[i] = Node{
+				Name:           p.G.Name(dag.NodeID(i)),
+				OutputBytes:    int64(rng.Intn(1000)+1) * (1 << 20),
+				BaseReadBytes:  int64(rng.Intn(500)) * (1 << 20),
+				ComputeSeconds: rng.Float64(),
+			}
+		}
+		order, err := p.G.TopoSort()
+		if err != nil {
+			return false
+		}
+		plain := core.NewPlan(order)
+		for i := range plain.Flagged {
+			plain.Flagged[i] = rng.Intn(2) == 0
+		}
+		formed := plain.Clone()
+		formed.Forms = make([]core.Form, len(formed.Flagged))
+		for i, fl := range formed.Flagged {
+			if fl && rng.Intn(2) == 0 {
+				formed.Forms[i] = core.Serialized
+			}
+		}
+		run := func(pl *core.Plan) (*Result, []obs.Event) {
+			var events []obs.Event
+			cfg := Config{Device: costmodel.PaperProfile(), Memory: 2 << 30, Base: time.Unix(0, 0),
+				Observer: obs.Func(func(e obs.Event) { events = append(events, e) })}
+			res, err := Run(context.Background(), w, pl, cfg)
+			if err != nil {
+				t.Error(err)
+			}
+			return res, events
+		}
+		wantRes, wantEv := run(plain)
+		gotRes, gotEv := run(formed)
+		return reflect.DeepEqual(gotRes, wantRes) && reflect.DeepEqual(gotEv, wantEv)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }

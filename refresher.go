@@ -65,6 +65,7 @@ func New(mvs []MV, store Store, opts ...Option) (*Refresher, error) {
 	pipe.Encoding = cfg.encoding
 	pipe.Vectorized = cfg.vectorized
 	pipe.Device = cfg.device
+	pipe.Concurrency = cfg.concurrency
 	if cfg.vectorized {
 		// The session dictionary cache lives with the Refresher, so each
 		// Refresh reuses the dictionaries the previous run derived.
@@ -134,7 +135,10 @@ func (r *Refresher) Stats() *Stats {
 // from the §IV model under the session's device profile. With WithEncoding
 // the knapsack weighs nodes at their compressed footprint and the disk
 // terms of the score model move encoded bytes, so compression genuinely
-// changes which nodes get flagged and in which order the DAG runs.
+// changes which nodes get flagged and in which order the DAG runs. A serial
+// row-path session (WithConcurrency(1), no WithEncoding) also offers each
+// observed node's serialized size, at which Optimize may keep a node the
+// knapsack left out.
 func (r *Refresher) Problem() *Problem { return r.pipe.Problem(r.cfg.memory).Problem }
 
 // Optimize re-plans the session from the observed execution metadata and
@@ -187,7 +191,6 @@ func (r *Refresher) RunPlan(ctx context.Context, plan *Plan) (*RunResult, error)
 	}
 	res, err := r.pipe.Run(ctx, plan, session.RunEnv{
 		Mem:          memcat.New(r.cfg.memory),
-		Concurrency:  r.cfg.concurrency,
 		ParallelScan: r.cfg.parallelScan,
 		RunID:        runID,
 		Observers:    []obs.Observer{r.cfg.observer},
@@ -230,8 +233,9 @@ func (r *Refresher) AlertStats() AlertStats {
 }
 
 // Explain reconstructs, for every MV of the session, why the current plan
-// flags or skips it under the bounded Memory Catalog budget: the sized
-// speedup score (split into read and write savings), raw vs
+// flags or skips it under the bounded Memory Catalog budget: the form it is
+// kept resident in and the bytes charged for it, the sized speedup score
+// (split into read and write savings), raw vs
 // EWMA-predicted encoded bytes, the marginal byte cost at the node's
 // residency window that decided the flag, and what would flip the
 // decision. It explains the plan subsequent Run/Refresh calls would

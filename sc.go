@@ -53,11 +53,13 @@ import (
 type NodeID = dag.NodeID
 
 // Problem is an S/C Opt instance: dependency graph, per-node output sizes,
-// per-node speedup scores, and the Memory Catalog budget.
+// per-node speedup scores, and the Memory Catalog budget — and, optionally,
+// per-node serialized sizes, the second form an output can be resident in.
 type Problem = core.Problem
 
 // Plan is an optimized refresh plan: an execution order plus the flagged
-// set kept in the Memory Catalog.
+// set kept in the Memory Catalog, each flagged node as its rows unless
+// Forms names its serialized bytes.
 type Plan = core.Plan
 
 // DeviceProfile describes storage and memory performance for score
