@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"os"
 
-	sc "github.com/shortcircuit-db/sc"
 	"github.com/shortcircuit-db/sc/internal/dag"
 	"github.com/shortcircuit-db/sc/internal/exec"
 	"github.com/shortcircuit-db/sc/internal/storage"
@@ -71,22 +70,7 @@ func genDAG(args []string) {
 	stddev := fs.Float64("stddev", 1.0, "stage node count stddev")
 	seed := fs.Int64("seed", 7, "generator seed")
 	memory := fs.Int64("memory", 2<<30, "memory budget to embed")
-	flagAlg := fs.String("flagalg", "", "flagging algorithm to embed (see sc.SelectorNames)")
-	orderAlg := fs.String("orderalg", "", "ordering algorithm to embed (see sc.OrdererNames)")
 	_ = fs.Parse(args)
-
-	// Validate embedded algorithm names against the registries up front, so
-	// a typo fails here instead of inside the consumer's scopt run.
-	if *flagAlg != "" {
-		if _, err := sc.SelectorByName(*flagAlg, *seed); err != nil {
-			fail(err)
-		}
-	}
-	if *orderAlg != "" {
-		if _, err := sc.OrdererByName(*orderAlg, *seed); err != nil {
-			fail(err)
-		}
-	}
 
 	gen, err := wlgen.Generate(wlgen.Params{
 		Nodes: *nodes, HeightWidth: *hw, MaxOutdegree: *outdeg, StageStdDev: *stddev, Seed: *seed,
@@ -104,10 +88,8 @@ func genDAG(args []string) {
 		Edges          [][2]string `json:"edges"`
 		Memory         int64       `json:"memory"`
 		EstimateScores bool        `json:"estimate_scores"`
-		FlagAlgorithm  string      `json:"flag_algorithm,omitempty"`
-		OrderAlgorithm string      `json:"order_algorithm,omitempty"`
 		Seed           int64       `json:"seed,omitempty"`
-	}{Memory: *memory, EstimateScores: true, FlagAlgorithm: *flagAlg, OrderAlgorithm: *orderAlg, Seed: *seed}
+	}{Memory: *memory, EstimateScores: true, Seed: *seed}
 	g := gen.Workload.G
 	for i, n := range gen.Workload.Nodes {
 		out.Nodes = append(out.Nodes, jsonNode{Name: n.Name, Size: n.OutputBytes})

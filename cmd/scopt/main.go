@@ -14,6 +14,12 @@
 //	  "seed": 7                    // optional; seeds a randomized algorithm named above
 //	}
 //
+// The defaults are the paper's algorithms. The names pick its baselines
+// instead (case-insensitive): flag_algorithm is one of mkp, greedy, random
+// or ratio; order_algorithm one of ma-dfs (alias madfs), dfs, kahn (alias
+// topo), sa or separator (alias sep). An unknown name or an unknown field
+// fails the run.
+//
 // Scores may be omitted (0); pass "estimate_scores": true to derive them
 // from sizes with the paper's device profile. "serialized_size" is optional
 // too: where any node gives one, a node the knapsack leaves out may still be
@@ -28,8 +34,12 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 
 	sc "github.com/shortcircuit-db/sc"
+	"github.com/shortcircuit-db/sc/internal/flagsel"
+	"github.com/shortcircuit-db/sc/internal/opt"
+	"github.com/shortcircuit-db/sc/internal/order"
 )
 
 type inputNode struct {
@@ -71,6 +81,7 @@ type output struct {
 func main() {
 	var in input
 	dec := json.NewDecoder(os.Stdin)
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&in); err != nil {
 		fail("decode input: %v", err)
 	}
@@ -107,26 +118,17 @@ func main() {
 	if in.EstimateScores {
 		sc.EstimateScores(p, sc.PaperProfile())
 	}
-	// The JSON algorithm names resolve through the public registries, so
-	// strategies registered by embedding programs are reachable here too.
-	var opts []sc.Option
-	if in.FlagAlgorithm != "" {
-		sel, err := sc.SelectorByName(in.FlagAlgorithm, in.Seed)
-		if err != nil {
-			fail("%v", err)
-		}
-		opts = append(opts, sc.WithFlagSelector(sel))
+	sel, err := selector(in.FlagAlgorithm, in.Seed)
+	if err != nil {
+		fail("%v", err)
 	}
-	if in.OrderAlgorithm != "" {
-		ord, err := sc.OrdererByName(in.OrderAlgorithm, in.Seed)
-		if err != nil {
-			fail("%v", err)
-		}
-		opts = append(opts, sc.WithOrderer(ord))
+	ord, err := orderer(in.OrderAlgorithm, in.Seed)
+	if err != nil {
+		fail("%v", err)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	plan, stats, err := sc.Solve(ctx, p, opts...)
+	plan, stats, err := opt.Solve(ctx, p, opt.Options{Selector: sel, Orderer: ord})
 	if err != nil {
 		fail("%v", err)
 	}
@@ -152,6 +154,42 @@ func main() {
 	if err := enc.Encode(out); err != nil {
 		fail("encode output: %v", err)
 	}
+}
+
+// selector resolves flag_algorithm; "" is nil, the paper's SimplifiedMKP.
+func selector(name string, seed int64) (flagsel.Selector, error) {
+	switch strings.ToLower(name) {
+	case "":
+		return nil, nil
+	case "mkp":
+		return flagsel.MKP{}, nil
+	case "greedy":
+		return flagsel.Greedy{}, nil
+	case "random":
+		return flagsel.Random{Seed: seed}, nil
+	case "ratio":
+		return flagsel.Ratio{}, nil
+	}
+	return nil, fmt.Errorf("unknown flag_algorithm %q (accepted: mkp, greedy, random, ratio)", name)
+}
+
+// orderer resolves order_algorithm; "" is nil, the paper's MA-DFS.
+func orderer(name string, seed int64) (order.Orderer, error) {
+	switch strings.ToLower(name) {
+	case "":
+		return nil, nil
+	case "ma-dfs", "madfs":
+		return order.MADFS{}, nil
+	case "dfs":
+		return order.DFS{Seed: seed}, nil
+	case "kahn", "topo":
+		return order.Kahn{}, nil
+	case "sa":
+		return order.SA{Seed: seed}, nil
+	case "separator", "sep":
+		return order.Separator{}, nil
+	}
+	return nil, fmt.Errorf("unknown order_algorithm %q (accepted: ma-dfs, dfs, kahn, sa, separator; aliases madfs, topo, sep)", name)
 }
 
 func fail(format string, args ...any) {

@@ -34,28 +34,27 @@ func ExampleSolve() {
 	// Output: flagged 3 nodes, score 120, feasible true
 }
 
-// ExampleSolve_options picks registered algorithms and caps the
-// alternating optimization.
-func ExampleSolve_options() {
+// ExampleSolve_chain runs the paper's optimizer on a two-step pipeline
+// whose budget holds both outputs: the staging table and the report built
+// from it are both kept in the Memory Catalog, in dependency order.
+func ExampleSolve_chain() {
 	const gb = int64(1) << 30
 	b := sc.NewGraphBuilder()
-	v1 := b.Node("staging", 2*gb, 20)
-	v2 := b.Node("report", 1*gb, 10)
-	_ = b.Edge(v1, v2)
+	staging := b.Node("staging", 2*gb, 20)
+	report := b.Node("report", 1*gb, 10)
+	_ = b.Edge(staging, report)
 
-	sel, err := sc.SelectorByName("greedy", 0)
+	p := b.Problem(4 * gb)
+	plan, _, err := sc.Solve(context.Background(), p)
 	if err != nil {
 		panic(err)
 	}
-	plan, _, err := sc.Solve(context.Background(), b.Problem(4*gb),
-		sc.WithFlagSelector(sel),
-		sc.WithMaxIterations(5),
-	)
-	if err != nil {
-		panic(err)
+	for _, id := range plan.Order {
+		fmt.Printf("%s flagged=%v\n", p.G.Name(id), plan.Flagged[id])
 	}
-	fmt.Printf("flagged %d nodes with %s\n", len(plan.FlaggedIDs()), sel.Name())
-	// Output: flagged 2 nodes with Greedy
+	// Output:
+	// staging flagged=true
+	// report flagged=true
 }
 
 // ExampleGraphBuilder shows score estimation from sizes and a device

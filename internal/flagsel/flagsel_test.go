@@ -197,14 +197,3 @@ func TestIntScore(t *testing.T) {
 		}
 	}
 }
-
-func TestNewByRegisteredName(t *testing.T) {
-	for _, name := range []string{"mkp", "greedy", "random", "ratio"} {
-		if _, err := New(name, 1); err != nil {
-			t.Errorf("New(%q): %v", name, err)
-		}
-	}
-	if _, err := New("nope", 1); err == nil {
-		t.Error("unknown selector accepted")
-	}
-}

@@ -30,7 +30,6 @@ import (
 	"github.com/shortcircuit-db/sc/internal/ledger"
 	"github.com/shortcircuit-db/sc/internal/memcat"
 	"github.com/shortcircuit-db/sc/internal/obs"
-	"github.com/shortcircuit-db/sc/internal/opt"
 	"github.com/shortcircuit-db/sc/internal/sched"
 	"github.com/shortcircuit-db/sc/internal/session"
 	"github.com/shortcircuit-db/sc/internal/storage"
@@ -649,7 +648,7 @@ type planned struct {
 // IS the paper's observe → re-optimize loop.
 func (s *Server) planTrigger(ctx context.Context, p *pipeline) (planned, error) {
 	slice := s.adm.tenantSlice(p.tenant)
-	_, plan, st, err := p.Plan(ctx, slice, opt.Options{})
+	_, plan, st, err := p.Plan(ctx, slice, nil)
 	if err != nil {
 		return planned{}, err
 	}

@@ -5,7 +5,6 @@ import (
 
 	"github.com/shortcircuit-db/sc/internal/introspect"
 	"github.com/shortcircuit-db/sc/internal/memcat"
-	"github.com/shortcircuit-db/sc/internal/opt"
 )
 
 // serverEvLogCap bounds the server-wide eviction timeline: evictions
@@ -138,7 +137,7 @@ func (s *Server) ExplainPipeline(name string) (*introspect.ExplainReport, error)
 	if err != nil {
 		return nil, err
 	}
-	pr, plan, _, err := p.Plan(context.Background(), s.adm.tenantSlice(p.tenant), opt.Options{})
+	pr, plan, _, err := p.Plan(context.Background(), s.adm.tenantSlice(p.tenant), nil)
 	if err != nil {
 		return nil, err
 	}

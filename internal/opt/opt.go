@@ -24,11 +24,16 @@ import (
 	"github.com/shortcircuit-db/sc/internal/order"
 )
 
-// Options configures the alternating optimization.
+// Options configures the alternating optimization. Every refresh path
+// (session.Pipeline.Plan) and sc.Solve set only Observer, so they run the
+// paper's algorithms; the strategy fields and the loop's knobs are for the
+// paper's baselines and ablations (internal/bench, cmd/scopt).
 type Options struct {
 	// Selector solves S/C Opt Nodes; nil means the paper's SimplifiedMKP.
+	// The baselines are flagsel.Greedy, Random and Ratio.
 	Selector flagsel.Selector
-	// Orderer solves S/C Opt Order; nil means the paper's MA-DFS.
+	// Orderer solves S/C Opt Order; nil means the paper's MA-DFS. The
+	// baselines are order.DFS, Kahn, SA and Separator.
 	Orderer order.Orderer
 	// InitialOrder seeds the loop; nil means a deterministic Kahn sort
 	// (GetTopologicalOrder in Algorithm 2).

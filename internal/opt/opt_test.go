@@ -132,7 +132,7 @@ func TestSolveAtLeastSingleShotMKPProperty(t *testing.T) {
 
 func TestSolveWithAllMethodCombos(t *testing.T) {
 	selectors := []flagsel.Selector{flagsel.MKP{}, flagsel.Greedy{}, flagsel.Random{Seed: 3}, flagsel.Ratio{}}
-	orderers := []order.Orderer{order.MADFS{}, order.DFS{Seed: 3}, order.SA{Seed: 3, Iterations: 200}, order.Separator{}}
+	orderers := []order.Orderer{order.MADFS{}, order.DFS{Seed: 3}, order.Kahn{}, order.SA{Seed: 3, Iterations: 200}, order.Separator{}}
 	p := testutil.Figure7()
 	for _, s := range selectors {
 		for _, o := range orderers {

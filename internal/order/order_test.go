@@ -215,17 +215,6 @@ func TestKahnMatchesGraphTopoSort(t *testing.T) {
 	}
 }
 
-func TestNewByRegisteredName(t *testing.T) {
-	for _, name := range []string{"ma-dfs", "dfs", "kahn", "sa", "separator"} {
-		if _, err := New(name, 1); err != nil {
-			t.Errorf("New(%q): %v", name, err)
-		}
-	}
-	if _, err := New("nope", 1); err == nil {
-		t.Error("unknown orderer accepted")
-	}
-}
-
 func TestMADFSOnFigure7ReleasesFlaggedQuickly(t *testing.T) {
 	p := testutil.Figure7()
 	// Flag v3 only: MA-DFS should still produce a valid order where v3's

@@ -14,7 +14,6 @@ import (
 	"github.com/shortcircuit-db/sc/internal/exec"
 	"github.com/shortcircuit-db/sc/internal/memcat"
 	"github.com/shortcircuit-db/sc/internal/metrics"
-	"github.com/shortcircuit-db/sc/internal/opt"
 	"github.com/shortcircuit-db/sc/internal/storage"
 	"github.com/shortcircuit-db/sc/internal/tpcds"
 )
@@ -128,7 +127,7 @@ func TestProblemPinned(t *testing.T) {
 // reports the knapsack's own numbers.
 func TestPlanSolvesTheProblemItExplains(t *testing.T) {
 	p := pinnedPipeline(t, true)
-	pr, plan, st, err := p.Plan(context.Background(), 1<<20, opt.Options{})
+	pr, plan, st, err := p.Plan(context.Background(), 1<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +245,7 @@ func TestPlanFixedPoint(t *testing.T) {
 		if _, err := p.Run(ctx, plan, RunEnv{Mem: memcat.New(budget)}); err != nil {
 			t.Fatal(err)
 		}
-		_, next, _, err := p.Plan(ctx, budget, opt.Options{})
+		_, next, _, err := p.Plan(ctx, budget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -148,11 +148,11 @@ func (p *Pipeline) Problem(memory int64) *Priced {
 }
 
 // Plan is the one solve of a refresh path: the pipeline's current Problem
-// under memory, run through S/C Opt. Zero Options are the paper's
-// algorithms.
-func (p *Pipeline) Plan(ctx context.Context, memory int64, o opt.Options) (*Priced, *core.Plan, *opt.Stats, error) {
+// under memory, run through the paper's Algorithm 2. observer, when
+// non-nil, receives an IterationDone event per alternating iteration.
+func (p *Pipeline) Plan(ctx context.Context, memory int64, observer obs.Observer) (*Priced, *core.Plan, *opt.Stats, error) {
 	pr := p.Problem(memory)
-	plan, st, err := opt.Solve(ctx, pr.Problem, o)
+	plan, st, err := opt.Solve(ctx, pr.Problem, opt.Options{Observer: observer})
 	return pr, plan, st, err
 }
 

@@ -122,6 +122,57 @@ func TestRefresherExplainAndAlerts(t *testing.T) {
 	}
 }
 
+// TestRefresherExplainsTheNextRun: Explain reports the plan the next Run
+// executes. Before the first Optimize that is the unoptimized baseline, so
+// nothing is flagged even under a budget the optimizer would use; after
+// Optimize every decision carries the session plan's flag.
+func TestRefresherExplainsTheNextRun(t *testing.T) {
+	ctx := context.Background()
+	store := sc.NewMemStore()
+	baseTables(t, store)
+	ref, err := sc.New(chainMVs(), store, sc.WithMemory(64<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ref.Explain(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ref.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran int
+	for _, n := range res.Nodes {
+		if n.Flagged {
+			ran++
+		}
+	}
+	if rep.FlaggedCount != ran || ran != 0 {
+		t.Fatalf("explain flags %d nodes, the next run flagged %d; want 0 and 0", rep.FlaggedCount, ran)
+	}
+
+	plan, _, err := ref.Optimize(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.FlaggedIDs()) == 0 {
+		t.Fatal("optimizer flagged nothing; the test compares no flags")
+	}
+	if rep, err = ref.Explain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	g := ref.Graph()
+	for _, d := range rep.Decisions {
+		if want := ref.Plan().Flagged[g.Lookup(d.Node)]; d.Flagged != want {
+			t.Errorf("%s: explain flagged=%v, plan flagged=%v", d.Node, d.Flagged, want)
+		}
+	}
+	if rep.FlaggedCount != len(plan.FlaggedIDs()) {
+		t.Errorf("explain flags %d nodes, plan %d", rep.FlaggedCount, len(plan.FlaggedIDs()))
+	}
+}
+
 // TestRefresherExplainPartsSumToScore: the read and write savings Explain
 // reports are the ones the score was built from — also once the score holds
 // an observed blocking write in place of the device model's. The first run

@@ -5,18 +5,16 @@ import (
 	"time"
 
 	"github.com/shortcircuit-db/sc/internal/encoding"
-	"github.com/shortcircuit-db/sc/internal/opt"
 	"github.com/shortcircuit-db/sc/internal/telemetry"
 )
 
-// Option configures New and Solve. Options apply in order; later options
+// Option configures New. Options apply in order; later options
 // override earlier ones.
 type Option func(*config)
 
 // config is the resolved option set.
 type config struct {
 	memory        int64
-	solve         opt.Options // strategies, iteration cap and observer, as S/C Opt takes them
 	observer      Observer
 	concurrency   int
 	device        DeviceProfile
@@ -62,37 +60,12 @@ func WithMemory(bytes int64) Option {
 	}
 }
 
-// WithFlagSelector sets the flagging strategy (S/C Opt Nodes). Nil means
-// the paper's SimplifiedMKP. Use SelectorByName for registered algorithms
-// (a randomized one takes its seed there) or pass a custom implementation.
-func WithFlagSelector(s Selector) Option {
-	return func(c *config) { c.solve.Selector = s }
-}
-
-// WithOrderer sets the ordering strategy (S/C Opt Order). Nil means the
-// paper's MA-DFS. Use OrdererByName for registered algorithms or pass a
-// custom implementation.
-func WithOrderer(o Orderer) Option {
-	return func(c *config) { c.solve.Orderer = o }
-}
-
-// WithMaxIterations caps alternating optimization. Zero means the default.
-func WithMaxIterations(n int) Option {
-	return func(c *config) {
-		if n < 0 {
-			c.fail("sc: negative MaxIterations %d", n)
-			return
-		}
-		c.solve.MaxIterations = n
-	}
-}
-
 // WithObserver subscribes obs to the session's event stream: node
 // execution, materialization, Memory Catalog evictions and high-water
 // marks, and optimizer iterations. The observer must be safe for
 // concurrent use when combined with WithConcurrency(k > 1).
 func WithObserver(obs Observer) Option {
-	return func(c *config) { c.observer, c.solve.Observer = obs, obs }
+	return func(c *config) { c.observer = obs }
 }
 
 // WithConcurrency sets the session's scheduler token budget to k — one

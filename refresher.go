@@ -144,7 +144,7 @@ func (r *Refresher) Problem() *Problem { return r.pipe.Problem(r.cfg.memory).Pro
 // Optimize re-plans the session from the observed execution metadata and
 // returns the new plan, which subsequent Run/Refresh calls execute.
 func (r *Refresher) Optimize(ctx context.Context) (*Plan, *Stats, error) {
-	_, plan, stats, err := r.pipe.Plan(ctx, r.cfg.memory, r.cfg.solve)
+	_, plan, stats, err := r.pipe.Plan(ctx, r.cfg.memory, r.cfg.observer)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -238,20 +238,18 @@ func (r *Refresher) AlertStats() AlertStats {
 // (split into read and write savings), raw vs
 // EWMA-predicted encoded bytes, the marginal byte cost at the node's
 // residency window that decided the flag, and what would flip the
-// decision. It explains the plan subsequent Run/Refresh calls would
-// execute — solving one first when the session has not optimized yet —
-// and re-decides nothing.
+// decision. It explains the plan the next Run executes — the unoptimized
+// baseline, nothing flagged, before the first Optimize — and re-decides
+// nothing.
 func (r *Refresher) Explain(ctx context.Context) (*ExplainReport, error) {
-	if plan := r.Plan(); plan != nil {
-		return r.pipe.Explain(r.pipe.Problem(r.cfg.memory), plan), nil
+	plan := r.Plan()
+	if plan == nil {
+		var err error
+		if plan, err = r.baselinePlan(); err != nil {
+			return nil, err
+		}
 	}
-	quiet := r.cfg.solve
-	quiet.Observer = nil // explaining is not optimizing: no IterationDone events
-	pr, plan, _, err := r.pipe.Plan(ctx, r.cfg.memory, quiet)
-	if err != nil {
-		return nil, err
-	}
-	return r.pipe.Explain(pr, plan), nil
+	return r.pipe.Explain(r.pipe.Problem(r.cfg.memory), plan), nil
 }
 
 // History returns the session run ledger's summaries, newest first, or nil

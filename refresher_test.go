@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,47 +50,6 @@ func TestNewValidatesInputs(t *testing.T) {
 	if _, err := sc.New(mvs, store, sc.WithMemory(-1)); err == nil {
 		t.Fatal("negative memory budget accepted")
 	}
-	if _, err := sc.New(mvs, store, sc.WithMaxIterations(-2)); err == nil {
-		t.Fatal("negative iteration cap accepted")
-	}
-}
-
-func TestUnknownRegistryNames(t *testing.T) {
-	if _, err := sc.SelectorByName("no-such-selector", 1); err == nil || !strings.Contains(err.Error(), "no-such-selector") {
-		t.Fatalf("err = %v, want unknown-selector error naming the input", err)
-	}
-	if _, err := sc.OrdererByName("no-such-orderer", 1); err == nil || !strings.Contains(err.Error(), "no-such-orderer") {
-		t.Fatalf("err = %v, want unknown-orderer error naming the input", err)
-	}
-}
-
-// The registries are process-global, so test registrations must happen at
-// most once even when the test binary reruns tests (-count > 1).
-var registerTestStrategies sync.Once
-
-func TestDuplicateRegisterPanics(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: no panic", name)
-			}
-		}()
-		f()
-	}
-	registerDupTestNames()
-	mustPanic("duplicate selector", func() {
-		sc.RegisterSelector("dup-sel-test", func(int64) sc.Selector { return nil })
-	})
-	mustPanic("duplicate orderer", func() {
-		sc.RegisterOrderer("DUP-ORD-TEST", func(int64) sc.Orderer { return nil }) // case-insensitive
-	})
-	mustPanic("empty selector name", func() {
-		sc.RegisterSelector("", func(int64) sc.Selector { return nil })
-	})
-	mustPanic("nil orderer factory", func() {
-		sc.RegisterOrderer("nil-factory-test", nil)
-	})
 }
 
 func TestSolveHonorsCancelledContext(t *testing.T) {
@@ -133,88 +90,6 @@ func TestCancelStopsRefreshMidRun(t *testing.T) {
 	// The tail of the chain must not have been materialized.
 	if _, err := sc.LoadTable(store, "m4"); err == nil {
 		t.Fatal("m4 materialized despite cancellation")
-	}
-}
-
-// registerDupTestNames registers the throwaway strategies used by the
-// duplicate-registration and custom-selector tests, once per process.
-func registerDupTestNames() {
-	registerTestStrategies.Do(func() {
-		sc.RegisterSelector("dup-sel-test", func(int64) sc.Selector { return nil })
-		sc.RegisterOrderer("dup-ord-test", func(int64) sc.Orderer { return nil })
-		sc.RegisterSelector("root-flagger", func(int64) sc.Selector { return rootFlagger{} })
-	})
-}
-
-// rootFlaggerInvocations counts Select calls across the process; the
-// registered factory has to outlive any single test run.
-var rootFlaggerInvocations atomic.Int32
-
-// rootFlagger is a custom Selector implemented purely against the public
-// API surface (aliases make the internal types nameable).
-type rootFlagger struct{}
-
-func (rootFlagger) Name() string { return "root-flagger" }
-
-func (rootFlagger) Select(p *sc.Problem, order []sc.NodeID) (*sc.Plan, error) {
-	rootFlaggerInvocations.Add(1)
-	pl := &sc.Plan{Order: append([]sc.NodeID(nil), order...), Flagged: make([]bool, len(order))}
-	for i := range pl.Flagged {
-		id := sc.NodeID(i)
-		if len(p.G.Parents(id)) == 0 && p.Sizes[i] <= p.Memory {
-			pl.Flagged[i] = true
-		}
-	}
-	return pl, nil
-}
-
-func TestCustomRegisteredSelectorEndToEnd(t *testing.T) {
-	registerDupTestNames()
-	rootFlaggerInvocations.Store(0)
-	sel, err := sc.SelectorByName("Root-Flagger", 0) // case-insensitive lookup
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := sc.NewMemStore()
-	baseTables(t, store)
-	ref, err := sc.New(chainMVs(), store,
-		sc.WithMemory(64<<20),
-		sc.WithFlagSelector(sel),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	// First refresh runs the baseline and re-plans with the custom selector.
-	if _, err := ref.Refresh(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if rootFlaggerInvocations.Load() == 0 {
-		t.Fatal("custom selector never invoked")
-	}
-	plan := ref.Plan()
-	if plan == nil {
-		t.Fatal("no plan after Refresh")
-	}
-	rootID := ref.Graph().Lookup("m1")
-	if !plan.Flagged[rootID] {
-		t.Fatal("custom selector's root flag not in the session plan")
-	}
-	// Second run executes that plan: m1 must be served from memory.
-	res, err := ref.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m1Flagged bool
-	var memReads int
-	for _, nm := range res.Nodes {
-		if nm.Name == "m1" {
-			m1Flagged = nm.Flagged
-		}
-		memReads += nm.MemReads
-	}
-	if !m1Flagged || memReads == 0 {
-		t.Fatalf("custom plan not executed end-to-end: m1 flagged=%v, memory reads=%d", m1Flagged, memReads)
 	}
 }
 

@@ -19,10 +19,11 @@
 //	...
 //	res, err := ref.Refresh(ctx) // run, record metadata, re-optimize
 //
-// Refreshes honor ctx cancellation and deadlines mid-run. Flagging and
-// ordering strategies are pluggable: implement Selector or Orderer,
-// register them with RegisterSelector/RegisterOrderer, and pass them via
-// WithFlagSelector/WithOrderer.
+// Refreshes honor ctx cancellation and deadlines mid-run. Every plan comes
+// from the paper's optimizer, Algorithm 2: the SimplifiedMKP knapsack
+// alternating with MA-DFS. The baselines it is evaluated against are not
+// session options; cmd/scopt runs them by name and cmd/scbench in the
+// paper's experiments.
 //
 // For pure optimization problems (no SQL, no storage) build a Problem with
 // GraphBuilder and call Solve:
@@ -44,9 +45,7 @@ import (
 	"github.com/shortcircuit-db/sc/internal/costmodel"
 	"github.com/shortcircuit-db/sc/internal/dag"
 	"github.com/shortcircuit-db/sc/internal/encoding"
-	"github.com/shortcircuit-db/sc/internal/flagsel"
 	"github.com/shortcircuit-db/sc/internal/opt"
-	"github.com/shortcircuit-db/sc/internal/order"
 )
 
 // NodeID identifies a node in a workload graph.
@@ -90,50 +89,6 @@ const (
 // environment (§VI-A), with bandwidths expressed as effective table-I/O
 // throughput.
 func PaperProfile() DeviceProfile { return costmodel.PaperProfile() }
-
-// Selector chooses which node outputs to keep in the Memory Catalog for a
-// fixed execution order (S/C Opt Nodes, Problem 2 of the paper). Built-in
-// implementations are available via SelectorByName: "mkp" (the paper's
-// SimplifiedMKP, the default), "greedy", "random", "ratio".
-type Selector = flagsel.Selector
-
-// Orderer produces a topological execution order given the flagged set
-// (S/C Opt Order, Problem 3 of the paper). Built-in implementations are
-// available via OrdererByName: "ma-dfs" (the paper's, the default), "dfs",
-// "kahn", "sa", "separator".
-type Orderer = order.Orderer
-
-// RegisterSelector makes a custom flagging strategy available under name
-// (case-insensitive) to SelectorByName and to anything that looks
-// strategies up by name (cmd/scopt JSON inputs, config files). The factory
-// receives the seed passed at lookup. It panics if name is empty or already
-// registered.
-func RegisterSelector(name string, factory func(seed int64) Selector) {
-	flagsel.Register(name, factory)
-}
-
-// RegisterOrderer makes a custom ordering strategy available under name
-// (case-insensitive). The factory receives the seed passed at lookup. It
-// panics if name is empty or already registered.
-func RegisterOrderer(name string, factory func(seed int64) Orderer) {
-	order.Register(name, factory)
-}
-
-// SelectorByName returns the registered selector, seeding randomized ones.
-func SelectorByName(name string, seed int64) (Selector, error) {
-	return flagsel.New(name, seed)
-}
-
-// OrdererByName returns the registered orderer, seeding randomized ones.
-func OrdererByName(name string, seed int64) (Orderer, error) {
-	return order.New(name, seed)
-}
-
-// SelectorNames lists registered selector names, sorted.
-func SelectorNames() []string { return flagsel.Names() }
-
-// OrdererNames lists registered orderer names, sorted.
-func OrdererNames() []string { return order.Names() }
 
 // GraphBuilder assembles a Problem incrementally.
 type GraphBuilder struct {
@@ -184,18 +139,13 @@ func EstimateScores(p *Problem, d DeviceProfile) {
 // the StopReason.
 type Stats = opt.Stats
 
-// Solve solves S/C Opt (Problem 1 of the paper) and returns a feasible
-// plan: a topological execution order and a flagged set whose peak resident
-// size never exceeds the Memory Catalog budget. The context is honored
-// between alternating-optimization iterations. Recognized options:
-// WithFlagSelector, WithOrderer, WithMaxIterations, WithObserver
-// (IterationDone events).
-func Solve(ctx context.Context, p *Problem, opts ...Option) (*Plan, *Stats, error) {
-	cfg, err := newConfig(opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return opt.Solve(ctx, p, cfg.solve)
+// Solve solves S/C Opt (Problem 1 of the paper) with the paper's
+// Algorithm 2 and returns a feasible plan: a topological execution order
+// and a flagged set whose peak resident size never exceeds the Memory
+// Catalog budget. The context is honored between alternating-optimization
+// iterations.
+func Solve(ctx context.Context, p *Problem) (*Plan, *Stats, error) {
+	return opt.Solve(ctx, p, opt.Options{})
 }
 
 // Feasible reports whether the plan's flagged set fits in the problem's

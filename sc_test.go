@@ -2,11 +2,15 @@ package sc_test
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	sc "github.com/shortcircuit-db/sc"
+	"github.com/shortcircuit-db/sc/internal/flagsel"
+	"github.com/shortcircuit-db/sc/internal/opt"
+	"github.com/shortcircuit-db/sc/internal/order"
 	"github.com/shortcircuit-db/sc/internal/table"
 )
 
@@ -50,34 +54,27 @@ func TestOptimizePublicAPI(t *testing.T) {
 	}
 }
 
+// sc.Solve takes no strategy: it must select the paper's algorithms,
+// SimplifiedMKP for S/C Opt Nodes and MA-DFS for S/C Opt Order.
 func TestSolveAlgorithmSelection(t *testing.T) {
 	b, _ := figure7Builder()
-	p := b.Problem(100 * gb)
-	for _, flagAlg := range sc.SelectorNames() {
-		for _, ordAlg := range sc.OrdererNames() {
-			sel, err := sc.SelectorByName(flagAlg, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ord, err := sc.OrdererByName(ordAlg, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plan, _, err := sc.Solve(context.Background(), p,
-				sc.WithFlagSelector(sel), sc.WithOrderer(ord))
-			if err != nil {
-				t.Fatalf("%s+%s: %v", flagAlg, ordAlg, err)
-			}
-			if !sc.Feasible(p, plan) {
-				t.Fatalf("%s+%s: infeasible", flagAlg, ordAlg)
-			}
+	for _, memory := range []int64{10 * gb, 100 * gb, 150 * gb, 300 * gb} {
+		p := b.Problem(memory)
+		plan, _, err := sc.Solve(context.Background(), p)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := sc.SelectorByName("nope", 0); err == nil {
-		t.Fatal("unknown flag algorithm accepted")
-	}
-	if _, err := sc.OrdererByName("nope", 0); err == nil {
-		t.Fatal("unknown order algorithm accepted")
+		want, _, err := opt.Solve(context.Background(), p,
+			opt.Options{Selector: flagsel.MKP{}, Orderer: order.MADFS{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plan, want) {
+			t.Fatalf("memory %d: sc.Solve = %+v, want MKP+MA-DFS's %+v", memory, plan, want)
+		}
+		if !sc.Feasible(p, plan) {
+			t.Fatalf("memory %d: infeasible", memory)
+		}
 	}
 }
 
