@@ -2,20 +2,17 @@ package encoding
 
 import "github.com/shortcircuit-db/sc/internal/table"
 
-// This file implements the dictionary-remap views behind the kernel-side
-// hash join (internal/kernels): every chunk of a dictionary-encoded column
-// carries its own local entry table, so joining two columns in code space
-// needs a translation of chunk-local codes into one shared key space. A
-// KeyDict is that shared space; RemapAdd/RemapLookup translate a chunk's
-// dictionary through it. The intersection property is what makes the join
-// cheap: a probe-side entry absent from the build side maps to -1, and
-// every row carrying that code is dropped before any value materializes.
+// This file implements the shared key space behind the kernel-side hash
+// join (internal/kernels): both join inputs intern their key values into
+// one KeyDict per key position, so the build table is keyed by dense ids
+// and a probe key the build side never interned is known absent (-1)
+// before any other column of its row decodes.
 
 // KeyDict is a growing dictionary of join-key values shared across chunks
 // (and across both join inputs). Ids are dense, assigned in insertion
-// order; only equality of ids is meaningful. It holds INT or STRING keys —
-// the types the dict codec encodes; float keys stay on the row engine,
-// which owns their NaN/negative-zero bucketing.
+// order; only equality of ids is meaningful. It holds INT or STRING keys;
+// float keys stay on the row engine, which owns their NaN/negative-zero
+// bucketing.
 type KeyDict struct {
 	typ  table.Type
 	ints map[int64]int
@@ -33,40 +30,22 @@ func NewKeyDict(t table.Type) *KeyDict {
 	return kd
 }
 
-// Len returns the number of distinct keys seen.
-func (kd *KeyDict) Len() int {
-	if kd.typ == table.Int {
-		return len(kd.ints)
-	}
-	return len(kd.strs)
-}
-
-// AddInt interns an int key, returning its id.
-func (kd *KeyDict) AddInt(x int64) int {
-	id, ok := kd.ints[x]
-	if !ok {
-		id = len(kd.ints)
-		kd.ints[x] = id
-	}
-	return id
-}
-
-// AddStr interns a string key, returning its id.
-func (kd *KeyDict) AddStr(s string) int {
-	id, ok := kd.strs[s]
-	if !ok {
-		id = len(kd.strs)
-		kd.strs[s] = id
-	}
-	return id
-}
-
 // Add interns a value of the dictionary's type, returning its id.
 func (kd *KeyDict) Add(v table.Value) int {
 	if kd.typ == table.Int {
-		return kd.AddInt(v.I)
+		id, ok := kd.ints[v.I]
+		if !ok {
+			id = len(kd.ints)
+			kd.ints[v.I] = id
+		}
+		return id
 	}
-	return kd.AddStr(v.S)
+	id, ok := kd.strs[v.S]
+	if !ok {
+		id = len(kd.strs)
+		kd.strs[v.S] = id
+	}
+	return id
 }
 
 // Lookup returns the id of a value, or -1 when it was never added — the
@@ -82,47 +61,4 @@ func (kd *KeyDict) Lookup(v table.Value) int {
 		return id
 	}
 	return -1
-}
-
-// RemapAdd translates the chunk's dictionary into kd's shared key space,
-// inserting entries kd has not seen: out[localCode] is the shared id of the
-// entry. Build sides of a code-space hash join use it, touching each
-// distinct value once regardless of how many rows carry it.
-func (d *DictView) RemapAdd(kd *KeyDict) []int {
-	out := make([]int, d.Card())
-	if d.Type == table.Int {
-		for code, x := range d.Ints {
-			out[code] = kd.AddInt(x)
-		}
-	} else {
-		for code, s := range d.Strs {
-			out[code] = kd.AddStr(s)
-		}
-	}
-	return out
-}
-
-// RemapLookup is RemapAdd without insertion: local codes whose entry is
-// absent from kd map to -1. This is the dictionary-intersection view — a
-// probe row whose code remaps to -1 is dropped before any decode.
-func (d *DictView) RemapLookup(kd *KeyDict) []int {
-	out := make([]int, d.Card())
-	if d.Type == table.Int {
-		for code, x := range d.Ints {
-			if id, ok := kd.ints[x]; ok {
-				out[code] = id
-			} else {
-				out[code] = -1
-			}
-		}
-	} else {
-		for code, s := range d.Strs {
-			if id, ok := kd.strs[s]; ok {
-				out[code] = id
-			} else {
-				out[code] = -1
-			}
-		}
-	}
-	return out
 }

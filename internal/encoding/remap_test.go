@@ -6,29 +6,14 @@ import (
 	"github.com/shortcircuit-db/sc/internal/table"
 )
 
-// dictChunkOf encodes a vector with the dict codec and parses it back into
-// a DictView.
-func dictChunkOf(t *testing.T, v *table.Vector) *DictView {
-	t.Helper()
-	payload, err := codecs[Dict].Encode(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dv, err := ParseDict(Chunk{Codec: Dict, Rows: v.Len(), Data: payload}, v.Type)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dv
-}
-
 func TestKeyDictAddLookup(t *testing.T) {
 	kd := NewKeyDict(table.Int)
-	a := kd.AddInt(7)
-	b := kd.AddInt(9)
+	a := kd.Add(table.IntValue(7))
+	b := kd.Add(table.IntValue(9))
 	if a == b {
 		t.Fatal("distinct keys got the same id")
 	}
-	if kd.AddInt(7) != a {
+	if kd.Add(table.IntValue(7)) != a {
 		t.Fatal("re-adding a key changed its id")
 	}
 	if kd.Lookup(table.IntValue(9)) != b {
@@ -37,96 +22,16 @@ func TestKeyDictAddLookup(t *testing.T) {
 	if kd.Lookup(table.IntValue(42)) != -1 {
 		t.Fatal("absent key did not map to -1")
 	}
-	if kd.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", kd.Len())
-	}
 
 	ks := NewKeyDict(table.Str)
-	x := ks.AddStr("ale")
-	if ks.Add(table.StrValue("ale")) != x {
-		t.Fatal("Add(Value) disagrees with AddStr")
+	x := ks.Add(table.StrValue("ale"))
+	if ks.Add(table.StrValue("bock")) == x {
+		t.Fatal("distinct string keys got the same id")
 	}
-	if ks.Lookup(table.StrValue("bock")) != -1 {
+	if ks.Lookup(table.StrValue("ale")) != x {
+		t.Fatal("Lookup disagrees with Add for a string key")
+	}
+	if ks.Lookup(table.StrValue("stout")) != -1 {
 		t.Fatal("absent string key did not map to -1")
-	}
-}
-
-// TestRemapIntersection: two chunks with different local dictionaries remap
-// into one shared space; entries on only one side map to -1 on lookup.
-func TestRemapIntersection(t *testing.T) {
-	build := dictChunkOf(t, &table.Vector{Type: table.Str,
-		Strs: []string{"ale", "bock", "ale", "stout"}})
-	probe := dictChunkOf(t, &table.Vector{Type: table.Str,
-		Strs: []string{"stout", "porter", "ale", "porter"}})
-
-	kd := NewKeyDict(table.Str)
-	bIDs := build.RemapAdd(kd)
-	if len(bIDs) != 3 || kd.Len() != 3 {
-		t.Fatalf("build remap: ids=%v len=%d", bIDs, kd.Len())
-	}
-	pIDs := probe.RemapLookup(kd)
-	// Probe dict order is first appearance: stout, porter, ale.
-	if pIDs[1] != -1 {
-		t.Fatalf("porter should be absent from the build side, got id %d", pIDs[1])
-	}
-	if pIDs[0] == -1 || pIDs[2] == -1 {
-		t.Fatalf("stout/ale should intersect, got %v", pIDs)
-	}
-	// Shared ids agree across sides: probe's "ale" id equals build's.
-	aleBuild := bIDs[0] // build dict order: ale, bock, stout
-	if pIDs[2] != aleBuild {
-		t.Fatalf("ale remapped to %d on probe, %d on build", pIDs[2], aleBuild)
-	}
-	if pIDs[0] != bIDs[2] {
-		t.Fatalf("stout remapped to %d on probe, %d on build", pIDs[0], bIDs[2])
-	}
-}
-
-// TestRemapIntChunks drives the int path across several chunks sharing one
-// KeyDict, mimicking the per-row-group translation the join kernel does.
-func TestRemapIntChunks(t *testing.T) {
-	kd := NewKeyDict(table.Int)
-	var all []int
-	for chunk := 0; chunk < 4; chunk++ {
-		v := &table.Vector{Type: table.Int}
-		for i := 0; i < 16; i++ {
-			v.Ints = append(v.Ints, int64((chunk*5+i)%11))
-		}
-		dv := dictChunkOf(t, v)
-		ids := dv.RemapAdd(kd)
-		codes, err := dv.Codes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range codes {
-			all = append(all, ids[c])
-		}
-	}
-	if kd.Len() != 11 {
-		t.Fatalf("KeyDict has %d entries, want 11", kd.Len())
-	}
-	// Remapped per-row ids must reproduce value equality across chunks.
-	seen := map[int64]int{}
-	idx := 0
-	for chunk := 0; chunk < 4; chunk++ {
-		for i := 0; i < 16; i++ {
-			val := int64((chunk*5 + i) % 11)
-			if prev, ok := seen[val]; ok {
-				if all[idx] != prev {
-					t.Fatalf("value %d has ids %d and %d", val, prev, all[idx])
-				}
-			} else {
-				seen[val] = all[idx]
-			}
-			idx++
-		}
-	}
-	for val, id := range seen {
-		if got := kd.Lookup(table.IntValue(val)); got != id {
-			t.Fatalf("Lookup(%d) = %d, want %d", val, got, id)
-		}
-	}
-	if kd.Lookup(table.IntValue(999)) != -1 {
-		t.Fatal("absent int key did not map to -1")
 	}
 }

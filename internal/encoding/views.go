@@ -9,9 +9,10 @@ import (
 // This file exposes structural views of encoded chunk payloads so the
 // compressed-execution kernels (internal/kernels) can work in the encoded
 // domain: dictionary chunks hand out their entry table plus bit-packed
-// codes (values never materialize for rows a predicate rejects), and RLE
-// chunks hand out their runs (aggregates consume run lengths without
-// expanding them). The payload layouts are read by the codecs' own readers
+// codes (a row's value is looked up only when it is read, and a join passes
+// codes through to its chunked output), and RLE chunks hand out their runs
+// (a filter decides each run once, readers walk runs without expanding
+// them). The payload layouts are read by the codecs' own readers
 // in codecs.go (readDict, readRuns); a view is what such a reader returns,
 // kept instead of expanded.
 

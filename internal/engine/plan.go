@@ -364,28 +364,18 @@ type aggGroup struct {
 // the compressed-execution kernels (internal/kernels) share the row
 // engine's grouping, accumulation and output-ordering semantics by
 // construction: Aggregate.Run itself is implemented on top of it, and a
-// kernel feeding the same rows in the same order produces a byte-identical
-// result table.
+// kernel feeding the same rows in the same order through Add produces a
+// byte-identical result table.
 type AggAcc struct {
 	a      *Aggregate
 	groups map[string]*aggGroup
 	order  []string
 	key    []byte // reused group-key buffer
-	// sumFLive marks specs whose float accumulator is output-relevant, so
-	// AddRepeat knows when it must reproduce bit-exact repeated addition
-	// and when a closed form suffices.
-	sumFLive []bool
 }
 
 // NewAcc returns an empty accumulator for the aggregate.
 func (a *Aggregate) NewAcc() *AggAcc {
-	acc := &AggAcc{a: a, groups: make(map[string]*aggGroup)}
-	for si, spec := range a.Aggs {
-		outType := a.sch.Cols[len(a.GroupBy)+si].Type
-		acc.sumFLive = append(acc.sumFLive,
-			spec.Func == AggAvg || (spec.Func == AggSum && outType == table.Float))
-	}
-	return acc
+	return &AggAcc{a: a, groups: make(map[string]*aggGroup)}
 }
 
 // group finds or creates the group for the current input row. The map
@@ -413,43 +403,25 @@ func (acc *AggAcc) group(row []table.Value) *aggGroup {
 
 // Add folds one input row into the accumulator.
 func (acc *AggAcc) Add(row []table.Value) error {
-	return acc.AddRepeat(row, 1)
-}
-
-// AddRepeat folds n identical input rows into the accumulator, as if Add
-// were called n times: counts and integer sums accumulate in closed form,
-// while output-relevant float sums repeat the addition so the result stays
-// bit-identical to the row-at-a-time engine. RLE aggregation kernels use
-// it to consume a run without expanding it.
-func (acc *AggAcc) AddRepeat(row []table.Value, n int) error {
-	if n <= 0 {
-		return nil
-	}
 	grp := acc.group(row)
 	for si, spec := range acc.a.Aggs {
 		st := &grp.states[si]
+		st.count++
 		if spec.Func == AggCount && spec.Arg == nil {
-			st.count += int64(n)
 			continue
 		}
 		v, err := spec.Arg.Eval(row)
 		if err != nil {
 			return fmt.Errorf("engine: agg %q: %w", spec.Name, err)
 		}
-		st.count += int64(n)
 		switch spec.Func {
 		case AggSum, AggAvg:
 			if v.Type == table.Str {
 				return fmt.Errorf("engine: %s over STRING", aggNames[spec.Func])
 			}
-			if acc.sumFLive[si] {
-				f := v.AsFloat()
-				for r := 0; r < n; r++ {
-					st.sumF += f
-				}
-			}
+			st.sumF += v.AsFloat()
 			if v.Type == table.Int {
-				st.sumI += v.I * int64(n)
+				st.sumI += v.I
 			}
 		case AggMin, AggMax:
 			if !st.haveExt {
@@ -465,58 +437,6 @@ func (acc *AggAcc) AddRepeat(row []table.Value, n int) error {
 		}
 	}
 	return nil
-}
-
-// ExactMergeable reports whether partial accumulators for this aggregate
-// merge without changing the result's bytes. Counts, integer sums and
-// Compare-based min/max are order-insensitive; an output-relevant float
-// sum (AVG, or SUM with a float result) is not — its value depends on the
-// exact addition order — so such aggregates must accumulate serially.
-func (acc *AggAcc) ExactMergeable() bool {
-	for _, live := range acc.sumFLive {
-		if live {
-			return false
-		}
-	}
-	return true
-}
-
-// Merge folds another accumulator for the same aggregate into acc,
-// preserving first-appearance group order: groups already in acc keep
-// their position, and other's new groups append in other's own order. The
-// chunk-parallel aggregation kernel merges per-partition accumulators in
-// partition order, which makes the merged result identical to a serial
-// pass whenever ExactMergeable holds.
-func (acc *AggAcc) Merge(other *AggAcc) {
-	for _, k := range other.order {
-		og := other.groups[k]
-		grp, ok := acc.groups[k]
-		if !ok {
-			acc.groups[k] = og
-			acc.order = append(acc.order, k)
-			continue
-		}
-		for si := range grp.states {
-			st, os := &grp.states[si], &og.states[si]
-			st.count += os.count
-			st.sumI += os.sumI
-			st.sumF += os.sumF
-			if os.haveExt {
-				if !st.haveExt {
-					st.min, st.max, st.haveExt = os.min, os.max, true
-					continue
-				}
-				// Strict comparisons keep acc's (earlier partition's) value
-				// on ties, matching what serial accumulation would have kept.
-				if c, err := os.min.Compare(st.min); err == nil && c < 0 {
-					st.min = os.min
-				}
-				if c, err := os.max.Compare(st.max); err == nil && c > 0 {
-					st.max = os.max
-				}
-			}
-		}
-	}
 }
 
 // Result builds the output table: group keys in first-appearance order,

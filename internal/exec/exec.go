@@ -116,11 +116,11 @@ type NodeMetrics struct {
 	LoweredOps       int64 // plan operators served by kernels
 	KernelFallbacks  int64 // kernel executions that reverted to the row engine
 	ChunksSkipped    int64 // column-chunks eliminated without decoding
-	CodeFilteredRows int64 // rows filtered on encoded codes/runs
+	CodeFilteredRows int64 // rows filtered once per RLE run
 	DecodesAvoided   int64 // column-chunk decodes avoided
 	KernelBytes      int64 // raw bytes the kernels materialized
-	JoinBuildRows    int64 // rows hashed into code-space join build tables
-	JoinProbeRows    int64 // rows probed against code-space join build tables
+	JoinBuildRows    int64 // rows hashed into kernel join build tables
+	JoinProbeRows    int64 // rows probed against kernel join build tables
 
 	// Compressed intermediate pipeline counters (zero unless the node's
 	// output left a kernel as chunks).

@@ -202,7 +202,9 @@ func keyedTable(t *testing.T, rows int) *table.Table {
 // TestOneReadPerInputOnEveryPath runs a single node over one base table
 // through each way the Controller can consume it.
 func TestOneReadPerInputOnEveryPath(t *testing.T) {
-	const filterSQL = "SELECT k, v FROM t WHERE grp = 'b'"
+	// An aggregate over the scan: the shape the kernels take from a chunked
+	// input (a filter over a scan keeps the row engine).
+	const aggSQL = "SELECT grp, SUM(v) AS v FROM t GROUP BY grp"
 	opts := encoding.Options{ChunkRows: 64}
 	for _, tc := range []struct {
 		name       string
@@ -212,10 +214,10 @@ func TestOneReadPerInputOnEveryPath(t *testing.T) {
 		decodes    int  // whole-table decodes of a chunked file
 		fallback   bool // the kernels revert to the row engine
 	}{
-		{"row path, v1 file", false, false, filterSQL, 0, false},
-		{"row path, chunked file", true, false, filterSQL, 1, false},
-		{"kernels, chunked file", true, true, filterSQL, 0, false},
-		{"kernels fall back on a v1 file", false, true, filterSQL, 0, true},
+		{"row path, v1 file", false, false, aggSQL, 0, false},
+		{"row path, chunked file", true, false, aggSQL, 1, false},
+		{"kernels, chunked file", true, true, aggSQL, 0, false},
+		{"kernels fall back on a v1 file", false, true, aggSQL, 0, true},
 		{"self-join, v1 file", false, false, "SELECT a.k AS k, b.v AS v FROM t a JOIN t b ON a.k = b.k", 0, false},
 		{"self-join, chunked file", true, false, "SELECT a.k AS k, b.v AS v FROM t a JOIN t b ON a.k = b.k", 1, false},
 	} {
@@ -291,7 +293,7 @@ func TestCatalogResidentInputReadsNothing(t *testing.T) {
 			if err := mem.PutEntry("t", entry); err != nil {
 				t.Fatal(err)
 			}
-			w := &exec.Workload{Nodes: []exec.NodeSpec{{Name: "out", SQL: "SELECT k, v FROM t WHERE grp = 'b'"}}}
+			w := &exec.Workload{Nodes: []exec.NodeSpec{{Name: "out", SQL: "SELECT grp, COUNT(*) AS n FROM t GROUP BY grp"}}}
 			g, _, err := w.BuildGraph()
 			if err != nil {
 				t.Fatal(err)
@@ -309,8 +311,8 @@ func TestCatalogResidentInputReadsNothing(t *testing.T) {
 				t.Fatalf("%d reads of a catalog-resident input: %v", total, per)
 			}
 			n := res.Nodes[0]
-			if n.DiskReads != 0 || n.MemReads != 1 || n.Rows != 100 {
-				t.Fatalf("DiskReads = %d, MemReads = %d, Rows = %d, want 0, 1, 100", n.DiskReads, n.MemReads, n.Rows)
+			if n.DiskReads != 0 || n.MemReads != 1 || n.Rows != 3 {
+				t.Fatalf("DiskReads = %d, MemReads = %d, Rows = %d, want 0, 1, 3", n.DiskReads, n.MemReads, n.Rows)
 			}
 			if decodes.n != tc.decodes {
 				t.Fatalf("%d whole-entry decodes, want %d", decodes.n, tc.decodes)

@@ -15,9 +15,10 @@ import (
 	"github.com/shortcircuit-db/sc/internal/table"
 )
 
-// vecWorkload exercises every lowering rule: filter over a base scan,
-// aggregates (with and without a filter beneath), a join with a one-sided
-// pushable predicate, and downstream nodes reading flagged compressed MVs.
+// vecWorkload exercises every lowering rule, and the shapes that keep the
+// row engine beside them: a filter over a base scan, aggregates (with and
+// without a filter beneath), a join whose pushed-down side filters read
+// run-length chunks, and downstream nodes reading flagged compressed MVs.
 func vecWorkload() *Workload {
 	return &Workload{Nodes: []NodeSpec{
 		{Name: "hot", SQL: `SELECT * FROM events WHERE kind = 'click' AND amount > 2`},
@@ -43,7 +44,7 @@ func vecBaseTables(t *testing.T) map[string]*table.Table {
 		if err := events.AppendRow(
 			table.StrValue(kinds[i%len(kinds)]),
 			table.FloatValue(float64(i%17)/2),
-			table.IntValue(int64(i%5)),
+			table.IntValue(int64(i/100)), // long runs: run-length chunks
 		); err != nil {
 			t.Fatal(err)
 		}

@@ -246,7 +246,7 @@ type Run struct {
 	nodes      int
 	flagged    int
 	fallbacks  int
-	leftover   int64 // bytes the detach sweep had to credit back
+	leaked     int64 // bytes the run left in the shared pool, credited back by Detach
 	actualPeak int64 // run catalog high-water mark, vs the reservation
 }
 
@@ -269,6 +269,7 @@ type RunStatus struct {
 	Nodes            int       `json:"nodes,omitempty"`
 	Flagged          int       `json:"flagged,omitempty"`
 	FallbackWrites   int       `json:"fallback_writes,omitempty"`
+	LeakedBytes      int64     `json:"leaked_bytes,omitempty"` // left in the shared pool at the end; 0 unless a bug leaks
 	Error            string    `json:"error,omitempty"`
 	EventsDropped    int64     `json:"events_dropped,omitempty"`
 }
@@ -295,7 +296,7 @@ func (r *Run) status() RunStatus {
 		ActualPeakBytes: r.actualPeak, EnqueuedAt: r.enqueuedAt,
 		StartedAt: r.startedAt, FinishedAt: r.finishedAt,
 		Nodes: r.nodes, Flagged: r.flagged, FallbackWrites: r.fallbacks,
-		Error: r.errMsg, EventsDropped: r.events.droppedCount(),
+		LeakedBytes: r.leaked, Error: r.errMsg, EventsDropped: r.events.droppedCount(),
 	}
 	if !r.startedAt.IsZero() {
 		st.QueueWaitSeconds = r.startedAt.Sub(r.enqueuedAt).Seconds()
@@ -814,7 +815,7 @@ func (s *Server) execute(ctx context.Context, r *Run, plan *core.Plan) {
 
 	actualPeak := cat.Peak() // before Detach zeroes the accounting
 	s.harvestEvictions(r, cat)
-	leftover := cat.Detach()
+	leaked := cat.Detach()
 	s.adm.finish(r.p.tenant, r.p.Name, r.need, r.tokens)
 
 	now := s.cfg.Clock()
@@ -835,7 +836,7 @@ func (s *Server) execute(ctx context.Context, r *Run, plan *core.Plan) {
 	r.mu.Lock()
 	r.cat = nil
 	r.cancelRun = nil
-	r.leftover = leftover
+	r.leaked = leaked
 	r.actualPeak = actualPeak
 	if runErr != nil {
 		r.errMsg = runErr.Error()
@@ -889,6 +890,7 @@ func (s *Server) finishTrace(r *Run, now time.Time, state string) {
 	r.trace.SetRootAttrs(
 		telemetry.Str("sc.state", state),
 		telemetry.Int("sc.actual_peak_bytes", st.ActualPeakBytes),
+		telemetry.Int("sc.leaked_bytes", st.LeakedBytes),
 	)
 	meta := ledger.Meta{
 		RunID: r.id, Tenant: r.p.tenant, Outcome: state,

@@ -125,9 +125,20 @@ func TestGatewayEndToEnd(t *testing.T) {
 	if st.Nodes != 3 {
 		t.Fatalf("nodes = %d, want 3", st.Nodes)
 	}
+	// The run left nothing in the shared pool, and its trace says so.
+	if st.LeakedBytes != 0 {
+		t.Fatalf("run leaked %d bytes into the shared pool", st.LeakedBytes)
+	}
+	trace, err := s.RunTrace(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := trace.Spans[0].Attrs["sc.leaked_bytes"]; got != int64(0) {
+		t.Fatalf("root span sc.leaked_bytes = %v, want 0", got)
+	}
 
 	// Status endpoint agrees.
-	resp, err := http.Get(ts.URL + "/v1/runs/" + st.ID)
+	resp, err = http.Get(ts.URL + "/v1/runs/" + st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,6 +313,9 @@ func TestGatewayCancelQueuedRun(t *testing.T) {
 	if s.pool.Reserved() != 0 {
 		t.Fatalf("reserved = %d after both runs ended", s.pool.Reserved())
 	}
+	if leaked := r1.Status().LeakedBytes + got.LeakedBytes; leaked != 0 {
+		t.Fatalf("canceled runs leaked %d bytes into the shared pool", leaked)
+	}
 }
 
 // TestGatewayWaitDisconnectCancels verifies the wait-mode contract: a
@@ -339,6 +353,9 @@ func TestGatewayWaitDisconnectCancels(t *testing.T) {
 	}
 	if got := s.pool.Used(); got != 0 {
 		t.Fatalf("used = %d after terminal run", got)
+	}
+	if st.LeakedBytes != 0 {
+		t.Fatalf("canceled run leaked %d bytes into the shared pool", st.LeakedBytes)
 	}
 	_ = ts
 }
@@ -435,11 +452,12 @@ func TestGatewaySeedTPCDS(t *testing.T) {
 
 // TestQueryMVLimitRows reads an MV stored as several row groups (and as a
 // v1 file) at limits around the group boundary: the rows are the first
-// limit rows of the table whichever way QueryMV decoded them.
+// limit rows of the table whichever way QueryMV decoded them. Over HTTP, an
+// absent limit or 0 returns every row and a negative one is a 400.
 func TestQueryMVLimitRows(t *testing.T) {
 	const rows, chunkRows = 200, 64
 	mem := storage.NewMemStore()
-	s, _ := newTestGateway(t, Config{NewStore: func(string) storage.Store { return mem }})
+	s, ts := newTestGateway(t, Config{NewStore: func(string) storage.Store { return mem }})
 	if err := s.Register(PipelineSpec{
 		Name: "p", Tenant: "t",
 		MVs:    pipelineRequest("", "").MVs,
@@ -481,6 +499,23 @@ func TestQueryMVLimitRows(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, full.Gather(idx)) {
 				t.Fatalf("%s, limit %d: got %d rows, want the first %d", format, limit, got.NumRows(), want)
+			}
+		}
+		for query, wantStatus := range map[string]int{"": http.StatusOK, "?limit=0": http.StatusOK, "?limit=-5": http.StatusBadRequest} {
+			resp, err := http.Get(ts.URL + "/v1/pipelines/p/mvs/mv_daily" + query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != wantStatus {
+				resp.Body.Close()
+				t.Fatalf("%s, GET%s: status %d, want %d", format, query, resp.StatusCode, wantStatus)
+			}
+			if wantStatus != http.StatusOK {
+				resp.Body.Close()
+				continue
+			}
+			if tr := decodeBody[tableResponse](t, resp); tr.Rows != rows {
+				t.Fatalf("%s, GET%s: %d rows, want all %d", format, query, tr.Rows, rows)
 			}
 		}
 	}

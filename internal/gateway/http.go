@@ -355,8 +355,8 @@ func (s *Server) handleQueryMV(w http.ResponseWriter, r *http.Request) {
 	limit := 0
 	if ls := r.URL.Query().Get("limit"); ls != "" {
 		n, err := strconv.Atoi(ls)
-		if err != nil {
-			writeError(w, fmt.Errorf("bad limit: %w", err))
+		if err != nil || n < 0 {
+			writeError(w, fmt.Errorf("bad limit %q", ls))
 			return
 		}
 		limit = n

@@ -3,7 +3,6 @@ package kernels
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -241,23 +240,39 @@ func TestDifferentialFilter(t *testing.T) {
 		mustEqual(t, int64(seed), fmt.Sprintf("filter %v", pred), want, got, wantErr, gotErr)
 	}
 
-	// The directed dictionary-predicate table: every verdict is computed
-	// once per dictionary entry, in code space, and must match the row
-	// engine.
+	// The directed dictionary-predicate table, each predicate filtering the
+	// probe side of a join against a table holding every key once: a
+	// comparison compiles into the side's predicate and is evaluated on the
+	// dictionary chunks, an IN list keeps the row engine; both must match
+	// it.
 	ct, preds := dictPredTable(t)
-	rowCtx := &engine.Context{Resolve: func(string) (*table.Table, error) { return ct.Table() }}
+	keys := table.New(table.NewSchema(table.Column{Name: "k", Type: table.Int}))
+	keys.Cols[0].Ints = []int64{7, -2, 40, 3}
+	kt, err := encoding.FromTable(keys, encoding.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := map[string]*encoding.Compressed{"t": ct, "k": kt}
+	rowCtx := &engine.Context{Resolve: func(n string) (*table.Table, error) { return tables[n].Table() }}
 	vecCtx := &engine.Context{
 		Resolve:           rowCtx.Resolve,
-		ResolveCompressed: func(string) (*encoding.Compressed, error) { return ct, nil },
+		ResolveCompressed: func(n string) (*encoding.Compressed, error) { return tables[n], nil },
 	}
 	for _, pred := range preds {
-		scan := func() *engine.Scan { return &engine.Scan{Name: "t", Sch: ct.Schema} }
-		want, wantErr := (&engine.Filter{Input: scan(), Pred: pred}).Run(rowCtx)
+		build := func() engine.Node {
+			return &engine.HashJoin{
+				Left:     &engine.Filter{Input: &engine.Scan{Name: "t", Sch: ct.Schema}, Pred: pred},
+				Right:    &engine.Scan{Name: "k", Sch: keys.Schema},
+				LeftKeys: []int{0}, RightKeys: []int{0},
+			}
+		}
+		want, wantErr := build().Run(rowCtx)
 		st := &Stats{}
-		got, gotErr := Lower(&engine.Filter{Input: scan(), Pred: pred}, st).Run(vecCtx)
-		mustEqual(t, 0, fmt.Sprintf("dictionary filter %v", pred), want, got, wantErr, gotErr)
-		if st.Lowered != 1 || st.Fallbacks != 0 || st.CodeFilteredRows != int64(ct.NRows) {
-			t.Fatalf("%v: not decided in code space: %+v", pred, *st)
+		got, gotErr := Lower(build(), st).Run(vecCtx)
+		mustEqual(t, 0, fmt.Sprintf("dictionary side filter %v", pred), want, got, wantErr, gotErr)
+		_, compiles := Compile(pred, ct.Schema)
+		if lowered := st.Lowered == 2 && st.Fallbacks == 0; lowered != compiles {
+			t.Fatalf("%v: compiles=%v but stats %+v", pred, compiles, *st)
 		}
 	}
 }
@@ -445,29 +460,37 @@ func TestDifferentialJoinPushdown(t *testing.T) {
 }
 
 // TestFallbackIdentical runs lowered plans without a compressed resolver:
-// every kernel must fall back and still match the row engine.
+// every kernel must fall back, record it, and still match the row engine.
 func TestFallbackIdentical(t *testing.T) {
 	for seed := 3000; seed < 3040; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		tbl := genTable(rng, rowCount(rng))
-		pred := genPred(rng, tbl, 2)
-		build := func() engine.Node {
-			return &engine.Filter{Input: &engine.Scan{Name: "t", Sch: tbl.Schema}, Pred: pred}
+		build := func() (engine.Node, error) {
+			return genAgg(rand.New(rand.NewSource(int64(seed)+7)), tbl, &engine.Scan{Name: "t", Sch: tbl.Schema})
+		}
+		plain, err := build()
+		if err != nil {
+			continue // invalid spec combination; nothing to compare
+		}
+		loweredSrc, err := build()
+		if err != nil {
+			t.Fatalf("seed %d: second build failed: %v", seed, err)
 		}
 		rowCtx, _ := ctxFor(t, "t", tbl, encoding.Options{})
-		want, wantErr := build().Run(rowCtx)
+		want, wantErr := plain.Run(rowCtx)
 		st := &Stats{}
-		lowered := Lower(build(), st)
+		lowered := Lower(loweredSrc, st)
 		got, gotErr := lowered.Run(rowCtx) // no ResolveCompressed: forced fallback
 		mustEqual(t, int64(seed), "fallback", want, got, wantErr, gotErr)
-		if op, isKernel := lowered.(*ScanOp); isKernel && op.Cols == nil && wantErr == nil && st.Fallbacks == 0 {
+		if _, isKernel := lowered.(*AggScan); isKernel && wantErr == nil && st.Fallbacks == 0 {
 			t.Fatalf("seed %d: kernel did not record its fallback", seed)
 		}
 	}
 }
 
 // TestKernelStats sanity-checks the counters on a shape where every win
-// should fire: dict-filtered column, RLE aggregation, skipped chunks.
+// should fire: a join side filtered once per RLE run, row groups it rejects
+// skipped without a decode, and an aggregation reading RLE runs.
 func TestKernelStats(t *testing.T) {
 	n := 1000
 	tbl := table.New(table.NewSchema(
@@ -490,10 +513,17 @@ func TestKernelStats(t *testing.T) {
 	}
 	_, vecCtx := ctxFor(t, "t", tbl, encoding.Options{ChunkRows: 100})
 
+	// A self-join whose build side keeps no row: the predicate is decided
+	// once per run of the RLE column, so the build side's cat and payload
+	// chunks are never touched.
 	pred := &engine.Bin{Op: engine.OpEq,
-		L: &engine.ColRef{Idx: 0}, R: &engine.Lit{V: table.StrValue("nosuch")}}
+		L: &engine.ColRef{Idx: 1}, R: &engine.Lit{V: table.IntValue(-1)}}
 	st := &Stats{}
-	node := Lower(&engine.Filter{Input: &engine.Scan{Name: "t", Sch: tbl.Schema}, Pred: pred}, st)
+	node := Lower(&engine.HashJoin{
+		Left:     &engine.Scan{Name: "t", Sch: tbl.Schema},
+		Right:    &engine.Filter{Input: &engine.Scan{Name: "t", Sch: tbl.Schema}, Pred: pred},
+		LeftKeys: []int{0}, RightKeys: []int{0},
+	}, st)
 	out, err := node.Run(vecCtx)
 	if err != nil {
 		t.Fatal(err)
@@ -501,21 +531,22 @@ func TestKernelStats(t *testing.T) {
 	if out.NumRows() != 0 {
 		t.Fatalf("expected empty result, got %d rows", out.NumRows())
 	}
-	if st.Lowered != 1 {
-		t.Fatalf("Lowered = %d, want 1", st.Lowered)
+	if st.Lowered != 2 {
+		t.Fatalf("Lowered = %d, want 2 (join and side filter)", st.Lowered)
 	}
 	if st.CodeFilteredRows != int64(n) {
 		t.Fatalf("CodeFilteredRows = %d, want %d", st.CodeFilteredRows, n)
 	}
-	// The predicate matched nothing: run+payload chunks must never decode.
+	if st.JoinBuildRows != 0 {
+		t.Fatalf("JoinBuildRows = %d, want 0", st.JoinBuildRows)
+	}
+	// The filter matched nothing: the build side's cat+payload chunks must
+	// never decode.
 	if st.ChunksSkipped < 20 {
 		t.Fatalf("ChunksSkipped = %d, want >= 20", st.ChunksSkipped)
 	}
-	if st.DecodedBytes != 0 {
-		t.Fatalf("DecodedBytes = %d, want 0 for an all-rejected dict filter", st.DecodedBytes)
-	}
 
-	// COUNT(*) grouped by the RLE column: consumed run-at-a-time.
+	// COUNT(*) grouped by the RLE column: read run by run, never decoded.
 	agg, err := engine.NewAggregate(&engine.Scan{Name: "t", Sch: tbl.Schema}, []int{1},
 		[]engine.AggSpec{{Func: engine.AggCount, Name: "n"}})
 	if err != nil {
@@ -531,53 +562,9 @@ func TestKernelStats(t *testing.T) {
 		t.Fatalf("expected 10 groups, got %d", out2.NumRows())
 	}
 	if st2.DecodedBytes != 0 {
-		t.Fatalf("DecodedBytes = %d, want 0 for RLE-run aggregation", st2.DecodedBytes)
+		t.Fatalf("DecodedBytes = %d, want 0 for an aggregation over RLE runs", st2.DecodedBytes)
 	}
 	if st2.DecodesAvoided == 0 {
-		t.Fatal("expected DecodesAvoided > 0 for RLE-run aggregation")
-	}
-}
-
-// TestAddRepeatFloatExact pins the bit-exactness contract of AddRepeat:
-// repeated float addition must match the row engine even where x*n and
-// x+x+...+x differ in the last ulp.
-func TestAddRepeatFloatExact(t *testing.T) {
-	n := 1001
-	x := 0.1
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += x
-	}
-	if sum == x*float64(n) {
-		t.Skip("platform folds repeated addition; pick another constant")
-	}
-	tbl := table.New(table.NewSchema(table.Column{Name: "f", Type: table.Float}))
-	for i := 0; i < n; i++ {
-		if err := tbl.AppendRow(table.FloatValue(x)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rowCtx, vecCtx := ctxFor(t, "t", tbl, encoding.Options{})
-	build := func() engine.Node {
-		agg, err := engine.NewAggregate(&engine.Scan{Name: "t", Sch: tbl.Schema}, nil,
-			[]engine.AggSpec{{Func: engine.AggSum, Arg: &engine.ColRef{Idx: 0}, Name: "s"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return agg
-	}
-	want, err := build().Run(rowCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := &Stats{}
-	got, err := Lower(build(), st).Run(vecCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wf, gf := want.Cols[0].Floats[0], got.Cols[0].Floats[0]
-	if math.Float64bits(wf) != math.Float64bits(gf) {
-		t.Fatalf("SUM mismatch: row engine %v (%x), kernels %v (%x)",
-			wf, math.Float64bits(wf), gf, math.Float64bits(gf))
+		t.Fatal("expected DecodesAvoided > 0 for an aggregation over RLE runs")
 	}
 }

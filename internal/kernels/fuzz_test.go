@@ -11,11 +11,12 @@ import (
 	"github.com/shortcircuit-db/sc/internal/table"
 )
 
-// FuzzPredTranslate drives the code-space predicate translator: an
-// arbitrary byte string becomes a column, an operator and a literal; the
-// chunk-level evaluation (dictionary codes, RLE runs, or decoded values —
+// FuzzPredTranslate drives the leaf compiler: an arbitrary byte string
+// becomes a column, an operator and a literal. Compile either declines, or
+// its chunk-level verdict (RLE runs, dictionary lookups or decoded values —
 // whichever the auto-selected codec produces) must agree row for row with
-// direct scalar evaluation, and must never panic.
+// the row engine's evaluation of the same expression, and must never
+// panic.
 func FuzzPredTranslate(f *testing.F) {
 	f.Add([]byte{0}, uint8(0), int64(5), false)
 	f.Add([]byte{1, 1, 1, 9, 9, 200, 3}, uint8(2), int64(2), false)
@@ -23,10 +24,10 @@ func FuzzPredTranslate(f *testing.F) {
 	f.Add([]byte{255, 0, 255, 0}, uint8(6), int64(0), false)
 	// Directed dictionary seeds: seven-row chunks of two alternating values,
 	// first-seen out of order, which the selector dictionary-encodes; every
-	// operator (6 is IN) against a literal that is present, absent between
-	// the entries, below the minimum and above the maximum. litSeed picks
-	// both the literal and the chunk size, so search for one that gives
-	// seven-row chunks.
+	// operator (6 is IN, which Compile declines) against a literal that is
+	// present, absent between the entries, below the minimum and above the
+	// maximum. litSeed picks both the literal and the chunk size, so search
+	// for one that gives seven-row chunks.
 	dictSeeds := []struct {
 		data  []byte
 		asStr bool
@@ -94,11 +95,11 @@ func FuzzPredTranslate(f *testing.F) {
 
 		p, ok := Compile(pred, sch)
 		if !ok {
-			t.Fatalf("type-safe predicate failed to compile: %v", pred)
+			return // the row engine keeps this predicate
 		}
 
 		// Chunk the column with a size that forces multiple chunks, then
-		// evaluate per chunk and compare with direct scalar evaluation.
+		// evaluate per chunk and compare with the row engine.
 		chunkRows := 1 + int(uint8(litSeed))%7
 		ct, err := encoding.FromTable(tbl, encoding.Options{ChunkRows: chunkRows})
 		if err != nil {
@@ -120,21 +121,25 @@ func FuzzPredTranslate(f *testing.F) {
 			t.Fatalf("evaluated %d rows, want %d", len(got), n)
 		}
 		for i := 0; i < n; i++ {
-			if want := p.matches(vec.Value(i)); got[i] != want {
-				t.Fatalf("row %d: chunk eval %v, scalar eval %v (pred %v, value %v)",
-					i, got[i], want, p, vec.Value(i))
+			v, err := pred.Eval([]table.Value{vec.Value(i)})
+			if err != nil {
+				t.Fatalf("row engine rejected a compiled predicate: %v", err)
+			}
+			if want := v.I != 0; got[i] != want {
+				t.Fatalf("row %d: chunk eval %v, row engine %v (pred %v, value %v)",
+					i, got[i], want, pred, vec.Value(i))
 			}
 		}
 	})
 }
 
-// FuzzJoinRemap drives the join-key/dictionary-remap translator: arbitrary
-// bytes become the key columns of two tables (int or string, with a payload
-// column each), both sides are chunked with fuzz-chosen chunk sizes, and
-// the code-space join kernel must produce byte-identical output to the row
-// engine's hash join — whatever mix of dict/RLE/delta/raw chunks the
-// encoder picks — and must never panic.
-func FuzzJoinRemap(f *testing.F) {
+// FuzzJoinKeys drives the join kernel's key handling: arbitrary bytes become
+// the key columns of two tables (int or string, with a payload column
+// each), both sides are chunked with fuzz-chosen chunk sizes, and the join
+// kernel must produce byte-identical output to the row engine's hash join
+// — whatever mix of dict/RLE/delta/raw key chunks the encoder picks — and
+// must never panic.
+func FuzzJoinKeys(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 1, 2, 9}, uint8(3), uint8(2), false)
 	f.Add([]byte("abcabcxyz"), uint8(1), uint8(5), true)
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 7}, uint8(7), uint8(1), false)

@@ -37,28 +37,25 @@ func (s *JoinSide) label() string {
 	return s.Scan.Name
 }
 
-// HashJoinScan is a kernel-side inner equi-join that probes dictionary
-// codes instead of materialized values. Both sides resolve in chunked form
-// — scans through the compressed resolver, inner joins by running them in
-// chunked-output mode; each chunk's local dictionary codes are remapped
-// through a shared encoding.KeyDict (one per key position), so the build
-// table is keyed by dense shared ids rather than strings:
+// HashJoinScan is a kernel-side inner equi-join over chunked inputs. Both
+// sides resolve in chunked form — scans through the compressed resolver,
+// inner joins by running them in chunked-output mode — and only their key
+// columns are read to join: each key value is interned into a shared
+// encoding.KeyDict (one per key position), so the build table is keyed by
+// dense shared ids rather than values:
 //
-//   - the build (right) side hashes its selected rows by shared key id —
-//     for dictionary chunks each distinct value is interned once, however
-//     many rows carry it;
-//   - the probe (left) side translates each chunk's dictionary against the
-//     build side's keys (dictionary intersection): codes whose entry exists
-//     only on the probe side remap to -1 and their rows drop before any
+//   - the build (right) side hashes its selected rows by shared key id;
+//   - the probe (left) side looks each key up without interning: a key the
+//     build side never saw yields -1 and its row drops before any other
 //     column decodes;
 //   - only the surviving (leftRow, rightRow) pairs late-materialize, in the
 //     row engine's exact output order (probe order, then build order).
 //
 // Key columns must be INT or STRING with equal types on both sides — the
-// types the dict codec encodes, and the types whose value equality matches
-// the row engine's key encoding exactly. Float keys (NaN and signed-zero
-// bucketing) stay on the row engine. Output is byte-identical to Orig, the
-// row-engine subtree, which doubles as the runtime fallback.
+// types whose value equality matches the row engine's key encoding
+// exactly. Float keys (NaN and signed-zero bucketing) stay on the row
+// engine. Output is byte-identical to Orig, the row-engine subtree, which
+// doubles as the runtime fallback.
 //
 // A parent projection that only drops, duplicates or permutes columns can
 // fuse into the join (Proj non-nil): joined columns nothing projects are
@@ -602,26 +599,11 @@ func keyReaders(cc *chunkCtx, cols []int, kds []*encoding.KeyDict, add bool) ([]
 }
 
 // keyReader returns a per-row shared-key-id lookup for one key column of a
-// row group. Dictionary chunks remap their entry table through kd — once
-// per distinct value, with add selecting build-side interning versus
-// probe-side intersection (absent entries yield -1). Other codecs read the
-// key column through the chunk's cheapest accessor (RLE runs advance a
-// cursor; everything else decodes just this column) and intern per row.
+// row group: the key column is read through the chunk's cheapest accessor
+// (dictionary lookups, run cursors; other codecs decode just this column)
+// and each value is interned into kd — add selects build-side interning
+// versus probe-side lookup, where a key the build side never saw yields -1.
 func keyReader(cc *chunkCtx, col int, kd *encoding.KeyDict, add bool) (func(i int) int, error) {
-	cs, err := cc.parse(col)
-	if err != nil {
-		return nil, err
-	}
-	if cs.dict != nil {
-		var ids []int
-		if add {
-			ids = cs.dict.RemapAdd(kd)
-		} else {
-			ids = cs.dict.RemapLookup(kd)
-		}
-		codes, _ := cs.dict.Codes()
-		return func(i int) int { return ids[codes[i]] }, nil
-	}
 	fn, err := cc.accessor(col)
 	if err != nil {
 		return nil, err

@@ -107,12 +107,14 @@ func TestDifferentialJoinKernel(t *testing.T) {
 
 // TestDifferentialJoinWithSidePredicates combines the join kernel with
 // pushed-down one-sided filters: Filter(HashJoin(Scan, Scan)) where the
-// conjuncts reference the key and non-key columns of either side.
+// conjuncts reference the key and non-key columns of either side, and must
+// sometimes become a side's compiled predicate.
 func TestDifferentialJoinWithSidePredicates(t *testing.T) {
 	iters := 200
 	if testing.Short() {
 		iters = 40
 	}
+	sideFiltered := 0
 	for seed := 5000; seed < 5000+iters; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		nLeft, nRight := rowCount(rng), rowCount(rng)
@@ -144,8 +146,15 @@ func TestDifferentialJoinWithSidePredicates(t *testing.T) {
 		rowCtx, vecCtx := joinCtxFor(t, map[string]*table.Table{"L": left, "R": right}, opts)
 		want, wantErr := build().Run(rowCtx)
 		st := &Stats{}
-		got, gotErr := Lower(build(), st).Run(vecCtx)
+		lowered := Lower(build(), st)
+		if js, ok := lowered.(*HashJoinScan); ok && (js.Left.Pred != nil || js.Right.Pred != nil) {
+			sideFiltered++
+		}
+		got, gotErr := lowered.Run(vecCtx)
 		mustEqual(t, int64(seed), "join with side predicates", want, got, wantErr, gotErr)
+	}
+	if sideFiltered == 0 {
+		t.Fatal("no iteration lowered a join with a side predicate")
 	}
 }
 
@@ -195,15 +204,14 @@ func TestJoinFloatKeysFallBack(t *testing.T) {
 	}
 }
 
-// TestDifferentialProject: projections that drop/permute/duplicate columns
-// (optionally over a filter) must pass chunks through byte-identically, and
-// computed projections must keep the row engine.
+// TestDifferentialProject: projections that drop/permute/duplicate or
+// compute columns (optionally over a filter) keep the row engine, and the
+// lowered plan must match it byte for byte.
 func TestDifferentialProject(t *testing.T) {
 	iters := 300
 	if testing.Short() {
 		iters = 60
 	}
-	passthroughs := 0
 	for seed := 6000; seed < 6000+iters; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		tbl := genTable(rng, rowCount(rng))
@@ -214,8 +222,7 @@ func TestDifferentialProject(t *testing.T) {
 			c := rng.Intn(len(tbl.Cols))
 			var e engine.Expr = &engine.ColRef{Idx: c, Name: tbl.Schema.Cols[c].Name}
 			if rng.Intn(5) == 0 && tbl.Schema.Cols[c].Type != table.Str {
-				// A computed column: blocks the passthrough, exercising the
-				// decline path.
+				// A computed column.
 				e = &engine.Bin{Op: engine.OpAdd, L: e, R: &engine.Lit{V: table.IntValue(1)}}
 			}
 			exprs = append(exprs, e)
@@ -240,15 +247,8 @@ func TestDifferentialProject(t *testing.T) {
 		rowCtx, vecCtx := ctxFor(t, "t", tbl, encOptions(rng))
 		want, wantErr := plain.Run(rowCtx)
 		st := &Stats{}
-		lowered := Lower(loweredSrc, st)
-		if op, ok := lowered.(*ScanOp); ok && op.Cols != nil {
-			passthroughs++
-		}
-		got, gotErr := lowered.Run(vecCtx)
+		got, gotErr := Lower(loweredSrc, st).Run(vecCtx)
 		mustEqual(t, int64(seed), "project", want, got, wantErr, gotErr)
-	}
-	if passthroughs == 0 {
-		t.Fatal("no iteration lowered onto the project passthrough")
 	}
 }
 
@@ -420,6 +420,11 @@ func TestDifferentialProjectOverJoin(t *testing.T) {
 	}
 }
 
+func isScan(n engine.Node) bool {
+	_, ok := n.(*engine.Scan)
+	return ok
+}
+
 // TestStackedFilterPushdownThroughDissolvedFilter: when an inner filter
 // fully pushes its conjuncts below a join and dissolves, the join resurfaces
 // as the outer filter's direct input — the outer filter must still push
@@ -460,10 +465,10 @@ func TestStackedFilterPushdownThroughDissolvedFilter(t *testing.T) {
 	if !ok {
 		t.Fatalf("lowered root is %T, want the bare row HashJoin (both filters pushed down)", lowered)
 	}
-	if op, ok := hj.Left.(*ScanOp); !ok || op.Pred == nil || op.Cols != nil {
+	if f, ok := hj.Left.(*engine.Filter); !ok || !isScan(f.Input) {
 		t.Fatalf("outer filter was not pushed into the left side: %s", hj.Left)
 	}
-	if op, ok := hj.Right.(*ScanOp); !ok || op.Pred == nil || op.Cols != nil {
+	if f, ok := hj.Right.(*engine.Filter); !ok || !isScan(f.Input) {
 		t.Fatalf("inner filter was not pushed into the right side: %s", hj.Right)
 	}
 	opts := map[string]encoding.Options{"L": {ChunkRows: 16}, "R": {ChunkRows: 16}}

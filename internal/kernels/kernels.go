@@ -1,39 +1,34 @@
-// Package kernels is S/C's compressed-execution subsystem: vectorized
-// Filter/Aggregate/Scan operators that run directly on encoding.Compressed
-// chunks without decompressing them first.
+// Package kernels is S/C's compressed-execution subsystem: a hash join and
+// an aggregate that run directly on encoding.Compressed chunks without
+// decompressing whole tables first.
 //
 // The row engine (internal/engine) pays a full-column decode before it
 // touches a single value. The kernels instead work per aligned row group
-// (one chunk per column) and keep data encoded as long as possible:
+// (one chunk per column) and read only what they need:
 //
-//   - equality, IN and range predicates on dictionary chunks compare
-//     bit-packed codes — the predicate is tested once per dictionary entry
-//     and then only codes are read;
-//   - predicates on run-length chunks are decided once per run;
-//   - COUNT/SUM/GROUP BY consume RLE runs without expanding them, through
-//     the row engine's own AggAcc accumulator so results stay
-//     byte-identical;
-//   - selection vectors flow between the filter and aggregate/materialize
-//     stages, and values are materialized only for rows that survive
-//     (late materialization) — a chunk whose selection is empty is skipped
-//     without decoding any column.
+//   - a join side's `column <op> literal` filter is decided once per run on
+//     a run-length chunk, and a row group no row survives is skipped
+//     without decoding another column;
+//   - join keys and aggregate inputs are read through per-chunk accessors
+//     (dictionary lookups, run cursors), and the join late-materializes only
+//     the columns and rows of its surviving pairs;
+//   - the aggregate feeds the row engine's own AggAcc accumulator, so its
+//     result is byte-identical by construction.
 //
-// Every kernel operator returns a table from Run. One of them, the hash
-// join, can also emit its output as compressed chunks (RunChunked, through
+// Every kernel operator returns a table from Run. The hash join can also
+// emit its output as compressed chunks (RunChunked, through
 // internal/chunkio): that is how a join probes another join's output, how
 // an aggregate consumes one, and how a join root's output reaches the
 // Memory Catalog and storage, without the rows ever materializing.
 //
-// There is one scan-shaped operator (ScanOp: optional predicate, optional
-// column list) and one loop over row groups (walkGroups in parallel.go):
-// ScanOp, AggScan and both phases of the join hand it a per-group body and
-// merge the per-partition results it returns.
+// There is one loop over row groups (walkGroups in parallel.go): AggScan
+// and both phases of the join hand it a per-group body.
 //
-// Lower rewrites supported Filter/Aggregate subtrees of an engine plan
-// onto kernel operators. Every kernel operator keeps its original
-// row-engine subtree and falls back to it — byte-identically — whenever a
-// table is not available in chunked form (plain catalog entries, legacy v1
-// files, misaligned chunk boundaries).
+// Lower rewrites supported join, aggregate and projection subtrees of an
+// engine plan onto kernel operators. Every kernel operator keeps its
+// original row-engine subtree and falls back to it — byte-identically —
+// whenever a table is not available in chunked form (plain catalog
+// entries, legacy v1 files, misaligned chunk boundaries).
 package kernels
 
 import (
@@ -59,9 +54,8 @@ type Stats struct {
 	// were eliminated by the selection vector or the column by the
 	// operator's projection.
 	ChunksSkipped int64
-	// CodeFilteredRows counts rows whose predicate verdict was computed in
-	// code space (dictionary codes or RLE runs) without materializing the
-	// row's value.
+	// CodeFilteredRows counts rows whose predicate verdict was computed
+	// once per RLE run without materializing the row's value.
 	CodeFilteredRows int64
 	// DecodesAvoided counts column-chunks served from their encoded form
 	// (dictionary lookups, run walks) where the row engine would have paid
@@ -70,13 +64,12 @@ type Stats struct {
 	// DecodedBytes is the raw bytes the kernels did materialize, full
 	// chunk decodes and late-materialized survivors alike.
 	DecodedBytes int64
-	// JoinBuildRows counts rows hashed into a join build table in code
-	// space (dictionary codes remapped through the shared key dictionary,
-	// or key-column-only reads) without materializing the full row.
+	// JoinBuildRows counts rows hashed into a join build table by shared
+	// key id (key-column-only reads) without materializing the full row.
 	JoinBuildRows int64
-	// JoinProbeRows counts rows probed against a code-space join build
-	// table; probe rows whose key is absent from the build-side dictionary
-	// are dropped before any column decodes.
+	// JoinProbeRows counts rows probed against a join build table; probe
+	// rows whose key the build side never interned are dropped before any
+	// other column decodes.
 	JoinProbeRows int64
 	// ChunksPassed counts output column-chunks the chunked-output pipeline
 	// emitted from gathered codes — intermediate bytes that never
@@ -137,19 +130,11 @@ func (e *Env) builderFor(sch table.Schema, id int) *chunkio.Builder {
 
 // bitmap is a fixed-size row-selection vector over one row group.
 type bitmap struct {
-	n     int
 	words []uint64
 }
 
 func newBitmap(n int) *bitmap {
-	return &bitmap{n: n, words: make([]uint64, (n+63)/64)}
-}
-
-// clampTail zeroes the unused bits of the last word.
-func (b *bitmap) clampTail() {
-	if r := b.n & 63; r != 0 && len(b.words) > 0 {
-		b.words[len(b.words)-1] &= ^uint64(0) >> uint(64-r)
-	}
+	return &bitmap{words: make([]uint64, (n+63)/64)}
 }
 
 func (b *bitmap) set(i int) { b.words[i>>6] |= 1 << uint(i&63) }
@@ -172,25 +157,6 @@ func (b *bitmap) setRange(lo, hi int) {
 	}
 }
 
-func (b *bitmap) and(o *bitmap) {
-	for i := range b.words {
-		b.words[i] &= o.words[i]
-	}
-}
-
-func (b *bitmap) or(o *bitmap) {
-	for i := range b.words {
-		b.words[i] |= o.words[i]
-	}
-}
-
-func (b *bitmap) not() {
-	for i := range b.words {
-		b.words[i] = ^b.words[i]
-	}
-	b.clampTail()
-}
-
 func (b *bitmap) count() int {
 	c := 0
 	for _, w := range b.words {
@@ -198,17 +164,6 @@ func (b *bitmap) count() int {
 	}
 	return c
 }
-
-func (b *bitmap) none() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (b *bitmap) all() bool { return b.count() == b.n }
 
 // --- per-row-group evaluation context ---
 
@@ -351,39 +306,6 @@ func (cc *chunkCtx) finish() {
 	}
 }
 
-// materializeCol appends the selected rows of one column to dst, decoding
-// only what the selection and the chunk's encoding demand. A nil selection
-// means every row.
-func (cc *chunkCtx) materializeCol(dst *table.Vector, ci int, sel *bitmap) error {
-	read, counted, err := cc.reader(ci)
-	if err != nil {
-		return err
-	}
-	if sel == nil && counted {
-		appendAll(dst, cc.cols[ci].vec)
-		return nil
-	}
-	for i := 0; i < cc.rows; i++ {
-		if sel == nil || sel.get(i) {
-			appendValue(cc.st, dst, read(i), counted)
-		}
-	}
-	return nil
-}
-
-// appendAll bulk-appends a whole decoded chunk (bytes already counted at
-// decode time).
-func appendAll(dst, src *table.Vector) {
-	switch src.Type {
-	case table.Int:
-		dst.Ints = append(dst.Ints, src.Ints...)
-	case table.Float:
-		dst.Floats = append(dst.Floats, src.Floats...)
-	default:
-		dst.Strs = append(dst.Strs, src.Strs...)
-	}
-}
-
 // countMaterialized counts one late-materialized value: the bytes that
 // actually had to be produced.
 func countMaterialized(st *Stats, v table.Value) {
@@ -394,23 +316,8 @@ func countMaterialized(st *Stats, v table.Value) {
 	}
 }
 
-// appendValue appends one surviving value; counted marks values served from
-// an already-counted decoded chunk.
-func appendValue(st *Stats, dst *table.Vector, v table.Value, counted bool) {
-	switch dst.Type {
-	case table.Int:
-		dst.Ints = append(dst.Ints, v.I)
-	case table.Float:
-		dst.Floats = append(dst.Floats, v.F)
-	default:
-		dst.Strs = append(dst.Strs, v.S)
-	}
-	if !counted {
-		countMaterialized(st, v)
-	}
-}
-
-// setValue is appendValue scattering into a pre-sized vector.
+// setValue writes one surviving value into a pre-sized vector; counted
+// marks values served from an already-counted decoded chunk.
 func setValue(st *Stats, dst *table.Vector, pos int, v table.Value, counted bool) {
 	switch dst.Type {
 	case table.Int:

@@ -10,16 +10,14 @@ import (
 // Lower rewrites the supported subtrees of an engine plan onto kernel
 // operators and returns the (possibly new) root. The lowering rules:
 //
-//	Filter(Scan)            → ScanOp            predicate compiles
-//	Filter(ScanOp)          → ScanOp            conjunction fused (only over
-//	                                            a ScanOp that does not
-//	                                            project; likewise below)
 //	Filter(HashJoin)        → pushdown          every conjunct compiles;
 //	                                            one-sided conjuncts move
-//	                                            below the join, may fuse
-//	                                            with a scan, and the join
+//	                                            below the join as side
+//	                                            filters, and the join
 //	                                            itself may then lower
-//	HashJoin(side, side)    → HashJoinScan      both sides Scan/ScanOp or
+//	HashJoin(side, side)    → HashJoinScan      each side a Scan, a
+//	                                            Filter(Scan) whose
+//	                                            predicate compiles, or
 //	                                            another HashJoinScan (a
 //	                                            join probing a join's
 //	                                            chunked output), and every
@@ -27,19 +25,17 @@ import (
 //	                                            INT or STRING type
 //	Aggregate(Scan)         → AggScan           always (argument errors
 //	                                            reproduce row-engine order)
-//	Aggregate(ScanOp)       → AggScan           selection vector flows in
 //	Aggregate(HashJoinScan) → AggScan           consumes the join's chunked
 //	                                            output, no materialization
-//	Project(Scan)           → ScanOp            only ColRef outputs (drop,
-//	                                            duplicate or permute)
-//	Project(ScanOp)         → ScanOp            selection vector flows in
-//	Project(HashJoinScan)   → fused Proj        joined columns nothing
-//	                                            reads never materialize
+//	Project(HashJoinScan)   → fused Proj        only ColRef outputs; joined
+//	                                            columns nothing reads
+//	                                            never materialize
 //
 // Everything else keeps its row-engine operator, with children lowered
 // recursively. Each kernel operator retains its original subtree and falls
 // back to it at run time when the scanned table is not available in
-// chunked form, so results are byte-identical either way.
+// chunked form, so results are byte-identical either way. A filtered join
+// side counts as one lowered operator of its own.
 func Lower(root engine.Node, st *Stats) engine.Node {
 	return LowerEnv(root, st, nil)
 }
@@ -59,20 +55,13 @@ func lower(root engine.Node, st *Stats, env *Env) engine.Node {
 			if nn := pushdown(n, hj, st, env); nn != nil {
 				return nn
 			}
-			// Nothing moved: lower the join in place, keep the filter.
+			// A conjunct did not compile: lower the join in place, keep
+			// the filter.
 			n.Input = lower(hj, st, env)
 			return n
 		}
 		n.Input = lower(n.Input, st, env)
-		if sc, under, ok := scanUnder(n.Input); ok {
-			if p, ok := Compile(n.Pred, sc.Sch); ok {
-				st.Lowered++
-				if under != nil {
-					p = &Pred{kind: predAnd, kids: []*Pred{under, p}}
-				}
-				return &ScanOp{Scan: sc, Pred: p, Sch: sc.Sch, Orig: n, St: st}
-			}
-		} else if hj, ok := n.Input.(*engine.HashJoin); ok {
+		if hj, ok := n.Input.(*engine.HashJoin); ok {
 			// A join that surfaced only after lowering the input (e.g. an
 			// inner filter fully pushed its conjuncts down and dissolved)
 			// still deserves this filter's pushdown.
@@ -83,12 +72,13 @@ func lower(root engine.Node, st *Stats, env *Env) engine.Node {
 		return n
 	case *engine.Aggregate:
 		n.Input = lower(n.Input, st, env)
-		if sc, pred, ok := scanUnder(n.Input); ok {
-			if need, ok := aggNeeds(n, sc.Sch); ok {
+		switch in := n.Input.(type) {
+		case *engine.Scan:
+			if need, ok := aggNeeds(n, in.Sch); ok {
 				st.Lowered++
-				return &AggScan{Scan: sc, Pred: pred, Agg: n, Orig: n, need: need, St: st}
+				return &AggScan{Scan: in, Agg: n, Orig: n, need: need, St: st}
 			}
-		} else if in, ok := n.Input.(*HashJoinScan); ok {
+		case *HashJoinScan:
 			if need, ok := aggNeeds(n, in.Sch); ok {
 				st.Lowered++
 				return &AggScan{Inner: in, Agg: n, Orig: n, need: need, St: st}
@@ -97,12 +87,7 @@ func lower(root engine.Node, st *Stats, env *Env) engine.Node {
 		return n
 	case *engine.Project:
 		n.Input = lower(n.Input, st, env)
-		if sc, pred, ok := scanUnder(n.Input); ok {
-			if cols, ok := projectCols(n, sc.Sch); ok {
-				st.Lowered++
-				return &ScanOp{Scan: sc, Pred: pred, Cols: cols, Sch: n.Schema(), Orig: n, St: st}
-			}
-		} else if in, ok := n.Input.(*HashJoinScan); ok {
+		if in, ok := n.Input.(*HashJoinScan); ok {
 			// Fuse a columns-only projection into the join: joined columns
 			// the projection drops never materialize — build-side chunks
 			// nothing reads are skipped outright. The fused kernel keeps
@@ -128,7 +113,6 @@ func lower(root engine.Node, st *Stats, env *Env) engine.Node {
 		n.Left = lower(n.Left, st, env)
 		n.Right = lower(n.Right, st, env)
 		if js := lowerJoin(n, st, env); js != nil {
-			st.Lowered++
 			return js
 		}
 		return n
@@ -141,13 +125,13 @@ func lower(root engine.Node, st *Stats, env *Env) engine.Node {
 	return root
 }
 
-// lowerJoin rewrites a HashJoin whose (already lowered) sides are plain
-// scans, filtering ScanOps or other join kernels onto the code-space join
-// kernel. It declines — returning nil, keeping the row engine — when a
-// key column pair differs in type or is FLOAT: float keys fall back so the
-// row engine's NaN and signed-zero bucketing stays authoritative, and the
-// kernel's shared key dictionary only ever holds the types the dict codec
-// encodes.
+// lowerJoin rewrites a HashJoin whose (already lowered) sides are plain or
+// filtered scans or other join kernels onto the join kernel, counting the
+// join and each filtered side as lowered operators. It declines — returning
+// nil, keeping the row engine — when a key column pair differs in type or
+// is FLOAT: float keys fall back so the row engine's NaN and signed-zero
+// bucketing stays authoritative, and the kernel's shared key dictionary
+// only ever holds INT or STRING keys.
 func lowerJoin(hj *engine.HashJoin, st *Stats, env *Env) *HashJoinScan {
 	if len(hj.LeftKeys) == 0 || len(hj.LeftKeys) != len(hj.RightKeys) {
 		return nil
@@ -171,6 +155,13 @@ func lowerJoin(hj *engine.HashJoin, st *Stats, env *Env) *HashJoinScan {
 			return nil
 		}
 	}
+	st.Lowered++
+	if left.Pred != nil {
+		st.Lowered++
+	}
+	if right.Pred != nil {
+		st.Lowered++
+	}
 	return &HashJoinScan{
 		Left: left, Right: right,
 		LeftKeys: hj.LeftKeys, RightKeys: hj.RightKeys,
@@ -179,31 +170,42 @@ func lowerJoin(hj *engine.HashJoin, st *Stats, env *Env) *HashJoinScan {
 	}
 }
 
-// scanUnder recognizes the inputs a scan-shaped kernel fuses with: a plain
-// scan, or a ScanOp that only filters (its predicate rides along). A ScanOp
-// that projects is a different table and fuses with nothing.
-func scanUnder(n engine.Node) (*engine.Scan, *Pred, bool) {
+// joinSideOf extracts one join input: a scan, a filter over a scan whose
+// predicate compiles (it becomes the side's predicate), or another join
+// kernel consumed as an inner operator.
+func joinSideOf(n engine.Node) (JoinSide, bool) {
 	switch v := n.(type) {
 	case *engine.Scan:
-		return v, nil, true
-	case *ScanOp:
-		if v.Cols == nil {
-			return v.Scan, v.Pred, true
+		return JoinSide{Scan: v}, true
+	case *engine.Filter:
+		if sc, ok := v.Input.(*engine.Scan); ok {
+			if p, ok := Compile(v.Pred, sc.Sch); ok {
+				return JoinSide{Scan: sc, Pred: p}, true
+			}
 		}
-	}
-	return nil, nil, false
-}
-
-// joinSideOf extracts one join input: a scan (with its fused filter), or
-// another join kernel consumed as an inner operator.
-func joinSideOf(n engine.Node) (JoinSide, bool) {
-	if sc, pred, ok := scanUnder(n); ok {
-		return JoinSide{Scan: sc, Pred: pred}, true
-	}
-	if v, ok := n.(*HashJoinScan); ok {
+	case *HashJoinScan:
 		return JoinSide{Inner: v}, true
 	}
 	return JoinSide{}, false
+}
+
+// projectCols reports the input column read by each output column when the
+// projection consists solely of in-range column references — the shape
+// that fuses into a join. Anything computed (arithmetic, literals, custom
+// expressions) keeps the row engine.
+func projectCols(p *engine.Project, sch table.Schema) ([]int, bool) {
+	if len(p.Exprs) == 0 {
+		return nil, false
+	}
+	cols := make([]int, len(p.Exprs))
+	for i, e := range p.Exprs {
+		cr, ok := e.(*engine.ColRef)
+		if !ok || cr.Idx < 0 || cr.Idx >= sch.NumCols() {
+			return nil, false
+		}
+		cols[i] = cr.Idx
+	}
+	return cols, true
 }
 
 // aggNeeds returns the ascending set of input columns the aggregation
@@ -257,74 +259,50 @@ func collectCols(e engine.Expr, sch table.Schema, set map[int]bool) bool {
 	return false
 }
 
-// pushdown moves one-sided conjuncts of a Filter above a HashJoin below
-// the join, where they can fuse with a scan kernel. It only fires when
-// every conjunct compiles (compiled predicates cannot error, so filtering
-// before the join is observationally identical to filtering after it: an
-// inner equi-join preserves input row order, and conjuncts that stay
-// above keep their original relative order). Returns nil when nothing
-// moved.
+// pushdown moves the conjuncts of a Filter above a HashJoin below the join,
+// each onto the side whose column it compares, where it can become the
+// side's predicate. It only fires when every conjunct compiles (compiled
+// predicates cannot error, so filtering before the join is observationally
+// identical to filtering after it: an inner equi-join preserves input row
+// order, and each side's conjuncts keep their relative order). A compiled
+// conjunct reads exactly one column, so nothing stays above the join.
+// Returns nil when a conjunct does not compile.
 func pushdown(f *engine.Filter, hj *engine.HashJoin, st *Stats, env *Env) engine.Node {
 	joined := hj.Schema()
 	leftW := hj.Left.Schema().NumCols()
-	conjs := splitAnd(f.Pred)
-	var leftPs, rightPs, residual []engine.Expr
-	for _, c := range conjs {
-		if _, ok := Compile(c, joined); !ok {
+	var leftPs, rightPs []engine.Expr
+	for _, c := range splitAnd(f.Pred) {
+		p, ok := Compile(c, joined)
+		if !ok {
 			return nil
 		}
-		set := make(map[int]bool)
-		if !collectCols(c, joined, set) {
-			return nil
-		}
-		side := 0 // -1 left, 1 right, 0 mixed or column-free
-		for col := range set {
-			s := -1
-			if col >= leftW {
-				s = 1
-			}
-			if side == 0 {
-				side = s
-			} else if side != s {
-				side = 2 // mixed
-				break
-			}
-		}
-		switch side {
-		case -1:
+		if p.col < leftW {
 			leftPs = append(leftPs, c)
-		case 1:
-			rightPs = append(rightPs, rebaseCols(c, -leftW))
-		default:
-			residual = append(residual, c)
+		} else {
+			rightPs = append(rightPs, rebase(c, -leftW))
 		}
 	}
-	if len(leftPs) == 0 && len(rightPs) == 0 {
-		return nil
-	}
-	if len(leftPs) > 0 {
-		hj.Left = lower(&engine.Filter{Input: hj.Left, Pred: andAll(leftPs)}, st, env)
-	} else {
-		hj.Left = lower(hj.Left, st, env)
-	}
-	if len(rightPs) > 0 {
-		hj.Right = lower(&engine.Filter{Input: hj.Right, Pred: andAll(rightPs)}, st, env)
-	} else {
-		hj.Right = lower(hj.Right, st, env)
-	}
-	// With the sides settled, the join itself may lower onto the code-space
+	hj.Left = lowerFiltered(hj.Left, leftPs, st, env)
+	hj.Right = lowerFiltered(hj.Right, rightPs, st, env)
+	// With the sides settled, the join itself may lower onto the join
 	// kernel (the pushed-down filters ride along as side predicates).
-	var joinNode engine.Node = hj
 	if js := lowerJoin(hj, st, env); js != nil {
-		st.Lowered++
-		joinNode = js
+		return js
 	}
-	if len(residual) == 0 {
-		return joinNode
+	return hj
+}
+
+// lowerFiltered lowers a join input under the conjunction of preds, or
+// alone when there are none.
+func lowerFiltered(n engine.Node, preds []engine.Expr, st *Stats, env *Env) engine.Node {
+	if len(preds) == 0 {
+		return lower(n, st, env)
 	}
-	f.Pred = andAll(residual)
-	f.Input = joinNode
-	return f
+	conj := preds[0]
+	for _, e := range preds[1:] {
+		conj = &engine.Bin{Op: engine.OpAnd, L: conj, R: e}
+	}
+	return lower(&engine.Filter{Input: n, Pred: conj}, st, env)
 }
 
 // splitAnd flattens a conjunction into its conjuncts in evaluation order.
@@ -335,32 +313,12 @@ func splitAnd(e engine.Expr) []engine.Expr {
 	return []engine.Expr{e}
 }
 
-// andAll rebuilds a left-associative conjunction, preserving the
-// conjuncts' evaluation order.
-func andAll(es []engine.Expr) engine.Expr {
-	out := es[0]
-	for _, e := range es[1:] {
-		out = &engine.Bin{Op: engine.OpAnd, L: out, R: e}
-	}
-	return out
-}
-
-// rebaseCols returns a copy of the expression with every column index
+// rebase returns a copy of a compiled comparison with its column index
 // shifted by delta (pushing a predicate below a join re-bases right-side
 // columns into the right input's schema). The input is not mutated — it
 // may be shared with the fallback subtree.
-func rebaseCols(e engine.Expr, delta int) engine.Expr {
-	switch v := e.(type) {
-	case *engine.ColRef:
-		return &engine.ColRef{Idx: v.Idx + delta, Name: v.Name}
-	case *engine.Lit:
-		return v
-	case *engine.Bin:
-		return &engine.Bin{Op: v.Op, L: rebaseCols(v.L, delta), R: rebaseCols(v.R, delta)}
-	case *engine.Not:
-		return &engine.Not{E: rebaseCols(v.E, delta)}
-	case *engine.InList:
-		return &engine.InList{E: rebaseCols(v.E, delta), List: v.List}
-	}
-	return e
+func rebase(c engine.Expr, delta int) engine.Expr {
+	b := c.(*engine.Bin)
+	cr := b.L.(*engine.ColRef)
+	return &engine.Bin{Op: b.Op, L: &engine.ColRef{Idx: cr.Idx + delta, Name: cr.Name}, R: b.R}
 }

@@ -18,12 +18,14 @@ import (
 // decoded bytes against the scheduler's byte ceiling, keeping
 // concurrency × memory bounded.
 //
+// Only the join's probe partitions; the build phase and AggScan walk on the
+// caller's token alone.
+//
 // Determinism: partitions are contiguous row-group ranges evaluated with
 // thread-local chunk contexts, selection vectors and Stats, and their
-// results come back in partition order — output tables concatenate, AggAcc
-// partials merge via engine.AggAcc.Merge (only when ExactMergeable), join
-// pairs concatenate in probe order. The merged result is byte-identical to
-// the one-partition walk, and Stats fields are all sums, so counters match
+// results come back in partition order — the probe's pair lists
+// concatenate in probe order. The merged result is byte-identical to the
+// one-partition walk, and Stats fields are all sums, so counters match
 // exactly too.
 
 // partPlan is one planned partitioned execution: contiguous [lo, hi)
@@ -163,7 +165,7 @@ func (st *Stats) add(o *Stats) {
 // walk describes one pass over the row groups of a chunked table.
 type walk struct {
 	// ctx lends the scheduler's idle tokens to the walk; nil keeps it on
-	// the caller's token alone (build sides, order-dependent aggregates).
+	// the caller's token alone (build sides, aggregates).
 	ctx    *engine.Context
 	ct     *encoding.Compressed
 	groups []int

@@ -45,9 +45,11 @@ const (
 	DecodeDone
 	// KernelDone: a node's plan ran (at least partly) on the
 	// compressed-execution kernels. Fields: Node, Step, Lowered (operators
-	// served by kernels), Fallbacks (kernel executions that reverted to
-	// the row engine), ChunksSkipped, CodeFilteredRows, DecodesAvoided,
-	// JoinBuildRows/JoinProbeRows (hash-join work done in code space),
+	// served by kernels, a join's filtered side counted as one), Fallbacks
+	// (kernel executions that reverted to the row engine), ChunksSkipped,
+	// CodeFilteredRows (join-side filter verdicts decided per RLE run),
+	// DecodesAvoided, JoinBuildRows/JoinProbeRows (rows hashed and probed
+	// by shared key id),
 	// ChunksPassed/ReencodedChunks/DictReused (compressed intermediate
 	// pipeline: output chunks kept in code space, re-encoded from values,
 	// and served by the session dictionary cache), Bytes (raw bytes the
@@ -124,10 +126,10 @@ type Event struct {
 	Lowered          int64 // plan operators served by kernels
 	Fallbacks        int64 // kernel executions that reverted to the row engine
 	ChunksSkipped    int64 // column-chunks eliminated without decoding
-	CodeFilteredRows int64 // rows filtered on encoded codes/runs
+	CodeFilteredRows int64 // rows filtered once per RLE run
 	DecodesAvoided   int64 // column-chunk decodes avoided
-	JoinBuildRows    int64 // rows hashed into code-space join build tables
-	JoinProbeRows    int64 // rows probed against code-space join build tables
+	JoinBuildRows    int64 // rows hashed into kernel join build tables
+	JoinProbeRows    int64 // rows probed against kernel join build tables
 	ChunksPassed     int64 // output chunks kept in code space (passthrough or gathered codes)
 	ReencodedChunks  int64 // output chunks re-encoded from materialized values
 	DictReused       int64 // output chunks whose dictionary came from the session cache

@@ -109,7 +109,7 @@ func TestControllerEventOrdering(t *testing.T) {
 		{Name: "labeled", SQL: `
 			SELECT f.item AS item, f.qty AS qty, d.label AS label
 			FROM facts f JOIN dims d ON f.item = d.item`},
-		{Name: "only_items", SQL: `SELECT item, qty FROM labeled`},
+		{Name: "item_counts", SQL: `SELECT item, COUNT(*) AS n FROM labeled GROUP BY item`},
 	}}
 	g, _, err := w.BuildGraph()
 	if err != nil {
@@ -140,7 +140,7 @@ func TestControllerEventOrdering(t *testing.T) {
 		}
 		return -1
 	}
-	for _, node := range []string{"labeled", "only_items"} {
+	for _, node := range []string{"labeled", "item_counts"} {
 		start, kernel, done := pos(obs.NodeStart, node), pos(obs.KernelDone, node), pos(obs.NodeDone, node)
 		if start < 0 || kernel < 0 || done < 0 {
 			t.Fatalf("%s: missing events (start=%d kernel=%d done=%d)", node, start, kernel, done)
@@ -161,8 +161,8 @@ func TestControllerEventOrdering(t *testing.T) {
 	if ke.Lowered == 0 {
 		t.Fatal("join node reported no lowered operators")
 	}
-	// The bare projection node must pass through the kernels too.
-	if pe := log.events[pos(obs.KernelDone, "only_items")]; pe.Lowered == 0 {
-		t.Fatal("projection node reported no lowered operators")
+	// The aggregate over the join's output must run on the kernels too.
+	if pe := log.events[pos(obs.KernelDone, "item_counts")]; pe.Lowered == 0 {
+		t.Fatal("aggregate node reported no lowered operators")
 	}
 }

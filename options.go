@@ -120,16 +120,16 @@ func WithEncoding(opts EncodingOptions) Option {
 }
 
 // WithVectorized enables the compressed-execution kernels for the
-// session: supported Filter and Aggregate subtrees of each node's plan run
-// directly on encoded column chunks instead of decode-then-execute.
-// Equality, IN and range predicates on dictionary-encoded columns are
-// tested once per dictionary entry and then compare bit-packed codes,
-// COUNT/SUM/GROUP BY consume run-length runs without expanding them, and
-// values are materialized only for rows that survive filtering (late
+// session: hash joins (with their pushed-down `column <op> literal` side
+// filters), aggregates over a scan or a join, and column-only projections
+// over a join run directly on encoded column chunks instead of
+// decode-then-execute. A side filter is decided once per run on a
+// run-length chunk, a join reads only its key columns to match rows, and
+// values are materialized only for the pairs that survive (late
 // materialization). Inputs resolve as per-chunk lazy readers, so a
 // flagged compressed MV no longer pays a whole-table decode on every
-// read. Results are byte-identical to the row engine: unsupported plan
-// shapes and non-chunked inputs fall back transparently.
+// read. Results are byte-identical to the row engine: other plan shapes
+// and non-chunked inputs fall back transparently.
 //
 // Kernels engage on chunked inputs, so pair this with WithEncoding:
 //
@@ -138,8 +138,8 @@ func WithEncoding(opts EncodingOptions) Option {
 //		sc.WithVectorized(true),
 //	)
 //
-// KernelDone events report chunks skipped, rows filtered in code space
-// and decodes avoided per node.
+// KernelDone events report chunks skipped, rows filtered per run and
+// decodes avoided per node.
 //
 // With WithEncoding also set, vectorized sessions run the compressed
 // intermediate pipeline: kernel outputs — including a join probing another
@@ -157,16 +157,14 @@ func WithVectorized(enabled bool) Option {
 	return func(c *config) { c.vectorized = enabled }
 }
 
-// WithParallelScan lets the compressed-execution kernels split a node's
-// chunk walk across idle scheduler tokens (see WithConcurrency): the
-// kernels' one walk over row groups cuts the groups into as many
-// partitions as it holds tokens — one, the node's own, when none is idle —
-// which evaluate concurrently with thread-local selection vectors,
-// accumulators and counters, and the partial results merge in chunk order,
-// so the output — and every byte-level artifact downstream — is identical
-// to the serial walk. Aggregates whose result depends on float addition order
-// (AVG, SUM over floats) keep the serial path automatically. Tokens are
-// borrowed non-blocking, so intra-node parallelism composes with the
+// WithParallelScan lets a kernel join split its probe across idle
+// scheduler tokens (see WithConcurrency): the probe's walk over row groups
+// cuts the groups into as many partitions as it holds tokens — one, the
+// node's own, when none is idle — which evaluate concurrently with
+// thread-local selection vectors and counters, and the partial results
+// merge in chunk order, so the output — and every byte-level artifact
+// downstream — is identical to the serial walk. Join builds and aggregates
+// always walk serially. Tokens are borrowed non-blocking, so intra-node parallelism composes with the
 // node-level pool under the one budget and can never deadlock it. Only
 // effective together with WithVectorized and WithConcurrency(k > 1).
 func WithParallelScan(enabled bool) Option {

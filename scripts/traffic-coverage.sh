@@ -6,9 +6,10 @@
 # package and per file, the statements the product path never executed and,
 # separately, those no pass executed. Code in the second table cannot move
 # any metric of the benchmark; code only in the first is reached by a layer
-# replay alone. A third table names the functions no pass executed, and the
-# output ends with the module's non-test line count outside benchmark/, the
-# number simplification PRs are measured in.
+# replay alone. Two more tables name functions: those no pass executed, and
+# those the product path never executed (marked "replay" where a traced
+# pass reaches them). The output ends with the module's non-test line count
+# outside benchmark/, the number simplification PRs are measured in.
 #
 #   scripts/traffic-coverage.sh [--quick] [other benchmark flags]
 #
@@ -75,12 +76,23 @@ report() {
 } | tee "$cover/traffic-coverage.txt"
 
 # The benchmark is a module of its own, whose files `go tool cover -func`
-# cannot find from here: drop its lines from the merged profile first.
+# cannot find from here: drop its lines from the profiles first.
 grep -v "^$module/benchmark/" "$cover/all.cov" >"$cover/all-module.cov"
+grep -v "^$module/benchmark/" "$cover/product.cov" >"$cover/product-module.cov"
+go tool cover -func="$cover/all-module.cov" >"$cover/all.func"
 {
 	echo "== any pass (--trace 0 and --trace 1): functions never executed =="
-	go tool cover -func="$cover/all-module.cov" | awk -v module="$module/" '
-	$NF == "0.0%" && $1 != "total:" { sub(module, "", $1); sub(/:$/, "", $1); printf "  %-48s %s\n", $1, $2 }'
+	awk -v module="$module/" '
+	$NF == "0.0%" && $1 != "total:" { sub(module, "", $1); sub(/:$/, "", $1); printf "  %-48s %s\n", $1, $2 }' "$cover/all.func"
+	echo
+	echo "== product path (--trace 0): functions never executed (replay: a --trace 1 pass executes it) =="
+	go tool cover -func="$cover/product-module.cov" | awk -v module="$module/" '
+	NR == FNR { if ($NF != "0.0%") ran[$1 " " $2] = 1; next }
+	$NF == "0.0%" && $1 != "total:" {
+		key = $1 " " $2
+		sub(module, "", $1); sub(/:$/, "", $1)
+		printf "  %-48s %-32s %s\n", $1, $2, (key in ran) ? "replay" : ""
+	}' "$cover/all.func" -
 	echo
 	printf 'non-test Go lines outside benchmark/: %d\n' \
 		"$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' -print0 | xargs -0 cat | wc -l)"

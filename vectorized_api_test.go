@@ -1,12 +1,75 @@
 package sc_test
 
 import (
+	"bytes"
 	"context"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 
 	sc "github.com/shortcircuit-db/sc"
 )
+
+var updateKernelGolden = flag.Bool("update", false, "rewrite testdata/kernel_counters.golden")
+
+// TestKernelCountersPinned pins the kernel path of a compressed refresh: the
+// 12-MV TPC-DS pipeline at sf 1 over chunked base tables, refreshed twice
+// with encoding and kernels on, must report exactly the kernel counters of
+// testdata/kernel_counters.golden for every node of both refreshes — which
+// operators lowered, what they decoded, probed and passed as codes.
+func TestKernelCountersPinned(t *testing.T) {
+	ctx := context.Background()
+	mvs, tables := tpcdsPipeline(t, 1)
+	store := sc.NewMemStore()
+	for name, tb := range tables {
+		if err := sc.SaveTableChunked(store, name, tb, sc.EncodingOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref, err := sc.New(mvs, store,
+		sc.WithMemory(64<<20),
+		sc.WithEncoding(sc.EncodingOptions{}),
+		sc.WithVectorized(true),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+
+	var buf bytes.Buffer
+	fmt.Fprintln(&buf, "# refresh node lowered fallbacks skipped code_filtered avoided kernel_bytes build_rows probe_rows passed reencoded dict_reused")
+	for refresh := 1; refresh <= 2; refresh++ {
+		res, err := ref.Refresh(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := append([]sc.NodeMetrics(nil), res.Nodes...)
+		sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
+		for _, n := range nodes {
+			fmt.Fprintln(&buf, refresh, n.Name, n.LoweredOps, n.KernelFallbacks, n.ChunksSkipped,
+				n.CodeFilteredRows, n.DecodesAvoided, n.KernelBytes, n.JoinBuildRows, n.JoinProbeRows,
+				n.ChunksPassed, n.ReencodedChunks, n.DictReused)
+		}
+	}
+
+	golden := filepath.Join("testdata", "kernel_counters.golden")
+	if *updateKernelGolden {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to generate)", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("kernel counters drifted from %s:\ngot:\n%s\nwant:\n%s", golden, buf.Bytes(), want)
+	}
+}
 
 // TestWithVectorizedEndToEnd runs a full refresh session with compressed
 // execution on: materialized MVs must match the plain session row for row
@@ -14,11 +77,17 @@ import (
 func TestWithVectorizedEndToEnd(t *testing.T) {
 	mvs := []sc.MV{
 		// enriched is itself an MV, so downstream scans read chunked data
-		// (the base table is legacy v1 and exercises the fallback).
-		{Name: "enriched", SQL: `SELECT user_id, kind, value FROM events`},
+		// (the base table is legacy v1 and exercises the fallback); sorted
+		// by kind, its kind column is stored as run-length chunks.
+		{Name: "enriched", SQL: `SELECT user_id, kind, value FROM events ORDER BY kind`},
 		{Name: "clicks", SQL: `SELECT user_id, value FROM enriched WHERE kind = 'click'`},
 		{Name: "by_user", SQL: `SELECT user_id, SUM(value) AS total, COUNT(*) AS n FROM clicks GROUP BY user_id`},
 		{Name: "big", SQL: `SELECT user_id, total FROM by_user WHERE total > 100 ORDER BY total DESC`},
+		// The filter moves below the join and is decided once per run.
+		{Name: "click_totals", SQL: `
+			SELECT e.user_id AS user_id, e.value AS value, b.total AS total
+			FROM enriched e JOIN by_user b ON e.user_id = b.user_id
+			WHERE e.kind = 'click'`},
 	}
 	run := func(opts ...sc.Option) sc.Store {
 		store := sc.NewMemStore()
@@ -56,7 +125,8 @@ func TestWithVectorizedEndToEnd(t *testing.T) {
 		sc.WithObserver(obs),
 	)
 
-	for _, mv := range []string{"enriched", "clicks", "by_user", "big"} {
+	for _, m := range mvs {
+		mv := m.Name
 		a, err := sc.LoadTable(plain, mv)
 		if err != nil {
 			t.Fatalf("load %s (plain): %v", mv, err)
