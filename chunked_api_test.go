@@ -112,7 +112,7 @@ func TestSessionDictCacheAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range res1.Nodes {
-		if n.KernelFallbacks != 0 {
+		if n.Fallbacks != 0 {
 			t.Fatalf("node %s fell back to the row engine: %+v", n.Name, n)
 		}
 	}
@@ -171,13 +171,13 @@ func TestFilterAndProjectRootsUnderEncoding(t *testing.T) {
 	for _, res := range []*sc.RunResult{flagRes, naiveRes} {
 		var lowered int64
 		for _, n := range res.Nodes {
-			if n.KernelFallbacks != 0 {
+			if n.Fallbacks != 0 {
 				t.Fatalf("node %s fell back to the row engine: %+v", n.Name, n)
 			}
 			if n.Flagged {
 				flagged++
 			}
-			lowered += n.LoweredOps
+			lowered += n.Lowered
 		}
 		if lowered == 0 {
 			t.Fatal("no operator was lowered onto a kernel")

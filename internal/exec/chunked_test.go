@@ -113,7 +113,7 @@ func TestChunkedIntermediatesEndToEnd(t *testing.T) {
 	if j2 == nil {
 		t.Fatal("no metrics for j2")
 	}
-	if j2.LoweredOps == 0 || j2.KernelFallbacks != 0 {
+	if j2.Lowered == 0 || j2.Fallbacks != 0 {
 		t.Fatalf("join-over-join did not stay in code space: %+v", j2)
 	}
 	if j2.ChunksPassed == 0 {

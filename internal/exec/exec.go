@@ -112,21 +112,8 @@ type NodeMetrics struct {
 	MemReads     int // inputs served from the Memory Catalog
 	DiskReads    int // inputs read from storage
 
-	// Compressed-execution kernel counters (zero unless Vectorized).
-	LoweredOps       int64 // plan operators served by kernels
-	KernelFallbacks  int64 // kernel executions that reverted to the row engine
-	ChunksSkipped    int64 // column-chunks eliminated without decoding
-	CodeFilteredRows int64 // rows filtered once per RLE run
-	DecodesAvoided   int64 // column-chunk decodes avoided
-	KernelBytes      int64 // raw bytes the kernels materialized
-	JoinBuildRows    int64 // rows hashed into kernel join build tables
-	JoinProbeRows    int64 // rows probed against kernel join build tables
-
-	// Compressed intermediate pipeline counters (zero unless the node's
-	// output left a kernel as chunks).
-	ChunksPassed    int64 // output chunks passed through or emitted from codes
-	ReencodedChunks int64 // output chunks re-encoded from materialized values
-	DictReused      int64 // output chunks served by the session dictionary cache
+	// The compressed-execution kernels' counters (zero unless Vectorized).
+	obs.KernelStats
 }
 
 // RunResult aggregates a refresh run.
@@ -421,12 +408,7 @@ func (c *Controller) Run(ctx context.Context, w *Workload, g *dag.Graph, plan *c
 			st.mu.Lock()
 			if !st.released {
 				st.released = true
-				id := dag.NodeID(i)
-				name := g.Name(id)
-				if size, err := c.Mem.Size(name); err == nil {
-					_ = c.Mem.DeleteReason(name, "sweep")
-					obs.Emit(c.Obs, obs.Event{Kind: obs.Evicted, Node: name, Step: rs.pos[id], Bytes: size})
-				}
+				rs.evict(dag.NodeID(i), obs.EvictSweep)
 			}
 			st.mu.Unlock()
 		}
@@ -484,14 +466,12 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool, f
 	for _, name := range scanned {
 		in.scans[name]++
 	}
-	var kst *kernels.Stats
 	if c.Vectorized {
-		kst = &kernels.Stats{}
 		opts := encoding.Options{}
 		if c.Encoding != nil {
 			opts = *c.Encoding
 		}
-		planNode = kernels.LowerEnv(planNode, kst, &kernels.Env{
+		planNode = kernels.LowerEnv(planNode, &m.KernelStats, &kernels.Env{
 			Session: c.Chunked, Node: spec.Name, Opts: opts,
 		})
 	}
@@ -552,28 +532,8 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool, f
 		m.Rows = out.NumRows()
 		rs.schemas.learn(spec.Name, out.Schema)
 	}
-	if kst != nil && kst.Lowered > 0 {
-		m.LoweredOps = kst.Lowered
-		m.KernelFallbacks = kst.Fallbacks
-		m.ChunksSkipped = kst.ChunksSkipped
-		m.CodeFilteredRows = kst.CodeFilteredRows
-		m.DecodesAvoided = kst.DecodesAvoided
-		m.KernelBytes = kst.DecodedBytes
-		m.JoinBuildRows = kst.JoinBuildRows
-		m.JoinProbeRows = kst.JoinProbeRows
-		m.ChunksPassed = kst.ChunksPassed
-		m.ReencodedChunks = kst.ReencodedChunks
-		m.DictReused = kst.DictReused
-		obs.Emit(c.Obs, obs.Event{
-			Kind: obs.KernelDone, Node: spec.Name, Step: step,
-			Lowered: kst.Lowered, Fallbacks: kst.Fallbacks,
-			ChunksSkipped:    kst.ChunksSkipped,
-			CodeFilteredRows: kst.CodeFilteredRows, DecodesAvoided: kst.DecodesAvoided,
-			JoinBuildRows: kst.JoinBuildRows, JoinProbeRows: kst.JoinProbeRows,
-			ChunksPassed: kst.ChunksPassed, ReencodedChunks: kst.ReencodedChunks,
-			DictReused: kst.DictReused,
-			Bytes:      kst.DecodedBytes,
-		})
+	if m.Lowered > 0 {
+		obs.Emit(c.Obs, obs.Event{Kind: obs.KernelDone, Node: spec.Name, Step: step, Bytes: m.DecodedBytes, KernelStats: m.KernelStats})
 	}
 
 	if err := ctx.Err(); err != nil {
@@ -683,11 +643,18 @@ func (c *Controller) storedForm(out *table.Table, ct *encoding.Compressed, form 
 func (rs *runState) release(id dag.NodeID, st *flaggedState) {
 	if st.children == 0 && st.written && !st.released {
 		st.released = true
-		name := rs.g.Name(id)
-		// Size, not Get: eviction must not pay a decompression.
-		size, _ := rs.c.Mem.Size(name)
-		_ = rs.c.Mem.DeleteReason(name, "release")
-		obs.Emit(rs.c.Obs, obs.Event{Kind: obs.Evicted, Node: name, Step: rs.pos[id], Bytes: size})
+		rs.evict(id, obs.EvictRelease)
+	}
+}
+
+// evict deletes a node's output from the Memory Catalog and reports why it
+// left.
+func (rs *runState) evict(id dag.NodeID, reason string) {
+	name := rs.g.Name(id)
+	// Size, not Get: eviction must not pay a decompression.
+	if size, err := rs.c.Mem.Size(name); err == nil {
+		_ = rs.c.Mem.Delete(name)
+		obs.Emit(rs.c.Obs, obs.Event{Kind: obs.Evicted, Node: name, Step: rs.pos[id], Bytes: size, Reason: reason})
 	}
 }
 

@@ -256,8 +256,8 @@ func TestOneReadPerInputOnEveryPath(t *testing.T) {
 			if decodes.n != tc.decodes {
 				t.Fatalf("%d whole-table decodes, want %d", decodes.n, tc.decodes)
 			}
-			if tc.vectorized && (n.LoweredOps == 0 || n.KernelFallbacks > 0 != tc.fallback) {
-				t.Fatalf("lowered %d ops, %d fallbacks, want fallback=%v", n.LoweredOps, n.KernelFallbacks, tc.fallback)
+			if tc.vectorized && (n.Lowered == 0 || n.Fallbacks > 0 != tc.fallback) {
+				t.Fatalf("lowered %d ops, %d fallbacks, want fallback=%v", n.Lowered, n.Fallbacks, tc.fallback)
 			}
 		})
 	}
@@ -317,8 +317,8 @@ func TestCatalogResidentInputReadsNothing(t *testing.T) {
 			if decodes.n != tc.decodes {
 				t.Fatalf("%d whole-entry decodes, want %d", decodes.n, tc.decodes)
 			}
-			if tc.vectorized && (n.LoweredOps == 0 || n.KernelFallbacks > 0 == tc.compressed) {
-				t.Fatalf("lowered %d ops, %d fallbacks over a compressed=%v entry", n.LoweredOps, n.KernelFallbacks, tc.compressed)
+			if tc.vectorized && (n.Lowered == 0 || n.Fallbacks > 0 == tc.compressed) {
+				t.Fatalf("lowered %d ops, %d fallbacks over a compressed=%v entry", n.Lowered, n.Fallbacks, tc.compressed)
 			}
 		})
 	}

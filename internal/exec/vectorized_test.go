@@ -144,7 +144,7 @@ func TestVectorizedEndToEnd(t *testing.T) {
 	}
 	var lowered, skipped, codeRows int64
 	for _, n := range res.Nodes {
-		lowered += n.LoweredOps
+		lowered += n.Lowered
 		skipped += n.ChunksSkipped
 		codeRows += n.CodeFilteredRows
 	}
@@ -185,7 +185,7 @@ func TestVectorizedWithoutEncoding(t *testing.T) {
 		}
 		if vectorized {
 			for _, n := range res.Nodes {
-				fallbacks += n.KernelFallbacks
+				fallbacks += n.Fallbacks
 			}
 		}
 		out := make(map[string][]byte)

@@ -25,11 +25,9 @@ import (
 	"github.com/shortcircuit-db/sc/internal/costmodel"
 	"github.com/shortcircuit-db/sc/internal/encoding"
 	"github.com/shortcircuit-db/sc/internal/exec"
-	"github.com/shortcircuit-db/sc/internal/introspect"
 	"github.com/shortcircuit-db/sc/internal/introspect/alert"
 	"github.com/shortcircuit-db/sc/internal/ledger"
 	"github.com/shortcircuit-db/sc/internal/memcat"
-	"github.com/shortcircuit-db/sc/internal/obs"
 	"github.com/shortcircuit-db/sc/internal/sched"
 	"github.com/shortcircuit-db/sc/internal/session"
 	"github.com/shortcircuit-db/sc/internal/storage"
@@ -230,10 +228,9 @@ type Run struct {
 	predictedWall float64 // ledger-learned wall seconds, 0 without history
 	learnedNeed   bool    // need came from observed peaks, not the planner
 
-	events *eventBuf
-	done   chan struct{} // closed on any terminal state
-	tkt    *ticket
-	trace  *telemetry.Collector // opened at enqueue, finished at the terminal state
+	done  chan struct{} // closed on any terminal state
+	tkt   *ticket
+	trace *telemetry.Collector // the run's record: opened at enqueue, finished at the terminal state
 
 	mu         sync.Mutex
 	state      string
@@ -296,7 +293,7 @@ func (r *Run) status() RunStatus {
 		ActualPeakBytes: r.actualPeak, EnqueuedAt: r.enqueuedAt,
 		StartedAt: r.startedAt, FinishedAt: r.finishedAt,
 		Nodes: r.nodes, Flagged: r.flagged, FallbackWrites: r.fallbacks,
-		LeakedBytes: r.leaked, Error: r.errMsg, EventsDropped: r.events.droppedCount(),
+		LeakedBytes: r.leaked, Error: r.errMsg, EventsDropped: r.trace.EventsDropped(),
 	}
 	if !r.startedAt.IsZero() {
 		st.QueueWaitSeconds = r.startedAt.Sub(r.enqueuedAt).Seconds()
@@ -339,17 +336,14 @@ type Server struct {
 	prom  *prom
 	fin   session.Finisher // ledger always; alerts and exporter per Config
 
-	// evlog is the server-wide eviction timeline, harvested from run
-	// catalogs as they detach (bounded at serverEvLogCap, oldest dropped).
-	evMu   sync.Mutex
-	evlog  []introspect.EvictionEvent
-	evSeen int64
-
 	mu        sync.Mutex
 	pipelines map[string]*pipeline
 	runs      map[string]*Run
 	terminal  []string // ids of the retained finished runs, oldest first
 	runSeq    int64
+	// evictionsRetired counts the Evicted events of the runs no longer
+	// retained, so the eviction count outlives them.
+	evictionsRetired int64
 
 	stopOnce sync.Once
 	stopCh   chan struct{}
@@ -715,7 +709,6 @@ func (s *Server) TriggerTrace(name string, parent telemetry.SpanContext) (*Run, 
 		tokens:        s.cfg.Concurrency,
 		predictedWall: pl.predictedWall,
 		learnedNeed:   pl.learnedNeed,
-		events:        newEventBuf(),
 		done:          make(chan struct{}),
 		state:         StateQueued,
 	}
@@ -806,15 +799,18 @@ func (s *Server) execute(ctx context.Context, r *Run, plan *core.Plan) {
 	r.mu.Unlock()
 
 	res, runErr := r.p.Run(ctx, plan, session.RunEnv{
-		Mem:       cat,
-		Sched:     s.sched,
-		RunID:     r.id,
-		Observers: []obs.Observer{r.events},
-		Trace:     r.trace,
+		Mem:   cat,
+		Sched: s.sched,
+		RunID: r.id,
+		Trace: r.trace,
 	})
 
+	// The run leaves the live set before Detach credits what it left back to
+	// the pool, so no report sums entries the pool no longer holds.
+	r.mu.Lock()
+	r.cat = nil
+	r.mu.Unlock()
 	actualPeak := cat.Peak() // before Detach zeroes the accounting
-	s.harvestEvictions(r, cat)
 	leaked := cat.Detach()
 	s.adm.finish(r.p.tenant, r.p.Name, r.need, r.tokens)
 
@@ -834,7 +830,6 @@ func (s *Server) execute(ctx context.Context, r *Run, plan *core.Plan) {
 	s.prom.refreshSeconds.observeExemplar(now.Sub(r.enqueuedAt).Seconds(), exemplar, r.p.tenant, r.p.Name)
 
 	r.mu.Lock()
-	r.cat = nil
 	r.cancelRun = nil
 	r.leaked = leaked
 	r.actualPeak = actualPeak
@@ -866,15 +861,16 @@ func (s *Server) terminate(r *Run, state string, now time.Time) {
 	s.retire(r)
 }
 
-// retire closes a run that reached a terminal state and keeps it readable
-// until LedgerCapacity later runs have finished; the oldest finished run
-// beyond that is dropped, with its events, trace and hold on the pipeline.
-// Queued and executing runs are not in the list, so they are never dropped.
+// retire keeps a run that reached a terminal state readable until
+// LedgerCapacity later runs have finished; the oldest finished run beyond
+// that is dropped, with its trace and hold on the pipeline, and only the
+// count of its evictions stays. Queued and executing runs are not in the
+// list, so they are never dropped.
 func (s *Server) retire(r *Run) {
-	r.events.close()
 	s.mu.Lock()
 	s.terminal = append(s.terminal, r.id)
 	for len(s.terminal) > s.cfg.LedgerCapacity {
+		s.evictionsRetired += int64(len(s.runs[s.terminal[0]].evictions()))
 		delete(s.runs, s.terminal[0])
 		s.terminal = s.terminal[1:]
 	}

@@ -27,11 +27,11 @@ func salesJSON() tableJSON {
 			{Name: "amount", Type: "float"},
 		},
 		Rows: [][]any{
-			{float64(1), "ale", float64(10)},
-			{float64(1), "bock", float64(5)},
-			{float64(2), "ale", float64(7)},
-			{float64(2), "ale", float64(3)},
-			{float64(3), "stout", float64(20)},
+			{json.Number("1"), "ale", json.Number("10")},
+			{json.Number("1"), "bock", json.Number("5")},
+			{json.Number("2"), "ale", json.Number("7")},
+			{json.Number("2"), "ale", json.Number("3")},
+			{json.Number("3"), "stout", json.Number("20")},
 		},
 	}
 }
@@ -539,13 +539,64 @@ func TestTableJSONRoundTrip(t *testing.T) {
 	bad := []tableJSON{
 		{Schema: []columnJSON{{Name: "x", Type: "blob"}}},
 		{Schema: []columnJSON{{Name: "x", Type: "int"}}, Rows: [][]any{{"nope"}}},
-		{Schema: []columnJSON{{Name: "x", Type: "int"}}, Rows: [][]any{{float64(1), float64(2)}}},
-		{Schema: []columnJSON{{Name: "x", Type: "str"}}, Rows: [][]any{{float64(1)}}},
+		{Schema: []columnJSON{{Name: "x", Type: "int"}}, Rows: [][]any{{json.Number("1"), json.Number("2")}}},
+		{Schema: []columnJSON{{Name: "x", Type: "str"}}, Rows: [][]any{{json.Number("1")}}},
+		{Schema: []columnJSON{{Name: "x", Type: "float"}}, Rows: [][]any{{"1.5"}}},
 	}
 	for i, tj := range bad {
 		if _, err := tj.toTable(); err == nil {
 			t.Fatalf("bad table %d accepted", i)
 		}
+	}
+}
+
+// TestRegisterIntColumnsExactly: POST /v1/pipelines stores an inline int
+// column's value only when it is an integer a JSON number carries exactly —
+// integral and no larger in magnitude than 2^53 — and otherwise answers 400
+// naming the row and column, instead of truncating.
+func TestRegisterIntColumnsExactly(t *testing.T) {
+	s, ts := newTestGateway(t, Config{})
+	register := func(name, value string) *http.Response {
+		t.Helper()
+		body := `{"name":"` + name + `","mvs":[{"name":"mv","sql":"SELECT id FROM base"}],` +
+			`"tables":{"base":{"schema":[{"name":"tag","type":"str"},{"name":"id","type":"int"}],` +
+			`"rows":[["a",1],["b",` + value + `]]}}}`
+		resp, err := http.Post(ts.URL+"/v1/pipelines", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for v, want := range map[string]int64{"3": 3, "-2": -2, "9007199254740992": 1 << 53, "-9007199254740992": -1 << 53, "4.0": 4, "1e3": 1000} {
+		name := "ok" + v
+		resp := register(name, v)
+		if resp.StatusCode != http.StatusCreated {
+			b, _ := io.ReadAll(resp.Body)
+			t.Fatalf("int %s: %d %s", v, resp.StatusCode, b)
+		}
+		resp.Body.Close()
+		p, err := s.pipeline(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := exec.LoadTable(p.Store, "base")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := base.Row(1)[1].I; got != want {
+			t.Fatalf("int %s stored as %d", v, got)
+		}
+	}
+	for _, v := range []string{"1.5", "1e20", "9007199254740993", "-9007199254740993", `"7"`} {
+		resp := register("bad", v)
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `row 1 col \"id\"`) {
+			t.Fatalf("int %s: %d %s, want 400 naming row 1 col \"id\"", v, resp.StatusCode, body)
+		}
+	}
+	if _, err := s.Pipeline("bad"); err == nil {
+		t.Fatal("a rejected registration was kept")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -31,7 +32,8 @@ type registerRequest struct {
 	Tables     map[string]tableJSON `json:"tables,omitempty"`
 }
 
-// tableJSON is an inline base table: a schema plus row-major values.
+// tableJSON is an inline base table: a schema plus row-major values, numbers
+// as their JSON literals (json.Number), so an int column reads them exactly.
 type tableJSON struct {
 	Schema []columnJSON `json:"schema"`
 	Rows   [][]any      `json:"rows"`
@@ -66,17 +68,18 @@ func (tj tableJSON) toTable() (*table.Table, error) {
 		}
 		vals := make([]table.Value, len(row))
 		for ci, v := range row {
+			n, _ := v.(json.Number)
 			switch cols[ci].Type {
 			case table.Int:
-				f, ok := v.(float64)
+				i, ok := jsonInt(n)
 				if !ok {
-					return nil, fmt.Errorf("row %d col %q: want int", ri, cols[ci].Name)
+					return nil, fmt.Errorf("row %d col %q: want an integer of magnitude at most 2^53, got %v", ri, cols[ci].Name, v)
 				}
-				vals[ci] = table.IntValue(int64(f))
+				vals[ci] = table.IntValue(i)
 			case table.Float:
-				f, ok := v.(float64)
-				if !ok {
-					return nil, fmt.Errorf("row %d col %q: want float", ri, cols[ci].Name)
+				f, err := n.Float64()
+				if err != nil {
+					return nil, fmt.Errorf("row %d col %q: want float, got %v", ri, cols[ci].Name, v)
 				}
 				vals[ci] = table.FloatValue(f)
 			case table.Str:
@@ -92,6 +95,17 @@ func (tj tableJSON) toTable() (*table.Table, error) {
 		}
 	}
 	return t, nil
+}
+
+// jsonInt reads an int cell: an integral number no larger in magnitude than
+// 2^53, beyond which a JSON number read as a double no longer holds every
+// integer.
+func jsonInt(n json.Number) (int64, bool) {
+	if i, err := n.Int64(); err == nil {
+		return i, -1<<53 <= i && i <= 1<<53
+	}
+	f, err := n.Float64()
+	return int64(f), err == nil && f == math.Trunc(f) && math.Abs(f) <= 1<<53
 }
 
 // tableResponse is the JSON shape of an MV query result.
@@ -239,7 +253,9 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req registerRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.UseNumber()
+	if err := dec.Decode(&req); err != nil {
 		writeError(w, fmt.Errorf("bad request body: %w", err))
 		return
 	}
@@ -370,9 +386,10 @@ func (s *Server) handleQueryMV(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, toTableResponse(name, mv, t))
 }
 
-// handleEvents streams a run's obs events as NDJSON (or SSE when the
-// client asks for text/event-stream): buffered events replay first, then
-// the stream follows live until the run finishes or the client leaves.
+// handleEvents streams a run's obs events from its trace's log as NDJSON
+// (or SSE when the client asks for text/event-stream): logged events replay
+// first, then the stream follows live until the run finishes or the client
+// leaves.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	run, err := s.runHandle(r.PathValue("id"))
 	if err != nil {
@@ -391,7 +408,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	from := 0
 	for {
-		events, done, wake := run.events.next(from)
+		events, done, wake := run.trace.Events(from)
 		for _, e := range events {
 			if sse {
 				fmt.Fprint(w, "data: ")

@@ -382,7 +382,7 @@ func (s *Server) registerGauges() {
 			return out
 		})
 	value("scserve_catalog_evictions_total", "Catalog entries evicted across all run catalogs.",
-		func() float64 { return float64(s.CatalogState().EvictionsSeen) })
+		func() float64 { return float64(s.evictionsSeen()) })
 	s.prom.addGauge("scserve_alerts_total",
 		"Alert webhook delivery outcomes.", []string{"outcome"}, func() []gaugeSample {
 			if s.fin.Alerts == nil {

@@ -10,8 +10,8 @@ import (
 )
 
 // TestFinishedRunsAreRetainedUpToLedgerCapacity: a long-lived server must
-// not keep every run it ever finished — each holds its event buffer, its
-// trace and its pipeline. With LedgerCapacity 4, ten sequential refreshes
+// not keep every run it ever finished — each holds its trace, with the
+// run's event log, and its pipeline. With LedgerCapacity 4, ten sequential refreshes
 // leave the four newest readable and the older ones answer 404 like an
 // unknown id, while a run that is still executing throughout is kept.
 func TestFinishedRunsAreRetainedUpToLedgerCapacity(t *testing.T) {

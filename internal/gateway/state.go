@@ -2,21 +2,22 @@ package gateway
 
 import (
 	"context"
+	"sort"
 
 	"github.com/shortcircuit-db/sc/internal/introspect"
-	"github.com/shortcircuit-db/sc/internal/memcat"
+	"github.com/shortcircuit-db/sc/internal/obs"
 )
 
-// serverEvLogCap bounds the server-wide eviction timeline: evictions
-// harvested from finished run catalogs, newest wins.
-const serverEvLogCap = 256
+// evictionLogCap bounds the eviction timeline of /v1/state/catalog: the
+// newest Evicted events across the retained runs.
+const evictionLogCap = 256
 
 // CatalogState snapshots the shared Memory Catalog for
 // GET /v1/state/catalog: every entry resident in a live run's catalog with
 // its owner, codec mix and eviction rank under the cost-model score, plus
-// the bounded eviction timeline. The report's UsedBytes comes from the pool
-// and EntryBytes from summing entries — the two agree byte-for-byte because
-// every run catalog draws from the pool.
+// the eviction timeline read off the retained runs' traces. The report's
+// UsedBytes comes from the pool and EntryBytes from summing entries — the
+// two agree byte-for-byte because every run catalog draws from the pool.
 func (s *Server) CatalogState() introspect.CatalogReport {
 	now := s.cfg.Clock()
 	rep := introspect.CatalogReport{
@@ -26,35 +27,29 @@ func (s *Server) CatalogState() introspect.CatalogReport {
 		UsedBytes:     s.pool.Used(),
 		PeakUsedBytes: s.pool.PeakUsed(),
 	}
+	runs, retired := s.retained()
+	rep.EvictionsSeen = retired
+	for _, r := range runs {
+		evs := r.evictions()
+		rep.Evictions = append(rep.Evictions, evs...)
+		rep.EvictionsSeen += int64(len(evs))
 
-	type liveRun struct {
-		id  string
-		cat *memcat.Catalog
-		p   *pipeline
-	}
-	var live []liveRun
-	s.mu.Lock()
-	for _, r := range s.runs {
 		r.mu.Lock()
 		cat := r.cat
 		r.mu.Unlock()
-		if cat != nil {
-			live = append(live, liveRun{r.id, cat, r.p})
+		if cat == nil {
+			continue
 		}
-	}
-	s.mu.Unlock()
-
-	for _, lr := range live {
 		// Score each resident entry under the pipeline's current knapsack,
 		// so eviction rank reflects what the optimizer values right now.
 		score := make(map[string]float64)
-		prob := lr.p.Problem(s.adm.tenantSlice(lr.p.tenant))
-		for i, n := range lr.p.Workload.Nodes {
+		prob := r.p.Problem(s.adm.tenantSlice(r.p.tenant))
+		for i, n := range r.p.Workload.Nodes {
 			score[n.Name] = prob.Scores[i]
 		}
-		for _, e := range lr.cat.Entries() {
+		for _, e := range cat.Entries() {
 			ce := introspect.CatalogEntry{
-				Pipeline: lr.p.Name, Tenant: lr.p.tenant, RunID: lr.id,
+				Pipeline: r.p.Name, Tenant: r.p.tenant, RunID: r.id,
 				EntryInfo: e,
 			}
 			if !e.LastAccess.IsZero() {
@@ -63,45 +58,53 @@ func (s *Server) CatalogState() introspect.CatalogReport {
 			ce.ScoreSeconds = score[e.Name]
 			rep.Entries = append(rep.Entries, ce)
 		}
-		for _, ev := range lr.cat.Evictions() {
-			rep.Evictions = append(rep.Evictions, introspect.EvictionEvent{
-				Pipeline: lr.p.Name, Tenant: lr.p.tenant, RunID: lr.id, Eviction: ev,
-			})
-		}
-		rep.EvictionsSeen += lr.cat.EvictionsSeen()
 	}
-
-	// Prepend the server-wide timeline (evictions harvested from finished
-	// runs), oldest first, before the live catalogs' own rings.
-	s.evMu.Lock()
-	rep.Evictions = append(append([]introspect.EvictionEvent{}, s.evlog...), rep.Evictions...)
-	rep.EvictionsSeen += s.evSeen
-	s.evMu.Unlock()
-
+	sort.SliceStable(rep.Evictions, func(i, j int) bool { return rep.Evictions[i].At.Before(rep.Evictions[j].At) })
+	if over := len(rep.Evictions) - evictionLogCap; over > 0 {
+		rep.Evictions = rep.Evictions[over:]
+	}
 	introspect.FinishCatalogReport(&rep)
 	return rep
 }
 
-// harvestEvictions folds a finishing run catalog's eviction ring into the
-// server-wide timeline, attributed to the run whose budget pressure caused
-// them.
-func (s *Server) harvestEvictions(r *Run, cat *memcat.Catalog) {
-	evs := cat.Evictions()
-	seen := cat.EvictionsSeen()
-	if seen == 0 {
-		return
+// retained snapshots the runs the server holds, in run order, together with
+// the evictions of the runs it has dropped: retire moves a run from one to
+// the other under s.mu, so a snapshot counts every eviction exactly once.
+func (s *Server) retained() ([]*Run, int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	runs := make([]*Run, 0, len(s.runs))
+	for _, r := range s.runs {
+		runs = append(runs, r)
 	}
-	s.evMu.Lock()
-	defer s.evMu.Unlock()
-	s.evSeen += seen
-	for _, ev := range evs {
-		s.evlog = append(s.evlog, introspect.EvictionEvent{
-			Pipeline: r.p.Name, Tenant: r.p.tenant, RunID: r.id, Eviction: ev,
-		})
+	sort.Slice(runs, func(i, j int) bool { return runs[i].id < runs[j].id })
+	return runs, s.evictionsRetired
+}
+
+// evictionsSeen counts every eviction of every run the server has hosted
+// (scserve_catalog_evictions_total), without building the report.
+func (s *Server) evictionsSeen() int64 {
+	runs, n := s.retained()
+	for _, r := range runs {
+		n += int64(len(r.evictions()))
 	}
-	if over := len(s.evlog) - serverEvLogCap; over > 0 {
-		s.evlog = append(s.evlog[:0], s.evlog[over:]...)
+	return n
+}
+
+// evictions reads the Evicted events off the run's trace, attributed to the
+// run.
+func (r *Run) evictions() []introspect.EvictionEvent {
+	events, _, _ := r.trace.Events(0)
+	var out []introspect.EvictionEvent
+	for _, e := range events {
+		if e.Kind == obs.Evicted {
+			out = append(out, introspect.EvictionEvent{
+				Pipeline: r.p.Name, Tenant: r.p.tenant, RunID: r.id,
+				Name: e.Node, Bytes: e.Bytes, Reason: e.Reason, At: e.At,
+			})
+		}
 	}
+	return out
 }
 
 // SchedState snapshots the scheduler for GET /v1/state/sched: the

@@ -94,8 +94,8 @@ func scrapeGauge(t *testing.T, url, name string) float64 {
 // background materializations gated) and checks that GET /v1/state/catalog
 // agrees byte-for-byte with the pool and the /metrics gauges, that a second
 // trigger shows up in GET /v1/state/sched blocked on the busy pipeline, and
-// that opening the gate drains everything into the server-wide eviction
-// timeline with per-run attribution.
+// that opening the gate drains everything into the eviction timeline with
+// per-run attribution.
 func TestStateCatalogAndSchedIntrospection(t *testing.T) {
 	gs := &gateStore{Store: storage.NewMemStore()}
 	s, ts := newTestGateway(t, Config{
@@ -219,8 +219,8 @@ func TestStateCatalogAndSchedIntrospection(t *testing.T) {
 		t.Fatalf("HTTP sched state: %+v", httpSched)
 	}
 
-	// Open the gate: both runs drain; the per-run "release" deletions are
-	// harvested into the server-wide eviction timeline with attribution.
+	// Open the gate: both runs drain; their "release" evictions reach the
+	// eviction timeline from the runs' traces, with attribution.
 	gs.open()
 	<-r1.done
 	<-r2.done

@@ -41,19 +41,23 @@ type CatalogEntry struct {
 	EvictionRank int `json:"eviction_rank"`
 }
 
-// EvictionEvent is one entry leaving a run catalog, attributed to the run
-// whose budget pressure removed it.
+// EvictionEvent is one entry leaving a run catalog — a run's Evicted event —
+// attributed to the run that removed it.
 type EvictionEvent struct {
-	Pipeline string `json:"pipeline,omitempty"`
-	Tenant   string `json:"tenant,omitempty"`
-	RunID    string `json:"run_id,omitempty"`
-	memcat.Eviction
+	Pipeline string    `json:"pipeline,omitempty"`
+	Tenant   string    `json:"tenant,omitempty"`
+	RunID    string    `json:"run_id,omitempty"`
+	Name     string    `json:"name"`
+	Bytes    int64     `json:"bytes"`
+	Reason   string    `json:"reason"` // obs.EvictRelease or obs.EvictSweep
+	At       time.Time `json:"at"`
 }
 
 // CatalogReport is the body of GET /v1/state/catalog: the shared budget,
 // every resident entry across all live run catalogs, the catalog-wide
-// codec composition, and a bounded eviction timeline. EntryBytes always
-// equals UsedBytes — the consistency the metrics gauges pin.
+// codec composition, and a bounded eviction timeline, oldest first, beside
+// EvictionsSeen, the count of every eviction. EntryBytes always equals
+// UsedBytes — the consistency the metrics gauges pin.
 type CatalogReport struct {
 	At            time.Time        `json:"at"`
 	BudgetBytes   int64            `json:"budget_bytes"`

@@ -233,7 +233,7 @@ func (j *HashJoinScan) RunChunked(ctx *engine.Context) (*encoding.Compressed, *t
 	if err != nil {
 		return nil, nil, j.wrap(err)
 	}
-	j.St.addBuilder(b.Counters)
+	addBuilder(j.St, b.Counters)
 	return ct, nil, nil
 }
 

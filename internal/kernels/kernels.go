@@ -38,57 +38,18 @@ import (
 	"github.com/shortcircuit-db/sc/internal/chunkio"
 	"github.com/shortcircuit-db/sc/internal/encoding"
 	"github.com/shortcircuit-db/sc/internal/engine"
+	"github.com/shortcircuit-db/sc/internal/obs"
 	"github.com/shortcircuit-db/sc/internal/table"
 )
 
-// Stats counts what the kernels saved during one plan execution. The
-// controller copies them into NodeMetrics and emits them as a KernelDone
-// event.
-type Stats struct {
-	// Lowered is the number of plan operators rewritten onto kernels.
-	Lowered int64
-	// Fallbacks is the number of kernel operator executions that fell back
-	// to the row engine (input not available in chunked form).
-	Fallbacks int64
-	// ChunksSkipped counts column-chunks never touched at all: their rows
-	// were eliminated by the selection vector or the column by the
-	// operator's projection.
-	ChunksSkipped int64
-	// CodeFilteredRows counts rows whose predicate verdict was computed
-	// once per RLE run without materializing the row's value.
-	CodeFilteredRows int64
-	// DecodesAvoided counts column-chunks served from their encoded form
-	// (dictionary lookups, run walks) where the row engine would have paid
-	// a full chunk decode.
-	DecodesAvoided int64
-	// DecodedBytes is the raw bytes the kernels did materialize, full
-	// chunk decodes and late-materialized survivors alike.
-	DecodedBytes int64
-	// JoinBuildRows counts rows hashed into a join build table by shared
-	// key id (key-column-only reads) without materializing the full row.
-	JoinBuildRows int64
-	// JoinProbeRows counts rows probed against a join build table; probe
-	// rows whose key the build side never interned are dropped before any
-	// other column decodes.
-	JoinProbeRows int64
-	// ChunksPassed counts output column-chunks the chunked-output pipeline
-	// emitted from gathered codes — intermediate bytes that never
-	// materialized between operators.
-	ChunksPassed int64
-	// ReencodedChunks counts output column-chunks re-encoded from
-	// materialized values with codec auto-selection (chunkio's fallback when
-	// no code-space path applies).
-	ReencodedChunks int64
-	// DictReused counts output chunks whose dictionary was served entirely
-	// by the session dictionary cache — a recurring refresh reusing the
-	// previous run's entries instead of rebuilding them.
-	DictReused int64
-}
+// Stats counts what the kernels did and saved during one plan execution;
+// the controller hands them on as the node's metrics and KernelDone event.
+type Stats = obs.KernelStats
 
-// addBuilder folds one chunkio.Builder's counters into the stats. Bytes the
+// addBuilder folds one chunkio.Builder's counters into st. Bytes the
 // builder materialized itself (dictionary-overflow conversions) count as
 // decoded: they became real values.
-func (st *Stats) addBuilder(c chunkio.Counters) {
+func addBuilder(st *Stats, c chunkio.Counters) {
 	st.ChunksPassed += c.CodeChunks
 	st.ReencodedChunks += c.Reencoded
 	st.DictReused += c.DictReused

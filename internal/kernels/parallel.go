@@ -145,10 +145,10 @@ func (pp *partPlan) run(fn func(p, lo, hi int) error) error {
 	return nil
 }
 
-// add folds another Stats (a partition's thread-local counters) into st.
-// Every field is a sum, so folding partitions in any order reproduces the
-// serial totals.
-func (st *Stats) add(o *Stats) {
+// addStats folds o (a partition's thread-local counters) into st. Every
+// field is a sum, so folding partitions in any order reproduces the serial
+// totals.
+func addStats(st, o *Stats) {
 	st.Lowered += o.Lowered
 	st.Fallbacks += o.Fallbacks
 	st.ChunksSkipped += o.ChunksSkipped
@@ -225,7 +225,7 @@ func walkGroups[P any](w walk, newPart func() P, body func(part P, cc *chunkCtx,
 		return nil
 	})
 	for i := range sts {
-		w.st.add(&sts[i])
+		addStats(w.st, &sts[i])
 	}
 	// Kept contexts outlive their partition: what the caller reads through
 	// them from here on counts straight into the shared Stats.

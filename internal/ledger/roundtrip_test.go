@@ -27,13 +27,13 @@ func TestEventsRoundTripThroughCollectorAndLedger(t *testing.T) {
 		{Kind: obs.IterationDone, Iteration: 1, Score: 2.5},
 		{Kind: obs.NodeStart, Node: "a", At: at(100)},
 		{Kind: obs.DecodeDone, Node: "a", Bytes: 4096, Encoded: 1024, Ratio: 4, At: at(150), Elapsed: ms(5)},
-		{Kind: obs.KernelDone, Node: "a", Lowered: 3, Fallbacks: 2, At: at(200)},
+		{Kind: obs.KernelDone, Node: "a", KernelStats: obs.KernelStats{Lowered: 3, Fallbacks: 2}, At: at(200)},
 		{Kind: obs.EncodeDone, Node: "a", Bytes: 8192, Encoded: 2048, Ratio: 4, At: at(300), Elapsed: ms(5)},
 		{Kind: obs.MemoryHighWater, Step: -1, Bytes: 2048, At: at(300)},
 		{Kind: obs.NodeDone, Node: "a", Bytes: 8192, Encoded: 2048, Flagged: true, At: at(400), Elapsed: ms(300)},
 		{Kind: obs.NodeStart, Node: "b", Step: 1, At: at(500)},
 		{Kind: obs.CacheHit, Node: "b", Source: "a", Step: 1, Bytes: 2048, At: at(510)},
-		{Kind: obs.KernelDone, Node: "b", Step: 1, Lowered: 1, Fallbacks: 1, At: at(600)},
+		{Kind: obs.KernelDone, Node: "b", Step: 1, KernelStats: obs.KernelStats{Lowered: 1, Fallbacks: 1}, At: at(600)},
 		{Kind: obs.Materialized, Node: "a", Bytes: 2048, At: at(650)},
 		{Kind: obs.Evicted, Node: "a", Bytes: 2048, At: at(700)},
 		{Kind: obs.EncodeDone, Node: "b", Step: 1, Bytes: 512, Encoded: 256, Ratio: 2, At: at(800), Elapsed: ms(5)},

@@ -70,13 +70,6 @@ type Catalog struct {
 	// pool, when non-nil, is the shared budget this catalog's entry bytes
 	// are additionally accounted against (see Pool). Guarded by mu.
 	pool *Pool
-
-	// evLog is a bounded ring of entries that left the catalog, oldest
-	// first once full — the introspection layer's eviction timeline.
-	// Guarded by mu.
-	evLog  []Eviction
-	evHead int
-	evSeen int64
 }
 
 type entryT struct {
@@ -85,22 +78,6 @@ type entryT struct {
 	// lastAccess is when a reader last touched the entry (Put counts),
 	// feeding the inspector's last-access age. Guarded by the catalog mu.
 	lastAccess time.Time
-}
-
-// evLogCap bounds the eviction timeline ring per catalog.
-const evLogCap = 64
-
-// Eviction records one entry leaving the catalog: the release protocol
-// ("release"), the controller's cancellation sweep ("sweep"), a Put that
-// replaced it ("replaced"), or a plain Delete ("delete").
-type Eviction struct {
-	Name   string `json:"name"`
-	Bytes  int64  `json:"bytes"`
-	Reason string `json:"reason"`
-	// UsedBytes is the catalog's accounted bytes right after the eviction
-	// — the budget pressure the entry left behind.
-	UsedBytes int64     `json:"used_bytes"`
-	At        time.Time `json:"at"`
 }
 
 // EntryInfo is a point-in-time view of one resident entry for the
@@ -175,10 +152,8 @@ func (c *Catalog) PutEntry(name string, e Entry) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var old int64
-	replaced := false
 	if prev, ok := c.entries[name]; ok {
 		old = prev.size
-		replaced = true
 	}
 	if c.used-old+size > c.capacity {
 		return fmt.Errorf("%w: %s needs %d bytes, %d free of %d",
@@ -191,9 +166,6 @@ func (c *Catalog) PutEntry(name string, e Entry) error {
 	}
 	if c.pool != nil {
 		c.pool.charge(size - old)
-	}
-	if replaced {
-		c.recordEvictionLocked(name, old, "replaced")
 	}
 	return nil
 }
@@ -300,14 +272,6 @@ func (c *Catalog) GetCompressed(name string) (*encoding.Compressed, ReadInfo, bo
 
 // Delete frees the named table.
 func (c *Catalog) Delete(name string) error {
-	return c.DeleteReason(name, "delete")
-}
-
-// DeleteReason is Delete with the removal's cause recorded on the
-// eviction timeline: the exec layer passes "release" (the §III-C release
-// protocol freed it) or "sweep" (the cancellation sweep of a failed or
-// canceled run).
-func (c *Catalog) DeleteReason(name, reason string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[name]
@@ -319,40 +283,7 @@ func (c *Catalog) DeleteReason(name, reason string) error {
 	if c.pool != nil {
 		c.pool.charge(-e.size)
 	}
-	c.recordEvictionLocked(name, e.size, reason)
 	return nil
-}
-
-// recordEvictionLocked appends to the bounded eviction ring. Callers hold
-// c.mu and have already adjusted used.
-func (c *Catalog) recordEvictionLocked(name string, size int64, reason string) {
-	ev := Eviction{Name: name, Bytes: size, Reason: reason, UsedBytes: c.used, At: time.Now()}
-	if len(c.evLog) < evLogCap {
-		c.evLog = append(c.evLog, ev)
-	} else {
-		c.evLog[c.evHead] = ev
-		c.evHead = (c.evHead + 1) % evLogCap
-	}
-	c.evSeen++
-}
-
-// Evictions snapshots the eviction timeline, oldest first. At most the
-// most recent evLogCap removals are retained; EvictionsSeen counts all.
-func (c *Catalog) Evictions() []Eviction {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Eviction, 0, len(c.evLog))
-	out = append(out, c.evLog[c.evHead:]...)
-	out = append(out, c.evLog[:c.evHead]...)
-	return out
-}
-
-// EvictionsSeen returns the lifetime count of entries that left the
-// catalog, including those the bounded timeline no longer holds.
-func (c *Catalog) EvictionsSeen() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evSeen
 }
 
 // Entries snapshots every resident entry for the introspection layer,

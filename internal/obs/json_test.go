@@ -58,7 +58,8 @@ func TestEventMarshalJSONErrorAndStep(t *testing.T) {
 }
 
 func TestEventMarshalJSONKernelCounters(t *testing.T) {
-	e := Event{Kind: KernelDone, Node: "mv_c", Step: 0, Lowered: 4, DictReused: 2}
+	e := Event{Kind: KernelDone, Node: "mv_c", Step: 0, Bytes: 512,
+		KernelStats: KernelStats{Lowered: 4, DictReused: 2, DecodedBytes: 512}}
 	data, err := json.Marshal(e)
 	if err != nil {
 		t.Fatal(err)
@@ -70,5 +71,19 @@ func TestEventMarshalJSONKernelCounters(t *testing.T) {
 	}
 	if !strings.Contains(s, `"step":0`) {
 		t.Fatalf("step 0 must serialize (it is a real plan position): %s", s)
+	}
+	// The decoded bytes travel once, as the event's bytes.
+	if !strings.Contains(s, `"bytes":512`) || strings.Contains(s, "decoded") {
+		t.Fatalf("decoded bytes not reported once as bytes: %s", s)
+	}
+}
+
+func TestEventMarshalJSONEvictionReason(t *testing.T) {
+	data, err := json.Marshal(Event{Kind: Evicted, Node: "mv_d", Step: 1, Bytes: 64, Reason: EvictSweep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := string(data); !strings.Contains(s, `"reason":"sweep"`) {
+		t.Fatalf("eviction reason missing: %s", s)
 	}
 }

@@ -8,7 +8,7 @@ package obs
 
 import (
 	"fmt"
-	"sync/atomic"
+	"sync"
 	"time"
 )
 
@@ -26,8 +26,10 @@ const (
 	// Materialized: a node's output finished writing to external storage
 	// (foreground or background). Fields: Node, Bytes (encoded size).
 	Materialized
-	// Evicted: a flagged output left the Memory Catalog after its last
-	// dependent executed and materialization completed. Fields: Node, Bytes.
+	// Evicted: a flagged output left the Memory Catalog. Fields: Node,
+	// Bytes, Reason: EvictRelease once its last dependent executed and its
+	// materialization completed, EvictSweep when the Controller swept it
+	// from a failed or canceled run.
 	Evicted
 	// IterationDone: one alternating-optimization iteration completed.
 	// Fields: Iteration, Score, Bytes (flagged bytes), Elapsed.
@@ -44,16 +46,9 @@ const (
 	// (decode time).
 	DecodeDone
 	// KernelDone: a node's plan ran (at least partly) on the
-	// compressed-execution kernels. Fields: Node, Step, Lowered (operators
-	// served by kernels, a join's filtered side counted as one), Fallbacks
-	// (kernel executions that reverted to the row engine), ChunksSkipped,
-	// CodeFilteredRows (join-side filter verdicts decided per RLE run),
-	// DecodesAvoided, JoinBuildRows/JoinProbeRows (rows hashed and probed
-	// by shared key id),
-	// ChunksPassed/ReencodedChunks/DictReused (compressed intermediate
-	// pipeline: output chunks kept in code space, re-encoded from values,
-	// and served by the session dictionary cache), Bytes (raw bytes the
-	// kernels materialized).
+	// compressed-execution kernels. Fields: Node, Step, the node's
+	// KernelStats, and Bytes, which repeats their DecodedBytes (raw bytes
+	// the kernels materialized).
 	KernelDone
 	// CacheHit: a node's input read was served from the Memory Catalog
 	// without decode work — a plain resident entry or a compressed chunk
@@ -101,9 +96,10 @@ type Event struct {
 	// emitter was not run-scoped.
 	RunID string
 	// Seq is a per-run monotonic sequence number (1-based), assigned by
-	// WithRun in emission order across all of the run's goroutines. It gives
-	// stream consumers a total order even when a concurrent Controller
-	// interleaves events from its worker pool. Zero when not run-scoped.
+	// WithRun in emission order across all of the run's goroutines; the
+	// observers behind WithRun receive the events in Seq order even when a
+	// concurrent Controller interleaves its worker pool's. Zero when not
+	// run-scoped.
 	Seq       int64
 	Node      string        // node (MV) name
 	Source    string        // CacheHit: the producing node whose cached output was read
@@ -118,26 +114,41 @@ type Event struct {
 	Compute   time.Duration // NodeDone: compute time
 	Flagged   bool          // NodeDone: output kept in the Memory Catalog
 	Form      string        // NodeDone: the form it is kept there in ("rows", "serialized", "compressed"); empty when not Flagged
+	Reason    string        // Evicted: EvictRelease or EvictSweep
 	Iteration int           // IterationDone: 1-based iteration number
 	Score     float64       // IterationDone: flagged speedup score, seconds
 	Err       error         // NodeDone: execution error, if any
 
-	// Compressed-execution kernel counters (KernelDone).
-	Lowered          int64 // plan operators served by kernels
-	Fallbacks        int64 // kernel executions that reverted to the row engine
-	ChunksSkipped    int64 // column-chunks eliminated without decoding
-	CodeFilteredRows int64 // rows filtered once per RLE run
-	DecodesAvoided   int64 // column-chunk decodes avoided
-	JoinBuildRows    int64 // rows hashed into kernel join build tables
-	JoinProbeRows    int64 // rows probed against kernel join build tables
-	ChunksPassed     int64 // output chunks kept in code space (passthrough or gathered codes)
-	ReencodedChunks  int64 // output chunks re-encoded from materialized values
-	DictReused       int64 // output chunks whose dictionary came from the session cache
+	KernelStats // KernelDone
 
 	// At is when the event happened: the wall clock for real runs, the
 	// wall-clock image of the virtual clock (base + clock) for simulations.
 	// WithRun stamps the present on events whose emitter left it zero.
 	At time.Time
+}
+
+// Why an entry left the Memory Catalog (Event.Reason of an Evicted event).
+const (
+	EvictRelease = "release" // the §III-C release protocol freed it
+	EvictSweep   = "sweep"   // the cancellation sweep of a failed or canceled run
+)
+
+// KernelStats counts what the compressed-execution kernels did and saved
+// while one node's plan ran. It is declared once, here: the kernels count
+// into it, exec.NodeMetrics reports it and a KernelDone event carries it,
+// under the JSON names of the event stream.
+type KernelStats struct {
+	Lowered          int64 `json:"lowered,omitempty"`            // plan operators served by kernels, a join's filtered side counted as one
+	Fallbacks        int64 `json:"fallbacks,omitempty"`          // kernel executions that reverted to the row engine (input not chunked)
+	ChunksSkipped    int64 `json:"chunks_skipped,omitempty"`     // column-chunks never touched: rows eliminated or column not projected
+	CodeFilteredRows int64 `json:"code_filtered_rows,omitempty"` // join-side filter verdicts decided once per RLE run
+	DecodesAvoided   int64 `json:"decodes_avoided,omitempty"`    // column-chunks served encoded (dictionary lookups, run walks)
+	DecodedBytes     int64 `json:"-"`                            // raw bytes the kernels did materialize; KernelDone reports them as Bytes
+	JoinBuildRows    int64 `json:"join_build_rows,omitempty"`    // rows hashed into join build tables by shared key id
+	JoinProbeRows    int64 `json:"join_probe_rows,omitempty"`    // rows probed against join build tables
+	ChunksPassed     int64 `json:"chunks_passed,omitempty"`      // output chunks emitted from gathered codes, never materialized
+	ReencodedChunks  int64 `json:"reencoded_chunks,omitempty"`   // output chunks re-encoded from materialized values
+	DictReused       int64 `json:"dict_reused,omitempty"`        // output chunks whose dictionary the session cache served entirely
 }
 
 // Observer receives events. Implementations must be safe for concurrent use:
@@ -187,11 +198,12 @@ func (m multi) OnEvent(e Event) {
 
 // WithRun wraps inner so every event it forwards carries the run
 // correlation fields: RunID (as given, possibly empty) and Seq, a 1-based
-// counter atomically incremented per event — safe for a Controller's
-// concurrent emitters — plus At, the present unless the emitter set it. A
-// nil inner returns nil, so a disabled observer chain stays a single nil
-// check on the hot path. Events that already carry a RunID (an inner
-// emitter re-scoping an outer stream) keep their own fields.
+// counter incremented per event, plus At, the present unless the emitter
+// set it. It hands inner one event at a time, so even a Controller's
+// concurrent emitters reach inner in Seq order. A nil inner returns nil, so
+// a disabled observer chain stays a single nil check on the hot path.
+// Events that already carry a RunID (an inner emitter re-scoping an outer
+// stream) keep their own fields.
 func WithRun(runID string, inner Observer) Observer {
 	if inner == nil {
 		return nil
@@ -201,17 +213,24 @@ func WithRun(runID string, inner Observer) Observer {
 
 type runScope struct {
 	runID string
-	seq   atomic.Int64
+	mu    sync.Mutex
+	seq   int64
 	inner Observer
 }
 
 func (r *runScope) OnEvent(e Event) {
+	// Delivering under the lock is what puts every observer's view in Seq
+	// order. The lock is private to this scope, so no observer can re-enter
+	// it, and delivery is synchronous: an observer that blocks stalls its
+	// emitter with or without it.
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if e.At.IsZero() {
 		e.At = time.Now()
 	}
 	if e.RunID == "" && e.Seq == 0 {
-		e.RunID = r.runID
-		e.Seq = r.seq.Add(1)
+		r.seq++
+		e.RunID, e.Seq = r.runID, r.seq
 	}
 	r.inner.OnEvent(e)
 }

@@ -5,11 +5,12 @@
 // solved plan, an explanation of a plan in the numbers the problem was
 // priced with, and an executed run. Run records the execution
 // metadata from the run's result, so a run nobody watches emits no events;
-// the event stream exists for the watchers a caller names (an observer, an
-// event buffer, the trace). A Finisher ends a traced run's observability
-// lifecycle: trace, ledger row, alerts, export. sc.Refresher and the
-// gateway differ only in what they put around these two: options and plan
-// caching on one side, admission and the run state machine on the other.
+// the event stream exists for the watchers a caller names: the run's trace,
+// which is also its event log, and the library's observer. A Finisher ends
+// a traced run's observability lifecycle: trace, ledger row, alerts,
+// export. sc.Refresher and the gateway differ only in what they put around
+// these two: options and plan caching on one side, admission and the run
+// state machine on the other.
 package session
 
 import (
@@ -176,21 +177,25 @@ type RunEnv struct {
 	Sched        *sched.Scheduler // shared token pool; nil gives the run a private one
 	ParallelScan bool
 	RunID        string
-	Observers    []obs.Observer       // who watches the event stream beside the trace; nil entries are skipped
-	Trace        *telemetry.Collector // from OpenTrace; nil for an untraced run
+	// Trace, from OpenTrace, is the run's record: its trace and its event
+	// log. Nil for an untraced run.
+	Trace *telemetry.Collector
+	// Observer watches the event stream beside the trace: the library's
+	// WithObserver. Nil for everyone else.
+	Observer obs.Observer
 }
 
 // controller builds the run's Controller. Its event stream has exactly the
 // watchers env names: none of them means a nil Obs, and no call per event.
 func (p *Pipeline) controller(env RunEnv) *exec.Controller {
-	observers := append([]obs.Observer(nil), env.Observers...)
+	watchers := env.Observer
 	if env.Trace != nil {
-		observers = append(observers, env.Trace)
+		watchers = obs.Multi(env.Observer, env.Trace)
 	}
 	return &exec.Controller{
 		Store:        p.Store,
 		Mem:          env.Mem,
-		Obs:          obs.Multi(observers...),
+		Obs:          watchers,
 		RunID:        env.RunID,
 		Concurrency:  p.Concurrency,
 		Sched:        env.Sched,

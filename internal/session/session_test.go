@@ -152,7 +152,7 @@ func TestFinishWithoutLedgerStillTracesAndExports(t *testing.T) {
 	// The next run's dictionary reuse links back to the remembered span.
 	col := p.OpenTrace("run-2", time.Time{}, telemetry.SpanContext{})
 	col.OnEvent(obs.Event{Kind: obs.NodeStart, Node: "a"})
-	col.OnEvent(obs.Event{Kind: obs.KernelDone, Node: "a", DictReused: 1})
+	col.OnEvent(obs.Event{Kind: obs.KernelDone, Node: "a", KernelStats: obs.KernelStats{DictReused: 1}})
 	col.OnEvent(obs.Event{Kind: obs.NodeDone, Node: "a"})
 	_, _, next := f.Finish(p, col, time.Time{}, ledger.Meta{Outcome: ledger.OutcomeSucceeded})
 	if len(next) != 2 || len(next[1].Links) != 1 || next[1].Links[0].SpanID != spans[1].SpanID {
@@ -245,8 +245,9 @@ func TestRunRecordsMetadataWithNobodyWatching(t *testing.T) {
 	if ctl := p.controller(RunEnv{}); ctl.Obs != nil {
 		t.Fatalf("an unwatched run got observer %T", ctl.Obs)
 	}
-	if ctl := p.controller(RunEnv{Observers: []obs.Observer{nil}}); ctl.Obs != nil {
-		t.Fatalf("a nil observer entry became %T", ctl.Obs)
+	col := p.OpenTrace("run-000001", time.Time{}, telemetry.SpanContext{})
+	if ctl := p.controller(RunEnv{Trace: col}); ctl.Obs != obs.Observer(col) {
+		t.Fatalf("a run watched only by its trace got observer %T", ctl.Obs)
 	}
 	res, err := p.Run(context.Background(), plan, RunEnv{})
 	if err != nil {

@@ -68,9 +68,16 @@ type CollectorConfig struct {
 	LinkResolver func(node string) (SpanContext, bool)
 }
 
-// Collector assembles one run's obs events into a trace. It implements
-// obs.Observer and is safe for a concurrent Controller's emitters. All
-// spans share one trace ID; node spans parent under the root span.
+// eventLogCap bounds the events a Collector keeps. A 12-node refresh emits
+// a few dozen; the cap only matters for pathological DAGs, where the log
+// counts what it dropped instead of growing without bound.
+const eventLogCap = 16384
+
+// Collector is the record of one run: it assembles the run's obs events
+// into a trace and keeps the events themselves as a log, which followers
+// read replay-then-follow (Events). It implements obs.Observer and is safe
+// for a concurrent Controller's emitters. All spans share one trace ID;
+// node spans parent under the root span.
 type Collector struct {
 	mu       sync.Mutex
 	trace    TraceID
@@ -79,6 +86,10 @@ type Collector struct {
 	done     []Span
 	finished bool
 	linkFor  func(node string) (SpanContext, bool)
+
+	log     []obs.Event
+	dropped int64
+	wake    chan struct{} // closed on the next event or Finish; nil until a follower waits
 
 	profile   bool
 	memStart  runtime.MemStats
@@ -146,6 +157,12 @@ func (c *Collector) OnEvent(e obs.Event) {
 	if c.finished {
 		return
 	}
+	if len(c.log) < eventLogCap {
+		c.log = append(c.log, e)
+	} else {
+		c.dropped++
+	}
+	c.wakeLocked()
 	if c.profile {
 		if n := runtime.NumGoroutine(); n > c.goroPeak {
 			c.goroPeak = n
@@ -307,6 +324,9 @@ func spanEventAttrs(e obs.Event) []Attr {
 	if e.Elapsed != 0 {
 		attrs = append(attrs, Float("sc.elapsed_seconds", e.Elapsed.Seconds()))
 	}
+	if e.Reason != "" {
+		attrs = append(attrs, Str("sc.reason", e.Reason))
+	}
 	if e.Kind == obs.KernelDone {
 		attrs = append(attrs,
 			Int("sc.kernel.lowered", e.Lowered),
@@ -351,8 +371,8 @@ func (c *Collector) SetRootAttrs(attrs ...Attr) {
 
 // Finish closes the root span at end (zero means now), closes any
 // still-open node spans at the same instant, stamps the profile delta when
-// enabled, and records errMsg as the root status. Finish is idempotent; events arriving after
-// it are dropped.
+// enabled, records errMsg as the root status and closes the event log.
+// Finish is idempotent; events arriving after it are dropped.
 func (c *Collector) Finish(end time.Time, errMsg string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -360,6 +380,7 @@ func (c *Collector) Finish(end time.Time, errMsg string) {
 		return
 	}
 	c.finished = true
+	c.wakeLocked()
 	if end.IsZero() {
 		end = time.Now()
 	}
@@ -391,6 +412,40 @@ func (c *Collector) Finished() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.finished
+}
+
+// wakeLocked wakes the followers waiting on the log.
+func (c *Collector) wakeLocked() {
+	if c.wake != nil {
+		close(c.wake)
+		c.wake = nil
+	}
+}
+
+// Events returns the logged events from index from onward, whether the log
+// is closed (Finish ran: no event follows), and, while it is open, a channel
+// closed on the next event or on Finish. A follower consumes the events and,
+// when there are none and the log is open, waits on the channel.
+func (c *Collector) Events(from int) (events []obs.Event, closed bool, wake <-chan struct{}) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if from < len(c.log) {
+		events = c.log[from:len(c.log):len(c.log)]
+	}
+	if !c.finished {
+		if c.wake == nil {
+			c.wake = make(chan struct{})
+		}
+		wake = c.wake
+	}
+	return events, c.finished, wake
+}
+
+// EventsDropped counts the events the log did not keep beyond eventLogCap.
+func (c *Collector) EventsDropped() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.dropped
 }
 
 // Spans snapshots the trace, root span first. Call after Finish for a

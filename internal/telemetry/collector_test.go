@@ -23,7 +23,7 @@ func spanByName(t *testing.T, spans []Span, name string) Span {
 func TestCollectorRealRun(t *testing.T) {
 	c := NewCollector(CollectorConfig{RunID: "run-000001"})
 	c.OnEvent(obs.Event{Kind: obs.NodeStart, Node: "a", Step: 0})
-	c.OnEvent(obs.Event{Kind: obs.KernelDone, Node: "a", Step: 0, Lowered: 3})
+	c.OnEvent(obs.Event{Kind: obs.KernelDone, Node: "a", Step: 0, KernelStats: obs.KernelStats{Lowered: 3}})
 	c.OnEvent(obs.Event{Kind: obs.EncodeDone, Node: "a", Step: 0, Bytes: 100, Encoded: 40, Ratio: 2.5})
 	c.OnEvent(obs.Event{Kind: obs.NodeDone, Node: "a", Step: 0, Bytes: 100, Elapsed: 5 * time.Millisecond, Flagged: true})
 	// Decode of a's output while b runs: a's span is closed, so the event
@@ -193,7 +193,7 @@ func TestCollectorConcurrentEmitters(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				node := string(rune('a' + g))
 				c.OnEvent(obs.Event{Kind: obs.NodeStart, Node: node})
-				c.OnEvent(obs.Event{Kind: obs.KernelDone, Node: node, Lowered: 1})
+				c.OnEvent(obs.Event{Kind: obs.KernelDone, Node: node, KernelStats: obs.KernelStats{Lowered: 1}})
 				c.OnEvent(obs.Event{Kind: obs.NodeDone, Node: node, Elapsed: time.Microsecond})
 			}
 		}(g)

@@ -76,7 +76,7 @@ func TestCrossRunLinks(t *testing.T) {
 	c.OnEvent(obs.Event{Kind: obs.CacheHit, Node: "b", Source: "a"})
 	// Chunks built from the session dictionary cache: the dictionaries came
 	// from a previous run of this node.
-	c.OnEvent(obs.Event{Kind: obs.KernelDone, Node: "b", DictReused: 3})
+	c.OnEvent(obs.Event{Kind: obs.KernelDone, Node: "b", KernelStats: obs.KernelStats{DictReused: 3}})
 	c.OnEvent(obs.Event{Kind: obs.NodeDone, Node: "b"})
 	// A producer the resolver does not know yields no link.
 	c.OnEvent(obs.Event{Kind: obs.NodeStart, Node: "d"})
@@ -114,7 +114,7 @@ func TestSessionDictionaryLinkReason(t *testing.T) {
 		LinkResolver: func(node string) (SpanContext, bool) { return prev, node == "a" },
 	})
 	c.OnEvent(obs.Event{Kind: obs.NodeStart, Node: "a"})
-	c.OnEvent(obs.Event{Kind: obs.KernelDone, Node: "a", DictReused: 1})
+	c.OnEvent(obs.Event{Kind: obs.KernelDone, Node: "a", KernelStats: obs.KernelStats{DictReused: 1}})
 	c.OnEvent(obs.Event{Kind: obs.NodeDone, Node: "a"})
 	c.Finish(time.Time{}, "")
 

@@ -2,7 +2,8 @@
 // the obs event stream. A Collector assembles one refresh run's events into
 // a trace: a root span for the run, one child span per executed node
 // (NodeStart/NodeDone), with encode/decode/kernel/eviction observations
-// attached as span events. Traces export over OTLP/HTTP JSON (hand-rolled,
+// attached as span events — and keeps the events themselves as a log its
+// readers follow. Traces export over OTLP/HTTP JSON (hand-rolled,
 // no SDK dependency) or to a file/stdout for tests, and a pure
 // critical-path analysis over a completed trace reports where the run's
 // wall time actually went — per-node self time vs wait time, and the

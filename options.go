@@ -61,9 +61,10 @@ func WithMemory(bytes int64) Option {
 }
 
 // WithObserver subscribes obs to the session's event stream: node
-// execution, materialization, Memory Catalog evictions and high-water
-// marks, and optimizer iterations. The observer must be safe for
-// concurrent use when combined with WithConcurrency(k > 1).
+// execution, materialization, Memory Catalog evictions (with their reason)
+// and high-water marks, and optimizer iterations. It is the one watcher a
+// run has besides the collector WithTelemetry adds. The observer must be
+// safe for concurrent use when combined with WithConcurrency(k > 1).
 func WithObserver(obs Observer) Option {
 	return func(c *config) { c.observer = obs }
 }

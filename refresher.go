@@ -14,7 +14,6 @@ import (
 	"github.com/shortcircuit-db/sc/internal/ledger"
 	"github.com/shortcircuit-db/sc/internal/memcat"
 	"github.com/shortcircuit-db/sc/internal/metrics"
-	"github.com/shortcircuit-db/sc/internal/obs"
 	"github.com/shortcircuit-db/sc/internal/session"
 	"github.com/shortcircuit-db/sc/internal/sim"
 	"github.com/shortcircuit-db/sc/internal/telemetry"
@@ -193,8 +192,8 @@ func (r *Refresher) RunPlan(ctx context.Context, plan *Plan) (*RunResult, error)
 		Mem:          memcat.New(r.cfg.memory),
 		ParallelScan: r.cfg.parallelScan,
 		RunID:        runID,
-		Observers:    []obs.Observer{r.cfg.observer},
 		Trace:        col,
+		Observer:     r.cfg.observer,
 	})
 	if col == nil { // no WithTelemetry/WithLedger/WithAlerts: nothing to finish
 		return res, err

@@ -50,8 +50,8 @@ func TestKernelCountersPinned(t *testing.T) {
 		nodes := append([]sc.NodeMetrics(nil), res.Nodes...)
 		sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
 		for _, n := range nodes {
-			fmt.Fprintln(&buf, refresh, n.Name, n.LoweredOps, n.KernelFallbacks, n.ChunksSkipped,
-				n.CodeFilteredRows, n.DecodesAvoided, n.KernelBytes, n.JoinBuildRows, n.JoinProbeRows,
+			fmt.Fprintln(&buf, refresh, n.Name, n.Lowered, n.Fallbacks, n.ChunksSkipped,
+				n.CodeFilteredRows, n.DecodesAvoided, n.DecodedBytes, n.JoinBuildRows, n.JoinProbeRows,
 				n.ChunksPassed, n.ReencodedChunks, n.DictReused)
 		}
 	}
