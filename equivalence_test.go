@@ -227,3 +227,79 @@ func TestRefresherAndGatewayAreOnePath(t *testing.T) {
 		t.Errorf("gateway trigger kept %v with %d fallback writes, Refresher.Optimize flags %v", kept, st.FallbackWrites, optimized.Flagged)
 	}
 }
+
+// TestLongestPathDispatchMatchesNaive: with two tokens the Controller starts
+// ready nodes by longest remaining path over the seconds the previous run
+// observed, not in plan order. On the 12-MV TPC-DS pipeline, on the row path
+// and on the compressed path, the optimized refreshes that dispatch this way
+// stay within the Memory Catalog budget with no output pushed back to a
+// blocking write, and store every MV byte for byte as a session with no
+// Memory Catalog does.
+func TestLongestPathDispatchMatchesNaive(t *testing.T) {
+	ctx := context.Background()
+	mvs, tables := tpcdsPipeline(t, 1)
+	var base int64
+	for _, tb := range tables {
+		base += tb.ByteSize()
+	}
+	for name, compressed := range map[string]bool{"row path": false, "compressed": true} {
+		open := func(budget int64) (*sc.Refresher, sc.Store) {
+			store := sc.NewMemStore()
+			opts := []sc.Option{sc.WithMemory(budget), sc.WithConcurrency(2)}
+			for tname, tb := range tables {
+				var err error
+				if compressed {
+					err = sc.SaveTableChunked(store, tname, tb, sc.EncodingOptions{})
+				} else {
+					err = sc.SaveTable(store, tname, tb)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if compressed {
+				opts = append(opts, sc.WithEncoding(sc.EncodingOptions{}), sc.WithVectorized(true))
+			}
+			ref, err := sc.New(mvs, store, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ref.Close() })
+			return ref, store
+		}
+		naive, naiveStore := open(0)
+		if _, err := naive.Refresh(ctx); err != nil {
+			t.Fatal(err)
+		}
+		ref, store := open(base / 5)
+		for run := 0; run < 3; run++ { // the first observes; the rest dispatch by it
+			res, err := ref.Refresh(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run == 0 {
+				continue
+			}
+			kept := 0
+			for _, n := range res.Nodes {
+				if n.Flagged {
+					kept++
+				}
+			}
+			if kept == 0 || res.FallbackWrites != 0 || res.PeakMemory > base/5 {
+				t.Errorf("%s run %d: %d outputs kept, %d fallback writes, catalog peak %d of %d bytes",
+					name, run, kept, res.FallbackWrites, res.PeakMemory, base/5)
+			}
+		}
+		for _, mv := range mvs {
+			obj := mv.Name + ".sct"
+			want, err := naiveStore.Read(obj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := store.Read(obj); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s: MV %s differs from the session without a Memory Catalog (%v)", name, mv.Name, err)
+			}
+		}
+	}
+}

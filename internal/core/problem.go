@@ -1,7 +1,9 @@
 // Package core defines the S/C Opt problem (§IV of the paper) and the
 // shared machinery every solver builds on: execution plans, peak and average
 // Memory Catalog usage, feasibility checks, and constraint-set extraction
-// for the multidimensional-knapsack formulation.
+// for the multidimensional-knapsack formulation — plus the priority a
+// Controller with more than one token dispatches ready nodes by
+// (DispatchRank).
 //
 // Inputs mirror Problem 1 of the paper: a dependency DAG G, per-node output
 // sizes S, per-node speedup scores T, and the Memory Catalog size M. A
@@ -18,9 +20,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/shortcircuit-db/sc/internal/dag"
 )
@@ -230,6 +234,37 @@ func ReleasePositions(g *dag.Graph, order []dag.NodeID) []int {
 		}
 	}
 	return rel
+}
+
+// DispatchRank orders nodes for a dispatcher with more than one token:
+// rank[id] is id's place in the sequence it prefers among ready nodes,
+// highest bottom level first (list scheduling by highest level first). A
+// node's bottom level is its own seconds plus the largest bottom level among
+// its children — the length of the longest path from it to a sink — and
+// equal levels keep plan position. seconds has one entry per node; one that
+// is not positive counts as 0, so a parent never ranks after its child and
+// all-zero seconds give exactly the plan's order. An order that is not a
+// topological permutation of g has no rank: the result is nil.
+func DispatchRank(g *dag.Graph, order []dag.NodeID, seconds []float64) []int {
+	if !g.IsTopological(order) {
+		return nil
+	}
+	level := make([]float64, g.Len())
+	for t := len(order) - 1; t >= 0; t-- {
+		id := order[t]
+		var below float64
+		for _, c := range g.Children(id) {
+			below = max(below, level[c])
+		}
+		if s := seconds[id]; s > 0 {
+			below += s
+		}
+		level[id] = below
+	}
+	byRank := slices.Clone(order)
+	// Stable on plan order: equal levels keep plan position.
+	slices.SortStableFunc(byRank, func(a, b dag.NodeID) int { return cmp.Compare(level[b], level[a]) })
+	return Positions(byRank)
 }
 
 // PeakMemoryUsage computes the maximum combined size of flagged nodes

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -520,5 +521,164 @@ func TestValidateForms(t *testing.T) {
 	}
 	if err := pl.Validate(figure7()); err == nil {
 		t.Error("serialized form accepted by a problem that offers none")
+	}
+}
+
+func TestDispatchRank(t *testing.T) {
+	// A fan beside a chain, the fan first in plan order:
+	//
+	//	f ─→ f1, f2, f3      c1 ─→ c2 ─→ c3
+	fanChain := dag.New()
+	for _, name := range []string{"f", "f1", "f2", "f3", "c1", "c2", "c3"} {
+		fanChain.AddNode(name)
+	}
+	for _, e := range [][2]dag.NodeID{{0, 1}, {0, 2}, {0, 3}, {4, 5}, {5, 6}} {
+		fanChain.MustAddEdge(e[0], e[1])
+	}
+	fanChainOrder := []dag.NodeID{0, 1, 2, 3, 4, 5, 6}
+	pair := dag.New()
+	pair.AddNode("a")
+	pair.AddNode("b")
+
+	for _, tc := range []struct {
+		name    string
+		g       *dag.Graph
+		order   []dag.NodeID
+		seconds []float64
+		want    []dag.NodeID // nodes by rank
+	}{
+		{
+			// Bottom levels: c1 3, f 2, c2 2, every sink 1. The chain's head
+			// starts first; f ties with c2 and keeps its plan position.
+			name: "chain beside a fan", g: fanChain, order: fanChainOrder,
+			seconds: []float64{1, 1, 1, 1, 1, 1, 1},
+			want:    []dag.NodeID{4, 0, 5, 1, 2, 3, 6},
+		},
+		{
+			name: "a heavy fan outranks the chain", g: fanChain, order: fanChainOrder,
+			seconds: []float64{1, 5, 0, 0, 1, 1, 1},
+			want:    []dag.NodeID{0, 1, 4, 5, 6, 2, 3},
+		},
+		{
+			name: "equal levels keep plan position", g: pair, order: []dag.NodeID{1, 0},
+			seconds: []float64{2, 2},
+			want:    []dag.NodeID{1, 0},
+		},
+		{
+			name: "all-zero seconds give plan order", g: fanChain,
+			order:   []dag.NodeID{4, 0, 3, 5, 1, 6, 2},
+			seconds: make([]float64, 7),
+			want:    []dag.NodeID{4, 0, 3, 5, 1, 6, 2},
+		},
+		{
+			name: "negative and NaN seconds count as zero", g: pair, order: []dag.NodeID{1, 0},
+			seconds: []float64{-3, math.NaN()},
+			want:    []dag.NodeID{1, 0},
+		},
+	} {
+		rank := DispatchRank(tc.g, tc.order, tc.seconds)
+		if want := Positions(tc.want); !reflect.DeepEqual(rank, want) {
+			t.Errorf("%s: rank = %v, want %v", tc.name, rank, want)
+		}
+	}
+
+	if rank := DispatchRank(fanChain, []dag.NodeID{1, 0, 2, 3, 4, 5, 6}, make([]float64, 7)); rank != nil {
+		t.Errorf("a non-topological order was ranked %v", rank)
+	}
+	if rank := DispatchRank(fanChain, fanChainOrder[:3], make([]float64, 7)); rank != nil {
+		t.Errorf("a short order was ranked %v", rank)
+	}
+}
+
+// topoBy walks g in Kahn's order, taking at every step the ready node pick
+// chooses.
+func topoBy(g *dag.Graph, pick func(ready []dag.NodeID) int) []dag.NodeID {
+	indeg := make([]int, g.Len())
+	var ready []dag.NodeID
+	for i := range indeg {
+		if indeg[i] = len(g.Parents(dag.NodeID(i))); indeg[i] == 0 {
+			ready = append(ready, dag.NodeID(i))
+		}
+	}
+	var order []dag.NodeID
+	for len(ready) > 0 {
+		k := pick(ready)
+		id := ready[k]
+		ready = append(ready[:k], ready[k+1:]...)
+		order = append(order, id)
+		for _, c := range g.Children(id) {
+			if indeg[c]--; indeg[c] == 0 {
+				ready = append(ready, c)
+			}
+		}
+	}
+	return order
+}
+
+// bottomLevel is the longest path from id to a sink, in seconds clamped at
+// zero, by plain recursion.
+func bottomLevel(g *dag.Graph, seconds []float64, id dag.NodeID) float64 {
+	var below float64
+	for _, c := range g.Children(id) {
+		below = max(below, bottomLevel(g, seconds, c))
+	}
+	return below + max(seconds[id], 0)
+}
+
+// Property: on random DAGs under a random topological order the rank is a
+// permutation; a dispatcher that always pops the ready node of lowest rank
+// emits a topological order, and it is exactly the rank order (a parent
+// never ranks after its child); bottom levels never rise along it, and
+// equal levels keep plan position.
+func TestDispatchRankProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		p, _ := randomProblem(rng)
+		g := p.G
+		order := topoBy(g, func(ready []dag.NodeID) int { return rng.Intn(len(ready)) })
+		seconds := make([]float64, g.Len())
+		for i := range seconds {
+			// Few distinct values, so ties are common; some not positive.
+			seconds[i] = float64(rng.Intn(4) - 1)
+		}
+		rank := DispatchRank(g, order, seconds)
+		if len(rank) != g.Len() {
+			return false
+		}
+		byRank := make([]dag.NodeID, g.Len())
+		seen := make([]bool, g.Len())
+		for id, r := range rank {
+			if r < 0 || r >= g.Len() || seen[r] {
+				return false
+			}
+			seen[r] = true
+			byRank[r] = dag.NodeID(id)
+		}
+
+		// Pop ready nodes by rank, as the Controller does.
+		popped := topoBy(g, func(ready []dag.NodeID) int {
+			k := 0
+			for j := range ready {
+				if rank[ready[j]] < rank[ready[k]] {
+					k = j
+				}
+			}
+			return k
+		})
+		if !g.IsTopological(popped) || !reflect.DeepEqual(popped, byRank) {
+			return false
+		}
+
+		pos := Positions(order)
+		for r := 1; r < len(byRank); r++ {
+			prev, cur := bottomLevel(g, seconds, byRank[r-1]), bottomLevel(g, seconds, byRank[r])
+			if cur > prev || (cur == prev && pos[byRank[r]] < pos[byRank[r-1]]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -8,8 +8,8 @@
 // The Controller is context-aware (cancellation is honored between nodes
 // and at every input-read and write boundary within a node), emits obs
 // events as it works, and can execute independent DAG nodes on a bounded
-// worker pool (Concurrency > 1) while the Memory Catalog keeps enforcing
-// the byte budget.
+// worker pool (Concurrency > 1), starting the longest remaining path first
+// (Rank), while the Memory Catalog keeps enforcing the byte budget.
 //
 // Within a node, inputs resolve in one place (nodeInputs: the Memory
 // Catalog when the table is resident, else one Store.Read per storage
@@ -155,15 +155,22 @@ type Controller struct {
 	RunID string
 	// Concurrency is the run's token budget: up to k independent DAG nodes
 	// execute at a time, each on one borrowed token. Values <= 1 run nodes
-	// serially in exact plan order. With k > 1 a node starts as soon as all
-	// its parents have finished, preferring nodes earliest in the plan
-	// order; the Memory Catalog budget is still enforced byte-for-byte (an
-	// output that no longer fits falls back to a blocking write, exactly as
-	// in the serial path). When Sched is nil a private k-token pool is
-	// created per Run; tokens the dispatcher is not using are available to
-	// the kernels' chunk-parallel scans (see ParallelScan), which is how a
-	// chain-shaped plan still saturates k cores.
+	// serially in exact plan order, whatever Rank says. With k > 1 a node
+	// starts as soon as all its parents have finished, preferring the ready
+	// node of lowest Rank (earliest in the plan order when Rank is nil); the
+	// Memory Catalog budget is still enforced byte-for-byte (an output that
+	// no longer fits falls back to a blocking write, exactly as in the serial
+	// path). When Sched is nil a private k-token pool is created per Run;
+	// tokens the dispatcher is not using are available to the kernels'
+	// chunk-parallel scans (see ParallelScan), which is how a chain-shaped
+	// plan still saturates k cores.
 	Concurrency int
+	// Rank, when non-nil, is one entry per node: the dispatch priority among
+	// ready nodes at Concurrency > 1, lowest first (core.DispatchRank: the
+	// longest remaining path first, so the critical path starts as early as
+	// the DAG allows). At Concurrency <= 1 the dispatch order stays the
+	// plan's, the serial schedule its peak memory was proved on.
+	Rank []int
 	// Sched, when non-nil, is a shared scheduler-wide token pool (the
 	// gateway hands every concurrent run the same one, so tenants cannot
 	// oversubscribe cores). The dispatcher borrows a token per in-flight
@@ -255,6 +262,9 @@ func (c *Controller) Run(ctx context.Context, w *Workload, g *dag.Graph, plan *c
 	if len(plan.Flagged) != len(w.Nodes) {
 		return nil, fmt.Errorf("exec: plan flags %d nodes of %d", len(plan.Flagged), len(w.Nodes))
 	}
+	if c.Rank != nil && len(c.Rank) != len(w.Nodes) {
+		return nil, fmt.Errorf("exec: rank has %d entries for %d nodes", len(c.Rank), len(w.Nodes))
+	}
 	// A serialized resident is the v1 bytes of the row path; with Encoding
 	// the stored form is chunks, which the catalog already holds compact.
 	if err := plan.ValidateForms(c.Encoding == nil); err != nil {
@@ -305,13 +315,18 @@ func (c *Controller) Run(ctx context.Context, w *Workload, g *dag.Graph, plan *c
 	var wgNodes sync.WaitGroup
 
 	// Dispatcher: when a ready node and a token are both available, start
-	// the earliest-in-plan ready node on its own goroutine holding that
-	// token; fold completions back into the schedule. Nodes release their
-	// token before reporting done, so a finishing node's token is
-	// immediately available — to this dispatcher, to a concurrent run
-	// sharing the pool, or to an intra-node scan.
+	// the ready node of lowest rank on its own goroutine holding that token;
+	// fold completions back into the schedule. The rank is plan position on
+	// one token and Rank, when given, on more. Nodes release their token
+	// before reporting done, so a finishing node's token is immediately
+	// available — to this dispatcher, to a concurrent run sharing the pool,
+	// or to an intra-node scan.
+	rank := rs.pos
+	if workers > 1 && c.Rank != nil {
+		rank = c.Rank
+	}
 	indeg := make([]int, n)
-	ready := &posHeap{pos: rs.pos}
+	ready := &rankHeap{rank: rank}
 	for i := 0; i < n; i++ {
 		indeg[i] = len(g.Parents(dag.NodeID(i)))
 		if indeg[i] == 0 {
@@ -673,17 +688,19 @@ func (rs *runState) noteHighWater() {
 	}
 }
 
-// posHeap is a min-heap of node IDs keyed by plan position, so the
-// dispatcher always hands out the ready node the optimizer wanted first.
-type posHeap struct {
-	pos []int
-	a   []dag.NodeID
+// rankHeap is a min-heap of node IDs keyed by dispatch rank, so the
+// dispatcher always hands out the ready node it should start first: the
+// plan's next one on one token, the head of the longest remaining path on
+// more.
+type rankHeap struct {
+	rank []int
+	a    []dag.NodeID
 }
 
-func (h *posHeap) len() int           { return len(h.a) }
-func (h *posHeap) less(i, j int) bool { return h.pos[h.a[i]] < h.pos[h.a[j]] }
+func (h *rankHeap) len() int           { return len(h.a) }
+func (h *rankHeap) less(i, j int) bool { return h.rank[h.a[i]] < h.rank[h.a[j]] }
 
-func (h *posHeap) push(x dag.NodeID) {
+func (h *rankHeap) push(x dag.NodeID) {
 	h.a = append(h.a, x)
 	i := len(h.a) - 1
 	for i > 0 {
@@ -696,7 +713,7 @@ func (h *posHeap) push(x dag.NodeID) {
 	}
 }
 
-func (h *posHeap) pop() dag.NodeID {
+func (h *rankHeap) pop() dag.NodeID {
 	top := h.a[0]
 	last := len(h.a) - 1
 	h.a[0] = h.a[last]

@@ -135,6 +135,19 @@ func (s *Store) Sizes(g *dag.Graph, fallback int64) []int64 {
 	return out
 }
 
+// Seconds extracts each node's latest observed execution time — reading its
+// inputs, computing, and the write it blocked on — with 0 for nodes never
+// observed.
+func (s *Store) Seconds(g *dag.Graph) []float64 {
+	out := make([]float64, g.Len())
+	for i := range out {
+		if o, ok := s.Latest(g.Name(dag.NodeID(i))); ok {
+			out[i] = (o.ReadTime + o.ComputeTime + o.WriteTime).Seconds()
+		}
+	}
+	return out
+}
+
 // EncodedSizes extracts the latest observed serialized sizes — the bytes a
 // node's output actually occupies on storage and, with encoding enabled,
 // in the Memory Catalog. Nodes without a direct encoded observation are

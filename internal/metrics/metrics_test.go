@@ -83,3 +83,16 @@ func TestSizesUsesFallback(t *testing.T) {
 		t.Fatalf("Sizes = %v", sizes)
 	}
 }
+
+// TestSecondsSumLatestReadComputeWrite: a node's seconds are its latest
+// observation's read, compute and blocking write; never observed is 0.
+func TestSecondsSumLatestReadComputeWrite(t *testing.T) {
+	s := NewStore()
+	s.Record(Observation{Name: "a", ReadTime: time.Second, ComputeTime: time.Second, WriteTime: time.Second})
+	s.Record(Observation{Name: "a", ReadTime: 100 * time.Millisecond, ComputeTime: 200 * time.Millisecond, WriteTime: 300 * time.Millisecond})
+	s.Record(Observation{Name: "b", ComputeTime: 50 * time.Millisecond})
+	got := s.Seconds(chain())
+	if want := []float64{0.6, 0.05, 0}; math.Abs(got[0]-want[0]) > 1e-12 || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("Seconds = %v, want %v", got, want)
+	}
+}

@@ -60,7 +60,9 @@ type Pipeline struct {
 	Device     costmodel.DeviceProfile
 	// Concurrency is each run's token budget (exec.Controller.Concurrency).
 	// The planner reads it too: only at <= 1 do nodes run in exact plan
-	// order, which is what makes the plan's peak memory a proof.
+	// order, which is what makes the plan's peak memory a proof. With more
+	// tokens a ready node starts by longest remaining path instead
+	// (core.DispatchRank), and plan position only breaks ties.
 	Concurrency int
 
 	// What the pipeline remembers of its previous run: each node's span (a
@@ -114,8 +116,9 @@ type Priced struct {
 // (core.Problem.SerializedSizes), which opt.Solve's second chance takes for
 // nodes the knapsack left out. It is offered nowhere else: with Encoding the
 // catalog entry is already the compact form, and with more than one token
-// the dispatcher runs ahead of plan order, so a plan that fills the budget
-// to the byte on paper displaces plain residents in practice.
+// the dispatcher starts nodes by longest remaining path and beside one
+// another, not in plan order, so a plan that fills the budget to the byte on
+// paper displaces plain residents in practice.
 func (p *Pipeline) Problem(memory int64) *Priced {
 	raw := p.Metrics.Sizes(p.Graph, SizeGuess)
 	disk := raw
@@ -185,9 +188,12 @@ type RunEnv struct {
 	Observer obs.Observer
 }
 
-// controller builds the run's Controller. Its event stream has exactly the
-// watchers env names: none of them means a nil Obs, and no call per event.
-func (p *Pipeline) controller(env RunEnv) *exec.Controller {
+// controller builds the run's Controller for plan. Its event stream has
+// exactly the watchers env names: none of them means a nil Obs, and no call
+// per event. With more than one token it dispatches by longest remaining
+// path over each node's latest observed seconds; a never-observed node
+// counts as 0 s, so a first run keeps plan order.
+func (p *Pipeline) controller(env RunEnv, plan *core.Plan) *exec.Controller {
 	watchers := env.Observer
 	if env.Trace != nil {
 		watchers = obs.Multi(env.Observer, env.Trace)
@@ -198,6 +204,7 @@ func (p *Pipeline) controller(env RunEnv) *exec.Controller {
 		Obs:          watchers,
 		RunID:        env.RunID,
 		Concurrency:  p.Concurrency,
+		Rank:         core.DispatchRank(p.Graph, plan.Order, p.Metrics.Seconds(p.Graph)),
 		Sched:        env.Sched,
 		ParallelScan: env.ParallelScan,
 		Encoding:     p.Encoding,
@@ -211,7 +218,7 @@ func (p *Pipeline) controller(env RunEnv) *exec.Controller {
 // the partial result of the completed nodes is returned — and recorded —
 // with the error.
 func (p *Pipeline) Run(ctx context.Context, plan *core.Plan, env RunEnv) (*exec.RunResult, error) {
-	res, err := p.controller(env).Run(ctx, p.Workload, p.Graph, plan)
+	res, err := p.controller(env, plan).Run(ctx, p.Workload, p.Graph, plan)
 	if res != nil {
 		now := time.Now()
 		for _, n := range res.Nodes {

@@ -5,15 +5,18 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/shortcircuit-db/sc/internal/core"
+	"github.com/shortcircuit-db/sc/internal/dag"
 	"github.com/shortcircuit-db/sc/internal/exec"
 	"github.com/shortcircuit-db/sc/internal/introspect/alert"
 	"github.com/shortcircuit-db/sc/internal/ledger"
+	"github.com/shortcircuit-db/sc/internal/metrics"
 	"github.com/shortcircuit-db/sc/internal/obs"
 	"github.com/shortcircuit-db/sc/internal/storage"
 	"github.com/shortcircuit-db/sc/internal/table"
@@ -242,11 +245,11 @@ func runnablePipeline(t *testing.T, breakB bool) (*Pipeline, *core.Plan) {
 // those of the nodes that completed.
 func TestRunRecordsMetadataWithNobodyWatching(t *testing.T) {
 	p, plan := runnablePipeline(t, false)
-	if ctl := p.controller(RunEnv{}); ctl.Obs != nil {
+	if ctl := p.controller(RunEnv{}, plan); ctl.Obs != nil {
 		t.Fatalf("an unwatched run got observer %T", ctl.Obs)
 	}
 	col := p.OpenTrace("run-000001", time.Time{}, telemetry.SpanContext{})
-	if ctl := p.controller(RunEnv{Trace: col}); ctl.Obs != obs.Observer(col) {
+	if ctl := p.controller(RunEnv{Trace: col}, plan); ctl.Obs != obs.Observer(col) {
 		t.Fatalf("a run watched only by its trace got observer %T", ctl.Obs)
 	}
 	res, err := p.Run(context.Background(), plan, RunEnv{})
@@ -281,5 +284,33 @@ func TestRunRecordsMetadataWithNobodyWatching(t *testing.T) {
 	}
 	if o, ok := p.Metrics.Latest("b"); ok {
 		t.Fatalf("failed node recorded an observation: %+v", o)
+	}
+}
+
+// TestControllerDispatchesByObservedSeconds: the Controller's dispatch rank
+// is the longest remaining path over each node's latest observed read,
+// compute and blocking-write seconds; before any observation every node
+// counts as 0 s and the rank is plan order.
+func TestControllerDispatchesByObservedSeconds(t *testing.T) {
+	p, err := NewPipeline("p", []exec.NodeSpec{
+		{Name: "a", SQL: `SELECT day FROM sales`},
+		{Name: "b", SQL: `SELECT day FROM sales`},
+		{Name: "c", SQL: `SELECT day FROM b`},
+	}, storage.NewMemStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := core.NewPlan([]dag.NodeID{0, 1, 2})
+	if rank := p.controller(RunEnv{}, plan).Rank; !reflect.DeepEqual(rank, []int{0, 1, 2}) {
+		t.Fatalf("first run's rank = %v, want plan order", rank)
+	}
+	ms := time.Millisecond
+	p.Metrics.Record(metrics.Observation{Name: "a", ComputeTime: 25 * ms})
+	// b alone computes less than a; its read and blocking write put the
+	// path b → c ahead.
+	p.Metrics.Record(metrics.Observation{Name: "b", ReadTime: 5 * ms, ComputeTime: 10 * ms, WriteTime: 5 * ms})
+	p.Metrics.Record(metrics.Observation{Name: "c", ComputeTime: 10 * ms})
+	if rank := p.controller(RunEnv{}, plan).Rank; !reflect.DeepEqual(rank, []int{1, 0, 2}) {
+		t.Fatalf("rank = %v, want b, a, c", rank)
 	}
 }
