@@ -61,7 +61,7 @@ func main() {
 	sliceMB := flag.Int64("slice-mb", 0, "default per-tenant budget slice (MiB, 0 = whole budget)")
 	queue := flag.Int("queue", 64, "max queued refresh triggers")
 	queueTimeout := flag.Duration("queue-timeout", 30*time.Second, "queued trigger deadline")
-	headroom := flag.Float64("headroom", 1.25, "reservation headroom over the predicted footprint")
+	headroom := flag.Float64("headroom", 1.25, "reservation headroom over the plan's peak footprint")
 	concurrency := flag.Int("concurrency", 2, "worker pool per refresh")
 	dataDir := flag.String("data", "", "store pipeline tables under this directory (default: in memory)")
 	traceOTLP := flag.String("trace-otlp", "", "export run traces to this OTLP/HTTP JSON endpoint")

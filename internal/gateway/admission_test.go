@@ -7,8 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"github.com/shortcircuit-db/sc/internal/exec"
+	"github.com/shortcircuit-db/sc/internal/ledger"
 	"github.com/shortcircuit-db/sc/internal/memcat"
 	"github.com/shortcircuit-db/sc/internal/sched"
+	"github.com/shortcircuit-db/sc/internal/storage"
+	"github.com/shortcircuit-db/sc/internal/tpcds"
 )
 
 // fakeClock is a manually advanced clock for deadline tests.
@@ -356,5 +360,72 @@ func TestAdmissionConcurrentBurst(t *testing.T) {
 	}
 	if pk := pool.PeakReserved(); pk > budget {
 		t.Fatalf("peak reserved %d exceeds budget %d", pk, budget)
+	}
+}
+
+// TestReservationIsPlanPeakAsMVsGrow regenerates the TPC-DS base tables at
+// a larger scale factor before each refresh of a one-token row-path
+// pipeline, the daily-ingest setting in which every MV grows from one
+// refresh to the next. A run is planned with the sizes the run before
+// observed, so the first run at a new size may still fall back to a
+// blocking write. From the second run at the final size on, the plan is
+// priced with the sizes it meets: its reservation must be exactly the
+// plan's proven peak × Headroom, clamped to [peak, slice], and the run must
+// write nothing in the foreground.
+func TestReservationIsPlanPeakAsMVsGrow(t *testing.T) {
+	const headroom = 1.25
+	const slice = 64 << 20
+	st := storage.NewMemStore()
+	s, _ := newTestGateway(t, Config{GlobalBudget: slice, Concurrency: 1, Headroom: headroom,
+		NewStore: func(string) storage.Store { return st }})
+	spec := TPCDSSpec("dw", "analytics", 0.05)
+	spec.Encoding, spec.Vectorized = false, false
+	if err := s.Register(spec); err != nil {
+		t.Fatal(err)
+	}
+	sfs := []float64{0.05, 0.1, 0.2, 0.4, 0.4, 0.4, 0.4, 0.4}
+	final := 0 // refreshes so far at the final size
+	for i, sf := range sfs {
+		if i > 0 && sf != sfs[i-1] {
+			ds, err := tpcds.Generate(tpcds.GenConfig{ScaleFactor: sf, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ds.Save(st, exec.SaveTable); err != nil {
+				t.Fatal(err)
+			}
+		}
+		exp, err := s.ExplainPipeline("dw") // the plan the trigger below solves
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := refreshOK(t, s, "dw")
+		peak := exp.PeakBytes
+		t.Logf("run %d at sf %g: plan peak %d B, reserved %d B, actual peak %d B, %d blocking writes",
+			i, sf, peak, run.ReservedBytes, run.ActualPeakBytes, run.FallbackWrites)
+		if sf == sfs[len(sfs)-1] {
+			final++
+		}
+		if final < 2 {
+			continue // priced with sizes smaller than the ones it met
+		}
+		want := max(peak, min(int64(float64(peak)*headroom), slice))
+		if run.ReservedBytes != want {
+			t.Errorf("run %d at sf %g reserved %d B, want %d B (plan peak %d B × %g)", i, sf, run.ReservedBytes, want, peak, headroom)
+		}
+		if run.FallbackWrites != 0 {
+			t.Errorf("run %d at sf %g made %d blocking writes under a %d B reservation (plan peak %d B, actual %d B)",
+				i, sf, run.FallbackWrites, run.ReservedBytes, peak, run.ActualPeakBytes)
+		}
+		if run.Flagged != exp.FlaggedCount {
+			t.Errorf("run %d kept %d MVs in the catalog, its plan flags %d", i, run.Flagged, exp.FlaggedCount)
+		}
+	}
+	for _, row := range s.RunHistory(ledger.Filter{Pipeline: "dw", Limit: final - 1}) {
+		for _, a := range row.Anomalies {
+			if a.Kind == ledger.KindMispredict {
+				t.Errorf("%s: %s anomaly: %s", row.RunID, a.Kind, a.Detail)
+			}
+		}
 	}
 }

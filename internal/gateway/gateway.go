@@ -2,15 +2,15 @@
 // many named MV pipelines over ONE shared Memory Catalog budget. Each
 // registered pipeline keeps its own metrics store, session dictionary
 // cache and storage namespace; every refresh trigger is re-planned from
-// the pipeline's observed execution metadata, its predicted peak catalog
-// footprint is reserved against the tenant's slice and the global pool by
-// the admission controller, and only then does the refresh run. Triggers
-// that do not fit queue in a bounded FIFO with a deadline; cancellation —
-// explicit or by client disconnect — releases reservations and evicts
-// partial state, so the shared budget can never leak. Every run is traced
-// from enqueue to its terminal state: the trace is what the ledger row,
-// the learned baselines behind admission hints, and the per-run /metrics
-// counters are derived from, once, when the run finishes.
+// the pipeline's observed execution metadata, the plan's proven peak
+// catalog footprint is reserved against the tenant's slice and the global
+// pool by the admission controller, and only then does the refresh run.
+// Triggers that do not fit queue in a bounded FIFO with a deadline;
+// cancellation — explicit or by client disconnect — releases reservations
+// and evicts partial state, so the shared budget can never leak. Every run
+// is traced from enqueue to its terminal state: the trace is what the
+// ledger row and the per-run /metrics counters are derived from, once,
+// when the run finishes.
 package gateway
 
 import (
@@ -20,7 +20,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/shortcircuit-db/sc/internal/chunkio"
 	"github.com/shortcircuit-db/sc/internal/core"
 	"github.com/shortcircuit-db/sc/internal/costmodel"
 	"github.com/shortcircuit-db/sc/internal/encoding"
@@ -57,8 +56,10 @@ type Config struct {
 	// QueueTimeout is how long a queued trigger may wait for admission
 	// before it expires. Default 30s.
 	QueueTimeout time.Duration
-	// Headroom multiplies the predicted peak footprint when sizing a
-	// reservation, absorbing estimation error. Default 1.25, min 1.
+	// Headroom sizes a run's reservation from its plan's peak Memory
+	// Catalog usage: peak × Headroom, never below the peak and never above
+	// the tenant's slice. The reservation is also the capacity of the run's
+	// catalog. Default 1.25, min 1.
 	Headroom float64
 	// Concurrency is each run's scheduler-token budget — up to this many
 	// DAG nodes of one refresh execute at a time. Default 2.
@@ -78,9 +79,8 @@ type Config struct {
 	// exporter from internal/telemetry). Nil exports nothing. Every refresh
 	// assembles a trace either way — a root span covering enqueue to
 	// finish, a queue-admission child span, and one span per executed node
-	// — because the ledger row, baselines and admission hints are derived
-	// from it; it is served at GET /v1/runs/{id}/trace with critical-path
-	// analysis.
+	// — because the ledger row and baselines are derived from it; it is
+	// served at GET /v1/runs/{id}/trace with critical-path analysis.
 	TraceExporter telemetry.Exporter
 	// TailSample keeps exported traces only for runs worth keeping —
 	// anomalous, slow against the pipeline's learned baseline, or not
@@ -224,10 +224,6 @@ type Run struct {
 	need   int64     // reserved catalog bytes
 	tokens int       // scheduler tokens committed at admission
 
-	// admission predictions, for the trace and status surfaces
-	predictedWall float64 // ledger-learned wall seconds, 0 without history
-	learnedNeed   bool    // need came from observed peaks, not the planner
-
 	done  chan struct{} // closed on any terminal state
 	tkt   *ticket
 	trace *telemetry.Collector // the run's record: opened at enqueue, finished at the terminal state
@@ -255,8 +251,6 @@ type RunStatus struct {
 	State            string    `json:"state"`
 	ReservedBytes    int64     `json:"reserved_bytes"`
 	ReservedTokens   int       `json:"reserved_tokens,omitempty"`
-	LearnedReserve   bool      `json:"learned_reserve,omitempty"`
-	PredictedSeconds float64   `json:"predicted_seconds,omitempty"`
 	ActualPeakBytes  int64     `json:"actual_peak_bytes,omitempty"`
 	EnqueuedAt       time.Time `json:"enqueued_at"`
 	StartedAt        time.Time `json:"started_at,omitzero"`
@@ -289,7 +283,6 @@ func (r *Run) status() RunStatus {
 	st := RunStatus{
 		ID: r.id, Pipeline: r.p.Name, Tenant: r.p.tenant, State: r.state,
 		ReservedBytes: r.need, ReservedTokens: r.tokens,
-		LearnedReserve: r.learnedNeed, PredictedSeconds: r.predictedWall,
 		ActualPeakBytes: r.actualPeak, EnqueuedAt: r.enqueuedAt,
 		StartedAt: r.startedAt, FinishedAt: r.finishedAt,
 		Nodes: r.nodes, Flagged: r.flagged, FallbackWrites: r.fallbacks,
@@ -491,9 +484,6 @@ func (s *Server) Register(spec PipelineSpec) error {
 	if spec.Encoding {
 		sp.Encoding = &encoding.Options{}
 	}
-	if spec.Vectorized {
-		sp.Chunked = chunkio.NewSession()
-	}
 	p := &pipeline{Pipeline: sp, tenant: spec.Tenant, every: spec.Every, created: s.cfg.Clock()}
 	if p.every > 0 {
 		p.nextFire = p.created.Add(p.every)
@@ -623,62 +613,21 @@ func (s *Server) Pipelines() []PipelineInfo {
 	return infos
 }
 
-// planned is a trigger's plan and predicted reservation.
-type planned struct {
-	plan *core.Plan
-	need int64
-	// predictedWall is the ledger's learned run wall time, 0 before enough
-	// succeeded runs exist to trust it.
-	predictedWall float64
-	// learnedNeed reports whether need came from the ledger's observed
-	// peaks rather than the planner's static estimate.
-	learnedNeed bool
-}
-
 // planTrigger re-plans the pipeline from its current execution metadata
-// and predicts the refresh's catalog footprint: encoded sizes via the
-// learned compression ratios (EWMA), scores under the device profile, the
-// knapsack solved against the tenant slice, and the plan's peak usage
-// inflated by the headroom factor. Every trigger replans, so the gateway
-// IS the paper's observe → re-optimize loop.
-func (s *Server) planTrigger(ctx context.Context, p *pipeline) (planned, error) {
+// and sizes the refresh's reservation: encoded sizes via the learned
+// compression ratios (EWMA), scores under the device profile, the knapsack
+// solved against the tenant slice, and the plan's proven peak usage
+// inflated by the headroom factor — never below that peak, never above the
+// slice. Every trigger replans, so the gateway IS the paper's observe →
+// re-optimize loop.
+func (s *Server) planTrigger(ctx context.Context, p *pipeline) (*core.Plan, int64, error) {
 	slice := s.adm.tenantSlice(p.tenant)
 	_, plan, st, err := p.Plan(ctx, slice, nil)
 	if err != nil {
-		return planned{}, err
+		return nil, 0, err
 	}
 	peak := st.PeakMemory
-	need := int64(float64(peak) * s.cfg.Headroom)
-	if need > slice {
-		need = slice
-	}
-	if need < peak {
-		need = peak
-	}
-	pl := planned{plan: plan, need: need}
-	// Once enough succeeded runs exist, the ledger's observed peaks beat
-	// the planner's static size guesses. Shrink-only: the learned estimate
-	// (mean + sigma, inflated by the same headroom) may trim an
-	// over-reservation so more tenants fit, but never grows the ask beyond
-	// what the planner proved admissible — and a miss merely degrades to
-	// blocking writes, which the mispredict detector flags and the next
-	// runs' learning corrects.
-	if hint, ok := s.fin.Ledger.AdmissionHint(p.Name); ok {
-		learned := int64((hint.PeakBytesMean + hint.PeakBytesSigma) * s.cfg.Headroom)
-		if learned > 0 && learned < pl.need {
-			pl.need = learned
-			pl.learnedNeed = true
-		}
-		pl.predictedWall = hint.WallMeanSeconds
-		// The learned per-node wall baselines give a structural estimate —
-		// the DAG's critical path through EWMA node means — that tracks the
-		// workload's shape where the run-level mean only tracks its history.
-		// Prefer it whenever enough per-node history exists.
-		if cp := s.fin.Ledger.CriticalPathSeconds(p.Name, p.Parents); cp > 0 {
-			pl.predictedWall = cp
-		}
-	}
-	return pl, nil
+	return plan, max(peak, min(int64(float64(peak)*s.cfg.Headroom), slice)), nil
 }
 
 // Trigger requests a refresh of the named pipeline. It returns the run in
@@ -695,7 +644,7 @@ func (s *Server) TriggerTrace(name string, parent telemetry.SpanContext) (*Run, 
 	if err != nil {
 		return nil, err
 	}
-	pl, err := s.planTrigger(context.Background(), p)
+	plan, need, err := s.planTrigger(context.Background(), p)
 	if err != nil {
 		return nil, err
 	}
@@ -703,38 +652,32 @@ func (s *Server) TriggerTrace(name string, parent telemetry.SpanContext) (*Run, 
 	s.mu.Lock()
 	s.runSeq++
 	r := &Run{
-		id:            fmt.Sprintf("run-%06d", s.runSeq),
-		p:             p,
-		need:          pl.need,
-		tokens:        s.cfg.Concurrency,
-		predictedWall: pl.predictedWall,
-		learnedNeed:   pl.learnedNeed,
-		done:          make(chan struct{}),
-		state:         StateQueued,
+		id:     fmt.Sprintf("run-%06d", s.runSeq),
+		p:      p,
+		need:   need,
+		tokens: s.cfg.Concurrency,
+		done:   make(chan struct{}),
+		state:  StateQueued,
 	}
 	r.enqueuedAt = now
 	// The root span opens at enqueue, so queue wait is on the trace.
 	r.trace = p.OpenTrace(r.id, now, parent)
-	attrs := []telemetry.Attr{
+	r.trace.SetRootAttrs(
 		telemetry.Str("sc.pipeline", p.Name),
 		telemetry.Str("sc.tenant", p.tenant),
-		telemetry.Int("sc.reserved_bytes", pl.need),
+		telemetry.Int("sc.reserved_bytes", need),
 		telemetry.Int("sc.reserved_tokens", int64(r.tokens)),
-	}
-	if pl.predictedWall > 0 {
-		attrs = append(attrs, telemetry.Float("sc.predicted_seconds", pl.predictedWall))
-	}
-	r.trace.SetRootAttrs(attrs...)
+	)
 	s.runs[r.id] = r
 	s.mu.Unlock()
 
 	r.tkt = &ticket{
 		tenant:   p.tenant,
 		pipeline: p.Name,
-		need:     pl.need,
+		need:     need,
 		tokens:   r.tokens,
 		deadline: now.Add(s.cfg.QueueTimeout),
-		start:    func(*ticket) { s.startRun(r, pl.plan) },
+		start:    func(*ticket) { s.startRun(r, plan) },
 		expire:   func(*ticket) { s.expireRun(r) },
 	}
 	admittedNow, err := s.adm.submit(r.tkt)

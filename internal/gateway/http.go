@@ -237,7 +237,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		// Content negotiation: an Accept naming OpenMetrics gets the 1.0
 		// exposition (with exemplars); everything else the classic format.
-		om := strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text")
+		om := accepts(r, "application/openmetrics-text")
 		if om {
 			w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
 		} else {
@@ -249,6 +249,20 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
 	return mux
+}
+
+// accepts reports whether one of the comma-separated media types of the
+// request's Accept headers is mediaType, ignoring parameters such as q.
+func accepts(r *http.Request, mediaType string) bool {
+	for _, v := range r.Header.Values("Accept") {
+		for part := range strings.SplitSeq(v, ",") {
+			mt, _, _ := strings.Cut(part, ";")
+			if strings.EqualFold(strings.TrimSpace(mt), mediaType) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -396,7 +410,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	sse := r.Header.Get("Accept") == "text/event-stream"
+	sse := accepts(r, "text/event-stream")
 	if sse {
 		w.Header().Set("Content-Type", "text/event-stream")
 		w.Header().Set("Cache-Control", "no-cache")

@@ -133,8 +133,8 @@ func TestWatchersSeeGolden(t *testing.T) {
 // TestEventsStreamFollowsHeldRun opens a run's /events while the run is
 // held at its first background write, reads the first line, then opens the
 // gate: the NDJSON stream ends after the run's last event, with every event
-// exactly once in Seq order, and the SSE form frames every record as
-// "data: {…}\n\n".
+// exactly once in Seq order, and the SSE form — asked for alone or among
+// other media types — frames every record as "data: {…}\n\n".
 func TestEventsStreamFollowsHeldRun(t *testing.T) {
 	gs := &gateStore{Store: storage.NewMemStore()}
 	s, ts := newTestGateway(t, Config{GlobalBudget: 8 << 20, NewStore: func(string) storage.Store { return gs }})
@@ -173,9 +173,12 @@ func TestEventsStreamFollowsHeldRun(t *testing.T) {
 		}
 		return resp
 	}
-	ndjson, sse := open(""), open("text/event-stream")
+	ndjson := open("")
 	defer ndjson.Body.Close()
-	defer sse.Body.Close()
+	sses := []*http.Response{open("text/event-stream"), open("text/event-stream, */*;q=0.1")}
+	for _, sse := range sses {
+		defer sse.Body.Close()
+	}
 	lines := bufio.NewReader(ndjson.Body)
 	first, err := lines.ReadBytes('\n')
 	if err != nil {
@@ -183,10 +186,6 @@ func TestEventsStreamFollowsHeldRun(t *testing.T) {
 	}
 	gs.open()
 	rest, err := io.ReadAll(lines) // returns once the stream ends
-	if err != nil {
-		t.Fatal(err)
-	}
-	framed, err := io.ReadAll(sse.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,18 +212,25 @@ func TestEventsStreamFollowsHeldRun(t *testing.T) {
 			t.Fatalf("line %d = %s, want seq %d of %s", i, line, i+1, r.ID())
 		}
 	}
-	records := strings.Split(string(framed), "\n\n")
-	if records[len(records)-1] != "" {
-		t.Fatalf("SSE stream does not end with a complete record: %q", records[len(records)-1])
-	}
-	records = records[:len(records)-1]
-	if len(records) != len(logged) {
-		t.Fatalf("SSE stream carried %d records, the run logged %d", len(records), len(logged))
-	}
-	for _, rec := range records {
-		body, ok := strings.CutPrefix(rec, "data: ")
-		if !ok || !json.Valid([]byte(body)) || !strings.HasPrefix(body, "{") {
-			t.Fatalf("SSE record %q is not data: {…}", rec)
+	for _, sse := range sses {
+		accept := sse.Request.Header.Get("Accept")
+		framed, err := io.ReadAll(sse.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records := strings.Split(string(framed), "\n\n")
+		if records[len(records)-1] != "" {
+			t.Fatalf("Accept %q: SSE stream does not end with a complete record: %q", accept, records[len(records)-1])
+		}
+		records = records[:len(records)-1]
+		if len(records) != len(logged) {
+			t.Fatalf("Accept %q: SSE stream carried %d records, the run logged %d", accept, len(records), len(logged))
+		}
+		for _, rec := range records {
+			body, ok := strings.CutPrefix(rec, "data: ")
+			if !ok || !json.Valid([]byte(body)) || !strings.HasPrefix(body, "{") {
+				t.Fatalf("Accept %q: SSE record %q is not data: {…}", accept, rec)
+			}
 		}
 	}
 }

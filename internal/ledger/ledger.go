@@ -15,7 +15,7 @@ import (
 // callers do set, stays in Config.
 const (
 	// minSamples is how many succeeded runs a baseline needs before the
-	// detector, the admission hint and the critical-path estimate trust it.
+	// detector and the tail sampler trust it.
 	minSamples = 3
 	// zThreshold is the z-score at which a wall, bytes or eviction
 	// deviation counts as a regression.
@@ -110,10 +110,8 @@ type nodeBaseline struct {
 // pipelineBaseline aggregates run-level behaviour of one pipeline.
 type pipelineBaseline struct {
 	wall       ewma
-	queue      ewma
 	evictions  ewma
 	mispredict ewma
-	peak       ewma // actual catalog high-water mark per run, in bytes
 	nodes      map[string]*nodeBaseline
 }
 
@@ -432,13 +430,9 @@ func (l *Ledger) learnLocked(s *RunSummary) {
 		l.baselines[s.Pipeline] = pb
 	}
 	pb.wall.observe(s.WallSeconds)
-	pb.queue.observe(s.QueueWaitSeconds)
 	pb.evictions.observe(float64(s.Evictions))
 	if s.ReservedBytes > 0 {
 		pb.mispredict.observe(s.Mispredict)
-	}
-	if s.ActualPeakBytes > 0 {
-		pb.peak.observe(float64(s.ActualPeakBytes))
 	}
 	for i := range s.Nodes {
 		ns := &s.Nodes[i]
@@ -546,39 +540,6 @@ func (l *Ledger) MispredictRatio(pipeline string) float64 {
 	return 0
 }
 
-// AdmissionHint is what the learned baselines predict about a pipeline's
-// next run: its catalog footprint and wall time.
-type AdmissionHint struct {
-	// PeakBytesMean is the learned mean of the run catalog high-water mark.
-	PeakBytesMean float64 `json:"peak_bytes_mean"`
-	// PeakBytesSigma spreads the peak estimate; admission adds headroom on
-	// top of it.
-	PeakBytesSigma float64 `json:"peak_bytes_sigma"`
-	// WallMeanSeconds is the learned mean run wall time (enqueue to
-	// finish), the gateway's latency prediction.
-	WallMeanSeconds float64 `json:"wall_mean_seconds"`
-	// Samples is how many succeeded runs back the estimate.
-	Samples int64 `json:"samples"`
-}
-
-// AdmissionHint reports the learned footprint/latency prediction for a
-// pipeline, and whether enough succeeded runs back it (minSamples) for
-// admission to trust it over the planner's static guess.
-func (l *Ledger) AdmissionHint(pipeline string) (AdmissionHint, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	pb := l.baselines[pipeline]
-	if pb == nil || pb.peak.N < minSamples {
-		return AdmissionHint{}, false
-	}
-	return AdmissionHint{
-		PeakBytesMean:   pb.peak.Mean,
-		PeakBytesSigma:  math.Sqrt(pb.peak.Var),
-		WallMeanSeconds: pb.wall.Mean,
-		Samples:         pb.peak.N,
-	}, true
-}
-
 // Baselines snapshots the learned per-node baselines of a pipeline,
 // sorted by node name.
 func (l *Ledger) Baselines(pipeline string) []NodeBaseline {
@@ -602,70 +563,6 @@ func (l *Ledger) Baselines(pipeline string) []NodeBaseline {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
-}
-
-// CriticalPathSeconds predicts a pipeline's refresh execution time from
-// the learned per-node baselines: the longest chain of mean node wall
-// times through the DAG described by parents (node -> upstream MV names).
-// Unlike AdmissionHint's run-level mean — which folds in queue wait and
-// needs minSamples of whole runs — this is structural: it prices exactly
-// the dependency chain a refresh cannot parallelize away, and it works as
-// soon as individual nodes have trusted baselines. Nodes without
-// minSamples observations contribute zero. Returns 0 before anything is
-// learned.
-func (l *Ledger) CriticalPathSeconds(pipeline string, parents map[string][]string) float64 {
-	l.mu.Lock()
-	pb := l.baselines[pipeline]
-	if pb == nil {
-		l.mu.Unlock()
-		return 0
-	}
-	wall := make(map[string]float64, len(pb.nodes))
-	for name, nb := range pb.nodes {
-		if nb.wall.N >= minSamples {
-			wall[name] = nb.wall.Mean
-		}
-	}
-	l.mu.Unlock()
-	if len(wall) == 0 {
-		return 0
-	}
-	// Memoized longest path over node names; the graph is a DAG, but a
-	// visiting guard keeps malformed parent maps from recursing forever.
-	memo := make(map[string]float64)
-	visiting := make(map[string]bool)
-	var chain func(n string) float64
-	chain = func(n string) float64 {
-		if v, ok := memo[n]; ok {
-			return v
-		}
-		if visiting[n] {
-			return 0
-		}
-		visiting[n] = true
-		var up float64
-		for _, p := range parents[n] {
-			if c := chain(p); c > up {
-				up = c
-			}
-		}
-		delete(visiting, n)
-		v := wall[n] + up
-		memo[n] = v
-		return v
-	}
-	var cp float64
-	for n := range wall {
-		if c := chain(n); c > cp {
-			cp = c
-		}
-	}
-	for n := range parents {
-		if c := chain(n); c > cp {
-			cp = c
-		}
-	}
-	return cp
 }
 
 // Pipelines lists the pipelines with learned baselines, sorted.

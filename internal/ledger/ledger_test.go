@@ -211,41 +211,6 @@ func TestFileCompaction(t *testing.T) {
 	}
 }
 
-// TestAdmissionHint checks the learned footprint/latency prediction: no
-// hint before MinSamples succeeded runs, then the peak and wall means.
-func TestAdmissionHint(t *testing.T) {
-	l, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(id string, peak int64, wall float64) RunSummary {
-		s := run(id, "p", wall, nil)
-		s.ReservedBytes = 2 * peak
-		s.ActualPeakBytes = peak
-		return s
-	}
-	l.Append(mk("r1", 1000, 1))
-	l.Append(mk("r2", 1000, 1))
-	if _, ok := l.AdmissionHint("p"); ok {
-		t.Fatal("hint trusted before MinSamples runs")
-	}
-	l.Append(mk("r3", 1000, 1))
-	h, ok := l.AdmissionHint("p")
-	if !ok {
-		t.Fatal("no hint after MinSamples succeeded runs")
-	}
-	if h.PeakBytesMean != 1000 || h.WallMeanSeconds != 1 || h.Samples != 3 {
-		t.Fatalf("hint = %+v", h)
-	}
-	// Failed runs must not move the estimate.
-	bad := mk("r4", 900000, 50)
-	bad.Outcome = OutcomeFailed
-	l.Append(bad)
-	if h2, _ := l.AdmissionHint("p"); h2.PeakBytesMean != 1000 {
-		t.Fatalf("failed run moved the baseline: %+v", h2)
-	}
-}
-
 // TestConcurrentAppendRead hammers the ledger from concurrent writers and
 // readers; run with -race this pins the locking discipline.
 func TestConcurrentAppendRead(t *testing.T) {

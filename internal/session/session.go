@@ -56,7 +56,6 @@ type Pipeline struct {
 
 	Encoding   *encoding.Options // nil keeps the uncompressed row path
 	Vectorized bool
-	Chunked    *chunkio.Session // session dictionary cache; nil when disabled
 	Device     costmodel.DeviceProfile
 	// Concurrency is each run's token budget (exec.Controller.Concurrency).
 	// The planner reads it too: only at <= 1 do nodes run in exact plan
@@ -64,6 +63,11 @@ type Pipeline struct {
 	// tokens a ready node starts by longest remaining path instead
 	// (core.DispatchRank), and plan position only breaks ties.
 	Concurrency int
+
+	// dicts is the session dictionary cache: a Vectorized run's kernels
+	// reuse the dictionaries the run before derived. The Controller reads
+	// it only when Vectorized.
+	dicts *chunkio.Session
 
 	// What the pipeline remembers of its previous run: each node's span (a
 	// later run that reuses cached state links back to it) and the health
@@ -76,7 +80,7 @@ type Pipeline struct {
 
 // NewPipeline extracts the dependency DAG from the nodes' SQL and starts an
 // empty metadata store. The caller sets the execution fields (Encoding,
-// Vectorized, Chunked, Device, Concurrency) before the first run.
+// Vectorized, Device, Concurrency) before the first run.
 func NewPipeline(name string, nodes []exec.NodeSpec, store storage.Store) (*Pipeline, error) {
 	w := &exec.Workload{Nodes: nodes}
 	g, base, err := w.BuildGraph()
@@ -91,6 +95,7 @@ func NewPipeline(name string, nodes []exec.NodeSpec, store storage.Store) (*Pipe
 		Parents:  g.ParentNames(),
 		Store:    store,
 		Metrics:  metrics.NewStore(),
+		dicts:    chunkio.NewSession(),
 	}, nil
 }
 
@@ -209,7 +214,7 @@ func (p *Pipeline) controller(env RunEnv, plan *core.Plan) *exec.Controller {
 		ParallelScan: env.ParallelScan,
 		Encoding:     p.Encoding,
 		Vectorized:   p.Vectorized,
-		Chunked:      p.Chunked,
+		Chunked:      p.dicts,
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/shortcircuit-db/sc/internal/chunkio"
 	"github.com/shortcircuit-db/sc/internal/dag"
 	"github.com/shortcircuit-db/sc/internal/exec"
 	"github.com/shortcircuit-db/sc/internal/introspect/alert"
@@ -65,11 +64,6 @@ func New(mvs []MV, store Store, opts ...Option) (*Refresher, error) {
 	pipe.Vectorized = cfg.vectorized
 	pipe.Device = cfg.device
 	pipe.Concurrency = cfg.concurrency
-	if cfg.vectorized {
-		// The session dictionary cache lives with the Refresher, so each
-		// Refresh reuses the dictionaries the previous run derived.
-		pipe.Chunked = chunkio.NewSession()
-	}
 	r := &Refresher{pipe: pipe, cfg: cfg}
 	r.fin.Exporter = cfg.traceExporter
 	if cfg.ledger {
