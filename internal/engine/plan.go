@@ -269,256 +269,6 @@ func appendKey(b []byte, v table.Value) []byte {
 	return append(b, '|')
 }
 
-// --- Aggregate ---
-
-// AggFunc enumerates aggregate functions.
-type AggFunc uint8
-
-// Aggregate functions.
-const (
-	AggCount AggFunc = iota // COUNT(*) when Arg is nil
-	AggSum
-	AggAvg
-	AggMin
-	AggMax
-)
-
-var aggNames = map[AggFunc]string{
-	AggCount: "COUNT", AggSum: "SUM", AggAvg: "AVG", AggMin: "MIN", AggMax: "MAX",
-}
-
-// AggSpec is one aggregate output column.
-type AggSpec struct {
-	Func AggFunc
-	Arg  Expr // nil only for COUNT(*)
-	Name string
-}
-
-// Aggregate is a hash aggregation: group by the given input column indices
-// and compute each AggSpec per group. Output columns are the group-by
-// columns followed by the aggregates. With no group-by columns it produces
-// exactly one row (global aggregation).
-type Aggregate struct {
-	Input   Node
-	GroupBy []int
-	Aggs    []AggSpec
-	sch     table.Schema
-}
-
-// NewAggregate builds an aggregation, validating argument types eagerly.
-func NewAggregate(input Node, groupBy []int, aggs []AggSpec) (*Aggregate, error) {
-	inSch := input.Schema()
-	a := &Aggregate{Input: input, GroupBy: groupBy, Aggs: aggs}
-	for _, g := range groupBy {
-		if g < 0 || g >= inSch.NumCols() {
-			return nil, fmt.Errorf("engine: group-by column %d out of range", g)
-		}
-		a.sch.Cols = append(a.sch.Cols, inSch.Cols[g])
-	}
-	for _, spec := range aggs {
-		var t table.Type
-		switch {
-		case spec.Func == AggCount:
-			t = table.Int
-		case spec.Arg == nil:
-			return nil, fmt.Errorf("engine: %s requires an argument", aggNames[spec.Func])
-		default:
-			at, err := spec.Arg.Type(inSch)
-			if err != nil {
-				return nil, fmt.Errorf("engine: agg %q: %w", spec.Name, err)
-			}
-			if spec.Func == AggMin || spec.Func == AggMax {
-				t = at
-			} else if spec.Func == AggAvg {
-				t = table.Float
-			} else { // SUM
-				if at == table.Str {
-					return nil, fmt.Errorf("engine: SUM over STRING")
-				}
-				t = at
-			}
-		}
-		a.sch.Cols = append(a.sch.Cols, table.Column{Name: spec.Name, Type: t})
-	}
-	return a, nil
-}
-
-// Schema implements Node.
-func (a *Aggregate) Schema() table.Schema { return a.sch }
-
-type aggState struct {
-	count   int64
-	sumF    float64
-	sumI    int64
-	min     table.Value
-	max     table.Value
-	haveExt bool
-}
-
-type aggGroup struct {
-	keyRow []table.Value
-	states []aggState
-}
-
-// AggAcc accumulates input rows into an Aggregate's groups. It exists so
-// the compressed-execution kernels (internal/kernels) share the row
-// engine's grouping, accumulation and output-ordering semantics by
-// construction: Aggregate.Run itself is implemented on top of it, and a
-// kernel feeding the same rows in the same order through Add produces a
-// byte-identical result table.
-type AggAcc struct {
-	a      *Aggregate
-	groups map[string]*aggGroup
-	order  []string
-	key    []byte // reused group-key buffer
-}
-
-// NewAcc returns an empty accumulator for the aggregate.
-func (a *Aggregate) NewAcc() *AggAcc {
-	return &AggAcc{a: a, groups: make(map[string]*aggGroup)}
-}
-
-// group finds or creates the group for the current input row. The map
-// lookup converts the key buffer without allocating; a string key is only
-// materialized once per distinct group.
-func (acc *AggAcc) group(row []table.Value) *aggGroup {
-	a := acc.a
-	acc.key = acc.key[:0]
-	for _, g := range a.GroupBy {
-		acc.key = appendKey(acc.key, row[g])
-	}
-	grp, ok := acc.groups[string(acc.key)]
-	if !ok {
-		k := string(acc.key)
-		keyRow := make([]table.Value, len(a.GroupBy))
-		for gi, g := range a.GroupBy {
-			keyRow[gi] = row[g]
-		}
-		grp = &aggGroup{keyRow: keyRow, states: make([]aggState, len(a.Aggs))}
-		acc.groups[k] = grp
-		acc.order = append(acc.order, k)
-	}
-	return grp
-}
-
-// Add folds one input row into the accumulator.
-func (acc *AggAcc) Add(row []table.Value) error {
-	grp := acc.group(row)
-	for si, spec := range acc.a.Aggs {
-		st := &grp.states[si]
-		st.count++
-		if spec.Func == AggCount && spec.Arg == nil {
-			continue
-		}
-		v, err := spec.Arg.Eval(row)
-		if err != nil {
-			return fmt.Errorf("engine: agg %q: %w", spec.Name, err)
-		}
-		switch spec.Func {
-		case AggSum, AggAvg:
-			if v.Type == table.Str {
-				return fmt.Errorf("engine: %s over STRING", aggNames[spec.Func])
-			}
-			st.sumF += v.AsFloat()
-			if v.Type == table.Int {
-				st.sumI += v.I
-			}
-		case AggMin, AggMax:
-			if !st.haveExt {
-				st.min, st.max, st.haveExt = v, v, true
-				continue
-			}
-			if c, err := v.Compare(st.min); err == nil && c < 0 {
-				st.min = v
-			}
-			if c, err := v.Compare(st.max); err == nil && c > 0 {
-				st.max = v
-			}
-		}
-	}
-	return nil
-}
-
-// Result builds the output table: group keys in first-appearance order,
-// and for a global aggregation over empty input the single row of zeros.
-func (acc *AggAcc) Result() (*table.Table, error) {
-	a := acc.a
-	if len(a.GroupBy) == 0 && len(acc.groups) == 0 {
-		acc.groups[""] = &aggGroup{states: make([]aggState, len(a.Aggs))}
-		acc.order = append(acc.order, "")
-	}
-	out := table.New(a.sch)
-	for _, k := range acc.order {
-		grp := acc.groups[k]
-		vals := make([]table.Value, 0, a.sch.NumCols())
-		vals = append(vals, grp.keyRow...)
-		for si, spec := range a.Aggs {
-			st := grp.states[si]
-			outType := a.sch.Cols[len(a.GroupBy)+si].Type
-			switch spec.Func {
-			case AggCount:
-				vals = append(vals, table.IntValue(st.count))
-			case AggSum:
-				if outType == table.Int {
-					vals = append(vals, table.IntValue(st.sumI))
-				} else {
-					vals = append(vals, table.FloatValue(st.sumF))
-				}
-			case AggAvg:
-				if st.count == 0 {
-					vals = append(vals, table.FloatValue(0))
-				} else {
-					vals = append(vals, table.FloatValue(st.sumF/float64(st.count)))
-				}
-			case AggMin:
-				vals = append(vals, extremeOrZero(st.min, st.haveExt, outType))
-			case AggMax:
-				vals = append(vals, extremeOrZero(st.max, st.haveExt, outType))
-			}
-		}
-		if err := out.AppendRow(vals...); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// Run implements Node.
-func (a *Aggregate) Run(ctx *Context) (*table.Table, error) {
-	in, err := a.Input.Run(ctx)
-	if err != nil {
-		return nil, err
-	}
-	acc := a.NewAcc()
-	row := make([]table.Value, len(in.Cols))
-	for i := 0; i < in.NumRows(); i++ {
-		fillRow(in, i, row)
-		if err := acc.Add(row); err != nil {
-			return nil, err
-		}
-	}
-	return acc.Result()
-}
-
-func extremeOrZero(v table.Value, have bool, t table.Type) table.Value {
-	if have {
-		return coerce(v, t)
-	}
-	switch t {
-	case table.Int:
-		return table.IntValue(0)
-	case table.Float:
-		return table.FloatValue(0)
-	default:
-		return table.StrValue("")
-	}
-}
-
-// String implements Node.
-func (a *Aggregate) String() string {
-	return fmt.Sprintf("Aggregate(groups=%v, aggs=%d)", a.GroupBy, len(a.Aggs))
-}
-
 // --- Sort ---
 
 // SortKey orders by one column.

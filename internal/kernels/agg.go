@@ -9,12 +9,12 @@ import (
 )
 
 // AggScan is a fused Aggregate∘Scan kernel, over a scanned table or an
-// upstream join's chunked output. It feeds the row engine's own AggAcc
-// accumulator — so grouping, accumulation order and output layout are
-// byte-identical by construction — but reads only the columns the
-// aggregation touches (group keys and aggregate arguments), through
-// late-materializing accessors (dictionary lookups and run cursors stay on
-// the encoded chunk). Row groups are walked serially, in order.
+// upstream join's chunked output. It hands the row engine's own AggAcc one
+// batch of columns per row group — so grouping, accumulation order and
+// output layout are byte-identical by construction — but builds only the
+// columns the aggregation touches (group keys and aggregate arguments): a
+// decoded chunk as is, a dictionary chunk gathered by code, an RLE chunk
+// expanded from its runs. Row groups are walked serially, in order.
 type AggScan struct {
 	Scan  *engine.Scan
 	Inner *HashJoinScan // set instead of Scan: aggregate an upstream join's chunked output
@@ -76,50 +76,40 @@ func (a *AggScan) Run(ctx *engine.Context) (*table.Table, error) {
 		}
 	}
 	acc := a.Agg.NewAcc()
-	row := make([]table.Value, a.inSchema().NumCols())
+	cols := make([]*table.Vector, a.inSchema().NumCols())
+	bufs := make([]table.Vector, len(cols))
 	_, err := walkGroups(walk{ct: ct, groups: groups, st: a.St},
 		func() *engine.AggAcc { return acc }, // one partition, accumulating acc itself
-		func(acc *engine.AggAcc, cc *chunkCtx, _ *bitmap) error { return a.addGroup(cc, acc, row) })
+		func(acc *engine.AggAcc, cc *chunkCtx, _ *bitmap) error { return a.addGroup(cc, acc, cols, bufs) })
 	if err != nil {
 		return nil, fmt.Errorf("kernels: aggregate %s: %w", a.label(), err)
 	}
 	return acc.Result()
 }
 
-// accumulateTable folds a materialized input through the accumulator in
-// row order — the absorption path for an inner operator that fell back.
+// accumulateTable folds a materialized input's needed columns through the
+// accumulator — the absorption path for an inner operator that fell back.
 func (a *AggScan) accumulateTable(t *table.Table) (*table.Table, error) {
+	cols := make([]*table.Vector, len(t.Cols))
+	for _, c := range a.need {
+		cols[c] = t.Cols[c]
+	}
 	acc := a.Agg.NewAcc()
-	row := make([]table.Value, t.Schema.NumCols())
-	n := t.NumRows()
-	for i := 0; i < n; i++ {
-		for _, c := range a.need {
-			row[c] = t.Cols[c].Value(i)
-		}
-		if err := acc.Add(row); err != nil {
-			return nil, err
-		}
+	if err := acc.AddCols(t.NumRows(), cols); err != nil {
+		return nil, err
 	}
 	return acc.Result()
 }
 
-// addGroup folds one row group into the accumulator in row order.
-func (a *AggScan) addGroup(cc *chunkCtx, acc *engine.AggAcc, row []table.Value) error {
-	readers := make([]func(int) table.Value, len(a.need))
-	for k, c := range a.need {
-		r, err := cc.accessor(c)
+// addGroup folds one row group into the accumulator: cols receives the
+// group's needed columns, built in bufs where they are not already decoded.
+func (a *AggScan) addGroup(cc *chunkCtx, acc *engine.AggAcc, cols []*table.Vector, bufs []table.Vector) error {
+	for _, c := range a.need {
+		v, err := cc.column(c, &bufs[c])
 		if err != nil {
 			return err
 		}
-		readers[k] = r
+		cols[c] = v
 	}
-	for i := 0; i < cc.rows; i++ {
-		for k, c := range a.need {
-			row[c] = readers[k](i)
-		}
-		if err := acc.Add(row); err != nil {
-			return err
-		}
-	}
-	return nil
+	return acc.AddCols(cc.rows, cols)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/shortcircuit-db/sc/internal/colfmt"
@@ -566,5 +567,84 @@ func TestKernelStats(t *testing.T) {
 	}
 	if st2.DecodesAvoided == 0 {
 		t.Fatal("expected DecodesAvoided > 0 for an aggregation over RLE runs")
+	}
+}
+
+// TestAggScanErrorPrecedence pins the error an aggregation reports on both
+// kernel paths — AggScan over a chunked scan, and AggScan absorbing a join
+// that fell back (accumulateTable) — to the row engine's: the earliest
+// failing row's, and within that row the first failing aggregate's. The
+// failing rows sit in different row groups and accumulation batches.
+func TestAggScanErrorPrecedence(t *testing.T) {
+	const rows = 2500
+	const divErr = `engine: agg "q": engine: division by zero`
+	const modErr = `engine: agg "m": engine: modulo by zero`
+	keys := table.New(table.NewSchema(table.Column{Name: "k", Type: table.Int}))
+	for i := 0; i < rows; i++ {
+		keys.Cols[0].Ints = append(keys.Cols[0].Ints, int64(i))
+	}
+	for _, tc := range []struct {
+		zeroB, zeroC int
+		want         string
+	}{
+		{1500, 1100, modErr}, // the second aggregate fails first
+		{1100, 1500, divErr},
+		{1300, 1300, divErr}, // same row: the first aggregate's error
+		{3, 2100, divErr},
+	} {
+		// SUM(a / b) fails only at zeroB, SUM(a % c) only at zeroC.
+		tbl := table.New(table.NewSchema(
+			table.Column{Name: "a", Type: table.Int},
+			table.Column{Name: "b", Type: table.Int},
+			table.Column{Name: "c", Type: table.Int},
+		))
+		for i := 0; i < rows; i++ {
+			b, c := int64(1+i%5), int64(1+i%3)
+			if i == tc.zeroB {
+				b = 0
+			}
+			if i == tc.zeroC {
+				c = 0
+			}
+			_ = tbl.AppendRow(table.IntValue(int64(i)), table.IntValue(b), table.IntValue(c))
+		}
+		aggOver := func(in engine.Node) engine.Node {
+			agg, err := engine.NewAggregate(in, []int{2}, []engine.AggSpec{
+				{Func: engine.AggSum, Arg: &engine.Bin{Op: engine.OpDiv, L: &engine.ColRef{Idx: 0}, R: &engine.ColRef{Idx: 1}}, Name: "q"},
+				{Func: engine.AggSum, Arg: &engine.Bin{Op: engine.OpMod, L: &engine.ColRef{Idx: 0}, R: &engine.ColRef{Idx: 2}}, Name: "m"},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return agg
+		}
+		scan := func() engine.Node { return &engine.Scan{Name: "t", Sch: tbl.Schema} }
+		join := func() engine.Node {
+			return &engine.HashJoin{Left: scan(), Right: &engine.Scan{Name: "k", Sch: keys.Schema},
+				LeftKeys: []int{0}, RightKeys: []int{0}}
+		}
+		check := func(desc string, n engine.Node, ctx *engine.Context, fallbacks int64) {
+			t.Helper()
+			st := &Stats{}
+			_, err := Lower(n, st).Run(ctx)
+			if err == nil || !strings.HasSuffix(err.Error(), tc.want) {
+				t.Fatalf("b=0 at %d, c=0 at %d, %s: err %v, want %s", tc.zeroB, tc.zeroC, desc, err, tc.want)
+			}
+			if st.Lowered == 0 || st.Fallbacks != fallbacks {
+				t.Fatalf("%s: stats %+v, want a lowered aggregate and %d fallbacks", desc, *st, fallbacks)
+			}
+		}
+		for _, chunkRows := range []int{0, 700} {
+			row, vec := ctxFor(t, "t", tbl, encoding.Options{ChunkRows: chunkRows})
+			if _, err := aggOver(scan()).Run(row); fmt.Sprint(err) != tc.want {
+				t.Fatalf("row engine: err %v, want %s", err, tc.want)
+			}
+			check("AggScan over a scan", aggOver(scan()), vec, 0)
+			// No compressed resolver: the join falls back and AggScan
+			// accumulates its table.
+			tables := map[string]*table.Table{"t": tbl, "k": keys}
+			rowOnly := &engine.Context{Resolve: func(n string) (*table.Table, error) { return tables[n], nil }}
+			check("AggScan absorbing a fallen-back join", aggOver(join()), rowOnly, 1)
+		}
 	}
 }

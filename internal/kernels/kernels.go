@@ -9,11 +9,13 @@
 //   - a join side's `column <op> literal` filter is decided once per run on
 //     a run-length chunk, and a row group no row survives is skipped
 //     without decoding another column;
-//   - join keys and aggregate inputs are read through per-chunk accessors
-//     (dictionary lookups, run cursors), and the join late-materializes only
-//     the columns and rows of its surviving pairs;
-//   - the aggregate feeds the row engine's own AggAcc accumulator, so its
-//     result is byte-identical by construction.
+//   - join keys are read through per-chunk accessors (dictionary lookups,
+//     run cursors), and the join late-materializes only the columns and rows
+//     of its surviving pairs;
+//   - the aggregate builds only the columns it reads, per row group, and
+//     hands them to the row engine's own accumulator through its one entry
+//     point, AggAcc.AddCols (columns in), so its result is byte-identical by
+//     construction.
 //
 // Every kernel operator returns a table from Run. The hash join can also
 // emit its output as compressed chunks (RunChunked, through
@@ -235,6 +237,46 @@ func (cc *chunkCtx) accessor(col int) (func(i int) table.Value, error) {
 			return nil, err
 		}
 		return vec.Value, nil
+	}
+}
+
+// column returns all of the row group's values of col as a vector, for a
+// consumer that reads every row (the aggregate): a decoded chunk as is, a
+// dictionary chunk gathered by code into buf, an RLE chunk expanded from its
+// runs into buf. Like the accessors, gathering and expanding count no
+// decode; other codecs decode the chunk.
+func (cc *chunkCtx) column(col int, buf *table.Vector) (*table.Vector, error) {
+	cs, err := cc.parse(col)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case cs.vec != nil:
+		return cs.vec, nil
+	case cs.dict != nil:
+		codes, _ := cs.dict.Codes()
+		dv := cs.dict
+		buf.Type = dv.Type
+		buf.Ints, buf.Strs = buf.Ints[:0], buf.Strs[:0]
+		for _, c := range codes {
+			if dv.Type == table.Int {
+				buf.Ints = append(buf.Ints, dv.Ints[c])
+			} else {
+				buf.Strs = append(buf.Strs, dv.Strs[c])
+			}
+		}
+		return buf, nil
+	case cs.runs != nil:
+		buf.Type = cc.colType(col)
+		buf.Ints, buf.Floats, buf.Strs = buf.Ints[:0], buf.Floats[:0], buf.Strs[:0]
+		for _, r := range cs.runs {
+			for j := 0; j < r.Len; j++ {
+				_ = buf.Append(r.Val)
+			}
+		}
+		return buf, nil
+	default:
+		return cc.vector(col)
 	}
 }
 
