@@ -35,8 +35,8 @@ type Counters struct {
 // Appenders pick the cheapest representation the source allows:
 //
 //	AppendCode   one shared-dictionary id (code-space joins; see Remap)
-//	AppendValue  one decoded value (late materialization)
-//	AppendVector decoded values (gathered by selection)
+//	AppendVector a typed column of decoded or late-materialized values,
+//	             appended in bulk
 type Builder struct {
 	sch    table.Schema
 	opts   encoding.Options
@@ -144,7 +144,7 @@ func (b *Builder) AppendCode(ci int, id int32) {
 	if cb.vals != nil {
 		v := cb.shared.Value(id)
 		b.Counters.MaterializedBytes += valueSizeOf(v)
-		b.pushVal(cb, v)
+		appendToVec(cb.vals, v)
 		return
 	}
 	cb.codes = append(cb.codes, id)
@@ -155,51 +155,29 @@ func (b *Builder) AppendCode(ci int, id int32) {
 	}
 }
 
-// AppendVector appends the selected rows of a decoded source vector. When
-// the column's shared dictionary is warm (holds entries from an earlier
-// run), INT and STRING values intern to codes — yesterday's dictionary
-// turns the encode into id lookups; otherwise, and for FLOAT, the values
-// buffer for re-encoding with codec auto-selection.
-func (b *Builder) AppendVector(ci int, vec *table.Vector, sel []int32) error {
+// AppendVector appends every row of a decoded vector of the column's type,
+// in bulk. When the column's shared dictionary is warm (holds entries from
+// an earlier run) and the column is still in code space, INT and STRING
+// values intern to codes under one lock — yesterday's dictionary turns the
+// encode into id lookups — until the first value the full dictionary cannot
+// take; from that value on, and for FLOAT or a cold dictionary, the values
+// buffer for re-encoding with codec auto-selection. The result is exactly
+// that of appending the values one at a time.
+func (b *Builder) AppendVector(ci int, vec *table.Vector) error {
 	cb := &b.cols[ci]
-	if sel == nil {
-		n := vec.Len()
-		for i := 0; i < n; i++ {
-			b.appendAuto(cb, vec.Value(i))
-		}
-		return nil
+	if vec.Type != cb.typ {
+		return fmt.Errorf("chunkio: column %q is %v, appended vector is %v", b.sch.Cols[ci].Name, cb.typ, vec.Type)
 	}
-	for _, i := range sel {
-		b.appendAuto(cb, vec.Value(int(i)))
+	b.raw += vec.ByteSize()
+	from := 0
+	if cb.vals == nil && cb.shared != nil && cb.warm {
+		from = cb.shared.intern(vec, cb)
+	}
+	if from < vec.Len() {
+		b.materializePending(cb)
+		appendRange(cb.vals, vec, from)
 	}
 	return nil
-}
-
-// AppendValue appends one decoded value (late materialization), interning
-// through a warm shared dictionary when possible.
-func (b *Builder) AppendValue(ci int, v table.Value) {
-	b.appendAuto(&b.cols[ci], v)
-}
-
-// appendAuto routes one value: warm dictionaries intern in code space,
-// everything else buffers in value space. Raw bytes are counted here.
-func (b *Builder) appendAuto(cb *colBuf, v table.Value) {
-	b.raw += valueSizeOf(v)
-	if cb.vals == nil && cb.shared != nil && cb.warm {
-		if id, ok := cb.shared.Add(v); ok {
-			cb.noteSize(id, valueSizeOf(v))
-			cb.codes = append(cb.codes, id)
-			return
-		}
-	}
-	b.pushVal(cb, v)
-}
-
-// pushVal appends one value in value space, converting pending codes
-// first.
-func (b *Builder) pushVal(cb *colBuf, v table.Value) {
-	b.materializePending(cb)
-	appendToVec(cb.vals, v)
 }
 
 // materializePending converts a column's pending codes into values — the
@@ -324,6 +302,18 @@ func vecSlice(v *table.Vector, lo, hi int) *table.Vector {
 		out.Strs = v.Strs[lo:hi]
 	}
 	return out
+}
+
+// appendRange appends rows [from, len) of src to dst, of the same type.
+func appendRange(dst, src *table.Vector, from int) {
+	switch dst.Type {
+	case table.Int:
+		dst.Ints = append(dst.Ints, src.Ints[from:]...)
+	case table.Float:
+		dst.Floats = append(dst.Floats, src.Floats[from:]...)
+	default:
+		dst.Strs = append(dst.Strs, src.Strs[from:]...)
+	}
 }
 
 func appendToVec(dst *table.Vector, v table.Value) {

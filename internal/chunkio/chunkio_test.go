@@ -52,12 +52,22 @@ func mustEqualTables(t *testing.T, desc string, want, got *table.Table) {
 	}
 }
 
+// pick returns the rows of vec at the given indexes, as a new vector.
+func pick(vec *table.Vector, rows []int32) *table.Vector {
+	out := &table.Vector{Type: vec.Type}
+	for _, i := range rows {
+		_ = out.Append(vec.Value(int(i)))
+	}
+	return out
+}
+
 // feedGroup appends one row group of a compressed table to the builder the
 // way the join kernel assembles its output: dictionary chunks as remapped
-// codes (as values once the column has left code space), run-length chunks
-// value by value, everything else as a decoded vector. sel lists the
-// selected local rows ascending; nil selects all.
-func feedGroup(t *testing.T, b *Builder, ct *encoding.Compressed, group int, sel []int32) {
+// codes (as gathered values once the column has left code space),
+// everything else as a gathered decoded vector. sel lists the selected
+// local rows ascending; nil selects all. perValue appends the values one at
+// a time through perValueAppend instead of in bulk.
+func feedGroup(t *testing.T, b *Builder, ct *encoding.Compressed, group int, sel []int32, perValue bool) {
 	t.Helper()
 	for ci := range ct.Cols {
 		ch := ct.Cols[ci][group]
@@ -68,6 +78,10 @@ func feedGroup(t *testing.T, b *Builder, ct *encoding.Compressed, group int, sel
 				rows = append(rows, int32(i))
 			}
 		}
+		vec, err := encoding.DecodeChunk(ch, typ)
+		if err != nil {
+			t.Fatalf("feed column %d: %v", ci, err)
+		}
 		if ch.Codec == encoding.Dict {
 			dv, err := encoding.ParseDict(ch, typ)
 			if err != nil {
@@ -77,26 +91,67 @@ func feedGroup(t *testing.T, b *Builder, ct *encoding.Compressed, group int, sel
 			if err != nil {
 				t.Fatalf("feed column %d: %v", ci, err)
 			}
-			ids, inCode := b.Remap(ci, dv)
-			for _, i := range rows {
-				if inCode {
+			if ids, inCode := b.Remap(ci, dv); inCode {
+				for _, i := range rows {
 					b.AppendCode(ci, ids[codes[i]])
-				} else {
-					b.AppendValue(ci, dv.Value(int(codes[i])))
 				}
+				continue
 			}
-			continue
 		}
-		vec, err := encoding.DecodeChunk(ch, typ)
-		if err != nil {
+		picked := pick(vec, rows)
+		if perValue {
+			for i := 0; i < picked.Len(); i++ {
+				perValueAppend(b, ci, picked.Value(i))
+			}
+		} else if err := b.AppendVector(ci, picked); err != nil {
 			t.Fatalf("feed column %d: %v", ci, err)
 		}
-		if ch.Codec == encoding.RLE {
-			for _, i := range rows {
-				b.AppendValue(ci, vec.Value(int(i)))
+	}
+}
+
+// perValueAppend is the value-at-a-time append AppendVector replaced, kept
+// as its reference: a warm dictionary interns each value under its own
+// lock until one overflows, and from then on values buffer for re-encoding.
+func perValueAppend(b *Builder, ci int, v table.Value) {
+	cb := &b.cols[ci]
+	b.raw += valueSizeOf(v)
+	if cb.vals == nil && cb.shared != nil && cb.warm {
+		if id, ok := sharedAdd(cb.shared, v); ok {
+			cb.noteSize(id, valueSizeOf(v))
+			cb.codes = append(cb.codes, id)
+			return
+		}
+	}
+	b.materializePending(cb)
+	appendToVec(cb.vals, v)
+}
+
+// sharedAdd interns one value; ok is false on overflow.
+func sharedAdd(sh *Shared, v table.Value) (int32, bool) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.typ == table.Int {
+		return sh.addIntLocked(v.I)
+	}
+	return sh.addStrLocked(v.S)
+}
+
+// mustEqualBuilds requires two builders fed the same rows, one in bulk and
+// one value at a time, to have finished byte-identically.
+func mustEqualBuilds(t *testing.T, desc string, bulk, perValue *Builder, got, want *encoding.Compressed) {
+	t.Helper()
+	if bulk.Counters != perValue.Counters {
+		t.Fatalf("%s: counters bulk %+v, per value %+v", desc, bulk.Counters, perValue.Counters)
+	}
+	if got.NRows != want.NRows || got.RawBytes != want.RawBytes {
+		t.Fatalf("%s: bulk %d rows %d raw B, per value %d rows %d raw B", desc, got.NRows, got.RawBytes, want.NRows, want.RawBytes)
+	}
+	for c := range want.Cols {
+		for k, w := range want.Cols[c] {
+			g := got.Cols[c][k]
+			if g.Codec != w.Codec || g.Rows != w.Rows || string(g.Data) != string(w.Data) {
+				t.Fatalf("%s: column %d chunk %d: bulk %s/%d rows, per value %s/%d rows", desc, c, k, g.Codec, g.Rows, w.Codec, w.Rows)
 			}
-		} else if err := b.AppendVector(ci, vec, sel); err != nil {
-			t.Fatalf("feed column %d: %v", ci, err)
 		}
 	}
 }
@@ -134,7 +189,7 @@ func TestBuilderGatherSelections(t *testing.T) {
 			}
 		}
 		if len(sel) > 0 {
-			feedGroup(t, b, ct, g, sel)
+			feedGroup(t, b, ct, g, sel, false)
 		}
 		base += rows
 	}
@@ -180,7 +235,7 @@ func TestBuilderDictOverflowMidBuild(t *testing.T) {
 	}
 	b := NewBuilder(src.Schema, encoding.Options{ChunkRows: 100}, sess, "n")
 	for g := range ct.RowGroups() {
-		feedGroup(t, b, ct, g, nil)
+		feedGroup(t, b, ct, g, nil, false)
 	}
 	out, err := b.Finish()
 	if err != nil {
@@ -216,7 +271,7 @@ func TestBuilderRLEHeavy(t *testing.T) {
 		sel = append(sel, int32(i))
 	}
 	for g, rows := range ct.RowGroups() {
-		feedGroup(t, b, ct, g, sel)
+		feedGroup(t, b, ct, g, sel, false)
 		for i := 0; i < rows; i += 2 {
 			global = append(global, g*150+i)
 		}
@@ -243,7 +298,7 @@ func TestSessionDictReuseAcrossRuns(t *testing.T) {
 		sess.BeginRun()
 		b := NewBuilder(src.Schema, encoding.Options{ChunkRows: 64}, sess, "node#1")
 		for g := range ct.RowGroups() {
-			feedGroup(t, b, ct, g, nil)
+			feedGroup(t, b, ct, g, nil, false)
 		}
 		out, err := b.Finish()
 		if err != nil {
@@ -276,7 +331,7 @@ func TestSessionInvalidatesOnSchemaDrift(t *testing.T) {
 	sess := NewSession()
 	sess.BeginRun()
 	a := sess.shared("n", 0, table.Column{Name: "x", Type: table.Str}, 0)
-	a.Add(table.StrValue("v"))
+	sharedAdd(a, table.StrValue("v"))
 	// Same slot, same name, new type: the cached dictionary must not leak.
 	b := sess.shared("n", 0, table.Column{Name: "x", Type: table.Int}, 0)
 	if b.Len() != 0 {
@@ -294,15 +349,59 @@ func TestBuilderMisalignedColumnsError(t *testing.T) {
 		table.Column{Name: "b", Type: table.Int},
 	)
 	b := NewBuilder(sch, encoding.Options{}, nil, "")
-	b.AppendValue(0, table.IntValue(1))
+	if err := b.AppendVector(0, &table.Vector{Type: table.Int, Ints: []int64{1}}); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := b.Finish(); err == nil {
 		t.Fatal("columns out of step must not silently finish")
 	}
 }
 
+// checkBuilds feeds the selected rows of every row group (sels[g]: nil for
+// the whole group, empty to skip it) to a bulk builder and a per-value one
+// over twin sessions (newSession may return nil), twice — a cold run and a
+// warm one — and requires both runs' outputs to be byte-identical between
+// the two and to decode to exactly the selected rows (global).
+func checkBuilds(t *testing.T, desc string, tb *table.Table, ct *encoding.Compressed, sels [][]int32, global []int, opts encoding.Options, newSession func() *Session) {
+	t.Helper()
+	sessB, sessP := newSession(), newSession()
+	for run := 0; run < 2; run++ {
+		sessB.BeginRun()
+		sessP.BeginRun()
+		bulk := NewBuilder(tb.Schema, opts, sessB, "p#1")
+		perValue := NewBuilder(tb.Schema, opts, sessP, "p#1")
+		for g, sel := range sels {
+			if sel == nil || len(sel) > 0 {
+				feedGroup(t, bulk, ct, g, sel, false)
+				feedGroup(t, perValue, ct, g, sel, true)
+			}
+		}
+		out, err := bulk.Finish()
+		if err != nil {
+			t.Fatalf("%s run %d: %v", desc, run, err)
+		}
+		want, err := perValue.Finish()
+		if err != nil {
+			t.Fatalf("%s run %d: per value: %v", desc, run, err)
+		}
+		mustEqualBuilds(t, fmt.Sprintf("%s run %d", desc, run), bulk, perValue, out, want)
+		if err := out.Validate(); err != nil {
+			t.Fatalf("%s run %d: invalid output: %v", desc, run, err)
+		}
+		if out.RowGroups() == nil {
+			t.Fatalf("%s run %d: misaligned output row groups", desc, run)
+		}
+		got, err := out.Table()
+		if err != nil {
+			t.Fatalf("%s run %d: decode: %v", desc, run, err)
+		}
+		mustEqualTables(t, fmt.Sprintf("%s run %d", desc, run), gather(tb, global), got)
+	}
+}
+
 // TestDifferentialBuilder drives random tables, chunk layouts and
-// selections through the builder and requires the decoded output to equal
-// a direct gather of the source rows.
+// selections through the builder, in bulk and value by value, and requires
+// identical outputs that decode to a direct gather of the source rows.
 func TestDifferentialBuilder(t *testing.T) {
 	iters := 150
 	if testing.Short() {
@@ -335,54 +434,46 @@ func TestDifferentialBuilder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		var sess *Session
+		maxEntries := -1 // no session
 		if rng.Intn(2) == 0 {
-			sess = NewSession()
+			maxEntries = 0
 			if rng.Intn(3) == 0 {
-				sess.MaxEntries = 1 + rng.Intn(32) // force overflows
+				maxEntries = 1 + rng.Intn(32) // force overflows
 			}
-			sess.BeginRun()
 		}
-		b := NewBuilder(tb.Schema, encoding.Options{ChunkRows: 1 + rng.Intn(300)}, sess, "p#1")
+		newSession := func() *Session {
+			if maxEntries < 0 {
+				return nil
+			}
+			s := NewSession()
+			s.MaxEntries = maxEntries
+			return s
+		}
+		opts := encoding.Options{ChunkRows: 1 + rng.Intn(300)}
 		global := []int{} // non-nil: gather(nil) means every row
+		var sels [][]int32
 		base := 0
-		for g, rows := range ct.RowGroups() {
-			mode := rng.Intn(4)
-			switch {
-			case mode == 0: // whole group selected
-				feedGroup(t, b, ct, g, nil)
+		for _, rows := range ct.RowGroups() {
+			var sel []int32
+			switch mode := rng.Intn(4); mode {
+			case 0: // whole group selected
 				for i := 0; i < rows; i++ {
 					global = append(global, base+i)
 				}
-			case mode == 1: // empty selection
+			case 1: // empty selection
+				sel = []int32{}
 			default:
-				var sel []int32
+				sel = []int32{}
 				for i := 0; i < rows; i++ {
 					if rng.Intn(3) > 0 {
 						sel = append(sel, int32(i))
 						global = append(global, base+i)
 					}
 				}
-				if len(sel) > 0 {
-					feedGroup(t, b, ct, g, sel)
-				}
 			}
+			sels = append(sels, sel)
 			base += rows
 		}
-		out, err := b.Finish()
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if err := out.Validate(); err != nil {
-			t.Fatalf("seed %d: invalid output: %v", seed, err)
-		}
-		if out.RowGroups() == nil {
-			t.Fatalf("seed %d: misaligned output row groups", seed)
-		}
-		got, err := out.Table()
-		if err != nil {
-			t.Fatalf("seed %d: decode: %v", seed, err)
-		}
-		mustEqualTables(t, fmt.Sprintf("seed %d", seed), gather(tb, global), got)
+		checkBuilds(t, fmt.Sprintf("seed %d", seed), tb, ct, sels, global, opts, newSession)
 	}
 }

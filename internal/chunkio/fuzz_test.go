@@ -9,10 +9,12 @@ import (
 
 // FuzzBuilder derives a table, a chunk layout, a selection and a builder
 // configuration from the fuzz input, drives the source chunks through the
-// builder's append paths, and requires the decoded output to equal a
+// builder's append paths — in bulk and value by value, over a cold and then
+// a warm session — and requires byte-identical outputs that decode to a
 // direct gather of the selected rows. It hunts for row drops, code/value
-// space transitions that lose data, misaligned chunk boundaries and
-// dictionary overflow corruption.
+// space transitions that lose data, misaligned chunk boundaries, dictionary
+// overflow corruption and any way the bulk append departs from appending
+// one value at a time.
 func FuzzBuilder(f *testing.F) {
 	f.Add([]byte{1, 40, 8, 3, 0xAA, 0x55, 16, 2})
 	f.Add([]byte{2, 200, 64, 1, 0xFF, 0x00, 4, 0})
@@ -54,24 +56,26 @@ func FuzzBuilder(f *testing.F) {
 		if err != nil {
 			t.Fatalf("FromTable: %v", err)
 		}
-		var sess *Session
-		if maxEntries > 0 {
-			sess = NewSession()
-			sess.MaxEntries = maxEntries
-			sess.BeginRun()
+		newSession := func() *Session {
+			if maxEntries == 0 {
+				return nil
+			}
+			s := NewSession()
+			s.MaxEntries = maxEntries
+			return s
 		}
-		b := NewBuilder(tb.Schema, encoding.Options{ChunkRows: target}, sess, "fuzz#1")
 		global := []int{}
+		var sels [][]int32
 		base := 0
 		for g, rows := range ct.RowGroups() {
 			pass := len(sel) > 0 && sel[g%len(sel)]&1 != 0
 			if pass {
-				feedGroup(t, b, ct, g, nil)
+				sels = append(sels, nil)
 				for i := 0; i < rows; i++ {
 					global = append(global, base+i)
 				}
 			} else {
-				var idxs []int32
+				idxs := []int32{}
 				for i := 0; i < rows; i++ {
 					bit := 0
 					if len(sel) > 0 {
@@ -82,36 +86,10 @@ func FuzzBuilder(f *testing.F) {
 						global = append(global, base+i)
 					}
 				}
-				if len(idxs) > 0 {
-					feedGroup(t, b, ct, g, idxs)
-				}
+				sels = append(sels, idxs)
 			}
 			base += rows
 		}
-		out, err := b.Finish()
-		if err != nil {
-			t.Fatalf("Finish: %v", err)
-		}
-		if err := out.Validate(); err != nil {
-			t.Fatalf("invalid output: %v", err)
-		}
-		if out.RowGroups() == nil {
-			t.Fatal("misaligned output row groups")
-		}
-		got, err := out.Table()
-		if err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		want := gather(tb, global)
-		if got.NumRows() != want.NumRows() {
-			t.Fatalf("rows: got %d, want %d", got.NumRows(), want.NumRows())
-		}
-		for r := 0; r < want.NumRows(); r++ {
-			for c := range want.Cols {
-				if want.Cols[c].Value(r) != got.Cols[c].Value(r) {
-					t.Fatalf("row %d col %d: got %v, want %v", r, c, got.Cols[c].Value(r), want.Cols[c].Value(r))
-				}
-			}
-		}
+		checkBuilds(t, "fuzz", tb, ct, sels, global, encoding.Options{ChunkRows: target}, newSession)
 	})
 }

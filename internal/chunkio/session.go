@@ -7,11 +7,11 @@
 // Two pieces cooperate:
 //
 //   - Builder assembles a compressed table from what the join has in hand
-//     per output row — a dictionary code (the source chunk's dictionary is
-//     remapped once through a shared dictionary and the surviving codes
-//     flow through unchanged) or, when no code-space path applies, a
-//     materialized value that is re-encoded with the same per-chunk codec
-//     auto-selection FromTable uses;
+//     per output column — dictionary codes (the source chunk's dictionary
+//     is remapped once through a shared dictionary and the surviving codes
+//     flow through unchanged) or, when no code-space path applies, a typed
+//     vector of materialized values, appended in bulk and re-encoded with
+//     the same per-chunk codec auto-selection FromTable uses;
 //   - Session carries the shared dictionaries across refresh runs, keyed
 //     by (producer, column): a recurring pipeline re-derives the same
 //     category dictionaries every night, and reusing yesterday's entries
@@ -195,15 +195,33 @@ func (sh *Shared) addStrLocked(s string) (int32, bool) {
 	return id, true
 }
 
-// Add interns one value of the dictionary's type; ok is false when the
-// dictionary is full and the value is new (overflow).
-func (sh *Shared) Add(v table.Value) (int32, bool) {
+// intern interns the values of vec in order under one lock, appending each
+// id to the column's pending codes and memoizing its size. It stops at the
+// first value the full dictionary cannot take (overflow) and returns that
+// value's index, or vec.Len() when every value interned.
+func (sh *Shared) intern(vec *table.Vector, cb *colBuf) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.typ == table.Int {
-		return sh.addIntLocked(v.I)
+		for i, x := range vec.Ints {
+			id, ok := sh.addIntLocked(x)
+			if !ok {
+				return i
+			}
+			cb.codes = append(cb.codes, id)
+			cb.noteSize(id, 8)
+		}
+		return len(vec.Ints)
 	}
-	return sh.addStrLocked(v.S)
+	for i, s := range vec.Strs {
+		id, ok := sh.addStrLocked(s)
+		if !ok {
+			return i
+		}
+		cb.codes = append(cb.codes, id)
+		cb.noteSize(id, int64(len(s))+16)
+	}
+	return len(vec.Strs)
 }
 
 // Value returns the entry for a shared id.

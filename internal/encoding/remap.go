@@ -30,35 +30,43 @@ func NewKeyDict(t table.Type) *KeyDict {
 	return kd
 }
 
-// Add interns a value of the dictionary's type, returning its id.
-func (kd *KeyDict) Add(v table.Value) int {
+// Len returns the number of keys interned; ids are below it.
+func (kd *KeyDict) Len() int {
 	if kd.typ == table.Int {
-		id, ok := kd.ints[v.I]
-		if !ok {
-			id = len(kd.ints)
-			kd.ints[v.I] = id
-		}
-		return id
+		return len(kd.ints)
 	}
-	id, ok := kd.strs[v.S]
-	if !ok {
-		id = len(kd.strs)
-		kd.strs[v.S] = id
-	}
-	return id
+	return len(kd.strs)
 }
 
-// Lookup returns the id of a value, or -1 when it was never added — the
-// probe-side signal that no build row can match.
-func (kd *KeyDict) Lookup(v table.Value) int {
+// IDs appends the id of every value of vec (of the dictionary's type) to
+// out, a column at a time. add interns values not seen before (the build
+// side); otherwise such a value's id is -1 — the probe-side signal that no
+// build row can match.
+func (kd *KeyDict) IDs(vec *table.Vector, add bool, out []int32) []int32 {
 	if kd.typ == table.Int {
-		if id, ok := kd.ints[v.I]; ok {
-			return id
+		for _, x := range vec.Ints {
+			id, ok := kd.ints[x]
+			if !ok {
+				id = -1
+				if add {
+					id = len(kd.ints)
+					kd.ints[x] = id
+				}
+			}
+			out = append(out, int32(id))
 		}
-		return -1
+		return out
 	}
-	if id, ok := kd.strs[v.S]; ok {
-		return id
+	for _, s := range vec.Strs {
+		id, ok := kd.strs[s]
+		if !ok {
+			id = -1
+			if add {
+				id = len(kd.strs)
+				kd.strs[s] = id
+			}
+		}
+		out = append(out, int32(id))
 	}
-	return -1
+	return out
 }

@@ -204,6 +204,11 @@ type Controller struct {
 	// rebuilding them. A single Session must not be shared by overlapping
 	// Run invocations.
 	Chunked *chunkio.Session
+
+	// awaitHook, when set, runs each time a node is about to wait out
+	// background writes (awaitWrites); tests use it to hold a write until
+	// exactly that point.
+	awaitHook func()
 }
 
 // flaggedState tracks the two release conditions of a flagged output
@@ -213,6 +218,9 @@ type flaggedState struct {
 	children int
 	written  bool
 	released bool
+	// writeDone is closed once the background write finished and the
+	// release it may have triggered ran.
+	writeDone chan struct{}
 }
 
 // runState is the shared state of one Run invocation.
@@ -226,10 +234,14 @@ type runState struct {
 
 	states []*flaggedState // per node; non-nil once the node's output was Put
 
-	wgBG     sync.WaitGroup // outstanding background materializations
-	bgMu     sync.Mutex
-	bgErr    error
-	peakSeen atomic.Int64 // last high-water mark reported via MemoryHighWater
+	wgBG sync.WaitGroup // outstanding background materializations
+	// writing lists the flagged outputs whose background write may still
+	// be in flight, for a node whose Put waits them out (awaitWrites).
+	writingMu sync.Mutex
+	writing   []*flaggedState
+	bgMu      sync.Mutex
+	bgErr     error
+	peakSeen  atomic.Int64 // last high-water mark reported via MemoryHighWater
 
 	fallbacks atomic.Int64
 }
@@ -577,7 +589,12 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool, f
 	}
 
 	if m.Flagged {
-		if err := c.Mem.PutEntry(spec.Name, entry); err != nil {
+		err := c.Mem.PutEntry(spec.Name, entry)
+		if err != nil && rs.awaitWrites(ctx) {
+			// Entries only their write kept resident have left: try again.
+			err = c.Mem.PutEntry(spec.Name, entry)
+		}
+		if err != nil {
 			// Does not fit: fall back to the unflagged path.
 			m.Flagged = false
 			rs.fallbacks.Add(1)
@@ -587,8 +604,11 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool, f
 		}
 	}
 	if m.Flagged {
-		st := &flaggedState{children: len(rs.g.Children(id))}
+		st := &flaggedState{children: len(rs.g.Children(id)), writeDone: make(chan struct{})}
 		rs.states[id] = st
+		rs.writingMu.Lock()
+		rs.writing = append(rs.writing, st)
+		rs.writingMu.Unlock()
 		rs.wgBG.Add(1)
 		go func(name string, data []byte) {
 			defer rs.wgBG.Done()
@@ -606,6 +626,7 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool, f
 			st.written = true
 			rs.release(id, st)
 			st.mu.Unlock()
+			close(st.writeDone)
 		}(spec.Name, encoded)
 	} else {
 		tw := time.Now()
@@ -660,6 +681,44 @@ func (rs *runState) release(id dag.NodeID, st *flaggedState) {
 		st.released = true
 		rs.evict(id, obs.EvictRelease)
 	}
+}
+
+// awaitWrites waits out the background writes of the flagged outputs that
+// wait on nothing else to leave the Memory Catalog — every dependent has
+// executed, only the write is outstanding — so a node whose Put did not fit
+// gets their bytes back instead of falling back to a foreground write just
+// because a writer goroutine has not been scheduled yet. It reports whether
+// it waited on any; cancellation stops the wait.
+func (rs *runState) awaitWrites(ctx context.Context) bool {
+	var wait []chan struct{}
+	rs.writingMu.Lock()
+	pending := rs.writing[:0]
+	for _, st := range rs.writing {
+		st.mu.Lock()
+		if !st.written {
+			pending = append(pending, st)
+			if st.children == 0 {
+				wait = append(wait, st.writeDone)
+			}
+		}
+		st.mu.Unlock()
+	}
+	rs.writing = pending
+	rs.writingMu.Unlock()
+	if len(wait) == 0 {
+		return false
+	}
+	if rs.c.awaitHook != nil {
+		rs.c.awaitHook()
+	}
+	for _, done := range wait {
+		select {
+		case <-done:
+		case <-ctx.Done():
+			return false
+		}
+	}
+	return true
 }
 
 // evict deletes a node's output from the Memory Catalog and reports why it

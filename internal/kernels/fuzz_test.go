@@ -134,38 +134,55 @@ func FuzzPredTranslate(f *testing.F) {
 }
 
 // FuzzJoinKeys drives the join kernel's key handling: arbitrary bytes become
-// the key columns of two tables (int or string, with a payload column
-// each), both sides are chunked with fuzz-chosen chunk sizes, and the join
-// kernel must produce byte-identical output to the row engine's hash join
-// — whatever mix of dict/RLE/delta/raw key chunks the encoder picks — and
-// must never panic.
+// the key columns of two tables (one or two keys, each int or string, with a
+// payload column each), both sides are chunked with fuzz-chosen chunk
+// sizes, and the join kernel must produce byte-identical output to the row
+// engine's hash join — whatever mix of dict/RLE/delta/raw key chunks the
+// encoder picks, through the build table indexed by shared key id (one key)
+// or by composite id (two) — and must never panic. keyTypes bit 0 makes the
+// first key a string, bit 1 adds a second key, bit 2 makes it a string.
 func FuzzJoinKeys(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 1, 2, 9}, uint8(3), uint8(2), false)
-	f.Add([]byte("abcabcxyz"), uint8(1), uint8(5), true)
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 7}, uint8(7), uint8(1), false)
-	f.Add([]byte{255}, uint8(2), uint8(2), true)
+	f.Add([]byte{1, 2, 3, 1, 2, 9}, uint8(3), uint8(2), uint8(0))
+	f.Add([]byte("abcabcxyz"), uint8(1), uint8(5), uint8(1))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 7}, uint8(7), uint8(1), uint8(0))
+	f.Add([]byte{255}, uint8(2), uint8(2), uint8(1))
+	f.Add([]byte{1, 2, 3, 4, 1, 2, 3, 4, 5, 6, 7, 8}, uint8(3), uint8(4), uint8(2))
+	f.Add([]byte("aabbccaabbccddee"), uint8(2), uint8(6), uint8(7))
+	f.Add([]byte{9, 8, 7, 9, 8, 7, 1, 1, 1, 1}, uint8(0), uint8(3), uint8(3))
+	f.Add([]byte{4, 4, 4, 5, 5, 5, 6, 6}, uint8(5), uint8(0), uint8(6))
 
-	f.Fuzz(func(t *testing.T, data []byte, chunkL, chunkR uint8, asStr bool) {
+	f.Fuzz(func(t *testing.T, data []byte, chunkL, chunkR, keyTypes uint8) {
+		nKeys := 1 + int(keyTypes>>1&1)
 		mkTable := func(raw []byte, tag string) *table.Table {
-			key := &table.Vector{Type: table.Int}
-			if asStr {
-				key.Type = table.Str
+			var sch table.Schema
+			var cols []*table.Vector
+			for k := 0; k < nKeys; k++ {
+				key := &table.Vector{Type: table.Int}
+				if keyTypes>>(2*k)&1 != 0 {
+					key.Type = table.Str
+				}
+				for i, b := range raw {
+					// Tiny alphabets so both sides intersect often; the second
+					// key reads the bytes shifted so the two keys differ.
+					x := b >> (3 * k)
+					if k > 0 {
+						x = raw[(i+1)%len(raw)]
+					}
+					if key.Type == table.Str {
+						key.Strs = append(key.Strs, string(rune('a'+x%5)))
+					} else {
+						key.Ints = append(key.Ints, int64(x)%9-4)
+					}
+				}
+				sch.Cols = append(sch.Cols, table.Column{Name: fmt.Sprintf("%sk%d", tag, k), Type: key.Type})
+				cols = append(cols, key)
 			}
 			pay := &table.Vector{Type: table.Int}
-			for i, b := range raw {
-				if asStr {
-					// Tiny alphabet so both sides intersect often.
-					key.Strs = append(key.Strs, string(rune('a'+b%5)))
-				} else {
-					key.Ints = append(key.Ints, int64(b)%9-4)
-				}
+			for i := range raw {
 				pay.Ints = append(pay.Ints, int64(i))
 			}
-			sch := table.NewSchema(
-				table.Column{Name: tag + "k", Type: key.Type},
-				table.Column{Name: tag + "p", Type: table.Int},
-			)
-			return &table.Table{Schema: sch, Cols: []*table.Vector{key, pay}}
+			sch.Cols = append(sch.Cols, table.Column{Name: tag + "p", Type: table.Int})
+			return &table.Table{Schema: sch, Cols: append(cols, pay)}
 		}
 		half := len(data) / 2
 		left := mkTable(data[:half], "l")
@@ -194,12 +211,13 @@ func FuzzJoinKeys(f *testing.F) {
 			Resolve:           resolve,
 			ResolveCompressed: func(n string) (*encoding.Compressed, error) { return cts[n], nil },
 		}
+		keys := []int{0, 1}[:nKeys]
 		build := func() engine.Node {
 			return &engine.HashJoin{
 				Left:      &engine.Scan{Name: "L", Sch: left.Schema},
 				Right:     &engine.Scan{Name: "R", Sch: right.Schema},
-				LeftKeys:  []int{0},
-				RightKeys: []int{0},
+				LeftKeys:  keys,
+				RightKeys: keys,
 			}
 		}
 		want, err := build().Run(rowCtx)
@@ -207,7 +225,11 @@ func FuzzJoinKeys(f *testing.F) {
 			t.Fatalf("row engine: %v", err)
 		}
 		st := &Stats{}
-		got, err := Lower(build(), st).Run(vecCtx)
+		lowered := Lower(build(), st)
+		if _, ok := lowered.(*HashJoinScan); !ok {
+			t.Fatalf("join on %d INT/STRING keys did not lower: %s", nKeys, lowered)
+		}
+		got, err := lowered.Run(vecCtx)
 		if err != nil {
 			t.Fatalf("kernel: %v", err)
 		}

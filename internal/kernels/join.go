@@ -3,7 +3,6 @@ package kernels
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"github.com/shortcircuit-db/sc/internal/chunkio"
 	"github.com/shortcircuit-db/sc/internal/encoding"
@@ -39,17 +38,25 @@ func (s *JoinSide) label() string {
 
 // HashJoinScan is a kernel-side inner equi-join over chunked inputs. Both
 // sides resolve in chunked form — scans through the compressed resolver,
-// inner joins by running them in chunked-output mode — and only their key
-// columns are read to join: each key value is interned into a shared
-// encoding.KeyDict (one per key position), so the build table is keyed by
-// dense shared ids rather than values:
+// inner joins by running them in chunked-output mode — and it works one row
+// group and one typed column at a time. Only the key columns are read to
+// join: each key column of a row group becomes a column of ids in a shared
+// encoding.KeyDict (one per key position) — a dictionary chunk looked up
+// once per entry, an RLE chunk once per run, any other codec as one decoded
+// vector — so the build table is keyed by dense shared ids, not values:
 //
-//   - the build (right) side hashes its selected rows by shared key id;
-//   - the probe (left) side looks each key up without interning: a key the
+//   - the build (right) side keys its selected rows by shared key id (by a
+//     dense composite id on a multi-key join) and lays them out by key with
+//     one counting pass, an array indexed by id rather than a hash map;
+//   - the probe (left) side looks its keys up without interning: a key the
 //     build side never saw yields -1 and its row drops before any other
 //     column decodes;
 //   - only the surviving (leftRow, rightRow) pairs late-materialize, in the
-//     row engine's exact output order (probe order, then build order).
+//     row engine's exact output order (probe order, then build order): per
+//     probe-group segment and per build group (bucketed by one counting pass
+//     over build ordinals), each output column is gathered from its chunk
+//     as a typed slice — a decoded vector by index, dictionary entries by
+//     code, runs by cursor — or passed on as remapped codes.
 //
 // Key columns must be INT or STRING with equal types on both sides — the
 // types whose value equality matches the row engine's key encoding
@@ -64,7 +71,9 @@ func (s *JoinSide) label() string {
 //
 // RunChunked emits the surviving pairs as compressed chunks instead of a
 // table: dictionary-encoded output columns travel as remapped codes, so a
-// two-level join tree composes in code space end to end.
+// two-level join tree composes in code space end to end, and every other
+// column reaches the chunkio.Builder as whole typed vectors
+// (Builder.AppendVector). Run scatters the same typed gathers into a table.
 type HashJoinScan struct {
 	Left, Right         JoinSide
 	LeftKeys, RightKeys []int
@@ -177,22 +186,27 @@ func (j *HashJoinScan) Run(ctx *engine.Context) (*table.Table, error) {
 	if jd == nil {
 		return j.Orig.Run(ctx)
 	}
-	// Late-materialize only the surviving pairs, scattering every output
-	// column into its final position.
+	// Late-materialize only the surviving pairs, one typed column at a time:
+	// probe-side columns gather straight into their output vector, build-side
+	// ones gather per build group and scatter into place.
 	out := table.New(j.Sch)
-	for c, col := range j.Sch.Cols {
-		out.Cols[c] = sizedVector(col.Type, len(jd.right))
-	}
+	nPairs := len(jd.right)
 	leftOut, rightOut := j.outLayout()
 	for _, oc := range leftOut {
-		if err := j.gatherLeft(out.Cols[oc.out], jd, oc.src); err != nil {
+		dst := newVector(j.Sch.Cols[oc.out].Type, 0, nPairs)
+		if err := jd.gatherLeft(dst, oc.src); err != nil {
 			return nil, j.wrap(err)
 		}
+		out.Cols[oc.out] = dst
 	}
-	byGroup := bucketByGroup(jd.right, jd.groups)
-	for _, oc := range rightOut {
-		if err := j.gatherRight(out.Cols[oc.out], jd, byGroup, oc.src); err != nil {
-			return nil, j.wrap(err)
+	if len(rightOut) > 0 {
+		bk := bucketByGroup(jd.right, jd.groups, len(jd.rows))
+		for _, oc := range rightOut {
+			dst := newVector(j.Sch.Cols[oc.out].Type, nPairs, nPairs)
+			if err := jd.gatherRight(dst, bk, oc.src); err != nil {
+				return nil, j.wrap(err)
+			}
+			out.Cols[oc.out] = dst
 		}
 	}
 	jd.finish()
@@ -215,26 +229,32 @@ func (j *HashJoinScan) RunChunked(ctx *engine.Context) (*encoding.Compressed, *t
 		return nil, t, err
 	}
 	// Output columns assemble through a chunkio.Builder — dictionary-encoded
-	// source columns as remapped codes, everything else as late-materialized
-	// values — in the row engine's exact output order (probe order, then
-	// build order).
+	// source columns as remapped codes, everything else as typed columns of
+	// late-materialized values appended in bulk — in the row engine's exact
+	// output order (probe order, then build order).
 	b := j.Env.builderFor(j.Sch, j.ID)
-	leftOut, rightOut := j.outLayout()
-	for _, oc := range leftOut {
-		if err := j.assembleLeft(b, jd, oc); err != nil {
-			return nil, nil, j.wrap(err)
-		}
-	}
-	if err := j.assembleRight(b, jd, rightOut); err != nil {
-		return nil, nil, j.wrap(err)
-	}
-	jd.finish()
-	ct, err := b.Finish()
+	ct, err := j.assemble(b, jd)
 	if err != nil {
 		return nil, nil, j.wrap(err)
 	}
 	addBuilder(j.St, b.Counters)
 	return ct, nil, nil
+}
+
+// assemble appends every output column of the surviving pairs to b and
+// finishes it.
+func (j *HashJoinScan) assemble(b *chunkio.Builder, jd *joined) (*encoding.Compressed, error) {
+	leftOut, rightOut := j.outLayout()
+	for _, oc := range leftOut {
+		if err := j.assembleLeft(b, jd, oc); err != nil {
+			return nil, err
+		}
+	}
+	if err := j.assembleRight(b, jd, rightOut); err != nil {
+		return nil, err
+	}
+	jd.finish()
+	return b.Finish()
 }
 
 func (j *HashJoinScan) wrap(err error) error {
@@ -246,14 +266,28 @@ func (j *HashJoinScan) wrap(err error) error {
 // contexts of both sides, kept — with whatever they parsed or decoded —
 // until the survivors have been read.
 type joined struct {
-	kds    []*encoding.KeyDict // shared key space, one per key position
-	table  map[string][]int    // composite of shared key ids → build-row ordinals
-	groups []*joinGroup        // build-side groups with selected rows
-	left   []int64             // left (group << 32 | local row) per output row
-	right  []int               // build-row ordinal per output row
+	kds []*encoding.KeyDict // shared key space, one per key position
+	// composite numbers the distinct composites of shared key ids densely
+	// on a join over several keys; nil on a single-key join, whose build
+	// key is the shared key id itself.
+	composite map[string]int32
+	// start and rows are the build table, laid out by build key: the build
+	// ordinals of key k are rows[start[k]:start[k+1]], ascending.
+	start, rows []int32
+	groups      []*joinGroup // build-side groups with selected rows
+
+	// The surviving pairs in output order: the probe group's local row and
+	// the build ordinal of every output row. segs cuts the output rows into
+	// contiguous runs from one probe group each, in group order.
+	leftRows, right []int32
+	segs            []leftSeg
 
 	leftCCs, rightCCs []*chunkCtx
 }
+
+// leftSeg ends a run of output rows whose probe rows all come from one
+// probe group: the run is [previous segment's end, end).
+type leftSeg struct{ group, end int }
 
 // finish settles the counters of every row group either side touched.
 func (jd *joined) finish() {
@@ -262,6 +296,56 @@ func (jd *joined) finish() {
 	}
 	for _, cc := range jd.rightCCs {
 		cc.finish()
+	}
+}
+
+// key returns row i's build key from the per-key-position ids of its row
+// group: the shared key id on a single-key join, the dense number of its
+// composite of shared key ids otherwise. add numbers a new composite (the
+// build side); without it a key the build side never saw is -1.
+func (jd *joined) key(ids [][]int32, i int, add bool, scratch []byte) int32 {
+	if jd.composite == nil {
+		return ids[0][i]
+	}
+	for p := range ids {
+		id := ids[p][i]
+		if id < 0 {
+			return -1 // key exists only on the probe side
+		}
+		binary.LittleEndian.PutUint32(scratch[4*p:], uint32(id))
+	}
+	k, ok := jd.composite[string(scratch)]
+	switch {
+	case ok:
+		return k
+	case !add:
+		return -1
+	}
+	k = int32(len(jd.composite))
+	jd.composite[string(scratch)] = k
+	return k
+}
+
+// index lays the build table out by key with one counting pass over the
+// build keys, which are in ordinal order, so each key's ordinals come out
+// ascending — the row engine's build order.
+func (jd *joined) index(keys []int32) {
+	nk := len(jd.composite)
+	if jd.composite == nil {
+		nk = jd.kds[0].Len()
+	}
+	jd.start = make([]int32, nk+1)
+	for _, k := range keys {
+		jd.start[k+1]++
+	}
+	for k := 1; k <= nk; k++ {
+		jd.start[k] += jd.start[k-1]
+	}
+	next := append([]int32(nil), jd.start[:nk]...)
+	jd.rows = make([]int32, len(keys))
+	for ord, k := range keys {
+		jd.rows[next[k]] = int32(ord)
+		next[k]++
 	}
 }
 
@@ -277,12 +361,14 @@ func (j *HashJoinScan) join(ctx *engine.Context) (*joined, error) {
 		return nil, nil
 	}
 	jd := &joined{
-		table:    make(map[string][]int),
 		leftCCs:  make([]*chunkCtx, len(lgroups)),
 		rightCCs: make([]*chunkCtx, len(rgroups)),
 	}
 	for _, rc := range j.RightKeys {
 		jd.kds = append(jd.kds, encoding.NewKeyDict(j.Right.Schema().Cols[rc].Type))
+	}
+	if len(j.RightKeys) > 1 {
+		jd.composite = make(map[string]int32)
 	}
 	if err := j.buildPhase(jd, rct, rgroups); err != nil {
 		return nil, j.wrap(err)
@@ -293,20 +379,20 @@ func (j *HashJoinScan) join(ctx *engine.Context) (*joined, error) {
 	return jd, nil
 }
 
-// buildPhase hashes every selected build-side row by its composite of
-// shared key ids, on the caller's token alone: the hash table and the key
-// dictionaries are single-writer state.
+// buildPhase keys every selected build-side row by its shared key ids and
+// indexes the build table, on the caller's token alone: the table and the
+// key dictionaries are single-writer state.
 func (j *HashJoinScan) buildPhase(jd *joined, rct *encoding.Compressed, rgroups []int) error {
-	total := 0
-	scratch := make([]byte, 8*len(j.RightKeys))
+	var keys []int32 // build key per ordinal
+	ids := make([][]int32, len(j.RightKeys))
+	scratch := make([]byte, 4*len(j.RightKeys))
 	_, err := walkGroups(walk{ct: rct, groups: rgroups, pred: j.Right.Pred, st: j.St, keep: jd.rightCCs},
 		func() *joined { return jd }, // one partition, building jd itself
 		func(jd *joined, cc *chunkCtx, sel *bitmap) error {
-			ids, err := keyReaders(cc, j.RightKeys, jd.kds, true)
-			if err != nil {
+			if err := keyIDs(cc, j.RightKeys, jd.kds, true, ids); err != nil {
 				return err
 			}
-			jg := &joinGroup{cc: cc, base: total}
+			jg := &joinGroup{cc: cc, base: len(keys)}
 			if sel != nil {
 				jg.sel = make([]int32, 0, sel.count())
 			}
@@ -314,70 +400,85 @@ func (j *HashJoinScan) buildPhase(jd *joined, rct *encoding.Compressed, rgroups 
 				if sel != nil && !sel.get(i) {
 					continue
 				}
-				for p := range ids {
-					binary.LittleEndian.PutUint64(scratch[8*p:], uint64(ids[p](i)))
-				}
-				jd.table[string(scratch)] = append(jd.table[string(scratch)], total)
+				keys = append(keys, jd.key(ids, i, true, scratch))
 				if sel != nil {
 					jg.sel = append(jg.sel, int32(i))
 				}
-				total++
 			}
-			jg.n = total - jg.base
+			jg.n = len(keys) - jg.base
 			jd.groups = append(jd.groups, jg)
 			return nil
 		})
-	j.St.JoinBuildRows += int64(total)
-	return err
+	j.St.JoinBuildRows += int64(len(keys))
+	if err != nil {
+		return err
+	}
+	jd.index(keys)
+	return nil
 }
 
-// probePhase translates each left chunk's codes against the build-side keys
+// probePhase translates each left group's key columns into shared key ids
 // and records the surviving pairs, touching only key columns. The build
 // table and shared key dictionaries are read-only by now, so the probe
 // partitions across borrowed tokens; the pair lists concatenate in
 // partition order, which is the serial probe order.
 func (j *HashJoinScan) probePhase(ctx *engine.Context, jd *joined, lct *encoding.Compressed, lgroups []int) error {
 	type pairs struct {
-		left    []int64
-		right   []int
-		scratch []byte
+		left, right []int32
+		segs        []leftSeg
+		ids         [][]int32
+		scratch     []byte
 	}
 	parts, err := walkGroups(walk{ctx: ctx, ct: lct, groups: lgroups, pred: j.Left.Pred, st: j.St, keep: jd.leftCCs},
-		func() *pairs { return &pairs{scratch: make([]byte, 8*len(j.LeftKeys))} },
+		func() *pairs {
+			return &pairs{ids: make([][]int32, len(j.LeftKeys)), scratch: make([]byte, 4*len(j.LeftKeys))}
+		},
 		func(p *pairs, cc *chunkCtx, sel *bitmap) error {
-			ids, err := keyReaders(cc, j.LeftKeys, jd.kds, false)
-			if err != nil {
+			if err := keyIDs(cc, j.LeftKeys, jd.kds, false, p.ids); err != nil {
 				return err
 			}
-		rowLoop:
+			probed := 0
 			for i := 0; i < cc.rows; i++ {
 				if sel != nil && !sel.get(i) {
 					continue
 				}
-				cc.st.JoinProbeRows++
-				for k := range ids {
-					id := ids[k](i)
-					if id < 0 {
-						continue rowLoop // key exists only on the probe side
-					}
-					binary.LittleEndian.PutUint64(p.scratch[8*k:], uint64(id))
+				probed++
+				k := jd.key(p.ids, i, false, p.scratch)
+				if k < 0 {
+					continue
 				}
-				for _, r := range jd.table[string(p.scratch)] {
-					p.left = append(p.left, int64(cc.group)<<32|int64(i))
+				for _, r := range jd.rows[jd.start[k]:jd.start[k+1]] {
+					p.left = append(p.left, int32(i))
 					p.right = append(p.right, r)
 				}
+			}
+			cc.st.JoinProbeRows += int64(probed)
+			if prev := segEnd(p.segs); len(p.left) > prev {
+				p.segs = append(p.segs, leftSeg{group: cc.group, end: len(p.left)})
 			}
 			return nil
 		})
 	if err != nil {
 		return err
 	}
-	jd.left, jd.right = parts[0].left, parts[0].right
+	jd.leftRows, jd.right, jd.segs = parts[0].left, parts[0].right, parts[0].segs
 	for _, p := range parts[1:] {
-		jd.left = append(jd.left, p.left...)
+		off := len(jd.leftRows)
+		for _, s := range p.segs {
+			jd.segs = append(jd.segs, leftSeg{group: s.group, end: off + s.end})
+		}
+		jd.leftRows = append(jd.leftRows, p.left...)
 		jd.right = append(jd.right, p.right...)
 	}
 	return nil
+}
+
+// segEnd is the end of the last segment, 0 when there is none.
+func segEnd(segs []leftSeg) int {
+	if len(segs) == 0 {
+		return 0
+	}
+	return segs[len(segs)-1].end
 }
 
 // outLayout wires each output column to a joined column, either the join's
@@ -402,151 +503,133 @@ func (j *HashJoinScan) outLayout() (leftOut, rightOut []outCol) {
 	return leftOut, rightOut
 }
 
-// sizedVector returns a vector of n zero values for scattered writes.
-func sizedVector(t table.Type, n int) *table.Vector {
-	v := &table.Vector{Type: t}
-	switch t {
-	case table.Int:
-		v.Ints = make([]int64, n)
-	case table.Float:
-		v.Floats = make([]float64, n)
-	default:
-		v.Strs = make([]string, n)
-	}
-	return v
-}
-
-// gatherLeft scatters one probe-side column of the surviving pairs into
-// dst. Pairs are in probe order — contiguous per group with non-decreasing
-// local rows — so each group's chunk is read once and RLE cursors never
-// rewind.
-func (j *HashJoinScan) gatherLeft(dst *table.Vector, jd *joined, src int) error {
-	curG := -1
-	var read func(int) table.Value
-	var counted bool
-	for pos, p := range jd.left {
-		g, i := int(p>>32), int(p&0xffffffff)
-		if g != curG {
-			curG = g
-			var err error
-			if read, counted, err = jd.leftCCs[g].reader(src); err != nil {
-				return err
-			}
+// gatherLeft appends one probe-side column of the surviving pairs to dst.
+// Pairs are in probe order — one segment per group, with non-decreasing
+// local rows — so each group's chunk is gathered from once, as a column.
+func (jd *joined) gatherLeft(dst *table.Vector, src int) error {
+	lo := 0
+	for _, s := range jd.segs {
+		if err := jd.leftCCs[s.group].gather(src, jd.leftRows[lo:s.end], dst); err != nil {
+			return err
 		}
-		setValue(j.St, dst, pos, read(i), counted)
+		lo = s.end
 	}
 	return nil
+}
+
+// buckets are the surviving pairs' output positions bucketed by build
+// group: order lists them sorted by build ordinal (stably), group g's are
+// order[bounds[g]:bounds[g+1]], and local[k] is the group-local row of
+// order[k]. Ordinals are dense per group and local rows monotone in them,
+// so local rows ascend within each group.
+type buckets struct {
+	order, local []int32
+	bounds       []int
+}
+
+// bucketByGroup buckets the output positions with one counting pass over
+// their build ordinals (total of them): nothing is sorted.
+func bucketByGroup(right []int32, groups []*joinGroup, total int) *buckets {
+	next := make([]int32, total+1)
+	for _, ord := range right {
+		next[ord+1]++
+	}
+	for o := 1; o <= total; o++ {
+		next[o] += next[o-1]
+	}
+	bk := &buckets{
+		order:  make([]int32, len(right)),
+		local:  make([]int32, len(right)),
+		bounds: make([]int, len(groups)+1),
+	}
+	for g, jg := range groups {
+		bk.bounds[g+1] = int(next[jg.base+jg.n])
+	}
+	for pos, ord := range right {
+		bk.order[next[ord]] = int32(pos)
+		next[ord]++
+	}
+	for g, jg := range groups {
+		for k := bk.bounds[g]; k < bk.bounds[g+1]; k++ {
+			bk.local[k] = int32(jg.localRow(int(right[bk.order[k]])))
+		}
+	}
+	return bk
 }
 
 // gatherRight scatters one build-side column of the surviving pairs into
-// dst. Output positions come bucketed per right row group in local-row
-// order (bucketByGroup), so each group's chunk is read once, monotonically,
-// decoding only what the survivors demand.
-func (j *HashJoinScan) gatherRight(dst *table.Vector, jd *joined, byGroup [][]int, src int) error {
-	for g, positions := range byGroup {
-		if len(positions) == 0 {
+// dst, pre-sized to the output. Each build group with survivors gathers its
+// values once, in ascending local-row order and decoding only what the
+// survivors demand, then scatters them to their output positions.
+func (jd *joined) gatherRight(dst *table.Vector, bk *buckets, src int) error {
+	buf := &table.Vector{Type: dst.Type}
+	for g, jg := range jd.groups {
+		lo, hi := bk.bounds[g], bk.bounds[g+1]
+		if lo == hi {
 			continue
 		}
-		jg := jd.groups[g]
-		read, counted, err := jg.cc.reader(src)
+		resetVector(buf)
+		if err := jg.cc.gather(src, bk.local[lo:hi], buf); err != nil {
+			return err
+		}
+		scatter(dst, bk.order[lo:hi], buf)
+	}
+	return nil
+}
+
+// assembleLeft appends one probe-side output column to the builder, one
+// probe group's segment at a time: as remapped codes when the group's chunk
+// is dictionary-encoded and the column takes codes, else as a typed column
+// of the gathered values.
+func (j *HashJoinScan) assembleLeft(b *chunkio.Builder, jd *joined, oc outCol) error {
+	buf := &table.Vector{Type: j.Sch.Cols[oc.out].Type}
+	lo := 0
+	for _, s := range jd.segs {
+		rows := jd.leftRows[lo:s.end]
+		lo = s.end
+		cc := jd.leftCCs[s.group]
+		cs, err := cc.parse(oc.src)
 		if err != nil {
 			return err
 		}
-		for _, pos := range positions {
-			setValue(j.St, dst, pos, read(jg.localRow(jd.right[pos])), counted)
+		if cs.dict != nil && cs.vec == nil {
+			if ids, ok := b.Remap(oc.out, cs.dict); ok {
+				codes, _ := cs.dict.Codes()
+				for _, i := range rows {
+					b.AppendCode(oc.out, ids[codes[i]])
+				}
+				continue
+			}
+		}
+		resetVector(buf)
+		if err := cc.gather(oc.src, rows, buf); err != nil {
+			return err
+		}
+		if err := b.AppendVector(oc.out, buf); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// bucketByGroup buckets output positions by right row group (ordinals are
-// dense per group), sorted by group-local row so chunk reads stay
-// monotonic.
-func bucketByGroup(rightIdx []int, groups []*joinGroup) [][]int {
-	byGroup := make([][]int, len(groups))
-	for pos, ord := range rightIdx {
-		g := sort.Search(len(groups), func(k int) bool {
-			return groups[k].base+groups[k].n > ord
-		})
-		byGroup[g] = append(byGroup[g], pos)
-	}
-	for g, positions := range byGroup {
-		if len(positions) == 0 {
-			continue
-		}
-		jg := groups[g]
-		sort.Slice(positions, func(a, b int) bool {
-			return jg.localRow(rightIdx[positions[a]]) < jg.localRow(rightIdx[positions[b]])
-		})
-	}
-	return byGroup
-}
-
-// assembleLeft streams one probe-side output column into the builder. Pairs
-// are in probe order — contiguous per group with non-decreasing local rows
-// — so each group's chunk is remapped (or its reader advanced) once.
-func (j *HashJoinScan) assembleLeft(b *chunkio.Builder, jd *joined, oc outCol) error {
-	curG := -1
-	var codes []uint64
-	var ids []int32
-	var read func(int) table.Value
-	var counted bool
-	for _, p := range jd.left {
-		g, i := int(p>>32), int(p&0xffffffff)
-		if g != curG {
-			curG = g
-			cc := jd.leftCCs[g]
-			codes, ids, read, counted = nil, nil, nil, false
-			cs, err := cc.parse(oc.src)
-			if err != nil {
-				return err
-			}
-			if cs.dict != nil && cs.vec == nil {
-				if rIds, ok := b.Remap(oc.out, cs.dict); ok {
-					cods, err := cs.dict.Codes()
-					if err != nil {
-						return err
-					}
-					codes, ids = cods, rIds
-				}
-			}
-			if codes == nil {
-				if read, counted, err = cc.reader(oc.src); err != nil {
-					return err
-				}
-			}
-		}
-		if codes != nil {
-			b.AppendCode(oc.out, ids[codes[i]])
-		} else {
-			v := read(i)
-			if !counted {
-				countMaterialized(j.St, v)
-			}
-			b.AppendValue(oc.out, v)
-		}
-	}
-	return nil
-}
-
-// assembleRight scatters the build-side output columns into the builder in
+// assembleRight appends the build-side output columns to the builder in
 // output order. A column whose every contributing chunk is dictionary-
-// encoded travels as remapped codes; otherwise values scatter into a
-// pre-sized vector exactly like the materializing gather.
+// encoded travels as remapped codes; otherwise its values gather into a
+// pre-sized vector exactly like the materializing path, appended in bulk.
 func (j *HashJoinScan) assembleRight(b *chunkio.Builder, jd *joined, rightOut []outCol) error {
 	nPairs := len(jd.right)
 	if nPairs == 0 {
 		return nil
 	}
-	byGroup := bucketByGroup(jd.right, jd.groups)
+	bk := bucketByGroup(jd.right, jd.groups, len(jd.rows))
+	codes := make([]int32, nPairs) // rewritten in full by each column read in code space
 	for _, oc := range rightOut {
-		codes := make([]int32, nPairs)
 		inCode := true
-		for g, positions := range byGroup {
-			if len(positions) == 0 {
+		for g, jg := range jd.groups {
+			lo, hi := bk.bounds[g], bk.bounds[g+1]
+			if lo == hi {
 				continue
 			}
-			jg := jd.groups[g]
 			cs, err := jg.cc.parse(oc.src)
 			if err != nil {
 				return err
@@ -560,12 +643,9 @@ func (j *HashJoinScan) assembleRight(b *chunkio.Builder, jd *joined, rightOut []
 				inCode = false
 				break
 			}
-			cods, err := cs.dict.Codes()
-			if err != nil {
-				return err
-			}
-			for _, pos := range positions {
-				codes[pos] = ids[cods[jg.localRow(jd.right[pos])]]
+			cods, _ := cs.dict.Codes()
+			for k, pos := range bk.order[lo:hi] {
+				codes[pos] = ids[cods[bk.local[lo+k]]]
 			}
 		}
 		if inCode {
@@ -574,42 +654,68 @@ func (j *HashJoinScan) assembleRight(b *chunkio.Builder, jd *joined, rightOut []
 			}
 			continue
 		}
-		dst := sizedVector(j.Sch.Cols[oc.out].Type, nPairs)
-		if err := j.gatherRight(dst, jd, byGroup, oc.src); err != nil {
+		dst := newVector(j.Sch.Cols[oc.out].Type, nPairs, nPairs)
+		if err := jd.gatherRight(dst, bk, oc.src); err != nil {
 			return err
 		}
-		if err := b.AppendVector(oc.out, dst, nil); err != nil {
+		if err := b.AppendVector(oc.out, dst); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// keyReaders returns keyReader for each key column of a row group.
-func keyReaders(cc *chunkCtx, cols []int, kds []*encoding.KeyDict, add bool) ([]func(int) int, error) {
-	ids := make([]func(int) int, len(cols))
+// keyIDs sets ids[p] to the shared key id of every row of key column
+// cols[p] of a row group (keyColumnIDs), reusing ids[p]'s storage.
+func keyIDs(cc *chunkCtx, cols []int, kds []*encoding.KeyDict, add bool, ids [][]int32) error {
 	for p, col := range cols {
-		fn, err := keyReader(cc, col, kds[p], add)
+		out, err := keyColumnIDs(cc, col, kds[p], add, ids[p][:0])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ids[p] = fn
+		ids[p] = out
 	}
-	return ids, nil
+	return nil
 }
 
-// keyReader returns a per-row shared-key-id lookup for one key column of a
-// row group: the key column is read through the chunk's cheapest accessor
-// (dictionary lookups, run cursors; other codecs decode just this column)
-// and each value is interned into kd — add selects build-side interning
-// versus probe-side lookup, where a key the build side never saw yields -1.
-func keyReader(cc *chunkCtx, col int, kd *encoding.KeyDict, add bool) (func(i int) int, error) {
-	fn, err := cc.accessor(col)
+// keyColumnIDs appends to out the shared key id of every row of one key
+// column of a row group, reading the column in its cheapest typed form: a
+// dictionary chunk looks each entry up once and gathers the ids by code, an
+// RLE chunk looks each run up once, and other codecs decode the column and
+// look it up as a typed vector. add interns (the build side); otherwise a
+// key the build side never saw is -1.
+func keyColumnIDs(cc *chunkCtx, col int, kd *encoding.KeyDict, add bool, out []int32) ([]int32, error) {
+	cs, err := cc.parse(col)
 	if err != nil {
 		return nil, err
 	}
-	if add {
-		return func(i int) int { return kd.Add(fn(i)) }, nil
+	switch {
+	case cs.vec != nil:
+		return kd.IDs(cs.vec, add, out), nil
+	case cs.dict != nil:
+		dv := cs.dict
+		entries := kd.IDs(&table.Vector{Type: dv.Type, Ints: dv.Ints, Strs: dv.Strs}, add, nil)
+		codes, _ := dv.Codes()
+		for _, c := range codes {
+			out = append(out, entries[c])
+		}
+		return out, nil
+	case cs.runs != nil:
+		vals := &table.Vector{Type: cc.colType(col)}
+		for _, r := range cs.runs {
+			_ = vals.Append(r.Val)
+		}
+		for k, id := range kd.IDs(vals, add, nil) {
+			for n := 0; n < cs.runs[k].Len; n++ {
+				out = append(out, id)
+			}
+		}
+		return out, nil
+	default:
+		vec, err := cc.vector(col)
+		if err != nil {
+			return nil, err
+		}
+		return kd.IDs(vec, add, out), nil
 	}
-	return func(i int) int { return kd.Lookup(fn(i)) }, nil
 }

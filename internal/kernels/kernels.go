@@ -9,9 +9,12 @@
 //   - a join side's `column <op> literal` filter is decided once per run on
 //     a run-length chunk, and a row group no row survives is skipped
 //     without decoding another column;
-//   - join keys are read through per-chunk accessors (dictionary lookups,
-//     run cursors), and the join late-materializes only the columns and rows
-//     of its surviving pairs;
+//   - the join works one row group and one column at a time: each key
+//     column becomes a typed column of shared key ids (a dictionary chunk
+//     looked up once per entry, an RLE chunk once per run, other codecs as
+//     a decoded vector), and only the columns and rows of its surviving
+//     pairs late-materialize, as typed per-group gathers (gather) appended
+//     in bulk;
 //   - the aggregate builds only the columns it reads, per row group, and
 //     hands them to the row engine's own accumulator through its one entry
 //     point, AggAcc.AddCols (columns in), so its result is byte-identical by
@@ -205,7 +208,9 @@ func (cc *chunkCtx) vector(col int) (*table.Vector, error) {
 
 // accessor returns a function yielding the column's value at increasing
 // row indexes, materializing as little as possible: decoded vectors and
-// dictionary lookups are random access, RLE runs advance a cursor.
+// dictionary lookups are random access, RLE runs advance a cursor. Only a
+// side filter's row-by-row verdict reads through it; the join reads typed
+// columns (keyColumnIDs, gather).
 func (cc *chunkCtx) accessor(col int) (func(i int) table.Value, error) {
 	cs, err := cc.parse(col)
 	if err != nil {
@@ -243,8 +248,8 @@ func (cc *chunkCtx) accessor(col int) (func(i int) table.Value, error) {
 // column returns all of the row group's values of col as a vector, for a
 // consumer that reads every row (the aggregate): a decoded chunk as is, a
 // dictionary chunk gathered by code into buf, an RLE chunk expanded from its
-// runs into buf. Like the accessors, gathering and expanding count no
-// decode; other codecs decode the chunk.
+// runs into buf. Like gather and the accessors, gathering and expanding
+// count no decode; other codecs decode the chunk.
 func (cc *chunkCtx) column(col int, buf *table.Vector) (*table.Vector, error) {
 	cs, err := cc.parse(col)
 	if err != nil {
@@ -280,18 +285,6 @@ func (cc *chunkCtx) column(col int, buf *table.Vector) (*table.Vector, error) {
 	}
 }
 
-// reader is accessor plus a flag telling the caller whether the values come
-// from a fully decoded vector — whose bytes were already counted at decode
-// time — or are late-materialized (dictionary/RLE reads) and must be
-// counted per surviving value.
-func (cc *chunkCtx) reader(col int) (func(i int) table.Value, bool, error) {
-	fn, err := cc.accessor(col)
-	if err != nil {
-		return nil, false, err
-	}
-	return fn, cc.cols[col].vec != nil, nil
-}
-
 // finish settles the row group's counters: column-chunks never touched
 // were skipped outright, chunks touched only in their encoded form avoided
 // a decode the row engine would have paid.
@@ -309,30 +302,122 @@ func (cc *chunkCtx) finish() {
 	}
 }
 
-// countMaterialized counts one late-materialized value: the bytes that
-// actually had to be produced.
-func countMaterialized(st *Stats, v table.Value) {
-	if v.Type == table.Str {
-		st.DecodedBytes += int64(len(v.S)) + 16
+// gather appends the column's values at the given local rows (ascending,
+// repeats allowed) to dst, a vector of the column's type, reading the chunk
+// in its cheapest typed form: a decoded chunk by index, a dictionary chunk
+// by code, an RLE chunk with a run cursor; other codecs decode the chunk
+// first. Values served from a decoded chunk were counted at decode; late-
+// materialized ones (dictionary and RLE reads) count here, per value.
+func (cc *chunkCtx) gather(col int, rows []int32, dst *table.Vector) error {
+	cs, err := cc.parse(col)
+	if err != nil {
+		return err
+	}
+	from := dst.Len()
+	switch {
+	case cs.vec != nil:
+		appendRows(dst, cs.vec, rows)
+		return nil
+	case cs.dict != nil:
+		codes, _ := cs.dict.Codes()
+		if dst.Type == table.Int {
+			for _, r := range rows {
+				dst.Ints = append(dst.Ints, cs.dict.Ints[codes[r]])
+			}
+		} else {
+			for _, r := range rows {
+				dst.Strs = append(dst.Strs, cs.dict.Strs[codes[r]])
+			}
+		}
+	case cs.runs != nil:
+		run, end := -1, 0
+		for _, r := range rows {
+			for int(r) >= end {
+				run++
+				end += cs.runs[run].Len
+			}
+			v := cs.runs[run].Val
+			switch dst.Type {
+			case table.Int:
+				dst.Ints = append(dst.Ints, v.I)
+			case table.Float:
+				dst.Floats = append(dst.Floats, v.F)
+			default:
+				dst.Strs = append(dst.Strs, v.S)
+			}
+		}
+	default:
+		vec, err := cc.vector(col)
+		if err != nil {
+			return err
+		}
+		appendRows(dst, vec, rows)
+		return nil
+	}
+	// Late-materialized: the bytes that actually had to be produced.
+	if dst.Type == table.Str {
+		for _, s := range dst.Strs[from:] {
+			cc.st.DecodedBytes += int64(len(s)) + 16
+		}
 	} else {
-		st.DecodedBytes += 8
+		cc.st.DecodedBytes += 8 * int64(dst.Len()-from)
+	}
+	return nil
+}
+
+// appendRows appends src's values at rows to dst, of the same type.
+func appendRows(dst, src *table.Vector, rows []int32) {
+	switch dst.Type {
+	case table.Int:
+		for _, r := range rows {
+			dst.Ints = append(dst.Ints, src.Ints[r])
+		}
+	case table.Float:
+		for _, r := range rows {
+			dst.Floats = append(dst.Floats, src.Floats[r])
+		}
+	default:
+		for _, r := range rows {
+			dst.Strs = append(dst.Strs, src.Strs[r])
+		}
 	}
 }
 
-// setValue writes one surviving value into a pre-sized vector; counted
-// marks values served from an already-counted decoded chunk.
-func setValue(st *Stats, dst *table.Vector, pos int, v table.Value, counted bool) {
+// scatter writes src's k-th value to dst at pos[k], of the same type.
+func scatter(dst *table.Vector, pos []int32, src *table.Vector) {
 	switch dst.Type {
 	case table.Int:
-		dst.Ints[pos] = v.I
+		for k, p := range pos {
+			dst.Ints[p] = src.Ints[k]
+		}
 	case table.Float:
-		dst.Floats[pos] = v.F
+		for k, p := range pos {
+			dst.Floats[p] = src.Floats[k]
+		}
 	default:
-		dst.Strs[pos] = v.S
+		for k, p := range pos {
+			dst.Strs[p] = src.Strs[k]
+		}
 	}
-	if !counted {
-		countMaterialized(st, v)
+}
+
+// newVector returns a vector of n zero values with room for capacity.
+func newVector(t table.Type, n, capacity int) *table.Vector {
+	v := &table.Vector{Type: t}
+	switch t {
+	case table.Int:
+		v.Ints = make([]int64, n, capacity)
+	case table.Float:
+		v.Floats = make([]float64, n, capacity)
+	default:
+		v.Strs = make([]string, n, capacity)
 	}
+	return v
+}
+
+// resetVector empties v, keeping its storage.
+func resetVector(v *table.Vector) {
+	v.Ints, v.Floats, v.Strs = v.Ints[:0], v.Floats[:0], v.Strs[:0]
 }
 
 // resolveChunked resolves a scan's table in compressed chunked form, or
