@@ -80,14 +80,14 @@ func mustSameMV(t *testing.T, name string, wantStore, gotStore sc.Store) {
 	}
 }
 
-// TestSessionDictCacheAcrossRuns: a vectorized+encoded session must (a)
-// materialize the same MVs as the row engine and (b) report dictionary
-// reuse on the second refresh.
+// TestSessionDictCacheAcrossRuns: an encoded session must (a) materialize
+// the same MVs as the row engine and (b) report dictionary reuse on the
+// second refresh.
 func TestSessionDictCacheAcrossRuns(t *testing.T) {
 	ctx := context.Background()
 
 	rowStore := chunkedStore(t)
-	rowRef, err := sc.New(chunkedMVs(), rowStore, sc.WithEncoding(sc.EncodingOptions{}))
+	rowRef, err := sc.New(chunkedMVs(), rowStore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestSessionDictCacheAcrossRuns(t *testing.T) {
 	}
 
 	st := chunkedStore(t)
-	ref, err := sc.New(chunkedMVs(), st, sc.WithEncoding(sc.EncodingOptions{}), sc.WithVectorized(true))
+	ref, err := sc.New(chunkedMVs(), st, sc.WithEncoding(sc.EncodingOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +125,40 @@ func TestSessionDictCacheAcrossRuns(t *testing.T) {
 	}
 
 	// Same MVs as the row engine, value for value.
+	for _, mv := range chunkedMVs() {
+		mustSameMV(t, mv.Name, rowStore, st)
+	}
+}
+
+// TestEncodingAloneLowersEveryNode: WithEncoding is the one switch of the
+// compressed path. Over chunked base tables every node of the join-over-join
+// pipeline runs on a kernel without falling back, and the MVs equal the
+// plain row session's, value for value.
+func TestEncodingAloneLowersEveryNode(t *testing.T) {
+	ctx := context.Background()
+	rowStore := chunkedStore(t)
+	rowRef, err := sc.New(chunkedMVs(), rowStore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rowRef.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	st := chunkedStore(t)
+	ref, err := sc.New(chunkedMVs(), st, sc.WithEncoding(sc.EncodingOptions{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ref.Run(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range res.Nodes {
+		if n.Lowered == 0 || n.Fallbacks != 0 {
+			t.Fatalf("node %s: lowered %d operators with %d fallbacks, want every node on a kernel", n.Name, n.Lowered, n.Fallbacks)
+		}
+	}
 	for _, mv := range chunkedMVs() {
 		mustSameMV(t, mv.Name, rowStore, st)
 	}
@@ -162,7 +196,7 @@ func TestFilterAndProjectRootsUnderEncoding(t *testing.T) {
 		}
 		return st, res
 	}
-	compressed := []sc.Option{sc.WithEncoding(sc.EncodingOptions{}), sc.WithVectorized(true)}
+	compressed := []sc.Option{sc.WithEncoding(sc.EncodingOptions{})}
 	rowStore, _ := run()
 	flagStore, flagRes := run(append(compressed, sc.WithMemory(64<<20))...)
 	naiveStore, naiveRes := run(append(compressed, sc.WithMemory(0))...)

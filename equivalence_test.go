@@ -53,7 +53,6 @@ func TestRefresherAndGatewayAreOnePath(t *testing.T) {
 	ref, err := sc.New(mvs, libStore,
 		sc.WithMemory(budget),
 		sc.WithEncoding(sc.EncodingOptions{}),
-		sc.WithVectorized(true),
 		sc.WithConcurrency(2),
 		sc.WithLedger(""),
 	)
@@ -81,7 +80,7 @@ func TestRefresherAndGatewayAreOnePath(t *testing.T) {
 	defer srv.Close()
 	spec := gateway.PipelineSpec{
 		Name: "p", Tenant: "t", TenantSlice: budget,
-		Encoding: true, Vectorized: true, Tables: tables,
+		Encoding: true, Tables: tables,
 	}
 	for _, mv := range mvs {
 		spec.MVs = append(spec.MVs, gateway.MVSpec{Name: mv.Name, SQL: mv.SQL})
@@ -258,7 +257,7 @@ func TestLongestPathDispatchMatchesNaive(t *testing.T) {
 				}
 			}
 			if compressed {
-				opts = append(opts, sc.WithEncoding(sc.EncodingOptions{}), sc.WithVectorized(true))
+				opts = append(opts, sc.WithEncoding(sc.EncodingOptions{}))
 			}
 			ref, err := sc.New(mvs, store, opts...)
 			if err != nil {

@@ -31,7 +31,7 @@ const (
 	// decode time.
 	DecodeDone = obs.DecodeDone
 	// KernelDone: a node's plan ran (at least partly) on the
-	// compressed-execution kernels (WithVectorized); Lowered,
+	// compressed-execution kernels (WithEncoding); Lowered,
 	// ChunksSkipped, CodeFilteredRows and DecodesAvoided report what the
 	// encoded-domain execution saved, Bytes the raw bytes it still
 	// materialized.

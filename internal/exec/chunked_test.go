@@ -96,12 +96,12 @@ func TestChunkedIntermediatesEndToEnd(t *testing.T) {
 	}
 
 	rowStore := newStore()
-	runChunkedWorkload(t, &Controller{Store: rowStore, Mem: memcat.New(1 << 30), Encoding: &enc})
+	runChunkedWorkload(t, &Controller{Store: rowStore, Mem: memcat.New(1 << 30)})
 
 	vecStore := newStore()
 	sess := chunkio.NewSession()
 	log := &eventLog{}
-	ctl := &Controller{Store: vecStore, Mem: memcat.New(1 << 30), Obs: log, Encoding: &enc, Vectorized: true, Chunked: sess}
+	ctl := &Controller{Store: vecStore, Mem: memcat.New(1 << 30), Obs: log, Encoding: &enc, Chunked: sess}
 	res := runChunkedWorkload(t, ctl)
 
 	var j2 *NodeMetrics

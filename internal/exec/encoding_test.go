@@ -244,9 +244,11 @@ func TestEncodingConcurrentRunIdentical(t *testing.T) {
 }
 
 // TestRowReadersEachDecodeResidentEntry: mv_daily is flagged, held
-// compressed, and read by two row-path children. The catalog keeps nothing
-// but the entry, so each read decodes it in full and says so — two
-// DecodeDone events with the whole decoded size — the catalog never holds
+// compressed, and read by two children: mv_top on the row engine (a filter
+// over a scan does not lower) and mv_count on the aggregate kernel. The
+// catalog keeps nothing but the entry, so the row reader decodes it in full
+// and says so — one DecodeDone event with the whole decoded size — while
+// the kernel reads its chunks without a decode. The catalog never holds
 // more than its budget, and the MVs equal an unflagged run's byte for byte.
 func TestRowReadersEachDecodeResidentEntry(t *testing.T) {
 	log := &eventLog{}
@@ -256,8 +258,8 @@ func TestRowReadersEachDecodeResidentEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	decs := log.byKind(obs.DecodeDone)
-	if len(decs) != 2 {
-		t.Fatalf("DecodeDone events = %d, want 2 (one per row-path reader)", len(decs))
+	if len(decs) != 1 {
+		t.Fatalf("DecodeDone events = %d, want 1 (the row-path reader's)", len(decs))
 	}
 	for _, e := range decs {
 		if e.Node != "mv_daily" {
@@ -265,6 +267,11 @@ func TestRowReadersEachDecodeResidentEntry(t *testing.T) {
 		}
 		if e.Bytes != daily.ByteSize() || e.Encoded <= 0 || e.Bytes <= e.Encoded {
 			t.Fatalf("DecodeDone Bytes=%d Encoded=%d, want the full %d decoded bytes", e.Bytes, e.Encoded, daily.ByteSize())
+		}
+	}
+	for _, n := range res.Nodes {
+		if n.Name == "mv_count" && (n.Lowered == 0 || n.Fallbacks != 0) {
+			t.Fatalf("mv_count: lowered %d operators with %d fallbacks, want the kernel", n.Lowered, n.Fallbacks)
 		}
 	}
 	if res.PeakMemory <= 0 || res.PeakMemory > 1<<22 {

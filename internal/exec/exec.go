@@ -112,7 +112,7 @@ type NodeMetrics struct {
 	MemReads     int // inputs served from the Memory Catalog
 	DiskReads    int // inputs read from storage
 
-	// The compressed-execution kernels' counters (zero unless Vectorized).
+	// The compressed-execution kernels' counters (zero without Encoding).
 	obs.KernelStats
 }
 
@@ -177,28 +177,23 @@ type Controller struct {
 	// node — still capped at Concurrency per run — and returns it when the
 	// node finishes. Nil creates a private pool of Concurrency tokens.
 	Sched *sched.Scheduler
-	// ParallelScan (with Vectorized) lets kernels split a chunk walk
+	// ParallelScan (with Encoding) lets kernels split a chunk walk
 	// across idle scheduler tokens, with byte-identical output. Tokens are
 	// only ever borrowed non-blocking, so nested parallelism cannot
 	// deadlock the node dispatcher.
 	ParallelScan bool
-	// Encoding, when non-nil, enables the compressed columnar subsystem:
+	// Encoding, when non-nil, switches the run onto the compressed path:
 	// outputs are compressed once per node, stored compressed in the
 	// Memory Catalog (accounted at compressed size, decoded lazily on
-	// read) and written to storage in the chunked colfmt format. Nil
-	// keeps the legacy v1 path. Reads handle both formats either way.
+	// read) and written to storage in the chunked colfmt format, and each
+	// node's plan is lowered onto the compressed-execution kernels
+	// (internal/kernels), which resolve inputs as per-chunk lazy readers
+	// instead of paying a whole-table decode. A kernel whose input is not
+	// chunked falls back to the row engine with byte-identical results.
+	// Nil keeps the v1 row path and never lowers. Reads handle both
+	// formats either way.
 	Encoding *encoding.Options
-	// Vectorized, when true, lowers each node's plan onto the
-	// compressed-execution kernels (internal/kernels): supported
-	// Filter/Aggregate subtrees run directly on encoded chunks — comparing
-	// dictionary codes, consuming RLE runs, materializing only surviving
-	// rows — and inputs resolve as per-chunk lazy readers instead of
-	// paying a whole-table decode. Unsupported subtrees and non-chunked
-	// inputs fall back to the row engine with byte-identical results.
-	// Most effective together with Encoding (which makes catalog entries
-	// and stored files chunked).
-	Vectorized bool
-	// Chunked, when non-nil (and Vectorized), carries the session
+	// Chunked, when non-nil (and Encoding is set), carries the session
 	// dictionary cache across refresh runs: kernel outputs emitted as
 	// compressed chunks reuse the previous run's dictionaries instead of
 	// rebuilding them. A single Session must not be shared by overlapping
@@ -493,13 +488,9 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool, f
 	for _, name := range scanned {
 		in.scans[name]++
 	}
-	if c.Vectorized {
-		opts := encoding.Options{}
-		if c.Encoding != nil {
-			opts = *c.Encoding
-		}
+	if c.Encoding != nil {
 		planNode = kernels.LowerEnv(planNode, &m.KernelStats, &kernels.Env{
-			Session: c.Chunked, Node: spec.Name, Opts: opts,
+			Session: c.Chunked, Node: spec.Name, Opts: *c.Encoding,
 		})
 	}
 	planRead := in.readTime
@@ -514,7 +505,7 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool, f
 		defer in.timed(time.Now())
 		return in.table(name)
 	}}
-	if c.Vectorized {
+	if c.Encoding != nil {
 		// Kernels may widen a chunk walk by borrowing tokens the node
 		// dispatcher is not using (non-blocking, so nesting never
 		// deadlocks); output stays byte-identical to serial.
@@ -535,7 +526,7 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool, f
 	t0 := time.Now()
 	var out *table.Table
 	var ct *encoding.Compressed
-	if join, ok := planNode.(*kernels.HashJoinScan); ok && c.Encoding != nil {
+	if join, ok := planNode.(*kernels.HashJoinScan); ok {
 		// Join root: the kernel's compressed chunks go straight into the
 		// Memory Catalog and the storage format — the output never
 		// materializes as rows and never pays the encode-from-rows round
@@ -651,12 +642,12 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool, f
 }
 
 // storedForm settles the one form a node's output is kept in — compressed
-// chunks when a kernel emitted them (ct) or encoding is on, rows otherwise —
-// and returns it as the Memory Catalog entry and serialized for storage. On
-// the row path the plan chooses the entry: the rows themselves, or the very
-// bytes the storage write is handed.
+// chunks when encoding is on (the kernel's own, ct, or encoded from rows),
+// rows otherwise — and returns it as the Memory Catalog entry and
+// serialized for storage. On the row path the plan chooses the entry: the
+// rows themselves, or the very bytes the storage write is handed.
 func (c *Controller) storedForm(out *table.Table, ct *encoding.Compressed, form core.Form) (memcat.Entry, []byte, error) {
-	if ct == nil && c.Encoding == nil {
+	if c.Encoding == nil {
 		data, err := colfmt.Encode(out)
 		if form == core.Serialized {
 			return memcat.Serialized(data, out.ByteSize()), data, err

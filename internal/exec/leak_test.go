@@ -44,7 +44,7 @@ func TestControllerCancelNoGoroutineLeak(t *testing.T) {
 		})
 		ctl := &Controller{
 			Store: store, Mem: memcat.New(1 << 20), Obs: canceller,
-			Encoding: &encoding.Options{}, Vectorized: true,
+			Encoding:    &encoding.Options{},
 			Concurrency: 4, Sched: tok, ParallelScan: true,
 		}
 		_, err = ctl.Run(ctx, w, g, plan)
@@ -75,7 +75,7 @@ func TestControllerCompletedRunNoGoroutineLeak(t *testing.T) {
 	tok := sched.New(3, 0)
 	ctl := &Controller{
 		Store: store, Mem: memcat.New(1 << 20),
-		Encoding: &encoding.Options{}, Vectorized: true,
+		Encoding:    &encoding.Options{},
 		Concurrency: 3, Sched: tok, ParallelScan: true,
 	}
 	if _, err := ctl.Run(context.Background(), w, g, core.NewPlan(order)); err != nil {

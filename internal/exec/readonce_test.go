@@ -207,12 +207,12 @@ func TestOneReadPerInputOnEveryPath(t *testing.T) {
 	const aggSQL = "SELECT grp, SUM(v) AS v FROM t GROUP BY grp"
 	opts := encoding.Options{ChunkRows: 64}
 	for _, tc := range []struct {
-		name       string
-		chunked    bool // base table saved in the chunked format
-		vectorized bool
-		sql        string
-		decodes    int  // whole-table decodes of a chunked file
-		fallback   bool // the kernels revert to the row engine
+		name     string
+		chunked  bool // base table saved in the chunked format
+		encoded  bool // the session runs WithEncoding: the kernels
+		sql      string
+		decodes  int  // whole-table decodes of a chunked file
+		fallback bool // the kernels revert to the row engine
 	}{
 		{"row path, v1 file", false, false, aggSQL, 0, false},
 		{"row path, chunked file", true, false, aggSQL, 1, false},
@@ -238,8 +238,8 @@ func TestOneReadPerInputOnEveryPath(t *testing.T) {
 				t.Fatal(err)
 			}
 			decodes := &eventCount{kind: obs.DecodeDone}
-			ctl := &exec.Controller{Store: st, Obs: decodes, Vectorized: tc.vectorized}
-			if tc.vectorized {
+			ctl := &exec.Controller{Store: st, Obs: decodes}
+			if tc.encoded {
 				ctl.Encoding = &opts
 			}
 			res, err := ctl.Run(context.Background(), w, g, core.NewPlan([]dag.NodeID{0}))
@@ -256,7 +256,7 @@ func TestOneReadPerInputOnEveryPath(t *testing.T) {
 			if decodes.n != tc.decodes {
 				t.Fatalf("%d whole-table decodes, want %d", decodes.n, tc.decodes)
 			}
-			if tc.vectorized && (n.Lowered == 0 || n.Fallbacks > 0 != tc.fallback) {
+			if tc.encoded && (n.Lowered == 0 || n.Fallbacks > 0 != tc.fallback) {
 				t.Fatalf("lowered %d ops, %d fallbacks, want fallback=%v", n.Lowered, n.Fallbacks, tc.fallback)
 			}
 		})
@@ -271,8 +271,8 @@ func TestCatalogResidentInputReadsNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		compressed bool // the catalog entry holds chunks
-		vectorized bool
-		decodes    int // whole-entry decodes for a row-path reader
+		encoded    bool // the session runs WithEncoding: the kernels
+		decodes    int  // whole-entry decodes for a row-path reader
 	}{
 		{"plain entry, row path", false, false, 0},
 		{"plain entry, kernels fall back to its rows", false, true, 0},
@@ -299,8 +299,8 @@ func TestCatalogResidentInputReadsNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			decodes := &eventCount{kind: obs.DecodeDone}
-			ctl := &exec.Controller{Store: st, Mem: mem, Obs: decodes, Vectorized: tc.vectorized}
-			if tc.vectorized {
+			ctl := &exec.Controller{Store: st, Mem: mem, Obs: decodes}
+			if tc.encoded {
 				ctl.Encoding = &opts
 			}
 			res, err := ctl.Run(context.Background(), w, g, core.NewPlan([]dag.NodeID{0}))
@@ -317,7 +317,7 @@ func TestCatalogResidentInputReadsNothing(t *testing.T) {
 			if decodes.n != tc.decodes {
 				t.Fatalf("%d whole-entry decodes, want %d", decodes.n, tc.decodes)
 			}
-			if tc.vectorized && (n.Lowered == 0 || n.Fallbacks > 0 == tc.compressed) {
+			if tc.encoded && (n.Lowered == 0 || n.Fallbacks > 0 == tc.compressed) {
 				t.Fatalf("lowered %d ops, %d fallbacks over a compressed=%v entry", n.Lowered, n.Fallbacks, tc.compressed)
 			}
 		})
@@ -333,11 +333,11 @@ func TestMissingBaseTableError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, vectorized := range []bool{false, true} {
-		ctl := &exec.Controller{Store: storage.NewMemStore(), Vectorized: vectorized}
+	for _, enc := range []*encoding.Options{nil, {}} {
+		ctl := &exec.Controller{Store: storage.NewMemStore(), Encoding: enc}
 		_, err := ctl.Run(context.Background(), w, g, core.NewPlan([]dag.NodeID{0}))
 		if err == nil || err.Error() != want {
-			t.Fatalf("vectorized=%v: err = %v, want %s", vectorized, err, want)
+			t.Fatalf("encoded=%v: err = %v, want %s", enc != nil, err, want)
 		}
 	}
 }

@@ -61,7 +61,9 @@ func vecBaseTables(t *testing.T) map[string]*table.Table {
 	return map[string]*table.Table{"events": events, "dims": dims}
 }
 
-func runVecWorkload(t *testing.T, vectorized bool, o obs.Observer) (map[string][]byte, *RunResult) {
+// runVecWorkload runs vecWorkload over chunked base tables, on the kernels
+// when encoded and on the row engine otherwise.
+func runVecWorkload(t *testing.T, encoded bool, o obs.Observer) (map[string][]byte, *RunResult) {
 	t.Helper()
 	st := storage.NewMemStore()
 	enc := encoding.Options{ChunkRows: 64}
@@ -83,17 +85,20 @@ func runVecWorkload(t *testing.T, vectorized bool, o obs.Observer) (map[string][
 	for i := range plan.Flagged {
 		plan.Flagged[i] = true // keep everything resident: reads hit compressed entries
 	}
-	ctl := &Controller{
-		Store:      st,
-		Mem:        memcat.New(1 << 30),
-		Encoding:   &enc,
-		Vectorized: vectorized,
-		Obs:        o,
+	ctl := &Controller{Store: st, Mem: memcat.New(1 << 30), Obs: o}
+	if encoded {
+		ctl.Encoding = &enc
 	}
 	res, err := ctl.Run(context.Background(), w, g, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return storedMVs(t, st, g), res
+}
+
+// storedMVs reads every node's stored output.
+func storedMVs(t *testing.T, st storage.Store, g *dag.Graph) map[string][]byte {
+	t.Helper()
 	out := make(map[string][]byte)
 	for i := 0; i < g.Len(); i++ {
 		name := g.Name(dag.NodeID(i))
@@ -103,7 +108,7 @@ func runVecWorkload(t *testing.T, vectorized bool, o obs.Observer) (map[string][
 		}
 		out[name] = data
 	}
-	return out, res
+	return out
 }
 
 // canonical re-encodes a stored MV in the v1 layout, so runs that chose
@@ -136,11 +141,11 @@ func TestVectorizedEndToEnd(t *testing.T) {
 	}))
 	for name, data := range want {
 		if !bytes.Equal(canonical(t, data), canonical(t, got[name])) {
-			t.Fatalf("MV %q differs between row-engine and vectorized runs", name)
+			t.Fatalf("MV %q differs between row-engine and kernel runs", name)
 		}
 	}
 	if kernelEvents == 0 {
-		t.Fatal("no KernelDone events: the vectorized run never engaged the kernels")
+		t.Fatal("no KernelDone events: the encoded run never engaged the kernels")
 	}
 	var lowered, skipped, codeRows int64
 	for _, n := range res.Nodes {
@@ -157,12 +162,13 @@ func TestVectorizedEndToEnd(t *testing.T) {
 	t.Logf("lowered=%d chunksSkipped=%d codeFilteredRows=%d", lowered, skipped, codeRows)
 }
 
-// TestVectorizedWithoutEncoding checks the degenerate setup: vectorized
-// execution over v1 storage falls back everywhere, still matches, and
-// reports its fallbacks in the metrics.
-func TestVectorizedWithoutEncoding(t *testing.T) {
+// TestKernelsFallBackOnV1Inputs checks the kernels over v1 base tables:
+// an encoded run lowers, falls back to the row engine wherever an input is
+// not chunked, still matches the row run, and reports its fallbacks in the
+// metrics.
+func TestKernelsFallBackOnV1Inputs(t *testing.T) {
 	var fallbacks int64
-	run := func(vectorized bool) map[string][]byte {
+	run := func(enc *encoding.Options) map[string][]byte {
 		st := storage.NewMemStore()
 		for name, tb := range vecBaseTables(t) {
 			if err := SaveTable(st, name, tb); err != nil {
@@ -178,32 +184,24 @@ func TestVectorizedWithoutEncoding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctl := &Controller{Store: st, Mem: memcat.New(0), Vectorized: vectorized}
+		ctl := &Controller{Store: st, Mem: memcat.New(0), Encoding: enc}
 		res, err := ctl.Run(context.Background(), w, g, core.NewPlan(topo))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vectorized {
-			for _, n := range res.Nodes {
-				fallbacks += n.Fallbacks
-			}
+		for _, n := range res.Nodes {
+			fallbacks += n.Fallbacks
 		}
-		out := make(map[string][]byte)
-		for i := 0; i < g.Len(); i++ {
-			name := g.Name(dag.NodeID(i))
-			data, err := st.Read(tableObject(name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[name] = data
-		}
-		return out
+		return storedMVs(t, st, g)
 	}
-	want := run(false)
-	got := run(true)
+	want := run(nil)
+	if fallbacks != 0 {
+		t.Fatalf("the row run reported %d kernel fallbacks", fallbacks)
+	}
+	got := run(&encoding.Options{})
 	for name, data := range want {
-		if !bytes.Equal(data, got[name]) {
-			t.Fatalf("MV %q differs between row-engine and fallback vectorized runs", name)
+		if !bytes.Equal(canonical(t, data), canonical(t, got[name])) {
+			t.Fatalf("MV %q differs between the row run and the kernels' fallback", name)
 		}
 	}
 	if fallbacks == 0 {

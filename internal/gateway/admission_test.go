@@ -379,7 +379,7 @@ func TestReservationIsPlanPeakAsMVsGrow(t *testing.T) {
 	s, _ := newTestGateway(t, Config{GlobalBudget: slice, Concurrency: 1, Headroom: headroom,
 		NewStore: func(string) storage.Store { return st }})
 	spec := TPCDSSpec("dw", "analytics", 0.05)
-	spec.Encoding, spec.Vectorized = false, false
+	spec.Encoding = false
 	if err := s.Register(spec); err != nil {
 		t.Fatal(err)
 	}

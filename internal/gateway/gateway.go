@@ -1,22 +1,24 @@
 // Package gateway is the multi-tenant refresh gateway: a server hosting
 // many named MV pipelines over ONE shared Memory Catalog budget. Each
 // registered pipeline keeps its own metrics store, session dictionary
-// cache and storage namespace; every refresh trigger is re-planned from
-// the pipeline's observed execution metadata, the plan's proven peak
-// catalog footprint is reserved against the tenant's slice and the global
-// pool by the admission controller, and only then does the refresh run.
-// Triggers that do not fit queue in a bounded FIFO with a deadline;
-// cancellation — explicit or by client disconnect — releases reservations
-// and evicts partial state, so the shared budget can never leak. Every run
-// is traced from enqueue to its terminal state: the trace is what the
-// ledger row and the per-run /metrics counters are derived from, once,
-// when the run finishes.
+// cache and storage namespace (named by the pipeline), and runs the row
+// path or, registered with encoding, the compressed path; every refresh
+// trigger is re-planned from the pipeline's observed execution metadata,
+// the plan's proven peak catalog footprint is reserved against the
+// tenant's slice and the global pool by the admission controller, and only
+// then does the refresh run. Triggers that do not fit queue in a bounded
+// FIFO with a deadline; cancellation — explicit or by client disconnect —
+// releases reservations and evicts partial state, so the shared budget can
+// never leak. Every run is traced from enqueue to its terminal state: the
+// trace is what the ledger row and the per-run /metrics counters are
+// derived from, once, when the run finishes.
 package gateway
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -159,8 +161,7 @@ type PipelineSpec struct {
 	TenantSlice int64         // tenant budget slice; first registration wins
 	MVs         []MVSpec      // the refresh DAG, dependencies implied by table names
 	Every       time.Duration // cron interval; 0 = manual triggers only
-	Encoding    bool          // compressed catalog entries and chunked storage
-	Vectorized  bool          // compressed-execution kernels
+	Encoding    bool          // the compressed path: chunked storage, kernels
 
 	// SeedTPCDS seeds the pipeline's store with the TPC-DS-like dataset at
 	// this scale factor (0 = none).
@@ -178,7 +179,7 @@ func TPCDSSpec(name, tenant string, sf float64) PipelineSpec {
 	spec := PipelineSpec{
 		Name: name, Tenant: tenant,
 		SeedTPCDS: sf,
-		Encoding:  true, Vectorized: true,
+		Encoding:  true,
 	}
 	for _, n := range w.Nodes {
 		spec.MVs = append(spec.MVs, MVSpec{Name: n.Name, SQL: n.SQL})
@@ -329,11 +330,12 @@ type Server struct {
 	prom  *prom
 	fin   session.Finisher // ledger always; alerts and exporter per Config
 
-	mu        sync.Mutex
-	pipelines map[string]*pipeline
-	runs      map[string]*Run
-	terminal  []string // ids of the retained finished runs, oldest first
-	runSeq    int64
+	mu          sync.Mutex
+	pipelines   map[string]*pipeline
+	registering map[string]bool // names whose Register is still seeding
+	runs        map[string]*Run
+	terminal    []string // ids of the retained finished runs, oldest first
+	runSeq      int64
 	// evictionsRetired counts the Evicted events of the runs no longer
 	// retained, so the eviction count outlives them.
 	evictionsRetired int64
@@ -376,9 +378,10 @@ func NewServer(cfg Config) (*Server, error) {
 			TailSample: cfg.TailSample,
 			SLOSeconds: cfg.SLOSeconds,
 		},
-		pipelines: make(map[string]*pipeline),
-		runs:      make(map[string]*Run),
-		stopCh:    make(chan struct{}),
+		pipelines:   make(map[string]*pipeline),
+		registering: make(map[string]bool),
+		runs:        make(map[string]*Run),
+		stopCh:      make(chan struct{}),
 	}
 	if cfg.AlertWebhook != "" {
 		s.fin.Alerts = alert.New(alert.Config{
@@ -458,11 +461,12 @@ func (s *Server) fireCron() {
 	}
 }
 
-// Register adds a pipeline. The spec's base tables are written to the
-// pipeline's store before the first trigger can run.
+// Register adds a pipeline. Its name keys its storage namespace, so it
+// must be one path element; its base tables are written to that store
+// before the first trigger can run.
 func (s *Server) Register(spec PipelineSpec) error {
-	if spec.Name == "" {
-		return errors.New("gateway: pipeline name required")
+	if spec.Name == "" || spec.Name == "." || spec.Name == ".." || strings.ContainsAny(spec.Name, `/\`) {
+		return fmt.Errorf("gateway: pipeline name %q is not a single path element", spec.Name)
 	}
 	if len(spec.MVs) == 0 {
 		return errors.New("gateway: pipeline needs at least one MV")
@@ -470,15 +474,43 @@ func (s *Server) Register(spec PipelineSpec) error {
 	if spec.Tenant == "" {
 		spec.Tenant = "default"
 	}
+	// Claim the name before anything opens its store, so neither a
+	// duplicate nor a concurrent registration touches the pipeline's tables.
+	s.mu.Lock()
+	_, dup := s.pipelines[spec.Name]
+	if dup || s.registering[spec.Name] {
+		s.mu.Unlock()
+		return fmt.Errorf("%w: %q", ErrAlreadyExists, spec.Name)
+	}
+	s.registering[spec.Name] = true
+	s.mu.Unlock()
+
+	p, err := s.newPipeline(spec)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.registering, spec.Name)
+	if err != nil {
+		return err
+	}
+	s.pipelines[spec.Name] = p
+	slice := spec.TenantSlice
+	if slice <= 0 {
+		slice = s.cfg.DefaultSlice
+	}
+	s.adm.addTenant(spec.Tenant, slice)
+	return nil
+}
+
+// newPipeline builds spec's pipeline over its own store and seeds it.
+func (s *Server) newPipeline(spec PipelineSpec) (*pipeline, error) {
 	nodes := make([]exec.NodeSpec, len(spec.MVs))
 	for i, mv := range spec.MVs {
 		nodes[i] = exec.NodeSpec{Name: mv.Name, SQL: mv.SQL}
 	}
 	sp, err := session.NewPipeline(spec.Name, nodes, s.cfg.NewStore(spec.Name))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	sp.Vectorized = spec.Vectorized
 	sp.Device = costmodel.PaperProfile()
 	sp.Concurrency = s.cfg.Concurrency
 	if spec.Encoding {
@@ -488,21 +520,7 @@ func (s *Server) Register(spec PipelineSpec) error {
 	if p.every > 0 {
 		p.nextFire = p.created.Add(p.every)
 	}
-	if err := s.seed(p, spec); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.pipelines[spec.Name]; dup {
-		return fmt.Errorf("%w: %q", ErrAlreadyExists, spec.Name)
-	}
-	s.pipelines[spec.Name] = p
-	slice := spec.TenantSlice
-	if slice <= 0 {
-		slice = s.cfg.DefaultSlice
-	}
-	s.adm.addTenant(spec.Tenant, slice)
-	return nil
+	return p, s.seed(p, spec)
 }
 
 // seed writes the spec's base tables into the pipeline's store, chunked
@@ -550,14 +568,14 @@ func (s *Server) Unregister(name string) error {
 	return nil
 }
 
-// PipelineInfo is a pipeline's externally visible snapshot.
+// PipelineInfo is a pipeline's externally visible snapshot. Encoding is
+// whether its refreshes take the compressed path rather than the row path.
 type PipelineInfo struct {
 	Name         string   `json:"name"`
 	Tenant       string   `json:"tenant"`
 	MVs          []string `json:"mvs"`
 	EverySeconds float64  `json:"every_seconds,omitempty"`
 	Encoding     bool     `json:"encoding"`
-	Vectorized   bool     `json:"vectorized"`
 	Runs         int64    `json:"runs"`
 	LastRunID    string   `json:"last_run_id,omitempty"`
 	SliceBytes   int64    `json:"tenant_slice_bytes"`
@@ -573,8 +591,8 @@ func (s *Server) info(p *pipeline) PipelineInfo {
 	return PipelineInfo{
 		Name: p.Name, Tenant: p.tenant, MVs: mvs,
 		EverySeconds: p.every.Seconds(),
-		Encoding:     p.Encoding != nil, Vectorized: p.Vectorized,
-		Runs: p.runsTotal, LastRunID: p.lastRunID,
+		Encoding:     p.Encoding != nil,
+		Runs:         p.runsTotal, LastRunID: p.lastRunID,
 		SliceBytes: s.adm.tenantSlice(p.tenant),
 	}
 }

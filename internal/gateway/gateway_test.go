@@ -387,15 +387,15 @@ func TestGatewayCronFires(t *testing.T) {
 }
 
 // TestGatewayEncodedPipeline exercises the compressed path end to end:
-// encoding + vectorized registration, two refreshes (the second replans
+// an encoded registration, two refreshes (the second replans
 // from observed metadata), and MV reads that decode chunked storage.
 func TestGatewayEncodedPipeline(t *testing.T) {
 	s, _ := newTestGateway(t, Config{})
 	if err := s.Register(PipelineSpec{
 		Name: "enc", Tenant: "t",
-		Encoding: true, Vectorized: true,
-		MVs:    pipelineRequest("", "").MVs,
-		Tables: map[string]*table.Table{"sales": mustTable(t, salesJSON())},
+		Encoding: true,
+		MVs:      pipelineRequest("", "").MVs,
+		Tables:   map[string]*table.Table{"sales": mustTable(t, salesJSON())},
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -23,13 +23,12 @@ type registerRequest struct {
 	// Workload names a built-in MV DAG instead of spelling out mvs:
 	// "tpcds-real" is the repo's 12-node TPC-DS store_sales pipeline
 	// (pair it with seed_tpcds_sf).
-	Workload   string               `json:"workload,omitempty"`
-	MVs        []MVSpec             `json:"mvs"`
-	Every      string               `json:"every,omitempty"` // Go duration, e.g. "30s"
-	Encoding   bool                 `json:"encoding,omitempty"`
-	Vectorized bool                 `json:"vectorized,omitempty"`
-	SeedTPCDS  float64              `json:"seed_tpcds_sf,omitempty"`
-	Tables     map[string]tableJSON `json:"tables,omitempty"`
+	Workload  string               `json:"workload,omitempty"`
+	MVs       []MVSpec             `json:"mvs"`
+	Every     string               `json:"every,omitempty"` // Go duration, e.g. "30s"
+	Encoding  bool                 `json:"encoding,omitempty"`
+	SeedTPCDS float64              `json:"seed_tpcds_sf,omitempty"`
+	Tables    map[string]tableJSON `json:"tables,omitempty"`
 }
 
 // tableJSON is an inline base table: a schema plus row-major values, numbers
@@ -279,7 +278,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		TenantSlice: req.TenantSlice,
 		MVs:         req.MVs,
 		Encoding:    req.Encoding,
-		Vectorized:  req.Vectorized,
 		SeedTPCDS:   req.SeedTPCDS,
 	}
 	if len(spec.MVs) == 0 && req.Workload != "" {

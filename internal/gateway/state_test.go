@@ -464,7 +464,7 @@ func TestUnregisterForgetsPipelineMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	sales := map[string]*table.Table{"sales": mustTable(t, salesJSON())}
-	if err := s.Register(PipelineSpec{Name: "p", MVs: pipelineRequest("", "").MVs, Tables: sales, Encoding: true, Vectorized: true}); err != nil {
+	if err := s.Register(PipelineSpec{Name: "p", MVs: pipelineRequest("", "").MVs, Tables: sales, Encoding: true}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -522,7 +522,7 @@ func TestUnregisterForgetsPipelineMemory(t *testing.T) {
 
 	// Same name, different DAG: mv_daily again, and a node that fails at
 	// run time, so the new pipeline's first verdict is "failing".
-	if err := s.Register(PipelineSpec{Name: "p", Tables: sales, Encoding: true, Vectorized: true, MVs: []MVSpec{
+	if err := s.Register(PipelineSpec{Name: "p", Tables: sales, Encoding: true, MVs: []MVSpec{
 		{Name: "mv_daily", SQL: `SELECT day, SUM(amount) AS revenue FROM sales GROUP BY day`},
 		{Name: "mv_broken", SQL: `SELECT missing_col FROM mv_daily`},
 	}}); err != nil {
@@ -583,7 +583,7 @@ func TestSerializedFormOnGatewaySurfaces(t *testing.T) {
 		NewStore:     func(string) storage.Store { return gs },
 	})
 	spec := TPCDSSpec("dw", "analytics", 0.5)
-	spec.Encoding, spec.Vectorized, spec.TenantSlice = false, false, slice
+	spec.Encoding, spec.TenantSlice = false, slice
 	if err := s.Register(spec); err != nil {
 		t.Fatal(err)
 	}

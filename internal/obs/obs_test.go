@@ -126,7 +126,7 @@ func TestControllerEventOrdering(t *testing.T) {
 	log := &seqLog{}
 	ctl := &exec.Controller{
 		Store: st, Mem: memcat.New(1 << 30),
-		Encoding: &enc, Vectorized: true, Obs: log,
+		Encoding: &enc, Obs: log,
 	}
 	if _, err := ctl.Run(context.Background(), w, g, plan); err != nil {
 		t.Fatal(err)

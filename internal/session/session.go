@@ -54,9 +54,10 @@ type Pipeline struct {
 	Store    storage.Store
 	Metrics  *metrics.Store // execution metadata learned across runs (§III-A)
 
-	Encoding   *encoding.Options // nil keeps the uncompressed row path
-	Vectorized bool
-	Device     costmodel.DeviceProfile
+	// Encoding switches every run onto the compressed path (chunked
+	// outputs, lowered onto the kernels); nil keeps the row path.
+	Encoding *encoding.Options
+	Device   costmodel.DeviceProfile
 	// Concurrency is each run's token budget (exec.Controller.Concurrency).
 	// The planner reads it too: only at <= 1 do nodes run in exact plan
 	// order, which is what makes the plan's peak memory a proof. With more
@@ -64,9 +65,8 @@ type Pipeline struct {
 	// (core.DispatchRank), and plan position only breaks ties.
 	Concurrency int
 
-	// dicts is the session dictionary cache: a Vectorized run's kernels
-	// reuse the dictionaries the run before derived. The Controller reads
-	// it only when Vectorized.
+	// dicts is the session dictionary cache: an encoded run's kernels
+	// reuse the dictionaries the run before derived.
 	dicts *chunkio.Session
 
 	// What the pipeline remembers of its previous run: each node's span (a
@@ -80,7 +80,7 @@ type Pipeline struct {
 
 // NewPipeline extracts the dependency DAG from the nodes' SQL and starts an
 // empty metadata store. The caller sets the execution fields (Encoding,
-// Vectorized, Device, Concurrency) before the first run.
+// Device, Concurrency) before the first run.
 func NewPipeline(name string, nodes []exec.NodeSpec, store storage.Store) (*Pipeline, error) {
 	w := &exec.Workload{Nodes: nodes}
 	g, base, err := w.BuildGraph()
@@ -213,7 +213,6 @@ func (p *Pipeline) controller(env RunEnv, plan *core.Plan) *exec.Controller {
 		Sched:        env.Sched,
 		ParallelScan: env.ParallelScan,
 		Encoding:     p.Encoding,
-		Vectorized:   p.Vectorized,
 		Chunked:      p.dicts,
 	}
 }

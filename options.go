@@ -19,7 +19,6 @@ type config struct {
 	concurrency   int
 	device        DeviceProfile
 	encoding      *encoding.Options
-	vectorized    bool
 	parallelScan  bool
 	tracing       bool
 	traceExporter telemetry.Exporter
@@ -71,13 +70,13 @@ func WithObserver(obs Observer) Option {
 
 // WithConcurrency sets the session's scheduler token budget to k — one
 // token is roughly one core's worth of work. Up to k independent DAG nodes
-// execute at a time, each holding one token; with WithParallelScan the
-// kernels additionally borrow tokens the node dispatcher is not using to
-// walk a single node's chunks in parallel, so a chain-shaped plan still
-// saturates k cores. The Memory Catalog budget remains enforced
-// byte-for-byte (outputs that no longer fit fall back to blocking writes)
-// and materialized outputs are byte-identical to a serial run. k <= 1 (the
-// default) runs nodes serially in exact plan order.
+// execute at a time, each holding one token; with WithEncoding and
+// WithParallelScan the kernels additionally borrow tokens the node
+// dispatcher is not using to walk a single node's chunks in parallel, so a
+// chain-shaped plan still saturates k cores. The Memory Catalog budget
+// remains enforced byte-for-byte (outputs that no longer fit fall back to
+// blocking writes) and materialized outputs are byte-identical to a serial
+// run. k <= 1 (the default) runs nodes serially in exact plan order.
 func WithConcurrency(k int) Option {
 	return func(c *config) {
 		if k < 1 {
@@ -99,20 +98,40 @@ func WithDevice(d DeviceProfile) Option {
 	}
 }
 
-// WithEncoding enables the compressed columnar subsystem for the session:
-// node outputs are compressed per column (dictionary, run-length, delta +
-// bit-packing, scaled-decimal floats, raw fallback), held compressed in
-// the Memory Catalog — so the same budget keeps more MVs resident, with
-// lazy decode on read — and written to storage in the chunked colfmt
-// format, shrinking the bytes moved through the storage-bound path. The
+// WithEncoding switches the session onto the compressed path, its one
+// switch. Node outputs are compressed per column (dictionary, run-length,
+// delta + bit-packing, scaled-decimal floats, raw fallback), held
+// compressed in the Memory Catalog — so the same budget keeps more MVs
+// resident — and written to storage in the chunked colfmt format. The
 // optimizer's size and score estimates switch to compressed footprints, so
-// flag/order decisions follow the real tradeoff. Reads remain compatible
-// with both formats whether or not encoding is enabled.
+// flag/order decisions follow the real tradeoff.
 //
 //	ref, err := sc.New(mvs, store, sc.WithEncoding(sc.EncodingOptions{}))
 //
-// Pass Mode: sc.EncodingRaw to keep the chunked format but disable compression
-// (an explicit baseline for experiments).
+// Every node's plan also runs on the compressed-execution kernels: hash
+// joins (with their pushed-down `column <op> literal` side filters),
+// aggregates over a scan or a join, and column-only projections over a
+// join work on encoded column chunks instead of decode-then-execute. A join
+// reads only its key columns to match rows and materializes values only
+// for the pairs that survive; its output leaves the kernel as compressed
+// chunks and lands in the Memory Catalog and storage without an
+// encode-from-rows round trip. Inputs resolve as per-chunk lazy readers,
+// so a flagged MV never pays a whole-table decode. Results are
+// byte-identical to the row engine: other plan shapes and non-chunked
+// inputs (base tables saved with SaveTable) fall back to it transparently.
+// KernelDone events report chunks skipped, rows filtered per run and
+// decodes avoided per node.
+//
+// A dictionary cache kept for the life of the Refresher carries each
+// join's per-column dictionaries across Run calls, so recurring refreshes
+// encode recurring values as id lookups (NodeMetrics.DictReused counts the
+// chunks served entirely from it). A dictionary is invalidated when its
+// column's name or type changes; a column whose cardinality outgrows the
+// cap falls back to per-chunk re-encoding.
+//
+// Pass Mode: sc.EncodingRaw to keep the chunked format but disable
+// compression (an explicit baseline for experiments). Reads handle both
+// formats whether or not encoding is enabled.
 func WithEncoding(opts EncodingOptions) Option {
 	return func(c *config) {
 		o := opts
@@ -120,42 +139,12 @@ func WithEncoding(opts EncodingOptions) Option {
 	}
 }
 
-// WithVectorized enables the compressed-execution kernels for the
-// session: hash joins (with their pushed-down `column <op> literal` side
-// filters), aggregates over a scan or a join, and column-only projections
-// over a join run directly on encoded column chunks instead of
-// decode-then-execute. A side filter is decided once per run on a
-// run-length chunk, a join reads only its key columns to match rows, and
-// values are materialized only for the pairs that survive (late
-// materialization). Inputs resolve as per-chunk lazy readers, so a
-// flagged compressed MV no longer pays a whole-table decode on every
-// read. Results are byte-identical to the row engine: other plan shapes
-// and non-chunked inputs fall back transparently.
+// WithVectorized does nothing: WithEncoding runs the compressed-execution
+// kernels, and a session without it runs the row engine.
 //
-// Kernels engage on chunked inputs, so pair this with WithEncoding:
-//
-//	ref, err := sc.New(mvs, store,
-//		sc.WithEncoding(sc.EncodingOptions{}),
-//		sc.WithVectorized(true),
-//	)
-//
-// KernelDone events report chunks skipped, rows filtered per run and
-// decodes avoided per node.
-//
-// With WithEncoding also set, vectorized sessions run the compressed
-// intermediate pipeline: kernel outputs — including a join probing another
-// join's output — leave the operator as compressed chunks (dictionary
-// codes remapped, never materialized) and land in the Memory Catalog and
-// storage without an encode-from-rows round trip. A session-level
-// dictionary cache, kept for the life of the Refresher, carries each
-// join's per-column dictionaries across Run calls, so recurring refreshes
-// encode recurring values as id lookups instead of rebuilding the
-// dictionaries (NodeMetrics.DictReused counts the chunks served entirely
-// from it). A dictionary is invalidated when its column's name or type
-// changes, and a column whose cardinality outgrows the cap falls back to
-// per-chunk re-encoding.
-func WithVectorized(enabled bool) Option {
-	return func(c *config) { c.vectorized = enabled }
+// Deprecated: the compressed path has one switch, WithEncoding.
+func WithVectorized(bool) Option {
+	return func(*config) {}
 }
 
 // WithParallelScan lets a kernel join split its probe across idle
@@ -165,9 +154,10 @@ func WithVectorized(enabled bool) Option {
 // thread-local selection vectors and counters, and the partial results
 // merge in chunk order, so the output — and every byte-level artifact
 // downstream — is identical to the serial walk. Join builds and aggregates
-// always walk serially. Tokens are borrowed non-blocking, so intra-node parallelism composes with the
-// node-level pool under the one budget and can never deadlock it. Only
-// effective together with WithVectorized and WithConcurrency(k > 1).
+// always walk serially. Tokens are borrowed non-blocking, so intra-node
+// parallelism composes with the node-level pool under the one budget and
+// can never deadlock it. Only effective together with WithEncoding and
+// WithConcurrency(k > 1).
 func WithParallelScan(enabled bool) Option {
 	return func(c *config) { c.parallelScan = enabled }
 }

@@ -61,7 +61,6 @@ func New(mvs []MV, store Store, opts ...Option) (*Refresher, error) {
 		return nil, err
 	}
 	pipe.Encoding = cfg.encoding
-	pipe.Vectorized = cfg.vectorized
 	pipe.Device = cfg.device
 	pipe.Concurrency = cfg.concurrency
 	r := &Refresher{pipe: pipe, cfg: cfg}

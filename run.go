@@ -40,9 +40,9 @@ func SaveTable(st Store, name string, t *table.Table) error {
 }
 
 // SaveTableChunked compresses and writes a table in the chunked columnar
-// format. Base tables saved this way are scanned per chunk by vectorized
-// sessions (WithVectorized) instead of paying a whole-table decode, and
-// feed the compressed intermediate pipeline without a fallback.
+// format. Base tables saved this way are scanned per chunk by encoded
+// sessions' kernels (WithEncoding) instead of paying a whole-table decode,
+// and feed the compressed intermediate pipeline without a fallback.
 func SaveTableChunked(st Store, name string, t *table.Table, opts EncodingOptions) error {
 	return exec.SaveTableChunked(st, name, t, opts)
 }

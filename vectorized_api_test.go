@@ -18,7 +18,7 @@ var updateKernelGolden = flag.Bool("update", false, "rewrite testdata/kernel_cou
 
 // TestKernelCountersPinned pins the kernel path of a compressed refresh: the
 // 12-MV TPC-DS pipeline at sf 1 over chunked base tables, refreshed twice
-// with encoding and kernels on, must report exactly the kernel counters of
+// with encoding (and so the kernels) on, must report exactly the kernel counters of
 // testdata/kernel_counters.golden for every node of both refreshes — which
 // operators lowered, what they decoded, probed and passed as codes.
 func TestKernelCountersPinned(t *testing.T) {
@@ -33,7 +33,6 @@ func TestKernelCountersPinned(t *testing.T) {
 	ref, err := sc.New(mvs, store,
 		sc.WithMemory(64<<20),
 		sc.WithEncoding(sc.EncodingOptions{}),
-		sc.WithVectorized(true),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +72,8 @@ func TestKernelCountersPinned(t *testing.T) {
 
 // TestWithVectorizedEndToEnd runs a full refresh session with compressed
 // execution on: materialized MVs must match the plain session row for row
-// and the event stream must carry kernel telemetry.
+// and the event stream must carry kernel telemetry. It also passes the
+// deprecated WithVectorized(true), which must change nothing.
 func TestWithVectorizedEndToEnd(t *testing.T) {
 	mvs := []sc.MV{
 		// enriched is itself an MV, so downstream scans read chunked data
