@@ -227,13 +227,14 @@ func TestRefresherAndGatewayAreOnePath(t *testing.T) {
 	}
 }
 
-// TestLongestPathDispatchMatchesNaive: with two tokens the Controller starts
-// ready nodes by longest remaining path over the seconds the previous run
-// observed, not in plan order. On the 12-MV TPC-DS pipeline, on the row path
-// and on the compressed path, the optimized refreshes that dispatch this way
-// stay within the Memory Catalog budget with no output pushed back to a
-// blocking write, and store every MV byte for byte as a session with no
-// Memory Catalog does.
+// TestLongestPathDispatchMatchesNaive: with two or four tokens the
+// Controller starts ready nodes by longest remaining path over the seconds
+// the previous run observed, not in plan order, each node on its one token.
+// On the 12-MV TPC-DS pipeline, on the row path and on the compressed path
+// (where concurrent nodes' kernels share one session dictionary cache), the
+// optimized refreshes that dispatch this way stay within the Memory Catalog
+// budget with no output pushed back to a blocking write, and store every MV
+// byte for byte as a session with no Memory Catalog does.
 func TestLongestPathDispatchMatchesNaive(t *testing.T) {
 	ctx := context.Background()
 	mvs, tables := tpcdsPipeline(t, 1)
@@ -241,10 +242,20 @@ func TestLongestPathDispatchMatchesNaive(t *testing.T) {
 	for _, tb := range tables {
 		base += tb.ByteSize()
 	}
-	for name, compressed := range map[string]bool{"row path": false, "compressed": true} {
+	for _, tc := range []struct {
+		name       string
+		compressed bool
+		tokens     int
+	}{
+		{"row path, 2 tokens", false, 2},
+		{"compressed, 2 tokens", true, 2},
+		{"row path, 4 tokens", false, 4},
+		{"compressed, 4 tokens", true, 4},
+	} {
+		name, compressed := tc.name, tc.compressed
 		open := func(budget int64) (*sc.Refresher, sc.Store) {
 			store := sc.NewMemStore()
-			opts := []sc.Option{sc.WithMemory(budget), sc.WithConcurrency(2)}
+			opts := []sc.Option{sc.WithMemory(budget), sc.WithConcurrency(tc.tokens)}
 			for tname, tb := range tables {
 				var err error
 				if compressed {

@@ -12,7 +12,9 @@ import (
 
 // Context supplies table resolution during execution. The controller wires
 // Resolve to check the Memory Catalog first and fall back to external
-// storage, which is where S/C's read short-circuiting happens.
+// storage, which is where S/C's read short-circuiting happens. Execution
+// through a Context is serial: the one form of parallelism is the exec
+// Controller's k concurrent nodes.
 type Context struct {
 	Resolve func(name string) (*table.Table, error)
 	// ResolveCompressed, when non-nil, resolves a table in compressed
@@ -22,14 +24,14 @@ type Context struct {
 	// per chunk instead of per table; (nil, nil) means the table is not
 	// available in chunked form and the caller should fall back to Resolve.
 	ResolveCompressed func(name string) (*encoding.Compressed, error)
-	// Sched, when non-nil, is the scheduler-wide token budget shared with
-	// the exec Controller's node dispatcher. Kernels may widen a chunk scan
-	// by borrowing idle tokens (sched.Scheduler.TryAcquire — never
-	// blocking), so intra-node parallelism composes with node-level
-	// parallelism under one bound.
+	// Sched is read by nothing: a node runs on its one token, and the
+	// kernels walk a node's chunks serially.
+	//
+	// Deprecated: nothing reads it.
 	Sched *sched.Scheduler
-	// ParallelScan enables the kernels' partitioned chunk path when Sched
-	// has idle tokens to lend. Output stays byte-identical to serial.
+	// ParallelScan is read by nothing.
+	//
+	// Deprecated: nothing reads it.
 	ParallelScan bool
 }
 

@@ -154,16 +154,14 @@ type Controller struct {
 	// right run. Empty leaves events unscoped (single-run CLI usage).
 	RunID string
 	// Concurrency is the run's token budget: up to k independent DAG nodes
-	// execute at a time, each on one borrowed token. Values <= 1 run nodes
-	// serially in exact plan order, whatever Rank says. With k > 1 a node
-	// starts as soon as all its parents have finished, preferring the ready
-	// node of lowest Rank (earliest in the plan order when Rank is nil); the
-	// Memory Catalog budget is still enforced byte-for-byte (an output that
-	// no longer fits falls back to a blocking write, exactly as in the serial
-	// path). When Sched is nil a private k-token pool is created per Run;
-	// tokens the dispatcher is not using are available to the kernels'
-	// chunk-parallel scans (see ParallelScan), which is how a chain-shaped
-	// plan still saturates k cores.
+	// execute at a time, each on one token, and a node runs on its token
+	// alone. Values <= 1 run nodes serially in exact plan order, whatever
+	// Rank says. With k > 1 a node starts as soon as all its parents have
+	// finished, preferring the ready node of lowest Rank (earliest in the
+	// plan order when Rank is nil); the Memory Catalog budget is still
+	// enforced byte-for-byte (an output that no longer fits falls back to a
+	// blocking write, exactly as in the serial path). When Sched is nil a
+	// private k-token pool is created per Run.
 	Concurrency int
 	// Rank, when non-nil, is one entry per node: the dispatch priority among
 	// ready nodes at Concurrency > 1, lowest first (core.DispatchRank: the
@@ -173,15 +171,10 @@ type Controller struct {
 	Rank []int
 	// Sched, when non-nil, is a shared scheduler-wide token pool (the
 	// gateway hands every concurrent run the same one, so tenants cannot
-	// oversubscribe cores). The dispatcher borrows a token per in-flight
+	// oversubscribe cores). The dispatcher takes a token per in-flight
 	// node — still capped at Concurrency per run — and returns it when the
 	// node finishes. Nil creates a private pool of Concurrency tokens.
 	Sched *sched.Scheduler
-	// ParallelScan (with Encoding) lets kernels split a chunk walk
-	// across idle scheduler tokens, with byte-identical output. Tokens are
-	// only ever borrowed non-blocking, so nested parallelism cannot
-	// deadlock the node dispatcher.
-	ParallelScan bool
 	// Encoding, when non-nil, switches the run onto the compressed path:
 	// outputs are compressed once per node, stored compressed in the
 	// Memory Catalog (accounted at compressed size, decoded lazily on
@@ -225,7 +218,6 @@ type runState struct {
 	g       *dag.Graph
 	pos     []int // plan position per node
 	schemas *schemaCache
-	sched   *sched.Scheduler // resolved token pool (Controller.Sched or private)
 
 	states []*flaggedState // per node; non-nil once the node's output was Put
 
@@ -306,17 +298,13 @@ func (c *Controller) Run(ctx context.Context, w *Workload, g *dag.Graph, plan *c
 	if workers < 1 {
 		workers = 1
 	}
-	// The node dispatcher borrows one token per in-flight node from the
+	// The node dispatcher takes one token per in-flight node from the
 	// scheduler-wide pool — shared across runs when the caller supplies
-	// one, private otherwise. The pool is deliberately NOT capped at the
-	// node count: on a chain-shaped plan only one node runs at a time, and
-	// the idle tokens are exactly what the kernels' chunk-parallel scans
-	// borrow to keep the cores busy.
+	// one, private otherwise.
 	sc := c.Sched
 	if sc == nil {
 		sc = sched.New(workers, 0)
 	}
-	rs.sched = sc
 
 	doneCh := make(chan completion)
 	var wgNodes sync.WaitGroup
@@ -326,8 +314,8 @@ func (c *Controller) Run(ctx context.Context, w *Workload, g *dag.Graph, plan *c
 	// fold completions back into the schedule. The rank is plan position on
 	// one token and Rank, when given, on more. Nodes release their token
 	// before reporting done, so a finishing node's token is immediately
-	// available — to this dispatcher, to a concurrent run sharing the pool,
-	// or to an intra-node scan.
+	// available — to this dispatcher or to a concurrent run sharing the
+	// pool.
 	rank := rs.pos
 	if workers > 1 && c.Rank != nil {
 		rank = c.Rank
@@ -506,11 +494,6 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool, f
 		return in.table(name)
 	}}
 	if c.Encoding != nil {
-		// Kernels may widen a chunk walk by borrowing tokens the node
-		// dispatcher is not using (non-blocking, so nesting never
-		// deadlocks); output stays byte-identical to serial.
-		ectx.Sched = rs.sched
-		ectx.ParallelScan = c.ParallelScan
 		// Per-chunk lazy resolution for kernel scans. (nil, nil) sends the
 		// kernel to its row-engine fallback, which resolves via Resolve
 		// above and surfaces any read error itself.

@@ -311,13 +311,11 @@ type Stats struct {
 	UsedBytes     int64 `json:"used_bytes"`
 	PeakUsedBytes int64 `json:"peak_used_bytes"`
 	PeakReserved  int64 `json:"peak_reserved_bytes"`
-	// Scheduler token budget: total pool size, tokens idle right now,
-	// tokens soft-committed by admitted runs, and lifetime chunk-parallel
-	// borrows by the kernels.
-	SchedTokens    int   `json:"sched_tokens"`
-	SchedIdle      int   `json:"sched_tokens_idle"`
-	SchedCommitted int   `json:"sched_tokens_committed"`
-	SchedBorrows   int64 `json:"sched_borrows"`
+	// Scheduler token budget: total pool size, tokens idle right now and
+	// tokens soft-committed by admitted runs. A token is one running node.
+	SchedTokens    int `json:"sched_tokens"`
+	SchedIdle      int `json:"sched_tokens_idle"`
+	SchedCommitted int `json:"sched_tokens_committed"`
 }
 
 // Server hosts the pipelines and schedules their refreshes against the
@@ -362,10 +360,8 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	pool := memcat.NewPool(cfg.GlobalBudget)
-	// One scheduler-wide token budget for every run's node pool and
-	// chunk-parallel scans; its byte ceiling (in-flight decoded partition
-	// bytes) rides the same global budget the catalog pool enforces.
-	tok := sched.New(cfg.SchedTokens, cfg.GlobalBudget)
+	// One scheduler-wide token budget for every run's node pool.
+	tok := sched.New(cfg.SchedTokens, 0)
 	s := &Server{
 		cfg:   cfg,
 		pool:  pool,
@@ -1057,7 +1053,6 @@ func (s *Server) Stats() Stats {
 		SchedTokens:    snap.Tokens,
 		SchedIdle:      snap.Idle,
 		SchedCommitted: snap.Committed,
-		SchedBorrows:   snap.Borrowed,
 	}
 }
 

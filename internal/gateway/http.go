@@ -192,7 +192,7 @@ func byPath[T any](key string, call func(string) (T, error)) http.HandlerFunc {
 //	GET    /v1/pipelines/{name}/health        SLO attainment, baselines, regressions
 //	GET    /v1/pipelines/{name}/explain       per-MV flag decisions: scores, byte costs, flip conditions
 //	GET    /v1/state/catalog                  Memory Catalog residents, codec mix, eviction ranks and timeline
-//	GET    /v1/state/sched                    scheduler tokens, byte reservations, admission queue with blockers
+//	GET    /v1/state/sched                    scheduler tokens, catalog reservations, admission queue with blockers
 //	GET    /v1/runs                           ledger history (?pipeline=&tenant=&outcome=&anomalous=1&limit=N)
 //	GET    /v1/runs/{id}                      run status
 //	POST   /v1/runs/{id}/cancel               cancel a queued or running refresh

@@ -108,7 +108,7 @@ func (r *Run) evictions() []introspect.EvictionEvent {
 }
 
 // SchedState snapshots the scheduler for GET /v1/state/sched: the
-// token pool (in flight, idle, soft-committed), the in-flight byte
+// token pool (in flight, idle, soft-committed), the catalog pool's byte
 // reservations, and the admission queue with each trigger's blocking
 // reason.
 func (s *Server) SchedState() introspect.SchedReport {

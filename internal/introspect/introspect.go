@@ -1,8 +1,8 @@
 // Package introspect is the live state-observability layer over the S/C
 // engine: point-in-time reports of what occupies the bounded Memory
 // Catalog (per-entry codec mix, eviction rank under the cost-model score,
-// eviction timeline), who holds the scheduler's tokens and byte
-// reservations, and — the paper's core question — why each MV was or was
+// eviction timeline), who holds the scheduler's tokens and the catalog's
+// byte reservations, and — the paper's core question — why each MV was or was
 // not flagged for materialization under the byte budget, with the marginal
 // byte cost that decided it and what would have to change to flip the
 // decision.
@@ -146,8 +146,8 @@ type TenantState struct {
 }
 
 // SchedReport is the body of GET /v1/state/sched: the scheduler-wide
-// token pool, the byte-ceiling reservations, admission's soft-committed
-// tokens, and the current admission queue with per-entry blocking reasons.
+// token pool, admission's soft-committed tokens, the shared catalog pool's
+// reservations, and the current admission queue with per-entry blocking reasons.
 type SchedReport struct {
 	At time.Time `json:"at"`
 	sched.Snapshot

@@ -78,9 +78,8 @@ func (a *AggScan) Run(ctx *engine.Context) (*table.Table, error) {
 	acc := a.Agg.NewAcc()
 	cols := make([]*table.Vector, a.inSchema().NumCols())
 	bufs := make([]table.Vector, len(cols))
-	_, err := walkGroups(walk{ct: ct, groups: groups, st: a.St},
-		func() *engine.AggAcc { return acc }, // one partition, accumulating acc itself
-		func(acc *engine.AggAcc, cc *chunkCtx, _ *bitmap) error { return a.addGroup(cc, acc, cols, bufs) })
+	err := walkGroups(walk{ct: ct, groups: groups, st: a.St},
+		func(cc *chunkCtx, _ *bitmap) error { return a.addGroup(cc, acc, cols, bufs) })
 	if err != nil {
 		return nil, fmt.Errorf("kernels: aggregate %s: %w", a.label(), err)
 	}

@@ -99,9 +99,8 @@ func perValueJoin(j *HashJoinScan, ctx *engine.Context) (*perValueJoined, error)
 	}
 	total := 0
 	scratch := make([]byte, 8*len(j.RightKeys))
-	_, err = walkGroups(walk{ct: rct, groups: rgroups, pred: j.Right.Pred, st: j.St, keep: jd.rightCCs},
-		func() *perValueJoined { return jd },
-		func(jd *perValueJoined, cc *chunkCtx, sel *bitmap) error {
+	err = walkGroups(walk{ct: rct, groups: rgroups, pred: j.Right.Pred, st: j.St, keep: jd.rightCCs},
+		func(cc *chunkCtx, sel *bitmap) error {
 			ids, err := readers(cc, j.RightKeys, true)
 			if err != nil {
 				return err
@@ -129,9 +128,8 @@ func perValueJoin(j *HashJoinScan, ctx *engine.Context) (*perValueJoined, error)
 		return nil, err
 	}
 	pscratch := make([]byte, 8*len(j.LeftKeys))
-	_, err = walkGroups(walk{ctx: ctx, ct: lct, groups: lgroups, pred: j.Left.Pred, st: j.St, keep: jd.leftCCs},
-		func() *perValueJoined { return jd },
-		func(jd *perValueJoined, cc *chunkCtx, sel *bitmap) error {
+	err = walkGroups(walk{ct: lct, groups: lgroups, pred: j.Left.Pred, st: j.St, keep: jd.leftCCs},
+		func(cc *chunkCtx, sel *bitmap) error {
 			ids, err := readers(cc, j.LeftKeys, false)
 			if err != nil {
 				return err

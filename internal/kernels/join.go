@@ -373,22 +373,20 @@ func (j *HashJoinScan) join(ctx *engine.Context) (*joined, error) {
 	if err := j.buildPhase(jd, rct, rgroups); err != nil {
 		return nil, j.wrap(err)
 	}
-	if err := j.probePhase(ctx, jd, lct, lgroups); err != nil {
+	if err := j.probePhase(jd, lct, lgroups); err != nil {
 		return nil, j.wrap(err)
 	}
 	return jd, nil
 }
 
 // buildPhase keys every selected build-side row by its shared key ids and
-// indexes the build table, on the caller's token alone: the table and the
-// key dictionaries are single-writer state.
+// indexes the build table.
 func (j *HashJoinScan) buildPhase(jd *joined, rct *encoding.Compressed, rgroups []int) error {
 	var keys []int32 // build key per ordinal
 	ids := make([][]int32, len(j.RightKeys))
 	scratch := make([]byte, 4*len(j.RightKeys))
-	_, err := walkGroups(walk{ct: rct, groups: rgroups, pred: j.Right.Pred, st: j.St, keep: jd.rightCCs},
-		func() *joined { return jd }, // one partition, building jd itself
-		func(jd *joined, cc *chunkCtx, sel *bitmap) error {
+	err := walkGroups(walk{ct: rct, groups: rgroups, pred: j.Right.Pred, st: j.St, keep: jd.rightCCs},
+		func(cc *chunkCtx, sel *bitmap) error {
 			if err := keyIDs(cc, j.RightKeys, jd.kds, true, ids); err != nil {
 				return err
 			}
@@ -418,23 +416,14 @@ func (j *HashJoinScan) buildPhase(jd *joined, rct *encoding.Compressed, rgroups 
 }
 
 // probePhase translates each left group's key columns into shared key ids
-// and records the surviving pairs, touching only key columns. The build
-// table and shared key dictionaries are read-only by now, so the probe
-// partitions across borrowed tokens; the pair lists concatenate in
-// partition order, which is the serial probe order.
-func (j *HashJoinScan) probePhase(ctx *engine.Context, jd *joined, lct *encoding.Compressed, lgroups []int) error {
-	type pairs struct {
-		left, right []int32
-		segs        []leftSeg
-		ids         [][]int32
-		scratch     []byte
-	}
-	parts, err := walkGroups(walk{ctx: ctx, ct: lct, groups: lgroups, pred: j.Left.Pred, st: j.St, keep: jd.leftCCs},
-		func() *pairs {
-			return &pairs{ids: make([][]int32, len(j.LeftKeys)), scratch: make([]byte, 4*len(j.LeftKeys))}
-		},
-		func(p *pairs, cc *chunkCtx, sel *bitmap) error {
-			if err := keyIDs(cc, j.LeftKeys, jd.kds, false, p.ids); err != nil {
+// and appends the surviving pairs to jd in probe order, touching only key
+// columns.
+func (j *HashJoinScan) probePhase(jd *joined, lct *encoding.Compressed, lgroups []int) error {
+	ids := make([][]int32, len(j.LeftKeys))
+	scratch := make([]byte, 4*len(j.LeftKeys))
+	return walkGroups(walk{ct: lct, groups: lgroups, pred: j.Left.Pred, st: j.St, keep: jd.leftCCs},
+		func(cc *chunkCtx, sel *bitmap) error {
+			if err := keyIDs(cc, j.LeftKeys, jd.kds, false, ids); err != nil {
 				return err
 			}
 			probed := 0
@@ -443,34 +432,21 @@ func (j *HashJoinScan) probePhase(ctx *engine.Context, jd *joined, lct *encoding
 					continue
 				}
 				probed++
-				k := jd.key(p.ids, i, false, p.scratch)
+				k := jd.key(ids, i, false, scratch)
 				if k < 0 {
 					continue
 				}
 				for _, r := range jd.rows[jd.start[k]:jd.start[k+1]] {
-					p.left = append(p.left, int32(i))
-					p.right = append(p.right, r)
+					jd.leftRows = append(jd.leftRows, int32(i))
+					jd.right = append(jd.right, r)
 				}
 			}
 			cc.st.JoinProbeRows += int64(probed)
-			if prev := segEnd(p.segs); len(p.left) > prev {
-				p.segs = append(p.segs, leftSeg{group: cc.group, end: len(p.left)})
+			if prev := segEnd(jd.segs); len(jd.leftRows) > prev {
+				jd.segs = append(jd.segs, leftSeg{group: cc.group, end: len(jd.leftRows)})
 			}
 			return nil
 		})
-	if err != nil {
-		return err
-	}
-	jd.leftRows, jd.right, jd.segs = parts[0].left, parts[0].right, parts[0].segs
-	for _, p := range parts[1:] {
-		off := len(jd.leftRows)
-		for _, s := range p.segs {
-			jd.segs = append(jd.segs, leftSeg{group: s.group, end: off + s.end})
-		}
-		jd.leftRows = append(jd.leftRows, p.left...)
-		jd.right = append(jd.right, p.right...)
-	}
-	return nil
 }
 
 // segEnd is the end of the last segment, 0 when there is none.

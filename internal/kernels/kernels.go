@@ -26,8 +26,9 @@
 // an aggregate consumes one, and how a join root's output reaches the
 // Memory Catalog and storage, without the rows ever materializing.
 //
-// There is one loop over row groups (walkGroups in parallel.go): AggScan
-// and both phases of the join hand it a per-group body.
+// There is one loop over row groups (walkGroups in walk.go), serial on the
+// node's own token: AggScan and both phases of the join hand it a per-group
+// body.
 //
 // Lower rewrites supported join, aggregate and projection subtrees of an
 // engine plan onto kernel operators. Every kernel operator keeps its

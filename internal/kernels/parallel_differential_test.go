@@ -1,56 +1,82 @@
 package kernels
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"github.com/shortcircuit-db/sc/internal/chunkio"
 	"github.com/shortcircuit-db/sc/internal/encoding"
 	"github.com/shortcircuit-db/sc/internal/engine"
-	"github.com/shortcircuit-db/sc/internal/sched"
 	"github.com/shortcircuit-db/sc/internal/table"
 )
 
-// The parallel differential suite: the partitioned (chunk-parallel) mode
-// must be byte-identical to the serial walk for every operator, encoding
-// and partition shape — including dict-overflow columns, all-RLE columns,
-// empty tables, single-group tables and token budgets wider than the
-// chunk count. Only the join's probe partitions; every other operator must
-// ignore the lent tokens. The serial side is itself pinned to the row
-// engine by the other differential suites, so transitively parallel == row
-// engine.
-// Run under -race in CI, this also pins the thread-safety claims.
+// The parallel differential suite. A node runs on its one token and walks
+// its row groups serially, so the parallelism left is k nodes at once — and
+// concurrent nodes read the same inputs (a Memory Catalog resident, a
+// storage object's chunk view) and share the session dictionary cache. Each
+// test runs w copies of one plan at the same time over one shared context,
+// every copy lowered on its own as a node's plan would be, and checks each
+// copy against a serial run: the same bytes and the same counters. Run
+// under -race in CI, this pins that the kernels treat shared inputs as
+// read-only.
 
-// parallelCtx clones a kernels context with a fresh token budget and the
-// chunk-parallel path on. It returns the scheduler so tests can assert
-// every token and byte reservation came back.
-func parallelCtx(vec *engine.Context, tokens int) (*engine.Context, *sched.Scheduler) {
-	sc := sched.New(tokens, 0)
-	par := *vec
-	par.Sched = sc
-	par.ParallelScan = true
-	return &par, sc
+// result is one copy's output.
+type result struct {
+	tb  *table.Table
+	err error
 }
 
-// mustDrain asserts the scheduler pool is fully returned: no leaked
-// tokens, commitments or byte reservations after a run.
-func mustDrain(t *testing.T, seed int64, sc *sched.Scheduler) {
+// concurrently runs w copies of run at once, each counting into its own
+// Stats, and waits for all of them. run is called off the test goroutine,
+// so it must report failures through its result, not through t.
+func concurrently(w int, run func(i int, st *Stats) result) ([]result, []Stats) {
+	res, sts := make([]result, w), make([]Stats, w)
+	var wg sync.WaitGroup
+	for i := 0; i < w; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res[i] = run(i, &sts[i])
+		}(i)
+	}
+	wg.Wait()
+	return res, sts
+}
+
+// mustMatchAll asserts every concurrent copy produced want, and — when
+// wantSt is non-nil — exactly the serial counters.
+func mustMatchAll(t *testing.T, seed int64, desc string, want *table.Table, wantErr error, wantSt *Stats, res []result, sts []Stats) {
 	t.Helper()
-	st := sc.Stats()
-	if st.Idle != st.Tokens || st.ReservedBytes != 0 || st.Committed != 0 {
-		t.Fatalf("seed %d: scheduler leaked: %+v", seed, st)
+	for i, r := range res {
+		mustEqual(t, seed, fmt.Sprintf("%s copy %d/%d", desc, i, len(res)), want, r.tb, wantErr, r.err)
+		if wantSt != nil && wantErr == nil && sts[i] != *wantSt {
+			t.Fatalf("seed %d %s copy %d: stats diverged\nserial: %+v\nconcurrent: %+v", seed, desc, i, *wantSt, sts[i])
+		}
 	}
 }
 
-// mustSameStats asserts the partitioned walk reproduced the serial
-// counters exactly — every Stats field is a sum over chunks, so the fold
-// over partitions must land on the same totals.
-func mustSameStats(t *testing.T, seed int64, desc string, serial, par *Stats) {
-	t.Helper()
-	if *serial != *par {
-		t.Fatalf("seed %d %s: stats diverged\nserial: %+v\nparallel: %+v", seed, desc, *serial, *par)
+// chunkedOut runs op in chunked-output mode like decodeChunked, but reports
+// an invalid chunk stream as an error, so it can run off the test goroutine.
+func chunkedOut(op *HashJoinScan, ctx *engine.Context) result {
+	ct, tb, err := op.RunChunked(ctx)
+	if err != nil || ct == nil {
+		return result{tb, err}
 	}
+	if err := ct.Validate(); err != nil {
+		return result{err: fmt.Errorf("chunked output invalid: %w", err)}
+	}
+	if ct.RowGroups() == nil {
+		return result{err: errors.New("chunked output has misaligned row groups")}
+	}
+	tb, err = ct.Table()
+	return result{tb, err}
 }
+
+// width draws how many copies run at once: 2..4.
+func width(rng *rand.Rand) int { return 2 + rng.Intn(3) }
 
 func TestDifferentialParallelFilterProject(t *testing.T) {
 	iters := 300
@@ -62,17 +88,18 @@ func TestDifferentialParallelFilterProject(t *testing.T) {
 		tbl := genTable(rng, rowCount(rng))
 		pred := genPred(rng, tbl, 2)
 		opts := encOptions(rng)
-		tokens := 2 + rng.Intn(7) // 2..8, regularly wider than the chunk count
+		w := width(rng)
 		scan := func() *engine.Scan { return &engine.Scan{Name: "t", Sch: tbl.Schema} }
 		rowCtx, vecCtx := ctxFor(t, "t", tbl, opts)
-		parCtx, sc := parallelCtx(vecCtx, tokens)
 
-		// Filters and projections over a scan keep the row engine: the
-		// lowered plan under borrowed tokens must still match it.
+		// Filters and projections over a scan keep the row engine: concurrent
+		// lowered plans over one shared input must still match it.
 		want, wantErr := (&engine.Filter{Input: scan(), Pred: pred}).Run(rowCtx)
-		got, gotErr := Lower(&engine.Filter{Input: scan(), Pred: pred}, &Stats{}).Run(parCtx)
-		mustEqual(t, int64(seed), fmt.Sprintf("parallel filter w=%d", tokens), want, got, wantErr, gotErr)
-		mustDrain(t, int64(seed), sc)
+		res, sts := concurrently(w, func(_ int, st *Stats) result {
+			tb, err := Lower(&engine.Filter{Input: scan(), Pred: pred}, st).Run(vecCtx)
+			return result{tb, err}
+		})
+		mustMatchAll(t, int64(seed), "concurrent filter", want, wantErr, nil, res, sts)
 
 		// Columns-only projection with the same predicate under it.
 		var exprs []engine.Expr
@@ -82,17 +109,23 @@ func TestDifferentialParallelFilterProject(t *testing.T) {
 			exprs = append(exprs, &engine.ColRef{Idx: idx, Name: tbl.Schema.Cols[idx].Name})
 			names = append(names, fmt.Sprintf("o%d", k))
 		}
-		buildProj := func() engine.Node {
-			pr, err := engine.NewProject(&engine.Filter{Input: scan(), Pred: pred}, exprs, names)
-			if err != nil {
-				t.Fatalf("seed %d: NewProject: %v", seed, err)
-			}
-			return pr
+		buildProj := func() (engine.Node, error) {
+			return engine.NewProject(&engine.Filter{Input: scan(), Pred: pred}, exprs, names)
 		}
-		want, wantErr = buildProj().Run(rowCtx)
-		got, gotErr = Lower(buildProj(), &Stats{}).Run(parCtx)
-		mustEqual(t, int64(seed), "parallel project", want, got, wantErr, gotErr)
-		mustDrain(t, int64(seed), sc)
+		pr, err := buildProj()
+		if err != nil {
+			t.Fatalf("seed %d: NewProject: %v", seed, err)
+		}
+		want, wantErr = pr.Run(rowCtx)
+		res, sts = concurrently(w, func(_ int, st *Stats) result {
+			pr, err := buildProj()
+			if err != nil {
+				return result{err: err}
+			}
+			tb, err := Lower(pr, st).Run(vecCtx)
+			return result{tb, err}
+		})
+		mustMatchAll(t, int64(seed), "concurrent project", want, wantErr, nil, res, sts)
 	}
 }
 
@@ -115,22 +148,20 @@ func TestDifferentialParallelAggregate(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		loweredSrc, err := build()
-		if err != nil {
-			t.Fatalf("seed %d: second build failed: %v", seed, err)
-		}
 		_, vecCtx := ctxFor(t, "t", tbl, encOptions(rng))
-		tokens := 2 + rng.Intn(7)
-		parCtx, sc := parallelCtx(vecCtx, tokens)
+		w := width(rng)
 
-		stS, stP := &Stats{}, &Stats{}
+		stS := &Stats{}
 		want, wantErr := Lower(plain, stS).Run(vecCtx)
-		got, gotErr := Lower(loweredSrc, stP).Run(parCtx)
-		mustEqual(t, int64(seed), "parallel aggregate", want, got, wantErr, gotErr)
-		if wantErr == nil {
-			mustSameStats(t, int64(seed), "aggregate", stS, stP)
-		}
-		mustDrain(t, int64(seed), sc)
+		res, sts := concurrently(w, func(_ int, st *Stats) result {
+			agg, err := build()
+			if err != nil {
+				return result{err: err}
+			}
+			tb, err := Lower(agg, st).Run(vecCtx)
+			return result{tb, err}
+		})
+		mustMatchAll(t, int64(seed), "concurrent aggregate", want, wantErr, stS, res, sts)
 	}
 }
 
@@ -159,47 +190,40 @@ func TestDifferentialParallelJoin(t *testing.T) {
 		}
 		opts := map[string]encoding.Options{"L": encOptions(rng), "R": encOptions(rng)}
 		_, vecCtx := joinCtxFor(t, map[string]*table.Table{"L": left, "R": right}, opts)
-		tokens := 2 + rng.Intn(7)
-		parCtx, sc := parallelCtx(vecCtx, tokens)
+		w := width(rng)
 
-		stS, stP := &Stats{}, &Stats{}
+		stS := &Stats{}
 		want, wantErr := Lower(build(), stS).Run(vecCtx)
-		got, gotErr := Lower(build(), stP).Run(parCtx)
-		mustEqual(t, int64(seed), "parallel join Run", want, got, wantErr, gotErr)
-		if wantErr == nil {
-			mustSameStats(t, int64(seed), "join", stS, stP)
-		}
-		mustDrain(t, int64(seed), sc)
+		res, sts := concurrently(w, func(_ int, st *Stats) result {
+			tb, err := Lower(build(), st).Run(vecCtx)
+			return result{tb, err}
+		})
+		mustMatchAll(t, int64(seed), "concurrent join Run", want, wantErr, stS, res, sts)
 
-		// The chunked-output path: the probe pre-pass partitions, the
-		// builder assembly stays serial, and the emitted chunks must decode
-		// to the same bytes.
-		stS, stP = &Stats{}, &Stats{}
-		if join, ok := Lower(build(), stP).(*HashJoinScan); ok && wantErr == nil {
-			got2, gotErr2 := decodeChunked(t, join, parCtx)
-			mustEqual(t, int64(seed), "parallel join RunChunked", want, got2, wantErr, gotErr2)
-			mustDrain(t, int64(seed), sc)
-			// The probe's row-group contexts outlive their partitions: what
-			// the builder assembly reads through them must still be counted.
-			if _, err := decodeChunked(t, Lower(build(), stS).(*HashJoinScan), vecCtx); err != nil {
-				t.Fatalf("seed %d: serial RunChunked: %v", seed, err)
-			}
-			mustSameStats(t, int64(seed), "join RunChunked", stS, stP)
+		// The chunked-output path: each copy assembles its own chunks from
+		// the shared inputs, and they must decode to the same bytes.
+		stS = &Stats{}
+		if join, ok := Lower(build(), stS).(*HashJoinScan); ok && wantErr == nil {
+			want, wantErr := decodeChunked(t, join, vecCtx)
+			res, sts := concurrently(w, func(_ int, st *Stats) result {
+				return chunkedOut(Lower(build(), st).(*HashJoinScan), vecCtx)
+			})
+			mustMatchAll(t, int64(seed), "concurrent join RunChunked", want, wantErr, stS, res, sts)
 		}
 	}
 }
 
 // TestDifferentialParallelChunkedOutput pins chunked output composed across
-// operators under borrowed tokens: in a two-level join tree the inner join
-// emits chunks that the outer join probes, each probe partitions while
-// builder assembly stays serial, and the emitted chunk stream must decode
-// byte-identically to the serial walk.
+// operators with concurrent nodes sharing one session dictionary cache: in
+// a two-level join tree the inner join emits chunks that the outer join
+// probes, every copy lowers as its own node of one session, and each
+// emitted chunk stream must decode byte-identically to a serial run.
 func TestDifferentialParallelChunkedOutput(t *testing.T) {
 	iters := 200
 	if testing.Short() {
 		iters = 40
 	}
-	chunked, borrowed := 0, int64(0)
+	chunked := 0
 	for seed := 23000; seed < 23000+iters; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		// Constant keys on all three tables join every row with every row:
@@ -228,49 +252,49 @@ func TestDifferentialParallelChunkedOutput(t *testing.T) {
 		}
 		opts := map[string]encoding.Options{"A": encOptions(rng), "B": encOptions(rng), "C": encOptions(rng)}
 		_, vecCtx := joinCtxFor(t, map[string]*table.Table{"A": a, "B": b, "C": c}, opts)
-		tokens := 2 + rng.Intn(7)
-		parCtx, sc := parallelCtx(vecCtx, tokens)
+		w := width(rng)
 
-		stS, stP := &Stats{}, &Stats{}
-		serialOp, ok := Lower(build(), stS).(*HashJoinScan)
+		stS := &Stats{}
+		serialOp, ok := LowerEnv(build(), stS, &Env{Session: chunkio.NewSession(), Node: "serial"}).(*HashJoinScan)
 		if !ok {
 			continue
 		}
-		parOp := Lower(build(), stP).(*HashJoinScan)
 		want, wantErr := decodeChunked(t, serialOp, vecCtx)
-		got, gotErr := decodeChunked(t, parOp, parCtx)
-		mustEqual(t, int64(seed), "parallel chunked join tree", want, got, wantErr, gotErr)
-		mustDrain(t, int64(seed), sc)
+		shared := chunkio.NewSession()
+		res, sts := concurrently(w, func(i int, st *Stats) result {
+			env := &Env{Session: shared, Node: fmt.Sprintf("n%d", i)}
+			return chunkedOut(LowerEnv(build(), st, env).(*HashJoinScan), vecCtx)
+		})
+		mustMatchAll(t, int64(seed), "concurrent chunked join tree", want, wantErr, stS, res, sts)
 		if wantErr == nil {
-			mustSameStats(t, int64(seed), "chunked join tree", stS, stP)
 			chunked++
-			borrowed += sc.Stats().Borrowed
 		}
 	}
-	if chunked == 0 || borrowed == 0 {
-		t.Fatalf("%d chunked join trees borrowed %d tokens: the partitioned probe went untested", chunked, borrowed)
+	if chunked == 0 {
+		t.Fatal("no join tree emitted chunks: the concurrent chunked path went untested")
 	}
 }
 
-// TestParallelDirectedShapes walks the corner cases the randomized suite
+// TestParallelDirectedShapes walks the corner cases the randomized suites
 // might under-sample, one directed table per shape: all-RLE columns, a
-// dictionary-overflow column, an empty table, a single row group, and a
-// token budget far wider than the chunk count. Each runs a self-join whose
-// probe side carries a filter, so the partitioned probe evaluates the
-// side predicate on every shape.
+// dictionary-overflow column, an empty table, one row, a single row group,
+// more concurrent copies than row groups, and one-row chunks. Each runs a
+// self-join whose probe side carries a filter, so the walk evaluates the
+// side predicate on every shape; the serial kernel and every concurrent
+// copy must match the row engine.
 func TestParallelDirectedShapes(t *testing.T) {
 	cases := []struct {
-		name   string
-		rows   int
-		shape  colShape
-		chunk  int
-		tokens int
+		name  string
+		rows  int
+		shape colShape
+		chunk int
+		width int
 	}{
 		{"all-rle", 256, shapeConst, 8, 4},
 		{"dict-overflow", 300, shapeHighCard, 16, 4},
 		{"empty-table", 0, shapeLowCard, 8, 4},
 		{"one-row", 1, shapeLowCard, 8, 4},
-		{"single-group", 200, shapeLowCard, 0, 4}, // one chunk: plan must stay serial
+		{"single-group", 200, shapeLowCard, 0, 4},
 		{"workers-beyond-chunks", 64, shapeLowCard, 32, 16},
 		{"tiny-chunks", 100, shapeRuns, 1, 8},
 	}
@@ -292,19 +316,19 @@ func TestParallelDirectedShapes(t *testing.T) {
 				}
 			}
 			rowCtx, vecCtx := ctxFor(t, "t", tbl, encoding.Options{ChunkRows: tc.chunk})
-			parCtx, sc := parallelCtx(vecCtx, tc.tokens)
 
 			want, wantErr := build().Run(rowCtx)
-			stS, stP := &Stats{}, &Stats{}
+			stS := &Stats{}
 			serial, serialErr := Lower(build(), stS).Run(vecCtx)
 			mustEqual(t, 7, tc.name+" serial", want, serial, wantErr, serialErr)
-			got, gotErr := Lower(build(), stP).Run(parCtx)
-			mustEqual(t, 7, tc.name, want, got, wantErr, gotErr)
 			if stS.Lowered != 2 || stS.Fallbacks != 0 {
 				t.Fatalf("side-filtered join did not run on the kernel: %+v", *stS)
 			}
-			mustSameStats(t, 7, tc.name, stS, stP)
-			mustDrain(t, 7, sc)
+			res, sts := concurrently(tc.width, func(_ int, st *Stats) result {
+				tb, err := Lower(build(), st).Run(vecCtx)
+				return result{tb, err}
+			})
+			mustMatchAll(t, 7, tc.name, want, wantErr, stS, res, sts)
 		})
 	}
 }

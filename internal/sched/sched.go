@@ -1,18 +1,9 @@
 // Package sched is S/C's scheduler-wide token budget: one pool of worker
-// tokens (one token ≈ one core's worth of work) plus a byte ceiling for
-// in-flight decoded partitions, shared by every layer that creates
-// parallelism — the exec Controller's node dispatcher, the kernels'
-// intra-node chunk-parallel scans, and gateway admission. Because all of
-// them draw from the same pool, concurrency × memory stays bounded no
-// matter how parallelism nests: a Controller running k nodes has handed
-// out k tokens, and a kernel inside one of those nodes can only widen by
-// borrowing tokens the dispatcher is not using.
-//
-// Deadlock freedom comes from a simple discipline: only top-level
-// dispatchers block waiting for a token (via TokenCh); nested borrowers —
-// the chunk-parallel kernels — use TryAcquire and fall back to running
-// serially on the token their node already holds. A borrower therefore
-// never waits on a resource held by its own ancestor.
+// tokens (one token ≈ one core's worth of work) shared by every layer that
+// creates parallelism — the exec Controller's node dispatcher and gateway
+// admission. A token is a node: a Controller running k nodes holds k
+// tokens, and a node runs on its one token alone, so k tokens bound the
+// concurrent nodes of every run sharing the pool.
 package sched
 
 import (
@@ -21,30 +12,23 @@ import (
 	"sync/atomic"
 )
 
-// Scheduler is a fixed-size token pool with a byte ceiling. The zero value
-// is not usable; construct with New. All methods are safe for concurrent
-// use.
+// Scheduler is a fixed-size token pool. The zero value is not usable;
+// construct with New. All methods are safe for concurrent use.
 type Scheduler struct {
 	tokens int
 	ch     chan struct{}
 
-	byteCeiling int64
-	bytes       atomic.Int64 // reserved in-flight partition bytes
-
 	committed atomic.Int64 // admission-side soft commitments, in tokens
-
-	borrowed  atomic.Int64 // successful TryAcquire grants
-	borrowsNA atomic.Int64 // TryAcquire misses (pool empty)
 }
 
-// New builds a scheduler with the given token count and byte ceiling for
-// in-flight decoded partition bytes. tokens < 1 defaults to GOMAXPROCS;
-// byteCeiling <= 0 means unlimited bytes.
-func New(tokens int, byteCeiling int64) *Scheduler {
+// New builds a scheduler with the given token count; tokens < 1 defaults to
+// GOMAXPROCS. The second argument is ignored: the pool has no byte
+// ceiling.
+func New(tokens int, _ int64) *Scheduler {
 	if tokens < 1 {
 		tokens = runtime.GOMAXPROCS(0)
 	}
-	s := &Scheduler{tokens: tokens, ch: make(chan struct{}, tokens), byteCeiling: byteCeiling}
+	s := &Scheduler{tokens: tokens, ch: make(chan struct{}, tokens)}
 	for i := 0; i < tokens; i++ {
 		s.ch <- struct{}{}
 	}
@@ -56,26 +40,11 @@ func (s *Scheduler) Tokens() int { return s.tokens }
 
 // TokenCh exposes the pool for select-based blocking acquisition: a
 // receive that succeeds grants one token, which must be returned with
-// Release. Only top-level dispatchers may block here.
+// Release.
 func (s *Scheduler) TokenCh() <-chan struct{} { return s.ch }
 
-// Acquire blocks until a token is available. Only top-level dispatchers
-// may call it; nested work must use TryAcquire.
+// Acquire blocks until a token is available.
 func (s *Scheduler) Acquire() { <-s.ch }
-
-// TryAcquire grants a token without blocking. Callers that already hold a
-// token (kernels widening a scan) use this so nesting can never deadlock:
-// a miss means "run on the token you have".
-func (s *Scheduler) TryAcquire() bool {
-	select {
-	case <-s.ch:
-		s.borrowed.Add(1)
-		return true
-	default:
-		s.borrowsNA.Add(1)
-		return false
-	}
-}
 
 // Release returns one token to the pool. Releasing more tokens than were
 // acquired panics: it means two layers think they own the same token.
@@ -87,39 +56,10 @@ func (s *Scheduler) Release() {
 	}
 }
 
-// TryReserveBytes reserves n bytes of in-flight decoded partition budget,
-// failing (without blocking) when the ceiling would be exceeded. n <= 0 is
-// a no-op success. A successful reservation must be returned with
-// ReleaseBytes(n).
-func (s *Scheduler) TryReserveBytes(n int64) bool {
-	if n <= 0 || s.byteCeiling <= 0 {
-		return true
-	}
-	for {
-		cur := s.bytes.Load()
-		if cur+n > s.byteCeiling {
-			return false
-		}
-		if s.bytes.CompareAndSwap(cur, cur+n) {
-			return true
-		}
-	}
-}
-
-// ReleaseBytes returns a TryReserveBytes reservation.
-func (s *Scheduler) ReleaseBytes(n int64) {
-	if n <= 0 || s.byteCeiling <= 0 {
-		return
-	}
-	if s.bytes.Add(-n) < 0 {
-		panic(fmt.Sprintf("sched: ReleaseBytes(%d) below zero", n))
-	}
-}
-
 // TryCommit records an admission-side soft commitment of n tokens — the
 // planned width of a run about to be admitted — failing when commitments
 // would exceed the pool size. Commitments do not remove runtime tokens
-// (runs borrow those as they execute); they bound how much planned
+// (runs acquire those as they execute); they bound how much planned
 // parallelism admission lets in at once. Undo with Uncommit.
 func (s *Scheduler) TryCommit(n int) bool {
 	if n <= 0 {
@@ -152,27 +92,19 @@ func (s *Scheduler) Committed() int { return int(s.committed.Load()) }
 // Snapshot is a point-in-time view of the pool for gauges, tests and the
 // introspection layer (it serializes into GET /v1/state/sched).
 type Snapshot struct {
-	Tokens        int   `json:"tokens"`           // pool size
-	Idle          int   `json:"tokens_idle"`      // tokens currently in the pool
-	InFlight      int   `json:"tokens_in_flight"` // tokens handed out right now
-	Committed     int   `json:"tokens_committed"` // admission soft commitments
-	ReservedBytes int64 `json:"reserved_bytes"`   // in-flight decoded partition bytes
-	ByteCeiling   int64 `json:"byte_ceiling"`
-	Borrowed      int64 `json:"borrows"`       // lifetime successful TryAcquire grants
-	BorrowMisses  int64 `json:"borrow_misses"` // lifetime TryAcquire misses
+	Tokens    int `json:"tokens"`           // pool size
+	Idle      int `json:"tokens_idle"`      // tokens currently in the pool
+	InFlight  int `json:"tokens_in_flight"` // tokens handed out right now
+	Committed int `json:"tokens_committed"` // admission soft commitments
 }
 
 // Stats returns a snapshot of the pool.
 func (s *Scheduler) Stats() Snapshot {
 	idle := len(s.ch)
 	return Snapshot{
-		Tokens:        s.tokens,
-		Idle:          idle,
-		InFlight:      s.tokens - idle,
-		Committed:     int(s.committed.Load()),
-		ReservedBytes: s.bytes.Load(),
-		ByteCeiling:   s.byteCeiling,
-		Borrowed:      s.borrowed.Load(),
-		BorrowMisses:  s.borrowsNA.Load(),
+		Tokens:    s.tokens,
+		Idle:      idle,
+		InFlight:  s.tokens - idle,
+		Committed: int(s.committed.Load()),
 	}
 }

@@ -1,29 +1,41 @@
 package sched
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
+
+// tryTake takes a token if one is idle, without blocking.
+func tryTake(s *Scheduler) bool {
+	select {
+	case <-s.TokenCh():
+		return true
+	default:
+		return false
+	}
+}
 
 func TestTokenPool(t *testing.T) {
 	s := New(2, 0)
 	if s.Tokens() != 2 {
 		t.Fatalf("Tokens() = %d, want 2", s.Tokens())
 	}
-	if !s.TryAcquire() || !s.TryAcquire() {
-		t.Fatal("expected two tokens available")
+	s.Acquire()
+	s.Acquire()
+	if st := s.Stats(); st.Idle != 0 || st.InFlight != 2 {
+		t.Fatalf("two held tokens: unexpected stats %+v", st)
 	}
-	if s.TryAcquire() {
-		t.Fatal("third TryAcquire should miss on a 2-token pool")
-	}
-	s.Release()
-	if !s.TryAcquire() {
-		t.Fatal("released token should be borrowable again")
+	if tryTake(s) {
+		t.Fatal("a third token was granted on a 2-token pool")
 	}
 	s.Release()
+	if !tryTake(s) {
+		t.Fatal("released token should be available again")
+	}
 	s.Release()
-	st := s.Stats()
-	if st.Idle != 2 || st.Borrowed != 3 || st.BorrowMisses != 1 {
+	s.Release()
+	if st := s.Stats(); st.Idle != 2 || st.InFlight != 0 {
 		t.Fatalf("unexpected stats: %+v", st)
 	}
 }
@@ -35,29 +47,6 @@ func TestReleaseWithoutAcquirePanics(t *testing.T) {
 		}
 	}()
 	New(1, 0).Release()
-}
-
-func TestByteCeiling(t *testing.T) {
-	s := New(1, 100)
-	if !s.TryReserveBytes(60) {
-		t.Fatal("60 of 100 should fit")
-	}
-	if s.TryReserveBytes(50) {
-		t.Fatal("60+50 exceeds the 100-byte ceiling")
-	}
-	if !s.TryReserveBytes(40) {
-		t.Fatal("60+40 exactly fits")
-	}
-	s.ReleaseBytes(60)
-	s.ReleaseBytes(40)
-	if s.Stats().ReservedBytes != 0 {
-		t.Fatalf("bytes not returned: %+v", s.Stats())
-	}
-	// Unlimited ceiling accepts anything and never tracks.
-	u := New(1, 0)
-	if !u.TryReserveBytes(1 << 60) {
-		t.Fatal("unlimited ceiling should accept any reservation")
-	}
 }
 
 func TestCommitLedger(t *testing.T) {
@@ -80,7 +69,7 @@ func TestCommitLedger(t *testing.T) {
 		t.Fatal("recommit failed")
 	}
 	for i := 0; i < 4; i++ {
-		if !s.TryAcquire() {
+		if !tryTake(s) {
 			t.Fatal("commitments must not remove runtime tokens")
 		}
 	}
@@ -90,18 +79,23 @@ func TestCommitLedger(t *testing.T) {
 	s.Uncommit(4)
 }
 
-func TestConcurrentBorrowNeverOversubscribes(t *testing.T) {
+// TestConcurrentAcquireNeverOversubscribes races 32 goroutines for a 4-token
+// pool through both blocking paths — the dispatcher's select on TokenCh and
+// Acquire — and checks no more than 4 ever hold a token at once.
+func TestConcurrentAcquireNeverOversubscribes(t *testing.T) {
 	const tokens = 4
 	s := New(tokens, 0)
 	var held, peak, mu = 0, 0, sync.Mutex{}
 	var wg sync.WaitGroup
 	for g := 0; g < 32; g++ {
 		wg.Add(1)
-		go func() {
+		go func(viaCh bool) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if !s.TryAcquire() {
-					continue
+				if viaCh {
+					<-s.TokenCh()
+				} else {
+					s.Acquire()
 				}
 				mu.Lock()
 				held++
@@ -109,12 +103,13 @@ func TestConcurrentBorrowNeverOversubscribes(t *testing.T) {
 					peak = held
 				}
 				mu.Unlock()
+				runtime.Gosched()
 				mu.Lock()
 				held--
 				mu.Unlock()
 				s.Release()
 			}
-		}()
+		}(g%2 == 0)
 	}
 	wg.Wait()
 	if peak > tokens {

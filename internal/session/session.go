@@ -181,10 +181,9 @@ func (p *Pipeline) Explain(pr *Priced, plan *core.Plan) *introspect.ExplainRepor
 
 // RunEnv is what differs between callers of Run.
 type RunEnv struct {
-	Mem          *memcat.Catalog  // the run's bounded Memory Catalog
-	Sched        *sched.Scheduler // shared token pool; nil gives the run a private one
-	ParallelScan bool
-	RunID        string
+	Mem   *memcat.Catalog  // the run's bounded Memory Catalog
+	Sched *sched.Scheduler // shared token pool; nil gives the run a private one
+	RunID string
 	// Trace, from OpenTrace, is the run's record: its trace and its event
 	// log. Nil for an untraced run.
 	Trace *telemetry.Collector
@@ -204,16 +203,15 @@ func (p *Pipeline) controller(env RunEnv, plan *core.Plan) *exec.Controller {
 		watchers = obs.Multi(env.Observer, env.Trace)
 	}
 	return &exec.Controller{
-		Store:        p.Store,
-		Mem:          env.Mem,
-		Obs:          watchers,
-		RunID:        env.RunID,
-		Concurrency:  p.Concurrency,
-		Rank:         core.DispatchRank(p.Graph, plan.Order, p.Metrics.Seconds(p.Graph)),
-		Sched:        env.Sched,
-		ParallelScan: env.ParallelScan,
-		Encoding:     p.Encoding,
-		Chunked:      p.dicts,
+		Store:       p.Store,
+		Mem:         env.Mem,
+		Obs:         watchers,
+		RunID:       env.RunID,
+		Concurrency: p.Concurrency,
+		Rank:        core.DispatchRank(p.Graph, plan.Order, p.Metrics.Seconds(p.Graph)),
+		Sched:       env.Sched,
+		Encoding:    p.Encoding,
+		Chunked:     p.dicts,
 	}
 }
 

@@ -26,8 +26,8 @@ type CatalogReport = introspect.CatalogReport
 type CatalogEntry = introspect.CatalogEntry
 
 // SchedReport is the scheduler snapshot served by the gateway at
-// GET /v1/state/sched: the token pool, byte-ceiling reservations,
-// admission soft-commitments, and the current queue with per-entry
+// GET /v1/state/sched: the token pool, admission soft-commitments, the
+// catalog pool's byte reservations, and the current queue with per-entry
 // blocking reasons.
 type SchedReport = introspect.SchedReport
 

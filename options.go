@@ -19,7 +19,6 @@ type config struct {
 	concurrency   int
 	device        DeviceProfile
 	encoding      *encoding.Options
-	parallelScan  bool
 	tracing       bool
 	traceExporter telemetry.Exporter
 	ledger        bool
@@ -70,13 +69,11 @@ func WithObserver(obs Observer) Option {
 
 // WithConcurrency sets the session's scheduler token budget to k — one
 // token is roughly one core's worth of work. Up to k independent DAG nodes
-// execute at a time, each holding one token; with WithEncoding and
-// WithParallelScan the kernels additionally borrow tokens the node
-// dispatcher is not using to walk a single node's chunks in parallel, so a
-// chain-shaped plan still saturates k cores. The Memory Catalog budget
-// remains enforced byte-for-byte (outputs that no longer fit fall back to
-// blocking writes) and materialized outputs are byte-identical to a serial
-// run. k <= 1 (the default) runs nodes serially in exact plan order.
+// execute at a time, each on its one token; a node's own work is serial.
+// The Memory Catalog budget remains enforced byte-for-byte (outputs that no
+// longer fit fall back to blocking writes) and materialized outputs are
+// byte-identical to a serial run. k <= 1 (the default) runs nodes serially
+// in exact plan order.
 func WithConcurrency(k int) Option {
 	return func(c *config) {
 		if k < 1 {
@@ -147,19 +144,13 @@ func WithVectorized(bool) Option {
 	return func(*config) {}
 }
 
-// WithParallelScan lets a kernel join split its probe across idle
-// scheduler tokens (see WithConcurrency): the probe's walk over row groups
-// cuts the groups into as many partitions as it holds tokens — one, the
-// node's own, when none is idle — which evaluate concurrently with
-// thread-local selection vectors and counters, and the partial results
-// merge in chunk order, so the output — and every byte-level artifact
-// downstream — is identical to the serial walk. Join builds and aggregates
-// always walk serially. Tokens are borrowed non-blocking, so intra-node
-// parallelism composes with the node-level pool under the one budget and
-// can never deadlock it. Only effective together with WithEncoding and
-// WithConcurrency(k > 1).
-func WithParallelScan(enabled bool) Option {
-	return func(c *config) { c.parallelScan = enabled }
+// WithParallelScan does nothing: a node runs on its one token, and the
+// kernels walk its chunks serially (see WithConcurrency).
+//
+// Deprecated: the one form of parallelism is WithConcurrency's k
+// concurrent nodes.
+func WithParallelScan(bool) Option {
+	return func(*config) {}
 }
 
 // WithTelemetry enables per-run tracing for the session: every Run/Refresh

@@ -182,11 +182,10 @@ func (r *Refresher) RunPlan(ctx context.Context, plan *Plan) (*RunResult, error)
 		col = r.pipe.OpenTrace(runID, time.Time{}, telemetry.SpanContext{})
 	}
 	res, err := r.pipe.Run(ctx, plan, session.RunEnv{
-		Mem:          memcat.New(r.cfg.memory),
-		ParallelScan: r.cfg.parallelScan,
-		RunID:        runID,
-		Trace:        col,
-		Observer:     r.cfg.observer,
+		Mem:      memcat.New(r.cfg.memory),
+		RunID:    runID,
+		Trace:    col,
+		Observer: r.cfg.observer,
 	})
 	if col == nil { // no WithTelemetry/WithLedger/WithAlerts: nothing to finish
 		return res, err
