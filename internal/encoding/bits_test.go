@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"github.com/shortcircuit-db/sc/internal/table"
 )
 
 // packBitsRef is the original bit-by-bit implementation, kept as the
@@ -108,6 +110,25 @@ func BenchmarkUnpackBits(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := unpackBits(packed, 12, len(vals)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDeltaDecode(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	v := &table.Vector{Type: table.Int, Ints: make([]int64, 1<<16)}
+	for i := 1; i < len(v.Ints); i++ {
+		v.Ints[i] = v.Ints[i-1] + rng.Int63n(1000)
+	}
+	payload, err := deltaCodec{}.Encode(v)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(v.Ints) * 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (deltaCodec{}).Decode(payload, table.Int, len(v.Ints)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,26 +41,51 @@ func packBits(vals []uint64, width int) []byte {
 	if accBits > 0 {
 		binary.LittleEndian.PutUint64(buf[off:], acc)
 	}
-	return buf[:(total+7)/8]
+	return buf[:packedLen(len(vals), width)]
 }
 
 // unpackBits reads n values of `width` bits from an LSB-first bitstream.
 // The payload-length check runs before any allocation, so a corrupted row
 // count claiming billions of packed values fails in O(1) instead of
-// attempting a huge make(). Each value is extracted from one (or, near the
-// buffer tail or for widths > 57, two) 64-bit loads instead of bit by bit.
+// attempting a huge make().
 func unpackBits(data []byte, width, n int) ([]uint64, error) {
 	if width == 0 {
 		return make([]uint64, n), nil
 	}
-	need := (n*width + 7) / 8
-	if len(data) < need {
-		return nil, fmt.Errorf("%w: %d packed bytes, need %d", ErrCorrupt, len(data), need)
+	if err := packedFits(data, width, n); err != nil {
+		return nil, err
 	}
 	out := make([]uint64, n)
+	unpackRange(data, width, 0, out)
+	return out, nil
+}
+
+// packedFits reports whether data holds n packed values of width bits.
+func packedFits(data []byte, width, n int) error {
+	if need := packedLen(n, width); len(data) < need {
+		return fmt.Errorf("%w: %d packed bytes, need %d", ErrCorrupt, len(data), need)
+	}
+	return nil
+}
+
+// unpackRange fills dst with the width-bit values (0 < width <= 64) of an
+// LSB-first bitstream starting at value index first. Each value comes from
+// one 64-bit load, or two near the buffer tail or for widths > 57, instead
+// of bit by bit. It is the one reader of the bit-packed layout: unpackBits
+// fills a whole column with it, and the delta decoder a block at a time.
+func unpackRange(data []byte, width, first int, dst []uint64) {
 	mask := ^uint64(0) >> uint(64-width)
-	for i := range out {
-		bit := i * width
+	bit := first * width
+	i := 0
+	if width <= 57 {
+		// A value this narrow never straddles the word it starts in, so
+		// while a whole word remains it takes one plain load.
+		for ; i < len(dst) && bit>>3+8 <= len(data); i++ {
+			dst[i] = binary.LittleEndian.Uint64(data[bit>>3:]) >> uint(bit&7) & mask
+			bit += width
+		}
+	}
+	for ; i < len(dst); i++ {
 		off := bit >> 3
 		shift := uint(bit & 7)
 		v := loadWord(data, off) >> shift
@@ -69,9 +94,9 @@ func unpackBits(data []byte, width, n int) ([]uint64, error) {
 			// remaining low bits from the following word.
 			v |= loadWord(data, off+8) << uint(rem)
 		}
-		out[i] = v & mask
+		dst[i] = v & mask
+		bit += width
 	}
-	return out, nil
 }
 
 // loadWord reads up to 8 little-endian bytes at off, zero-padding past the
@@ -89,6 +114,16 @@ func loadWord(data []byte, off int) uint64 {
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// varintLen returns the serialized size of v as a binary.PutVarint varint
+// (which zig-zags like zigzag above).
+func varintLen(v int64) int { return uvarintLen(zigzag(v)) }
+
+// strLen returns the serialized size of s as a length-prefixed string.
+func strLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+// packedLen returns the bytes packBits emits for n values of width bits.
+func packedLen(n, width int) int { return (n*width + 7) / 8 }
 
 // maxWidth returns the bit width needed for the largest value.
 func maxWidth(vals []uint64) int {
@@ -159,6 +194,17 @@ func (rawCodec) Encode(v *table.Vector) ([]byte, error) {
 	}
 }
 
+func (rawCodec) size(v *table.Vector) (int, error) {
+	if v.Type != table.Str {
+		return 8 * v.Len(), nil
+	}
+	n := 0
+	for _, s := range v.Strs {
+		n += strLen(s)
+	}
+	return n, nil
+}
+
 func (rawCodec) Decode(payload []byte, t table.Type, n int) (*table.Vector, error) {
 	out := &table.Vector{Type: t}
 	switch t {
@@ -227,6 +273,43 @@ func (c rleCodec) Encode(v *table.Vector) ([]byte, error) {
 		i = j
 	}
 	return buf, nil
+}
+
+func (rleCodec) size(v *table.Vector) (int, error) {
+	size := 0
+	switch v.Type {
+	case table.Int:
+		xs := v.Ints
+		for i := 0; i < len(xs); {
+			j := i + 1
+			for j < len(xs) && xs[j] == xs[i] {
+				j++
+			}
+			size += uvarintLen(uint64(j-i)) + varintLen(xs[i])
+			i = j
+		}
+	case table.Float:
+		xs := v.Floats
+		for i := 0; i < len(xs); {
+			j := i + 1
+			for j < len(xs) && math.Float64bits(xs[j]) == math.Float64bits(xs[i]) {
+				j++
+			}
+			size += uvarintLen(uint64(j-i)) + 8
+			i = j
+		}
+	default:
+		xs := v.Strs
+		for i := 0; i < len(xs); {
+			j := i + 1
+			for j < len(xs) && xs[j] == xs[i] {
+				j++
+			}
+			size += uvarintLen(uint64(j-i)) + strLen(xs[i])
+			i = j
+		}
+	}
+	return size, nil
 }
 
 func (rleCodec) sameAt(v *table.Vector, i, j int) bool {
@@ -383,6 +466,55 @@ func (dictCodec) Encode(v *table.Vector) ([]byte, error) {
 	return buf, nil
 }
 
+func (c dictCodec) size(v *table.Vector) (int, error) {
+	return c.sizeBelow(v, math.MaxInt)
+}
+
+// sizeBelow is size for a caller that only needs to know whether the
+// dictionary payload is smaller than limit. The pass stops as soon as its
+// running lower bound — the entries seen so far plus every row's code at
+// the current width — reaches limit, and returns that bound, which is
+// then ≥ limit and ≤ the exact size; below limit the result is exact.
+func (dictCodec) sizeBelow(v *table.Vector, limit int) (int, error) {
+	switch v.Type {
+	case table.Int:
+		return dictSizeBelow(v.Ints, varintLen, limit), nil
+	case table.Str:
+		return dictSizeBelow(v.Strs, strLen, limit), nil
+	}
+	return 0, fmt.Errorf("%w: dict on %s", ErrUnsupported, v.Type)
+}
+
+// dictSizeBelow is sizeBelow over one typed column, entryLen giving an
+// entry's serialized size.
+func dictSizeBelow[T comparable](xs []T, entryLen func(T) int, limit int) int {
+	seen := make(map[T]struct{})
+	card, entryBytes := 0, 0
+	// bound is the payload length if no further entry appeared.
+	bound := func() int {
+		width := 0
+		if card > 0 {
+			width = bits.Len64(uint64(card - 1))
+		}
+		return uvarintLen(uint64(card)) + entryBytes + 1 + packedLen(len(xs), width)
+	}
+	for i, x := range xs {
+		if i > 0 && x == xs[i-1] {
+			continue
+		}
+		if _, ok := seen[x]; ok {
+			continue
+		}
+		seen[x] = struct{}{}
+		card++
+		entryBytes += entryLen(x)
+		if b := bound(); b >= limit {
+			return b
+		}
+	}
+	return bound()
+}
+
 func (dictCodec) Decode(payload []byte, t table.Type, n int) (*table.Vector, error) {
 	d, err := readDict(payload, t, n)
 	if err != nil {
@@ -498,6 +630,24 @@ func (deltaCodec) Encode(v *table.Vector) ([]byte, error) {
 	return buf, nil
 }
 
+func (deltaCodec) size(v *table.Vector) (int, error) {
+	if v.Type != table.Int {
+		return 0, fmt.Errorf("%w: delta on %s", ErrUnsupported, v.Type)
+	}
+	if len(v.Ints) == 0 {
+		return 0, nil
+	}
+	// The widest zig-zag delta sets the width; OR-ing them has the same
+	// highest bit as their maximum.
+	var all uint64
+	for i := 1; i < len(v.Ints); i++ {
+		all |= zigzag(v.Ints[i] - v.Ints[i-1])
+	}
+	return varintLen(v.Ints[0]) + 1 + packedLen(len(v.Ints)-1, bits.Len64(all)), nil
+}
+
+// Decode accumulates the packed deltas straight into the output, so the
+// column is the one slice it allocates.
 func (deltaCodec) Decode(payload []byte, t table.Type, n int) (*table.Vector, error) {
 	if t != table.Int {
 		return nil, fmt.Errorf("%w: delta on %s", ErrUnsupported, t)
@@ -522,14 +672,30 @@ func (deltaCodec) Decode(payload []byte, t table.Type, n int) (*table.Vector, er
 	if width > 64 {
 		return nil, fmt.Errorf("%w: delta width %d", ErrCorrupt, width)
 	}
-	deltas, err := unpackBits(payload[off:], width, n-1)
-	if err != nil {
+	packed := payload[off:]
+	if err := packedFits(packed, width, n-1); err != nil {
 		return nil, err
 	}
 	out.Ints = make([]int64, n)
 	out.Ints[0] = first
-	for i, d := range deltas {
-		out.Ints[i+1] = out.Ints[i] + unzigzag(d)
+	if width == 0 {
+		for i := 1; i < n; i++ {
+			out.Ints[i] = first
+		}
+		return out, nil
+	}
+	// Unpack a block of deltas at a time onto the stack and fold each
+	// block into the running sum.
+	var block [256]uint64
+	cur := first
+	for i := 1; i < n; {
+		deltas := block[:min(len(block), n-i)]
+		unpackRange(packed, width, i-1, deltas)
+		for _, d := range deltas {
+			cur += unzigzag(d)
+			out.Ints[i] = cur
+			i++
+		}
 	}
 	return out, nil
 }
@@ -553,16 +719,43 @@ func (floatDecCodec) ID() CodecID                 { return FloatDec }
 func (floatDecCodec) CanEncode(t table.Type) bool { return t == table.Float }
 
 func (floatDecCodec) Encode(v *table.Vector) ([]byte, error) {
-	if v.Type != table.Float {
-		return nil, fmt.Errorf("%w: floatdec on %s", ErrUnsupported, v.Type)
+	scaleExp, iv, err := decimalInts(v)
+	if err != nil {
+		return nil, err
 	}
-	scaleExp := -1
+	// Candidates(Int) never includes FloatDec, so this cannot recurse.
+	innerID, innerPayload, err := bestEncoding(iv)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, 0, len(innerPayload)+2)
+	buf = append(buf, byte(scaleExp), byte(innerID))
+	return append(buf, innerPayload...), nil
+}
+
+func (floatDecCodec) size(v *table.Vector) (int, error) {
+	_, iv, err := decimalInts(v)
+	if err != nil {
+		return 0, err
+	}
+	_, inner := bestCodec(iv)
+	return 2 + inner, nil
+}
+
+// decimalInts is floatdec's exactness probe: the smallest scale at which
+// every float in v is exactly a decimal, and the column rescaled to ints
+// at that scale. It fails with ErrUnsupported when no scale fits (true
+// reals, NaN, huge magnitudes).
+func decimalInts(v *table.Vector) (int, *table.Vector, error) {
+	if v.Type != table.Float {
+		return 0, nil, fmt.Errorf("%w: floatdec on %s", ErrUnsupported, v.Type)
+	}
 	ints := make([]int64, len(v.Floats))
 probe:
 	for e, scale := range floatDecScales {
 		for i, f := range v.Floats {
 			if f != f { // NaN never passes the bit-equality check below
-				return nil, fmt.Errorf("%w: NaN in floatdec column", ErrUnsupported)
+				return 0, nil, fmt.Errorf("%w: NaN in floatdec column", ErrUnsupported)
 			}
 			scaled := f * scale
 			if math.Abs(scaled) >= 1<<53 {
@@ -574,18 +767,9 @@ probe:
 			}
 			ints[i] = x
 		}
-		scaleExp = e
-		break
+		return e, &table.Vector{Type: table.Int, Ints: ints}, nil
 	}
-	if scaleExp < 0 {
-		return nil, fmt.Errorf("%w: column is not decimal-exact", ErrUnsupported)
-	}
-	iv := &table.Vector{Type: table.Int, Ints: ints}
-	// Candidates(Int) never includes FloatDec, so this cannot recurse.
-	innerID, innerPayload := bestEncoding(iv)
-	buf := make([]byte, 0, len(innerPayload)+2)
-	buf = append(buf, byte(scaleExp), byte(innerID))
-	return append(buf, innerPayload...), nil
+	return 0, nil, fmt.Errorf("%w: column is not decimal-exact", ErrUnsupported)
 }
 
 func (floatDecCodec) Decode(payload []byte, t table.Type, n int) (*table.Vector, error) {

@@ -2,6 +2,8 @@ package encoding
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 
 	"github.com/shortcircuit-db/sc/internal/table"
@@ -12,8 +14,10 @@ type Mode int
 
 // Modes.
 const (
-	// ModeAuto samples each chunk, estimates every applicable codec's
-	// output size, and picks the smallest. This is the default.
+	// ModeAuto sizes every applicable codec's output for each chunk —
+	// exactly for a chunk of at most 2×SampleRows rows, extrapolated from
+	// a sample for a larger one — and encodes with the smallest. This is
+	// the default.
 	ModeAuto Mode = iota
 	// ModeRaw disables compression: every chunk is stored with the raw
 	// codec. Benchmarks use it as the uncompressed baseline.
@@ -43,8 +47,9 @@ type Options struct {
 	// per chunk, so a column whose shape drifts (sorted prefix, then
 	// random) still compresses well. Zero means DefaultChunkRows.
 	ChunkRows int
-	// SampleRows is how many values per chunk the selector encodes to
-	// estimate codec sizes. Zero means DefaultSampleRows.
+	// SampleRows is how many values of a larger chunk the selector sizes
+	// each codec over; a chunk of at most twice as many rows is sized
+	// whole. Zero means DefaultSampleRows.
 	SampleRows int
 }
 
@@ -93,14 +98,7 @@ const ChunkFramingMin = 1 + 1 + 1 + 4
 
 // uvarintLen returns the serialized size of v as a binary.PutUvarint
 // varint, so SizeBytes can mirror the colfmt framing byte for byte.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Compressed is a table held in compressed columnar form: the schema, the
 // row count, and per column a list of encoded chunks. It is what the
@@ -146,9 +144,11 @@ func FromTable(t *table.Table, opts Options) (*Compressed, error) {
 }
 
 // encodeChunk picks a codec for one chunk and encodes it. ModeRaw always
-// uses the raw codec; ModeAuto ranks the applicable codecs by estimated
-// size over a sample and takes the first whose full encode succeeds (raw
-// never fails, so a codec always lands).
+// uses the raw codec. ModeAuto sizes the applicable codecs over the whole
+// of a small chunk and keeps the smallest (bestEncoding); a larger chunk
+// ranks them by their size over a sample, scaled to the chunk, and takes
+// the first whose full encode succeeds (raw never fails, so a codec always
+// lands).
 func encodeChunk(v *table.Vector, opts Options) (Chunk, error) {
 	n := v.Len()
 	if opts.Mode == ModeRaw {
@@ -160,8 +160,11 @@ func encodeChunk(v *table.Vector, opts Options) (Chunk, error) {
 	}
 	sr := opts.sampleRows()
 	if n <= 2*sr {
-		// Small chunk: encode exactly with every candidate, keep the best.
-		id, payload := bestEncoding(v)
+		// Small chunk: size it exactly with every candidate, keep the best.
+		id, payload, err := bestEncoding(v)
+		if err != nil {
+			return Chunk{}, err
+		}
 		return Chunk{Codec: id, Rows: n, Data: payload}, nil
 	}
 	sample := sampleVec(v, sr)
@@ -171,11 +174,11 @@ func encodeChunk(v *table.Vector, opts Options) (Chunk, error) {
 	}
 	var cands []ranked
 	for _, c := range Candidates(v.Type) {
-		p, err := c.Encode(sample)
+		size, err := c.size(sample)
 		if err != nil {
 			continue
 		}
-		cands = append(cands, ranked{c: c, est: len(p) * n / sample.Len()})
+		cands = append(cands, ranked{c: c, est: size * n / sample.Len()})
 	}
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].est < cands[j].est })
 	for _, r := range cands {
@@ -192,22 +195,59 @@ func encodeChunk(v *table.Vector, opts Options) (Chunk, error) {
 	return Chunk{Codec: Raw, Rows: n, Data: payload}, nil
 }
 
-// bestEncoding encodes v with every applicable codec and returns the
-// smallest result; ties break toward the lower CodecID.
-func bestEncoding(v *table.Vector) (CodecID, []byte) {
-	var best CodecID
-	var bestPayload []byte
-	found := false
-	for _, c := range Candidates(v.Type) {
-		p, err := c.Encode(v)
-		if err != nil {
+// bestEncoding encodes v with its smallest applicable codec (ties break
+// toward the earlier candidate, so the lower CodecID): bestCodec ranks the
+// candidates by size and only the winner runs Encode.
+func bestEncoding(v *table.Vector) (CodecID, []byte, error) {
+	c, _ := bestCodec(v)
+	payload, err := c.Encode(v)
+	if err != nil {
+		return 0, nil, err
+	}
+	return c.ID(), payload, nil
+}
+
+// bestCodec returns the candidate whose payload for v is smallest, the
+// first one among equals, and that payload's length. Dict is the one
+// sizing pass that hashes, so it runs last and stops once it cannot win:
+// it must come in below every earlier candidate and at or below every
+// later one. Raw always applies, so there is always a winner.
+func bestCodec(v *table.Vector) (Codec, int) {
+	cands := Candidates(v.Type)
+	sizes := make([]int, len(cands)) // -1: the codec does not apply
+	dict := -1
+	for i, c := range cands {
+		if c.ID() == Dict {
+			dict = i
 			continue
 		}
-		if !found || len(p) < len(bestPayload) {
-			best, bestPayload, found = c.ID(), p, true
+		if size, err := c.size(v); err == nil {
+			sizes[i] = size
+		} else {
+			sizes[i] = -1
 		}
 	}
-	return best, bestPayload
+	if dict >= 0 {
+		limit := math.MaxInt
+		for i, size := range sizes {
+			switch {
+			case size < 0 || i == dict:
+			case i < dict:
+				limit = min(limit, size)
+			default:
+				limit = min(limit, size+1)
+			}
+		}
+		// Dict applies to every type it is a candidate for.
+		sizes[dict], _ = dictCodec{}.sizeBelow(v, limit)
+	}
+	best := -1
+	for i, size := range sizes {
+		if size >= 0 && (best < 0 || size < sizes[best]) {
+			best = i
+		}
+	}
+	return cands[best], sizes[best]
 }
 
 // sampleVec extracts up to sr values as a handful of evenly spaced

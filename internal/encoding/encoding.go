@@ -1,7 +1,10 @@
 // Package encoding implements S/C's compressed columnar subsystem:
 // lightweight per-column codecs (dictionary, run-length, delta with
 // bit-packing, scaled-decimal floats, raw fallback) behind a common
-// Codec interface, with per-column codec auto-selection by sampling.
+// Codec interface, with per-chunk codec auto-selection. Every codec can
+// size its payload exactly without building it, so the selector ranks the
+// candidates by size — over the whole chunk, or over a sample of a large
+// one — and only the chosen codec encodes.
 //
 // Every byte shaved off an in-memory table lets the Memory Catalog
 // knapsack keep more MVs resident, and every byte shaved off a serialized
@@ -79,6 +82,9 @@ type Codec interface {
 	// Decode parses a payload produced by Encode into a vector of type t
 	// with exactly n values. Corrupt payloads yield ErrCorrupt.
 	Decode(payload []byte, t table.Type, n int) (*table.Vector, error)
+	// size returns len(Encode(v)) without building the payload, and fails
+	// exactly when Encode would. Codec selection ranks candidates by it.
+	size(v *table.Vector) (int, error)
 }
 
 // ByID returns the codec for a serialized identifier.

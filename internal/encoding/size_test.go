@@ -1,0 +1,237 @@
+package encoding
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"github.com/shortcircuit-db/sc/internal/table"
+)
+
+// sizeVectors derives one vector of each type from fuzz bytes: ints and
+// floats read 8 little-endian bytes per value (floats by bit pattern),
+// strings split the bytes at each zero byte. Every value is repeated
+// repeat+1 times (runs), and no vector exceeds 1,024 values.
+func sizeVectors(data []byte, repeat uint8) []*table.Vector {
+	const maxLen = 1024
+	ints := &table.Vector{Type: table.Int}
+	floats := &table.Vector{Type: table.Float}
+	strs := &table.Vector{Type: table.Str}
+	for off := 0; off+8 <= len(data); off += 8 {
+		w := binary.LittleEndian.Uint64(data[off:])
+		for k := 0; k <= int(repeat) && len(ints.Ints) < maxLen; k++ {
+			ints.Ints = append(ints.Ints, int64(w))
+			floats.Floats = append(floats.Floats, math.Float64frombits(w))
+		}
+	}
+	if len(data) > 0 {
+		for _, s := range bytes.Split(data, []byte{0}) {
+			for k := 0; k <= int(repeat) && len(strs.Strs) < maxLen; k++ {
+				strs.Strs = append(strs.Strs, string(s))
+			}
+		}
+	}
+	return []*table.Vector{ints, floats, strs}
+}
+
+func intBytes(xs ...int64) []byte {
+	var out []byte
+	for _, x := range xs {
+		out = binary.LittleEndian.AppendUint64(out, uint64(x))
+	}
+	return out
+}
+
+func floatBytes(fs ...float64) []byte {
+	var out []byte
+	for _, f := range fs {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(f))
+	}
+	return out
+}
+
+// seq returns lo, lo+1, …, hi-1.
+func seq(lo, hi int64) []int64 {
+	var out []int64
+	for x := lo; x < hi; x++ {
+		out = append(out, x)
+	}
+	return out
+}
+
+// FuzzCodecSize requires every codec's size to be exactly the length of
+// its Encode, for every type, and to fail exactly when Encode fails. It
+// also checks dict's bounded pass: below its limit it is exact, and when it
+// stops it reports a lower bound that has reached the limit.
+func FuzzCodecSize(f *testing.F) {
+	f.Add([]byte{}, uint8(0))                                                    // empty vectors
+	f.Add(intBytes(7), uint8(200))                                               // one distinct value: width 0
+	f.Add(floatBytes(math.NaN(), 1.5, math.Copysign(0, -1), 0), uint8(0))        // NaN, −0.0
+	f.Add(floatBytes(math.Pi, 1e300, 0.1, 2.25, 1.0/3), uint8(1))                // non-decimal and decimal floats
+	f.Add(floatBytes(12.34, 12.35, 99.99, -0.01, 4503599627370.5), uint8(3))     // decimal money, scale edges
+	f.Add(intBytes(math.MinInt64, math.MaxInt64, math.MinInt64+1, -1), uint8(0)) // wrapping deltas
+	f.Add(intBytes(math.MaxInt64-1, math.MaxInt64, math.MinInt64, 0), uint8(2))  // MaxInt64 neighbours
+	f.Add(intBytes(1, 1, 2, 2, 2, 3), uint8(255))                                // long runs
+	f.Add(intBytes(seq(0, 256)...), uint8(0))                                    // card 2^8: width 8
+	f.Add(intBytes(seq(0, 257)...), uint8(0))                                    // card 2^8+1: width 9
+	f.Add(intBytes(seq(-2, 2)...), uint8(5))                                     // card 4 = 2^2
+	f.Add(intBytes(seq(-2, 3)...), uint8(5))                                     // card 5 = 2^2+1
+	f.Add([]byte("a\x00bb\x00a\x00\x00ccc\x00bb"), uint8(2))                     // strings with an empty one
+	f.Add(bytes.Repeat([]byte("Books\x00Toys\x00"), 64), uint8(0))               // low-cardinality strings
+	f.Fuzz(func(t *testing.T, data []byte, repeat uint8) {
+		for _, v := range sizeVectors(data, repeat) {
+			for _, c := range codecs {
+				payload, encErr := c.Encode(v)
+				size, sizeErr := c.size(v)
+				if (encErr == nil) != (sizeErr == nil) {
+					t.Fatalf("%s/%s n=%d: Encode err %v, size err %v", c.ID(), v.Type, v.Len(), encErr, sizeErr)
+				}
+				if encErr == nil && size != len(payload) {
+					t.Fatalf("%s/%s n=%d: size %d, Encode wrote %d bytes", c.ID(), v.Type, v.Len(), size, len(payload))
+				}
+				if c.ID() != Dict || encErr != nil {
+					continue
+				}
+				for _, limit := range []int{0, 1, size / 2, size, size + 1} {
+					got, _ := dictCodec{}.sizeBelow(v, limit)
+					if size < limit && got != size || size >= limit && (got < limit || got > size) {
+						t.Fatalf("dict/%s n=%d: sizeBelow(%d) = %d, exact size %d", v.Type, v.Len(), limit, got, size)
+					}
+				}
+			}
+		}
+	})
+}
+
+// bestEncodingRef is the selector before codecs could size a payload:
+// encode v with every candidate and keep the smallest, the earlier
+// candidate on a tie.
+func bestEncodingRef(v *table.Vector) (CodecID, []byte) {
+	var best CodecID
+	var bestPayload []byte
+	found := false
+	for _, c := range Candidates(v.Type) {
+		p, err := c.Encode(v)
+		if err != nil {
+			continue
+		}
+		if !found || len(p) < len(bestPayload) {
+			best, bestPayload, found = c.ID(), p, true
+		}
+	}
+	return best, bestPayload
+}
+
+// encodeChunkSampledRef is encodeChunk's sampled path before codecs could
+// size a payload: it ranks the candidates by the length of their encoded
+// sample.
+func encodeChunkSampledRef(v *table.Vector, opts Options) Chunk {
+	n := v.Len()
+	sample := sampleVec(v, opts.sampleRows())
+	type ranked struct {
+		c   Codec
+		est int
+	}
+	var cands []ranked
+	for _, c := range Candidates(v.Type) {
+		p, err := c.Encode(sample)
+		if err != nil {
+			continue
+		}
+		cands = append(cands, ranked{c: c, est: len(p) * n / sample.Len()})
+	}
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].est < cands[j].est })
+	for _, r := range cands {
+		if payload, err := r.c.Encode(v); err == nil {
+			return Chunk{Codec: r.c.ID(), Rows: n, Data: payload}
+		}
+	}
+	payload, _ := codecs[Raw].Encode(v)
+	return Chunk{Codec: Raw, Rows: n, Data: payload}
+}
+
+// nearTieVector is a low-cardinality int or string column sized so that
+// dict's payload lands close to raw's, RLE's or delta's: the cases where
+// dict's bounded pass decides whether it wins.
+func nearTieVector(rng *rand.Rand) *table.Vector {
+	card := 1 + rng.Intn(64)
+	n := 1 + rng.Intn(8*card+8)
+	if rng.Intn(2) == 0 {
+		v := &table.Vector{Type: table.Int}
+		for i := 0; i < n; i++ {
+			v.Ints = append(v.Ints, int64(rng.Intn(card)))
+		}
+		return v
+	}
+	v := &table.Vector{Type: table.Str}
+	for i := 0; i < n; i++ {
+		v.Strs = append(v.Strs, string(rune('a'+rng.Intn(card))))
+	}
+	return v
+}
+
+// TestBestEncodingMatchesExhaustive: ranking by size and encoding only the
+// winner returns the codec and payload that encoding every candidate does,
+// byte for byte — on random vectors of every type and on dict near-ties.
+func TestBestEncodingMatchesExhaustive(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	nearTies := 0
+	check := func(v *table.Vector) {
+		t.Helper()
+		wantID, want := bestEncodingRef(v)
+		gotID, got, err := bestEncoding(v)
+		if err != nil {
+			t.Fatalf("%s n=%d: %v", v.Type, v.Len(), err)
+		}
+		if gotID != wantID || !bytes.Equal(got, want) {
+			t.Fatalf("%s n=%d: bestEncoding chose %s (%d bytes), exhaustive %s (%d bytes)",
+				v.Type, v.Len(), gotID, len(got), wantID, len(want))
+		}
+	}
+	for trial := 0; trial < 1000; trial++ {
+		typ := []table.Type{table.Int, table.Float, table.Str}[trial%3]
+		check(genVector(rng, typ, rng.Intn(5000)))
+	}
+	for trial := 0; trial < 3000; trial++ {
+		v := nearTieVector(rng)
+		check(v)
+		dict, _ := dictCodec{}.size(v)
+		for _, c := range Candidates(v.Type) {
+			if size, err := c.size(v); err == nil && c.ID() != Dict && size >= dict-1 && size <= dict+1 {
+				nearTies++
+				break
+			}
+		}
+	}
+	if nearTies < 100 {
+		t.Fatalf("only %d dict near-ties exercised", nearTies)
+	}
+}
+
+// TestSampledRankingMatchesEncodedSamples: encodeChunk's sampled path,
+// which ranks candidates by size(sample), stores the chunk that ranking by
+// len(Encode(sample)) stored.
+func TestSampledRankingMatchesEncodedSamples(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for trial := 0; trial < 600; trial++ {
+		typ := []table.Type{table.Int, table.Float, table.Str}[trial%3]
+		opts := Options{SampleRows: 8 + rng.Intn(64)}
+		if trial%10 == 0 {
+			opts.SampleRows = 0 // the default, 1,024 rows
+		}
+		n := 2*opts.sampleRows() + 1 + rng.Intn(3000)
+		v := genVector(rng, typ, n)
+		got, err := encodeChunk(v, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := encodeChunkSampledRef(v, opts)
+		if got.Codec != want.Codec || got.Rows != want.Rows || !bytes.Equal(got.Data, want.Data) {
+			t.Fatalf("%s n=%d sample %d: chose %s (%d bytes), reference %s (%d bytes)",
+				typ, n, opts.sampleRows(), got.Codec, len(got.Data), want.Codec, len(want.Data))
+		}
+	}
+}

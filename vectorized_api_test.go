@@ -3,6 +3,7 @@ package sc_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -12,9 +13,82 @@ import (
 	"testing"
 
 	sc "github.com/shortcircuit-db/sc"
+	"github.com/shortcircuit-db/sc/internal/tpcds"
 )
 
-var updateKernelGolden = flag.Bool("update", false, "rewrite testdata/kernel_counters.golden")
+var updateKernelGolden = flag.Bool("update", false, "rewrite the goldens under testdata/")
+
+// checkGolden compares got with testdata/name, rewriting the file first
+// under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
+	if *updateKernelGolden {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to generate)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("output drifted from %s:\ngot:\n%s\nwant:\n%s", golden, got, want)
+	}
+}
+
+// TestChunkedObjectsPinned pins the stored bytes of the compressed path:
+// the sha256 of every object in the store after SaveTableChunked of the
+// TPC-DS tables at sf 1 (seed 42) and two serial refreshes of the 12-MV
+// pipeline with encoding on must match testdata/chunked_objects.golden.
+// Codec selection, chunk encoding and the chunk re-encoder all land in
+// these bytes, so a change that means to keep them cannot move a hash.
+func TestChunkedObjectsPinned(t *testing.T) {
+	ctx := context.Background()
+	ds, err := tpcds.Generate(tpcds.GenConfig{ScaleFactor: 1, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mvs []sc.MV
+	for _, n := range tpcds.RealWorkload().Nodes {
+		mvs = append(mvs, sc.MV{Name: n.Name, SQL: n.SQL})
+	}
+	store := sc.NewMemStore()
+	for name, tb := range ds.Tables {
+		if err := sc.SaveTableChunked(store, name, tb, sc.EncodingOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref, err := sc.New(mvs, store,
+		sc.WithMemory(64<<20),
+		sc.WithConcurrency(1),
+		sc.WithEncoding(sc.EncodingOptions{}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	for refresh := 0; refresh < 2; refresh++ {
+		if _, err := ref.Refresh(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	names, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	fmt.Fprintln(&buf, "# object bytes sha256")
+	for _, name := range names {
+		data, err := store.Read(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&buf, "%s %d %x\n", name, len(data), sha256.Sum256(data))
+	}
+	checkGolden(t, "chunked_objects.golden", buf.Bytes())
+}
 
 // TestKernelCountersPinned pins the kernel path of a compressed refresh: the
 // 12-MV TPC-DS pipeline at sf 1 over chunked base tables, refreshed twice
@@ -55,19 +129,7 @@ func TestKernelCountersPinned(t *testing.T) {
 		}
 	}
 
-	golden := filepath.Join("testdata", "kernel_counters.golden")
-	if *updateKernelGolden {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to generate)", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("kernel counters drifted from %s:\ngot:\n%s\nwant:\n%s", golden, buf.Bytes(), want)
-	}
+	checkGolden(t, "kernel_counters.golden", buf.Bytes())
 }
 
 // TestWithVectorizedEndToEnd runs a full refresh session with compressed
