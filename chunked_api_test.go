@@ -80,53 +80,59 @@ func mustSameMV(t *testing.T, name string, wantStore, gotStore sc.Store) {
 	}
 }
 
-// TestSessionDictCacheAcrossRuns: an encoded session must (a) materialize
-// the same MVs as the row engine and (b) report dictionary reuse on the
-// second refresh.
-func TestSessionDictCacheAcrossRuns(t *testing.T) {
+// TestEncodedRefreshRepeats: nothing on the compressed path outlives a
+// run, so a second encoded refresh over unchanged base tables must write
+// byte-identical objects and report the first refresh's kernel counters,
+// node for node.
+func TestEncodedRefreshRepeats(t *testing.T) {
 	ctx := context.Background()
-
-	rowStore := chunkedStore(t)
-	rowRef, err := sc.New(chunkedMVs(), rowStore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rowRef.Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-
 	st := chunkedStore(t)
 	ref, err := sc.New(chunkedMVs(), st, sc.WithEncoding(sc.EncodingOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reusedAt := func(res *sc.RunResult) int64 {
-		var total int64
+	refresh := func() (map[string]sc.NodeMetrics, map[string][]byte) {
+		res, err := ref.Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernels := make(map[string]sc.NodeMetrics, len(res.Nodes))
 		for _, n := range res.Nodes {
-			total += n.DictReused
+			kernels[n.Name] = n
 		}
-		return total
+		names, err := st.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		objects := make(map[string][]byte, len(names))
+		for _, name := range names {
+			if objects[name], err = st.Read(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return kernels, objects
 	}
-	res1, err := ref.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
+	kernels1, objects1 := refresh()
+	kernels2, objects2 := refresh()
+	if len(kernels1) != len(chunkedMVs()) || len(kernels2) != len(kernels1) {
+		t.Fatalf("refreshes ran %d and %d nodes, want %d", len(kernels1), len(kernels2), len(chunkedMVs()))
 	}
-	for _, n := range res1.Nodes {
-		if n.Fallbacks != 0 {
-			t.Fatalf("node %s fell back to the row engine: %+v", n.Name, n)
+	for name, n1 := range kernels1 {
+		k1, k2 := n1.KernelStats, kernels2[name].KernelStats
+		if k1.Lowered == 0 {
+			t.Fatalf("node %s did not lower onto the kernels: %+v", name, k1)
+		}
+		if k2 != k1 {
+			t.Fatalf("node %s: refresh 2 kernel counters %+v, refresh 1 %+v", name, k2, k1)
 		}
 	}
-	res2, err := ref.Run(ctx)
-	if err != nil {
-		t.Fatal(err)
+	if len(objects2) != len(objects1) {
+		t.Fatalf("refresh 2 left %d objects, refresh 1 %d", len(objects2), len(objects1))
 	}
-	if reusedAt(res2) == 0 {
-		t.Fatal("second Run reports no dictionary reuse")
-	}
-
-	// Same MVs as the row engine, value for value.
-	for _, mv := range chunkedMVs() {
-		mustSameMV(t, mv.Name, rowStore, st)
+	for name, b1 := range objects1 {
+		if !bytes.Equal(objects2[name], b1) {
+			t.Fatalf("object %q differs between refreshes", name)
+		}
 	}
 }
 

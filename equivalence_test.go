@@ -231,7 +231,7 @@ func TestRefresherAndGatewayAreOnePath(t *testing.T) {
 // Controller starts ready nodes by longest remaining path over the seconds
 // the previous run observed, not in plan order, each node on its one token.
 // On the 12-MV TPC-DS pipeline, on the row path and on the compressed path
-// (where concurrent nodes' kernels share one session dictionary cache), the
+// (where concurrent nodes' kernels read shared inputs), the
 // optimized refreshes that dispatch this way stay within the Memory Catalog
 // budget with no output pushed back to a blocking write, and store every MV
 // byte for byte as a session with no Memory Catalog does.

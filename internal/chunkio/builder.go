@@ -1,3 +1,22 @@
+// Package chunkio is S/C's compressed-output subsystem: it lets the join
+// kernel (internal/kernels.HashJoinScan, the one operator that emits
+// chunks) produce encoding.Compressed output without materializing rows, so
+// a join tree's intermediates stay in code space end to end instead of
+// becoming a full table between every pair of operators.
+//
+// A Builder assembles a compressed table from what the join has in hand
+// per output column — dictionary codes (the source chunk's dictionary is
+// remapped once through the column's output dictionary and the surviving
+// codes flow through unchanged) or, when no code-space path applies, a
+// typed vector of materialized values, appended in bulk and re-encoded
+// with the same per-chunk codec auto-selection FromTable uses. Each output
+// dictionary belongs to its Builder: nothing in this package outlives one
+// operator's output, so a refresh over unchanged inputs rebuilds the same
+// chunks.
+//
+// Decoding a Builder output always yields exactly the rows that were
+// appended, in order — byte-identical to the table the materializing path
+// would have produced.
 package chunkio
 
 import (
@@ -17,10 +36,6 @@ type Counters struct {
 	// Reencoded counts column-chunks encoded from materialized values with
 	// per-chunk codec auto-selection — the work the code-space paths avoid.
 	Reencoded int64
-	// DictReused counts code-space chunks whose every dictionary entry
-	// predated the current run: the session cache supplied the whole
-	// dictionary and the chunk's encode was pure id gathering.
-	DictReused int64
 	// MaterializedBytes counts raw bytes the builder itself had to
 	// materialize (code→value conversions on dictionary overflow). Bytes
 	// decoded by the caller before appending are the caller's to count.
@@ -34,13 +49,15 @@ type Counters struct {
 //
 // Appenders pick the cheapest representation the source allows:
 //
-//	AppendCode   one shared-dictionary id (code-space joins; see Remap)
+//	AppendCode   one output-dictionary id (code-space joins; see Remap)
 //	AppendVector a typed column of decoded or late-materialized values,
 //	             appended in bulk
+//
+// A Builder is used by one goroutine; its dictionaries start empty and
+// go with it.
 type Builder struct {
 	sch    table.Schema
 	opts   encoding.Options
-	sess   *Session
 	target int
 	cols   []colBuf
 	out    [][]encoding.Chunk
@@ -50,27 +67,14 @@ type Builder struct {
 	Counters Counters
 }
 
-// colBuf is one column's pending state: gathered shared-dictionary codes
+// colBuf is one column's pending state: gathered output-dictionary codes
 // (code space) until something forces materialized values (value space).
 type colBuf struct {
-	typ    table.Type
-	shared *Shared       // nil for FLOAT columns
-	warm   bool          // shared holds entries from an earlier run
-	codes  []int32       // pending shared ids (code space)
-	vals   *table.Vector // pending values (value space; non-nil once active)
-	dense  []int32       // scratch for code densification, grow-only
-	// entSize memoizes each shared id's raw footprint as this builder
-	// learns it (Remap, interning), so per-row accounting in AppendCode
-	// never takes the shared dictionary's lock.
-	entSize []int64
-}
-
-// noteSize memoizes one shared id's raw footprint.
-func (cb *colBuf) noteSize(id int32, sz int64) {
-	for int(id) >= len(cb.entSize) {
-		cb.entSize = append(cb.entSize, 0)
-	}
-	cb.entSize[id] = sz
+	typ   table.Type
+	dict  *dict         // nil for FLOAT columns
+	codes []int32       // pending dictionary ids (code space)
+	vals  *table.Vector // pending values (value space; non-nil once active)
+	dense []int32       // scratch for code densification, grow-only
 }
 
 func (cb *colBuf) pending() int {
@@ -80,12 +84,15 @@ func (cb *colBuf) pending() int {
 	return len(cb.codes)
 }
 
-// NewBuilder returns a builder for one producer's output. opts supplies the
-// codec policy for re-encoded chunks and the target chunk size. sess may be
-// nil (no cross-run dictionary reuse); producer keys the session
-// dictionaries and should uniquely identify the operator within the
-// pipeline (e.g. "node#2").
-func NewBuilder(sch table.Schema, opts encoding.Options, sess *Session, producer string) *Builder {
+// NewBuilder returns a builder for one operator's output. opts supplies
+// the codec policy for re-encoded chunks and the target chunk size.
+func NewBuilder(sch table.Schema, opts encoding.Options) *Builder {
+	return newBuilder(sch, opts, DefaultMaxEntries)
+}
+
+// newBuilder is NewBuilder with each output dictionary capped at
+// maxEntries, so tests can overflow one with a few rows.
+func newBuilder(sch table.Schema, opts encoding.Options, maxEntries int) *Builder {
 	target := opts.ChunkRows
 	if target <= 0 {
 		target = encoding.DefaultChunkRows
@@ -96,7 +103,6 @@ func NewBuilder(sch table.Schema, opts encoding.Options, sess *Session, producer
 	b := &Builder{
 		sch:    sch,
 		opts:   opts,
-		sess:   sess,
 		target: target,
 		cols:   make([]colBuf, len(sch.Cols)),
 		out:    make([][]encoding.Chunk, len(sch.Cols)),
@@ -105,83 +111,58 @@ func NewBuilder(sch table.Schema, opts encoding.Options, sess *Session, producer
 		cb := &b.cols[ci]
 		cb.typ = col.Type
 		if col.Type == table.Int || col.Type == table.Str {
-			if sess != nil {
-				cb.shared = sess.shared(producer, ci, col, sess.MaxEntries)
-			} else {
-				cb.shared = NewShared(col.Type, 0)
-			}
-			cb.warm = cb.shared.Base() > 0
+			cb.dict = newDict(col.Type, maxEntries)
 		}
 	}
 	return b
 }
 
-// Remap translates a source chunk's dictionary into the column's shared
+// Remap translates a source chunk's dictionary into the column's output
 // dictionary, for use with AppendCode. It returns nil, false when the
 // column cannot take codes right now — FLOAT column, value space already
 // active, or dictionary overflow — in which case the caller appends values
 // instead.
 func (b *Builder) Remap(ci int, dv *encoding.DictView) ([]int32, bool) {
 	cb := &b.cols[ci]
-	if cb.shared == nil || cb.vals != nil {
+	if cb.dict == nil || cb.vals != nil {
 		return nil, false
 	}
-	ids, ok := cb.shared.remapDict(dv)
-	if !ok {
-		return nil, false
-	}
-	for c, sz := range entrySizes(dv) {
-		cb.noteSize(ids[c], sz)
-	}
-	return ids, true
+	return cb.dict.remap(dv)
 }
 
-// AppendCode appends one row by shared-dictionary id (from Remap). If the
+// AppendCode appends one row by output-dictionary id (from Remap). If the
 // column has fallen to value space since the remap, the id is materialized
-// through the shared dictionary instead.
+// through the dictionary instead.
 func (b *Builder) AppendCode(ci int, id int32) {
 	cb := &b.cols[ci]
 	if cb.vals != nil {
-		v := cb.shared.Value(id)
+		v := cb.dict.value(id)
 		b.Counters.MaterializedBytes += valueSizeOf(v)
 		appendToVec(cb.vals, v)
 		return
 	}
 	cb.codes = append(cb.codes, id)
-	if int(id) < len(cb.entSize) {
-		b.raw += cb.entSize[id] // memoized: no lock on the per-row path
-	} else {
-		b.raw += cb.shared.valueSize(id)
-	}
+	b.raw += cb.dict.valueSize(id)
 }
 
 // AppendVector appends every row of a decoded vector of the column's type,
-// in bulk. When the column's shared dictionary is warm (holds entries from
-// an earlier run) and the column is still in code space, INT and STRING
-// values intern to codes under one lock — yesterday's dictionary turns the
-// encode into id lookups — until the first value the full dictionary cannot
-// take; from that value on, and for FLOAT or a cold dictionary, the values
-// buffer for re-encoding with codec auto-selection. The result is exactly
-// that of appending the values one at a time.
+// in bulk. The values buffer for re-encoding with codec auto-selection;
+// codes pending from earlier appends materialize first, so the column
+// finishes in value space. The result is exactly that of appending the
+// values one at a time.
 func (b *Builder) AppendVector(ci int, vec *table.Vector) error {
 	cb := &b.cols[ci]
 	if vec.Type != cb.typ {
 		return fmt.Errorf("chunkio: column %q is %v, appended vector is %v", b.sch.Cols[ci].Name, cb.typ, vec.Type)
 	}
 	b.raw += vec.ByteSize()
-	from := 0
-	if cb.vals == nil && cb.shared != nil && cb.warm {
-		from = cb.shared.intern(vec, cb)
-	}
-	if from < vec.Len() {
-		b.materializePending(cb)
-		appendRange(cb.vals, vec, from)
-	}
+	b.materializePending(cb)
+	appendVals(cb.vals, vec)
 	return nil
 }
 
-// materializePending converts a column's pending codes into values — the
-// dictionary overflowed mid-build, so the chunk finishes in value space.
+// materializePending moves a column to value space, converting its
+// pending codes into values.
 func (b *Builder) materializePending(cb *colBuf) {
 	if cb.vals == nil {
 		cb.vals = &table.Vector{Type: cb.typ}
@@ -190,7 +171,7 @@ func (b *Builder) materializePending(cb *colBuf) {
 		return
 	}
 	for _, id := range cb.codes {
-		v := cb.shared.Value(id)
+		v := cb.dict.value(id)
 		b.Counters.MaterializedBytes += valueSizeOf(v)
 		appendToVec(cb.vals, v)
 	}
@@ -205,48 +186,15 @@ func (b *Builder) emitCol(cb *colBuf, lo, hi int) (encoding.Chunk, error) {
 			return encoding.Chunk{}, err
 		}
 		b.Counters.Reencoded++
-		b.seed(cb, ch)
 		return ch, nil
 	}
-	window := cb.codes[lo:hi]
-	ints, strs, codes, maxUsed := cb.shared.dense(window, &cb.dense)
-	// A drifting column can intern to a dictionary worse than what codec
-	// auto-selection would pick (near-unique values). Interned values fall
-	// back to re-encoding then; gathered codes from a real dict source
-	// (card bounded by the source encoder's choice) stay dictionary.
-	if cb.warm && len(codes) > 0 && (len(ints)+len(strs)) > len(codes)/2+1 {
-		vec := &table.Vector{Type: cb.typ}
-		for _, id := range window {
-			appendToVec(vec, cb.shared.Value(id))
-		}
-		ch, err := encoding.EncodeChunk(vec, b.opts)
-		if err != nil {
-			return encoding.Chunk{}, err
-		}
-		b.Counters.Reencoded++
-		return ch, nil
-	}
+	ints, strs, codes := cb.dict.dense(cb.codes[lo:hi], &cb.dense)
 	ch, err := encoding.BuildDictChunk(cb.typ, ints, strs, codes)
 	if err != nil {
 		return encoding.Chunk{}, err
 	}
 	b.Counters.CodeChunks++
-	if int(maxUsed) < cb.shared.Base() {
-		b.Counters.DictReused++
-	}
 	return ch, nil
-}
-
-// seed warms the shared dictionary from a re-encoded chunk that codec
-// auto-selection decided is dictionary material, so the next run's encode
-// of this column can run as pure id lookups.
-func (b *Builder) seed(cb *colBuf, ch encoding.Chunk) {
-	if b.sess == nil || cb.shared == nil || ch.Codec != encoding.Dict {
-		return
-	}
-	if dv, err := encoding.ParseDict(ch, cb.typ); err == nil {
-		cb.shared.remapDict(dv)
-	}
 }
 
 // Finish emits every column's rows as aligned chunks, split at the target
@@ -304,15 +252,15 @@ func vecSlice(v *table.Vector, lo, hi int) *table.Vector {
 	return out
 }
 
-// appendRange appends rows [from, len) of src to dst, of the same type.
-func appendRange(dst, src *table.Vector, from int) {
+// appendVals appends every row of src to dst, of the same type.
+func appendVals(dst, src *table.Vector) {
 	switch dst.Type {
 	case table.Int:
-		dst.Ints = append(dst.Ints, src.Ints[from:]...)
+		dst.Ints = append(dst.Ints, src.Ints...)
 	case table.Float:
-		dst.Floats = append(dst.Floats, src.Floats[from:]...)
+		dst.Floats = append(dst.Floats, src.Floats...)
 	default:
-		dst.Strs = append(dst.Strs, src.Strs[from:]...)
+		dst.Strs = append(dst.Strs, src.Strs...)
 	}
 }
 
@@ -332,20 +280,4 @@ func valueSizeOf(v table.Value) int64 {
 		return int64(len(v.S)) + 16
 	}
 	return 8
-}
-
-// entrySizes precomputes the raw footprint of each dictionary entry so
-// per-row accounting during a gather is an array read.
-func entrySizes(dv *encoding.DictView) []int64 {
-	out := make([]int64, dv.Card())
-	if dv.Type == table.Int {
-		for i := range out {
-			out[i] = 8
-		}
-		return out
-	}
-	for i, s := range dv.Strs {
-		out[i] = int64(len(s)) + 16
-	}
-	return out
 }

@@ -110,30 +110,12 @@ func feedGroup(t *testing.T, b *Builder, ct *encoding.Compressed, group int, sel
 }
 
 // perValueAppend is the value-at-a-time append AppendVector replaced, kept
-// as its reference: a warm dictionary interns each value under its own
-// lock until one overflows, and from then on values buffer for re-encoding.
+// as its reference.
 func perValueAppend(b *Builder, ci int, v table.Value) {
 	cb := &b.cols[ci]
 	b.raw += valueSizeOf(v)
-	if cb.vals == nil && cb.shared != nil && cb.warm {
-		if id, ok := sharedAdd(cb.shared, v); ok {
-			cb.noteSize(id, valueSizeOf(v))
-			cb.codes = append(cb.codes, id)
-			return
-		}
-	}
 	b.materializePending(cb)
 	appendToVec(cb.vals, v)
-}
-
-// sharedAdd interns one value; ok is false on overflow.
-func sharedAdd(sh *Shared, v table.Value) (int32, bool) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.typ == table.Int {
-		return sh.addIntLocked(v.I)
-	}
-	return sh.addStrLocked(v.S)
 }
 
 // mustEqualBuilds requires two builders fed the same rows, one in bulk and
@@ -178,7 +160,7 @@ func TestBuilderGatherSelections(t *testing.T) {
 	}
 	// Select every third row; group 1 entirely empty.
 	var global []int
-	b := NewBuilder(src.Schema, encoding.Options{ChunkRows: 100}, nil, "")
+	b := NewBuilder(src.Schema, encoding.Options{ChunkRows: 100})
 	base := 0
 	for g, rows := range ct.RowGroups() {
 		var sel []int32
@@ -209,7 +191,7 @@ func TestBuilderGatherSelections(t *testing.T) {
 
 func TestBuilderEmptyOutput(t *testing.T) {
 	sch := table.NewSchema(table.Column{Name: "x", Type: table.Int})
-	b := NewBuilder(sch, encoding.Options{}, nil, "")
+	b := NewBuilder(sch, encoding.Options{})
 	out, err := b.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -223,17 +205,16 @@ func TestBuilderEmptyOutput(t *testing.T) {
 }
 
 func TestBuilderDictOverflowMidBuild(t *testing.T) {
-	// A session capped at 8 entries overflows on the second 5-row chunk of a
-	// 100-row append of 20 distinct strings: the column must convert its
-	// pending codes to values and finish in value space, byte-identically.
-	sess := NewSession()
-	sess.MaxEntries = 8
+	// An output dictionary capped at 8 entries overflows on the second 5-row
+	// chunk of a 100-row append of 20 distinct strings: the column must
+	// convert its pending codes to values and finish in value space,
+	// byte-identically.
 	src := threeColTable(100, 20)
 	ct, err := encoding.FromTable(src, encoding.Options{ChunkRows: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBuilder(src.Schema, encoding.Options{ChunkRows: 100}, sess, "n")
+	b := newBuilder(src.Schema, encoding.Options{ChunkRows: 100}, 8)
 	for g := range ct.RowGroups() {
 		feedGroup(t, b, ct, g, nil, false)
 	}
@@ -264,7 +245,7 @@ func TestBuilderRLEHeavy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBuilder(tb.Schema, encoding.Options{ChunkRows: 150}, nil, "")
+	b := NewBuilder(tb.Schema, encoding.Options{ChunkRows: 150})
 	var sel []int32
 	var global []int
 	for i := 0; i < 150; i += 2 {
@@ -287,68 +268,12 @@ func TestBuilderRLEHeavy(t *testing.T) {
 	mustEqualTables(t, "rle", gather(tb, global), got)
 }
 
-func TestSessionDictReuseAcrossRuns(t *testing.T) {
-	sess := NewSession()
-	src := threeColTable(256, 6)
-	ct, err := encoding.FromTable(src, encoding.Options{ChunkRows: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func() Counters {
-		sess.BeginRun()
-		b := NewBuilder(src.Schema, encoding.Options{ChunkRows: 64}, sess, "node#1")
-		for g := range ct.RowGroups() {
-			feedGroup(t, b, ct, g, nil, false)
-		}
-		out, err := b.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := out.Table()
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualTables(t, "session run", src, got)
-		if out.RawBytes != src.ByteSize() {
-			t.Fatalf("RawBytes = %d, want %d", out.RawBytes, src.ByteSize())
-		}
-		if out.RowGroups() == nil {
-			t.Fatal("builder output has misaligned row groups")
-		}
-		return b.Counters
-	}
-	first := run()
-	if first.DictReused != 0 {
-		t.Fatalf("first run reports DictReused = %d before any cache exists", first.DictReused)
-	}
-	second := run()
-	if second.DictReused == 0 {
-		t.Fatalf("second run counters = %+v: recurring refresh should reuse yesterday's dictionaries", second)
-	}
-}
-
-func TestSessionInvalidatesOnSchemaDrift(t *testing.T) {
-	sess := NewSession()
-	sess.BeginRun()
-	a := sess.shared("n", 0, table.Column{Name: "x", Type: table.Str}, 0)
-	sharedAdd(a, table.StrValue("v"))
-	// Same slot, same name, new type: the cached dictionary must not leak.
-	b := sess.shared("n", 0, table.Column{Name: "x", Type: table.Int}, 0)
-	if b.Len() != 0 {
-		t.Fatal("type drift kept the stale dictionary")
-	}
-	c := sess.shared("n", 0, table.Column{Name: "renamed", Type: table.Int}, 0)
-	if c == b {
-		t.Fatal("column rename kept the stale dictionary")
-	}
-}
-
 func TestBuilderMisalignedColumnsError(t *testing.T) {
 	sch := table.NewSchema(
 		table.Column{Name: "a", Type: table.Int},
 		table.Column{Name: "b", Type: table.Int},
 	)
-	b := NewBuilder(sch, encoding.Options{}, nil, "")
+	b := NewBuilder(sch, encoding.Options{})
 	if err := b.AppendVector(0, &table.Vector{Type: table.Int, Ints: []int64{1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -358,45 +283,40 @@ func TestBuilderMisalignedColumnsError(t *testing.T) {
 }
 
 // checkBuilds feeds the selected rows of every row group (sels[g]: nil for
-// the whole group, empty to skip it) to a bulk builder and a per-value one
-// over twin sessions (newSession may return nil), twice — a cold run and a
-// warm one — and requires both runs' outputs to be byte-identical between
-// the two and to decode to exactly the selected rows (global).
-func checkBuilds(t *testing.T, desc string, tb *table.Table, ct *encoding.Compressed, sels [][]int32, global []int, opts encoding.Options, newSession func() *Session) {
+// the whole group, empty to skip it) to a bulk builder and a per-value one,
+// both with output dictionaries capped at maxEntries, and requires their
+// outputs to be byte-identical and to decode to exactly the selected rows
+// (global).
+func checkBuilds(t *testing.T, desc string, tb *table.Table, ct *encoding.Compressed, sels [][]int32, global []int, opts encoding.Options, maxEntries int) {
 	t.Helper()
-	sessB, sessP := newSession(), newSession()
-	for run := 0; run < 2; run++ {
-		sessB.BeginRun()
-		sessP.BeginRun()
-		bulk := NewBuilder(tb.Schema, opts, sessB, "p#1")
-		perValue := NewBuilder(tb.Schema, opts, sessP, "p#1")
-		for g, sel := range sels {
-			if sel == nil || len(sel) > 0 {
-				feedGroup(t, bulk, ct, g, sel, false)
-				feedGroup(t, perValue, ct, g, sel, true)
-			}
+	bulk := newBuilder(tb.Schema, opts, maxEntries)
+	perValue := newBuilder(tb.Schema, opts, maxEntries)
+	for g, sel := range sels {
+		if sel == nil || len(sel) > 0 {
+			feedGroup(t, bulk, ct, g, sel, false)
+			feedGroup(t, perValue, ct, g, sel, true)
 		}
-		out, err := bulk.Finish()
-		if err != nil {
-			t.Fatalf("%s run %d: %v", desc, run, err)
-		}
-		want, err := perValue.Finish()
-		if err != nil {
-			t.Fatalf("%s run %d: per value: %v", desc, run, err)
-		}
-		mustEqualBuilds(t, fmt.Sprintf("%s run %d", desc, run), bulk, perValue, out, want)
-		if err := out.Validate(); err != nil {
-			t.Fatalf("%s run %d: invalid output: %v", desc, run, err)
-		}
-		if out.RowGroups() == nil {
-			t.Fatalf("%s run %d: misaligned output row groups", desc, run)
-		}
-		got, err := out.Table()
-		if err != nil {
-			t.Fatalf("%s run %d: decode: %v", desc, run, err)
-		}
-		mustEqualTables(t, fmt.Sprintf("%s run %d", desc, run), gather(tb, global), got)
 	}
+	out, err := bulk.Finish()
+	if err != nil {
+		t.Fatalf("%s: %v", desc, err)
+	}
+	want, err := perValue.Finish()
+	if err != nil {
+		t.Fatalf("%s: per value: %v", desc, err)
+	}
+	mustEqualBuilds(t, desc, bulk, perValue, out, want)
+	if err := out.Validate(); err != nil {
+		t.Fatalf("%s: invalid output: %v", desc, err)
+	}
+	if out.RowGroups() == nil {
+		t.Fatalf("%s: misaligned output row groups", desc)
+	}
+	got, err := out.Table()
+	if err != nil {
+		t.Fatalf("%s: decode: %v", desc, err)
+	}
+	mustEqualTables(t, desc, gather(tb, global), got)
 }
 
 // TestDifferentialBuilder drives random tables, chunk layouts and
@@ -434,20 +354,9 @@ func TestDifferentialBuilder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		maxEntries := -1 // no session
-		if rng.Intn(2) == 0 {
-			maxEntries = 0
-			if rng.Intn(3) == 0 {
-				maxEntries = 1 + rng.Intn(32) // force overflows
-			}
-		}
-		newSession := func() *Session {
-			if maxEntries < 0 {
-				return nil
-			}
-			s := NewSession()
-			s.MaxEntries = maxEntries
-			return s
+		maxEntries := DefaultMaxEntries
+		if rng.Intn(3) == 0 {
+			maxEntries = 1 + rng.Intn(32) // force overflows
 		}
 		opts := encoding.Options{ChunkRows: 1 + rng.Intn(300)}
 		global := []int{} // non-nil: gather(nil) means every row
@@ -474,6 +383,6 @@ func TestDifferentialBuilder(t *testing.T) {
 			sels = append(sels, sel)
 			base += rows
 		}
-		checkBuilds(t, fmt.Sprintf("seed %d", seed), tb, ct, sels, global, opts, newSession)
+		checkBuilds(t, fmt.Sprintf("seed %d", seed), tb, ct, sels, global, opts, maxEntries)
 	}
 }

@@ -9,8 +9,7 @@ import (
 
 // FuzzBuilder derives a table, a chunk layout, a selection and a builder
 // configuration from the fuzz input, drives the source chunks through the
-// builder's append paths — in bulk and value by value, over a cold and then
-// a warm session — and requires byte-identical outputs that decode to a
+// builder's append paths — in bulk and value by value — and requires byte-identical outputs that decode to a
 // direct gather of the selected rows. It hunts for row drops, code/value
 // space transitions that lose data, misaligned chunk boundaries, dictionary
 // overflow corruption and any way the bulk append departs from appending
@@ -29,6 +28,9 @@ func FuzzBuilder(f *testing.F) {
 		card := 1 + int(data[3])
 		target := 1 + int(data[6])
 		maxEntries := int(data[7])
+		if maxEntries == 0 {
+			maxEntries = DefaultMaxEntries
+		}
 		sel := data[8:]
 
 		types := []table.Type{table.Int, table.Str, table.Float}
@@ -56,14 +58,6 @@ func FuzzBuilder(f *testing.F) {
 		if err != nil {
 			t.Fatalf("FromTable: %v", err)
 		}
-		newSession := func() *Session {
-			if maxEntries == 0 {
-				return nil
-			}
-			s := NewSession()
-			s.MaxEntries = maxEntries
-			return s
-		}
 		global := []int{}
 		var sels [][]int32
 		base := 0
@@ -90,6 +84,6 @@ func FuzzBuilder(f *testing.F) {
 			}
 			base += rows
 		}
-		checkBuilds(t, "fuzz", tb, ct, sels, global, encoding.Options{ChunkRows: target}, newSession)
+		checkBuilds(t, "fuzz", tb, ct, sels, global, encoding.Options{ChunkRows: target}, maxEntries)
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 	"testing"
 
-	"github.com/shortcircuit-db/sc/internal/chunkio"
 	"github.com/shortcircuit-db/sc/internal/colfmt"
 	"github.com/shortcircuit-db/sc/internal/core"
 	"github.com/shortcircuit-db/sc/internal/dag"
@@ -99,9 +98,8 @@ func TestChunkedIntermediatesEndToEnd(t *testing.T) {
 	runChunkedWorkload(t, &Controller{Store: rowStore, Mem: memcat.New(1 << 30)})
 
 	vecStore := newStore()
-	sess := chunkio.NewSession()
 	log := &eventLog{}
-	ctl := &Controller{Store: vecStore, Mem: memcat.New(1 << 30), Obs: log, Encoding: &enc, Chunked: sess}
+	ctl := &Controller{Store: vecStore, Mem: memcat.New(1 << 30), Obs: log, Encoding: &enc}
 	res := runChunkedWorkload(t, ctl)
 
 	var j2 *NodeMetrics
@@ -150,16 +148,5 @@ func TestChunkedIntermediatesEndToEnd(t *testing.T) {
 		if !bytes.Equal(wb, gb) {
 			t.Fatalf("MV %q differs between row-engine and chunked runs", name)
 		}
-	}
-
-	// A second refresh through the same session reuses the dictionaries the
-	// first run derived.
-	res2 := runChunkedWorkload(t, ctl)
-	var reused int64
-	for _, n := range res2.Nodes {
-		reused += n.DictReused
-	}
-	if reused == 0 {
-		t.Fatal("repeated refresh reports no dictionary reuse")
 	}
 }

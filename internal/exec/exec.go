@@ -33,7 +33,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/shortcircuit-db/sc/internal/chunkio"
 	"github.com/shortcircuit-db/sc/internal/colfmt"
 	"github.com/shortcircuit-db/sc/internal/core"
 	"github.com/shortcircuit-db/sc/internal/dag"
@@ -142,7 +141,9 @@ func (r *RunResult) TotalCompute() time.Duration {
 	return d
 }
 
-// Controller coordinates one MV refresh run.
+// Controller coordinates one MV refresh run. It carries nothing from one
+// Run to the next: what a run reuses lives in the store and in the
+// caller's Memory Catalog.
 type Controller struct {
 	Store storage.Store   // external storage holding base tables and MVs
 	Mem   *memcat.Catalog // bounded Memory Catalog (nil disables flagging)
@@ -184,14 +185,9 @@ type Controller struct {
 	// instead of paying a whole-table decode. A kernel whose input is not
 	// chunked falls back to the row engine with byte-identical results.
 	// Nil keeps the v1 row path and never lowers. Reads handle both
-	// formats either way.
+	// formats either way. Nothing the kernels build outlives the node:
+	// each join's output dictionaries belong to its own chunk builder.
 	Encoding *encoding.Options
-	// Chunked, when non-nil (and Encoding is set), carries the session
-	// dictionary cache across refresh runs: kernel outputs emitted as
-	// compressed chunks reuse the previous run's dictionaries instead of
-	// rebuilding them. A single Session must not be shared by overlapping
-	// Run invocations.
-	Chunked *chunkio.Session
 
 	// awaitHook, when set, runs each time a node is about to wait out
 	// background writes (awaitWrites); tests use it to hold a write until
@@ -274,7 +270,6 @@ func (c *Controller) Run(ctx context.Context, w *Workload, g *dag.Graph, plan *c
 	}
 	start := time.Now()
 	n := g.Len()
-	c.Chunked.BeginRun() // nil-safe; snapshots the dictionary-reuse baseline
 
 	if c.RunID != "" && c.Obs != nil {
 		// Shallow-copy the controller with a run-scoped observer so every
@@ -477,9 +472,7 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool, f
 		in.scans[name]++
 	}
 	if c.Encoding != nil {
-		planNode = kernels.LowerEnv(planNode, &m.KernelStats, &kernels.Env{
-			Session: c.Chunked, Node: spec.Name, Opts: *c.Encoding,
-		})
+		planNode = kernels.LowerEnv(planNode, &m.KernelStats, &kernels.Env{Opts: *c.Encoding})
 	}
 	planRead := in.readTime
 	m.PlanTime = time.Since(p0) - planRead

@@ -75,7 +75,7 @@ type tenantBudget struct {
 // wait in a bounded FIFO. Admission is strictly in queue order — a blocked
 // head blocks the tail, which is what makes "queues the rest in order"
 // testable — and one pipeline never runs two refreshes concurrently (its
-// storage objects and session dictionary cache are per-pipeline state).
+// storage objects and learned metrics are per-pipeline state).
 type admitter struct {
 	pool     *memcat.Pool
 	sched    *sched.Scheduler // token budget committed alongside bytes; nil skips token gating

@@ -1,17 +1,17 @@
 // Package gateway is the multi-tenant refresh gateway: a server hosting
 // many named MV pipelines over ONE shared Memory Catalog budget. Each
-// registered pipeline keeps its own metrics store, session dictionary
-// cache and storage namespace (named by the pipeline), and runs the row
-// path or, registered with encoding, the compressed path; every refresh
-// trigger is re-planned from the pipeline's observed execution metadata,
-// the plan's proven peak catalog footprint is reserved against the
-// tenant's slice and the global pool by the admission controller, and only
-// then does the refresh run. Triggers that do not fit queue in a bounded
-// FIFO with a deadline; cancellation — explicit or by client disconnect —
-// releases reservations and evicts partial state, so the shared budget can
-// never leak. Every run is traced from enqueue to its terminal state: the
-// trace is what the ledger row and the per-run /metrics counters are
-// derived from, once, when the run finishes.
+// registered pipeline keeps its own metrics store and storage namespace
+// (named by the pipeline), and runs the row path or, registered with
+// encoding, the compressed path; every refresh trigger is re-planned from
+// the pipeline's observed execution metadata, the plan's proven peak
+// catalog footprint is reserved against the tenant's slice and the global
+// pool by the admission controller, and only then does the refresh run.
+// Triggers that do not fit queue in a bounded FIFO with a deadline;
+// cancellation — explicit or by client disconnect — releases reservations
+// and evicts partial state, so the shared budget can never leak. Every run
+// is traced from enqueue to its terminal state: the trace is what the
+// ledger row and the per-run /metrics counters are derived from, once,
+// when the run finishes.
 package gateway
 
 import (

@@ -26,7 +26,7 @@ import (
 var watchKeys = []string{
 	"kind", "node", "bytes", "encoded", "flagged", "form",
 	"lowered", "fallbacks", "chunks_skipped", "code_filtered_rows", "decodes_avoided",
-	"join_build_rows", "join_probe_rows", "chunks_passed", "reencoded_chunks", "dict_reused",
+	"join_build_rows", "join_probe_rows", "chunks_passed", "reencoded_chunks",
 	"error",
 }
 

@@ -20,8 +20,7 @@ import (
 // by the bytes of the shared key ids, per-row accessor closures, a sorted
 // bucketing and one Builder append per value. Both must produce the same
 // chunks byte for byte, the same RawBytes, the same chunkio.Counters and
-// the same kernel Stats, for every codec, selection, group layout and state
-// of the session dictionaries.
+// the same kernel Stats, for every codec, selection and group layout.
 
 // perValueJoined is the value-at-a-time join's build table and pairs.
 type perValueJoined struct {
@@ -346,14 +345,13 @@ func perValueAssemble(j *HashJoinScan, ctx *engine.Context, b *chunkio.Builder) 
 	return b.Finish()
 }
 
-// assemblyCase is one randomized join: both tables, the plan over them and
-// the output environment's session dictionary cap (-1: no session).
+// assemblyCase is one randomized join: both tables, their chunk layouts,
+// the output codec policy and the plan over them.
 type assemblyCase struct {
 	left, right  *table.Table
 	lOpts, rOpts encoding.Options
 	outOpts      encoding.Options
 	build        func() engine.Node
-	maxEntries   int
 }
 
 // genAssemblyCase draws tables whose key and payload columns cover every
@@ -380,7 +378,6 @@ func genAssemblyCase(rng *rand.Rand) assemblyCase {
 	}
 	c.lOpts, c.rOpts = encOptions(rng), encOptions(rng)
 	c.outOpts = encoding.Options{ChunkRows: []int{0, 1 + rng.Intn(9), 64}[rng.Intn(3)]}
-	c.maxEntries = []int{-1, 0, 1 + rng.Intn(12)}[rng.Intn(3)]
 
 	joined := &table.Table{}
 	joined.Schema.Cols = append(append(joined.Schema.Cols, c.left.Schema.Cols...), c.right.Schema.Cols...)
@@ -420,19 +417,9 @@ func genAssemblyCase(rng *rand.Rand) assemblyCase {
 
 // lowerJoin lowers the case's plan with its own Stats and output
 // environment; ok is false when the root is not a join kernel.
-func (c assemblyCase) lowerJoin(sess *chunkio.Session) (*HashJoinScan, bool) {
-	env := &Env{Session: sess, Node: "n", Opts: c.outOpts}
-	j, ok := LowerEnv(c.build(), &Stats{}, env).(*HashJoinScan)
+func (c assemblyCase) lowerJoin() (*HashJoinScan, bool) {
+	j, ok := LowerEnv(c.build(), &Stats{}, &Env{Opts: c.outOpts}).(*HashJoinScan)
 	return j, ok
-}
-
-func (c assemblyCase) newSession() *chunkio.Session {
-	if c.maxEntries < 0 {
-		return nil
-	}
-	s := chunkio.NewSession()
-	s.MaxEntries = c.maxEntries
-	return s
 }
 
 // mustEqualChunks compares two compressed outputs chunk for chunk.
@@ -456,56 +443,50 @@ func mustEqualChunks(t *testing.T, desc string, want, got *encoding.Compressed) 
 }
 
 // checkAssembly runs one case through both joins, in both output forms,
-// twice over the same sessions (a cold run, then a warm one) and requires
-// identical chunks, counters and Stats. It reports whether the case lowered
-// onto the join kernel.
-func checkAssembly(t *testing.T, desc string, c assemblyCase) bool {
+// and requires identical chunks, counters and Stats. It returns the
+// columnar builder's counters and whether the case lowered onto the join
+// kernel.
+func checkAssembly(t *testing.T, desc string, c assemblyCase) (chunkio.Counters, bool) {
 	t.Helper()
 	_, vecCtx := joinCtxFor(t, map[string]*table.Table{"L": c.left, "R": c.right},
 		map[string]encoding.Options{"L": c.lOpts, "R": c.rOpts})
-	sessNew, sessOld := c.newSession(), c.newSession()
-	for run := 0; run < 2; run++ {
-		sessNew.BeginRun()
-		sessOld.BeginRun()
-		jn, ok := c.lowerJoin(sessNew)
-		if !ok {
-			return false
-		}
-		jo, _ := c.lowerJoin(sessOld)
-		desc := fmt.Sprintf("%s run %d", desc, run)
-
-		jd, err := jn.join(vecCtx)
-		if err != nil {
-			t.Fatalf("%s: columnar join: %v", desc, err)
-		}
-		bn := jn.Env.builderFor(jn.Sch, jn.ID)
-		got, errN := jn.assemble(bn, jd)
-		addBuilder(jn.St, bn.Counters)
-		bo := jo.Env.builderFor(jo.Sch, jo.ID)
-		want, errO := perValueAssemble(jo, vecCtx, bo)
-		addBuilder(jo.St, bo.Counters)
-		if (errN != nil) != (errO != nil) {
-			t.Fatalf("%s: per-value err %v, columnar err %v", desc, errO, errN)
-		}
-		if errN == nil {
-			mustEqualChunks(t, desc, want, got)
-		}
-		if bn.Counters != bo.Counters {
-			t.Fatalf("%s: builder counters per-value %+v, columnar %+v", desc, bo.Counters, bn.Counters)
-		}
-		if *jn.St != *jo.St {
-			t.Fatalf("%s: chunked Stats per-value %+v, columnar %+v", desc, *jo.St, *jn.St)
-		}
-
-		*jn.St, *jo.St = Stats{}, Stats{}
-		gotT, errN := jn.Run(vecCtx)
-		wantT, errO := perValueRun(jo, vecCtx)
-		mustEqual(t, 0, desc+" materialized", wantT, gotT, errO, errN)
-		if *jn.St != *jo.St {
-			t.Fatalf("%s: materialized Stats per-value %+v, columnar %+v", desc, *jo.St, *jn.St)
-		}
+	jn, ok := c.lowerJoin()
+	if !ok {
+		return chunkio.Counters{}, false
 	}
-	return true
+	jo, _ := c.lowerJoin()
+
+	jd, err := jn.join(vecCtx)
+	if err != nil {
+		t.Fatalf("%s: columnar join: %v", desc, err)
+	}
+	bn := chunkio.NewBuilder(jn.Sch, c.outOpts)
+	got, errN := jn.assemble(bn, jd)
+	addBuilder(jn.St, bn.Counters)
+	bo := chunkio.NewBuilder(jo.Sch, c.outOpts)
+	want, errO := perValueAssemble(jo, vecCtx, bo)
+	addBuilder(jo.St, bo.Counters)
+	if (errN != nil) != (errO != nil) {
+		t.Fatalf("%s: per-value err %v, columnar err %v", desc, errO, errN)
+	}
+	if errN == nil {
+		mustEqualChunks(t, desc, want, got)
+	}
+	if bn.Counters != bo.Counters {
+		t.Fatalf("%s: builder counters per-value %+v, columnar %+v", desc, bo.Counters, bn.Counters)
+	}
+	if *jn.St != *jo.St {
+		t.Fatalf("%s: chunked Stats per-value %+v, columnar %+v", desc, *jo.St, *jn.St)
+	}
+
+	*jn.St, *jo.St = Stats{}, Stats{}
+	gotT, errN := jn.Run(vecCtx)
+	wantT, errO := perValueRun(jo, vecCtx)
+	mustEqual(t, 0, desc+" materialized", wantT, gotT, errO, errN)
+	if *jn.St != *jo.St {
+		t.Fatalf("%s: materialized Stats per-value %+v, columnar %+v", desc, *jo.St, *jn.St)
+	}
+	return bn.Counters, true
 }
 
 // TestJoinAssemblyMatchesPerValueLoop is the differential test of the join
@@ -517,7 +498,7 @@ func TestJoinAssemblyMatchesPerValueLoop(t *testing.T) {
 	}
 	lowered := 0
 	for seed := 9000; seed < 9000+iters; seed++ {
-		if checkAssembly(t, fmt.Sprintf("seed %d", seed), genAssemblyCase(rand.New(rand.NewSource(int64(seed))))) {
+		if _, ok := checkAssembly(t, fmt.Sprintf("seed %d", seed), genAssemblyCase(rand.New(rand.NewSource(int64(seed))))); ok {
 			lowered++
 		}
 	}
@@ -526,49 +507,58 @@ func TestJoinAssemblyMatchesPerValueLoop(t *testing.T) {
 	}
 }
 
-// TestJoinAssemblyOverflowMidVector pins the case the bulk append must get
-// exactly right: a warm shared dictionary that fills up partway through
-// one AppendVector. The probe side's payload is a raw-encoded string
-// column, so every output segment arrives as one decoded vector.
+// TestJoinAssemblyOverflowMidVector overflows the join's output
+// dictionaries at their default cap, midway through each output column. On
+// both sides the payload is a dictionary chunk per row group (each value
+// twice per group, so dict wins) and the groups' entries together
+// outnumber chunkio.DefaultMaxEntries; the 1:1 join keeps every row. The
+// probe-side column must fall from remapped codes to values partway
+// through (its pending codes materialize), the build-side column must
+// gather values once Remap refuses, and both must still match the
+// per-value loop and the row engine.
 func TestJoinAssemblyOverflowMidVector(t *testing.T) {
-	n := 120
-	left := table.New(table.NewSchema(
-		table.Column{Name: "k", Type: table.Int},
-		table.Column{Name: "s", Type: table.Str},
-	))
-	right := table.New(table.NewSchema(
-		table.Column{Name: "k", Type: table.Int},
-		table.Column{Name: "v", Type: table.Int},
-	))
-	for i := 0; i < n; i++ {
-		if err := left.AppendRow(table.IntValue(int64(i%4)), table.StrValue(fmt.Sprintf("s%d", i%30))); err != nil {
-			t.Fatal(err)
+	const chunkRows, perGroup = 2048, 1024
+	n := chunkRows * (chunkio.DefaultMaxEntries/perGroup + 1)
+	side := func(prefix string) *table.Table {
+		tb := table.New(table.NewSchema(
+			table.Column{Name: "k", Type: table.Int},
+			table.Column{Name: "s", Type: table.Str},
+		))
+		for i := 0; i < n; i++ {
+			tb.Cols[0].Ints = append(tb.Cols[0].Ints, int64(i))
+			tb.Cols[1].Strs = append(tb.Cols[1].Strs, fmt.Sprintf("%s%06d", prefix, i/chunkRows*perGroup+i%perGroup))
 		}
+		return tb
 	}
-	for i := 0; i < 4; i++ {
-		if err := right.AppendRow(table.IntValue(int64(i)), table.IntValue(int64(100+i))); err != nil {
-			t.Fatal(err)
-		}
+	left, right := side("l"), side("r")
+	c := assemblyCase{
+		left: left, right: right,
+		lOpts: encoding.Options{ChunkRows: chunkRows},
+		rOpts: encoding.Options{ChunkRows: chunkRows},
+		build: func() engine.Node {
+			return &engine.HashJoin{
+				Left:      &engine.Scan{Name: "L", Sch: left.Schema},
+				Right:     &engine.Scan{Name: "R", Sch: right.Schema},
+				LeftKeys:  []int{0},
+				RightKeys: []int{0},
+			}
+		},
 	}
-	for _, maxEntries := range []int{5, 12, 29, 30} {
-		c := assemblyCase{
-			left: left, right: right,
-			lOpts:      encoding.Options{Mode: encoding.ModeRaw, ChunkRows: 40},
-			rOpts:      encoding.Options{},
-			maxEntries: maxEntries,
-			build: func() engine.Node {
-				return &engine.HashJoin{
-					Left:      &engine.Scan{Name: "L", Sch: left.Schema},
-					Right:     &engine.Scan{Name: "R", Sch: right.Schema},
-					LeftKeys:  []int{0},
-					RightKeys: []int{0},
-				}
-			},
-		}
-		if !checkAssembly(t, fmt.Sprintf("max entries %d", maxEntries), c) {
-			t.Fatal("plan did not lower onto the join kernel")
-		}
+	cnt, ok := checkAssembly(t, "default cap", c)
+	if !ok {
+		t.Fatal("plan did not lower onto the join kernel")
 	}
+	// The key columns are not dictionary chunks, so any code chunk would be
+	// a payload column that never overflowed.
+	if cnt.CodeChunks != 0 || cnt.MaterializedBytes == 0 {
+		t.Fatalf("counters = %+v: both payload columns should have overflowed to values", cnt)
+	}
+	rowCtx, vecCtx := joinCtxFor(t, map[string]*table.Table{"L": left, "R": right},
+		map[string]encoding.Options{"L": c.lOpts, "R": c.rOpts})
+	want, wantErr := c.build().Run(rowCtx)
+	j, _ := c.lowerJoin()
+	got, gotErr := decodeChunked(t, j, vecCtx)
+	mustEqual(t, 0, "overflowed chunked output", want, got, wantErr, gotErr)
 }
 
 // FuzzJoinAssembly drives the same differential from fuzz-chosen seeds.
@@ -588,7 +578,7 @@ func TestPerValueReferenceMatchesRowEngine(t *testing.T) {
 		c := genAssemblyCase(rand.New(rand.NewSource(int64(seed))))
 		rowCtx, vecCtx := joinCtxFor(t, map[string]*table.Table{"L": c.left, "R": c.right},
 			map[string]encoding.Options{"L": c.lOpts, "R": c.rOpts})
-		j, ok := c.lowerJoin(nil)
+		j, ok := c.lowerJoin()
 		if !ok {
 			continue
 		}

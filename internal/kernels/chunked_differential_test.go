@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/shortcircuit-db/sc/internal/chunkio"
 	"github.com/shortcircuit-db/sc/internal/encoding"
 	"github.com/shortcircuit-db/sc/internal/engine"
 	"github.com/shortcircuit-db/sc/internal/table"
@@ -183,61 +182,5 @@ func TestDifferentialAggOverJoin(t *testing.T) {
 	}
 	if aggOverJoin == 0 {
 		t.Fatal("no iteration aggregated a join's chunked output")
-	}
-}
-
-// TestChunkedDictReuseAcrossRuns: running the same lowered join twice with
-// one session must serve the second run's dictionaries from the first.
-func TestChunkedDictReuseAcrossRuns(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	n := 400
-	fact := genTable(rng, n)
-	key := &table.Vector{Type: table.Str}
-	for i := 0; i < n; i++ {
-		key.Strs = append(key.Strs, fmt.Sprintf("cat%d", i%6))
-	}
-	fact.Schema.Cols = append(fact.Schema.Cols, table.Column{Name: "k", Type: table.Str})
-	fact.Cols = append(fact.Cols, key)
-	// The dimension misses cat0, so the join drops a sixth of the fact rows
-	// and the survivors' dictionary columns gather through the builder's
-	// code space.
-	dim := table.New(table.NewSchema(
-		table.Column{Name: "dk", Type: table.Str},
-		table.Column{Name: "label", Type: table.Str},
-	))
-	for c := 1; c < 6; c++ {
-		dim.Cols[0].Strs = append(dim.Cols[0].Strs, fmt.Sprintf("cat%d", c))
-		dim.Cols[1].Strs = append(dim.Cols[1].Strs, fmt.Sprintf("label%d", c%2))
-	}
-	sess := chunkio.NewSession()
-	run := func() *Stats {
-		sess.BeginRun()
-		st := &Stats{}
-		env := &Env{Session: sess, Node: "mv", Opts: encoding.Options{ChunkRows: 64}}
-		lowered := LowerEnv(&engine.HashJoin{
-			Left:      &engine.Scan{Name: "F", Sch: fact.Schema},
-			Right:     &engine.Scan{Name: "D", Sch: dim.Schema},
-			LeftKeys:  []int{len(fact.Cols) - 1},
-			RightKeys: []int{0},
-		}, st, env)
-		_, vecCtx := joinCtxFor(t, map[string]*table.Table{"F": fact, "D": dim},
-			map[string]encoding.Options{"F": {ChunkRows: 64}, "D": {ChunkRows: 64}})
-		join, ok := lowered.(*HashJoinScan)
-		if !ok {
-			t.Fatal("join did not lower")
-		}
-		out, err := decodeChunked(t, join, vecCtx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.NumRows() == 0 || out.NumRows() >= n {
-			t.Fatalf("join kept %d of %d rows, want a partial selection", out.NumRows(), n)
-		}
-		return st
-	}
-	run() // warm: derives this plan's dictionaries
-	second := run()
-	if second.DictReused == 0 {
-		t.Fatalf("second run stats = %+v: expected dictionary reuse from the session cache", second)
 	}
 }

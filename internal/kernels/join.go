@@ -85,8 +85,7 @@ type HashJoinScan struct {
 	Sch  table.Schema
 	Orig engine.Node // HashJoin, or Project(HashJoin…) when Proj is fused
 	St   *Stats
-	Env  *Env // chunked-output environment (nil: defaults, no dict cache)
-	ID   int  // stable operator label within the node, keys the dict cache
+	Env  *Env // chunked-output environment (nil: default codec policy)
 }
 
 // Schema implements engine.Node.
@@ -158,11 +157,7 @@ func (j *HashJoinScan) runInner(ctx *engine.Context, op *HashJoinScan) (*encodin
 		return nil, nil, err
 	}
 	if ct == nil {
-		opts := encoding.Options{}
-		if j.Env != nil {
-			opts = j.Env.Opts
-		}
-		if ct, err = encoding.FromTable(t, opts); err != nil {
+		if ct, err = encoding.FromTable(t, j.Env.opts()); err != nil {
 			return nil, nil, err
 		}
 		for _, chunks := range ct.Cols {
@@ -232,7 +227,7 @@ func (j *HashJoinScan) RunChunked(ctx *engine.Context) (*encoding.Compressed, *t
 	// source columns as remapped codes, everything else as typed columns of
 	// late-materialized values appended in bulk — in the row engine's exact
 	// output order (probe order, then build order).
-	b := j.Env.builderFor(j.Sch, j.ID)
+	b := chunkio.NewBuilder(j.Sch, j.Env.opts())
 	ct, err := j.assemble(b, jd)
 	if err != nil {
 		return nil, nil, j.wrap(err)

@@ -38,7 +38,6 @@
 package kernels
 
 import (
-	"fmt"
 	"math/bits"
 
 	"github.com/shortcircuit-db/sc/internal/chunkio"
@@ -58,39 +57,22 @@ type Stats = obs.KernelStats
 func addBuilder(st *Stats, c chunkio.Counters) {
 	st.ChunksPassed += c.CodeChunks
 	st.ReencodedChunks += c.Reencoded
-	st.DictReused += c.DictReused
 	st.DecodedBytes += c.MaterializedBytes
 }
 
-// Env is the chunked-output environment of one node's lowering: the session
-// dictionary cache, the producing node's name (keying that cache) and the
-// codec policy for re-encoded chunks. A nil Env still lets a join emit
-// chunked output — with default options and no cross-run dictionary reuse.
+// Env is the chunked-output environment of one node's lowering: the codec
+// policy for chunks its joins emit. A nil Env still lets a join emit
+// chunked output, with default options.
 type Env struct {
-	Session *chunkio.Session
-	Node    string
-	Opts    encoding.Options
-
-	nextID int
+	Opts encoding.Options
 }
 
-// newID labels one join within the node's plan, so its session dictionaries
-// get a stable key across runs (Lower traverses the same plan shape in the
-// same order every run).
-func (e *Env) newID() int {
+// opts returns the codec policy for emitted and re-encoded chunks.
+func (e *Env) opts() encoding.Options {
 	if e == nil {
-		return 0
+		return encoding.Options{}
 	}
-	e.nextID++
-	return e.nextID
-}
-
-// builderFor returns a Builder for one join's output.
-func (e *Env) builderFor(sch table.Schema, id int) *chunkio.Builder {
-	if e == nil {
-		return chunkio.NewBuilder(sch, encoding.Options{}, nil, "")
-	}
-	return chunkio.NewBuilder(sch, e.Opts, e.Session, fmt.Sprintf("%s#%d", e.Node, id))
+	return e.Opts
 }
 
 // --- selection bitmap ---

@@ -41,9 +41,10 @@ func Lower(root engine.Node, st *Stats) engine.Node {
 }
 
 // LowerEnv is Lower with a chunked-output environment: the joins it
-// produces emit compressed chunks through env's codec policy and session
-// dictionary cache when their consumer takes chunks (a join or aggregate
-// above them, the controller storing the node's output).
+// produces emit compressed chunks through env's codec policy when their
+// consumer takes chunks (a join or aggregate above them, the controller
+// storing the node's output). Each join builds its output chunks afresh on
+// every run; no dictionary outlives it.
 func LowerEnv(root engine.Node, st *Stats, env *Env) engine.Node {
 	return lower(root, st, env)
 }
@@ -166,7 +167,7 @@ func lowerJoin(hj *engine.HashJoin, st *Stats, env *Env) *HashJoinScan {
 		Left: left, Right: right,
 		LeftKeys: hj.LeftKeys, RightKeys: hj.RightKeys,
 		Sch:  hj.Schema(),
-		Orig: hj, St: st, Env: env, ID: env.newID(),
+		Orig: hj, St: st, Env: env,
 	}
 }
 

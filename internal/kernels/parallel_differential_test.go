@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"github.com/shortcircuit-db/sc/internal/chunkio"
 	"github.com/shortcircuit-db/sc/internal/encoding"
 	"github.com/shortcircuit-db/sc/internal/engine"
 	"github.com/shortcircuit-db/sc/internal/table"
@@ -16,7 +15,7 @@ import (
 // The parallel differential suite. A node runs on its one token and walks
 // its row groups serially, so the parallelism left is k nodes at once — and
 // concurrent nodes read the same inputs (a Memory Catalog resident, a
-// storage object's chunk view) and share the session dictionary cache. Each
+// storage object's chunk view), each with its own chunk builders. Each
 // test runs w copies of one plan at the same time over one shared context,
 // every copy lowered on its own as a node's plan would be, and checks each
 // copy against a serial run: the same bytes and the same counters. Run
@@ -214,10 +213,10 @@ func TestDifferentialParallelJoin(t *testing.T) {
 }
 
 // TestDifferentialParallelChunkedOutput pins chunked output composed across
-// operators with concurrent nodes sharing one session dictionary cache: in
-// a two-level join tree the inner join emits chunks that the outer join
-// probes, every copy lowers as its own node of one session, and each
-// emitted chunk stream must decode byte-identically to a serial run.
+// operators with concurrent nodes over shared inputs: in a two-level join
+// tree the inner join emits chunks that the outer join probes, every copy
+// lowers as its own node with its own builders, and each emitted chunk
+// stream must decode byte-identically to a serial run.
 func TestDifferentialParallelChunkedOutput(t *testing.T) {
 	iters := 200
 	if testing.Short() {
@@ -255,15 +254,13 @@ func TestDifferentialParallelChunkedOutput(t *testing.T) {
 		w := width(rng)
 
 		stS := &Stats{}
-		serialOp, ok := LowerEnv(build(), stS, &Env{Session: chunkio.NewSession(), Node: "serial"}).(*HashJoinScan)
+		serialOp, ok := Lower(build(), stS).(*HashJoinScan)
 		if !ok {
 			continue
 		}
 		want, wantErr := decodeChunked(t, serialOp, vecCtx)
-		shared := chunkio.NewSession()
-		res, sts := concurrently(w, func(i int, st *Stats) result {
-			env := &Env{Session: shared, Node: fmt.Sprintf("n%d", i)}
-			return chunkedOut(LowerEnv(build(), st, env).(*HashJoinScan), vecCtx)
+		res, sts := concurrently(w, func(_ int, st *Stats) result {
+			return chunkedOut(Lower(build(), st).(*HashJoinScan), vecCtx)
 		})
 		mustMatchAll(t, int64(seed), "concurrent chunked join tree", want, wantErr, stS, res, sts)
 		if wantErr == nil {

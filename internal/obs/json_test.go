@@ -59,14 +59,14 @@ func TestEventMarshalJSONErrorAndStep(t *testing.T) {
 
 func TestEventMarshalJSONKernelCounters(t *testing.T) {
 	e := Event{Kind: KernelDone, Node: "mv_c", Step: 0, Bytes: 512,
-		KernelStats: KernelStats{Lowered: 4, DictReused: 2, DecodedBytes: 512}}
+		KernelStats: KernelStats{Lowered: 4, ChunksPassed: 2, DecodedBytes: 512}}
 	data, err := json.Marshal(e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := string(data)
 	if !strings.Contains(s, `"kind":"KernelDone"`) || !strings.Contains(s, `"lowered":4`) ||
-		!strings.Contains(s, `"dict_reused":2`) {
+		!strings.Contains(s, `"chunks_passed":2`) {
 		t.Fatalf("kernel counters missing: %s", s)
 	}
 	if !strings.Contains(s, `"step":0`) {

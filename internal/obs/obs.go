@@ -148,7 +148,11 @@ type KernelStats struct {
 	JoinProbeRows    int64 `json:"join_probe_rows,omitempty"`    // rows probed against join build tables
 	ChunksPassed     int64 `json:"chunks_passed,omitempty"`      // output chunks emitted from gathered codes, never materialized
 	ReencodedChunks  int64 `json:"reencoded_chunks,omitempty"`   // output chunks re-encoded from materialized values
-	DictReused       int64 `json:"dict_reused,omitempty"`        // output chunks whose dictionary the session cache served entirely
+
+	// Deprecated: DictReused is always 0. It counted output chunks a
+	// cross-run dictionary cache served entirely; each output dictionary now
+	// belongs to one chunk builder, and nothing is carried between runs.
+	DictReused int64 `json:"-"`
 }
 
 // Observer receives events. Implementations must be safe for concurrent use:

@@ -1,7 +1,6 @@
 // Package session is the one way to plan, run and finish a refresh. A
 // Pipeline owns a refresh DAG's persistent state — workload, store, learned
-// execution metadata, session dictionaries, and what it remembers from its
-// previous run — and turns that state into the optimizer's problem, a
+// execution metadata, and what it remembers from its previous run — and turns that state into the optimizer's problem, a
 // solved plan, an explanation of a plan in the numbers the problem was
 // priced with, and an executed run. Run records the execution
 // metadata from the run's result, so a run nobody watches emits no events;
@@ -19,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/shortcircuit-db/sc/internal/chunkio"
 	"github.com/shortcircuit-db/sc/internal/core"
 	"github.com/shortcircuit-db/sc/internal/costmodel"
 	"github.com/shortcircuit-db/sc/internal/dag"
@@ -65,10 +63,6 @@ type Pipeline struct {
 	// (core.DispatchRank), and plan position only breaks ties.
 	Concurrency int
 
-	// dicts is the session dictionary cache: an encoded run's kernels
-	// reuse the dictionaries the run before derived.
-	dicts *chunkio.Session
-
 	// What the pipeline remembers of its previous run: each node's span (a
 	// later run that reuses cached state links back to it) and the health
 	// verdict (alerts fire on transitions, not states). Living here, both
@@ -95,7 +89,6 @@ func NewPipeline(name string, nodes []exec.NodeSpec, store storage.Store) (*Pipe
 		Parents:  g.ParentNames(),
 		Store:    store,
 		Metrics:  metrics.NewStore(),
-		dicts:    chunkio.NewSession(),
 	}, nil
 }
 
@@ -211,7 +204,6 @@ func (p *Pipeline) controller(env RunEnv, plan *core.Plan) *exec.Controller {
 		Rank:        core.DispatchRank(p.Graph, plan.Order, p.Metrics.Seconds(p.Graph)),
 		Sched:       env.Sched,
 		Encoding:    p.Encoding,
-		Chunked:     p.dicts,
 	}
 }
 

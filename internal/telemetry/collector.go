@@ -61,9 +61,8 @@ type CollectorConfig struct {
 	Profile bool
 	// LinkResolver maps a node name to the span that produced its cached
 	// output in an earlier run of the same pipeline. When set, cross-run
-	// cache reuse (a session dictionary hit, a catalog entry surviving
-	// between runs) becomes a span link on the consuming node's span
-	// instead of going unrecorded. Called with the collector lock held —
+	// cache reuse (a catalog entry surviving between runs) becomes a span
+	// link on the consuming node's span instead of going unrecorded. Called with the collector lock held —
 	// must not call back into the collector.
 	LinkResolver func(node string) (SpanContext, bool)
 }
@@ -211,14 +210,7 @@ func (c *Collector) OnEvent(e obs.Event) {
 	case obs.CacheHit:
 		c.attachEventLocked(e, now)
 		c.linkCacheHitLocked(e)
-	case obs.KernelDone:
-		c.attachEventLocked(e, now)
-		if e.DictReused > 0 {
-			// Chunks served entirely from the session dictionary cache: the
-			// dictionaries were built by a previous run of this pipeline.
-			c.addCrossRunLinkLocked(e.Node, e.Node, "session-dictionary")
-		}
-	case obs.EncodeDone, obs.DecodeDone, obs.Evicted, obs.Materialized, obs.MemoryHighWater:
+	case obs.KernelDone, obs.EncodeDone, obs.DecodeDone, obs.Evicted, obs.Materialized, obs.MemoryHighWater:
 		c.attachEventLocked(e, now)
 	}
 }
@@ -239,23 +231,17 @@ func (c *Collector) linkCacheHitLocked(e obs.Event) {
 		})
 		return
 	}
-	c.addCrossRunLinkLocked(e.Node, e.Source, "cached-parent")
-}
-
-// addCrossRunLinkLocked resolves the producing span of a previous run and
-// links consumer's span to it.
-func (c *Collector) addCrossRunLinkLocked(consumer, producer, reason string) {
 	if c.linkFor == nil {
 		return
 	}
-	sc, ok := c.linkFor(producer)
+	sc, ok := c.linkFor(e.Source)
 	if !ok || !sc.IsValid() {
 		return
 	}
-	c.addLinkLocked(consumer, Link{
+	c.addLinkLocked(e.Node, Link{
 		TraceID: sc.TraceID,
 		SpanID:  sc.SpanID,
-		Attrs:   []Attr{Str("sc.link.reason", reason), Str(AttrNode, producer)},
+		Attrs:   []Attr{Str("sc.link.reason", "cached-parent"), Str(AttrNode, e.Source)},
 	})
 }
 
@@ -336,7 +322,6 @@ func spanEventAttrs(e obs.Event) []Attr {
 			Int("sc.kernel.decodes_avoided", e.DecodesAvoided),
 			Int("sc.kernel.chunks_passed", e.ChunksPassed),
 			Int("sc.kernel.reencoded_chunks", e.ReencodedChunks),
-			Int("sc.kernel.dict_reused", e.DictReused),
 		)
 	}
 	return attrs

@@ -56,9 +56,8 @@ func TestCacheHitLinksInRunProducer(t *testing.T) {
 }
 
 // TestCrossRunLinks exercises the LinkResolver path: a cache hit whose
-// producer did not run this run, and a kernel serving chunks from the
-// session dictionary cache, both link to the producing span of a previous
-// run.
+// producer did not run this run links to the producing span of a previous
+// run, and a kernel event links nowhere.
 func TestCrossRunLinks(t *testing.T) {
 	prev := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: true}
 	c := NewCollector(CollectorConfig{
@@ -74,9 +73,7 @@ func TestCrossRunLinks(t *testing.T) {
 	// links across runs.
 	c.OnEvent(obs.Event{Kind: obs.NodeStart, Node: "b"})
 	c.OnEvent(obs.Event{Kind: obs.CacheHit, Node: "b", Source: "a"})
-	// Chunks built from the session dictionary cache: the dictionaries came
-	// from a previous run of this node.
-	c.OnEvent(obs.Event{Kind: obs.KernelDone, Node: "b", KernelStats: obs.KernelStats{DictReused: 3}})
+	c.OnEvent(obs.Event{Kind: obs.KernelDone, Node: "b", KernelStats: obs.KernelStats{Lowered: 3}})
 	c.OnEvent(obs.Event{Kind: obs.NodeDone, Node: "b"})
 	// A producer the resolver does not know yields no link.
 	c.OnEvent(obs.Event{Kind: obs.NodeStart, Node: "d"})
@@ -87,7 +84,7 @@ func TestCrossRunLinks(t *testing.T) {
 	spans := c.Spans()
 	b := spanByName(t, spans, "node b")
 	if len(b.Links) != 1 {
-		t.Fatalf("b links = %+v, want one (cache hit and dict reuse point at the same producer span and dedupe)", b.Links)
+		t.Fatalf("b links = %+v, want one, to the cached parent's producer span", b.Links)
 	}
 	l := b.Links[0]
 	if l.TraceID != prev.TraceID || l.SpanID != prev.SpanID {
@@ -102,36 +99,6 @@ func TestCrossRunLinks(t *testing.T) {
 	d := spanByName(t, spans, "node d")
 	if len(d.Links) != 0 {
 		t.Fatalf("unresolvable producer must not link: %+v", d.Links)
-	}
-}
-
-// TestSessionDictionaryLinkReason checks the dictionary-reuse link in
-// isolation (no cache hit first), where the reason must say why the spans
-// are related.
-func TestSessionDictionaryLinkReason(t *testing.T) {
-	prev := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: true}
-	c := NewCollector(CollectorConfig{
-		LinkResolver: func(node string) (SpanContext, bool) { return prev, node == "a" },
-	})
-	c.OnEvent(obs.Event{Kind: obs.NodeStart, Node: "a"})
-	c.OnEvent(obs.Event{Kind: obs.KernelDone, Node: "a", KernelStats: obs.KernelStats{DictReused: 1}})
-	c.OnEvent(obs.Event{Kind: obs.NodeDone, Node: "a"})
-	c.Finish(time.Time{}, "")
-
-	a := spanByName(t, c.Spans(), "node a")
-	if len(a.Links) != 1 || linkReason(a.Links[0]) != "session-dictionary" {
-		t.Fatalf("a links = %+v, want one session-dictionary link", a.Links)
-	}
-	// Without DictReused the kernel event must not fabricate a link.
-	c2 := NewCollector(CollectorConfig{
-		LinkResolver: func(node string) (SpanContext, bool) { return prev, true },
-	})
-	c2.OnEvent(obs.Event{Kind: obs.NodeStart, Node: "a"})
-	c2.OnEvent(obs.Event{Kind: obs.KernelDone, Node: "a"})
-	c2.OnEvent(obs.Event{Kind: obs.NodeDone, Node: "a"})
-	c2.Finish(time.Time{}, "")
-	if a2 := spanByName(t, c2.Spans(), "node a"); len(a2.Links) != 0 {
-		t.Fatalf("no dict reuse, but links = %+v", a2.Links)
 	}
 }
 

@@ -119,12 +119,11 @@ func WithDevice(d DeviceProfile) Option {
 // KernelDone events report chunks skipped, rows filtered per run and
 // decodes avoided per node.
 //
-// A dictionary cache kept for the life of the Refresher carries each
-// join's per-column dictionaries across Run calls, so recurring refreshes
-// encode recurring values as id lookups (NodeMetrics.DictReused counts the
-// chunks served entirely from it). A dictionary is invalidated when its
-// column's name or type changes; a column whose cardinality outgrows the
-// cap falls back to per-chunk re-encoding.
+// Each join builds its output dictionaries afresh on every Run and drops
+// them with its output chunks: nothing encoded is held outside the Memory
+// Catalog budget between runs, and a Run over unchanged inputs writes the
+// same bytes as the one before. A column whose cardinality outgrows the
+// dictionary cap falls back to per-chunk re-encoding.
 //
 // Pass Mode: sc.EncodingRaw to keep the chunked format but disable
 // compression (an explicit baseline for experiments). Reads handle both

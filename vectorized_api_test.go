@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -94,7 +95,8 @@ func TestChunkedObjectsPinned(t *testing.T) {
 // 12-MV TPC-DS pipeline at sf 1 over chunked base tables, refreshed twice
 // with encoding (and so the kernels) on, must report exactly the kernel counters of
 // testdata/kernel_counters.golden for every node of both refreshes — which
-// operators lowered, what they decoded, probed and passed as codes.
+// operators lowered, what they decoded, probed and passed as codes — and
+// the second refresh must repeat the first.
 func TestKernelCountersPinned(t *testing.T) {
 	ctx := context.Background()
 	mvs, tables := tpcdsPipeline(t, 1)
@@ -115,6 +117,7 @@ func TestKernelCountersPinned(t *testing.T) {
 
 	var buf bytes.Buffer
 	fmt.Fprintln(&buf, "# refresh node lowered fallbacks skipped code_filtered avoided kernel_bytes build_rows probe_rows passed reencoded dict_reused")
+	rows := make([][]string, 2)
 	for refresh := 1; refresh <= 2; refresh++ {
 		res, err := ref.Refresh(ctx)
 		if err != nil {
@@ -123,10 +126,17 @@ func TestKernelCountersPinned(t *testing.T) {
 		nodes := append([]sc.NodeMetrics(nil), res.Nodes...)
 		sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
 		for _, n := range nodes {
-			fmt.Fprintln(&buf, refresh, n.Name, n.Lowered, n.Fallbacks, n.ChunksSkipped,
+			row := fmt.Sprintln(n.Name, n.Lowered, n.Fallbacks, n.ChunksSkipped,
 				n.CodeFilteredRows, n.DecodesAvoided, n.DecodedBytes, n.JoinBuildRows, n.JoinProbeRows,
 				n.ChunksPassed, n.ReencodedChunks, n.DictReused)
+			rows[refresh-1] = append(rows[refresh-1], row)
+			fmt.Fprint(&buf, refresh, " ", row)
 		}
+	}
+	// Nothing on the kernel path outlives a refresh, so the second one over
+	// unchanged inputs must repeat the first, node for node.
+	if !slices.Equal(rows[0], rows[1]) {
+		t.Errorf("refresh 2 kernel counters differ from refresh 1:\n%q\n%q", rows[0], rows[1])
 	}
 
 	checkGolden(t, "kernel_counters.golden", buf.Bytes())
