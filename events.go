@@ -32,9 +32,8 @@ const (
 	DecodeDone = obs.DecodeDone
 	// KernelDone: a node's plan ran (at least partly) on the
 	// compressed-execution kernels (WithEncoding); Lowered,
-	// ChunksSkipped, CodeFilteredRows and DecodesAvoided report what the
-	// encoded-domain execution saved, Bytes the raw bytes it still
-	// materialized.
+	// ChunksSkipped and DecodesAvoided report what the encoded-domain
+	// execution saved, Bytes the raw bytes it still materialized.
 	KernelDone = obs.KernelDone
 )
 

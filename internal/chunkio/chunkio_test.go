@@ -232,6 +232,9 @@ func TestBuilderDictOverflowMidBuild(t *testing.T) {
 	}
 }
 
+// TestBuilderRLEHeavy feeds columns of a few long runs (dictionary and
+// floatdec chunks; an older store's RLE chunks would reach the builder
+// decoded, like any non-dictionary chunk).
 func TestBuilderRLEHeavy(t *testing.T) {
 	tb := table.New(table.NewSchema(
 		table.Column{Name: "k", Type: table.Str},

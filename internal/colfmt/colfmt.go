@@ -4,10 +4,10 @@
 // Two formats are written and read. Version 1 ("SCF1") is the
 // single-payload row-path layout below; the chunked format ("SCF3", see
 // v3.go) is the self-describing layout backed by the internal/encoding
-// codec subsystem (dictionary, run-length, delta + bit-packing,
-// scaled-decimal floats). Decode and DecodeSchema dispatch on the magic;
-// writers choose the format (Encode → v1, EncodeTable/EncodeCompressed →
-// chunked).
+// codec subsystem (dictionary, delta + bit-packing, scaled-decimal
+// floats; run-length chunks of older objects still read). Decode and
+// DecodeSchema dispatch on the magic; writers choose the format (Encode →
+// v1, EncodeTable/EncodeCompressed → chunked).
 //
 // Version 1 layout (all little-endian):
 //

@@ -54,11 +54,15 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		cols[4], cols[5], cols[6], cols[7] = 0xFF, 0xFF, 0xFF, 0xFF
 		seeds = append(seeds, huge, trunc, cols)
 	}
-	return seeds
+	// No writer makes RLE chunks any more; this object keeps the fuzzers on
+	// the reader older stores still need.
+	rle, _ := olderRLEObject(f)
+	return append(seeds, rle)
 }
 
 // fuzzRowCap bounds how many rows a fuzz input may claim before the
-// harness materializes it. RLE runs and width-0 dict/delta chunks expand
+// harness materializes it. RLE runs (of older stores) and width-0
+// dict/delta chunks expand
 // by design (a constant column of millions of rows encodes in a handful
 // of bytes), so a crafted header can demand a legitimately huge decode;
 // capping in the harness keeps CI memory sane while the parsers still see

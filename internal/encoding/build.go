@@ -19,7 +19,7 @@ import (
 // applies. Intermediate-result re-encoders use it for chunks that had to
 // materialize values.
 func EncodeChunk(v *table.Vector, opts Options) (Chunk, error) {
-	return encodeChunk(v, opts)
+	return encodeChunk(v, opts, sampleRows)
 }
 
 // BuildDictChunk builds a Dict chunk directly from an entry table and

@@ -243,85 +243,19 @@ func (rawCodec) Decode(payload []byte, t table.Type, n int) (*table.Vector, erro
 
 // --- run-length codec ---
 
-// rleCodec stores (runLength, value) pairs. It applies to every type;
-// float runs compare by bit pattern so NaN runs compress too.
+// rleCodec reads (runLength, value) pairs, float runs compared by bit
+// pattern. It is decode-only: no writer picks it, and it stays so that the
+// RLE chunks older stores hold (a float run of NaNs included) still open.
 type rleCodec struct{}
 
 func (rleCodec) ID() CodecID               { return RLE }
-func (rleCodec) CanEncode(table.Type) bool { return true }
+func (rleCodec) CanEncode(table.Type) bool { return false }
 
-func (c rleCodec) Encode(v *table.Vector) ([]byte, error) {
-	var buf []byte
-	n := v.Len()
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && c.sameAt(v, i, j) {
-			j++
-		}
-		buf = appendUvarint(buf, uint64(j-i))
-		switch v.Type {
-		case table.Int:
-			buf = appendVarint(buf, v.Ints[i])
-		case table.Float:
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.Floats[i]))
-			buf = append(buf, b[:]...)
-		default:
-			buf = appendUvarint(buf, uint64(len(v.Strs[i])))
-			buf = append(buf, v.Strs[i]...)
-		}
-		i = j
-	}
-	return buf, nil
-}
+// errRLEDecodeOnly is what the write side of rleCodec answers.
+var errRLEDecodeOnly = fmt.Errorf("%w: rle is decode-only", ErrUnsupported)
 
-func (rleCodec) size(v *table.Vector) (int, error) {
-	size := 0
-	switch v.Type {
-	case table.Int:
-		xs := v.Ints
-		for i := 0; i < len(xs); {
-			j := i + 1
-			for j < len(xs) && xs[j] == xs[i] {
-				j++
-			}
-			size += uvarintLen(uint64(j-i)) + varintLen(xs[i])
-			i = j
-		}
-	case table.Float:
-		xs := v.Floats
-		for i := 0; i < len(xs); {
-			j := i + 1
-			for j < len(xs) && math.Float64bits(xs[j]) == math.Float64bits(xs[i]) {
-				j++
-			}
-			size += uvarintLen(uint64(j-i)) + 8
-			i = j
-		}
-	default:
-		xs := v.Strs
-		for i := 0; i < len(xs); {
-			j := i + 1
-			for j < len(xs) && xs[j] == xs[i] {
-				j++
-			}
-			size += uvarintLen(uint64(j-i)) + strLen(xs[i])
-			i = j
-		}
-	}
-	return size, nil
-}
-
-func (rleCodec) sameAt(v *table.Vector, i, j int) bool {
-	switch v.Type {
-	case table.Int:
-		return v.Ints[i] == v.Ints[j]
-	case table.Float:
-		return math.Float64bits(v.Floats[i]) == math.Float64bits(v.Floats[j])
-	default:
-		return v.Strs[i] == v.Strs[j]
-	}
-}
+func (rleCodec) Encode(*table.Vector) ([]byte, error) { return nil, errRLEDecodeOnly }
+func (rleCodec) size(*table.Vector) (int, error)      { return 0, errRLEDecodeOnly }
 
 func (rleCodec) Decode(payload []byte, t table.Type, n int) (*table.Vector, error) {
 	out := &table.Vector{Type: t}
@@ -361,7 +295,7 @@ func (rleCodec) Decode(payload []byte, t table.Type, n int) (*table.Vector, erro
 
 // readRuns is the one reader of the RLE payload layout — a sequence of
 // uvarint(runLen) followed by one value — calling run for each; the runs
-// must cover exactly n rows. Decode expands them, ParseRuns keeps them.
+// must cover exactly n rows.
 func readRuns(payload []byte, t table.Type, n int, run func(runLen int, v table.Value)) error {
 	count := 0
 	for off := 0; off < len(payload); {

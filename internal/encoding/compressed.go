@@ -15,7 +15,7 @@ type Mode int
 // Modes.
 const (
 	// ModeAuto sizes every applicable codec's output for each chunk —
-	// exactly for a chunk of at most 2×SampleRows rows, extrapolated from
+	// exactly for a chunk of at most 2×sampleRows rows, extrapolated from
 	// a sample for a larger one — and encodes with the smallest. This is
 	// the default.
 	ModeAuto Mode = iota
@@ -24,19 +24,21 @@ const (
 	ModeRaw
 )
 
-// Defaults for Options zero values.
-const (
-	DefaultChunkRows  = 1 << 16
-	DefaultSampleRows = 1024
-)
+// DefaultChunkRows is the chunk size Options' zero value adapts around.
+const DefaultChunkRows = 1 << 16
+
+// sampleRows is how many values of a larger chunk the selector sizes each
+// codec over; a chunk of at most twice as many rows is sized whole.
+const sampleRows = 1024
 
 // MaxChunkRows caps rows per chunk, enforced symmetrically by the encoder
 // (Options.ChunkRows is clamped) and by Validate on the decode path. The
 // cap bounds what a corrupt or crafted chunk header can make a decoder
-// allocate: constant-column codecs (width-0 dict/delta, a single RLE run)
-// legitimately expand a few payload bytes into a whole chunk of values, so
-// without the cap a tiny torn object claiming MaxInt32 rows in one chunk
-// would demand tens of GB before any validation could fail.
+// allocate: constant-column codecs (width-0 dict/delta, and a single run
+// of an older store's RLE chunk) legitimately expand a few payload bytes
+// into a whole chunk of values, so without the cap a tiny torn object
+// claiming MaxInt32 rows in one chunk would demand tens of GB before any
+// validation could fail.
 const MaxChunkRows = 1 << 22
 
 // Options configures table compression.
@@ -47,10 +49,6 @@ type Options struct {
 	// per chunk, so a column whose shape drifts (sorted prefix, then
 	// random) still compresses well. Zero means DefaultChunkRows.
 	ChunkRows int
-	// SampleRows is how many values of a larger chunk the selector sizes
-	// each codec over; a chunk of at most twice as many rows is sized
-	// whole. Zero means DefaultSampleRows.
-	SampleRows int
 }
 
 // chunkRowsFor returns the chunk size for an n-row table. An explicit
@@ -74,13 +72,6 @@ func (o Options) chunkRowsFor(n int) int {
 	}
 	k := (n + DefaultChunkRows - 1) / DefaultChunkRows
 	return (n + k - 1) / k
-}
-
-func (o Options) sampleRows() int {
-	if o.SampleRows <= 0 {
-		return DefaultSampleRows
-	}
-	return o.SampleRows
 }
 
 // Chunk is one encoded run of rows of a single column.
@@ -116,6 +107,12 @@ type Compressed struct {
 
 // FromTable compresses t. The input table is not retained.
 func FromTable(t *table.Table, opts Options) (*Compressed, error) {
+	return fromTable(t, opts, sampleRows)
+}
+
+// fromTable is FromTable with the selector's sample size as a parameter,
+// so in-package tests can reach the sampled path on small chunks.
+func fromTable(t *table.Table, opts Options, sr int) (*Compressed, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -133,7 +130,7 @@ func FromTable(t *table.Table, opts Options) (*Compressed, error) {
 			if j > n {
 				j = n
 			}
-			ch, err := encodeChunk(slice(col, i, j), opts)
+			ch, err := encodeChunk(slice(col, i, j), opts, sr)
 			if err != nil {
 				return nil, fmt.Errorf("encoding: column %q: %w", t.Schema.Cols[ci].Name, err)
 			}
@@ -146,10 +143,10 @@ func FromTable(t *table.Table, opts Options) (*Compressed, error) {
 // encodeChunk picks a codec for one chunk and encodes it. ModeRaw always
 // uses the raw codec. ModeAuto sizes the applicable codecs over the whole
 // of a small chunk and keeps the smallest (bestEncoding); a larger chunk
-// ranks them by their size over a sample, scaled to the chunk, and takes
-// the first whose full encode succeeds (raw never fails, so a codec always
-// lands).
-func encodeChunk(v *table.Vector, opts Options) (Chunk, error) {
+// ranks them by their size over a sample of sr rows, scaled to the chunk,
+// and takes the first whose full encode succeeds (raw never fails, so a
+// codec always lands).
+func encodeChunk(v *table.Vector, opts Options, sr int) (Chunk, error) {
 	n := v.Len()
 	if opts.Mode == ModeRaw {
 		payload, err := codecs[Raw].Encode(v)
@@ -158,7 +155,6 @@ func encodeChunk(v *table.Vector, opts Options) (Chunk, error) {
 		}
 		return Chunk{Codec: Raw, Rows: n, Data: payload}, nil
 	}
-	sr := opts.sampleRows()
 	if n <= 2*sr {
 		// Small chunk: size it exactly with every candidate, keep the best.
 		id, payload, err := bestEncoding(v)
@@ -251,8 +247,8 @@ func bestCodec(v *table.Vector) (Codec, int) {
 }
 
 // sampleVec extracts up to sr values as a handful of evenly spaced
-// contiguous blocks, preserving local run structure so RLE and delta
-// estimates stay meaningful.
+// contiguous blocks, preserving local structure so delta widths and
+// dictionary cardinalities stay meaningful.
 func sampleVec(v *table.Vector, sr int) *table.Vector {
 	n := v.Len()
 	if n <= sr {

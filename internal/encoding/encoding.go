@@ -1,10 +1,11 @@
 // Package encoding implements S/C's compressed columnar subsystem:
-// lightweight per-column codecs (dictionary, run-length, delta with
-// bit-packing, scaled-decimal floats, raw fallback) behind a common
-// Codec interface, with per-chunk codec auto-selection. Every codec can
-// size its payload exactly without building it, so the selector ranks the
+// lightweight per-column codecs (dictionary, delta with bit-packing,
+// scaled-decimal floats, raw fallback) behind a common Codec interface,
+// with per-chunk codec auto-selection. Every codec a writer picks can size
+// its payload exactly without building it, so the selector ranks the
 // candidates by size — over the whole chunk, or over a sample of a large
-// one — and only the chosen codec encodes.
+// one — and only the chosen codec encodes. Run-length is decode-only: no
+// writer picks it, and the chunks older stores hold in it still open.
 //
 // Every byte shaved off an in-memory table lets the Memory Catalog
 // knapsack keep more MVs resident, and every byte shaved off a serialized
@@ -17,8 +18,8 @@
 // the input vector byte-identically, including float NaN payloads.
 //
 // Each payload layout is read in one place (codecs.go): a codec's Decode
-// and the structural views the kernels work on (views.go: DictView, Run)
-// call the same reader, so the row path and the kernels cannot disagree
+// and the structural view the kernels work on (views.go: DictView) call
+// the same reader, so the row path and the kernels cannot disagree
 // about a format.
 package encoding
 
@@ -36,7 +37,7 @@ type CodecID uint8
 // Codec identifiers.
 const (
 	Raw      CodecID = iota // type-native fixed/length-prefixed layout
-	RLE                     // run-length: uvarint(runLen) + one value per run
+	RLE                     // run-length: uvarint(runLen) + one value per run; decode-only
 	Dict                    // dictionary + bit-packed indexes (ints, strings)
 	Delta                   // zig-zag deltas, bit-packed (ints)
 	FloatDec                // scaled-decimal floats re-encoded as ints (floats)

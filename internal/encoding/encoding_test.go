@@ -190,11 +190,12 @@ func TestHeadTable(t *testing.T) {
 	}
 }
 
-// TestEveryCodecCoversItsTypes pins the applicability matrix.
+// TestEveryCodecCoversItsTypes pins the applicability matrix. RLE is
+// decode-only, so it encodes no type.
 func TestEveryCodecCoversItsTypes(t *testing.T) {
 	want := map[CodecID][]table.Type{
 		Raw:      {table.Int, table.Float, table.Str},
-		RLE:      {table.Int, table.Float, table.Str},
+		RLE:      nil,
 		Dict:     {table.Int, table.Str},
 		Delta:    {table.Int},
 		FloatDec: {table.Float},
@@ -300,8 +301,12 @@ func TestFromTableRoundTrip(t *testing.T) {
 		tab.Cols[0] = genVector(rng, table.Int, n)
 		tab.Cols[1] = genVector(rng, table.Float, n)
 		tab.Cols[2] = genVector(rng, table.Str, n)
-		for _, opts := range []Options{{}, {Mode: ModeRaw}, {ChunkRows: 64, SampleRows: 16}} {
-			ct, err := FromTable(tab, opts)
+		for k, opts := range []Options{{}, {Mode: ModeRaw}, {ChunkRows: 64}} {
+			sr := sampleRows
+			if k == 2 {
+				sr = 16 // 64-row chunks take the sampled path
+			}
+			ct, err := fromTable(tab, opts, sr)
 			if err != nil {
 				t.Fatalf("FromTable: %v", err)
 			}
@@ -413,49 +418,38 @@ func TestDictRejectsEmptyDictForRows(t *testing.T) {
 	}
 }
 
-// viewVector expands the structural view of a Dict or RLE chunk — what the
+// viewVector expands the structural view of a Dict chunk — what the
 // kernels read — into a vector; ok is false for the other codecs.
 func viewVector(ch Chunk, typ table.Type) (vec *table.Vector, ok bool, err error) {
-	vec = &table.Vector{Type: typ}
-	switch ch.Codec {
-	case Dict:
-		dv, err := ParseDict(ch, typ)
-		if err != nil {
-			return nil, true, err
-		}
-		codes, err := dv.Codes()
-		if err != nil {
-			return nil, true, err
-		}
-		for _, c := range codes {
-			_ = vec.Append(dv.Value(int(c)))
-		}
-	case RLE:
-		runs, err := ParseRuns(ch, typ)
-		if err != nil {
-			return nil, true, err
-		}
-		for _, r := range runs {
-			for i := 0; i < r.Len; i++ {
-				_ = vec.Append(r.Val)
-			}
-		}
-	default:
+	if ch.Codec != Dict {
 		return nil, false, nil
+	}
+	dv, err := ParseDict(ch, typ)
+	if err != nil {
+		return nil, true, err
+	}
+	codes, err := dv.Codes()
+	if err != nil {
+		return nil, true, err
+	}
+	vec = &table.Vector{Type: typ}
+	for _, c := range codes {
+		_ = vec.Append(dv.Value(int(c)))
 	}
 	return vec, true, nil
 }
 
 // TestDecodeNeverPanicsOnCorruption mutates valid payloads — random byte
 // damage, every truncation, every single-bit flip — and checks that every
-// codec fails cleanly instead of panicking or looping, and that the row
-// path (DecodeChunk) and the kernels' views (ParseDict, ParseRuns) of a
-// damaged Dict or RLE payload fail together or agree value for value.
+// codec, the decode-only RLE included, fails cleanly instead of panicking
+// or looping, and that the row path (DecodeChunk) and the kernels' view
+// (ParseDict) of a damaged Dict payload fail together or agree value for
+// value.
 func TestDecodeNeverPanicsOnCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const n = 200
 	for _, typ := range []table.Type{table.Int, table.Float, table.Str} {
-		for _, c := range Candidates(typ) {
+		for _, c := range append(Candidates(typ), codecs[RLE]) {
 			check := func(mut []byte) {
 				t.Helper()
 				ch := Chunk{Codec: c.ID(), Rows: n, Data: mut}
@@ -476,6 +470,9 @@ func TestDecodeNeverPanicsOnCorruption(t *testing.T) {
 			}
 			v := genVector(rng, typ, n)
 			payload, err := c.Encode(v)
+			if c.ID() == RLE {
+				payload, err = rlePayload(v), nil
+			}
 			if err != nil || len(payload) == 0 {
 				continue
 			}

@@ -128,9 +128,9 @@ func bestEncodingRef(v *table.Vector) (CodecID, []byte) {
 // encodeChunkSampledRef is encodeChunk's sampled path before codecs could
 // size a payload: it ranks the candidates by the length of their encoded
 // sample.
-func encodeChunkSampledRef(v *table.Vector, opts Options) Chunk {
+func encodeChunkSampledRef(v *table.Vector, sr int) Chunk {
 	n := v.Len()
-	sample := sampleVec(v, opts.sampleRows())
+	sample := sampleVec(v, sr)
 	type ranked struct {
 		c   Codec
 		est int
@@ -154,7 +154,7 @@ func encodeChunkSampledRef(v *table.Vector, opts Options) Chunk {
 }
 
 // nearTieVector is a low-cardinality int or string column sized so that
-// dict's payload lands close to raw's, RLE's or delta's: the cases where
+// dict's payload lands close to raw's or delta's: the cases where
 // dict's bounded pass decides whether it wins.
 func nearTieVector(rng *rand.Rand) *table.Vector {
 	card := 1 + rng.Intn(64)
@@ -218,20 +218,20 @@ func TestSampledRankingMatchesEncodedSamples(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	for trial := 0; trial < 600; trial++ {
 		typ := []table.Type{table.Int, table.Float, table.Str}[trial%3]
-		opts := Options{SampleRows: 8 + rng.Intn(64)}
+		sr := 8 + rng.Intn(64)
 		if trial%10 == 0 {
-			opts.SampleRows = 0 // the default, 1,024 rows
+			sr = sampleRows // what every writer uses
 		}
-		n := 2*opts.sampleRows() + 1 + rng.Intn(3000)
+		n := 2*sr + 1 + rng.Intn(3000)
 		v := genVector(rng, typ, n)
-		got, err := encodeChunk(v, opts)
+		got, err := encodeChunk(v, Options{}, sr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := encodeChunkSampledRef(v, opts)
+		want := encodeChunkSampledRef(v, sr)
 		if got.Codec != want.Codec || got.Rows != want.Rows || !bytes.Equal(got.Data, want.Data) {
 			t.Fatalf("%s n=%d sample %d: chose %s (%d bytes), reference %s (%d bytes)",
-				typ, n, opts.sampleRows(), got.Codec, len(got.Data), want.Codec, len(want.Data))
+				typ, n, sr, got.Codec, len(got.Data), want.Codec, len(want.Data))
 		}
 	}
 }

@@ -6,15 +6,14 @@ import (
 	"github.com/shortcircuit-db/sc/internal/table"
 )
 
-// This file exposes structural views of encoded chunk payloads so the
+// This file exposes the structural view of a dictionary chunk so the
 // compressed-execution kernels (internal/kernels) can work in the encoded
-// domain: dictionary chunks hand out their entry table plus bit-packed
-// codes (a row's value is looked up only when it is read, and a join passes
-// codes through to its chunked output), and RLE chunks hand out their runs
-// (a filter decides each run once, readers walk runs without expanding
-// them). The payload layouts are read by the codecs' own readers
-// in codecs.go (readDict, readRuns); a view is what such a reader returns,
-// kept instead of expanded.
+// domain: the chunk hands out its entry table plus bit-packed codes (a
+// row's value is looked up only when it is read, and a join passes codes
+// through to its chunked output). Every other codec, RLE chunks of older
+// stores included, reaches the kernels decoded. The dictionary layout is
+// read by the codec's own reader in codecs.go (readDict); the view is what
+// that reader returns, kept instead of expanded.
 
 // DictView is a parsed dictionary chunk: the entry table in code order and
 // the bit-packed per-row codes.
@@ -75,27 +74,6 @@ func (d *DictView) Codes() ([]uint64, error) {
 	return codes, nil
 }
 
-// Run is one run of an RLE chunk: Len consecutive rows with value Val.
-type Run struct {
-	Len int
-	Val table.Value
-}
-
-// ParseRuns parses an RLE chunk into its runs without expanding them.
-func ParseRuns(ch Chunk, t table.Type) ([]Run, error) {
-	if ch.Codec != RLE {
-		return nil, fmt.Errorf("%w: ParseRuns on %s chunk", ErrUnsupported, ch.Codec)
-	}
-	var runs []Run
-	err := readRuns(ch.Data, t, ch.Rows, func(runLen int, v table.Value) {
-		runs = append(runs, Run{Len: runLen, Val: v})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return runs, nil
-}
-
 // DecodeChunk fully decodes one chunk into a vector of type t.
 func DecodeChunk(ch Chunk, t table.Type) (*table.Vector, error) {
 	codec, err := ByID(ch.Codec)
@@ -134,8 +112,9 @@ func (c *Compressed) RowGroups() []int {
 
 // decodeHead decodes the first k rows of a chunk, 0 < k <= ch.Rows, reading
 // no more of the payload than they occupy where the codec's layout allows
-// it: fixed-width raw values, bit-packed dict codes and deltas, and runs.
-// Raw strings have no row index, so that one case decodes whole.
+// it: fixed-width raw values and bit-packed dict codes and deltas. Raw
+// strings have no row index, and RLE runs are read only by older stores, so
+// those decode whole.
 func decodeHead(ch Chunk, t table.Type, k int) (*table.Vector, error) {
 	if k == ch.Rows {
 		return DecodeChunk(ch, t)
@@ -161,18 +140,6 @@ func decodeHead(ch Chunk, t table.Type, k int) (*table.Vector, error) {
 		out := &table.Vector{Type: t}
 		for _, code := range codes {
 			_ = out.Append(d.Value(int(code)))
-		}
-		return out, nil
-	case RLE:
-		runs, err := ParseRuns(ch, t)
-		if err != nil {
-			return nil, err
-		}
-		out := &table.Vector{Type: t}
-		for _, r := range runs {
-			for j := 0; j < r.Len && out.Len() < k; j++ {
-				_ = out.Append(r.Val)
-			}
 		}
 		return out, nil
 	case FloatDec:

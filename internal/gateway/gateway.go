@@ -41,6 +41,9 @@ import (
 var (
 	ErrNotFound      = errors.New("gateway: not found")
 	ErrAlreadyExists = errors.New("gateway: pipeline already exists")
+	// ErrUnreadable reports a stored object that exists but cannot be read
+	// or decoded (HTTP 500): a fault of the store, not of the request.
+	ErrUnreadable = errors.New("gateway: stored object unreadable")
 )
 
 // Config configures a Server. The zero value of every field but
@@ -1017,8 +1020,11 @@ func (s *Server) QueryMV(pipelineName, mv string, limit int) (*table.Table, erro
 	}
 	start := time.Now()
 	t, err := exec.LoadTableHead(p.Store, mv, limit)
-	if err != nil {
+	if errors.Is(err, storage.ErrNotFound) {
 		return nil, fmt.Errorf("%w: mv %q not materialized yet", ErrNotFound, mv)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: mv %q: %w", ErrUnreadable, mv, err)
 	}
 	s.prom.mvReadSeconds.observe(time.Since(start).Seconds())
 	if limit > 0 && t.NumRows() > limit { // a v1 file, which decodes whole

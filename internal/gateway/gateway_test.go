@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -518,6 +519,52 @@ func TestQueryMVLimitRows(t *testing.T) {
 				t.Fatalf("%s, GET%s: %d rows, want all %d", format, query, tr.Rows, rows)
 			}
 		}
+	}
+}
+
+// TestQueryMVUnreadable: a known MV never refreshed answers 404, and one
+// whose stored object no longer decodes answers 500 with the decode error,
+// not "not materialized yet".
+func TestQueryMVUnreadable(t *testing.T) {
+	mem := storage.NewMemStore()
+	s, ts := newTestGateway(t, Config{NewStore: func(string) storage.Store { return mem }})
+	if err := s.Register(PipelineSpec{
+		Name: "p", Tenant: "t",
+		MVs:    pipelineRequest("", "").MVs,
+		Tables: map[string]*table.Table{"sales": mustTable(t, salesJSON())},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	get := func() (int, string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/pipelines/p/mvs/mv_daily")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	if code, body := get(); code != http.StatusNotFound || !strings.Contains(body, "not materialized yet") {
+		t.Fatalf("never refreshed: %d %s, want 404 not materialized yet", code, body)
+	}
+	if err := exec.SaveTableChunked(mem, "mv_daily", mustTable(t, salesJSON()), encoding.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := mem.Read("mv_daily.sct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = bytes.Clone(data)
+	data[len(data)-5] ^= 0xff // the last payload byte, just before its chunk's checksum
+	if err := mem.Write("mv_daily.sct", data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.QueryMV("p", "mv_daily", 0); !errors.Is(err, ErrUnreadable) || errors.Is(err, ErrNotFound) {
+		t.Fatalf("QueryMV on a corrupt object: %v, want ErrUnreadable", err)
+	}
+	if code, body := get(); code != http.StatusInternalServerError || !strings.Contains(body, "corrupt") {
+		t.Fatalf("corrupt object: %d %s, want 500 naming the corruption", code, body)
 	}
 }
 

@@ -152,12 +152,15 @@ type errorResponse struct {
 }
 
 // writeError maps gateway errors to HTTP status codes. ErrQueueFull is 429
-// (back off and retry); unknown names are 404; bad input is 400. Handler
-// bugs aside, the gateway never answers 5xx for admission pressure — that
-// is the acceptance bar the bench asserts.
+// (back off and retry); unknown names are 404; a stored object that cannot
+// be decoded is 500; bad input is 400. Handler bugs and broken stores
+// aside, the gateway never answers 5xx for admission pressure — that is the
+// acceptance bar the bench asserts.
 func writeError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
 	switch {
+	case errors.Is(err, ErrUnreadable):
+		code = http.StatusInternalServerError
 	case errors.Is(err, ErrQueueFull):
 		code = http.StatusTooManyRequests
 	case errors.Is(err, ErrNotFound):

@@ -25,7 +25,7 @@ import (
 // durations are left out.
 var watchKeys = []string{
 	"kind", "node", "bytes", "encoded", "flagged", "form",
-	"lowered", "fallbacks", "chunks_skipped", "code_filtered_rows", "decodes_avoided",
+	"lowered", "fallbacks", "chunks_skipped", "decodes_avoided",
 	"join_build_rows", "join_probe_rows", "chunks_passed", "reencoded_chunks",
 	"error",
 }

@@ -13,8 +13,8 @@ import (
 // batch of columns per row group — so grouping, accumulation order and
 // output layout are byte-identical by construction — but builds only the
 // columns the aggregation touches (group keys and aggregate arguments): a
-// decoded chunk as is, a dictionary chunk gathered by code, an RLE chunk
-// expanded from its runs. Row groups are walked serially, in order.
+// dictionary chunk gathered by code, any other chunk decoded. Row groups
+// are walked serially, in order.
 type AggScan struct {
 	Scan  *engine.Scan
 	Inner *HashJoinScan // set instead of Scan: aggregate an upstream join's chunked output

@@ -267,13 +267,13 @@ func perValueAssemble(j *HashJoinScan, ctx *engine.Context, b *chunkio.Builder) 
 				curG = g
 				cc := jd.leftCCs[g]
 				codes, ids, read, counted = nil, nil, nil, false
-				cs, err := cc.parse(oc.src)
+				dv, err := cc.dict(oc.src)
 				if err != nil {
 					return nil, err
 				}
-				if cs.dict != nil && cs.vec == nil {
-					if rIds, ok := b.Remap(oc.out, cs.dict); ok {
-						codes, _ = cs.dict.Codes()
+				if dv != nil {
+					if rIds, ok := b.Remap(oc.out, dv); ok {
+						codes, _ = dv.Codes()
 						ids = rIds
 					}
 				}
@@ -306,20 +306,20 @@ func perValueAssemble(j *HashJoinScan, ctx *engine.Context, b *chunkio.Builder) 
 					continue
 				}
 				jg := jd.groups[g]
-				cs, err := jg.cc.parse(oc.src)
+				dv, err := jg.cc.dict(oc.src)
 				if err != nil {
 					return nil, err
 				}
-				if cs.dict == nil || cs.vec != nil {
+				if dv == nil {
 					inCode = false
 					break
 				}
-				ids, ok := b.Remap(oc.out, cs.dict)
+				ids, ok := b.Remap(oc.out, dv)
 				if !ok {
 					inCode = false
 					break
 				}
-				cods, _ := cs.dict.Codes()
+				cods, _ := dv.Codes()
 				for _, pos := range positions {
 					codes[pos] = ids[cods[jg.localRow(jd.right[pos])]]
 				}
@@ -349,7 +349,7 @@ func perValueAssemble(j *HashJoinScan, ctx *engine.Context, b *chunkio.Builder) 
 // the output codec policy and the plan over them.
 type assemblyCase struct {
 	left, right  *table.Table
-	lOpts, rOpts encoding.Options
+	lOpts, rOpts encChoice
 	outOpts      encoding.Options
 	build        func() engine.Node
 }
@@ -449,7 +449,7 @@ func mustEqualChunks(t *testing.T, desc string, want, got *encoding.Compressed) 
 func checkAssembly(t *testing.T, desc string, c assemblyCase) (chunkio.Counters, bool) {
 	t.Helper()
 	_, vecCtx := joinCtxFor(t, map[string]*table.Table{"L": c.left, "R": c.right},
-		map[string]encoding.Options{"L": c.lOpts, "R": c.rOpts})
+		map[string]encChoice{"L": c.lOpts, "R": c.rOpts})
 	jn, ok := c.lowerJoin()
 	if !ok {
 		return chunkio.Counters{}, false
@@ -533,8 +533,8 @@ func TestJoinAssemblyOverflowMidVector(t *testing.T) {
 	left, right := side("l"), side("r")
 	c := assemblyCase{
 		left: left, right: right,
-		lOpts: encoding.Options{ChunkRows: chunkRows},
-		rOpts: encoding.Options{ChunkRows: chunkRows},
+		lOpts: encChoice{opts: encoding.Options{ChunkRows: chunkRows}},
+		rOpts: encChoice{opts: encoding.Options{ChunkRows: chunkRows}},
 		build: func() engine.Node {
 			return &engine.HashJoin{
 				Left:      &engine.Scan{Name: "L", Sch: left.Schema},
@@ -554,7 +554,7 @@ func TestJoinAssemblyOverflowMidVector(t *testing.T) {
 		t.Fatalf("counters = %+v: both payload columns should have overflowed to values", cnt)
 	}
 	rowCtx, vecCtx := joinCtxFor(t, map[string]*table.Table{"L": left, "R": right},
-		map[string]encoding.Options{"L": c.lOpts, "R": c.rOpts})
+		map[string]encChoice{"L": c.lOpts, "R": c.rOpts})
 	want, wantErr := c.build().Run(rowCtx)
 	j, _ := c.lowerJoin()
 	got, gotErr := decodeChunked(t, j, vecCtx)
@@ -577,7 +577,7 @@ func TestPerValueReferenceMatchesRowEngine(t *testing.T) {
 	for seed := 9500; seed < 9560; seed++ {
 		c := genAssemblyCase(rand.New(rand.NewSource(int64(seed))))
 		rowCtx, vecCtx := joinCtxFor(t, map[string]*table.Table{"L": c.left, "R": c.right},
-			map[string]encoding.Options{"L": c.lOpts, "R": c.rOpts})
+			map[string]encChoice{"L": c.lOpts, "R": c.rOpts})
 		j, ok := c.lowerJoin()
 		if !ok {
 			continue

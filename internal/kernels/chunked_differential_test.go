@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/shortcircuit-db/sc/internal/encoding"
 	"github.com/shortcircuit-db/sc/internal/engine"
 	"github.com/shortcircuit-db/sc/internal/table"
 )
@@ -96,7 +95,7 @@ func TestDifferentialJoinOverJoin(t *testing.T) {
 			}
 			return pr
 		}
-		opts := map[string]encoding.Options{"A": encOptions(rng), "B": encOptions(rng), "C": encOptions(rng)}
+		opts := map[string]encChoice{"A": encOptions(rng), "B": encOptions(rng), "C": encOptions(rng)}
 		rowCtx, vecCtx := joinCtxFor(t, map[string]*table.Table{"A": a, "B": b, "C": c}, opts)
 
 		want, wantErr := build().Run(rowCtx)
@@ -168,7 +167,7 @@ func TestDifferentialAggOverJoin(t *testing.T) {
 			}
 			return agg
 		}
-		opts := map[string]encoding.Options{"A": encOptions(rng), "B": encOptions(rng)}
+		opts := map[string]encChoice{"A": encOptions(rng), "B": encOptions(rng)}
 		rowCtx, vecCtx := joinCtxFor(t, map[string]*table.Table{"A": a, "B": b}, opts)
 
 		want, wantErr := build().Run(rowCtx)

@@ -2,7 +2,9 @@ package kernels
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -23,7 +25,7 @@ import (
 type colShape int
 
 const (
-	shapeConst    colShape = iota // all-run RLE
+	shapeConst    colShape = iota // width-0 delta or dictionary
 	shapeRuns                     // few long runs
 	shapeLowCard                  // dictionary
 	shapeHighCard                 // dict overflow to raw/delta
@@ -144,14 +146,75 @@ func genPred(rng *rand.Rand, t *table.Table, depth int) engine.Expr {
 	return &engine.Bin{Op: op, L: lit, R: cr}
 }
 
-// ctxFor builds an execution context resolving name to tbl, plain for the
-// row engine and chunked for the kernels.
-func ctxFor(t *testing.T, name string, tbl *table.Table, opts encoding.Options) (row, vec *engine.Context) {
+// encChoice is how a differential test stores one input table: with the
+// writer's options, and with rleEvery = k > 0 chunk g of column c then
+// rewritten as a hand-built RLE chunk whenever (c+g) % k == 0 — every chunk
+// at k = 1, a checkerboard at k = 2 — which is what a store written before
+// RLE became decode-only holds.
+type encChoice struct {
+	opts     encoding.Options
+	rleEvery int
+}
+
+// compress stores tbl as c says.
+func (c encChoice) compress(t *testing.T, tbl *table.Table) *encoding.Compressed {
 	t.Helper()
-	ct, err := encoding.FromTable(tbl, opts)
+	ct, err := encoding.FromTable(tbl, c.opts)
 	if err != nil {
 		t.Fatalf("FromTable: %v", err)
 	}
+	if c.rleEvery <= 0 {
+		return ct
+	}
+	for ci, chunks := range ct.Cols {
+		for g := range chunks {
+			if (ci+g)%c.rleEvery != 0 {
+				continue
+			}
+			vec, err := encoding.DecodeChunk(chunks[g], ct.Schema.Cols[ci].Type)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunks[g] = encoding.Chunk{Codec: encoding.RLE, Rows: chunks[g].Rows, Data: rlePayload(vec)}
+		}
+	}
+	return ct
+}
+
+// rlePayload lays v out the way the retired RLE writer did: per run of
+// equal values (floats by bit pattern), uvarint(runLen) and then the value
+// as a zig-zag varint, 8 little-endian float bits or a length-prefixed
+// string.
+func rlePayload(v *table.Vector) []byte {
+	var buf []byte
+	for i := 0; i < v.Len(); {
+		j := i + 1
+		for j < v.Len() && bitsEqual(v.Value(i), v.Value(j)) {
+			j++
+		}
+		buf = binary.AppendUvarint(buf, uint64(j-i))
+		switch v.Type {
+		case table.Int:
+			buf = binary.AppendVarint(buf, v.Ints[i])
+		case table.Float:
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Floats[i]))
+		default:
+			buf = append(binary.AppendUvarint(buf, uint64(len(v.Strs[i]))), v.Strs[i]...)
+		}
+		i = j
+	}
+	return buf
+}
+
+func bitsEqual(a, b table.Value) bool {
+	return a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F) && a.S == b.S
+}
+
+// ctxFor builds an execution context resolving name to tbl, plain for the
+// row engine and chunked for the kernels.
+func ctxFor(t *testing.T, name string, tbl *table.Table, enc encChoice) (row, vec *engine.Context) {
+	t.Helper()
+	ct := enc.compress(t, tbl)
 	resolve := func(n string) (*table.Table, error) {
 		if n != name {
 			return nil, fmt.Errorf("unknown table %q", n)
@@ -196,17 +259,20 @@ func mustEqual(t *testing.T, seed int64, desc string, want, got *table.Table, wa
 	}
 }
 
-func encOptions(rng *rand.Rand) encoding.Options {
-	opts := encoding.Options{}
+func encOptions(rng *rand.Rand) encChoice {
+	var c encChoice
 	switch rng.Intn(4) {
 	case 0:
-		opts.Mode = encoding.ModeRaw
+		c.opts.Mode = encoding.ModeRaw
 	case 1:
-		opts.ChunkRows = 1 + rng.Intn(7) // many tiny chunks
+		c.opts.ChunkRows = 1 + rng.Intn(7) // many tiny chunks
 	case 2:
-		opts.ChunkRows = 64
+		c.opts.ChunkRows = 64
 	}
-	return opts
+	if rng.Intn(4) == 0 {
+		c.rleEvery = 1 + rng.Intn(2)
+	}
+	return c
 }
 
 func rowCount(rng *rand.Rand) int {
@@ -443,15 +509,7 @@ func TestDifferentialJoinPushdown(t *testing.T) {
 			return &engine.Context{Resolve: r}, &engine.Context{Resolve: r, ResolveCompressed: rc}
 		}
 		opts := encOptions(rng)
-		lc, err := encoding.FromTable(left, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rcT, err := encoding.FromTable(right, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rowCtx, vecCtx := resolve(map[string]*encoding.Compressed{"L": lc, "R": rcT})
+		rowCtx, vecCtx := resolve(map[string]*encoding.Compressed{"L": opts.compress(t, left), "R": opts.compress(t, right)})
 
 		want, wantErr := build().Run(rowCtx)
 		st := &Stats{}
@@ -477,7 +535,7 @@ func TestFallbackIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: second build failed: %v", seed, err)
 		}
-		rowCtx, _ := ctxFor(t, "t", tbl, encoding.Options{})
+		rowCtx, _ := ctxFor(t, "t", tbl, encChoice{})
 		want, wantErr := plain.Run(rowCtx)
 		st := &Stats{}
 		lowered := Lower(loweredSrc, st)
@@ -490,8 +548,9 @@ func TestFallbackIdentical(t *testing.T) {
 }
 
 // TestKernelStats sanity-checks the counters on a shape where every win
-// should fire: a join side filtered once per RLE run, row groups it rejects
-// skipped without a decode, and an aggregation reading RLE runs.
+// should fire: a join side filter that rejects every row, so its row
+// groups' other columns are skipped without a decode, and an aggregation
+// reading a dictionary column by code.
 func TestKernelStats(t *testing.T) {
 	n := 1000
 	tbl := table.New(table.NewSchema(
@@ -512,11 +571,11 @@ func TestKernelStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, vecCtx := ctxFor(t, "t", tbl, encoding.Options{ChunkRows: 100})
+	_, vecCtx := ctxFor(t, "t", tbl, encChoice{opts: encoding.Options{ChunkRows: 100}})
 
-	// A self-join whose build side keeps no row: the predicate is decided
-	// once per run of the RLE column, so the build side's cat and payload
-	// chunks are never touched.
+	// A self-join whose build side keeps no row: the predicate reads only
+	// the run column, so the build side's cat and payload chunks are never
+	// touched.
 	pred := &engine.Bin{Op: engine.OpEq,
 		L: &engine.ColRef{Idx: 1}, R: &engine.Lit{V: table.IntValue(-1)}}
 	st := &Stats{}
@@ -535,9 +594,6 @@ func TestKernelStats(t *testing.T) {
 	if st.Lowered != 2 {
 		t.Fatalf("Lowered = %d, want 2 (join and side filter)", st.Lowered)
 	}
-	if st.CodeFilteredRows != int64(n) {
-		t.Fatalf("CodeFilteredRows = %d, want %d", st.CodeFilteredRows, n)
-	}
 	if st.JoinBuildRows != 0 {
 		t.Fatalf("JoinBuildRows = %d, want 0", st.JoinBuildRows)
 	}
@@ -547,8 +603,9 @@ func TestKernelStats(t *testing.T) {
 		t.Fatalf("ChunksSkipped = %d, want >= 20", st.ChunksSkipped)
 	}
 
-	// COUNT(*) grouped by the RLE column: read run by run, never decoded.
-	agg, err := engine.NewAggregate(&engine.Scan{Name: "t", Sch: tbl.Schema}, []int{1},
+	// COUNT(*) grouped by the dictionary column: gathered by code, never
+	// decoded.
+	agg, err := engine.NewAggregate(&engine.Scan{Name: "t", Sch: tbl.Schema}, []int{0},
 		[]engine.AggSpec{{Func: engine.AggCount, Name: "n"}})
 	if err != nil {
 		t.Fatal(err)
@@ -559,14 +616,87 @@ func TestKernelStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out2.NumRows() != 10 {
-		t.Fatalf("expected 10 groups, got %d", out2.NumRows())
+	if out2.NumRows() != 4 {
+		t.Fatalf("expected 4 groups, got %d", out2.NumRows())
 	}
 	if st2.DecodedBytes != 0 {
-		t.Fatalf("DecodedBytes = %d, want 0 for an aggregation over RLE runs", st2.DecodedBytes)
+		t.Fatalf("DecodedBytes = %d, want 0 for an aggregation over dictionary codes", st2.DecodedBytes)
 	}
-	if st2.DecodesAvoided == 0 {
-		t.Fatal("expected DecodesAvoided > 0 for an aggregation over RLE runs")
+	if st2.DecodesAvoided != 10 {
+		t.Fatalf("DecodesAvoided = %d, want one per row group for an aggregation over dictionary codes", st2.DecodesAvoided)
+	}
+}
+
+// TestOlderRLEChunksThroughKernels runs chunks an older store wrote as RLE
+// — INT, FLOAT (a NaN run included) and STRING — through every kernel
+// path: a side filter on each type, INT and STRING join keys, gathered
+// output columns in both output forms, and an aggregate grouping and
+// summing them. RLE chunks decode whole, so they count as decoded bytes;
+// every result must match the row engine's over the table as it was before
+// it was stored, byte for byte.
+func TestOlderRLEChunksThroughKernels(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8000000000bad)
+	tbl := table.New(table.NewSchema(
+		table.Column{Name: "k", Type: table.Int},
+		table.Column{Name: "f", Type: table.Float},
+		table.Column{Name: "s", Type: table.Str},
+	))
+	for i := 0; i < 60; i++ {
+		f := []float64{1.5, nan, -2.25, 0}[i/7%4]
+		if err := tbl.AppendRow(table.IntValue(int64(i/4%5)), table.FloatValue(f),
+			table.StrValue([]string{"Books", "", "Toys"}[i/9%3])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, vecCtx := ctxFor(t, "t", tbl, encChoice{opts: encoding.Options{ChunkRows: 16}, rleEvery: 1})
+	rowCtx := &engine.Context{Resolve: func(string) (*table.Table, error) { return tbl, nil }}
+	scan := func() *engine.Scan { return &engine.Scan{Name: "t", Sch: tbl.Schema} }
+	side := func(col int, lit table.Value) engine.Node {
+		return &engine.Filter{Input: scan(), Pred: &engine.Bin{Op: engine.OpGe, L: &engine.ColRef{Idx: col}, R: &engine.Lit{V: lit}}}
+	}
+	joins := map[string]func() engine.Node{
+		"int key, int filter": func() engine.Node {
+			return &engine.HashJoin{Left: side(0, table.IntValue(2)), Right: scan(), LeftKeys: []int{0}, RightKeys: []int{0}}
+		},
+		"string key, float filter": func() engine.Node {
+			return &engine.HashJoin{Left: scan(), Right: side(1, table.FloatValue(0)), LeftKeys: []int{2}, RightKeys: []int{2}}
+		},
+		"two keys, string filter": func() engine.Node {
+			return &engine.HashJoin{Left: side(2, table.StrValue("C")), Right: scan(), LeftKeys: []int{0, 2}, RightKeys: []int{0, 2}}
+		},
+	}
+	for name, build := range joins {
+		want, wantErr := build().Run(rowCtx)
+		st := &Stats{}
+		j, ok := Lower(build(), st).(*HashJoinScan)
+		if !ok {
+			t.Fatalf("%s: did not lower onto the join kernel", name)
+		}
+		got, gotErr := j.Run(vecCtx)
+		mustEqual(t, 0, name, want, got, wantErr, gotErr)
+		if st.Fallbacks != 0 || st.DecodedBytes == 0 {
+			t.Fatalf("%s: stats %+v, want no fallback and the RLE chunks counted as decoded", name, *st)
+		}
+		j, _ = Lower(build(), &Stats{}).(*HashJoinScan)
+		got, gotErr = decodeChunked(t, j, vecCtx)
+		mustEqual(t, 0, name+" chunked", want, got, wantErr, gotErr)
+	}
+	agg := func() engine.Node {
+		a, err := engine.NewAggregate(scan(), []int{2, 0}, []engine.AggSpec{
+			{Func: engine.AggSum, Arg: &engine.ColRef{Idx: 1}, Name: "sf"},
+			{Func: engine.AggCount, Name: "n"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	want, wantErr := agg().Run(rowCtx)
+	st := &Stats{}
+	got, gotErr := Lower(agg(), st).Run(vecCtx)
+	mustEqual(t, 0, "aggregate", want, got, wantErr, gotErr)
+	if st.Lowered != 1 || st.Fallbacks != 0 {
+		t.Fatalf("aggregate stats %+v, want it on the kernel", *st)
 	}
 }
 
@@ -635,7 +765,7 @@ func TestAggScanErrorPrecedence(t *testing.T) {
 			}
 		}
 		for _, chunkRows := range []int{0, 700} {
-			row, vec := ctxFor(t, "t", tbl, encoding.Options{ChunkRows: chunkRows})
+			row, vec := ctxFor(t, "t", tbl, encChoice{opts: encoding.Options{ChunkRows: chunkRows}})
 			if _, err := aggOver(scan()).Run(row); fmt.Sprint(err) != tc.want {
 				t.Fatalf("row engine: err %v, want %s", err, tc.want)
 			}

@@ -13,10 +13,10 @@ import (
 
 // FuzzPredTranslate drives the leaf compiler: an arbitrary byte string
 // becomes a column, an operator and a literal. Compile either declines, or
-// its chunk-level verdict (RLE runs, dictionary lookups or decoded values —
-// whichever the auto-selected codec produces) must agree row for row with
-// the row engine's evaluation of the same expression, and must never
-// panic.
+// its chunk-level verdict (dictionary lookups or decoded values — whichever
+// the auto-selected codec produces — and again with every other chunk
+// rewritten as an older store's RLE chunk, decoded) must agree row for row with the
+// row engine's evaluation of the same expression, and must never panic.
 func FuzzPredTranslate(f *testing.F) {
 	f.Add([]byte{0}, uint8(0), int64(5), false)
 	f.Add([]byte{1, 1, 1, 9, 9, 200, 3}, uint8(2), int64(2), false)
@@ -100,34 +100,33 @@ func FuzzPredTranslate(f *testing.F) {
 
 		// Chunk the column with a size that forces multiple chunks, then
 		// evaluate per chunk and compare with the row engine.
-		chunkRows := 1 + int(uint8(litSeed))%7
-		ct, err := encoding.FromTable(tbl, encoding.Options{ChunkRows: chunkRows})
-		if err != nil {
-			t.Fatalf("FromTable: %v", err)
-		}
-		st := &Stats{}
-		got := make([]bool, 0, n)
-		for g, rows := range ct.RowGroups() {
-			cc := newChunkCtx(ct, g, rows, st)
-			bm, err := p.eval(cc)
-			if err != nil {
-				t.Fatalf("eval: %v", err)
+		opts := encoding.Options{ChunkRows: 1 + int(uint8(litSeed))%7}
+		for _, enc := range []encChoice{{opts: opts}, {opts: opts, rleEvery: 2}} {
+			ct := enc.compress(t, tbl)
+			st := &Stats{}
+			got := make([]bool, 0, n)
+			for g, rows := range ct.RowGroups() {
+				cc := newChunkCtx(ct, g, rows, st)
+				bm, err := p.eval(cc)
+				if err != nil {
+					t.Fatalf("eval: %v", err)
+				}
+				for i := 0; i < rows; i++ {
+					got = append(got, bm.get(i))
+				}
 			}
-			for i := 0; i < rows; i++ {
-				got = append(got, bm.get(i))
+			if len(got) != n {
+				t.Fatalf("evaluated %d rows, want %d", len(got), n)
 			}
-		}
-		if len(got) != n {
-			t.Fatalf("evaluated %d rows, want %d", len(got), n)
-		}
-		for i := 0; i < n; i++ {
-			v, err := pred.Eval([]table.Value{vec.Value(i)})
-			if err != nil {
-				t.Fatalf("row engine rejected a compiled predicate: %v", err)
-			}
-			if want := v.I != 0; got[i] != want {
-				t.Fatalf("row %d: chunk eval %v, row engine %v (pred %v, value %v)",
-					i, got[i], want, pred, vec.Value(i))
+			for i := 0; i < n; i++ {
+				v, err := pred.Eval([]table.Value{vec.Value(i)})
+				if err != nil {
+					t.Fatalf("row engine rejected a compiled predicate: %v", err)
+				}
+				if want := v.I != 0; got[i] != want {
+					t.Fatalf("rleEvery %d row %d: chunk eval %v, row engine %v (pred %v, value %v)",
+						enc.rleEvery, i, got[i], want, pred, vec.Value(i))
+				}
 			}
 		}
 	})
@@ -137,10 +136,13 @@ func FuzzPredTranslate(f *testing.F) {
 // the key columns of two tables (one or two keys, each int or string, with a
 // payload column each), both sides are chunked with fuzz-chosen chunk
 // sizes, and the join kernel must produce byte-identical output to the row
-// engine's hash join — whatever mix of dict/RLE/delta/raw key chunks the
+// engine's hash join — whatever mix of dict/delta/raw key chunks the
 // encoder picks, through the build table indexed by shared key id (one key)
 // or by composite id (two) — and must never panic. keyTypes bit 0 makes the
-// first key a string, bit 1 adds a second key, bit 2 makes it a string.
+// first key a string, bit 1 adds a second key, bit 2 makes it a string. A
+// side's chunk byte picks its chunk size (low bits) and, in bits 3–4, how
+// many of its chunks are rewritten as an older store's RLE chunks
+// (encChoice.rleEvery).
 func FuzzJoinKeys(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 1, 2, 9}, uint8(3), uint8(2), uint8(0))
 	f.Add([]byte("abcabcxyz"), uint8(1), uint8(5), uint8(1))
@@ -150,6 +152,7 @@ func FuzzJoinKeys(f *testing.F) {
 	f.Add([]byte("aabbccaabbccddee"), uint8(2), uint8(6), uint8(7))
 	f.Add([]byte{9, 8, 7, 9, 8, 7, 1, 1, 1, 1}, uint8(0), uint8(3), uint8(3))
 	f.Add([]byte{4, 4, 4, 5, 5, 5, 6, 6}, uint8(5), uint8(0), uint8(6))
+	f.Add([]byte{3, 3, 3, 3, 8, 8, 3, 3, 3, 8, 8, 8}, uint8(10), uint8(20), uint8(3))
 
 	f.Fuzz(func(t *testing.T, data []byte, chunkL, chunkR, keyTypes uint8) {
 		nKeys := 1 + int(keyTypes>>1&1)
@@ -189,11 +192,8 @@ func FuzzJoinKeys(f *testing.F) {
 		right := mkTable(data[half:], "r")
 
 		encode := func(tb *table.Table, chunk uint8) *encoding.Compressed {
-			ct, err := encoding.FromTable(tb, encoding.Options{ChunkRows: 1 + int(chunk)%7})
-			if err != nil {
-				t.Fatalf("FromTable: %v", err)
-			}
-			return ct
+			enc := encChoice{opts: encoding.Options{ChunkRows: 1 + int(chunk)%7}, rleEvery: int(chunk >> 3 & 3)}
+			return enc.compress(t, tb)
 		}
 		cts := map[string]*encoding.Compressed{
 			"L": encode(left, chunkL),

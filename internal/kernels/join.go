@@ -42,8 +42,8 @@ func (s *JoinSide) label() string {
 // group and one typed column at a time. Only the key columns are read to
 // join: each key column of a row group becomes a column of ids in a shared
 // encoding.KeyDict (one per key position) — a dictionary chunk looked up
-// once per entry, an RLE chunk once per run, any other codec as one decoded
-// vector — so the build table is keyed by dense shared ids, not values:
+// once per entry, any other codec as one decoded vector — so the build
+// table is keyed by dense shared ids, not values:
 //
 //   - the build (right) side keys its selected rows by shared key id (by a
 //     dense composite id on a multi-key join) and lays them out by key with
@@ -56,7 +56,7 @@ func (s *JoinSide) label() string {
 //     probe-group segment and per build group (bucketed by one counting pass
 //     over build ordinals), each output column is gathered from its chunk
 //     as a typed slice — a decoded vector by index, dictionary entries by
-//     code, runs by cursor — or passed on as remapped codes.
+//     code — or passed on as remapped codes.
 //
 // Key columns must be INT or STRING with equal types on both sides — the
 // types whose value equality matches the row engine's key encoding
@@ -559,13 +559,13 @@ func (j *HashJoinScan) assembleLeft(b *chunkio.Builder, jd *joined, oc outCol) e
 		rows := jd.leftRows[lo:s.end]
 		lo = s.end
 		cc := jd.leftCCs[s.group]
-		cs, err := cc.parse(oc.src)
+		dv, err := cc.dict(oc.src)
 		if err != nil {
 			return err
 		}
-		if cs.dict != nil && cs.vec == nil {
-			if ids, ok := b.Remap(oc.out, cs.dict); ok {
-				codes, _ := cs.dict.Codes()
+		if dv != nil {
+			if ids, ok := b.Remap(oc.out, dv); ok {
+				codes, _ := dv.Codes()
 				for _, i := range rows {
 					b.AppendCode(oc.out, ids[codes[i]])
 				}
@@ -601,20 +601,20 @@ func (j *HashJoinScan) assembleRight(b *chunkio.Builder, jd *joined, rightOut []
 			if lo == hi {
 				continue
 			}
-			cs, err := jg.cc.parse(oc.src)
+			dv, err := jg.cc.dict(oc.src)
 			if err != nil {
 				return err
 			}
-			if cs.dict == nil || cs.vec != nil {
+			if dv == nil {
 				inCode = false
 				break
 			}
-			ids, ok := b.Remap(oc.out, cs.dict)
+			ids, ok := b.Remap(oc.out, dv)
 			if !ok {
 				inCode = false
 				break
 			}
-			cods, _ := cs.dict.Codes()
+			cods, _ := dv.Codes()
 			for k, pos := range bk.order[lo:hi] {
 				codes[pos] = ids[cods[bk.local[lo+k]]]
 			}
@@ -651,42 +651,25 @@ func keyIDs(cc *chunkCtx, cols []int, kds []*encoding.KeyDict, add bool, ids [][
 
 // keyColumnIDs appends to out the shared key id of every row of one key
 // column of a row group, reading the column in its cheapest typed form: a
-// dictionary chunk looks each entry up once and gathers the ids by code, an
-// RLE chunk looks each run up once, and other codecs decode the column and
-// look it up as a typed vector. add interns (the build side); otherwise a
-// key the build side never saw is -1.
+// dictionary chunk looks each entry up once and gathers the ids by code,
+// and other codecs decode the column and look it up as a typed vector. add
+// interns (the build side); otherwise a key the build side never saw is -1.
 func keyColumnIDs(cc *chunkCtx, col int, kd *encoding.KeyDict, add bool, out []int32) ([]int32, error) {
-	cs, err := cc.parse(col)
+	dv, err := cc.dict(col)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case cs.vec != nil:
-		return kd.IDs(cs.vec, add, out), nil
-	case cs.dict != nil:
-		dv := cs.dict
-		entries := kd.IDs(&table.Vector{Type: dv.Type, Ints: dv.Ints, Strs: dv.Strs}, add, nil)
-		codes, _ := dv.Codes()
-		for _, c := range codes {
-			out = append(out, entries[c])
-		}
-		return out, nil
-	case cs.runs != nil:
-		vals := &table.Vector{Type: cc.colType(col)}
-		for _, r := range cs.runs {
-			_ = vals.Append(r.Val)
-		}
-		for k, id := range kd.IDs(vals, add, nil) {
-			for n := 0; n < cs.runs[k].Len; n++ {
-				out = append(out, id)
-			}
-		}
-		return out, nil
-	default:
+	if dv == nil {
 		vec, err := cc.vector(col)
 		if err != nil {
 			return nil, err
 		}
 		return kd.IDs(vec, add, out), nil
 	}
+	entries := kd.IDs(&table.Vector{Type: dv.Type, Ints: dv.Ints, Strs: dv.Strs}, add, nil)
+	codes, _ := dv.Codes()
+	for _, c := range codes {
+		out = append(out, entries[c])
+	}
+	return out, nil
 }

@@ -12,17 +12,13 @@ import (
 )
 
 // joinCtxFor builds row/vectorized contexts resolving the given tables,
-// each compressed with its own options so the two join sides can carry
-// different chunk layouts.
-func joinCtxFor(t *testing.T, tabs map[string]*table.Table, opts map[string]encoding.Options) (row, vec *engine.Context) {
+// each stored its own way so the two join sides can carry different chunk
+// layouts and codecs.
+func joinCtxFor(t *testing.T, tabs map[string]*table.Table, opts map[string]encChoice) (row, vec *engine.Context) {
 	t.Helper()
 	cts := make(map[string]*encoding.Compressed, len(tabs))
 	for name, tb := range tabs {
-		ct, err := encoding.FromTable(tb, opts[name])
-		if err != nil {
-			t.Fatalf("FromTable %q: %v", name, err)
-		}
-		cts[name] = ct
+		cts[name] = opts[name].compress(t, tb)
 	}
 	resolve := func(n string) (*table.Table, error) {
 		ct, ok := cts[n]
@@ -42,8 +38,8 @@ func joinCtxFor(t *testing.T, tabs map[string]*table.Table, opts map[string]enco
 }
 
 // keyShapes are the generator shapes that exercise the join kernel's code
-// paths: low cardinality (dict), constant (all-run RLE), sorted (delta),
-// high cardinality (dict overflow to raw/delta).
+// paths: low cardinality (dict), constant (width-0 delta or dict), sorted
+// (delta), high cardinality (dict overflow to raw/delta).
 var keyShapes = []colShape{shapeLowCard, shapeConst, shapeSorted, shapeHighCard}
 
 // TestDifferentialJoinKernel: randomized HashJoin(Scan, Scan) plans across
@@ -88,7 +84,7 @@ func TestDifferentialJoinKernel(t *testing.T) {
 				RightKeys: rKeys,
 			}
 		}
-		opts := map[string]encoding.Options{"L": encOptions(rng), "R": encOptions(rng)}
+		opts := map[string]encChoice{"L": encOptions(rng), "R": encOptions(rng)}
 		rowCtx, vecCtx := joinCtxFor(t, map[string]*table.Table{"L": left, "R": right}, opts)
 
 		want, wantErr := build().Run(rowCtx)
@@ -142,7 +138,7 @@ func TestDifferentialJoinWithSidePredicates(t *testing.T) {
 			}
 			return &engine.Filter{Input: hj, Pred: genPred(rand.New(rand.NewSource(int64(seed)+11)), joined, 2)}
 		}
-		opts := map[string]encoding.Options{"L": encOptions(rng), "R": encOptions(rng)}
+		opts := map[string]encChoice{"L": encOptions(rng), "R": encOptions(rng)}
 		rowCtx, vecCtx := joinCtxFor(t, map[string]*table.Table{"L": left, "R": right}, opts)
 		want, wantErr := build().Run(rowCtx)
 		st := &Stats{}
@@ -187,7 +183,7 @@ func TestJoinFloatKeysFallBack(t *testing.T) {
 			RightKeys: []int{0},
 		}
 	}
-	opts := map[string]encoding.Options{"L": {}, "R": {}}
+	opts := map[string]encChoice{"L": {}, "R": {}}
 	rowCtx, vecCtx := joinCtxFor(t, map[string]*table.Table{"L": left, "R": right}, opts)
 
 	st := &Stats{}
@@ -275,7 +271,7 @@ func TestJoinKernelFallbackWithoutChunks(t *testing.T) {
 			}
 		}
 		rowCtx, _ := joinCtxFor(t, map[string]*table.Table{"L": left, "R": right},
-			map[string]encoding.Options{"L": {}, "R": {}})
+			map[string]encChoice{"L": {}, "R": {}})
 		want, wantErr := build().Run(rowCtx)
 		st := &Stats{}
 		lowered := Lower(build(), st)
@@ -321,7 +317,7 @@ func TestJoinKernelStats(t *testing.T) {
 			RightKeys: []int{0},
 		}
 	}
-	opts := map[string]encoding.Options{"L": {ChunkRows: 100}, "R": {}}
+	opts := map[string]encChoice{"L": {opts: encoding.Options{ChunkRows: 100}}, "R": {}}
 	rowCtx, vecCtx := joinCtxFor(t, map[string]*table.Table{"L": left, "R": right}, opts)
 
 	st := &Stats{}
@@ -396,7 +392,7 @@ func TestDifferentialProjectOverJoin(t *testing.T) {
 			}
 			return engine.NewProject(hj, exprs, names)
 		}
-		opts := map[string]encoding.Options{"L": encOptions(rng), "R": encOptions(rng)}
+		opts := map[string]encChoice{"L": encOptions(rng), "R": encOptions(rng)}
 		rowCtx, vecCtx := joinCtxFor(t, map[string]*table.Table{"L": left, "R": right}, opts)
 		plain, err := build()
 		if err != nil {
@@ -471,7 +467,7 @@ func TestStackedFilterPushdownThroughDissolvedFilter(t *testing.T) {
 	if f, ok := hj.Right.(*engine.Filter); !ok || !isScan(f.Input) {
 		t.Fatalf("inner filter was not pushed into the right side: %s", hj.Right)
 	}
-	opts := map[string]encoding.Options{"L": {ChunkRows: 16}, "R": {ChunkRows: 16}}
+	opts := map[string]encChoice{"L": {opts: encoding.Options{ChunkRows: 16}}, "R": {opts: encoding.Options{ChunkRows: 16}}}
 	rowCtx, vecCtx := joinCtxFor(t, map[string]*table.Table{"L": left, "R": right}, opts)
 	want, wantErr := build().Run(rowCtx)
 	got, gotErr := lowered.Run(vecCtx)

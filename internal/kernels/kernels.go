@@ -6,15 +6,14 @@
 // touches a single value. The kernels instead work per aligned row group
 // (one chunk per column) and read only what they need:
 //
-//   - a join side's `column <op> literal` filter is decided once per run on
-//     a run-length chunk, and a row group no row survives is skipped
-//     without decoding another column;
+//   - a join side's `column <op> literal` filter reads only its own
+//     column, and a row group no row survives is skipped without decoding
+//     another column;
 //   - the join works one row group and one column at a time: each key
 //     column becomes a typed column of shared key ids (a dictionary chunk
-//     looked up once per entry, an RLE chunk once per run, other codecs as
-//     a decoded vector), and only the columns and rows of its surviving
-//     pairs late-materialize, as typed per-group gathers (gather) appended
-//     in bulk;
+//     looked up once per entry, other codecs as a decoded vector), and only
+//     the columns and rows of its surviving pairs late-materialize, as
+//     typed per-group gathers (gather) appended in bulk;
 //   - the aggregate builds only the columns it reads, per row group, and
 //     hands them to the row engine's own accumulator through its one entry
 //     point, AggAcc.AddCols (columns in), so its result is byte-identical by
@@ -90,22 +89,6 @@ func (b *bitmap) set(i int) { b.words[i>>6] |= 1 << uint(i&63) }
 
 func (b *bitmap) get(i int) bool { return b.words[i>>6]&(1<<uint(i&63)) != 0 }
 
-// setRange sets rows [lo, hi).
-func (b *bitmap) setRange(lo, hi int) {
-	for i := lo; i < hi && i&63 != 0; i++ {
-		b.set(i)
-	}
-	if lo&63 != 0 {
-		lo = (lo | 63) + 1
-	}
-	for ; lo+64 <= hi; lo += 64 {
-		b.words[lo>>6] = ^uint64(0)
-	}
-	for ; lo < hi; lo++ {
-		b.set(lo)
-	}
-}
-
 func (b *bitmap) count() int {
 	c := 0
 	for _, w := range b.words {
@@ -120,7 +103,6 @@ func (b *bitmap) count() int {
 type colState struct {
 	parsed bool
 	dict   *encoding.DictView
-	runs   []encoding.Run
 	vec    *table.Vector // fully decoded values
 }
 
@@ -143,34 +125,30 @@ func (cc *chunkCtx) chunk(col int) encoding.Chunk { return cc.ct.Cols[col][cc.gr
 
 func (cc *chunkCtx) colType(col int) table.Type { return cc.ct.Schema.Cols[col].Type }
 
-// parse classifies the column's chunk without decoding values: dictionary
-// chunks expose their entry table and codes, RLE chunks their runs. Other
-// codecs leave the state unparsed; callers use vector() for those.
-func (cc *chunkCtx) parse(col int) (*colState, error) {
+// dict returns the column's dictionary view — its entry table and codes,
+// no value decoded — while its chunk is a dictionary chunk no one has
+// decoded, and nil otherwise: every other codec (an older store's RLE chunk
+// included) is read through vector(). Either way the chunk counts as
+// touched.
+func (cc *chunkCtx) dict(col int) (*encoding.DictView, error) {
 	cs := &cc.cols[col]
-	if cs.parsed || cs.vec != nil {
-		return cs, nil
+	if cs.vec != nil {
+		return nil, nil
 	}
-	ch := cc.chunk(col)
-	switch ch.Codec {
-	case encoding.Dict:
-		dv, err := encoding.ParseDict(ch, cc.colType(col))
-		if err != nil {
-			return nil, err
+	if !cs.parsed {
+		if ch := cc.chunk(col); ch.Codec == encoding.Dict {
+			dv, err := encoding.ParseDict(ch, cc.colType(col))
+			if err != nil {
+				return nil, err
+			}
+			if _, err := dv.Codes(); err != nil {
+				return nil, err
+			}
+			cs.dict = dv
 		}
-		if _, err := dv.Codes(); err != nil {
-			return nil, err
-		}
-		cs.dict = dv
-	case encoding.RLE:
-		runs, err := encoding.ParseRuns(ch, cc.colType(col))
-		if err != nil {
-			return nil, err
-		}
-		cs.runs = runs
+		cs.parsed = true
 	}
-	cs.parsed = true
-	return cs, nil
+	return cs.dict, nil
 }
 
 // vector returns the fully decoded values of the column's chunk, caching
@@ -189,83 +167,50 @@ func (cc *chunkCtx) vector(col int) (*table.Vector, error) {
 	return vec, nil
 }
 
-// accessor returns a function yielding the column's value at increasing
-// row indexes, materializing as little as possible: decoded vectors and
-// dictionary lookups are random access, RLE runs advance a cursor. Only a
-// side filter's row-by-row verdict reads through it; the join reads typed
-// columns (keyColumnIDs, gather).
+// accessor returns a function yielding the column's value at a row,
+// materializing as little as possible: a dictionary chunk by code, any
+// other chunk decoded and read by index. Only a side filter's row-by-row
+// verdict reads through it; the join reads typed columns (keyColumnIDs,
+// gather).
 func (cc *chunkCtx) accessor(col int) (func(i int) table.Value, error) {
-	cs, err := cc.parse(col)
+	dv, err := cc.dict(col)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case cs.vec != nil:
-		return cs.vec.Value, nil
-	case cs.dict != nil:
-		codes, _ := cs.dict.Codes()
-		dv := cs.dict
+	if dv != nil {
+		codes, _ := dv.Codes()
 		return func(i int) table.Value { return dv.Value(int(codes[i])) }, nil
-	case cs.runs != nil:
-		runs := cs.runs
-		runIdx, runStart := 0, 0
-		return func(i int) table.Value {
-			if i < runStart {
-				runIdx, runStart = 0, 0
-			}
-			for i >= runStart+runs[runIdx].Len {
-				runStart += runs[runIdx].Len
-				runIdx++
-			}
-			return runs[runIdx].Val
-		}, nil
-	default:
-		vec, err := cc.vector(col)
-		if err != nil {
-			return nil, err
-		}
-		return vec.Value, nil
 	}
+	vec, err := cc.vector(col)
+	if err != nil {
+		return nil, err
+	}
+	return vec.Value, nil
 }
 
 // column returns all of the row group's values of col as a vector, for a
-// consumer that reads every row (the aggregate): a decoded chunk as is, a
-// dictionary chunk gathered by code into buf, an RLE chunk expanded from its
-// runs into buf. Like gather and the accessors, gathering and expanding
-// count no decode; other codecs decode the chunk.
+// consumer that reads every row (the aggregate): a dictionary chunk
+// gathered by code into buf, which like the accessors counts no decode; any
+// other chunk decoded.
 func (cc *chunkCtx) column(col int, buf *table.Vector) (*table.Vector, error) {
-	cs, err := cc.parse(col)
+	dv, err := cc.dict(col)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case cs.vec != nil:
-		return cs.vec, nil
-	case cs.dict != nil:
-		codes, _ := cs.dict.Codes()
-		dv := cs.dict
-		buf.Type = dv.Type
-		buf.Ints, buf.Strs = buf.Ints[:0], buf.Strs[:0]
-		for _, c := range codes {
-			if dv.Type == table.Int {
-				buf.Ints = append(buf.Ints, dv.Ints[c])
-			} else {
-				buf.Strs = append(buf.Strs, dv.Strs[c])
-			}
-		}
-		return buf, nil
-	case cs.runs != nil:
-		buf.Type = cc.colType(col)
-		buf.Ints, buf.Floats, buf.Strs = buf.Ints[:0], buf.Floats[:0], buf.Strs[:0]
-		for _, r := range cs.runs {
-			for j := 0; j < r.Len; j++ {
-				_ = buf.Append(r.Val)
-			}
-		}
-		return buf, nil
-	default:
+	if dv == nil {
 		return cc.vector(col)
 	}
+	codes, _ := dv.Codes()
+	buf.Type = dv.Type
+	buf.Ints, buf.Strs = buf.Ints[:0], buf.Strs[:0]
+	for _, c := range codes {
+		if dv.Type == table.Int {
+			buf.Ints = append(buf.Ints, dv.Ints[c])
+		} else {
+			buf.Strs = append(buf.Strs, dv.Strs[c])
+		}
+	}
+	return buf, nil
 }
 
 // finish settles the row group's counters: column-chunks never touched
@@ -288,48 +233,15 @@ func (cc *chunkCtx) finish() {
 // gather appends the column's values at the given local rows (ascending,
 // repeats allowed) to dst, a vector of the column's type, reading the chunk
 // in its cheapest typed form: a decoded chunk by index, a dictionary chunk
-// by code, an RLE chunk with a run cursor; other codecs decode the chunk
-// first. Values served from a decoded chunk were counted at decode; late-
-// materialized ones (dictionary and RLE reads) count here, per value.
+// by code; other codecs decode the chunk first. Values served from a
+// decoded chunk were counted at decode; late-materialized ones (dictionary
+// reads) count here, per value.
 func (cc *chunkCtx) gather(col int, rows []int32, dst *table.Vector) error {
-	cs, err := cc.parse(col)
+	dv, err := cc.dict(col)
 	if err != nil {
 		return err
 	}
-	from := dst.Len()
-	switch {
-	case cs.vec != nil:
-		appendRows(dst, cs.vec, rows)
-		return nil
-	case cs.dict != nil:
-		codes, _ := cs.dict.Codes()
-		if dst.Type == table.Int {
-			for _, r := range rows {
-				dst.Ints = append(dst.Ints, cs.dict.Ints[codes[r]])
-			}
-		} else {
-			for _, r := range rows {
-				dst.Strs = append(dst.Strs, cs.dict.Strs[codes[r]])
-			}
-		}
-	case cs.runs != nil:
-		run, end := -1, 0
-		for _, r := range rows {
-			for int(r) >= end {
-				run++
-				end += cs.runs[run].Len
-			}
-			v := cs.runs[run].Val
-			switch dst.Type {
-			case table.Int:
-				dst.Ints = append(dst.Ints, v.I)
-			case table.Float:
-				dst.Floats = append(dst.Floats, v.F)
-			default:
-				dst.Strs = append(dst.Strs, v.S)
-			}
-		}
-	default:
+	if dv == nil {
 		vec, err := cc.vector(col)
 		if err != nil {
 			return err
@@ -337,13 +249,19 @@ func (cc *chunkCtx) gather(col int, rows []int32, dst *table.Vector) error {
 		appendRows(dst, vec, rows)
 		return nil
 	}
-	// Late-materialized: the bytes that actually had to be produced.
-	if dst.Type == table.Str {
-		for _, s := range dst.Strs[from:] {
-			cc.st.DecodedBytes += int64(len(s)) + 16
+	codes, _ := dv.Codes()
+	if dst.Type == table.Int {
+		for _, r := range rows {
+			dst.Ints = append(dst.Ints, dv.Ints[codes[r]])
 		}
-	} else {
-		cc.st.DecodedBytes += 8 * int64(dst.Len()-from)
+		cc.st.DecodedBytes += 8 * int64(len(rows))
+		return nil
+	}
+	// Late-materialized: the bytes that actually had to be produced.
+	for _, r := range rows {
+		s := dv.Strs[codes[r]]
+		dst.Strs = append(dst.Strs, s)
+		cc.st.DecodedBytes += int64(len(s)) + 16
 	}
 	return nil
 }

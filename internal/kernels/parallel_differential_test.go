@@ -187,7 +187,7 @@ func TestDifferentialParallelJoin(t *testing.T) {
 				RightKeys: []int{rk},
 			}
 		}
-		opts := map[string]encoding.Options{"L": encOptions(rng), "R": encOptions(rng)}
+		opts := map[string]encChoice{"L": encOptions(rng), "R": encOptions(rng)}
 		_, vecCtx := joinCtxFor(t, map[string]*table.Table{"L": left, "R": right}, opts)
 		w := width(rng)
 
@@ -249,7 +249,7 @@ func TestDifferentialParallelChunkedOutput(t *testing.T) {
 				RightKeys: []int{kc},
 			}
 		}
-		opts := map[string]encoding.Options{"A": encOptions(rng), "B": encOptions(rng), "C": encOptions(rng)}
+		opts := map[string]encChoice{"A": encOptions(rng), "B": encOptions(rng), "C": encOptions(rng)}
 		_, vecCtx := joinCtxFor(t, map[string]*table.Table{"A": a, "B": b, "C": c}, opts)
 		w := width(rng)
 
@@ -273,8 +273,8 @@ func TestDifferentialParallelChunkedOutput(t *testing.T) {
 }
 
 // TestParallelDirectedShapes walks the corner cases the randomized suites
-// might under-sample, one directed table per shape: all-RLE columns, a
-// dictionary-overflow column, an empty table, one row, a single row group,
+// might under-sample, one directed table per shape: all-RLE columns (an
+// older store's; no writer picks RLE now), a dictionary-overflow column, an empty table, one row, a single row group,
 // more concurrent copies than row groups, and one-row chunks. Each runs a
 // self-join whose probe side carries a filter, so the walk evaluates the
 // side predicate on every shape; the serial kernel and every concurrent
@@ -286,14 +286,15 @@ func TestParallelDirectedShapes(t *testing.T) {
 		shape colShape
 		chunk int
 		width int
+		rle   int // encChoice.rleEvery
 	}{
-		{"all-rle", 256, shapeConst, 8, 4},
-		{"dict-overflow", 300, shapeHighCard, 16, 4},
-		{"empty-table", 0, shapeLowCard, 8, 4},
-		{"one-row", 1, shapeLowCard, 8, 4},
-		{"single-group", 200, shapeLowCard, 0, 4},
-		{"workers-beyond-chunks", 64, shapeLowCard, 32, 16},
-		{"tiny-chunks", 100, shapeRuns, 1, 8},
+		{"all-rle", 256, shapeConst, 8, 4, 1},
+		{"dict-overflow", 300, shapeHighCard, 16, 4, 0},
+		{"empty-table", 0, shapeLowCard, 8, 4, 0},
+		{"one-row", 1, shapeLowCard, 8, 4, 0},
+		{"single-group", 200, shapeLowCard, 0, 4, 0},
+		{"workers-beyond-chunks", 64, shapeLowCard, 32, 16, 0},
+		{"tiny-chunks", 100, shapeRuns, 1, 8, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -312,7 +313,7 @@ func TestParallelDirectedShapes(t *testing.T) {
 					LeftKeys: []int{1}, RightKeys: []int{1},
 				}
 			}
-			rowCtx, vecCtx := ctxFor(t, "t", tbl, encoding.Options{ChunkRows: tc.chunk})
+			rowCtx, vecCtx := ctxFor(t, "t", tbl, encChoice{opts: encoding.Options{ChunkRows: tc.chunk}, rleEvery: tc.rle})
 
 			want, wantErr := build().Run(rowCtx)
 			stS := &Stats{}

@@ -39,30 +39,14 @@ func Compile(e engine.Expr, sch table.Schema) (*Pred, bool) {
 	return &Pred{col: cr.Idx, cmp: b.Op, lit: lit.V}, true
 }
 
-// eval computes the row-group selection vector. A run-length chunk is
-// decided once per run; every other codec is read through the chunk's
-// accessor.
+// eval computes the row-group selection vector, reading the column through
+// the chunk's accessor.
 func (p *Pred) eval(cc *chunkCtx) (*bitmap, error) {
-	cs, err := cc.parse(p.col)
-	if err != nil {
-		return nil, err
-	}
-	bm := newBitmap(cc.rows)
-	if cs.vec == nil && cs.runs != nil {
-		pos := 0
-		for _, r := range cs.runs {
-			if p.matches(r.Val) {
-				bm.setRange(pos, pos+r.Len)
-			}
-			pos += r.Len
-		}
-		cc.st.CodeFilteredRows += int64(cc.rows)
-		return bm, nil
-	}
 	read, err := cc.accessor(p.col)
 	if err != nil {
 		return nil, err
 	}
+	bm := newBitmap(cc.rows)
 	for i := 0; i < cc.rows; i++ {
 		if p.matches(read(i)) {
 			bm.set(i)

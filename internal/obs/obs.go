@@ -138,16 +138,15 @@ const (
 // into it, exec.NodeMetrics reports it and a KernelDone event carries it,
 // under the JSON names of the event stream.
 type KernelStats struct {
-	Lowered          int64 `json:"lowered,omitempty"`            // plan operators served by kernels, a join's filtered side counted as one
-	Fallbacks        int64 `json:"fallbacks,omitempty"`          // kernel executions that reverted to the row engine (input not chunked)
-	ChunksSkipped    int64 `json:"chunks_skipped,omitempty"`     // column-chunks never touched: rows eliminated or column not projected
-	CodeFilteredRows int64 `json:"code_filtered_rows,omitempty"` // join-side filter verdicts decided once per RLE run
-	DecodesAvoided   int64 `json:"decodes_avoided,omitempty"`    // column-chunks served encoded (dictionary lookups, run walks)
-	DecodedBytes     int64 `json:"-"`                            // raw bytes the kernels did materialize; KernelDone reports them as Bytes
-	JoinBuildRows    int64 `json:"join_build_rows,omitempty"`    // rows hashed into join build tables by shared key id
-	JoinProbeRows    int64 `json:"join_probe_rows,omitempty"`    // rows probed against join build tables
-	ChunksPassed     int64 `json:"chunks_passed,omitempty"`      // output chunks emitted from gathered codes, never materialized
-	ReencodedChunks  int64 `json:"reencoded_chunks,omitempty"`   // output chunks re-encoded from materialized values
+	Lowered         int64 `json:"lowered,omitempty"`          // plan operators served by kernels, a join's filtered side counted as one
+	Fallbacks       int64 `json:"fallbacks,omitempty"`        // kernel executions that reverted to the row engine (input not chunked)
+	ChunksSkipped   int64 `json:"chunks_skipped,omitempty"`   // column-chunks never touched: rows eliminated or column not projected
+	DecodesAvoided  int64 `json:"decodes_avoided,omitempty"`  // column-chunks served encoded (dictionary lookups)
+	DecodedBytes    int64 `json:"-"`                          // raw bytes the kernels did materialize; KernelDone reports them as Bytes
+	JoinBuildRows   int64 `json:"join_build_rows,omitempty"`  // rows hashed into join build tables by shared key id
+	JoinProbeRows   int64 `json:"join_probe_rows,omitempty"`  // rows probed against join build tables
+	ChunksPassed    int64 `json:"chunks_passed,omitempty"`    // output chunks emitted from gathered codes, never materialized
+	ReencodedChunks int64 `json:"reencoded_chunks,omitempty"` // output chunks re-encoded from materialized values
 
 	// Deprecated: DictReused is always 0. It counted output chunks a
 	// cross-run dictionary cache served entirely; each output dictionary now

@@ -318,7 +318,6 @@ func spanEventAttrs(e obs.Event) []Attr {
 			Int("sc.kernel.lowered", e.Lowered),
 			Int(AttrKernelFallbacks, e.Fallbacks),
 			Int("sc.kernel.chunks_skipped", e.ChunksSkipped),
-			Int("sc.kernel.code_filtered_rows", e.CodeFilteredRows),
 			Int("sc.kernel.decodes_avoided", e.DecodesAvoided),
 			Int("sc.kernel.chunks_passed", e.ChunksPassed),
 			Int("sc.kernel.reencoded_chunks", e.ReencodedChunks),

@@ -96,8 +96,8 @@ func WithDevice(d DeviceProfile) Option {
 }
 
 // WithEncoding switches the session onto the compressed path, its one
-// switch. Node outputs are compressed per column (dictionary, run-length,
-// delta + bit-packing, scaled-decimal floats, raw fallback), held
+// switch. Node outputs are compressed per column (dictionary, delta +
+// bit-packing, scaled-decimal floats, raw fallback), held
 // compressed in the Memory Catalog — so the same budget keeps more MVs
 // resident — and written to storage in the chunked colfmt format. The
 // optimizer's size and score estimates switch to compressed footprints, so

@@ -77,8 +77,8 @@ type EncodingMode = encoding.Mode
 // Encoding modes.
 const (
 	// EncodingAuto samples each column chunk and picks the smallest of the
-	// applicable codecs (dictionary, run-length, delta + bit-packing,
-	// scaled-decimal floats, raw).
+	// applicable codecs (dictionary, delta + bit-packing, scaled-decimal
+	// floats, raw).
 	EncodingAuto = encoding.ModeAuto
 	// EncodingRaw stores every chunk uncompressed in the chunked format; useful
 	// as an explicit baseline in experiments.
