@@ -155,13 +155,3 @@ func BenchmarkSimulateWorkload(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAblateDecisions regenerates the DESIGN.md design-decision
-// ablations (write-channel model, termination metric, order choice).
-func BenchmarkAblateDecisions(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := bench.Ablate(io.Discard); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

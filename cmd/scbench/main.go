@@ -7,8 +7,8 @@
 //	scbench [experiment...]
 //
 // Experiments: fig3, table3, fig9, fig10, fig11, table4, fig12, table5,
-// fig13, fig14, ablate, all (default: all). fig13/fig14 accept -dags N to
-// control the number of generated DAGs per setting.
+// fig13, fig14, all (default: all). fig13/fig14 accept -dags N to control
+// the number of generated DAGs per setting.
 package main
 
 import (
@@ -37,7 +37,7 @@ func main() {
 
 	experiments := flag.Args()
 	if len(experiments) == 0 || (len(experiments) == 1 && experiments[0] == "all") {
-		experiments = []string{"fig3", "table3", "fig9", "fig10", "fig11", "table4", "fig12", "table5", "fig13", "fig14", "ablate"}
+		experiments = []string{"fig3", "table3", "fig9", "fig10", "fig11", "table4", "fig12", "table5", "fig13", "fig14"}
 	}
 	out := os.Stdout
 	for _, exp := range experiments {
@@ -68,8 +68,6 @@ func main() {
 			err = bench.Fig13(out, *dags)
 		case "fig14":
 			err = bench.Fig14(out, *dags)
-		case "ablate":
-			err = bench.Ablate(out)
 		default:
 			err = fmt.Errorf("unknown experiment %q", exp)
 		}

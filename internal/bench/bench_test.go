@@ -123,19 +123,3 @@ func TestTable3MatchesPaperRows(t *testing.T) {
 		}
 	}
 }
-
-func TestAblateProducesAllThreeSections(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablation suite in -short mode")
-	}
-	var buf bytes.Buffer
-	if err := Ablate(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"write channel", "alternation termination", "execution order"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("ablation output missing %q:\n%s", want, out)
-		}
-	}
-}

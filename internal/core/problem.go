@@ -219,9 +219,8 @@ func Positions(order []dag.NodeID) []int {
 
 // ReleasePositions returns, for every node, the step after which its output
 // may leave the Memory Catalog: the position of its last-executed child, or
-// its own position when it has no children (§V design decision 5: childless
-// flagged nodes occupy memory only during their own step in the unit-time
-// model).
+// its own position when it has no children (childless flagged nodes occupy
+// memory only during their own step in the unit-time model).
 func ReleasePositions(g *dag.Graph, order []dag.NodeID) []int {
 	pos := Positions(order)
 	rel := make([]int, g.Len())

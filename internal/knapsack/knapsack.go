@@ -41,8 +41,7 @@ type Solution struct {
 // sizes (≤100 items after simplification) solve to optimality in well
 // under the budget; pathological instances return the best incumbent with
 // Optimal=false, which is still feasible and at least as good as greedy.
-// Var so harnesses can trade exactness for determinism of runtime.
-var MaxBnBNodes = int64(60_000)
+const MaxBnBNodes = int64(60_000)
 
 // Validate checks structural consistency of the instance.
 func (p *Problem) Validate() error {
@@ -186,7 +185,6 @@ type bnbState struct {
 	bestTake []bool
 	best     int64
 	nodes    int64
-	limit    int64
 	remain   []int64 // remaining capacity per constraint
 	// suffixProfit[k] = Σ profits of order[k:]; cheap admissible bound.
 	suffixProfit []int64
@@ -206,7 +204,6 @@ func solveBnB(p *Problem, feasible []bool) (*Solution, error) {
 		p:     p,
 		order: itemOrder(p, feasible),
 		take:  make([]bool, len(p.Profits)),
-		limit: MaxBnBNodes,
 	}
 	st.pos = make([]int, len(p.Profits))
 	for j := range st.pos {
@@ -255,7 +252,7 @@ func solveBnB(p *Problem, feasible []bool) (*Solution, error) {
 	// Seed incumbent with the greedy solution so pruning bites early.
 	st.best, st.bestTake = greedySeed(p, st.order)
 	st.dfs(0, 0)
-	optimal := st.nodes < st.limit
+	optimal := st.nodes < MaxBnBNodes
 	return &Solution{Take: st.bestTake, Profit: st.best, Optimal: optimal, Nodes: st.nodes}, nil
 }
 
@@ -305,7 +302,7 @@ func greedySeed(p *Problem, order []int) (int64, []bool) {
 
 func (st *bnbState) dfs(k int, profit int64) {
 	st.nodes++
-	if st.nodes >= st.limit {
+	if st.nodes >= MaxBnBNodes {
 		return
 	}
 	if profit > st.best {

@@ -1,8 +1,9 @@
 // Package opt implements the alternating optimization of §V-C
-// (Algorithm 2): starting from a topological order and an empty flagged
-// set, alternately (1) solve S/C Opt Nodes for the current order and
-// (2) solve S/C Opt Order for the current flagged set, until the flagged
-// set stops improving or the new order becomes infeasible.
+// (Algorithm 2): starting from a deterministic Kahn order and an empty
+// flagged set, alternately (1) solve S/C Opt Nodes for the current order
+// and (2) solve S/C Opt Order for the current flagged set, until the flagged
+// set's total speedup score stops improving, the new order becomes
+// infeasible, or maxIterations iterations have run.
 //
 // Where the problem offers a second residency form (core.Problem's
 // SerializedSizes), the settled plan then gets one more pass: every node
@@ -26,8 +27,8 @@ import (
 
 // Options configures the alternating optimization. Every refresh path
 // (session.Pipeline.Plan) and sc.Solve set only Observer, so they run the
-// paper's algorithms; the strategy fields and the loop's knobs are for the
-// paper's baselines and ablations (internal/bench, cmd/scopt).
+// paper's algorithms; the strategy fields are for the paper's baselines
+// (internal/bench, cmd/scopt).
 type Options struct {
 	// Selector solves S/C Opt Nodes; nil means the paper's SimplifiedMKP.
 	// The baselines are flagsel.Greedy, Random and Ratio.
@@ -35,38 +36,33 @@ type Options struct {
 	// Orderer solves S/C Opt Order; nil means the paper's MA-DFS. The
 	// baselines are order.DFS, Kahn, SA and Separator.
 	Orderer order.Orderer
-	// InitialOrder seeds the loop; nil means a deterministic Kahn sort
-	// (GetTopologicalOrder in Algorithm 2).
-	InitialOrder []dag.NodeID
-	// MaxIterations caps the loop; the paper reports convergence in <10
-	// iterations for 100-node graphs. Zero means 50.
-	MaxIterations int
-	// TerminateOnSize follows the literal line 5 of Algorithm 2, which
-	// compares total flagged *sizes* across iterations. The default
-	// (false) compares total speedup *scores*, matching the paper's
-	// convergence argument; see DESIGN.md decision 3.
-	TerminateOnSize bool
 	// Observer receives an IterationDone event after each alternating
 	// iteration. Nil disables observation.
 	Observer obs.Observer
 }
 
+// maxIterations caps the loop; the paper reports convergence in <10
+// iterations for 100-node graphs.
+const maxIterations = 50
+
 // Stats reports how the optimization converged.
 type Stats struct {
-	Iterations  int           // alternating iterations performed
-	Score       float64       // total speedup score of the returned plan
-	PeakMemory  int64         // peak Memory Catalog usage of the plan
-	AvgMemory   float64       // average memory usage objective of the plan
-	Elapsed     time.Duration // optimizer wall-clock time
-	StopReason  string        // why the loop terminated
-	OrderSwaps  int           // times the order was replaced by the orderer
-	SelectorRan int           // times the selector was invoked
+	Iterations int           // alternating iterations performed
+	Score      float64       // total speedup score of the returned plan
+	PeakMemory int64         // peak Memory Catalog usage of the plan
+	Elapsed    time.Duration // optimizer wall-clock time
+	StopReason string        // why the loop terminated
 }
 
 // Solve runs Algorithm 2 on the problem and returns a feasible plan. The
 // context is checked between alternating iterations, so a cancelled or
 // expired context stops the optimization with ctx.Err().
 func Solve(ctx context.Context, p *core.Problem, opts Options) (*core.Plan, *Stats, error) {
+	return solve(ctx, p, opts, maxIterations)
+}
+
+// solve is Solve with the loop capped at maxIter iterations.
+func solve(ctx context.Context, p *core.Problem, opts Options, maxIter int) (*core.Plan, *Stats, error) {
 	start := time.Now()
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
@@ -79,20 +75,10 @@ func Solve(ctx context.Context, p *core.Problem, opts Options) (*core.Plan, *Sta
 	if ord == nil {
 		ord = order.MADFS{}
 	}
-	maxIter := opts.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 50
-	}
-
-	tau := opts.InitialOrder
-	if tau == nil {
-		var err error
-		tau, err = p.G.TopoSort()
-		if err != nil {
-			return nil, nil, err
-		}
-	} else if !p.G.IsTopological(tau) {
-		return nil, nil, fmt.Errorf("opt: initial order is not topological")
+	// GetTopologicalOrder in Algorithm 2: a deterministic Kahn sort.
+	tau, err := p.G.TopoSort()
+	if err != nil {
+		return nil, nil, err
 	}
 
 	best := core.NewPlan(tau) // U = ∅
@@ -107,12 +93,12 @@ func Solve(ctx context.Context, p *core.Problem, opts Options) (*core.Plan, *Sta
 			Elapsed:   time.Since(start),
 		})
 	}
-	for st.Iterations = 1; st.Iterations <= maxIter; st.Iterations++ {
+	for it := 1; it <= maxIter; it++ {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
+		st.Iterations = it
 		cand, err := sel.Select(p, tau)
-		st.SelectorRan++
 		if err != nil {
 			return nil, nil, err
 		}
@@ -120,7 +106,8 @@ func Solve(ctx context.Context, p *core.Problem, opts Options) (*core.Plan, *Sta
 			// Selectors guarantee feasibility; treat violation as a bug.
 			return nil, nil, fmt.Errorf("opt: selector %s produced infeasible plan", sel.Name())
 		}
-		if !improved(p, best, cand, opts.TerminateOnSize) {
+		// Line 5 compares scores: the flagged set must save strictly more.
+		if cand.TotalScore(p) <= best.TotalScore(p) {
 			st.StopReason = "no flagged-set improvement"
 			iterDone()
 			break
@@ -143,8 +130,7 @@ func Solve(ctx context.Context, p *core.Problem, opts Options) (*core.Plan, *Sta
 			break
 		}
 		tau = tauNew
-		best = &core.Plan{Order: tauNew, Flagged: best.Flagged}
-		st.OrderSwaps++
+		best = probe
 		iterDone()
 	}
 	if st.StopReason == "" {
@@ -153,7 +139,6 @@ func Solve(ctx context.Context, p *core.Problem, opts Options) (*core.Plan, *Sta
 	best = promoteSerialized(p, best)
 	st.Score = best.TotalScore(p)
 	st.PeakMemory = core.PeakMemoryUsage(p, best)
-	st.AvgMemory = core.AverageMemoryUsage(p, best)
 	st.Elapsed = time.Since(start)
 	return best, st, nil
 }
@@ -198,13 +183,4 @@ func promoteSerialized(p *core.Problem, pl *core.Plan) *core.Plan {
 		return pl
 	}
 	return out
-}
-
-// improved reports whether cand is strictly better than best under the
-// configured termination metric.
-func improved(p *core.Problem, best, cand *core.Plan, bySize bool) bool {
-	if bySize {
-		return cand.TotalFlaggedSize(p) > best.TotalFlaggedSize(p)
-	}
-	return cand.TotalScore(p) > best.TotalScore(p)
 }

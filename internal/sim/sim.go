@@ -55,7 +55,8 @@ func (w *Workload) Validate() error {
 	return nil
 }
 
-// Config controls a simulation.
+// Config controls a simulation. Background materialization always shares
+// the write channel with foreground writes, as in the paper's model.
 type Config struct {
 	Device costmodel.DeviceProfile
 	Memory int64 // Memory Catalog capacity in bytes
@@ -66,10 +67,6 @@ type Config struct {
 	// node outputs are cached with LRU eviction in a cache of Memory
 	// bytes, and reads check the cache first.
 	LRU bool
-	// DedicatedWriteBand gives background materialization its own write
-	// channel instead of sharing bandwidth with foreground writes
-	// (DESIGN.md decision 4).
-	DedicatedWriteBand bool
 	// Observer receives the simulated run's event stream (NodeStart,
 	// NodeDone, Materialized, Evicted, MemoryHighWater), each stamped At
 	// Base plus the virtual clock. NodeDone's Elapsed is the node's
@@ -125,6 +122,9 @@ func Run(ctx context.Context, w *Workload, plan *core.Plan, cfg Config) (*Result
 	}
 	if len(plan.Order) != w.G.Len() || !w.G.IsTopological(plan.Order) {
 		return nil, fmt.Errorf("sim: plan order is not a topological permutation")
+	}
+	if len(plan.Flagged) != w.G.Len() {
+		return nil, fmt.Errorf("sim: plan flags %d nodes of %d", len(plan.Flagged), w.G.Len())
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -340,23 +340,15 @@ func (s *simState) drainBG() {
 }
 
 // fgWrite performs a blocking foreground write of bytes, sharing the write
-// channel with background jobs unless DedicatedWriteBand is set. Returns
-// the elapsed foreground time.
+// channel with background jobs. Returns the elapsed foreground time.
 func (s *simState) fgWrite(bytes float64) float64 {
 	start := s.t
 	if bytes <= 0 {
 		return 0
 	}
 	s.t += s.latency
-	if s.cfg.DedicatedWriteBand || len(s.bg) == 0 {
-		// Full bandwidth for the foreground; background progresses
-		// concurrently on its own (dedicated) or is empty.
-		dur := bytes / s.writeBW
-		if s.cfg.DedicatedWriteBand {
-			s.advance(dur)
-		} else {
-			s.t += dur
-		}
+	if len(s.bg) == 0 {
+		s.t += bytes / s.writeBW
 		return s.t - start
 	}
 	remaining := bytes

@@ -244,6 +244,21 @@ func TestRunRejectsBadPlan(t *testing.T) {
 	}
 }
 
+// A plan whose Flagged is not one entry per node is an error, not a panic.
+func TestRunRejectsMisSizedFlagged(t *testing.T) {
+	w := chainWorkload()
+	order, err := w.G.TopoSort()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, flagged := range [][]bool{nil, make([]bool, w.G.Len()-1)} {
+		pl := &core.Plan{Order: order, Flagged: flagged}
+		if _, err := Run(context.Background(), w, pl, defaultCfg()); err == nil {
+			t.Errorf("%d flags for %d nodes accepted", len(flagged), w.G.Len())
+		}
+	}
+}
+
 func TestTimelineIsContiguousAndOrdered(t *testing.T) {
 	w := chainWorkload()
 	res, err := Run(context.Background(), w, planFor(w, 0), defaultCfg())
@@ -348,24 +363,6 @@ func TestFlaggingNeverHurtsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDedicatedWriteBandNotSlower(t *testing.T) {
-	w := chainWorkload()
-	shared := defaultCfg()
-	dedicated := defaultCfg()
-	dedicated.DedicatedWriteBand = true
-	rs, err := Run(context.Background(), w, planFor(w, 0), shared)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd, err := Run(context.Background(), w, planFor(w, 0), dedicated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rd.Total > rs.Total+1e-9 {
-		t.Fatalf("dedicated band slower: %v vs %v", rd.Total, rs.Total)
 	}
 }
 
