@@ -7,12 +7,15 @@
 // A Builder assembles a compressed table from what the join has in hand
 // per output column — dictionary codes (the source chunk's dictionary is
 // remapped once through the column's output dictionary and the surviving
-// codes flow through unchanged) or, when no code-space path applies, a
-// typed vector of materialized values, appended in bulk and re-encoded
-// with the same per-chunk codec auto-selection FromTable uses. Each output
-// dictionary belongs to its Builder: nothing in this package outlives one
-// operator's output, so a refresh over unchanged inputs rebuilds the same
-// chunks.
+// codes flow through unchanged, in bulk) or, when no code-space path
+// applies, a typed vector of materialized values, handed over whole or
+// gathered straight into the column, and re-encoded with the same
+// per-chunk codec auto-selection FromTable uses. The join sizes its
+// Builder from its pair count, so each column's pending codes or values
+// are allocated once, at their final size, and never copied to grow. Each
+// output dictionary belongs to its Builder: nothing in this package
+// outlives one operator's output, so a refresh over unchanged inputs
+// rebuilds the same chunks.
 //
 // Decoding a Builder output always yields exactly the rows that were
 // appended, in order — byte-identical to the table the materializing path
@@ -49,19 +52,26 @@ type Counters struct {
 //
 // Appenders pick the cheapest representation the source allows:
 //
-//	AppendCode   one output-dictionary id (code-space joins; see Remap)
+//	AppendCodes  output-dictionary ids (code-space joins; see Remap)
 //	AppendVector a typed column of decoded or late-materialized values,
-//	             appended in bulk
+//	             handed over to the builder
+//	AppendWith   values gathered straight into the column's pending vector
 //
-// A Builder is used by one goroutine; its dictionaries start empty and
-// go with it.
+// Each column's pending codes or values are allocated once, at the row
+// count NewBuilder was given, on its first append. A Builder is used by
+// one goroutine; its dictionaries start empty and go with it.
 type Builder struct {
 	sch    table.Schema
 	opts   encoding.Options
 	target int
+	rows   int // expected output rows: the size of each pending buffer
 	cols   []colBuf
 	out    [][]encoding.Chunk
 	raw    int64
+	// Scratch for densifying one chunk's codes (dict.dense), grow-only
+	// and reused across chunks and columns.
+	denseMap   []int32
+	denseCodes []uint64
 
 	// Counters accumulates this builder's work; read it after Finish.
 	Counters Counters
@@ -74,7 +84,6 @@ type colBuf struct {
 	dict  *dict         // nil for FLOAT columns
 	codes []int32       // pending dictionary ids (code space)
 	vals  *table.Vector // pending values (value space; non-nil once active)
-	dense []int32       // scratch for code densification, grow-only
 }
 
 func (cb *colBuf) pending() int {
@@ -84,15 +93,17 @@ func (cb *colBuf) pending() int {
 	return len(cb.codes)
 }
 
-// NewBuilder returns a builder for one operator's output. opts supplies
-// the codec policy for re-encoded chunks and the target chunk size.
-func NewBuilder(sch table.Schema, opts encoding.Options) *Builder {
-	return newBuilder(sch, opts, DefaultMaxEntries)
+// NewBuilder returns a builder for one operator's output of about rows
+// rows. opts supplies the codec policy for re-encoded chunks and the
+// target chunk size. rows sizes each column's pending buffer; appending
+// more rows than that still works, at the cost of growing the buffer.
+func NewBuilder(sch table.Schema, opts encoding.Options, rows int) *Builder {
+	return newBuilder(sch, opts, rows, DefaultMaxEntries)
 }
 
 // newBuilder is NewBuilder with each output dictionary capped at
 // maxEntries, so tests can overflow one with a few rows.
-func newBuilder(sch table.Schema, opts encoding.Options, maxEntries int) *Builder {
+func newBuilder(sch table.Schema, opts encoding.Options, rows, maxEntries int) *Builder {
 	target := opts.ChunkRows
 	if target <= 0 {
 		target = encoding.DefaultChunkRows
@@ -104,6 +115,7 @@ func newBuilder(sch table.Schema, opts encoding.Options, maxEntries int) *Builde
 		sch:    sch,
 		opts:   opts,
 		target: target,
+		rows:   rows,
 		cols:   make([]colBuf, len(sch.Cols)),
 		out:    make([][]encoding.Chunk, len(sch.Cols)),
 	}
@@ -118,7 +130,7 @@ func newBuilder(sch table.Schema, opts encoding.Options, maxEntries int) *Builde
 }
 
 // Remap translates a source chunk's dictionary into the column's output
-// dictionary, for use with AppendCode. It returns nil, false when the
+// dictionary, for use with AppendCodes. It returns nil, false when the
 // column cannot take codes right now — FLOAT column, value space already
 // active, or dictionary overflow — in which case the caller appends values
 // instead.
@@ -130,34 +142,58 @@ func (b *Builder) Remap(ci int, dv *encoding.DictView) ([]int32, bool) {
 	return cb.dict.remap(dv)
 }
 
-// AppendCode appends one row by output-dictionary id (from Remap). If the
-// column has fallen to value space since the remap, the id is materialized
-// through the dictionary instead.
-func (b *Builder) AppendCode(ci int, id int32) {
+// AppendCodes appends one row per output-dictionary id (from Remap), in
+// order. If the column has fallen to value space since the remap, the ids
+// are materialized through the dictionary instead. ids stays the caller's.
+func (b *Builder) AppendCodes(ci int, ids []int32) {
 	cb := &b.cols[ci]
+	for _, id := range ids {
+		b.raw += cb.dict.valueSize(id)
+	}
 	if cb.vals != nil {
-		v := cb.dict.value(id)
-		b.Counters.MaterializedBytes += valueSizeOf(v)
-		appendToVec(cb.vals, v)
+		b.materialize(cb, ids)
 		return
 	}
-	cb.codes = append(cb.codes, id)
-	b.raw += cb.dict.valueSize(id)
+	if cb.codes == nil {
+		cb.codes = make([]int32, 0, max(b.rows, len(ids)))
+	}
+	cb.codes = append(cb.codes, ids...)
 }
 
-// AppendVector appends every row of a decoded vector of the column's type,
-// in bulk. The values buffer for re-encoding with codec auto-selection;
-// codes pending from earlier appends materialize first, so the column
-// finishes in value space. The result is exactly that of appending the
-// values one at a time.
+// AppendVector appends every row of a vector of the column's type. The
+// vector belongs to the builder from the call on, and the caller must
+// neither read nor write it again: a column with nothing pending keeps it
+// as its pending values instead of copying it. Otherwise codes pending
+// from earlier appends materialize first, so the column finishes in value
+// space, and the values are copied in bulk. The result is exactly that of
+// appending the values one at a time.
 func (b *Builder) AppendVector(ci int, vec *table.Vector) error {
 	cb := &b.cols[ci]
 	if vec.Type != cb.typ {
 		return fmt.Errorf("chunkio: column %q is %v, appended vector is %v", b.sch.Cols[ci].Name, cb.typ, vec.Type)
 	}
 	b.raw += vec.ByteSize()
+	if cb.pending() == 0 {
+		cb.vals, cb.codes = vec, nil
+		return nil
+	}
 	b.materializePending(cb)
 	appendVals(cb.vals, vec)
+	return nil
+}
+
+// AppendWith appends the values gather appends to dst — the column's own
+// pending vector, of the column's type — so they land in place instead of
+// passing through a caller's buffer. Codes pending from earlier appends
+// materialize first. gather must only append to dst and must not keep it.
+func (b *Builder) AppendWith(ci int, gather func(dst *table.Vector) error) error {
+	cb := &b.cols[ci]
+	b.materializePending(cb)
+	from := cb.vals.Len()
+	if err := gather(cb.vals); err != nil {
+		return err
+	}
+	b.raw += vecSlice(cb.vals, from, cb.vals.Len()).ByteSize()
 	return nil
 }
 
@@ -165,17 +201,20 @@ func (b *Builder) AppendVector(ci int, vec *table.Vector) error {
 // pending codes into values.
 func (b *Builder) materializePending(cb *colBuf) {
 	if cb.vals == nil {
-		cb.vals = &table.Vector{Type: cb.typ}
+		cb.vals = newVector(cb.typ, max(b.rows, len(cb.codes)))
 	}
-	if len(cb.codes) == 0 {
-		return
-	}
-	for _, id := range cb.codes {
+	b.materialize(cb, cb.codes)
+	cb.codes = nil
+}
+
+// materialize appends the values of output-dictionary ids to a column in
+// value space.
+func (b *Builder) materialize(cb *colBuf, ids []int32) {
+	for _, id := range ids {
 		v := cb.dict.value(id)
 		b.Counters.MaterializedBytes += valueSizeOf(v)
 		appendToVec(cb.vals, v)
 	}
-	cb.codes = cb.codes[:0]
 }
 
 // emitCol encodes rows [lo, hi) of one column's pending buffer.
@@ -188,7 +227,7 @@ func (b *Builder) emitCol(cb *colBuf, lo, hi int) (encoding.Chunk, error) {
 		b.Counters.Reencoded++
 		return ch, nil
 	}
-	ints, strs, codes := cb.dict.dense(cb.codes[lo:hi], &cb.dense)
+	ints, strs, codes := cb.dict.dense(cb.codes[lo:hi], &b.denseMap, &b.denseCodes)
 	ch, err := encoding.BuildDictChunk(cb.typ, ints, strs, codes)
 	if err != nil {
 		return encoding.Chunk{}, err
@@ -237,6 +276,20 @@ func (b *Builder) Finish() (*encoding.Compressed, error) {
 }
 
 // --- small helpers ---
+
+// newVector returns an empty vector of type t with room for n values.
+func newVector(t table.Type, n int) *table.Vector {
+	v := &table.Vector{Type: t}
+	switch t {
+	case table.Int:
+		v.Ints = make([]int64, 0, n)
+	case table.Float:
+		v.Floats = make([]float64, 0, n)
+	default:
+		v.Strs = make([]string, 0, n)
+	}
+	return v
+}
 
 // vecSlice views rows [lo, hi) of a vector without copying.
 func vecSlice(v *table.Vector, lo, hi int) *table.Vector {

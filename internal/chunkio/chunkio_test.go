@@ -63,10 +63,12 @@ func pick(vec *table.Vector, rows []int32) *table.Vector {
 
 // feedGroup appends one row group of a compressed table to the builder the
 // way the join kernel assembles its output: dictionary chunks as remapped
-// codes (as gathered values once the column has left code space),
-// everything else as a gathered decoded vector. sel lists the selected
-// local rows ascending; nil selects all. perValue appends the values one at
-// a time through perValueAppend instead of in bulk.
+// codes in bulk (as gathered values once the column has left code space),
+// everything else as gathered decoded values — a freshly gathered vector
+// handed over (even groups) or values gathered straight into the column
+// (odd groups). sel lists the selected local rows ascending; nil selects
+// all. perValue appends codes and values one at a time instead, codes
+// through AppendCodes and values through perValueAppend.
 func feedGroup(t *testing.T, b *Builder, ct *encoding.Compressed, group int, sel []int32, perValue bool) {
 	t.Helper()
 	for ci := range ct.Cols {
@@ -92,25 +94,46 @@ func feedGroup(t *testing.T, b *Builder, ct *encoding.Compressed, group int, sel
 				t.Fatalf("feed column %d: %v", ci, err)
 			}
 			if ids, inCode := b.Remap(ci, dv); inCode {
+				out := make([]int32, 0, len(rows))
 				for _, i := range rows {
-					b.AppendCode(ci, ids[codes[i]])
+					out = append(out, ids[codes[i]])
+				}
+				if !perValue {
+					b.AppendCodes(ci, out)
+					continue
+				}
+				for k := range out {
+					b.AppendCodes(ci, out[k:k+1])
 				}
 				continue
 			}
 		}
-		picked := pick(vec, rows)
-		if perValue {
+		switch {
+		case perValue:
+			picked := pick(vec, rows)
 			for i := 0; i < picked.Len(); i++ {
 				perValueAppend(b, ci, picked.Value(i))
 			}
-		} else if err := b.AppendVector(ci, picked); err != nil {
+		case group%2 == 0:
+			err = b.AppendVector(ci, pick(vec, rows))
+		default:
+			err = b.AppendWith(ci, func(dst *table.Vector) error {
+				for _, i := range rows {
+					if err := dst.Append(vec.Value(int(i))); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}
+		if err != nil {
 			t.Fatalf("feed column %d: %v", ci, err)
 		}
 	}
 }
 
-// perValueAppend is the value-at-a-time append AppendVector replaced, kept
-// as its reference.
+// perValueAppend is the value-at-a-time append AppendVector and AppendWith
+// replaced, kept as their reference.
 func perValueAppend(b *Builder, ci int, v table.Value) {
 	cb := &b.cols[ci]
 	b.raw += valueSizeOf(v)
@@ -160,7 +183,7 @@ func TestBuilderGatherSelections(t *testing.T) {
 	}
 	// Select every third row; group 1 entirely empty.
 	var global []int
-	b := NewBuilder(src.Schema, encoding.Options{ChunkRows: 100})
+	b := NewBuilder(src.Schema, encoding.Options{ChunkRows: 100}, 0)
 	base := 0
 	for g, rows := range ct.RowGroups() {
 		var sel []int32
@@ -191,7 +214,7 @@ func TestBuilderGatherSelections(t *testing.T) {
 
 func TestBuilderEmptyOutput(t *testing.T) {
 	sch := table.NewSchema(table.Column{Name: "x", Type: table.Int})
-	b := NewBuilder(sch, encoding.Options{})
+	b := NewBuilder(sch, encoding.Options{}, 0)
 	out, err := b.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +237,7 @@ func TestBuilderDictOverflowMidBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := newBuilder(src.Schema, encoding.Options{ChunkRows: 100}, 8)
+	b := newBuilder(src.Schema, encoding.Options{ChunkRows: 100}, 100, 8)
 	for g := range ct.RowGroups() {
 		feedGroup(t, b, ct, g, nil, false)
 	}
@@ -248,7 +271,7 @@ func TestBuilderRLEHeavy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBuilder(tb.Schema, encoding.Options{ChunkRows: 150})
+	b := NewBuilder(tb.Schema, encoding.Options{ChunkRows: 150}, 150)
 	var sel []int32
 	var global []int
 	for i := 0; i < 150; i += 2 {
@@ -276,7 +299,7 @@ func TestBuilderMisalignedColumnsError(t *testing.T) {
 		table.Column{Name: "a", Type: table.Int},
 		table.Column{Name: "b", Type: table.Int},
 	)
-	b := NewBuilder(sch, encoding.Options{})
+	b := NewBuilder(sch, encoding.Options{}, 0)
 	if err := b.AppendVector(0, &table.Vector{Type: table.Int, Ints: []int64{1}}); err != nil {
 		t.Fatal(err)
 	}
@@ -286,14 +309,15 @@ func TestBuilderMisalignedColumnsError(t *testing.T) {
 }
 
 // checkBuilds feeds the selected rows of every row group (sels[g]: nil for
-// the whole group, empty to skip it) to a bulk builder and a per-value one,
-// both with output dictionaries capped at maxEntries, and requires their
-// outputs to be byte-identical and to decode to exactly the selected rows
-// (global).
+// the whole group, empty to skip it) to a bulk builder sized for them and
+// an unsized per-value one, both with output dictionaries capped at
+// maxEntries, and requires their outputs to be byte-identical, to decode to
+// exactly the selected rows (global), and to count as RawBytes exactly the
+// decoded table's size.
 func checkBuilds(t *testing.T, desc string, tb *table.Table, ct *encoding.Compressed, sels [][]int32, global []int, opts encoding.Options, maxEntries int) {
 	t.Helper()
-	bulk := newBuilder(tb.Schema, opts, maxEntries)
-	perValue := newBuilder(tb.Schema, opts, maxEntries)
+	bulk := newBuilder(tb.Schema, opts, len(global), maxEntries)
+	perValue := newBuilder(tb.Schema, opts, 0, maxEntries)
 	for g, sel := range sels {
 		if sel == nil || len(sel) > 0 {
 			feedGroup(t, bulk, ct, g, sel, false)
@@ -320,6 +344,111 @@ func checkBuilds(t *testing.T, desc string, tb *table.Table, ct *encoding.Compre
 		t.Fatalf("%s: decode: %v", desc, err)
 	}
 	mustEqualTables(t, desc, gather(tb, global), got)
+	if out.RawBytes != got.ByteSize() {
+		t.Fatalf("%s: RawBytes %d, decoded table %d B", desc, out.RawBytes, got.ByteSize())
+	}
+}
+
+// TestBuilderAppendCodesInValueSpaceCountsRawBytes appends codes to a
+// column that has fallen to value space since their remap: the
+// materialized values must count in RawBytes like any other row.
+func TestBuilderAppendCodesInValueSpaceCountsRawBytes(t *testing.T) {
+	sch := table.NewSchema(table.Column{Name: "s", Type: table.Str})
+	ch, err := encoding.BuildDictChunk(table.Str, nil, []string{"x", "yy"}, []uint64{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dv, err := encoding.ParseDict(ch, table.Str)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBuilder(sch, encoding.Options{}, 2)
+	ids, ok := b.Remap(0, dv)
+	if !ok {
+		t.Fatal("remap refused")
+	}
+	if err := b.AppendVector(0, &table.Vector{Type: table.Str, Strs: []string{"zzz"}}); err != nil {
+		t.Fatal(err)
+	}
+	b.AppendCodes(0, ids[1:2])
+	out, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := out.Table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumRows() != 2 || got.Cols[0].Strs[0] != "zzz" || got.Cols[0].Strs[1] != "yy" {
+		t.Fatalf("decoded %v, want [zzz yy]", got.Cols[0].Strs)
+	}
+	if out.RawBytes != got.ByteSize() {
+		t.Fatalf("RawBytes %d, decoded table %d B", out.RawBytes, got.ByteSize())
+	}
+}
+
+// TestBuilderHandedOverColumnKeepsAppending hands a vector with spare
+// capacity to an empty column, then appends to that column through every
+// appender: the builder owns the vector from then on, and the output must
+// equal appending the same values one at a time.
+func TestBuilderHandedOverColumnKeepsAppending(t *testing.T) {
+	sch := table.NewSchema(table.Column{Name: "s", Type: table.Str})
+	ch, err := encoding.BuildDictChunk(table.Str, nil, []string{"d0", "d1"}, []uint64{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dv, err := encoding.ParseDict(ch, table.Str)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"a", "b", "c", "d", "e", "d1", "d0"}
+	opts := encoding.Options{ChunkRows: 3}
+	bulk := NewBuilder(sch, opts, len(want))
+	ids, ok := bulk.Remap(0, dv)
+	if !ok {
+		t.Fatal("remap refused")
+	}
+	handed := make([]string, 2, 16)
+	copy(handed, want[:2])
+	if err := bulk.AppendVector(0, &table.Vector{Type: table.Str, Strs: handed}); err != nil {
+		t.Fatal(err)
+	}
+	if err := bulk.AppendVector(0, &table.Vector{Type: table.Str, Strs: []string{"c"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := bulk.AppendWith(0, func(dst *table.Vector) error {
+		dst.Strs = append(dst.Strs, "d", "e")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	bulk.AppendCodes(0, []int32{ids[1], ids[0]})
+	perValue := NewBuilder(sch, opts, 0)
+	for _, s := range want {
+		perValueAppend(perValue, 0, table.StrValue(s))
+	}
+	out, err := bulk.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := perValue.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The builder materialized the two codes itself ("d1", "d0"); the
+	// per-value side was handed values.
+	if bulk.Counters.MaterializedBytes != 2*(2+16) {
+		t.Fatalf("materialized %d B, want %d", bulk.Counters.MaterializedBytes, 2*(2+16))
+	}
+	bulk.Counters.MaterializedBytes = 0
+	mustEqualBuilds(t, "handed over", bulk, perValue, out, ref)
+	got, err := out.Table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got.Cols[0].Strs) != fmt.Sprint(want) {
+		t.Fatalf("decoded %v, want %v", got.Cols[0].Strs, want)
+	}
 }
 
 // TestDifferentialBuilder drives random tables, chunk layouts and

@@ -108,9 +108,10 @@ func (d *dict) remap(dv *encoding.DictView) ([]int32, bool) {
 
 // dense translates pending ids into a dense chunk-local dictionary in
 // first-use order — exactly the layout dictCodec.Encode would have built
-// from the values, produced without touching a value. scratch is a caller-
-// owned grow-only remap buffer.
-func (d *dict) dense(codes []int32, scratch *[]int32) (ints []int64, strs []string, out []uint64) {
+// from the values, produced without touching a value. scratch and outBuf
+// are caller-owned grow-only buffers for the remap and the local codes;
+// out is a view of outBuf, valid until the next call.
+func (d *dict) dense(codes []int32, scratch *[]int32, outBuf *[]uint64) (ints []int64, strs []string, out []uint64) {
 	maxUsed := int32(-1)
 	for _, id := range codes {
 		if id > maxUsed {
@@ -125,7 +126,10 @@ func (d *dict) dense(codes []int32, scratch *[]int32) (ints []int64, strs []stri
 	for i := range remap {
 		remap[i] = -1
 	}
-	out = make([]uint64, len(codes))
+	if cap(*outBuf) < len(codes) {
+		*outBuf = make([]uint64, len(codes))
+	}
+	out = (*outBuf)[:len(codes)]
 	for k, id := range codes {
 		local := remap[id]
 		if local < 0 {

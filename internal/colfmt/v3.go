@@ -22,7 +22,6 @@
 package colfmt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -87,30 +86,31 @@ func EncodeTable(t *table.Table, opts encoding.Options) ([]byte, error) {
 
 // EncodeCompressed serializes an already-compressed table in the chunked
 // format without re-encoding any payload. The output length always equals
-// ct.SizeBytes(), so catalog accounting matches the serialized size.
+// ct.SizeBytes(), so catalog accounting matches the serialized size — and
+// the output is written once into a buffer allocated at that size.
 func EncodeCompressed(ct *encoding.Compressed) ([]byte, error) {
 	if err := ct.Validate(); err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	buf.Write(magicV3[:])
-	writeUvarint(&buf, uint64(len(ct.Cols)))
-	writeUvarint(&buf, uint64(ct.NRows))
+	buf := make([]byte, 0, ct.SizeBytes())
+	buf = append(buf, magicV3[:]...)
+	buf = binary.AppendUvarint(buf, uint64(len(ct.Cols)))
+	buf = binary.AppendUvarint(buf, uint64(ct.NRows))
 	for ci, chunks := range ct.Cols {
 		name := ct.Schema.Cols[ci].Name
-		writeUvarint(&buf, uint64(len(name)))
-		buf.WriteString(name)
-		buf.WriteByte(byte(ct.Schema.Cols[ci].Type))
-		writeUvarint(&buf, uint64(len(chunks)))
+		buf = binary.AppendUvarint(buf, uint64(len(name)))
+		buf = append(buf, name...)
+		buf = append(buf, byte(ct.Schema.Cols[ci].Type))
+		buf = binary.AppendUvarint(buf, uint64(len(chunks)))
 		for _, ch := range chunks {
-			buf.WriteByte(byte(ch.Codec))
-			writeUvarint(&buf, uint64(ch.Rows))
-			writeUvarint(&buf, uint64(len(ch.Data)))
-			buf.Write(ch.Data)
-			writeU32(&buf, chunkCRC(byte(ch.Codec), uint32(ch.Rows), ch.Data))
+			buf = append(buf, byte(ch.Codec))
+			buf = binary.AppendUvarint(buf, uint64(ch.Rows))
+			buf = binary.AppendUvarint(buf, uint64(len(ch.Data)))
+			buf = append(buf, ch.Data...)
+			buf = binary.LittleEndian.AppendUint32(buf, chunkCRC(byte(ch.Codec), uint32(ch.Rows), ch.Data))
 		}
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // DecodeCompressed parses a chunked file into its compressed
@@ -273,12 +273,6 @@ func decodeSchemaChunked(data []byte) (table.Schema, int, error) {
 		schema.Cols = append(schema.Cols, table.Column{Name: string(nameB), Type: table.Type(typB)})
 	}
 	return schema, int(nRows), nil
-}
-
-// writeUvarint appends v as an unsigned varint.
-func writeUvarint(buf *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	buf.Write(tmp[:binary.PutUvarint(tmp[:], v)])
 }
 
 // uvarint reads an unsigned varint.

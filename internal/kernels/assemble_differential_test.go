@@ -15,7 +15,7 @@ import (
 )
 
 // This file checks the join kernel's columnar paths — typed key probe,
-// counting-sort bucketing, typed gathers and bulk AppendVector — against a
+// counting-sort bucketing, typed gathers and bulk appends — against a
 // copy of the value-at-a-time join they replaced (perValue*): a map keyed
 // by the bytes of the shared key ids, per-row accessor closures, a sorted
 // bucketing and one Builder append per value. Both must produce the same
@@ -284,7 +284,7 @@ func perValueAssemble(j *HashJoinScan, ctx *engine.Context, b *chunkio.Builder) 
 				}
 			}
 			if codes != nil {
-				b.AppendCode(oc.out, ids[codes[i]])
+				b.AppendCodes(oc.out, []int32{ids[codes[i]]})
 				continue
 			}
 			v := read(i)
@@ -326,7 +326,7 @@ func perValueAssemble(j *HashJoinScan, ctx *engine.Context, b *chunkio.Builder) 
 			}
 			if inCode {
 				for _, id := range codes {
-					b.AppendCode(oc.out, id)
+					b.AppendCodes(oc.out, []int32{id})
 				}
 				continue
 			}
@@ -460,10 +460,10 @@ func checkAssembly(t *testing.T, desc string, c assemblyCase) (chunkio.Counters,
 	if err != nil {
 		t.Fatalf("%s: columnar join: %v", desc, err)
 	}
-	bn := chunkio.NewBuilder(jn.Sch, c.outOpts)
+	bn := chunkio.NewBuilder(jn.Sch, c.outOpts, len(jd.right))
 	got, errN := jn.assemble(bn, jd)
 	addBuilder(jn.St, bn.Counters)
-	bo := chunkio.NewBuilder(jo.Sch, c.outOpts)
+	bo := chunkio.NewBuilder(jo.Sch, c.outOpts, 0)
 	want, errO := perValueAssemble(jo, vecCtx, bo)
 	addBuilder(jo.St, bo.Counters)
 	if (errN != nil) != (errO != nil) {

@@ -70,10 +70,14 @@ func (s *JoinSide) label() string {
 // dropped build-side chunk is skipped outright.
 //
 // RunChunked emits the surviving pairs as compressed chunks instead of a
-// table: dictionary-encoded output columns travel as remapped codes, so a
-// two-level join tree composes in code space end to end, and every other
-// column reaches the chunkio.Builder as whole typed vectors
-// (Builder.AppendVector). Run scatters the same typed gathers into a table.
+// table, through a chunkio.Builder sized from the pair count so each output
+// column is allocated once. Dictionary-encoded output columns travel as
+// remapped codes, appended in bulk (Builder.AppendCodes), so a two-level
+// join tree composes in code space end to end; every other column is
+// gathered straight into the builder's pending vector (Builder.AppendWith)
+// or, on the build side, gathered whole and handed over to the builder,
+// which keeps it (Builder.AppendVector). Run scatters the same typed
+// gathers into a table.
 type HashJoinScan struct {
 	Left, Right         JoinSide
 	LeftKeys, RightKeys []int
@@ -227,7 +231,7 @@ func (j *HashJoinScan) RunChunked(ctx *engine.Context) (*encoding.Compressed, *t
 	// source columns as remapped codes, everything else as typed columns of
 	// late-materialized values appended in bulk — in the row engine's exact
 	// output order (probe order, then build order).
-	b := chunkio.NewBuilder(j.Sch, j.Env.opts())
+	b := chunkio.NewBuilder(j.Sch, j.Env.opts(), len(jd.right))
 	ct, err := j.assemble(b, jd)
 	if err != nil {
 		return nil, nil, j.wrap(err)
@@ -267,8 +271,11 @@ type joined struct {
 	// key is the shared key id itself.
 	composite map[string]int32
 	// start and rows are the build table, laid out by build key: the build
-	// ordinals of key k are rows[start[k]:start[k+1]], ascending.
+	// ordinals of key k are rows[start[k]:start[k+1]], ascending. unique
+	// reports that no key has more than one build row, so no probe row
+	// joins more than once.
 	start, rows []int32
+	unique      bool
 	groups      []*joinGroup // build-side groups with selected rows
 
 	// The surviving pairs in output order: the probe group's local row and
@@ -330,8 +337,12 @@ func (jd *joined) index(keys []int32) {
 		nk = jd.kds[0].Len()
 	}
 	jd.start = make([]int32, nk+1)
+	jd.unique = true
 	for _, k := range keys {
 		jd.start[k+1]++
+		if jd.start[k+1] > 1 {
+			jd.unique = false
+		}
 	}
 	for k := 1; k <= nk; k++ {
 		jd.start[k] += jd.start[k-1]
@@ -412,8 +423,14 @@ func (j *HashJoinScan) buildPhase(jd *joined, rct *encoding.Compressed, rgroups 
 
 // probePhase translates each left group's key columns into shared key ids
 // and appends the surviving pairs to jd in probe order, touching only key
-// columns.
+// columns. When every build key is unique the pairs are at most the probe
+// rows, and their slices are reserved once at that size (unless the build
+// side is empty, when there are none).
 func (j *HashJoinScan) probePhase(jd *joined, lct *encoding.Compressed, lgroups []int) error {
+	if jd.unique && len(jd.rows) > 0 {
+		jd.leftRows = make([]int32, 0, lct.NRows)
+		jd.right = make([]int32, 0, lct.NRows)
+	}
 	ids := make([][]int32, len(j.LeftKeys))
 	scratch := make([]byte, 4*len(j.LeftKeys))
 	return walkGroups(walk{ct: lct, groups: lgroups, pred: j.Left.Pred, st: j.St, keep: jd.leftCCs},
@@ -496,6 +513,7 @@ func (jd *joined) gatherLeft(dst *table.Vector, src int) error {
 type buckets struct {
 	order, local []int32
 	bounds       []int
+	max          int // the most positions of any one group
 }
 
 // bucketByGroup buckets the output positions with one counting pass over
@@ -515,6 +533,7 @@ func bucketByGroup(right []int32, groups []*joinGroup, total int) *buckets {
 	}
 	for g, jg := range groups {
 		bk.bounds[g+1] = int(next[jg.base+jg.n])
+		bk.max = max(bk.max, bk.bounds[g+1]-bk.bounds[g])
 	}
 	for pos, ord := range right {
 		bk.order[next[ord]] = int32(pos)
@@ -531,9 +550,10 @@ func bucketByGroup(right []int32, groups []*joinGroup, total int) *buckets {
 // gatherRight scatters one build-side column of the surviving pairs into
 // dst, pre-sized to the output. Each build group with survivors gathers its
 // values once, in ascending local-row order and decoding only what the
-// survivors demand, then scatters them to their output positions.
+// survivors demand, into a buffer sized for the largest group, then
+// scatters them to their output positions.
 func (jd *joined) gatherRight(dst *table.Vector, bk *buckets, src int) error {
-	buf := &table.Vector{Type: dst.Type}
+	buf := newVector(dst.Type, 0, bk.max)
 	for g, jg := range jd.groups {
 		lo, hi := bk.bounds[g], bk.bounds[g+1]
 		if lo == hi {
@@ -550,10 +570,10 @@ func (jd *joined) gatherRight(dst *table.Vector, bk *buckets, src int) error {
 
 // assembleLeft appends one probe-side output column to the builder, one
 // probe group's segment at a time: as remapped codes when the group's chunk
-// is dictionary-encoded and the column takes codes, else as a typed column
-// of the gathered values.
+// is dictionary-encoded and the column takes codes, else as values gathered
+// straight into the column's pending vector.
 func (j *HashJoinScan) assembleLeft(b *chunkio.Builder, jd *joined, oc outCol) error {
-	buf := &table.Vector{Type: j.Sch.Cols[oc.out].Type}
+	var out []int32 // one segment's remapped codes, reused
 	lo := 0
 	for _, s := range jd.segs {
 		rows := jd.leftRows[lo:s.end]
@@ -566,17 +586,20 @@ func (j *HashJoinScan) assembleLeft(b *chunkio.Builder, jd *joined, oc outCol) e
 		if dv != nil {
 			if ids, ok := b.Remap(oc.out, dv); ok {
 				codes, _ := dv.Codes()
-				for _, i := range rows {
-					b.AppendCode(oc.out, ids[codes[i]])
+				if cap(out) < len(rows) {
+					out = make([]int32, len(rows))
 				}
+				out = out[:len(rows)]
+				for k, i := range rows {
+					out[k] = ids[codes[i]]
+				}
+				b.AppendCodes(oc.out, out)
 				continue
 			}
 		}
-		resetVector(buf)
-		if err := cc.gather(oc.src, rows, buf); err != nil {
-			return err
-		}
-		if err := b.AppendVector(oc.out, buf); err != nil {
+		if err := b.AppendWith(oc.out, func(dst *table.Vector) error {
+			return cc.gather(oc.src, rows, dst)
+		}); err != nil {
 			return err
 		}
 	}
@@ -586,7 +609,8 @@ func (j *HashJoinScan) assembleLeft(b *chunkio.Builder, jd *joined, oc outCol) e
 // assembleRight appends the build-side output columns to the builder in
 // output order. A column whose every contributing chunk is dictionary-
 // encoded travels as remapped codes; otherwise its values gather into a
-// pre-sized vector exactly like the materializing path, appended in bulk.
+// fresh pre-sized vector exactly like the materializing path, which the
+// builder keeps.
 func (j *HashJoinScan) assembleRight(b *chunkio.Builder, jd *joined, rightOut []outCol) error {
 	nPairs := len(jd.right)
 	if nPairs == 0 {
@@ -620,9 +644,7 @@ func (j *HashJoinScan) assembleRight(b *chunkio.Builder, jd *joined, rightOut []
 			}
 		}
 		if inCode {
-			for _, id := range codes {
-				b.AppendCode(oc.out, id)
-			}
+			b.AppendCodes(oc.out, codes)
 			continue
 		}
 		dst := newVector(j.Sch.Cols[oc.out].Type, nPairs, nPairs)
