@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"github.com/shortcircuit-db/sc/internal/encoding"
 	"github.com/shortcircuit-db/sc/internal/table"
 )
 
@@ -116,10 +117,10 @@ func (a *Aggregate) String() string {
 type AggAcc struct {
 	a *Aggregate
 
-	// The group table, one of three by key shape: a single INT key, a
-	// single STRING key, or appendKey bytes of every key column.
-	ints map[int64]int32
-	strs map[string]int32
+	// The group table, one of two by key shape: a single INT or STRING key
+	// interned into a KeyDict, whose ids are the group ids, or appendKey
+	// bytes of every key column (FLOAT and multi-column keys).
+	kd   *encoding.KeyDict
 	keys map[string]int32
 	key  []byte // reused appendKey buffer
 
@@ -168,12 +169,9 @@ func (a *Aggregate) NewAcc() *AggAcc {
 			acc.states[k].ext.Type = a.args[k].typ
 		}
 	}
-	switch {
-	case len(a.GroupBy) == 1 && a.sch.Cols[0].Type == table.Int:
-		acc.ints = make(map[int64]int32)
-	case len(a.GroupBy) == 1 && a.sch.Cols[0].Type == table.Str:
-		acc.strs = make(map[string]int32)
-	default:
+	if len(a.GroupBy) == 1 && a.sch.Cols[0].Type != table.Float {
+		acc.kd = encoding.NewKeyDict(a.sch.Cols[0].Type)
+	} else {
 		acc.keys = make(map[string]int32)
 	}
 	return acc
@@ -313,10 +311,16 @@ func (acc *AggAcc) groupIDs(n int, cols []*table.Vector) []int32 {
 		if len(acc.counts) == 0 && n > 0 {
 			acc.newGroup(cols, 0)
 		}
-	case acc.ints != nil:
-		lookupKeys(acc.ints, cols[gb[0]].Ints[:n], gids, func(i int) int32 { return acc.newGroup(cols, i) })
-	case acc.strs != nil:
-		lookupKeys(acc.strs, cols[gb[0]].Strs[:n], gids, func(i int) int32 { return acc.newGroup(cols, i) })
+	case acc.kd != nil:
+		// Key ids are group ids: both are dense in first-appearance order,
+		// so a row whose id is the next group's is its key's first.
+		gids = acc.kd.IDs(cols[gb[0]], true, gids[:0])
+		acc.gids = gids
+		for i, g := range gids {
+			if int(g) == len(acc.counts) {
+				acc.newGroup(cols, i)
+			}
+		}
 	default:
 		for i := 0; i < n; i++ {
 			acc.key = acc.key[:0]
@@ -338,23 +342,6 @@ func (acc *AggAcc) groupIDs(n int, cols []*table.Vector) []int32 {
 		counts[g]++
 	}
 	return gids
-}
-
-// lookupKeys assigns the group ids of a single INT or STRING key column;
-// a row repeating the previous row's key skips the lookup.
-func lookupKeys[K int64 | string](m map[K]int32, keys []K, gids []int32, newGroup func(i int) int32) {
-	for i, k := range keys {
-		if i > 0 && k == keys[i-1] {
-			gids[i] = gids[i-1]
-			continue
-		}
-		g, ok := m[k]
-		if !ok {
-			g = newGroup(i)
-			m[k] = g
-		}
-		gids[i] = g
-	}
 }
 
 // newGroup creates a group keyed by row i's group-by values and returns

@@ -289,6 +289,10 @@ func FuzzAggBatch(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 1, 2, 3, 4}, int64(2), uint16(0))
 	f.Add([]byte{3, 2, 2, 2, 1, 5, 3, 4, 0}, int64(3), uint16(2500))
 	f.Add([]byte{2, 1, 0, 3, 4, 4, 0, 2, 1}, int64(4), uint16(1025))
+	// SUM(c0), COUNT(*) grouped by one INT column whose small keys meet
+	// math.MaxInt64 and 1<<53+1 in the third and fourth rows: the group
+	// table's dense window moves to its map mid-batch.
+	f.Add([]byte{0, 0, 0, 1, 1, 0, 0, 0, 1}, int64(5), uint16(2000))
 	for seed := int64(5); seed < 64; seed++ {
 		f.Add([]byte(nil), seed, uint16(seed*37%1500))
 	}

@@ -43,7 +43,9 @@ func (s *JoinSide) label() string {
 // join: each key column of a row group becomes a column of ids in a shared
 // encoding.KeyDict (one per key position) — a dictionary chunk looked up
 // once per entry, any other codec as one decoded vector — so the build
-// table is keyed by dense shared ids, not values:
+// table is keyed by dense shared ids, not values (dense INT keys, such as
+// surrogate keys, are looked up by offset in the KeyDict's window rather
+// than hashed, as engine.AggAcc's group keys are):
 //
 //   - the build (right) side keys its selected rows by shared key id (by a
 //     dense composite id on a multi-key join) and lays them out by key with
