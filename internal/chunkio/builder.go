@@ -178,7 +178,7 @@ func (b *Builder) AppendVector(ci int, vec *table.Vector) error {
 		return nil
 	}
 	b.materializePending(cb)
-	appendVals(cb.vals, vec)
+	cb.vals.AppendVector(vec)
 	return nil
 }
 
@@ -193,7 +193,8 @@ func (b *Builder) AppendWith(ci int, gather func(dst *table.Vector) error) error
 	if err := gather(cb.vals); err != nil {
 		return err
 	}
-	b.raw += vecSlice(cb.vals, from, cb.vals.Len()).ByteSize()
+	added := cb.vals.Slice(from, cb.vals.Len())
+	b.raw += added.ByteSize()
 	return nil
 }
 
@@ -201,26 +202,29 @@ func (b *Builder) AppendWith(ci int, gather func(dst *table.Vector) error) error
 // pending codes into values.
 func (b *Builder) materializePending(cb *colBuf) {
 	if cb.vals == nil {
-		cb.vals = newVector(cb.typ, max(b.rows, len(cb.codes)))
+		cb.vals = table.MakeVector(cb.typ, 0, max(b.rows, len(cb.codes)))
 	}
 	b.materialize(cb, cb.codes)
 	cb.codes = nil
 }
 
 // materialize appends the values of output-dictionary ids to a column in
-// value space.
+// value space. A FLOAT column has no dictionary and never any ids.
 func (b *Builder) materialize(cb *colBuf, ids []int32) {
-	for _, id := range ids {
-		v := cb.dict.value(id)
-		b.Counters.MaterializedBytes += valueSizeOf(v)
-		appendToVec(cb.vals, v)
+	if len(ids) == 0 {
+		return
 	}
+	from := cb.vals.Len()
+	cb.vals.AppendRows(&cb.dict.ents, ids)
+	added := cb.vals.Slice(from, cb.vals.Len())
+	b.Counters.MaterializedBytes += added.ByteSize()
 }
 
 // emitCol encodes rows [lo, hi) of one column's pending buffer.
 func (b *Builder) emitCol(cb *colBuf, lo, hi int) (encoding.Chunk, error) {
 	if cb.vals != nil {
-		ch, err := encoding.EncodeChunk(vecSlice(cb.vals, lo, hi), b.opts)
+		rows := cb.vals.Slice(lo, hi)
+		ch, err := encoding.EncodeChunk(&rows, b.opts)
 		if err != nil {
 			return encoding.Chunk{}, err
 		}
@@ -273,64 +277,4 @@ func (b *Builder) Finish() (*encoding.Compressed, error) {
 		return nil, fmt.Errorf("chunkio: %w", err)
 	}
 	return ct, nil
-}
-
-// --- small helpers ---
-
-// newVector returns an empty vector of type t with room for n values.
-func newVector(t table.Type, n int) *table.Vector {
-	v := &table.Vector{Type: t}
-	switch t {
-	case table.Int:
-		v.Ints = make([]int64, 0, n)
-	case table.Float:
-		v.Floats = make([]float64, 0, n)
-	default:
-		v.Strs = make([]string, 0, n)
-	}
-	return v
-}
-
-// vecSlice views rows [lo, hi) of a vector without copying.
-func vecSlice(v *table.Vector, lo, hi int) *table.Vector {
-	out := &table.Vector{Type: v.Type}
-	switch v.Type {
-	case table.Int:
-		out.Ints = v.Ints[lo:hi]
-	case table.Float:
-		out.Floats = v.Floats[lo:hi]
-	default:
-		out.Strs = v.Strs[lo:hi]
-	}
-	return out
-}
-
-// appendVals appends every row of src to dst, of the same type.
-func appendVals(dst, src *table.Vector) {
-	switch dst.Type {
-	case table.Int:
-		dst.Ints = append(dst.Ints, src.Ints...)
-	case table.Float:
-		dst.Floats = append(dst.Floats, src.Floats...)
-	default:
-		dst.Strs = append(dst.Strs, src.Strs...)
-	}
-}
-
-func appendToVec(dst *table.Vector, v table.Value) {
-	switch dst.Type {
-	case table.Int:
-		dst.Ints = append(dst.Ints, v.I)
-	case table.Float:
-		dst.Floats = append(dst.Floats, v.F)
-	default:
-		dst.Strs = append(dst.Strs, v.S)
-	}
-}
-
-func valueSizeOf(v table.Value) int64 {
-	if v.Type == table.Str {
-		return int64(len(v.S)) + 16
-	}
-	return 8
 }

@@ -138,7 +138,18 @@ func perValueAppend(b *Builder, ci int, v table.Value) {
 	cb := &b.cols[ci]
 	b.raw += valueSizeOf(v)
 	b.materializePending(cb)
-	appendToVec(cb.vals, v)
+	if err := cb.vals.Append(v); err != nil {
+		panic(err)
+	}
+}
+
+// valueSizeOf is one value's raw footprint, as table.Vector.ByteSize
+// counts it: 8 bytes per INT or FLOAT, len + 16 per STRING.
+func valueSizeOf(v table.Value) int64 {
+	if v.Type == table.Str {
+		return int64(len(v.S)) + 16
+	}
+	return 8
 }
 
 // mustEqualBuilds requires two builders fed the same rows, one in bulk and

@@ -17,16 +17,14 @@ const DefaultMaxEntries = 1 << 16
 // it, with dense ids in insertion order. It belongs to one Builder and
 // lives exactly as long.
 type dict struct {
-	typ   table.Type
-	max   int
-	ints  map[int64]int32
-	strs  map[string]int32
-	entsI []int64
-	entsS []string
+	max  int
+	ints map[int64]int32
+	strs map[string]int32
+	ents table.Vector // the entries, by id; its Type is the column's
 }
 
 func newDict(t table.Type, max int) *dict {
-	d := &dict{typ: t, max: max}
+	d := &dict{max: max, ents: table.Vector{Type: t}}
 	if t == table.Int {
 		d.ints = make(map[int64]int32)
 	} else {
@@ -40,12 +38,12 @@ func (d *dict) addInt(x int64) (int32, bool) {
 	if id, ok := d.ints[x]; ok {
 		return id, true
 	}
-	if len(d.entsI) >= d.max {
+	if len(d.ents.Ints) >= d.max {
 		return 0, false
 	}
-	id := int32(len(d.entsI))
+	id := int32(len(d.ents.Ints))
 	d.ints[x] = id
-	d.entsI = append(d.entsI, x)
+	d.ents.Ints = append(d.ents.Ints, x)
 	return id, true
 }
 
@@ -54,30 +52,22 @@ func (d *dict) addStr(s string) (int32, bool) {
 	if id, ok := d.strs[s]; ok {
 		return id, true
 	}
-	if len(d.entsS) >= d.max {
+	if len(d.ents.Strs) >= d.max {
 		return 0, false
 	}
-	id := int32(len(d.entsS))
+	id := int32(len(d.ents.Strs))
 	d.strs[s] = id
-	d.entsS = append(d.entsS, s)
+	d.ents.Strs = append(d.ents.Strs, s)
 	return id, true
-}
-
-// value returns the entry for an id.
-func (d *dict) value(id int32) table.Value {
-	if d.typ == table.Int {
-		return table.IntValue(d.entsI[id])
-	}
-	return table.StrValue(d.entsS[id])
 }
 
 // valueSize returns the raw in-memory footprint of one entry, matching
 // table.Vector.ByteSize accounting.
 func (d *dict) valueSize(id int32) int64 {
-	if d.typ == table.Int {
+	if d.ents.Type == table.Int {
 		return 8
 	}
-	return int64(len(d.entsS[id])) + 16
+	return int64(len(d.ents.Strs[id])) + 16
 }
 
 // remap interns every entry of a source chunk's dictionary, returning the
@@ -86,7 +76,7 @@ func (d *dict) valueSize(id int32) int64 {
 // before the overflow remain; they are harmless).
 func (d *dict) remap(dv *encoding.DictView) ([]int32, bool) {
 	out := make([]int32, dv.Card())
-	if d.typ == table.Int {
+	if d.ents.Type == table.Int {
 		for c, x := range dv.Ints {
 			id, ok := d.addInt(x)
 			if !ok {
@@ -133,12 +123,12 @@ func (d *dict) dense(codes []int32, scratch *[]int32, outBuf *[]uint64) (ints []
 	for k, id := range codes {
 		local := remap[id]
 		if local < 0 {
-			if d.typ == table.Int {
+			if d.ents.Type == table.Int {
 				local = int32(len(ints))
-				ints = append(ints, d.entsI[id])
+				ints = append(ints, d.ents.Ints[id])
 			} else {
 				local = int32(len(strs))
-				strs = append(strs, d.entsS[id])
+				strs = append(strs, d.ents.Strs[id])
 			}
 			remap[id] = local
 		}

@@ -258,19 +258,10 @@ func (rleCodec) Encode(*table.Vector) ([]byte, error) { return nil, errRLEDecode
 func (rleCodec) size(*table.Vector) (int, error)      { return 0, errRLEDecodeOnly }
 
 func (rleCodec) Decode(payload []byte, t table.Type, n int) (*table.Vector, error) {
-	out := &table.Vector{Type: t}
 	// The output length is known up front; preallocate it, capped so a
 	// direct call with an absurd n cannot demand a huge make() before the
 	// payload is parsed (the colfmt path already bounds n via Validate).
-	hint := allocHint(n, MaxChunkRows)
-	switch t {
-	case table.Int:
-		out.Ints = make([]int64, 0, hint)
-	case table.Float:
-		out.Floats = make([]float64, 0, hint)
-	default:
-		out.Strs = make([]string, 0, hint)
-	}
+	out := table.MakeVector(t, 0, allocHint(n, MaxChunkRows))
 	err := readRuns(payload, t, n, func(runLen int, v table.Value) {
 		switch t {
 		case table.Int:

@@ -130,7 +130,8 @@ func fromTable(t *table.Table, opts Options, sr int) (*Compressed, error) {
 			if j > n {
 				j = n
 			}
-			ch, err := encodeChunk(slice(col, i, j), opts, sr)
+			rows := col.Slice(i, j)
+			ch, err := encodeChunk(&rows, opts, sr)
 			if err != nil {
 				return nil, fmt.Errorf("encoding: column %q: %w", t.Schema.Cols[ci].Name, err)
 			}
@@ -266,14 +267,8 @@ func sampleVec(v *table.Vector, sr int) *table.Vector {
 		if j > n {
 			j = n
 		}
-		switch v.Type {
-		case table.Int:
-			out.Ints = append(out.Ints, v.Ints[i:j]...)
-		case table.Float:
-			out.Floats = append(out.Floats, v.Floats[i:j]...)
-		default:
-			out.Strs = append(out.Strs, v.Strs[i:j]...)
-		}
+		block := v.Slice(i, j)
+		out.AppendVector(&block)
 	}
 	return out
 }
@@ -294,30 +289,22 @@ func (c *Compressed) HeadTable(n int) (*table.Table, error) {
 	if n <= 0 || n > c.NRows {
 		n = c.NRows
 	}
-	t := table.New(c.Schema)
+	t := &table.Table{Schema: c.Schema, Cols: make([]*table.Vector, len(c.Cols))}
 	// Reserve the known row count up front (capped like the decoders, so
 	// a hostile NRows cannot demand a huge make before chunk 1 decodes);
 	// tables under MaxChunkRows rows then append without reallocating.
 	hint := allocHint(n, MaxChunkRows)
 	for ci, chunks := range c.Cols {
-		col, dst := c.Schema.Cols[ci], t.Cols[ci]
-		switch col.Type {
-		case table.Int:
-			dst.Ints = make([]int64, 0, hint)
-		case table.Float:
-			dst.Floats = make([]float64, 0, hint)
-		default:
-			dst.Strs = make([]string, 0, hint)
-		}
+		col := c.Schema.Cols[ci]
+		dst := table.MakeVector(col.Type, 0, hint)
+		t.Cols[ci] = dst
 		for need, i := n, 0; need > 0; i++ {
 			k := min(need, chunks[i].Rows)
 			part, err := decodeHead(chunks[i], col.Type, k)
 			if err != nil {
 				return nil, fmt.Errorf("encoding: column %q: %w", col.Name, err)
 			}
-			dst.Ints = append(dst.Ints, part.Ints...)
-			dst.Floats = append(dst.Floats, part.Floats...)
-			dst.Strs = append(dst.Strs, part.Strs...)
+			dst.AppendVector(part)
 			need -= k
 		}
 	}

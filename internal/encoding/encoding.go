@@ -116,18 +116,3 @@ func Candidates(t table.Type) []Codec {
 	}
 	return out
 }
-
-// slice returns a view of v restricted to rows [i, j). The backing arrays
-// are shared, so slicing is O(1).
-func slice(v *table.Vector, i, j int) *table.Vector {
-	out := &table.Vector{Type: v.Type}
-	switch v.Type {
-	case table.Int:
-		out.Ints = v.Ints[i:j]
-	case table.Float:
-		out.Floats = v.Floats[i:j]
-	default:
-		out.Strs = v.Strs[i:j]
-	}
-	return out
-}

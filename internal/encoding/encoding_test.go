@@ -8,6 +8,12 @@ import (
 	"github.com/shortcircuit-db/sc/internal/table"
 )
 
+// slice returns a view of rows [i, j) of v.
+func slice(v *table.Vector, i, j int) *table.Vector {
+	s := v.Slice(i, j)
+	return &s
+}
+
 // vecEqual compares vectors bit-exactly (floats by bit pattern, so NaN
 // payloads count).
 func vecEqual(a, b *table.Vector) bool {

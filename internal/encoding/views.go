@@ -160,5 +160,6 @@ func decodeHead(ch Chunk, t table.Type, k int) (*table.Vector, error) {
 	if err != nil {
 		return nil, err
 	}
-	return slice(v, 0, k), nil
+	head := v.Slice(0, k)
+	return &head, nil
 }

@@ -194,7 +194,7 @@ func (acc *AggAcc) AddCols(n int, cols []*table.Vector) error {
 		for c, v := range cols {
 			acc.viewPtr[c] = nil
 			if v != nil {
-				acc.views[c] = sliceVector(v, lo, hi)
+				acc.views[c] = v.Slice(lo, hi)
 				acc.viewPtr[c] = &acc.views[c]
 			}
 		}
@@ -348,7 +348,7 @@ func (acc *AggAcc) groupIDs(n int, cols []*table.Vector) []int32 {
 // its id.
 func (acc *AggAcc) newGroup(cols []*table.Vector, i int) int32 {
 	for gi, c := range acc.a.GroupBy {
-		appendAt(acc.keyCols[gi], cols[c], i)
+		acc.keyCols[gi].AppendAt(cols[c], i)
 	}
 	acc.counts = append(acc.counts, 0)
 	return int32(len(acc.counts) - 1)
@@ -406,32 +406,6 @@ func extend[T any](s []T, n int) []T {
 		s = append(s, make([]T, n-len(s))...)
 	}
 	return s
-}
-
-// sliceVector returns a view of rows [lo, hi) of v.
-func sliceVector(v *table.Vector, lo, hi int) table.Vector {
-	out := table.Vector{Type: v.Type}
-	switch v.Type {
-	case table.Int:
-		out.Ints = v.Ints[lo:hi]
-	case table.Float:
-		out.Floats = v.Floats[lo:hi]
-	default:
-		out.Strs = v.Strs[lo:hi]
-	}
-	return out
-}
-
-// appendAt appends src's row i to dst, which has src's type.
-func appendAt(dst, src *table.Vector, i int) {
-	switch src.Type {
-	case table.Int:
-		dst.Ints = append(dst.Ints, src.Ints[i])
-	case table.Float:
-		dst.Floats = append(dst.Floats, src.Floats[i])
-	default:
-		dst.Strs = append(dst.Strs, src.Strs[i])
-	}
 }
 
 // --- column-at-a-time argument evaluation ---
@@ -524,7 +498,7 @@ func (c *colExpr) eval(acc *AggAcc, cols []*table.Vector, n int) (*table.Vector,
 func (c *colExpr) evalRows(acc *AggAcc, cols []*table.Vector, n int) (*table.Vector, int, error) {
 	out := &acc.scratch[c.slot]
 	out.Type = c.typ
-	out.Ints, out.Floats, out.Strs = out.Ints[:0], out.Floats[:0], out.Strs[:0]
+	out.Reset()
 	row := acc.row
 	for i := 0; i < n; i++ {
 		for k, v := range cols {

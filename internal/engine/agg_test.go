@@ -336,7 +336,7 @@ func FuzzAggBatch(f *testing.F) {
 			batch := make([]*table.Vector, len(cols))
 			for c, v := range cols {
 				if v != nil {
-					s := sliceVector(v, lo, lo+n)
+					s := v.Slice(lo, lo+n)
 					batch[c] = &s
 				}
 			}

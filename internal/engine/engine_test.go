@@ -353,20 +353,6 @@ func TestLimit(t *testing.T) {
 	}
 }
 
-func TestUnionAll(t *testing.T) {
-	orders := ordersTable(t)
-	ctx := fixedResolver(map[string]*table.Table{"orders": orders})
-	u := &UnionAll{Inputs: []Node{scanOf(t, orders, "orders"), scanOf(t, orders, "orders")}}
-	got, err := u.Run(ctx)
-	if err != nil || got.NumRows() != 10 {
-		t.Fatalf("union: %d rows, %v", got.NumRows(), err)
-	}
-	mismatched := &UnionAll{Inputs: []Node{scanOf(t, orders, "orders"), scanOf(t, custTable(t), "cust")}}
-	if _, err := mismatched.Run(ctx); err == nil {
-		t.Fatal("schema mismatch union accepted")
-	}
-}
-
 func TestExprShortCircuit(t *testing.T) {
 	// (0 AND (1/0)) must not evaluate the division.
 	e := &Bin{Op: OpAnd,

@@ -359,53 +359,6 @@ func (l *Limit) Run(ctx *Context) (*table.Table, error) {
 // String implements Node.
 func (l *Limit) String() string { return fmt.Sprintf("Limit(%d)", l.N) }
 
-// --- UnionAll ---
-
-// UnionAll concatenates inputs with identical schemas.
-type UnionAll struct {
-	Inputs []Node
-}
-
-// Schema implements Node.
-func (u *UnionAll) Schema() table.Schema {
-	if len(u.Inputs) == 0 {
-		return table.Schema{}
-	}
-	return u.Inputs[0].Schema()
-}
-
-// Run implements Node.
-func (u *UnionAll) Run(ctx *Context) (*table.Table, error) {
-	if len(u.Inputs) == 0 {
-		return table.New(table.Schema{}), nil
-	}
-	sch := u.Inputs[0].Schema()
-	out := table.New(sch)
-	for _, in := range u.Inputs {
-		if !in.Schema().Equal(sch) {
-			return nil, fmt.Errorf("engine: UNION ALL schema mismatch: %s vs %s", in.Schema(), sch)
-		}
-		t, err := in.Run(ctx)
-		if err != nil {
-			return nil, err
-		}
-		for c, v := range t.Cols {
-			switch v.Type {
-			case table.Int:
-				out.Cols[c].Ints = append(out.Cols[c].Ints, v.Ints...)
-			case table.Float:
-				out.Cols[c].Floats = append(out.Cols[c].Floats, v.Floats...)
-			default:
-				out.Cols[c].Strs = append(out.Cols[c].Strs, v.Strs...)
-			}
-		}
-	}
-	return out, nil
-}
-
-// String implements Node.
-func (u *UnionAll) String() string { return fmt.Sprintf("UnionAll(%d inputs)", len(u.Inputs)) }
-
 // fillRow copies row i of t into row (avoiding per-row allocation).
 func fillRow(t *table.Table, i int, row []table.Value) {
 	for c, v := range t.Cols {

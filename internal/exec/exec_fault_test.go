@@ -7,14 +7,13 @@ import (
 
 	"github.com/shortcircuit-db/sc/internal/core"
 	"github.com/shortcircuit-db/sc/internal/memcat"
-	"github.com/shortcircuit-db/sc/internal/storage"
 )
 
-// faultFixture arms a Faulty store around the sales pipeline fixture.
-func faultFixture(t *testing.T) (*Workload, *storage.Faulty) {
+// faultFixture arms a faulty store around the sales pipeline fixture.
+func faultFixture(t *testing.T) (*Workload, *faulty) {
 	t.Helper()
 	w, inner := pipelineFixture(t)
-	return w, storage.NewFaulty(inner)
+	return w, newFaulty(inner)
 }
 
 func TestRunSurfacesBaseTableReadFault(t *testing.T) {
@@ -27,7 +26,7 @@ func TestRunSurfacesBaseTableReadFault(t *testing.T) {
 	order, _ := g.TopoSort()
 	ctl := &Controller{Store: store, Mem: memcat.New(1 << 20)}
 	_, err = ctl.Run(context.Background(), w, g, core.NewPlan(order))
-	if !errors.Is(err, storage.ErrInjected) {
+	if !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want injected read fault", err)
 	}
 }
@@ -42,7 +41,7 @@ func TestRunSurfacesSynchronousWriteFault(t *testing.T) {
 	order, _ := g.TopoSort()
 	ctl := &Controller{Store: store, Mem: memcat.New(1 << 20)}
 	_, err = ctl.Run(context.Background(), w, g, core.NewPlan(order))
-	if !errors.Is(err, storage.ErrInjected) {
+	if !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want injected write fault", err)
 	}
 }
@@ -59,7 +58,7 @@ func TestRunSurfacesBackgroundMaterializationFault(t *testing.T) {
 	plan.Flagged[0] = true // mv_daily
 	ctl := &Controller{Store: store, Mem: memcat.New(1 << 20)}
 	_, err = ctl.Run(context.Background(), w, g, plan)
-	if !errors.Is(err, storage.ErrInjected) {
+	if !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v, want injected background-write fault", err)
 	}
 }
@@ -100,7 +99,7 @@ func TestRunStopsAtFirstFailureAfterN(t *testing.T) {
 	order, _ := g.TopoSort()
 	ctl := &Controller{Store: store, Mem: memcat.New(1 << 20)}
 	_, err = ctl.Run(context.Background(), w, g, core.NewPlan(order))
-	if !errors.Is(err, storage.ErrInjected) {
+	if !errors.Is(err, errInjected) {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -1028,11 +1028,9 @@ func (s *Server) QueryMV(pipelineName, mv string, limit int) (*table.Table, erro
 	}
 	s.prom.mvReadSeconds.observe(time.Since(start).Seconds())
 	if limit > 0 && t.NumRows() > limit { // a v1 file, which decodes whole
-		idx := make([]int, limit)
-		for i := range idx {
-			idx[i] = i
+		for _, c := range t.Cols {
+			*c = c.Slice(0, limit)
 		}
-		t = t.Gather(idx)
 	}
 	return t, nil
 }

@@ -204,7 +204,7 @@ func perValueRun(j *HashJoinScan, ctx *engine.Context) (*table.Table, error) {
 	}
 	out := table.New(j.Sch)
 	for c, col := range j.Sch.Cols {
-		out.Cols[c] = newVector(col.Type, len(jd.right), len(jd.right))
+		out.Cols[c] = table.MakeVector(col.Type, len(jd.right), len(jd.right))
 	}
 	set := func(dst *table.Vector) func(int, table.Value) {
 		return func(pos int, v table.Value) {

@@ -194,7 +194,7 @@ func (j *HashJoinScan) Run(ctx *engine.Context) (*table.Table, error) {
 	nPairs := len(jd.right)
 	leftOut, rightOut := j.outLayout()
 	for _, oc := range leftOut {
-		dst := newVector(j.Sch.Cols[oc.out].Type, 0, nPairs)
+		dst := table.MakeVector(j.Sch.Cols[oc.out].Type, 0, nPairs)
 		if err := jd.gatherLeft(dst, oc.src); err != nil {
 			return nil, j.wrap(err)
 		}
@@ -203,7 +203,7 @@ func (j *HashJoinScan) Run(ctx *engine.Context) (*table.Table, error) {
 	if len(rightOut) > 0 {
 		bk := bucketByGroup(jd.right, jd.groups, len(jd.rows))
 		for _, oc := range rightOut {
-			dst := newVector(j.Sch.Cols[oc.out].Type, nPairs, nPairs)
+			dst := table.MakeVector(j.Sch.Cols[oc.out].Type, nPairs, nPairs)
 			if err := jd.gatherRight(dst, bk, oc.src); err != nil {
 				return nil, j.wrap(err)
 			}
@@ -555,13 +555,13 @@ func bucketByGroup(right []int32, groups []*joinGroup, total int) *buckets {
 // survivors demand, into a buffer sized for the largest group, then
 // scatters them to their output positions.
 func (jd *joined) gatherRight(dst *table.Vector, bk *buckets, src int) error {
-	buf := newVector(dst.Type, 0, bk.max)
+	buf := table.MakeVector(dst.Type, 0, bk.max)
 	for g, jg := range jd.groups {
 		lo, hi := bk.bounds[g], bk.bounds[g+1]
 		if lo == hi {
 			continue
 		}
-		resetVector(buf)
+		buf.Reset()
 		if err := jg.cc.gather(src, bk.local[lo:hi], buf); err != nil {
 			return err
 		}
@@ -649,7 +649,7 @@ func (j *HashJoinScan) assembleRight(b *chunkio.Builder, jd *joined, rightOut []
 			b.AppendCodes(oc.out, codes)
 			continue
 		}
-		dst := newVector(j.Sch.Cols[oc.out].Type, nPairs, nPairs)
+		dst := table.MakeVector(j.Sch.Cols[oc.out].Type, nPairs, nPairs)
 		if err := jd.gatherRight(dst, bk, oc.src); err != nil {
 			return err
 		}

@@ -202,7 +202,7 @@ func (cc *chunkCtx) column(col int, buf *table.Vector) (*table.Vector, error) {
 	}
 	codes, _ := dv.Codes()
 	buf.Type = dv.Type
-	buf.Ints, buf.Strs = buf.Ints[:0], buf.Strs[:0]
+	buf.Reset()
 	for _, c := range codes {
 		if dv.Type == table.Int {
 			buf.Ints = append(buf.Ints, dv.Ints[c])
@@ -246,7 +246,7 @@ func (cc *chunkCtx) gather(col int, rows []int32, dst *table.Vector) error {
 		if err != nil {
 			return err
 		}
-		appendRows(dst, vec, rows)
+		dst.AppendRows(vec, rows)
 		return nil
 	}
 	codes, _ := dv.Codes()
@@ -266,24 +266,6 @@ func (cc *chunkCtx) gather(col int, rows []int32, dst *table.Vector) error {
 	return nil
 }
 
-// appendRows appends src's values at rows to dst, of the same type.
-func appendRows(dst, src *table.Vector, rows []int32) {
-	switch dst.Type {
-	case table.Int:
-		for _, r := range rows {
-			dst.Ints = append(dst.Ints, src.Ints[r])
-		}
-	case table.Float:
-		for _, r := range rows {
-			dst.Floats = append(dst.Floats, src.Floats[r])
-		}
-	default:
-		for _, r := range rows {
-			dst.Strs = append(dst.Strs, src.Strs[r])
-		}
-	}
-}
-
 // scatter writes src's k-th value to dst at pos[k], of the same type.
 func scatter(dst *table.Vector, pos []int32, src *table.Vector) {
 	switch dst.Type {
@@ -300,25 +282,6 @@ func scatter(dst *table.Vector, pos []int32, src *table.Vector) {
 			dst.Strs[p] = src.Strs[k]
 		}
 	}
-}
-
-// newVector returns a vector of n zero values with room for capacity.
-func newVector(t table.Type, n, capacity int) *table.Vector {
-	v := &table.Vector{Type: t}
-	switch t {
-	case table.Int:
-		v.Ints = make([]int64, n, capacity)
-	case table.Float:
-		v.Floats = make([]float64, n, capacity)
-	default:
-		v.Strs = make([]string, n, capacity)
-	}
-	return v
-}
-
-// resetVector empties v, keeping its storage.
-func resetVector(v *table.Vector) {
-	v.Ints, v.Floats, v.Strs = v.Ints[:0], v.Floats[:0], v.Strs[:0]
 }
 
 // resolveChunked resolves a scan's table in compressed chunked form, or

@@ -117,11 +117,6 @@ func lower(root engine.Node, st *Stats, env *Env) engine.Node {
 			return js
 		}
 		return n
-	case *engine.UnionAll:
-		for i := range n.Inputs {
-			n.Inputs[i] = lower(n.Inputs[i], st, env)
-		}
-		return n
 	}
 	return root
 }

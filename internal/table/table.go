@@ -1,6 +1,12 @@
 // Package table provides the in-memory columnar table representation used
 // by the execution engine, the Memory Catalog and the on-disk format: a
 // schema of typed columns plus one value vector per column.
+//
+// The package owns the vector layout — which of a Vector's three parallel
+// slices holds its values, chosen by Type — and the primitives that make,
+// view, append to and empty a vector (MakeVector, Slice, AppendVector,
+// AppendRows, AppendAt, Reset), so no other package switches on a vector's
+// type to do any of that.
 package table
 
 import (
@@ -96,6 +102,83 @@ type Vector struct {
 	Ints   []int64
 	Floats []float64
 	Strs   []string
+}
+
+// MakeVector returns a vector of type t holding n zero values, with room
+// for capacity values.
+func MakeVector(t Type, n, capacity int) *Vector {
+	v := &Vector{Type: t}
+	switch t {
+	case Int:
+		v.Ints = make([]int64, n, capacity)
+	case Float:
+		v.Floats = make([]float64, n, capacity)
+	default:
+		v.Strs = make([]string, n, capacity)
+	}
+	return v
+}
+
+// Slice returns a view of rows [lo, hi): it shares v's storage, so writes
+// through one show in the other.
+func (v *Vector) Slice(lo, hi int) Vector {
+	out := Vector{Type: v.Type}
+	switch v.Type {
+	case Int:
+		out.Ints = v.Ints[lo:hi]
+	case Float:
+		out.Floats = v.Floats[lo:hi]
+	default:
+		out.Strs = v.Strs[lo:hi]
+	}
+	return out
+}
+
+// AppendVector appends a copy of every value of src, which has v's type.
+func (v *Vector) AppendVector(src *Vector) {
+	switch v.Type {
+	case Int:
+		v.Ints = append(v.Ints, src.Ints...)
+	case Float:
+		v.Floats = append(v.Floats, src.Floats...)
+	default:
+		v.Strs = append(v.Strs, src.Strs...)
+	}
+}
+
+// AppendRows appends src's values at rows, in order; src has v's type.
+func (v *Vector) AppendRows(src *Vector, rows []int32) {
+	switch v.Type {
+	case Int:
+		for _, r := range rows {
+			v.Ints = append(v.Ints, src.Ints[r])
+		}
+	case Float:
+		for _, r := range rows {
+			v.Floats = append(v.Floats, src.Floats[r])
+		}
+	default:
+		for _, r := range rows {
+			v.Strs = append(v.Strs, src.Strs[r])
+		}
+	}
+}
+
+// AppendAt appends src's value at row i; src has v's type.
+func (v *Vector) AppendAt(src *Vector, i int) {
+	switch v.Type {
+	case Int:
+		v.Ints = append(v.Ints, src.Ints[i])
+	case Float:
+		v.Floats = append(v.Floats, src.Floats[i])
+	default:
+		v.Strs = append(v.Strs, src.Strs[i])
+	}
+}
+
+// Reset empties v, keeping its type and storage.
+func (v *Vector) Reset() {
+	v.Ints, v.Floats, v.Strs = v.Ints[:0], v.Floats[:0], v.Strs[:0]
 }
 
 // Len returns the number of values.
