@@ -59,10 +59,18 @@ func TestPackBitsMatchesReference(t *testing.T) {
 		for i := range vals {
 			vals[i] = rng.Uint64() & mask
 		}
-		got := packBits(vals, width)
+		// Packed after a prefix, and split into calls of 64 values.
+		got := appendPacked([]byte{0xab}, vals, width)[1:]
 		want := packBitsRef(vals, width)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("width %d n %d: packed bytes differ\ngot  %x\nwant %x", width, n, got, want)
+		}
+		var split []byte
+		for lo := 0; lo < n; lo += 64 {
+			split = appendPacked(split, vals[lo:min(lo+64, n)], width)
+		}
+		if !bytes.Equal(split, want) {
+			t.Fatalf("width %d n %d: split packing differs", width, n)
 		}
 		back, err := unpackBits(got, width, n)
 		if err != nil {
@@ -80,13 +88,13 @@ func TestPackBitsMatchesReference(t *testing.T) {
 
 func TestUnpackBitsTruncated(t *testing.T) {
 	vals := []uint64{1, 2, 3, 4, 5}
-	packed := packBits(vals, 3)
+	packed := appendPacked(nil, vals, 3)
 	if _, err := unpackBits(packed[:1], 3, len(vals)); err == nil {
 		t.Fatal("expected error for truncated payload")
 	}
 }
 
-func BenchmarkPackBits(b *testing.B) {
+func BenchmarkAppendPacked(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	vals := make([]uint64, 1<<16)
 	for i := range vals {
@@ -95,7 +103,7 @@ func BenchmarkPackBits(b *testing.B) {
 	b.SetBytes(int64(len(vals) * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		packBits(vals, 12)
+		appendPacked(nil, vals, 12)
 	}
 }
 
@@ -105,7 +113,7 @@ func BenchmarkUnpackBits(b *testing.B) {
 	for i := range vals {
 		vals[i] = rng.Uint64() & 0xFFF
 	}
-	packed := packBits(vals, 12)
+	packed := appendPacked(nil, vals, 12)
 	b.SetBytes(int64(len(vals) * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -128,7 +136,7 @@ func BenchmarkDeltaDecode(b *testing.B) {
 	b.SetBytes(int64(len(v.Ints) * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (deltaCodec{}).Decode(payload, table.Int, len(v.Ints)); err != nil {
+		if _, err := DecodeChunk(Chunk{Codec: Delta, Rows: len(v.Ints), Data: payload}, table.Int); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -59,6 +59,6 @@ func BuildDictChunk(typ table.Type, ints []int64, strs []string, codes []uint64)
 		}
 	}
 	buf = append(buf, byte(width))
-	buf = append(buf, packBits(codes, width)...)
+	buf = appendPacked(buf, codes, width)
 	return Chunk{Codec: Dict, Rows: len(codes), Data: buf}, nil
 }

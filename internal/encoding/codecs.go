@@ -5,43 +5,45 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
+	"sync"
 
 	"github.com/shortcircuit-db/sc/internal/table"
 )
 
 // --- bit packing ---
 
-// packBits packs each value's low `width` bits into an LSB-first bitstream.
-// Values are folded into a 64-bit accumulator and flushed a word at a time,
-// which is ~10x faster than the bit-by-bit loop it replaced on hot columns.
-func packBits(vals []uint64, width int) []byte {
+// appendPacked appends each value's low `width` bits to buf as an
+// LSB-first bitstream, growing buf once to fit them. Values are folded into
+// a 64-bit accumulator and appended a word at a time, which is ~10x faster
+// than the bit-by-bit loop it replaced on hot columns. One stream may be
+// packed over several calls when every call but the last passes a multiple
+// of 64 values: each such call then ends on a word boundary.
+func appendPacked(buf []byte, vals []uint64, width int) []byte {
 	if width == 0 {
-		return nil
+		return buf
 	}
-	total := len(vals) * width
-	// Round the buffer up to whole words so every flush (including the
-	// final partial one) can write 8 bytes; the slice is trimmed at return.
-	buf := make([]byte, (total+63)/64*8)
+	buf = slices.Grow(buf, packedLen(len(vals), width))
 	mask := ^uint64(0) >> uint(64-width)
 	var acc uint64
-	accBits, off := 0, 0
+	accBits := 0
 	for _, v := range vals {
 		v &= mask
 		acc |= v << uint(accBits)
 		accBits += width
 		if accBits >= 64 {
-			binary.LittleEndian.PutUint64(buf[off:], acc)
-			off += 8
+			buf = binary.LittleEndian.AppendUint64(buf, acc)
 			accBits -= 64
 			// Shifting by 64 yields 0 in Go, so width == accBits-0 == 64
 			// (exactly consumed) leaves acc empty as required.
 			acc = v >> uint(width-accBits)
 		}
 	}
-	if accBits > 0 {
-		binary.LittleEndian.PutUint64(buf[off:], acc)
+	for ; accBits > 0; accBits -= 8 {
+		buf = append(buf, byte(acc))
+		acc >>= 8
 	}
-	return buf[:packedLen(len(vals), width)]
+	return buf
 }
 
 // unpackBits reads n values of `width` bits from an LSB-first bitstream.
@@ -72,7 +74,8 @@ func packedFits(data []byte, width, n int) error {
 // LSB-first bitstream starting at value index first. Each value comes from
 // one 64-bit load, or two near the buffer tail or for widths > 57, instead
 // of bit by bit. It is the one reader of the bit-packed layout: unpackBits
-// fills a whole column with it, and the delta decoder a block at a time.
+// fills a whole column with it, and the dict and delta decoders a block at
+// a time.
 func unpackRange(data []byte, width, first int, dst []uint64) {
 	mask := ^uint64(0) >> uint(64-width)
 	bit := first * width
@@ -122,18 +125,15 @@ func varintLen(v int64) int { return uvarintLen(zigzag(v)) }
 // strLen returns the serialized size of s as a length-prefixed string.
 func strLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
 
-// packedLen returns the bytes packBits emits for n values of width bits.
+// packedLen returns the bytes appendPacked emits for n values of width bits.
 func packedLen(n, width int) int { return (n*width + 7) / 8 }
 
-// maxWidth returns the bit width needed for the largest value.
-func maxWidth(vals []uint64) int {
-	w := 0
-	for _, v := range vals {
-		if l := bits.Len64(v); l > w {
-			w = l
-		}
-	}
-	return w
+// extend lengthens s by n values and returns it with its new tail. Spare
+// capacity is taken as it is, without clearing: the caller overwrites the
+// whole tail.
+func extend[T any](s []T, n int) ([]T, []T) {
+	s = slices.Grow(s, n)[:len(s)+n]
+	return s, s[len(s)-n:]
 }
 
 func appendUvarint(buf []byte, v uint64) []byte {
@@ -149,15 +149,25 @@ func appendVarint(buf []byte, v int64) []byte {
 // readString reads one length-prefixed string at off, returning it and the
 // offset past it.
 func readString(payload []byte, off int) (string, int, error) {
+	lo, hi, err := stringAt(payload, off)
+	if err != nil {
+		return "", 0, err
+	}
+	return string(payload[lo:hi]), hi, nil
+}
+
+// stringAt locates one length-prefixed string at off: its bytes are
+// payload[lo:hi], and hi is the offset past it.
+func stringAt(payload []byte, off int) (lo, hi int, err error) {
 	l, k := binary.Uvarint(payload[off:])
 	if k <= 0 {
-		return "", 0, fmt.Errorf("%w: bad string length", ErrCorrupt)
+		return 0, 0, fmt.Errorf("%w: bad string length", ErrCorrupt)
 	}
 	off += k
 	if l > uint64(len(payload)-off) {
-		return "", 0, fmt.Errorf("%w: string overruns payload", ErrCorrupt)
+		return 0, 0, fmt.Errorf("%w: string overruns payload", ErrCorrupt)
 	}
-	return string(payload[off : off+int(l)]), off + int(l), nil
+	return off, off + int(l), nil
 }
 
 // --- raw codec ---
@@ -205,40 +215,42 @@ func (rawCodec) size(v *table.Vector) (int, error) {
 	return n, nil
 }
 
-func (rawCodec) Decode(payload []byte, t table.Type, n int) (*table.Vector, error) {
-	out := &table.Vector{Type: t}
-	switch t {
-	case table.Int:
-		if len(payload) != n*8 {
-			return nil, fmt.Errorf("%w: %d raw int bytes, want %d", ErrCorrupt, len(payload), n*8)
-		}
-		out.Ints = make([]int64, n)
-		for i := range out.Ints {
-			out.Ints[i] = int64(binary.LittleEndian.Uint64(payload[i*8:]))
-		}
-	case table.Float:
-		if len(payload) != n*8 {
-			return nil, fmt.Errorf("%w: %d raw float bytes, want %d", ErrCorrupt, len(payload), n*8)
-		}
-		out.Floats = make([]float64, n)
-		for i := range out.Floats {
-			out.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
-		}
-	default:
-		out.Strs = make([]string, 0, allocHint(n, len(payload)))
-		for off := 0; off < len(payload); {
-			var str string
-			var err error
-			if str, off, err = readString(payload, off); err != nil {
-				return nil, err
+func (rawCodec) decode(payload []byte, rows, n int, dst *table.Vector) error {
+	if dst.Type == table.Str {
+		dst.Strs = slices.Grow(dst.Strs, allocHint(n, len(payload)))
+		count := 0
+		for off := 0; off < len(payload); count++ {
+			lo, hi, err := stringAt(payload, off)
+			if err != nil {
+				return err
 			}
-			out.Strs = append(out.Strs, str)
+			if count < n {
+				dst.Strs = append(dst.Strs, string(payload[lo:hi]))
+			}
+			off = hi
 		}
-		if len(out.Strs) != n {
-			return nil, fmt.Errorf("%w: %d strings, want %d", ErrCorrupt, len(out.Strs), n)
+		if count != rows {
+			return fmt.Errorf("%w: %d strings, want %d", ErrCorrupt, count, rows)
 		}
+		return nil
 	}
-	return out, nil
+	if len(payload) != rows*8 {
+		return fmt.Errorf("%w: %d raw %s bytes, want %d", ErrCorrupt, len(payload), dst.Type, rows*8)
+	}
+	if dst.Type == table.Int {
+		var out []int64
+		dst.Ints, out = extend(dst.Ints, n)
+		for i := range out {
+			out[i] = int64(binary.LittleEndian.Uint64(payload[i*8:]))
+		}
+		return nil
+	}
+	var out []float64
+	dst.Floats, out = extend(dst.Floats, n)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
+	}
+	return nil
 }
 
 // --- run-length codec ---
@@ -257,31 +269,12 @@ var errRLEDecodeOnly = fmt.Errorf("%w: rle is decode-only", ErrUnsupported)
 func (rleCodec) Encode(*table.Vector) ([]byte, error) { return nil, errRLEDecodeOnly }
 func (rleCodec) size(*table.Vector) (int, error)      { return 0, errRLEDecodeOnly }
 
-func (rleCodec) Decode(payload []byte, t table.Type, n int) (*table.Vector, error) {
-	// The output length is known up front; preallocate it, capped so a
-	// direct call with an absurd n cannot demand a huge make() before the
-	// payload is parsed (the colfmt path already bounds n via Validate).
-	out := table.MakeVector(t, 0, allocHint(n, MaxChunkRows))
-	err := readRuns(payload, t, n, func(runLen int, v table.Value) {
-		switch t {
-		case table.Int:
-			for ; runLen > 0; runLen-- {
-				out.Ints = append(out.Ints, v.I)
-			}
-		case table.Float:
-			for ; runLen > 0; runLen-- {
-				out.Floats = append(out.Floats, v.F)
-			}
-		default:
-			for ; runLen > 0; runLen-- {
-				out.Strs = append(out.Strs, v.S)
-			}
+func (rleCodec) decode(payload []byte, rows, n int, dst *table.Vector) error {
+	return readRuns(payload, dst.Type, rows, func(runLen int, v table.Value) {
+		for ; runLen > 0 && n > 0; runLen, n = runLen-1, n-1 {
+			_ = dst.Append(v) // v has dst's type
 		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // readRuns is the one reader of the RLE payload layout — a sequence of
@@ -345,6 +338,7 @@ func (dictCodec) Encode(v *table.Vector) ([]byte, error) {
 	n := v.Len()
 	idx := make([]uint64, n)
 	var buf []byte
+	card := 0
 	switch v.Type {
 	case table.Int:
 		dict := make(map[int64]uint64)
@@ -358,7 +352,8 @@ func (dictCodec) Encode(v *table.Vector) ([]byte, error) {
 			}
 			idx[i] = id
 		}
-		buf = appendUvarint(buf, uint64(len(entries)))
+		card = len(entries)
+		buf = appendUvarint(buf, uint64(card))
 		for _, x := range entries {
 			buf = appendVarint(buf, x)
 		}
@@ -374,7 +369,8 @@ func (dictCodec) Encode(v *table.Vector) ([]byte, error) {
 			}
 			idx[i] = id
 		}
-		buf = appendUvarint(buf, uint64(len(entries)))
+		card = len(entries)
+		buf = appendUvarint(buf, uint64(card))
 		for _, s := range entries {
 			buf = appendUvarint(buf, uint64(len(s)))
 			buf = append(buf, s...)
@@ -382,13 +378,10 @@ func (dictCodec) Encode(v *table.Vector) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("%w: dict on %s", ErrUnsupported, v.Type)
 	}
-	width := 0
-	if len(idx) > 0 {
-		width = maxWidth(idx)
-	}
+	// Codes are dense from 0, so the widest is card-1's.
+	width := bits.Len64(uint64(max(card, 1) - 1))
 	buf = append(buf, byte(width))
-	buf = append(buf, packBits(idx, width)...)
-	return buf, nil
+	return appendPacked(buf, idx, width), nil
 }
 
 func (c dictCodec) size(v *table.Vector) (int, error) {
@@ -403,17 +396,17 @@ func (c dictCodec) size(v *table.Vector) (int, error) {
 func (dictCodec) sizeBelow(v *table.Vector, limit int) (int, error) {
 	switch v.Type {
 	case table.Int:
-		return dictSizeBelow(v.Ints, varintLen, limit), nil
+		return dictSizeBelow(v.Ints, varintLen, limit, intSeen(v.Ints)), nil
 	case table.Str:
-		return dictSizeBelow(v.Strs, strLen, limit), nil
+		return dictSizeBelow(v.Strs, strLen, limit, mapSeen[string]()), nil
 	}
 	return 0, fmt.Errorf("%w: dict on %s", ErrUnsupported, v.Type)
 }
 
 // dictSizeBelow is sizeBelow over one typed column, entryLen giving an
-// entry's serialized size.
-func dictSizeBelow[T comparable](xs []T, entryLen func(T) int, limit int) int {
-	seen := make(map[T]struct{})
+// entry's serialized size and seen reporting whether a value was met
+// before (and marking it met).
+func dictSizeBelow[T comparable](xs []T, entryLen func(T) int, limit int, seen func(T) bool) int {
 	card, entryBytes := 0, 0
 	// bound is the payload length if no further entry appeared.
 	bound := func() int {
@@ -427,10 +420,9 @@ func dictSizeBelow[T comparable](xs []T, entryLen func(T) int, limit int) int {
 		if i > 0 && x == xs[i-1] {
 			continue
 		}
-		if _, ok := seen[x]; ok {
+		if seen(x) {
 			continue
 		}
-		seen[x] = struct{}{}
 		card++
 		entryBytes += entryLen(x)
 		if b := bound(); b >= limit {
@@ -440,63 +432,109 @@ func dictSizeBelow[T comparable](xs []T, entryLen func(T) int, limit int) int {
 	return bound()
 }
 
-func (dictCodec) Decode(payload []byte, t table.Type, n int) (*table.Vector, error) {
-	d, err := readDict(payload, t, n)
-	if err != nil {
-		return nil, err
+// intSeen is dictSizeBelow's seen-set for an INT column: a bitset over the
+// column's value span when that span is under 8·n + 4096 values (at most
+// n + 520 bytes), else a map.
+func intSeen(xs []int64) func(int64) bool {
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, x := range xs {
+		lo, hi = min(lo, x), max(hi, x)
 	}
-	idx, err := unpackBits(d.packed, d.width, n)
-	if err != nil {
-		return nil, err
+	if span := uint64(hi) - uint64(lo); len(xs) > 0 && span < 8*uint64(len(xs))+4096 {
+		return bitSeen(lo, span)
 	}
-	// Gather straight into the typed slice, range-checking each code on the
-	// way: one pass over the rows.
-	out := &table.Vector{Type: t}
-	if t == table.Int {
-		out.Ints = make([]int64, n)
-		for i, id := range idx {
-			if id >= uint64(len(d.Ints)) {
-				return nil, fmt.Errorf("%w: dict index out of range", ErrCorrupt)
-			}
-			out.Ints[i] = d.Ints[id]
+	return mapSeen[int64]()
+}
+
+// bitSeen is a seen-set over the values lo … lo+span, one bit each.
+func bitSeen(lo int64, span uint64) func(int64) bool {
+	set := make([]uint64, span/64+1)
+	return func(x int64) bool {
+		i := uint64(x) - uint64(lo)
+		w, bit := &set[i>>6], uint64(1)<<(i&63)
+		met := *w&bit != 0
+		*w |= bit
+		return met
+	}
+}
+
+// mapSeen is a seen-set over any comparable values.
+func mapSeen[T comparable]() func(T) bool {
+	set := make(map[T]struct{})
+	return func(x T) bool {
+		if _, ok := set[x]; ok {
+			return true
 		}
-	} else {
-		out.Strs = make([]string, n)
-		for i, id := range idx {
-			if id >= uint64(len(d.Strs)) {
-				return nil, fmt.Errorf("%w: dict index out of range", ErrCorrupt)
+		set[x] = struct{}{}
+		return false
+	}
+}
+
+// decode gathers each row's entry straight into dst's tail, unpacking the
+// codes a block at a time on the stack and range-checking each on the way.
+func (dictCodec) decode(payload []byte, rows, n int, dst *table.Vector) error {
+	var small [256]int64 // a small INT dictionary's entries stay on the stack
+	d, err := readDict(payload, dst.Type, rows, small[:0])
+	if err != nil {
+		return err
+	}
+	if err := packedFits(d.packed, d.width, n); err != nil {
+		return err
+	}
+	if dst.Type == table.Int {
+		var out []int64
+		dst.Ints, out = extend(dst.Ints, n)
+		return gatherCodes(d.packed, d.width, d.Ints, out)
+	}
+	var out []string
+	dst.Strs, out = extend(dst.Strs, n)
+	return gatherCodes(d.packed, d.width, d.Strs, out)
+}
+
+// gatherCodes sets out[i] to the entry of row i's code, packed at width
+// bits.
+func gatherCodes[T any](packed []byte, width int, entries, out []T) error {
+	var block [256]uint64
+	for i := 0; i < len(out); {
+		codes := block[:min(len(block), len(out)-i)]
+		unpackRange(packed, width, i, codes)
+		for _, c := range codes {
+			if c >= uint64(len(entries)) {
+				return fmt.Errorf("%w: dict index out of range", ErrCorrupt)
 			}
-			out.Strs[i] = d.Strs[id]
+			out[i] = entries[c]
+			i++
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // readDict is the one reader of the dict payload layout: uvarint entry
 // count, the entries in code order, one width byte, then n bit-packed codes
-// (left packed; DictView.Codes and Decode unpack and range-check them).
-func readDict(payload []byte, t table.Type, n int) (*DictView, error) {
+// (left packed; DictView.Codes and decode unpack and range-check them). An
+// INT dictionary's entries go into ints' storage when it has room.
+func readDict(payload []byte, t table.Type, n int, ints []int64) (DictView, error) {
 	nEntries, k := binary.Uvarint(payload)
 	if k <= 0 {
-		return nil, fmt.Errorf("%w: bad dict size", ErrCorrupt)
+		return DictView{}, fmt.Errorf("%w: bad dict size", ErrCorrupt)
 	}
 	off := k
 	if nEntries > uint64(n) {
-		return nil, fmt.Errorf("%w: dict larger than column", ErrCorrupt)
+		return DictView{}, fmt.Errorf("%w: dict larger than column", ErrCorrupt)
 	}
 	if nEntries == 0 && n > 0 {
 		// No entry for any index to reference: corrupt, and rejecting it
 		// here avoids allocating n values that could never be filled.
-		return nil, fmt.Errorf("%w: empty dict for %d rows", ErrCorrupt, n)
+		return DictView{}, fmt.Errorf("%w: empty dict for %d rows", ErrCorrupt, n)
 	}
-	d := &DictView{Type: t, rows: n}
+	d := DictView{Type: t, rows: n}
 	switch t {
 	case table.Int:
-		d.Ints = make([]int64, 0, nEntries)
+		d.Ints = slices.Grow(ints[:0], int(nEntries))
 		for e := uint64(0); e < nEntries; e++ {
 			x, k := binary.Varint(payload[off:])
 			if k <= 0 {
-				return nil, fmt.Errorf("%w: bad dict entry", ErrCorrupt)
+				return DictView{}, fmt.Errorf("%w: bad dict entry", ErrCorrupt)
 			}
 			off += k
 			d.Ints = append(d.Ints, x)
@@ -506,21 +544,21 @@ func readDict(payload []byte, t table.Type, n int) (*DictView, error) {
 		for e := uint64(0); e < nEntries; e++ {
 			str, next, err := readString(payload, off)
 			if err != nil {
-				return nil, err
+				return DictView{}, err
 			}
 			d.Strs, off = append(d.Strs, str), next
 		}
 	default:
-		return nil, fmt.Errorf("%w: dict on %s", ErrUnsupported, t)
+		return DictView{}, fmt.Errorf("%w: dict on %s", ErrUnsupported, t)
 	}
 	if off < len(payload) {
 		d.width = int(payload[off])
 		off++
 	} else if n != 0 {
-		return nil, fmt.Errorf("%w: missing dict width", ErrCorrupt)
+		return DictView{}, fmt.Errorf("%w: missing dict width", ErrCorrupt)
 	}
 	if d.width > 64 {
-		return nil, fmt.Errorf("%w: dict width %d", ErrCorrupt, d.width)
+		return DictView{}, fmt.Errorf("%w: dict width %d", ErrCorrupt, d.width)
 	}
 	d.packed = payload[off:]
 	return d, nil
@@ -540,18 +578,24 @@ func (deltaCodec) Encode(v *table.Vector) ([]byte, error) {
 	if v.Type != table.Int {
 		return nil, fmt.Errorf("%w: delta on %s", ErrUnsupported, v.Type)
 	}
-	if len(v.Ints) == 0 {
+	xs := v.Ints
+	if len(xs) == 0 {
 		return nil, nil
 	}
-	deltas := make([]uint64, len(v.Ints)-1)
-	for i := 1; i < len(v.Ints); i++ {
-		deltas[i-1] = zigzag(v.Ints[i] - v.Ints[i-1])
-	}
-	width := maxWidth(deltas)
-	var buf []byte
-	buf = appendVarint(buf, v.Ints[0])
+	width := deltaWidth(xs)
+	buf := make([]byte, 0, varintLen(xs[0])+1+packedLen(len(xs)-1, width))
+	buf = appendVarint(buf, xs[0])
 	buf = append(buf, byte(width))
-	buf = append(buf, packBits(deltas, width)...)
+	// Zig-zag a block of deltas at a time onto the stack and pack it.
+	var block [256]uint64
+	for i := 1; i < len(xs); {
+		deltas := block[:min(len(block), len(xs)-i)]
+		for k := range deltas {
+			deltas[k] = zigzag(xs[i] - xs[i-1])
+			i++
+		}
+		buf = appendPacked(buf, deltas, width)
+	}
 	return buf, nil
 }
 
@@ -562,53 +606,53 @@ func (deltaCodec) size(v *table.Vector) (int, error) {
 	if len(v.Ints) == 0 {
 		return 0, nil
 	}
-	// The widest zig-zag delta sets the width; OR-ing them has the same
-	// highest bit as their maximum.
-	var all uint64
-	for i := 1; i < len(v.Ints); i++ {
-		all |= zigzag(v.Ints[i] - v.Ints[i-1])
-	}
-	return varintLen(v.Ints[0]) + 1 + packedLen(len(v.Ints)-1, bits.Len64(all)), nil
+	return varintLen(v.Ints[0]) + 1 + packedLen(len(v.Ints)-1, deltaWidth(v.Ints)), nil
 }
 
-// Decode accumulates the packed deltas straight into the output, so the
-// column is the one slice it allocates.
-func (deltaCodec) Decode(payload []byte, t table.Type, n int) (*table.Vector, error) {
-	if t != table.Int {
-		return nil, fmt.Errorf("%w: delta on %s", ErrUnsupported, t)
+// deltaWidth returns the bit width of the widest zig-zag delta of xs:
+// OR-ing them has the same highest bit as their maximum.
+func deltaWidth(xs []int64) int {
+	var all uint64
+	for i := 1; i < len(xs); i++ {
+		all |= zigzag(xs[i] - xs[i-1])
 	}
-	out := &table.Vector{Type: table.Int}
-	if n == 0 {
+	return bits.Len64(all)
+}
+
+// decode accumulates the packed deltas straight into dst's tail.
+func (deltaCodec) decode(payload []byte, rows, n int, dst *table.Vector) error {
+	if dst.Type != table.Int {
+		return fmt.Errorf("%w: delta on %s", ErrUnsupported, dst.Type)
+	}
+	if rows == 0 {
 		if len(payload) != 0 {
-			return nil, fmt.Errorf("%w: delta payload for empty column", ErrCorrupt)
+			return fmt.Errorf("%w: delta payload for empty column", ErrCorrupt)
 		}
-		return out, nil
+		return nil
 	}
 	first, k := binary.Varint(payload)
 	if k <= 0 {
-		return nil, fmt.Errorf("%w: bad delta first value", ErrCorrupt)
+		return fmt.Errorf("%w: bad delta first value", ErrCorrupt)
 	}
 	off := k
 	if off >= len(payload) {
-		return nil, fmt.Errorf("%w: missing delta width", ErrCorrupt)
+		return fmt.Errorf("%w: missing delta width", ErrCorrupt)
 	}
 	width := int(payload[off])
 	off++
 	if width > 64 {
-		return nil, fmt.Errorf("%w: delta width %d", ErrCorrupt, width)
+		return fmt.Errorf("%w: delta width %d", ErrCorrupt, width)
+	}
+	if n == 0 {
+		return nil
 	}
 	packed := payload[off:]
 	if err := packedFits(packed, width, n-1); err != nil {
-		return nil, err
+		return err
 	}
-	out.Ints = make([]int64, n)
-	out.Ints[0] = first
-	if width == 0 {
-		for i := 1; i < n; i++ {
-			out.Ints[i] = first
-		}
-		return out, nil
-	}
+	var out []int64
+	dst.Ints, out = extend(dst.Ints, n)
+	out[0] = first
 	// Unpack a block of deltas at a time onto the stack and fold each
 	// block into the running sum.
 	var block [256]uint64
@@ -618,11 +662,11 @@ func (deltaCodec) Decode(payload []byte, t table.Type, n int) (*table.Vector, er
 		unpackRange(packed, width, i-1, deltas)
 		for _, d := range deltas {
 			cur += unzigzag(d)
-			out.Ints[i] = cur
+			out[i] = cur
 			i++
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // --- scaled-decimal float codec ---
@@ -697,34 +741,41 @@ probe:
 	return 0, nil, fmt.Errorf("%w: column is not decimal-exact", ErrUnsupported)
 }
 
-func (floatDecCodec) Decode(payload []byte, t table.Type, n int) (*table.Vector, error) {
-	if t != table.Float {
-		return nil, fmt.Errorf("%w: floatdec on %s", ErrUnsupported, t)
+// decimalScratch recycles the INT vectors floatdec decodes its inner
+// payload into before scaling them into the destination.
+var decimalScratch = sync.Pool{New: func() any { return &table.Vector{Type: table.Int} }}
+
+func (floatDecCodec) decode(payload []byte, rows, n int, dst *table.Vector) error {
+	if dst.Type != table.Float {
+		return fmt.Errorf("%w: floatdec on %s", ErrUnsupported, dst.Type)
 	}
 	if len(payload) < 2 {
-		return nil, fmt.Errorf("%w: truncated floatdec header", ErrCorrupt)
+		return fmt.Errorf("%w: truncated floatdec header", ErrCorrupt)
 	}
 	scaleExp, innerID := int(payload[0]), CodecID(payload[1])
 	if scaleExp >= len(floatDecScales) {
-		return nil, fmt.Errorf("%w: floatdec scale %d", ErrCorrupt, scaleExp)
+		return fmt.Errorf("%w: floatdec scale %d", ErrCorrupt, scaleExp)
 	}
 	if innerID == FloatDec {
-		return nil, fmt.Errorf("%w: recursive floatdec", ErrCorrupt)
+		return fmt.Errorf("%w: recursive floatdec", ErrCorrupt)
 	}
 	inner, err := ByID(innerID)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	iv, err := inner.Decode(payload[2:], table.Int, n)
-	if err != nil {
-		return nil, err
+	iv := decimalScratch.Get().(*table.Vector)
+	defer decimalScratch.Put(iv)
+	iv.Reset()
+	if err := inner.decode(payload[2:], rows, n, iv); err != nil {
+		return err
 	}
 	scale := floatDecScales[scaleExp]
-	out := &table.Vector{Type: table.Float, Floats: make([]float64, n)}
+	var out []float64
+	dst.Floats, out = extend(dst.Floats, n)
 	for i, x := range iv.Ints {
-		out.Floats[i] = float64(x) / scale
+		out[i] = float64(x) / scale
 	}
-	return out, nil
+	return nil
 }
 
 // allocHint bounds decode preallocation so a corrupted row count cannot

@@ -280,8 +280,9 @@ func (c *Compressed) Table() (*table.Table, error) { return c.HeadTable(c.NRows)
 
 // HeadTable decodes the table's first n rows into a plain table: whole
 // leading chunks, then only the needed prefix of the chunk the n-th row
-// falls in — what a reader of a table's first rows has to pay. With n <= 0
-// or n >= NRows it is Table.
+// falls in — what a reader of a table's first rows has to pay. Every chunk
+// decodes straight into its column's tail. With n <= 0 or n >= NRows it is
+// Table.
 func (c *Compressed) HeadTable(n int) (*table.Table, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -300,11 +301,9 @@ func (c *Compressed) HeadTable(n int) (*table.Table, error) {
 		t.Cols[ci] = dst
 		for need, i := n, 0; need > 0; i++ {
 			k := min(need, chunks[i].Rows)
-			part, err := decodeHead(chunks[i], col.Type, k)
-			if err != nil {
+			if err := decodeInto(chunks[i], k, dst); err != nil {
 				return nil, fmt.Errorf("encoding: column %q: %w", col.Name, err)
 			}
-			dst.AppendVector(part)
 			need -= k
 		}
 	}

@@ -17,10 +17,13 @@
 // All codecs are lossless at the bit level: decode(encode(v)) reproduces
 // the input vector byte-identically, including float NaN payloads.
 //
-// Each payload layout is read in one place (codecs.go): a codec's Decode
+// Each payload layout is read in one place (codecs.go): a codec's decode
 // and the structural view the kernels work on (views.go: DictView) call
 // the same reader, so the row path and the kernels cannot disagree
-// about a format.
+// about a format. A codec decodes by appending to a caller's vector:
+// DecodeChunkInto reuses its storage, so a scan decoding chunk after chunk
+// into one buffer allocates it once, and DecodeChunk is DecodeChunkInto on
+// a fresh vector.
 package encoding
 
 import (
@@ -80,9 +83,12 @@ type Codec interface {
 	// does not apply to v (wrong type, or value-dependent preconditions
 	// like FloatDec's decimal-exactness do not hold).
 	Encode(v *table.Vector) ([]byte, error)
-	// Decode parses a payload produced by Encode into a vector of type t
-	// with exactly n values. Corrupt payloads yield ErrCorrupt.
-	Decode(payload []byte, t table.Type, n int) (*table.Vector, error)
+	// decode appends to dst the first n (≤ rows) values of a payload
+	// Encode produced for rows values, as dst.Type, reusing dst's spare
+	// capacity; it reads no more of the payload than those values need
+	// where the layout allows it. Corrupt payloads yield ErrCorrupt, and
+	// dst then holds unspecified values.
+	decode(payload []byte, rows, n int, dst *table.Vector) error
 	// size returns len(Encode(v)) without building the payload, and fails
 	// exactly when Encode would. Codec selection ranks candidates by it.
 	size(v *table.Vector) (int, error)

@@ -43,6 +43,11 @@ func vecEqual(a, b *table.Vector) bool {
 	return true
 }
 
+// decodeWith decodes an n-row payload of codec c into a new vector.
+func decodeWith(c Codec, payload []byte, typ table.Type, n int) (*table.Vector, error) {
+	return DecodeChunk(Chunk{Codec: c.ID(), Rows: n, Data: payload}, typ)
+}
+
 // genVector builds a random vector with shape biased toward the regimes
 // the codecs target: runs, low cardinality, sortedness, decimal floats.
 func genVector(rng *rand.Rand, typ table.Type, n int) *table.Vector {
@@ -112,7 +117,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 					// that is allowed, silent corruption is not.
 					continue
 				}
-				got, err := c.Decode(payload, typ, n)
+				got, err := decodeWith(c, payload, typ, n)
 				if err != nil {
 					t.Fatalf("%s/%s n=%d: decode: %v", c.ID(), typ, n, err)
 				}
@@ -125,7 +130,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 }
 
 // TestDecodeHeadIsAPrefixOfDecode: for every codec and type, the first k
-// rows decodeHead returns are bit-identical to the first k of the full
+// rows decodeInto appends are bit-identical to the first k of the full
 // decode, at k = 1, the middle, and n-1 and n.
 func TestDecodeHeadIsAPrefixOfDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -140,8 +145,8 @@ func TestDecodeHeadIsAPrefixOfDecode(t *testing.T) {
 				}
 				ch := Chunk{Codec: c.ID(), Rows: n, Data: payload}
 				for _, k := range []int{1, n / 2, n - 1, n} {
-					got, err := decodeHead(ch, typ, k)
-					if err != nil {
+					got := &table.Vector{Type: typ}
+					if err := decodeInto(ch, k, got); err != nil {
 						t.Fatalf("%s/%s n=%d k=%d: %v", c.ID(), typ, n, k, err)
 					}
 					if !vecEqual(slice(v, 0, k), got) {
@@ -243,7 +248,7 @@ func TestFloatDecExactness(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encode decimal column: %v", err)
 	}
-	got, err := c.Decode(payload, table.Float, v.Len())
+	got, err := decodeWith(c, payload, table.Float, v.Len())
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -414,12 +419,12 @@ func TestDictRejectsEmptyDictForRows(t *testing.T) {
 	// uvarint(0) entries, width 0: claims any n for free.
 	payload := []byte{0, 0}
 	for _, typ := range []table.Type{table.Int, table.Str} {
-		if _, err := codecs[Dict].Decode(payload, typ, 1<<30); err == nil {
+		if _, err := decodeWith(codecs[Dict], payload, typ, 1<<30); err == nil {
 			t.Fatalf("%s: empty dict decoded %d rows without error", typ, 1<<30)
 		}
 	}
 	// Zero rows with an empty dict stays valid.
-	if _, err := codecs[Dict].Decode(payload, table.Int, 0); err != nil {
+	if _, err := decodeWith(codecs[Dict], payload, table.Int, 0); err != nil {
 		t.Fatalf("empty dict for empty column: %v", err)
 	}
 }

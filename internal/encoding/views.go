@@ -34,7 +34,11 @@ func ParseDict(ch Chunk, t table.Type) (*DictView, error) {
 	if ch.Codec != Dict {
 		return nil, fmt.Errorf("%w: ParseDict on %s chunk", ErrUnsupported, ch.Codec)
 	}
-	return readDict(ch.Data, t, ch.Rows)
+	d, err := readDict(ch.Data, t, ch.Rows, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &d, nil
 }
 
 // Card returns the number of dictionary entries.
@@ -74,13 +78,33 @@ func (d *DictView) Codes() ([]uint64, error) {
 	return codes, nil
 }
 
-// DecodeChunk fully decodes one chunk into a vector of type t.
+// DecodeChunk fully decodes one chunk into a new vector of type t.
 func DecodeChunk(ch Chunk, t table.Type) (*table.Vector, error) {
-	codec, err := ByID(ch.Codec)
-	if err != nil {
+	v := &table.Vector{}
+	if err := DecodeChunkInto(ch, t, v); err != nil {
 		return nil, err
 	}
-	return codec.Decode(ch.Data, t, ch.Rows)
+	return v, nil
+}
+
+// DecodeChunkInto fully decodes one chunk into dst, replacing its contents
+// with the chunk's values as type t and reusing its storage: a caller that
+// decodes chunk after chunk into one vector allocates it once. On error
+// dst holds unspecified values.
+func DecodeChunkInto(ch Chunk, t table.Type, dst *table.Vector) error {
+	dst.Type = t
+	dst.Reset()
+	return decodeInto(ch, ch.Rows, dst)
+}
+
+// decodeInto appends the first n (≤ ch.Rows) rows of ch to dst, a vector
+// of the column's type.
+func decodeInto(ch Chunk, n int, dst *table.Vector) error {
+	codec, err := ByID(ch.Codec)
+	if err != nil {
+		return err
+	}
+	return codec.decode(ch.Data, ch.Rows, n, dst)
 }
 
 // RowGroups returns the per-group row counts when every column shares the
@@ -108,58 +132,4 @@ func (c *Compressed) RowGroups() []int {
 		}
 	}
 	return groups
-}
-
-// decodeHead decodes the first k rows of a chunk, 0 < k <= ch.Rows, reading
-// no more of the payload than they occupy where the codec's layout allows
-// it: fixed-width raw values and bit-packed dict codes and deltas. Raw
-// strings have no row index, and RLE runs are read only by older stores, so
-// those decode whole.
-func decodeHead(ch Chunk, t table.Type, k int) (*table.Vector, error) {
-	if k == ch.Rows {
-		return DecodeChunk(ch, t)
-	}
-	switch ch.Codec {
-	case Raw:
-		if t != table.Str && len(ch.Data) == ch.Rows*8 {
-			return rawCodec{}.Decode(ch.Data[:k*8], t, k)
-		}
-	case Delta:
-		// unpackBits asks only for the bytes its n values need.
-		return deltaCodec{}.Decode(ch.Data, t, k)
-	case Dict:
-		d, err := ParseDict(ch, t)
-		if err != nil {
-			return nil, err
-		}
-		d.rows = k
-		codes, err := d.Codes()
-		if err != nil {
-			return nil, err
-		}
-		out := &table.Vector{Type: t}
-		for _, code := range codes {
-			_ = out.Append(d.Value(int(code)))
-		}
-		return out, nil
-	case FloatDec:
-		if len(ch.Data) >= 2 && int(ch.Data[0]) < len(floatDecScales) && CodecID(ch.Data[1]) != FloatDec {
-			iv, err := decodeHead(Chunk{Codec: CodecID(ch.Data[1]), Rows: ch.Rows, Data: ch.Data[2:]}, table.Int, k)
-			if err != nil {
-				return nil, err
-			}
-			out := &table.Vector{Type: table.Float, Floats: make([]float64, k)}
-			for i, x := range iv.Ints {
-				out.Floats[i] = float64(x) / floatDecScales[ch.Data[0]]
-			}
-			return out, nil
-		}
-	}
-	// No cheaper way in (or a malformed header): the full decode settles it.
-	v, err := DecodeChunk(ch, t)
-	if err != nil {
-		return nil, err
-	}
-	head := v.Slice(0, k)
-	return &head, nil
 }

@@ -2,8 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"github.com/shortcircuit-db/sc/internal/encoding"
 	"github.com/shortcircuit-db/sc/internal/sched"
@@ -279,10 +282,13 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort orders rows by the given keys (stable).
+// Sort orders rows by the given keys (stable) and keeps the first Limit of
+// them; a negative Limit keeps every row. The planner folds ORDER BY …
+// LIMIT k into one Sort, which then orders only the k rows it keeps.
 type Sort struct {
 	Input Node
 	Keys  []SortKey
+	Limit int
 }
 
 // Schema implements Node.
@@ -294,36 +300,116 @@ func (s *Sort) Run(ctx *Context) (*table.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx := make([]int, in.NumRows())
-	for i := range idx {
-		idx[i] = i
+	n := in.NumRows()
+	k := n
+	if s.Limit >= 0 && s.Limit < n {
+		k = s.Limit
 	}
-	var sortErr error
-	sort.SliceStable(idx, func(a, b int) bool {
-		for _, k := range s.Keys {
-			va := in.Cols[k.Col].Value(idx[a])
-			vb := in.Cols[k.Col].Value(idx[b])
-			c, err := va.Compare(vb)
-			if err != nil && sortErr == nil {
-				sortErr = err
+	byKeys, nan := keyOrder(in, s.Keys)
+	if nan {
+		// A NaN key equals every value, so no total order agrees with the
+		// keys: only a stable sort's own comparisons give its output.
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
+		sort.SliceStable(idx, func(a, b int) bool { return byKeys(idx[a], idx[b]) < 0 })
+		return in.Gather(idx[:k]), nil
+	}
+	// Ties broken by row index make the order total, so the k first rows
+	// by it are exactly the stable sort's.
+	return in.Gather(smallest(n, k, func(a, b int) int {
+		if c := byKeys(a, b); c != 0 {
+			return c
+		}
+		return a - b
+	})), nil
+}
+
+// keyOrder compares two rows of in by keys as Value.Compare orders their
+// values: INT as float64, FLOAT by value, STRING bytewise; DESC reverses a
+// key. nan reports a FLOAT key holding a NaN, which compares equal to every
+// value.
+func keyOrder(in *table.Table, keys []SortKey) (order func(a, b int) int, nan bool) {
+	cols := make([]*table.Vector, len(keys))
+	for i, k := range keys {
+		cols[i] = in.Cols[k.Col]
+		nan = nan || slices.ContainsFunc(cols[i].Floats, math.IsNaN)
+	}
+	return func(a, b int) int {
+		for i, v := range cols {
+			var c int
+			switch v.Type {
+			case table.Int:
+				c = compareFloats(float64(v.Ints[a]), float64(v.Ints[b]))
+			case table.Float:
+				c = compareFloats(v.Floats[a], v.Floats[b])
+			default:
+				c = strings.Compare(v.Strs[a], v.Strs[b])
 			}
 			if c != 0 {
-				if k.Desc {
-					return c > 0
+				if keys[i].Desc {
+					return -c
 				}
-				return c < 0
+				return c
 			}
 		}
-		return false
-	})
-	if sortErr != nil {
-		return nil, fmt.Errorf("engine: sort: %w", sortErr)
+		return 0
+	}, nan
+}
+
+// compareFloats is Value.Compare's numeric order: a NaN equals everything.
+func compareFloats(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
 	}
-	return in.Gather(idx), nil
+	return 0
+}
+
+// smallest returns, in order, the k first of rows 0 … n-1 by order, a
+// total order. Below n it keeps them in a max-heap, whose root is the last
+// row kept, and sorts only those.
+func smallest(n, k int, order func(a, b int) int) []int {
+	h := make([]int, k)
+	for i := range h {
+		h[i] = i
+	}
+	if 0 < k && k < n {
+		down := func(p int) {
+			for {
+				c := 2*p + 1
+				if c >= k {
+					return
+				}
+				if c+1 < k && order(h[c], h[c+1]) < 0 {
+					c++
+				}
+				if order(h[p], h[c]) >= 0 {
+					return
+				}
+				h[p], h[c] = h[c], h[p]
+				p = c
+			}
+		}
+		for p := k/2 - 1; p >= 0; p-- {
+			down(p)
+		}
+		for i := k; i < n; i++ {
+			if order(i, h[0]) < 0 {
+				h[0] = i
+				down(0)
+			}
+		}
+	}
+	slices.SortFunc(h, order)
+	return h
 }
 
 // String implements Node.
-func (s *Sort) String() string { return fmt.Sprintf("Sort(%d keys)", len(s.Keys)) }
+func (s *Sort) String() string { return fmt.Sprintf("Sort(%d keys, limit %d)", len(s.Keys), s.Limit) }
 
 // --- Limit ---
 

@@ -106,7 +106,7 @@ func FuzzPredTranslate(f *testing.F) {
 			st := &Stats{}
 			got := make([]bool, 0, n)
 			for g, rows := range ct.RowGroups() {
-				cc := newChunkCtx(ct, g, rows, st)
+				cc := newChunkCtx(ct, g, rows, st, &table.Vector{})
 				bm, err := p.eval(cc)
 				if err != nil {
 					t.Fatalf("eval: %v", err)

@@ -22,8 +22,10 @@ const (
 // raw byte of its output on the synthetic join. Growing the builder's
 // pending buffers and the pair slices by append, and copying every gathered
 // vector into the builder, allocated 5.8 B per raw byte; allocating each
-// output column once, at its final size, allocates 3.0.
-const maxAllocPerRawByte = 4.0
+// output column once, at its final size, allocated 2.9; decoding each
+// gathered chunk into the scan's one reused buffer, not a fresh vector,
+// allocates 2.1.
+const maxAllocPerRawByte = 2.5
 
 // allocJoinSide is one side of the synthetic join: an INT key column and,
 // beside it, one column per codec the join's output assembly treats

@@ -17,7 +17,11 @@
 //   - the aggregate builds only the columns it reads, per row group, and
 //     hands them to the row engine's own accumulator through its one entry
 //     point, AggAcc.AddCols (columns in), so its result is byte-identical by
-//     construction.
+//     construction;
+//   - a chunk read once decodes into the scan's buffer, reused from group
+//     to group (the walk's scratch for a join's gathers, the aggregate's
+//     per-column buffers); only a chunk a predicate or join key reads is
+//     decoded into a vector the group's context keeps.
 //
 // Every kernel operator returns a table from Run. The hash join can also
 // emit its output as compressed chunks (RunChunked, through
@@ -101,9 +105,10 @@ func (b *bitmap) count() int {
 
 // colState is the cached per-column chunk state of one row group.
 type colState struct {
-	parsed bool
-	dict   *encoding.DictView
-	vec    *table.Vector // fully decoded values
+	parsed  bool
+	dict    *encoding.DictView
+	vec     *table.Vector // fully decoded values, kept
+	decoded bool          // decoded at least once, into vec or a reused buffer
 }
 
 // chunkCtx evaluates one aligned row group. Parsed and decoded forms are
@@ -115,10 +120,14 @@ type chunkCtx struct {
 	rows  int
 	st    *Stats
 	cols  []colState
+	// scratch is the walk's decode buffer, shared by every group of one
+	// scan side: a gather decodes a chunk no one kept into it and copies
+	// out the rows it needs before the next decode.
+	scratch *table.Vector
 }
 
-func newChunkCtx(ct *encoding.Compressed, group, rows int, st *Stats) *chunkCtx {
-	return &chunkCtx{ct: ct, group: group, rows: rows, st: st, cols: make([]colState, len(ct.Cols))}
+func newChunkCtx(ct *encoding.Compressed, group, rows int, st *Stats, scratch *table.Vector) *chunkCtx {
+	return &chunkCtx{ct: ct, group: group, rows: rows, st: st, cols: make([]colState, len(ct.Cols)), scratch: scratch}
 }
 
 func (cc *chunkCtx) chunk(col int) encoding.Chunk { return cc.ct.Cols[col][cc.group] }
@@ -155,16 +164,33 @@ func (cc *chunkCtx) dict(col int) (*encoding.DictView, error) {
 // the result and counting the decoded bytes.
 func (cc *chunkCtx) vector(col int) (*table.Vector, error) {
 	cs := &cc.cols[col]
+	if cs.vec == nil {
+		vec, err := cc.decode(col, &table.Vector{})
+		if err != nil {
+			return nil, err
+		}
+		cs.vec = vec
+	}
+	return cs.vec, nil
+}
+
+// decode decodes the column's chunk into buf and returns it, or returns
+// the kept vector when the column was decoded into one before. The first
+// decode of a (group, column) counts its bytes; a repeat into a reused
+// buffer does not.
+func (cc *chunkCtx) decode(col int, buf *table.Vector) (*table.Vector, error) {
+	cs := &cc.cols[col]
 	if cs.vec != nil {
 		return cs.vec, nil
 	}
-	vec, err := encoding.DecodeChunk(cc.chunk(col), cc.colType(col))
-	if err != nil {
+	if err := encoding.DecodeChunkInto(cc.chunk(col), cc.colType(col), buf); err != nil {
 		return nil, err
 	}
-	cs.vec = vec
-	cc.st.DecodedBytes += vec.ByteSize()
-	return vec, nil
+	if !cs.decoded {
+		cs.decoded = true
+		cc.st.DecodedBytes += buf.ByteSize()
+	}
+	return buf, nil
 }
 
 // accessor returns a function yielding the column's value at a row,
@@ -189,16 +215,17 @@ func (cc *chunkCtx) accessor(col int) (func(i int) table.Value, error) {
 }
 
 // column returns all of the row group's values of col as a vector, for a
-// consumer that reads every row (the aggregate): a dictionary chunk
-// gathered by code into buf, which like the accessors counts no decode; any
-// other chunk decoded.
+// consumer that reads every row (the aggregate) before the next group: a
+// dictionary chunk gathered by code into buf, which like the accessors
+// counts no decode; any other chunk decoded into buf, unless it was
+// decoded and kept before. buf is reused from group to group.
 func (cc *chunkCtx) column(col int, buf *table.Vector) (*table.Vector, error) {
 	dv, err := cc.dict(col)
 	if err != nil {
 		return nil, err
 	}
 	if dv == nil {
-		return cc.vector(col)
+		return cc.decode(col, buf)
 	}
 	codes, _ := dv.Codes()
 	buf.Type = dv.Type
@@ -220,7 +247,7 @@ func (cc *chunkCtx) finish() {
 	for i := range cc.cols {
 		cs := &cc.cols[i]
 		switch {
-		case cs.vec != nil:
+		case cs.decoded:
 			// Fully decoded; DecodedBytes was counted at decode time.
 		case cs.parsed:
 			cc.st.DecodesAvoided++
@@ -233,16 +260,17 @@ func (cc *chunkCtx) finish() {
 // gather appends the column's values at the given local rows (ascending,
 // repeats allowed) to dst, a vector of the column's type, reading the chunk
 // in its cheapest typed form: a decoded chunk by index, a dictionary chunk
-// by code; other codecs decode the chunk first. Values served from a
-// decoded chunk were counted at decode; late-materialized ones (dictionary
-// reads) count here, per value.
+// by code; other codecs decode the chunk into the walk's scratch buffer
+// first, which dst never is. Values served from a decoded chunk were
+// counted at decode; late-materialized ones (dictionary reads) count here,
+// per value.
 func (cc *chunkCtx) gather(col int, rows []int32, dst *table.Vector) error {
 	dv, err := cc.dict(col)
 	if err != nil {
 		return err
 	}
 	if dv == nil {
-		vec, err := cc.vector(col)
+		vec, err := cc.decode(col, cc.scratch)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,9 @@
 package kernels
 
-import "github.com/shortcircuit-db/sc/internal/encoding"
+import (
+	"github.com/shortcircuit-db/sc/internal/encoding"
+	"github.com/shortcircuit-db/sc/internal/table"
+)
 
 // walk describes one pass over the row groups of a chunked table.
 type walk struct {
@@ -17,10 +20,12 @@ type walk struct {
 // walkGroups is the kernels' one loop over row groups, run on the node's own
 // token: for every group it evaluates the predicate and hands the groups
 // that keep at least one row to body, in group order. sel is nil when every
-// row of the group is selected.
+// row of the group is selected. Every group's context shares one scratch
+// decode buffer (chunkCtx.gather).
 func walkGroups(w walk, body func(cc *chunkCtx, sel *bitmap) error) error {
+	scratch := &table.Vector{}
 	for g, rows := range w.groups {
-		cc := newChunkCtx(w.ct, g, rows, w.st)
+		cc := newChunkCtx(w.ct, g, rows, w.st, scratch)
 		if w.keep != nil {
 			w.keep[g] = cc
 		}
