@@ -396,17 +396,17 @@ func (c dictCodec) size(v *table.Vector) (int, error) {
 func (dictCodec) sizeBelow(v *table.Vector, limit int) (int, error) {
 	switch v.Type {
 	case table.Int:
-		return dictSizeBelow(v.Ints, varintLen, limit, intSeen(v.Ints)), nil
+		return dictSizeBelow(v.Ints, varintLen, limit), nil
 	case table.Str:
-		return dictSizeBelow(v.Strs, strLen, limit, mapSeen[string]()), nil
+		return dictSizeBelow(v.Strs, strLen, limit), nil
 	}
 	return 0, fmt.Errorf("%w: dict on %s", ErrUnsupported, v.Type)
 }
 
 // dictSizeBelow is sizeBelow over one typed column, entryLen giving an
-// entry's serialized size and seen reporting whether a value was met
-// before (and marking it met).
-func dictSizeBelow[T comparable](xs []T, entryLen func(T) int, limit int, seen func(T) bool) int {
+// entry's serialized size.
+func dictSizeBelow[T comparable](xs []T, entryLen func(T) int, limit int) int {
+	seen := make(map[T]struct{})
 	card, entryBytes := 0, 0
 	// bound is the payload length if no further entry appeared.
 	bound := func() int {
@@ -420,9 +420,10 @@ func dictSizeBelow[T comparable](xs []T, entryLen func(T) int, limit int, seen f
 		if i > 0 && x == xs[i-1] {
 			continue
 		}
-		if seen(x) {
+		if _, ok := seen[x]; ok {
 			continue
 		}
+		seen[x] = struct{}{}
 		card++
 		entryBytes += entryLen(x)
 		if b := bound(); b >= limit {
@@ -430,44 +431,6 @@ func dictSizeBelow[T comparable](xs []T, entryLen func(T) int, limit int, seen f
 		}
 	}
 	return bound()
-}
-
-// intSeen is dictSizeBelow's seen-set for an INT column: a bitset over the
-// column's value span when that span is under 8·n + 4096 values (at most
-// n + 520 bytes), else a map.
-func intSeen(xs []int64) func(int64) bool {
-	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for _, x := range xs {
-		lo, hi = min(lo, x), max(hi, x)
-	}
-	if span := uint64(hi) - uint64(lo); len(xs) > 0 && span < 8*uint64(len(xs))+4096 {
-		return bitSeen(lo, span)
-	}
-	return mapSeen[int64]()
-}
-
-// bitSeen is a seen-set over the values lo … lo+span, one bit each.
-func bitSeen(lo int64, span uint64) func(int64) bool {
-	set := make([]uint64, span/64+1)
-	return func(x int64) bool {
-		i := uint64(x) - uint64(lo)
-		w, bit := &set[i>>6], uint64(1)<<(i&63)
-		met := *w&bit != 0
-		*w |= bit
-		return met
-	}
-}
-
-// mapSeen is a seen-set over any comparable values.
-func mapSeen[T comparable]() func(T) bool {
-	set := make(map[T]struct{})
-	return func(x T) bool {
-		if _, ok := set[x]; ok {
-			return true
-		}
-		set[x] = struct{}{}
-		return false
-	}
 }
 
 // decode gathers each row's entry straight into dst's tail, unpacking the

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 
@@ -82,11 +81,8 @@ func FuzzCodecSize(f *testing.F) {
 	f.Add(intBytes(seq(-2, 3)...), uint8(5))                                     // card 5 = 2^2+1
 	f.Add([]byte("a\x00bb\x00a\x00\x00ccc\x00bb"), uint8(2))                     // strings with an empty one
 	f.Add(bytes.Repeat([]byte("Books\x00Toys\x00"), 64), uint8(0))               // low-cardinality strings
-	f.Add(intBytes(1000, 1003, 1001, 1000, 1007), uint8(4))                      // narrow span: bitset seen-set
-	f.Add(intBytes(0, 8*2+4096), uint8(0))                                       // span 8n+4096: just past the bitset
-	f.Add(intBytes(0, 8*2+4095), uint8(0))                                       // span 8n+4095: the widest bitset
-	f.Add(intBytes(math.MinInt64, math.MinInt64+3, math.MinInt64+1), uint8(1))   // narrow span at −2^63
-	f.Add(intBytes(math.MaxInt64, math.MaxInt64-2, math.MaxInt64), uint8(1))     // narrow span at 2^63−1
+	f.Add(intBytes(math.MinInt64, math.MinInt64+3, math.MinInt64+1), uint8(1))   // INTs at −2^63
+	f.Add(intBytes(math.MaxInt64, math.MaxInt64-2, math.MaxInt64), uint8(1))     // INTs at 2^63−1
 	f.Fuzz(func(t *testing.T, data []byte, repeat uint8) {
 		for _, v := range sizeVectors(data, repeat) {
 			for _, c := range codecs {
@@ -238,40 +234,6 @@ func TestSampledRankingMatchesEncodedSamples(t *testing.T) {
 		if got.Codec != want.Codec || got.Rows != want.Rows || !bytes.Equal(got.Data, want.Data) {
 			t.Fatalf("%s n=%d sample %d: chose %s (%d bytes), reference %s (%d bytes)",
 				typ, n, sr, got.Codec, len(got.Data), want.Codec, len(want.Data))
-		}
-	}
-}
-
-// TestDictSizeSeenSetsAgree: dictSizeBelow returns the same value at every
-// limit whether it tracks seen INT values in a bitset over their span or in
-// a map, on narrow spans, spans at the ±2^63 edges and one at the bitset's
-// size threshold.
-func TestDictSizeSeenSetsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	var cols [][]int64
-	for _, base := range []int64{0, -5000, math.MinInt64, math.MaxInt64 - 5000} {
-		for _, span := range []int64{1, 3, 60, 500, 5000} {
-			xs := make([]int64, 1+rng.Intn(400))
-			for i := range xs {
-				xs[i] = base + rng.Int63n(span)
-				if i > 0 && rng.Intn(3) == 0 {
-					xs[i] = xs[i-1] // runs
-				}
-			}
-			cols = append(cols, xs)
-		}
-	}
-	cols = append(cols, []int64{0, 8*2 + 4095}, []int64{math.MinInt64, math.MinInt64 + 1, math.MinInt64})
-	for _, xs := range cols {
-		lo, hi := slices.Min(xs), slices.Max(xs)
-		span := uint64(hi) - uint64(lo)
-		exact := dictSizeBelow(xs, varintLen, math.MaxInt, mapSeen[int64]())
-		for limit := 0; limit <= exact+1; limit++ {
-			bits := dictSizeBelow(xs, varintLen, limit, bitSeen(lo, span))
-			byMap := dictSizeBelow(xs, varintLen, limit, mapSeen[int64]())
-			if bits != byMap {
-				t.Fatalf("n=%d span=%d limit=%d: bitset %d, map %d", len(xs), span, limit, bits, byMap)
-			}
 		}
 	}
 }

@@ -323,7 +323,7 @@ func TestAggregateMatchesNaiveSumProperty(t *testing.T) {
 func TestSortAscDescStable(t *testing.T) {
 	orders := ordersTable(t)
 	ctx := fixedResolver(map[string]*table.Table{"orders": orders})
-	s := &Sort{Input: scanOf(t, orders, "orders"), Keys: []SortKey{{Col: 1, Desc: false}, {Col: 2, Desc: true}}, Limit: -1}
+	s := &Sort{Input: scanOf(t, orders, "orders"), Keys: []SortKey{{Col: 1, Desc: false}, {Col: 2, Desc: true}}}
 	got, err := s.Run(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -425,7 +425,7 @@ func TestSortPermutationProperty(t *testing.T) {
 			sum += int64(v)
 		}
 		ctx := fixedResolver(map[string]*table.Table{"t": tb})
-		got, err := (&Sort{Input: &Scan{Name: "t", Sch: tb.Schema}, Keys: []SortKey{{Col: 0}}, Limit: -1}).Run(ctx)
+		got, err := (&Sort{Input: &Scan{Name: "t", Sch: tb.Schema}, Keys: []SortKey{{Col: 0}}}).Run(ctx)
 		if err != nil || got.NumRows() != len(vals) {
 			return false
 		}

@@ -282,29 +282,27 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort orders rows by the given keys (stable) and keeps the first Limit of
-// them; a negative Limit keeps every row. The planner folds ORDER BY …
-// LIMIT k into one Sort, which then orders only the k rows it keeps.
+// Sort orders rows by the given keys (stable).
 type Sort struct {
 	Input Node
 	Keys  []SortKey
-	Limit int
 }
 
 // Schema implements Node.
 func (s *Sort) Schema() table.Schema { return s.Input.Schema() }
 
 // Run implements Node.
-func (s *Sort) Run(ctx *Context) (*table.Table, error) {
+func (s *Sort) Run(ctx *Context) (*table.Table, error) { return s.top(ctx, math.MaxInt) }
+
+// top returns the first k rows of the sorted input. A Limit over a Sort
+// calls it, so ORDER BY … LIMIT k orders only the k rows it keeps.
+func (s *Sort) top(ctx *Context, k int) (*table.Table, error) {
 	in, err := s.Input.Run(ctx)
 	if err != nil {
 		return nil, err
 	}
 	n := in.NumRows()
-	k := n
-	if s.Limit >= 0 && s.Limit < n {
-		k = s.Limit
-	}
+	k = min(k, n)
 	byKeys, nan := keyOrder(in, s.Keys)
 	if nan {
 		// A NaN key equals every value, so no total order agrees with the
@@ -409,11 +407,12 @@ func smallest(n, k int, order func(a, b int) int) []int {
 }
 
 // String implements Node.
-func (s *Sort) String() string { return fmt.Sprintf("Sort(%d keys, limit %d)", len(s.Keys), s.Limit) }
+func (s *Sort) String() string { return fmt.Sprintf("Sort(%d keys)", len(s.Keys)) }
 
 // --- Limit ---
 
-// Limit passes through at most N rows.
+// Limit passes through at most N rows. Over a Sort it keeps only the first
+// N rows while sorting (Sort.top) instead of sorting every row.
 type Limit struct {
 	Input Node
 	N     int
@@ -424,6 +423,9 @@ func (l *Limit) Schema() table.Schema { return l.Input.Schema() }
 
 // Run implements Node.
 func (l *Limit) Run(ctx *Context) (*table.Table, error) {
+	if s, ok := l.Input.(*Sort); ok {
+		return s.top(ctx, max(l.N, 0))
+	}
 	in, err := l.Input.Run(ctx)
 	if err != nil {
 		return nil, err

@@ -10,9 +10,9 @@ import (
 	"github.com/shortcircuit-db/sc/internal/table"
 )
 
-// refSortLimit is Sort as it was before it took a limit: a stable sort of
-// boxed values by Value.Compare, then a Limit of limit rows (none when
-// negative).
+// refSortLimit is Sort and Limit as they were before a Limit over a Sort
+// kept a heap: a stable sort of boxed values by Value.Compare, then the
+// first limit rows (all when negative).
 func refSortLimit(in *table.Table, keys []SortKey, limit int) *table.Table {
 	idx := make([]int, in.NumRows())
 	for i := range idx {
@@ -84,12 +84,12 @@ func sameTable(a, b *table.Table) error {
 	return nil
 }
 
-// TestSortLimitMatchesStableSort compares Sort — a top-k heap below the
-// row count, the typed total order otherwise, the boxed stable sort when a
-// FLOAT key holds a NaN — with the boxed stable sort followed by Limit, row
-// for row, over every key type, multi-key ASC/DESC orders, and limits of
-// none, 0, 1, a few, half, all and more than all, on empty and non-empty
-// inputs.
+// TestSortLimitMatchesStableSort compares Limit over Sort — a top-k heap
+// below the row count, the typed total order otherwise, the boxed stable
+// sort when a FLOAT key holds a NaN — and a bare Sort with the boxed stable
+// sort followed by Limit, row for row, over every key type, multi-key
+// ASC/DESC orders, and limits of none, 0, 1, a few, half, all and more than
+// all, on empty and non-empty inputs.
 func TestSortLimitMatchesStableSort(t *testing.T) {
 	keySets := [][]SortKey{
 		{{Col: 0}},
@@ -110,8 +110,11 @@ func TestSortLimitMatchesStableSort(t *testing.T) {
 		ctx := fixedResolver(map[string]*table.Table{"t": tb})
 		for _, keys := range keySets {
 			for _, limit := range []int{-1, 0, 1, 3, n / 2, n - 1, n, n + 10} {
-				s := &Sort{Input: &Scan{Name: "t", Sch: tb.Schema}, Keys: keys, Limit: limit}
-				got, err := s.Run(ctx)
+				var node Node = &Sort{Input: &Scan{Name: "t", Sch: tb.Schema}, Keys: keys}
+				if limit >= 0 {
+					node = &Limit{Input: node, N: limit}
+				}
+				got, err := node.Run(ctx)
 				if err != nil {
 					t.Fatalf("n=%d keys=%v limit=%d: %v", n, keys, limit, err)
 				}
@@ -135,7 +138,7 @@ func BenchmarkSortLimit(b *testing.B) {
 		_ = tb.AppendRow(table.IntValue(int64(r)), table.FloatValue(float64(rng.Intn(1_000_000))/100))
 	}
 	ctx := fixedResolver(map[string]*table.Table{"t": tb})
-	s := &Sort{Input: &Scan{Name: "t", Sch: tb.Schema}, Keys: []SortKey{{Col: 1, Desc: true}}, Limit: 100}
+	s := &Limit{Input: &Sort{Input: &Scan{Name: "t", Sch: tb.Schema}, Keys: []SortKey{{Col: 1, Desc: true}}}, N: 100}
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, err := s.Run(ctx); err != nil {

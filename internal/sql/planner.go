@@ -75,8 +75,10 @@ func Plan(stmt *Statement, cat Catalog) (engine.Node, []string, error) {
 			}
 			keys = append(keys, engine.SortKey{Col: idx, Desc: oi.Desc})
 		}
-		node = &engine.Sort{Input: node, Keys: keys, Limit: sel.Limit}
-	} else if sel.Limit >= 0 {
+		node = &engine.Sort{Input: node, Keys: keys}
+	}
+
+	if sel.Limit >= 0 {
 		node = &engine.Limit{Input: node, N: sel.Limit}
 	}
 	return node, inputs, nil
