@@ -124,6 +124,16 @@ func TestSortLimitMatchesStableSort(t *testing.T) {
 			}
 		}
 	}
+	// A negative Limit passes no rows, over a Sort as over any input.
+	tb := sortTestTable(rng, 10)
+	neg := &Limit{Input: &Sort{Input: &Scan{Name: "t", Sch: tb.Schema}, Keys: keySets[0]}, N: -1}
+	got, err := neg.Run(fixedResolver(map[string]*table.Table{"t": tb}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumRows() != 0 {
+		t.Fatalf("Limit(-1) over Sort: %d rows, want 0", got.NumRows())
+	}
 }
 
 // BenchmarkSortLimit orders 18,037 FLOAT keys and keeps 100, the shape of
