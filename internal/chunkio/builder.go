@@ -17,6 +17,12 @@
 // outlives one operator's output, so a refresh over unchanged inputs
 // rebuilds the same chunks.
 //
+// An output dictionary is the compressed path's one dictionary: a vector
+// of entries interned by an encoding.KeyDict. Each code-space chunk is
+// densified in first-use order and written by encoding.BuildDictChunk
+// through the dict codec's own payload writer, so it is byte for byte the
+// chunk the dict codec would encode from the values.
+//
 // Decoding a Builder output always yields exactly the rows that were
 // appended, in order — byte-identical to the table the materializing path
 // would have produced.
@@ -71,7 +77,8 @@ type Builder struct {
 	// Scratch for densifying one chunk's codes (dict.dense), grow-only
 	// and reused across chunks and columns.
 	denseMap   []int32
-	denseCodes []uint64
+	denseEnts  table.Vector
+	denseCodes []int32
 
 	// Counters accumulates this builder's work; read it after Finish.
 	Counters Counters
@@ -231,8 +238,8 @@ func (b *Builder) emitCol(cb *colBuf, lo, hi int) (encoding.Chunk, error) {
 		b.Counters.Reencoded++
 		return ch, nil
 	}
-	ints, strs, codes := cb.dict.dense(cb.codes[lo:hi], &b.denseMap, &b.denseCodes)
-	ch, err := encoding.BuildDictChunk(cb.typ, ints, strs, codes)
+	ents, codes := cb.dict.dense(cb.codes[lo:hi], &b.denseMap, &b.denseEnts, &b.denseCodes)
+	ch, err := encoding.BuildDictChunk(ents, codes)
 	if err != nil {
 		return encoding.Chunk{}, err
 	}

@@ -365,7 +365,7 @@ func checkBuilds(t *testing.T, desc string, tb *table.Table, ct *encoding.Compre
 // materialized values must count in RawBytes like any other row.
 func TestBuilderAppendCodesInValueSpaceCountsRawBytes(t *testing.T) {
 	sch := table.NewSchema(table.Column{Name: "s", Type: table.Str})
-	ch, err := encoding.BuildDictChunk(table.Str, nil, []string{"x", "yy"}, []uint64{0, 1})
+	ch, err := encoding.BuildDictChunk(&table.Vector{Type: table.Str, Strs: []string{"x", "yy"}}, []int32{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +404,7 @@ func TestBuilderAppendCodesInValueSpaceCountsRawBytes(t *testing.T) {
 // equal appending the same values one at a time.
 func TestBuilderHandedOverColumnKeepsAppending(t *testing.T) {
 	sch := table.NewSchema(table.Column{Name: "s", Type: table.Str})
-	ch, err := encoding.BuildDictChunk(table.Str, nil, []string{"d0", "d1"}, []uint64{0, 1})
+	ch, err := encoding.BuildDictChunk(&table.Vector{Type: table.Str, Strs: []string{"d0", "d1"}}, []int32{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}

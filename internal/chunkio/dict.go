@@ -14,51 +14,16 @@ const DefaultMaxEntries = 1 << 16
 
 // dict is one output column's dictionary: the INT or STRING values (the
 // types the dict codec encodes) of every source dictionary remapped into
-// it, with dense ids in insertion order. It belongs to one Builder and
-// lives exactly as long.
+// it, interned by an encoding.KeyDict, with dense ids in insertion order.
+// It belongs to one Builder and lives exactly as long.
 type dict struct {
 	max  int
-	ints map[int64]int32
-	strs map[string]int32
+	kd   *encoding.KeyDict
 	ents table.Vector // the entries, by id; its Type is the column's
 }
 
 func newDict(t table.Type, max int) *dict {
-	d := &dict{max: max, ents: table.Vector{Type: t}}
-	if t == table.Int {
-		d.ints = make(map[int64]int32)
-	} else {
-		d.strs = make(map[string]int32)
-	}
-	return d
-}
-
-// addInt interns one int value; ok is false on overflow.
-func (d *dict) addInt(x int64) (int32, bool) {
-	if id, ok := d.ints[x]; ok {
-		return id, true
-	}
-	if len(d.ents.Ints) >= d.max {
-		return 0, false
-	}
-	id := int32(len(d.ents.Ints))
-	d.ints[x] = id
-	d.ents.Ints = append(d.ents.Ints, x)
-	return id, true
-}
-
-// addStr interns one string value; ok is false on overflow.
-func (d *dict) addStr(s string) (int32, bool) {
-	if id, ok := d.strs[s]; ok {
-		return id, true
-	}
-	if len(d.ents.Strs) >= d.max {
-		return 0, false
-	}
-	id := int32(len(d.ents.Strs))
-	d.strs[s] = id
-	d.ents.Strs = append(d.ents.Strs, s)
-	return id, true
+	return &dict{max: max, kd: encoding.NewKeyDict(t), ents: table.Vector{Type: t}}
 }
 
 // valueSize returns the raw in-memory footprint of one entry, matching
@@ -71,37 +36,31 @@ func (d *dict) valueSize(id int32) int64 {
 }
 
 // remap interns every entry of a source chunk's dictionary, returning the
-// id per local code — the KeyDict-style translation that lets gathered
-// codes pass through unchanged. ok is false on overflow (entries interned
-// before the overflow remain; they are harmless).
+// id per local code — the translation that lets gathered codes pass
+// through unchanged. ok is false when the dictionary then holds more than
+// max entries. The entries interned past the cap are harmless: the
+// overflow is for good (the KeyDict only grows), and the column leaves
+// code space.
 func (d *dict) remap(dv *encoding.DictView) ([]int32, bool) {
-	out := make([]int32, dv.Card())
-	if d.ents.Type == table.Int {
-		for c, x := range dv.Ints {
-			id, ok := d.addInt(x)
-			if !ok {
-				return nil, false
-			}
-			out[c] = id
-		}
-	} else {
-		for c, s := range dv.Strs {
-			id, ok := d.addStr(s)
-			if !ok {
-				return nil, false
-			}
-			out[c] = id
+	ids := d.kd.IDs(&dv.Vector, true, nil)
+	if d.kd.Len() > d.max {
+		return nil, false
+	}
+	for c, id := range ids {
+		if int(id) == d.ents.Len() {
+			d.ents.AppendAt(&dv.Vector, c)
 		}
 	}
-	return out, true
+	return ids, true
 }
 
 // dense translates pending ids into a dense chunk-local dictionary in
 // first-use order — exactly the layout dictCodec.Encode would have built
-// from the values, produced without touching a value. scratch and outBuf
-// are caller-owned grow-only buffers for the remap and the local codes;
-// out is a view of outBuf, valid until the next call.
-func (d *dict) dense(codes []int32, scratch *[]int32, outBuf *[]uint64) (ints []int64, strs []string, out []uint64) {
+// from the values, produced without touching a value. scratch, ents and
+// outBuf are caller-owned grow-only buffers for the remap, the local
+// entries and the local codes; the results are views of them, valid until
+// the next call.
+func (d *dict) dense(codes []int32, scratch *[]int32, ents *table.Vector, outBuf *[]int32) (*table.Vector, []int32) {
 	maxUsed := int32(-1)
 	for _, id := range codes {
 		if id > maxUsed {
@@ -117,22 +76,19 @@ func (d *dict) dense(codes []int32, scratch *[]int32, outBuf *[]uint64) (ints []
 		remap[i] = -1
 	}
 	if cap(*outBuf) < len(codes) {
-		*outBuf = make([]uint64, len(codes))
+		*outBuf = make([]int32, len(codes))
 	}
-	out = (*outBuf)[:len(codes)]
+	out := (*outBuf)[:len(codes)]
+	ents.Type = d.ents.Type
+	ents.Reset()
 	for k, id := range codes {
 		local := remap[id]
 		if local < 0 {
-			if d.ents.Type == table.Int {
-				local = int32(len(ints))
-				ints = append(ints, d.ents.Ints[id])
-			} else {
-				local = int32(len(strs))
-				strs = append(strs, d.ents.Strs[id])
-			}
+			local = int32(ents.Len())
+			ents.AppendAt(&d.ents, int(id))
 			remap[id] = local
 		}
-		out[k] = uint64(local)
+		out[k] = local
 	}
-	return ints, strs, out
+	return ents, out
 }

@@ -2,7 +2,6 @@ package encoding
 
 import (
 	"fmt"
-	"math/bits"
 
 	"github.com/shortcircuit-db/sc/internal/table"
 )
@@ -27,38 +26,20 @@ func EncodeChunk(v *table.Vector, opts Options) (Chunk, error) {
 // Entries must be in first-use order with every entry referenced by at
 // least one code (so the dictionary is never larger than the chunk), which
 // is exactly what a dense remap of shared-dictionary ids produces. The
-// payload is byte-identical to what dictCodec.Encode would emit for the
-// equivalent value sequence.
-func BuildDictChunk(typ table.Type, ints []int64, strs []string, codes []uint64) (Chunk, error) {
-	var card int
-	var buf []byte
-	switch typ {
-	case table.Int:
-		card = len(ints)
-		buf = appendUvarint(buf, uint64(card))
-		for _, x := range ints {
-			buf = appendVarint(buf, x)
-		}
-	case table.Str:
-		card = len(strs)
-		buf = appendUvarint(buf, uint64(card))
-		for _, s := range strs {
-			buf = appendUvarint(buf, uint64(len(s)))
-			buf = append(buf, s...)
-		}
-	default:
-		return Chunk{}, fmt.Errorf("%w: dict on %s", ErrUnsupported, typ)
+// payload is the one dictCodec.Encode writes for the equivalent value
+// sequence: both go through dictPayload.
+func BuildDictChunk(entries *table.Vector, codes []int32) (Chunk, error) {
+	if entries.Type != table.Int && entries.Type != table.Str {
+		return Chunk{}, fmt.Errorf("%w: dict on %s", ErrUnsupported, entries.Type)
 	}
+	card := entries.Len()
 	if card == 0 || card > len(codes) {
 		return Chunk{}, fmt.Errorf("%w: %d dict entries for %d rows", ErrCorrupt, card, len(codes))
 	}
-	width := bits.Len64(uint64(card - 1))
 	for _, c := range codes {
-		if c >= uint64(card) {
+		if uint32(c) >= uint32(card) {
 			return Chunk{}, fmt.Errorf("%w: dict code out of range", ErrCorrupt)
 		}
 	}
-	buf = append(buf, byte(width))
-	buf = appendPacked(buf, codes, width)
-	return Chunk{Codec: Dict, Rows: len(codes), Data: buf}, nil
+	return Chunk{Codec: Dict, Rows: len(codes), Data: dictPayload(entries, codes)}, nil
 }

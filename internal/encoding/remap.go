@@ -6,13 +6,15 @@ import (
 	"github.com/shortcircuit-db/sc/internal/table"
 )
 
-// This file implements the one key interner of the hash join and the
-// aggregate: both inputs of the kernel-side hash join (internal/kernels)
-// intern their key values into one KeyDict per key position, so the build
-// table is keyed by dense ids and a probe key the build side never
-// interned is known absent (-1) before any other column of its row
-// decodes; and engine.AggAcc, on both engine paths, interns a single INT
-// or STRING group key into one, so a group's id is its key's id.
+// This file implements the one interner of the compressed path. Both
+// inputs of the kernel-side hash join (internal/kernels) intern their key
+// values into one KeyDict per key position, so the build table is keyed by
+// dense ids and a probe key the build side never interned is known absent
+// (-1) before any other column of its row decodes; engine.AggAcc, on both
+// engine paths, interns a single INT or STRING group key into one, so a
+// group's id is its key's id; a join's output dictionaries
+// (internal/chunkio) intern the entries of every source dictionary remapped
+// into them; and the dict codec's Encode interns a chunk's values.
 
 // KeyDict is a growing dictionary of key values shared across chunks (and
 // across both join inputs). Ids are dense, assigned in insertion order;

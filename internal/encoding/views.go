@@ -12,15 +12,15 @@ import (
 // row's value is looked up only when it is read, and a join passes codes
 // through to its chunked output). Every other codec, RLE chunks of older
 // stores included, reaches the kernels decoded. The dictionary layout is
-// read by the codec's own reader in codecs.go (readDict); the view is what
-// that reader returns, kept instead of expanded.
+// read by the codec's own reader in codecs.go (readDict) and written by its
+// one writer there (dictPayload); the view is what that reader returns,
+// kept instead of expanded.
 
-// DictView is a parsed dictionary chunk: the entry table in code order and
-// the bit-packed per-row codes.
+// DictView is a parsed dictionary chunk: the entry table in code order, a
+// table.Vector whose Len is the dictionary's cardinality and whose Value
+// reads an entry by code, and the bit-packed per-row codes.
 type DictView struct {
-	Type table.Type
-	Ints []int64  // entries when Type == table.Int
-	Strs []string // entries when Type == table.Str
+	table.Vector // the entries, by code
 
 	width  int
 	packed []byte
@@ -41,22 +41,6 @@ func ParseDict(ch Chunk, t table.Type) (*DictView, error) {
 	return &d, nil
 }
 
-// Card returns the number of dictionary entries.
-func (d *DictView) Card() int {
-	if d.Type == table.Int {
-		return len(d.Ints)
-	}
-	return len(d.Strs)
-}
-
-// Value returns the entry for a code.
-func (d *DictView) Value(code int) table.Value {
-	if d.Type == table.Int {
-		return table.IntValue(d.Ints[code])
-	}
-	return table.StrValue(d.Strs[code])
-}
-
 // Codes unpacks the per-row codes (cached after the first call). Every code
 // is validated against the entry table, so callers can index without
 // re-checking.
@@ -68,7 +52,7 @@ func (d *DictView) Codes() ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	card := uint64(d.Card())
+	card := uint64(d.Len())
 	for _, c := range codes {
 		if c >= card {
 			return nil, fmt.Errorf("%w: dict index out of range", ErrCorrupt)

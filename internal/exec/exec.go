@@ -472,7 +472,7 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool, f
 		in.scans[name]++
 	}
 	if c.Encoding != nil {
-		planNode = kernels.LowerEnv(planNode, &m.KernelStats, &kernels.Env{Opts: *c.Encoding})
+		planNode = kernels.LowerEnv(planNode, &m.KernelStats, *c.Encoding)
 	}
 	planRead := in.readTime
 	m.PlanTime = time.Since(p0) - planRead

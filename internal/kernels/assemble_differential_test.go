@@ -418,7 +418,7 @@ func genAssemblyCase(rng *rand.Rand) assemblyCase {
 // lowerJoin lowers the case's plan with its own Stats and output
 // environment; ok is false when the root is not a join kernel.
 func (c assemblyCase) lowerJoin() (*HashJoinScan, bool) {
-	j, ok := LowerEnv(c.build(), &Stats{}, &Env{Opts: c.outOpts}).(*HashJoinScan)
+	j, ok := LowerEnv(c.build(), &Stats{}, c.outOpts).(*HashJoinScan)
 	return j, ok
 }
 

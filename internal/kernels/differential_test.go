@@ -356,15 +356,15 @@ func dictPredTable(t *testing.T) (*encoding.Compressed, []engine.Expr) {
 	ints := [][]int64{{7, -2, 7, 40, 3}, {40, 3, -2, 3, 7}}
 	strs := [][]string{{"m", "b", "m", "x", "d"}, {"x", "d", "b", "d", "m"}}
 	for g := range ints {
-		codes := make([]uint64, 11)
+		codes := make([]int32, 11)
 		for r := range codes {
-			codes[r] = uint64((r*3 + g) % 5)
+			codes[r] = int32((r*3 + g) % 5)
 		}
-		ic, err := encoding.BuildDictChunk(table.Int, ints[g], nil, codes)
+		ic, err := encoding.BuildDictChunk(&table.Vector{Type: table.Int, Ints: ints[g]}, codes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		scn, err := encoding.BuildDictChunk(table.Str, nil, strs[g], codes)
+		scn, err := encoding.BuildDictChunk(&table.Vector{Type: table.Str, Strs: strs[g]}, codes)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -91,7 +91,7 @@ type HashJoinScan struct {
 	Sch  table.Schema
 	Orig engine.Node // HashJoin, or Project(HashJoin…) when Proj is fused
 	St   *Stats
-	Env  *Env // chunked-output environment (nil: default codec policy)
+	Opts encoding.Options // codec policy for the chunks it emits
 }
 
 // Schema implements engine.Node.
@@ -163,7 +163,7 @@ func (j *HashJoinScan) runInner(ctx *engine.Context, op *HashJoinScan) (*encodin
 		return nil, nil, err
 	}
 	if ct == nil {
-		if ct, err = encoding.FromTable(t, j.Env.opts()); err != nil {
+		if ct, err = encoding.FromTable(t, j.Opts); err != nil {
 			return nil, nil, err
 		}
 		for _, chunks := range ct.Cols {
@@ -233,7 +233,7 @@ func (j *HashJoinScan) RunChunked(ctx *engine.Context) (*encoding.Compressed, *t
 	// source columns as remapped codes, everything else as typed columns of
 	// late-materialized values appended in bulk — in the row engine's exact
 	// output order (probe order, then build order).
-	b := chunkio.NewBuilder(j.Sch, j.Env.opts(), len(jd.right))
+	b := chunkio.NewBuilder(j.Sch, j.Opts, len(jd.right))
 	ct, err := j.assemble(b, jd)
 	if err != nil {
 		return nil, nil, j.wrap(err)
@@ -690,7 +690,7 @@ func keyColumnIDs(cc *chunkCtx, col int, kd *encoding.KeyDict, add bool, out []i
 		}
 		return kd.IDs(vec, add, out), nil
 	}
-	entries := kd.IDs(&table.Vector{Type: dv.Type, Ints: dv.Ints, Strs: dv.Strs}, add, nil)
+	entries := kd.IDs(&dv.Vector, add, nil)
 	codes, _ := dv.Codes()
 	for _, c := range codes {
 		out = append(out, entries[c])

@@ -77,7 +77,7 @@ func allocJoin(tb testing.TB) (*HashJoinScan, *engine.Context) {
 		LeftKeys:  []int{0},
 		RightKeys: []int{0},
 	}
-	j, ok := LowerEnv(node, &Stats{}, &Env{}).(*HashJoinScan)
+	j, ok := LowerEnv(node, &Stats{}, encoding.Options{}).(*HashJoinScan)
 	if !ok {
 		tb.Fatal("synthetic join did not lower onto the join kernel")
 	}

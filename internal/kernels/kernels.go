@@ -63,21 +63,6 @@ func addBuilder(st *Stats, c chunkio.Counters) {
 	st.DecodedBytes += c.MaterializedBytes
 }
 
-// Env is the chunked-output environment of one node's lowering: the codec
-// policy for chunks its joins emit. A nil Env still lets a join emit
-// chunked output, with default options.
-type Env struct {
-	Opts encoding.Options
-}
-
-// opts returns the codec policy for emitted and re-encoded chunks.
-func (e *Env) opts() encoding.Options {
-	if e == nil {
-		return encoding.Options{}
-	}
-	return e.Opts
-}
-
 // --- selection bitmap ---
 
 // bitmap is a fixed-size row-selection vector over one row group.

@@ -3,6 +3,7 @@ package kernels
 import (
 	"sort"
 
+	"github.com/shortcircuit-db/sc/internal/encoding"
 	"github.com/shortcircuit-db/sc/internal/engine"
 	"github.com/shortcircuit-db/sc/internal/table"
 )
@@ -37,42 +38,38 @@ import (
 // chunked form, so results are byte-identical either way. A filtered join
 // side counts as one lowered operator of its own.
 func Lower(root engine.Node, st *Stats) engine.Node {
-	return LowerEnv(root, st, nil)
+	return LowerEnv(root, st, encoding.Options{})
 }
 
-// LowerEnv is Lower with a chunked-output environment: the joins it
-// produces emit compressed chunks through env's codec policy when their
-// consumer takes chunks (a join or aggregate above them, the controller
-// storing the node's output). Each join builds its output chunks afresh on
-// every run; no dictionary outlives it.
-func LowerEnv(root engine.Node, st *Stats, env *Env) engine.Node {
-	return lower(root, st, env)
-}
-
-func lower(root engine.Node, st *Stats, env *Env) engine.Node {
+// LowerEnv is Lower with a codec policy: the joins it produces emit
+// compressed chunks through opts when their consumer takes chunks (a join
+// or aggregate above them, the controller storing the node's output). The
+// zero Options is the default policy. Each join builds its output chunks
+// afresh on every run; no dictionary outlives it.
+func LowerEnv(root engine.Node, st *Stats, opts encoding.Options) engine.Node {
 	switch n := root.(type) {
 	case *engine.Filter:
 		if hj, ok := n.Input.(*engine.HashJoin); ok {
-			if nn := pushdown(n, hj, st, env); nn != nil {
+			if nn := pushdown(n, hj, st, opts); nn != nil {
 				return nn
 			}
 			// A conjunct did not compile: lower the join in place, keep
 			// the filter.
-			n.Input = lower(hj, st, env)
+			n.Input = LowerEnv(hj, st, opts)
 			return n
 		}
-		n.Input = lower(n.Input, st, env)
+		n.Input = LowerEnv(n.Input, st, opts)
 		if hj, ok := n.Input.(*engine.HashJoin); ok {
 			// A join that surfaced only after lowering the input (e.g. an
 			// inner filter fully pushed its conjuncts down and dissolved)
 			// still deserves this filter's pushdown.
-			if nn := pushdown(n, hj, st, env); nn != nil {
+			if nn := pushdown(n, hj, st, opts); nn != nil {
 				return nn
 			}
 		}
 		return n
 	case *engine.Aggregate:
-		n.Input = lower(n.Input, st, env)
+		n.Input = LowerEnv(n.Input, st, opts)
 		switch in := n.Input.(type) {
 		case *engine.Scan:
 			if need, ok := aggNeeds(n, in.Sch); ok {
@@ -87,7 +84,7 @@ func lower(root engine.Node, st *Stats, env *Env) engine.Node {
 		}
 		return n
 	case *engine.Project:
-		n.Input = lower(n.Input, st, env)
+		n.Input = LowerEnv(n.Input, st, opts)
 		if in, ok := n.Input.(*HashJoinScan); ok {
 			// Fuse a columns-only projection into the join: joined columns
 			// the projection drops never materialize — build-side chunks
@@ -105,15 +102,15 @@ func lower(root engine.Node, st *Stats, env *Env) engine.Node {
 		}
 		return n
 	case *engine.Sort:
-		n.Input = lower(n.Input, st, env)
+		n.Input = LowerEnv(n.Input, st, opts)
 		return n
 	case *engine.Limit:
-		n.Input = lower(n.Input, st, env)
+		n.Input = LowerEnv(n.Input, st, opts)
 		return n
 	case *engine.HashJoin:
-		n.Left = lower(n.Left, st, env)
-		n.Right = lower(n.Right, st, env)
-		if js := lowerJoin(n, st, env); js != nil {
+		n.Left = LowerEnv(n.Left, st, opts)
+		n.Right = LowerEnv(n.Right, st, opts)
+		if js := lowerJoin(n, st, opts); js != nil {
 			return js
 		}
 		return n
@@ -128,7 +125,7 @@ func lower(root engine.Node, st *Stats, env *Env) engine.Node {
 // is FLOAT: float keys fall back so the row engine's NaN and signed-zero
 // bucketing stays authoritative, and the kernel's shared key dictionary
 // only ever holds INT or STRING keys.
-func lowerJoin(hj *engine.HashJoin, st *Stats, env *Env) *HashJoinScan {
+func lowerJoin(hj *engine.HashJoin, st *Stats, opts encoding.Options) *HashJoinScan {
 	if len(hj.LeftKeys) == 0 || len(hj.LeftKeys) != len(hj.RightKeys) {
 		return nil
 	}
@@ -162,7 +159,7 @@ func lowerJoin(hj *engine.HashJoin, st *Stats, env *Env) *HashJoinScan {
 		Left: left, Right: right,
 		LeftKeys: hj.LeftKeys, RightKeys: hj.RightKeys,
 		Sch:  hj.Schema(),
-		Orig: hj, St: st, Env: env,
+		Orig: hj, St: st, Opts: opts,
 	}
 }
 
@@ -263,7 +260,7 @@ func collectCols(e engine.Expr, sch table.Schema, set map[int]bool) bool {
 // order, and each side's conjuncts keep their relative order). A compiled
 // conjunct reads exactly one column, so nothing stays above the join.
 // Returns nil when a conjunct does not compile.
-func pushdown(f *engine.Filter, hj *engine.HashJoin, st *Stats, env *Env) engine.Node {
+func pushdown(f *engine.Filter, hj *engine.HashJoin, st *Stats, opts encoding.Options) engine.Node {
 	joined := hj.Schema()
 	leftW := hj.Left.Schema().NumCols()
 	var leftPs, rightPs []engine.Expr
@@ -278,11 +275,11 @@ func pushdown(f *engine.Filter, hj *engine.HashJoin, st *Stats, env *Env) engine
 			rightPs = append(rightPs, rebase(c, -leftW))
 		}
 	}
-	hj.Left = lowerFiltered(hj.Left, leftPs, st, env)
-	hj.Right = lowerFiltered(hj.Right, rightPs, st, env)
+	hj.Left = lowerFiltered(hj.Left, leftPs, st, opts)
+	hj.Right = lowerFiltered(hj.Right, rightPs, st, opts)
 	// With the sides settled, the join itself may lower onto the join
 	// kernel (the pushed-down filters ride along as side predicates).
-	if js := lowerJoin(hj, st, env); js != nil {
+	if js := lowerJoin(hj, st, opts); js != nil {
 		return js
 	}
 	return hj
@@ -290,15 +287,15 @@ func pushdown(f *engine.Filter, hj *engine.HashJoin, st *Stats, env *Env) engine
 
 // lowerFiltered lowers a join input under the conjunction of preds, or
 // alone when there are none.
-func lowerFiltered(n engine.Node, preds []engine.Expr, st *Stats, env *Env) engine.Node {
+func lowerFiltered(n engine.Node, preds []engine.Expr, st *Stats, opts encoding.Options) engine.Node {
 	if len(preds) == 0 {
-		return lower(n, st, env)
+		return LowerEnv(n, st, opts)
 	}
 	conj := preds[0]
 	for _, e := range preds[1:] {
 		conj = &engine.Bin{Op: engine.OpAnd, L: conj, R: e}
 	}
-	return lower(&engine.Filter{Input: n, Pred: conj}, st, env)
+	return LowerEnv(&engine.Filter{Input: n, Pred: conj}, st, opts)
 }
 
 // splitAnd flattens a conjunction into its conjuncts in evaluation order.
