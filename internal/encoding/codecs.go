@@ -386,19 +386,26 @@ func (c dictCodec) size(v *table.Vector) (int, error) {
 func (dictCodec) sizeBelow(v *table.Vector, limit int) (int, error) {
 	switch v.Type {
 	case table.Int:
-		return dictSizeBelow(v.Ints, varintLen, limit), nil
+		if lo, words, ok := spanWords(v.Ints); ok {
+			set := spanSeen.Get().(*[]uint64)
+			defer spanSeen.Put(set)
+			*set = slices.Grow((*set)[:0], words)[:words]
+			clear(*set)
+			return dictSizeBelow(v.Ints, varintLen, limit, bitSeen(lo, *set)), nil
+		}
+		return dictSizeBelow(v.Ints, varintLen, limit, mapSeen[int64]()), nil
 	case table.Str:
-		return dictSizeBelow(v.Strs, strLen, limit), nil
+		return dictSizeBelow(v.Strs, strLen, limit, mapSeen[string]()), nil
 	}
 	return 0, fmt.Errorf("%w: dict on %s", ErrUnsupported, v.Type)
 }
 
 // dictSizeBelow is sizeBelow over one typed column, entryLen giving an
-// entry's serialized size. It keeps its own seen-set rather than a
+// entry's serialized size and seen reporting whether a value was met
+// before (and marking it met). It keeps its own seen-set rather than a
 // KeyDict: a KeyDict's int32 window raised allocation per compressed
 // refresh from 479.0 to 495.6 MB, and sizing needs no ids.
-func dictSizeBelow[T comparable](xs []T, entryLen func(T) int, limit int) int {
-	seen := make(map[T]struct{})
+func dictSizeBelow[T comparable](xs []T, entryLen func(T) int, limit int, seen func(T) bool) int {
 	card, entryBytes := 0, 0
 	// bound is the payload length if no further entry appeared.
 	bound := func() int {
@@ -412,10 +419,9 @@ func dictSizeBelow[T comparable](xs []T, entryLen func(T) int, limit int) int {
 		if i > 0 && x == xs[i-1] {
 			continue
 		}
-		if _, ok := seen[x]; ok {
+		if seen(x) {
 			continue
 		}
-		seen[x] = struct{}{}
 		card++
 		entryBytes += entryLen(x)
 		if b := bound(); b >= limit {
@@ -423,6 +429,55 @@ func dictSizeBelow[T comparable](xs []T, entryLen func(T) int, limit int) int {
 		}
 	}
 	return bound()
+}
+
+// maxSpanBits caps the bitset an INT column's seen values are tracked in
+// (512 KiB).
+const maxSpanBits = 1 << 22
+
+// spanWords reports whether an INT column's values lo … hi fit a bitset of
+// no more bits than 64 per value (so no larger than the column) and at
+// most maxSpanBits, and returns lo and the bitset's length in words.
+func spanWords(xs []int64) (lo int64, words int, ok bool) {
+	if len(xs) == 0 {
+		return 0, 0, false
+	}
+	lo, hi := xs[0], xs[0]
+	for _, x := range xs[1:] {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	span := uint64(hi) - uint64(lo) // the values are lo+0 … lo+span
+	if span >= 64*uint64(len(xs)) || span >= maxSpanBits {
+		return 0, 0, false
+	}
+	return lo, int(span/64) + 1, true
+}
+
+// spanSeen recycles the bitsets of bitSeen.
+var spanSeen = sync.Pool{New: func() any { return new([]uint64) }}
+
+// bitSeen is a seen-set over the values lo, lo+1, …, one bit each in set,
+// which must cover every value asked about and start cleared.
+func bitSeen(lo int64, set []uint64) func(int64) bool {
+	return func(x int64) bool {
+		i := uint64(x) - uint64(lo)
+		w, bit := &set[i>>6], uint64(1)<<(i&63)
+		met := *w&bit != 0
+		*w |= bit
+		return met
+	}
+}
+
+// mapSeen is a seen-set over any comparable values.
+func mapSeen[T comparable]() func(T) bool {
+	set := make(map[T]struct{})
+	return func(x T) bool {
+		if _, ok := set[x]; ok {
+			return true
+		}
+		set[x] = struct{}{}
+		return false
+	}
 }
 
 // decode gathers each row's entry straight into dst's tail, unpacking the

@@ -206,7 +206,8 @@ func bestEncoding(v *table.Vector) (CodecID, []byte, error) {
 
 // bestCodec returns the candidate whose payload for v is smallest, the
 // first one among equals, and that payload's length. Dict is the one
-// sizing pass that hashes, so it runs last and stops once it cannot win:
+// sizing pass that tracks every value it has seen, so it runs last and
+// stops once it cannot win:
 // it must come in below every earlier candidate and at or below every
 // later one. Raw always applies, so there is always a winner.
 func bestCodec(v *table.Vector) (Codec, int) {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -81,8 +82,12 @@ func FuzzCodecSize(f *testing.F) {
 	f.Add(intBytes(seq(-2, 3)...), uint8(5))                                     // card 5 = 2^2+1
 	f.Add([]byte("a\x00bb\x00a\x00\x00ccc\x00bb"), uint8(2))                     // strings with an empty one
 	f.Add(bytes.Repeat([]byte("Books\x00Toys\x00"), 64), uint8(0))               // low-cardinality strings
-	f.Add(intBytes(math.MinInt64, math.MinInt64+3, math.MinInt64+1), uint8(1))   // INTs at −2^63
-	f.Add(intBytes(math.MaxInt64, math.MaxInt64-2, math.MaxInt64), uint8(1))     // INTs at 2^63−1
+	f.Add(intBytes(1000, 1003, 1001, 1000, 1007), uint8(4))                      // narrow span: bitset seen-set
+	f.Add(intBytes(0, 64*2), uint8(0))                                           // span 64n: just past the bitset
+	f.Add(intBytes(0, 64*2-1), uint8(0))                                         // span 64n−1: the widest bitset for n
+	f.Add(intBytes(5, 5, 5), uint8(9))                                           // span 0: a one-word bitset
+	f.Add(intBytes(math.MinInt64, math.MinInt64+3, math.MinInt64+1), uint8(1))   // narrow span at −2^63
+	f.Add(intBytes(math.MaxInt64, math.MaxInt64-2, math.MaxInt64), uint8(1))     // narrow span at 2^63−1
 	f.Fuzz(func(t *testing.T, data []byte, repeat uint8) {
 		for _, v := range sizeVectors(data, repeat) {
 			for _, c := range codecs {
@@ -234,6 +239,77 @@ func TestSampledRankingMatchesEncodedSamples(t *testing.T) {
 		if got.Codec != want.Codec || got.Rows != want.Rows || !bytes.Equal(got.Data, want.Data) {
 			t.Fatalf("%s n=%d sample %d: chose %s (%d bytes), reference %s (%d bytes)",
 				typ, n, sr, got.Codec, len(got.Data), want.Codec, len(want.Data))
+		}
+	}
+}
+
+// TestDictSizeSeenSetsAgree: dictSizeBelow returns the same value at every
+// limit whether it tracks seen INT values in a bitset over their span or in
+// a map — on narrow spans, span 0, spans at the ±2^63 edges and spans at
+// both bitset thresholds (64 bits per value, maxSpanBits) and one either
+// side — and sizeBelow, which picks the seen-set, returns it too.
+func TestDictSizeSeenSetsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	var cols [][]int64
+	for _, base := range []int64{0, -5000, math.MinInt64, math.MaxInt64 - 5000} {
+		for _, span := range []int64{1, 3, 60, 500, 5000} {
+			xs := make([]int64, 1+rng.Intn(400))
+			for i := range xs {
+				xs[i] = base + rng.Int63n(span)
+				if i > 0 && rng.Intn(3) == 0 {
+					xs[i] = xs[i-1] // runs
+				}
+			}
+			cols = append(cols, xs)
+		}
+	}
+	// spread returns n values whose span is exactly span, the rest random
+	// inside it, starting at base.
+	spread := func(base int64, n int, span int64) []int64 {
+		xs := []int64{base, base + span}
+		for len(xs) < n {
+			xs = append(xs, base+rng.Int63n(span+1))
+		}
+		return xs
+	}
+	cols = append(cols,
+		[]int64{7}, []int64{-3, -3, -3}, // span 0
+		[]int64{math.MinInt64, math.MinInt64 + 1, math.MinInt64},
+		[]int64{math.MaxInt64, math.MaxInt64 - 1, math.MaxInt64},
+	)
+	for _, d := range []int64{-1, 0, 1} {
+		cols = append(cols, spread(-40, 5, 64*5+d), spread(math.MaxInt64-64*9-d, 9, 64*9+d))
+		// Enough values that the cap, not 64 bits per value, decides: span
+		// maxSpanBits−1 is a bitset exactly at the cap.
+		cols = append(cols, spread(0, maxSpanBits/64+int(d)+1, maxSpanBits-1+d))
+	}
+	for _, xs := range cols {
+		lo, hi := slices.Min(xs), slices.Max(xs)
+		span := uint64(hi) - uint64(lo)
+		_, words, ok := spanWords(xs)
+		if want := span < 64*uint64(len(xs)) && span < maxSpanBits; ok != want || ok && words != int(span/64)+1 {
+			t.Fatalf("n=%d span=%d: spanWords = %d words, %v", len(xs), span, words, ok)
+		}
+		exact := dictSizeBelow(xs, varintLen, math.MaxInt, mapSeen[int64]())
+		v := &table.Vector{Type: table.Int, Ints: xs}
+		limits := []int{0, 1, exact / 2, exact - 1, exact, exact + 1}
+		if len(xs) <= 400 {
+			limits = limits[:0]
+			for limit := 0; limit <= exact+1; limit++ {
+				limits = append(limits, limit)
+			}
+		}
+		for _, limit := range limits {
+			byMap := dictSizeBelow(xs, varintLen, limit, mapSeen[int64]())
+			if span <= 2*maxSpanBits {
+				set := make([]uint64, span/64+1)
+				if bits := dictSizeBelow(xs, varintLen, limit, bitSeen(lo, set)); bits != byMap {
+					t.Fatalf("n=%d span=%d limit=%d: bitset %d, map %d", len(xs), span, limit, bits, byMap)
+				}
+			}
+			if got, _ := (dictCodec{}).sizeBelow(v, limit); got != byMap {
+				t.Fatalf("n=%d span=%d limit=%d: sizeBelow %d, map %d", len(xs), span, limit, got, byMap)
+			}
 		}
 	}
 }

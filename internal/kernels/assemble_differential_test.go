@@ -14,8 +14,9 @@ import (
 	"github.com/shortcircuit-db/sc/internal/table"
 )
 
-// This file checks the join kernel's columnar paths — typed key probe,
-// counting-sort bucketing, typed gathers and bulk appends — against a
+// This file checks the join kernel's columnar paths — typed key probe (a
+// branch-free one on a unique single key), build-side columns gathered by
+// build ordinal, typed gathers and bulk appends — against a
 // copy of the value-at-a-time join they replaced (perValue*): a map keyed
 // by the bytes of the shared key ids, per-row accessor closures, a sorted
 // bucketing and one Builder append per value. Both must produce the same
@@ -31,6 +32,14 @@ type perValueJoined struct {
 	right  []int
 
 	leftCCs, rightCCs []*chunkCtx
+}
+
+// localRow maps a selected-row ordinal back to the group-local row index.
+func (g *joinGroup) localRow(ord int) int {
+	if g.sel == nil {
+		return ord - g.base
+	}
+	return int(g.sel[ord-g.base])
 }
 
 func (jd *perValueJoined) finish() {
@@ -585,5 +594,223 @@ func TestPerValueReferenceMatchesRowEngine(t *testing.T) {
 		want, wantErr := c.build().Run(rowCtx)
 		got, gotErr := perValueRun(j, vecCtx)
 		mustEqual(t, int64(seed), "per-value reference", want, got, wantErr, gotErr)
+	}
+}
+
+// intTable builds a table of INT columns named cols, row i of column c
+// being val(c, i).
+func intTable(n int, val func(c, i int) int64, cols ...string) *table.Table {
+	sch := table.Schema{}
+	for _, name := range cols {
+		sch.Cols = append(sch.Cols, table.Column{Name: name, Type: table.Int})
+	}
+	tb := table.New(sch)
+	for c := range cols {
+		for i := 0; i < n; i++ {
+			tb.Cols[c].Ints = append(tb.Cols[c].Ints, val(c, i))
+		}
+	}
+	return tb
+}
+
+// filteredJoinCase is Filter(HashJoin(L, R), pred) on one key per side, or
+// the bare join when pred is nil; pred's column indexes are the joined
+// table's (left columns first).
+func filteredJoinCase(left, right *table.Table, lKey, rKey int, lOpts, rOpts encChoice, pred engine.Expr) assemblyCase {
+	return assemblyCase{
+		left: left, right: right, lOpts: lOpts, rOpts: rOpts,
+		outOpts: encoding.Options{ChunkRows: 16},
+		build: func() engine.Node {
+			var n engine.Node = &engine.HashJoin{
+				Left:      &engine.Scan{Name: "L", Sch: left.Schema},
+				Right:     &engine.Scan{Name: "R", Sch: right.Schema},
+				LeftKeys:  []int{lKey},
+				RightKeys: []int{rKey},
+			}
+			if pred != nil {
+				n = &engine.Filter{Input: n, Pred: pred}
+			}
+			return n
+		},
+	}
+}
+
+// joinedFor lowers c and runs its join phases, for tests that inspect the
+// build table and the pairs.
+func joinedFor(t *testing.T, c assemblyCase) (*HashJoinScan, *joined) {
+	t.Helper()
+	_, vecCtx := joinCtxFor(t, map[string]*table.Table{"L": c.left, "R": c.right},
+		map[string]encChoice{"L": c.lOpts, "R": c.rOpts})
+	j, ok := c.lowerJoin()
+	if !ok {
+		t.Fatal("plan did not lower onto the join kernel")
+	}
+	jd, err := j.join(vecCtx)
+	if err != nil || jd == nil {
+		t.Fatalf("join: %v (fell back: %v)", err, jd == nil)
+	}
+	return j, jd
+}
+
+// deadGroups counts the build groups no surviving pair reads.
+func deadGroups(jd *joined) int {
+	dead := 0
+	for _, live := range jd.survivors().live {
+		if !live {
+			dead++
+		}
+	}
+	return dead
+}
+
+// TestJoinAssemblyOrdinalGather: build-side columns laid out by build
+// ordinal and gathered by each pair's ordinal match the per-value loop —
+// chunks, builder counters and Stats, DecodedBytes included — on a build
+// side of five row groups, one of which no pair reads, with a build-side
+// predicate, non-unique build keys, and output columns in code space
+// (dictionary STRING) and value space (delta INT, FLOAT), under every
+// build-side chunk layout the kernels read (an older store's RLE chunks
+// included).
+func TestJoinAssemblyOrdinalGather(t *testing.T) {
+	const perGroup, groups = 8, 5
+	n := perGroup * groups
+	right := table.New(table.NewSchema(
+		table.Column{Name: "rk", Type: table.Int},
+		table.Column{Name: "rs", Type: table.Str},
+		table.Column{Name: "ri", Type: table.Int},
+		table.Column{Name: "rf", Type: table.Float},
+		table.Column{Name: "rflag", Type: table.Int},
+	))
+	for i := 0; i < n; i++ {
+		key := int64(i / 2) // every key twice
+		if i/perGroup == 2 {
+			key = int64(1000 + i) // group 2's keys: no probe row has them
+		}
+		right.Cols[0].Ints = append(right.Cols[0].Ints, key)
+		right.Cols[1].Strs = append(right.Cols[1].Strs, fmt.Sprintf("s%d", i%3))
+		right.Cols[2].Ints = append(right.Cols[2].Ints, int64(3*i))
+		right.Cols[3].Floats = append(right.Cols[3].Floats, float64(i)/4)
+		right.Cols[4].Ints = append(right.Cols[4].Ints, int64(i%3))
+	}
+	left := intTable(64, func(c, i int) int64 { return []int64{int64(i % 20), int64(i)}[c] }, "lk", "lp")
+	// rflag is joined column 2 + 4: the predicate drops every third build row.
+	pred := &engine.Bin{Op: engine.OpNe, L: &engine.ColRef{Idx: 6}, R: &engine.Lit{V: table.IntValue(0)}}
+	for _, rOpts := range []encChoice{
+		{opts: encoding.Options{ChunkRows: perGroup}},
+		{opts: encoding.Options{ChunkRows: perGroup}, rleEvery: 2},
+	} {
+		c := filteredJoinCase(left, right, 0, 0, encChoice{opts: encoding.Options{ChunkRows: 16}}, rOpts, pred)
+		j, jd := joinedFor(t, c)
+		if j.Right.Pred == nil || jd.unique || len(jd.groups) < 3 || deadGroups(jd) == 0 || len(jd.right) == 0 {
+			t.Fatalf("rle %d: want a filtered, non-unique build side of ≥ 3 groups with a dead one and pairs; pred %v, unique %v, %d groups, %d dead, %d pairs",
+				rOpts.rleEvery, j.Right.Pred != nil, jd.unique, len(jd.groups), deadGroups(jd), len(jd.right))
+		}
+		checkAssembly(t, fmt.Sprintf("ordinal gather, rle %d", rOpts.rleEvery), c)
+	}
+}
+
+// TestJoinAssemblyOrdinalGatherOverflow: a build-side dictionary column
+// whose output dictionary overflows partway through its build groups — 65
+// groups with survivors of 1,024 distinct strings each against
+// chunkio.DefaultMaxEntries, past non-unique keys, a build-side predicate
+// and a group no pair reads — leaves code space for value space and still
+// matches the per-value loop.
+func TestJoinAssemblyOrdinalGatherOverflow(t *testing.T) {
+	const chunkRows, perGroup, groups, dead = 2048, 1024, 66, 3
+	n := chunkRows * groups
+	right := table.New(table.NewSchema(
+		table.Column{Name: "rk", Type: table.Int},
+		table.Column{Name: "rs", Type: table.Str},
+		table.Column{Name: "rflag", Type: table.Int},
+	))
+	for i := 0; i < n; i++ {
+		right.Cols[0].Ints = append(right.Cols[0].Ints, int64(i/2))
+		right.Cols[1].Strs = append(right.Cols[1].Strs, fmt.Sprintf("r%06d", i/chunkRows*perGroup+i%perGroup))
+		right.Cols[2].Ints = append(right.Cols[2].Ints, int64(i%4))
+	}
+	// Probe keys cover every build key but those of group dead.
+	left := intTable(n/2, func(c, i int) int64 {
+		if c == 0 && i/(chunkRows/2) == dead {
+			return -1 - int64(i)
+		}
+		return int64(i)
+	}, "lk", "lp")
+	pred := &engine.Bin{Op: engine.OpNe, L: &engine.ColRef{Idx: 4}, R: &engine.Lit{V: table.IntValue(0)}}
+	opts := encChoice{opts: encoding.Options{ChunkRows: chunkRows}}
+	c := filteredJoinCase(left, right, 0, 0, opts, opts, pred)
+	j, jd := joinedFor(t, c)
+	if j.Right.Pred == nil || jd.unique || deadGroups(jd) != 1 {
+		t.Fatalf("want a filtered, non-unique build side with one dead group; pred %v, unique %v, %d dead",
+			j.Right.Pred != nil, jd.unique, deadGroups(jd))
+	}
+	_, rightOut := j.outLayout()
+	b := chunkio.NewBuilder(j.Sch, c.outOpts, len(jd.right))
+	if inCode, err := jd.rightIDs(b, rightOut[1], jd.survivors(), make([]int32, jd.nBuild)); err != nil || inCode {
+		t.Fatalf("build-side dictionary column stayed in code space (err %v)", err)
+	}
+	checkAssembly(t, "ordinal gather, overflow", c)
+}
+
+// TestJoinUniqueProbe: the branch-free probe against a unique single-key
+// build side matches the per-value loop with probe keys the build side
+// never saw (-1), keys it interned but whose rows its predicate dropped, a
+// probe-side predicate that selects every row of one probe group, some of
+// others and none of one, and an empty build side, for INT and STRING
+// keys.
+func TestJoinUniqueProbe(t *testing.T) {
+	const perGroup = 16
+	for _, typ := range []table.Type{table.Int, table.Str} {
+		key := func(x int64) table.Value {
+			if typ == table.Int {
+				return table.IntValue(x)
+			}
+			return table.StrValue(fmt.Sprintf("k%d", x))
+		}
+		mk := func(n int, row func(i int) []table.Value, cols ...table.Column) *table.Table {
+			tb := table.New(table.NewSchema(cols...))
+			for i := 0; i < n; i++ {
+				if err := tb.AppendRow(row(i)...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return tb
+		}
+		for _, nRight := range []int{40, 0} {
+			// Build keys 0, 3, 6, …; rflag drops every fourth build row.
+			right := mk(nRight, func(i int) []table.Value {
+				return []table.Value{key(int64(3 * i)), table.IntValue(int64(i % 4)), table.StrValue(fmt.Sprintf("v%d", i%5))}
+			}, table.Column{Name: "rk", Type: typ}, table.Column{Name: "rflag", Type: table.Int}, table.Column{Name: "rv", Type: table.Str})
+			// Probe keys 0 … 89 (most miss); lflag selects all of group 0,
+			// none of group 2 and alternate rows elsewhere.
+			left := mk(5*perGroup, func(i int) []table.Value {
+				flag := int64(i % 2)
+				switch i / perGroup {
+				case 0:
+					flag = 1
+				case 2:
+					flag = 0
+				}
+				return []table.Value{table.IntValue(int64(i)), key(int64(i + i/7)), table.IntValue(flag)}
+			}, table.Column{Name: "lp", Type: table.Int}, table.Column{Name: "lk", Type: typ}, table.Column{Name: "lflag", Type: table.Int})
+			pred := &engine.Bin{Op: engine.OpAnd,
+				L: &engine.Bin{Op: engine.OpEq, L: &engine.ColRef{Idx: 2}, R: &engine.Lit{V: table.IntValue(1)}},
+				R: &engine.Bin{Op: engine.OpNe, L: &engine.ColRef{Idx: 4}, R: &engine.Lit{V: table.IntValue(0)}}}
+			for _, p := range []engine.Expr{nil, pred} {
+				desc := fmt.Sprintf("%s keys, %d build rows, filtered %v", typ, nRight, p != nil)
+				c := filteredJoinCase(left, right, 1, 0, encChoice{opts: encoding.Options{ChunkRows: perGroup}},
+					encChoice{opts: encoding.Options{ChunkRows: 8}}, p)
+				j, jd := joinedFor(t, c)
+				if p != nil && (j.Left.Pred == nil || j.Right.Pred == nil) {
+					t.Fatalf("%s: predicate did not reach both sides", desc)
+				}
+				if (jd.ordOf != nil) != (nRight > 0) {
+					t.Fatalf("%s: branch-free probe %v, want %v", desc, jd.ordOf != nil, nRight > 0)
+				}
+				if nRight > 0 && (len(jd.right) == 0 || int64(len(jd.right)) == j.St.JoinProbeRows) {
+					t.Fatalf("%s: %d pairs of %d probed rows, want hits and misses", desc, len(jd.right), j.St.JoinProbeRows)
+				}
+				checkAssembly(t, desc, c)
+			}
+		}
 	}
 }

@@ -137,8 +137,9 @@ func FuzzPredTranslate(f *testing.F) {
 // payload column each), both sides are chunked with fuzz-chosen chunk
 // sizes, and the join kernel must produce byte-identical output to the row
 // engine's hash join — whatever mix of dict/delta/raw key chunks the
-// encoder picks, through the build table indexed by shared key id (one key)
-// or by composite id (two) — and must never panic. keyTypes bit 0 makes the
+// encoder picks, through the build table indexed by shared key id (one key;
+// a unique one is probed branch-free) or by composite id (two) — and must
+// never panic. keyTypes bit 0 makes the
 // first key a string, bit 1 adds a second key, bit 2 makes it a string. A
 // side's chunk byte picks its chunk size (low bits) and, in bits 3–4, how
 // many of its chunks are rewritten as an older store's RLE chunks
@@ -153,6 +154,11 @@ func FuzzJoinKeys(f *testing.F) {
 	f.Add([]byte{9, 8, 7, 9, 8, 7, 1, 1, 1, 1}, uint8(0), uint8(3), uint8(3))
 	f.Add([]byte{4, 4, 4, 5, 5, 5, 6, 6}, uint8(5), uint8(0), uint8(6))
 	f.Add([]byte{3, 3, 3, 3, 8, 8, 3, 3, 3, 8, 8, 8}, uint8(10), uint8(20), uint8(3))
+	// Unique single keys (the branch-free probe) with probe misses, and an
+	// empty build side.
+	f.Add([]byte{1, 2, 3, 4, 5, 7, 0, 2, 4, 6, 8, 10}, uint8(2), uint8(1), uint8(0))
+	f.Add([]byte{3, 4, 0, 0, 1, 2, 8}, uint8(1), uint8(2), uint8(1))
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(0))
 
 	f.Fuzz(func(t *testing.T, data []byte, chunkL, chunkR, keyTypes uint8) {
 		nKeys := 1 + int(keyTypes>>1&1)

@@ -3,6 +3,7 @@ package kernels
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"github.com/shortcircuit-db/sc/internal/chunkio"
 	"github.com/shortcircuit-db/sc/internal/encoding"
@@ -49,16 +50,21 @@ func (s *JoinSide) label() string {
 //
 //   - the build (right) side keys its selected rows by shared key id (by a
 //     dense composite id on a multi-key join) and lays them out by key with
-//     one counting pass, an array indexed by id rather than a hash map;
+//     one counting pass, an array indexed by id rather than a hash map; a
+//     build side whose single key is unique is one build ordinal per key id;
 //   - the probe (left) side looks its keys up without interning: a key the
 //     build side never saw yields -1 and its row drops before any other
-//     column decodes;
+//     column decodes. Against a unique single-key build side the probe
+//     writes every row's pair and advances by a 0/1 hit, with no branch per
+//     row;
 //   - only the surviving (leftRow, rightRow) pairs late-materialize, in the
-//     row engine's exact output order (probe order, then build order): per
-//     probe-group segment and per build group (bucketed by one counting pass
-//     over build ordinals), each output column is gathered from its chunk
+//     row engine's exact output order (probe order, then build order). A
+//     probe-side column is gathered per probe-group segment from its chunk
 //     as a typed slice — a decoded vector by index, dictionary entries by
-//     code — or passed on as remapped codes.
+//     code — or passed on as remapped codes. A build-side column is laid
+//     out once by build ordinal (the selected rows of every build group
+//     with a survivor, as values or remapped codes) and then gathered by
+//     each pair's ordinal in one sequential pass.
 //
 // Key columns must be INT or STRING with equal types on both sides — the
 // types whose value equality matches the row engine's key encoding
@@ -77,9 +83,9 @@ func (s *JoinSide) label() string {
 // remapped codes, appended in bulk (Builder.AppendCodes), so a two-level
 // join tree composes in code space end to end; every other column is
 // gathered straight into the builder's pending vector (Builder.AppendWith)
-// or, on the build side, gathered whole and handed over to the builder,
-// which keeps it (Builder.AppendVector). Run scatters the same typed
-// gathers into a table.
+// or, on the build side, gathered by ordinal into a vector handed over to
+// the builder, which keeps it (Builder.AppendVector). Run gathers the same
+// typed columns into a table.
 type HashJoinScan struct {
 	Left, Right         JoinSide
 	LeftKeys, RightKeys []int
@@ -115,14 +121,6 @@ type joinGroup struct {
 
 // outCol wires one output column to a side-local source column.
 type outCol struct{ out, src int }
-
-// localRow maps a selected-row ordinal back to the group-local row index.
-func (g *joinGroup) localRow(ord int) int {
-	if g.sel == nil {
-		return ord - g.base
-	}
-	return int(g.sel[ord-g.base])
-}
 
 // resolveSides resolves both join inputs in chunked form. Scan sides probe
 // the resolver first: they are cheap, and their failure means the kernel
@@ -189,7 +187,7 @@ func (j *HashJoinScan) Run(ctx *engine.Context) (*table.Table, error) {
 	}
 	// Late-materialize only the surviving pairs, one typed column at a time:
 	// probe-side columns gather straight into their output vector, build-side
-	// ones gather per build group and scatter into place.
+	// ones by build ordinal.
 	out := table.New(j.Sch)
 	nPairs := len(jd.right)
 	leftOut, rightOut := j.outLayout()
@@ -201,10 +199,10 @@ func (j *HashJoinScan) Run(ctx *engine.Context) (*table.Table, error) {
 		out.Cols[oc.out] = dst
 	}
 	if len(rightOut) > 0 {
-		bk := bucketByGroup(jd.right, jd.groups, len(jd.rows))
+		dm := jd.survivors()
 		for _, oc := range rightOut {
-			dst := table.MakeVector(j.Sch.Cols[oc.out].Type, nPairs, nPairs)
-			if err := jd.gatherRight(dst, bk, oc.src); err != nil {
+			dst, err := jd.rightValues(oc.src, j.Sch.Cols[oc.out].Type, dm)
+			if err != nil {
 				return nil, j.wrap(err)
 			}
 			out.Cols[oc.out] = dst
@@ -275,9 +273,14 @@ type joined struct {
 	// start and rows are the build table, laid out by build key: the build
 	// ordinals of key k are rows[start[k]:start[k+1]], ascending. unique
 	// reports that no key has more than one build row, so no probe row
-	// joins more than once.
+	// joins more than once. A unique single-key build table with rows is
+	// ordOf instead (start and rows nil): ordOf[k+1] is key k's build
+	// ordinal, or -1 when k has no build row, and ordOf[0] is -1 for a probe
+	// key the build side never saw.
 	start, rows []int32
+	ordOf       []int32
 	unique      bool
+	nBuild      int          // build ordinals: the selected build rows
 	groups      []*joinGroup // build-side groups with selected rows
 
 	// The surviving pairs in output order: the probe group's local row and
@@ -332,12 +335,14 @@ func (jd *joined) key(ids [][]int32, i int, add bool, scratch []byte) int32 {
 
 // index lays the build table out by key with one counting pass over the
 // build keys, which are in ordinal order, so each key's ordinals come out
-// ascending — the row engine's build order.
+// ascending — the row engine's build order. A unique single-key build
+// table becomes ordOf, in the counts' storage.
 func (jd *joined) index(keys []int32) {
 	nk := len(jd.composite)
 	if jd.composite == nil {
 		nk = jd.kds[0].Len()
 	}
+	jd.nBuild = len(keys)
 	jd.start = make([]int32, nk+1)
 	jd.unique = true
 	for _, k := range keys {
@@ -345,6 +350,16 @@ func (jd *joined) index(keys []int32) {
 		if jd.start[k+1] > 1 {
 			jd.unique = false
 		}
+	}
+	if jd.unique && jd.composite == nil && len(keys) > 0 {
+		jd.ordOf, jd.start = jd.start, nil
+		for k := range jd.ordOf {
+			jd.ordOf[k] = -1
+		}
+		for ord, k := range keys {
+			jd.ordOf[k+1] = int32(ord)
+		}
+		return
 	}
 	for k := 1; k <= nk; k++ {
 		jd.start[k] += jd.start[k-1]
@@ -429,7 +444,7 @@ func (j *HashJoinScan) buildPhase(jd *joined, rct *encoding.Compressed, rgroups 
 // rows, and their slices are reserved once at that size (unless the build
 // side is empty, when there are none).
 func (j *HashJoinScan) probePhase(jd *joined, lct *encoding.Compressed, lgroups []int) error {
-	if jd.unique && len(jd.rows) > 0 {
+	if jd.unique && jd.nBuild > 0 {
 		jd.leftRows = make([]int32, 0, lct.NRows)
 		jd.right = make([]int32, 0, lct.NRows)
 	}
@@ -440,20 +455,11 @@ func (j *HashJoinScan) probePhase(jd *joined, lct *encoding.Compressed, lgroups 
 			if err := keyIDs(cc, j.LeftKeys, jd.kds, false, ids); err != nil {
 				return err
 			}
-			probed := 0
-			for i := 0; i < cc.rows; i++ {
-				if sel != nil && !sel.get(i) {
-					continue
-				}
-				probed++
-				k := jd.key(ids, i, false, scratch)
-				if k < 0 {
-					continue
-				}
-				for _, r := range jd.rows[jd.start[k]:jd.start[k+1]] {
-					jd.leftRows = append(jd.leftRows, int32(i))
-					jd.right = append(jd.right, r)
-				}
+			var probed int
+			if jd.ordOf != nil {
+				probed = jd.probeUnique(ids[0][:cc.rows], sel)
+			} else {
+				probed = jd.probe(ids, cc.rows, sel, scratch)
 			}
 			cc.st.JoinProbeRows += int64(probed)
 			if prev := segEnd(jd.segs); len(jd.leftRows) > prev {
@@ -461,6 +467,58 @@ func (j *HashJoinScan) probePhase(jd *joined, lct *encoding.Compressed, lgroups 
 			}
 			return nil
 		})
+}
+
+// probe appends one probe group's pairs, given the per-key-position ids of
+// its rows, looking each selected row's key up in the build table. It
+// returns the rows probed.
+func (jd *joined) probe(ids [][]int32, rows int, sel *bitmap, scratch []byte) int {
+	probed := 0
+	for i := 0; i < rows; i++ {
+		if sel != nil && !sel.get(i) {
+			continue
+		}
+		probed++
+		k := jd.key(ids, i, false, scratch)
+		if k < 0 {
+			continue
+		}
+		for _, r := range jd.rows[jd.start[k]:jd.start[k+1]] {
+			jd.leftRows = append(jd.leftRows, int32(i))
+			jd.right = append(jd.right, r)
+		}
+	}
+	return probed
+}
+
+// probeUnique appends one probe group's pairs against a unique single-key
+// build table (ordOf) without a branch per row: each row's pair is written
+// at the next free slot of the pair slices, which advances by a 0/1 hit
+// that folds in a miss and the row's selection bit. It returns the rows
+// probed.
+func (jd *joined) probeUnique(ids []int32, sel *bitmap) int {
+	jd.leftRows = slices.Grow(jd.leftRows, len(ids))
+	jd.right = slices.Grow(jd.right, len(ids))
+	n := len(jd.right)
+	left, right := jd.leftRows[:n+len(ids)], jd.right[:n+len(ids)]
+	ordOf := jd.ordOf
+	probed := len(ids)
+	if sel == nil {
+		for i, k := range ids {
+			r := ordOf[k+1]
+			left[n], right[n] = int32(i), r
+			n += int(uint32(^r) >> 31) // 1 unless r is -1
+		}
+	} else {
+		probed = sel.count()
+		for i, k := range ids {
+			r := ordOf[k+1]
+			left[n], right[n] = int32(i), r
+			n += int(uint32(^r)>>31) & int(sel.words[i>>6]>>uint(i&63)&1)
+		}
+	}
+	jd.leftRows, jd.right = left[:n], right[:n]
+	return probed
 }
 
 // segEnd is the end of the last segment, 0 when there is none.
@@ -507,67 +565,118 @@ func (jd *joined) gatherLeft(dst *table.Vector, src int) error {
 	return nil
 }
 
-// buckets are the surviving pairs' output positions bucketed by build
-// group: order lists them sorted by build ordinal (stably), group g's are
-// order[bounds[g]:bounds[g+1]], and local[k] is the group-local row of
-// order[k]. Ordinals are dense per group and local rows monotone in them,
-// so local rows ascend within each group.
-type buckets struct {
-	order, local []int32
-	bounds       []int
-	max          int // the most positions of any one group
+// demand is the surviving pairs' demand on the build side, shared by every
+// build-side output column: cnt[ord] counts the pairs of build ordinal ord,
+// and live[g] reports that build group g has at least one.
+type demand struct {
+	cnt  []int32
+	live []bool
 }
 
-// bucketByGroup buckets the output positions with one counting pass over
-// their build ordinals (total of them): nothing is sorted.
-func bucketByGroup(right []int32, groups []*joinGroup, total int) *buckets {
-	next := make([]int32, total+1)
-	for _, ord := range right {
-		next[ord+1]++
+// survivors counts the surviving pairs per build ordinal and marks the
+// build groups with any.
+func (jd *joined) survivors() demand {
+	dm := demand{cnt: make([]int32, jd.nBuild), live: make([]bool, len(jd.groups))}
+	for _, ord := range jd.right {
+		dm.cnt[ord]++
 	}
-	for o := 1; o <= total; o++ {
-		next[o] += next[o-1]
-	}
-	bk := &buckets{
-		order:  make([]int32, len(right)),
-		local:  make([]int32, len(right)),
-		bounds: make([]int, len(groups)+1),
-	}
-	for g, jg := range groups {
-		bk.bounds[g+1] = int(next[jg.base+jg.n])
-		bk.max = max(bk.max, bk.bounds[g+1]-bk.bounds[g])
-	}
-	for pos, ord := range right {
-		bk.order[next[ord]] = int32(pos)
-		next[ord]++
-	}
-	for g, jg := range groups {
-		for k := bk.bounds[g]; k < bk.bounds[g+1]; k++ {
-			bk.local[k] = int32(jg.localRow(int(right[bk.order[k]])))
+	for g, jg := range jd.groups {
+		for _, c := range dm.cnt[jg.base : jg.base+jg.n] {
+			if c > 0 {
+				dm.live[g] = true
+				break
+			}
 		}
 	}
-	return bk
+	return dm
 }
 
-// gatherRight scatters one build-side column of the surviving pairs into
-// dst, pre-sized to the output. Each build group with survivors gathers its
-// values once, in ascending local-row order and decoding only what the
-// survivors demand, into a buffer sized for the largest group, then
-// scatters them to their output positions.
-func (jd *joined) gatherRight(dst *table.Vector, bk *buckets, src int) error {
-	buf := table.MakeVector(dst.Type, 0, bk.max)
+// rightValues gathers one build-side column of the surviving pairs into a
+// fresh vector of type t. The column is first laid out by build ordinal:
+// every selected row of each build group with a survivor, read once in
+// ascending local-row order (the rows of a group without one stay zero, and
+// no pair reads them). One sequential pass then gathers each pair's value
+// by its ordinal. Values served from a decoded chunk were counted at
+// decode; values late-materialized from dictionary codes count once per
+// surviving pair, as a gather per pair would have counted them.
+func (jd *joined) rightValues(src int, t table.Type, dm demand) (*table.Vector, error) {
+	byOrd := table.MakeVector(t, jd.nBuild, jd.nBuild)
 	for g, jg := range jd.groups {
-		lo, hi := bk.bounds[g], bk.bounds[g+1]
-		if lo == hi {
+		if !dm.live[g] {
 			continue
 		}
-		buf.Reset()
-		if err := jg.cc.gather(src, bk.local[lo:hi], buf); err != nil {
-			return err
+		// The group's ordinal range, emptied: appending the group's n rows
+		// writes them into byOrd in place.
+		dst := byOrd.Slice(jg.base, jg.base+jg.n)
+		dst.Reset()
+		cc := jg.cc
+		dv, err := cc.dict(src)
+		if err != nil {
+			return nil, err
 		}
-		scatter(dst, bk.order[lo:hi], buf)
+		if dv == nil {
+			vec, err := cc.decode(src, cc.scratch)
+			if err != nil {
+				return nil, err
+			}
+			if jg.sel == nil {
+				dst.AppendVector(vec)
+			} else {
+				dst.AppendRows(vec, jg.sel)
+			}
+			continue
+		}
+		codes, _ := dv.Codes()
+		for k, c := range dm.cnt[jg.base : jg.base+jg.n] {
+			r := k
+			if jg.sel != nil {
+				r = int(jg.sel[k])
+			}
+			code := int(codes[r])
+			dst.AppendAt(&dv.Vector, code)
+			if t == table.Int {
+				cc.st.DecodedBytes += 8 * int64(c)
+			} else {
+				cc.st.DecodedBytes += (int64(len(dv.Strs[code])) + 16) * int64(c)
+			}
+		}
 	}
-	return nil
+	out := table.MakeVector(t, 0, len(jd.right))
+	out.AppendRows(byOrd, jd.right)
+	return out, nil
+}
+
+// rightIDs lays one build-side column out by build ordinal as remapped
+// output-dictionary ids into byOrd, one slot per build ordinal, remapping
+// each build group with a survivor in group order. It reports false when
+// some such group's chunk is not a dictionary chunk or the column cannot
+// take its codes; the column then goes by value.
+func (jd *joined) rightIDs(b *chunkio.Builder, oc outCol, dm demand, byOrd []int32) (bool, error) {
+	for g, jg := range jd.groups {
+		if !dm.live[g] {
+			continue
+		}
+		dv, err := jg.cc.dict(oc.src)
+		if err != nil || dv == nil {
+			return false, err
+		}
+		ids, ok := b.Remap(oc.out, dv)
+		if !ok {
+			return false, nil
+		}
+		codes, _ := dv.Codes()
+		out := byOrd[jg.base : jg.base+jg.n]
+		if jg.sel == nil {
+			for k := range out {
+				out[k] = ids[codes[k]]
+			}
+		} else {
+			for k, r := range jg.sel {
+				out[k] = ids[codes[r]]
+			}
+		}
+	}
+	return true, nil
 }
 
 // assembleLeft appends one probe-side output column to the builder, one
@@ -609,48 +718,36 @@ func (j *HashJoinScan) assembleLeft(b *chunkio.Builder, jd *joined, oc outCol) e
 }
 
 // assembleRight appends the build-side output columns to the builder in
-// output order. A column whose every contributing chunk is dictionary-
+// output order, each laid out once by build ordinal and gathered by every
+// pair's ordinal. A column whose every contributing chunk is dictionary-
 // encoded travels as remapped codes; otherwise its values gather into a
-// fresh pre-sized vector exactly like the materializing path, which the
-// builder keeps.
+// fresh vector sized to the pairs, which the builder keeps.
 func (j *HashJoinScan) assembleRight(b *chunkio.Builder, jd *joined, rightOut []outCol) error {
 	nPairs := len(jd.right)
 	if nPairs == 0 {
 		return nil
 	}
-	bk := bucketByGroup(jd.right, jd.groups, len(jd.rows))
-	codes := make([]int32, nPairs) // rewritten in full by each column read in code space
+	dm := jd.survivors()
+	// Rewritten in full by each column read in code space.
+	byOrdIDs := make([]int32, jd.nBuild)
+	var codes []int32
 	for _, oc := range rightOut {
-		inCode := true
-		for g, jg := range jd.groups {
-			lo, hi := bk.bounds[g], bk.bounds[g+1]
-			if lo == hi {
-				continue
-			}
-			dv, err := jg.cc.dict(oc.src)
-			if err != nil {
-				return err
-			}
-			if dv == nil {
-				inCode = false
-				break
-			}
-			ids, ok := b.Remap(oc.out, dv)
-			if !ok {
-				inCode = false
-				break
-			}
-			cods, _ := dv.Codes()
-			for k, pos := range bk.order[lo:hi] {
-				codes[pos] = ids[cods[bk.local[lo+k]]]
-			}
+		inCode, err := jd.rightIDs(b, oc, dm, byOrdIDs)
+		if err != nil {
+			return err
 		}
 		if inCode {
+			if codes == nil {
+				codes = make([]int32, nPairs)
+			}
+			for pos, ord := range jd.right {
+				codes[pos] = byOrdIDs[ord]
+			}
 			b.AppendCodes(oc.out, codes)
 			continue
 		}
-		dst := table.MakeVector(j.Sch.Cols[oc.out].Type, nPairs, nPairs)
-		if err := jd.gatherRight(dst, bk, oc.src); err != nil {
+		dst, err := jd.rightValues(oc.src, j.Sch.Cols[oc.out].Type, dm)
+		if err != nil {
 			return err
 		}
 		if err := b.AppendVector(oc.out, dst); err != nil {

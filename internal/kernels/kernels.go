@@ -12,8 +12,10 @@
 //   - the join works one row group and one column at a time: each key
 //     column becomes a typed column of shared key ids (a dictionary chunk
 //     looked up once per entry, other codecs as a decoded vector), and only
-//     the columns and rows of its surviving pairs late-materialize, as
-//     typed per-group gathers (gather) appended in bulk;
+//     the columns and rows of its surviving pairs late-materialize: a
+//     probe-side column as typed per-group gathers (gather) appended in
+//     bulk, a build-side column laid out once by build ordinal and then
+//     gathered by each pair's ordinal;
 //   - the aggregate builds only the columns it reads, per row group, and
 //     hands them to the row engine's own accumulator through its one entry
 //     point, AggAcc.AddCols (columns in), so its result is byte-identical by
@@ -277,24 +279,6 @@ func (cc *chunkCtx) gather(col int, rows []int32, dst *table.Vector) error {
 		cc.st.DecodedBytes += int64(len(s)) + 16
 	}
 	return nil
-}
-
-// scatter writes src's k-th value to dst at pos[k], of the same type.
-func scatter(dst *table.Vector, pos []int32, src *table.Vector) {
-	switch dst.Type {
-	case table.Int:
-		for k, p := range pos {
-			dst.Ints[p] = src.Ints[k]
-		}
-	case table.Float:
-		for k, p := range pos {
-			dst.Floats[p] = src.Floats[k]
-		}
-	default:
-		for k, p := range pos {
-			dst.Strs[p] = src.Strs[k]
-		}
-	}
 }
 
 // resolveChunked resolves a scan's table in compressed chunked form, or
