@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"github.com/shortcircuit-db/sc/internal/dag"
 )
 
@@ -65,7 +67,7 @@ func GetConstraints(p *Problem, order []dag.NodeID) *ConstraintSets {
 			for id := range active {
 				set = append(set, id)
 			}
-			sortNodeIDs(set)
+			slices.Sort(set)
 			raw = append(raw, set)
 		}
 		for _, id := range endAt[t] {
@@ -121,38 +123,13 @@ func filterMaximalNonTrivial(raw [][]dag.NodeID, sizes []int64, capacity int64) 
 		seen[key] = true
 		entries = append(entries, entry{set: set, bits: toBits(set), n: len(set)})
 	}
-	keep := make([]bool, len(entries))
-	for i := range keep {
-		keep[i] = true
-	}
-	for i := range entries {
-		if !keep[i] {
-			continue
-		}
-		for j := range entries {
-			if i == j || !keep[i] {
-				continue
-			}
-			if entries[i].n < entries[j].n && subsetBits(entries[i].bits, entries[j].bits) {
-				keep[i] = false
-			}
-		}
-	}
 	var out [][]dag.NodeID
-	for i, e := range entries {
-		if keep[i] {
+	for _, e := range entries {
+		if !slices.ContainsFunc(entries, func(f entry) bool { return e.n < f.n && subsetBits(e.bits, f.bits) }) {
 			out = append(out, e.set)
 		}
 	}
 	return out
-}
-
-func sortNodeIDs(a []dag.NodeID) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
-		}
-	}
 }
 
 func fingerprint(set []dag.NodeID) string {

@@ -5,6 +5,10 @@
 // Controller with more than one token dispatches ready nodes by
 // (DispatchRank).
 //
+// Memory is measured by walking a plan. Schedule is the one serial forward
+// model of a refresh (§III-C); MemoryTimeline, PeakMemoryUsage and Feasible
+// are its unit-time case, and internal/sim prices it on a device.
+//
 // Inputs mirror Problem 1 of the paper: a dependency DAG G, per-node output
 // sizes S, per-node speedup scores T, and the Memory Catalog size M. A
 // solution is an execution order τ together with a set U of flagged nodes
@@ -21,6 +25,7 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -272,37 +277,27 @@ func DispatchRank(g *dag.Graph, order []dag.NodeID, seconds []float64) []int {
 // from its own step through the step of its last child. Linear in nodes plus
 // edges.
 func PeakMemoryUsage(p *Problem, pl *Plan) int64 {
-	var peak int64
-	for _, cur := range MemoryTimeline(p, pl) {
-		if cur > peak {
-			peak = cur
-		}
-	}
-	return peak
+	out, _ := unitTime(p, pl, nil).Run(context.TODO()) // fails only when the context is done
+	return out.Peak
 }
 
 // MemoryTimeline returns the resident flagged bytes at every step.
 func MemoryTimeline(p *Problem, pl *Plan) []int64 {
-	n := p.G.Len()
-	pos := Positions(pl.Order)
-	rel := ReleasePositions(p.G, pl.Order)
-	// Difference array over steps: +size at pos, -size after rel.
-	delta := make([]int64, n+1)
-	for i := 0; i < n; i++ {
-		if !pl.Flagged[i] {
-			continue
-		}
-		size := p.ResidentSize(pl, dag.NodeID(i))
-		delta[pos[i]] += size
-		delta[rel[i]+1] -= size
-	}
-	out := make([]int64, n)
-	var cur int64
-	for t := 0; t < n; t++ {
-		cur += delta[t]
-		out[t] = cur
-	}
+	out := make([]int64, p.G.Len())
+	unitTime(p, pl, func(r StepRecord) { out[r.Step] = r.Resident }).Run(context.TODO()) // fails only when the context is done
 	return out
+}
+
+// unitTime is the Schedule of the unit-time model: every node takes one
+// unit, every write lands at once, nothing caps the catalog, and a flagged
+// node is charged its ResidentSize.
+func unitTime(p *Problem, pl *Plan, done func(StepRecord)) *Schedule {
+	return &Schedule{
+		G: p.G, Plan: pl, Cap: math.MaxInt64,
+		Size:    func(id dag.NodeID) int64 { return p.ResidentSize(pl, id) },
+		Compute: func(dag.NodeID) float64 { return 1 },
+		OnDone:  done,
+	}
 }
 
 // AverageMemoryUsage is the objective of S/C Opt Order (Problem 3):

@@ -1,8 +1,7 @@
-// Package sim is a discrete-event simulator of S/C refresh runs. It shares
-// the Controller's policy—serial node execution, flagged outputs created in
-// the Memory Catalog, background materialization overlapped with downstream
-// compute, release on last dependent—but advances a virtual clock using the
-// device cost model instead of moving real bytes. This is how the paper's
+// Package sim prices S/C refresh runs on a device instead of moving real
+// bytes. It walks a plan with core.Schedule, the one serial forward model
+// that is also core's memory proof, and times each read, compute and write
+// from the DeviceProfile on a virtual clock. This is how the paper's
 // 10GB–1TB experiments are reproduced on a laptop: the real engine
 // validates the mechanism at small scale, the simulator sweeps the paper's
 // scales with the measured device profile.
@@ -12,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/shortcircuit-db/sc/internal/core"
@@ -126,10 +126,7 @@ func Run(ctx context.Context, w *Workload, plan *core.Plan, cfg Config) (*Result
 	if len(plan.Flagged) != w.G.Len() {
 		return nil, fmt.Errorf("sim: plan flags %d nodes of %d", len(plan.Flagged), w.G.Len())
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = 1
-	}
+	workers := float64(max(cfg.Workers, 1))
 	if cfg.RunID != "" {
 		// cfg is a copy; scoping its observer covers every emission below.
 		cfg.Observer = obs.WithRun(cfg.RunID, cfg.Observer)
@@ -137,274 +134,87 @@ func Run(ctx context.Context, w *Workload, plan *core.Plan, cfg Config) (*Result
 	if cfg.Base.IsZero() {
 		cfg.Base = time.Now()
 	}
-	s := &simState{
-		w:       w,
-		cfg:     cfg,
-		o:       cfg.Observer,
-		readBW:  cfg.Device.DiskReadBW * float64(workers),
-		writeBW: cfg.Device.DiskWriteBW * float64(workers),
-		memBW:   cfg.Device.MemReadBW,
-		latency: cfg.Device.DiskLatency.Seconds(),
-		scale:   cfg.Device.ComputeScale / float64(workers),
-		flagged: make(map[dag.NodeID]*flaggedEntry),
-		res:     &Result{},
+	d := cfg.Device
+	latency := d.DiskLatency.Seconds()
+	scale := d.ComputeScale / workers
+	emit := func(e obs.Event, at float64) {
+		e.At = cfg.Base.Add(vclock(at))
+		obs.Emit(cfg.Observer, e)
 	}
+	// read prices reading bytes from memory when fast, else from storage.
+	read := func(bytes int64, fast bool) float64 {
+		switch {
+		case bytes <= 0:
+			return 0
+		case fast:
+			return float64(bytes) / d.MemReadBW
+		}
+		return latency + float64(bytes)/(d.DiskReadBW*workers)
+	}
+	var lru *lruCache
 	if cfg.LRU {
-		s.lru = newLRUCache(cfg.Memory)
+		// The baseline caches written outputs instead of flagging any.
+		lru, plan = newLRUCache(cfg.Memory), core.NewPlan(plan.Order)
 	}
-
-	remaining := make([]int, w.G.Len())
-	for i := range remaining {
-		remaining[i] = len(w.G.Children(dag.NodeID(i)))
-	}
-
-	for step, id := range plan.Order {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		node := w.Nodes[id]
-		nt := NodeTiming{Name: node.Name, Start: s.t}
-		s.emit(obs.Event{Kind: obs.NodeStart, Node: node.Name, Step: step, Elapsed: vclock(s.t)})
-
-		// Read phase: base tables from storage, parents from memory when
-		// flagged-resident (or the LRU cache), otherwise storage.
-		readSec := 0.0
-		if node.BaseReadBytes > 0 {
-			readSec += s.readFrom(node.BaseReadBytes, false, dag.Invalid)
-		}
-		for _, par := range w.G.Parents(id) {
-			inMem := false
-			if fe := s.flagged[par]; fe != nil && fe.resident {
-				inMem = true
+	res := &Result{}
+	out, err := (&core.Schedule{
+		G: w.G, Plan: plan, Cap: cfg.Memory,
+		Size:    func(id dag.NodeID) int64 { return w.Nodes[id].OutputBytes },
+		WriteBW: d.DiskWriteBW * workers, Latency: latency,
+		// Base tables come from storage; a parent's output from memory
+		// when it is resident or, in LRU mode, cached.
+		Read: func(id dag.NodeID, resident []bool) float64 {
+			sec := read(w.Nodes[id].BaseReadBytes, false)
+			for _, par := range w.G.Parents(id) {
+				b := w.Nodes[par].OutputBytes
+				sec += read(b, b > 0 && (resident[par] || lru != nil && lru.touch(int64(par))))
 			}
-			readSec += s.readFrom(w.Nodes[par].OutputBytes, inMem, par)
-		}
-		s.advance(readSec)
-		nt.ReadSec = readSec
-		s.res.ReadSeconds += readSec
-
-		// Compute phase.
-		computeSec := node.ComputeSeconds * s.scale
-		s.advance(computeSec)
-		nt.ComputeSec = computeSec
-		s.res.ComputeSeconds += computeSec
-
-		// Write phase.
-		eb := node.OutputBytes
-		doFlag := plan.Flagged[id] && !cfg.LRU
-		if doFlag && s.memUsed+eb > cfg.Memory {
-			doFlag = false
-			s.res.Fallbacks++
-		}
-		if doFlag {
-			// Create in the Memory Catalog; materialize in background.
-			memSec := float64(eb) / s.memBW
-			s.advance(memSec)
-			fe := &flaggedEntry{resident: true, children: remaining[id], bytes: eb}
-			s.flagged[id] = fe
-			s.memUsed += eb
-			if s.memUsed > s.res.PeakMemory {
-				s.res.PeakMemory = s.memUsed
-				s.emit(obs.Event{Kind: obs.MemoryHighWater, Step: -1, Bytes: s.memUsed, Elapsed: vclock(s.t)})
+			return sec
+		},
+		Compute: func(id dag.NodeID) float64 { return w.Nodes[id].ComputeSeconds * scale },
+		Create:  func(id dag.NodeID) float64 { return float64(w.Nodes[id].OutputBytes) / d.MemReadBW },
+		OnStart: func(step int, id dag.NodeID, at float64) {
+			emit(obs.Event{Kind: obs.NodeStart, Node: w.Nodes[id].Name, Step: step, Elapsed: vclock(at)}, at)
+		},
+		OnLanded: func(step int, id dag.NodeID, at float64) {
+			n := w.Nodes[id]
+			emit(obs.Event{Kind: obs.Materialized, Node: n.Name, Step: step, Bytes: n.OutputBytes, Elapsed: vclock(at)}, at)
+			if lru != nil {
+				lru.insert(int64(id), n.OutputBytes)
 			}
-			s.bg = append(s.bg, &bgJob{id: id, remaining: float64(eb)})
-			nt.Flagged = true
-		} else {
-			writeSec := s.fgWrite(float64(eb))
-			nt.WriteSec = writeSec
-			s.res.WriteSeconds += writeSec
-			s.emit(obs.Event{Kind: obs.Materialized, Node: node.Name, Step: step, Bytes: eb, Elapsed: vclock(s.t)})
-			if s.lru != nil {
-				s.lru.insert(int64(id), eb)
+		},
+		OnReleased: func(id dag.NodeID, bytes int64, at float64) {
+			emit(obs.Event{Kind: obs.Evicted, Node: w.Nodes[id].Name, Step: -1, Bytes: bytes, Elapsed: vclock(at)}, at)
+		},
+		OnHighWater: func(bytes int64, at float64) {
+			emit(obs.Event{Kind: obs.MemoryHighWater, Step: -1, Bytes: bytes, Elapsed: vclock(at)}, at)
+		},
+		OnDone: func(r core.StepRecord) {
+			n := w.Nodes[r.ID]
+			res.ReadSeconds += r.Read
+			res.ComputeSeconds += r.Compute
+			res.WriteSeconds += r.Write
+			res.Timeline = append(res.Timeline, NodeTiming{Name: n.Name, Start: r.Start, End: r.End,
+				ReadSec: r.Read, ComputeSec: r.Compute, WriteSec: r.Write, Flagged: r.Flagged})
+			done := obs.Event{
+				Kind: obs.NodeDone, Node: n.Name, Step: r.Step, Bytes: n.OutputBytes, Elapsed: vclock(r.End - r.Start),
+				Read: vclock(r.Read), Write: vclock(r.Write), Compute: vclock(r.Compute), Flagged: r.Flagged,
 			}
-		}
-
-		// Completed: release flagged parents whose last child this was.
-		for _, par := range w.G.Parents(id) {
-			remaining[par]--
-			if fe := s.flagged[par]; fe != nil {
-				fe.children = remaining[par]
-				s.maybeRelease(par, fe)
+			if r.Flagged {
+				// The simulator models the paper's one form: whatever
+				// plan.Forms says, a flagged output is resident at OutputBytes.
+				done.Form = core.Rows.String()
 			}
-		}
-		nt.End = s.t
-		s.res.Timeline = append(s.res.Timeline, nt)
-		done := obs.Event{
-			Kind: obs.NodeDone, Node: node.Name, Step: step,
-			Bytes: node.OutputBytes, Elapsed: vclock(nt.End - nt.Start),
-			Read: vclock(nt.ReadSec), Write: vclock(nt.WriteSec), Compute: vclock(nt.ComputeSec),
-			Flagged: nt.Flagged,
-		}
-		if nt.Flagged {
-			// The simulator models the paper's one form: whatever plan.Forms
-			// says, a flagged output is resident at OutputBytes.
-			done.Form = core.Rows.String()
-		}
-		s.emit(done)
+			emit(done, r.End)
+		},
+	}).Run(ctx)
+	if err != nil {
+		return nil, err
 	}
-
-	// Drain remaining background materialization; end-to-end time is when
-	// every MV is on storage.
-	s.drainBG()
-	s.res.Total = s.t
-	s.res.QuerySeconds = s.res.ReadSeconds + s.res.ComputeSeconds + s.res.WriteSeconds
-	return s.res, nil
-}
-
-type flaggedEntry struct {
-	resident bool
-	children int
-	bgDone   bool
-	bytes    int64 // bytes charged to the catalog
-}
-
-type bgJob struct {
-	id        dag.NodeID
-	remaining float64 // bytes left to materialize
-}
-
-type simState struct {
-	w       *Workload
-	cfg     Config
-	o       obs.Observer
-	t       float64
-	readBW  float64
-	writeBW float64
-	memBW   float64
-	latency float64
-	scale   float64
-	memUsed int64
-	flagged map[dag.NodeID]*flaggedEntry
-	bg      []*bgJob
-	lru     *lruCache
-	res     *Result
-}
-
-// readFrom returns the foreground time to read bytes from memory or
-// storage, consulting the LRU cache in LRU mode.
-func (s *simState) readFrom(bytes int64, inMem bool, id dag.NodeID) float64 {
-	if bytes <= 0 {
-		return 0
-	}
-	if inMem {
-		return float64(bytes) / s.memBW
-	}
-	if s.lru != nil && id != dag.Invalid && s.lru.touch(int64(id)) {
-		return float64(bytes) / s.memBW
-	}
-	return s.latency + float64(bytes)/s.readBW
-}
-
-// advance moves the clock forward by dur seconds, progressing background
-// materialization jobs that share the write channel among themselves.
-func (s *simState) advance(dur float64) {
-	target := s.t + dur
-	for len(s.bg) > 0 && s.t < target {
-		rate := s.writeBW / float64(len(s.bg))
-		// Next background completion.
-		minFinish := math.Inf(1)
-		for _, j := range s.bg {
-			if f := j.remaining / rate; f < minFinish {
-				minFinish = f
-			}
-		}
-		step := math.Min(minFinish, target-s.t)
-		for _, j := range s.bg {
-			j.remaining -= step * rate
-		}
-		s.t += step
-		s.reapBG()
-	}
-	if s.t < target {
-		s.t = target
-	}
-}
-
-// drainBG runs the clock forward until all background materialization
-// completes.
-func (s *simState) drainBG() {
-	for len(s.bg) > 0 {
-		rate := s.writeBW / float64(len(s.bg))
-		minFinish := math.Inf(1)
-		for _, j := range s.bg {
-			if f := j.remaining / rate; f < minFinish {
-				minFinish = f
-			}
-		}
-		for _, j := range s.bg {
-			j.remaining -= minFinish * rate
-		}
-		s.t += minFinish
-		s.reapBG()
-	}
-}
-
-// fgWrite performs a blocking foreground write of bytes, sharing the write
-// channel with background jobs. Returns the elapsed foreground time.
-func (s *simState) fgWrite(bytes float64) float64 {
-	start := s.t
-	if bytes <= 0 {
-		return 0
-	}
-	s.t += s.latency
-	if len(s.bg) == 0 {
-		s.t += bytes / s.writeBW
-		return s.t - start
-	}
-	remaining := bytes
-	for remaining > 0 {
-		n := float64(len(s.bg) + 1)
-		rate := s.writeBW / n
-		// Time until foreground finishes or next bg completion.
-		finish := remaining / rate
-		for _, j := range s.bg {
-			if f := j.remaining / rate; f < finish {
-				finish = f
-			}
-		}
-		remaining -= finish * rate
-		for _, j := range s.bg {
-			j.remaining -= finish * rate
-		}
-		s.t += finish
-		s.reapBG()
-		if remaining < 1e-9 {
-			remaining = 0
-		}
-	}
-	return s.t - start
-}
-
-// reapBG removes completed background jobs and releases memory when both
-// conditions hold.
-func (s *simState) reapBG() {
-	var live []*bgJob
-	for _, j := range s.bg {
-		if j.remaining > 1e-9 {
-			live = append(live, j)
-			continue
-		}
-		if fe := s.flagged[j.id]; fe != nil {
-			fe.bgDone = true
-			s.emit(obs.Event{Kind: obs.Materialized, Node: s.w.Nodes[j.id].Name, Step: -1, Bytes: s.w.Nodes[j.id].OutputBytes, Elapsed: vclock(s.t)})
-			s.maybeRelease(j.id, fe)
-		}
-	}
-	s.bg = live
-}
-
-func (s *simState) maybeRelease(id dag.NodeID, fe *flaggedEntry) {
-	if fe.resident && fe.children == 0 && fe.bgDone {
-		fe.resident = false
-		s.memUsed -= fe.bytes
-		s.emit(obs.Event{Kind: obs.Evicted, Node: s.w.Nodes[id].Name, Step: -1, Bytes: fe.bytes, Elapsed: vclock(s.t)})
-	}
-}
-
-// emit sends e stamped with the wall-clock image of the virtual clock.
-func (s *simState) emit(e obs.Event) {
-	e.At = s.cfg.Base.Add(vclock(s.t))
-	obs.Emit(s.o, e)
+	// End-to-end time is when every MV is on storage.
+	res.Total, res.PeakMemory, res.Fallbacks = out.End, out.Peak, out.Fallbacks
+	res.QuerySeconds = res.ReadSeconds + res.ComputeSeconds + res.WriteSeconds
+	return res, nil
 }
 
 // vclock converts virtual seconds to a duration for Event.Elapsed.
@@ -427,16 +237,11 @@ func newLRUCache(capacity int64) *lruCache {
 
 // touch reports a hit and refreshes recency.
 func (c *lruCache) touch(key int64) bool {
-	if _, ok := c.sizes[key]; !ok {
-		return false
+	i := slices.Index(c.order, key)
+	if i >= 0 {
+		c.order = append(slices.Delete(c.order, i, i+1), key)
 	}
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(append(c.order[:i:i], c.order[i+1:]...), key)
-			break
-		}
-	}
-	return true
+	return i >= 0
 }
 
 // insert adds an entry, evicting least-recently-used entries to fit.
@@ -445,15 +250,9 @@ func (c *lruCache) insert(key, size int64) {
 	if size > c.capacity {
 		return
 	}
-	if old, ok := c.sizes[key]; ok {
-		c.used -= old
-		for i, k := range c.order {
-			if k == key {
-				c.order = append(c.order[:i], c.order[i+1:]...)
-				break
-			}
-		}
-		delete(c.sizes, key)
+	if i := slices.Index(c.order, key); i >= 0 {
+		c.order = slices.Delete(c.order, i, i+1)
+		c.used -= c.sizes[key]
 	}
 	for c.used+size > c.capacity && len(c.order) > 0 {
 		victim := c.order[0]

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -106,6 +107,26 @@ func TestCriticalPathSchedulingWait(t *testing.T) {
 	}
 	if !approx(rep.ChainSeconds, 4.0) || !approx(rep.Coverage, 1.0) {
 		t.Fatalf("chain %v coverage %v", rep.ChainSeconds, rep.Coverage)
+	}
+}
+
+// A serial chain's critical path is the whole chain, and it accounts for
+// nearly all of the run's wall time: the dispatch gaps between nodes count
+// as the next node's wait, so only the root's lead-in and its tail after
+// the last node (background writes draining) are left out.
+func TestCriticalPathChainCoversWall(t *testing.T) {
+	spans := buildTrace(0.042, map[string][2]float64{
+		"m1": {0.001, 0.010},
+		"m2": {0.0105, 0.020},
+		"m3": {0.0203, 0.030},
+		"m4": {0.0301, 0.040},
+	})
+	rep := CriticalPath(spans, map[string][]string{"m2": {"m1"}, "m3": {"m2"}, "m4": {"m3"}})
+	if strings.Join(rep.Chain, ",") != "m1,m2,m3,m4" {
+		t.Fatalf("chain %v", rep.Chain)
+	}
+	if rep.Coverage < 0.9 || rep.Coverage > 1.0001 {
+		t.Fatalf("coverage %v: chain %vs of wall %vs", rep.Coverage, rep.ChainSeconds, rep.WallSeconds)
 	}
 }
 

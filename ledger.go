@@ -10,14 +10,6 @@ import "github.com/shortcircuit-db/sc/internal/ledger"
 // (GET /v1/runs, Gateway.RunHistory).
 type RunSummary = ledger.RunSummary
 
-// RunNodeSummary is one node's slice of a RunSummary.
-type RunNodeSummary = ledger.NodeSummary
-
-// RunAnomaly is one detector finding on a run: the kind (wall_regression,
-// bytes_regression, ratio_collapse, eviction_storm, kernel_fallback,
-// admission_mispredict), the node involved, and observed vs baseline.
-type RunAnomaly = ledger.Anomaly
-
 // RunFilter selects ledger history: exact pipeline/tenant/outcome matches,
 // anomalous-only, and a result cap. The zero value selects everything.
 type RunFilter = ledger.Filter

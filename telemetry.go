@@ -9,18 +9,9 @@ import (
 // decode/kernel completions attach as span events.
 type Span = telemetry.Span
 
-// SpanEvent is a point-in-time event attached to a Span.
-type SpanEvent = telemetry.SpanEvent
-
-// SpanAttr is one key/value attribute on a Span or SpanEvent.
-type SpanAttr = telemetry.Attr
-
 // CritReport is the critical-path analysis of one run's spans: the longest
 // blocking chain through the DAG and each node's self vs wait time.
 type CritReport = telemetry.CritReport
-
-// CritNode is one node's accounting within a CritReport.
-type CritNode = telemetry.CritNode
 
 // TraceExporter receives each completed run trace. Export must not block:
 // the built-in exporters buffer or write synchronously to local files.

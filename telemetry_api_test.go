@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	sc "github.com/shortcircuit-db/sc"
 )
@@ -22,12 +21,7 @@ func TestWithTelemetryTracesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every read takes 2 ms, so the node spans are long against the gaps a
-	// loaded machine opens between them: unslowed, the whole run is a few
-	// hundred µs and one preemption drops the coverage asserted below.
-	slow := &slowReadStore{Store: store}
-	slow.delayNs.Store(int64(2 * time.Millisecond))
-	ref, err := sc.New(chainMVs(), slow, sc.WithTelemetry(exp))
+	ref, err := sc.New(chainMVs(), store, sc.WithTelemetry(exp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,14 +59,11 @@ func TestWithTelemetryTracesRun(t *testing.T) {
 		}
 	}
 
-	// The chain pipeline's critical path is the whole chain, and the chain
-	// accounts for (nearly) all of the wall time.
-	cp := tr.CriticalPath
-	if strings.Join(cp.Chain, ",") != "m1,m2,m3,m4" {
+	// The chain pipeline's critical path is the whole chain. How much of
+	// the wall clock it covers depends on the machine's scheduling; the
+	// telemetry package checks coverage on synthetic spans.
+	if cp := tr.CriticalPath; strings.Join(cp.Chain, ",") != "m1,m2,m3,m4" {
 		t.Fatalf("chain %v", cp.Chain)
-	}
-	if cp.Coverage < 0.9 || cp.Coverage > 1.0001 {
-		t.Fatalf("coverage %v", cp.Coverage)
 	}
 
 	// Metrics observations carry the same run ID.
