@@ -9,6 +9,12 @@
 // DecodeSchema dispatch on the magic; writers choose the format (Encode →
 // v1, EncodeTable/EncodeCompressed → chunked).
 //
+// Each format has one reader, which walks its headers once. DecodeSchema
+// is that walk without the values: of a v1 file it reads the column
+// headers and skips every payload and its checksum, so a corrupt payload
+// still yields its schema; of a chunked file it is DecodeCompressed, which
+// checks every chunk's checksum and decompresses nothing.
+//
 // Version 1 layout (all little-endian):
 //
 //	magic "SCF1" | u32 nCols | u64 nRows
@@ -24,7 +30,6 @@
 package colfmt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -54,10 +59,9 @@ func Encode(t *table.Table) ([]byte, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	buf.Write(magic[:])
-	writeU32(&buf, uint32(len(t.Cols)))
-	writeU64(&buf, uint64(t.NumRows()))
+	buf := append([]byte(nil), magic[:]...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.Cols)))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.NumRows()))
 	for i, col := range t.Cols {
 		name := t.Schema.Cols[i].Name
 		if len(name) > math.MaxUint16 {
@@ -73,15 +77,14 @@ func Encode(t *table.Table) ([]byte, error) {
 		case table.Str:
 			payload, enc = encodeStrings(col.Strs)
 		}
-		writeU16(&buf, uint16(len(name)))
-		buf.WriteString(name)
-		buf.WriteByte(byte(col.Type))
-		buf.WriteByte(byte(enc))
-		writeU64(&buf, uint64(len(payload)))
-		buf.Write(payload)
-		writeU32(&buf, crc32.ChecksumIEEE(payload))
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
+		buf = append(buf, name...)
+		buf = append(buf, byte(col.Type), byte(enc))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
+		buf = append(buf, payload...)
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // Decode parses data produced by Encode (v1) or EncodeTable/
@@ -90,61 +93,94 @@ func Decode(data []byte) (*table.Table, error) {
 	if IsChunked(data) {
 		return decodeChunked(data, 0)
 	}
+	t, _, err := readV1(data, true)
+	return t, err
+}
+
+// DecodeSchema reads an encoded table's schema and row count without
+// decoding a value (see the package doc for what each format reads); the
+// controller uses it to learn MV schemas without paying a full decode.
+func DecodeSchema(data []byte) (table.Schema, int, error) {
+	if IsChunked(data) {
+		ct, err := DecodeCompressed(data)
+		if err != nil {
+			return table.Schema{}, 0, err
+		}
+		return ct.Schema, ct.NRows, nil
+	}
+	t, n, err := readV1(data, false)
+	if err != nil {
+		return table.Schema{}, 0, err
+	}
+	return t.Schema, n, nil
+}
+
+// readV1 walks a v1 file and returns its table and row count. With values
+// it checks and decodes every column payload; without, it skips each payload
+// and its checksum and the table carries only its schema.
+func readV1(data []byte, values bool) (*table.Table, int, error) {
 	r := &reader{data: data}
-	var m [4]byte
-	if err := r.bytes(m[:]); err != nil || m != magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	if m, err := r.next(4); err != nil || [4]byte(m) != magic {
+		return nil, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	nCols, err := r.u32()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	nRows64, err := r.u64()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if nRows64 > math.MaxInt32 {
-		return nil, fmt.Errorf("%w: absurd row count %d", ErrCorrupt, nRows64)
+		return nil, 0, fmt.Errorf("%w: absurd row count %d", ErrCorrupt, nRows64)
+	}
+	if nCols == 0 && nRows64 != 0 {
+		// Nothing backs the count: Decode would report 0 rows and
+		// DecodeSchema the header's. encoding.Compressed.Validate holds a
+		// chunked file to the same rule.
+		return nil, 0, fmt.Errorf("%w: %d rows with no columns", ErrCorrupt, nRows64)
 	}
 	nRows := int(nRows64)
-	schema := table.Schema{}
-	var cols []*table.Vector
+	t := &table.Table{}
 	for c := uint32(0); c < nCols; c++ {
 		nameLen, err := r.u16()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		nameB := make([]byte, nameLen)
-		if err := r.bytes(nameB); err != nil {
-			return nil, err
+		nameB, err := r.next(uint64(nameLen))
+		if err != nil {
+			return nil, 0, err
 		}
 		typB, err := r.u8()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if typB > uint8(table.Str) {
-			return nil, fmt.Errorf("%w: unknown type %d", ErrCorrupt, typB)
+			return nil, 0, fmt.Errorf("%w: unknown type %d", ErrCorrupt, typB)
 		}
 		typ := table.Type(typB)
 		encB, err := r.u8()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		payloadLen, err := r.u64()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		if payloadLen > uint64(len(r.data)-r.off) {
-			return nil, fmt.Errorf("%w: payload overruns buffer", ErrCorrupt)
+		payload, err := r.next(payloadLen)
+		if err != nil {
+			return nil, 0, err
 		}
-		payload := r.data[r.off : r.off+int(payloadLen)]
-		r.off += int(payloadLen)
 		sum, err := r.u32()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
+		}
+		t.Schema.Cols = append(t.Schema.Cols, table.Column{Name: string(nameB), Type: typ})
+		if !values {
+			continue
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
-			return nil, fmt.Errorf("%w: checksum mismatch in column %q", ErrCorrupt, nameB)
+			return nil, 0, fmt.Errorf("%w: checksum mismatch in column %q", ErrCorrupt, nameB)
 		}
 		vec := &table.Vector{Type: typ}
 		switch typ {
@@ -156,74 +192,16 @@ func Decode(data []byte) (*table.Table, error) {
 			vec.Strs, err = decodeStrings(payload, Encoding(encB), nRows)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("column %q: %w", nameB, err)
+			return nil, 0, fmt.Errorf("column %q: %w", nameB, err)
 		}
-		schema.Cols = append(schema.Cols, table.Column{Name: string(nameB), Type: typ})
-		cols = append(cols, vec)
+		t.Cols = append(t.Cols, vec)
 	}
-	t := &table.Table{Schema: schema, Cols: cols}
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return t, nil
-}
-
-// DecodeSchema reads only the headers of an encoded table, skipping column
-// payloads; the controller uses it to learn MV schemas without paying a
-// full decode.
-func DecodeSchema(data []byte) (table.Schema, int, error) {
-	if IsChunked(data) {
-		return decodeSchemaChunked(data)
-	}
-	r := &reader{data: data}
-	var m [4]byte
-	if err := r.bytes(m[:]); err != nil || m != magic {
-		return table.Schema{}, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	nCols, err := r.u32()
-	if err != nil {
-		return table.Schema{}, 0, err
-	}
-	nRows, err := r.u64()
-	if err != nil {
-		return table.Schema{}, 0, err
-	}
-	if nRows > math.MaxInt32 {
-		return table.Schema{}, 0, fmt.Errorf("%w: absurd row count", ErrCorrupt)
-	}
-	var schema table.Schema
-	for c := uint32(0); c < nCols; c++ {
-		nameLen, err := r.u16()
-		if err != nil {
-			return table.Schema{}, 0, err
+	if values {
+		if err := t.Validate(); err != nil {
+			return nil, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		nameB := make([]byte, nameLen)
-		if err := r.bytes(nameB); err != nil {
-			return table.Schema{}, 0, err
-		}
-		typB, err := r.u8()
-		if err != nil {
-			return table.Schema{}, 0, err
-		}
-		if typB > uint8(table.Str) {
-			return table.Schema{}, 0, fmt.Errorf("%w: unknown type %d", ErrCorrupt, typB)
-		}
-		if _, err := r.u8(); err != nil { // encoding byte
-			return table.Schema{}, 0, err
-		}
-		payloadLen, err := r.u64()
-		if err != nil {
-			return table.Schema{}, 0, err
-		}
-		// Guard against payloadLen+4 wrapping around uint64.
-		rem := uint64(len(r.data) - r.off)
-		if rem < 4 || payloadLen > rem-4 {
-			return table.Schema{}, 0, fmt.Errorf("%w: payload overruns buffer", ErrCorrupt)
-		}
-		r.off += int(payloadLen) + 4 // skip payload and checksum
-		schema.Cols = append(schema.Cols, table.Column{Name: string(nameB), Type: table.Type(typB)})
 	}
-	return schema, int(nRows), nil
+	return t, nRows, nil
 }
 
 // --- int encodings ---
@@ -473,61 +451,44 @@ type reader struct {
 	off  int
 }
 
-func (r *reader) bytes(dst []byte) error {
-	if len(r.data)-r.off < len(dst) {
-		return fmt.Errorf("%w: truncated", ErrCorrupt)
+// next returns the following n bytes, aliasing data, and steps past them.
+func (r *reader) next(n uint64) ([]byte, error) {
+	if n > uint64(len(r.data)-r.off) {
+		return nil, fmt.Errorf("%w: %d bytes overrun the buffer", ErrCorrupt, n)
 	}
-	copy(dst, r.data[r.off:])
-	r.off += len(dst)
-	return nil
+	b := r.data[r.off : r.off+int(n)]
+	r.off += int(n)
+	return b, nil
 }
 
 func (r *reader) u8() (uint8, error) {
-	var b [1]byte
-	if err := r.bytes(b[:]); err != nil {
+	b, err := r.next(1)
+	if err != nil {
 		return 0, err
 	}
 	return b[0], nil
 }
 
 func (r *reader) u16() (uint16, error) {
-	var b [2]byte
-	if err := r.bytes(b[:]); err != nil {
+	b, err := r.next(2)
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint16(b[:]), nil
+	return binary.LittleEndian.Uint16(b), nil
 }
 
 func (r *reader) u32() (uint32, error) {
-	var b [4]byte
-	if err := r.bytes(b[:]); err != nil {
+	b, err := r.next(4)
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(b[:]), nil
+	return binary.LittleEndian.Uint32(b), nil
 }
 
 func (r *reader) u64() (uint64, error) {
-	var b [8]byte
-	if err := r.bytes(b[:]); err != nil {
+	b, err := r.next(8)
+	if err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint64(b[:]), nil
-}
-
-func writeU16(buf *bytes.Buffer, v uint16) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeU32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeU64(buf *bytes.Buffer, v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	buf.Write(b[:])
+	return binary.LittleEndian.Uint64(b), nil
 }

@@ -138,11 +138,8 @@ func DecodeCompressed(data []byte) (*encoding.Compressed, error) {
 		if err != nil {
 			return nil, err
 		}
-		if nameLen > uint64(len(r.data)-r.off) {
-			return nil, fmt.Errorf("%w: column name overruns buffer", ErrCorrupt)
-		}
-		nameB := make([]byte, nameLen)
-		if err := r.bytes(nameB); err != nil {
+		nameB, err := r.next(nameLen)
+		if err != nil {
 			return nil, err
 		}
 		typB, err := r.u8()
@@ -176,11 +173,10 @@ func DecodeCompressed(data []byte) (*encoding.Compressed, error) {
 			if err != nil {
 				return nil, err
 			}
-			if payloadLen > uint64(len(r.data)-r.off) {
-				return nil, fmt.Errorf("%w: payload overruns buffer", ErrCorrupt)
+			payload, err := r.next(payloadLen)
+			if err != nil {
+				return nil, err
 			}
-			payload := r.data[r.off : r.off+int(payloadLen)]
-			r.off += int(payloadLen)
 			sum, err := r.u32()
 			if err != nil {
 				return nil, err
@@ -208,71 +204,6 @@ func DecodeCompressed(data []byte) (*encoding.Compressed, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return ct, nil
-}
-
-// decodeSchemaChunked reads only the headers of a chunked file, skipping
-// chunk payloads.
-func decodeSchemaChunked(data []byte) (table.Schema, int, error) {
-	r := &reader{data: data, off: 4}
-	nCols, err := r.uvarint()
-	if err != nil {
-		return table.Schema{}, 0, err
-	}
-	nRows, err := r.uvarint()
-	if err != nil {
-		return table.Schema{}, 0, err
-	}
-	if nRows > math.MaxInt32 {
-		return table.Schema{}, 0, fmt.Errorf("%w: absurd row count", ErrCorrupt)
-	}
-	var schema table.Schema
-	for c := uint64(0); c < nCols; c++ {
-		nameLen, err := r.uvarint()
-		if err != nil {
-			return table.Schema{}, 0, err
-		}
-		if nameLen > uint64(len(r.data)-r.off) {
-			return table.Schema{}, 0, fmt.Errorf("%w: column name overruns buffer", ErrCorrupt)
-		}
-		nameB := make([]byte, nameLen)
-		if err := r.bytes(nameB); err != nil {
-			return table.Schema{}, 0, err
-		}
-		typB, err := r.u8()
-		if err != nil {
-			return table.Schema{}, 0, err
-		}
-		if typB > uint8(table.Str) {
-			return table.Schema{}, 0, fmt.Errorf("%w: unknown type %d", ErrCorrupt, typB)
-		}
-		nChunks, err := r.uvarint()
-		if err != nil {
-			return table.Schema{}, 0, err
-		}
-		if nChunks > uint64(len(r.data)-r.off)/encoding.ChunkFramingMin {
-			return table.Schema{}, 0, fmt.Errorf("%w: chunk count overruns buffer", ErrCorrupt)
-		}
-		for k := uint64(0); k < nChunks; k++ {
-			if _, err := r.u8(); err != nil { // codec tag
-				return table.Schema{}, 0, err
-			}
-			if _, err := r.uvarint(); err != nil { // rows
-				return table.Schema{}, 0, err
-			}
-			payloadLen, err := r.uvarint()
-			if err != nil {
-				return table.Schema{}, 0, err
-			}
-			// Guard against payloadLen+4 wrapping around uint64.
-			rem := uint64(len(r.data) - r.off)
-			if rem < 4 || payloadLen > rem-4 {
-				return table.Schema{}, 0, fmt.Errorf("%w: payload overruns buffer", ErrCorrupt)
-			}
-			r.off += int(payloadLen) + 4 // skip payload and checksum
-		}
-		schema.Cols = append(schema.Cols, table.Column{Name: string(nameB), Type: table.Type(typB)})
-	}
-	return schema, int(nRows), nil
 }
 
 // uvarint reads an unsigned varint.

@@ -162,20 +162,20 @@ func (g *Graph) TopoSort() ([]NodeID, error) {
 		indeg[i] = len(g.parents[i])
 	}
 	// Min-heap by ID for determinism.
-	var ready minHeap
+	var ready ReadyHeap
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
-			ready.push(NodeID(i))
+			ready.Push(NodeID(i))
 		}
 	}
 	order := make([]NodeID, 0, n)
-	for ready.len() > 0 {
-		u := ready.pop()
+	for ready.Len() > 0 {
+		u := ready.Pop()
 		order = append(order, u)
 		for _, v := range g.children[u] {
 			indeg[v]--
 			if indeg[v] == 0 {
-				ready.push(v)
+				ready.Push(v)
 			}
 		}
 	}
@@ -214,17 +214,31 @@ func (g *Graph) IsTopological(order []NodeID) bool {
 	return true
 }
 
-// minHeap is a tiny binary heap of NodeIDs (min by value).
-type minHeap struct{ a []NodeID }
+// ReadyHeap is a binary min-heap of ready nodes keyed by Rank[id], or by ID
+// when Rank is nil: TopoSort's smallest-ID tie-break, and the order in which
+// a dispatcher starts the nodes whose parents have all finished.
+type ReadyHeap struct {
+	Rank []int
+	a    []NodeID
+}
 
-func (h *minHeap) len() int { return len(h.a) }
+// Len returns the number of nodes in the heap.
+func (h *ReadyHeap) Len() int { return len(h.a) }
 
-func (h *minHeap) push(x NodeID) {
+func (h *ReadyHeap) less(i, j int) bool {
+	if h.Rank == nil {
+		return h.a[i] < h.a[j]
+	}
+	return h.Rank[h.a[i]] < h.Rank[h.a[j]]
+}
+
+// Push adds a node.
+func (h *ReadyHeap) Push(x NodeID) {
 	h.a = append(h.a, x)
 	i := len(h.a) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if h.a[p] <= h.a[i] {
+		if !h.less(i, p) {
 			break
 		}
 		h.a[p], h.a[i] = h.a[i], h.a[p]
@@ -232,7 +246,8 @@ func (h *minHeap) push(x NodeID) {
 	}
 }
 
-func (h *minHeap) pop() NodeID {
+// Pop removes and returns the node of lowest key.
+func (h *ReadyHeap) Pop() NodeID {
 	top := h.a[0]
 	last := len(h.a) - 1
 	h.a[0] = h.a[last]
@@ -241,10 +256,10 @@ func (h *minHeap) pop() NodeID {
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < last && h.a[l] < h.a[small] {
+		if l < last && h.less(l, small) {
 			small = l
 		}
-		if r < last && h.a[r] < h.a[small] {
+		if r < last && h.less(r, small) {
 			small = r
 		}
 		if small == i {

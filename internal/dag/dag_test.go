@@ -184,21 +184,31 @@ func TestTopoSortPropertyRandomDAGs(t *testing.T) {
 	}
 }
 
+// TestHeapOrderProperty: ReadyHeap pops in ascending ID order with no rank,
+// and in ascending rank order with one.
 func TestHeapOrderProperty(t *testing.T) {
-	f := func(vals []uint8) bool {
-		var h minHeap
-		for _, v := range vals {
-			h.push(NodeID(v))
+	f := func(vals []uint8, ranked bool) bool {
+		h := ReadyHeap{}
+		key := func(id NodeID) int { return int(id) }
+		if ranked {
+			h.Rank = make([]int, 256)
+			for i := range h.Rank {
+				h.Rank[i] = (i * 37) % 101 // not monotone in the ID, with ties
+			}
+			key = func(id NodeID) int { return h.Rank[id] }
 		}
-		prev := NodeID(-1)
-		for h.len() > 0 {
-			v := h.pop()
-			if v < prev {
+		for _, v := range vals {
+			h.Push(NodeID(v))
+		}
+		prev, n := -1, 0
+		for h.Len() > 0 {
+			k := key(h.Pop())
+			if k < prev {
 				return false
 			}
-			prev = v
+			prev, n = k, n+1
 		}
-		return true
+		return n == len(vals)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

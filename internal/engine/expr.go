@@ -111,6 +111,18 @@ type Bin struct {
 	L, R Expr
 }
 
+// And joins conjuncts with AND into a balanced tree, so that however many
+// there are, the tree is only logarithmically deeper than the deepest of
+// them. It evaluates, short-circuits and fails exactly as the left-deep
+// chain of the same conjuncts does.
+func And(conjuncts []Expr) Expr {
+	if len(conjuncts) == 1 {
+		return conjuncts[0]
+	}
+	mid := (len(conjuncts) + 1) / 2
+	return &Bin{Op: OpAnd, L: And(conjuncts[:mid]), R: And(conjuncts[mid:])}
+}
+
 // Type implements Expr.
 func (b *Bin) Type(sch table.Schema) (table.Type, error) {
 	lt, err := b.L.Type(sch)

@@ -3,6 +3,9 @@ package exec
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/shortcircuit-db/sc/internal/colfmt"
@@ -147,6 +150,73 @@ func TestChunkedIntermediatesEndToEnd(t *testing.T) {
 		}
 		if !bytes.Equal(wb, gb) {
 			t.Fatalf("MV %q differs between row-engine and chunked runs", name)
+		}
+	}
+}
+
+// TestChunkedInputParsedOnce: planning reads a chunked object's schema from
+// its DecodeCompressed parse, which stays on the node's handle, and the
+// kernels' chunk view is that same parse, not a second walk of the bytes.
+func TestChunkedInputParsedOnce(t *testing.T) {
+	sales := chunkedBaseTables(t)["sales"]
+	store := storage.NewMemStore()
+	if err := SaveTableChunked(store, "sales", sales, encoding.Options{ChunkRows: 64}); err != nil {
+		t.Fatal(err)
+	}
+	rs := &runState{
+		c:       &Controller{Store: store},
+		schemas: &schemaCache{known: make(map[string]table.Schema)},
+	}
+	in := &nodeInputs{rs: rs, node: "j2", objs: make(map[string]*input), scans: make(map[string]int)}
+	sch, err := in.TableSchema("sales")
+	if err != nil || !sch.Equal(sales.Schema) {
+		t.Fatalf("TableSchema = %v, %v", sch, err)
+	}
+	parsed := in.objs["sales"].ct
+	if parsed == nil {
+		t.Fatal("the schema read left no parse on the handle")
+	}
+	if ct := in.chunks("sales"); ct != parsed {
+		t.Fatalf("chunks parsed the object again: %p, want %p", ct, parsed)
+	}
+	if in.reads != 1 {
+		t.Fatalf("%d storage reads, want 1", in.reads)
+	}
+}
+
+// TestCorruptChunkedInputFailsNode: a chunked base table with a corrupt
+// payload fails the node that scans it, on the row path and the kernels'
+// alike, with an error that wraps colfmt.ErrCorrupt and names the object.
+func TestCorruptChunkedInputFailsNode(t *testing.T) {
+	for _, enc := range []*encoding.Options{nil, {ChunkRows: 64}} {
+		store := storage.NewMemStore()
+		for name, tb := range chunkedBaseTables(t) {
+			if err := SaveTableChunked(store, name, tb, encoding.Options{ChunkRows: 64}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		data, err := store.Read(tableObject("sales"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = append([]byte(nil), data...)
+		data[len(data)-5] ^= 0xff // last payload byte, just before its checksum
+		if err := store.Write(tableObject("sales"), data); err != nil {
+			t.Fatal(err)
+		}
+		w := chunkedWorkload()
+		g, _, err := w.BuildGraph()
+		if err != nil {
+			t.Fatal(err)
+		}
+		topo, err := g.TopoSort()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl := &Controller{Store: store, Mem: memcat.New(1 << 30), Encoding: enc}
+		_, err = ctl.Run(context.Background(), w, g, core.NewPlan(topo))
+		if !errors.Is(err, colfmt.ErrCorrupt) || !strings.Contains(fmt.Sprint(err), `"sales"`) {
+			t.Errorf("encoding %v: run error %v, want colfmt.ErrCorrupt naming \"sales\"", enc != nil, err)
 		}
 	}
 }

@@ -316,11 +316,11 @@ func (c *Controller) Run(ctx context.Context, w *Workload, g *dag.Graph, plan *c
 		rank = c.Rank
 	}
 	indeg := make([]int, n)
-	ready := &rankHeap{rank: rank}
+	ready := &dag.ReadyHeap{Rank: rank}
 	for i := 0; i < n; i++ {
 		indeg[i] = len(g.Parents(dag.NodeID(i)))
 		if indeg[i] == 0 {
-			ready.push(dag.NodeID(i))
+			ready.Push(dag.NodeID(i))
 		}
 	}
 	metricsAt := make([]*NodeMetrics, n) // indexed by plan position
@@ -350,14 +350,14 @@ func (c *Controller) Run(ctx context.Context, w *Workload, g *dag.Graph, plan *c
 		for _, child := range g.Children(comp.id) {
 			indeg[child]--
 			if indeg[child] == 0 {
-				ready.push(child)
+				ready.Push(child)
 			}
 		}
 	}
 
 	for executed < n && runErr == nil {
 		var tokenCh <-chan struct{}
-		if ready.len() > 0 && inflight < workers {
+		if ready.Len() > 0 && inflight < workers {
 			tokenCh = sc.TokenCh()
 		}
 		if tokenCh == nil && inflight == 0 {
@@ -368,7 +368,7 @@ func (c *Controller) Run(ctx context.Context, w *Workload, g *dag.Graph, plan *c
 		}
 		select {
 		case <-tokenCh:
-			id := ready.pop()
+			id := ready.Pop()
 			inflight++
 			wgNodes.Add(1)
 			go func(id dag.NodeID) {
@@ -714,55 +714,6 @@ func (rs *runState) noteHighWater() {
 	}
 }
 
-// rankHeap is a min-heap of node IDs keyed by dispatch rank, so the
-// dispatcher always hands out the ready node it should start first: the
-// plan's next one on one token, the head of the longest remaining path on
-// more.
-type rankHeap struct {
-	rank []int
-	a    []dag.NodeID
-}
-
-func (h *rankHeap) len() int           { return len(h.a) }
-func (h *rankHeap) less(i, j int) bool { return h.rank[h.a[i]] < h.rank[h.a[j]] }
-
-func (h *rankHeap) push(x dag.NodeID) {
-	h.a = append(h.a, x)
-	i := len(h.a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
-			break
-		}
-		h.a[p], h.a[i] = h.a[i], h.a[p]
-		i = p
-	}
-}
-
-func (h *rankHeap) pop() dag.NodeID {
-	top := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a = h.a[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < last && h.less(l, small) {
-			small = l
-		}
-		if r < last && h.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.a[i], h.a[small] = h.a[small], h.a[i]
-		i = small
-	}
-	return top
-}
-
 // tableObject maps a table name to its storage object name.
 func tableObject(name string) string { return name + ".sct" }
 
@@ -811,9 +762,12 @@ func SaveTableChunked(st storage.Store, name string, t *table.Table, opts encodi
 // three forms (schema, chunk view, rows): from the Memory Catalog when the
 // table is resident there, else from external storage through one handle
 // per object, so the object is read once however many forms the node asks
-// for and however often. Handles are per node, never shared across nodes,
-// which keeps the run's byte counts exact at any concurrency. A node plans
-// and executes on one goroutine, so none of this needs locking.
+// for and however often. A chunked object is parsed once: its
+// DecodeCompressed view gives planning its schema, then serves the kernels'
+// chunks and the row engine's decode. A v1 object's schema comes from its
+// headers alone, its rows from one full decode. Handles are per node, never shared across nodes, which keeps the run's
+// byte counts exact at any concurrency. A node plans and executes on one
+// goroutine, so none of this needs locking.
 type nodeInputs struct {
 	rs       *runState
 	node     string // the executing node
@@ -828,9 +782,19 @@ type nodeInputs struct {
 // input is the handle on one storage object. Each derived form is built at
 // most once; the raw bytes go as soon as the rows exist.
 type input struct {
-	data []byte               // nil once tbl is decoded
-	ct   *encoding.Compressed // aliases data
-	tbl  *table.Table
+	data  []byte               // nil once tbl is decoded
+	ct    *encoding.Compressed // a chunked object parsed, aliasing data
+	ctErr error                // why a chunked object did not parse
+	tbl   *table.Table
+}
+
+// compressed parses a chunked object once and returns its chunk view; it
+// returns nil, nil for a v1 object and once the rows are decoded.
+func (o *input) compressed() (*encoding.Compressed, error) {
+	if o.ct == nil && o.ctErr == nil && colfmt.IsChunked(o.data) {
+		o.ct, o.ctErr = colfmt.DecodeCompressed(o.data)
+	}
+	return o.ct, o.ctErr
 }
 
 // timed charges the time since t0 to the node's ReadTime.
@@ -853,7 +817,8 @@ func (in *nodeInputs) fetch(name string) (*input, error) {
 
 // TableSchema implements sql.Catalog for this node's plan: what the run
 // already knows, else what a resident catalog entry carries, else the
-// header of the object, whose bytes then also serve the node's scan of it.
+// object's parse (a chunked one) or headers (v1), whose bytes then also
+// serve the node's scan of it.
 func (in *nodeInputs) TableSchema(name string) (table.Schema, error) {
 	if sch, ok := in.rs.schemas.lookup(name); ok {
 		return sch, nil
@@ -870,11 +835,18 @@ func (in *nodeInputs) TableSchema(name string) (table.Schema, error) {
 	if err != nil {
 		return table.Schema{}, err
 	}
-	sch, _, err := colfmt.DecodeSchema(o.data)
-	if err == nil {
-		in.rs.schemas.learn(name, sch)
+	var sch table.Schema
+	ct, err := o.compressed()
+	if ct != nil {
+		sch = ct.Schema
+	} else if err == nil {
+		sch, _, err = colfmt.DecodeSchema(o.data)
 	}
-	return sch, err
+	if err != nil {
+		return table.Schema{}, fmt.Errorf("decode %q: %w", name, err)
+	}
+	in.rs.schemas.learn(name, sch)
+	return sch, nil
 }
 
 // chunks returns the table's chunk view without decompressing anything: a
@@ -898,10 +870,8 @@ func (in *nodeInputs) chunks(name string) *encoding.Compressed {
 	if err != nil {
 		return nil
 	}
-	if o.ct == nil && colfmt.IsChunked(o.data) {
-		o.ct, _ = colfmt.DecodeCompressed(o.data)
-	}
-	return o.ct
+	ct, _ := o.compressed()
+	return ct
 }
 
 // table returns the table's rows: from the Memory Catalog when resident
@@ -931,17 +901,18 @@ func (in *nodeInputs) table(name string) (*table.Table, error) {
 	}
 	if o.tbl == nil {
 		d0 := time.Now()
-		chunked, encoded := colfmt.IsChunked(o.data), int64(len(o.data))
-		if o.ct != nil {
-			o.tbl, err = o.ct.Table()
-		} else {
+		encoded := int64(len(o.data))
+		ct, err := o.compressed()
+		if ct != nil {
+			o.tbl, err = ct.Table()
+		} else if err == nil {
 			o.tbl, err = colfmt.Decode(o.data)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("decode %q: %w", name, err)
 		}
-		o.data = nil
-		if chunked {
+		o.data, o.ct = nil, nil
+		if ct != nil {
 			// A full decode of a chunked file is the cost the kernels'
 			// per-chunk readers exist to avoid; report it like a catalog
 			// decode so observers can account decoded bytes either way.

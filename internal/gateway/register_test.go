@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -242,5 +244,23 @@ func TestGatewayExpireQueuedRun(t *testing.T) {
 	}
 	if snap := s.sched.Stats(); snap.Committed != 0 {
 		t.Fatalf("scheduler tokens still committed after both runs ended: %+v", snap)
+	}
+}
+
+// TestRegisterRejectsDeepExpression: an MV whose expression nests past
+// sql.MaxExprDepth answers 400 and registers nothing.
+func TestRegisterRejectsDeepExpression(t *testing.T) {
+	s, ts := newTestGateway(t, Config{})
+	req := pipelineRequest("deep", "t")
+	req.MVs[2].SQL = "SELECT COUNT(*) AS days FROM mv_daily WHERE " +
+		strings.Repeat("(", 10000) + "revenue > 0" + strings.Repeat(")", 10000)
+	resp := postJSON(t, ts.URL+"/v1/pipelines", req)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "nests more than") {
+		t.Fatalf("register: %d %s, want 400 naming the depth bound", resp.StatusCode, body)
+	}
+	if _, err := s.Pipeline("deep"); err == nil {
+		t.Fatal("a rejected pipeline was registered")
 	}
 }

@@ -291,11 +291,7 @@ func lowerFiltered(n engine.Node, preds []engine.Expr, st *Stats, opts encoding.
 	if len(preds) == 0 {
 		return LowerEnv(n, st, opts)
 	}
-	conj := preds[0]
-	for _, e := range preds[1:] {
-		conj = &engine.Bin{Op: engine.OpAnd, L: conj, R: e}
-	}
-	return LowerEnv(&engine.Filter{Input: n, Pred: conj}, st, opts)
+	return LowerEnv(&engine.Filter{Input: n, Pred: engine.And(preds)}, st, opts)
 }
 
 // splitAnd flattens a conjunction into its conjuncts in evaluation order.

@@ -85,9 +85,18 @@ func Solve(p *Problem) (*Solution, error) {
 	if n == 0 {
 		return &Solution{Take: nil, Profit: 0, Optimal: true}, nil
 	}
-	// Items that violate some constraint alone can never be taken.
-	feasible := make([]bool, n)
-	for j := 0; j < n; j++ {
+	feasible := feasibleItems(p)
+	if len(p.Capacities) == 1 {
+		return solveDP(p, feasible)
+	}
+	return solveBnB(p, feasible)
+}
+
+// feasibleItems reports, per item, whether it fits every constraint alone:
+// an item that does not can never be taken.
+func feasibleItems(p *Problem) []bool {
+	feasible := make([]bool, len(p.Profits))
+	for j := range feasible {
 		feasible[j] = true
 		for i := range p.Capacities {
 			if p.Weights[i][j] > p.Capacities[i] {
@@ -96,10 +105,7 @@ func Solve(p *Problem) (*Solution, error) {
 			}
 		}
 	}
-	if len(p.Capacities) == 1 {
-		return solveDP(p, feasible)
-	}
-	return solveBnB(p, feasible)
+	return feasible
 }
 
 // dpCapLimit bounds the DP table size for the single-constraint fast path;
@@ -180,7 +186,6 @@ func itemOrder(p *Problem, feasible []bool) []int {
 type bnbState struct {
 	p        *Problem
 	order    []int // items in density order
-	pos      []int // pos[j] = index of item j in order, or -1 if excluded
 	take     []bool
 	bestTake []bool
 	best     int64
@@ -188,42 +193,63 @@ type bnbState struct {
 	remain   []int64 // remaining capacity per constraint
 	// suffixProfit[k] = Σ profits of order[k:]; cheap admissible bound.
 	suffixProfit []int64
-	// constraintOrder[i] lists candidate items sorted by Profits[j]/Weights[i][j]
-	// descending (zero weight sorts first), as the Dantzig bound requires.
-	constraintOrder [][]int
-	// boundCons are the constraint indices used for fractional bounding.
-	boundCons []int
+	// bounds are the constraints used for fractional bounding, each with
+	// its undecided items.
+	bounds []boundList
 }
 
-// maxBoundConstraints caps per-node bound work; see solveBnB.
+// boundList holds one bounding constraint's undecided items sorted by
+// Profits[j]/Weights[con][j] descending (zero weight sorts first), as the
+// Dantzig bound walks them: a doubly linked list over item indices whose
+// sentinel is len(Profits). The search unlinks an item while it is decided
+// and links it back after, so a bound never walks a decided item.
+type boundList struct {
+	con        int
+	next, prev []int
+}
+
+func newBoundList(p *Problem, con int, order []int) boundList {
+	co := append([]int(nil), order...)
+	sort.SliceStable(co, func(a, b int) bool {
+		return constraintDensityLess(p, con, co[b], co[a])
+	})
+	n := len(p.Profits)
+	l := boundList{con: con, next: make([]int, n+1), prev: make([]int, n+1)}
+	last := n
+	for _, j := range co {
+		l.next[last], l.prev[j] = j, last
+		last = j
+	}
+	l.next[last], l.prev[n] = n, last
+	return l
+}
+
+func (l *boundList) unlink(j int) { l.next[l.prev[j]], l.prev[l.next[j]] = l.next[j], l.prev[j] }
+func (l *boundList) relink(j int) { l.next[l.prev[j]], l.prev[l.next[j]] = j, j }
+
+// maxBoundConstraints caps per-node bound work; see newBnB.
 const maxBoundConstraints = 6
 
 // solveBnB runs depth-first branch-and-bound over the density ordering.
 func solveBnB(p *Problem, feasible []bool) (*Solution, error) {
+	st := newBnB(p, feasible)
+	st.dfs(0, 0)
+	optimal := st.nodes < MaxBnBNodes
+	return &Solution{Take: st.bestTake, Profit: st.best, Optimal: optimal, Nodes: st.nodes}, nil
+}
+
+// newBnB sets up the search: the density order, the bounding constraints'
+// lists, and the greedy incumbent.
+func newBnB(p *Problem, feasible []bool) *bnbState {
 	st := &bnbState{
 		p:     p,
 		order: itemOrder(p, feasible),
 		take:  make([]bool, len(p.Profits)),
 	}
-	st.pos = make([]int, len(p.Profits))
-	for j := range st.pos {
-		st.pos[j] = -1
-	}
-	for k, j := range st.order {
-		st.pos[j] = k
-	}
 	st.remain = append([]int64(nil), p.Capacities...)
 	st.suffixProfit = make([]int64, len(st.order)+1)
 	for k := len(st.order) - 1; k >= 0; k-- {
 		st.suffixProfit[k] = st.suffixProfit[k+1] + p.Profits[st.order[k]]
-	}
-	st.constraintOrder = make([][]int, len(p.Capacities))
-	for i := range p.Capacities {
-		co := append([]int(nil), st.order...)
-		sort.SliceStable(co, func(a, b int) bool {
-			return constraintDensityLess(p, i, co[b], co[a])
-		})
-		st.constraintOrder[i] = co
 	}
 	// Bounding on every constraint is O(m·n) per node; the minimum over a
 	// subset of valid upper bounds is still valid, so bound only on the
@@ -248,12 +274,12 @@ func solveBnB(p *Problem, feasible []bool) (*Solution, error) {
 	if len(cons) > maxBoundConstraints {
 		cons = cons[:maxBoundConstraints]
 	}
-	st.boundCons = cons
+	for _, i := range cons {
+		st.bounds = append(st.bounds, newBoundList(p, i, st.order))
+	}
 	// Seed incumbent with the greedy solution so pruning bites early.
 	st.best, st.bestTake = greedySeed(p, st.order)
-	st.dfs(0, 0)
-	optimal := st.nodes < MaxBnBNodes
-	return &Solution{Take: st.bestTake, Profit: st.best, Optimal: optimal, Nodes: st.nodes}, nil
+	return st
 }
 
 // constraintDensityLess reports whether item a has strictly lower
@@ -316,6 +342,9 @@ func (st *bnbState) dfs(k int, profit int64) {
 		return
 	}
 	j := st.order[k]
+	for i := range st.bounds {
+		st.bounds[i].unlink(j)
+	}
 	// Branch 1: take item j if it fits.
 	fits := true
 	for i := range st.remain {
@@ -337,6 +366,9 @@ func (st *bnbState) dfs(k int, profit int64) {
 	}
 	// Branch 2: skip item j.
 	st.dfs(k+1, profit)
+	for i := range st.bounds {
+		st.bounds[i].relink(j)
+	}
 }
 
 // upperBound returns an admissible bound on the profit obtainable from items
@@ -347,28 +379,25 @@ func (st *bnbState) dfs(k int, profit int64) {
 // of valid upper bounds is valid.
 func (st *bnbState) upperBound(k int) int64 {
 	bound := st.suffixProfit[k]
-	for _, i := range st.boundCons {
-		fb := st.fractionalBound(i, k)
-		if fb < bound {
+	for i := range st.bounds {
+		if fb := st.fractionalBound(&st.bounds[i]); fb < bound {
 			bound = fb
 		}
 	}
 	return bound
 }
 
-// fractionalBound computes the Dantzig bound for constraint i over the
-// undecided items (those at global position ≥ k): walk the per-constraint
-// density order, take items greedily, and take a fraction of the first item
-// that does not fit. With proper density sorting this equals the LP optimum
-// of the single-constraint relaxation, hence a valid upper bound.
-func (st *bnbState) fractionalBound(i, k int) int64 {
-	remain := st.remain[i]
+// fractionalBound computes the Dantzig bound for one constraint over the
+// undecided items: walk its list, take items greedily, and take a fraction
+// of the first item that does not fit. With proper density sorting this
+// equals the LP optimum of the single-constraint relaxation, hence a valid
+// upper bound.
+func (st *bnbState) fractionalBound(l *boundList) int64 {
+	remain := st.remain[l.con]
 	var profit float64
-	for _, j := range st.constraintOrder[i] {
-		if st.pos[j] < k {
-			continue // already decided at shallower depth
-		}
-		w := st.p.Weights[i][j]
+	end := len(l.next) - 1
+	for j := l.next[end]; j != end; j = l.next[j] {
+		w := st.p.Weights[l.con][j]
 		if w <= remain {
 			remain -= w
 			profit += float64(st.p.Profits[j])

@@ -232,17 +232,7 @@ func TestBnBAtLeastGreedyProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomProblem(rng, 1+rng.Intn(30), 2+rng.Intn(5))
-		feasible := make([]bool, len(p.Profits))
-		for j := range feasible {
-			feasible[j] = true
-			for i := range p.Capacities {
-				if p.Weights[i][j] > p.Capacities[i] {
-					feasible[j] = false
-					break
-				}
-			}
-		}
-		gp, _ := greedySeed(p, itemOrder(p, feasible))
+		gp, _ := greedySeed(p, itemOrder(p, feasibleItems(p)))
 		s, err := Solve(p)
 		if err != nil {
 			return false

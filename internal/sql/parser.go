@@ -118,8 +118,9 @@ func (*FuncCall) exprNode() {}
 // --- parser ---
 
 type parser struct {
-	toks []token
-	pos  int
+	toks  []token
+	pos   int
+	depth int // nesting of the expression being parsed (see MaxExprDepth)
 }
 
 // Parse parses a single statement.
@@ -325,42 +326,119 @@ func (p *parser) parseTableRef() (TableRef, error) {
 	return ref, nil
 }
 
+// MaxExprDepth bounds how deeply an expression may nest, so that no
+// statement, however long, can make the parser, the planner or an
+// expression's evaluation recurse without limit. A statement fails to parse
+// when an expression's tree is more than MaxExprDepth nodes deep (a chain
+// a + b + … is one node deeper per operator), or when it nests more than
+// MaxExprDepth parentheses, NOTs, unary minuses, aggregate calls and IN
+// lists inside one another.
+const MaxExprDepth = 256
+
 // Expression precedence: OR < AND < NOT < comparison/IN < additive <
 // multiplicative < unary < primary.
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
+func (p *parser) parseExpr() (Expr, error) {
+	if err := p.descend(); err != nil {
 		return nil, err
 	}
-	for p.accept(tokKeyword, "OR") {
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinExpr{Op: "OR", L: l, R: r}
+	defer p.ascend()
+	e, err := p.parseBinary(orOps, func() (Expr, error) { return p.parseBinary(andOps, p.parseNot) })
+	if err == nil && p.depth == 1 && treeDeeper(e, MaxExprDepth) {
+		return nil, p.errDeep()
 	}
-	return l, nil
+	return e, err
 }
 
-func (p *parser) parseAnd() (Expr, error) {
-	l, err := p.parseNot()
+// descend enters one more level of the parser's recursion, failing past
+// MaxExprDepth; ascend leaves it.
+func (p *parser) descend() error {
+	if p.depth++; p.depth > MaxExprDepth {
+		return p.errDeep()
+	}
+	return nil
+}
+
+func (p *parser) ascend() { p.depth-- }
+
+func (p *parser) errDeep() error {
+	return p.errf("expression nests more than %d levels deep", MaxExprDepth)
+}
+
+// treeDeeper reports whether e is more than limit nodes deep, recursing at
+// most limit+1 calls deep itself.
+func treeDeeper(e Expr, limit int) bool {
+	if limit <= 0 {
+		return true
+	}
+	switch e := e.(type) {
+	case *BinExpr:
+		return treeDeeper(e.L, limit-1) || treeDeeper(e.R, limit-1)
+	case *NotExpr:
+		return treeDeeper(e.E, limit-1)
+	case *InExpr:
+		if treeDeeper(e.E, limit-1) {
+			return true
+		}
+		for _, x := range e.List {
+			if treeDeeper(x, limit-1) {
+				return true
+			}
+		}
+	case *FuncCall:
+		return e.Arg != nil && treeDeeper(e.Arg, limit-1)
+	}
+	return false
+}
+
+// The operators of each left-associative level, by token kind.
+var (
+	orOps  = binaryOps{tokKeyword, []string{"OR"}}
+	andOps = binaryOps{tokKeyword, []string{"AND"}}
+	addOps = binaryOps{tokSymbol, []string{"+", "-"}}
+	mulOps = binaryOps{tokSymbol, []string{"*", "/", "%"}}
+)
+
+type binaryOps struct {
+	kind tokKind
+	ops  []string
+}
+
+// parseBinary parses operand (op operand)* into a left-deep tree, so
+// a - b - c is (a - b) - c. A chain of MaxExprDepth operators is already
+// too deep, which stops a long one before it is built.
+func (p *parser) parseBinary(level binaryOps, operand func() (Expr, error)) (Expr, error) {
+	l, err := operand()
 	if err != nil {
 		return nil, err
 	}
-	for p.accept(tokKeyword, "AND") {
-		r, err := p.parseNot()
+	for n := 1; ; n++ {
+		op := ""
+		for _, o := range level.ops {
+			if p.accept(level.kind, o) {
+				op = o
+				break
+			}
+		}
+		if op == "" {
+			return l, nil
+		}
+		if n == MaxExprDepth {
+			return nil, p.errDeep()
+		}
+		r, err := operand()
 		if err != nil {
 			return nil, err
 		}
-		l = &BinExpr{Op: "AND", L: l, R: r}
+		l = &BinExpr{Op: op, L: l, R: r}
 	}
-	return l, nil
 }
 
 func (p *parser) parseNot() (Expr, error) {
 	if p.accept(tokKeyword, "NOT") {
+		if err := p.descend(); err != nil {
+			return nil, err
+		}
+		defer p.ascend()
 		e, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -423,63 +501,15 @@ func (p *parser) parseInList(l Expr, neg bool) (Expr, error) {
 }
 
 func (p *parser) parseAdditive() (Expr, error) {
-	l, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch {
-		case p.accept(tokSymbol, "+"):
-			r, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinExpr{Op: "+", L: l, R: r}
-		case p.accept(tokSymbol, "-"):
-			r, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinExpr{Op: "-", L: l, R: r}
-		default:
-			return l, nil
-		}
-	}
-}
-
-func (p *parser) parseMultiplicative() (Expr, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch {
-		case p.accept(tokSymbol, "*"):
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinExpr{Op: "*", L: l, R: r}
-		case p.accept(tokSymbol, "/"):
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinExpr{Op: "/", L: l, R: r}
-		case p.accept(tokSymbol, "%"):
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinExpr{Op: "%", L: l, R: r}
-		default:
-			return l, nil
-		}
-	}
+	return p.parseBinary(addOps, func() (Expr, error) { return p.parseBinary(mulOps, p.parseUnary) })
 }
 
 func (p *parser) parseUnary() (Expr, error) {
 	if p.accept(tokSymbol, "-") {
+		if err := p.descend(); err != nil {
+			return nil, err
+		}
+		defer p.ascend()
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err

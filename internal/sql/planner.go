@@ -211,11 +211,15 @@ func planJoin(sc *scope, left, right engine.Node, jc JoinClause) (engine.Node, e
 		Left: left, Right: right, LeftKeys: leftKeys, RightKeys: rightKeys,
 	}
 	if len(residual) > 0 {
-		pred, err := lowerExpr(sc, andAll(residual), false)
-		if err != nil {
-			return nil, err
+		preds := make([]engine.Expr, len(residual))
+		for i, c := range residual {
+			p, err := lowerExpr(sc, c, false)
+			if err != nil {
+				return nil, err
+			}
+			preds[i] = p
 		}
-		node = &engine.Filter{Input: node, Pred: pred}
+		node = &engine.Filter{Input: node, Pred: engine.And(preds)}
 	}
 	return node, nil
 }
@@ -225,14 +229,6 @@ func splitConjuncts(e Expr) []Expr {
 		return append(splitConjuncts(be.L), splitConjuncts(be.R)...)
 	}
 	return []Expr{e}
-}
-
-func andAll(es []Expr) Expr {
-	out := es[0]
-	for _, e := range es[1:] {
-		out = &BinExpr{Op: "AND", L: out, R: e}
-	}
-	return out
 }
 
 // planSelectList lowers the SELECT list, inserting an Aggregate when the

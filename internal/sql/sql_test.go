@@ -274,3 +274,37 @@ func TestSelfJoinWithAliases(t *testing.T) {
 		t.Fatalf("rows = %d, want 2", out.NumRows())
 	}
 }
+
+// TestJoinResidualConjunctsStayShallow: however many residual conjuncts an
+// ON condition holds, their filter is a balanced AND, so planning and
+// evaluating it recurse only logarithmically deep in their number.
+func TestJoinResidualConjunctsStayShallow(t *testing.T) {
+	var conj func(n int) string
+	conj = func(n int) string {
+		if n == 1 {
+			return "o.o_total > 25"
+		}
+		return "(" + conj(n/2) + " AND " + conj(n-n/2) + ")"
+	}
+	q := `SELECT o_id FROM orders o JOIN customers c ON o.o_cust = c.c_id AND ` + conj(4096)
+	cat, ctx := testCatalog()
+	plan, _, err := PlanString(q, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := plan.Run(ctx)
+	if err != nil || out.NumRows() != 3 {
+		t.Fatalf("rows = %v, %v; want 3", out, err)
+	}
+	var depth func(e engine.Expr) int
+	depth = func(e engine.Expr) int {
+		if b, ok := e.(*engine.Bin); ok {
+			return 1 + max(depth(b.L), depth(b.R))
+		}
+		return 1
+	}
+	filter := plan.(*engine.Project).Input.(*engine.Filter)
+	if d := depth(filter.Pred); d > 14 {
+		t.Fatalf("4096 conjuncts planned %d levels deep, want at most 14", d)
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	sc "github.com/shortcircuit-db/sc"
+	"github.com/shortcircuit-db/sc/internal/table"
 	"github.com/shortcircuit-db/sc/internal/tpcds"
 )
 
@@ -38,13 +39,35 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// TestChunkedObjectsPinned pins the stored bytes of the compressed path:
-// the sha256 of every object in the store after SaveTableChunked of the
-// TPC-DS tables at sf 1 (seed 42) and two serial refreshes of the 12-MV
-// pipeline with encoding on must match testdata/chunked_objects.golden.
-// Codec selection, chunk encoding and the chunk re-encoder all land in
-// these bytes, so a change that means to keep them cannot move a hash.
+// TestChunkedObjectsPinned pins the stored bytes of both writers: the
+// sha256 of every object in the store after saving the TPC-DS tables at sf 1
+// (seed 42) and two serial refreshes of the 12-MV pipeline must match a
+// golden. The compressed path (SaveTableChunked, encoding on) lands codec
+// selection, chunk encoding and the chunk re-encoder in
+// testdata/chunked_objects.golden; the row path (SaveTable, no encoding)
+// lands the v1 writer in testdata/row_objects.golden. A change that means to
+// keep either writer's bytes cannot move a hash.
 func TestChunkedObjectsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name, golden string
+		save         func(sc.Store, string, *table.Table) error
+		opts         []sc.Option
+	}{
+		{"chunked", "chunked_objects.golden", func(st sc.Store, name string, tb *table.Table) error {
+			return sc.SaveTableChunked(st, name, tb, sc.EncodingOptions{})
+		}, []sc.Option{sc.WithEncoding(sc.EncodingOptions{})}},
+		{"rows", "row_objects.golden", sc.SaveTable, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkGolden(t, tc.golden, storedObjects(t, tc.save, tc.opts...))
+		})
+	}
+}
+
+// storedObjects saves the TPC-DS tables at sf 1 with save, refreshes the
+// 12-MV pipeline twice on one token with opts, and lists every stored
+// object's name, length and sha256.
+func storedObjects(t *testing.T, save func(sc.Store, string, *table.Table) error, opts ...sc.Option) []byte {
 	ctx := context.Background()
 	ds, err := tpcds.Generate(tpcds.GenConfig{ScaleFactor: 1, Seed: 42})
 	if err != nil {
@@ -56,15 +79,11 @@ func TestChunkedObjectsPinned(t *testing.T) {
 	}
 	store := sc.NewMemStore()
 	for name, tb := range ds.Tables {
-		if err := sc.SaveTableChunked(store, name, tb, sc.EncodingOptions{}); err != nil {
+		if err := save(store, name, tb); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ref, err := sc.New(mvs, store,
-		sc.WithMemory(64<<20),
-		sc.WithConcurrency(1),
-		sc.WithEncoding(sc.EncodingOptions{}),
-	)
+	ref, err := sc.New(mvs, store, append([]sc.Option{sc.WithMemory(64 << 20), sc.WithConcurrency(1)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +107,7 @@ func TestChunkedObjectsPinned(t *testing.T) {
 		}
 		fmt.Fprintf(&buf, "%s %d %x\n", name, len(data), sha256.Sum256(data))
 	}
-	checkGolden(t, "chunked_objects.golden", buf.Bytes())
+	return buf.Bytes()
 }
 
 // TestKernelCountersPinned pins the kernel path of a compressed refresh: the
