@@ -186,33 +186,23 @@ func main() {
 
 // printExplain diffs the just-appended run against the ledger's learned
 // baselines: per-node latest vs baseline wall with regressed nodes called
-// out, then any anomalies the detector flagged.
+// out, then any anomalies the detector flagged. The node rows are the
+// ledger's own health report, whose latest succeeded run is this one.
 func printExplain(out *os.File, led *ledger.Ledger, pipeline string, sum ledger.RunSummary) {
-	regressed := make(map[string]bool)
-	for _, a := range sum.Anomalies {
-		if a.Node != "" {
-			regressed[a.Node] = true
-		}
-	}
-	base := make(map[string]ledger.NodeBaseline)
-	for _, nb := range led.Baselines(pipeline) {
-		base[nb.Node] = nb
-	}
 	fmt.Fprintf(out, "\nrun %s vs baseline (%s):\n", sum.RunID, pipeline)
 	fmt.Fprintf(out, "%-16s %12s %12s %8s\n", "node", "latest", "baseline", "")
-	for _, n := range sum.Nodes {
+	for _, n := range led.Health(pipeline, 0).Nodes {
 		mark := ""
-		if regressed[n.Node] {
+		if n.Regressed {
 			mark = "REGRESSED"
 		}
-		nb, ok := base[n.Node]
 		// The just-appended run is already folded into the baseline; with
 		// fewer than two samples the mean IS this run, so show "new".
-		if !ok || nb.Samples < 2 {
-			fmt.Fprintf(out, "%-16s %11.2fs %12s %8s\n", n.Node, n.WallSeconds, "new", mark)
+		if n.Samples < 2 {
+			fmt.Fprintf(out, "%-16s %11.2fs %12s %8s\n", n.Node, n.LatestWallSeconds, "new", mark)
 			continue
 		}
-		fmt.Fprintf(out, "%-16s %11.2fs %11.2fs %8s\n", n.Node, n.WallSeconds, nb.WallMeanSeconds, mark)
+		fmt.Fprintf(out, "%-16s %11.2fs %11.2fs %8s\n", n.Node, n.LatestWallSeconds, n.BaselineWallSeconds, mark)
 	}
 	if sum.ReservedBytes > 0 {
 		fmt.Fprintf(out, "memory: reserved %.1f MB, actual peak %.1f MB (mispredict %.0f%%)\n",

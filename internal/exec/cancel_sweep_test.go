@@ -59,7 +59,7 @@ func TestCancelReleasesFlaggedEntries(t *testing.T) {
 	if _, err := mem.Size("mv_daily"); err == nil {
 		t.Fatal("mv_daily still resident after cancelled run")
 	}
-	if got := pool.Used(); got != 0 {
+	if got := pool.Stats().Used; got != 0 {
 		t.Fatalf("shared pool Used = %d after cancelled run, want 0", got)
 	}
 	if left := mem.Detach(); left != 0 {

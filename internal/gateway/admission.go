@@ -3,6 +3,7 @@ package gateway
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -25,40 +26,16 @@ type ticket struct {
 	tokens   int   // scheduler tokens to commit alongside the bytes
 	deadline time.Time
 
-	mu       sync.Mutex
-	canceled bool
-	blocked  string // what last held this ticket at the queue head
+	// blocked is what last held this ticket at the queue head, so the run's
+	// queue-admission span can attribute its wait. The pump writes it under
+	// the admitter lock while the ticket is queued; once the pump takes the
+	// ticket off the queue it no longer changes, so start reads it freely.
+	blocked string
 
 	// start runs the admitted trigger (called outside the admitter lock);
 	// expire finalizes a ticket whose deadline passed while queued.
 	start  func(*ticket)
 	expire func(*ticket)
-}
-
-func (t *ticket) markCanceled() {
-	t.mu.Lock()
-	t.canceled = true
-	t.mu.Unlock()
-}
-
-func (t *ticket) isCanceled() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.canceled
-}
-
-// setBlocked records why the pump could not admit this ticket, so the
-// run's queue-admission span can attribute its wait.
-func (t *ticket) setBlocked(reason string) {
-	t.mu.Lock()
-	t.blocked = reason
-	t.mu.Unlock()
-}
-
-func (t *ticket) blockedOn() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.blocked
 }
 
 // tenantBudget is one tenant's slice of the shared catalog: admission
@@ -133,16 +110,6 @@ func (a *admitter) tenantSlice(name string) int64 {
 	return 0
 }
 
-// tenantReserved reports a tenant's currently reserved bytes.
-func (a *admitter) tenantReserved(name string) int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if t, ok := a.tenants[name]; ok {
-		return t.reserved
-	}
-	return 0
-}
-
 // submit offers a ticket: it is either admitted immediately (start is
 // invoked and submit returns true), queued (false, nil), or rejected with
 // ErrQueueFull. The ticket's need must already be clamped to its tenant
@@ -195,20 +162,43 @@ func (a *admitter) reap() {
 	dispatch(nil, started, expired)
 }
 
-// queueSnapshot lists the queued tickets in admission order for the
-// introspection layer, each with the reason the pump last recorded for
-// not admitting it. Only the head carries a live blocking reason (strict
-// FIFO: the tail waits on the head), so deeper entries report
-// "queued-behind-head" unless they were once blocked at the head
-// themselves.
-func (a *admitter) queueSnapshot() []introspect.QueueEntry {
+// cancel drops a still-queued ticket, so it holds no queue slot and no
+// read surface counts it. A ticket the pump already took is left to its
+// callback, which finds the run no longer queued.
+func (a *admitter) cancel(t *ticket) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]introspect.QueueEntry, 0, len(a.queue))
+	if i := slices.Index(a.queue, t); i >= 0 {
+		a.queue = slices.Delete(a.queue, i, i+1)
+	}
+}
+
+// admission is the admitter's part of a server snapshot: the queued
+// tickets in admission order, the counters, and every tenant's slice and
+// reserved bytes, all read under one a.mu.
+type admission struct {
+	queue                                 []introspect.QueueEntry
+	admitted, enqueued, rejected, expired int64
+	tenants                               map[string]tenantBudget
+}
+
+// snapshot reads the admitter for a server snapshot. Each queue entry
+// carries the reason the pump last recorded for not admitting it. Only the
+// head carries a live blocking reason (strict FIFO: the tail waits on the
+// head), so deeper entries report "queued-behind-head" unless they were
+// once blocked at the head themselves.
+func (a *admitter) snapshot() admission {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	st := admission{
+		queue:    make([]introspect.QueueEntry, 0, len(a.queue)),
+		admitted: a.admitted, enqueued: a.enqueued, rejected: a.rejected, expired: a.expired,
+		tenants: make(map[string]tenantBudget, len(a.tenants)),
+	}
+	for name, tb := range a.tenants {
+		st.tenants[name] = *tb
+	}
 	for i, t := range a.queue {
-		if t.isCanceled() {
-			continue
-		}
 		qe := introspect.QueueEntry{
 			Position:  i,
 			Tenant:    t.tenant,
@@ -216,43 +206,26 @@ func (a *admitter) queueSnapshot() []introspect.QueueEntry {
 			NeedBytes: t.need,
 			Tokens:    t.tokens,
 			Deadline:  t.deadline,
-			BlockedOn: t.blockedOn(),
+			BlockedOn: t.blocked,
 		}
 		if i > 0 && qe.BlockedOn == "" {
 			qe.BlockedOn = "queued-behind-head"
 		}
-		out = append(out, qe)
+		st.queue = append(st.queue, qe)
 	}
-	return out
+	return st
 }
 
-// depth returns the number of queued (not yet admitted) tickets.
-func (a *admitter) depth() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.queue)
-}
-
-func (a *admitter) counters() (admitted, enqueued, rejected, expired int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.admitted, a.enqueued, a.rejected, a.expired
-}
-
-// pumpLocked drains the queue head-first: canceled and expired tickets are
-// removed; the first live ticket is admitted if its pipeline is idle and
-// both its tenant slice and the global pool can hold its reservation, else
-// pumping stops (strict FIFO). It returns the tickets to start and to
-// expire; callers invoke their callbacks after releasing a.mu, so a start
-// callback can re-enter the admitter. Callers hold a.mu.
+// pumpLocked drains the queue head-first: expired tickets are removed; the
+// first live ticket is admitted if its pipeline is idle and both its tenant
+// slice and the global pool can hold its reservation, else pumping stops
+// (strict FIFO). It returns the tickets to start and to expire; callers
+// invoke their callbacks after releasing a.mu, so a start callback can
+// re-enter the admitter. Callers hold a.mu.
 func (a *admitter) pumpLocked() (started, expired []*ticket) {
 	now := a.now()
 	for len(a.queue) > 0 {
 		head := a.queue[0]
-		if head.isCanceled() {
-			a.queue = a.queue[1:]
-			continue
-		}
 		if !head.deadline.IsZero() && now.After(head.deadline) {
 			a.queue = a.queue[1:]
 			a.expired++
@@ -260,16 +233,16 @@ func (a *admitter) pumpLocked() (started, expired []*ticket) {
 			continue
 		}
 		if a.busy[head.pipeline] {
-			head.setBlocked("pipeline-busy")
+			head.blocked = "pipeline-busy"
 			break
 		}
 		tb := a.tenants[head.tenant]
 		if tb == nil || tb.reserved+head.need > tb.slice {
-			head.setBlocked("tenant-slice")
+			head.blocked = "tenant-slice"
 			break
 		}
 		if !a.pool.TryReserve(head.need) {
-			head.setBlocked("catalog-bytes")
+			head.blocked = "catalog-bytes"
 			break
 		}
 		// The run's node-pool width is soft-committed against the scheduler
@@ -278,7 +251,7 @@ func (a *admitter) pumpLocked() (started, expired []*ticket) {
 		// they cap how many runs' worth of width can be in flight at once.
 		if a.sched != nil && !a.sched.TryCommit(head.tokens) {
 			a.pool.Release(head.need)
-			head.setBlocked("sched-tokens")
+			head.blocked = "sched-tokens"
 			break
 		}
 		tb.reserved += head.need

@@ -210,7 +210,7 @@ func TestAdmissionControl(t *testing.T) {
 					clock.advance(step.advance)
 					a.reap()
 				}
-				if res := pool.Reserved(); res > tc.budget {
+				if res := pool.Stats().Reserved; res > tc.budget {
 					t.Fatalf("step %d: reserved %d exceeds budget %d", i, res, tc.budget)
 				}
 			}
@@ -220,10 +220,10 @@ func TestAdmissionControl(t *testing.T) {
 			if got := lg.expiredNames(); !equalStrings(got, tc.wantExpired) {
 				t.Fatalf("expired = %v, want %v", got, tc.wantExpired)
 			}
-			if got := a.depth(); got != tc.wantDepth {
+			if got := len(a.snapshot().queue); got != tc.wantDepth {
 				t.Fatalf("queue depth = %d, want %d", got, tc.wantDepth)
 			}
-			if pk := pool.PeakReserved(); pk > tc.budget {
+			if pk := pool.Stats().PeakReserved; pk > tc.budget {
 				t.Fatalf("peak reserved %d exceeds budget %d", pk, tc.budget)
 			}
 		})
@@ -277,11 +277,11 @@ func TestAdmissionTokenGating(t *testing.T) {
 	if now, err := a.submit(t3); err != nil || now {
 		t.Fatalf("submit p3: admittedNow=%v err=%v, want queued", now, err)
 	}
-	if got := pool.Reserved(); got != 20 {
+	if got := pool.Stats().Reserved; got != 20 {
 		t.Fatalf("reserved = %d after token block, want 20 (p3 rolled back)", got)
 	}
-	if got := t3.blockedOn(); got != "sched-tokens" {
-		t.Fatalf("blockedOn = %q, want sched-tokens", got)
+	if got := t3.blocked; got != "sched-tokens" {
+		t.Fatalf("blocked = %q, want sched-tokens", got)
 	}
 	a.finish("t", "p1", 10, 2)
 	if got := sc.Committed(); got != 4 {
@@ -325,7 +325,7 @@ func TestAdmissionConcurrentBurst(t *testing.T) {
 			mu.Lock()
 			startedCount++
 			mu.Unlock()
-			if res := pool.Reserved(); res > budget {
+			if res := pool.Stats().Reserved; res > budget {
 				t.Errorf("reserved %d exceeds budget %d", res, budget)
 			}
 			// Finish on another goroutine, as the server's execute does.
@@ -355,10 +355,10 @@ func TestAdmissionConcurrentBurst(t *testing.T) {
 	if startedCount != tickets {
 		t.Fatalf("started %d, want %d", startedCount, tickets)
 	}
-	if res := pool.Reserved(); res != 0 {
+	if res := pool.Stats().Reserved; res != 0 {
 		t.Fatalf("reserved %d after all finished", res)
 	}
-	if pk := pool.PeakReserved(); pk > budget {
+	if pk := pool.Stats().PeakReserved; pk > budget {
 		t.Fatalf("peak reserved %d exceeds budget %d", pk, budget)
 	}
 }

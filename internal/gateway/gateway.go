@@ -11,7 +11,10 @@
 // and evicts partial state, so the shared budget can never leak. Every run
 // is traced from enqueue to its terminal state: the trace is what the
 // ledger row and the per-run /metrics counters are derived from, once,
-// when the run finishes.
+// when the run finishes. Every read surface — /healthz, the /metrics
+// gauges and /v1/state/{sched,catalog} — is a projection of one snapshot
+// that reads each owner of the state (registry, admitter, pool, scheduler,
+// ledger, run catalogs) once, so what they report about one state agrees.
 package gateway
 
 import (
@@ -389,7 +392,7 @@ func NewServer(cfg Config) (*Server, error) {
 			Now:      cfg.Clock,
 		})
 	}
-	s.registerGauges()
+	s.prom.registerGauges()
 	s.wg.Add(1)
 	go s.schedulerLoop()
 	return s, nil
@@ -410,11 +413,8 @@ func (s *Server) Close() {
 		if r.state == StateRunning && r.cancelRun != nil {
 			r.cancelRun()
 		}
-		tkt := r.tkt
 		r.mu.Unlock()
-		if tkt != nil {
-			s.cancelIfQueued(r, tkt)
-		}
+		s.cancelIfQueued(r)
 	}
 	s.runWG.Wait()
 	if s.fin.Alerts != nil {
@@ -677,6 +677,15 @@ func (s *Server) TriggerTrace(name string, parent telemetry.SpanContext) (*Run, 
 		state:  StateQueued,
 	}
 	r.enqueuedAt = now
+	r.tkt = &ticket{
+		tenant:   p.tenant,
+		pipeline: p.Name,
+		need:     need,
+		tokens:   r.tokens,
+		deadline: now.Add(s.cfg.QueueTimeout),
+		start:    func(*ticket) { s.startRun(r, plan) },
+		expire:   func(*ticket) { s.expireRun(r) },
+	}
 	// The root span opens at enqueue, so queue wait is on the trace.
 	r.trace = p.OpenTrace(r.id, now, parent)
 	r.trace.SetRootAttrs(
@@ -688,15 +697,6 @@ func (s *Server) TriggerTrace(name string, parent telemetry.SpanContext) (*Run, 
 	s.runs[r.id] = r
 	s.mu.Unlock()
 
-	r.tkt = &ticket{
-		tenant:   p.tenant,
-		pipeline: p.Name,
-		need:     need,
-		tokens:   r.tokens,
-		deadline: now.Add(s.cfg.QueueTimeout),
-		start:    func(*ticket) { s.startRun(r, plan) },
-		expire:   func(*ticket) { s.expireRun(r) },
-	}
 	admittedNow, err := s.adm.submit(r.tkt)
 	if err != nil {
 		s.mu.Lock()
@@ -737,7 +737,7 @@ func (s *Server) startRun(r *Run, plan *core.Plan) {
 	// Attribute the queue wait: what the pump last saw holding this
 	// trigger at the head — catalog bytes, scheduler tokens, the
 	// tenant's slice, or its own pipeline still running.
-	if b := r.tkt.blockedOn(); b != "" {
+	if b := r.tkt.blocked; b != "" {
 		attrs = append(attrs, telemetry.Str("sc.blocked_on", b))
 	}
 	r.trace.AddChildSpan(telemetry.SpanQueueAdmission, r.enqueuedAt, now, attrs...)
@@ -906,15 +906,17 @@ func (s *Server) expireRun(r *Run) {
 	s.terminate(r, StateExpired, s.cfg.Clock())
 }
 
-// cancelIfQueued finalizes a still-queued run as canceled. Returns whether
-// it took effect.
-func (s *Server) cancelIfQueued(r *Run, tkt *ticket) bool {
+// cancelIfQueued drops a still-queued run from the admission queue and
+// finalizes it as canceled. Returns whether it took effect. A run the pump
+// already took off the queue but has not started is canceled too: startRun
+// then finds it no longer queued and gives its reservation back.
+func (s *Server) cancelIfQueued(r *Run) bool {
+	s.adm.cancel(r.tkt)
 	r.mu.Lock()
 	if r.state != StateQueued {
 		r.mu.Unlock()
 		return false
 	}
-	tkt.markCanceled()
 	s.terminate(r, StateCanceled, s.cfg.Clock())
 	return true
 }
@@ -930,7 +932,7 @@ func (s *Server) CancelRun(id string) (RunStatus, error) {
 	if err != nil {
 		return RunStatus{}, err
 	}
-	if s.cancelIfQueued(r, r.tkt) {
+	if s.cancelIfQueued(r) {
 		s.adm.reap()
 		return r.status(), nil
 	}
@@ -1033,44 +1035,4 @@ func (s *Server) QueryMV(pipelineName, mv string, limit int) (*table.Table, erro
 		}
 	}
 	return t, nil
-}
-
-// Stats snapshots server-wide admission and budget state.
-func (s *Server) Stats() Stats {
-	adm, enq, rej, exp := s.adm.counters()
-	s.mu.Lock()
-	n := len(s.pipelines)
-	s.mu.Unlock()
-	snap := s.sched.Stats()
-	return Stats{
-		Pipelines:      n,
-		QueueDepth:     s.adm.depth(),
-		Admitted:       adm,
-		Enqueued:       enq,
-		Rejected:       rej,
-		Expired:        exp,
-		BudgetBytes:    s.pool.Capacity(),
-		ReservedBytes:  s.pool.Reserved(),
-		UsedBytes:      s.pool.Used(),
-		PeakUsedBytes:  s.pool.PeakUsed(),
-		PeakReserved:   s.pool.PeakReserved(),
-		SchedTokens:    snap.Tokens,
-		SchedIdle:      snap.Idle,
-		SchedCommitted: snap.Committed,
-	}
-}
-
-// tenantNames lists tenants with registered slices.
-func (s *Server) tenantNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seen := make(map[string]bool)
-	var names []string
-	for _, p := range s.pipelines {
-		if !seen[p.tenant] {
-			seen[p.tenant] = true
-			names = append(names, p.tenant)
-		}
-	}
-	return names
 }

@@ -271,8 +271,8 @@ func TestGatewayCancelQueuedRun(t *testing.T) {
 	if got.State != StateCanceled {
 		t.Fatalf("cancel of a queued run: state = %q", got.State)
 	}
-	if want := r1.Status().ReservedBytes; s.pool.Reserved() != want {
-		t.Fatalf("reserved = %d after canceling the queued run, want the held run's %d", s.pool.Reserved(), want)
+	if want := r1.Status().ReservedBytes; s.pool.Stats().Reserved != want {
+		t.Fatalf("reserved = %d after canceling the queued run, want the held run's %d", s.pool.Stats().Reserved, want)
 	}
 
 	// Cancel the held run once it is parked at the gate: the cancel cannot
@@ -311,11 +311,62 @@ func TestGatewayCancelQueuedRun(t *testing.T) {
 		t.Fatalf("cancel of a running run: state = %q", rep.st.State)
 	}
 	<-r1.Done()
-	if s.pool.Reserved() != 0 {
-		t.Fatalf("reserved = %d after both runs ended", s.pool.Reserved())
+	if s.pool.Stats().Reserved != 0 {
+		t.Fatalf("reserved = %d after both runs ended", s.pool.Stats().Reserved)
 	}
 	if leaked := r1.Status().LeakedBytes + got.LeakedBytes; leaked != 0 {
 		t.Fatalf("canceled runs leaked %d bytes into the shared pool", leaked)
+	}
+}
+
+// TestCanceledTriggerLeavesQueue: a trigger canceled behind a blocked head
+// gives its queue slot back at once. Under QueueLimit 2 a held run keeps
+// the head blocked on its busy pipeline; the trigger behind the head is
+// canceled, and the next trigger queues instead of answering ErrQueueFull.
+func TestCanceledTriggerLeavesQueue(t *testing.T) {
+	gs := &gateStore{Store: storage.NewMemStore()}
+	s, _ := newTestGateway(t, Config{QueueLimit: 2, NewStore: func(string) storage.Store { return gs }})
+	if err := s.Register(PipelineSpec{
+		Name: "p", Tenant: "t",
+		MVs:    pipelineRequest("", "").MVs,
+		Tables: map[string]*table.Table{"sales": mustTable(t, salesJSON())},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	gs.block()
+	defer gs.open() // a failing assertion must not leave Close waiting on the held run
+	var runs []*Run
+	for i := 0; i < 3; i++ {
+		r, err := s.Trigger("p")
+		if err != nil {
+			t.Fatalf("trigger %d: %v", i, err)
+		}
+		runs = append(runs, r)
+	}
+	held, head, behind := runs[0], runs[1], runs[2]
+	if st := held.Status().State; st != StateRunning {
+		t.Fatalf("first trigger is %q, want running", st)
+	}
+	if st, err := s.CancelRun(behind.ID()); err != nil || st.State != StateCanceled {
+		t.Fatalf("cancel behind the head: %+v, %v", st, err)
+	}
+	next, err := s.Trigger("p")
+	if err != nil {
+		t.Fatalf("trigger after a cancel freed a queue slot: %v", err)
+	}
+	sr := s.SchedState()
+	if sr.QueueDepth != 2 || s.Stats().QueueDepth != 2 || sr.Queue[0].BlockedOn != "pipeline-busy" {
+		t.Fatalf("queue = %+v (healthz depth %d), want head and next, head blocked on pipeline-busy", sr.Queue, s.Stats().QueueDepth)
+	}
+	gs.open()
+	for _, r := range []*Run{held, head, next} {
+		<-r.Done()
+		if st := r.Status(); st.State != StateSucceeded {
+			t.Fatalf("run %s: %q (%s)", r.ID(), st.State, st.Error)
+		}
+	}
+	if st := behind.Status().State; st != StateCanceled {
+		t.Fatalf("canceled run ended %q", st)
 	}
 }
 
@@ -349,10 +400,10 @@ func TestGatewayWaitDisconnectCancels(t *testing.T) {
 	if st.State != StateCanceled && st.State != StateSucceeded {
 		t.Fatalf("state = %q", st.State)
 	}
-	if got := s.pool.Reserved(); got != 0 {
+	if got := s.pool.Stats().Reserved; got != 0 {
 		t.Fatalf("reserved = %d after terminal run", got)
 	}
-	if got := s.pool.Used(); got != 0 {
+	if got := s.pool.Stats().Used; got != 0 {
 		t.Fatalf("used = %d after terminal run", got)
 	}
 	if st.LeakedBytes != 0 {
@@ -418,7 +469,7 @@ func TestGatewayEncodedPipeline(t *testing.T) {
 	if got.NumRows() != 3 {
 		t.Fatalf("mv_daily rows = %d", got.NumRows())
 	}
-	if used := s.pool.Used(); used != 0 {
+	if used := s.pool.Stats().Used; used != 0 {
 		t.Fatalf("pool used = %d after refreshes", used)
 	}
 }
@@ -654,11 +705,11 @@ func TestPromExposition(t *testing.T) {
 	p.refreshes.add(2, "t1", `p"quote`, "succeeded")
 	p.queueWait.observe(0.004)
 	p.queueWait.observe(2)
-	p.addGauge("scserve_queue_depth", "Queued.", nil, func() []gaugeSample {
+	p.addGauge("scserve_queue_depth", "Queued.", nil, func(*snapshot) []gaugeSample {
 		return []gaugeSample{{v: 7}}
 	})
 	var b bytes.Buffer
-	p.write(&b, false)
+	p.write(&b, false, nil)
 	text := b.String()
 	for _, want := range []string{
 		`scserve_refreshes_total{tenant="t1",pipeline="p\"quote",status="succeeded"} 3`,

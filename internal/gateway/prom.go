@@ -200,17 +200,17 @@ type gaugeSample struct {
 }
 
 // gaugeVec is a labeled gauge family whose values are collected at scrape
-// time — queue depth and catalog byte gauges read live server state
-// instead of being kept in sync event by event.
+// time — queue depth and catalog byte gauges project the scrape's one
+// server snapshot instead of being kept in sync event by event.
 type gaugeVec struct {
 	name, help string
 	labels     []string
-	collect    func() []gaugeSample
+	collect    func(*snapshot) []gaugeSample
 }
 
-func (g *gaugeVec) write(w io.Writer) {
+func (g *gaugeVec) write(w io.Writer, sn *snapshot) {
 	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", g.name, g.help, g.name)
-	samples := g.collect()
+	samples := g.collect(sn)
 	sort.Slice(samples, func(i, j int) bool {
 		return labelKey(samples[i].lvs) < labelKey(samples[j].lvs)
 	})
@@ -223,8 +223,8 @@ func (g *gaugeVec) write(w io.Writer) {
 var latencyBuckets = []float64{.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10, 30, 60, 120, 300}
 
 // prom is the gateway's metric registry: finished runs and admission
-// decisions land in counters and histograms here, gauges read live server
-// state at scrape time, and the /metrics handler writes the exposition.
+// decisions land in counters and histograms here, gauges project a server
+// snapshot at scrape time, and the /metrics handler writes the exposition.
 // Each family is registered once, into the slice write loops over.
 type prom struct {
 	refreshes       *counterVec // tenant, pipeline, status
@@ -293,19 +293,20 @@ func (p *prom) hist(name, help string, labels ...string) *histVec {
 }
 
 // addGauge registers a scrape-time gauge family.
-func (p *prom) addGauge(name, help string, labels []string, collect func() []gaugeSample) {
+func (p *prom) addGauge(name, help string, labels []string, collect func(*snapshot) []gaugeSample) {
 	p.gauges = append(p.gauges, &gaugeVec{name: name, help: help, labels: labels, collect: collect})
 }
 
-// write renders the full exposition; om selects OpenMetrics 1.0 (counter
-// families named without _total, exemplars on histogram buckets, trailing
-// # EOF) over the classic 0.0.4 text format.
-func (p *prom) write(w io.Writer, om bool) {
+// write renders the full exposition, every gauge from the one snapshot
+// sn; om selects OpenMetrics 1.0 (counter families named without _total,
+// exemplars on histogram buckets, trailing # EOF) over the classic 0.0.4
+// text format.
+func (p *prom) write(w io.Writer, om bool, sn *snapshot) {
 	for _, c := range p.counters {
 		c.write(w, om)
 	}
 	for _, g := range p.gauges {
-		g.write(w)
+		g.write(w, sn)
 	}
 	for _, h := range p.hists {
 		h.write(w, om)
@@ -315,103 +316,88 @@ func (p *prom) write(w io.Writer, om bool) {
 	}
 }
 
-// registerGauges wires the scrape-time gauges to live server state.
-func (s *Server) registerGauges() {
+// registerGauges registers the server's scrape-time gauges, each a
+// projection of the scrape's snapshot.
+func (p *prom) registerGauges() {
 	// value registers an unlabeled gauge with one reading.
-	value := func(name, help string, read func() float64) {
-		s.prom.addGauge(name, help, nil, func() []gaugeSample { return []gaugeSample{{v: read()}} })
+	value := func(name, help string, read func(*snapshot) float64) {
+		p.addGauge(name, help, nil, func(sn *snapshot) []gaugeSample { return []gaugeSample{{v: read(sn)}} })
 	}
 	// perTenant registers a gauge with one reading per registered tenant.
-	perTenant := func(name, help string, read func(tenant string) float64) {
-		s.prom.addGauge(name, help, []string{"tenant"}, func() []gaugeSample {
+	perTenant := func(name, help string, read func(sn *snapshot, tenant string) float64) {
+		p.addGauge(name, help, []string{"tenant"}, func(sn *snapshot) []gaugeSample {
 			var out []gaugeSample
-			for _, t := range s.tenantNames() {
-				out = append(out, gaugeSample{lvs: []string{t}, v: read(t)})
+			for _, t := range sn.tenants {
+				out = append(out, gaugeSample{lvs: []string{t}, v: read(sn, t)})
 			}
 			return out
 		})
 	}
 	value("scserve_queue_depth", "Triggers waiting for admission.",
-		func() float64 { return float64(s.adm.depth()) })
+		func(sn *snapshot) float64 { return float64(len(sn.adm.queue)) })
 	value("scserve_catalog_budget_bytes", "Global shared Memory Catalog budget.",
-		func() float64 { return float64(s.pool.Capacity()) })
+		func(sn *snapshot) float64 { return float64(sn.pool.Capacity) })
 	value("scserve_catalog_reserved_bytes", "Bytes reserved by admitted refreshes.",
-		func() float64 { return float64(s.pool.Reserved()) })
+		func(sn *snapshot) float64 { return float64(sn.pool.Reserved) })
 	value("scserve_catalog_used_bytes", "Bytes resident across all run catalogs.",
-		func() float64 { return float64(s.pool.Used()) })
+		func(sn *snapshot) float64 { return float64(sn.pool.Used) })
 	value("scserve_catalog_peak_used_bytes", "High-water mark of resident bytes.",
-		func() float64 { return float64(s.pool.PeakUsed()) })
+		func(sn *snapshot) float64 { return float64(sn.pool.PeakUsed) })
 	perTenant("scserve_tenant_slice_bytes", "Configured tenant budget slice.",
-		func(t string) float64 { return float64(s.adm.tenantSlice(t)) })
+		func(sn *snapshot, t string) float64 { return float64(sn.adm.tenants[t].slice) })
 	perTenant("scserve_tenant_reserved_bytes", "Bytes a tenant's admitted refreshes hold reserved.",
-		func(t string) float64 { return float64(s.adm.tenantReserved(t)) })
+		func(sn *snapshot, t string) float64 { return float64(sn.adm.tenants[t].reserved) })
 	value("scserve_sched_tokens_idle", "Scheduler tokens currently idle in the shared pool.",
-		func() float64 { return float64(s.sched.Stats().Idle) })
+		func(sn *snapshot) float64 { return float64(sn.sched.Idle) })
 	value("scserve_sched_tokens_committed", "Scheduler tokens soft-committed by admitted refreshes.",
-		func() float64 { return float64(s.sched.Stats().Committed) })
+		func(sn *snapshot) float64 { return float64(sn.sched.Committed) })
 	value("scserve_ledger_runs", "Run summaries retained in the ledger ring.",
-		func() float64 { return float64(s.fin.Ledger.Len()) })
+		func(sn *snapshot) float64 { return float64(sn.ledger.Runs) })
 	value("scserve_ledger_evicted_total", "Run summaries evicted from the bounded ledger ring.",
-		func() float64 { return float64(s.fin.Ledger.Evicted()) })
-	s.prom.addGauge("scserve_mispredict_ratio",
-		"Learned mean |reserved-actual|/reserved of admission reservations.",
-		[]string{"pipeline"}, func() []gaugeSample {
-			var out []gaugeSample
-			for _, p := range s.fin.Ledger.Pipelines() {
-				out = append(out, gaugeSample{lvs: []string{p}, v: s.fin.Ledger.MispredictRatio(p)})
-			}
-			return out
-		})
+		func(sn *snapshot) float64 { return float64(sn.ledger.Evicted) })
+	p.addGauge("scserve_mispredict_ratio",
+		"Learned mean |reserved-actual|/reserved of admission reservations.", []string{"pipeline"},
+		func(sn *snapshot) []gaugeSample { return samples(sn.ledger.Mispredict) })
 	value("scserve_catalog_entry_bytes",
 		"Bytes resident across run catalogs, summed from per-entry accounting (pins the /v1/state/catalog byte totals).",
-		func() float64 { return float64(s.CatalogState().EntryBytes) })
-	s.prom.addGauge("scserve_catalog_codec_bytes",
-		"Compressed bytes resident in run catalogs, by codec.", []string{"codec"}, func() []gaugeSample {
-			var out []gaugeSample
-			for codec, b := range s.CatalogState().CodecBytes {
-				out = append(out, gaugeSample{lvs: []string{codec}, v: float64(b)})
-			}
-			return out
-		})
-	s.prom.addGauge("scserve_catalog_codec_chunks",
-		"Compressed chunks resident in run catalogs, by codec.", []string{"codec"}, func() []gaugeSample {
-			var out []gaugeSample
-			for codec, n := range s.CatalogState().CodecChunks {
-				out = append(out, gaugeSample{lvs: []string{codec}, v: float64(n)})
-			}
-			return out
-		})
+		func(sn *snapshot) float64 { return float64(sn.catalog.EntryBytes) })
+	p.addGauge("scserve_catalog_codec_bytes",
+		"Compressed bytes resident in run catalogs, by codec.", []string{"codec"},
+		func(sn *snapshot) []gaugeSample { return samples(sn.catalog.CodecBytes) })
+	p.addGauge("scserve_catalog_codec_chunks",
+		"Compressed chunks resident in run catalogs, by codec.", []string{"codec"},
+		func(sn *snapshot) []gaugeSample { return samples(sn.catalog.CodecChunks) })
 	value("scserve_catalog_evictions_total", "Catalog entries evicted across all run catalogs.",
-		func() float64 { return float64(s.evictionsSeen()) })
-	s.prom.addGauge("scserve_alerts_total",
-		"Alert webhook delivery outcomes.", []string{"outcome"}, func() []gaugeSample {
-			if s.fin.Alerts == nil {
+		func(sn *snapshot) float64 { return float64(sn.catalog.EvictionsSeen) })
+	p.addGauge("scserve_alerts_total",
+		"Alert webhook delivery outcomes.", []string{"outcome"}, func(sn *snapshot) []gaugeSample {
+			if sn.alerts == nil {
 				return nil
 			}
-			st := s.fin.Alerts.Stats()
-			return []gaugeSample{
-				{lvs: []string{"delivered"}, v: float64(st.Delivered)},
-				{lvs: []string{"dropped"}, v: float64(st.Dropped)},
-				{lvs: []string{"deduped"}, v: float64(st.Deduped)},
-				{lvs: []string{"retried"}, v: float64(st.Retries)},
-			}
+			return samples(map[string]int64{
+				"delivered": sn.alerts.Delivered,
+				"dropped":   sn.alerts.Dropped,
+				"deduped":   sn.alerts.Deduped,
+				"retried":   sn.alerts.Retries,
+			})
 		})
-	s.prom.addGauge("scserve_tenant_catalog_bytes",
-		"Bytes resident in a tenant's live run catalogs.", []string{"tenant"}, func() []gaugeSample {
-			used := make(map[string]float64)
-			s.mu.Lock()
-			for _, r := range s.runs {
-				r.mu.Lock()
-				if r.cat != nil {
-					used[r.p.tenant] += float64(r.cat.Used())
+	perTenant("scserve_tenant_catalog_bytes", "Bytes resident in a tenant's live run catalogs.",
+		func(sn *snapshot, t string) float64 {
+			var used int64
+			for _, e := range sn.catalog.Entries {
+				if e.Tenant == t {
+					used += e.SizeBytes
 				}
-				r.mu.Unlock()
 			}
-			s.mu.Unlock()
-			var out []gaugeSample
-			for _, t := range s.tenantNames() {
-				out = append(out, gaugeSample{lvs: []string{t}, v: used[t]})
-			}
-			return out
+			return float64(used)
 		})
+}
+
+// samples lists one reading per key of m, labeled by the key.
+func samples[V int | int64 | float64](m map[string]V) []gaugeSample {
+	var out []gaugeSample
+	for k, v := range m {
+		out = append(out, gaugeSample{lvs: []string{k}, v: float64(v)})
+	}
+	return out
 }

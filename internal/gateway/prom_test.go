@@ -38,9 +38,9 @@ func TestPromExpositionGolden(t *testing.T) {
 	p.evictions.add(1, "acme", "beer")
 	p.kernelFallbacks.add(2, "acme", "beer")
 	p.addGauge("scserve_queue_depth", "Refresh triggers currently queued.", nil,
-		func() []gaugeSample { return []gaugeSample{{v: 2}} })
+		func(*snapshot) []gaugeSample { return []gaugeSample{{v: 2}} })
 	p.addGauge("scserve_catalog_bytes", "Shared catalog residency by tenant.", []string{"tenant"},
-		func() []gaugeSample {
+		func(*snapshot) []gaugeSample {
 			return []gaugeSample{
 				{lvs: []string{"zeta"}, v: 1},
 				{lvs: []string{"acme"}, v: 12345},
@@ -56,7 +56,7 @@ func TestPromExpositionGolden(t *testing.T) {
 	p.mvReadSeconds.observe(0.03)
 
 	var buf bytes.Buffer
-	p.write(&buf, false)
+	p.write(&buf, false, nil)
 
 	golden := filepath.Join("testdata", "metrics.golden")
 	if *updateGolden {
@@ -84,7 +84,7 @@ func TestPromOpenMetrics(t *testing.T) {
 	p.refreshSeconds.observeExemplar(0.2, `trace_id="0af7651916cd43dd8448eb211c80319c"`, "acme", "beer")
 
 	var buf bytes.Buffer
-	p.write(&buf, true)
+	p.write(&buf, true, nil)
 	out := buf.String()
 
 	if !strings.HasSuffix(out, "# EOF\n") {
@@ -102,7 +102,7 @@ func TestPromOpenMetrics(t *testing.T) {
 	}
 	// Classic mode must not leak exemplars.
 	var classic bytes.Buffer
-	p.write(&classic, false)
+	p.write(&classic, false, nil)
 	if strings.Contains(classic.String(), "trace_id") {
 		t.Fatal("classic exposition must not carry exemplars")
 	}

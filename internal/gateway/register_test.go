@@ -239,7 +239,7 @@ func TestGatewayExpireQueuedRun(t *testing.T) {
 	if st := r1.Status(); st.State != StateSucceeded {
 		t.Fatalf("held run: state %q (%s), want succeeded", st.State, st.Error)
 	}
-	if got := s.pool.Reserved(); got != 0 {
+	if got := s.pool.Stats().Reserved; got != 0 {
 		t.Fatalf("reserved = %d after both runs ended", got)
 	}
 	if snap := s.sched.Stats(); snap.Committed != 0 {

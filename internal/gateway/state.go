@@ -2,33 +2,89 @@ package gateway
 
 import (
 	"context"
+	"slices"
 	"sort"
+	"time"
 
 	"github.com/shortcircuit-db/sc/internal/introspect"
+	"github.com/shortcircuit-db/sc/internal/introspect/alert"
+	"github.com/shortcircuit-db/sc/internal/ledger"
+	"github.com/shortcircuit-db/sc/internal/memcat"
 	"github.com/shortcircuit-db/sc/internal/obs"
+	"github.com/shortcircuit-db/sc/internal/sched"
 )
 
 // evictionLogCap bounds the eviction timeline of /v1/state/catalog: the
 // newest Evicted events across the retained runs.
 const evictionLogCap = 256
 
-// CatalogState snapshots the shared Memory Catalog for
-// GET /v1/state/catalog: every entry resident in a live run's catalog with
-// its owner, codec mix and eviction rank under the cost-model score, plus
-// the eviction timeline read off the retained runs' traces. The report's
-// UsedBytes comes from the pool and EntryBytes from summing entries — the
-// two agree byte-for-byte because every run catalog draws from the pool.
-func (s *Server) CatalogState() introspect.CatalogReport {
-	now := s.cfg.Clock()
-	rep := introspect.CatalogReport{
-		At:            now,
-		BudgetBytes:   s.pool.Capacity(),
-		ReservedBytes: s.pool.Reserved(),
-		UsedBytes:     s.pool.Used(),
-		PeakUsedBytes: s.pool.PeakUsed(),
+// snapshot is one reading of every owner of the gateway's state, each read
+// once: the registry, the admitter, the shared pool, the scheduler, the
+// ledger, the alert notifier and the live run catalogs. /healthz, every
+// /metrics gauge and /v1/state/{sched,catalog} are projections of it, so
+// what they say about one state agrees.
+type snapshot struct {
+	at        time.Time
+	pipelines int
+	tenants   []string // of the registered pipelines, sorted
+	adm       admission
+	pool      memcat.PoolStats
+	sched     sched.Snapshot
+	ledger    ledger.Stats
+	alerts    *alert.Stats // nil without a webhook
+	catalog   introspect.CatalogReport
+}
+
+// snapshot reads the server's state. Each owner's lock is taken once and
+// released before the next: the registry is copied under s.mu, then the
+// admitter, pool, scheduler, ledger and each run are read in turn.
+func (s *Server) snapshot() *snapshot {
+	sn := &snapshot{at: s.cfg.Clock()}
+	s.mu.Lock()
+	sn.pipelines = len(s.pipelines)
+	for _, p := range s.pipelines {
+		if !slices.Contains(sn.tenants, p.tenant) {
+			sn.tenants = append(sn.tenants, p.tenant)
+		}
 	}
-	runs, retired := s.retained()
-	rep.EvictionsSeen = retired
+	// retire moves a run from s.runs to evictionsRetired under s.mu, so
+	// reading both in one hold counts every eviction exactly once.
+	runs := make([]*Run, 0, len(s.runs))
+	for _, r := range s.runs {
+		runs = append(runs, r)
+	}
+	retired := s.evictionsRetired
+	s.mu.Unlock()
+	sort.Strings(sn.tenants)
+	sort.Slice(runs, func(i, j int) bool { return runs[i].id < runs[j].id })
+
+	sn.adm = s.adm.snapshot()
+	sn.pool = s.pool.Stats()
+	sn.sched = s.sched.Stats()
+	sn.ledger = s.fin.Ledger.Stats()
+	if s.fin.Alerts != nil {
+		st := s.fin.Alerts.Stats()
+		sn.alerts = &st
+	}
+	sn.catalog = sn.catalogReport(runs, retired)
+	return sn
+}
+
+// catalogReport builds the body of GET /v1/state/catalog: every entry
+// resident in a live run's catalog with its owner, codec mix and eviction
+// rank under the cost-model score, plus the eviction timeline read off the
+// retained runs' traces. UsedBytes comes from the pool and EntryBytes from
+// summing entries — the two agree byte-for-byte because every run catalog
+// draws from the pool.
+func (sn *snapshot) catalogReport(runs []*Run, retired int64) introspect.CatalogReport {
+	rep := introspect.CatalogReport{
+		At:            sn.at,
+		BudgetBytes:   sn.pool.Capacity,
+		ReservedBytes: sn.pool.Reserved,
+		UsedBytes:     sn.pool.Used,
+		PeakUsedBytes: sn.pool.PeakUsed,
+		EvictionsSeen: retired,
+	}
 	for _, r := range runs {
 		evs := r.evictions()
 		rep.Evictions = append(rep.Evictions, evs...)
@@ -43,7 +99,7 @@ func (s *Server) CatalogState() introspect.CatalogReport {
 		// Score each resident entry under the pipeline's current knapsack,
 		// so eviction rank reflects what the optimizer values right now.
 		score := make(map[string]float64)
-		prob := r.p.Problem(s.adm.tenantSlice(r.p.tenant))
+		prob := r.p.Problem(sn.adm.tenants[r.p.tenant].slice)
 		for i, n := range r.p.Workload.Nodes {
 			score[n.Name] = prob.Scores[i]
 		}
@@ -53,7 +109,7 @@ func (s *Server) CatalogState() introspect.CatalogReport {
 				EntryInfo: e,
 			}
 			if !e.LastAccess.IsZero() {
-				ce.LastAccessAgeSeconds = now.Sub(e.LastAccess).Seconds()
+				ce.LastAccessAgeSeconds = sn.at.Sub(e.LastAccess).Seconds()
 			}
 			ce.ScoreSeconds = score[e.Name]
 			rep.Entries = append(rep.Entries, ce)
@@ -65,30 +121,6 @@ func (s *Server) CatalogState() introspect.CatalogReport {
 	}
 	introspect.FinishCatalogReport(&rep)
 	return rep
-}
-
-// retained snapshots the runs the server holds, in run order, together with
-// the evictions of the runs it has dropped: retire moves a run from one to
-// the other under s.mu, so a snapshot counts every eviction exactly once.
-func (s *Server) retained() ([]*Run, int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	runs := make([]*Run, 0, len(s.runs))
-	for _, r := range s.runs {
-		runs = append(runs, r)
-	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i].id < runs[j].id })
-	return runs, s.evictionsRetired
-}
-
-// evictionsSeen counts every eviction of every run the server has hosted
-// (scserve_catalog_evictions_total), without building the report.
-func (s *Server) evictionsSeen() int64 {
-	runs, n := s.retained()
-	for _, r := range runs {
-		n += int64(len(r.evictions()))
-	}
-	return n
 }
 
 // evictions reads the Evicted events off the run's trace, attributed to the
@@ -107,24 +139,52 @@ func (r *Run) evictions() []introspect.EvictionEvent {
 	return out
 }
 
+// Stats snapshots server-wide admission and budget state: the body of
+// /healthz and the bench report.
+func (s *Server) Stats() Stats {
+	sn := s.snapshot()
+	return Stats{
+		Pipelines:      sn.pipelines,
+		QueueDepth:     len(sn.adm.queue),
+		Admitted:       sn.adm.admitted,
+		Enqueued:       sn.adm.enqueued,
+		Rejected:       sn.adm.rejected,
+		Expired:        sn.adm.expired,
+		BudgetBytes:    sn.pool.Capacity,
+		ReservedBytes:  sn.pool.Reserved,
+		UsedBytes:      sn.pool.Used,
+		PeakUsedBytes:  sn.pool.PeakUsed,
+		PeakReserved:   sn.pool.PeakReserved,
+		SchedTokens:    sn.sched.Tokens,
+		SchedIdle:      sn.sched.Idle,
+		SchedCommitted: sn.sched.Committed,
+	}
+}
+
+// CatalogState snapshots the shared Memory Catalog for
+// GET /v1/state/catalog (see snapshot.catalogReport).
+func (s *Server) CatalogState() introspect.CatalogReport {
+	return s.snapshot().catalog
+}
+
 // SchedState snapshots the scheduler for GET /v1/state/sched: the
 // token pool (in flight, idle, soft-committed), the catalog pool's byte
-// reservations, and the admission queue with each trigger's blocking
-// reason.
+// reservations, each tenant's slice and hold, and the admission queue with
+// each trigger's blocking reason.
 func (s *Server) SchedState() introspect.SchedReport {
+	sn := s.snapshot()
 	rep := introspect.SchedReport{
-		At:                  s.cfg.Clock(),
-		Snapshot:            s.sched.Stats(),
-		BudgetBytes:         s.pool.Capacity(),
-		ReservedCatalogByte: s.pool.Reserved(),
-		Queue:               s.adm.queueSnapshot(),
+		At:                  sn.at,
+		Snapshot:            sn.sched,
+		BudgetBytes:         sn.pool.Capacity,
+		ReservedCatalogByte: sn.pool.Reserved,
+		QueueDepth:          len(sn.adm.queue),
+		Queue:               sn.adm.queue,
 	}
-	rep.QueueDepth = len(rep.Queue)
-	for _, t := range s.tenantNames() {
+	for _, t := range sn.tenants {
+		tb := sn.adm.tenants[t]
 		rep.Tenants = append(rep.Tenants, introspect.TenantState{
-			Tenant:        t,
-			SliceBytes:    s.adm.tenantSlice(t),
-			ReservedBytes: s.adm.tenantReserved(t),
+			Tenant: t, SliceBytes: tb.slice, ReservedBytes: tb.reserved,
 		})
 	}
 	return rep

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -248,6 +249,166 @@ func TestStateCatalogAndSchedIntrospection(t *testing.T) {
 	}
 	if got := scrapeGauge(t, ts.URL, "scserve_catalog_evictions_total"); got < 6 {
 		t.Fatalf("scserve_catalog_evictions_total = %g, want >= 6", got)
+	}
+}
+
+// scrapeSeries fetches /metrics and returns every sample by its series,
+// e.g. `scserve_tenant_reserved_bytes{tenant="a"}`.
+func scrapeSeries(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out := make(map[string]float64)
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("bad sample %q", line)
+		}
+		out[line[:i]] = v
+	}
+	return out
+}
+
+// TestReadSurfacesAgree freezes one state — a compressed-path run held with
+// its flagged outputs resident, a trigger queued behind it and one canceled
+// behind that — beside an idle tenant, and checks that /healthz,
+// /v1/state/sched, /v1/state/catalog and /metrics report the same budget,
+// reserved and used bytes, queue depth, token counts, per-tenant reserved
+// and catalog bytes, and catalog entry and codec bytes.
+func TestReadSurfacesAgree(t *testing.T) {
+	gs := &gateStore{Store: storage.NewMemStore()}
+	s, ts := newTestGateway(t, Config{GlobalBudget: 8 << 20, NewStore: func(string) storage.Store { return gs }})
+	for _, spec := range []PipelineSpec{
+		{Name: "beer", Tenant: "brewer", Encoding: true},
+		{Name: "idle", Tenant: "other"},
+	} {
+		spec.MVs = pipelineRequest("", "").MVs
+		spec.Tables = map[string]*table.Table{"sales": mustTable(t, salesJSON())}
+		if err := s.Register(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if exp, err := s.ExplainPipeline("beer"); err != nil || exp.FlaggedCount != 3 {
+		t.Fatalf("explain: %v, want all 3 MVs flagged", err)
+	}
+	gs.block()
+	defer gs.open() // a failing assertion must not leave Close waiting on the held run
+	held, err := s.Trigger("beer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); gs.arrived.Load() < 3; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d/3 materializations reached the gate", gs.arrived.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var queued []*Run
+	for i := 0; i < 2; i++ {
+		r, err := s.Trigger("beer")
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued = append(queued, r)
+	}
+	if st, err := s.CancelRun(queued[1].ID()); err != nil || st.State != StateCanceled {
+		t.Fatalf("cancel behind the head: %+v, %v", st, err)
+	}
+
+	get := func(path string) *http.Response {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	health := decodeBody[Stats](t, get("/healthz"))
+	sched := decodeBody[introspect.SchedReport](t, get("/v1/state/sched"))
+	cat := decodeBody[introspect.CatalogReport](t, get("/v1/state/catalog"))
+	m := scrapeSeries(t, ts.URL)
+	if cat.EntryCount != 3 || len(cat.CodecBytes) == 0 || health.ReservedBytes != held.Status().ReservedBytes {
+		t.Fatalf("frozen state: %d entries, codec bytes %v, reserved %d: the comparison below would be vacuous",
+			cat.EntryCount, cat.CodecBytes, health.ReservedBytes)
+	}
+	same := func(what string, vals ...int64) {
+		t.Helper()
+		for _, v := range vals[1:] {
+			if v != vals[0] {
+				t.Errorf("%s disagrees across surfaces: %v", what, vals)
+				return
+			}
+		}
+	}
+	gauge := func(series string) int64 {
+		t.Helper()
+		v, ok := m[series]
+		if !ok {
+			t.Fatalf("no %s in /metrics", series)
+		}
+		return int64(v)
+	}
+	same("budget bytes", health.BudgetBytes, sched.BudgetBytes, cat.BudgetBytes, gauge("scserve_catalog_budget_bytes"))
+	same("reserved bytes", health.ReservedBytes, sched.ReservedCatalogByte, cat.ReservedBytes, gauge("scserve_catalog_reserved_bytes"))
+	same("used bytes", health.UsedBytes, cat.UsedBytes, cat.EntryBytes,
+		gauge("scserve_catalog_used_bytes"), gauge("scserve_catalog_entry_bytes"))
+	same("queue depth", 1, int64(health.QueueDepth), int64(sched.QueueDepth), int64(len(sched.Queue)), gauge("scserve_queue_depth"))
+	same("tokens", int64(health.SchedTokens), int64(sched.Tokens))
+	same("idle tokens", int64(health.SchedIdle), int64(sched.Idle), gauge("scserve_sched_tokens_idle"))
+	same("committed tokens", int64(health.SchedCommitted), int64(sched.Committed), gauge("scserve_sched_tokens_committed"))
+	entryBytes := make(map[string]int64)
+	for _, e := range cat.Entries {
+		entryBytes[e.Tenant] += e.SizeBytes
+	}
+	if len(sched.Tenants) != 2 {
+		t.Fatalf("tenants = %+v, want brewer and other", sched.Tenants)
+	}
+	for _, ten := range sched.Tenants {
+		label := `{tenant="` + ten.Tenant + `"}`
+		same(ten.Tenant+" reserved bytes", ten.ReservedBytes, gauge("scserve_tenant_reserved_bytes"+label))
+		same(ten.Tenant+" catalog bytes", entryBytes[ten.Tenant], gauge("scserve_tenant_catalog_bytes"+label))
+	}
+	same("brewer holds the reservation", sched.Tenants[0].ReservedBytes, health.ReservedBytes)
+	for codec, b := range cat.CodecBytes {
+		label := `{codec="` + codec + `"}`
+		same(codec+" codec bytes", b, gauge("scserve_catalog_codec_bytes"+label))
+		same(codec+" codec chunks", int64(cat.CodecChunks[codec]), gauge("scserve_catalog_codec_chunks"+label))
+	}
+}
+
+// TestSchedStateTenantOrder: /v1/state/sched lists its tenants by name on
+// every request, whatever order they registered in.
+func TestSchedStateTenantOrder(t *testing.T) {
+	s, ts := newTestGateway(t, Config{})
+	for _, tenant := range []string{"c", "a", "b"} {
+		if err := s.Register(PipelineSpec{
+			Name: "p-" + tenant, Tenant: tenant,
+			MVs:    pipelineRequest("", "").MVs,
+			Tables: map[string]*table.Table{"sales": mustTable(t, salesJSON())},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		resp, err := http.Get(ts.URL + "/v1/state/sched")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, ten := range decodeBody[introspect.SchedReport](t, resp).Tenants {
+			got = append(got, ten.Tenant)
+		}
+		if !slices.Equal(got, []string{"a", "b", "c"}) {
+			t.Fatalf("request %d: tenants %v, want a b c", i, got)
+		}
 	}
 }
 
@@ -503,7 +664,7 @@ func TestUnregisterForgetsPipelineMemory(t *testing.T) {
 		t.Fatalf("run in flight at Unregister left trace %+v (err %v), want a finished one", tr, err)
 	}
 	var metrics bytes.Buffer
-	s.prom.write(&metrics, false)
+	s.prom.write(&metrics, false, s.snapshot())
 	if want := `scserve_refreshes_total{tenant="default",pipeline="p",status="succeeded"} 5`; !strings.Contains(metrics.String(), want) {
 		t.Errorf("/metrics does not count the run in flight at Unregister: no %q", want)
 	}
@@ -516,7 +677,7 @@ func TestUnregisterForgetsPipelineMemory(t *testing.T) {
 	if rows := s.RunHistory(ledger.Filter{Pipeline: "p"}); len(rows) != 0 {
 		t.Fatalf("unregistered pipeline keeps %d ledger rows", len(rows))
 	}
-	if names := s.fin.Ledger.Pipelines(); len(names) != 0 {
+	if names := s.fin.Ledger.Stats().Mispredict; len(names) != 0 {
 		t.Fatalf("ledger still knows pipelines %v", names)
 	}
 

@@ -243,7 +243,7 @@ func TestEventsStreamFollowsHeldRun(t *testing.T) {
 // not, by the report and by scserve_catalog_evictions_total alike.
 func TestCatalogStateCountsEachEvictionOnce(t *testing.T) {
 	const refreshes, retained = 50, 8
-	s, _ := newTestGateway(t, Config{GlobalBudget: 8 << 20, LedgerCapacity: retained})
+	s, ts := newTestGateway(t, Config{GlobalBudget: 8 << 20, LedgerCapacity: retained})
 	if err := s.Register(PipelineSpec{
 		Name: "beer", Tenant: "brewer",
 		MVs:    pipelineRequest("", "").MVs,
@@ -296,8 +296,9 @@ func TestCatalogStateCountsEachEvictionOnce(t *testing.T) {
 	}
 
 	rep := s.CatalogState()
-	if evicted == 0 || rep.EvictionsSeen != evicted || s.evictionsSeen() != evicted {
-		t.Fatalf("evictions seen = %d (report) / %d (metric), want %d", rep.EvictionsSeen, s.evictionsSeen(), evicted)
+	metric := scrapeGauge(t, ts.URL, "scserve_catalog_evictions_total")
+	if evicted == 0 || rep.EvictionsSeen != evicted || int64(metric) != evicted {
+		t.Fatalf("evictions seen = %d (report) / %g (metric), want %d", rep.EvictionsSeen, metric, evicted)
 	}
 	if int64(len(rep.Evictions)) != evictedRetained {
 		t.Fatalf("timeline holds %d evictions, want the retained runs' %d", len(rep.Evictions), evictedRetained)

@@ -191,7 +191,7 @@ func TestTailSamplingDecisions(t *testing.T) {
 	if _, dec := l.Append(fail); !dec.Keep {
 		t.Fatal("failed run must be kept")
 	}
-	if got := l.Pipelines(); len(got) != 0 {
+	if got := l.Stats().Mispredict; len(got) != 0 {
 		t.Fatalf("failed run must not create baselines: %v", got)
 	}
 	// Absolutely slow runs are kept even with no baseline.

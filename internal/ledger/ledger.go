@@ -486,18 +486,24 @@ func (l *Ledger) Forget(pipeline string) {
 	}
 }
 
-// Len reports how many summaries the ring currently holds.
-func (l *Ledger) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.ring)
+// Stats is one reading of the ledger: the summaries its ring holds, how
+// many the bounded ring has dropped, and the learned mispredict ratio of
+// every pipeline it keeps baselines for (MispredictRatio of each).
+type Stats struct {
+	Runs       int
+	Evicted    int64
+	Mispredict map[string]float64
 }
 
-// Evicted reports how many summaries the bounded ring has dropped.
-func (l *Ledger) Evicted() int64 {
+// Stats reads the ledger's occupancy and mispredict ratios under one lock.
+func (l *Ledger) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.evicted
+	st := Stats{Runs: len(l.ring), Evicted: l.evicted, Mispredict: make(map[string]float64, len(l.baselines))}
+	for p := range l.baselines {
+		st.Mispredict[p] = l.mispredictLocked(p)
+	}
+	return st
 }
 
 // Runs returns retained summaries matching the filter, newest first.
@@ -534,6 +540,10 @@ func (l *Ledger) Runs(f Filter) []RunSummary {
 func (l *Ledger) MispredictRatio(pipeline string) float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.mispredictLocked(pipeline)
+}
+
+func (l *Ledger) mispredictLocked(pipeline string) float64 {
 	if pb := l.baselines[pipeline]; pb != nil && pb.mispredict.N > 0 {
 		return pb.mispredict.Mean
 	}
@@ -562,17 +572,5 @@ func (l *Ledger) Baselines(pipeline string) []NodeBaseline {
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
-}
-
-// Pipelines lists the pipelines with learned baselines, sorted.
-func (l *Ledger) Pipelines() []string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.baselines))
-	for p := range l.baselines {
-		out = append(out, p)
-	}
-	sort.Strings(out)
 	return out
 }

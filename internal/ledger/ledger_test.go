@@ -40,8 +40,8 @@ func TestAppendAndFilter(t *testing.T) {
 	fail.Tenant = "acme"
 	l.Append(fail)
 
-	if got := l.Len(); got != 3 {
-		t.Fatalf("Len = %d, want 3", got)
+	if got := l.Stats().Runs; got != 3 {
+		t.Fatalf("Runs = %d, want 3", got)
 	}
 	all := l.Runs(Filter{})
 	if len(all) != 3 || all[0].RunID != "r3" || all[2].RunID != "r1" {
@@ -69,10 +69,10 @@ func TestRingEviction(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		l.Append(run(fmt.Sprintf("r%d", i), "p", 1, nil))
 	}
-	if got := l.Len(); got != 4 {
-		t.Fatalf("Len = %d, want capacity 4", got)
+	if got := l.Stats().Runs; got != 4 {
+		t.Fatalf("Runs = %d, want capacity 4", got)
 	}
-	if got := l.Evicted(); got != 6 {
+	if got := l.Stats().Evicted; got != 6 {
 		t.Fatalf("Evicted = %d, want 6", got)
 	}
 	runs := l.Runs(Filter{})
@@ -103,8 +103,8 @@ func TestPersistenceReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if got := l2.Len(); got != 5 {
-		t.Fatalf("replayed Len = %d, want 5", got)
+	if got := l2.Stats().Runs; got != 5 {
+		t.Fatalf("replayed Runs = %d, want 5", got)
 	}
 	bs := l2.Baselines("p")
 	if len(bs) != 1 || bs[0].Node != "n" || bs[0].Samples != 5 {
@@ -123,8 +123,8 @@ func TestPersistenceReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l3.Close()
-	if got := l3.Len(); got != 6 {
-		t.Fatalf("second replay Len = %d, want 6", got)
+	if got := l3.Stats().Runs; got != 6 {
+		t.Fatalf("second replay Runs = %d, want 6", got)
 	}
 	if got := l3.Runs(Filter{Anomalous: true}); len(got) != 1 || got[0].RunID != "r6" {
 		t.Fatalf("anomaly not persisted: %+v", got)
@@ -238,15 +238,15 @@ func TestConcurrentAppendRead(t *testing.T) {
 				_ = l.Baselines("p1")
 				_ = l.Health("p0", 0)
 				_ = l.MispredictRatio("p0")
-				_ = l.Pipelines()
+				_ = l.Stats()
 			}
 		}()
 	}
 	wg.Wait()
-	if got := l.Len(); got != 64 {
-		t.Fatalf("Len = %d, want 64 (ring full)", got)
+	if got := l.Stats().Runs; got != 64 {
+		t.Fatalf("Runs = %d, want 64 (ring full)", got)
 	}
-	if got := l.Evicted(); got != 400-64 {
+	if got := l.Stats().Evicted; got != 400-64 {
 		t.Fatalf("Evicted = %d, want %d", got, 400-64)
 	}
 }

@@ -63,34 +63,30 @@ func (p *Pool) Release(n int64) {
 	}
 }
 
-// Reserved returns the bytes currently held by admission reservations.
-func (p *Pool) Reserved() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.reserved
+// PoolStats is one reading of a pool: its capacity, the bytes admission
+// reservations hold, the bytes attached catalogs hold, and the high-water
+// mark of each — the numbers a benchmark compares against Capacity to show
+// the memory bound held under contention.
+type PoolStats struct {
+	Capacity     int64
+	Reserved     int64
+	Used         int64
+	PeakUsed     int64
+	PeakReserved int64
 }
 
-// Used returns the actual bytes currently held across attached catalogs.
-func (p *Pool) Used() int64 {
+// Stats reads every counter of the pool under one lock, so the fields of
+// one reading are mutually consistent.
+func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.used
-}
-
-// PeakUsed returns the high-water mark of actual bytes across attached
-// catalogs — the number a benchmark compares against Capacity to show the
-// memory bound held under contention.
-func (p *Pool) PeakUsed() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.peakUsed
-}
-
-// PeakReserved returns the high-water mark of admission reservations.
-func (p *Pool) PeakReserved() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.peakRes
+	return PoolStats{
+		Capacity:     p.capacity,
+		Reserved:     p.reserved,
+		Used:         p.used,
+		PeakUsed:     p.peakUsed,
+		PeakReserved: p.peakRes,
+	}
 }
 
 // NewCatalog returns a catalog with the given capacity whose entry bytes

@@ -28,10 +28,10 @@ func TestPoolReserveRelease(t *testing.T) {
 	if p.TryReserve(1) {
 		t.Fatal("over-capacity reservation admitted")
 	}
-	if got := p.Reserved(); got != 100 {
+	if got := p.Stats().Reserved; got != 100 {
 		t.Fatalf("Reserved = %d, want 100", got)
 	}
-	if got := p.PeakReserved(); got != 100 {
+	if got := p.Stats().PeakReserved; got != 100 {
 		t.Fatalf("PeakReserved = %d, want 100", got)
 	}
 	p.Release(60)
@@ -42,7 +42,7 @@ func TestPoolReserveRelease(t *testing.T) {
 	if !p.TryReserve(0) || !p.TryReserve(-5) {
 		t.Fatal("non-positive reservations must succeed")
 	}
-	if got := p.Reserved(); got != 90 {
+	if got := p.Stats().Reserved; got != 90 {
 		t.Fatalf("Reserved = %d, want 90", got)
 	}
 }
@@ -61,10 +61,10 @@ func TestPoolAggregatesCatalogUsage(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ta.ByteSize() + tb.ByteSize()
-	if got := p.Used(); got != want {
+	if got := p.Stats().Used; got != want {
 		t.Fatalf("pool Used = %d, want %d", got, want)
 	}
-	if got := p.PeakUsed(); got != want {
+	if got := p.Stats().PeakUsed; got != want {
 		t.Fatalf("pool PeakUsed = %d, want %d", got, want)
 	}
 	// Replacing an entry charges only the delta.
@@ -72,7 +72,7 @@ func TestPoolAggregatesCatalogUsage(t *testing.T) {
 		t.Fatal(err)
 	}
 	want = 2 * tb.ByteSize()
-	if got := p.Used(); got != want {
+	if got := p.Stats().Used; got != want {
 		t.Fatalf("pool Used after replace = %d, want %d", got, want)
 	}
 	if err := a.Delete("x"); err != nil {
@@ -81,10 +81,10 @@ func TestPoolAggregatesCatalogUsage(t *testing.T) {
 	if err := b.Delete("y"); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Used(); got != 0 {
+	if got := p.Stats().Used; got != 0 {
 		t.Fatalf("pool Used after deletes = %d, want 0", got)
 	}
-	if got := p.PeakUsed(); got != 2*tb.ByteSize() {
+	if got := p.Stats().PeakUsed; got != 2*tb.ByteSize() {
 		t.Fatalf("pool PeakUsed = %d, want %d", got, 2*tb.ByteSize())
 	}
 }
@@ -96,20 +96,20 @@ func TestPoolDetachCreditsLeftoverBytes(t *testing.T) {
 	if err := c.Put("leak", tb); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Used(); got != tb.ByteSize() {
+	if got := p.Stats().Used; got != tb.ByteSize() {
 		t.Fatalf("pool Used = %d, want %d", got, tb.ByteSize())
 	}
 	if left := c.Detach(); left != tb.ByteSize() {
 		t.Fatalf("Detach credited %d, want %d", left, tb.ByteSize())
 	}
-	if got := p.Used(); got != 0 {
+	if got := p.Stats().Used; got != 0 {
 		t.Fatalf("pool Used after Detach = %d, want 0", got)
 	}
 	// A detached catalog keeps working but no longer touches the pool.
 	if err := c.Put("more", poolTable(8)); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Used(); got != 0 {
+	if got := p.Stats().Used; got != 0 {
 		t.Fatalf("detached catalog charged the pool: Used = %d", got)
 	}
 	if left := c.Detach(); left != 0 {
@@ -141,7 +141,7 @@ func TestPoolConcurrentCatalogs(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := p.Used(); got != 0 {
+	if got := p.Stats().Used; got != 0 {
 		t.Fatalf("pool Used after all catalogs drained = %d, want 0", got)
 	}
 }
