@@ -58,11 +58,15 @@ type NodeSpec struct {
 // Workload is a set of MV updates with dependencies implied by table names.
 type Workload struct {
 	Nodes []NodeSpec
+	// stmts holds each node's parsed statement, by node index: BuildGraph
+	// parses every node's SQL once, and each run plans from it.
+	stmts []*sql.Statement
 }
 
-// BuildGraph extracts the dependency DAG: an edge u→v whenever node v's
-// statement scans node u's output. It also returns, per node, the base
-// tables (non-node inputs) it scans.
+// BuildGraph parses every node's statement and extracts the dependency DAG:
+// an edge u→v whenever node v's statement scans node u's output. It also
+// returns, per node, the base tables (non-node inputs) it scans. A workload
+// runs only after BuildGraph.
 func (w *Workload) BuildGraph() (*dag.Graph, [][]string, error) {
 	g := dag.New()
 	byName := make(map[string]dag.NodeID, len(w.Nodes))
@@ -73,10 +77,16 @@ func (w *Workload) BuildGraph() (*dag.Graph, [][]string, error) {
 		byName[n.Name] = g.AddNode(n.Name)
 	}
 	base := make([][]string, len(w.Nodes))
+	stmts := make([]*sql.Statement, len(w.Nodes))
 	for i, n := range w.Nodes {
-		inputs, err := sql.InputTables(n.SQL)
+		stmt, err := sql.Parse(n.SQL)
 		if err != nil {
 			return nil, nil, fmt.Errorf("exec: node %q: %w", n.Name, err)
+		}
+		stmts[i] = stmt
+		inputs := []string{stmt.Select.From.Name}
+		for _, j := range stmt.Select.Joins {
+			inputs = append(inputs, j.Table.Name)
 		}
 		for _, in := range inputs {
 			if pid, ok := byName[in]; ok {
@@ -91,6 +101,7 @@ func (w *Workload) BuildGraph() (*dag.Graph, [][]string, error) {
 	if !g.IsAcyclic() {
 		return nil, nil, dag.ErrCycle
 	}
+	w.stmts = stmts
 	return g, base, nil
 }
 
@@ -98,7 +109,7 @@ func (w *Workload) BuildGraph() (*dag.Graph, [][]string, error) {
 // back into the optimizer.
 type NodeMetrics struct {
 	Name         string
-	PlanTime     time.Duration // parse + plan + lower (input fetches excluded)
+	PlanTime     time.Duration // plan + lower (input fetches excluded)
 	ReadTime     time.Duration // fetching and resolving all inputs (includes lazy decode)
 	ComputeTime  time.Duration // running the plan
 	WriteTime    time.Duration // blocking write (zero for flagged nodes)
@@ -251,6 +262,9 @@ type completion struct {
 // goroutine outlives Run. On other errors the partial result is returned
 // as well.
 func (c *Controller) Run(ctx context.Context, w *Workload, g *dag.Graph, plan *core.Plan) (*RunResult, error) {
+	if len(w.stmts) != len(w.Nodes) {
+		return nil, fmt.Errorf("exec: workload of %d nodes has %d parsed statements; run it after BuildGraph", len(w.Nodes), len(w.stmts))
+	}
 	if len(plan.Order) != len(w.Nodes) {
 		return nil, fmt.Errorf("exec: plan has %d steps for %d nodes", len(plan.Order), len(w.Nodes))
 	}
@@ -460,11 +474,7 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool, f
 
 	// Plan the statement against current schemas.
 	p0 := time.Now()
-	stmt, err := sql.Parse(spec.SQL)
-	if err != nil {
-		return m, fmt.Errorf("exec: node %q: %w", spec.Name, err)
-	}
-	planNode, scanned, err := sql.Plan(stmt, in)
+	planNode, scanned, err := sql.Plan(rs.w.stmts[id], in)
 	if err != nil {
 		return m, fmt.Errorf("exec: node %q: %w", spec.Name, err)
 	}

@@ -69,6 +69,21 @@ func TestBuildGraph(t *testing.T) {
 	}
 }
 
+// TestBuildGraphJoinInputs: a node's inputs are its FROM table and then each
+// joined table, in statement order.
+func TestBuildGraphJoinInputs(t *testing.T) {
+	w := &Workload{Nodes: []NodeSpec{
+		{Name: "mv", SQL: `SELECT o.o_id FROM orders o JOIN customers c ON o.o_cust = c.c_id`},
+	}}
+	_, base, err := w.BuildGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base[0]) != 2 || base[0][0] != "orders" || base[0][1] != "customers" {
+		t.Fatalf("inputs = %v", base[0])
+	}
+}
+
 func TestBuildGraphRejectsDuplicatesAndCycles(t *testing.T) {
 	dup := &Workload{Nodes: []NodeSpec{
 		{Name: "a", SQL: "SELECT x FROM t"},
@@ -237,6 +252,12 @@ func TestRunRejectsBadPlans(t *testing.T) {
 	bad := &core.Plan{Order: []dag.NodeID{1, 0, 2}, Flagged: make([]bool, 3)}
 	if _, err := ctl.Run(context.Background(), w, g, bad); err == nil {
 		t.Fatal("non-topological plan accepted")
+	}
+	// A run plans the statements BuildGraph parsed; a workload it never
+	// parsed is refused, not run.
+	unparsed := &Workload{Nodes: w.Nodes}
+	if _, err := ctl.Run(context.Background(), unparsed, g, core.NewPlan([]dag.NodeID{0, 1, 2})); err == nil {
+		t.Fatal("a workload BuildGraph never parsed was run")
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"github.com/shortcircuit-db/sc/internal/costmodel"
 	"github.com/shortcircuit-db/sc/internal/encoding"
 	"github.com/shortcircuit-db/sc/internal/exec"
+	"github.com/shortcircuit-db/sc/internal/introspect"
 	"github.com/shortcircuit-db/sc/internal/introspect/alert"
 	"github.com/shortcircuit-db/sc/internal/ledger"
 	"github.com/shortcircuit-db/sc/internal/memcat"
@@ -248,6 +249,10 @@ type Run struct {
 	fallbacks  int
 	leaked     int64 // bytes the run left in the shared pool, credited back by Detach
 	actualPeak int64 // run catalog high-water mark, vs the reservation
+	// evicted holds the run's Evicted events, read once when its trace
+	// closed (logClosed); until then they are read off the open log.
+	evicted   []introspect.EvictionEvent
+	logClosed bool
 }
 
 // RunStatus is a run's externally visible snapshot.
@@ -830,7 +835,8 @@ func (s *Server) retire(r *Run) {
 	s.mu.Lock()
 	s.terminal = append(s.terminal, r.id)
 	for len(s.terminal) > s.cfg.LedgerCapacity {
-		s.evictionsRetired += int64(len(s.runs[s.terminal[0]].evictions()))
+		// finishTrace set evicted before the run joined s.terminal.
+		s.evictionsRetired += int64(len(s.runs[s.terminal[0]].evicted))
 		delete(s.runs, s.terminal[0])
 		s.terminal = s.terminal[1:]
 	}
@@ -863,6 +869,10 @@ func (s *Server) finishTrace(r *Run, now time.Time, state string) {
 	}
 	sum, sampled, spans := fin.Finish(r.p.Pipeline, r.trace, now, meta)
 	r.p.finMu.Unlock()
+	evicted := r.evictions() // the log is closed: no event follows
+	r.mu.Lock()
+	r.evicted, r.logClosed = evicted, true
+	r.mu.Unlock()
 	if fin.Ledger == nil {
 		sum = ledger.Summarize(spans, r.p.Parents, meta) // counted below, landed nowhere
 	}

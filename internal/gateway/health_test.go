@@ -139,7 +139,7 @@ func TestGatewayAnomalyHealthEndToEnd(t *testing.T) {
 	if latest.ReservedBytes <= 0 {
 		t.Fatalf("latest run reserved nothing: %+v", latest)
 	}
-	if got := s.fin.Ledger.MispredictRatio("beer"); got <= 0 {
+	if got := s.fin.Ledger.Stats().Mispredict["beer"]; got <= 0 {
 		t.Fatalf("mispredict ratio = %g, want > 0", got)
 	}
 

@@ -86,13 +86,14 @@ func (sn *snapshot) catalogReport(runs []*Run, retired int64) introspect.Catalog
 		EvictionsSeen: retired,
 	}
 	for _, r := range runs {
-		evs := r.evictions()
+		r.mu.Lock()
+		cat, evs, closed := r.cat, r.evicted, r.logClosed
+		r.mu.Unlock()
+		if !closed {
+			evs = r.evictions()
+		}
 		rep.Evictions = append(rep.Evictions, evs...)
 		rep.EvictionsSeen += int64(len(evs))
-
-		r.mu.Lock()
-		cat := r.cat
-		r.mu.Unlock()
 		if cat == nil {
 			continue
 		}

@@ -164,7 +164,7 @@ func TestMispredictAnomalyOnlyWithFallbackWrites(t *testing.T) {
 	if sum.Anomalous() {
 		t.Fatalf("over-reservation flagged: %+v", sum.Anomalies)
 	}
-	if got := l.MispredictRatio("p"); got != 0.9 {
+	if got := l.Stats().Mispredict["p"]; got != 0.9 {
 		t.Fatalf("mispredict ratio = %g, want 0.9", got)
 	}
 	// A reservation that proved too small (blocking writes happened) is.

@@ -77,7 +77,8 @@ type Health struct {
 // Health reports SLO attainment, burn rate, baseline-vs-latest per node,
 // top regressions and the misprediction ratio for one pipeline over its
 // healthWindow most recent runs. A succeeded run within sloSeconds counts
-// toward attainment; sloSeconds <= 0 means defaultSLOSeconds.
+// toward attainment; sloSeconds <= 0 means defaultSLOSeconds. The report
+// is read under one hold of the ledger's lock.
 func (l *Ledger) Health(pipeline string, sloSeconds float64) Health {
 	if sloSeconds <= 0 {
 		sloSeconds = defaultSLOSeconds
@@ -88,7 +89,9 @@ func (l *Ledger) Health(pipeline string, sloSeconds float64) Health {
 		Objective:  healthObjective,
 		Verdict:    VerdictUnknown,
 	}
-	window := l.Runs(Filter{Pipeline: pipeline, Limit: healthWindow}) // newest first
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	window := l.runsLocked(Filter{Pipeline: pipeline, Limit: healthWindow}) // newest first
 	h.WindowRuns = len(window)
 	if len(window) == 0 {
 		return h
@@ -123,7 +126,7 @@ func (l *Ledger) Health(pipeline string, sloSeconds float64) Health {
 	h.WallP99Seconds = percentile(walls, 0.99)
 	h.QueueWaitP50Seconds = percentile(queues, 0.50)
 	h.QueueWaitP99Seconds = percentile(queues, 0.99)
-	h.MispredictRatio = l.MispredictRatio(pipeline)
+	h.MispredictRatio = l.mispredictLocked(pipeline)
 	h.AnomalyCount = len(regs)
 	if len(byKind) > 0 {
 		h.AnomaliesByKind = byKind
@@ -151,9 +154,9 @@ func (l *Ledger) Health(pipeline string, sloSeconds float64) Health {
 				regressed[a.Node] = true
 			}
 		}
-		base := make(map[string]NodeBaseline)
-		for _, nb := range l.Baselines(pipeline) {
-			base[nb.Node] = nb
+		var base map[string]*nodeBaseline
+		if pb := l.baselines[pipeline]; pb != nil {
+			base = pb.nodes
 		}
 		for _, ns := range latest.Nodes {
 			nh := NodeHealth{
@@ -162,16 +165,12 @@ func (l *Ledger) Health(pipeline string, sloSeconds float64) Health {
 				LatestRatio:       ns.Ratio,
 				Regressed:         regressed[ns.Node],
 			}
-			if nb, ok := base[ns.Node]; ok {
-				nh.Samples = nb.Samples
-				nh.BaselineWallSeconds = nb.WallMeanSeconds
-				nh.BaselineRatio = nb.RatioMean
-				sigma := nb.WallSigmaSeconds
-				if floor := relSigmaFloor * math.Abs(nb.WallMeanSeconds); sigma < floor {
-					sigma = floor
-				}
-				if sigma > 1e-12 {
-					nh.WallZ = (ns.WallSeconds - nb.WallMeanSeconds) / sigma
+			if nb := base[ns.Node]; nb != nil {
+				nh.Samples = nb.wall.N
+				nh.BaselineWallSeconds = nb.wall.Mean
+				nh.BaselineRatio = nb.ratio.Mean
+				if nb.wall.Sigma() > 1e-12 {
+					nh.WallZ = nb.wall.Z(ns.WallSeconds)
 				}
 			}
 			h.Nodes = append(h.Nodes, nh)

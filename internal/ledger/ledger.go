@@ -8,6 +8,8 @@ import (
 	"os"
 	"sort"
 	"sync"
+
+	"github.com/shortcircuit-db/sc/internal/metrics"
 )
 
 // The anomaly detector's thresholds, and the cap on the NDJSON file. No
@@ -31,9 +33,6 @@ const (
 	// evictionMin is the fewest evictions that make a storm; a z-score
 	// alone is not enough when the baseline is near zero.
 	evictionMin = 4
-	// relSigmaFloor floors a baseline's sigma at this fraction of its mean
-	// so near-constant baselines don't produce infinite z-scores.
-	relSigmaFloor = 0.1
 	// maxFileBytes bounds the NDJSON file: an append (or replay) that
 	// pushes past it compacts the file down to the retained ring, so the
 	// history on disk cannot grow without bound.
@@ -63,55 +62,19 @@ type Decision struct {
 	Reasons []string `json:"reasons,omitempty"`
 }
 
-// ewma is an exponentially weighted mean + variance, the same learning
-// rule the metrics store uses for compression ratios.
-type ewma struct {
-	N    int64   `json:"n"`
-	Mean float64 `json:"mean"`
-	Var  float64 `json:"var"`
-}
-
-const ewmaAlpha = 0.3
-
-func (w *ewma) observe(x float64) {
-	w.N++
-	if w.N == 1 {
-		w.Mean, w.Var = x, 0
-		return
-	}
-	diff := x - w.Mean
-	incr := ewmaAlpha * diff
-	w.Mean += incr
-	w.Var = (1 - ewmaAlpha) * (w.Var + diff*incr)
-}
-
-// z scores x against the baseline with the sigma floored at
-// relSigmaFloor×|mean| (plus a tiny epsilon) so constant baselines stay
-// finite.
-func (w *ewma) z(x float64) float64 {
-	sigma := math.Sqrt(w.Var)
-	if floor := relSigmaFloor * math.Abs(w.Mean); sigma < floor {
-		sigma = floor
-	}
-	if sigma < 1e-12 {
-		sigma = 1e-12
-	}
-	return (x - w.Mean) / sigma
-}
-
 // nodeBaseline is the learned behaviour of one (pipeline, node).
 type nodeBaseline struct {
-	wall      ewma
-	bytes     ewma
-	ratio     ewma
-	fallbacks ewma
+	wall      metrics.EWMA
+	bytes     metrics.EWMA
+	ratio     metrics.EWMA
+	fallbacks metrics.EWMA
 }
 
 // pipelineBaseline aggregates run-level behaviour of one pipeline.
 type pipelineBaseline struct {
-	wall       ewma
-	evictions  ewma
-	mispredict ewma
+	wall       metrics.EWMA
+	evictions  metrics.EWMA
+	mispredict metrics.EWMA
 	nodes      map[string]*nodeBaseline
 }
 
@@ -350,7 +313,7 @@ func (l *Ledger) detectLocked(s *RunSummary) {
 		return
 	}
 	if pb.evictions.N >= minSamples && s.Evictions >= evictionMin {
-		if z := pb.evictions.z(float64(s.Evictions)); z >= zThreshold {
+		if z := pb.evictions.Z(float64(s.Evictions)); z >= zThreshold {
 			s.Anomalies = append(s.Anomalies, Anomaly{
 				Kind: KindEvictionStorm, Score: z,
 				Observed: float64(s.Evictions), Baseline: pb.evictions.Mean,
@@ -364,7 +327,7 @@ func (l *Ledger) detectLocked(s *RunSummary) {
 		if nb == nil || nb.wall.N < minSamples {
 			continue
 		}
-		if z := nb.wall.z(ns.WallSeconds); z >= zThreshold && ns.WallSeconds-nb.wall.Mean >= minWallDeltaSeconds {
+		if z := nb.wall.Z(ns.WallSeconds); z >= zThreshold && ns.WallSeconds-nb.wall.Mean >= minWallDeltaSeconds {
 			s.Anomalies = append(s.Anomalies, Anomaly{
 				Kind: KindWallRegression, Node: ns.Node, Score: z,
 				Observed: ns.WallSeconds, Baseline: nb.wall.Mean,
@@ -372,7 +335,7 @@ func (l *Ledger) detectLocked(s *RunSummary) {
 			})
 		}
 		if ns.OutputBytes > 0 {
-			if z := nb.bytes.z(float64(ns.OutputBytes)); z >= zThreshold && float64(ns.OutputBytes)-nb.bytes.Mean >= minBytesDelta {
+			if z := nb.bytes.Z(float64(ns.OutputBytes)); z >= zThreshold && float64(ns.OutputBytes)-nb.bytes.Mean >= minBytesDelta {
 				s.Anomalies = append(s.Anomalies, Anomaly{
 					Kind: KindBytesRegression, Node: ns.Node, Score: z,
 					Observed: float64(ns.OutputBytes), Baseline: nb.bytes.Mean,
@@ -411,7 +374,7 @@ func (l *Ledger) decideLocked(s *RunSummary) Decision {
 	if l.cfg.SlowSeconds > 0 && s.WallSeconds > l.cfg.SlowSeconds {
 		dec.Reasons = append(dec.Reasons, "slow")
 	} else if pb := l.baselines[s.Pipeline]; pb != nil && pb.wall.N >= minSamples {
-		if z := pb.wall.z(s.WallSeconds); z >= zThreshold && s.WallSeconds-pb.wall.Mean >= minWallDeltaSeconds {
+		if z := pb.wall.Z(s.WallSeconds); z >= zThreshold && s.WallSeconds-pb.wall.Mean >= minWallDeltaSeconds {
 			dec.Reasons = append(dec.Reasons, "slow")
 		}
 	}
@@ -429,10 +392,10 @@ func (l *Ledger) learnLocked(s *RunSummary) {
 		pb = &pipelineBaseline{nodes: make(map[string]*nodeBaseline)}
 		l.baselines[s.Pipeline] = pb
 	}
-	pb.wall.observe(s.WallSeconds)
-	pb.evictions.observe(float64(s.Evictions))
+	pb.wall.Observe(s.WallSeconds)
+	pb.evictions.Observe(float64(s.Evictions))
 	if s.ReservedBytes > 0 {
-		pb.mispredict.observe(s.Mispredict)
+		pb.mispredict.Observe(s.Mispredict)
 	}
 	for i := range s.Nodes {
 		ns := &s.Nodes[i]
@@ -441,12 +404,12 @@ func (l *Ledger) learnLocked(s *RunSummary) {
 			nb = &nodeBaseline{}
 			pb.nodes[ns.Node] = nb
 		}
-		nb.wall.observe(ns.WallSeconds)
-		nb.bytes.observe(float64(ns.OutputBytes))
+		nb.wall.Observe(ns.WallSeconds)
+		nb.bytes.Observe(float64(ns.OutputBytes))
 		if ns.Ratio > 0 {
-			nb.ratio.observe(ns.Ratio)
+			nb.ratio.Observe(ns.Ratio)
 		}
-		nb.fallbacks.observe(float64(ns.KernelFallbacks))
+		nb.fallbacks.Observe(float64(ns.KernelFallbacks))
 	}
 }
 
@@ -488,7 +451,7 @@ func (l *Ledger) Forget(pipeline string) {
 
 // Stats is one reading of the ledger: the summaries its ring holds, how
 // many the bounded ring has dropped, and the learned mispredict ratio of
-// every pipeline it keeps baselines for (MispredictRatio of each).
+// every pipeline it keeps baselines for.
 type Stats struct {
 	Runs       int
 	Evicted    int64
@@ -510,6 +473,10 @@ func (l *Ledger) Stats() Stats {
 func (l *Ledger) Runs(f Filter) []RunSummary {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.runsLocked(f)
+}
+
+func (l *Ledger) runsLocked(f Filter) []RunSummary {
 	out := make([]RunSummary, 0, len(l.ring))
 	for i := len(l.ring) - 1; i >= 0; i-- {
 		// Chronological order in the ring is ring[head:] then ring[:head];
@@ -535,14 +502,8 @@ func (l *Ledger) Runs(f Filter) []RunSummary {
 	return out
 }
 
-// MispredictRatio is the pipeline's learned mean |reserved−actual|/reserved
+// mispredictLocked is the pipeline's learned mean |reserved−actual|/reserved
 // over its admitted runs (0 when the pipeline never reserved).
-func (l *Ledger) MispredictRatio(pipeline string) float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.mispredictLocked(pipeline)
-}
-
 func (l *Ledger) mispredictLocked(pipeline string) float64 {
 	if pb := l.baselines[pipeline]; pb != nil && pb.mispredict.N > 0 {
 		return pb.mispredict.Mean

@@ -237,7 +237,6 @@ func TestConcurrentAppendRead(t *testing.T) {
 				_ = l.Runs(Filter{Pipeline: "p0", Limit: 10})
 				_ = l.Baselines("p1")
 				_ = l.Health("p0", 0)
-				_ = l.MispredictRatio("p0")
 				_ = l.Stats()
 			}
 		}()

@@ -1,12 +1,14 @@
 // Package ledger is S/C's run history and operational judgment layer: a
 // bounded in-memory ring (optionally NDJSON-persisted) of per-run
 // summaries distilled from the obs stream and telemetry.Collector output,
-// per-(pipeline, node) EWMA+variance baselines learned from that history,
-// and an anomaly detector that flags runs deviating from their own past —
-// wall/bytes z-score regressions, compression-ratio collapses, eviction
-// storms, kernel-fallback appearances, and admission misprediction
-// (reserved vs actual peak catalog bytes, the paper's §III accounting
-// finally checked after the fact). The detector's verdict doubles as the
+// per-(pipeline, node) baselines learned from that history with
+// metrics.EWMA (the one learning rule, which the metadata store learns its
+// compression ratios with too), and an anomaly detector that flags runs
+// deviating from their own past — wall/bytes z-score regressions,
+// compression-ratio collapses, eviction storms, kernel-fallback
+// appearances, and admission misprediction (reserved vs actual peak
+// catalog bytes, the paper's §III accounting finally checked after the
+// fact). The detector's verdict doubles as the
 // tail-sampling policy: exported traces are kept only for anomalous, slow
 // or failed runs. The span and event names Summarize reads are the
 // constants the Collector writes them with (telemetry.Attr*, Event*,

@@ -18,6 +18,31 @@ func chain() *dag.Graph {
 	return g
 }
 
+// sizes, encodedSizes and seconds project one field of Nodes, by node id.
+func sizes(s *Store, g *dag.Graph, guess int64) []int64 {
+	var out []int64
+	for _, n := range s.Nodes(g, guess) {
+		out = append(out, n.Bytes)
+	}
+	return out
+}
+
+func encodedSizes(s *Store, g *dag.Graph, guess int64) []int64 {
+	var out []int64
+	for _, n := range s.Nodes(g, guess) {
+		out = append(out, n.Encoded)
+	}
+	return out
+}
+
+func seconds(s *Store, g *dag.Graph) []float64 {
+	var out []float64
+	for _, n := range s.Nodes(g, 0) {
+		out = append(out, n.Latest.Seconds())
+	}
+	return out
+}
+
 func TestRecordAndLatest(t *testing.T) {
 	s := NewStore()
 	if _, ok := s.Latest("a"); ok {
@@ -33,7 +58,7 @@ func TestRecordAndLatest(t *testing.T) {
 
 // TestStoreKeepsOneObservationPerNode: a node recorded on every refresh of
 // a long-lived pipeline must not grow the store, and everything the
-// optimizer reads — Latest, Ratio, Sizes, EncodedSizes — must
+// optimizer reads — Latest, the ratios, Nodes' sizes — must
 // answer as if every observation had been kept: the newest observation plus
 // the EWMAs folded over the whole sequence.
 func TestStoreKeepsOneObservationPerNode(t *testing.T) {
@@ -51,25 +76,25 @@ func TestStoreKeepsOneObservationPerNode(t *testing.T) {
 		if i == 0 {
 			ratio = r
 		} else {
-			ratio = ratioAlpha*r + (1-ratioAlpha)*ratio
+			ratio += alpha * (r - ratio)
 		}
 	}
-	if len(s.latest) != 1 {
-		t.Fatalf("store retains %d observations for one node, want 1", len(s.latest))
+	if len(s.nodes) != 1 {
+		t.Fatalf("store retains %d entries for one node, want 1", len(s.nodes))
 	}
 	if o, ok := s.Latest("a"); !ok || o != last {
 		t.Fatalf("Latest = %+v, %v; want %+v", o, ok, last)
 	}
-	for _, name := range []string{"a", "never_seen"} { // own EWMA, workload-wide EWMA
-		if got, ok := s.Ratio(name); !ok || math.Abs(got-ratio) > 1e-12 {
-			t.Fatalf("Ratio(%s) = %v, %v; want %v", name, got, ok, ratio)
+	for name, w := range map[string]EWMA{"a": s.nodes["a"].ratio, "workload": s.ratio} {
+		if w.N == 0 || math.Abs(w.Mean-ratio) > 1e-12 {
+			t.Fatalf("%s ratio = %+v; want mean %v", name, w, ratio)
 		}
 	}
-	if got := s.Sizes(g, 42); got[0] != last.OutputBytes || got[1] != 42 || got[2] != 42 {
+	if got := sizes(s, g, 42); got[0] != last.OutputBytes || got[1] != 42 || got[2] != 42 {
 		t.Fatalf("Sizes = %v", got)
 	}
-	guess := scaleBytes(4000, ratio)
-	if got := s.EncodedSizes(g, 4000); got[0] != last.EncodedBytes || got[1] != guess || got[2] != guess {
+	guess := scale(4000, EWMA{N: 1, Mean: ratio})
+	if got := encodedSizes(s, g, 4000); got[0] != last.EncodedBytes || got[1] != guess || got[2] != guess {
 		t.Fatalf("EncodedSizes = %v, want [%d %d %d]", got, last.EncodedBytes, guess, guess)
 	}
 }
@@ -78,7 +103,7 @@ func TestSizesUsesFallback(t *testing.T) {
 	g := chain()
 	s := NewStore()
 	s.Record(Observation{Name: "b", OutputBytes: 777})
-	sizes := s.Sizes(g, 42)
+	sizes := sizes(s, g, 42)
 	if sizes[0] != 42 || sizes[1] != 777 || sizes[2] != 42 {
 		t.Fatalf("Sizes = %v", sizes)
 	}
@@ -91,7 +116,7 @@ func TestSecondsSumLatestReadComputeWrite(t *testing.T) {
 	s.Record(Observation{Name: "a", ReadTime: time.Second, ComputeTime: time.Second, WriteTime: time.Second})
 	s.Record(Observation{Name: "a", ReadTime: 100 * time.Millisecond, ComputeTime: 200 * time.Millisecond, WriteTime: 300 * time.Millisecond})
 	s.Record(Observation{Name: "b", ComputeTime: 50 * time.Millisecond})
-	got := s.Seconds(chain())
+	got := seconds(s, chain())
 	if want := []float64{0.6, 0.05, 0}; math.Abs(got[0]-want[0]) > 1e-12 || got[1] != want[1] || got[2] != want[2] {
 		t.Fatalf("Seconds = %v, want %v", got, want)
 	}

@@ -108,7 +108,7 @@ type Event struct {
 	Encoded   int64         // NodeDone/EncodeDone/DecodeDone: encoded (compressed) bytes
 	Ratio     float64       // EncodeDone/DecodeDone: raw bytes / encoded bytes
 	Elapsed   time.Duration // NodeDone: the node's duration; else per kind (simulation: the virtual clock)
-	Plan      time.Duration // NodeDone: parse + plan + lower time, input fetches excluded
+	Plan      time.Duration // NodeDone: plan + lower time, input fetches excluded
 	Read      time.Duration // NodeDone: input-read time, wherever in the node it was spent
 	Write     time.Duration // NodeDone: blocking-write time
 	Compute   time.Duration // NodeDone: compute time

@@ -118,10 +118,13 @@ type Priced struct {
 // another, not in plan order, so a plan that fills the budget to the byte on
 // paper displaces plain residents in practice.
 func (p *Pipeline) Problem(memory int64) *Priced {
-	raw := p.Metrics.Sizes(p.Graph, SizeGuess)
-	disk := raw
-	if p.Encoding != nil {
-		disk = p.Metrics.EncodedSizes(p.Graph, SizeGuess) // Memory Catalog holds compressed entries
+	nodes := p.Metrics.Nodes(p.Graph, SizeGuess)
+	raw, disk := make([]int64, len(nodes)), make([]int64, len(nodes))
+	for i, n := range nodes {
+		raw[i], disk[i] = n.Bytes, n.Bytes
+		if p.Encoding != nil {
+			disk[i] = n.Encoded // Memory Catalog holds compressed entries
+		}
 	}
 	pr := &Priced{
 		Problem: &core.Problem{G: p.Graph, Sizes: disk, Scores: make([]float64, len(raw)), Memory: memory},
@@ -130,20 +133,18 @@ func (p *Pipeline) Problem(memory int64) *Priced {
 	if p.Encoding == nil && p.Concurrency <= 1 {
 		pr.SerializedSizes = append([]int64(nil), raw...) // no smaller form known until observed
 	}
-	for i := range raw {
-		name := p.Graph.Name(dag.NodeID(i))
+	for i, n := range nodes {
 		read, write := costmodel.ScoreParts(p.Device, p.Graph, raw, disk, dag.NodeID(i))
-		o, observed := p.Metrics.Latest(name)
-		if observed && o.WriteTime > 0 {
-			write = o.WriteTime
+		if n.Latest.WriteTime > 0 {
+			write = n.Latest.WriteTime
 		}
-		if observed && o.EncodedBytes > 0 && pr.SerializedSizes != nil {
-			pr.SerializedSizes[i] = o.EncodedBytes
+		if n.Latest.EncodedBytes > 0 && pr.SerializedSizes != nil {
+			pr.SerializedSizes[i] = n.Latest.EncodedBytes
 		}
 		pr.Scores[i] = costmodel.Score(read, write)
 		pr.Pricing[i] = introspect.NodePricing{RawBytes: raw[i], ReadSaveSeconds: read.Seconds(), WriteSaveSeconds: write.Seconds()}
 		if p.Encoding != nil {
-			pr.Pricing[i].PredictedBytes = p.Metrics.PredictEncoded(name, raw[i])
+			pr.Pricing[i].PredictedBytes = n.Predicted
 		}
 	}
 	return pr
@@ -195,13 +196,17 @@ func (p *Pipeline) controller(env RunEnv, plan *core.Plan) *exec.Controller {
 	if env.Trace != nil {
 		watchers = obs.Multi(env.Observer, env.Trace)
 	}
+	seconds := make([]float64, p.Graph.Len())
+	for i, n := range p.Metrics.Nodes(p.Graph, SizeGuess) {
+		seconds[i] = n.Latest.Seconds()
+	}
 	return &exec.Controller{
 		Store:       p.Store,
 		Mem:         env.Mem,
 		Obs:         watchers,
 		RunID:       env.RunID,
 		Concurrency: p.Concurrency,
-		Rank:        core.DispatchRank(p.Graph, plan.Order, p.Metrics.Seconds(p.Graph)),
+		Rank:        core.DispatchRank(p.Graph, plan.Order, seconds),
 		Sched:       env.Sched,
 		Encoding:    p.Encoding,
 	}

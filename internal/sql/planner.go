@@ -93,21 +93,6 @@ func PlanString(sqlText string, cat Catalog) (engine.Node, []string, error) {
 	return Plan(stmt, cat)
 }
 
-// InputTables parses the statement and returns only the scanned table
-// names; the controller uses it to extract the dependency graph from MV
-// definitions without a catalog.
-func InputTables(sqlText string) ([]string, error) {
-	stmt, err := Parse(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	inputs := []string{stmt.Select.From.Name}
-	for _, j := range stmt.Select.Joins {
-		inputs = append(inputs, j.Table.Name)
-	}
-	return inputs, nil
-}
-
 // scope tracks the flattened column namespace of the current row.
 type scope struct {
 	entries []scopeEntry

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -238,13 +239,58 @@ func TestUnknownColumnAndTableRejected(t *testing.T) {
 	}
 }
 
-func TestInputTables(t *testing.T) {
-	inputs, err := InputTables(`SELECT o.o_id FROM orders o JOIN customers c ON o.o_cust = c.c_id`)
+// TestPlanLeavesStatementUnchanged: a workload parses each node once and
+// plans that one statement on every run, against whatever schemas its
+// inputs have then, so Plan must not change the statement it lowers.
+func TestPlanLeavesStatementUnchanged(t *testing.T) {
+	const q = `SELECT c.c_name, COUNT(*) AS n, SUM(o.o_total) AS total FROM orders o
+		JOIN customers c ON o.o_cust = c.c_id
+		WHERE o.o_status IN ('open', 'done') AND NOT o.o_total < 1
+		GROUP BY c.c_name ORDER BY total DESC LIMIT 2`
+	first, _ := testCatalog()
+	// The same tables with their columns in another order and o_total an
+	// INT: every column index and one type of the plan differ.
+	second := CatalogFunc(func(name string) (table.Schema, error) {
+		switch name {
+		case "orders":
+			return table.NewSchema(
+				table.Column{Name: "o_status", Type: table.Str},
+				table.Column{Name: "o_total", Type: table.Int},
+				table.Column{Name: "o_cust", Type: table.Int},
+				table.Column{Name: "o_id", Type: table.Int},
+			), nil
+		case "customers":
+			return table.NewSchema(
+				table.Column{Name: "c_name", Type: table.Str},
+				table.Column{Name: "c_id", Type: table.Int},
+			), nil
+		}
+		return table.Schema{}, fmt.Errorf("no table %q", name)
+	})
+	stmt, err := Parse(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(inputs) != 2 || inputs[0] != "orders" || inputs[1] != "customers" {
-		t.Fatalf("inputs = %v", inputs)
+	var plans []engine.Node
+	for _, cat := range []Catalog{first, second, first} {
+		got, _, err := Plan(stmt, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := PlanString(q, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() || !reflect.DeepEqual(got, want) {
+			t.Fatalf("plan of a planned statement:\n%s\nplan of a fresh parse:\n%s", got, want)
+		}
+		plans = append(plans, got)
+	}
+	if reflect.DeepEqual(plans[0], plans[1]) {
+		t.Fatal("the two catalogs give one plan; the test cannot tell them apart")
+	}
+	if fresh, _ := Parse(q); !reflect.DeepEqual(stmt, fresh) {
+		t.Fatalf("planning changed the statement:\n%+v\nfresh parse:\n%+v", stmt.Select, fresh.Select)
 	}
 }
 

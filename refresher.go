@@ -282,12 +282,11 @@ func (r *Refresher) Refresh(ctx context.Context) (*RunResult, error) {
 // the session's device profile. No real bytes move.
 func (r *Refresher) Simulate(ctx context.Context) (*SimResult, error) {
 	w := &sim.Workload{G: r.pipe.Graph}
-	for i := 0; i < r.pipe.Graph.Len(); i++ {
-		name := r.pipe.Graph.Name(dag.NodeID(i))
-		node := sim.Node{Name: name, OutputBytes: session.SizeGuess}
-		if o, ok := r.pipe.Metrics.Latest(name); ok {
-			node.OutputBytes = o.OutputBytes
-			node.ComputeSeconds = o.ComputeTime.Seconds()
+	for i, n := range r.pipe.Metrics.Nodes(r.pipe.Graph, session.SizeGuess) {
+		node := sim.Node{
+			Name:           r.pipe.Graph.Name(dag.NodeID(i)),
+			OutputBytes:    n.Bytes,
+			ComputeSeconds: n.Latest.ComputeTime.Seconds(),
 		}
 		// Base tables are always read from external storage; their encoded
 		// sizes are what a refresh actually moves.
