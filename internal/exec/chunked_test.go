@@ -163,11 +163,7 @@ func TestChunkedInputParsedOnce(t *testing.T) {
 	if err := SaveTableChunked(store, "sales", sales, encoding.Options{ChunkRows: 64}); err != nil {
 		t.Fatal(err)
 	}
-	rs := &runState{
-		c:       &Controller{Store: store},
-		schemas: &schemaCache{known: make(map[string]table.Schema)},
-	}
-	in := &nodeInputs{rs: rs, node: "j2", objs: make(map[string]*input), scans: make(map[string]int)}
+	in := newInputs(&Controller{Store: store}, "j2")
 	sch, err := in.TableSchema("sales")
 	if err != nil || !sch.Equal(sales.Schema) {
 		t.Fatalf("TableSchema = %v, %v", sch, err)

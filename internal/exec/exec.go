@@ -11,11 +11,11 @@
 // worker pool (Concurrency > 1), starting the longest remaining path first
 // (Rank), while the Memory Catalog keeps enforcing the byte budget.
 //
-// Within a node, inputs resolve in one place (nodeInputs: the Memory
-// Catalog when the table is resident, else one Store.Read per storage
-// object, whichever of schema, chunk view or rows is asked for) and the
-// output takes its stored form in one place (storedForm: chunks or rows,
-// the same for the catalog entry and the storage object).
+// Within a node, inputs resolve in one place (nodeInputs: one handle per
+// input, opened on the Memory Catalog's entry when the table is resident,
+// else with one Store.Read, whichever of schema, chunk view or rows is asked
+// for) and the output takes its stored form in one place (storedForm: chunks
+// or rows, the same for the catalog entry and the storage object).
 //
 // A flagged row-path output is resident in the form its plan names
 // (core.Plan.Forms): the rows, or — for a node the optimizer could only keep
@@ -220,11 +220,10 @@ type flaggedState struct {
 
 // runState is the shared state of one Run invocation.
 type runState struct {
-	c       *Controller
-	w       *Workload
-	g       *dag.Graph
-	pos     []int // plan position per node
-	schemas *schemaCache
+	c   *Controller
+	w   *Workload
+	g   *dag.Graph
+	pos []int // plan position per node
 
 	states []*flaggedState // per node; non-nil once the node's output was Put
 
@@ -295,12 +294,11 @@ func (c *Controller) Run(ctx context.Context, w *Workload, g *dag.Graph, plan *c
 	}
 
 	rs := &runState{
-		c:       c,
-		w:       w,
-		g:       g,
-		pos:     core.Positions(plan.Order),
-		schemas: &schemaCache{known: make(map[string]table.Schema)},
-		states:  make([]*flaggedState, n),
+		c:      c,
+		w:      w,
+		g:      g,
+		pos:    core.Positions(plan.Order),
+		states: make([]*flaggedState, n),
 	}
 
 	workers := c.Concurrency
@@ -467,10 +465,10 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool, f
 		}
 	}()
 
-	// Every storage-resident input goes through one handle: whichever of
-	// planning (schema), a kernel (chunk view) or the row engine (rows) asks
-	// first pays the node's only Store.Read of that object.
-	in := &nodeInputs{rs: rs, node: spec.Name, step: step, objs: make(map[string]*input), scans: make(map[string]int)}
+	// Every input goes through one handle: whichever of planning (schema), a
+	// kernel (chunk view) or the row engine (rows) asks first opens it, from
+	// the Memory Catalog or with the node's only Store.Read of that object.
+	in := &nodeInputs{c: c, node: spec.Name, step: step, objs: make(map[string]*input), scans: make(map[string]int)}
 
 	// Plan the statement against current schemas.
 	p0 := time.Now()
@@ -530,11 +528,9 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool, f
 	if ct != nil {
 		m.OutputBytes = ct.RawBytes
 		m.Rows = ct.NRows
-		rs.schemas.learn(spec.Name, ct.Schema)
 	} else {
 		m.OutputBytes = out.ByteSize()
 		m.Rows = out.NumRows()
-		rs.schemas.learn(spec.Name, out.Schema)
 	}
 	if m.Lowered > 0 {
 		obs.Emit(c.Obs, obs.Event{Kind: obs.KernelDone, Node: spec.Name, Step: step, Bytes: m.DecodedBytes, KernelStats: m.KernelStats})
@@ -636,7 +632,7 @@ func (c *Controller) storedForm(out *table.Table, ct *encoding.Compressed, form 
 	if c.Encoding == nil {
 		data, err := colfmt.Encode(out)
 		if form == core.Serialized {
-			return memcat.Serialized(data, out.ByteSize()), data, err
+			return memcat.SerializedEntry{Data: data, RawBytes: out.ByteSize()}, data, err
 		}
 		return memcat.Plain(out), data, err
 	}
@@ -768,18 +764,18 @@ func SaveTableChunked(st storage.Store, name string, t *table.Table, opts encodi
 	return st.Write(tableObject(name), data)
 }
 
-// nodeInputs is where one executing node's inputs resolve, in each of their
-// three forms (schema, chunk view, rows): from the Memory Catalog when the
-// table is resident there, else from external storage through one handle
-// per object, so the object is read once however many forms the node asks
-// for and however often. A chunked object is parsed once: its
-// DecodeCompressed view gives planning its schema, then serves the kernels'
-// chunks and the row engine's decode. A v1 object's schema comes from its
-// headers alone, its rows from one full decode. Handles are per node, never shared across nodes, which keeps the run's
-// byte counts exact at any concurrency. A node plans and executes on one
-// goroutine, so none of this needs locking.
+// nodeInputs is where one executing node's inputs resolve. A node opens
+// each input once into an input handle: the Memory Catalog's entry when the
+// table is resident there, else its storage object with one Store.Read.
+// Planning (schema), a kernel (chunk view) and the row engine (rows) each
+// take their view off that handle, however many of them ask and however
+// often, so a node reads each object once and decodes each input at most
+// once. A resident entry that does not decode counts as a miss: the stored
+// object stands in for it. Handles are per node, never shared across nodes,
+// which keeps the run's byte counts exact at any concurrency. A node plans
+// and executes on one goroutine, so none of this needs locking.
 type nodeInputs struct {
-	rs       *runState
+	c        *Controller
 	node     string // the executing node
 	step     int
 	objs     map[string]*input
@@ -789,17 +785,20 @@ type nodeInputs struct {
 	readTime time.Duration  // fetching and resolving inputs, planning included
 }
 
-// input is the handle on one storage object. Each derived form is built at
-// most once; the raw bytes go as soon as the rows exist.
+// input is the handle on one input, in the form it came in: a plain entry's
+// rows, a serialized entry's v1 bytes, a compressed entry's chunks, or a
+// storage object's bytes (v1 or chunked). Each derived form is built at most
+// once; the bytes and chunks go as soon as the rows exist.
 type input struct {
-	data  []byte               // nil once tbl is decoded
-	ct    *encoding.Compressed // a chunked object parsed, aliasing data
-	ctErr error                // why a chunked object did not parse
+	entry memcat.Entry         // the resident entry, nil for a storage object
+	data  []byte               // v1 or chunked bytes; nil once tbl is decoded
+	ct    *encoding.Compressed // the chunks: a compressed entry, or chunked data parsed
+	ctErr error                // why chunked data did not parse
 	tbl   *table.Table
 }
 
-// compressed parses a chunked object once and returns its chunk view; it
-// returns nil, nil for a v1 object and once the rows are decoded.
+// compressed returns the handle's chunk view, parsing chunked bytes once;
+// it returns nil, nil for rows, v1 bytes and once the rows are decoded.
 func (o *input) compressed() (*encoding.Compressed, error) {
 	if o.ct == nil && o.ctErr == nil && colfmt.IsChunked(o.data) {
 		o.ct, o.ctErr = colfmt.DecodeCompressed(o.data)
@@ -807,15 +806,56 @@ func (o *input) compressed() (*encoding.Compressed, error) {
 	return o.ct, o.ctErr
 }
 
+// schema reads the input's schema off the handle, decoding no rows: the
+// rows' or the chunks' own, else the v1 bytes' headers.
+func (o *input) schema() (table.Schema, error) {
+	if o.tbl != nil {
+		return o.tbl.Schema, nil
+	}
+	ct, err := o.compressed()
+	if ct != nil {
+		return ct.Schema, nil
+	}
+	if err != nil {
+		return table.Schema{}, err
+	}
+	sch, _, err := colfmt.DecodeSchema(o.data)
+	return sch, err
+}
+
 // timed charges the time since t0 to the node's ReadTime.
 func (in *nodeInputs) timed(t0 time.Time) { in.readTime += time.Since(t0) }
 
-// fetch returns the handle for a table's object, reading it on first use.
-func (in *nodeInputs) fetch(name string) (*input, error) {
+// open returns the table's handle, opening it on first use: the resident
+// entry when there is one, else the storage object.
+func (in *nodeInputs) open(name string) (*input, error) {
 	if o := in.objs[name]; o != nil {
 		return o, nil
 	}
-	data, err := in.rs.c.Store.Read(tableObject(name))
+	if in.c.Mem != nil {
+		if e, ok := in.c.Mem.GetEntry(name); ok {
+			o := &input{entry: e}
+			switch e := e.(type) {
+			case *encoding.Compressed:
+				o.ct = e
+			case memcat.SerializedEntry:
+				o.data = e.Data
+			default:
+				// A plain entry's rows are the table itself. An entry that
+				// fails here leaves the handle empty, and so reads as a miss.
+				o.tbl, _ = e.Table()
+			}
+			in.objs[name] = o
+			return o, nil
+		}
+	}
+	return in.fetch(name)
+}
+
+// fetch opens the table's storage object with one Store.Read, in place of
+// any handle the node holds on the table.
+func (in *nodeInputs) fetch(name string) (*input, error) {
+	data, err := in.c.Store.Read(tableObject(name))
 	if err != nil {
 		return nil, err
 	}
@@ -825,109 +865,66 @@ func (in *nodeInputs) fetch(name string) (*input, error) {
 	return o, nil
 }
 
-// TableSchema implements sql.Catalog for this node's plan: what the run
-// already knows, else what a resident catalog entry carries, else the
-// object's parse (a chunked one) or headers (v1), whose bytes then also
-// serve the node's scan of it.
-func (in *nodeInputs) TableSchema(name string) (table.Schema, error) {
-	if sch, ok := in.rs.schemas.lookup(name); ok {
-		return sch, nil
+// view opens the table's handle and runs f on it. A resident entry f cannot
+// decode counts as a miss: the storage object stands in for it, and f runs
+// again on that.
+func (in *nodeInputs) view(name string, f func(*input) error) (*input, error) {
+	o, err := in.open(name)
+	if err != nil {
+		return nil, err
 	}
-	if mem := in.rs.c.Mem; mem != nil {
-		// No form of entry pays a decode here.
-		if sch, ok := mem.Schema(name); ok {
-			in.rs.schemas.learn(name, sch)
-			return sch, nil
+	if err = f(o); err != nil && o.entry != nil {
+		if o, err = in.fetch(name); err != nil {
+			return nil, err
 		}
-	}
-	defer in.timed(time.Now())
-	o, err := in.fetch(name)
-	if err != nil {
-		return table.Schema{}, err
-	}
-	var sch table.Schema
-	ct, err := o.compressed()
-	if ct != nil {
-		sch = ct.Schema
-	} else if err == nil {
-		sch, _, err = colfmt.DecodeSchema(o.data)
+		err = f(o)
 	}
 	if err != nil {
-		return table.Schema{}, fmt.Errorf("decode %q: %w", name, err)
+		return nil, fmt.Errorf("decode %q: %w", name, err)
 	}
-	in.rs.schemas.learn(name, sch)
-	return sch, nil
+	return o, nil
 }
 
-// chunks returns the table's chunk view without decompressing anything: a
-// compressed catalog entry as it is, else the storage object's. It returns
-// nil when there is none to give — a plain resident entry (the row path is
-// cheaper), a read error, a v1 file, a corrupt one, or rows already
+// TableSchema implements sql.Catalog for this node's plan: the schema off
+// the input's handle, whose entry or bytes then also serve the node's scan
+// of it.
+func (in *nodeInputs) TableSchema(name string) (sch table.Schema, err error) {
+	defer in.timed(time.Now())
+	_, err = in.view(name, func(o *input) (err error) {
+		sch, err = o.schema()
+		return err
+	})
+	return sch, err
+}
+
+// chunks returns the input's chunk view without decompressing anything. It
+// returns nil when there is none to give — rows (a plain entry: the row path
+// is cheaper), v1 bytes, a read error, a corrupt file, or rows already
 // decoded — which sends a kernel to its row-engine fallback; that resolves
 // through table and surfaces any error itself.
 func (in *nodeInputs) chunks(name string) *encoding.Compressed {
-	if mem := in.rs.c.Mem; mem != nil {
-		if ct, _, ok := mem.GetCompressed(name); ok {
-			in.memReads++
-			in.emitHit(name, ct.RawBytes)
-			return ct
-		}
-		if _, ok := mem.GetEntry(name); ok {
-			return nil
-		}
-	}
-	o, err := in.fetch(name)
+	o, err := in.open(name)
 	if err != nil {
 		return nil
 	}
 	ct, _ := o.compressed()
+	if ct != nil && o.entry != nil {
+		in.memReads++
+		in.emitHit(name, ct.RawBytes)
+	}
 	return ct
 }
 
-// table returns the table's rows: from the Memory Catalog when resident
-// (and decodable), else the storage object fully decoded. The last of the
-// plan's scans of an object lets go of its handle: from there the operators
-// own the rows, so a join's inputs can be collected while the rest of the
-// plan still runs.
+// table returns the input's rows. The last of the plan's scans of an input
+// lets go of its handle: from there the operators own the rows, so a join's
+// inputs can be collected while the rest of the plan still runs.
 func (in *nodeInputs) table(name string) (*table.Table, error) {
-	if mem := in.rs.c.Mem; mem != nil {
-		d0 := time.Now()
-		if t, info, ok := mem.GetTable(name); ok {
-			// A compressed entry was decoded in full for this read; a
-			// plain one did no decode work at all — report the reuse so
-			// the consuming span can link to the producing one.
-			if info.Decoded > 0 {
-				in.emitDecode(name, info.Decoded, info.Encoded, d0)
-			} else {
-				in.emitHit(name, t.ByteSize())
-			}
-			in.memReads++
-			return t, nil
-		}
-	}
-	o, err := in.fetch(name)
+	o, err := in.view(name, func(o *input) error { return in.rows(name, o) })
 	if err != nil {
 		return nil, err
 	}
-	if o.tbl == nil {
-		d0 := time.Now()
-		encoded := int64(len(o.data))
-		ct, err := o.compressed()
-		if ct != nil {
-			o.tbl, err = ct.Table()
-		} else if err == nil {
-			o.tbl, err = colfmt.Decode(o.data)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("decode %q: %w", name, err)
-		}
-		o.data, o.ct = nil, nil
-		if ct != nil {
-			// A full decode of a chunked file is the cost the kernels'
-			// per-chunk readers exist to avoid; report it like a catalog
-			// decode so observers can account decoded bytes either way.
-			in.emitDecode(name, o.tbl.ByteSize(), encoded, d0)
-		}
+	if o.entry != nil {
+		in.memReads++
 	}
 	if in.scans[name]--; in.scans[name] <= 0 {
 		delete(in.objs, name)
@@ -935,42 +932,54 @@ func (in *nodeInputs) table(name string) (*table.Table, error) {
 	return o.tbl, nil
 }
 
-// emitHit reports an input served by the Memory Catalog with no decode.
-func (in *nodeInputs) emitHit(name string, bytes int64) {
-	obs.Emit(in.rs.c.Obs, obs.Event{Kind: obs.CacheHit, Node: in.node, Source: name, Step: in.step, Bytes: bytes})
+// rows decodes the handle's bytes or chunks into its rows on the first call.
+// A decode of a compact form — chunks, or a resident entry's bytes — is
+// reported, so observers account decoded bytes wherever the input came
+// from; a full decode of a chunked file is the cost the kernels' per-chunk
+// readers exist to avoid. Rows a resident input already has are reported as
+// a hit, so the consuming span can link to the producing one.
+func (in *nodeInputs) rows(name string, o *input) error {
+	if o.tbl != nil {
+		if o.entry != nil {
+			in.emitHit(name, o.tbl.ByteSize())
+		}
+		return nil
+	}
+	d0, encoded := time.Now(), int64(len(o.data))
+	if o.entry != nil {
+		encoded = o.entry.SizeBytes()
+	}
+	ct, err := o.compressed()
+	if ct != nil {
+		o.tbl, err = ct.Table()
+	} else if err == nil {
+		o.tbl, err = colfmt.Decode(o.data)
+	}
+	if err != nil {
+		return err
+	}
+	o.data, o.ct = nil, nil
+	if ct != nil || o.entry != nil {
+		in.emitDecode(name, o.tbl.ByteSize(), encoded, d0)
+	}
+	return nil
 }
 
-// emitDecode reports a whole-table decode of a compressed input that began
-// at d0.
+// emitHit reports an input served by the Memory Catalog with no decode.
+func (in *nodeInputs) emitHit(name string, bytes int64) {
+	obs.Emit(in.c.Obs, obs.Event{Kind: obs.CacheHit, Node: in.node, Source: name, Step: in.step, Bytes: bytes})
+}
+
+// emitDecode reports a whole-table decode of a compact input that began at
+// d0.
 func (in *nodeInputs) emitDecode(name string, decoded, encoded int64, d0 time.Time) {
 	ratio := 1.0
 	if encoded > 0 {
 		ratio = float64(decoded) / float64(encoded)
 	}
-	obs.Emit(in.rs.c.Obs, obs.Event{
+	obs.Emit(in.c.Obs, obs.Event{
 		Kind: obs.DecodeDone, Node: name, Step: in.step,
 		Bytes: decoded, Encoded: encoded,
 		Ratio: ratio, Elapsed: time.Since(d0),
 	})
-}
-
-// schemaCache holds the table schemas the run has learned: those of outputs
-// produced so far and of inputs a node has looked up. It is safe for
-// concurrent use by the worker pool.
-type schemaCache struct {
-	mu    sync.RWMutex
-	known map[string]table.Schema
-}
-
-func (s *schemaCache) learn(name string, sch table.Schema) {
-	s.mu.Lock()
-	s.known[name] = sch
-	s.mu.Unlock()
-}
-
-func (s *schemaCache) lookup(name string) (table.Schema, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	sch, ok := s.known[name]
-	return sch, ok
 }

@@ -200,7 +200,7 @@ func keyedTable(t *testing.T, rows int) *table.Table {
 }
 
 // TestOneReadPerInputOnEveryPath runs a single node over one base table
-// through each way the Controller can consume it.
+// through each way the Controller can consume it, on one token and on two.
 func TestOneReadPerInputOnEveryPath(t *testing.T) {
 	// An aggregate over the scan: the shape the kernels take from a chunked
 	// input (a filter over a scan keeps the row engine).
@@ -222,42 +222,44 @@ func TestOneReadPerInputOnEveryPath(t *testing.T) {
 		{"self-join, chunked file", true, false, "SELECT a.k AS k, b.v AS v FROM t a JOIN t b ON a.k = b.k", 1, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			st := newCountingStore()
-			var err error
-			if tc.chunked {
-				err = exec.SaveTableChunked(st, "t", keyedTable(t, 300), opts)
-			} else {
-				err = exec.SaveTable(st, "t", keyedTable(t, 300))
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			w := &exec.Workload{Nodes: []exec.NodeSpec{{Name: "out", SQL: tc.sql}}}
-			g, _, err := w.BuildGraph()
-			if err != nil {
-				t.Fatal(err)
-			}
-			decodes := &eventCount{kind: obs.DecodeDone}
-			ctl := &exec.Controller{Store: st, Obs: decodes}
-			if tc.encoded {
-				ctl.Encoding = &opts
-			}
-			res, err := ctl.Run(context.Background(), w, g, core.NewPlan([]dag.NodeID{0}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if per, total := st.take(); total != 1 {
-				t.Fatalf("%d reads, want 1: %v", total, per)
-			}
-			n := res.Nodes[0]
-			if n.DiskReads != 1 || n.Rows == 0 {
-				t.Fatalf("DiskReads = %d, Rows = %d", n.DiskReads, n.Rows)
-			}
-			if decodes.n != tc.decodes {
-				t.Fatalf("%d whole-table decodes, want %d", decodes.n, tc.decodes)
-			}
-			if tc.encoded && (n.Lowered == 0 || n.Fallbacks > 0 != tc.fallback) {
-				t.Fatalf("lowered %d ops, %d fallbacks, want fallback=%v", n.Lowered, n.Fallbacks, tc.fallback)
+			for _, tokens := range []int{1, 2} {
+				st := newCountingStore()
+				var err error
+				if tc.chunked {
+					err = exec.SaveTableChunked(st, "t", keyedTable(t, 300), opts)
+				} else {
+					err = exec.SaveTable(st, "t", keyedTable(t, 300))
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				w := &exec.Workload{Nodes: []exec.NodeSpec{{Name: "out", SQL: tc.sql}}}
+				g, _, err := w.BuildGraph()
+				if err != nil {
+					t.Fatal(err)
+				}
+				decodes := &eventCount{kind: obs.DecodeDone}
+				ctl := &exec.Controller{Store: st, Obs: decodes, Concurrency: tokens}
+				if tc.encoded {
+					ctl.Encoding = &opts
+				}
+				res, err := ctl.Run(context.Background(), w, g, core.NewPlan([]dag.NodeID{0}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if per, total := st.take(); total != 1 {
+					t.Fatalf("%d tokens: %d reads, want 1: %v", tokens, total, per)
+				}
+				n := res.Nodes[0]
+				if n.DiskReads != 1 || n.Rows == 0 {
+					t.Fatalf("%d tokens: DiskReads = %d, Rows = %d", tokens, n.DiskReads, n.Rows)
+				}
+				if decodes.n != tc.decodes {
+					t.Fatalf("%d tokens: %d whole-table decodes, want %d", tokens, decodes.n, tc.decodes)
+				}
+				if tc.encoded && (n.Lowered == 0 || n.Fallbacks > 0 != tc.fallback) {
+					t.Fatalf("%d tokens: lowered %d ops, %d fallbacks, want fallback=%v", tokens, n.Lowered, n.Fallbacks, tc.fallback)
+				}
 			}
 		})
 	}

@@ -12,7 +12,6 @@ import (
 	"github.com/shortcircuit-db/sc/internal/obs"
 	"github.com/shortcircuit-db/sc/internal/sql"
 	"github.com/shortcircuit-db/sc/internal/storage"
-	"github.com/shortcircuit-db/sc/internal/table"
 )
 
 // TestSerializedFormServesChildrenWithinBudget: under a Memory Catalog that
@@ -114,10 +113,9 @@ func TestSerializedFormServesChildrenWithinBudget(t *testing.T) {
 }
 
 // TestSerializedFormSchemaFromHeader: a node planned against a serialized
-// resident the run has not seen produced (a cold schemaCache) learns its
-// schema from the entry's header. The entry's payload is corrupted past the
-// column headers and storage has no such object, so a whole-table decode, or
-// a fall-through to storage, would fail the plan.
+// resident reads its schema off the entry's header. The entry's payload is
+// corrupted past the column headers and storage has no such object, so a
+// whole-table decode, or a fall-through to storage, would fail the plan.
 func TestSerializedFormSchemaFromHeader(t *testing.T) {
 	w, store := wideFixture(t, 20000)
 	sales, err := LoadTable(store, "sales")
@@ -133,15 +131,11 @@ func TestSerializedFormSchemaFromHeader(t *testing.T) {
 		t.Fatal("corrupted payload still decodes")
 	}
 	mem := memcat.New(1 << 30)
-	if err := mem.PutEntry("mv_daily", memcat.Serialized(data, sales.ByteSize())); err != nil {
+	if err := mem.PutEntry("mv_daily", memcat.SerializedEntry{Data: data, RawBytes: sales.ByteSize()}); err != nil {
 		t.Fatal(err)
 	}
 	reads := &countingStore{Store: store}
-	rs := &runState{
-		c:       &Controller{Store: reads, Mem: mem},
-		schemas: &schemaCache{known: make(map[string]table.Schema)},
-	}
-	in := &nodeInputs{rs: rs, node: "mv_count", objs: make(map[string]*input), scans: make(map[string]int)}
+	in := newInputs(&Controller{Store: reads, Mem: mem}, "mv_count")
 	stmt, err := sql.Parse(w.Nodes[2].SQL) // mv_count: COUNT(*) over mv_daily, whatever its columns
 	if err != nil {
 		t.Fatal(err)
@@ -149,11 +143,11 @@ func TestSerializedFormSchemaFromHeader(t *testing.T) {
 	if _, _, err := sql.Plan(stmt, in); err != nil {
 		t.Fatalf("planning a child of a serialized resident: %v", err)
 	}
-	if sch, ok := rs.schemas.lookup("mv_daily"); !ok || !sch.Equal(sales.Schema) {
-		t.Fatalf("learned schema %v, %v", sch, ok)
+	if sch, err := in.TableSchema("mv_daily"); err != nil || !sch.Equal(sales.Schema) {
+		t.Fatalf("schema %v, %v", sch, err)
 	}
-	if reads.n != 0 || in.reads != 0 || in.readTime != 0 {
-		t.Fatalf("%d storage reads, %v charged to ReadTime", reads.n, in.readTime)
+	if reads.n != 0 || in.reads != 0 {
+		t.Fatalf("%d storage reads", reads.n)
 	}
 }
 

@@ -245,7 +245,7 @@ func (s *Server) Handler() http.Handler {
 		} else {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		}
-		s.prom.write(w, om, s.snapshot())
+		s.prom.write(w, om, s.snapshot(true))
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())

@@ -20,9 +20,10 @@ const evictionLogCap = 256
 
 // snapshot is one reading of every owner of the gateway's state, each read
 // once: the registry, the admitter, the shared pool, the scheduler, the
-// ledger, the alert notifier and the live run catalogs. /healthz, every
-// /metrics gauge and /v1/state/{sched,catalog} are projections of it, so
-// what they say about one state agrees.
+// ledger, the alert notifier and — for a surface that reports them — the
+// live run catalogs. /healthz, every /metrics gauge and
+// /v1/state/{sched,catalog} are projections of it, so what they say about
+// one state agrees.
 type snapshot struct {
 	at        time.Time
 	pipelines int
@@ -31,14 +32,16 @@ type snapshot struct {
 	pool      memcat.PoolStats
 	sched     sched.Snapshot
 	ledger    ledger.Stats
-	alerts    *alert.Stats // nil without a webhook
-	catalog   introspect.CatalogReport
+	alerts    *alert.Stats             // nil without a webhook
+	catalog   introspect.CatalogReport // empty unless read withCatalog
 }
 
 // snapshot reads the server's state. Each owner's lock is taken once and
 // released before the next: the registry is copied under s.mu, then the
-// admitter, pool, scheduler, ledger and each run are read in turn.
-func (s *Server) snapshot() *snapshot {
+// admitter, pool, scheduler, ledger and each run are read in turn. Only
+// withCatalog reads the runs: /metrics and /v1/state/catalog report their
+// catalogs and evictions, /healthz and /v1/state/sched report neither.
+func (s *Server) snapshot(withCatalog bool) *snapshot {
 	sn := &snapshot{at: s.cfg.Clock()}
 	s.mu.Lock()
 	sn.pipelines = len(s.pipelines)
@@ -49,9 +52,12 @@ func (s *Server) snapshot() *snapshot {
 	}
 	// retire moves a run from s.runs to evictionsRetired under s.mu, so
 	// reading both in one hold counts every eviction exactly once.
-	runs := make([]*Run, 0, len(s.runs))
-	for _, r := range s.runs {
-		runs = append(runs, r)
+	var runs []*Run
+	if withCatalog {
+		runs = make([]*Run, 0, len(s.runs))
+		for _, r := range s.runs {
+			runs = append(runs, r)
+		}
 	}
 	retired := s.evictionsRetired
 	s.mu.Unlock()
@@ -66,7 +72,9 @@ func (s *Server) snapshot() *snapshot {
 		st := s.fin.Alerts.Stats()
 		sn.alerts = &st
 	}
-	sn.catalog = sn.catalogReport(runs, retired)
+	if withCatalog {
+		sn.catalog = sn.catalogReport(runs, retired)
+	}
 	return sn
 }
 
@@ -143,7 +151,7 @@ func (r *Run) evictions() []introspect.EvictionEvent {
 // Stats snapshots server-wide admission and budget state: the body of
 // /healthz and the bench report.
 func (s *Server) Stats() Stats {
-	sn := s.snapshot()
+	sn := s.snapshot(false)
 	return Stats{
 		Pipelines:      sn.pipelines,
 		QueueDepth:     len(sn.adm.queue),
@@ -165,7 +173,7 @@ func (s *Server) Stats() Stats {
 // CatalogState snapshots the shared Memory Catalog for
 // GET /v1/state/catalog (see snapshot.catalogReport).
 func (s *Server) CatalogState() introspect.CatalogReport {
-	return s.snapshot().catalog
+	return s.snapshot(true).catalog
 }
 
 // SchedState snapshots the scheduler for GET /v1/state/sched: the
@@ -173,7 +181,7 @@ func (s *Server) CatalogState() introspect.CatalogReport {
 // reservations, each tenant's slice and hold, and the admission queue with
 // each trigger's blocking reason.
 func (s *Server) SchedState() introspect.SchedReport {
-	sn := s.snapshot()
+	sn := s.snapshot(false)
 	rep := introspect.SchedReport{
 		At:                  sn.at,
 		Snapshot:            sn.sched,

@@ -664,7 +664,7 @@ func TestUnregisterForgetsPipelineMemory(t *testing.T) {
 		t.Fatalf("run in flight at Unregister left trace %+v (err %v), want a finished one", tr, err)
 	}
 	var metrics bytes.Buffer
-	s.prom.write(&metrics, false, s.snapshot())
+	s.prom.write(&metrics, false, s.snapshot(true))
 	if want := `scserve_refreshes_total{tenant="default",pipeline="p",status="succeeded"} 5`; !strings.Contains(metrics.String(), want) {
 		t.Errorf("/metrics does not count the run in flight at Unregister: no %q", want)
 	}
@@ -818,5 +818,32 @@ func TestSerializedFormOnGatewaySurfaces(t *testing.T) {
 	}
 	if cat.UsedBytes > slice {
 		t.Errorf("catalog holds %d of %d bytes", cat.UsedBytes, slice)
+	}
+}
+
+// TestStatsCostDoesNotGrowWithRetainedRuns: /healthz reports no catalog,
+// so reading it gathers no retained run's evictions. Stats allocates as
+// much with ~50 finished runs retained, each with evictions, as with one.
+func TestStatsCostDoesNotGrowWithRetainedRuns(t *testing.T) {
+	s, _ := newTestGateway(t, Config{GlobalBudget: 8 << 20, LedgerCapacity: 64})
+	if err := s.Register(PipelineSpec{
+		Name: "beer", Tenant: "brewer",
+		MVs:    pipelineRequest("", "").MVs,
+		Tables: map[string]*table.Table{"sales": mustTable(t, salesJSON())},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if st := refreshOK(t, s, "beer"); st.Flagged == 0 {
+		t.Fatal("a run that flags nothing evicts nothing: the comparison below would be vacuous")
+	}
+	one := testing.AllocsPerRun(50, func() { s.Stats() })
+	for i := 1; i < 50; i++ {
+		refreshOK(t, s, "beer")
+	}
+	if seen := s.CatalogState().EvictionsSeen; seen < 50 {
+		t.Fatalf("%d evictions across 50 runs", seen)
+	}
+	if many := testing.AllocsPerRun(50, func() { s.Stats() }); many > one {
+		t.Fatalf("Stats allocates %v times with 50 retained runs, %v with one", many, one)
 	}
 }

@@ -3,15 +3,16 @@
 // downstream nodes read them at memory speed, and are freed as soon as all
 // dependents have executed and background materialization has finished.
 //
-// Entries come in three forms. A plain table (Plain) is read for free. A
-// serialized table (Serialized) is the v1 bytes its node writes to storage,
-// shared with that write: it is accounted at len(data), so an output whose
-// rows exceed the budget can still stay resident, and every row-path read
-// (GetTable) decodes it — what the reader would pay after fetching the same
-// bytes from storage. A compressed columnar representation
-// (internal/encoding) is likewise accounted at its compressed footprint and
-// decompressed on every row-path read, while readers that consume chunks
-// (GetCompressed) never decode. The catalog holds entries and nothing else,
+// The catalog is a bounded map of entries, and GetEntry is its one lookup:
+// it hands out the entry as it was put and decodes nothing. Entries come in
+// three forms. A plain table (Plain) is its rows. A serialized table
+// (SerializedEntry) is the v1 bytes its node writes to storage, shared with
+// that write and accounted at len(Data), so an output whose rows exceed the
+// budget can still stay resident. A compressed columnar table
+// (encoding.Compressed) is its chunks, accounted at its compressed
+// footprint. What a reader does with the form it gets — read the rows, decode
+// the bytes, scan the chunks — is the reader's business (internal/exec opens
+// each input of a node once). The catalog holds entries and nothing else,
 // so Peak() <= capacity is all the memory it ever owns.
 package memcat
 
@@ -35,8 +36,7 @@ var ErrNotFound = errors.New("memcat: table not found")
 
 // Entry is anything the catalog can hold: it knows its accounted byte
 // size and can produce the table it represents. Plain tables return
-// themselves; serialized and compressed entries (encoding.Compressed) decode
-// on demand.
+// themselves; serialized and compressed entries decode on every call.
 type Entry interface {
 	// SizeBytes is the in-memory footprint accounted against the budget.
 	SizeBytes() int64
@@ -50,14 +50,15 @@ type plainEntry struct{ t *table.Table }
 func (e plainEntry) SizeBytes() int64             { return e.t.ByteSize() }
 func (e plainEntry) Table() (*table.Table, error) { return e.t, nil }
 
-// serializedEntry holds a table as the bytes colfmt.Encode produced for it.
-type serializedEntry struct {
-	data []byte
-	raw  int64 // the table's in-memory size, for reports
+// SerializedEntry holds a table as the bytes colfmt.Encode produced for it,
+// which the entry shares with its writer (neither side may modify them).
+type SerializedEntry struct {
+	Data     []byte
+	RawBytes int64 // the size of the table Data decodes to, for reports
 }
 
-func (e serializedEntry) SizeBytes() int64             { return int64(len(e.data)) }
-func (e serializedEntry) Table() (*table.Table, error) { return colfmt.Decode(e.data) }
+func (e SerializedEntry) SizeBytes() int64             { return int64(len(e.Data)) }
+func (e SerializedEntry) Table() (*table.Table, error) { return colfmt.Decode(e.Data) }
 
 // Catalog is a bounded, thread-safe in-memory table store.
 type Catalog struct {
@@ -107,7 +108,7 @@ const (
 // FormOf names the form of an entry.
 func FormOf(e Entry) string {
 	switch e.(type) {
-	case serializedEntry:
+	case SerializedEntry:
 		return FormSerialized
 	case *encoding.Compressed:
 		return FormCompressed
@@ -137,13 +138,6 @@ func (c *Catalog) Put(name string, t *table.Table) error {
 // choose between the two forms.
 func Plain(t *table.Table) Entry { return plainEntry{t: t} }
 
-// Serialized is the Entry of a table held as its colfmt v1 bytes, which the
-// entry shares with the caller (neither side may modify them). rawBytes is
-// the size of the table those bytes decode to.
-func Serialized(data []byte, rawBytes int64) Entry {
-	return serializedEntry{data: data, raw: rawBytes}
-}
-
 // PutEntry stores any Entry (plain, serialized or compressed) under name,
 // accounting e.SizeBytes() against the capacity. Serialized and compressed
 // entries therefore charge only their encoded footprint. Semantics match Put.
@@ -170,52 +164,19 @@ func (c *Catalog) PutEntry(name string, e Entry) error {
 	return nil
 }
 
-// Get returns the named table if resident, decoding non-plain entries. A
-// decode failure reads as absent, so callers transparently fall back to
-// their storage path.
+// Get returns the named table if resident, decoding a non-plain entry. A
+// decode failure reads as absent.
 func (c *Catalog) Get(name string) (*table.Table, bool) {
-	t, _, ok := c.GetTable(name)
-	return t, ok
-}
-
-// ReadInfo reports what serving a read cost, so observers can account
-// decode work.
-type ReadInfo struct {
-	// Compressed reports whether the entry is stored in encoded form.
-	Compressed bool
-	// Decoded is the raw bytes this read decoded: zero for plain entries and
-	// for chunk-form reads.
-	Decoded int64
-	// Encoded is the entry's accounted (compressed) footprint; zero for
-	// plain entries.
-	Encoded int64
-}
-
-// GetTable is Get plus cost attribution. A serialized or compressed entry is
-// decoded in full on every call, outside the lock, so concurrent readers
-// decode in parallel; the k downstream row-path readers of a flagged MV pay
-// k decodes.
-func (c *Catalog) GetTable(name string) (*table.Table, ReadInfo, bool) {
-	c.mu.Lock()
-	ent, ok := c.entries[name]
+	e, ok := c.GetEntry(name)
 	if !ok {
-		c.mu.Unlock()
-		return nil, ReadInfo{}, false
+		return nil, false
 	}
-	ent.lastAccess = time.Now()
-	c.mu.Unlock()
-	if pe, plain := ent.e.(plainEntry); plain {
-		return pe.t, ReadInfo{}, true
-	}
-	t, err := ent.e.Table()
-	if err != nil {
-		return nil, ReadInfo{}, false
-	}
-	return t, ReadInfo{Compressed: true, Decoded: t.ByteSize(), Encoded: ent.size}, true
+	t, err := e.Table()
+	return t, err == nil
 }
 
-// GetEntry returns the named entry without decoding it. Callers that only
-// need the schema or the accounted size avoid paying a decompression.
+// GetEntry returns the named entry as it was put, decoding nothing, and
+// marks it accessed.
 func (c *Catalog) GetEntry(name string) (Entry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -225,49 +186,6 @@ func (c *Catalog) GetEntry(name string) (Entry, bool) {
 	}
 	e.lastAccess = time.Now()
 	return e.e, true
-}
-
-// Schema returns the schema of the named entry without decoding it: a plain
-// table's own, a compressed entry's, and for a serialized entry the one its
-// header carries.
-func (c *Catalog) Schema(name string) (table.Schema, bool) {
-	e, ok := c.GetEntry(name)
-	if !ok {
-		return table.Schema{}, false
-	}
-	switch e := e.(type) {
-	case plainEntry:
-		return e.t.Schema, true
-	case serializedEntry:
-		sch, _, err := colfmt.DecodeSchema(e.data)
-		return sch, err == nil
-	case *encoding.Compressed:
-		return e.Schema, true
-	}
-	t, err := e.Table()
-	if err != nil {
-		return table.Schema{}, false
-	}
-	return t.Schema, true
-}
-
-// GetCompressed serves a compressed entry in chunked form for a consumer
-// that will not decode it (the kernels' per-chunk readers). ok is false
-// when the entry is absent or resident plain (the row path is cheaper
-// then).
-func (c *Catalog) GetCompressed(name string) (*encoding.Compressed, ReadInfo, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[name]
-	if !ok {
-		return nil, ReadInfo{}, false
-	}
-	ct, compressed := e.e.(*encoding.Compressed)
-	if !compressed {
-		return nil, ReadInfo{}, false
-	}
-	e.lastAccess = time.Now()
-	return ct, ReadInfo{Compressed: true, Encoded: e.size}, true
 }
 
 // Delete frees the named table.
@@ -301,8 +219,8 @@ func (c *Catalog) Entries() []EntryInfo {
 			SizeBytes:  e.size,
 			LastAccess: e.lastAccess,
 		}
-		if se, ok := e.e.(serializedEntry); ok {
-			info.RawBytes = se.raw
+		if se, ok := e.e.(SerializedEntry); ok {
+			info.RawBytes = se.RawBytes
 		}
 		if ct, ok := e.e.(*encoding.Compressed); ok {
 			info.Compressed = true

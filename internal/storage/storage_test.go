@@ -135,25 +135,23 @@ func TestThrottledDelaysReads(t *testing.T) {
 func TestThrottledSleepScaleSpeedsUp(t *testing.T) {
 	inner := NewMemStore()
 	th := &Throttled{Inner: inner, WriteBWBps: 1e6, SleepScale: 0.01}
-	start := time.Now()
-	if err := th.Write("k", make([]byte, 1<<20)); err != nil { // 1s unscaled
+	if err := th.Write("k", make([]byte, 1e6)); err != nil { // 1s unscaled
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed > 300*time.Millisecond {
-		t.Fatalf("scaled write too slow: %v", elapsed)
+	if read, write := th.SleptTimes(); read != 0 || write != 10*time.Millisecond {
+		t.Fatalf("slept %v reading, %v writing; want 0 and the scaled 10ms", read, write)
 	}
 }
 
 func TestThrottledZeroBandwidthNoDelay(t *testing.T) {
 	th := &Throttled{Inner: NewMemStore()}
-	start := time.Now()
 	if err := th.Write("k", make([]byte, 1<<20)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := th.Read("k"); err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-		t.Fatalf("unthrottled ops too slow: %v", elapsed)
+	if read, write := th.SleptTimes(); read != 0 || write != 0 {
+		t.Fatalf("unthrottled ops slept %v reading, %v writing", read, write)
 	}
 }
