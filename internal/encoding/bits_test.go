@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -84,6 +85,43 @@ func TestPackBitsMatchesReference(t *testing.T) {
 			}
 		}
 	}
+
+	// Every width, through the kernels where it has one: packed streams of
+	// every length up to 80 values, cut to their exact byte length so the
+	// last groups fall in a tail shorter than a kernel's words, read from
+	// every first in 0–16 with ranges that end inside a group, on a group
+	// boundary and at the stream's end.
+	for width := 0; width <= 64; width++ {
+		vals := make([]uint64, 80)
+		for i := range vals {
+			vals[i] = rng.Uint64() >> uint(64-width)
+			if width == 0 {
+				vals[i] = 0
+			}
+		}
+		for n := 0; n <= len(vals); n++ {
+			packed := packBitsRef(vals[:n], width)
+			if got := appendPacked(nil, vals[:n], width); !bytes.Equal(got, packed) {
+				t.Fatalf("width %d n %d: packed bytes differ\ngot  %x\nwant %x", width, n, got, packed)
+			}
+			ref := unpackBitsRef(packed, width, n)
+			for first := 0; first <= min(16, n); first++ {
+				for _, count := range []int{1, 7, 8, 9, 16, 17, n - first} {
+					if count > n-first {
+						continue
+					}
+					dst := make([]uint64, count)
+					unpackRange(packed, width, first, dst)
+					for i, v := range dst {
+						if v != ref[first+i] {
+							t.Fatalf("width %d n %d first %d count %d: value %d is %#x, want %#x",
+								width, n, first, count, first+i, v, ref[first+i])
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestUnpackBitsTruncated(t *testing.T) {
@@ -94,30 +132,58 @@ func TestUnpackBitsTruncated(t *testing.T) {
 	}
 }
 
-func BenchmarkAppendPacked(b *testing.B) {
+// benchWidths are the widths a compressed refresh unpacks most (4, 11,
+// 16, 17) and one without a kernel (40).
+var benchWidths = []int{4, 11, 16, 17, 40}
+
+// benchValues returns 65,536 random values of width bits.
+func benchValues(width int) []uint64 {
 	rng := rand.New(rand.NewSource(7))
 	vals := make([]uint64, 1<<16)
 	for i := range vals {
-		vals[i] = rng.Uint64() & 0xFFF
+		vals[i] = rng.Uint64() >> uint(64-width)
 	}
-	b.SetBytes(int64(len(vals) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		appendPacked(nil, vals, 12)
+	return vals
+}
+
+func BenchmarkAppendPacked(b *testing.B) {
+	for _, width := range benchWidths {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			vals := benchValues(width)
+			buf := make([]byte, 0, packedLen(len(vals), width))
+			b.SetBytes(int64(len(vals) * 8))
+			for b.Loop() {
+				appendPacked(buf, vals, width)
+			}
+		})
+	}
+}
+
+// BenchmarkUnpackRange reads 65,536 packed values 256 at a time, the
+// block the dict and delta decoders unpack.
+func BenchmarkUnpackRange(b *testing.B) {
+	for _, width := range benchWidths {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			vals := benchValues(width)
+			packed := appendPacked(nil, vals, width)
+			var block [256]uint64
+			b.SetBytes(int64(len(vals) * 8))
+			for b.Loop() {
+				for first := 0; first < len(vals); first += len(block) {
+					unpackRange(packed, width, first, block[:])
+				}
+			}
+		})
 	}
 }
 
 func BenchmarkUnpackBits(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	vals := make([]uint64, 1<<16)
-	for i := range vals {
-		vals[i] = rng.Uint64() & 0xFFF
-	}
-	packed := appendPacked(nil, vals, 12)
+	const width = 16
+	vals := benchValues(width)
+	packed := appendPacked(nil, vals, width)
 	b.SetBytes(int64(len(vals) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := unpackBits(packed, 12, len(vals)); err != nil {
+	for b.Loop() {
+		if _, err := unpackBits(packed, width, len(vals)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -133,10 +199,11 @@ func BenchmarkDeltaDecode(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	ch := Chunk{Codec: Delta, Rows: len(v.Ints), Data: payload}
+	dst := &table.Vector{}
 	b.SetBytes(int64(len(v.Ints) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeChunk(Chunk{Codec: Delta, Rows: len(v.Ints), Data: payload}, table.Int); err != nil {
+	for b.Loop() {
+		if err := DecodeChunkInto(ch, table.Int, dst); err != nil {
 			b.Fatal(err)
 		}
 	}

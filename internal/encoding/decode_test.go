@@ -109,6 +109,9 @@ func FuzzDecodeInto(f *testing.F) {
 	f.Add(bytes.Repeat([]byte("Books\x00Toys\x00"), 40), uint8(1), uint16(9), byte(0))       // dict strings, truncated
 	f.Add([]byte("a\x00bb\x00\x00ccc\x00"), uint8(0), uint16(5), byte(0x81))                 // raw strings, flipped
 	f.Add(intBytes(math.MinInt64, math.MaxInt64, 0, -1), uint8(1), uint16(2), byte(0x7f))    // wrapping deltas
+	for _, seed := range widthSeeds() {
+		f.Add(seed, uint8(0), uint16(0), byte(0))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, repeat uint8, pos uint16, flip byte) {
 		for _, v := range sizeVectors(data, repeat) {
 			for _, ch := range decodeCases(v) {
@@ -119,6 +122,8 @@ func FuzzDecodeInto(f *testing.F) {
 					} else {
 						ch.Data = ch.Data[:at]
 					}
+				} else if got, err := DecodeChunk(ch, v.Type); err != nil || !vecEqual(got, v) {
+					t.Fatalf("%s/%s rows=%d: decoding the payload does not give back the column (err %v)", ch.Codec, v.Type, ch.Rows, err)
 				}
 				checkDecodeInto(t, ch, v.Type)
 			}

@@ -63,6 +63,48 @@ func seq(lo, hi int64) []int64 {
 	return out
 }
 
+// widthSeeds returns fuzz bytes for INT columns that bit-pack at the
+// widths the pack and unpack kernels specialise, and at those past them,
+// each at 7, 8, 9 and 257 rows (inside, on and past an 8-value group, and
+// one whole 256-value block of deltas):
+//   - deltas whose widest zig-zag delta has width w, for w in 1, 4, 8,
+//     11, 16, 17, 32 and 33;
+//   - dictionaries of 2^w and 2^w + 1 entries, codes of width w and w + 1,
+//     for w in 1, 4 and 8. A wider dictionary does not fit the 1,024
+//     values of sizeVectors; TestPackBitsMatchesReference covers every
+//     width directly.
+func widthSeeds() [][]byte {
+	var out [][]byte
+	for _, w := range []int{1, 4, 8, 11, 16, 17, 32, 33} {
+		half := int64(1) << (w - 1)
+		for _, rows := range []int{7, 8, 9, 257} {
+			// A step of -half has zig-zag 2^w - 1; every other step
+			// alternates in sign and zig-zags to less.
+			xs := make([]int64, rows)
+			for i := 1; i < rows; i++ {
+				step := -half
+				if mag := int64(uint64(i) * 2654435761 % uint64(half)); i > 1 && i%2 == 0 {
+					step = mag
+				} else if i > 1 {
+					step = -mag - 1
+				}
+				xs[i] = xs[i-1] + step
+			}
+			out = append(out, intBytes(xs...))
+			for _, card := range []int{1 << w, 1<<w + 1} {
+				if w > 8 || card > rows {
+					continue
+				}
+				for i := range xs {
+					xs[i] = int64(i*7%card) * 1_000_003
+				}
+				out = append(out, intBytes(xs...))
+			}
+		}
+	}
+	return out
+}
+
 // FuzzCodecSize requires every codec's size to be exactly the length of
 // its Encode, for every type, and to fail exactly when Encode fails. It
 // also checks dict's bounded pass: below its limit it is exact, and when it
@@ -88,6 +130,9 @@ func FuzzCodecSize(f *testing.F) {
 	f.Add(intBytes(5, 5, 5), uint8(9))                                           // span 0: a one-word bitset
 	f.Add(intBytes(math.MinInt64, math.MinInt64+3, math.MinInt64+1), uint8(1))   // narrow span at −2^63
 	f.Add(intBytes(math.MaxInt64, math.MaxInt64-2, math.MaxInt64), uint8(1))     // narrow span at 2^63−1
+	for _, seed := range widthSeeds() {
+		f.Add(seed, uint8(0))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, repeat uint8) {
 		for _, v := range sizeVectors(data, repeat) {
 			for _, c := range codecs {

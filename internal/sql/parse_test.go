@@ -65,6 +65,8 @@ func TestPrecedenceAndAssociativity(t *testing.T) {
 		{"-a * b % c", "(((0 - a) * b) % c)"},
 		{"a - -b", "(a - (0 - b))"},
 		{"-(a - b)", "(0 - (a - b))"},
+		{"a IN (-1, 3)", "(a IN (-1, 3))"},
+		{"a - -2.5 * - -1", "(a - (-2.5 * 1))"},
 		{"a + b < c * d", "((a + b) < (c * d))"},
 		{"a != b", "(a <> b)"},
 		{"a NOT IN (1, 2)", "(a NOT IN (1, 2))"},
@@ -180,6 +182,7 @@ func FuzzParse(f *testing.F) {
 		"SELECT a FROM t WHERE " + strings.Repeat("NOT ", 300) + "a",
 		"SELECT a FROM t WHERE a" + strings.Repeat(" + a", 300),
 		"SELECT a FROM t WHERE NOT",
+		"SELECT a FROM t WHERE a NOT IN (-1, - -2, -0.5, 3)",
 	} {
 		f.Add(q)
 	}

@@ -514,6 +514,15 @@ func (p *parser) parseUnary() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
+		if lit, ok := e.(*NumLit); ok {
+			// A negated number is a literal, so an IN list can hold it.
+			// 0 - x keeps what evaluating the subtraction gave: 0 - 0.0
+			// is +0.0, and no parsed integer overflows when negated.
+			if lit.IsFloat {
+				return &NumLit{IsFloat: true, F: 0 - lit.F}, nil
+			}
+			return &NumLit{I: -lit.I}, nil
+		}
 		return &BinExpr{Op: "-", L: &NumLit{I: 0}, R: e}, nil
 	}
 	return p.parsePrimary()

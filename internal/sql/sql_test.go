@@ -208,6 +208,10 @@ func TestInListQuery(t *testing.T) {
 	if out.NumRows() != 2 {
 		t.Fatalf("rows = %d, want 2", out.NumRows())
 	}
+	out = runSQL(t, `SELECT o_id FROM orders WHERE o_cust - 11 IN (-1, 1)`)
+	if out.NumRows() != 4 {
+		t.Fatalf("negative literals: rows = %d, want 4", out.NumRows())
+	}
 }
 
 func TestLimitAndOrderBy(t *testing.T) {
