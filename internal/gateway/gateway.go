@@ -1016,6 +1016,18 @@ func (s *Server) runHandle(id string) (*Run, error) {
 // returns all rows; a positive limit decodes only that many leading rows of
 // a chunked MV.
 func (s *Server) QueryMV(pipelineName, mv string, limit int) (*table.Table, error) {
+	start := time.Now()
+	t, err := s.loadMV(pipelineName, mv, limit)
+	if err != nil {
+		return nil, err
+	}
+	s.prom.mvReadSeconds.observe(time.Since(start).Seconds())
+	return t, nil
+}
+
+// loadMV is QueryMV without the latency observation: the HTTP route
+// observes it once the response body is built, so it covers the encode.
+func (s *Server) loadMV(pipelineName, mv string, limit int) (*table.Table, error) {
 	p, err := s.pipeline(pipelineName)
 	if err != nil {
 		return nil, err
@@ -1030,7 +1042,6 @@ func (s *Server) QueryMV(pipelineName, mv string, limit int) (*table.Table, erro
 	if !known {
 		return nil, fmt.Errorf("%w: mv %q in pipeline %q", ErrNotFound, mv, pipelineName)
 	}
-	start := time.Now()
 	t, err := exec.LoadTableHead(p.Store, mv, limit)
 	if errors.Is(err, storage.ErrNotFound) {
 		return nil, fmt.Errorf("%w: mv %q not materialized yet", ErrNotFound, mv)
@@ -1038,7 +1049,6 @@ func (s *Server) QueryMV(pipelineName, mv string, limit int) (*table.Table, erro
 	if err != nil {
 		return nil, fmt.Errorf("%w: mv %q: %w", ErrUnreadable, mv, err)
 	}
-	s.prom.mvReadSeconds.observe(time.Since(start).Seconds())
 	if limit > 0 && t.NumRows() > limit { // a v1 file, which decodes whole
 		for _, c := range t.Cols {
 			*c = c.Slice(0, limit)

@@ -107,44 +107,25 @@ func jsonInt(n json.Number) (int64, bool) {
 	return int64(f), err == nil && f == math.Trunc(f) && math.Abs(f) <= 1<<53
 }
 
-// tableResponse is the JSON shape of an MV query result.
-type tableResponse struct {
-	Pipeline string   `json:"pipeline"`
-	MV       string   `json:"mv"`
-	Columns  []string `json:"columns"`
-	Types    []string `json:"types"`
-	Rows     int      `json:"rows"`
-	Data     [][]any  `json:"data"`
-}
-
-func toTableResponse(pipeline, mv string, t *table.Table) tableResponse {
-	resp := tableResponse{Pipeline: pipeline, MV: mv, Rows: t.NumRows()}
-	for _, c := range t.Schema.Cols {
-		resp.Columns = append(resp.Columns, c.Name)
-		resp.Types = append(resp.Types, c.Type.String())
-	}
-	resp.Data = make([][]any, t.NumRows())
-	for i := 0; i < t.NumRows(); i++ {
-		row := make([]any, len(t.Schema.Cols))
-		for j, v := range t.Row(i) {
-			switch v.Type {
-			case table.Int:
-				row[j] = v.I
-			case table.Float:
-				row[j] = v.F
-			default:
-				row[j] = v.S
-			}
-		}
-		resp.Data[i] = row
-	}
-	return resp
-}
-
+// writeJSON answers code with v as JSON. v is marshalled before the header
+// goes out, so a value that cannot be marshalled answers 500 with the
+// error rather than code with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = json.Marshal(errorResponse{Error: err.Error()})
+	}
+	writeBody(w, code, append(body, '\n'))
+}
+
+// writeBody answers code with a complete JSON body.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body)
 }
 
 type errorResponse struct {
@@ -191,7 +172,9 @@ func byPath[T any](key string, call func(string) (T, error)) http.HandlerFunc {
 //	GET    /v1/pipelines/{name}               pipeline info
 //	DELETE /v1/pipelines/{name}               unregister
 //	POST   /v1/pipelines/{name}/refresh       trigger a refresh (?wait=1 blocks)
-//	GET    /v1/pipelines/{name}/mvs/{mv}      query a materialized view (?limit=N)
+//	GET    /v1/pipelines/{name}/mvs/{mv}      query a materialized view (?limit=N): {pipeline, mv,
+//	                                          columns, types, rows, data: [[row]…]}; 500 when a
+//	                                          FLOAT cell is NaN or infinite (no JSON form)
 //	GET    /v1/pipelines/{name}/health        SLO attainment, baselines, regressions
 //	GET    /v1/pipelines/{name}/explain       per-MV flag decisions: scores, byte costs, flip conditions
 //	GET    /v1/state/catalog                  Memory Catalog residents, codec mix, eviction ranks and timeline
@@ -393,12 +376,24 @@ func (s *Server) handleQueryMV(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	name, mv := r.PathValue("name"), r.PathValue("mv")
-	t, err := s.QueryMV(name, mv, limit)
+	start := time.Now()
+	t, err := s.loadMV(name, mv, limit)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, toTableResponse(name, mv, t))
+	buf := mvBodies.Get().(*[]byte)
+	body, err := appendTableJSON((*buf)[:0], name, mv, t)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+	} else {
+		s.prom.mvReadSeconds.observe(time.Since(start).Seconds())
+		writeBody(w, http.StatusOK, body)
+	}
+	if cap(body) <= maxPooledBody {
+		*buf = body
+		mvBodies.Put(buf)
+	}
 }
 
 // handleEvents streams a run's obs events from its trace's log as NDJSON

@@ -14,6 +14,9 @@
 //	ref      := ident [ident]                      -- table with optional alias
 //	expr     := disjunction with AND/OR/NOT, comparisons, + - * / %,
 //	            IN (literal list), parentheses, aggregate calls
+//	number   := digits ["." [digits]] [("e"|"E") ["+"|"-"] digits]
+//	            -- FLOAT with a "." or an exponent, else INT; a number
+//	            -- may not run straight into an identifier character
 package sql
 
 import (
@@ -44,7 +47,7 @@ var keywords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
 	"ORDER": true, "LIMIT": true, "JOIN": true, "ON": true, "AS": true,
 	"AND": true, "OR": true, "NOT": true, "IN": true, "ASC": true, "DESC": true,
-	"CREATE": true, "MATERIALIZED": true, "VIEW": true, "UNION": true, "ALL": true,
+	"CREATE": true, "MATERIALIZED": true, "VIEW": true,
 	"INNER": true, "COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
 }
 
@@ -77,11 +80,27 @@ func lex(input string) ([]token, error) {
 		case unicode.IsDigit(c):
 			start := i
 			seenDot := false
-			for i < n && (unicode.IsDigit(rune(input[i])) || (!seenDot && input[i] == '.')) {
+			for i < n && (isDigit(input[i]) || (!seenDot && input[i] == '.')) {
 				if input[i] == '.' {
 					seenDot = true
 				}
 				i++
+			}
+			// An exponent, [eE][+-]?digits, is part of a FLOAT literal.
+			if i < n && (input[i] == 'e' || input[i] == 'E') {
+				j := i + 1
+				if j < n && (input[j] == '+' || input[j] == '-') {
+					j++
+				}
+				if j < n && isDigit(input[j]) {
+					for j < n && isDigit(input[j]) {
+						j++
+					}
+					i = j
+				}
+			}
+			if i < n && isIdentChar(rune(input[i])) {
+				return nil, fmt.Errorf("sql: number %q runs into %q at offset %d", input[start:i], input[i], i)
 			}
 			toks = append(toks, token{tokNumber, input[start:i], start})
 		case c == '\'':
@@ -129,6 +148,8 @@ func lex(input string) ([]token, error) {
 	toks = append(toks, token{tokEOF, "", n})
 	return toks, nil
 }
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 func isIdentChar(c rune) bool {
 	return unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_'

@@ -2,8 +2,11 @@ package sql_test
 
 import (
 	"fmt"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 
 	"github.com/shortcircuit-db/sc/internal/sql"
 	"github.com/shortcircuit-db/sc/internal/table"
@@ -20,8 +23,12 @@ func show(e sql.Expr) string {
 		}
 		return e.Name
 	case *sql.NumLit:
-		if e.IsFloat {
-			return fmt.Sprint(e.F)
+		if e.IsFloat { // an integral FLOAT reads 1000.0, not 1000
+			f := strconv.FormatFloat(e.F, 'g', -1, 64)
+			if !strings.ContainsAny(f, ".e") {
+				f += ".0"
+			}
+			return f
 		}
 		return fmt.Sprint(e.I)
 	case *sql.StrLit:
@@ -73,6 +80,13 @@ func TestPrecedenceAndAssociativity(t *testing.T) {
 		{"a IN (1, 2) OR t.b = 'x'", "((a IN (1, 2)) OR (t.b = 'x'))"},
 		{"SUM(a + b) * 2", "(SUM((a + b)) * 2)"},
 		{"COUNT(*) - 1.5", "(COUNT(*) - 1.5)"},
+		{"1e3", "1000.0"},
+		{"a * 2e3", "(a * 2000.0)"},
+		{"a > 1E3", "(a > 1000.0)"},
+		{"2.5e-3 + 4e+2", "(0.0025 + 400.0)"},
+		{"-1.5e1 * 1.e2", "(-15.0 * 100.0)"},
+		{"a IN (1e0, -2E-1)", "(a IN (1.0, -0.2))"},
+		{"all + union", "(all + union)"},
 	} {
 		stmt, err := sql.Parse("SELECT " + tc.in + " FROM t")
 		if err != nil {
@@ -169,8 +183,87 @@ func exprDepth(e sql.Expr) int {
 	return d + 1
 }
 
-// FuzzParse checks that Parse never panics and that every expression of an
-// accepted statement is at most sql.MaxExprDepth nodes deep.
+// canonicalNumbers rewrites q with every number literal, delimited as the
+// lexer delimits it, replaced by its value in canonical form: "1e3" becomes
+// "1000.0" and "007" becomes "7". ok is false when q holds a literal that
+// must not parse: one that runs straight into an identifier character, or
+// one out of range.
+func canonicalNumbers(q string) (canon string, ok bool) {
+	identStart := func(c byte) bool { return unicode.IsLetter(rune(c)) || c == '_' }
+	identChar := func(c byte) bool { return identStart(c) || unicode.IsDigit(rune(c)) }
+	digit := func(i int) bool { return i < len(q) && '0' <= q[i] && q[i] <= '9' }
+	var b strings.Builder
+	for i := 0; i < len(q); {
+		start := i
+		switch c := q[i]; {
+		case c == '-' && i+1 < len(q) && q[i+1] == '-': // comment
+			for i < len(q) && q[i] != '\n' {
+				i++
+			}
+		case c == '\'': // string, '' escaping a quote
+			for i++; i < len(q); i++ {
+				if q[i] == '\'' {
+					if i+1 < len(q) && q[i+1] == '\'' {
+						i++
+						continue
+					}
+					i++
+					break
+				}
+			}
+		case identStart(c):
+			for i < len(q) && identChar(q[i]) {
+				i++
+			}
+		case digit(i):
+			for dot := false; digit(i) || (!dot && i < len(q) && q[i] == '.'); i++ {
+				dot = dot || q[i] == '.'
+			}
+			if i < len(q) && (q[i] == 'e' || q[i] == 'E') {
+				j := i + 1
+				if j < len(q) && (q[j] == '+' || q[j] == '-') {
+					j++
+				}
+				if digit(j) {
+					for i = j; digit(i); i++ {
+					}
+				}
+			}
+			if i < len(q) && identChar(q[i]) {
+				return "", false
+			}
+			lit := q[start:i]
+			if strings.ContainsAny(lit, ".eE") {
+				f, err := strconv.ParseFloat(lit, 64)
+				if err != nil {
+					return "", false
+				}
+				if v := strconv.FormatFloat(f, 'f', -1, 64); strings.Contains(v, ".") {
+					b.WriteString(v)
+				} else {
+					b.WriteString(v + ".0")
+				}
+				continue
+			}
+			v, err := strconv.ParseInt(lit, 10, 64)
+			if err != nil {
+				return "", false
+			}
+			b.WriteString(strconv.FormatInt(v, 10))
+			continue
+		default:
+			i++
+		}
+		b.WriteString(q[start:i])
+	}
+	return b.String(), true
+}
+
+// FuzzParse checks that Parse never panics, that every expression of an
+// accepted statement is at most sql.MaxExprDepth nodes deep, and that a
+// number literal means its value: rewriting each one in canonical form
+// (canonicalNumbers) parses to the same statement, and a literal that runs
+// into an identifier or overflows fails the parse.
 func FuzzParse(f *testing.F) {
 	for _, n := range tpcds.RealWorkload().Nodes {
 		f.Add(n.SQL)
@@ -183,11 +276,25 @@ func FuzzParse(f *testing.F) {
 		"SELECT a FROM t WHERE a" + strings.Repeat(" + a", 300),
 		"SELECT a FROM t WHERE NOT",
 		"SELECT a FROM t WHERE a NOT IN (-1, - -2, -0.5, 3)",
+		"SELECT 1e3 FROM t",
+		"SELECT a * 2e3 FROM t",
+		"SELECT a FROM t WHERE a > 1e3",
+		"SELECT 2.5E-3, 4e+2, 1.e1 FROM t -- 1e3 in a comment",
+		"SELECT 1x, '2e3' FROM t",
+		"SELECT a FROM t WHERE a IN (1e0, 007) LIMIT 010",
 	} {
 		f.Add(q)
 	}
 	f.Fuzz(func(t *testing.T, q string) {
 		stmt, err := sql.Parse(q)
+		canon, ok := canonicalNumbers(q)
+		if !ok {
+			if err == nil {
+				t.Fatalf("accepted a number literal that runs into an identifier or overflows")
+			}
+		} else if cstmt, cerr := sql.Parse(canon); (err == nil) != (cerr == nil) || !reflect.DeepEqual(stmt, cstmt) {
+			t.Fatalf("the literals' canonical form %q parses otherwise (error %v, as written %v)", canon, cerr, err)
+		}
 		if err != nil {
 			return
 		}

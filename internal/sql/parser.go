@@ -535,7 +535,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch t.kind {
 	case tokNumber:
 		p.pos++
-		if strings.Contains(t.text, ".") {
+		if strings.ContainsAny(t.text, ".eE") {
 			f, err := strconv.ParseFloat(t.text, 64)
 			if err != nil {
 				return nil, p.errf("bad number %q", t.text)

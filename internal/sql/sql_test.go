@@ -97,6 +97,12 @@ func TestParseErrors(t *testing.T) {
 		"SELECT a FROM t; SELECT b FROM t",
 		"SELECT a@b FROM t",
 		"SELECT SUM(*) FROM t",
+		"SELECT 1x FROM t",
+		"SELECT 1e FROM t",
+		"SELECT 1e+ FROM t",
+		"SELECT 2.5e3x FROM t",
+		"SELECT 1e400 FROM t",
+		"SELECT a FROM t LIMIT 1e3",
 	}
 	for _, q := range bad {
 		if _, err := Parse(q); err == nil {
