@@ -1016,18 +1016,6 @@ func (s *Server) runHandle(id string) (*Run, error) {
 // returns all rows; a positive limit decodes only that many leading rows of
 // a chunked MV.
 func (s *Server) QueryMV(pipelineName, mv string, limit int) (*table.Table, error) {
-	start := time.Now()
-	t, err := s.loadMV(pipelineName, mv, limit)
-	if err != nil {
-		return nil, err
-	}
-	s.prom.mvReadSeconds.observe(time.Since(start).Seconds())
-	return t, nil
-}
-
-// loadMV is QueryMV without the latency observation: the HTTP route
-// observes it once the response body is built, so it covers the encode.
-func (s *Server) loadMV(pipelineName, mv string, limit int) (*table.Table, error) {
 	p, err := s.pipeline(pipelineName)
 	if err != nil {
 		return nil, err

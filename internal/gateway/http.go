@@ -377,7 +377,7 @@ func (s *Server) handleQueryMV(w http.ResponseWriter, r *http.Request) {
 	}
 	name, mv := r.PathValue("name"), r.PathValue("mv")
 	start := time.Now()
-	t, err := s.loadMV(name, mv, limit)
+	t, err := s.QueryMV(name, mv, limit)
 	if err != nil {
 		writeError(w, err)
 		return

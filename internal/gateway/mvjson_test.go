@@ -249,6 +249,8 @@ func BenchmarkMVResponse(b *testing.B) {
 
 // TestQueryMVBodyMatchesEncodingJSON: over HTTP, every MV's body is the
 // bytes encoding/json wrote for the same table, with its Content-Length.
+// scserve_mv_read_seconds counts each answered GET once and no library
+// QueryMV call.
 func TestQueryMVBodyMatchesEncodingJSON(t *testing.T) {
 	s, ts := newTestGateway(t, Config{})
 	resp := postJSON(t, ts.URL+"/v1/pipelines", pipelineRequest("beer", "brewer"))
@@ -280,6 +282,15 @@ func TestQueryMVBodyMatchesEncodingJSON(t *testing.T) {
 				t.Fatalf("%s: Content-Length %q, want %d", mv, cl, len(want))
 			}
 		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := "\nscserve_mv_read_seconds_count 6\n"; !strings.Contains(string(metrics), want) {
+		t.Fatalf("/metrics lacks %q:\n%s", strings.TrimSpace(want), metrics)
 	}
 }
 
