@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"github.com/shortcircuit-db/sc/internal/introspect"
-	"github.com/shortcircuit-db/sc/internal/memcat"
-	"github.com/shortcircuit-db/sc/internal/sched"
 )
 
 // ErrQueueFull reports that the refresh queue is at capacity; the HTTP
@@ -23,7 +21,7 @@ type ticket struct {
 	tenant   string
 	pipeline string
 	need     int64 // predicted footprint to reserve (bytes)
-	tokens   int   // scheduler tokens to commit alongside the bytes
+	tokens   int   // node-pool width to commit alongside the bytes
 	deadline time.Time
 
 	// blocked is what last held this ticket at the queue head, so the run's
@@ -39,30 +37,37 @@ type ticket struct {
 }
 
 // tenantBudget is one tenant's slice of the shared catalog: admission
-// reserves against it exactly as against the global pool, so a noisy
+// reserves against it exactly as against the global capacity, so a noisy
 // tenant queues behind its own slice instead of starving the others.
 type tenantBudget struct {
 	slice    int64
 	reserved int64
 }
 
-// admitter is the scheduler-wide admission controller of the gateway: each
-// trigger reserves its predicted footprint against the shared pool AND its
-// tenant slice before the refresh is admitted; triggers that do not fit
-// wait in a bounded FIFO. Admission is strictly in queue order — a blocked
-// head blocks the tail, which is what makes "queues the rest in order"
-// testable — and one pipeline never runs two refreshes concurrently (its
-// storage objects and learned metrics are per-pipeline state).
+// admitter is the gateway's admission controller and the one keeper of its
+// books: each trigger reserves its predicted footprint against the global
+// capacity AND its tenant slice, and commits its node-pool width against
+// the token budget, before the refresh is admitted; triggers that do not
+// fit wait in a bounded FIFO. Admission is strictly in queue order — a
+// blocked head blocks the tail, which is what makes "queues the rest in
+// order" testable — and one pipeline never runs two refreshes concurrently
+// (its storage objects and learned metrics are per-pipeline state).
 type admitter struct {
-	pool     *memcat.Pool
-	sched    *sched.Scheduler // token budget committed alongside bytes; nil skips token gating
+	capacity int64 // global catalog bytes
+	tokens   int   // token budget; <= 0 skips token gating
 	maxQueue int
 	now      func() time.Time
 
-	mu      sync.Mutex
-	tenants map[string]*tenantBudget
-	queue   []*ticket
-	busy    map[string]bool // pipelines with an admitted refresh in flight
+	mu           sync.Mutex
+	tenants      map[string]*tenantBudget
+	queue        []*ticket
+	busy         map[string]bool // pipelines with an admitted refresh in flight
+	reserved     int64           // bytes the admitted runs hold
+	peakReserved int64
+	// committed is the admitted runs' node-pool width. Commitments take no
+	// runtime token (runs acquire those as they execute); they cap how many
+	// runs' worth of width is in flight at once.
+	committed int
 
 	// counters for /metrics and Stats
 	admitted int64
@@ -71,13 +76,13 @@ type admitter struct {
 	expired  int64
 }
 
-func newAdmitter(pool *memcat.Pool, sc *sched.Scheduler, maxQueue int, now func() time.Time) *admitter {
+func newAdmitter(capacity int64, tokens int, maxQueue int, now func() time.Time) *admitter {
 	if now == nil {
 		now = time.Now
 	}
 	return &admitter{
-		pool:     pool,
-		sched:    sc,
+		capacity: capacity,
+		tokens:   tokens,
 		maxQueue: maxQueue,
 		now:      now,
 		tenants:  make(map[string]*tenantBudget),
@@ -86,7 +91,7 @@ func newAdmitter(pool *memcat.Pool, sc *sched.Scheduler, maxQueue int, now func(
 }
 
 // addTenant registers a tenant slice; the first registration wins. A
-// non-positive slice defaults to the pool capacity (no per-tenant bound
+// non-positive slice defaults to the global capacity (no per-tenant bound
 // beyond the global one).
 func (a *admitter) addTenant(name string, slice int64) {
 	a.mu.Lock()
@@ -94,8 +99,8 @@ func (a *admitter) addTenant(name string, slice int64) {
 	if _, ok := a.tenants[name]; ok {
 		return
 	}
-	if slice <= 0 || slice > a.pool.Capacity() {
-		slice = a.pool.Capacity()
+	if slice <= 0 || slice > a.capacity {
+		slice = a.capacity
 	}
 	a.tenants[name] = &tenantBudget{slice: slice}
 }
@@ -133,20 +138,20 @@ func (a *admitter) submit(t *ticket) (bool, error) {
 	return admittedNow, nil
 }
 
-// finish releases a completed refresh's reservation — bytes and scheduler
-// tokens — and admits whatever now fits, in order.
-func (a *admitter) finish(tenant, pipeline string, need int64, tokens int) {
+// finish credits back what admitting t debited — its bytes, globally and
+// on its tenant, and its tokens — and admits whatever now fits, in order.
+// A credit that drives a book below zero means t was finished twice, or
+// never admitted: it panics.
+func (a *admitter) finish(t *ticket) {
 	a.mu.Lock()
-	delete(a.busy, pipeline)
-	if tb, ok := a.tenants[tenant]; ok {
-		tb.reserved -= need
-		if tb.reserved < 0 {
-			tb.reserved = 0
-		}
-	}
-	a.pool.Release(need)
-	if a.sched != nil {
-		a.sched.Uncommit(tokens)
+	delete(a.busy, t.pipeline)
+	tb := a.tenants[t.tenant]
+	tb.reserved -= t.need
+	a.reserved -= t.need
+	a.committed -= t.tokens
+	if tb.reserved < 0 || a.reserved < 0 || a.committed < 0 {
+		a.mu.Unlock()
+		panic(fmt.Sprintf("gateway: admission credit below zero finishing %s (%d B, %d tokens)", t.pipeline, t.need, t.tokens))
 	}
 	started, expired := a.pumpLocked()
 	a.mu.Unlock()
@@ -174,11 +179,13 @@ func (a *admitter) cancel(t *ticket) {
 }
 
 // admission is the admitter's part of a server snapshot: the queued
-// tickets in admission order, the counters, and every tenant's slice and
-// reserved bytes, all read under one a.mu.
+// tickets in admission order, the counters, the books, and every tenant's
+// slice and reserved bytes, all read under one a.mu.
 type admission struct {
 	queue                                 []introspect.QueueEntry
 	admitted, enqueued, rejected, expired int64
+	reserved, peakReserved                int64
+	committed                             int
 	tenants                               map[string]tenantBudget
 }
 
@@ -193,6 +200,7 @@ func (a *admitter) snapshot() admission {
 	st := admission{
 		queue:    make([]introspect.QueueEntry, 0, len(a.queue)),
 		admitted: a.admitted, enqueued: a.enqueued, rejected: a.rejected, expired: a.expired,
+		reserved: a.reserved, peakReserved: a.peakReserved, committed: a.committed,
 		tenants: make(map[string]tenantBudget, len(a.tenants)),
 	}
 	for name, tb := range a.tenants {
@@ -217,9 +225,9 @@ func (a *admitter) snapshot() admission {
 }
 
 // pumpLocked drains the queue head-first: expired tickets are removed; the
-// first live ticket is admitted if its pipeline is idle and both its tenant
-// slice and the global pool can hold its reservation, else pumping stops
-// (strict FIFO). It returns the tickets to start and to expire; callers
+// first live ticket is admitted if its pipeline is idle, both its tenant
+// slice and the global capacity can hold its reservation and the token
+// budget its commitment, else pumping stops (strict FIFO). It returns the tickets to start and to expire; callers
 // invoke their callbacks after releasing a.mu, so a start callback can
 // re-enter the admitter. Callers hold a.mu.
 func (a *admitter) pumpLocked() (started, expired []*ticket) {
@@ -241,20 +249,18 @@ func (a *admitter) pumpLocked() (started, expired []*ticket) {
 			head.blocked = "tenant-slice"
 			break
 		}
-		if !a.pool.TryReserve(head.need) {
+		if a.reserved+head.need > a.capacity {
 			head.blocked = "catalog-bytes"
 			break
 		}
-		// The run's node-pool width is soft-committed against the scheduler
-		// token budget, so admission bounds planned cores exactly as it
-		// bounds planned bytes. Commitments don't consume runtime tokens —
-		// they cap how many runs' worth of width can be in flight at once.
-		if a.sched != nil && !a.sched.TryCommit(head.tokens) {
-			a.pool.Release(head.need)
+		if a.tokens > 0 && a.committed+head.tokens > a.tokens {
 			head.blocked = "sched-tokens"
 			break
 		}
 		tb.reserved += head.need
+		a.reserved += head.need
+		a.peakReserved = max(a.peakReserved, a.reserved)
+		a.committed += head.tokens
 		a.busy[head.pipeline] = true
 		a.queue = a.queue[1:]
 		a.admitted++

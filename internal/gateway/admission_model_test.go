@@ -9,39 +9,15 @@ import (
 	"time"
 
 	"github.com/shortcircuit-db/sc/internal/leakcheck"
-	"github.com/shortcircuit-db/sc/internal/memcat"
-	"github.com/shortcircuit-db/sc/internal/sched"
 	"github.com/shortcircuit-db/sc/internal/storage"
 	"github.com/shortcircuit-db/sc/internal/table"
 )
 
-// admitHarness is an admitter under test with a way to read its books:
-// reserved bytes, their high-water mark and committed tokens.
-type admitHarness struct {
-	a    *admitter
-	pool *memcat.Pool
-	sc   *sched.Scheduler
-}
-
-func newAdmitHarness(capacity int64, tokens, maxQueue int, now func() time.Time) *admitHarness {
-	h := &admitHarness{pool: memcat.NewPool(capacity)}
-	if tokens > 0 {
-		h.sc = sched.New(tokens, 0)
-	}
-	h.a = newAdmitter(h.pool, h.sc, maxQueue, now)
-	return h
-}
-
-func (h *admitHarness) books() (reserved, peak int64, committed int) {
-	st := h.pool.Stats()
-	if h.sc != nil {
-		committed = h.sc.Committed()
-	}
-	return st.Reserved, st.PeakReserved, committed
-}
-
-func (h *admitHarness) finish(t *ticket) {
-	h.a.finish(t.tenant, t.pipeline, t.need, t.tokens)
+// books reads the admitter's books: reserved bytes, their high-water mark
+// and committed tokens.
+func (a *admitter) books() (reserved, peak int64, committed int) {
+	st := a.snapshot()
+	return st.reserved, st.peakReserved, st.committed
 }
 
 // admitModel is the reference the admitter is checked against: a FIFO
@@ -115,18 +91,18 @@ func (m *admitModel) finish(t *ticket, now time.Time) {
 // check compares the admitter with the model and asserts the invariants of
 // admission: the books never exceed their bounds, every ticket is where the
 // model has it, and an idle admitter holds nothing.
-func (m *admitModel) check(t *testing.T, step int, op string, h *admitHarness, log *ticketLog) {
+func (m *admitModel) check(t *testing.T, step int, op string, a *admitter, log *ticketLog) {
 	t.Helper()
 	fail := func(format string, args ...any) {
 		t.Helper()
 		t.Fatalf("step %d (%s): %s", step, op, fmt.Sprintf(format, args...))
 	}
-	reserved, peak, committed := h.books()
+	reserved, peak, committed := a.books()
 	if reserved > m.capacity {
 		fail("reserved %d exceeds capacity %d", reserved, m.capacity)
 	}
-	if peak > m.capacity || peak < m.peak {
-		fail("peak reserved %d, want within [%d, %d]", peak, m.peak, m.capacity)
+	if peak > m.capacity || peak != m.peak {
+		fail("peak reserved %d, model %d (capacity %d)", peak, m.peak, m.capacity)
 	}
 	if m.tokens > 0 && committed > m.tokens {
 		fail("committed %d exceeds %d tokens", committed, m.tokens)
@@ -137,7 +113,7 @@ func (m *admitModel) check(t *testing.T, step int, op string, h *admitHarness, l
 	if len(m.queue) == 0 && len(m.running) == 0 && (reserved != 0 || committed != 0) {
 		fail("idle admitter holds %d B and %d tokens", reserved, committed)
 	}
-	adm := h.a.snapshot()
+	adm := a.snapshot()
 	for name, slice := range m.slices {
 		tb := adm.tenants[name]
 		if tb.reserved > slice || tb.reserved != m.tenantRes[name] {
@@ -148,14 +124,14 @@ func (m *admitModel) check(t *testing.T, step int, op string, h *admitHarness, l
 		fail("counters admitted/enqueued/rejected/expired = %d/%d/%d/%d, model %d/%d/%d/%d",
 			adm.admitted, adm.enqueued, adm.rejected, adm.expired, m.admitted, m.enqueued, m.rejected, m.expired)
 	}
-	h.a.mu.Lock()
-	queue := slices.Clone(h.a.queue)
-	busy := len(h.a.busy)
+	a.mu.Lock()
+	queue := slices.Clone(a.queue)
+	busy := len(a.busy)
 	var reasons []string
 	for _, tk := range queue {
 		reasons = append(reasons, tk.blocked)
 	}
-	h.a.mu.Unlock()
+	a.mu.Unlock()
 	if !slices.Equal(queue, m.queue) {
 		fail("queue %s, model %s", log.names(queue), log.names(m.queue))
 	}
@@ -213,19 +189,19 @@ func TestAdmissionModel(t *testing.T) {
 	// high-water mark, and finishing hands back exactly what was taken.
 	t.Run("books", func(t *testing.T) {
 		clock := newFakeClock()
-		h := newAdmitHarness(100, 4, 8, clock.now)
-		h.a.addTenant("t", 100)
-		h.a.addTenant("u", 100)
+		adm := newAdmitter(100, 4, 8, clock.now)
+		adm.addTenant("t", 100)
+		adm.addTenant("u", 100)
 		lg := &ticketLog{name: map[*ticket]string{}}
 		want := func(step string, wantRes int64, wantCommitted int) {
 			t.Helper()
-			if res, _, committed := h.books(); res != wantRes || committed != wantCommitted {
+			if res, _, committed := adm.books(); res != wantRes || committed != wantCommitted {
 				t.Fatalf("%s: reserved %d, committed %d; want %d, %d", step, res, committed, wantRes, wantCommitted)
 			}
 		}
 		submit := func(tk *ticket, wantNow bool) {
 			t.Helper()
-			if now, err := h.a.submit(tk); err != nil || now != wantNow {
+			if now, err := adm.submit(tk); err != nil || now != wantNow {
 				t.Fatalf("submit %s: admitted now %v, err %v; want %v", lg.name[tk], now, err, wantNow)
 			}
 		}
@@ -240,19 +216,19 @@ func TestAdmissionModel(t *testing.T) {
 		if c.blocked != "catalog-bytes" {
 			t.Fatalf("c blocked on %q, want catalog-bytes", c.blocked)
 		}
-		h.finish(b)
+		adm.finish(b)
 		want("finish b admits c", 61, 3)
 		submit(e, false) // 3+2 tokens exceed 4; its bytes are not held
 		if e.blocked != "sched-tokens" {
 			t.Fatalf("e blocked on %q, want sched-tokens", e.blocked)
 		}
 		want("e waits on tokens", 61, 3)
-		h.finish(a)
+		adm.finish(a)
 		want("finish a admits e", 11, 2)
-		h.finish(c)
-		h.finish(e)
+		adm.finish(c)
+		adm.finish(e)
 		want("idle", 0, 0)
-		if _, peak, _ := h.books(); peak != 100 {
+		if _, peak, _ := adm.books(); peak != 100 {
 			t.Fatalf("peak reserved %d, want 100", peak)
 		}
 		if !slices.Equal(lg.started, []*ticket{a, b, c, e}) {
@@ -273,9 +249,9 @@ func TestAdmissionModel(t *testing.T) {
 				blocked:   map[*ticket]string{},
 				tenantRes: map[string]int64{},
 			}
-			h := newAdmitHarness(m.capacity, m.tokens, m.maxQueue, clock.now)
+			a := newAdmitter(m.capacity, m.tokens, m.maxQueue, clock.now)
 			for _, name := range tenants {
-				h.a.addTenant(name, m.slices[name])
+				a.addTenant(name, m.slices[name])
 			}
 			lg := &ticketLog{name: map[*ticket]string{}}
 			var submitted []*ticket
@@ -306,7 +282,7 @@ func TestAdmissionModel(t *testing.T) {
 						m.pump(clock.now())
 						submitted = append(submitted, tk)
 					}
-					now, err := h.a.submit(tk)
+					now, err := a.submit(tk)
 					if full != errors.Is(err, ErrQueueFull) || (!full && err != nil) {
 						t.Fatalf("step %d (%s): err %v, queue full %v", step, op, err, full)
 					}
@@ -320,7 +296,7 @@ func TestAdmissionModel(t *testing.T) {
 					tk := m.running[rng.IntN(len(m.running))]
 					op = "finish " + lg.name[tk]
 					m.finish(tk, clock.now())
-					h.finish(tk)
+					a.finish(tk)
 				case r < 80:
 					if len(submitted) == 0 {
 						continue
@@ -329,18 +305,36 @@ func TestAdmissionModel(t *testing.T) {
 					tk := submitted[rng.IntN(len(submitted))]
 					op = "cancel " + lg.name[tk]
 					m.queue = slices.DeleteFunc(m.queue, func(q *ticket) bool { return q == tk })
-					h.a.cancel(tk)
+					a.cancel(tk)
 				default:
 					d := time.Duration(rng.IntN(6000)) * time.Millisecond
 					op = "reap after " + d.String()
 					clock.advance(d)
 					m.pump(clock.now())
-					h.a.reap()
+					a.reap()
 				}
-				m.check(t, step, op, h, lg)
+				m.check(t, step, op, a, lg)
 			}
 		})
 	}
+}
+
+// TestAdmissionModelOverCreditPanics: finishing a ticket twice would drive
+// the books below zero, which only a bug can do, so it panics.
+func TestAdmissionModelOverCreditPanics(t *testing.T) {
+	a := newAdmitter(100, 4, 8, time.Now)
+	a.addTenant("t", 100)
+	tk := &ticket{tenant: "t", pipeline: "p", need: 10, tokens: 1}
+	if now, err := a.submit(tk); err != nil || !now {
+		t.Fatalf("submit: admitted now %v, err %v", now, err)
+	}
+	a.finish(tk)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second finish of one ticket did not panic")
+		}
+	}()
+	a.finish(tk)
 }
 
 // TestAdmissionModelServerClose closes a server with one run held at a

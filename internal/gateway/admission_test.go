@@ -9,8 +9,6 @@ import (
 
 	"github.com/shortcircuit-db/sc/internal/exec"
 	"github.com/shortcircuit-db/sc/internal/ledger"
-	"github.com/shortcircuit-db/sc/internal/memcat"
-	"github.com/shortcircuit-db/sc/internal/sched"
 	"github.com/shortcircuit-db/sc/internal/storage"
 	"github.com/shortcircuit-db/sc/internal/tpcds"
 )
@@ -66,9 +64,7 @@ type admitStep struct {
 	wantErr  error         //   expected submit error
 	wantNow  bool          //   expect immediate admission
 
-	finishTenant string // release a completed refresh for tenant/pipeline
-	finishPipe   string
-	finishNeed   int64
+	finish string // label of an admitted ticket whose refresh completes
 
 	advance time.Duration // move the fake clock, then reap
 }
@@ -97,7 +93,7 @@ func TestAdmissionControl(t *testing.T) {
 				{submit: "p2", tenant: "a", pipeline: "p2", need: 400, wantNow: true},
 				{submit: "p3", tenant: "a", pipeline: "p3", need: 400}, // 1200 > 1000: queues
 				{submit: "p4", tenant: "a", pipeline: "p4", need: 100}, // would fit, but FIFO behind p3
-				{finishTenant: "a", finishPipe: "p1", finishNeed: 400}, // frees 400: p3 then p4 admitted
+				{finish: "p1"}, // frees 400: p3 then p4 admitted
 			},
 			wantStarted: []string{"p1", "p2", "p3", "p4"},
 		},
@@ -110,7 +106,7 @@ func TestAdmissionControl(t *testing.T) {
 				{submit: "n1", tenant: "noisy", pipeline: "n1", need: 300, wantNow: true},
 				{submit: "n2", tenant: "noisy", pipeline: "n2", need: 300}, // slice full
 				{submit: "c1", tenant: "calm", pipeline: "c1", need: 300},  // FIFO: behind n2
-				{finishTenant: "noisy", finishPipe: "n1", finishNeed: 300},
+				{finish: "n1"},
 			},
 			wantStarted: []string{"n1", "n2", "c1"},
 		},
@@ -122,7 +118,7 @@ func TestAdmissionControl(t *testing.T) {
 			steps: []admitStep{
 				{submit: "p1", tenant: "a", pipeline: "p1", need: 100, wantNow: true},
 				{submit: "p1-again", tenant: "a", pipeline: "p1", need: 100}, // busy: queues
-				{finishTenant: "a", finishPipe: "p1", finishNeed: 100},
+				{finish: "p1"},
 			},
 			wantStarted: []string{"p1", "p1-again"},
 		},
@@ -169,12 +165,12 @@ func TestAdmissionControl(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			clock := newFakeClock()
-			pool := memcat.NewPool(tc.budget)
-			a := newAdmitter(pool, nil, tc.maxQueue, clock.now)
+			a := newAdmitter(tc.budget, 0, tc.maxQueue, clock.now)
 			for tenant, slice := range tc.slices {
 				a.addTenant(tenant, slice)
 			}
 			lg := &admitLog{}
+			tickets := map[string]*ticket{}
 			for i, step := range tc.steps {
 				switch {
 				case step.submit != "":
@@ -197,6 +193,7 @@ func TestAdmissionControl(t *testing.T) {
 					if step.ttl > 0 {
 						tkt.deadline = clock.now().Add(step.ttl)
 					}
+					tickets[label] = tkt
 					now, err := a.submit(tkt)
 					if !errors.Is(err, step.wantErr) {
 						t.Fatalf("step %d submit %s: err = %v, want %v", i, label, err, step.wantErr)
@@ -204,13 +201,13 @@ func TestAdmissionControl(t *testing.T) {
 					if now != step.wantNow {
 						t.Fatalf("step %d submit %s: admittedNow = %v, want %v", i, label, now, step.wantNow)
 					}
-				case step.finishPipe != "":
-					a.finish(step.finishTenant, step.finishPipe, step.finishNeed, 0)
+				case step.finish != "":
+					a.finish(tickets[step.finish])
 				case step.advance > 0:
 					clock.advance(step.advance)
 					a.reap()
 				}
-				if res := pool.Stats().Reserved; res > tc.budget {
+				if res, _, _ := a.books(); res > tc.budget {
 					t.Fatalf("step %d: reserved %d exceeds budget %d", i, res, tc.budget)
 				}
 			}
@@ -223,7 +220,7 @@ func TestAdmissionControl(t *testing.T) {
 			if got := len(a.snapshot().queue); got != tc.wantDepth {
 				t.Fatalf("queue depth = %d, want %d", got, tc.wantDepth)
 			}
-			if pk := pool.Stats().PeakReserved; pk > tc.budget {
+			if _, pk, _ := a.books(); pk > tc.budget {
 				t.Fatalf("peak reserved %d exceeds budget %d", pk, tc.budget)
 			}
 		})
@@ -242,14 +239,12 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// TestAdmissionTokenGating pins the scheduler-token side of admission:
-// each admitted run soft-commits its token budget, a run that doesn't fit
-// queues with blocked_on = sched-tokens AND has its byte reservation rolled
-// back, and a finishing run's tokens let it through.
+// TestAdmissionTokenGating pins the token side of admission: each admitted
+// run commits its node-pool width, a run that doesn't fit queues with
+// blocked_on = sched-tokens AND holds no bytes, and a finishing run's
+// tokens let it through.
 func TestAdmissionTokenGating(t *testing.T) {
-	pool := memcat.NewPool(1000)
-	sc := sched.New(4, 0)
-	a := newAdmitter(pool, sc, 8, time.Now)
+	a := newAdmitter(1000, 4, 8, time.Now)
 	a.addTenant("t", 1000)
 
 	var mu sync.Mutex
@@ -269,22 +264,22 @@ func TestAdmissionTokenGating(t *testing.T) {
 			t.Fatalf("submit %d: admittedNow=%v err=%v, want immediate", i, now, err)
 		}
 	}
-	if got := sc.Committed(); got != 4 {
+	if _, _, got := a.books(); got != 4 {
 		t.Fatalf("committed = %d, want 4", got)
 	}
 	// Tokens exhausted: p3 queues even though bytes and its tenant slice
-	// would fit, and the pump must have released its byte reservation.
+	// would fit, and it must hold none of them.
 	if now, err := a.submit(t3); err != nil || now {
 		t.Fatalf("submit p3: admittedNow=%v err=%v, want queued", now, err)
 	}
-	if got := pool.Stats().Reserved; got != 20 {
-		t.Fatalf("reserved = %d after token block, want 20 (p3 rolled back)", got)
+	if got, _, _ := a.books(); got != 20 {
+		t.Fatalf("reserved = %d after token block, want 20 (p3 holds none)", got)
 	}
 	if got := t3.blocked; got != "sched-tokens" {
 		t.Fatalf("blocked = %q, want sched-tokens", got)
 	}
-	a.finish("t", "p1", 10, 2)
-	if got := sc.Committed(); got != 4 {
+	a.finish(t1)
+	if _, _, got := a.books(); got != 4 {
 		t.Fatalf("committed = %d after finish+admit, want 4 (p2 + p3)", got)
 	}
 	mu.Lock()
@@ -302,8 +297,7 @@ func TestAdmissionConcurrentBurst(t *testing.T) {
 		budget  = 1000
 		tickets = 64
 	)
-	pool := memcat.NewPool(budget)
-	a := newAdmitter(pool, nil, tickets, time.Now)
+	a := newAdmitter(budget, 0, tickets, time.Now)
 	a.addTenant("a", 600)
 	a.addTenant("b", 600)
 
@@ -325,14 +319,14 @@ func TestAdmissionConcurrentBurst(t *testing.T) {
 			mu.Lock()
 			startedCount++
 			mu.Unlock()
-			if res := pool.Stats().Reserved; res > budget {
+			if res, _, _ := a.books(); res > budget {
 				t.Errorf("reserved %d exceeds budget %d", res, budget)
 			}
 			// Finish on another goroutine, as the server's execute does.
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				a.finish(tk.tenant, tk.pipeline, tk.need, 0)
+				a.finish(tk)
 				done <- struct{}{}
 			}()
 		}
@@ -355,11 +349,8 @@ func TestAdmissionConcurrentBurst(t *testing.T) {
 	if startedCount != tickets {
 		t.Fatalf("started %d, want %d", startedCount, tickets)
 	}
-	if res := pool.Stats().Reserved; res != 0 {
-		t.Fatalf("reserved %d after all finished", res)
-	}
-	if pk := pool.Stats().PeakReserved; pk > budget {
-		t.Fatalf("peak reserved %d exceeds budget %d", pk, budget)
+	if res, pk, _ := a.books(); res != 0 || pk > budget {
+		t.Fatalf("reserved %d after all finished, peak %d (budget %d)", res, pk, budget)
 	}
 }
 

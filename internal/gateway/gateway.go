@@ -227,13 +227,11 @@ const (
 // Run is one refresh trigger through its lifecycle: queued by admission,
 // running, then terminal. Wait on Done and read Status.
 type Run struct {
-	id     string
-	p      *pipeline // outlives Unregister while the run is in flight
-	need   int64     // reserved catalog bytes
-	tokens int       // scheduler tokens committed at admission
+	id string
+	p  *pipeline // outlives Unregister while the run is in flight
 
-	done  chan struct{} // closed on any terminal state
-	tkt   *ticket
+	done  chan struct{}        // closed on any terminal state
+	tkt   *ticket              // what admission reserves and commits for the run
 	trace *telemetry.Collector // the run's record: opened at enqueue, finished at the terminal state
 
 	mu         sync.Mutex
@@ -294,7 +292,7 @@ func (r *Run) status() RunStatus {
 	defer r.mu.Unlock()
 	st := RunStatus{
 		ID: r.id, Pipeline: r.p.Name, Tenant: r.p.tenant, State: r.state,
-		ReservedBytes: r.need, ReservedTokens: r.tokens,
+		ReservedBytes: r.tkt.need, ReservedTokens: r.tkt.tokens,
 		ActualPeakBytes: r.actualPeak, EnqueuedAt: r.enqueuedAt,
 		StartedAt: r.startedAt, FinishedAt: r.finishedAt,
 		Nodes: r.nodes, Flagged: r.flagged, FallbackWrites: r.fallbacks,
@@ -370,14 +368,13 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool := memcat.NewPool(cfg.GlobalBudget)
-	// One scheduler-wide token budget for every run's node pool.
+	// One scheduler-wide token pool for every run's nodes.
 	tok := sched.New(cfg.SchedTokens, 0)
 	s := &Server{
 		cfg:   cfg,
-		pool:  pool,
+		pool:  memcat.NewPool(cfg.GlobalBudget),
 		sched: tok,
-		adm:   newAdmitter(pool, tok, cfg.QueueLimit, cfg.Clock),
+		adm:   newAdmitter(cfg.GlobalBudget, tok.Tokens(), cfg.QueueLimit, cfg.Clock),
 		prom:  newProm(),
 		fin: session.Finisher{
 			Ledger:     led,
@@ -674,19 +671,17 @@ func (s *Server) TriggerTrace(name string, parent telemetry.SpanContext) (*Run, 
 	s.mu.Lock()
 	s.runSeq++
 	r := &Run{
-		id:     fmt.Sprintf("run-%06d", s.runSeq),
-		p:      p,
-		need:   need,
-		tokens: s.cfg.Concurrency,
-		done:   make(chan struct{}),
-		state:  StateQueued,
+		id:    fmt.Sprintf("run-%06d", s.runSeq),
+		p:     p,
+		done:  make(chan struct{}),
+		state: StateQueued,
 	}
 	r.enqueuedAt = now
 	r.tkt = &ticket{
 		tenant:   p.tenant,
 		pipeline: p.Name,
 		need:     need,
-		tokens:   r.tokens,
+		tokens:   s.cfg.Concurrency,
 		deadline: now.Add(s.cfg.QueueTimeout),
 		start:    func(*ticket) { s.startRun(r, plan) },
 		expire:   func(*ticket) { s.expireRun(r) },
@@ -697,7 +692,7 @@ func (s *Server) TriggerTrace(name string, parent telemetry.SpanContext) (*Run, 
 		telemetry.Str("sc.pipeline", p.Name),
 		telemetry.Str("sc.tenant", p.tenant),
 		telemetry.Int("sc.reserved_bytes", need),
-		telemetry.Int("sc.reserved_tokens", int64(r.tokens)),
+		telemetry.Int("sc.reserved_tokens", int64(r.tkt.tokens)),
 	)
 	s.runs[r.id] = r
 	s.mu.Unlock()
@@ -726,7 +721,7 @@ func (s *Server) startRun(r *Run, plan *core.Plan) {
 	if r.state != StateQueued {
 		// Canceled between pump and callback; give the reservation back.
 		r.mu.Unlock()
-		s.adm.finish(r.p.tenant, r.p.Name, r.need, r.tokens)
+		s.adm.finish(r.tkt)
 		return
 	}
 	r.state = StateRunning
@@ -736,8 +731,8 @@ func (s *Server) startRun(r *Run, plan *core.Plan) {
 	r.mu.Unlock()
 	attrs := []telemetry.Attr{
 		telemetry.Str("sc.tenant", r.p.tenant),
-		telemetry.Int("sc.reserved_bytes", r.need),
-		telemetry.Int("sc.reserved_tokens", int64(r.tokens)),
+		telemetry.Int("sc.reserved_bytes", r.tkt.need),
+		telemetry.Int("sc.reserved_tokens", int64(r.tkt.tokens)),
 	}
 	// Attribute the queue wait: what the pump last saw holding this
 	// trigger at the head — catalog bytes, scheduler tokens, the
@@ -758,7 +753,7 @@ func (s *Server) startRun(r *Run, plan *core.Plan) {
 // shared pool, capacity exactly the reservation, so the pool-wide bound
 // holds byte-for-byte no matter what the run does.
 func (s *Server) execute(ctx context.Context, r *Run, plan *core.Plan) {
-	cat := s.pool.NewCatalog(r.need)
+	cat := s.pool.NewCatalog(r.tkt.need)
 	r.mu.Lock()
 	r.cat = cat
 	r.mu.Unlock()
@@ -777,7 +772,7 @@ func (s *Server) execute(ctx context.Context, r *Run, plan *core.Plan) {
 	r.mu.Unlock()
 	actualPeak := cat.Peak() // before Detach zeroes the accounting
 	leaked := cat.Detach()
-	s.adm.finish(r.p.tenant, r.p.Name, r.need, r.tokens)
+	s.adm.finish(r.tkt)
 
 	now := s.cfg.Clock()
 	state := StateSucceeded

@@ -271,8 +271,8 @@ func TestGatewayCancelQueuedRun(t *testing.T) {
 	if got.State != StateCanceled {
 		t.Fatalf("cancel of a queued run: state = %q", got.State)
 	}
-	if want := r1.Status().ReservedBytes; s.pool.Stats().Reserved != want {
-		t.Fatalf("reserved = %d after canceling the queued run, want the held run's %d", s.pool.Stats().Reserved, want)
+	if want := r1.Status().ReservedBytes; s.Stats().ReservedBytes != want {
+		t.Fatalf("reserved = %d after canceling the queued run, want the held run's %d", s.Stats().ReservedBytes, want)
 	}
 
 	// Cancel the held run once it is parked at the gate: the cancel cannot
@@ -311,8 +311,8 @@ func TestGatewayCancelQueuedRun(t *testing.T) {
 		t.Fatalf("cancel of a running run: state = %q", rep.st.State)
 	}
 	<-r1.Done()
-	if s.pool.Stats().Reserved != 0 {
-		t.Fatalf("reserved = %d after both runs ended", s.pool.Stats().Reserved)
+	if got := s.Stats().ReservedBytes; got != 0 {
+		t.Fatalf("reserved = %d after both runs ended", got)
 	}
 	if leaked := r1.Status().LeakedBytes + got.LeakedBytes; leaked != 0 {
 		t.Fatalf("canceled runs leaked %d bytes into the shared pool", leaked)
@@ -400,7 +400,7 @@ func TestGatewayWaitDisconnectCancels(t *testing.T) {
 	if st.State != StateCanceled && st.State != StateSucceeded {
 		t.Fatalf("state = %q", st.State)
 	}
-	if got := s.pool.Stats().Reserved; got != 0 {
+	if got := s.Stats().ReservedBytes; got != 0 {
 		t.Fatalf("reserved = %d after terminal run", got)
 	}
 	if got := s.pool.Stats().Used; got != 0 {

@@ -338,7 +338,7 @@ func (p *prom) registerGauges() {
 	value("scserve_catalog_budget_bytes", "Global shared Memory Catalog budget.",
 		func(sn *snapshot) float64 { return float64(sn.pool.Capacity) })
 	value("scserve_catalog_reserved_bytes", "Bytes reserved by admitted refreshes.",
-		func(sn *snapshot) float64 { return float64(sn.pool.Reserved) })
+		func(sn *snapshot) float64 { return float64(sn.adm.reserved) })
 	value("scserve_catalog_used_bytes", "Bytes resident across all run catalogs.",
 		func(sn *snapshot) float64 { return float64(sn.pool.Used) })
 	value("scserve_catalog_peak_used_bytes", "High-water mark of resident bytes.",
@@ -350,7 +350,7 @@ func (p *prom) registerGauges() {
 	value("scserve_sched_tokens_idle", "Scheduler tokens currently idle in the shared pool.",
 		func(sn *snapshot) float64 { return float64(sn.sched.Idle) })
 	value("scserve_sched_tokens_committed", "Scheduler tokens soft-committed by admitted refreshes.",
-		func(sn *snapshot) float64 { return float64(sn.sched.Committed) })
+		func(sn *snapshot) float64 { return float64(sn.adm.committed) })
 	value("scserve_ledger_runs", "Run summaries retained in the ledger ring.",
 		func(sn *snapshot) float64 { return float64(sn.ledger.Runs) })
 	value("scserve_ledger_evicted_total", "Run summaries evicted from the bounded ledger ring.",

@@ -239,11 +239,8 @@ func TestGatewayExpireQueuedRun(t *testing.T) {
 	if st := r1.Status(); st.State != StateSucceeded {
 		t.Fatalf("held run: state %q (%s), want succeeded", st.State, st.Error)
 	}
-	if got := s.pool.Stats().Reserved; got != 0 {
-		t.Fatalf("reserved = %d after both runs ended", got)
-	}
-	if snap := s.sched.Stats(); snap.Committed != 0 {
-		t.Fatalf("scheduler tokens still committed after both runs ended: %+v", snap)
+	if st := s.Stats(); st.ReservedBytes != 0 || st.SchedCommitted != 0 {
+		t.Fatalf("%d B reserved, %d tokens committed after both runs ended", st.ReservedBytes, st.SchedCommitted)
 	}
 }
 

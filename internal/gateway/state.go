@@ -19,8 +19,8 @@ import (
 const evictionLogCap = 256
 
 // snapshot is one reading of every owner of the gateway's state, each read
-// once: the registry, the admitter, the shared pool, the scheduler, the
-// ledger, the alert notifier and — for a surface that reports them — the
+// once: the registry, the admitter (queue and books), the shared pool's
+// usage, the scheduler's runtime tokens, the ledger, the alert notifier and — for a surface that reports them — the
 // live run catalogs. /healthz, every /metrics gauge and
 // /v1/state/{sched,catalog} are projections of it, so what they say about
 // one state agrees.
@@ -88,7 +88,7 @@ func (sn *snapshot) catalogReport(runs []*Run, retired int64) introspect.Catalog
 	rep := introspect.CatalogReport{
 		At:            sn.at,
 		BudgetBytes:   sn.pool.Capacity,
-		ReservedBytes: sn.pool.Reserved,
+		ReservedBytes: sn.adm.reserved,
 		UsedBytes:     sn.pool.Used,
 		PeakUsedBytes: sn.pool.PeakUsed,
 		EvictionsSeen: retired,
@@ -160,13 +160,13 @@ func (s *Server) Stats() Stats {
 		Rejected:       sn.adm.rejected,
 		Expired:        sn.adm.expired,
 		BudgetBytes:    sn.pool.Capacity,
-		ReservedBytes:  sn.pool.Reserved,
+		ReservedBytes:  sn.adm.reserved,
 		UsedBytes:      sn.pool.Used,
 		PeakUsedBytes:  sn.pool.PeakUsed,
-		PeakReserved:   sn.pool.PeakReserved,
+		PeakReserved:   sn.adm.peakReserved,
 		SchedTokens:    sn.sched.Tokens,
 		SchedIdle:      sn.sched.Idle,
-		SchedCommitted: sn.sched.Committed,
+		SchedCommitted: sn.adm.committed,
 	}
 }
 
@@ -177,16 +177,17 @@ func (s *Server) CatalogState() introspect.CatalogReport {
 }
 
 // SchedState snapshots the scheduler for GET /v1/state/sched: the
-// token pool (in flight, idle, soft-committed), the catalog pool's byte
-// reservations, each tenant's slice and hold, and the admission queue with
+// token pool (in flight, idle), admission's committed tokens and reserved
+// catalog bytes, each tenant's slice and hold, and the admission queue with
 // each trigger's blocking reason.
 func (s *Server) SchedState() introspect.SchedReport {
 	sn := s.snapshot(false)
 	rep := introspect.SchedReport{
 		At:                  sn.at,
 		Snapshot:            sn.sched,
+		Committed:           sn.adm.committed,
 		BudgetBytes:         sn.pool.Capacity,
-		ReservedCatalogByte: sn.pool.Reserved,
+		ReservedCatalogByte: sn.adm.reserved,
 		QueueDepth:          len(sn.adm.queue),
 		Queue:               sn.adm.queue,
 	}

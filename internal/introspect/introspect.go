@@ -146,12 +146,13 @@ type TenantState struct {
 }
 
 // SchedReport is the body of GET /v1/state/sched: the scheduler-wide
-// token pool, admission's soft-committed tokens, the shared catalog pool's
-// reservations, and the current admission queue with per-entry blocking reasons.
+// token pool, admission's committed tokens and reserved catalog bytes, and
+// the current admission queue with per-entry blocking reasons.
 type SchedReport struct {
 	At time.Time `json:"at"`
 	sched.Snapshot
-	// Byte side of admission: the shared catalog pool.
+	Committed int `json:"tokens_committed"` // admission commitments
+	// Byte side of admission: the shared catalog budget.
 	BudgetBytes         int64         `json:"budget_bytes"`
 	ReservedCatalogByte int64         `json:"reserved_catalog_bytes"`
 	QueueDepth          int           `json:"queue_depth"`

@@ -2,22 +2,20 @@ package memcat
 
 import "sync"
 
-// Pool is a shared Memory Catalog budget partitioned across many catalogs:
-// the gateway's tenants each run refreshes against their own Catalog (so
-// entry names never collide across pipelines), while every byte those
-// catalogs hold is accounted against one global capacity. Admission control
-// reserves a run's predicted footprint with TryReserve before the run is
-// allowed to allocate, so the sum of in-flight reservations — an upper
-// bound on actual usage when each run's catalog capacity equals its
-// reservation — never exceeds the pool capacity. The paper's bounded-memory
-// guarantee then holds under concurrent workloads, not just within one run.
+// Pool is the usage side of a shared Memory Catalog budget partitioned
+// across many catalogs: the gateway's tenants each run refreshes against
+// their own Catalog (so entry names never collide across pipelines), while
+// every byte those catalogs hold is counted here against one global
+// capacity. The pool reserves nothing: admission (the gateway's admitter)
+// keeps the books of what each run may hold, and sizes each run's catalog
+// to its reservation, so the bytes counted here never exceed what
+// admission reserved. The paper's bounded-memory guarantee then holds
+// under concurrent workloads, not just within one run.
 type Pool struct {
 	mu       sync.Mutex
 	capacity int64
-	reserved int64 // admission reservations currently held
 	used     int64 // actual bytes across attached catalogs
 	peakUsed int64
-	peakRes  int64
 }
 
 // NewPool returns a pool with the given global byte capacity.
@@ -31,48 +29,14 @@ func NewPool(capacity int64) *Pool {
 // Capacity returns the configured global budget.
 func (p *Pool) Capacity() int64 { return p.capacity }
 
-// TryReserve reserves n bytes of the global budget, failing (without side
-// effects) when the reservation would exceed capacity. n <= 0 always
-// succeeds.
-func (p *Pool) TryReserve(n int64) bool {
-	if n <= 0 {
-		return true
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.reserved+n > p.capacity {
-		return false
-	}
-	p.reserved += n
-	if p.reserved > p.peakRes {
-		p.peakRes = p.reserved
-	}
-	return true
-}
-
-// Release returns n reserved bytes to the pool.
-func (p *Pool) Release(n int64) {
-	if n <= 0 {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.reserved -= n
-	if p.reserved < 0 {
-		p.reserved = 0
-	}
-}
-
-// PoolStats is one reading of a pool: its capacity, the bytes admission
-// reservations hold, the bytes attached catalogs hold, and the high-water
-// mark of each — the numbers a benchmark compares against Capacity to show
-// the memory bound held under contention.
+// PoolStats is one reading of a pool: its capacity, the bytes attached
+// catalogs hold and their high-water mark — the numbers a benchmark
+// compares against Capacity to show the memory bound held under
+// contention.
 type PoolStats struct {
-	Capacity     int64
-	Reserved     int64
-	Used         int64
-	PeakUsed     int64
-	PeakReserved int64
+	Capacity int64
+	Used     int64
+	PeakUsed int64
 }
 
 // Stats reads every counter of the pool under one lock, so the fields of
@@ -80,13 +44,7 @@ type PoolStats struct {
 func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return PoolStats{
-		Capacity:     p.capacity,
-		Reserved:     p.reserved,
-		Used:         p.used,
-		PeakUsed:     p.peakUsed,
-		PeakReserved: p.peakRes,
-	}
+	return PoolStats{Capacity: p.capacity, Used: p.used, PeakUsed: p.peakUsed}
 }
 
 // NewCatalog returns a catalog with the given capacity whose entry bytes

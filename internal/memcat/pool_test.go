@@ -17,36 +17,6 @@ func poolTable(rows int) *table.Table {
 	return t
 }
 
-func TestPoolReserveRelease(t *testing.T) {
-	p := NewPool(100)
-	if !p.TryReserve(60) {
-		t.Fatal("first reservation should fit")
-	}
-	if !p.TryReserve(40) {
-		t.Fatal("second reservation should fit exactly")
-	}
-	if p.TryReserve(1) {
-		t.Fatal("over-capacity reservation admitted")
-	}
-	if got := p.Stats().Reserved; got != 100 {
-		t.Fatalf("Reserved = %d, want 100", got)
-	}
-	if got := p.Stats().PeakReserved; got != 100 {
-		t.Fatalf("PeakReserved = %d, want 100", got)
-	}
-	p.Release(60)
-	if !p.TryReserve(50) {
-		t.Fatal("reservation after release should fit")
-	}
-	// Zero and negative reservations are no-ops that always succeed.
-	if !p.TryReserve(0) || !p.TryReserve(-5) {
-		t.Fatal("non-positive reservations must succeed")
-	}
-	if got := p.Stats().Reserved; got != 90 {
-		t.Fatalf("Reserved = %d, want 90", got)
-	}
-}
-
 func TestPoolAggregatesCatalogUsage(t *testing.T) {
 	p := NewPool(1 << 20)
 	a := p.NewCatalog(1 << 19)

@@ -49,36 +49,6 @@ func TestReleaseWithoutAcquirePanics(t *testing.T) {
 	New(1, 0).Release()
 }
 
-func TestCommitLedger(t *testing.T) {
-	s := New(4, 0)
-	if !s.TryCommit(3) {
-		t.Fatal("3 of 4 should commit")
-	}
-	if s.TryCommit(2) {
-		t.Fatal("3+2 exceeds 4 tokens")
-	}
-	if !s.TryCommit(1) {
-		t.Fatal("3+1 exactly fits")
-	}
-	s.Uncommit(4)
-	if s.Committed() != 0 {
-		t.Fatalf("Committed() = %d after full uncommit", s.Committed())
-	}
-	// Commitments are a planning ledger: they do not consume runtime tokens.
-	if !s.TryCommit(4) {
-		t.Fatal("recommit failed")
-	}
-	for i := 0; i < 4; i++ {
-		if !tryTake(s) {
-			t.Fatal("commitments must not remove runtime tokens")
-		}
-	}
-	for i := 0; i < 4; i++ {
-		s.Release()
-	}
-	s.Uncommit(4)
-}
-
 // TestConcurrentAcquireNeverOversubscribes races 32 goroutines for a 4-token
 // pool through both blocking paths — the dispatcher's select on TokenCh and
 // Acquire — and checks no more than 4 ever hold a token at once.
