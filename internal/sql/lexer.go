@@ -17,12 +17,18 @@
 //	number   := digits ["." [digits]] [("e"|"E") ["+"|"-"] digits]
 //	            -- FLOAT with a "." or an exponent, else INT; a number
 //	            -- may not run straight into an identifier character
+//
+// Input is UTF-8, read a rune at a time: an identifier starts with a
+// letter or "_" and goes on with letters, digits and "_" of any script,
+// tokens are separated by Unicode white space, and a number starts only at
+// an ASCII digit. Invalid UTF-8 is an error at its byte offset.
 package sql
 
 import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokKind enumerates token kinds.
@@ -53,22 +59,31 @@ var keywords = map[string]bool{
 
 // lex tokenizes the input.
 func lex(input string) ([]token, error) {
+	for i, c := range input {
+		if c == utf8.RuneError && !strings.HasPrefix(input[i:], string(utf8.RuneError)) {
+			return nil, fmt.Errorf("sql: invalid UTF-8 at offset %d", i)
+		}
+	}
 	var toks []token
 	i := 0
 	n := len(input)
 	for i < n {
-		c := rune(input[i])
+		c, size := utf8.DecodeRuneInString(input[i:])
 		switch {
 		case unicode.IsSpace(c):
-			i++
+			i += size
 		case c == '-' && i+1 < n && input[i+1] == '-': // line comment
 			for i < n && input[i] != '\n' {
 				i++
 			}
 		case unicode.IsLetter(c) || c == '_':
 			start := i
-			for i < n && (isIdentChar(rune(input[i]))) {
-				i++
+			for i < n {
+				r, size := utf8.DecodeRuneInString(input[i:])
+				if !isIdentChar(r) {
+					break
+				}
+				i += size
 			}
 			word := input[start:i]
 			up := strings.ToUpper(word)
@@ -77,7 +92,7 @@ func lex(input string) ([]token, error) {
 			} else {
 				toks = append(toks, token{tokIdent, word, start})
 			}
-		case unicode.IsDigit(c):
+		case '0' <= c && c <= '9':
 			start := i
 			seenDot := false
 			for i < n && (isDigit(input[i]) || (!seenDot && input[i] == '.')) {
@@ -99,11 +114,12 @@ func lex(input string) ([]token, error) {
 					i = j
 				}
 			}
-			if i < n && isIdentChar(rune(input[i])) {
-				return nil, fmt.Errorf("sql: number %q runs into %q at offset %d", input[start:i], input[i], i)
+			if r, _ := utf8.DecodeRuneInString(input[i:]); i < n && isIdentChar(r) {
+				return nil, fmt.Errorf("sql: number %q runs into %q at offset %d", input[start:i], r, i)
 			}
 			toks = append(toks, token{tokNumber, input[start:i], start})
 		case c == '\'':
+			start := i
 			i++
 			var sb strings.Builder
 			closed := false
@@ -124,7 +140,7 @@ func lex(input string) ([]token, error) {
 			if !closed {
 				return nil, fmt.Errorf("sql: unterminated string at offset %d", i)
 			}
-			toks = append(toks, token{tokString, sb.String(), i})
+			toks = append(toks, token{tokString, sb.String(), start})
 		default:
 			start := i
 			// Two-char operators first.

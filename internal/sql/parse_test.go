@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"unicode"
+	"unicode/utf8"
 
 	"github.com/shortcircuit-db/sc/internal/sql"
 	"github.com/shortcircuit-db/sc/internal/table"
@@ -187,10 +188,16 @@ func exprDepth(e sql.Expr) int {
 // lexer delimits it, replaced by its value in canonical form: "1e3" becomes
 // "1000.0" and "007" becomes "7". ok is false when q holds a literal that
 // must not parse: one that runs straight into an identifier character, or
-// one out of range.
+// one out of range. Like the lexer it reads q as UTF-8 runes.
 func canonicalNumbers(q string) (canon string, ok bool) {
-	identStart := func(c byte) bool { return unicode.IsLetter(rune(c)) || c == '_' }
-	identChar := func(c byte) bool { return identStart(c) || unicode.IsDigit(rune(c)) }
+	identStart := func(i int) bool {
+		r, _ := utf8.DecodeRuneInString(q[i:])
+		return unicode.IsLetter(r) || r == '_'
+	}
+	identChar := func(i int) bool {
+		r, _ := utf8.DecodeRuneInString(q[i:])
+		return identStart(i) || unicode.IsDigit(r)
+	}
 	digit := func(i int) bool { return i < len(q) && '0' <= q[i] && q[i] <= '9' }
 	var b strings.Builder
 	for i := 0; i < len(q); {
@@ -211,9 +218,10 @@ func canonicalNumbers(q string) (canon string, ok bool) {
 					break
 				}
 			}
-		case identStart(c):
-			for i < len(q) && identChar(q[i]) {
-				i++
+		case identStart(i):
+			for i < len(q) && identChar(i) {
+				_, size := utf8.DecodeRuneInString(q[i:])
+				i += size
 			}
 		case digit(i):
 			for dot := false; digit(i) || (!dot && i < len(q) && q[i] == '.'); i++ {
@@ -229,7 +237,7 @@ func canonicalNumbers(q string) (canon string, ok bool) {
 					}
 				}
 			}
-			if i < len(q) && identChar(q[i]) {
+			if i < len(q) && identChar(i) {
 				return "", false
 			}
 			lit := q[start:i]
@@ -282,6 +290,11 @@ func FuzzParse(f *testing.F) {
 		"SELECT 2.5E-3, 4e+2, 1.e1 FROM t -- 1e3 in a comment",
 		"SELECT 1x, '2e3' FROM t",
 		"SELECT a FROM t WHERE a IN (1e0, 007) LIMIT 010",
+		"SELECT é FROM t",
+		"SELECT a\u00a0FROM t",
+		"SELECT 1\u0085FROM t",
+		"SELECT 1é FROM t",
+		"SELECT \xff FROM t",
 	} {
 		f.Add(q)
 	}

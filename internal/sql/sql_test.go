@@ -111,6 +111,52 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseUTF8 pins that the lexer reads its input as UTF-8 runes: an
+// identifier may be a letter of any script, Unicode white space (no-break
+// space, NEL) separates tokens, a number running into a letter names that
+// letter, invalid UTF-8 fails at its offset, and a string literal's token
+// sits at its opening quote.
+func TestParseUTF8(t *testing.T) {
+	item := func(q string) Expr {
+		t.Helper()
+		stmt, err := Parse(q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		if sel := stmt.Select; len(sel.Items) != 1 || sel.From.Name != "t" || sel.From.Alias != "" {
+			t.Fatalf("%q: items %+v from %+v", q, sel.Items, sel.From)
+		}
+		return stmt.Select.Items[0].Expr
+	}
+	if e := item("SELECT é FROM t"); !reflect.DeepEqual(e, &Ident{Name: "é"}) {
+		t.Errorf("SELECT é: item %#v", e)
+	}
+	if e := item("SELECT a\u00a0FROM t"); !reflect.DeepEqual(e, &Ident{Name: "a"}) {
+		t.Errorf("SELECT a<NBSP>FROM: item %#v", e)
+	}
+	if e := item("SELECT 1\u0085FROM t"); !reflect.DeepEqual(e, &NumLit{I: 1}) {
+		t.Errorf("SELECT 1<NEL>FROM: item %#v", e)
+	}
+	for q, want := range map[string]string{
+		"SELECT 1é FROM t":     `runs into 'é' at offset 8`,
+		"SELECT \xff FROM t":   "invalid UTF-8 at offset 7",
+		"SELECT a FROM t\xc3":  "invalid UTF-8 at offset 15",
+		"SELECT '\xe9' FROM t": "invalid UTF-8 at offset 8",
+		"SELECT a·b FROM t":    `unexpected character '·' at offset 8`,
+	} {
+		if _, err := Parse(q); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q: error %v, want it to say %q", q, err, want)
+		}
+	}
+	toks, err := lex("SELECT 'it''s' FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tok := toks[1]; tok.kind != tokString || tok.text != "it's" || tok.pos != 7 {
+		t.Fatalf("string token %+v, want it's at its opening quote, offset 7", tok)
+	}
+}
+
 func TestSelectStar(t *testing.T) {
 	out := runSQL(t, "SELECT * FROM orders")
 	if out.NumRows() != 5 || out.Schema.NumCols() != 4 {
