@@ -74,10 +74,10 @@ type Config struct {
 	// DAG nodes of one refresh execute at a time. Default 2.
 	Concurrency int
 	// SchedTokens is the server-wide scheduler token budget (one token ≈
-	// one core) that every run's node pool draws from. Admission
-	// soft-commits each run's Concurrency against it, so the planned width
-	// across all tenants never exceeds the machine's budget. Default
-	// 4×Concurrency.
+	// one core) that every run's node pool draws from. Admission commits
+	// each run's Concurrency against its size (a count the admitter keeps;
+	// no runtime token is taken), so the planned width across all tenants
+	// never exceeds the machine's budget. Default 4×Concurrency.
 	SchedTokens int
 	// NewStore creates a pipeline's storage backend; default is an
 	// in-memory store per pipeline.

@@ -600,8 +600,8 @@ func TestGatewayAlertWebhookEndToEnd(t *testing.T) {
 }
 
 // TestUnregisterForgetsPipelineMemory pins that what a pipeline remembers
-// of its previous run — node spans for cross-run links, the health verdict
-// behind transition alerts — dies with it: a different DAG registered under
+// of its previous run — the health verdict behind transition alerts — and
+// what the ledger learned die with it: a different DAG registered under
 // the same name starts from nothing. Its first verdict is silent even when
 // it differs from the old pipeline's last one, and none of its spans link
 // into the old pipeline's trace.

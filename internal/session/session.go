@@ -63,13 +63,11 @@ type Pipeline struct {
 	// (core.DispatchRank), and plan position only breaks ties.
 	Concurrency int
 
-	// What the pipeline remembers of its previous run: each node's span (a
-	// later run that reuses cached state links back to it) and the health
-	// verdict (alerts fire on transitions, not states). Living here, both
-	// die with the pipeline.
-	mu            sync.Mutex
-	lastNodeSpans map[string]telemetry.SpanContext
-	lastVerdict   string
+	// What the pipeline remembers of its previous run: the health verdict
+	// (alerts fire on transitions, not states). Living here, it dies with
+	// the pipeline.
+	mu          sync.Mutex
+	lastVerdict string
 }
 
 // NewPipeline extracts the dependency DAG from the nodes' SQL and starts an
@@ -237,36 +235,14 @@ func (p *Pipeline) Run(ctx context.Context, plan *core.Plan, env RunEnv) (*exec.
 }
 
 // OpenTrace opens a run's trace: the root span starts at start (zero means
-// now) under parent when valid (a client's W3C traceparent), and cache
-// reuse across runs links to the spans the pipeline's previous run left.
+// now) under parent when valid (a client's W3C traceparent).
 func (p *Pipeline) OpenTrace(runID string, start time.Time, parent telemetry.SpanContext) *telemetry.Collector {
 	return telemetry.NewCollector(telemetry.CollectorConfig{
 		RunID:   runID,
 		Parent:  parent,
 		Start:   start,
 		Profile: true,
-		LinkResolver: func(node string) (telemetry.SpanContext, bool) {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			sc, ok := p.lastNodeSpans[node]
-			return sc, ok
-		},
 	})
-}
-
-// rememberNodeSpans records each node's span context so the next run's
-// cache hits can link back to the producing span.
-func (p *Pipeline) rememberNodeSpans(spans []telemetry.Span) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.lastNodeSpans == nil {
-		p.lastNodeSpans = make(map[string]telemetry.SpanContext)
-	}
-	for _, sp := range spans {
-		if node := sp.StrAttr(telemetry.AttrNode); node != "" {
-			p.lastNodeSpans[node] = telemetry.SpanContext{TraceID: sp.TraceID, SpanID: sp.SpanID, Sampled: true}
-		}
-	}
 }
 
 // Finisher ends runs: every field is optional, and a nil field skips its
@@ -290,13 +266,12 @@ const (
 )
 
 // Finish closes a traced run, executed or not: it ends col's root span at
-// now (zero means the present) with the outcome as its status, remembers
-// the node spans for cross-run links, lands the ledger row derived from the
-// spans, pushes the row's anomalies and a changed health verdict to the
-// webhook, and exports the trace unless tail sampling drops it. The caller
-// supplies meta's outcome; Finish fills in the pipeline name. sampled is
-// SampleKept or SampleDropped, or "" without an exporter. A run that opened
-// no trace has nothing to finish.
+// now (zero means the present) with the outcome as its status, lands the
+// ledger row derived from the spans, pushes the row's anomalies and a
+// changed health verdict to the webhook, and exports the trace unless tail
+// sampling drops it. The caller supplies meta's outcome; Finish fills in
+// the pipeline name. sampled is SampleKept or SampleDropped, or "" without
+// an exporter. A run that opened no trace has nothing to finish.
 func (f *Finisher) Finish(p *Pipeline, col *telemetry.Collector, now time.Time, meta ledger.Meta) (sum ledger.RunSummary, sampled string, spans []telemetry.Span) {
 	meta.Pipeline = p.Name
 	msg := meta.Err
@@ -305,7 +280,6 @@ func (f *Finisher) Finish(p *Pipeline, col *telemetry.Collector, now time.Time, 
 	}
 	col.Finish(now, msg)
 	spans = col.Spans()
-	p.rememberNodeSpans(spans)
 	keep := true
 	if f.Ledger != nil {
 		var dec ledger.Decision

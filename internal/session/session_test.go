@@ -142,8 +142,7 @@ func TestFinishLandsTheCallersOutcome(t *testing.T) {
 }
 
 // TestFinishWithoutLedgerStillTracesAndExports is the library session
-// without WithLedger: no row, but the trace is finished, remembered and
-// exported.
+// without WithLedger: no row, but the trace is finished and exported.
 func TestFinishWithoutLedgerStillTracesAndExports(t *testing.T) {
 	p := testPipeline(t)
 	exp := &captureExporter{}
@@ -151,16 +150,6 @@ func TestFinishWithoutLedgerStillTracesAndExports(t *testing.T) {
 	sum, sampled, spans := f.Finish(p, tracedRun(p, "run-1", true), time.Time{}, ledger.Meta{Outcome: ledger.OutcomeSucceeded})
 	if sum.RunID != "" || sampled != SampleKept || len(spans) != 2 || len(exp.traces) != 1 {
 		t.Fatalf("sum %+v sampled %q spans %d exports %d", sum, sampled, len(spans), len(exp.traces))
-	}
-	// A node of the next run that reads a's cached output, with a not
-	// rerun, links back to the remembered span.
-	col := p.OpenTrace("run-2", time.Time{}, telemetry.SpanContext{})
-	col.OnEvent(obs.Event{Kind: obs.NodeStart, Node: "b"})
-	col.OnEvent(obs.Event{Kind: obs.CacheHit, Node: "b", Source: "a"})
-	col.OnEvent(obs.Event{Kind: obs.NodeDone, Node: "b"})
-	_, _, next := f.Finish(p, col, time.Time{}, ledger.Meta{Outcome: ledger.OutcomeSucceeded})
-	if len(next) != 2 || len(next[1].Links) != 1 || next[1].Links[0].SpanID != spans[1].SpanID {
-		t.Fatalf("run 2 node span links %+v, want one to run 1's span %v", next[1].Links, spans[1].SpanID)
 	}
 }
 

@@ -59,12 +59,6 @@ type CollectorConfig struct {
 	// Profile captures per-run runtime deltas (GC pauses, heap allocation,
 	// goroutine peak) and stamps them on the root span at Finish.
 	Profile bool
-	// LinkResolver maps a node name to the span that produced its cached
-	// output in an earlier run of the same pipeline. When set, cross-run
-	// cache reuse (a catalog entry surviving between runs) becomes a span
-	// link on the consuming node's span instead of going unrecorded. Called with the collector lock held —
-	// must not call back into the collector.
-	LinkResolver func(node string) (SpanContext, bool)
 }
 
 // eventLogCap bounds the events a Collector keeps. A 12-node refresh emits
@@ -84,7 +78,6 @@ type Collector struct {
 	open     map[string]*Span
 	done     []Span
 	finished bool
-	linkFor  func(node string) (SpanContext, bool)
 
 	log     []obs.Event
 	dropped int64
@@ -101,7 +94,6 @@ func NewCollector(cfg CollectorConfig) *Collector {
 	c := &Collector{
 		open:    make(map[string]*Span),
 		profile: cfg.Profile,
-		linkFor: cfg.LinkResolver,
 	}
 	start := cfg.Start
 	if start.IsZero() {
@@ -216,9 +208,9 @@ func (c *Collector) OnEvent(e obs.Event) {
 }
 
 // linkCacheHitLocked links the consuming node's span (e.Node) to the span
-// that produced the cached output (e.Source): the in-run producer span
-// when this run executed the source node, else — via the LinkResolver —
-// the producing span of a previous run.
+// in this run that produced the cached output (e.Source). Every run starts
+// with an empty catalog, so a cached parent always ran earlier in the same
+// run.
 func (c *Collector) linkCacheHitLocked(e obs.Event) {
 	if e.Source == "" {
 		return
@@ -229,20 +221,7 @@ func (c *Collector) linkCacheHitLocked(e obs.Event) {
 			SpanID:  src.SpanID,
 			Attrs:   []Attr{Str("sc.link.reason", "cached-parent"), Str(AttrNode, e.Source)},
 		})
-		return
 	}
-	if c.linkFor == nil {
-		return
-	}
-	sc, ok := c.linkFor(e.Source)
-	if !ok || !sc.IsValid() {
-		return
-	}
-	c.addLinkLocked(e.Node, Link{
-		TraceID: sc.TraceID,
-		SpanID:  sc.SpanID,
-		Attrs:   []Attr{Str("sc.link.reason", "cached-parent"), Str(AttrNode, e.Source)},
-	})
 }
 
 // spanForNodeLocked finds a node's span in this run: open first, then the

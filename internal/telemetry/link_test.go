@@ -55,53 +55,6 @@ func TestCacheHitLinksInRunProducer(t *testing.T) {
 	}
 }
 
-// TestCrossRunLinks exercises the LinkResolver path: a cache hit whose
-// producer did not run this run links to the producing span of a previous
-// run, and a kernel event links nowhere.
-func TestCrossRunLinks(t *testing.T) {
-	prev := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID(), Sampled: true}
-	c := NewCollector(CollectorConfig{
-		RunID: "run-000002",
-		LinkResolver: func(node string) (SpanContext, bool) {
-			if node == "a" || node == "b" {
-				return prev, true
-			}
-			return SpanContext{}, false
-		},
-	})
-	// "a" is served from cache without executing this run: the consumer
-	// links across runs.
-	c.OnEvent(obs.Event{Kind: obs.NodeStart, Node: "b"})
-	c.OnEvent(obs.Event{Kind: obs.CacheHit, Node: "b", Source: "a"})
-	c.OnEvent(obs.Event{Kind: obs.KernelDone, Node: "b", KernelStats: obs.KernelStats{Lowered: 3}})
-	c.OnEvent(obs.Event{Kind: obs.NodeDone, Node: "b"})
-	// A producer the resolver does not know yields no link.
-	c.OnEvent(obs.Event{Kind: obs.NodeStart, Node: "d"})
-	c.OnEvent(obs.Event{Kind: obs.CacheHit, Node: "d", Source: "ghost"})
-	c.OnEvent(obs.Event{Kind: obs.NodeDone, Node: "d"})
-	c.Finish(time.Time{}, "")
-
-	spans := c.Spans()
-	b := spanByName(t, spans, "node b")
-	if len(b.Links) != 1 {
-		t.Fatalf("b links = %+v, want one, to the cached parent's producer span", b.Links)
-	}
-	l := b.Links[0]
-	if l.TraceID != prev.TraceID || l.SpanID != prev.SpanID {
-		t.Fatalf("cross-run link points at %s/%s, want previous run's span", l.TraceID, l.SpanID)
-	}
-	if b.TraceID == prev.TraceID {
-		t.Fatal("test setup: previous run must be a different trace")
-	}
-	if r := linkReason(l); r != "cached-parent" {
-		t.Fatalf("link reason = %q", r)
-	}
-	d := spanByName(t, spans, "node d")
-	if len(d.Links) != 0 {
-		t.Fatalf("unresolvable producer must not link: %+v", d.Links)
-	}
-}
-
 // TestLinksMarshal pins links through both wire shapes: OTLP JSON
 // (spans[].links[] with hex ids and typed attributes) and the HTTP-facing
 // SpanJSON form.

@@ -20,9 +20,9 @@ type ExplainReport = introspect.ExplainReport
 type CatalogReport = introspect.CatalogReport
 
 // SchedReport is the scheduler snapshot served by the gateway at
-// GET /v1/state/sched: the token pool, admission soft-commitments, the
-// catalog pool's byte reservations, and the current queue with per-entry
-// blocking reasons.
+// GET /v1/state/sched: the token pool, admission's committed tokens and
+// reserved catalog bytes, and the current queue with per-entry blocking
+// reasons.
 type SchedReport = introspect.SchedReport
 
 // AlertStats are an alert notifier's lifetime delivery counters.

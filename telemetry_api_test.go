@@ -21,7 +21,9 @@ func TestWithTelemetryTracesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := sc.New(chainMVs(), store, sc.WithTelemetry(exp))
+	// A budget, so the chain's parents are kept in the catalog and their
+	// readers' spans link to them.
+	ref, err := sc.New(chainMVs(), store, sc.WithTelemetry(exp), sc.WithMemory(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,12 +73,27 @@ func TestWithTelemetryTracesRun(t *testing.T) {
 		t.Fatalf("observation run ID %q, want %q", o.RunID, tr.RunID)
 	}
 
-	// A second run gets the next run ID.
-	if _, err := ref.Run(context.Background()); err != nil {
+	// A second refresh gets the next run ID, and its links stay inside its
+	// own trace: a run starts with an empty catalog, so each cached parent
+	// it reads ran earlier in the same run.
+	if _, err := ref.Refresh(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := ref.LastTrace().RunID; got != "run-000002" {
-		t.Fatalf("second run ID %q", got)
+	second := ref.LastTrace()
+	if second.RunID != "run-000002" {
+		t.Fatalf("second run ID %q", second.RunID)
+	}
+	links := 0
+	for _, sp := range second.Spans {
+		for _, l := range sp.Links {
+			links++
+			if l.TraceID != second.Spans[0].TraceID {
+				t.Fatalf("span %q links to trace %s, outside its own %s", sp.Name, l.TraceID, second.Spans[0].TraceID)
+			}
+		}
+	}
+	if links == 0 {
+		t.Fatal("the second refresh read no cached parent; the link check saw nothing")
 	}
 
 	if err := exp.Close(); err != nil {
