@@ -227,9 +227,10 @@ func (a *admitter) snapshot() admission {
 // pumpLocked drains the queue head-first: expired tickets are removed; the
 // first live ticket is admitted if its pipeline is idle, both its tenant
 // slice and the global capacity can hold its reservation and the token
-// budget its commitment, else pumping stops (strict FIFO). It returns the tickets to start and to expire; callers
-// invoke their callbacks after releasing a.mu, so a start callback can
-// re-enter the admitter. Callers hold a.mu.
+// budget its commitment, else pumping stops (strict FIFO). It returns the
+// tickets to start and to expire; callers invoke their callbacks after
+// releasing a.mu, so a start callback can re-enter the admitter. Callers
+// hold a.mu.
 func (a *admitter) pumpLocked() (started, expired []*ticket) {
 	now := a.now()
 	for len(a.queue) > 0 {

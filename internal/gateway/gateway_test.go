@@ -232,7 +232,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 	if stats.Pipelines != 1 || stats.Admitted != 1 || stats.ReservedBytes != 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	if stats.PeakReserved > s.pool.Capacity() {
+	if stats.PeakReserved > stats.BudgetBytes {
 		t.Fatalf("peak reserved %d over budget", stats.PeakReserved)
 	}
 }

@@ -20,10 +20,10 @@ const evictionLogCap = 256
 
 // snapshot is one reading of every owner of the gateway's state, each read
 // once: the registry, the admitter (queue and books), the shared pool's
-// usage, the scheduler's runtime tokens, the ledger, the alert notifier and — for a surface that reports them — the
-// live run catalogs. /healthz, every /metrics gauge and
-// /v1/state/{sched,catalog} are projections of it, so what they say about
-// one state agrees.
+// usage, the scheduler's runtime tokens, the ledger, the alert notifier
+// and — for a surface that reports them — the live run catalogs. /healthz,
+// every /metrics gauge and /v1/state/{sched,catalog} are projections of it,
+// so what they say about one state agrees.
 type snapshot struct {
 	at        time.Time
 	pipelines int

@@ -26,9 +26,6 @@ func NewPool(capacity int64) *Pool {
 	return &Pool{capacity: capacity}
 }
 
-// Capacity returns the configured global budget.
-func (p *Pool) Capacity() int64 { return p.capacity }
-
 // PoolStats is one reading of a pool: its capacity, the bytes attached
 // catalogs hold and their high-water mark — the numbers a benchmark
 // compares against Capacity to show the memory bound held under
