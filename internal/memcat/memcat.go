@@ -13,7 +13,8 @@
 // footprint. What a reader does with the form it gets — read the rows, decode
 // the bytes, scan the chunks — is the reader's business (internal/exec opens
 // each input of a node once). The catalog holds entries and nothing else,
-// so Peak() <= capacity is all the memory it ever owns.
+// so Peak() <= capacity is all the memory it ever owns. A Pool counts the
+// bytes its attached catalogs hold; it reserves nothing.
 package memcat
 
 import (
