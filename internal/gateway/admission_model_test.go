@@ -176,6 +176,94 @@ func (l *ticketLog) ticket(label, tenant, pipeline string, need int64, tokens in
 	return tk
 }
 
+// admitScript drives one admitter by hand: submit checks whether a ticket
+// is admitted at once, want checks the books.
+type admitScript struct {
+	t   *testing.T
+	adm *admitter
+	lg  *ticketLog
+}
+
+func newAdmitScript(t *testing.T, capacity int64, tokens int) *admitScript {
+	adm := newAdmitter(capacity, tokens, 8, newFakeClock().now)
+	adm.addTenant("t", capacity)
+	adm.addTenant("u", capacity)
+	return &admitScript{t: t, adm: adm, lg: &ticketLog{name: map[*ticket]string{}}}
+}
+
+func (s *admitScript) submit(label, tenant string, need int64, tokens int, wantNow bool) *ticket {
+	s.t.Helper()
+	tk := s.lg.ticket(label, tenant, "p"+label, need, tokens, time.Time{})
+	if now, err := s.adm.submit(tk); err != nil || now != wantNow {
+		s.t.Fatalf("submit %s: admitted now %v, err %v; want %v", label, now, err, wantNow)
+	}
+	return tk
+}
+
+func (s *admitScript) want(step string, wantRes, wantPeak int64, wantCommitted int) {
+	s.t.Helper()
+	if res, peak, committed := s.adm.books(); res != wantRes || peak != wantPeak || committed != wantCommitted {
+		s.t.Fatalf("%s: reserved %d, peak %d, committed %d; want %d, %d, %d",
+			step, res, peak, committed, wantRes, wantPeak, wantCommitted)
+	}
+}
+
+// TestAdmissionModelReserveRelease pins the byte books: an exact fit
+// admits, one byte over queues and holds nothing, the peak stays at the
+// high-water mark, finishing hands back exactly what was taken, and a
+// zero-byte ticket always fits.
+func TestAdmissionModelReserveRelease(t *testing.T) {
+	s := newAdmitScript(t, 100, 0)
+	a := s.submit("a", "t", 60, 0, true)
+	b := s.submit("b", "t", 40, 0, true) // 60+40 fits exactly
+	s.want("a+b", 100, 100, 0)
+	c := s.submit("c", "u", 1, 0, false) // its own tenant: only the global bytes bind
+	if c.blocked != "catalog-bytes" {
+		t.Fatalf("c blocked on %q, want catalog-bytes", c.blocked)
+	}
+	s.want("c waits", 100, 100, 0)
+	s.adm.finish(a)
+	s.want("finish a admits c", 41, 100, 0)
+	d := s.submit("d", "u", 50, 0, true)
+	z := s.submit("z", "u", 0, 0, true)
+	s.want("d and z", 91, 100, 0)
+	for _, tk := range []*ticket{b, c, d, z} {
+		s.adm.finish(tk)
+	}
+	s.want("idle", 0, 100, 0)
+	if !slices.Equal(s.lg.started, []*ticket{a, b, c, d, z}) {
+		t.Fatalf("started %v", s.lg.names(s.lg.started))
+	}
+}
+
+// TestAdmissionModelCommitLedger pins the token books: 3+1 tokens fit 4
+// exactly, 2 more queue and commit nothing, finishing hands back exactly
+// what was committed, and the ledger returns to 0. A ticket waiting on
+// tokens holds none of its bytes.
+func TestAdmissionModelCommitLedger(t *testing.T) {
+	s := newAdmitScript(t, 100, 4)
+	a := s.submit("a", "t", 10, 3, true)
+	c := s.submit("c", "t", 10, 1, true) // 3+1 fits 4 exactly
+	s.want("a+c", 20, 20, 4)
+	b := s.submit("b", "t", 10, 2, false) // 4+2 exceeds 4
+	if b.blocked != "sched-tokens" {
+		t.Fatalf("b blocked on %q, want sched-tokens", b.blocked)
+	}
+	s.want("b waits on tokens", 20, 20, 4)
+	s.adm.finish(a)
+	s.want("finish a admits b", 20, 20, 3)
+	s.adm.finish(c)
+	s.adm.finish(b)
+	s.want("idle", 0, 20, 0)
+	z := s.submit("z", "t", 0, 4, true) // the full pool commits again once free
+	s.want("recommit", 0, 20, 4)
+	s.adm.finish(z)
+	s.want("idle again", 0, 20, 0)
+	if !slices.Equal(s.lg.started, []*ticket{a, c, b, z}) {
+		t.Fatalf("started %v", s.lg.names(s.lg.started))
+	}
+}
+
 // TestAdmissionModel drives the admitter through seeded random walks of
 // submit / finish / cancel / reap, with the clock moved past queue
 // deadlines, and after every step compares it with admitModel: the same
@@ -184,58 +272,6 @@ func (l *ticketLog) ticket(label, tenant, pipeline string, need int64, tokens in
 // holds, none above its bound, and nothing held once nothing is queued or
 // admitted.
 func TestAdmissionModel(t *testing.T) {
-	// books pins the byte and token arithmetic on one script: an exact fit
-	// admits, one byte or one token over queues, the peak stays at the
-	// high-water mark, and finishing hands back exactly what was taken.
-	t.Run("books", func(t *testing.T) {
-		clock := newFakeClock()
-		adm := newAdmitter(100, 4, 8, clock.now)
-		adm.addTenant("t", 100)
-		adm.addTenant("u", 100)
-		lg := &ticketLog{name: map[*ticket]string{}}
-		want := func(step string, wantRes int64, wantCommitted int) {
-			t.Helper()
-			if res, _, committed := adm.books(); res != wantRes || committed != wantCommitted {
-				t.Fatalf("%s: reserved %d, committed %d; want %d, %d", step, res, committed, wantRes, wantCommitted)
-			}
-		}
-		submit := func(tk *ticket, wantNow bool) {
-			t.Helper()
-			if now, err := adm.submit(tk); err != nil || now != wantNow {
-				t.Fatalf("submit %s: admitted now %v, err %v; want %v", lg.name[tk], now, err, wantNow)
-			}
-		}
-		a := lg.ticket("a", "t", "pa", 60, 3, time.Time{})
-		b := lg.ticket("b", "t", "pb", 40, 1, time.Time{})
-		c := lg.ticket("c", "u", "pc", 1, 0, time.Time{}) // its own tenant: only the global bytes bind
-		e := lg.ticket("e", "t", "pe", 10, 2, time.Time{})
-		submit(a, true)
-		submit(b, true) // 60+40 bytes and 3+1 tokens fit exactly
-		want("a+b", 100, 4)
-		submit(c, false) // one byte over
-		if c.blocked != "catalog-bytes" {
-			t.Fatalf("c blocked on %q, want catalog-bytes", c.blocked)
-		}
-		adm.finish(b)
-		want("finish b admits c", 61, 3)
-		submit(e, false) // 3+2 tokens exceed 4; its bytes are not held
-		if e.blocked != "sched-tokens" {
-			t.Fatalf("e blocked on %q, want sched-tokens", e.blocked)
-		}
-		want("e waits on tokens", 61, 3)
-		adm.finish(a)
-		want("finish a admits e", 11, 2)
-		adm.finish(c)
-		adm.finish(e)
-		want("idle", 0, 0)
-		if _, peak, _ := adm.books(); peak != 100 {
-			t.Fatalf("peak reserved %d, want 100", peak)
-		}
-		if !slices.Equal(lg.started, []*ticket{a, b, c, e}) {
-			t.Fatalf("started %v", lg.names(lg.started))
-		}
-	})
-
 	tenants := []string{"a", "b"}
 	for seed := uint64(1); seed <= 24; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
