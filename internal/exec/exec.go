@@ -109,6 +109,7 @@ func (w *Workload) BuildGraph() (*dag.Graph, [][]string, error) {
 // back into the optimizer.
 type NodeMetrics struct {
 	Name         string
+	Start, End   time.Time     // the node's run window
 	PlanTime     time.Duration // plan + lower (input fetches excluded)
 	ReadTime     time.Duration // fetching and resolving all inputs (includes lazy decode)
 	ComputeTime  time.Duration // running the plan
@@ -126,12 +127,20 @@ type NodeMetrics struct {
 	obs.KernelStats
 }
 
-// RunResult aggregates a refresh run.
+// RunResult is the record of a refresh run: what the ledger row, the
+// execution metadata and the gateway's counters are built from. The
+// run-level counts tally the events the run emits (Evicted, DecodeDone,
+// Materialized), whether or not anyone observes them.
 type RunResult struct {
+	Start          time.Time
 	Total          time.Duration // end-to-end: start → all MVs materialized
 	Nodes          []NodeMetrics // in plan order (completed nodes only, on error)
 	FallbackWrites int           // flagged outputs that did not fit in memory
 	PeakMemory     int64         // Memory Catalog high-water mark
+
+	Evictions         int64 // outputs that left the Memory Catalog
+	DecodedBytes      int64 // rows decoded from compact inputs, whole-table
+	MaterializedBytes int64 // bytes written to storage, behind flagged nodes or in the foreground
 }
 
 // TotalRead sums the nodes' input read times.
@@ -236,7 +245,10 @@ type runState struct {
 	bgErr     error
 	peakSeen  atomic.Int64 // last high-water mark reported via MemoryHighWater
 
-	fallbacks atomic.Int64
+	fallbacks    atomic.Int64
+	evictions    atomic.Int64
+	decoded      atomic.Int64
+	materialized atomic.Int64
 }
 
 // completion is what a worker reports back to the dispatcher.
@@ -431,7 +443,13 @@ func (c *Controller) Run(ctx context.Context, w *Workload, g *dag.Graph, plan *c
 		}
 	}
 
-	res := &RunResult{FallbackWrites: int(rs.fallbacks.Load())}
+	res := &RunResult{
+		Start:             start,
+		FallbackWrites:    int(rs.fallbacks.Load()),
+		Evictions:         rs.evictions.Load(),
+		DecodedBytes:      rs.decoded.Load(),
+		MaterializedBytes: rs.materialized.Load(),
+	}
 	for _, m := range metricsAt {
 		if m != nil {
 			res.Nodes = append(res.Nodes, *m)
@@ -457,18 +475,18 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool, f
 	if err := ctx.Err(); err != nil {
 		return m, err
 	}
-	obs.Emit(c.Obs, obs.Event{Kind: obs.NodeStart, Node: spec.Name, Step: step})
-	nodeStart := time.Now()
+	m.Start = time.Now()
+	obs.Emit(c.Obs, obs.Event{Kind: obs.NodeStart, Node: spec.Name, Step: step, At: m.Start})
 	defer func() {
 		if err != nil {
-			obs.Emit(c.Obs, obs.Event{Kind: obs.NodeDone, Node: spec.Name, Step: step, Err: err, Elapsed: time.Since(nodeStart)})
+			obs.Emit(c.Obs, obs.Event{Kind: obs.NodeDone, Node: spec.Name, Step: step, Err: err, Elapsed: time.Since(m.Start)})
 		}
 	}()
 
 	// Every input goes through one handle: whichever of planning (schema), a
 	// kernel (chunk view) or the row engine (rows) asks first opens it, from
 	// the Memory Catalog or with the node's only Store.Read of that object.
-	in := &nodeInputs{c: c, node: spec.Name, step: step, objs: make(map[string]*input), scans: make(map[string]int)}
+	in := &nodeInputs{c: c, node: spec.Name, step: step, decoded: &rs.decoded, objs: make(map[string]*input), scans: make(map[string]int)}
 
 	// Plan the statement against current schemas.
 	p0 := time.Now()
@@ -593,6 +611,7 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool, f
 				}
 				rs.bgMu.Unlock()
 			} else {
+				rs.materialized.Add(int64(len(data)))
 				obs.Emit(c.Obs, obs.Event{Kind: obs.Materialized, Node: name, Step: step, Bytes: int64(len(data))})
 			}
 			st.mu.Lock()
@@ -607,12 +626,14 @@ func (rs *runState) execNode(ctx context.Context, id dag.NodeID, flagged bool, f
 			return m, fmt.Errorf("exec: write %q: %w", spec.Name, err)
 		}
 		m.WriteTime = time.Since(tw)
+		rs.materialized.Add(m.EncodedSize)
 		obs.Emit(c.Obs, obs.Event{Kind: obs.Materialized, Node: spec.Name, Step: step, Bytes: m.EncodedSize})
 	}
 
+	m.End = time.Now()
 	done := obs.Event{
 		Kind: obs.NodeDone, Node: spec.Name, Step: step,
-		Bytes: m.OutputBytes, Encoded: m.EncodedSize, Elapsed: time.Since(nodeStart),
+		Bytes: m.OutputBytes, Encoded: m.EncodedSize, Elapsed: m.End.Sub(m.Start),
 		Plan: m.PlanTime, Read: m.ReadTime, Write: m.WriteTime, Compute: m.ComputeTime,
 		Flagged: m.Flagged,
 	}
@@ -701,6 +722,7 @@ func (rs *runState) evict(id dag.NodeID, reason string) {
 	// Size, not Get: eviction must not pay a decompression.
 	if size, err := rs.c.Mem.Size(name); err == nil {
 		_ = rs.c.Mem.Delete(name)
+		rs.evictions.Add(1)
 		obs.Emit(rs.c.Obs, obs.Event{Kind: obs.Evicted, Node: name, Step: rs.pos[id], Bytes: size, Reason: reason})
 	}
 }
@@ -778,6 +800,7 @@ type nodeInputs struct {
 	c        *Controller
 	node     string // the executing node
 	step     int
+	decoded  *atomic.Int64 // the run's DecodedBytes
 	objs     map[string]*input
 	scans    map[string]int // the plan's scans of each table not yet handed their rows
 	reads    int            // Store.Read calls that returned an object
@@ -973,6 +996,7 @@ func (in *nodeInputs) emitHit(name string, bytes int64) {
 // emitDecode reports a whole-table decode of a compact input that began at
 // d0.
 func (in *nodeInputs) emitDecode(name string, decoded, encoded int64, d0 time.Time) {
+	in.decoded.Add(decoded)
 	ratio := 1.0
 	if encoded > 0 {
 		ratio = float64(decoded) / float64(encoded)

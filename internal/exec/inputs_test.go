@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"github.com/shortcircuit-db/sc/internal/colfmt"
@@ -18,7 +19,7 @@ import (
 
 // newInputs is a node's input handles outside a run.
 func newInputs(c *Controller, node string) *nodeInputs {
-	return &nodeInputs{c: c, node: node, objs: make(map[string]*input), scans: make(map[string]int)}
+	return &nodeInputs{c: c, node: node, decoded: new(atomic.Int64), objs: make(map[string]*input), scans: make(map[string]int)}
 }
 
 // inputTable is a small table with an INT key, a low-cardinality string and

@@ -23,6 +23,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/shortcircuit-db/sc/internal/exec"
 	"github.com/shortcircuit-db/sc/internal/telemetry"
 )
 
@@ -138,6 +139,73 @@ type Meta struct {
 
 	EventsDropped int64
 	Err           string
+}
+
+// FromRun builds one run's ledger row from its record and metadata:
+// per-node wall, self and wait times and the critical chain from
+// telemetry.NodeCriticalPath over the nodes' run windows, byte totals and
+// compression ratios from the node and run counts, and the
+// predicted-vs-actual peak accounting. A nil res, a run that never
+// executed, gives the row of meta alone.
+func FromRun(res *exec.RunResult, parents map[string][]string, meta Meta) RunSummary {
+	s := RunSummary{
+		RunID: meta.RunID, Pipeline: meta.Pipeline, Tenant: meta.Tenant,
+		Outcome: meta.Outcome, Start: meta.Start,
+		WallSeconds: meta.WallSeconds, QueueWaitSeconds: meta.QueueWaitSeconds,
+		ReservedBytes: meta.ReservedBytes,
+		EventsDropped: meta.EventsDropped, Error: meta.Err,
+	}
+	if s.Outcome == "" {
+		s.Outcome = OutcomeSucceeded
+	}
+	if res != nil {
+		s.ActualPeakBytes, s.FallbackWrites = res.PeakMemory, res.FallbackWrites
+	}
+	if s.ReservedBytes > 0 {
+		s.Mispredict = math.Abs(float64(s.ReservedBytes-s.ActualPeakBytes)) / float64(s.ReservedBytes)
+	}
+	if res == nil {
+		return s
+	}
+	if s.Start.IsZero() {
+		s.Start = res.Start
+	}
+	if s.WallSeconds == 0 {
+		s.WallSeconds = res.Total.Seconds()
+	}
+	s.DecodedBytes, s.MaterializedBytes, s.Evictions = res.DecodedBytes, res.MaterializedBytes, res.Evictions
+
+	windows := make([]telemetry.NodeInterval, len(res.Nodes))
+	byName := make(map[string]*exec.NodeMetrics, len(res.Nodes))
+	for i := range res.Nodes {
+		n := &res.Nodes[i]
+		windows[i] = telemetry.NodeInterval{Node: n.Name, Start: n.Start, End: n.End}
+		byName[n.Name] = n
+	}
+	cp := telemetry.NodeCriticalPath(s.Start, s.WallSeconds, windows, parents)
+	s.CritPath, s.CritPathSeconds = cp.Chain, cp.ChainSeconds
+	for _, c := range cp.Nodes { // in start order
+		n := byName[c.Node]
+		ns := NodeSummary{
+			Node:            n.Name,
+			WallSeconds:     c.SelfSeconds,
+			SelfSeconds:     c.SelfSeconds,
+			WaitSeconds:     c.WaitSeconds,
+			OutputBytes:     n.OutputBytes,
+			EncodedBytes:    n.EncodedSize,
+			KernelFallbacks: n.Fallbacks,
+			Flagged:         n.Flagged,
+			Critical:        c.Critical,
+		}
+		if n.OutputBytes > 0 && n.EncodedSize > 0 {
+			ns.Ratio = float64(n.OutputBytes) / float64(n.EncodedSize)
+		}
+		s.OutputBytes += n.OutputBytes
+		s.EncodedBytes += n.EncodedSize
+		s.KernelFallbacks += n.Fallbacks
+		s.Nodes = append(s.Nodes, ns)
+	}
+	return s
 }
 
 // Summarize distills one run's trace (a Collector.Spans snapshot, root

@@ -43,32 +43,48 @@ type CritReport struct {
 	Nodes []CritNode `json:"nodes"`
 }
 
-// CriticalPath analyzes a completed trace. spans is a Collector.Spans()
-// snapshot (root first); parents maps each node name to its DAG parents
-// (missing entries mean source node). Only spans carrying the AttrNode
-// attribute participate in the DAG walk, so gateway-side spans (admission,
-// queue wait) don't perturb the chain. A node's wait is measured against
-// its latest-finishing parent *with a span in this run* — parents served
-// from the Memory Catalog or storage without re-execution count as free.
+// NodeInterval is one executed node's run window.
+type NodeInterval struct {
+	Node       string
+	Start, End time.Time
+}
+
+// CriticalPath analyzes a completed trace: spans is a Collector.Spans()
+// snapshot (root first). It hands the root's window and the node spans —
+// those carrying AttrNode, so gateway-side spans (admission, queue wait)
+// never enter the DAG walk — to NodeCriticalPath.
 func CriticalPath(spans []Span, parents map[string][]string) CritReport {
-	var rep CritReport
 	if len(spans) == 0 {
-		return rep
+		return CritReport{}
 	}
 	root := spans[0]
-	rep.TraceID = root.TraceID.String()
-	rep.RunID = root.StrAttr(AttrRunID)
-	rep.WallSeconds = root.Duration().Seconds()
-
-	byNode := make(map[string]*Span)
-	for i := range spans[1:] {
-		sp := &spans[1+i]
+	var nodes []NodeInterval
+	for _, sp := range spans[1:] {
 		if n := sp.StrAttr(AttrNode); n != "" {
-			byNode[n] = sp
+			nodes = append(nodes, NodeInterval{Node: n, Start: sp.Start, End: sp.End})
 		}
 	}
-	if len(byNode) == 0 {
+	rep := NodeCriticalPath(root.Start, root.Duration().Seconds(), nodes, parents)
+	rep.TraceID = root.TraceID.String()
+	rep.RunID = root.StrAttr(AttrRunID)
+	return rep
+}
+
+// NodeCriticalPath is the critical-path rule over a run's executed nodes:
+// origin is the run's start (a source node's wait runs from there, so queue
+// wait and admission count), wallSeconds its wall time, and parents maps
+// each node name to its DAG parents (missing entries mean source node). A
+// node's wait is measured against its latest-finishing parent *among
+// nodes* — parents served from the Memory Catalog or storage without
+// re-execution count as free.
+func NodeCriticalPath(origin time.Time, wallSeconds float64, nodes []NodeInterval, parents map[string][]string) CritReport {
+	rep := CritReport{WallSeconds: wallSeconds}
+	if len(nodes) == 0 {
 		return rep
+	}
+	byNode := make(map[string]NodeInterval, len(nodes))
+	for _, n := range nodes {
+		byNode[n.Node] = n
 	}
 
 	// blocker returns the latest-finishing executed parent of node, if any.
@@ -77,38 +93,38 @@ func CriticalPath(spans []Span, parents map[string][]string) CritReport {
 		var bestEnd time.Time
 		found := false
 		for _, p := range parents[node] {
-			psp, ok := byNode[p]
+			pn, ok := byNode[p]
 			if !ok {
 				continue
 			}
-			if !found || psp.End.After(bestEnd) {
-				bestName, bestEnd, found = p, psp.End, true
+			if !found || pn.End.After(bestEnd) {
+				bestName, bestEnd, found = p, pn.End, true
 			}
 		}
 		return bestName, bestEnd, found
 	}
 
-	nodes := make(map[string]*CritNode, len(byNode))
+	crit := make(map[string]*CritNode, len(byNode))
 	var last string
 	var lastEnd time.Time
-	for name, sp := range byNode {
-		prev := root.Start
-		if _, end, ok := blocker(name); ok {
+	for _, n := range nodes {
+		prev := origin
+		if _, end, ok := blocker(n.Node); ok {
 			prev = end
 		}
-		wait := sp.Start.Sub(prev).Seconds()
+		wait := n.Start.Sub(prev).Seconds()
 		if wait < 0 {
 			wait = 0
 		}
-		nodes[name] = &CritNode{
-			Node:         name,
-			StartSeconds: sp.Start.Sub(root.Start).Seconds(),
-			EndSeconds:   sp.End.Sub(root.Start).Seconds(),
-			SelfSeconds:  sp.Duration().Seconds(),
+		crit[n.Node] = &CritNode{
+			Node:         n.Node,
+			StartSeconds: n.Start.Sub(origin).Seconds(),
+			EndSeconds:   n.End.Sub(origin).Seconds(),
+			SelfSeconds:  n.End.Sub(n.Start).Seconds(),
 			WaitSeconds:  wait,
 		}
-		if last == "" || sp.End.After(lastEnd) {
-			last, lastEnd = name, sp.End
+		if last == "" || n.End.After(lastEnd) {
+			last, lastEnd = n.Node, n.End
 		}
 	}
 
@@ -117,7 +133,7 @@ func CriticalPath(spans []Span, parents map[string][]string) CritReport {
 	var chain []string
 	for cur := last; cur != ""; {
 		chain = append(chain, cur)
-		nodes[cur].Critical = true
+		crit[cur].Critical = true
 		next, _, ok := blocker(cur)
 		if !ok || len(chain) > len(byNode) {
 			break
@@ -129,14 +145,14 @@ func CriticalPath(spans []Span, parents map[string][]string) CritReport {
 	}
 	rep.Chain = chain
 	for _, n := range chain {
-		rep.ChainSeconds += nodes[n].SelfSeconds + nodes[n].WaitSeconds
+		rep.ChainSeconds += crit[n].SelfSeconds + crit[n].WaitSeconds
 	}
 	if rep.WallSeconds > 0 {
 		rep.Coverage = rep.ChainSeconds / rep.WallSeconds
 	}
 
-	rep.Nodes = make([]CritNode, 0, len(nodes))
-	for _, n := range nodes {
+	rep.Nodes = make([]CritNode, 0, len(crit))
+	for _, n := range crit {
 		rep.Nodes = append(rep.Nodes, *n)
 	}
 	sort.Slice(rep.Nodes, func(i, j int) bool {
