@@ -30,6 +30,7 @@ import (
 
 	"github.com/shortcircuit-db/sc/internal/bench"
 	"github.com/shortcircuit-db/sc/internal/costmodel"
+	"github.com/shortcircuit-db/sc/internal/exec"
 	"github.com/shortcircuit-db/sc/internal/ledger"
 	"github.com/shortcircuit-db/sc/internal/obs"
 	"github.com/shortcircuit-db/sc/internal/session"
@@ -91,9 +92,13 @@ func main() {
 	if *progress {
 		cfg.Observer = progressPrinter(os.Stderr, cfg.Base)
 	}
-	var col *telemetry.Collector
 	if *progress || *traceFile != "" || *ledgerFile != "" || *explain {
 		cfg.RunID = telemetry.RunID(1)
+	}
+	// Only a reader of spans opens a trace: the ledger row comes from the
+	// simulated run's record.
+	var col *telemetry.Collector
+	if *progress || *traceFile != "" {
 		col = telemetry.NewCollector(telemetry.CollectorConfig{
 			RunID:    cfg.RunID,
 			RootName: "simulate " + *workload,
@@ -122,12 +127,11 @@ func main() {
 	fmt.Printf("\nend-to-end %.1fs  (read %.1fs, compute %.1fs, blocking write %.1fs, peak memory %.1f MB)\n",
 		res.Total, res.ReadSeconds, res.ComputeSeconds, res.WriteSeconds, float64(res.PeakMemory)/1e6)
 
-	if col == nil {
+	if cfg.RunID == "" {
 		return
 	}
-	// One finisher ends the simulated run the way real runs end: trace,
-	// ledger row keyed by workload so baselines compare like with like,
-	// export.
+	// One finisher ends the simulated run the way real runs end: ledger row
+	// keyed by workload so baselines compare like with like, trace, export.
 	pipe := &session.Pipeline{Name: "sim:" + *workload, Parents: w.G.ParentNames()}
 	var fin session.Finisher
 	if *ledgerFile != "" || *explain {
@@ -146,14 +150,9 @@ func main() {
 	}
 	// The root span ends with the last node span; the ledger row's wall
 	// time is res.Total, which also waits out background materialization.
-	end := cfg.Base.Add(time.Duration(res.Timeline[len(res.Timeline)-1].End * float64(time.Second)))
-	sum, _, spans := fin.Finish(pipe, col, end, ledger.Meta{
-		RunID:           cfg.RunID,
-		Outcome:         ledger.OutcomeSucceeded,
-		WallSeconds:     res.Total,
-		ReservedBytes:   mem,
-		ActualPeakBytes: res.PeakMemory,
-	})
+	end := cfg.Base.Add(vclock(res.Timeline[len(res.Timeline)-1].End))
+	meta := ledger.Meta{RunID: cfg.RunID, Outcome: ledger.OutcomeSucceeded, ReservedBytes: mem}
+	sum, _, spans := fin.Finish(pipe, col, simRecord(w, res, cfg.Base), end, meta)
 	if *progress {
 		printCriticalPath(os.Stderr, telemetry.CriticalPath(spans, pipe.Parents))
 	}
@@ -183,6 +182,25 @@ func main() {
 		os.Exit(3)
 	}
 }
+
+// simRecord is the simulated run's record, on the wall clock at base plus
+// the virtual seconds: each node's window, its priced output size, and every
+// output written to storage once. The simulator's fallbacks stay out of it,
+// as they always stayed out of the simulated row: the detector reads a
+// fallback as admission under-reserving, and a simulation admits nothing.
+func simRecord(w *sim.Workload, res *sim.Result, base time.Time) *exec.RunResult {
+	rec := &exec.RunResult{Start: base, Total: vclock(res.Total), PeakMemory: res.PeakMemory, Evictions: res.Evictions}
+	for _, nt := range res.Timeline {
+		out := w.Nodes[w.G.Lookup(nt.Name)].OutputBytes
+		rec.Nodes = append(rec.Nodes, exec.NodeMetrics{Name: nt.Name, Start: base.Add(vclock(nt.Start)),
+			End: base.Add(vclock(nt.End)), OutputBytes: out, Flagged: nt.Flagged})
+		rec.MaterializedBytes += out
+	}
+	return rec
+}
+
+// vclock converts virtual seconds to a duration.
+func vclock(sec float64) time.Duration { return time.Duration(sec * float64(time.Second)) }
 
 // printExplain diffs the just-appended run against the ledger's learned
 // baselines: per-node latest vs baseline wall with regressed nodes called

@@ -143,6 +143,9 @@ func (b *Bin) Type(sch table.Schema) (table.Type, error) {
 		if lt == table.Str || rt == table.Str {
 			return 0, fmt.Errorf("engine: arithmetic on STRING")
 		}
+		if b.Op == OpMod && (lt == table.Float || rt == table.Float) {
+			return 0, fmt.Errorf("engine: modulo on FLOAT")
+		}
 		if lt == table.Float || rt == table.Float || b.Op == OpDiv {
 			return table.Float, nil
 		}

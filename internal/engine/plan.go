@@ -86,6 +86,15 @@ type Filter struct {
 	Pred  Expr
 }
 
+// NewFilter builds a filter, typing the predicate against the input's
+// schema so type errors surface at plan time, not on the first row.
+func NewFilter(input Node, pred Expr) (*Filter, error) {
+	if _, err := pred.Type(input.Schema()); err != nil {
+		return nil, fmt.Errorf("engine: filter: %w", err)
+	}
+	return &Filter{Input: input, Pred: pred}, nil
+}
+
 // Schema implements Node.
 func (f *Filter) Schema() table.Schema { return f.Input.Schema() }
 

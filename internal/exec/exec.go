@@ -443,13 +443,8 @@ func (c *Controller) Run(ctx context.Context, w *Workload, g *dag.Graph, plan *c
 		}
 	}
 
-	res := &RunResult{
-		Start:             start,
-		FallbackWrites:    int(rs.fallbacks.Load()),
-		Evictions:         rs.evictions.Load(),
-		DecodedBytes:      rs.decoded.Load(),
-		MaterializedBytes: rs.materialized.Load(),
-	}
+	res := &RunResult{Start: start, FallbackWrites: int(rs.fallbacks.Load()), Evictions: rs.evictions.Load(),
+		DecodedBytes: rs.decoded.Load(), MaterializedBytes: rs.materialized.Load()}
 	for _, m := range metricsAt {
 		if m != nil {
 			res.Nodes = append(res.Nodes, *m)

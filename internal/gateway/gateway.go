@@ -242,11 +242,8 @@ type Run struct {
 	cancelRun  context.CancelFunc // set while running
 	cat        *memcat.Catalog    // live catalog while running
 	errMsg     string
-	nodes      int
-	flagged    int
-	fallbacks  int
-	leaked     int64 // bytes the run left in the shared pool, credited back by Detach
-	actualPeak int64 // run catalog high-water mark, vs the reservation
+	res        *exec.RunResult // the run's record, once it executed
+	leaked     int64           // bytes the run left in the shared pool, credited back by Detach
 	// evicted holds the run's Evicted events, read once when its trace
 	// closed (logClosed); until then they are read off the open log.
 	evicted   []introspect.EvictionEvent
@@ -293,10 +290,18 @@ func (r *Run) status() RunStatus {
 	st := RunStatus{
 		ID: r.id, Pipeline: r.p.Name, Tenant: r.p.tenant, State: r.state,
 		ReservedBytes: r.tkt.need, ReservedTokens: r.tkt.tokens,
-		ActualPeakBytes: r.actualPeak, EnqueuedAt: r.enqueuedAt,
-		StartedAt: r.startedAt, FinishedAt: r.finishedAt,
-		Nodes: r.nodes, Flagged: r.flagged, FallbackWrites: r.fallbacks,
+		EnqueuedAt: r.enqueuedAt,
+		StartedAt:  r.startedAt, FinishedAt: r.finishedAt,
 		LeakedBytes: r.leaked, Error: r.errMsg, EventsDropped: r.trace.EventsDropped(),
+	}
+	if r.res != nil {
+		// The record's peak is the run catalog's, read before Detach.
+		st.ActualPeakBytes, st.Nodes, st.FallbackWrites = r.res.PeakMemory, len(r.res.Nodes), r.res.FallbackWrites
+		for _, n := range r.res.Nodes {
+			if n.Flagged {
+				st.Flagged++
+			}
+		}
 	}
 	if !r.startedAt.IsZero() {
 		st.QueueWaitSeconds = r.startedAt.Sub(r.enqueuedAt).Seconds()
@@ -770,7 +775,6 @@ func (s *Server) execute(ctx context.Context, r *Run, plan *core.Plan) {
 	r.mu.Lock()
 	r.cat = nil
 	r.mu.Unlock()
-	actualPeak := cat.Peak() // before Detach zeroes the accounting
 	leaked := cat.Detach()
 	s.adm.finish(r.tkt)
 
@@ -792,18 +796,9 @@ func (s *Server) execute(ctx context.Context, r *Run, plan *core.Plan) {
 	r.mu.Lock()
 	r.cancelRun = nil
 	r.leaked = leaked
-	r.actualPeak = actualPeak
+	r.res = res
 	if runErr != nil {
 		r.errMsg = runErr.Error()
-	}
-	if res != nil {
-		r.nodes = len(res.Nodes)
-		r.fallbacks = res.FallbackWrites
-		for _, n := range res.Nodes {
-			if n.Flagged {
-				r.flagged++
-			}
-		}
 	}
 	s.terminate(r, state, now)
 }
@@ -815,8 +810,9 @@ func (s *Server) execute(ctx context.Context, r *Run, plan *core.Plan) {
 func (s *Server) terminate(r *Run, state string, now time.Time) {
 	r.state = state
 	r.finishedAt = now
+	res := r.res
 	r.mu.Unlock()
-	s.finishTrace(r, now, state)
+	s.finishTrace(r, res, now, state)
 	s.prom.refreshes.add(1, r.p.tenant, r.p.Name, state)
 	s.retire(r)
 }
@@ -840,9 +836,9 @@ func (s *Server) retire(r *Run) {
 }
 
 // finishTrace ends the run's observability lifecycle at its terminal
-// state — executed or not — through the server's Finisher, and adds what
-// the run's summary says it did to the prom counters.
-func (s *Server) finishTrace(r *Run, now time.Time, state string) {
+// state — executed or not, res its record — through the server's Finisher,
+// and adds what the run's ledger row says it did to the prom counters.
+func (s *Server) finishTrace(r *Run, res *exec.RunResult, now time.Time, state string) {
 	st := r.status()
 	r.trace.SetRootAttrs(
 		telemetry.Str("sc.state", state),
@@ -853,24 +849,20 @@ func (s *Server) finishTrace(r *Run, now time.Time, state string) {
 		RunID: r.id, Tenant: r.p.tenant, Outcome: state,
 		Start:       st.EnqueuedAt,
 		WallSeconds: st.ElapsedSeconds, QueueWaitSeconds: st.QueueWaitSeconds,
-		ReservedBytes: st.ReservedBytes, ActualPeakBytes: st.ActualPeakBytes,
-		FallbackWrites: st.FallbackWrites,
-		EventsDropped:  st.EventsDropped, Err: st.Error,
+		ReservedBytes: st.ReservedBytes,
+		EventsDropped: st.EventsDropped, Err: st.Error,
 	}
 	fin := s.fin
 	r.p.finMu.Lock()
 	if r.p.gone {
 		fin.Ledger = nil
 	}
-	sum, sampled, spans := fin.Finish(r.p.Pipeline, r.trace, now, meta)
+	sum, sampled, _ := fin.Finish(r.p.Pipeline, r.trace, res, now, meta)
 	r.p.finMu.Unlock()
 	evicted := r.evictions() // the log is closed: no event follows
 	r.mu.Lock()
 	r.evicted, r.logClosed = evicted, true
 	r.mu.Unlock()
-	if fin.Ledger == nil {
-		sum = ledger.Summarize(spans, r.p.Parents, meta) // counted below, landed nowhere
-	}
 	tenant, name := r.p.tenant, r.p.Name
 	s.prom.decodeBytes.add(float64(sum.DecodedBytes), tenant, name)
 	s.prom.encodeBytes.add(float64(sum.EncodedBytes), tenant, name)

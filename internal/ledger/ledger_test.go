@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -250,91 +251,50 @@ func TestConcurrentAppendRead(t *testing.T) {
 	}
 }
 
-// TestSummarizeFromSpans distills a hand-built trace and checks every
-// derived field: queue wait, per-node wall/wait, byte totals, ratios,
-// evictions, critical path, and the mispredict computation from Meta.
-func TestSummarizeFromSpans(t *testing.T) {
+// TestSummarizeAdaptsNodeSpans: the span adapter turns a hand-built
+// trace's node spans into a record for FromRun — identity, start and wall
+// from the root, per-node windows, bytes and flags from the node spans —
+// and leaves gateway-side spans and span events alone.
+func TestSummarizeAdaptsNodeSpans(t *testing.T) {
 	base := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
 	tid := telemetry.TraceID{1}
 	at := func(ms int) time.Time { return base.Add(time.Duration(ms) * time.Millisecond) }
-	root := telemetry.Span{
-		TraceID: tid, SpanID: telemetry.SpanID{1}, Name: "refresh",
-		Start: at(0), End: at(1000),
-		Attrs: []telemetry.Attr{telemetry.Str("sc.run_id", "run-7")},
-	}
-	queue := telemetry.Span{
-		TraceID: tid, SpanID: telemetry.SpanID{2}, Parent: root.SpanID,
-		Name: "queue admission", Start: at(0), End: at(100),
-	}
-	nodeA := telemetry.Span{
-		TraceID: tid, SpanID: telemetry.SpanID{3}, Parent: root.SpanID,
+	root := telemetry.Span{TraceID: tid, SpanID: telemetry.SpanID{1}, Name: "refresh", Start: at(0), End: at(1000)}
+	queue := telemetry.Span{TraceID: tid, SpanID: telemetry.SpanID{2}, Parent: root.SpanID,
+		Name: telemetry.SpanQueueAdmission, Start: at(0), End: at(100)}
+	nodeA := telemetry.Span{TraceID: tid, SpanID: telemetry.SpanID{3}, Parent: root.SpanID,
 		Name: "node a", Start: at(100), End: at(500),
 		Attrs: []telemetry.Attr{
 			telemetry.Str(telemetry.AttrNode, "a"),
-			telemetry.Int("sc.output_bytes", 4096),
-			telemetry.Int("sc.encoded_bytes", 1024),
+			telemetry.Int(telemetry.AttrOutputBytes, 4096),
+			telemetry.Int(telemetry.AttrEncodedBytes, 1024),
+			telemetry.Bool(telemetry.AttrFlagged, true),
 		},
-		Events: []telemetry.SpanEvent{
-			{Name: "EncodeDone", Time: at(480), Attrs: []telemetry.Attr{
-				telemetry.Int("sc.encoded_bytes", 1024), telemetry.Float("sc.ratio", 4.0)}},
-			{Name: "Evicted", Time: at(490)},
-		},
+		Events: []telemetry.SpanEvent{{Name: "Evicted", Time: at(490)}},
 	}
-	nodeB := telemetry.Span{
-		TraceID: tid, SpanID: telemetry.SpanID{4}, Parent: root.SpanID,
+	nodeB := telemetry.Span{TraceID: tid, SpanID: telemetry.SpanID{4}, Parent: root.SpanID,
 		Name: "node b", Start: at(500), End: at(1000),
-		Attrs: []telemetry.Attr{
-			telemetry.Str(telemetry.AttrNode, "b"),
-			telemetry.Int("sc.output_bytes", 2048),
-		},
-		Events: []telemetry.SpanEvent{
-			{Name: "DecodeDone", Time: at(600), Attrs: []telemetry.Attr{telemetry.Int("sc.bytes", 4096)}},
-			{Name: "KernelDone", Time: at(900), Attrs: []telemetry.Attr{telemetry.Int("sc.kernel.fallbacks", 2)}},
-		},
+		Attrs: []telemetry.Attr{telemetry.Str(telemetry.AttrNode, "b"), telemetry.Int(telemetry.AttrOutputBytes, 2048)},
 	}
-	spans := []telemetry.Span{root, queue, nodeA, nodeB}
-	parents := map[string][]string{"b": {"a"}}
+	s := Summarize([]telemetry.Span{root, queue, nodeA, nodeB}, map[string][]string{"b": {"a"}},
+		Meta{RunID: "run-7", Pipeline: "p", Outcome: OutcomeSucceeded})
 
-	s := Summarize(spans, parents, Meta{
-		Pipeline: "p", Tenant: "t",
-		ReservedBytes: 1000, ActualPeakBytes: 400, FallbackWrites: 1,
-	})
-
-	if s.RunID != "run-7" || s.TraceID != tid.String() {
-		t.Fatalf("identity from root span: %+v", s)
+	if s.RunID != "run-7" || s.TraceID != tid.String() || !s.Start.Equal(base) || s.WallSeconds != 1.0 {
+		t.Fatalf("identity and timing: %+v", s)
 	}
-	if s.Outcome != OutcomeSucceeded {
-		t.Fatalf("outcome default: %q", s.Outcome)
-	}
-	if s.WallSeconds != 1.0 {
-		t.Fatalf("wall = %g, want 1.0", s.WallSeconds)
-	}
-	if s.QueueWaitSeconds != 0.1 {
-		t.Fatalf("queue wait = %g, want 0.1", s.QueueWaitSeconds)
-	}
-	if s.Mispredict != 0.6 {
-		t.Fatalf("mispredict = %g, want 0.6", s.Mispredict)
-	}
-	if s.OutputBytes != 6144 || s.EncodedBytes != 1024 || s.DecodedBytes != 4096 {
-		t.Fatalf("byte totals: out %d enc %d dec %d", s.OutputBytes, s.EncodedBytes, s.DecodedBytes)
-	}
-	if s.Evictions != 1 || s.KernelFallbacks != 2 {
-		t.Fatalf("evictions %d fallbacks %d", s.Evictions, s.KernelFallbacks)
+	if s.OutputBytes != 6144 || s.EncodedBytes != 1024 || s.Evictions != 0 {
+		t.Fatalf("byte totals: %+v", s)
 	}
 	if len(s.Nodes) != 2 || s.Nodes[0].Node != "a" || s.Nodes[1].Node != "b" {
 		t.Fatalf("nodes: %+v", s.Nodes)
 	}
-	a, b := s.Nodes[0], s.Nodes[1]
-	if a.WallSeconds != 0.4 || a.Ratio != 4.0 {
+	if a := s.Nodes[0]; a.WallSeconds != 0.4 || a.Ratio != 4.0 || !a.Flagged || a.WaitSeconds != 0.1 {
 		t.Fatalf("node a: %+v", a)
 	}
-	if b.KernelFallbacks != 2 {
-		t.Fatalf("node b fallbacks: %+v", b)
+	if !reflect.DeepEqual(s.CritPath, []string{"a", "b"}) || !s.Nodes[1].Critical {
+		t.Fatalf("critical path: %v, nodes %+v", s.CritPath, s.Nodes)
 	}
-	if len(s.CritPath) == 0 || s.CritPath[len(s.CritPath)-1] != "b" {
-		t.Fatalf("critical path: %v", s.CritPath)
-	}
-	if !b.Critical {
-		t.Fatalf("node b should be on the critical path: %+v", b)
+	if empty := Summarize(nil, nil, Meta{RunID: "run-8"}); empty.RunID != "run-8" || empty.Outcome != OutcomeSucceeded || empty.Nodes != nil {
+		t.Fatalf("a trace-less row: %+v", empty)
 	}
 }

@@ -6,58 +6,52 @@ import (
 	"testing"
 	"time"
 
+	"github.com/shortcircuit-db/sc/internal/exec"
 	"github.com/shortcircuit-db/sc/internal/obs"
-	"github.com/shortcircuit-db/sc/internal/telemetry"
 )
 
-// TestEventsRoundTripThroughCollectorAndLedger plays one synthetic run with
-// every event kind through the Collector, summarizes its spans and appends
-// the row: every run and node column derived from spans must come out
-// non-zero and equal to what the events said. The Collector writes the span
-// schema and Summarize reads it, so a name that drifts on either side zeroes
-// a column here.
-func TestEventsRoundTripThroughCollectorAndLedger(t *testing.T) {
+// TestRecordRoundTripThroughLedger builds the row of one synthetic run
+// record with every run and node column set and appends it: every column
+// must come out non-zero and equal to what the record and meta said, and
+// read back as appended. A record field FromRun forgets zeroes a column
+// here.
+func TestRecordRoundTripThroughLedger(t *testing.T) {
 	base := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
 	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 	at := func(n int) time.Time { return base.Add(ms(n)) }
-	col := telemetry.NewCollector(telemetry.CollectorConfig{RunID: "run-9", Start: base})
-	col.AddChildSpan(telemetry.SpanQueueAdmission, base, at(100))
 	// Node a runs 100–400 ms, node b (its child) 500–900 ms.
-	for _, e := range []obs.Event{
-		{Kind: obs.IterationDone, Iteration: 1, Score: 2.5},
-		{Kind: obs.NodeStart, Node: "a", At: at(100)},
-		{Kind: obs.DecodeDone, Node: "a", Bytes: 4096, Encoded: 1024, Ratio: 4, At: at(150), Elapsed: ms(5)},
-		{Kind: obs.KernelDone, Node: "a", KernelStats: obs.KernelStats{Lowered: 3, Fallbacks: 2}, At: at(200)},
-		{Kind: obs.EncodeDone, Node: "a", Bytes: 8192, Encoded: 2048, Ratio: 4, At: at(300), Elapsed: ms(5)},
-		{Kind: obs.MemoryHighWater, Step: -1, Bytes: 2048, At: at(300)},
-		{Kind: obs.NodeDone, Node: "a", Bytes: 8192, Encoded: 2048, Flagged: true, At: at(400), Elapsed: ms(300)},
-		{Kind: obs.NodeStart, Node: "b", Step: 1, At: at(500)},
-		{Kind: obs.CacheHit, Node: "b", Source: "a", Step: 1, Bytes: 2048, At: at(510)},
-		{Kind: obs.KernelDone, Node: "b", Step: 1, KernelStats: obs.KernelStats{Lowered: 1, Fallbacks: 1}, At: at(600)},
-		{Kind: obs.Materialized, Node: "a", Bytes: 2048, At: at(650)},
-		{Kind: obs.Evicted, Node: "a", Bytes: 2048, At: at(700)},
-		{Kind: obs.EncodeDone, Node: "b", Step: 1, Bytes: 512, Encoded: 256, Ratio: 2, At: at(800), Elapsed: ms(5)},
-		{Kind: obs.Materialized, Node: "b", Step: 1, Bytes: 256, At: at(850)},
-		{Kind: obs.NodeDone, Node: "b", Step: 1, Bytes: 512, Encoded: 256, Flagged: true, At: at(900), Elapsed: ms(400)},
-	} {
-		col.OnEvent(e)
+	res := &exec.RunResult{
+		Start: at(100), Total: ms(850), FallbackWrites: 1, PeakMemory: 2048,
+		Evictions: 1, DecodedBytes: 4096, MaterializedBytes: 2048 + 256,
+		Nodes: []exec.NodeMetrics{
+			{Name: "a", Start: at(100), End: at(400), OutputBytes: 8192, EncodedSize: 2048, Flagged: true,
+				KernelStats: obs.KernelStats{Lowered: 3, Fallbacks: 2}},
+			{Name: "b", Start: at(500), End: at(900), OutputBytes: 512, EncodedSize: 256, Flagged: true,
+				KernelStats: obs.KernelStats{Lowered: 1, Fallbacks: 1}},
+		},
 	}
-	col.Finish(at(1000), "")
+	meta := Meta{
+		RunID: "run-9", Pipeline: "p", Tenant: "t", Outcome: OutcomeSucceeded, Start: base,
+		WallSeconds: 1.0, QueueWaitSeconds: 0.1, ReservedBytes: 4096, EventsDropped: 2,
+	}
 
 	l, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	got, _ := l.Append(Summarize(col.Spans(), map[string][]string{"b": {"a"}}, Meta{Pipeline: "p"}))
+	got, _ := l.Append(FromRun(res, map[string][]string{"b": {"a"}}, meta))
 	if rows := l.Runs(Filter{Pipeline: "p"}); len(rows) != 1 || !reflect.DeepEqual(rows[0], got) {
 		t.Fatalf("appended row %+v reads back as %+v", got, rows)
 	}
 
 	near := func(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
-	if got.RunID != "run-9" || got.TraceID != col.Context().TraceID.String() || !got.Start.Equal(base) ||
-		!near(got.WallSeconds, 1.0) || !near(got.QueueWaitSeconds, 0.1) {
-		t.Errorf("identity and timing from the root and admission spans: %+v", got)
+	if got.RunID != "run-9" || got.Tenant != "t" || !got.Start.Equal(base) || !near(got.WallSeconds, 1.0) ||
+		!near(got.QueueWaitSeconds, 0.1) || got.EventsDropped != 2 {
+		t.Errorf("identity and timing from meta: %+v", got)
+	}
+	if got.ReservedBytes != 4096 || got.ActualPeakBytes != 2048 || !near(got.Mispredict, 0.5) || got.FallbackWrites != 1 {
+		t.Errorf("admission accounting: %+v", got)
 	}
 	if got.OutputBytes != 8192+512 || got.EncodedBytes != 2048+256 || got.DecodedBytes != 4096 ||
 		got.MaterializedBytes != 2048+256 || got.Evictions != 1 || got.KernelFallbacks != 3 {
@@ -82,5 +76,11 @@ func TestEventsRoundTripThroughCollectorAndLedger(t *testing.T) {
 			g.Ratio != w.Ratio || g.KernelFallbacks != w.KernelFallbacks || g.Flagged != w.Flagged || g.Critical != w.Critical {
 			t.Errorf("node row %d = %+v, want %+v", i, g, w)
 		}
+	}
+
+	// A run that never executed is its meta alone.
+	if row := FromRun(nil, nil, Meta{RunID: "run-10", Outcome: OutcomeExpired, WallSeconds: 0.5}); row.RunID != "run-10" ||
+		row.Outcome != OutcomeExpired || row.WallSeconds != 0.5 || row.Nodes != nil || row.CritPath != nil {
+		t.Errorf("a run that never executed: %+v", row)
 	}
 }

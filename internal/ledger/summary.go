@@ -1,6 +1,6 @@
 // Package ledger is S/C's run history and operational judgment layer: a
 // bounded in-memory ring (optionally NDJSON-persisted) of per-run
-// summaries distilled from the obs stream and telemetry.Collector output,
+// summaries built from each run's record (exec.RunResult, by FromRun),
 // per-(pipeline, node) baselines learned from that history with
 // metrics.EWMA (the one learning rule, which the metadata store learns its
 // compression ratios with too), and an anomaly detector that flags runs
@@ -10,9 +10,9 @@
 // catalog bytes, the paper's §III accounting finally checked after the
 // fact). The detector's verdict doubles as the
 // tail-sampling policy: exported traces are kept only for anomalous, slow
-// or failed runs. The span and event names Summarize reads are the
-// constants the Collector writes them with (telemetry.Attr*, Event*,
-// SpanQueueAdmission). The detector's thresholds, the health window and
+// or failed runs. A row needs no trace: the record holds every number it
+// carries, and the critical path is telemetry's rule over the nodes' run
+// windows. The detector's thresholds, the health window and
 // objective, and the NDJSON size cap are documented constants (ledger.go,
 // health.go); a Config says only where the history lives, how much of it
 // to keep, and what "slow" means.
@@ -20,7 +20,6 @@ package ledger
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"github.com/shortcircuit-db/sc/internal/exec"
@@ -64,8 +63,8 @@ type Anomaly struct {
 type NodeSummary struct {
 	Node        string  `json:"node"`
 	WallSeconds float64 `json:"wall_seconds"`
-	// SelfSeconds is the node span's own duration; WaitSeconds is the gap
-	// behind its latest-finishing DAG parent (critical-path decomposition).
+	// SelfSeconds is the node's own run time; WaitSeconds is the gap behind
+	// its latest-finishing DAG parent (critical-path decomposition).
 	SelfSeconds     float64 `json:"self_seconds"`
 	WaitSeconds     float64 `json:"wait_seconds"`
 	OutputBytes     int64   `json:"output_bytes,omitempty"`
@@ -74,8 +73,6 @@ type NodeSummary struct {
 	KernelFallbacks int64   `json:"kernel_fallbacks,omitempty"`
 	Flagged         bool    `json:"flagged,omitempty"`
 	Critical        bool    `json:"critical,omitempty"` // on the longest blocking chain
-
-	start time.Time // span start, for execution-order sorting
 }
 
 // RunSummary is the ledger's record of one refresh (or simulation) run —
@@ -120,9 +117,9 @@ type RunSummary struct {
 // Anomalous reports whether the detector flagged the run.
 func (s *RunSummary) Anomalous() bool { return len(s.Anomalies) > 0 }
 
-// Meta carries the run fields that do not live on the trace (or that
-// override what Summarize would derive from it): identity, outcome, and
-// the admission accounting.
+// Meta carries the run fields the run record does not hold: identity,
+// outcome, queue wait and the admission reservation. A zero Start or
+// WallSeconds takes the record's own start and Total.
 type Meta struct {
 	RunID    string
 	Pipeline string
@@ -133,9 +130,7 @@ type Meta struct {
 	WallSeconds      float64
 	QueueWaitSeconds float64
 
-	ReservedBytes   int64
-	ActualPeakBytes int64
-	FallbackWrites  int
+	ReservedBytes int64
 
 	EventsDropped int64
 	Err           string
@@ -186,17 +181,9 @@ func FromRun(res *exec.RunResult, parents map[string][]string, meta Meta) RunSum
 	s.CritPath, s.CritPathSeconds = cp.Chain, cp.ChainSeconds
 	for _, c := range cp.Nodes { // in start order
 		n := byName[c.Node]
-		ns := NodeSummary{
-			Node:            n.Name,
-			WallSeconds:     c.SelfSeconds,
-			SelfSeconds:     c.SelfSeconds,
-			WaitSeconds:     c.WaitSeconds,
-			OutputBytes:     n.OutputBytes,
-			EncodedBytes:    n.EncodedSize,
-			KernelFallbacks: n.Fallbacks,
-			Flagged:         n.Flagged,
-			Critical:        c.Critical,
-		}
+		ns := NodeSummary{Node: n.Name, WallSeconds: c.SelfSeconds, SelfSeconds: c.SelfSeconds, WaitSeconds: c.WaitSeconds,
+			OutputBytes: n.OutputBytes, EncodedBytes: n.EncodedSize, KernelFallbacks: n.Fallbacks,
+			Flagged: n.Flagged, Critical: c.Critical}
 		if n.OutputBytes > 0 && n.EncodedSize > 0 {
 			ns.Ratio = float64(n.OutputBytes) / float64(n.EncodedSize)
 		}
@@ -208,132 +195,26 @@ func FromRun(res *exec.RunResult, parents map[string][]string, meta Meta) RunSum
 	return s
 }
 
-// Summarize distills one run's trace (a Collector.Spans snapshot, root
-// first) plus its metadata into the ledger record: per-node wall/self/wait
-// from the critical-path analysis, decoded/encoded/materialized byte totals
-// and compression ratios from the span events, and the predicted-vs-actual
-// peak accounting from meta. Without spans the record is meta alone.
+// Summarize builds the ledger row of a finished trace (a Collector.Spans
+// snapshot, root first) through FromRun: the root span gives the run's
+// start and wall time, each node span a record of the node's window,
+// output and encoded bytes and flag. It reads no span events, so the run's
+// decoded, materialized and evicted totals and kernel fallbacks stay zero.
 func Summarize(spans []telemetry.Span, parents map[string][]string, meta Meta) RunSummary {
-	s := RunSummary{
-		RunID: meta.RunID, Pipeline: meta.Pipeline, Tenant: meta.Tenant,
-		Outcome: meta.Outcome, Start: meta.Start,
-		WallSeconds: meta.WallSeconds, QueueWaitSeconds: meta.QueueWaitSeconds,
-		ReservedBytes: meta.ReservedBytes, ActualPeakBytes: meta.ActualPeakBytes,
-		FallbackWrites: meta.FallbackWrites,
-		EventsDropped:  meta.EventsDropped, Error: meta.Err,
-	}
-	if s.Outcome == "" {
-		s.Outcome = OutcomeSucceeded
-	}
-	if s.ReservedBytes > 0 {
-		s.Mispredict = math.Abs(float64(s.ReservedBytes-s.ActualPeakBytes)) / float64(s.ReservedBytes)
-	}
 	if len(spans) == 0 {
-		return s
+		return FromRun(nil, parents, meta)
 	}
-	root := spans[0]
-	s.TraceID = root.TraceID.String()
-	if s.RunID == "" {
-		s.RunID = root.StrAttr(telemetry.AttrRunID)
-	}
-	if s.Start.IsZero() {
-		s.Start = root.Start
-	}
-	if s.WallSeconds == 0 {
-		s.WallSeconds = root.Duration().Seconds()
-	}
-
-	cp := telemetry.CriticalPath(spans, parents)
-	s.CritPath = cp.Chain
-	s.CritPathSeconds = cp.ChainSeconds
-	waits := make(map[string]float64, len(cp.Nodes))
-	critical := make(map[string]bool, len(cp.Nodes))
-	for _, n := range cp.Nodes {
-		waits[n.Node] = n.WaitSeconds
-		critical[n.Node] = n.Critical
-	}
-
-	countEvents := func(evs []telemetry.SpanEvent, ns *NodeSummary) {
-		for _, ev := range evs {
-			switch ev.Name {
-			case telemetry.EventEncodeDone:
-				s.EncodedBytes += eventInt(ev, telemetry.AttrEncodedBytes)
-				if ns != nil {
-					if r := eventFloat(ev, telemetry.AttrRatio); r > 0 {
-						ns.Ratio = r
-					}
-				}
-			case telemetry.EventDecodeDone:
-				s.DecodedBytes += eventInt(ev, telemetry.AttrBytes)
-			case telemetry.EventMaterialized:
-				s.MaterializedBytes += eventInt(ev, telemetry.AttrBytes)
-			case telemetry.EventEvicted:
-				s.Evictions++
-			case telemetry.EventKernelDone:
-				if ns != nil {
-					ns.KernelFallbacks += eventInt(ev, telemetry.AttrKernelFallbacks)
-				}
-			}
-		}
-	}
-	countEvents(root.Events, nil)
+	res := &exec.RunResult{Start: spans[0].Start, Total: spans[0].Duration()}
 	for _, sp := range spans[1:] {
-		if sp.Name == telemetry.SpanQueueAdmission && s.QueueWaitSeconds == 0 {
-			s.QueueWaitSeconds = sp.Duration().Seconds()
+		if name := sp.StrAttr(telemetry.AttrNode); name != "" {
+			out, _ := sp.Attr(telemetry.AttrOutputBytes)
+			enc, _ := sp.Attr(telemetry.AttrEncodedBytes)
+			flagged, _ := sp.Attr(telemetry.AttrFlagged)
+			res.Nodes = append(res.Nodes, exec.NodeMetrics{Name: name, Start: sp.Start, End: sp.End,
+				OutputBytes: out.Int, EncodedSize: enc.Int, Flagged: flagged.Bool})
 		}
-		node := sp.StrAttr(telemetry.AttrNode)
-		if node == "" {
-			countEvents(sp.Events, nil)
-			continue
-		}
-		ns := NodeSummary{
-			Node:        node,
-			WallSeconds: sp.Duration().Seconds(),
-			SelfSeconds: sp.Duration().Seconds(),
-			WaitSeconds: waits[node],
-			Critical:    critical[node],
-			start:       sp.Start,
-		}
-		if a, ok := sp.Attr(telemetry.AttrOutputBytes); ok {
-			ns.OutputBytes = a.Int
-		}
-		if a, ok := sp.Attr(telemetry.AttrEncodedBytes); ok {
-			ns.EncodedBytes = a.Int
-		}
-		if a, ok := sp.Attr(telemetry.AttrFlagged); ok {
-			ns.Flagged = a.Bool
-		}
-		countEvents(sp.Events, &ns)
-		if ns.Ratio == 0 && ns.EncodedBytes > 0 && ns.OutputBytes > 0 {
-			ns.Ratio = float64(ns.OutputBytes) / float64(ns.EncodedBytes)
-		}
-		s.OutputBytes += ns.OutputBytes
-		s.KernelFallbacks += ns.KernelFallbacks
-		s.Nodes = append(s.Nodes, ns)
 	}
-	sort.Slice(s.Nodes, func(i, j int) bool {
-		if !s.Nodes[i].start.Equal(s.Nodes[j].start) {
-			return s.Nodes[i].start.Before(s.Nodes[j].start)
-		}
-		return s.Nodes[i].Node < s.Nodes[j].Node
-	})
+	s := FromRun(res, parents, meta)
+	s.TraceID = spans[0].TraceID.String()
 	return s
-}
-
-func eventInt(ev telemetry.SpanEvent, key string) int64 {
-	for _, a := range ev.Attrs {
-		if a.Key == key && a.Type == telemetry.AttrInt {
-			return a.Int
-		}
-	}
-	return 0
-}
-
-func eventFloat(ev telemetry.SpanEvent, key string) float64 {
-	for _, a := range ev.Attrs {
-		if a.Key == key && a.Type == telemetry.AttrFloat {
-			return a.Flt
-		}
-	}
-	return 0
 }

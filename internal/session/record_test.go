@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -210,10 +212,120 @@ func recordAndSpanRows(t *testing.T, tables map[string]*table.Table, c recordCas
 	meta.Start = spans[0].Start
 
 	got = ledger.FromRun(res, p.Parents, meta)
-	spanMeta := meta
-	spanMeta.ActualPeakBytes, spanMeta.FallbackWrites = res.PeakMemory, res.FallbackWrites
-	want = ledger.Summarize(spans, p.Parents, spanMeta)
+	want = spanSummary(spans, p.Parents, meta, res.PeakMemory, res.FallbackWrites)
 	return got, want, res
+}
+
+// spanSummary is the ledger row as the span walk built it before the run
+// record carried these numbers: per-node times and bytes from the node
+// spans, run totals from the span events, the critical path from the spans.
+// It is the reference FromRun is checked against.
+func spanSummary(spans []telemetry.Span, parents map[string][]string, meta ledger.Meta, peak int64, fallbacks int) ledger.RunSummary {
+	s := ledger.RunSummary{
+		RunID: meta.RunID, Pipeline: meta.Pipeline, Tenant: meta.Tenant,
+		Outcome: meta.Outcome, Start: meta.Start,
+		WallSeconds: meta.WallSeconds, QueueWaitSeconds: meta.QueueWaitSeconds,
+		ReservedBytes: meta.ReservedBytes, ActualPeakBytes: peak,
+		FallbackWrites: fallbacks,
+		EventsDropped:  meta.EventsDropped, Error: meta.Err,
+	}
+	if s.ReservedBytes > 0 {
+		s.Mispredict = math.Abs(float64(s.ReservedBytes-s.ActualPeakBytes)) / float64(s.ReservedBytes)
+	}
+	root := spans[0]
+	s.TraceID = root.TraceID.String()
+	cp := telemetry.CriticalPath(spans, parents)
+	s.CritPath = cp.Chain
+	s.CritPathSeconds = cp.ChainSeconds
+	waits := make(map[string]float64, len(cp.Nodes))
+	critical := make(map[string]bool, len(cp.Nodes))
+	for _, n := range cp.Nodes {
+		waits[n.Node] = n.WaitSeconds
+		critical[n.Node] = n.Critical
+	}
+	eventInt := func(ev telemetry.SpanEvent, key string) int64 {
+		for _, a := range ev.Attrs {
+			if a.Key == key && a.Type == telemetry.AttrInt {
+				return a.Int
+			}
+		}
+		return 0
+	}
+	countEvents := func(evs []telemetry.SpanEvent, ns *ledger.NodeSummary) {
+		for _, ev := range evs {
+			switch ev.Name {
+			case obs.EncodeDone.String():
+				s.EncodedBytes += eventInt(ev, telemetry.AttrEncodedBytes)
+				if ns != nil {
+					for _, a := range ev.Attrs {
+						if a.Key == "sc.ratio" && a.Type == telemetry.AttrFloat && a.Flt > 0 {
+							ns.Ratio = a.Flt
+						}
+					}
+				}
+			case obs.DecodeDone.String():
+				s.DecodedBytes += eventInt(ev, "sc.bytes")
+			case obs.Materialized.String():
+				s.MaterializedBytes += eventInt(ev, "sc.bytes")
+			case obs.Evicted.String():
+				s.Evictions++
+			case obs.KernelDone.String():
+				if ns != nil {
+					ns.KernelFallbacks += eventInt(ev, "sc.kernel.fallbacks")
+				}
+			}
+		}
+	}
+	countEvents(root.Events, nil)
+	var starts []time.Time
+	for _, sp := range spans[1:] {
+		node := sp.StrAttr(telemetry.AttrNode)
+		if node == "" {
+			countEvents(sp.Events, nil)
+			continue
+		}
+		ns := ledger.NodeSummary{
+			Node:        node,
+			WallSeconds: sp.Duration().Seconds(),
+			SelfSeconds: sp.Duration().Seconds(),
+			WaitSeconds: waits[node],
+			Critical:    critical[node],
+		}
+		if a, ok := sp.Attr(telemetry.AttrOutputBytes); ok {
+			ns.OutputBytes = a.Int
+		}
+		if a, ok := sp.Attr(telemetry.AttrEncodedBytes); ok {
+			ns.EncodedBytes = a.Int
+		}
+		if a, ok := sp.Attr(telemetry.AttrFlagged); ok {
+			ns.Flagged = a.Bool
+		}
+		countEvents(sp.Events, &ns)
+		if ns.Ratio == 0 && ns.EncodedBytes > 0 && ns.OutputBytes > 0 {
+			ns.Ratio = float64(ns.OutputBytes) / float64(ns.EncodedBytes)
+		}
+		s.OutputBytes += ns.OutputBytes
+		s.KernelFallbacks += ns.KernelFallbacks
+		s.Nodes = append(s.Nodes, ns)
+		starts = append(starts, sp.Start)
+	}
+	order := make([]int, len(s.Nodes))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		if !starts[a].Equal(starts[b]) {
+			return starts[a].Before(starts[b])
+		}
+		return s.Nodes[a].Node < s.Nodes[b].Node
+	})
+	nodes := make([]ledger.NodeSummary, len(order))
+	for i, k := range order {
+		nodes[i] = s.Nodes[k]
+	}
+	s.Nodes = nodes
+	return s
 }
 
 // rowJSON renders a row without its times and trace ID.

@@ -6,8 +6,9 @@
 // metadata from the run's result, so a run nobody watches emits no events;
 // the event stream exists for the watchers a caller names: the run's trace,
 // which is also its event log, and the library's observer. A Finisher ends
-// a traced run's observability lifecycle: trace, ledger row, alerts,
-// export. sc.Refresher and the gateway differ only in what they put around
+// a run's observability lifecycle: the ledger row, built from the run's
+// record whether or not the run was traced, alerts, and the trace's end
+// and export when there is one. sc.Refresher and the gateway differ only in what they put around
 // these two: options and plan caching on one side, admission and the run
 // state machine on the other.
 package session
@@ -265,29 +266,34 @@ const (
 	SampleDropped = "dropped"
 )
 
-// Finish closes a traced run, executed or not: it ends col's root span at
-// now (zero means the present) with the outcome as its status, lands the
-// ledger row derived from the spans, pushes the row's anomalies and a
-// changed health verdict to the webhook, and exports the trace unless tail
-// sampling drops it. The caller supplies meta's outcome; Finish fills in
-// the pipeline name. sampled is SampleKept or SampleDropped, or "" without
-// an exporter. A run that opened no trace has nothing to finish.
-func (f *Finisher) Finish(p *Pipeline, col *telemetry.Collector, now time.Time, meta ledger.Meta) (sum ledger.RunSummary, sampled string, spans []telemetry.Span) {
+// Finish ends a run, executed or not: it builds the ledger row from the
+// run's record res (nil if it never executed) and meta, lands it, and pushes
+// its anomalies and a changed health verdict to the webhook. A traced run
+// (col non-nil) also has col's root span ended at now (zero means the
+// present) with the outcome as its status, its trace ID on the row, and its
+// trace exported unless tail sampling drops it. The caller supplies meta's
+// outcome; Finish fills in the pipeline name. sampled is SampleKept or
+// SampleDropped, or "" without an exporter.
+func (f *Finisher) Finish(p *Pipeline, col *telemetry.Collector, res *exec.RunResult, now time.Time, meta ledger.Meta) (sum ledger.RunSummary, sampled string, spans []telemetry.Span) {
 	meta.Pipeline = p.Name
-	msg := meta.Err
-	if msg == "" && meta.Outcome != ledger.OutcomeSucceeded {
-		msg = meta.Outcome
+	sum = ledger.FromRun(res, p.Parents, meta)
+	if col != nil {
+		msg := meta.Err
+		if msg == "" && meta.Outcome != ledger.OutcomeSucceeded {
+			msg = meta.Outcome
+		}
+		col.Finish(now, msg)
+		spans = col.Spans()
+		sum.TraceID = spans[0].TraceID.String()
 	}
-	col.Finish(now, msg)
-	spans = col.Spans()
 	keep := true
 	if f.Ledger != nil {
 		var dec ledger.Decision
-		sum, dec = f.Ledger.Append(ledger.Summarize(spans, p.Parents, meta))
+		sum, dec = f.Ledger.Append(sum)
 		f.notify(p, sum)
 		keep = dec.Keep || !f.TailSample
 	}
-	if f.Exporter != nil {
+	if f.Exporter != nil && col != nil {
 		sampled = SampleDropped
 		if keep {
 			f.Exporter.Export(spans)

@@ -36,14 +36,18 @@ func testPipeline(t *testing.T) *Pipeline {
 }
 
 // tracedRun opens a trace on p and, for a run that executed, plays one node
-// through it.
-func tracedRun(p *Pipeline, runID string, executed bool) *telemetry.Collector {
+// through it and returns the run's record.
+func tracedRun(p *Pipeline, runID string, executed bool) (*telemetry.Collector, *exec.RunResult) {
 	col := p.OpenTrace(runID, time.Time{}, telemetry.SpanContext{})
-	if executed {
-		col.OnEvent(obs.Event{Kind: obs.NodeStart, Node: "a"})
-		col.OnEvent(obs.Event{Kind: obs.NodeDone, Node: "a", Bytes: 64, Elapsed: time.Millisecond})
+	if !executed {
+		return col, nil
 	}
-	return col
+	start := time.Now()
+	col.OnEvent(obs.Event{Kind: obs.NodeStart, Node: "a", At: start})
+	col.OnEvent(obs.Event{Kind: obs.NodeDone, Node: "a", Bytes: 64, Elapsed: time.Millisecond})
+	return col, &exec.RunResult{Start: start, Total: time.Millisecond, Nodes: []exec.NodeMetrics{
+		{Name: "a", Start: start, End: start.Add(time.Millisecond), OutputBytes: 64},
+	}}
 }
 
 type captureExporter struct{ traces [][]telemetry.Span }
@@ -106,9 +110,9 @@ func TestFinishLandsTheCallersOutcome(t *testing.T) {
 			p := testPipeline(t)
 			exp := &captureExporter{}
 			f := Finisher{Ledger: newLedger(t, ledger.Config{}), Exporter: exp, TailSample: tc.tailSample}
-			col := tracedRun(p, "run-1", !tc.queuedOnly)
+			col, res := tracedRun(p, "run-1", !tc.queuedOnly)
 			tc.meta.RunID = "run-1"
-			sum, sampled, spans := f.Finish(p, col, time.Time{}, tc.meta)
+			sum, sampled, spans := f.Finish(p, col, res, time.Time{}, tc.meta)
 
 			rows := f.Ledger.Runs(ledger.Filter{Pipeline: "p"})
 			if len(rows) != 1 {
@@ -147,9 +151,35 @@ func TestFinishWithoutLedgerStillTracesAndExports(t *testing.T) {
 	p := testPipeline(t)
 	exp := &captureExporter{}
 	f := Finisher{Exporter: exp}
-	sum, sampled, spans := f.Finish(p, tracedRun(p, "run-1", true), time.Time{}, ledger.Meta{Outcome: ledger.OutcomeSucceeded})
+	col, res := tracedRun(p, "run-1", true)
+	sum, sampled, spans := f.Finish(p, col, res, time.Time{}, ledger.Meta{Outcome: ledger.OutcomeSucceeded})
 	if sum.RunID != "" || sampled != SampleKept || len(spans) != 2 || len(exp.traces) != 1 {
 		t.Fatalf("sum %+v sampled %q spans %d exports %d", sum, sampled, len(spans), len(exp.traces))
+	}
+}
+
+// TestFinishWithoutTraceLandsTheRow is the library session with WithLedger
+// alone: no collector, and the row still comes from the run's record, with
+// its nodes and critical path and no trace ID.
+func TestFinishWithoutTraceLandsTheRow(t *testing.T) {
+	p := testPipeline(t)
+	f := Finisher{Ledger: newLedger(t, ledger.Config{})}
+	start := time.Now()
+	res := &exec.RunResult{Start: start, Total: 3 * time.Millisecond, Nodes: []exec.NodeMetrics{
+		{Name: "a", Start: start, End: start.Add(time.Millisecond), OutputBytes: 64, EncodedSize: 32},
+		{Name: "b", Start: start.Add(time.Millisecond), End: start.Add(2 * time.Millisecond), OutputBytes: 16, EncodedSize: 8},
+	}}
+	sum, sampled, spans := f.Finish(p, nil, res, time.Time{}, ledger.Meta{RunID: "run-1", Outcome: ledger.OutcomeSucceeded})
+	if sampled != "" || spans != nil || sum.TraceID != "" {
+		t.Fatalf("an untraced run: sampled %q, %d spans, trace id %q", sampled, len(spans), sum.TraceID)
+	}
+	rows := f.Ledger.Runs(ledger.Filter{Pipeline: "p"})
+	if len(rows) != 1 || !reflect.DeepEqual(rows[0], sum) {
+		t.Fatalf("ledger holds %+v, Finish returned %+v", rows, sum)
+	}
+	if len(sum.Nodes) != 2 || !reflect.DeepEqual(sum.CritPath, []string{"a", "b"}) || sum.EncodedBytes != 40 ||
+		sum.WallSeconds != 0.003 {
+		t.Fatalf("row %+v", sum)
 	}
 }
 
@@ -183,7 +213,8 @@ func TestFinishAlertsOnVerdictTransitions(t *testing.T) {
 		ledger.OutcomeFailed,    // healthy -> failing: inside the cooldown
 	} {
 		runID := telemetry.RunID(int64(i + 1))
-		f.Finish(p, tracedRun(p, runID, outcome == ledger.OutcomeSucceeded), time.Time{}, ledger.Meta{RunID: runID, Outcome: outcome, WallSeconds: 0.1})
+		col, res := tracedRun(p, runID, outcome == ledger.OutcomeSucceeded)
+		f.Finish(p, col, res, time.Time{}, ledger.Meta{RunID: runID, Outcome: outcome, WallSeconds: 0.1})
 	}
 	f.Alerts.Close() // drains the queue
 

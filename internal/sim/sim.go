@@ -98,7 +98,8 @@ type Result struct {
 	WriteSeconds   float64 // total foreground (blocking) write time
 	QuerySeconds   float64 // Read + Compute + Write, Table IV's "Query"
 	PeakMemory     int64
-	Fallbacks      int // flagged outputs that did not fit
+	Fallbacks      int   // flagged outputs that did not fit
+	Evictions      int64 // outputs released from the Memory Catalog
 	Timeline       []NodeTiming
 }
 
@@ -184,6 +185,7 @@ func Run(ctx context.Context, w *Workload, plan *core.Plan, cfg Config) (*Result
 			}
 		},
 		OnReleased: func(id dag.NodeID, bytes int64, at float64) {
+			res.Evictions++
 			emit(obs.Event{Kind: obs.Evicted, Node: w.Nodes[id].Name, Step: -1, Bytes: bytes, Elapsed: vclock(at)}, at)
 		},
 		OnHighWater: func(bytes int64, at float64) {

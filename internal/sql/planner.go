@@ -51,7 +51,9 @@ func Plan(stmt *Statement, cat Catalog) (engine.Node, []string, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		node = &engine.Filter{Input: node, Pred: pred}
+		if node, err = engine.NewFilter(node, pred); err != nil {
+			return nil, nil, err
+		}
 	}
 
 	// SELECT / GROUP BY.
@@ -204,7 +206,7 @@ func planJoin(sc *scope, left, right engine.Node, jc JoinClause) (engine.Node, e
 			}
 			preds[i] = p
 		}
-		node = &engine.Filter{Input: node, Pred: engine.And(preds)}
+		return engine.NewFilter(node, engine.And(preds))
 	}
 	return node, nil
 }

@@ -295,6 +295,27 @@ func TestUnknownColumnAndTableRejected(t *testing.T) {
 	}
 }
 
+// TestModuloOnFloatRejectedAtPlanTime: `%` with a FLOAT operand is a type
+// error of the plan — in a WHERE predicate, a join's residual predicate and
+// a projection alike — so it fails before any row is read; `%` on INT
+// plans and runs.
+func TestModuloOnFloatRejectedAtPlanTime(t *testing.T) {
+	cat, _ := testCatalog()
+	for _, q := range []string{
+		`SELECT o_id FROM orders WHERE o_total % 2.5 > 1`,
+		`SELECT o_id FROM orders WHERE o_id % 2.0 = 1`,
+		`SELECT o_id FROM orders o JOIN customers c ON o.o_cust = c.c_id AND o.o_total % 2 > 1`,
+		`SELECT o_total % 2 AS m FROM orders`,
+	} {
+		if _, _, err := PlanString(q, cat); err == nil || !strings.Contains(err.Error(), "modulo on FLOAT") {
+			t.Errorf("%s: err = %v, want a modulo on FLOAT plan error", q, err)
+		}
+	}
+	if out := runSQL(t, `SELECT o_id FROM orders WHERE o_id % 2 = 1`); out.NumRows() != 3 {
+		t.Fatalf("INT modulo kept %d rows, want 3", out.NumRows())
+	}
+}
+
 // TestPlanLeavesStatementUnchanged: a workload parses each node once and
 // plans that one statement on every run, against whatever schemas its
 // inputs have then, so Plan must not change the statement it lowers.

@@ -10,8 +10,9 @@ import (
 )
 
 // The schema between the Collector, which writes these names, and the
-// readers of a finished trace (CriticalPath, ledger.Summarize): a name
-// spelled here once cannot drift between the two sides.
+// readers of a finished trace (CriticalPath, and ledger.Summarize's node
+// spans): a name spelled here once cannot drift between the two sides.
+// Span events are named by the String() of the obs kind they came from.
 const (
 	// AttrNode marks a span as one executed DAG node; its value is the node
 	// (MV) name. CriticalPath selects node spans by this key, so
@@ -24,18 +25,6 @@ const (
 	AttrOutputBytes  = "sc.output_bytes"
 	AttrEncodedBytes = "sc.encoded_bytes" // also on EncodeDone/DecodeDone span events
 	AttrFlagged      = "sc.flagged"
-
-	// Span-event attributes.
-	AttrBytes           = "sc.bytes"
-	AttrRatio           = "sc.ratio"
-	AttrKernelFallbacks = "sc.kernel.fallbacks"
-
-	// Span-event names: the String() of the obs kind the event came from.
-	EventEncodeDone   = "EncodeDone"
-	EventDecodeDone   = "DecodeDone"
-	EventMaterialized = "Materialized"
-	EventEvicted      = "Evicted"
-	EventKernelDone   = "KernelDone"
 
 	// SpanQueueAdmission names the gateway's enqueue-to-admission child span.
 	SpanQueueAdmission = "queue admission"
@@ -278,13 +267,13 @@ func spanEventAttrs(e obs.Event) []Attr {
 		attrs = append(attrs, Str("sc.source", e.Source))
 	}
 	if e.Bytes != 0 {
-		attrs = append(attrs, Int(AttrBytes, e.Bytes))
+		attrs = append(attrs, Int("sc.bytes", e.Bytes))
 	}
 	if e.Encoded != 0 {
 		attrs = append(attrs, Int(AttrEncodedBytes, e.Encoded))
 	}
 	if e.Ratio != 0 {
-		attrs = append(attrs, Float(AttrRatio, e.Ratio))
+		attrs = append(attrs, Float("sc.ratio", e.Ratio))
 	}
 	if e.Elapsed != 0 {
 		attrs = append(attrs, Float("sc.elapsed_seconds", e.Elapsed.Seconds()))
@@ -295,7 +284,7 @@ func spanEventAttrs(e obs.Event) []Attr {
 	if e.Kind == obs.KernelDone {
 		attrs = append(attrs,
 			Int("sc.kernel.lowered", e.Lowered),
-			Int(AttrKernelFallbacks, e.Fallbacks),
+			Int("sc.kernel.fallbacks", e.Fallbacks),
 			Int("sc.kernel.chunks_skipped", e.ChunksSkipped),
 			Int("sc.kernel.decodes_avoided", e.DecodesAvoided),
 			Int("sc.kernel.chunks_passed", e.ChunksPassed),
@@ -429,13 +418,6 @@ func (c *Collector) Spans() []Span {
 		out = append(out, sp)
 	}
 	return out
-}
-
-// NodeSpanCount reports completed node spans (one per executed node).
-func (c *Collector) NodeSpanCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nodeSpans
 }
 
 // RunID formats a process-local run identifier for callers that do not

@@ -74,8 +74,8 @@ func TestCollectorRealRun(t *testing.T) {
 	if len(root.Events) != 1 || root.Events[0].Name != "MemoryHighWater" {
 		t.Fatalf("root events: %+v", root.Events)
 	}
-	if c.NodeSpanCount() != 2 {
-		t.Fatalf("NodeSpanCount = %d", c.NodeSpanCount())
+	if a, _ := root.Attr("sc.node_spans"); a.Int != 2 {
+		t.Fatalf("sc.node_spans = %d", a.Int)
 	}
 	if !root.End.After(root.Start) && root.End != root.Start {
 		t.Fatal("root not closed")
@@ -200,8 +200,8 @@ func TestCollectorConcurrentEmitters(t *testing.T) {
 	}
 	wg.Wait()
 	c.Finish(time.Time{}, "")
-	if got := c.NodeSpanCount(); got != 8*50 {
-		t.Fatalf("NodeSpanCount = %d, want 400", got)
+	if got, _ := c.Spans()[0].Attr("sc.node_spans"); got.Int != 8*50 {
+		t.Fatalf("sc.node_spans = %d, want 400", got.Int)
 	}
 }
 
@@ -240,18 +240,5 @@ func BenchmarkWithRunStamp(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		o.OnEvent(e)
-	}
-}
-
-// The span-event name constants readers switch on are the names the
-// Collector writes: the obs kinds' String().
-func TestEventNameConstantsMatchObsKinds(t *testing.T) {
-	for name, kind := range map[string]obs.Kind{
-		EventEncodeDone: obs.EncodeDone, EventDecodeDone: obs.DecodeDone, EventMaterialized: obs.Materialized,
-		EventEvicted: obs.Evicted, EventKernelDone: obs.KernelDone,
-	} {
-		if name != kind.String() {
-			t.Errorf("constant %q names obs kind %q", name, kind.String())
-		}
 	}
 }

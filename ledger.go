@@ -3,7 +3,7 @@ package sc
 import "github.com/shortcircuit-db/sc/internal/ledger"
 
 // RunSummary is one refresh run's ledger record: outcome, wall and queue
-// time, per-node timing from the trace, byte and compression accounting,
+// time, per-node timing from the run's record, byte and compression accounting,
 // the critical path, predicted-vs-actual peak memory, and any anomalies
 // the detector flagged against the learned baselines. Produced by sessions
 // built with WithLedger (Refresher.History) and by the gateway

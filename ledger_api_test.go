@@ -34,8 +34,8 @@ func TestWithLedgerRecordsHistory(t *testing.T) {
 	if latest.Outcome != "succeeded" || len(latest.Nodes) != 4 {
 		t.Fatalf("latest run: %+v", latest)
 	}
-	if latest.WallSeconds <= 0 || latest.TraceID == "" {
-		t.Fatalf("summary missing trace-derived fields: %+v", latest)
+	if latest.WallSeconds <= 0 || len(latest.CritPath) == 0 {
+		t.Fatalf("summary missing record-derived fields: %+v", latest)
 	}
 	bs := ref.Baselines()
 	if len(bs) != 4 {
@@ -73,5 +73,64 @@ func TestWithLedgerRecordsHistory(t *testing.T) {
 	}
 	if got := ref3.History(sc.RunFilter{}); got != nil {
 		t.Fatalf("no-ledger session returned history: %+v", got)
+	}
+}
+
+// TestLedgerOnlySessionTracesNothing: WithLedger alone opens no trace — no
+// LastTrace and no trace ID on the row — yet the row has every node and a
+// critical path. With WithTelemetry as well the row carries the trace ID
+// of LastTrace.
+func TestLedgerOnlySessionTracesNothing(t *testing.T) {
+	store := sc.NewMemStore()
+	baseTables(t, store)
+	ref, err := sc.New(chainMVs(), store, sc.WithMemory(1<<20), sc.WithLedger(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	row := ref.History(sc.RunFilter{})[0]
+	if ref.LastTrace() != nil || row.TraceID != "" {
+		t.Fatalf("a ledger-only session traced: last trace %v, row trace id %q", ref.LastTrace(), row.TraceID)
+	}
+	if len(row.Nodes) != 4 || len(row.CritPath) == 0 || row.RunID == "" {
+		t.Fatalf("ledger-only row: %+v", row)
+	}
+
+	traced, err := sc.New(chainMVs(), store, sc.WithMemory(1<<20), sc.WithLedger(""), sc.WithTelemetry(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := traced.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	row, tr := traced.History(sc.RunFilter{})[0], traced.LastTrace()
+	if tr == nil || row.TraceID == "" || row.TraceID != tr.Spans[0].TraceID.String() || row.RunID != tr.RunID {
+		t.Fatalf("traced row %q/%q, last trace %+v", row.TraceID, row.RunID, tr)
+	}
+}
+
+// TestRunEncodedBytesSumsTheNodes: a row's run-level encoded bytes are the
+// sum of its nodes' on the row path and the compressed path alike.
+func TestRunEncodedBytesSumsTheNodes(t *testing.T) {
+	for _, opts := range [][]sc.Option{nil, {sc.WithEncoding(sc.EncodingOptions{})}} {
+		store := sc.NewMemStore()
+		baseTables(t, store)
+		ref, err := sc.New(chainMVs(), store, append(opts, sc.WithMemory(1<<20), sc.WithLedger(""))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.Refresh(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		row := ref.History(sc.RunFilter{})[0]
+		var sum int64
+		for _, n := range row.Nodes {
+			sum += n.EncodedBytes
+		}
+		if sum == 0 || row.EncodedBytes != sum {
+			t.Errorf("%d options: run encoded_bytes %d, nodes sum to %d", len(opts), row.EncodedBytes, sum)
+		}
 	}
 }

@@ -163,9 +163,9 @@ func WithParallelScan(bool) Option {
 // NewOTLPTraceExporter and NewFileTraceExporter. The session does not close
 // the exporter — that stays with the caller. Pass nil to trace without
 // exporting. The collector rides the same event stream as WithObserver;
-// without this option (or WithLedger/WithAlerts, which imply it) and without
-// an observer a run emits no events at all — Metrics is filled from the
-// run's result either way.
+// without this option and without an observer a run emits no events at
+// all — Metrics and the WithLedger summary are built from the run's result
+// either way.
 func WithTelemetry(exp TraceExporter) Option {
 	return func(c *config) {
 		c.tracing = true
@@ -174,10 +174,10 @@ func WithTelemetry(exp TraceExporter) Option {
 }
 
 // WithLedger enables the session run ledger: every Run/Refresh lands a
-// RunSummary — wall and queue time, per-node wall/self/wait, decoded and
-// encoded bytes, compression ratios, kernel fallbacks, evictions, the
-// critical path, and predicted-vs-actual peak memory — in a bounded
-// in-memory history, read back with Refresher.History. Per-(pipeline, node)
+// RunSummary — wall time, per-node wall/self/wait, decoded and encoded
+// bytes, compression ratios, kernel fallbacks, evictions, the critical
+// path, and predicted-vs-actual peak memory — in a bounded in-memory
+// history, read back with Refresher.History. Per-(pipeline, node)
 // EWMA baselines learn from succeeded runs and an anomaly detector flags
 // wall/bytes regressions, compression-ratio collapses, eviction storms and
 // kernel-fallback appearances against them; see the Anomalies field of each
@@ -185,14 +185,13 @@ func WithTelemetry(exp TraceExporter) Option {
 //
 // path, when non-empty, persists summaries as NDJSON and replays them on
 // New, so baselines survive process restarts (the file is compacted to the
-// retained history past 4 MB). WithLedger implies tracing — the summary is
-// derived from the run's spans, so there is no ledger row without a trace;
-// combine with WithTelemetry to also export traces.
+// retained history past 4 MB). The summary is built from the run's own
+// record, so WithLedger traces nothing: combine it with WithTelemetry to
+// also trace runs, which stamps each summary with its trace ID.
 func WithLedger(path string) Option {
 	return func(c *config) {
 		c.ledger = true
 		c.ledgerPath = path
-		c.tracing = true
 	}
 }
 
@@ -205,7 +204,7 @@ func WithLedger(path string) Option {
 // (0 = the 5m default). Call Refresher.Close to drain pending deliveries;
 // alerts of runs after Close are counted as dropped.
 // WithAlerts implies WithLedger's in-memory ledger — the anomalies are its
-// verdicts — and therefore tracing.
+// verdicts — and, like it, no tracing.
 func WithAlerts(webhookURL string, cooldown time.Duration) Option {
 	return func(c *config) {
 		if webhookURL == "" {
@@ -215,6 +214,5 @@ func WithAlerts(webhookURL string, cooldown time.Duration) Option {
 		c.alertURL = webhookURL
 		c.alertCooldown = cooldown
 		c.ledger = true
-		c.tracing = true
 	}
 }

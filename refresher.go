@@ -175,10 +175,12 @@ func (r *Refresher) RunPlan(ctx context.Context, plan *Plan) (*RunResult, error)
 			return nil, err
 		}
 	}
+	if !r.cfg.tracing && !r.cfg.ledger { // nothing to finish
+		return r.pipe.Run(ctx, plan, session.RunEnv{Mem: memcat.New(r.cfg.memory), Observer: r.cfg.observer})
+	}
 	var col *telemetry.Collector
-	var runID string
+	runID := telemetry.RunID(r.runSeq.Add(1))
 	if r.cfg.tracing {
-		runID = telemetry.RunID(r.runSeq.Add(1))
 		col = r.pipe.OpenTrace(runID, time.Time{}, telemetry.SpanContext{})
 	}
 	res, err := r.pipe.Run(ctx, plan, session.RunEnv{
@@ -187,9 +189,6 @@ func (r *Refresher) RunPlan(ctx context.Context, plan *Plan) (*RunResult, error)
 		Trace:    col,
 		Observer: r.cfg.observer,
 	})
-	if col == nil { // no WithTelemetry/WithLedger/WithAlerts: nothing to finish
-		return res, err
-	}
 	meta := ledger.Meta{RunID: runID, Outcome: ledger.OutcomeSucceeded, ReservedBytes: r.cfg.memory}
 	if err != nil {
 		meta.Outcome = ledger.OutcomeFailed
@@ -198,11 +197,10 @@ func (r *Refresher) RunPlan(ctx context.Context, plan *Plan) (*RunResult, error)
 			meta.Outcome = ledger.OutcomeCanceled
 		}
 	}
-	if res != nil {
-		meta.ActualPeakBytes = res.PeakMemory
-		meta.FallbackWrites = res.FallbackWrites
+	_, _, spans := r.fin.Finish(r.pipe, col, res, time.Time{}, meta)
+	if col == nil {
+		return res, err
 	}
-	_, _, spans := r.fin.Finish(r.pipe, col, time.Time{}, meta)
 	tr := &RunTrace{
 		RunID:        runID,
 		Spans:        spans,

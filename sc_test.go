@@ -256,3 +256,35 @@ func TestRunnerSQLErrorMentionsNode(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestModuloOnFloatFailsAtPlanTime: `%` on a FLOAT column fails when the
+// node is planned, on the row path and the compressed path alike, so an
+// empty input fails exactly as a full one does instead of succeeding.
+func TestModuloOnFloatFailsAtPlanTime(t *testing.T) {
+	mvs := []sc.MV{{Name: "odd", SQL: `SELECT user_id FROM events WHERE value % 2.5 > 1`}}
+	for _, empty := range []bool{false, true} {
+		for _, opts := range [][]sc.Option{nil, {sc.WithEncoding(sc.EncodingOptions{})}} {
+			store := sc.NewMemStore()
+			if empty {
+				events := table.New(table.NewSchema(
+					table.Column{Name: "user_id", Type: table.Int},
+					table.Column{Name: "kind", Type: table.Str},
+					table.Column{Name: "value", Type: table.Float},
+				))
+				if err := sc.SaveTable(store, "events", events); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				baseTables(t, store)
+			}
+			ref, err := sc.New(mvs, store, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = ref.Refresh(context.Background())
+			if err == nil || !strings.Contains(err.Error(), "modulo on FLOAT") {
+				t.Errorf("empty=%v, %d options: err = %v, want a modulo on FLOAT error", empty, len(opts), err)
+			}
+		}
+	}
+}
