@@ -232,7 +232,7 @@ type Run struct {
 
 	done  chan struct{}        // closed on any terminal state
 	tkt   *ticket              // what admission reserves and commits for the run
-	trace *telemetry.Collector // the run's record: opened at enqueue, finished at the terminal state
+	trace *telemetry.Collector // the run's trace and event log: opened at enqueue, finished at the terminal state
 
 	mu         sync.Mutex
 	state      string
@@ -290,8 +290,7 @@ func (r *Run) status() RunStatus {
 	st := RunStatus{
 		ID: r.id, Pipeline: r.p.Name, Tenant: r.p.tenant, State: r.state,
 		ReservedBytes: r.tkt.need, ReservedTokens: r.tkt.tokens,
-		EnqueuedAt: r.enqueuedAt,
-		StartedAt:  r.startedAt, FinishedAt: r.finishedAt,
+		EnqueuedAt: r.enqueuedAt, StartedAt: r.startedAt, FinishedAt: r.finishedAt,
 		LeakedBytes: r.leaked, Error: r.errMsg, EventsDropped: r.trace.EventsDropped(),
 	}
 	if r.res != nil {
@@ -745,7 +744,7 @@ func (s *Server) startRun(r *Run, plan *core.Plan) {
 	if b := r.tkt.blocked; b != "" {
 		attrs = append(attrs, telemetry.Str("sc.blocked_on", b))
 	}
-	r.trace.AddChildSpan(telemetry.SpanQueueAdmission, r.enqueuedAt, now, attrs...)
+	r.trace.AddChildSpan("queue admission", r.enqueuedAt, now, attrs...)
 	s.prom.queueWait.observe(now.Sub(r.enqueuedAt).Seconds())
 	s.runWG.Add(1)
 	go func() {

@@ -261,7 +261,7 @@ func TestSummarizeAdaptsNodeSpans(t *testing.T) {
 	at := func(ms int) time.Time { return base.Add(time.Duration(ms) * time.Millisecond) }
 	root := telemetry.Span{TraceID: tid, SpanID: telemetry.SpanID{1}, Name: "refresh", Start: at(0), End: at(1000)}
 	queue := telemetry.Span{TraceID: tid, SpanID: telemetry.SpanID{2}, Parent: root.SpanID,
-		Name: telemetry.SpanQueueAdmission, Start: at(0), End: at(100)}
+		Name: "queue admission", Start: at(0), End: at(100)}
 	nodeA := telemetry.Span{TraceID: tid, SpanID: telemetry.SpanID{3}, Parent: root.SpanID,
 		Name: "node a", Start: at(100), End: at(500),
 		Attrs: []telemetry.Attr{

@@ -8,9 +8,9 @@
 // which is also its event log, and the library's observer. A Finisher ends
 // a run's observability lifecycle: the ledger row, built from the run's
 // record whether or not the run was traced, alerts, and the trace's end
-// and export when there is one. sc.Refresher and the gateway differ only in what they put around
-// these two: options and plan caching on one side, admission and the run
-// state machine on the other.
+// and export when there is one. sc.Refresher and the gateway differ only
+// in what they put around these two: options and plan caching on one
+// side, admission and the run state machine on the other.
 package session
 
 import (
@@ -177,7 +177,7 @@ type RunEnv struct {
 	Mem   *memcat.Catalog  // the run's bounded Memory Catalog
 	Sched *sched.Scheduler // shared token pool; nil gives the run a private one
 	RunID string
-	// Trace, from OpenTrace, is the run's record: its trace and its event
+	// Trace, from OpenTrace, is the run's trace, which is also its event
 	// log. Nil for an untraced run.
 	Trace *telemetry.Collector
 	// Observer watches the event stream beside the trace: the library's

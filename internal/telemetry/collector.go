@@ -25,9 +25,6 @@ const (
 	AttrOutputBytes  = "sc.output_bytes"
 	AttrEncodedBytes = "sc.encoded_bytes" // also on EncodeDone/DecodeDone span events
 	AttrFlagged      = "sc.flagged"
-
-	// SpanQueueAdmission names the gateway's enqueue-to-admission child span.
-	SpanQueueAdmission = "queue admission"
 )
 
 // CollectorConfig configures a per-run Collector.
@@ -55,7 +52,7 @@ type CollectorConfig struct {
 // counts what it dropped instead of growing without bound.
 const eventLogCap = 16384
 
-// Collector is the record of one run: it assembles the run's obs events
+// Collector is the trace of one run: it assembles the run's obs events
 // into a trace and keeps the events themselves as a log, which followers
 // read replay-then-follow (Events). It implements obs.Observer and is safe
 // for a concurrent Controller's emitters. All spans share one trace ID;

@@ -3,11 +3,11 @@ package sc
 import "github.com/shortcircuit-db/sc/internal/ledger"
 
 // RunSummary is one refresh run's ledger record: outcome, wall and queue
-// time, per-node timing from the run's record, byte and compression accounting,
-// the critical path, predicted-vs-actual peak memory, and any anomalies
-// the detector flagged against the learned baselines. Produced by sessions
-// built with WithLedger (Refresher.History) and by the gateway
-// (GET /v1/runs, Gateway.RunHistory).
+// time, per-node timing and byte and compression accounting from the run's
+// own record (not its trace), the critical path, predicted-vs-actual peak
+// memory, and any anomalies the detector flagged against the learned
+// baselines. Produced by sessions built with WithLedger (Refresher.History)
+// and by the gateway (GET /v1/runs, Gateway.RunHistory).
 type RunSummary = ledger.RunSummary
 
 // RunFilter selects ledger history: exact pipeline/tenant/outcome matches,
